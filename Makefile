@@ -7,7 +7,7 @@ export PYTHONPATH := src
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
         test-gateway bench-smoke bench-hotpath bench-shard bench-persist \
         bench-ingest bench-sync bench-exec bench-obs bench-gateway \
-        bench-all check
+        bench-all bench-e2e bench-e2e-compare lint-private check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -41,11 +41,12 @@ test-gateway:
 	$(PYTHON) -m pytest tests/test_gateway.py -q
 
 # Chaos suite: the 2PC crash matrix (coordinator killed at every WAL
-# step boundary), lock-lease/fencing/quarantine coverage, plus the
+# step boundary), lock-lease/fencing coverage, the round-engine contract
+# matrix (executor x quarantine under an injected shard fault), plus the
 # seeded chaos harness run twice per seed — same seed must produce the
 # same report signature, or the run fails.
 test-chaos:
-	$(PYTHON) -m pytest tests/test_chaos.py -q
+	$(PYTHON) -m pytest tests/test_chaos.py tests/test_engines.py -q
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 
 # Fast CI-friendly run of the hot-path benchmark (small sizes).
@@ -103,11 +104,27 @@ bench-gateway:
 bench-all: bench-hotpath bench-shard bench-persist bench-ingest \
            bench-sync bench-exec bench-obs bench-gateway
 
-# CI-style verification in one command: tier-1 tests, the seeded chaos
-# smoke (3 fault plans, each run twice — deterministic per seed), plus a
-# smoke pass of each perf benchmark (same code paths, small sizes, no
-# floors).
-check: test
+# The end-to-end benchmark BENCHMARK.json declares (benchmarks/e2e):
+# one run into OUT, and the parent-vs-candidate comparison of two runs'
+# outputs (BASE, CAND).
+bench-e2e:
+	python3 benchmarks/e2e/run.py --out $(OUT)
+
+bench-e2e-compare:
+	python3 benchmarks/e2e/compare.py $(BASE) $(CAND)
+
+# No module outside sharding/ may read an underscore attribute of a
+# ShardedChain (every facade handle in src/ is named `sharded`): what
+# another package needs is exposed under a public name instead.
+lint-private:
+	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
+	    | grep -v '^src/repro/sharding/'
+
+# CI-style verification in one command: tier-1 tests, the private-
+# attribute lint, the seeded chaos smoke (3 fault plans, each run twice
+# — deterministic per seed), plus a smoke pass of each perf benchmark
+# (same code paths, small sizes, no floors).
+check: test lint-private
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke

@@ -206,7 +206,7 @@ def run_mode(executor: str, workers: int | None,
         "heights": [sc.shard(s).chain.height for s in range(N_SHARDS)],
     }
     committed = sc.total_txs_committed
-    respawns = sc.exec_pool.respawns if sc.exec_pool is not None else 0
+    respawns = sc.engine.pool.respawns if sc.engine.pool is not None else 0
     sc.close()
     return {
         "executor": executor,

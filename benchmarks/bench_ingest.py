@@ -99,10 +99,10 @@ def bench_synchronous(events, burst: int, store_dir: str) -> dict:
         latencies.append(time.perf_counter() - e0)
         if (i + 1) % burst == 0:
             while sharded.mempool_backlog:
-                sharded.seal_round(parallel=False)
+                sharded.seal_round()
     sharded.flush_anchors()
     while sharded.mempool_backlog:
-        sharded.seal_round(parallel=False)
+        sharded.seal_round()
     total_s = time.perf_counter() - t0
     committed = sharded.total_txs_committed
     sharded.verify_all()

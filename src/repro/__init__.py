@@ -16,9 +16,6 @@ Quickstart::
     system.update("alice", "report.pdf", b"draft 2")
     answer = system.audit_object("report.pdf")
     assert answer.verified          # every record proven against the chain
-
-See README.md for the architecture tour and DESIGN.md for the
-paper-to-module map.
 """
 
 __version__ = "1.0.0"

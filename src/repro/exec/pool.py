@@ -4,7 +4,7 @@ One pipe per worker, **one job in flight per worker** — a second large
 job queued behind an unread large response can deadlock both pipe
 buffers, so the pool never sends to a busy worker; queued jobs drain as
 responses arrive (:func:`multiprocessing.connection.wait`).  Shard
-affinity is the caller's concern: :class:`~repro.sharding.shardchain.ShardedChain`
+affinity is the caller's concern: :class:`~repro.exec.engine.ProcessRoundEngine`
 maps ``shard_id % n_workers`` so a shard's state replica stays warm in
 one worker.
 

@@ -104,7 +104,7 @@ def _reset_forked_caches() -> None:
 def _telemetry_payload() -> dict:
     """This worker's telemetry delta since the last reply: finished
     span rows plus counter increments, both canonical-encodable.  The
-    parent merges them (``ShardedChain._merge_worker_telemetry``)."""
+    parent merges them (``ProcessRoundEngine._merge_worker_telemetry``)."""
     tel = telemetry()
     return {"spans": tel.tracer.span_rows(drain=True),
             "counters": tel.registry.drain_counter_deltas()}

@@ -264,16 +264,6 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     # Admission (pump) and sealing
     # ------------------------------------------------------------------
-    def _offload_pool(self):
-        """The sharded chain's exec pool, created on demand when the
-        deployment seals in process mode; ``None`` keeps admission on
-        the inline path (in-memory/thread deployments lose nothing)."""
-        sharded = self.sharded
-        pool = getattr(sharded, "exec_pool", None)
-        if pool is None and getattr(sharded, "executor", None) == "process":
-            pool = sharded._get_exec_pool()
-        return pool
-
     def _verify_offloaded(self, signed: list[Transaction],
                           pool) -> list[bool]:
         """Batched signature verification in the exec workers.
@@ -321,7 +311,10 @@ class IngestPipeline:
         signed = [tx for tx in batch
                   if tx.signature is not None and tx.signer is not None
                   and tx.signer.address == tx.sender]
-        pool = (self._offload_pool()
+        # The round engine's exec pool (started on demand) when the
+        # deployment seals in process mode; None keeps admission on the
+        # inline path (in-memory/thread deployments lose nothing).
+        pool = (self.sharded.engine.offload_pool()
                 if len(signed) >= _OFFLOAD_MIN_BATCH else None)
         if pool is not None:
             verdicts = self._verify_offloaded(signed, pool)
@@ -420,14 +413,9 @@ class IngestPipeline:
                     )
                     if bad:
                         self._quarantine(bad)
-                if sharded._locks:
-                    kept = []
-                    for tx in batch:
-                        if sharded._blocked_by_lock(queue.shard_id, tx):
-                            deferred.append(tx)
-                        else:
-                            kept.append(tx)
-                    batch = kept
+                batch, blocked = sharded.locks.partition(queue.shard_id,
+                                                         batch)
+                deferred.extend(blocked)
                 if batch:
                     added, duplicates = self._admit(queue, mempool, batch)
                     self._m_admission_s.observe(

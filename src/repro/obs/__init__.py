@@ -29,7 +29,7 @@ submit path stays within 5% of the uninstrumented one.
 processes run their own default (reset after fork); their span records
 and counter deltas ride the existing canonical reply frames of
 ``exec/worker.py`` and are merged into the parent's registry and tracer
-by ``ShardedChain`` as each shard's result lands, so a cross-process
+by the process round engine as each shard's result lands, so a cross-process
 seal still produces one coherent trace tree and one counter space.
 Trace context travels the other way inside the job frame (``trace_id``,
 parent span id, sampled flag) — the same canonical codec that carries

@@ -41,6 +41,14 @@ a single verifiable root of trust:
 Trust recap: record → batch root → anchor tx → shard header → round
 root → beacon anchor tx → beacon header.  Tampering anywhere under a
 beacon header breaks one of those six hops.
+
+Layout: ``shardchain.py`` — the facade is *wiring* (routing,
+checkpointing, the ``seal_round`` skeleton with its one failure loop).
+``locks.py`` — :class:`LockTable`, the whole lock policy, called
+directly as ``sharded.locks``.  ``engines.py`` / :mod:`repro.exec.engine`
+— *where* a shard's round runs: the engine chosen at construction
+returns, per shard, ``(ShardSealStats, entries, height)`` or the
+exception — never a failure decision.
 """
 
 from .beacon import (
@@ -49,10 +57,10 @@ from .beacon import (
     BeaconReceipt,
     ShardBlockProof,
 )
+from .locks import LockEntry, LockTable
 from .query import FederatedProof, ShardedQueryEngine, ShardedVerifiedAnswer
 from .router import NAMESPACE_SEP, ShardRouter, namespace_of
 from .shardchain import (
-    LockEntry,
     RoundReport,
     Shard,
     ShardedChain,
@@ -83,6 +91,7 @@ __all__ = [
     "ShardRouter",
     "namespace_of",
     "LockEntry",
+    "LockTable",
     "RoundReport",
     "Shard",
     "ShardedChain",

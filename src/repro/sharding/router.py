@@ -85,12 +85,3 @@ class ShardRouter:
         for tx in txs:
             buckets.setdefault(self.route(tx), []).append(tx)
         return buckets
-
-    def lock_key_for(self, tx: Transaction) -> str | None:
-        """The contention key the cross-shard lock table guards.
-
-        Locks are per *subject* (object), not per namespace: a handoff of
-        one lot must not freeze the whole tenant.
-        """
-        subject = tx.payload.get("subject")
-        return str(subject) if subject else None

@@ -10,8 +10,9 @@ deployment, run on separate machines.  The facade:
 * seals one block per loaded shard per **round** (:meth:`seal_round`) and
   anchors every block produced in the round into the
   :class:`~repro.sharding.beacon.BeaconChain`,
-* maintains the cross-shard lock table the two-phase-commit coordinator
-  uses (a transaction touching a locked subject is deferred, not lost),
+* consults the cross-shard :class:`~repro.sharding.locks.LockTable` the
+  two-phase-commit coordinator drives (a transaction touching a locked
+  subject is deferred, not lost),
 * reports per-shard seal timings so the scaling benchmark can model the
   deployment's critical path (shards seal concurrently; the round takes
   as long as its slowest shard plus the beacon commit).
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -39,6 +39,8 @@ from ..provenance.anchor import AnchorReceipt, AnchorService
 from ..provenance.query import ProvenanceQueryEngine, QueryCache
 from ..storage.provdb import ProvenanceDatabase
 from .beacon import BeaconChain, BeaconReceipt
+from .engines import InProcessEngine, RoundEngine, ShardResult
+from .locks import LockTable
 from .router import ShardRouter, namespace_of
 
 
@@ -58,9 +60,11 @@ class Shard:
     def __init__(self, shard_id: int, params: ChainParams,
                  anchor_batch_size: int = 64,
                  storage=None, snapshot_interval: int = 0,
-                 contract_runtime_factory=None) -> None:
+                 contract_runtime_factory=None,
+                 locks: LockTable | None = None) -> None:
         self.shard_id = shard_id
         self.storage = storage
+        self.locks = locks      # None on replicas, which never seal
         runtime = (contract_runtime_factory()
                    if contract_runtime_factory is not None else None)
         if storage is None:
@@ -88,6 +92,98 @@ class Shard:
         self.query = ProvenanceQueryEngine(
             self.database, anchor_service=self.anchor, cache=QueryCache()
         )
+        # Highest block height already committed to the beacon.
+        self.anchored_height = 0
+        # Admission time (hashing + mempool insert) accumulated by
+        # submit_many between rounds, folded into the next round's
+        # duration — on a real deployment every shard node pays its own
+        # admission cost, so the scaling model must too.
+        self.pending_ingest_s = 0.0
+
+    def pop_round_blocks(
+        self, ts: int, blocks_per_shard: int,
+    ) -> tuple[list[Block], int]:
+        """Drain up to ``blocks_per_shard`` batches from the mempool and
+        build (but do not execute) the chained blocks."""
+        max_txs = self.chain.params.max_block_txs
+        new_blocks: list[Block] = []
+        txs_sealed = 0
+        prev = self.chain.head
+        for _ in range(blocks_per_shard):
+            # A transaction admitted *before* a lock was taken must not
+            # seal mid-2PC: hold it back for a later round (the admission
+            # check alone cannot see future locks).
+            batch, held = self.locks.partition(
+                self.shard_id, self.mempool.pop_batch(max_txs)
+            )
+            if held:
+                self.mempool.add_many(held)
+            if not batch:
+                break
+            block = Block(
+                height=prev.height + 1,
+                prev_hash=prev.block_hash,
+                transactions=batch,
+                timestamp=ts,
+                proposer=f"shard-{self.shard_id}-sealer",
+            )
+            new_blocks.append(block)
+            txs_sealed += len(batch)
+            prev = block
+        return new_blocks, txs_sealed
+
+    def append_popped(self, blocks: list[Block]) -> None:
+        """Execute and commit popped blocks in this process (the
+        in-process engine's path, and the process engine's fallback),
+        re-admitting the transactions of every uncommitted block on
+        failure — the batch was acknowledged only as *queued*, so
+        nothing may be silently lost."""
+        pending = [block for block in blocks
+                   if block.height > self.chain.height]
+        if not pending:
+            return
+        try:
+            self.chain.append_blocks(pending)
+        except BaseException:
+            # The chain unwound the group (or kept only what its store
+            # committed); re-admit the rest.
+            committed_height = self.chain.height
+            for block in pending:
+                if block.height > committed_height:
+                    self.mempool.add_many(block.transactions)
+            raise
+
+    def finish_round(self, txs_sealed: int,
+                     active_s: float) -> ShardResult:
+        """Close this shard's round: collect every block the beacon has
+        not seen yet (includes anchor-service blocks appended between
+        rounds) and fold the admission time accumulated since the
+        previous round into ``active_s``.  The anchored watermark itself
+        is advanced by seal_round only after the beacon commit succeeds
+        — a round that fails in another shard must not leave this
+        shard's blocks un-anchorable forever."""
+        entries = [
+            (self.shard_id, height,
+             self.chain.block_at(height).block_hash, b"")
+            for height in range(self.anchored_height + 1,
+                                self.chain.height + 1)
+        ]
+        if entries:
+            # The round's last entry is the shard's current head, and no
+            # execution happens between here and the beacon commit — tag
+            # it with the post-execution state root so snapshot images
+            # taken at this height verify against the beacon.
+            sid, height, block_hash, _ = entries[-1]
+            entries[-1] = (sid, height, block_hash,
+                           self.chain.state.state_root())
+        stats = ShardSealStats(
+            txs_sealed=txs_sealed,
+            blocks_produced=len(entries),
+            duration_s=active_s + self.pending_ingest_s,
+            mempool_backlog=len(self.mempool),
+        )
+        self.pending_ingest_s = 0.0
+        return stats, entries, self.chain.height
 
     def checkpoint(self) -> None:
         """Persist anchor state + state snapshot + fsync (durable only)."""
@@ -103,24 +199,6 @@ class Shard:
             return
         self.checkpoint()
         self.storage.close()
-
-
-@dataclass(frozen=True)
-class LockEntry:
-    """One cross-shard lock: owner, holder epoch, and lease expiry.
-
-    ``epoch`` is the coordinator generation that took the lock — a
-    recovered coordinator (higher epoch) may reclaim entries from dead
-    generations, and protocol legs from a fenced (lower) epoch are
-    refused at submit time.  ``expires_round`` is the sealing round
-    after which the lease is stale: a live coordinator renews its
-    leases every round tick, so an expired lease means its holder died
-    without unlocking and the facade may drop it.
-    """
-
-    xid: str
-    epoch: int = 0
-    expires_round: int = 0
 
 
 @dataclass(frozen=True)
@@ -278,8 +356,6 @@ class ShardedChain:
             raise ShardError("need at least one shard")
         if retry_floor_s <= 0.0:
             raise ShardError("retry_floor_s must be > 0")
-        if lock_lease_rounds < 1:
-            raise ShardError("lock_lease_rounds must be >= 1")
         if quarantine_after < 0:
             raise ShardError("quarantine_after must be >= 0")
         if quarantine_probe_every < 1:
@@ -318,6 +394,10 @@ class ShardedChain:
                 DurableStorage(os.path.join(storage_dir, f"shard-{i}"))
                 for i in range(n_shards)
             ]
+        # Never restored from a checkpoint: a lock's coordinator died
+        # with the old process, and CrossShardCoordinator.recover()
+        # re-owns what the transfer WAL says is still in flight.
+        self.locks = LockTable(lock_lease_rounds)
         self._beacon_storage = beacon_storage
         self.shards = [
             Shard(
@@ -331,27 +411,15 @@ class ShardedChain:
                 storage=shard_storages[i],
                 snapshot_interval=snapshot_interval,
                 contract_runtime_factory=contract_runtime_factory,
+                locks=self.locks,
             )
             for i in range(n_shards)
         ]
-        self.contract_runtime_factory = contract_runtime_factory
         self.beacon = BeaconChain(
             ChainParams(chain_id=f"{chain_id_prefix}-beacon"),
             store=beacon_storage.blocks if beacon_storage else None,
             snapshot_store=beacon_storage.state if beacon_storage else None,
         )
-        # (shard_id, subject) -> LockEntry.  Guards cross-shard
-        # atomicity: while a subject is mid-handoff, conflicting writes
-        # are deferred instead of interleaving with the 2PC phases.
-        # Entries carry a holder epoch and a lease round (see
-        # LockEntry); seal_round sweeps expired leases.
-        self._locks: dict[tuple[int, str], LockEntry] = {}
-        self.lock_lease_rounds = lock_lease_rounds
-        # Coordinator fencing: the highest coordinator epoch this facade
-        # has seen.  Protocol legs stamped with an older epoch are
-        # refused at submit time (a zombie coordinator that lost a
-        # recovery race cannot drive half a transfer).
-        self.coordinator_epoch: int | None = None
         # In-memory meta fallback: the durable 2PC WAL rides the beacon
         # store's meta table when one exists; in-memory deployments get
         # the same surface (so coordinator crash/recovery is testable
@@ -364,13 +432,6 @@ class ShardedChain:
         self.quarantine_probe_every = quarantine_probe_every
         self._seal_fail_streak: dict[int, int] = {}
         self._quarantined: dict[int, int] = {}
-        # Highest block height per shard already committed to the beacon.
-        self._anchored_height = [0] * n_shards
-        # Per-shard admission time (hashing + mempool insert) accumulated
-        # by submit_many between rounds; seal_round folds it into each
-        # shard's round duration — on a real deployment every shard node
-        # pays its own admission cost, so the scaling model must too.
-        self._pending_ingest_s = [0.0] * n_shards
         self.rounds_sealed = 0
         self._coordinators: list[Any] = []
         self._replica_seq = 0
@@ -384,18 +445,7 @@ class ShardedChain:
             seal_workers = (min(n_shards, 8)
                             if storage_dir is not None else 1)
         self.seal_workers = seal_workers
-        self._seal_pool: ThreadPoolExecutor | None = None
-        # Process-pool sealing (repro.exec): default executor mode for
-        # seal_round ("auto" = thread when seal_workers > 1, else
-        # serial), pool width, the cached pool itself, and per-shard
-        # replica bookkeeping — (worker index, worker epoch, height,
-        # state root) last confirmed held by the shard's exec worker.
-        # A mismatch at job-build time ships a fresh state image.
         self.executor = executor
-        self.exec_workers = (exec_workers if exec_workers is not None
-                             else min(4, max(2, n_shards)))
-        self._exec_pool = None
-        self._worker_shard_state: dict[int, tuple[int, int, int, bytes]] = {}
         # EWMA of recent round wall time; feeds retry-after estimates.
         # retry_floor_s both seeds the estimate before the first seal
         # and clamps every advertised retry-after (hot-loop guard).
@@ -411,14 +461,9 @@ class ShardedChain:
             else default_telemetry()
         registry = self.telemetry.registry
         self._tracer = self.telemetry.tracer
-        self._m_seal_shard_s = registry.histogram("seal_shard_seconds")
         self._m_seal_round_s = registry.histogram("seal_round_seconds")
         self._m_beacon_s = registry.histogram("seal_beacon_seconds")
         self._m_txs_sealed = registry.counter("txs_sealed_total")
-        self._m_exec_offloaded = registry.counter(
-            "exec_rounds_offloaded_total"
-        )
-        self._m_exec_fallback = registry.counter("exec_fallback_total")
         self._m_leases_expired = registry.counter(
             "xshard_lock_leases_expired_total"
         )
@@ -427,6 +472,21 @@ class ShardedChain:
         self._m_seal_failures = registry.counter("shard_seal_failures_total")
         registry.register_collector(self._collect_metrics)
         self._last_round: RoundReport | None = None
+        # "auto" seals on the thread pool when seal_workers > 1, inline
+        # otherwise.  Engines start threads/processes on first use.
+        self.engine: RoundEngine
+        if executor == "process":
+            from ..exec.engine import ProcessRoundEngine
+
+            self.engine = ProcessRoundEngine(
+                (exec_workers if exec_workers is not None
+                 else min(4, max(2, n_shards))),
+                contract_runtime_factory, self.telemetry,
+            )
+        else:
+            self.engine = InProcessEngine(
+                1 if executor == "serial" else seal_workers, self.telemetry
+            )
         if beacon_storage is not None:
             beacon_state = beacon_storage.get_meta(self._BEACON_META_KEY)
             if beacon_state is not None:
@@ -434,17 +494,9 @@ class ShardedChain:
             facade = beacon_storage.get_meta(self._FACADE_META_KEY)
             if facade is not None:
                 self.rounds_sealed = int(facade["rounds_sealed"])
-                self._anchored_height = [int(h)
-                                         for h in facade["anchored_height"]]
-                # Locks checkpointed mid-2PC are NOT restored here: the
-                # owning coordinator died with the old process.  The
-                # durable transfer WAL (sharding.twophase) is the source
-                # of truth — CrossShardCoordinator.recover() re-owns the
-                # locks of every in-flight transfer under its new epoch
-                # and resolves each one (finalize when all commit legs
-                # are on-chain, presumed-abort otherwise), so nothing
-                # stays wedged and nothing half-commits.
-                self._locks = {}
+                for shard, height in zip(self.shards,
+                                         facade["anchored_height"]):
+                    shard.anchored_height = int(height)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -463,22 +515,11 @@ class ShardedChain:
                 shard.chain.height
             )
             registry.gauge("shard_anchored_height", shard=sid).set(
-                self._anchored_height[shard.shard_id]
+                shard.anchored_height
             )
-        registry.gauge("crossshard_locks_active").set(len(self._locks))
+        registry.gauge("crossshard_locks_active").set(len(self.locks))
         registry.gauge("round_pace_seconds").set(self._round_pace_s)
         registry.counter("rounds_sealed_total").value = self.rounds_sealed
-
-    def _round_trace_ctx(self, blocks: list[Block]):
-        """Resolve the trace context for a shard's round: the context
-        bound at ``pipeline.submit`` for the first sealed transaction
-        that has one.  Cheap when tracing is idle (one attribute read)."""
-        tracer = self._tracer
-        if not blocks or not tracer.has_bound_txs:
-            return None
-        return tracer.take_tx_ctx(
-            tx.tx_id for block in blocks for tx in block.transactions
-        )
 
     def health_report(self) -> dict:
         """Operator rollup: per-shard backlog and heights, round pace,
@@ -490,7 +531,7 @@ class ShardedChain:
             sid = shard.shard_id
             per_shard[str(sid)] = {
                 "height": shard.chain.height,
-                "anchored_height": self._anchored_height[sid],
+                "anchored_height": shard.anchored_height,
                 "mempool_backlog": len(shard.mempool),
                 "seal_fail_streak": self._seal_fail_streak.get(sid, 0),
                 "quarantined": sid in self._quarantined,
@@ -500,7 +541,7 @@ class ShardedChain:
             "rounds_sealed": self.rounds_sealed,
             "round_pace_s": self._round_pace_s,
             "mempool_backlog_total": self.mempool_backlog,
-            "locks_active": len(self._locks),
+            "locks_active": len(self.locks),
             "quarantined_shards": sorted(str(sid)
                                          for sid in self._quarantined),
             "per_shard": per_shard,
@@ -543,12 +584,8 @@ class ShardedChain:
             self._FACADE_META_KEY,
             {
                 "rounds_sealed": self.rounds_sealed,
-                "anchored_height": list(self._anchored_height),
-                "locks": [
-                    [sid, subject, entry.xid, entry.epoch,
-                     entry.expires_round]
-                    for (sid, subject), entry in self._locks.items()
-                ],
+                "anchored_height": [shard.anchored_height
+                                    for shard in self.shards],
             },
         )
         self.beacon.chain.checkpoint()
@@ -576,19 +613,7 @@ class ShardedChain:
 
     def close(self) -> None:
         """Checkpoint and release every store (reopenable afterwards)."""
-        if self._seal_pool is not None:
-            self._seal_pool.shutdown(wait=True)
-            self._seal_pool = None
-        if self._exec_pool is not None:
-            self._exec_pool.shutdown()
-            self._exec_pool = None
-            self._worker_shard_state.clear()
-        if self._beacon_storage is None:
-            return
-        self.checkpoint()
-        for shard in self.shards:
-            shard.storage.close()
-        self._beacon_storage.close()
+        self._release(checkpoint=True)
 
     def crash(self) -> None:
         """Fail-stop, for crash testing: release every OS resource
@@ -598,16 +623,16 @@ class ShardedChain:
         while derived facade/beacon meta stays at the last checkpoint,
         which is what a reopened :class:`ShardedChain` plus
         ``CrossShardCoordinator(recover=True)`` must cope with."""
-        if self._seal_pool is not None:
-            self._seal_pool.shutdown(wait=True, cancel_futures=True)
-            self._seal_pool = None
-        if self._exec_pool is not None:
-            self._exec_pool.shutdown()
-            self._exec_pool = None
-            self._worker_shard_state.clear()
         self._coordinators.clear()
+        self._release(checkpoint=False)
+
+    def _release(self, checkpoint: bool) -> None:
+        """Shared tail of close() and crash()."""
+        self.engine.close()
         if self._beacon_storage is None:
             return
+        if checkpoint:
+            self.checkpoint()
         for shard in self.shards:
             shard.storage.close()
         self._beacon_storage.close()
@@ -669,106 +694,6 @@ class ShardedChain:
         return canonical_decode(encoded)
 
     # ------------------------------------------------------------------
-    # Locks (the 2PC coordinator's table; see sharding.twophase)
-    # ------------------------------------------------------------------
-    def set_coordinator_epoch(self, epoch: int) -> None:
-        """Fence every earlier coordinator generation: protocol legs
-        stamped with an older epoch are refused from now on."""
-        if self.coordinator_epoch is not None \
-                and epoch < self.coordinator_epoch:
-            raise ShardError(
-                f"coordinator epoch {epoch} is behind the fenced epoch "
-                f"{self.coordinator_epoch}", reason="fenced_epoch",
-            )
-        self.coordinator_epoch = epoch
-
-    def acquire_lock(self, shard_id: int, subject: str, xid: str,
-                     epoch: int = 0,
-                     lease_rounds: int | None = None) -> bool:
-        """Take (or renew) the lock on ``(shard_id, subject)``.
-
-        Re-acquiring with the owning ``xid`` renews the lease and
-        updates the holder epoch — the coordinator calls this every
-        round tick for its in-flight transfers, so a lease that *does*
-        expire marks a dead holder."""
-        key = (shard_id, subject)
-        owner = self._locks.get(key)
-        if owner is not None and owner.xid != xid:
-            return False
-        lease = self.lock_lease_rounds if lease_rounds is None \
-            else lease_rounds
-        self._locks[key] = LockEntry(
-            xid=xid, epoch=epoch,
-            expires_round=self.rounds_sealed + lease,
-        )
-        return True
-
-    def reclaim_lock(self, shard_id: int, subject: str, xid: str,
-                     epoch: int) -> None:
-        """Recovery-only: forcibly re-own a lock for ``xid`` under a new
-        coordinator epoch, whatever entry (if any) a dead generation
-        left behind.  Only the WAL-replaying coordinator may call this —
-        it knows ``xid`` owned the subject when the old process died."""
-        self._locks[(shard_id, subject)] = LockEntry(
-            xid=xid, epoch=epoch,
-            expires_round=self.rounds_sealed + self.lock_lease_rounds,
-        )
-
-    def release_lock(self, shard_id: int, subject: str, xid: str,
-                     epoch: int | None = None) -> None:
-        """Release iff ``xid`` owns the entry (and, when ``epoch`` is
-        given, iff the holder epoch matches — a fenced coordinator
-        cannot release the lock its recovered successor re-owns)."""
-        key = (shard_id, subject)
-        owner = self._locks.get(key)
-        if owner is None or owner.xid != xid:
-            return
-        if epoch is not None and owner.epoch != epoch:
-            return
-        del self._locks[key]
-
-    def drop_stale_locks(self, current_epoch: int) -> int:
-        """Drop every lock held by an older coordinator epoch (recovery
-        sweep: the WAL-replaying coordinator re-owns the locks of the
-        transfers it is resolving first, then sweeps the rest — entries
-        whose transfers already reached a terminal state but whose
-        unlock never ran before the crash)."""
-        stale = [key for key, entry in self._locks.items()
-                 if entry.epoch < current_epoch]
-        for key in stale:
-            del self._locks[key]
-        return len(stale)
-
-    def _expire_stale_locks(self) -> None:
-        """Lease sweep (start of every round): entries whose lease round
-        passed belong to holders that stopped renewing — a coordinator
-        that died without its WAL being replayed.  Dropping them frees
-        the subjects; handoff records only materialize on full commit,
-        so this is presumed-abort, never data loss."""
-        if not self._locks:
-            return
-        expired = [key for key, entry in self._locks.items()
-                   if entry.expires_round < self.rounds_sealed]
-        for key in expired:
-            del self._locks[key]
-        if expired:
-            self._m_leases_expired.inc(len(expired))
-
-    def lock_owner(self, shard_id: int, subject: str) -> str | None:
-        entry = self._locks.get((shard_id, subject))
-        return entry.xid if entry is not None else None
-
-    def lock_entry(self, shard_id: int, subject: str) -> LockEntry | None:
-        return self._locks.get((shard_id, subject))
-
-    def _blocked_by_lock(self, shard_id: int, tx: Transaction) -> bool:
-        subject = self.router.lock_key_for(tx)
-        if subject is None:
-            return False
-        owner = self._locks.get((shard_id, subject))
-        return owner is not None and tx.payload.get("xid") != owner.xid
-
-    # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def _add_to_mempool(self, shard_id: int, tx: Transaction) -> bool:
@@ -788,9 +713,9 @@ class ShardedChain:
         shard-tagged :class:`~repro.errors.QueueFull` (retry-after
         included) on a full mempool."""
         shard_id = self.router.route(tx)
-        if self._blocked_by_lock(shard_id, tx):
+        if self.locks.blocks_tx(shard_id, tx):
             raise ShardError(
-                f"subject {self.router.lock_key_for(tx)!r} is locked by a "
+                f"subject {tx.payload.get('subject')!r} is locked by a "
                 "cross-shard transfer; resubmit after it settles"
             )
         self._add_to_mempool(shard_id, tx)
@@ -798,22 +723,10 @@ class ShardedChain:
 
     def submit_to(self, shard_id: int, tx: Transaction) -> None:
         """Protocol-path submit (2PC lock/commit/abort legs): bypasses the
-        router but still honors the lock table's xid exemption.  Legs
-        stamped with a fenced (older) coordinator epoch are refused — a
-        zombie coordinator that lost a recovery race cannot land half a
-        transfer on-chain."""
-        payload = tx.payload
-        if payload.get("phase") in ("lock", "commit", "abort") \
-                and "xid" in payload \
-                and self.coordinator_epoch is not None \
-                and payload.get("epoch") != self.coordinator_epoch:
-            raise ShardError(
-                f"shard {shard_id}: protocol leg from fenced coordinator "
-                f"epoch {payload.get('epoch')!r} refused "
-                f"(current epoch {self.coordinator_epoch})",
-                reason="fenced_epoch", shard_id=shard_id,
-            )
-        if self._blocked_by_lock(shard_id, tx):
+        router but still honors the lock table's xid exemption and its
+        coordinator-epoch fence."""
+        self.locks.check_leg(shard_id, tx)
+        if self.locks.blocks_tx(shard_id, tx):
             raise ShardError(
                 f"shard {shard_id}: transaction conflicts with an active "
                 "cross-shard lock"
@@ -858,12 +771,13 @@ class ShardedChain:
         is silently dropped."""
         report = SubmitReport()
         for shard_id, bucket in self.router.partition(txs).items():
-            mempool = self.shards[shard_id].mempool
+            shard = self.shards[shard_id]
+            mempool = shard.mempool
             accepted = 0
             full_signal: QueueFull | None = None
             t0 = time.perf_counter()
             for i, tx in enumerate(bucket):
-                if self._blocked_by_lock(shard_id, tx):
+                if self.locks.blocks_tx(shard_id, tx):
                     report.deferred.append(tx)
                     report.deferred_by_shard[shard_id] = \
                         report.deferred_by_shard.get(shard_id, 0) + 1
@@ -881,29 +795,48 @@ class ShardedChain:
                     for bounced in bucket[i:]:
                         report.rejected.append((bounced, full_signal))
                     break
-            self._pending_ingest_s[shard_id] += time.perf_counter() - t0
+            shard.pending_ingest_s += time.perf_counter() - t0
             if accepted:
                 report.accepted[shard_id] = accepted
         return report
+
+    def _route_records(
+        self, records: Iterable[Mapping[str, Any]]
+    ) -> dict[int, list[dict]]:
+        """Bucket records by home shard; a missing subject or id, a lock
+        conflict or a duplicate id raises before anything is stored."""
+        buckets: dict[int, list[dict]] = {}
+        seen_ids: set[str] = set()
+        for record in records:
+            subject = str(record.get("subject", ""))
+            if not subject:
+                raise ShardError("record lacks a subject to route by")
+            shard_id = self.router.shard_for(namespace_of(subject))
+            if self.locks.blocks(shard_id, subject, record.get("xid")):
+                raise ShardError(
+                    f"subject {subject!r} is locked by a cross-shard "
+                    "transfer; ingest after it settles"
+                )
+            record_id = str(record.get("record_id", ""))
+            if not record_id:
+                raise ShardError("record lacks a record_id")
+            if record_id in seen_ids \
+                    or self.shards[shard_id].database.contains(record_id):
+                raise ShardError(f"duplicate record_id {record_id!r}")
+            seen_ids.add(record_id)
+            buckets.setdefault(shard_id, []).append(dict(record))
+        return buckets
 
     def ingest_record(
         self, record: Mapping[str, Any]
     ) -> tuple[int, AnchorReceipt | None]:
         """Store a provenance record on its home shard and queue it for
-        anchoring; returns ``(shard_id, anchor receipt if one flushed)``."""
-        subject = str(record.get("subject", ""))
-        if not subject:
-            raise ShardError("record lacks a subject to route by")
-        shard_id = self.router.shard_for(namespace_of(subject))
-        owner = self._locks.get((shard_id, subject))
-        if owner is not None and record.get("xid") != owner.xid:
-            raise ShardError(
-                f"subject {subject!r} is locked by a cross-shard "
-                "transfer; ingest after it settles"
-            )
+        anchoring; returns ``(shard_id, anchor receipt if one flushed)``.
+        Validated like a batch of one, minus the batch path's fsync."""
+        [(shard_id, [stored])] = self._route_records([record]).items()
         shard = self.shards[shard_id]
-        shard.database.insert(record)
-        receipt = shard.anchor.enqueue(record)
+        shard.database.insert(stored)
+        receipt = shard.anchor.enqueue(stored)
         shard.query.notify_write()
         return shard_id, receipt
 
@@ -920,29 +853,8 @@ class ShardedChain:
         shards committed before the failure point durably stored; their
         logs recover independently, and the failed shards' records can
         be re-ingested.)"""
-        buckets: dict[int, list[dict]] = {}
-        seen_ids: set[str] = set()
-        for record in records:
-            subject = str(record.get("subject", ""))
-            if not subject:
-                raise ShardError("record lacks a subject to route by")
-            shard_id = self.router.shard_for(namespace_of(subject))
-            owner = self._locks.get((shard_id, subject))
-            if owner is not None and record.get("xid") != owner.xid:
-                raise ShardError(
-                    f"subject {subject!r} is locked by a cross-shard "
-                    "transfer; ingest after it settles"
-                )
-            record_id = str(record.get("record_id", ""))
-            if not record_id:
-                raise ShardError("record lacks a record_id")
-            if record_id in seen_ids \
-                    or self.shards[shard_id].database.contains(record_id):
-                raise ShardError(f"duplicate record_id {record_id!r}")
-            seen_ids.add(record_id)
-            buckets.setdefault(shard_id, []).append(dict(record))
         receipts: dict[int, list[AnchorReceipt]] = {}
-        for shard_id, bucket in buckets.items():
+        for shard_id, bucket in self._route_records(records).items():
             shard = self.shards[shard_id]
             shard.database.insert_many(bucket)
             flushed = [r for r in (shard.anchor.enqueue(rec)
@@ -1005,391 +917,16 @@ class ShardedChain:
     def _note_seal_success(self, shard_id: int) -> None:
         """A clean shard round resets the failure streak and re-admits a
         quarantined shard (its probe round succeeded)."""
-        if self._seal_fail_streak.get(shard_id):
-            self._seal_fail_streak[shard_id] = 0
+        self._seal_fail_streak.pop(shard_id, None)
         if shard_id in self._quarantined:
             del self._quarantined[shard_id]
             self._m_readmitted.inc()
-
-    def _pop_round_blocks(
-        self, shard_id: int, ts: int, blocks_per_shard: int,
-    ) -> tuple[list[Block], int]:
-        """Drain up to ``blocks_per_shard`` batches from one shard's
-        mempool and build (but do not execute) the chained blocks."""
-        shard = self.shards[shard_id]
-        max_txs = shard.chain.params.max_block_txs
-        new_blocks: list[Block] = []
-        txs_sealed = 0
-        prev = shard.chain.head
-        for _ in range(blocks_per_shard):
-            batch = shard.mempool.pop_batch(max_txs)
-            if self._locks:
-                # A transaction admitted *before* a lock was taken must
-                # not seal mid-2PC: hold it back for a later round (the
-                # admission check alone cannot see future locks).
-                kept: list[Transaction] = []
-                held: list[Transaction] = []
-                for tx in batch:
-                    (held if self._blocked_by_lock(shard_id, tx)
-                     else kept).append(tx)
-                if held:
-                    batch = kept
-                    shard.mempool.add_many(held)
-            if not batch:
-                break
-            block = Block(
-                height=prev.height + 1,
-                prev_hash=prev.block_hash,
-                transactions=batch,
-                timestamp=ts,
-                proposer=f"shard-{shard_id}-sealer",
-            )
-            new_blocks.append(block)
-            txs_sealed += len(batch)
-            prev = block
-        return new_blocks, txs_sealed
-
-    def _append_popped_blocks(self, shard_id: int,
-                              new_blocks: list[Block]) -> None:
-        """Execute popped blocks in-process (the serial path, and the
-        process path's fallback), re-admitting the transactions of every
-        uncommitted block on failure — the batch was acknowledged only
-        as *queued*, so nothing may be silently lost."""
-        shard = self.shards[shard_id]
-        pending = [block for block in new_blocks
-                   if block.height > shard.chain.height]
-        if not pending:
-            return
-        try:
-            shard.chain.append_blocks(pending)
-        except BaseException:
-            # The chain unwound the group (or kept only what its store
-            # committed); re-admit the rest.
-            committed_height = shard.chain.height
-            for block in pending:
-                if block.height > committed_height:
-                    shard.mempool.add_many(block.transactions)
-            raise
-
-    def _collect_round_entries(
-        self, shard_id: int
-    ) -> list[tuple[int, int, bytes, bytes]]:
-        """Every block the beacon has not seen yet (includes anchor-
-        service blocks appended between rounds).  The anchored watermark
-        itself is advanced by seal_round only after the beacon commit
-        succeeds — a round that fails in another shard must not leave
-        this shard's blocks un-anchorable forever."""
-        shard = self.shards[shard_id]
-        entries: list[tuple[int, int, bytes, bytes]] = []
-        for height in range(self._anchored_height[shard_id] + 1,
-                            shard.chain.height + 1):
-            entries.append(
-                (shard_id, height,
-                 shard.chain.block_at(height).block_hash, b"")
-            )
-        if entries:
-            # The round's last entry is the shard's current head, and no
-            # execution happens between here and the beacon commit — tag
-            # it with the post-execution state root so snapshot images
-            # taken at this height verify against the beacon.
-            sid, height, block_hash, _ = entries[-1]
-            entries[-1] = (sid, height, block_hash,
-                           shard.chain.state.state_root())
-        return entries
-
-    def _seal_shard_round(
-        self, shard_id: int, ts: int, blocks_per_shard: int,
-    ) -> tuple[ShardSealStats, list[tuple[int, int, bytes, bytes]], int]:
-        """One shard's whole round of work: drain up to
-        ``blocks_per_shard`` block batches from its mempool, build the
-        chained blocks, and commit them through the chain's group-commit
-        surface (one log write + one fsync + one index transaction on a
-        durable store).  Thread-safe per shard: touches only this
-        shard's stack, its slots of the per-shard arrays, and reads of
-        the lock table (which never mutates mid-round)."""
-        shard = self.shard(shard_id)
-        t0 = time.perf_counter()
-        new_blocks, txs_sealed = self._pop_round_blocks(
-            shard_id, ts, blocks_per_shard
-        )
-        ctx = self._round_trace_ctx(new_blocks)
-        with self._tracer.span("shard.seal_round", parent=ctx) as span:
-            span.set_attr("shard", shard_id)
-            span.set_attr("txs", txs_sealed)
-            self._append_popped_blocks(shard_id, new_blocks)
-            entries = self._collect_round_entries(shard_id)
-        self._m_seal_shard_s.observe(time.perf_counter() - t0)
-        stats = ShardSealStats(
-            txs_sealed=txs_sealed,
-            blocks_produced=len(entries),
-            duration_s=(time.perf_counter() - t0
-                        + self._pending_ingest_s[shard_id]),
-            mempool_backlog=len(shard.mempool),
-        )
-        self._pending_ingest_s[shard_id] = 0.0
-        return stats, entries, shard.chain.height
-
-    def _get_seal_pool(self) -> ThreadPoolExecutor:
-        if self._seal_pool is None:
-            self._seal_pool = ThreadPoolExecutor(
-                max_workers=self.seal_workers,
-                thread_name_prefix="shard-seal",
-            )
-        return self._seal_pool
-
-    # ------------------------------------------------------------------
-    # Process-pool sealing (repro.exec)
-    # ------------------------------------------------------------------
-    @property
-    def exec_pool(self):
-        """The cached process pool, or ``None`` before the first
-        process-mode round (the ingest pipeline offloads verification
-        through this when it exists)."""
-        return self._exec_pool
-
-    def _get_exec_pool(self, workers: int | None = None):
-        from ..exec.pool import ProcessExecPool
-
-        want = self.exec_workers if workers is None else workers
-        pool = self._exec_pool
-        if pool is not None and pool.n_workers != want:
-            pool.shutdown()
-            pool = None
-            self._worker_shard_state.clear()
-        if pool is None:
-            pool = ProcessExecPool(
-                want, runtime_factory=self.contract_runtime_factory
-            )
-            self._exec_pool = pool
-        return pool
-
-    def _build_exec_job(self, shard_id: int, blocks: list[Block],
-                        frames: list[bytes], widx: int, pool,
-                        trace_ctx=None) -> bytes:
-        """Encode one shard's round as an exec job, shipping a full
-        state image iff the worker's replica cannot be current — wrong
-        worker slot, respawned worker (epoch bump), or parent-side state
-        changes since the last confirmed round (anchor flushes, reorgs:
-        detected by height/root comparison, never assumed away)."""
-        from ..crypto.signatures import key_material
-        from ..serialization import canonical_encode
-
-        shard = self.shards[shard_id]
-        base_height = shard.chain.height
-        base_root = shard.chain.state.state_root()
-        job: dict[str, Any] = {
-            "kind": "exec",
-            "chain": shard.chain.chain_id,
-            "base_height": base_height,
-            "base_root": base_root,
-            "blocks": frames,
-            "require_signatures": shard.chain.params.require_signatures,
-        }
-        if trace_ctx is not None and trace_ctx.sampled:
-            # Trace context rides the canonical job frame; the worker's
-            # exec span re-parents onto it and its rows merge back with
-            # the reply (see repro.exec.worker).
-            job["trace"] = trace_ctx.to_wire()
-        recorded = self._worker_shard_state.get(shard_id)
-        if recorded != (widx, pool.epoch(widx), base_height, base_root):
-            job["state"] = [
-                [ns, key, value]
-                for ns, key, value in shard.chain.state.dump_entries()
-            ]
-        if shard.chain.params.require_signatures:
-            # Ship the signers' key material: keys registered after the
-            # pool forked would otherwise be unknown in the worker and
-            # fail verification spuriously.
-            keys: dict[str, bytes] = {}
-            for block in blocks:
-                for tx in block.transactions:
-                    if tx.signer is None:
-                        continue
-                    secret = key_material(tx.signer)
-                    if secret is not None:
-                        keys[tx.signer.key_bytes.hex()] = secret
-            job["keys"] = keys
-        return canonical_encode(job)
-
-    def _apply_exec_response(self, shard_id: int, blocks: list[Block],
-                             frames: list[bytes],
-                             response: bytes | None, widx: int,
-                             pool) -> None:
-        """Commit one shard's worker result, falling back to in-process
-        execution on any worker failure (death, need_state, execution
-        error, or a state-root divergence caught before commit)."""
-        from ..persist.codec import canonical_decode, decode_receipt
-
-        shard = self.shards[shard_id]
-        reply = None
-        if response is not None:
-            try:
-                reply = canonical_decode(response)
-            except Exception:  # noqa: BLE001 - treat as worker failure
-                reply = None
-        if reply is not None:
-            # Merge the worker's telemetry delta whatever the status —
-            # an error reply still did (and should account for) work.
-            self._merge_worker_telemetry(reply.get("telemetry"))
-        if reply is not None and reply.get("status") == "ok":
-            try:
-                chain = shard.chain
-                bodies = reply["receipts"]
-                deltas = [
-                    [(op[0], op[1], bool(op[2]), op[3]) for op in ops]
-                    for ops in reply["deltas"]
-                ]
-                raw_items = None
-                receipts_lists = None
-                if hasattr(chain.store, "install_raw"):
-                    raw_items = [
-                        {
-                            "height": block.height,
-                            "block_hash": block.block_hash,
-                            "frame": frame,
-                            "tx_ids": [tx.tx_id
-                                       for tx in block.transactions],
-                            "receipts": body_list,
-                        }
-                        for block, frame, body_list
-                        in zip(blocks, frames, bodies)
-                    ]
-                if chain._subscribers or raw_items is None:
-                    receipts_lists = [
-                        [decode_receipt(body) for body in body_list]
-                        for body_list in bodies
-                    ]
-                chain.apply_executed_blocks(
-                    blocks, deltas,
-                    receipts_lists=receipts_lists,
-                    raw_items=raw_items,
-                    expected_state_root=reply["state_root"],
-                )
-                self._worker_shard_state[shard_id] = (
-                    widx, pool.epoch(widx),
-                    chain.height, reply["state_root"],
-                )
-                return
-            except Exception:  # noqa: BLE001 - fall back in-process
-                pass
-        # Worker died, replied need_state/error, or its result failed to
-        # apply: forget its replica and run the serial path — identical
-        # blocks, identical state transitions, just single-process.
-        self._m_exec_fallback.inc()
-        self._worker_shard_state.pop(shard_id, None)
-        self._append_popped_blocks(shard_id, blocks)
-
-    def _merge_worker_telemetry(self, payload) -> None:
-        """Fold a worker reply's ``telemetry`` dict (span rows plus
-        counter deltas, both canonical-encodable) into this process's
-        registry and tracer.  Absent or malformed payloads are ignored
-        — telemetry must never fail a commit."""
-        if not isinstance(payload, dict):
-            return
-        try:
-            spans = payload.get("spans")
-            if spans:
-                self._tracer.ingest_rows(spans)
-            deltas = payload.get("counters")
-            if deltas:
-                self.telemetry.registry.merge_counter_deltas(deltas)
-        except Exception:  # noqa: BLE001 - observability is best-effort
-            pass
-
-    def _seal_round_process(
-        self, selected: list[int], ts: int, blocks_per_shard: int,
-        workers: int | None,
-        failures: dict[int, dict] | None = None,
-    ) -> list[tuple[ShardSealStats, list, int] | None]:
-        """Round body for ``executor="process"``: pop + build every
-        shard's blocks, encode them once (wire frames double as the
-        store frames), fan out to the pool, and commit each shard **as
-        its worker finishes** — parent-side durable commits overlap the
-        other workers' compute, which is most of the win on small
-        machines.  Entries are collected per shard afterwards and merged
-        in shard order by seal_round, so the beacon commitment is
-        identical to the serial and thread paths."""
-        from ..persist.codec import encode_block
-
-        pool = self._get_exec_pool(workers)
-        prepared: dict[int, list | None] = {}
-        jobs: list[tuple[int, bytes]] = []
-        job_shards: list[int] = []
-        for shard_id in selected:
-            t0 = time.perf_counter()
-            try:
-                blocks, txs_sealed = self._pop_round_blocks(
-                    shard_id, ts, blocks_per_shard
-                )
-            except ReproError as exc:
-                if failures is None:
-                    raise
-                failures[shard_id] = self._note_seal_failure(shard_id,
-                                                             exc)
-                prepared[shard_id] = None
-                continue
-            widx = shard_id % pool.n_workers
-            ctx = self._round_trace_ctx(blocks)
-            # [blocks, frames, txs_sealed, widx, active_s, trace_ctx]
-            entry = [blocks, [], txs_sealed, widx, 0.0, ctx]
-            if blocks:
-                entry[1] = [encode_block(block) for block in blocks]
-                jobs.append(
-                    (widx,
-                     self._build_exec_job(shard_id, blocks, entry[1],
-                                          widx, pool, trace_ctx=ctx))
-                )
-                job_shards.append(shard_id)
-                self._m_exec_offloaded.inc()
-            entry[4] = time.perf_counter() - t0
-            prepared[shard_id] = entry
-        for job_index, response in pool.run(jobs):
-            shard_id = job_shards[job_index]
-            entry = prepared[shard_id]
-            t0 = time.perf_counter()
-            try:
-                with self._tracer.span("shard.commit",
-                                       parent=entry[5]) as span:
-                    span.set_attr("shard", shard_id)
-                    self._apply_exec_response(
-                        shard_id, entry[0], entry[1], response, entry[3],
-                        pool,
-                    )
-            except ReproError as exc:
-                if failures is None:
-                    raise
-                failures[shard_id] = self._note_seal_failure(shard_id,
-                                                             exc)
-                prepared[shard_id] = None
-                continue
-            entry[4] += time.perf_counter() - t0
-        results: list[tuple[ShardSealStats, list, int] | None] = []
-        for shard_id in selected:
-            entry = prepared[shard_id]
-            if entry is None:
-                results.append(None)
-                continue
-            shard = self.shards[shard_id]
-            entries = self._collect_round_entries(shard_id)
-            self._m_seal_shard_s.observe(entry[4])
-            stats = ShardSealStats(
-                txs_sealed=entry[2],
-                blocks_produced=len(entries),
-                duration_s=entry[4] + self._pending_ingest_s[shard_id],
-                mempool_backlog=len(shard.mempool),
-            )
-            self._pending_ingest_s[shard_id] = 0.0
-            results.append((stats, entries, shard.chain.height))
-        return results
 
     def seal_round(
         self,
         shard_ids: Sequence[int] | None = None,
         timestamp: int | None = None,
-        parallel: bool | None = None,
         blocks_per_shard: int = 1,
-        executor: str | None = None,
-        workers: int | None = None,
     ) -> RoundReport:
         """Seal up to ``blocks_per_shard`` blocks per loaded shard, then
         beacon-anchor the round.
@@ -1400,117 +937,52 @@ class ShardedChain:
         too, so every shard block ends up under exactly one beacon
         header.
 
-        ``executor`` selects the round engine (``None`` = the facade's
-        configured default):
-
-        * ``"serial"`` — in-process, one shard after another;
-        * ``"thread"`` — the facade's thread pool: overlaps per-shard
-          fsync/sqlite I/O (GIL released), execution still serializes;
-        * ``"process"`` — the :mod:`repro.exec` pool (``workers`` sets
-          its width, cached across rounds): validation and execution run
-          in worker processes, the parent applies state deltas and
-          commits as each worker finishes, with graceful in-process
-          fallback for any worker that dies mid-round.
-
-        The legacy ``parallel`` flag forces thread (True) or serial
-        (False) and is ignored when ``executor`` is given explicitly.
-        Whatever the engine, results are merged in shard order, so the
-        beacon commitment is byte-identical across all three.
+        Outcomes of the engine chosen at construction
+        (:mod:`repro.sharding.engines`) are merged in shard order, so
+        the beacon commitment is byte-identical across engines.  With
+        ``quarantine_after == 0`` the first shard error is raised
+        (nothing is anchored; a retry anchors what the survivors
+        committed); otherwise a :class:`ReproError` is attributed in
+        ``failed_shards`` and the healthy shards seal.
         """
         if blocks_per_shard < 1:
             raise ShardError("blocks_per_shard must be >= 1")
-        mode = executor
-        if mode is None:
-            if parallel is not None:
-                mode = "thread" if parallel else "serial"
-            else:
-                mode = self.executor
-        if mode == "auto":
-            mode = "thread" if self.seal_workers > 1 else "serial"
-        if mode not in ("serial", "thread", "process"):
-            raise ShardError(f"unknown executor mode {mode!r}")
-        self._expire_stale_locks()
-        selected = list(range(len(self.shards)) if shard_ids is None
-                        else shard_ids)
+        self._m_leases_expired.inc(self.locks.sweep(self.rounds_sealed))
+        selected = [self.shard(sid) for sid in shard_ids] \
+            if shard_ids is not None else list(self.shards)
         if shard_ids is None and self._quarantined:
             # Skip quarantined shards except on their probe rounds — a
             # probe that seals cleanly re-admits the shard below.
             selected = [
-                sid for sid in selected
-                if sid not in self._quarantined
-                or (self.rounds_sealed - self._quarantined[sid])
+                shard for shard in selected
+                if shard.shard_id not in self._quarantined
+                or (self.rounds_sealed - self._quarantined[shard.shard_id])
                 % self.quarantine_probe_every == 0
             ]
         ts = self.rounds_sealed if timestamp is None else timestamp
         round_t0 = time.perf_counter()
         per_shard: dict[int, ShardSealStats] = {}
         failed_shards: dict[int, dict] = {}
+        sealed_heights: dict[int, int] = {}
         entries: list[tuple[int, int, bytes, bytes]] = []
         tolerant = self.quarantine_after > 0
         with self._tracer.root_span("round.seal") as round_span:
             round_span.set_attr("round", self.rounds_sealed)
-            round_span.set_attr("mode", mode)
-            if mode == "process":
-                results = self._seal_round_process(
-                    selected, ts, blocks_per_shard, workers,
-                    failures=failed_shards if tolerant else None,
-                )
-            elif mode == "thread" and len(selected) > 1:
-                futures = [
-                    self._get_seal_pool().submit(
-                        self._seal_shard_round, sid, ts, blocks_per_shard
-                    )
-                    for sid in selected
-                ]
-                # Wait for EVERY worker before surfacing a failure:
-                # raising while siblings still run would let a retry
-                # round start a second task on a shard whose first task
-                # is mid-mutation.
-                futures_wait(futures)
-                if not tolerant:
-                    first_error = next(
-                        (f.exception() for f in futures
-                         if f.exception() is not None), None,
-                    )
-                    if first_error is not None:
-                        raise first_error
-                    results = [future.result() for future in futures]
-                else:
-                    results = []
-                    for sid, future in zip(selected, futures):
-                        exc = future.exception()
-                        if exc is None:
-                            results.append(future.result())
-                        elif isinstance(exc, ReproError):
-                            failed_shards[sid] = \
-                                self._note_seal_failure(sid, exc)
-                            results.append(None)
-                        else:
-                            raise exc
-            elif not tolerant:
-                results = [
-                    self._seal_shard_round(sid, ts, blocks_per_shard)
-                    for sid in selected
-                ]
-            else:
-                results = []
-                for sid in selected:
-                    try:
-                        results.append(
-                            self._seal_shard_round(sid, ts,
-                                                   blocks_per_shard)
-                        )
-                    except ReproError as exc:
-                        failed_shards[sid] = \
-                            self._note_seal_failure(sid, exc)
-                        results.append(None)
-            for shard_id, result in zip(selected, results):
-                if result is None:
+            round_span.set_attr("mode", self.engine.name)
+            outcomes = self.engine.seal(selected, ts, blocks_per_shard)
+            for shard, outcome in zip(selected, outcomes):
+                shard_id = shard.shard_id
+                if isinstance(outcome, BaseException):
+                    if not (tolerant and isinstance(outcome, ReproError)):
+                        raise outcome
+                    failed_shards[shard_id] = \
+                        self._note_seal_failure(shard_id, outcome)
                     continue
                 if tolerant:
                     self._note_seal_success(shard_id)
-                stats, shard_entries, _ = result
+                stats, shard_entries, height = outcome
                 per_shard[shard_id] = stats
+                sealed_heights[shard_id] = height
                 entries.extend(shard_entries)
             t0 = time.perf_counter()
             with self._tracer.span("round.beacon_commit") as beacon_span:
@@ -1525,9 +997,8 @@ class ShardedChain:
         # beacon commitment durable: a seal or beacon failure above
         # leaves the watermarks untouched, so the next successful round
         # re-collects (and actually anchors) the same blocks.
-        for shard_id, result in zip(selected, results):
-            if result is not None:
-                self._anchored_height[shard_id] = result[2]
+        for shard_id, height in sealed_heights.items():
+            self.shards[shard_id].anchored_height = height
         report = RoundReport(
             round_no=self.rounds_sealed,
             per_shard=per_shard,

@@ -206,7 +206,7 @@ class CrossShardCoordinator:
         # strictly increasing epoch, persisted before use.
         self.epoch = int(sharded.get_meta(self._EPOCH_KEY, 0)) + 1
         sharded.put_meta(self._EPOCH_KEY, self.epoch)
-        sharded.set_coordinator_epoch(self.epoch)
+        sharded.locks.fence(self.epoch)
         # Seed the xid sequence from the store: together with the epoch
         # prefix this makes xids collision-free across restarts.
         self._seq = int(sharded.get_meta(self._SEQ_KEY, 0))
@@ -250,25 +250,19 @@ class CrossShardCoordinator:
             epoch=self.epoch,
         )
         transfer.payload.setdefault("actor", actor or self.sender)
-        # Lock acquisition order is (shard, subject)-sorted so two
-        # transfers over the same pair cannot deadlock.
-        acquired: list[tuple[int, str]] = []
-        for shard_id, subject in self._lock_pairs(transfer):
-            if self.sharded.acquire_lock(shard_id, subject, xid,
-                                         epoch=self.epoch):
-                acquired.append((shard_id, subject))
-            else:
-                for got_shard, got_subject in acquired:
-                    self.sharded.release_lock(got_shard, got_subject, xid,
-                                              epoch=self.epoch)
-                # Nothing durable happened: no WAL entry, no legs.
-                transfer.state = ABORTED
-                transfer.outcome = self._outcome(transfer, "aborted",
-                                                 reason="lock_conflict")
-                self.aborted += 1
-                self._count_abort("lock_conflict")
-                self.transfers[xid] = transfer
-                return transfer
+        # Both subjects or neither: two transfers over the same pair
+        # cannot deadlock on half a lock set each.
+        if not self.sharded.locks.acquire(
+                self._lock_pairs(transfer), xid,
+                self.sharded.rounds_sealed, epoch=self.epoch):
+            # Nothing durable happened: no WAL entry, no legs.
+            transfer.state = ABORTED
+            transfer.outcome = self._outcome(transfer, "aborted",
+                                             reason="lock_conflict")
+            self.aborted += 1
+            self._count_abort("lock_conflict")
+            self.transfers[xid] = transfer
+            return transfer
         self.transfers[xid] = transfer
         self._wal_begin(transfer)
         try:
@@ -300,7 +294,11 @@ class CrossShardCoordinator:
                 if self._all_committed(transfer, transfer.commit_tx_ids):
                     self._finalize(transfer)
             if transfer.state in (PREPARING, COMMITTING):
-                self._renew_leases(transfer)
+                # Re-acquiring with the owning xid renews the lease each
+                # round; a lease that expires marks a dead coordinator.
+                self.sharded.locks.acquire(
+                    self._lock_pairs(transfer), transfer.xid,
+                    self.sharded.rounds_sealed, epoch=self.epoch)
 
     # ------------------------------------------------------------------
     # Recovery (WAL replay, presumed-abort)
@@ -333,9 +331,9 @@ class CrossShardCoordinator:
                 summary["cleaned"].append(xid)
                 continue
             transfer.epoch = self.epoch
-            for shard_id, subject in self._lock_pairs(transfer):
-                self.sharded.reclaim_lock(shard_id, subject, xid,
-                                          self.epoch)
+            self.sharded.locks.reclaim(self._lock_pairs(transfer), xid,
+                                       self.sharded.rounds_sealed,
+                                       self.epoch)
             if transfer.state in (COMMITTING, FINALIZING) \
                     and len(transfer.commit_tx_ids) \
                     == len(transfer.participants) \
@@ -349,7 +347,7 @@ class CrossShardCoordinator:
                 summary["aborted"].append(xid)
                 self._count_recovered("aborted")
             self.recovered += 1
-        summary["locks_dropped"] = self.sharded.drop_stale_locks(self.epoch)
+        summary["locks_dropped"] = self.sharded.locks.drop_stale(self.epoch)
         return summary
 
     # ------------------------------------------------------------------
@@ -417,13 +415,6 @@ class CrossShardCoordinator:
             {(transfer.source_shard, transfer.source_subject),
              (transfer.target_shard, transfer.target_subject)}
         )
-
-    def _renew_leases(self, transfer: CrossShardTransfer) -> None:
-        # Re-acquiring with the owning xid renews the lease each round;
-        # a lease that expires therefore marks a dead coordinator.
-        for shard_id, subject in self._lock_pairs(transfer):
-            self.sharded.acquire_lock(shard_id, subject, transfer.xid,
-                                      epoch=self.epoch)
 
     def _leg(self, transfer: CrossShardTransfer, shard_id: int,
              phase: str) -> Transaction:
@@ -515,7 +506,7 @@ class CrossShardCoordinator:
             self.sharded.shard(shard_id).checkpoint()
         transfer.state = COMMITTED
         self._wal_terminal(transfer, "finalized")
-        self._release_locks(transfer)
+        self._unlock(transfer)
         transfer.outcome = self._outcome(transfer, "completed")
         self.committed += 1
 
@@ -556,17 +547,16 @@ class CrossShardCoordinator:
             self._m_abort_legs_lost.inc(legs_lost)
         transfer.state = ABORTED
         self._wal_terminal(transfer, "aborted")
-        self._release_locks(transfer)
+        self._unlock(transfer)
         transfer.outcome = self._outcome(transfer, "aborted",
                                          reason=reason,
                                          abort_legs_lost=legs_lost)
         self.aborted += 1
         self._count_abort(reason)
 
-    def _release_locks(self, transfer: CrossShardTransfer) -> None:
-        for shard_id, subject in self._lock_pairs(transfer):
-            self.sharded.release_lock(shard_id, subject, transfer.xid,
-                                      epoch=self.epoch)
+    def _unlock(self, transfer: CrossShardTransfer) -> None:
+        self.sharded.locks.release(self._lock_pairs(transfer),
+                                   transfer.xid, epoch=self.epoch)
 
     def _count_abort(self, reason: str) -> None:
         self._registry.counter("xshard_aborts_total", reason=reason).inc()

@@ -1,5 +1,6 @@
-"""Chaos-harness tests: the crash matrix, leases, fencing, quarantine,
-and seeded fault-plan determinism.
+"""Chaos-harness tests: the crash matrix, leases, fencing, and seeded
+fault-plan determinism.  (Quarantine is covered per round engine in
+``test_engines.py``.)
 
 The crash matrix is the heart of the robustness story: kill the 2PC
 coordinator immediately after *every* persisted WAL step boundary,
@@ -200,7 +201,8 @@ class TestLeasesAndFencing:
         sharded = ShardedChain(4, lock_lease_rounds=2)
         src, tgt = cross_pair(sharded)
         shard_id = sharded.router.shard_for_subject(src)
-        assert sharded.acquire_lock(shard_id, src, "xid-dead", epoch=1)
+        assert sharded.locks.acquire([(shard_id, src)], "xid-dead",
+                                     now=0, epoch=1)
         # No coordinator is renewing this lease; a normal write to the
         # subject is refused until the lease runs out.
         with pytest.raises(ShardError):
@@ -209,7 +211,7 @@ class TestLeasesAndFencing:
         # expires_round: the sweep at the start of round lease+2 drops it.
         for _ in range(4):
             sharded.seal_round(timestamp=sharded.rounds_sealed)
-        assert sharded.lock_entry(shard_id, src) is None
+        assert sharded.locks.entry(shard_id, src) is None
         assert (sharded.telemetry.registry
                 .counter("xshard_lock_leases_expired_total").value >= 1)
         sharded.submit(record_tx(src))   # flows again
@@ -259,54 +261,6 @@ class TestLeasesAndFencing:
             assert transfer.state == COMMITTED
             sharded.close()
         assert len(xids) == 3
-
-
-class TestQuarantine:
-    def _flaky(self, sharded, victim, failures):
-        orig = sharded._seal_shard_round
-
-        def seal(shard_id, ts, blocks_per_shard):
-            if shard_id == victim and failures["left"] > 0:
-                failures["left"] -= 1
-                raise ShardError("injected seal failure",
-                                 reason="seal_failed", shard_id=victim)
-            return orig(shard_id, ts, blocks_per_shard)
-
-        sharded._seal_shard_round = seal
-
-    def test_failing_shard_is_quarantined_and_readmitted(self):
-        sharded = ShardedChain(4, quarantine_after=2,
-                               quarantine_probe_every=2,
-                               executor="serial")
-        failures = {"left": 2}
-        self._flaky(sharded, victim=1, failures=failures)
-        # Two consecutive failed rounds: attributed, then quarantined —
-        # the round itself still seals for the healthy shards.
-        r1 = sharded.seal_round(timestamp=1)
-        assert 1 in r1.failed_shards
-        assert r1.failed_shards[1]["reason"] == "seal_failed"
-        assert not r1.failed_shards[1]["quarantined"]
-        r2 = sharded.seal_round(timestamp=2)
-        assert r2.failed_shards[1]["quarantined"]
-        assert "1" in sharded.health_report()["quarantined_shards"]
-        assert (sharded.telemetry.registry
-                .counter("shard_quarantined_total").value >= 1)
-        # While quarantined the shard is skipped on non-probe rounds and
-        # probed periodically; a clean probe re-admits it.
-        for ts in range(3, 7):
-            sharded.seal_round(timestamp=ts)
-            if "1" not in sharded.health_report()["quarantined_shards"]:
-                break
-        assert "1" not in sharded.health_report()["quarantined_shards"]
-        assert (sharded.telemetry.registry
-                .counter("shard_readmitted_total").value >= 1)
-
-    def test_quarantine_disabled_by_default(self):
-        sharded = ShardedChain(2, executor="serial")
-        failures = {"left": 1}
-        self._flaky(sharded, victim=0, failures=failures)
-        with pytest.raises(ShardError):
-            sharded.seal_round(timestamp=1)
 
 
 class TestNetRetryPolicy:

@@ -92,8 +92,8 @@ def run_deployment(executor: str, workers: int | None, store_dir: str,
                     nonce=n, timestamp=100 + n)
             sc.submit(tx.seal())
             n += 1
-        if kill_round == r and sc.exec_pool is not None:
-            sc.exec_pool.kill_worker(0)
+        if kill_round == r and sc.engine.pool is not None:
+            sc.engine.pool.kill_worker(0)
         sc.seal_round(timestamp=1_000 + r)
 
     rid = next(r["record_id"] for r in RECORDS
@@ -113,8 +113,8 @@ def run_deployment(executor: str, workers: int | None, store_dir: str,
         "txs_committed": sc.total_txs_committed,
         "proof_shard_header": proof.shard_header.block_hash,
         "proof_beacon_height": proof.beacon_height,
-        "respawns": (sc.exec_pool.respawns
-                     if sc.exec_pool is not None else 0),
+        "respawns": (sc.engine.pool.respawns
+                     if sc.engine.pool is not None else 0),
     }
     sc.close()
     return out
@@ -185,10 +185,8 @@ class TestExecutorParity:
         assert process["committed"] == 32
 
     def test_unknown_executor_rejected(self):
-        sc = ShardedChain(1)
         with pytest.raises(ShardError):
-            sc.seal_round(executor="rayon")
-        sc.close()
+            ShardedChain(1, executor="rayon")
 
 
 class TestPoolMechanics:

@@ -427,16 +427,17 @@ class TestPumpAndSealing:
     def test_parallel_and_serial_rounds_agree(self):
         txs = [data_tx(i, tenant=f"t{i % 9}", fee=i % 4)
                for i in range(200)]
-        serial = ShardedChain(n_shards=4, max_block_txs=16)
+        serial = ShardedChain(n_shards=4, max_block_txs=16,
+                              executor="serial")
         serial.submit_many(txs)
         while serial.mempool_backlog:
-            serial.seal_round(parallel=False)
+            serial.seal_round()
 
         threaded = ShardedChain(n_shards=4, max_block_txs=16,
-                                seal_workers=4)
+                                seal_workers=4, executor="thread")
         threaded.submit_many(txs)
         while threaded.mempool_backlog:
-            threaded.seal_round(parallel=True)
+            threaded.seal_round()
         assert shard_heads(threaded) == shard_heads(serial)
         assert threaded.beacon.chain.head.block_hash == \
             serial.beacon.chain.head.block_hash
@@ -514,6 +515,24 @@ class TestGroupCommit:
         assert not any(s.database.contains("r100") for s in sharded.shards)
         # The whole batch is retryable once corrected.
         sharded.ingest_records([record_for(100, tenant="t0")])
+
+    def test_ingest_record_rejects_like_the_batch_path(self):
+        """Single-record ingest shares the batch validation: the same
+        defects raise the same ShardError, before anything is stored."""
+        sharded = ShardedChain(n_shards=3)
+        sharded.ingest_record(record_for(7, tenant="t1"))
+        for bad in (record_for(7, tenant="t1"),               # duplicate
+                    {"subject": "t0/obj", "actor": "alice"},  # no id
+                    {"record_id": "r9", "actor": "alice"}):   # no subject
+            with pytest.raises(ShardError):
+                sharded.ingest_record(bad)
+            with pytest.raises(ShardError):
+                sharded.ingest_records([bad])
+        assert sum(len(s.database) for s in sharded.shards) == 1
+        shard_id, receipt = sharded.ingest_record(
+            record_for(8, tenant="t1"))
+        assert sharded.shards[shard_id].database.contains("r8")
+        assert receipt is None       # anchor batch not full yet
 
     def test_record_group_commit_equals_loop(self, tmp_path):
         records = [record_for(i, tenant=f"t{i % 4}") for i in range(30)]
@@ -679,13 +698,12 @@ class TestGroupCommitCrash:
         # have committed its block, but its anchored watermark did not
         # advance — the beacon never saw this round.
         assert len(sharded.shards[1].mempool) == 4
-        assert sharded._anchored_height == [0, 0]
+        assert [s.anchored_height for s in sharded.shards] == [0, 0]
         report = sharded.seal_round()
         assert report.beacon_receipt is not None
         # Every committed shard block is now covered by the beacon.
         for shard in sharded.shards:
-            assert sharded._anchored_height[shard.shard_id] == \
-                shard.chain.height
+            assert shard.anchored_height == shard.chain.height
             assert shard.chain.height >= 1
         assert sharded.total_txs_committed == 8
         sharded.verify_all(deep=True)
@@ -798,7 +816,7 @@ class TestRoundPaceEwma:
 class TestParallelSealFailure:
     def test_failed_shard_retries_and_survivors_still_anchor(self):
         sharded = ShardedChain(n_shards=3, max_block_txs=8,
-                               seal_workers=3)
+                               seal_workers=3, executor="thread")
         txs = [data_tx(i, tenant=f"t{i % 9}") for i in range(60)]
         report = sharded.submit_many(txs)
         assert report.rejected_total == 0
@@ -810,7 +828,7 @@ class TestParallelSealFailure:
 
         victim.chain.append_blocks = exploding
         with pytest.raises(RuntimeError):
-            sharded.seal_round(parallel=True, blocks_per_shard=2)
+            sharded.seal_round(blocks_per_shard=2)
         victim.chain.append_blocks = original
         # The failed round anchored nothing: surviving shards' new
         # blocks wait for the next successful round.
@@ -820,7 +838,7 @@ class TestParallelSealFailure:
                     shard.shard_id, shard.chain.height)
         # Retry: every shard's blocks (including the survivors' from the
         # failed round) get beacon-anchored, and nothing was lost.
-        sharded.seal_round(parallel=True, blocks_per_shard=2)
+        sharded.seal_round(blocks_per_shard=2)
         sharded.seal_until_drained()
         assert sharded.total_txs_committed == 60
         for shard in sharded.shards:

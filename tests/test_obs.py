@@ -476,7 +476,7 @@ class TestTracePropagation:
         pipeline.run_until_drained()  # pool is live now
         pipeline.submit_many(make_txs(16, tag="kill"))
         for widx in range(2):
-            sharded.exec_pool.kill_worker(widx)
+            sharded.engine.pool.kill_worker(widx)
         pipeline.run_until_drained()
         assert sharded.total_txs_committed == 32
         snap = tel.snapshot()

@@ -651,11 +651,21 @@ class TestShardedRestart:
         would wedge the subject forever."""
         sc = ShardedChain(2, storage_dir=str(tmp_path))
         shard_id = sc.router.shard_for_subject("asset/locked")
-        assert sc.acquire_lock(shard_id, "asset/locked", "xid-1")
+        assert sc.locks.acquire([(shard_id, "asset/locked")], "xid-1",
+                                now=0)
         sc.close()  # facade checkpoint happens while the lock is held
+        # Checkpoints no longer carry the lock table at all; one written
+        # by an older build does (nothing ever read it back) and must
+        # reopen just the same.
+        beacon = DurableStorage(tmp_path / "beacon")
+        facade_state = beacon.get_meta("facade_state")
+        assert set(facade_state) == {"rounds_sealed", "anchored_height"}
+        facade_state["locks"] = [[shard_id, "asset/locked", "xid-1", 0, 16]]
+        beacon.put_meta("facade_state", facade_state)
+        beacon.close()
 
         sc2 = ShardedChain(2, storage_dir=str(tmp_path))
-        assert sc2.lock_owner(shard_id, "asset/locked") is None
+        assert sc2.locks.entry(shard_id, "asset/locked") is None
         # The subject is writable again.
         sc2.ingest_record({"record_id": "unblocked",
                            "subject": "asset/locked", "actor": "a",
