@@ -5,9 +5,10 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
-        test-gateway bench-smoke bench-hotpath bench-shard bench-persist \
-        bench-ingest bench-sync bench-exec bench-obs bench-gateway \
-        bench-all bench-e2e bench-e2e-compare lint-private check
+        test-gateway test-codec bench-smoke bench-hotpath bench-shard \
+        bench-persist bench-ingest bench-sync bench-exec bench-obs \
+        bench-gateway bench-all bench-e2e bench-e2e-compare lint-private \
+        check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -39,6 +40,13 @@ test-obs:
 # disconnect handling, graceful drain under load.
 test-gateway:
 	$(PYTHON) -m pytest tests/test_gateway.py -q
+
+# Canonical-codec suite only: fast path vs the ladder oracle, spliced
+# frames vs mapping-path frames, encode-once record ingest, strict
+# fail-closed decoding, golden vectors; plus the storage codec tests.
+test-codec:
+	$(PYTHON) -m pytest tests/test_codec_fastpath.py tests/test_serialization.py -q
+	$(PYTHON) -m pytest tests/test_persist.py -k codec -q
 
 # Chaos suite: the 2PC crash matrix (coordinator killed at every WAL
 # step boundary), lock-lease/fencing coverage, the round-engine contract
@@ -114,17 +122,22 @@ bench-e2e-compare:
 	python3 benchmarks/e2e/compare.py $(BASE) $(CAND)
 
 # No module outside sharding/ may read an underscore attribute of a
-# ShardedChain (every facade handle in src/ is named `sharded`): what
-# another package needs is exposed under a public name instead.
+# ShardedChain (every facade handle in src/ is named `sharded`), and no
+# module outside persist/ may import an underscore name from
+# persist.codec: what another package needs is exposed under a public
+# name instead.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
+	@! grep -rlPz \
+	    'from [.\w]*persist\.codec import (?:[^(\n]*|\([^)]*)\b_\w' \
+	    src/repro --include='*.py' | grep -v '^src/repro/persist/'
 
 # CI-style verification in one command: tier-1 tests, the private-
 # attribute lint, the seeded chaos smoke (3 fault plans, each run twice
 # — deterministic per seed), plus a smoke pass of each perf benchmark
 # (same code paths, small sizes, no floors).
-check: test lint-private
+check: test test-codec lint-private
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke

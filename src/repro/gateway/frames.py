@@ -30,8 +30,8 @@ from typing import Any
 from ..errors import GatewayError, SerializationError
 from ..persist.codec import (
     canonical_decode,
+    transaction_embedded,
     transaction_from_mapping,
-    transaction_to_mapping,
 )
 from ..serialization import canonical_encode
 
@@ -167,7 +167,7 @@ def txs_to_frame_body(txs, seq: int) -> dict:
     return {
         "op": OP_SUBMIT,
         "seq": seq,
-        "txs": [transaction_to_mapping(tx) for tx in txs],
+        "txs": [transaction_embedded(tx) for tx in txs],
     }
 
 

@@ -26,10 +26,13 @@ from ..chain.receipts import Event, TransactionReceipt
 from ..chain.transaction import Transaction, TxKind
 from ..crypto.signatures import PublicKey
 from ..errors import SerializationError, StorageError
-from ..serialization import canonical_encode
+from ..serialization import Pinned, canonical_encode
 
 __all__ = [
+    "MAX_DEPTH",
     "canonical_decode",
+    "decode_at",
+    "read_length",
     "encode_block",
     "decode_block",
     "encode_record",
@@ -38,21 +41,37 @@ __all__ = [
     "receipt_from_mapping",
     "transaction_to_mapping",
     "transaction_from_mapping",
+    "transaction_embedded",
 ]
 
 
 # ---------------------------------------------------------------------------
 # canonical_decode — inverse of repro.serialization.canonical_encode
 # ---------------------------------------------------------------------------
+# Containers may nest this deep.  Frames arrive from untrusted peers, and
+# the decoder recurses once per level: the bound turns a hostile
+# ``l1:l1:l1:...`` into a SerializationError instead of a RecursionError.
+# (The encoder has no such bound; nothing the system writes comes close.)
+MAX_DEPTH = 64
+
+_TAG_NONE, _TAG_TRUE, _TAG_FALSE = b"NTF"
+_TAG_STR, _TAG_INT, _TAG_BYTES, _TAG_FLOAT = b"sibf"
+_TAG_MAP, _TAG_LIST, _TAG_END = b"dle"
+
+
 def canonical_decode(data: bytes) -> Any:
     """Decode canonical bytes back into the value that produced them.
 
     Exact inverse of :func:`repro.serialization.canonical_encode` for
     every value that function accepts (sequences come back as lists,
-    mappings as dicts).  Raises :class:`SerializationError` on trailing
-    bytes, truncation, or an unknown tag — corruption never decodes.
+    mappings as dicts), and strict: only the encoder's own spelling
+    decodes, so ``canonical_encode(canonical_decode(data)) == data``
+    whenever this returns.  Trailing bytes, truncation, an unknown tag,
+    a malformed or non-canonical scalar, unsorted or repeated mapping
+    keys and nesting beyond :data:`MAX_DEPTH` all raise
+    :class:`SerializationError` — corruption never decodes.
     """
-    value, end = _decode_from(data, 0)
+    value, end = decode_at(data, 0)
     if end != len(data):
         raise SerializationError(
             f"trailing bytes after canonical value ({len(data) - end})"
@@ -60,62 +79,85 @@ def canonical_decode(data: bytes) -> Any:
     return value
 
 
-def _read_length(data: bytes, pos: int) -> tuple[int, int]:
-    """Parse the ``<digits>:`` length prefix starting at ``pos``."""
+def read_length(data: bytes, pos: int) -> tuple[int, int]:
+    """Parse the ``<digits>:`` length prefix starting at ``pos``;
+    returns ``(length, position after the colon)``."""
     colon = data.find(b":", pos)
     if colon < 0:
         raise SerializationError("truncated length prefix")
     digits = data[pos:colon]
-    if not digits.isdigit():
+    if not digits.isdigit() or (colon - pos > 1
+                                and digits.startswith(b"0")):
         raise SerializationError(f"bad length prefix {digits!r}")
     return int(digits), colon + 1
 
 
-def _decode_from(data: bytes, pos: int) -> tuple[Any, int]:
+def decode_at(data: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
+    """Decode the one canonical value that starts at ``data[pos]``;
+    returns ``(value, position after it)``.  The prefix form of
+    :func:`canonical_decode`, for callers that walk a frame themselves
+    (:func:`repro.sync.codec.scan_block_frame`)."""
     if pos >= len(data):
         raise SerializationError("truncated canonical value")
-    tag = data[pos:pos + 1]
-    pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag in (b"i", b"f", b"s", b"b"):
-        length, pos = _read_length(data, pos)
-        body = data[pos:pos + length]
-        if len(body) != length:
-            raise SerializationError("truncated scalar body")
-        pos += length
-        if tag == b"i":
-            return int(body), pos
-        if tag == b"f":
-            return float(body), pos
-        if tag == b"s":
-            return body.decode("utf-8"), pos
-        return bytes(body), pos
-    if tag == b"d":
-        count, pos = _read_length(data, pos)
-        out: dict[str, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            if not isinstance(key, str):
-                raise SerializationError("mapping key must decode to str")
-            out[key], pos = _decode_from(data, pos)
-        if data[pos:pos + 1] != b"e":
-            raise SerializationError("unterminated mapping")
-        return out, pos + 1
-    if tag == b"l":
-        count, pos = _read_length(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        if data[pos:pos + 1] != b"e":
-            raise SerializationError("unterminated sequence")
-        return items, pos + 1
-    raise SerializationError(f"unknown canonical tag {tag!r}")
+    tag = data[pos]
+    if tag == _TAG_NONE:
+        return None, pos + 1
+    if tag == _TAG_TRUE:
+        return True, pos + 1
+    if tag == _TAG_FALSE:
+        return False, pos + 1
+    length, pos = read_length(data, pos + 1)
+    if tag == _TAG_MAP or tag == _TAG_LIST:
+        if depth >= MAX_DEPTH:
+            raise SerializationError(
+                f"canonical value nests deeper than {MAX_DEPTH}")
+        depth += 1
+        if tag == _TAG_LIST:
+            value: Any = []
+            for _ in range(length):
+                item, pos = decode_at(data, pos, depth)
+                value.append(item)
+        else:
+            value = {}
+            previous = None
+            for _ in range(length):
+                key, pos = decode_at(data, pos, depth)
+                if type(key) is not str:
+                    raise SerializationError(
+                        "mapping key must decode to str")
+                # Strictly ascending = sorted and free of duplicates.
+                if value and key <= previous:
+                    raise SerializationError(
+                        f"mapping key {key!r} out of canonical order")
+                previous = key
+                value[key], pos = decode_at(data, pos, depth)
+        if pos >= len(data) or data[pos] != _TAG_END:
+            raise SerializationError("unterminated container")
+        return value, pos + 1
+    end = pos + length
+    body = data[pos:end]
+    if len(body) != length:
+        raise SerializationError("truncated scalar body")
+    try:
+        if tag == _TAG_STR:
+            return body.decode("utf-8"), end
+        if tag == _TAG_BYTES:
+            return bytes(body), end
+        if tag == _TAG_INT:
+            value = int(body)
+            spelled = b"%d" % value
+        elif tag == _TAG_FLOAT:
+            value = float(body)
+            spelled = repr(value).encode("ascii")
+        else:
+            raise SerializationError(
+                f"unknown canonical tag {bytes([tag])!r}")
+    except ValueError:          # UnicodeDecodeError is one
+        raise SerializationError(
+            f"malformed scalar body {body[:32]!r}") from None
+    if spelled != body:
+        raise SerializationError(f"non-canonical number {body[:32]!r}")
+    return value, end
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +190,40 @@ def _transaction_from_mapping(m: dict) -> Transaction:
     return tx
 
 
+# The splice below leans on two facts about the mapping form, checked
+# once here: the signing body is a six-entry mapping (its encoding opens
+# with _BODY_HEAD), and the three keys the mapping adds sort, in the
+# order written, before every one of its keys.
+_BODY_HEAD = b"d6:"
+_body_keys = Transaction("", TxKind.DATA, {}).signing_body().keys()
+assert len(_body_keys) == 6
+assert "_sealed" < "_sig" < "_signer" < min(_body_keys)
+
+
+def transaction_embedded(tx: Transaction) -> dict | Pinned:
+    """What a block, submit or job frame embeds for ``tx``; encodes to
+    the same bytes as :func:`transaction_to_mapping`'s mapping.
+
+    A sealed transaction already pins the canonical bytes of its signing
+    body, so its mapping's encoding is spliced instead of re-walked:
+    mapping head, the ``_sealed``/``_sig``/``_signer`` entries, then the
+    pinned body minus its own head.  Unsealed transactions can still
+    change and take the mapping path.
+    """
+    if not tx.is_sealed:
+        return _transaction_to_mapping(tx)
+    sig = tx.signature
+    if sig is None or tx.signer is None:
+        head = b"d7:s7:_sealedT"
+    else:
+        key = tx.signer.key_bytes
+        if type(sig) is not bytes or type(key) is not bytes:
+            return _transaction_to_mapping(tx)
+        head = b"d9:s7:_sealedTs4:_sigb%d:%bs7:_signerb%d:%b" % (
+            len(sig), sig, len(key), key)
+    return Pinned(head + tx._encoded_body()[len(_BODY_HEAD):])
+
+
 # Public aliases: the mapping form is also the *wire* form — the
 # gateway (repro.gateway) batches many of these inside one canonical
 # length-prefixed frame, so a transaction decoded off the socket
@@ -177,7 +253,7 @@ def encode_block(block: Block) -> bytes:
         "proposer": header.proposer,
         "consensus_meta": dict(header.consensus_meta),
         "nonce": header.nonce,
-        "transactions": [_transaction_to_mapping(tx)
+        "transactions": [transaction_embedded(tx)
                          for tx in block.transactions],
     })
 
@@ -232,11 +308,11 @@ def receipt_to_mapping(receipt: TransactionReceipt) -> dict:
         m["block_height"] = receipt.block_height
     if receipt.output is not None:
         try:
-            canonical_encode(receipt.output)
+            # Encoding it is the only way to learn whether it encodes;
+            # keep the bytes so the receipt frame does not walk it again.
+            m["output"] = Pinned(canonical_encode(receipt.output))
         except SerializationError:
             pass  # non-encodable outputs (live objects) are not persisted
-        else:
-            m["output"] = receipt.output
     return m
 
 

@@ -470,17 +470,21 @@ class DurableRecordStore(RecordStore):
         self._cache_put(position, dict(record))
         return position
 
-    def append_many(self, records: Sequence[dict]) -> list[int]:
+    def append_many(self, records: Sequence[dict],
+                    encoded: Sequence[bytes] | None = None) -> list[int]:
         """Group-commit a batch of records: one buffered log write + one
         fsync + one index transaction, versus one of each *per record*
         on the :meth:`append` path — the dominant saving on the durable
-        ingest hot path (capture streams arrive thousands at a time)."""
+        ingest hot path (capture streams arrive thousands at a time).
+        ``encoded`` frames go to the log verbatim and hand ``records``
+        over to the read cache (see :meth:`RecordStore.append_many`)."""
         if not records:
             return []
         start = self._count
-        locs = self._log.append_many(
-            [encode_record(record) for record in records]
-        )
+        owned = encoded is not None
+        if not owned:
+            encoded = [encode_record(record) for record in records]
+        locs = self._log.append_many(encoded)
         with self._conn:
             self._conn.executemany(
                 "INSERT INTO records(position, record_id, segment, offset, "
@@ -492,7 +496,7 @@ class DurableRecordStore(RecordStore):
         positions = list(range(start, start + len(records)))
         self._count = start + len(records)
         for position, record in zip(positions, records):
-            self._cache_put(position, dict(record))
+            self._cache_put(position, record if owned else dict(record))
         return positions
 
     def replace(self, position: int, record: dict) -> None:

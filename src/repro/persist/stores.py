@@ -110,11 +110,16 @@ class RecordStore(ABC):
     def append(self, record: dict) -> int:
         """Store a record; returns its position."""
 
-    def append_many(self, records: Sequence[dict]) -> list[int]:
+    def append_many(self, records: Sequence[dict],
+                    encoded: Sequence[bytes] | None = None) -> list[int]:
         """Store several records; returns their positions.
 
         Group-commit point for durable backends (one log write + fsync
         + one index transaction); the default loops :meth:`append`.
+        ``encoded`` is each record's canonical bytes, from a caller that
+        already has them; it can only vouch for bytes of dicts nobody
+        else will mutate, so with it the store keeps ``records`` as its
+        own instead of copying them.
         """
         return [self.append(record) for record in records]
 

@@ -100,19 +100,26 @@ class AnchorService:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def enqueue(self, record: Mapping[str, Any]) -> AnchorReceipt | None:
+    def enqueue(self, record: Mapping[str, Any],
+                encoded: bytes | None = None) -> AnchorReceipt | None:
         """Queue a record; flushes automatically at ``batch_size``.
+
+        ``encoded`` is the record's canonical bytes from a caller that
+        owns the dict and gives it away: the batch keeps the record
+        itself, and :func:`record_digest` hashes those bytes instead of
+        re-encoding it.
 
         Returns the receipt when this enqueue triggered a flush.
         """
-        record = dict(record)
+        if encoded is None:
+            record = dict(record)
         record_id = str(record.get("record_id", ""))
         if not record_id:
             raise AnchorError("record lacks record_id")
         if record_id in self._locator or record_id in self._pending.ids:
             raise AnchorError(f"record {record_id!r} already anchored/pending")
         self._pending.records.append(record)
-        self._pending.digests.append(record_digest(record))
+        self._pending.digests.append(record_digest(record, encoded))
         self._pending.ids.add(record_id)
         if len(self._pending.records) >= self.batch_size:
             return self.flush()

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..crypto.hashing import DOMAIN_RECORD, hash_canonical
+from ..crypto.hashing import DOMAIN_RECORD, hash_bytes, hash_canonical
 from ..errors import RecordValidationError
 
 # Core fields every record carries regardless of domain; these drive the
@@ -242,8 +242,14 @@ def validate_record(record: Mapping[str, Any]) -> None:
     schema.validate(record)
 
 
-def record_digest(record: Mapping[str, Any]) -> bytes:
-    """The hash that goes into Merkle batches and on-chain registries."""
+def record_digest(record: Mapping[str, Any],
+                  encoded: bytes | None = None) -> bytes:
+    """The hash that goes into Merkle batches and on-chain registries.
+    ``encoded`` is the record's canonical bytes when the caller already
+    has them; they are hashed as they are unless the record carries an
+    anchor annotation."""
     # The anchor annotation is excluded: it is added *after* hashing.
+    if encoded is not None and "anchor" not in record:
+        return hash_bytes(encoded, DOMAIN_RECORD)
     content = {k: v for k, v in record.items() if k != "anchor"}
     return hash_canonical(content, DOMAIN_RECORD)

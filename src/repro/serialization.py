@@ -14,22 +14,69 @@ encoding:
 The encoding is a type-tagged, length-prefixed byte string, similar in
 spirit to bencoding / RFC 8785 (JSON Canonicalization Scheme) but simpler
 because we control both producer and consumer.
+
+One encoder, two speeds
+-----------------------
+
+:func:`canonical_encode` sits under every hash, signature, segment frame,
+IPC job and wire frame, so it is a single pass that collects byte parts
+and joins them once.
+
+* **Fast path** — dispatch on the *exact* ``type(value)``: ``str``,
+  ``int``, ``dict``/``MappingProxyType``, ``list``/``tuple``, ``bytes``,
+  ``None``, ``bool``, ``float``, :class:`Pinned`.  Exact types cannot
+  overlap, so the order of these tests is frequency, not semantics.
+* **Fallback** — everything else (subclasses such as ``OrderedDict`` or
+  the ``str``-mixin :class:`~repro.chain.transaction.TxKind`,
+  ``bytearray``, other ``Mapping``/``Sequence`` implementations, hook
+  objects, and the error cases) walks the ``isinstance`` ladder in its
+  historical order — ``int``, ``float``, ``str``, bytes-likes,
+  ``Mapping``, ``Sequence``, ``_canonical_cache``, ``to_canonical()`` —
+  and ends in :class:`SerializationError`.  The bytes are the same on
+  both paths; only the cost differs.
+
+The splice invariant
+--------------------
+
+An object whose ``_canonical_cache`` attribute is ``bytes`` is emitted as
+exactly those bytes (:class:`Pinned` is the bare carrier).  Whoever sets
+the attribute vouches that the bytes *are* the canonical encoding of an
+immutable value.  :mod:`repro.persist.codec` uses this to embed a sealed
+transaction in a block, submit or job frame without re-walking it: the
+wire mapping is the signing body plus ``_sealed``/``_sig``/``_signer``,
+those three keys sort before every signing-body key (asserted at import
+there), so the mapping's encoding is a ``d<6+k>:`` head, the extra
+entries, and the seal-time pinned body minus its own ``d6:`` head.
+Sealed-only: an unsealed transaction can still change, so it takes the
+mapping path.
+
+Strict decoding
+---------------
+
+:func:`repro.persist.codec.canonical_decode` accepts *only* what this
+encoder emits — shortest decimal integers and lengths, ``repr`` floats,
+valid UTF-8, strictly ascending mapping keys, bounded nesting — so
+``canonical_encode(canonical_decode(b)) == b`` for every ``b`` that
+decodes, and anything else raises :class:`SerializationError`.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from .errors import SerializationError
 
-_CANONICAL_TYPES = (
-    type(None),
-    bool,
-    int,
-    float,
-    str,
-    bytes,
-)
+
+class Pinned:
+    """Carrier for bytes that already *are* a canonical encoding: the
+    encoder splices ``_canonical_cache`` verbatim (see the module
+    docstring for who may vouch for such bytes)."""
+
+    __slots__ = ("_canonical_cache",)
+
+    def __init__(self, encoded: bytes) -> None:
+        self._canonical_cache = encoded
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -46,54 +93,65 @@ def canonical_encode(value: Any) -> bytes:
     >>> canonical_encode(1) == canonical_encode("1")
     False
     """
-    out = bytearray()
-    _encode_into(value, out)
-    return bytes(out)
+    parts: list[bytes] = []
+    _encode_into(value, parts.append)
+    return b"".join(parts)
 
 
-def _encode_into(value: Any, out: bytearray) -> None:
-    # bool must be tested before int (bool is an int subclass).
-    if value is None:
-        out += b"N"
-    elif isinstance(value, bool):
-        out += b"T" if value else b"F"
-    elif isinstance(value, int):
-        body = str(value).encode("ascii")
-        out += b"i%d:" % len(body)
-        out += body
-    elif isinstance(value, float):
+def _encode_into(value: Any, append) -> None:
+    t = type(value)
+    if t is str:
+        body = value.encode("utf-8")
+        append(b"s%d:" % len(body))
+        append(body)
+    elif t is int:
+        body = b"%d" % value
+        append(b"i%d:" % len(body))
+        append(body)
+    elif t is dict or t is MappingProxyType:
+        _encode_mapping(value, append)
+    elif t is list or t is tuple:
+        append(b"l%d:" % len(value))
+        for item in value:
+            _encode_into(item, append)
+        append(b"e")
+    elif t is bytes:
+        append(b"b%d:" % len(value))
+        append(value)
+    elif value is None:
+        append(b"N")
+    elif t is bool:
+        append(b"T" if value else b"F")
+    elif t is float:
         # repr() of a float is the shortest string that round-trips in
         # CPython (PEP 3101 era guarantee), which makes it canonical for
         # our single-implementation purposes.
         body = repr(value).encode("ascii")
-        out += b"f%d:" % len(body)
-        out += body
+        append(b"f%d:" % len(body))
+        append(body)
+    elif t is Pinned:
+        append(value._canonical_cache)
+    # Not an exact builtin: the isinstance ladder, in its historical
+    # order (bool cannot be subclassed, so it needs no rung).  A rung
+    # re-enters with the exact value where that cannot change the bytes.
+    elif isinstance(value, int):
+        # The number itself: an int-mixin Enum member's str() is its
+        # "Class.NAME", which is not an integer body.
+        _encode_into(int(value), append)
+    elif isinstance(value, float):
+        body = repr(value).encode("ascii")
+        append(b"f%d:" % len(body))
+        append(body)
     elif isinstance(value, str):
         body = value.encode("utf-8")
-        out += b"s%d:" % len(body)
-        out += body
+        append(b"s%d:" % len(body))
+        append(body)
     elif isinstance(value, (bytes, bytearray)):
-        out += b"b%d:" % len(value)
-        out += bytes(value)
+        _encode_into(bytes(value), append)
     elif isinstance(value, Mapping):
-        items = []
-        for key in value:
-            if not isinstance(key, str):
-                raise SerializationError(
-                    f"mapping keys must be str, got {type(key).__name__}"
-                )
-            items.append(key)
-        items.sort()
-        out += b"d%d:" % len(items)
-        for key in items:
-            _encode_into(key, out)
-            _encode_into(value[key], out)
-        out += b"e"
+        _encode_mapping(value, append)
     elif isinstance(value, Sequence):
-        out += b"l%d:" % len(value)
-        for item in value:
-            _encode_into(item, out)
-        out += b"e"
+        _encode_into(tuple(value), append)
     else:
         # Sealed objects may carry their canonical bytes, precomputed once
         # at seal time (identity-keyed encode cache: the bytes live on the
@@ -102,16 +160,32 @@ def _encode_into(value: Any, out: bytearray) -> None:
         # objects may set this — see Transaction.seal().
         cached = getattr(value, "_canonical_cache", None)
         if type(cached) is bytes:
-            out += cached
+            append(cached)
             return
         # Objects may opt in by providing a to_canonical() mapping.
         to_canonical = getattr(value, "to_canonical", None)
         if callable(to_canonical):
-            _encode_into(to_canonical(), out)
+            _encode_into(to_canonical(), append)
             return
         raise SerializationError(
             f"cannot canonically encode {type(value).__name__}"
         )
+
+
+def _encode_mapping(value: Mapping, append) -> None:
+    for key in value:
+        if type(key) is not str and not isinstance(key, str):
+            raise SerializationError(
+                f"mapping keys must be str, got {type(key).__name__}"
+            )
+    keys = sorted(value)
+    append(b"d%d:" % len(keys))
+    for key in keys:
+        body = key.encode("utf-8")
+        append(b"s%d:" % len(body))
+        append(body)
+        _encode_into(value[key], append)
+    append(b"e")
 
 
 def canonical_hex(value: Any) -> str:

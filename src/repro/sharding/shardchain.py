@@ -35,6 +35,7 @@ from ..errors import (
     ShardError,
 )
 from ..obs.runtime import telemetry as default_telemetry
+from ..persist.codec import encode_record
 from ..provenance.anchor import AnchorReceipt, AnchorService
 from ..provenance.query import ProvenanceQueryEngine, QueryCache
 from ..storage.provdb import ProvenanceDatabase
@@ -856,9 +857,13 @@ class ShardedChain:
         receipts: dict[int, list[AnchorReceipt]] = {}
         for shard_id, bucket in self._route_records(records).items():
             shard = self.shards[shard_id]
-            shard.database.insert_many(bucket)
-            flushed = [r for r in (shard.anchor.enqueue(rec)
-                                   for rec in bucket) if r is not None]
+            # The routed copies are ours to give away, so each record is
+            # encoded once and the same bytes frame it in the record log
+            # and feed its anchor digest.
+            encoded = [encode_record(rec) for rec in bucket]
+            shard.database.insert_many(bucket, encoded)
+            flushed = [r for r in map(shard.anchor.enqueue, bucket, encoded)
+                       if r is not None]
             if flushed:
                 receipts[shard_id] = flushed
             shard.query.notify_write()

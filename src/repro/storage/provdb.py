@@ -89,12 +89,15 @@ class ProvenanceDatabase:
         self._index_record(position, stored)
         return position
 
-    def insert_many(self, records) -> int:
+    def insert_many(self, records, encoded=None) -> int:
         """Batched insert: validate ids up front, then hand the whole
         batch to the store's group-commit surface (one log write + one
         index transaction on the durable backend) and index in one
         pass.  All-or-nothing: a duplicate id anywhere rejects the batch
-        before anything is stored."""
+        before anything is stored.  ``encoded`` is the records' canonical
+        bytes from a caller that owns the dicts and gives them away
+        (:meth:`RecordStore.append_many`); without it each record is
+        copied first."""
         stored_batch: list[dict] = []
         seen: set[str] = set()
         for record in records:
@@ -104,10 +107,11 @@ class ProvenanceDatabase:
             if record_id in self._by_id or record_id in seen:
                 raise QueryError(f"duplicate record_id {record_id!r}")
             seen.add(record_id)
-            stored_batch.append(dict(record))
+            stored_batch.append(record if encoded is not None
+                                else dict(record))
         if not stored_batch:
             return 0
-        positions = self._store.append_many(stored_batch)
+        positions = self._store.append_many(stored_batch, encoded)
         for position, stored in zip(positions, stored_batch):
             self._index_record(position, stored)
         return len(stored_batch)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from ..chain.block import BlockHeader
 from ..crypto.hashing import hash_bytes, hash_canonical
 from ..errors import SerializationError, SyncError
-from ..persist.codec import _decode_from, _read_length, canonical_decode
+from ..persist.codec import canonical_decode, decode_at, read_length
 from ..serialization import canonical_encode
 
 # Domain separation for sync artifacts (string prefixes, like the state
@@ -201,15 +201,15 @@ def scan_block_frame(payload: bytes) -> ScannedBlock:
     """
     if payload[:1] != b"d":
         raise SerializationError("block frame is not a canonical mapping")
-    count, pos = _read_length(payload, 1)
+    count, pos = read_length(payload, 1)
     fields: dict = {}
     tx_count = None
     for _ in range(count):
-        key, pos = _decode_from(payload, pos)
+        key, pos = decode_at(payload, pos)
         if key == "transactions":
             if payload[pos:pos + 1] != b"l":
                 raise SerializationError("transactions is not a sequence")
-            tx_count, pos = _read_length(payload, pos + 1)
+            tx_count, pos = read_length(payload, pos + 1)
             # Sorted keys make "transactions" the final entry: its body
             # runs to the frame's closing markers ("e" for the list,
             # "e" for the outer mapping).
@@ -217,7 +217,7 @@ def scan_block_frame(payload: bytes) -> ScannedBlock:
                 raise SerializationError("unterminated block frame")
             pos = len(payload) - 1
             break
-        fields[key], pos = _decode_from(payload, pos)
+        fields[key], pos = decode_at(payload, pos)
     if payload[pos:pos + 1] != b"e" or pos + 1 != len(payload):
         raise SerializationError("trailing bytes after block frame")
     if tx_count is None:

@@ -138,7 +138,8 @@ class TestFrames:
         assert self._read_fed() is None
 
     def test_malformed_tx_entry_fails_the_frame(self):
-        body = txs_to_frame_body([data_tx(1)], seq=1)
+        body = decode_frame_payload(
+            encode_frame(txs_to_frame_body([data_tx(1)], seq=1))[4:])
         body["txs"].append({"not": "a tx"})
         with pytest.raises(GatewayError) as err:
             frame_to_txs(body)
@@ -455,6 +456,39 @@ class TestDisconnects:
 
         asyncio.run(scenario())
         assert sharded.total_txs_committed == 1
+
+    @pytest.mark.parametrize("payload", [
+        b"d1:s2:ops2:\xff\xfee",                    # invalid UTF-8
+        b"d2:s2:ops4:pings3:seqi3:E.Ae",            # int body not a number
+        b"d2:s2:ops4:pings3:seqi2:07e",             # non-canonical int
+        b"d2:s3:seqi1:1s2:ops4:pinge",              # keys out of order
+        b"d1:s2:op" + b"l1:" * 5000 + b"N" + b"e" * 5001,  # nesting bomb
+    ], ids=["utf8", "int-body", "int-spelling", "key-order", "depth"])
+    def test_hostile_payload_gets_an_error_frame_and_is_counted(
+            self, payload):
+        # Each of these used to escape the decoder as UnicodeDecodeError /
+        # ValueError / RecursionError, past the handler that only expects
+        # GatewayError: the connection died uncounted and unanswered.
+        _, pipe, server = make_stack()
+
+        async def scenario():
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(struct.pack(">I", len(payload)) + payload)
+            await writer.drain()
+            reply = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert reply["op"] == "error"
+            assert reply["reason"] == "corrupt_frame"
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            assert counter_of(
+                server, "gateway_connections_aborted_total") == 1
+            async with await AsyncGatewayClient.connect(
+                    host, port) as client:
+                assert (await client.submit([data_tx(1)])).queued == 1
+            await server.drain()
+
+        asyncio.run(scenario())
 
     def test_disconnect_during_batched_reply_is_counted(self):
         # report_chunk=1 + a mostly-bounced batch = a long streamed
