@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
-        test-gateway test-codec bench-smoke bench-hotpath bench-shard \
+        test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
         bench-gateway bench-all bench-e2e bench-e2e-compare lint-private \
         check
@@ -31,7 +31,7 @@ test-exec:
 
 # Observability suite only: metrics registry, span tracing (incl.
 # cross-process propagation + worker-kill fallback), accessor
-# regressions, ops/metrics over SimNet.
+# regressions, the ops op over SimNet.
 test-obs:
 	$(PYTHON) -m pytest tests/test_obs.py -q
 
@@ -47,6 +47,14 @@ test-gateway:
 test-codec:
 	$(PYTHON) -m pytest tests/test_codec_fastpath.py tests/test_serialization.py -q
 	$(PYTHON) -m pytest tests/test_persist.py -k codec -q
+
+# Transport suite: one grammar over two carriers — SimNet/TCP parity
+# (byte-identical replies, byte-identical synced stores), generated
+# hostile requests (exactly one error frame, nothing escapes), plus the
+# suites of everything that speaks the grammar.
+test-transport:
+	$(PYTHON) -m pytest tests/test_transport.py tests/test_sync.py \
+	    tests/test_gateway.py tests/test_chainnode.py -q
 
 # Chaos suite: the 2PC crash matrix (coordinator killed at every WAL
 # step boundary), lock-lease/fencing coverage, the round-engine contract
@@ -125,19 +133,23 @@ bench-e2e-compare:
 # ShardedChain (every facade handle in src/ is named `sharded`), and no
 # module outside persist/ may import an underscore name from
 # persist.codec: what another package needs is exposed under a public
-# name instead.
+# name instead.  Nor may the deleted request/response idiom come back:
+# object references or self-sized lists in message bodies, req_id
+# mailboxes, a second (blocking) frame reader.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
 	@! grep -rlPz \
 	    'from [.\w]*persist\.codec import (?:[^(\n]*|\([^)]*)\b_\w' \
 	    src/repro --include='*.py' | grep -v '^src/repro/persist/'
+	@! grep -rnE '_bundle_ref|SizedList|"req_id"|read_frame_sync' \
+	    src/repro --include='*.py'
 
 # CI-style verification in one command: tier-1 tests, the private-
 # attribute lint, the seeded chaos smoke (3 fault plans, each run twice
 # — deterministic per seed), plus a smoke pass of each perf benchmark
 # (same code paths, small sizes, no floors).
-check: test test-codec lint-private
+check: test test-codec test-transport lint-private
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..rpc import OP_OPS
+
 # Upper bound on WAL writes a 2-shard transfer makes on its happy path
 # (begin, 2 lock legs, committing, 2 commit legs, finalizing,
 # finalized) — kill sites beyond it let a transfer complete untouched,
@@ -86,8 +88,8 @@ def seeded_plan(seed: int, transfers: int = 3, kills: int = 2) -> FaultPlan:
     """Derive a full plan from one seed.
 
     The client-facing ``shard_tx`` topic gets lossy/duplicating/
-    reordering treatment (shaking gateway ingest), ``ops/metrics`` gets
-    drops (shaking the :mod:`repro.net_retry` backoff loop), and
+    reordering treatment (shaking gateway ingest), ``ops`` gets drops
+    in both directions (shaking the SimNet channel's retry loop), and
     ``kills`` coordinator kill sites are sampled across the WAL step
     range so repeated seeds cover the whole crash matrix."""
     rng = random.Random(seed)
@@ -99,7 +101,7 @@ def seeded_plan(seed: int, transfers: int = 3, kills: int = 2) -> FaultPlan:
             reorder=round(rng.uniform(0.0, 0.3), 3),
             reorder_delay=rng.randrange(20, 80),
         ),
-        NetFault("ops/metrics", drop=round(rng.uniform(0.1, 0.4), 3)),
+        NetFault(OP_OPS, drop=round(rng.uniform(0.1, 0.4), 3)),
     )
     kill_sites = tuple(
         CoordinatorKill(rng.randrange(1, WAL_WRITES_PER_TRANSFER + 2))

@@ -4,7 +4,7 @@ One :class:`ChaosRunner` owns a durable :class:`~repro.sharding.
 shardchain.ShardedChain`, a :class:`~repro.network.simnet.SimNet` seeded
 from the plan (with the plan's topic faults injected), a gateway node
 fronting the facade, and a client node that pushes background traffic
-and polls ``ops/metrics`` through the lossy fabric.  It then starts the
+and polls ``ops`` through the lossy fabric.  It then starts the
 plan's cross-shard transfers, arming the next coordinator kill before
 each one; when a kill fires the facade fail-stops
 (:meth:`~repro.sharding.shardchain.ShardedChain.crash`), reopens from
@@ -25,10 +25,11 @@ import os
 from dataclasses import dataclass, field
 
 from ..chain import Transaction, TxKind
-from ..errors import ShardError, SyncError
+from ..errors import GatewayError, ShardError
 from ..network.node import ChainNode
 from ..network.simnet import SimNet
 from ..persist.segment import CrashPoint
+from ..rpc import OP_OPS
 from ..serialization import canonical_encode
 from ..sharding.query import ShardedQueryEngine
 from ..sharding.router import ShardRouter
@@ -328,9 +329,9 @@ class ChaosRunner:
         report.locks_dropped += int(summary.get("locks_dropped", 0))
 
     def _poll_ops(self, client: ChainNode, report: ChaosReport) -> None:
-        """Exercise the shared retry/backoff loop through the drops."""
+        """Exercise the channel's retry/backoff loop through the drops."""
         report.ops_polls += 1
         try:
-            client.request_ops("chaos-gw")
-        except SyncError:
+            client.channel("chaos-gw").call({"op": OP_OPS})
+        except GatewayError:
             report.ops_failures += 1

@@ -135,7 +135,7 @@ _VERIFY_CACHE_MAX = 8192
 _VERIFY_CACHE_LOCK = threading.Lock()
 
 # Hit/miss counters live in the telemetry registry (ISSUE 7) so an
-# ops/metrics snapshot sees them; `cache_stats()` keeps its old shape by
+# ``ops`` snapshot sees them; `cache_stats()` keeps its old shape by
 # reading them back.  Handles are cached per default-telemetry instance
 # — the identity check keeps the probe off the registry's label path,
 # and a test that resets the default picks up fresh counters.

@@ -11,6 +11,13 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the library."""
 
+    def as_dict(self) -> dict:
+        """Structured form for wire ``error`` frames, reports and logs.
+        Subclasses with a stable ``reason`` code carry it; the rest are
+        named by their class."""
+        return {"reason": getattr(self, "reason", type(self).__name__),
+                "message": str(self)}
+
 
 class SerializationError(ReproError):
     """A value could not be canonically serialized for hashing."""
@@ -180,13 +187,17 @@ class SyncError(NetworkError):
 
 
 class GatewayError(NetworkError):
-    """A socket-gateway protocol failure (see :mod:`repro.gateway`).
+    """A request/response protocol failure on either carrier (see
+    :mod:`repro.rpc`, :mod:`repro.gateway`).
 
     ``reason`` is a stable machine code so clients and tests can drive
     policy without parsing messages: ``"frame_too_large"``,
     ``"corrupt_frame"``, ``"protocol"`` (op/sequence violations),
-    ``"draining"`` (server refusing new work during graceful shutdown),
-    ``"connection_closed"`` (peer vanished mid-exchange), and
+    ``"bad_request"`` (a field of the wrong shape), ``"read_timeout"``
+    (a frame's payload stalled), ``"draining"`` (server refusing new
+    work during graceful shutdown), ``"connection_closed"`` (peer
+    vanished mid-exchange), ``"peer_unresponsive"`` (no reply within the
+    retry budget), whatever reason a peer's ``error`` frame carried, and
     ``"backpressure_budget"`` (client retry budget exhausted with
     submissions still backpressured — nothing was dropped; the
     unaccepted transactions ride on ``pending``).
@@ -197,10 +208,6 @@ class GatewayError(NetworkError):
         super().__init__(message)
         self.reason = reason
         self.pending = pending if pending is not None else []
-
-    def as_dict(self) -> dict:
-        """Structured form for wire ``error`` frames and logs."""
-        return {"reason": self.reason, "message": str(self)}
 
 
 class ContractError(ReproError):

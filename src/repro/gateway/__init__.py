@@ -1,22 +1,21 @@
 """Socket gateway: the network front door to the ingest pipeline.
 
-Until this package, "capture clients" were function calls: every
-provenance event entered through in-process
-:meth:`~repro.ingest.pipeline.IngestPipeline.submit`.  The gateway
-turns the pipeline's admission contract into a wire protocol so O(1000)
-real capture processes — IoT sensors, supply-chain scanners, audit
-shims — can stream transactions over TCP into one chain deployment,
-with the same never-drop, backpressure-first semantics the in-process
-path guarantees.
+The gateway turns the pipeline's admission contract into a wire
+protocol so O(1000) real capture processes — IoT sensors, supply-chain
+scanners, audit shims — can stream transactions over TCP into one chain
+deployment, with the same never-drop, backpressure-first semantics as
+in-process :meth:`~repro.ingest.pipeline.IngestPipeline.submit`.
 
 Design note
 ===========
 
-Frame format
-------------
+Frames and ops
+--------------
 
-One frame is ``u32 big-endian payload length || payload``; the payload
-is :func:`repro.serialization.canonical_encode` of a str-keyed mapping.
+The gateway is the TCP carrier of :mod:`repro.rpc`'s one
+request/response grammar, plus five ops of its own.  One frame is
+``u32 big-endian payload length || payload``; the payload is
+:func:`repro.serialization.canonical_encode` of a str-keyed mapping.
 That is deliberately the codec every hash and signature already uses
 (:mod:`repro.persist.codec` adds the inverse), so the wire format
 inherits the storage format's round-trip guarantee: a transaction
@@ -24,12 +23,19 @@ decoded off the socket re-encodes to the exact bytes it is hashed and
 signed over — signatures verify server-side with no re-signing, and a
 gateway-submitted batch seals to byte-identical blocks, Merkle roots,
 and shard-beacon commitments as the same batch submitted in process
-(``tests/test_gateway.py`` pins this).  Frames above a 16 MiB ceiling,
-truncated frames, and payloads that do not decode to an op mapping are
-refused fail-closed with structured ``error`` frames
-(:class:`~repro.errors.GatewayError`), never half-parsed.
+(``tests/test_gateway.py`` pins this).
 
-Every request carries ``op`` and ``seq``; replies echo ``seq``.  Ops:
+The grammar on top is :mod:`repro.rpc`'s: a request carries ``op`` and
+``seq``, replies echo ``seq`` and end at one marked ``final`` or at a
+structured ``error`` frame, and one dispatcher
+(:meth:`repro.rpc.Service.dispatch`) turns *any* failure into that frame
+— the connection loop only reads payloads and writes replies.  What it
+cannot read (a prefix above the 16 MiB ceiling, a truncated frame, a
+payload still missing :data:`~repro.gateway.frames.FRAME_READ_TIMEOUT_S`
+after its prefix) and what is not a request (undecodable bytes, ``op`` /
+``seq`` of the wrong type, a ``hello`` for another protocol version)
+gets one ``error`` frame, a hang-up, and a tick on
+``gateway_connections_aborted_total``; idling *between* frames is fine.
 
 ====================  ===================================================
 client → server       ``hello`` (proto + tenant), ``submit`` (a batch of
@@ -38,6 +44,10 @@ server → client       ``hello_ok``, streamed ``retry_after`` chunks +
                       one final ``report`` per submit, ``ops_ok``,
                       ``pong``, ``error``, ``goodbye``
 ====================  ===================================================
+
+:meth:`GatewayServer.serve <repro.gateway.server.GatewayServer.serve>`
+attaches other services (snapshot sync) to the same connections, and
+``ChainNode.serve(server.service)`` answers these ops over SimNet.
 
 Backpressure state machine
 --------------------------
@@ -89,11 +99,11 @@ that disconnects mid-reply is counted — every unflushed frame lands on
 
 from .client import AsyncGatewayClient, GatewayClient, SubmitResult
 from .frames import (
+    FRAME_READ_TIMEOUT_S,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     encode_frame,
-    read_frame,
-    read_frame_sync,
+    read_payload,
 )
 from .server import GatewayServer
 
@@ -102,9 +112,9 @@ __all__ = [
     "GatewayClient",
     "GatewayServer",
     "SubmitResult",
+    "FRAME_READ_TIMEOUT_S",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "encode_frame",
-    "read_frame",
-    "read_frame_sync",
+    "read_payload",
 ]

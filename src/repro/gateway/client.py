@@ -1,50 +1,35 @@
-"""Pure-python gateway clients: asyncio and blocking-socket twins.
+"""Gateway clients: the TCP carrier's client end.
 
-Both speak the frame grammar in :mod:`repro.gateway.frames` and share
-one retry discipline, driven by the async-aware face of
-:class:`~repro.net_retry.RetryPolicy`:
-
-* :meth:`submit` is **one** wire round trip — send a batch, collect the
-  streamed ``RETRY_AFTER`` chunks and the final ``REPORT``, and return
-  a :class:`SubmitResult`.  Backpressure is data, not an exception.
-* :meth:`submit_with_retry` is the loop capture sources actually want:
-  bounced transactions are re-submitted after sleeping the larger of
-  the server's retry-after hint and the policy's exponential schedule.
-  When the attempt budget runs out the *still-pending* transactions
-  come back attached to a :class:`~repro.errors.GatewayError`
-  (``reason="backpressure_budget"``) — the client never silently drops
-  a capture event, mirroring the server's never-drop contract.
-
-The sync client exists so capture processes without an event loop (the
-IoT-fleet example, benchmark drivers, REPL poking) get the identical
-protocol with ``time.sleep`` in place of ``asyncio.sleep``.
+:class:`AsyncGatewayClient` is a *channel* in :mod:`repro.rpc`'s sense
+(``peer`` / ``call`` / ``requests`` / ``retries``) over one framed
+connection, with the gateway's own ops on top of :meth:`call`; a bounced
+submit is data (:class:`SubmitResult`), not an exception, and the retry
+loop hands back what it could not place rather than dropping it.
+:class:`GatewayClient` drives the same object from code without an event
+loop (the IoT-fleet example, a snapshot-sync replica, REPL poking).
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import time
 from dataclasses import dataclass, field
 
 from ..errors import GatewayError
 from ..net_retry import RetryPolicy, sleep_backoff
+from ..rpc import Call
 from .frames import (
     OP_BYE,
-    OP_ERROR,
-    OP_GOODBYE,
     OP_HELLO,
     OP_HELLO_OK,
     OP_OPS,
-    OP_OPS_OK,
     OP_PING,
     OP_PONG,
     OP_REPORT,
     OP_RETRY_AFTER,
     PROTOCOL_VERSION,
-    encode_frame,
-    read_frame,
-    read_frame_sync,
+    frame_payload,
+    read_payload,
     txs_to_frame_body,
 )
 
@@ -72,49 +57,32 @@ class SubmitResult:
         return [entry["tx_id"] for entry in self.rejected]
 
 
-def _raise_wire_error(body: dict) -> None:
-    raise GatewayError(
-        str(body.get("message", "gateway error")),
-        reason=str(body.get("reason", "gateway_error")),
-    )
+def _submit_result(replies: list[dict]) -> SubmitResult:
+    """Fold a submit's reply bodies into a :class:`SubmitResult`."""
+    result = SubmitResult()
+    for body in replies:
+        op = body["op"]
+        if op == OP_RETRY_AFTER:
+            result.rejected.extend(body.get("rejected", []))
+        elif op == OP_REPORT:
+            result.queued = int(body.get("queued", 0))
+            result.queued_by_shard = {
+                int(sid): int(n)
+                for sid, n in body.get("queued_by_shard", {}).items()
+            }
+            result.retry_after_s = float(body.get("retry_after_s", 0.0))
+        else:
+            raise GatewayError(f"unexpected reply op {op!r} to a submit",
+                               reason="protocol")
+    return result
 
 
-def _fold_reply(result: SubmitResult, body: dict) -> bool:
-    """Fold one reply frame into ``result``; True once the final REPORT
-    has landed."""
-    op = body.get("op")
-    if op == OP_ERROR:
-        _raise_wire_error(body)
-    if op == OP_GOODBYE:
-        # The server drained mid-exchange: this submit was NOT acked.
-        raise GatewayError("server drained the connection before "
-                           "acknowledging the submit", reason="draining")
-    if op == OP_RETRY_AFTER:
-        result.rejected.extend(body.get("rejected", []))
-        return False
-    if op == OP_REPORT:
-        result.queued += int(body.get("queued", 0))
-        for sid, n in body.get("queued_by_shard", {}).items():
-            result.queued_by_shard[int(sid)] = \
-                result.queued_by_shard.get(int(sid), 0) + int(n)
-        result.retry_after_s = float(body.get("retry_after_s", 0.0))
-        return bool(body.get("final", True))
-    raise GatewayError(f"unexpected reply op {op!r} to a submit",
-                       reason="protocol")
-
-
-def _pending_after(txs, result: SubmitResult) -> list:
-    bounced = set(result.rejected_ids)
-    return [tx for tx in txs if tx.tx_id in bounced]
-
-
-def _budget_error(pending, attempts: int) -> GatewayError:
-    return GatewayError(
-        f"{len(pending)} transaction(s) still backpressured after "
-        f"{attempts} attempts; resubmit exc.pending",
-        reason="backpressure_budget",
-        pending=list(pending),
-    )
+def _expect(replies: list[dict], op: str) -> dict:
+    body = replies[-1]
+    if body["op"] != op:
+        raise GatewayError(f"expected {op}, got {body['op']!r}",
+                           reason="protocol")
+    return body
 
 
 class AsyncGatewayClient:
@@ -128,9 +96,11 @@ class AsyncGatewayClient:
         self._writer = writer
         self.tenant = tenant
         self.policy = policy or RetryPolicy()
+        self.peer = "%s:%s" % writer.get_extra_info("peername")[:2]
+        self.requests = 0         # doubles as the last seq stamped
+        self.retries = 0
         self.conn_id: int | None = None
         self.server_draining = False
-        self._seq = 0
 
     @classmethod
     async def connect(cls, host: str, port: int, tenant: str = "default",
@@ -138,47 +108,35 @@ class AsyncGatewayClient:
                       ) -> "AsyncGatewayClient":
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, tenant, policy)
-        await client._hello()
+        body = _expect(await client.call({
+            "op": OP_HELLO, "proto": PROTOCOL_VERSION, "tenant": tenant,
+        }), OP_HELLO_OK)
+        client.conn_id = int(body.get("conn_id", 0))
+        client.server_draining = bool(body.get("draining", False))
         return client
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    async def _send(self, body: dict) -> None:
-        self._writer.write(encode_frame(body))
+    async def call(self, body: dict) -> list[dict]:
+        """One exchange: send ``body`` (``seq`` is stamped here), read
+        replies until the final one, return their bodies.  An ``error``
+        reply raises :class:`~repro.errors.GatewayError` with the
+        server's reason."""
+        self.requests += 1
+        call = Call(body, self.requests)
+        self._writer.write(frame_payload(call.payload))
         await self._writer.drain()
-
-    async def _recv(self) -> dict:
-        body = await read_frame(self._reader)
-        if body is None:
-            raise GatewayError("server closed the connection",
-                               reason="connection_closed")
-        return body
-
-    async def _hello(self) -> None:
-        await self._send({"op": OP_HELLO, "seq": self._next_seq(),
-                          "proto": PROTOCOL_VERSION,
-                          "tenant": self.tenant})
-        body = await self._recv()
-        if body.get("op") == OP_ERROR:
-            _raise_wire_error(body)
-        if body.get("op") != OP_HELLO_OK:
-            raise GatewayError("handshake got no hello_ok",
-                               reason="protocol")
-        self.conn_id = int(body.get("conn_id", 0))
-        self.server_draining = bool(body.get("draining", False))
+        while True:
+            payload = await read_payload(self._reader)
+            if payload is None:
+                raise GatewayError("server closed the connection",
+                                   reason="connection_closed")
+            if call.feed(payload):
+                return call.result()
 
     async def submit(self, txs) -> SubmitResult:
         """One batched submit round trip (no retries — see
         :meth:`submit_with_retry`)."""
-        txs = list(txs)
-        seq = self._next_seq()
-        await self._send(txs_to_frame_body(txs, seq))
-        result = SubmitResult()
-        while not _fold_reply(result, await self._recv()):
-            pass
-        return result
+        # call() stamps the real seq over the placeholder.
+        return _submit_result(await self.call(txs_to_frame_body(txs, 0)))
 
     async def submit_with_retry(self, txs,
                                 max_attempts: int | None = None,
@@ -198,6 +156,7 @@ class AsyncGatewayClient:
         total = SubmitResult(attempts=0)
         for attempt in range(attempts):
             if attempt:
+                self.retries += 1
                 total.waited_s += await sleep_backoff(
                     self.policy, attempt, hint_s=total.retry_after_s,
                     rng=rng,
@@ -209,38 +168,32 @@ class AsyncGatewayClient:
                 total.queued_by_shard[sid] = \
                     total.queued_by_shard.get(sid, 0) + n
             total.retry_after_s = result.retry_after_s
-            pending = _pending_after(pending, result)
+            bounced = set(result.rejected_ids)
+            pending = [tx for tx in pending if tx.tx_id in bounced]
             if not pending:
                 total.rejected = []
                 return total
             total.rejected = result.rejected
-        raise _budget_error(pending, total.attempts)
+        raise GatewayError(
+            f"{len(pending)} transaction(s) still backpressured after "
+            f"{total.attempts} attempts; resubmit exc.pending",
+            reason="backpressure_budget",
+            pending=pending,
+        )
 
     async def ops(self) -> dict:
-        """The socket ops surface: registry snapshot + health rollup."""
-        await self._send({"op": OP_OPS, "seq": self._next_seq()})
-        body = await self._recv()
-        if body.get("op") == OP_ERROR:
-            _raise_wire_error(body)
-        if body.get("op") != OP_OPS_OK:
-            raise GatewayError("ops got no ops_ok", reason="protocol")
-        return body
+        """The operator surface: registry snapshot + health rollup."""
+        return (await self.call({"op": OP_OPS}))[-1]
 
     async def ping(self) -> float:
         t0 = time.perf_counter()
-        await self._send({"op": OP_PING, "seq": self._next_seq()})
-        body = await self._recv()
-        if body.get("op") != OP_PONG:
-            raise GatewayError("ping got no pong", reason="protocol")
+        _expect(await self.call({"op": OP_PING}), OP_PONG)
         return time.perf_counter() - t0
 
     async def close(self) -> None:
         """Polite goodbye; tolerates a server that already hung up."""
         try:
-            await self._send({"op": OP_BYE, "seq": self._next_seq()})
-            body = await read_frame(self._reader)
-            if body is not None and body.get("op") != OP_GOODBYE:
-                pass  # server may interleave late frames; we are leaving
+            await self.call({"op": OP_BYE})
         except (GatewayError, ConnectionError, OSError):
             pass
         self._writer.close()
@@ -256,113 +209,59 @@ class AsyncGatewayClient:
         await self.close()
 
 
+def _blocking(name: str, bounded: bool = True):
+    """The blocking form of ``AsyncGatewayClient.<name>``."""
+    method = getattr(AsyncGatewayClient, name)
+
+    def driven(self, *args, **kwargs):
+        return self._run(method(self._client, *args, **kwargs), bounded)
+
+    driven.__name__ = name
+    driven.__doc__ = method.__doc__
+    return driven
+
+
 class GatewayClient:
-    """Blocking-socket twin of :class:`AsyncGatewayClient` — identical
-    protocol and retry discipline with ``time.sleep`` backoff."""
+    """Blocking driver of an :class:`AsyncGatewayClient` on a private
+    event loop: same protocol, same retry discipline, no frame I/O of
+    its own.  Every call but :meth:`submit_with_retry` (bounded by its
+    policy's attempt budget instead) gives up after ``timeout_s``.
+    Must not be used on a thread that is running an event loop."""
 
     def __init__(self, host: str, port: int, tenant: str = "default",
                  policy: RetryPolicy | None = None,
                  timeout_s: float | None = 30.0) -> None:
-        self.tenant = tenant
-        self.policy = policy or RetryPolicy()
-        self.conn_id: int | None = None
-        self.server_draining = False
-        self._seq = 0
-        self._sock = socket.create_connection((host, port),
-                                              timeout=timeout_s)
+        self._timeout_s = timeout_s
+        self._loop = asyncio.new_event_loop()
         try:
-            self._hello()
+            self._client = self._run(
+                AsyncGatewayClient.connect(host, port, tenant, policy))
         except BaseException:
-            self._sock.close()
+            self._loop.close()
             raise
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    def _run(self, coro, bounded: bool = True):
+        if bounded:
+            coro = asyncio.wait_for(coro, self._timeout_s)
+        return self._loop.run_until_complete(coro)
 
-    def _send(self, body: dict) -> None:
-        self._sock.sendall(encode_frame(body))
+    def __getattr__(self, name: str):
+        # peer / requests / retries / conn_id / tenant / policy / ...
+        if name == "_client":       # connect() failed: nothing to ask
+            raise AttributeError(name)
+        return getattr(self._client, name)
 
-    def _recv(self) -> dict:
-        body = read_frame_sync(self._sock)
-        if body is None:
-            raise GatewayError("server closed the connection",
-                               reason="connection_closed")
-        return body
-
-    def _hello(self) -> None:
-        self._send({"op": OP_HELLO, "seq": self._next_seq(),
-                    "proto": PROTOCOL_VERSION, "tenant": self.tenant})
-        body = self._recv()
-        if body.get("op") == OP_ERROR:
-            _raise_wire_error(body)
-        if body.get("op") != OP_HELLO_OK:
-            raise GatewayError("handshake got no hello_ok",
-                               reason="protocol")
-        self.conn_id = int(body.get("conn_id", 0))
-        self.server_draining = bool(body.get("draining", False))
-
-    def submit(self, txs) -> SubmitResult:
-        txs = list(txs)
-        self._send(txs_to_frame_body(txs, self._next_seq()))
-        result = SubmitResult()
-        while not _fold_reply(result, self._recv()):
-            pass
-        return result
-
-    def submit_with_retry(self, txs, max_attempts: int | None = None,
-                          rng=None) -> SubmitResult:
-        """Sync twin of :meth:`AsyncGatewayClient.submit_with_retry`
-        (same budget contract, same ``backpressure_budget`` error)."""
-        attempts = (max_attempts if max_attempts is not None
-                    else self.policy.max_retries + 1)
-        pending = list(txs)
-        total = SubmitResult(attempts=0)
-        for attempt in range(attempts):
-            if attempt:
-                wait_s = self.policy.backoff_s(
-                    attempt, rng, hint_s=total.retry_after_s
-                )
-                total.waited_s += wait_s
-                time.sleep(wait_s)
-            total.attempts += 1
-            result = self.submit(pending)
-            total.queued += result.queued
-            for sid, n in result.queued_by_shard.items():
-                total.queued_by_shard[sid] = \
-                    total.queued_by_shard.get(sid, 0) + n
-            total.retry_after_s = result.retry_after_s
-            pending = _pending_after(pending, result)
-            if not pending:
-                total.rejected = []
-                return total
-            total.rejected = result.rejected
-        raise _budget_error(pending, total.attempts)
-
-    def ops(self) -> dict:
-        self._send({"op": OP_OPS, "seq": self._next_seq()})
-        body = self._recv()
-        if body.get("op") == OP_ERROR:
-            _raise_wire_error(body)
-        if body.get("op") != OP_OPS_OK:
-            raise GatewayError("ops got no ops_ok", reason="protocol")
-        return body
-
-    def ping(self) -> float:
-        t0 = time.perf_counter()
-        self._send({"op": OP_PING, "seq": self._next_seq()})
-        body = self._recv()
-        if body.get("op") != OP_PONG:
-            raise GatewayError("ping got no pong", reason="protocol")
-        return time.perf_counter() - t0
+    call = _blocking("call")
+    submit = _blocking("submit")
+    submit_with_retry = _blocking("submit_with_retry", bounded=False)
+    ops = _blocking("ops")
+    ping = _blocking("ping")
 
     def close(self) -> None:
         try:
-            self._send({"op": OP_BYE, "seq": self._next_seq()})
-            read_frame_sync(self._sock)
-        except (GatewayError, ConnectionError, OSError):
-            pass
-        self._sock.close()
+            self._run(self._client.close())
+        finally:
+            self._loop.close()
 
     def __enter__(self) -> "GatewayClient":
         return self

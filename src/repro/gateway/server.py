@@ -1,25 +1,15 @@
 """``GatewayServer``: the asyncio network front door.
 
 Terminates O(1000) concurrent framed-socket capture clients into one
-:class:`~repro.ingest.pipeline.IngestPipeline`.  See the package
-docstring for the frame grammar, the backpressure state machine, and
-the drain semantics; this module is the event-loop half:
-
-* one reader task per connection (``asyncio.start_server``);
-* SUBMIT frames decode to transaction batches and land in the pipeline
-  via one ``submit_many`` call — the ack streams back as chunked
-  ``RETRY_AFTER`` frames (one per slice of bounced transactions, each
-  carrying the structured :class:`~repro.errors.QueueFull` fields) and
-  a final ``REPORT`` frame with totals;
-* repeat offenders are paused: a connection whose last
-  ``pause_after`` submits were all backpressured stops being *read*
-  for the advertised retry-after (the kernel's TCP window then pushes
-  back on the client for us);
-* sealing runs off-loop (``auto_seal=True``) so admission latency stays
-  decoupled from round sealing;
-* :meth:`drain` is the graceful shutdown: new connects refused,
-  in-flight submits answered, the pipeline pumped dry, every client
-  dismissed with a ``GOODBYE`` frame.
+:class:`~repro.ingest.pipeline.IngestPipeline`.  The package docstring
+has the ops, the backpressure state machine and the drain semantics;
+this module is the TCP carrier's server end — one reader task per
+connection that reads a payload, hands it to
+:meth:`repro.rpc.Service.dispatch` with the connection as the
+:class:`~repro.rpc.Session`, writes the reply payloads, and does the
+not-reading a handler asked for (``pause_s``) — plus the gateway's own
+handlers and the off-loop sealer (``auto_seal=True`` keeps admission
+latency decoupled from round sealing).
 
 Every structural event lands in the shared telemetry registry under
 ``gateway_*`` names with per-tenant labels, and sampled submits open
@@ -37,6 +27,8 @@ from typing import Any
 
 from ..errors import GatewayError, ReproError
 from ..obs.runtime import telemetry as default_telemetry
+from ..rpc import Service, Session, ops_handler
+from ..serialization import canonical_encode
 from . import frames
 from .frames import (
     OP_BYE,
@@ -44,17 +36,15 @@ from .frames import (
     OP_HELLO,
     OP_HELLO_OK,
     OP_OPS,
-    OP_OPS_OK,
     OP_PING,
     OP_PONG,
     OP_REPORT,
     OP_RETRY_AFTER,
     OP_SUBMIT,
     PROTOCOL_VERSION,
-    encode_frame,
-    error_body,
+    frame_payload,
     frame_to_txs,
-    read_frame,
+    read_payload,
 )
 
 
@@ -62,22 +52,15 @@ class _ConnectionGone(Exception):
     """Internal: the peer vanished while we were writing to it."""
 
 
-class _Connection:
-    """Per-connection state the reader task threads through handlers."""
+class _Connection(Session):
+    """The TCP carrier's session: the peer plus its socket."""
 
-    __slots__ = ("reader", "writer", "conn_id", "tenant", "strikes",
-                 "paused_s", "frames_in", "txs_in", "alive")
+    __slots__ = ("writer", "alive")
 
-    def __init__(self, reader, writer, conn_id: int) -> None:
-        self.reader = reader
+    def __init__(self, writer, conn_id: int) -> None:
+        super().__init__(f"conn-{conn_id}", conn_id)
         self.writer = writer
-        self.conn_id = conn_id
-        self.tenant = "unknown"
-        self.strikes = 0          # consecutive submits that got bounced
-        self.paused_s = 0.0
-        self.frames_in = 0
-        self.txs_in = 0
-        self.alive = True
+        self.alive = True         # false once a write found the peer gone
 
 
 class GatewayServer:
@@ -128,7 +111,6 @@ class GatewayServer:
         self._m_aborted = registry.counter(
             "gateway_connections_aborted_total"
         )
-        self._m_frames_in = {}   # op -> counter, filled lazily
         self._m_frames_out = registry.counter("gateway_frames_sent_total")
         self._m_undeliverable = registry.counter(
             "gateway_frames_undeliverable_total", transport="socket"
@@ -145,6 +127,36 @@ class GatewayServer:
             buckets=(1, 8, 32, 128, 512, 2048),
         )
         self._m_tenant_txs: dict[str, Any] = {}
+        self.service = Service()
+        self.serve(Service({
+            OP_HELLO: self._handle_hello,
+            OP_SUBMIT: self._handle_submit,
+            OP_PING: lambda body, _: [{"op": OP_PONG,
+                                       "t": body.get("t", 0.0)}],
+            OP_BYE: self._handle_bye,
+            OP_OPS: ops_handler(
+                self.telemetry,
+                health=lambda: self.pipeline.sharded.health_report(),
+                ingest=lambda: asdict(self.pipeline.stats),
+                gateway=self._status,
+            ),
+        }))
+
+    def serve(self, service: Service) -> None:
+        """Answer every op of ``service`` on this server's connections,
+        counting each op's requests on ``gateway_frames_total``."""
+        for op, handler in service.handlers.items():
+            self.service.handlers[op] = self._counted(op, handler)
+
+    def _counted(self, op: str, handler):
+        counter = self.telemetry.registry.counter(
+            "gateway_frames_total", op=op)
+
+        def counted(body, session):
+            counter.inc()
+            return handler(body, session)
+
+        return counted
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -232,7 +244,8 @@ class GatewayServer:
             await loop.run_in_executor(None, self._drain_pipeline_blocking)
         for conn in list(self._connections.values()):
             try:
-                await self._send_frames(conn, [{"op": OP_GOODBYE}])
+                await self._send_payloads(
+                    conn, [canonical_encode({"op": OP_GOODBYE})])
             except _ConnectionGone:
                 pass   # already counted undeliverable; just close
             await self._close_connection(conn)
@@ -246,15 +259,6 @@ class GatewayServer:
     # ------------------------------------------------------------------
     # Frame plumbing
     # ------------------------------------------------------------------
-    def _count_frame_in(self, op: str) -> None:
-        counter = self._m_frames_in.get(op)
-        if counter is None:
-            counter = self.telemetry.registry.counter(
-                "gateway_frames_total", op=op
-            )
-            self._m_frames_in[op] = counter
-        counter.inc()
-
     def _tenant_counter(self, tenant: str):
         counter = self._m_tenant_txs.get(tenant)
         if counter is None:
@@ -264,24 +268,24 @@ class GatewayServer:
             self._m_tenant_txs[tenant] = counter
         return counter
 
-    async def _send_frames(self, conn: _Connection, bodies) -> None:
-        """Write frames to one client; a peer that vanished mid-reply
-        (disconnect during a batched/streamed response) is *counted* —
-        every unflushed frame lands on
+    async def _send_payloads(self, conn: _Connection,
+                             payloads: list[bytes]) -> None:
+        """Write reply payloads to one client; a peer that vanished
+        mid-reply (disconnect during a batched/streamed response) is
+        *counted* — every unflushed frame lands on
         ``gateway_frames_undeliverable_total`` — never raised through
         the event loop."""
-        bodies = list(bodies)
         if not conn.alive:
-            self._m_undeliverable.inc(len(bodies))
+            self._m_undeliverable.inc(len(payloads))
             raise _ConnectionGone()
-        for i, body in enumerate(bodies):
+        for i, payload in enumerate(payloads):
             try:
-                conn.writer.write(encode_frame(body))
+                conn.writer.write(frame_payload(payload))
                 await conn.writer.drain()
                 self._m_frames_out.inc()
             except (ConnectionError, OSError):
                 conn.alive = False
-                self._m_undeliverable.inc(len(bodies) - i)
+                self._m_undeliverable.inc(len(payloads) - i)
                 raise _ConnectionGone() from None
 
     async def _close_connection(self, conn: _Connection) -> None:
@@ -299,123 +303,104 @@ class GatewayServer:
     # ------------------------------------------------------------------
     async def _serve_connection(self, reader, writer) -> None:
         self._conn_seq += 1
-        conn = _Connection(reader, writer, self._conn_seq)
+        conn = _Connection(writer, self._conn_seq)
         self._connections[conn.conn_id] = conn
         self._m_conns.inc()
         self._m_active.inc()
         try:
-            while conn.alive:
+            while conn.open:
                 try:
-                    body = await read_frame(reader)
+                    payload = await read_payload(reader)
                 except GatewayError as exc:
-                    # Truncated frame / oversize / garbage: the client
+                    # Truncated / oversize / stalled frame: the client
                     # died mid-write or is speaking something else.
-                    # Count it, best-effort error frame, hang up.
-                    self._m_aborted.inc()
+                    # Best-effort error frame, hang up.
+                    conn.abort()
                     if exc.reason != "connection_closed":
-                        try:
-                            await self._send_frames(
-                                conn, [error_body(exc)]
-                            )
-                        except _ConnectionGone:
-                            pass
+                        await self._send_payloads(
+                            conn, self.service.refusal(exc))
                     break
-                if body is None:
+                if payload is None:
                     break  # clean EOF between frames
-                conn.frames_in += 1
-                op = str(body.get("op"))
-                self._count_frame_in(op)
+                self._inflight += 1
+                self._idle.clear()
                 try:
-                    if op == OP_SUBMIT:
-                        await self._handle_submit(conn, body)
-                    elif op == OP_HELLO:
-                        await self._handle_hello(conn, body)
-                    elif op == OP_OPS:
-                        await self._handle_ops(conn, body)
-                    elif op == OP_PING:
-                        await self._send_frames(conn, [
-                            {"op": OP_PONG, "seq": int(body.get("seq", 0)),
-                             "t": body.get("t", 0.0)}
-                        ])
-                    elif op == OP_BYE:
-                        await self._send_frames(conn, [{"op": OP_GOODBYE}])
-                        break
-                    else:
-                        await self._send_frames(conn, [error_body(
-                            GatewayError(f"unknown op {op!r}",
-                                         reason="protocol"),
-                            seq=body.get("seq"),
-                        )])
-                except _ConnectionGone:
-                    break
+                    await self._send_payloads(
+                        conn, self.service.dispatch(payload, conn))
+                    if conn.pause_s > 0:
+                        pause, conn.pause_s = conn.pause_s, 0.0
+                        await asyncio.sleep(pause)
+                finally:
+                    self._inflight -= 1
+                    if self._inflight == 0:
+                        self._idle.set()
+        except _ConnectionGone:
+            pass
         finally:
+            if conn.aborted:
+                self._m_aborted.inc()
             await self._close_connection(conn)
 
-    async def _handle_hello(self, conn: _Connection, body: dict) -> None:
-        proto = int(body.get("proto", 0))
-        if proto != PROTOCOL_VERSION:
-            await self._send_frames(conn, [error_body(GatewayError(
-                f"protocol version {proto} unsupported "
+    # ------------------------------------------------------------------
+    # Handlers (op -> reply bodies; see repro.rpc.Service)
+    # ------------------------------------------------------------------
+    def _handle_hello(self, body: dict, conn: Session) -> list[dict]:
+        proto = body.get("proto")
+        if type(proto) is not int or proto != PROTOCOL_VERSION:
+            conn.abort()
+            raise GatewayError(
+                f"protocol version {proto!r} unsupported "
                 f"(server speaks {PROTOCOL_VERSION})", reason="protocol",
-            ), seq=body.get("seq"))])
-            conn.alive = False
-            return
+            )
         conn.tenant = str(body.get("tenant", "default"))
-        await self._send_frames(conn, [{
+        return [{
             "op": OP_HELLO_OK,
-            "seq": int(body.get("seq", 0)),
             "proto": PROTOCOL_VERSION,
             "conn_id": conn.conn_id,
             "max_frame": frames.MAX_FRAME_BYTES,
             "draining": self._draining,
-        }])
+        }]
+
+    def _handle_bye(self, body: dict, conn: Session) -> list[dict]:
+        conn.open = False
+        return [{"op": OP_GOODBYE}]
+
+    def _status(self) -> dict:
+        return {
+            "connections_active": len(self._connections),
+            "draining": self._draining,
+            "inflight_submits": self._inflight,
+        }
 
     # ------------------------------------------------------------------
     # Submit: the hot path
     # ------------------------------------------------------------------
-    async def _handle_submit(self, conn: _Connection, body: dict) -> None:
-        seq = int(body.get("seq", 0))
+    def _handle_submit(self, body: dict, conn: Session) -> list[dict]:
         if self._draining:
-            await self._send_frames(conn, [error_body(
-                GatewayError("gateway is draining; no new submissions",
-                             reason="draining"), seq=seq,
-            )])
-            return
-        try:
-            txs = frame_to_txs(body)
-        except GatewayError as exc:
-            await self._send_frames(conn, [error_body(exc, seq=seq)])
-            return
-        self._inflight += 1
-        self._idle.clear()
+            raise GatewayError("gateway is draining; no new submissions",
+                               reason="draining")
+        txs = frame_to_txs(body)
         t0 = time.perf_counter()
-        sampled = self._tracer.should_sample()
-        try:
-            if sampled:
-                with self._tracer.root_span("gateway.submit",
-                                            sampled=True) as span:
-                    span.set_attr("conn", conn.conn_id)
-                    span.set_attr("tenant", conn.tenant)
-                    span.set_attr("batch", len(txs))
-                    report = self.pipeline.submit_many(txs)
-                if txs:
-                    self._tracer.bind_tx(txs[0].tx_id, span.ctx)
-            else:
+        if self._tracer.should_sample():
+            with self._tracer.root_span("gateway.submit",
+                                        sampled=True) as span:
+                span.set_attr("conn", conn.conn_id)
+                span.set_attr("tenant", conn.tenant)
+                span.set_attr("batch", len(txs))
                 report = self.pipeline.submit_many(txs)
-            conn.txs_in += len(txs)
-            self._tenant_counter(conn.tenant).inc(len(txs))
-            self._m_batch_txs.observe(len(txs))
-            await self._reply_submit(conn, seq, report)
-            self._m_submit_s.observe(time.perf_counter() - t0)
-            await self._maybe_pause(conn, report)
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
+            if txs:
+                self._tracer.bind_tx(txs[0].tx_id, span.ctx)
+        else:
+            report = self.pipeline.submit_many(txs)
+        self._tenant_counter(conn.tenant).inc(len(txs))
+        self._m_batch_txs.observe(len(txs))
+        replies = self._submit_replies(report)
+        self._note_backpressure(conn, report)
+        self._m_submit_s.observe(time.perf_counter() - t0)
+        return replies
 
-    async def _reply_submit(self, conn: _Connection, seq: int,
-                            report) -> None:
-        """Stream the ack: chunked RETRY_AFTER frames for the bounced
+    def _submit_replies(self, report) -> list[dict]:
+        """The streamed ack: chunked RETRY_AFTER frames for the bounced
         tail, then one final REPORT frame with totals."""
         rejected = report.rejected
         bodies: list[dict] = []
@@ -423,19 +408,15 @@ class GatewayServer:
             chunk = rejected[start:start + self.report_chunk]
             bodies.append({
                 "op": OP_RETRY_AFTER,
-                "seq": seq,
                 "chunk": start // self.report_chunk,
                 "rejected": [
                     dict(signal.as_dict(), tx_id=tx.tx_id)
                     for tx, signal in chunk
                 ],
             })
-        queued_total = report.queued_total
         bodies.append({
             "op": OP_REPORT,
-            "seq": seq,
-            "final": True,
-            "queued": queued_total,
+            "queued": report.queued_total,
             "queued_by_shard": {str(sid): n
                                 for sid, n in report.queued.items()},
             "rejected": len(rejected),
@@ -444,13 +425,14 @@ class GatewayServer:
         })
         if rejected:
             self._m_txs_rejected.inc(len(rejected))
-        await self._send_frames(conn, bodies)
+        return bodies
 
-    async def _maybe_pause(self, conn: _Connection, report) -> None:
+    def _note_backpressure(self, conn: Session, report) -> None:
         """The repeat-offender half of backpressure: a connection whose
         submits keep bouncing stops being read for the advertised
         retry-after (capped), so its kernel socket buffer — not the
-        event loop — absorbs its optimism."""
+        event loop — absorbs its optimism.  The handler only asks
+        (``conn.pause_s``); the connection loop does the not-reading."""
         if not report.rejected:
             conn.strikes = 0
             return
@@ -462,30 +444,4 @@ class GatewayServer:
             return
         self._m_pauses.inc()
         self._m_pause_s.inc(max(1, int(pause * 1000)) / 1000)
-        conn.paused_s += pause
-        await asyncio.sleep(pause)
-
-    # ------------------------------------------------------------------
-    # Ops: the HTTP-free operator surface
-    # ------------------------------------------------------------------
-    async def _handle_ops(self, conn: _Connection, body: dict) -> None:
-        """Same shape as the SimNet ``ops/metrics`` topic: a registry
-        snapshot plus a health rollup, over the same socket the data
-        plane uses."""
-        try:
-            health = self.pipeline.sharded.health_report()
-        except ReproError:
-            health = {}
-        resp = {
-            "op": OP_OPS_OK,
-            "seq": int(body.get("seq", 0)),
-            "snapshot": self.telemetry.registry.snapshot(),
-            "health": health,
-            "ingest": asdict(self.pipeline.stats),
-            "gateway": {
-                "connections_active": len(self._connections),
-                "draining": self._draining,
-                "inflight_submits": self._inflight,
-            },
-        }
-        await self._send_frames(conn, [resp])
+        conn.pause_s = pause

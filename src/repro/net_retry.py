@@ -1,46 +1,30 @@
-"""One retry/backoff/failover policy for every SimNet req/resp client.
-
-The ops client (:meth:`~repro.network.node.ChainNode.request_ops`) and
-the snapshot-sync client (:class:`~repro.sync.client.SnapshotClient`)
-both speak the same stop-and-wait idiom over :class:`~repro.network.
-simnet.SimNet` — send a ``{"req": True, "req_id": ...}`` body, drain the
-event loop, check a response mailbox — and each used to carry its own
-copy of the retry loop, and the replica (:meth:`~repro.sync.replica.
-ShardReplica.catch_up`) its own per-peer failover loop.  This module is
-the single shared policy:
+"""One retry/backoff/failover policy for both carriers of :mod:`repro.rpc`.
 
 * :class:`RetryPolicy` — attempt budget plus **exponential backoff with
-  seeded jitter**.  Backoff is expressed in simulated clock ticks and
-  the jitter is drawn from the *network's* seeded RNG, so a retry
-  schedule is exactly as deterministic as the rest of the simulation:
-  same seed, same traffic → same retry timeline.
-* :func:`request_with_retries` — the stop-and-wait loop.  Returns the
-  response dict, or ``None`` once the budget is exhausted so the caller
-  raises its own taxonomy error (both call sites preserve their
-  historical ``reason="peer_unresponsive"`` :class:`~repro.errors.
-  SyncError`).
-* :func:`failover` — try each peer in order, collecting structured
-  per-peer errors; raises the last peer's error when all fail.
-* :meth:`RetryPolicy.backoff_s` / :func:`sleep_backoff` — the
-  **async-aware, wall-clock** face of the same policy: the socket
-  gateway client (:mod:`repro.gateway`) sleeps real seconds (the larger
-  of the server's ``RETRY_AFTER`` hint and the exponential schedule)
-  instead of advancing a simulated clock.
+  seeded jitter**, one schedule read on two clocks.  The SimNet channel
+  (:class:`~repro.network.node.SimChannel`) re-sends an unanswered
+  request after advancing the *simulated* clock
+  :meth:`~RetryPolicy.backoff_ticks`, jitter drawn from the network's
+  seeded RNG, so a retry timeline is as deterministic as the rest of the
+  simulation.  The TCP client re-submits a backpressured batch after
+  :func:`sleep_backoff`: the same ticks as *wall* seconds (``tick_s``
+  each), or the server's ``RETRY_AFTER`` hint when that is longer.
+* :func:`failover` — try each peer in order, collecting nothing but the
+  last structured error.
 
-Instrumentation (process-default registry, labeled by topic):
-``net_requests_total``, ``net_retries_total``,
-``net_requests_unanswered_total``, ``net_backoff_ticks_total``, and
-``net_failovers_total`` — one place for operators to see how often the
-simulated fabric makes clients wait, whatever the subsystem.
+Instrumentation (process-default registry, labeled by topic — the op on
+SimNet, ``"gateway"`` on TCP): ``net_requests_total``,
+``net_retries_total``, ``net_requests_unanswered_total``,
+``net_backoff_ticks_total``, and ``net_failovers_total``.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from .errors import SyncError
-from .network.message import NetMessage
 from .obs.runtime import telemetry as default_telemetry
 
 
@@ -89,98 +73,40 @@ class RetryPolicy:
                    float(hint_s))
 
 
-def request_with_retries(
-    node: Any,
-    peer: str,
-    topic: str,
-    body: dict,
-    req_id: str,
-    responses: dict,
-    policy: RetryPolicy | None = None,
-    on_attempt: Callable[[int], None] | None = None,
-) -> dict | None:
-    """Stop-and-wait request over ``node.net`` with retry + backoff.
-
-    ``responses`` is the req_id-keyed mailbox the node's topic handler
-    fills; ``on_attempt`` (attempt index, 0-based) lets callers keep
-    their own request/retry accounting (the sync report).  Returns the
-    response body, or ``None`` when every attempt went unanswered —
-    raising the right taxonomy error is the caller's job."""
-    policy = policy or RetryPolicy()
+def count_retry(topic: str, ticks: int) -> None:
+    """Account one retry and the ``ticks`` waited before it."""
     registry = default_telemetry().registry
-    rng = getattr(node.net, "rng", None)
-    clock = getattr(node.net, "clock", None)
-    for attempt in range(policy.max_retries + 1):
-        if attempt:
-            registry.counter("net_retries_total", topic=topic).inc()
-            ticks = policy.backoff_ticks(attempt, rng)
-            if ticks and clock is not None:
-                clock.advance(ticks)
-                registry.counter("net_backoff_ticks_total",
-                                 topic=topic).inc(ticks)
-        registry.counter("net_requests_total", topic=topic).inc()
-        if on_attempt is not None:
-            on_attempt(attempt)
-        node.net.send(NetMessage(sender=node.node_id, recipient=peer,
-                                 topic=topic, body=body))
-        # Drain the event loop: with backoff applied the clock has moved
-        # past held (reordered) deliveries, so stragglers land too.
-        node.net.run()
-        resp = responses.pop(req_id, None)
-        if resp is not None:
-            return resp
-    registry.counter("net_requests_unanswered_total", topic=topic).inc()
-    return None
+    registry.counter("net_retries_total", topic=topic).inc()
+    if ticks:
+        registry.counter("net_backoff_ticks_total", topic=topic).inc(ticks)
 
 
-async def sleep_backoff(
-    policy: RetryPolicy,
-    attempt: int,
-    hint_s: float = 0.0,
-    rng=None,
-    topic: str = "gateway",
-) -> float:
-    """Async half of the policy: sleep :meth:`RetryPolicy.backoff_s`
-    without blocking the event loop, and account the wait on the same
-    counters the SimNet clients use (``net_retries_total``,
-    ``net_backoff_ticks_total`` — ticks in ``policy.tick_s`` units).
-    Returns the seconds slept so callers can report it."""
-    import asyncio
-
-    registry = default_telemetry().registry
+async def sleep_backoff(policy: RetryPolicy, attempt: int,
+                        hint_s: float = 0.0, rng=None) -> float:
+    """Wall-clock half of the policy: sleep
+    :meth:`RetryPolicy.backoff_s` without blocking the event loop,
+    accounted in ``policy.tick_s`` ticks.  Returns the seconds slept."""
     wait_s = policy.backoff_s(attempt, rng, hint_s=hint_s)
-    if attempt > 0:
-        registry.counter("net_retries_total", topic=topic).inc()
+    count_retry("gateway",
+                max(1, int(wait_s / policy.tick_s)) if wait_s > 0 else 0)
     if wait_s > 0:
-        registry.counter("net_backoff_ticks_total", topic=topic).inc(
-            max(1, int(wait_s / policy.tick_s))
-        )
         await asyncio.sleep(wait_s)
     return wait_s
 
 
-def failover(
-    peers: Sequence[str] | Iterable[str],
-    attempt: Callable[[str], Any],
-    empty_error: SyncError | None = None,
-) -> Any:
+def failover(peers: Iterable[str], attempt: Callable[[str], Any]) -> Any:
     """Run ``attempt(peer)`` against each peer in order; the first
     success wins.  A peer failing with :class:`~repro.errors.SyncError`
     (the structured, fail-closed taxonomy) moves on to the next peer;
     when every peer fails the *last* error propagates, and an empty
-    peer list raises ``empty_error`` (default: ``reason="no_peers"``)."""
+    peer list raises ``SyncError(reason="no_peers")``."""
     registry = default_telemetry().registry
-    last_error: SyncError | None = None
-    for peer in peers:
-        if last_error is not None:
+    last_error = SyncError("no peers available", reason="no_peers")
+    for i, peer in enumerate(peers):
+        if i:
             registry.counter("net_failovers_total").inc()
         try:
             return attempt(peer)
         except SyncError as exc:
             last_error = exc
-            continue
-    if last_error is not None:
-        raise last_error
-    raise empty_error if empty_error is not None else SyncError(
-        "no peers available", reason="no_peers"
-    )
+    raise last_error

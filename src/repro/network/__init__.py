@@ -7,18 +7,18 @@ so their message counts and latency profiles are measurable without real
 sockets.
 """
 
-from .message import NetMessage, SizedList
+from .message import NetMessage
 from .simnet import LatencyModel, SimNet, NetStats, TopicFaults
-from .node import ChainNode
+from .node import ChainNode, SimChannel
 from .gossip import GossipProtocol
 
 __all__ = [
     "NetMessage",
-    "SizedList",
     "LatencyModel",
     "SimNet",
     "NetStats",
     "TopicFaults",
     "ChainNode",
+    "SimChannel",
     "GossipProtocol",
 ]

@@ -8,26 +8,15 @@ from typing import Any, Mapping
 from ..serialization import canonical_encode
 
 
-class SizedList(list):
-    """A message-body value that declares its serialized size up front.
-
-    :attr:`NetMessage.size_bytes` honors a ``size_bytes`` attribute on
-    body values instead of re-encoding them; bulk payloads (snapshot
-    tail batches) use this so stats accounting stays O(1) per message
-    instead of re-serializing megabytes of frames it already carries.
-    """
-
-    def __init__(self, items=(), size_bytes: int = 0) -> None:
-        super().__init__(items)
-        self.size_bytes = size_bytes
-
-
 @dataclass(frozen=True)
 class NetMessage:
     """A typed message between two simulated nodes.
 
     ``topic`` routes the message to a handler on the receiving node
     (e.g. ``"tx"``, ``"block"``, ``"pbft/prepare"``, ``"bridge/vote"``).
+    A request/response exchange (:mod:`repro.rpc`) rides as one encoded
+    frame payload per message: ``{"frame": bytes}`` for a request,
+    ``{"reply": bytes}`` for a reply, ``topic`` the request's op.
     """
 
     sender: str
@@ -37,16 +26,16 @@ class NetMessage:
 
     @property
     def size_bytes(self) -> int:
-        # Bodies may carry in-process object references (blocks,
-        # transactions) for simulation convenience; account for their real
-        # serialized size instead of failing canonical encoding.
+        body = self.body
+        payload = body.get("frame") or body.get("reply")
+        if type(payload) is bytes:
+            return len(payload)
+        # One-way simulation topics may carry in-process object
+        # references (blocks, transactions): estimate their serialized
+        # size instead of failing canonical encoding.
         total = len(self.topic) + 16
-        for key, value in self.body.items():
+        for key, value in body.items():
             total += len(key)
-            declared = getattr(value, "size_bytes", None)
-            if isinstance(declared, int):
-                total += declared
-                continue
             try:
                 total += len(canonical_encode(value))
             except Exception:  # noqa: BLE001 - best-effort accounting

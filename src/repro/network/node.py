@@ -4,6 +4,17 @@
 holds its own :class:`~repro.chain.blockchain.Blockchain` replica and
 mempool; the consensus layer decides when a node may seal a block and how
 commits propagate.
+
+One-way topics (``tx``, ``block``, ``shard_tx``, gossip, consensus) carry
+whatever their handlers agree on.  Anything that expects an answer speaks
+:mod:`repro.rpc`'s frame grammar, and this module is its SimNet carrier:
+:meth:`ChainNode.serve` feeds ``{"frame": payload}`` messages on topic
+``op`` to :meth:`~repro.rpc.Service.dispatch` and sends each reply
+payload back on the same topic as ``{"reply": payload}`` (so a topic's
+fault plan shakes both directions); :meth:`ChainNode.channel` is the
+client end, a stop-and-wait :class:`SimChannel`.  Replies are routed to
+the waiting call in :meth:`ChainNode.dispatch`, ahead of topic handlers,
+so a node can serve and call the same op.
 """
 
 from __future__ import annotations
@@ -11,7 +22,10 @@ from __future__ import annotations
 from typing import Callable
 
 from ..chain import Block, Blockchain, ChainParams, Mempool, Transaction
-from ..errors import ChainError, SyncError
+from ..errors import ChainError, GatewayError
+from ..net_retry import RetryPolicy, count_retry
+from ..obs.runtime import telemetry as default_telemetry
+from ..rpc import OP_OPS, Call, Service, Session, ops_handler
 from .gossip import GossipProtocol
 from .message import NetMessage
 from .simnet import SimNet
@@ -36,44 +50,40 @@ class ChainNode:
         self._topic_handlers: dict[str, TopicHandler] = {}
         self.gossip: GossipProtocol | None = None
         self._sharded = None       # set by serve_shards()
-        self._sync_server = None   # set by serve_sync()
-        self._ops_telemetry = None   # set by serve_ops()
-        self._ops_health = None
-        self._ops_responses: dict[str, dict] = {}
-        self._ops_seq = 0
+        self.service = Service()   # filled by serve()
+        self._seq = 0              # request seqs, unique per node
+        self._waiting: SimChannel | None = None
         net.register(node_id, self.dispatch, region=region)
         self.on_topic("tx", self._handle_tx)
         self.on_topic("block", self._handle_block)
-        self.on_topic("ops/metrics", self._handle_ops)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def on_topic(self, topic: str, handler: TopicHandler,
-                 replace: bool = False) -> None:
+    def on_topic(self, topic: str, handler: TopicHandler) -> None:
         """Register the handler for ``topic``.
 
         A topic has exactly one handler.  Registering a *different*
         handler on an occupied topic raises :class:`ChainError` instead
-        of silently shadowing the first one — a gateway, sync server,
-        and ops server racing to claim overlapping topics used to win
-        or lose with no diagnostic.  Pass ``replace=True`` for a
-        deliberate takeover (e.g. a fresh :class:`~repro.sync.client.
-        SnapshotClient` superseding the previous attempt's mailbox).
-        Re-registering the *same* handler is an idempotent no-op, so
-        ``serve_shards``/``serve_sync`` can be called again after a
-        facade reopen.
+        of silently shadowing the first one.  Re-registering the *same*
+        handler is an idempotent no-op, so ``serve``/``serve_shards``
+        can be called again after a facade reopen.
         """
         existing = self._topic_handlers.get(topic)
-        if existing is not None and existing != handler and not replace:
+        if existing is not None and existing != handler:
             raise ChainError(
                 f"node {self.node_id}: topic {topic!r} already has a "
-                f"handler ({existing!r}); pass replace=True to take it "
-                "over deliberately"
+                f"handler ({existing!r})"
             )
         self._topic_handlers[topic] = handler
 
     def dispatch(self, msg: NetMessage) -> None:
+        reply = msg.body.get("reply")
+        if reply is not None:
+            waiting = self._waiting
+            if waiting is not None and msg.sender == waiting.peer:
+                waiting.pending.feed(reply)
+            return      # nobody is waiting: a straggler, dropped
         if msg.topic == "gossip" and self.gossip is not None:
             self.gossip.handle(self.node_id, msg)
             return
@@ -122,119 +132,46 @@ class ChainNode:
     # ------------------------------------------------------------------
     # Client-side operations
     # ------------------------------------------------------------------
+    def serve(self, service: Service) -> None:
+        """Answer every op of ``service`` (see the module docstring).
+        Serving an op again replaces its handler — a reopened facade
+        takes over from the crashed one."""
+        self.service.handlers.update(service.handlers)
+        for op in service.handlers:
+            self.on_topic(op, self._serve_frame)
+
+    def _serve_frame(self, msg: NetMessage) -> None:
+        frame = msg.body.get("frame")
+        if type(frame) is not bytes:
+            return      # not a request; ignored like an unknown topic
+        for payload in self.service.dispatch(frame, Session(msg.sender)):
+            self.net.send(NetMessage(sender=self.node_id,
+                                     recipient=msg.sender,
+                                     topic=msg.topic,
+                                     body={"reply": payload}))
+
+    def serve_sync(self, server) -> None:
+        """Become a snapshot-sync peer: answer the ``sync/*`` ops of a
+        :class:`~repro.sync.server.SnapshotServer`."""
+        self.serve(server.service)
+
     def serve_shards(self, sharded_chain) -> None:
-        """Become a shard gateway: route ``"shard_tx"`` messages into a
-        :class:`~repro.sharding.shardchain.ShardedChain`.  Also starts
-        answering ``ops/metrics`` with the facade's telemetry snapshot
-        and :meth:`~repro.sharding.shardchain.ShardedChain.health_report`
+        """Become a shard gateway: route one-way ``"shard_tx"`` messages
+        into a :class:`~repro.sharding.shardchain.ShardedChain` and
+        answer ``ops`` with the facade's telemetry snapshot and
+        :meth:`~repro.sharding.shardchain.ShardedChain.health_report`
         rollup."""
         self._sharded = sharded_chain
         self.on_topic("shard_tx", self._handle_shard_tx)
-        self.serve_ops(telemetry=sharded_chain.telemetry,
-                       health=sharded_chain.health_report)
+        self.serve(Service({OP_OPS: ops_handler(
+            sharded_chain.telemetry, node=self.node_id,
+            health=sharded_chain.health_report,
+        )}))
 
-    def serve_ops(self, telemetry=None, health=None) -> None:
-        """Answer ``ops/metrics`` requests with a metrics snapshot from
-        ``telemetry`` (default: the process default) plus, when given,
-        the result of the zero-arg ``health`` callable — any
-        canonical-encodable mapping (a facade's ``health_report``, a
-        replica's sync status)."""
-        if telemetry is None:
-            from ..obs.runtime import telemetry as default_telemetry
-
-            telemetry = default_telemetry()
-        self._ops_telemetry = telemetry
-        if health is not None:
-            self._ops_health = health
-
-    def serve_sync(self, server) -> None:
-        """Become a snapshot-sync peer: answer ``sync/offer``,
-        ``sync/chunk``, and ``sync/tail`` requests from a
-        :class:`~repro.sync.server.SnapshotServer`."""
-        self._sync_server = server
-        for topic in ("sync/offer", "sync/chunk", "sync/tail"):
-            self.on_topic(topic, self._handle_sync_request)
-
-    def _handle_sync_request(self, msg: NetMessage) -> None:
-        # Requests carry {"req": True}; anything else on these topics is
-        # a response addressed to a client and not ours to answer.
-        body = dict(msg.body)
-        if self._sync_server is None or not body.get("req"):
-            return
-        try:
-            resp = dict(self._sync_server.handle(msg.topic, body))
-        except SyncError as exc:
-            resp = {"error": exc.as_dict(), "message": str(exc)}
-        except (ChainError, KeyError, TypeError, ValueError) as exc:
-            # A malformed request must not abort the network event loop.
-            resp = {
-                "error": {"reason": "bad_request"},
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        resp["req_id"] = body.get("req_id")
-        resp["resp"] = True
-        self.net.send(NetMessage(sender=self.node_id,
-                                 recipient=msg.sender,
-                                 topic=msg.topic, body=resp))
-
-    def _handle_ops(self, msg: NetMessage) -> None:
-        """Both halves of the ``ops/metrics`` req/resp exchange (one
-        node may serve and request): requests are answered iff
-        :meth:`serve_ops` armed this node; responses are stashed for the
-        :meth:`request_ops` that sent them."""
-        body = dict(msg.body)
-        if body.get("resp") and body.get("req_id"):
-            self._ops_responses[body["req_id"]] = body
-            return
-        if not body.get("req") or self._ops_telemetry is None:
-            return
-        try:
-            resp: dict = {
-                "node": self.node_id,
-                "snapshot": self._ops_telemetry.registry.snapshot(),
-            }
-            if self._ops_health is not None:
-                resp["health"] = dict(self._ops_health())
-        except Exception as exc:  # noqa: BLE001 - never kill the loop
-            resp = {
-                "error": {"reason": "ops_error"},
-                "message": f"{type(exc).__name__}: {exc}",
-            }
-        resp["req_id"] = body.get("req_id")
-        resp["resp"] = True
-        self.net.send(NetMessage(sender=self.node_id,
-                                 recipient=msg.sender,
-                                 topic="ops/metrics", body=resp))
-
-    def request_ops(self, peer: str, max_retries: int = 3) -> dict:
-        """Client side: fetch ``peer``'s metrics snapshot (and health
-        rollup, if it serves one) over the network.  Stop-and-wait via
-        the shared :mod:`repro.net_retry` policy (exponential backoff,
-        seeded jitter), like the sync client; raises :class:`SyncError`
-        when the peer never answers or answered with an error."""
-        from ..net_retry import RetryPolicy, request_with_retries
-
-        req_id = f"{self.node_id}:ops:{self._ops_seq}"
-        self._ops_seq += 1
-        resp = request_with_retries(
-            self, peer, "ops/metrics",
-            body={"req": True, "req_id": req_id},
-            req_id=req_id,
-            responses=self._ops_responses,
-            policy=RetryPolicy(max_retries=max_retries),
-        )
-        if resp is None:
-            raise SyncError(
-                f"peer {peer} did not answer ops/metrics after "
-                f"{max_retries + 1} attempts", reason="peer_unresponsive",
-            )
-        if "error" in resp:
-            raise SyncError(
-                f"peer {peer} refused ops/metrics: "
-                f"{resp.get('message', '')}",
-                reason=str(resp["error"].get("reason", "peer_error")),
-            )
-        return resp
+    def channel(self, peer: str,
+                policy: RetryPolicy | None = None) -> "SimChannel":
+        """The client end of the SimNet carrier towards ``peer``."""
+        return SimChannel(self, peer, policy or RetryPolicy())
 
     def send_shard_transaction(self, gateway_id: str, tx: Transaction) -> bool:
         """Client-side: submit a transaction to a shard gateway node."""
@@ -264,6 +201,57 @@ class ChainNode:
                     body={"height": block.height, "_block_ref": block},
                 )
             )
+
+
+class SimChannel:
+    """Stop-and-wait :mod:`repro.rpc` calls from one node to one peer.
+
+    ``call`` raises :class:`~repro.errors.GatewayError` with the peer's
+    reason when it answers with an ``error`` frame, and with
+    ``reason="peer_unresponsive"`` when the retry budget runs out."""
+
+    def __init__(self, node: ChainNode, peer: str,
+                 policy: RetryPolicy) -> None:
+        self.node = node
+        self.peer = peer
+        self.policy = policy
+        self.requests = 0
+        self.retries = 0
+        self.pending: Call | None = None
+
+    def call(self, body: dict) -> list[dict]:
+        node, net, policy = self.node, self.node.net, self.policy
+        node._seq += 1
+        call = self.pending = Call(body, node._seq)
+        op = call.op
+        registry = default_telemetry().registry
+        node._waiting = self
+        try:
+            for attempt in range(policy.max_retries + 1):
+                if attempt:
+                    ticks = policy.backoff_ticks(attempt, net.rng)
+                    net.clock.advance(ticks)
+                    count_retry(op, ticks)
+                    self.retries += 1
+                registry.counter("net_requests_total", topic=op).inc()
+                self.requests += 1
+                net.send(NetMessage(sender=node.node_id,
+                                    recipient=self.peer, topic=op,
+                                    body={"frame": call.payload}))
+                # Drain the event loop: with backoff applied the clock
+                # has moved past held (reordered) deliveries, so
+                # stragglers land too.
+                net.run()
+                if call.done:
+                    return call.result()
+        finally:
+            node._waiting = None
+        registry.counter("net_requests_unanswered_total", topic=op).inc()
+        raise GatewayError(
+            f"peer {self.peer} did not answer {op} after "
+            f"{policy.max_retries + 1} attempts",
+            reason="peer_unresponsive",
+        )
 
 
 def _tx_to_body(tx: Transaction) -> dict:

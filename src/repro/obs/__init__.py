@@ -38,8 +38,8 @@ the block frames carries the context, no side channel.
 **3. Accessors stay; their counters move.**  The signature-LRU
 ``cache_stats()`` and ``SimNet``'s ``NetStats`` keep their exact shapes
 (regression-tested) but the counters now live in (or are mirrored into)
-the default registry, labeled, so one ``snapshot()`` — or one
-``ops/metrics`` request over the network — sees everything: queue
+the default registry, labeled, so one ``snapshot()`` — or one ``ops``
+request over the network — sees everything: queue
 depths and watermarks, admission/seal/fsync/verify latency histograms,
 QueueFull/deferral/quarantine counters, per-topic drop/dup/reorder,
 sync chunk/tail progress, tiering reclaim, worker respawns.
@@ -55,9 +55,13 @@ Ops surfaces
   call, so bench runs and long-lived nodes double as fixtures
   (``benchmarks/_harness.py`` embeds a snapshot in every
   ``BENCH_*.json`` under ``"telemetry"``);
-* ``ChainNode.serve_ops(...)`` / ``request_ops(peer)`` — the
-  ``ops/metrics`` gateway topic: any node (replicas included) answers a
-  remote snapshot request over ``SimNet``;
+* the ``ops`` op — one handler (:func:`repro.rpc.ops_handler`:
+  registry snapshot plus named sections such as ``health`` / ``ingest``
+  / ``gateway``) answered in the one request/response grammar over
+  either carrier: ``ChainNode.serve_shards`` and every
+  ``ShardReplica`` serve it on SimNet
+  (``node.channel(peer).call({"op": "ops"})``), ``GatewayServer`` on
+  TCP (``AsyncGatewayClient.ops()``);
 * ``ShardedChain.health_report()`` — the operator rollup: per-shard
   backlog, heights, last-round seal timings with slowest-shard
   attribution, and the round-pace EWMA.  This is the exact signal set

@@ -2,7 +2,7 @@
 
 Every subsystem that instruments itself asks :func:`telemetry` for the
 default :class:`Telemetry` unless it was handed an explicit instance —
-so one process has one registry and one tracer, and an ``ops/metrics``
+so one process has one registry and one tracer, and an ``ops``
 snapshot sees everything.  Tests that need isolation construct their
 own ``Telemetry`` and pass it in, or call
 :func:`reset_default_telemetry` around themselves.

@@ -56,7 +56,7 @@ class Shard:
     persisted: an unsealed transaction was never acknowledged as durable.
     """
 
-    _ANCHOR_META_KEY = "anchor_state"
+    ANCHOR_META_KEY = "anchor_state"
 
     def __init__(self, shard_id: int, params: ChainParams,
                  anchor_batch_size: int = 64,
@@ -87,7 +87,7 @@ class Shard:
             sender=f"shard-{shard_id}-anchor",
         )
         if storage is not None:
-            anchor_state = storage.get_meta(self._ANCHOR_META_KEY)
+            anchor_state = storage.get_meta(self.ANCHOR_META_KEY)
             if anchor_state is not None:
                 self.anchor.restore_state(anchor_state)
         self.query = ProvenanceQueryEngine(
@@ -190,7 +190,7 @@ class Shard:
         """Persist anchor state + state snapshot + fsync (durable only)."""
         if self.storage is None:
             return
-        self.storage.put_meta(self._ANCHOR_META_KEY,
+        self.storage.put_meta(self.ANCHOR_META_KEY,
                               self.anchor.dump_state())
         self.chain.checkpoint()
         self.storage.sync()
@@ -526,7 +526,7 @@ class ShardedChain:
         """Operator rollup: per-shard backlog and heights, round pace,
         and slowest-shard attribution for the most recent sealed round.
         Every key is canonical-encodable (shard ids are strings), so the
-        gateway's ``ops/metrics`` topic ships it over SimNet verbatim."""
+        ``ops`` op ships it over either carrier verbatim."""
         per_shard: dict[str, dict] = {}
         for shard in self.shards:
             sid = shard.shard_id

@@ -1,4 +1,4 @@
-"""Snapshot sync: verified replica catch-up over the simulated network.
+"""Snapshot sync: verified replica catch-up from an untrusted peer.
 
 Design note
 -----------
@@ -6,19 +6,24 @@ Design note
 The paper's consortium deployments assume late joiners — a new member
 org, a restarted node, an external auditor — can reach the current head
 *without* replaying the chain from genesis and *without* trusting the
-node that serves them.  PR 3/PR 4 built the local ingredients (state
-images, durable block logs, beacon receipts); this package adds the
-missing network protocol on three :class:`~repro.network.node.ChainNode`
-topics:
+node that serves them.  State images, durable block logs and beacon
+receipts are the local ingredients; this package is the protocol: three
+ops in :mod:`repro.rpc`'s one request/response grammar.
+:attr:`SnapshotServer.service` attaches to either carrier
+(``ChainNode.serve_sync`` on SimNet, ``GatewayServer.serve`` on TCP) and
+:class:`SnapshotClient` takes the matching channel (``ChainNode.channel``
+or a :class:`~repro.gateway.client.GatewayClient`); neither end can tell
+which carrier it is on, and nothing but encoded bytes crosses.
 
 * ``sync/offer`` — :class:`SnapshotServer` answers with a
   :class:`~repro.sync.codec.SnapshotManifest` (shard, height, head
   hash, state root, per-chunk hashes) plus a
-  :class:`~repro.sharding.beacon.BeaconLightBundle` proving that exact
-  ``(height, head hash, state root)`` triple is committed under a
-  beacon header.  Sealing rounds now tag each shard's head with its
-  post-execution :meth:`~repro.chain.state.StateStore.state_root`, so
-  the beacon — not the peer — vouches for the image.
+  :class:`~repro.sharding.beacon.BeaconLightBundle`, as a mapping,
+  proving that exact ``(height, head hash, state root)`` triple is
+  committed under a beacon header.  Sealing rounds tag each shard's
+  head with its post-execution
+  :meth:`~repro.chain.state.StateStore.state_root`, so the beacon — not
+  the peer — vouches for the image.
 * ``sync/chunk`` — the image (state entries + anchor-service state +
   provenance records, one canonical byte string) in fixed-size chunks,
   each hash-checked against the manifest; downloads are staged on disk
@@ -28,15 +33,17 @@ topics:
   header-scans each frame (:func:`~repro.sync.codec.scan_block_frame`,
   no transaction objects, ~one SHA per block) and hash-chains genesis →
   head; the chain must terminate at the beacon-verified head hash or
-  everything the attempt installed is truncated away.
+  everything the attempt installed is truncated away.  A tiered source
+  refuses heights it has archived (``reason="cold_history"``).
 
 Trust recap — the serving peer is byzantine until proven otherwise:
 chunk ⇒ manifest hash ⇒ beacon-anchored state root; frame ⇒ header
 hash-chain ⇒ beacon-anchored head hash; anything else (forged offer,
-stale snapshot, truncated tail, corrupt chunk) fails closed with a
+stale snapshot, truncated tail, corrupt chunk, a field of the wrong
+type, the peer's own ``error`` frame, its silence) fails closed with a
 structured :class:`~repro.errors.SyncError` and
 :meth:`~repro.sync.replica.ShardReplica.catch_up` retries the next
-peer.  Record bodies, execution receipts, and the tail's tx-id index
+peer, keeping each refusal in the final report's ``errors``.  Record bodies, execution receipts, and the tail's tx-id index
 rows are transport-checked (chunk hashes / frame CRCs) rather than
 chain-committed — this chain commits none of them in block headers, so
 that is exactly the trust level a source full node offers; pass
@@ -67,11 +74,11 @@ from .codec import (
     split_chunks,
 )
 from .replica import ShardReplica
-from .server import SYNC_TOPICS, SnapshotServer, tail_item
+from .server import SYNC_OPS, SnapshotServer, tail_item
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "SYNC_TOPICS",
+    "SYNC_OPS",
     "ScannedBlock",
     "ShardReplica",
     "SnapshotClient",

@@ -2,12 +2,15 @@
 
 Trust model — the serving peer is assumed byzantine; the only trust
 root is a source of **beacon block headers** (``beacon_header_for``).
-Every accepted artifact is walked back to it:
+The client talks to the peer through a *channel* (:mod:`repro.rpc`:
+SimNet or TCP, it cannot tell) and everything that comes back is reply
+bytes it decodes itself.  Every accepted artifact is walked back to the
+trust root:
 
 1. *Offer*: the manifest's ``(shard, height, head hash, state root)``
-   must be proven by the accompanying
-   :class:`~repro.sharding.beacon.BeaconLightBundle` against a beacon
-   header the client fetched from its own trust root.
+   must be proven by the accompanying beacon light bundle — a mapping
+   :func:`~repro.sync.codec.bundle_from_mapping` rebuilds fail-closed —
+   against a beacon header the client fetched from its own trust root.
 2. *Chunks*: each chunk must hash to its manifest entry; the assembled
    image's state entries must recompute exactly the beacon-anchored
    state root.
@@ -36,20 +39,27 @@ from dataclasses import dataclass, field
 
 from ..chain.block import GENESIS_PREV_HASH
 from ..chain.state import StateStore
-from ..errors import SerializationError, StorageError, SyncError
-from ..net_retry import RetryPolicy, request_with_retries
+from ..errors import GatewayError, SerializationError, StorageError, \
+    SyncError
 from ..obs.runtime import telemetry as default_telemetry
 from ..persist.codec import decode_block
 from ..persist.durable import DurableStorage
 from ..persist.segment import CrashPoint
 from ..sharding.beacon import BeaconLightBundle
-from .codec import SnapshotManifest, chunk_digest, decode_image, \
-    scan_block_frame
+from ..sharding.shardchain import Shard
+from .codec import (
+    SnapshotManifest,
+    bundle_from_mapping,
+    chunk_digest,
+    decode_image,
+    scan_block_frame,
+    typed,
+)
+from .server import OP_CHUNK, OP_OFFER, OP_TAIL
 
 _STAGING_DIR = "sync-staging"
 _MANIFEST_FILE = "manifest.bin"
 _BASE_META_KEY = "sync_base"
-_ANCHOR_META_KEY = "anchor_state"   # Shard._ANCHOR_META_KEY
 
 
 @dataclass
@@ -73,50 +83,32 @@ class SyncReport:
 
 
 class SnapshotClient:
-    """Catches one shard replica's store up to a beacon-verified head."""
+    """Catches one shard replica's store up to a beacon-verified head:
+    one client, one :meth:`sync` against one peer."""
 
     def __init__(
         self,
-        node,
-        peer: str,
+        channel,
         shard_id: int,
         storage_dir: str,
         beacon_header_for,
         chain_id: str | None = None,
         min_height: int = 1,
-        max_retries: int = 8,
         tail_batch: int = 64,
         deep_verify: bool = False,
         crash_after_chunks: int | None = None,
     ) -> None:
-        self.node = node
-        self.peer = peer
+        self.channel = channel
+        self.peer = channel.peer
         self.shard_id = shard_id
         self.storage_dir = os.fspath(storage_dir)
         self.beacon_header_for = beacon_header_for
         self.chain_id = chain_id
         self.min_height = min_height
-        self.max_retries = max_retries
         self.tail_batch = tail_batch
         self.deep_verify = deep_verify
         self.crash_after_chunks = crash_after_chunks
-        self._responses: dict[str, dict] = {}
-        self._req_seq = 0
-        self._tracer = default_telemetry().tracer
-        self.report = SyncReport(shard_id=shard_id, peer=peer)
-        for topic in ("sync/offer", "sync/chunk", "sync/tail"):
-            # Deliberate takeover: each catch-up attempt builds a fresh
-            # client, and the newest client owns the response mailbox
-            # (a stale predecessor must not swallow our responses).
-            node.on_topic(topic, self._on_response, replace=True)
-
-    # ------------------------------------------------------------------
-    # Request/response over SimNet (stop-and-wait with retries)
-    # ------------------------------------------------------------------
-    def _on_response(self, msg) -> None:
-        body = dict(msg.body)
-        if body.get("resp") and body.get("req_id"):
-            self._responses[body["req_id"]] = body
+        self.report = SyncReport(shard_id=shard_id, peer=self.peer)
 
     def _fail(self, message: str, reason: str, detail: str = "") -> SyncError:
         err = SyncError(message, reason=reason, shard_id=self.shard_id,
@@ -124,36 +116,15 @@ class SnapshotClient:
         self.report.errors.append(err.as_dict())
         return err
 
-    def _count_attempt(self, attempt: int) -> None:
-        self.report.requests += 1
-        if attempt:
-            self.report.retries += 1
-
-    def _request(self, topic: str, body: dict) -> dict:
-        req_id = f"{self.node.node_id}:{self._req_seq}"
-        self._req_seq += 1
-        body = dict(body, shard_id=self.shard_id, req=True, req_id=req_id)
-        resp = request_with_retries(
-            self.node, self.peer, topic, body,
-            req_id=req_id,
-            responses=self._responses,
-            policy=RetryPolicy(max_retries=self.max_retries),
-            on_attempt=self._count_attempt,
-        )
-        if resp is None:
-            raise self._fail(
-                f"peer {self.peer} did not answer {topic} after "
-                f"{self.max_retries + 1} attempts",
-                reason="peer_unresponsive",
-            )
-        if "error" in resp:
-            err = dict(resp["error"])
-            raise self._fail(
-                f"peer {self.peer} refused {topic}: "
-                f"{resp.get('message', err.get('reason'))}",
-                reason=str(err.get("reason", "peer_error")),
-            )
-        return resp
+    def _request(self, op: str, **fields) -> dict:
+        """One exchange with the peer; its refusal, silence or garbage
+        all surface as this client's :class:`SyncError`."""
+        try:
+            return self.channel.call(
+                {"op": op, "shard_id": self.shard_id, **fields})[-1]
+        except GatewayError as exc:
+            raise self._fail(f"{op} to peer {self.peer} failed: {exc}",
+                             reason=exc.reason) from exc
 
     # ------------------------------------------------------------------
     # The sync pipeline
@@ -172,37 +143,33 @@ class SnapshotClient:
         """
         tel = default_telemetry()
         self._tracer = tel.tracer
+        channel = self.channel
+        requests, retries = channel.requests, channel.retries
         with self._tracer.root_span("sync.catch_up", sampled=True) as span:
             span.set_attr("shard", self.shard_id)
             span.set_attr("peer", self.peer)
             try:
                 report = self._sync_impl()
             finally:
+                self.report.requests = channel.requests - requests
+                self.report.retries = channel.retries - retries
                 self._publish_metrics(tel.registry)
             span.set_attr("height", report.height)
             span.set_attr("blocks", report.blocks_installed)
             return report
 
-    # Registry counters already published by an earlier sync() on this
-    # client, so a re-run incs only the delta.
-    _published: dict | None = None
-
     def _publish_metrics(self, registry) -> None:
         report = self.report
-        previous = self._published or {}
-        current = {
-            "sync_chunks_downloaded_total": report.chunks_downloaded,
-            "sync_chunks_reused_total": report.chunks_reused,
-            "sync_tail_blocks_installed_total": report.blocks_installed,
-            "sync_bytes_received_total": report.bytes_received,
-            "sync_requests_total": report.requests,
-            "sync_retries_total": report.retries,
-        }
-        for name, value in current.items():
-            delta = value - previous.get(name, 0)
-            if delta > 0:
-                registry.counter(name, shard=str(self.shard_id)).inc(delta)
-        self._published = current
+        for name, value in (
+            ("sync_chunks_downloaded_total", report.chunks_downloaded),
+            ("sync_chunks_reused_total", report.chunks_reused),
+            ("sync_tail_blocks_installed_total", report.blocks_installed),
+            ("sync_bytes_received_total", report.bytes_received),
+            ("sync_requests_total", report.requests),
+            ("sync_retries_total", report.retries),
+        ):
+            if value > 0:
+                registry.counter(name, shard=str(self.shard_id)).inc(value)
 
     def _sync_impl(self) -> SyncReport:
         storage = DurableStorage(self.storage_dir)
@@ -239,21 +206,18 @@ class SnapshotClient:
             return self.report
         finally:
             # The image (every state entry + record, decoded) must not
-            # outlive the sync: the node keeps this client reachable
-            # through its topic handlers.
+            # outlive the sync.
             self._image = None
-            self._responses.clear()
             storage.close()
 
     # -- offer ---------------------------------------------------------
     def _verified_offer(self) -> tuple[SnapshotManifest, BeaconLightBundle]:
-        resp = self._request("sync/offer", {})
+        resp = self._request(OP_OFFER)
         try:
-            manifest = SnapshotManifest.from_mapping(resp["manifest"])
-        except (KeyError, TypeError) as exc:
-            raise self._fail(f"malformed offer: {exc}",
-                             reason="bad_manifest") from exc
-        bundle = resp.get("_bundle_ref")
+            manifest = SnapshotManifest.from_mapping(resp.get("manifest"))
+            bundle = bundle_from_mapping(resp.get("bundle"))
+        except SyncError as exc:
+            raise self._fail(str(exc), reason=exc.reason) from exc
         if manifest.shard_id != self.shard_id:
             raise self._fail(
                 f"offer is for shard {manifest.shard_id}, "
@@ -270,9 +234,6 @@ class SnapshotClient:
                 f"below required {self.min_height}",
                 reason="stale_snapshot",
             )
-        if not isinstance(bundle, BeaconLightBundle):
-            raise self._fail("offer lacks a beacon light bundle",
-                             reason="forged_offer")
         proof = bundle.shard_proof
         if (proof.shard_id != manifest.shard_id
                 or proof.height != manifest.height
@@ -335,12 +296,10 @@ class SnapshotClient:
             except OSError:
                 pass
             if data is None:
-                resp = self._request(
-                    "sync/chunk",
-                    {"height": manifest.height, "index": index},
-                )
-                data = bytes(resp.get("data", b""))
-                if chunk_digest(data) != expected:
+                data = self._request(OP_CHUNK, height=manifest.height,
+                                     index=index).get("data")
+                if type(data) is not bytes \
+                        or chunk_digest(data) != expected:
                     raise self._fail(
                         f"chunk {index} does not hash to its manifest "
                         "entry", reason="corrupt_chunk",
@@ -399,14 +358,24 @@ class SnapshotClient:
             else store.head_block().block_hash
         while local < manifest.height:
             start = local + 1
-            resp = self._request("sync/tail", {
-                "start": start, "count": self.tail_batch,
-                "upto": manifest.height,
-            })
-            items = resp.get("items") or []
+            resp = self._request(OP_TAIL, start=start,
+                                 count=self.tail_batch,
+                                 upto=manifest.height)
+            try:
+                items = [
+                    (typed(item["height"], int),
+                     typed(item["frame"], bytes),
+                     typed(item["crc"], int),
+                     [typed(t, str) for t in item["tx_ids"]],
+                     [r if r is None else typed(r, bytes)
+                      for r in item["receipts"]])
+                    for item in typed(resp["items"], list)
+                ]
+            except (KeyError, TypeError) as exc:
+                raise self._fail(f"malformed tail batch: {exc}",
+                                 reason="corrupt_block") from exc
             batch: list[dict] = []
-            for item in items:
-                height = int(item.get("height", -1))
+            for height, frame, crc, tx_ids, receipts in items:
                 if height != start + len(batch):
                     raise self._fail(
                         f"tail item height {height} out of sequence "
@@ -421,13 +390,12 @@ class SnapshotClient:
                         f"tail block {height} is beyond the offered "
                         f"head {manifest.height}", reason="forged_tail",
                     )
-                frame = bytes(item.get("frame", b""))
                 # Byte-exactness first: the CRC covers the whole frame
                 # (the header scan below only walks header fields), so
                 # any accidental corruption of transaction bytes is
                 # rejected here; forged-but-consistent bytes are the
                 # hash chain's and decode-on-read's problem.
-                if zlib.crc32(frame) != int(item.get("crc", -1)):
+                if zlib.crc32(frame) != crc:
                     raise self._fail(
                         f"tail frame at height {height} fails its CRC",
                         reason="corrupt_block",
@@ -445,8 +413,6 @@ class SnapshotClient:
                         f"tail block {height} does not hash-chain to "
                         "its predecessor", reason="forged_tail",
                     )
-                tx_ids = [str(t) for t in item.get("tx_ids", [])]
-                receipts = list(item.get("receipts", []))
                 if len(tx_ids) != scanned.tx_count \
                         or len(receipts) != scanned.tx_count:
                     raise self._fail(
@@ -475,8 +441,7 @@ class SnapshotClient:
                     "block_hash": block_hash,
                     "frame": frame,
                     "tx_ids": tx_ids,
-                    "receipts": [bytes(r) if r is not None else None
-                                 for r in receipts],
+                    "receipts": receipts,
                 })
                 prev_hash = block_hash
                 self.report.bytes_received += len(frame)
@@ -516,6 +481,6 @@ class SnapshotClient:
         storage.records.append_many(records[existing:])
         self.report.records_installed = len(records) - existing
         self.report.state_entries = len(entries)
-        storage.put_meta(_ANCHOR_META_KEY, image["anchor"])
+        storage.put_meta(Shard.ANCHOR_META_KEY, image["anchor"])
         storage.state.save(manifest.height, entries,
                            block_hash=manifest.block_hash)

@@ -1,6 +1,7 @@
-"""Wire codec for snapshot sync: image chunking, manifests, frame scans.
+"""Wire codec for snapshot sync: image chunking, manifests, beacon
+bundles, frame scans.
 
-Three concerns, all byte-exact:
+Four concerns, all byte-exact:
 
 * **Image encoding** — one shard's snapshot material (state entries,
   anchor-service state, provenance records) as a single canonical byte
@@ -12,6 +13,10 @@ Three concerns, all byte-exact:
   trusted as received — the client cross-checks its height, head hash,
   and state root against a beacon-anchored commitment before any chunk
   is accepted.
+* **Beacon bundle** — the :class:`~repro.sharding.beacon.
+  BeaconLightBundle` proving the offered head crosses the wire as a
+  mapping; :func:`bundle_from_mapping` rebuilds it fail-closed
+  (anything malformed is a ``forged_offer``).
 * **Header scan** — a structural parse of a raw block frame (the
   canonical block encoding the segment logs store) that extracts the
   header fields *without* constructing ``Transaction`` objects or
@@ -24,13 +29,21 @@ Three concerns, all byte-exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..chain.block import BlockHeader
 from ..crypto.hashing import hash_bytes, hash_canonical
-from ..errors import SerializationError, SyncError
-from ..persist.codec import canonical_decode, decode_at, read_length
+from ..crypto.merkle import MerkleProof
+from ..errors import ReproError, SerializationError, SyncError
+from ..persist.codec import (
+    canonical_decode,
+    decode_at,
+    read_length,
+    transaction_embedded,
+    transaction_from_mapping,
+)
 from ..serialization import canonical_encode
+from ..sharding.beacon import BeaconLightBundle, ShardBlockProof
 
 # Domain separation for sync artifacts (string prefixes, like the state
 # root's "state-root-v2:" — these never collide with the one-byte tags).
@@ -38,6 +51,16 @@ CHUNK_DOMAIN = b"sync-chunk-v1:"
 MANIFEST_DOMAIN = b"sync-manifest-v1:"
 
 DEFAULT_CHUNK_SIZE = 256 * 1024
+
+
+def typed(value, kind: type):
+    """``value`` if it is exactly a ``kind`` (what the strict decoder
+    produces), else ``TypeError`` — a coercing ``bytes(n)`` / ``int(s)``
+    on a peer-supplied field would allocate or parse on its say-so."""
+    if type(value) is not kind:
+        raise TypeError(
+            f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def chunk_digest(data: bytes) -> bytes:
@@ -97,14 +120,15 @@ class SnapshotManifest:
     def from_mapping(cls, m: dict) -> "SnapshotManifest":
         try:
             return cls(
-                shard_id=int(m["shard_id"]),
-                chain_id=str(m["chain_id"]),
-                height=int(m["height"]),
-                block_hash=bytes(m["block_hash"]),
-                state_root=bytes(m["state_root"]),
-                chunk_size=int(m["chunk_size"]),
-                total_bytes=int(m["total_bytes"]),
-                chunk_hashes=tuple(bytes(h) for h in m["chunk_hashes"]),
+                shard_id=typed(m["shard_id"], int),
+                chain_id=typed(m["chain_id"], str),
+                height=typed(m["height"], int),
+                block_hash=typed(m["block_hash"], bytes),
+                state_root=typed(m["state_root"], bytes),
+                chunk_size=typed(m["chunk_size"], int),
+                total_bytes=typed(m["total_bytes"], int),
+                chunk_hashes=tuple(typed(h, bytes)
+                                   for h in m["chunk_hashes"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SyncError(f"malformed manifest: {exc}",
@@ -133,6 +157,56 @@ class SnapshotManifest:
             chunk_hashes=tuple(chunk_digest(c) for c in chunks),
         )
         return manifest, chunks
+
+
+# ---------------------------------------------------------------------------
+# Beacon light bundle (the offer's proof of its head) as a mapping
+# ---------------------------------------------------------------------------
+_SHARD_PROOF_FIELDS = {
+    "shard_id": int, "height": int, "block_hash": bytes,
+    "round_root": bytes, "round_no": int, "beacon_height": int,
+    "beacon_tx_id": str, "state_root": bytes,
+}
+
+
+def bundle_to_mapping(bundle: BeaconLightBundle) -> dict:
+    """Canonical-encodable form of a beacon light bundle."""
+    return {
+        "shard_proof": asdict(bundle.shard_proof),
+        "anchor_tx": transaction_embedded(bundle.anchor_tx),
+        "tx_proof": asdict(bundle.tx_proof),
+    }
+
+
+def _proof_from_mapping(m: dict) -> MerkleProof:
+    return MerkleProof(
+        leaf_index=typed(m["leaf_index"], int),
+        tree_size=typed(m["tree_size"], int),
+        path=tuple((typed(sibling, bytes), typed(is_right, bool))
+                   for sibling, is_right in m["path"]),
+    )
+
+
+def bundle_from_mapping(m) -> BeaconLightBundle:
+    """Inverse of :func:`bundle_to_mapping` for a mapping off the wire;
+    raises :class:`SyncError` (``forged_offer``) on anything that is not
+    one.  A bundle that decodes proves nothing until it verifies."""
+    try:
+        proof = m["shard_proof"]
+        return BeaconLightBundle(
+            shard_proof=ShardBlockProof(
+                merkle_proof=_proof_from_mapping(proof["merkle_proof"]),
+                **{name: typed(proof[name], kind)
+                   for name, kind in _SHARD_PROOF_FIELDS.items()},
+            ),
+            anchor_tx=transaction_from_mapping(m["anchor_tx"]),
+            tx_proof=_proof_from_mapping(m["tx_proof"]),
+        )
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise SyncError(
+            f"offer carries a malformed beacon bundle: "
+            f"{type(exc).__name__}: {exc}", reason="forged_offer",
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

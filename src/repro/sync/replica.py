@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from ..chain import ChainParams
 from ..errors import QueryError, SyncError
-from ..net_retry import failover
+from ..net_retry import RetryPolicy, failover
 from ..network.node import ChainNode
+from ..obs.runtime import telemetry as default_telemetry
+from ..rpc import OP_OPS, Service, ops_handler
 from ..sharding.query import FederatedProof
 from ..sharding.shardchain import Shard
 from .client import SnapshotClient, SyncReport
@@ -54,12 +56,13 @@ class ShardReplica:
         self.node = ChainNode(node_id, net, region=region)
         self.shard: Shard | None = None
         self.last_report: SyncReport | None = None
-        # Replicas answer ops/metrics too: the process default registry
+        # Replicas answer ``ops`` too: the process default registry
         # snapshot plus this replica's own sync status.
-        self.node.serve_ops(health=self.health)
+        self.node.serve(Service({OP_OPS: ops_handler(
+            default_telemetry(), node=node_id, health=self.health)}))
 
     def health(self) -> dict:
-        """Canonical-encodable status served on ``ops/metrics``."""
+        """Canonical-encodable status served on ``ops``."""
         shard = self.shard
         report = self.last_report
         return {
@@ -80,7 +83,9 @@ class ShardReplica:
                  crash_after_chunks: int | None = None) -> SyncReport:
         """Sync the store to the peers' beacon-anchored head and (re)open
         the shard stack on it.  Tries each peer in order; raises the last
-        peer's :class:`~repro.errors.SyncError` if all fail."""
+        peer's :class:`~repro.errors.SyncError` if all fail.  The report
+        of the peer that succeeded keeps, in ``errors``, what the peers
+        before it were refused for."""
         local_height = self._local_height()
         if self.shard is not None:
             self.shard.close()
@@ -89,26 +94,25 @@ class ShardReplica:
             # Re-sync: never accept an offer behind what we already have.
             min_height = local_height
 
+        policy = RetryPolicy(max_retries=max_retries)
+        errors: list[dict] = []     # shared by every peer's report
+
         def sync_from(peer: str) -> SyncReport:
-            return SnapshotClient(
-                node=self.node,
-                peer=peer,
+            client = SnapshotClient(
+                channel=self.node.channel(peer, policy),
                 shard_id=self.shard_id,
                 storage_dir=self.storage_dir,
                 beacon_header_for=self._beacon_header,
                 chain_id=self.params.chain_id,
                 min_height=min_height,
-                max_retries=max_retries,
                 tail_batch=tail_batch,
                 deep_verify=deep_verify,
                 crash_after_chunks=crash_after_chunks,
-            ).sync()
+            )
+            client.report.errors = errors
+            return client.sync()
 
-        self.last_report = failover(
-            self.peers, sync_from,
-            empty_error=SyncError("no peers available", reason="no_peers",
-                                  shard_id=self.shard_id),
-        )
+        self.last_report = failover(self.peers, sync_from)
         self._open()
         return self.last_report
 

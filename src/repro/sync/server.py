@@ -3,9 +3,14 @@
 The server is deliberately *untrusted* by its clients: everything it
 serves is either hash-bound to the manifest (chunks), hash-chained to
 the head (tail frames), or beacon-anchored (the head itself, via the
-:class:`~repro.sharding.beacon.BeaconLightBundle` shipped with every
-offer).  A correct client therefore accepts nothing on the server's
-word alone — see :mod:`repro.sync.client`.
+:class:`~repro.sharding.beacon.BeaconLightBundle` mapping shipped with
+every offer).  A correct client therefore accepts nothing on the
+server's word alone — see :mod:`repro.sync.client`.
+
+:attr:`SnapshotServer.service` is the :class:`~repro.rpc.Service` with
+the three ``sync/*`` ops; attach it to either carrier
+(:meth:`~repro.network.node.ChainNode.serve_sync`,
+:meth:`~repro.gateway.server.GatewayServer.serve`).
 
 Serving is cheap by construction:
 
@@ -23,12 +28,19 @@ import zlib
 from dataclasses import dataclass
 
 from ..errors import ShardError, SyncError
-from ..network.message import SizedList
 from ..obs.runtime import telemetry as default_telemetry
 from ..persist.codec import encode_block, encode_receipt
-from .codec import DEFAULT_CHUNK_SIZE, SnapshotManifest, encode_image
+from ..rpc import Service
+from .codec import (
+    DEFAULT_CHUNK_SIZE,
+    SnapshotManifest,
+    bundle_to_mapping,
+    encode_image,
+    typed,
+)
 
-SYNC_TOPICS = ("sync/offer", "sync/chunk", "sync/tail")
+OP_OFFER, OP_CHUNK, OP_TAIL = SYNC_OPS = \
+    ("sync/offer", "sync/chunk", "sync/tail")
 
 
 @dataclass
@@ -66,8 +78,8 @@ class SnapshotServer:
     """Serves snapshot offers, image chunks, and block tails for every
     shard of one :class:`~repro.sharding.shardchain.ShardedChain`.
 
-    Attach to a gateway node with
-    :meth:`~repro.network.node.ChainNode.serve_sync`.
+    ``offer`` / ``chunk`` / ``tail`` build the reply fields;
+    :attr:`service` puts them on the wire.
     """
 
     def __init__(self, sharded, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -93,21 +105,18 @@ class SnapshotServer:
         self._m_chunks = registry.counter("sync_chunks_served_total")
         self._m_tail = registry.counter("sync_tail_blocks_served_total")
 
-    # ------------------------------------------------------------------
-    # Request dispatch (the ChainNode topic handler calls this)
-    # ------------------------------------------------------------------
-    def handle(self, topic: str, body: dict) -> dict:
-        shard_id = int(body.get("shard_id", -1))
-        if topic == "sync/offer":
-            return self.offer(shard_id)
-        if topic == "sync/chunk":
-            return self.chunk(shard_id, int(body["height"]),
-                              int(body["index"]))
-        if topic == "sync/tail":
-            return self.tail(shard_id, int(body["start"]),
-                             int(body["count"]), int(body["upto"]))
-        raise SyncError(f"unknown sync topic {topic!r}",
-                        reason="bad_request")
+        def handler(name: str, *fields: str):
+            # Looked up on ``self`` per request, so a subclass (or a
+            # test's patched method) is what gets served.
+            return lambda body, _: [dict(
+                getattr(self, name)(*(typed(body[f], int) for f in fields)),
+                op=f"sync/{name}_ok")]
+
+        self.service = Service({
+            OP_OFFER: handler("offer", "shard_id"),
+            OP_CHUNK: handler("chunk", "shard_id", "height", "index"),
+            OP_TAIL: handler("tail", "shard_id", "start", "count", "upto"),
+        })
 
     # ------------------------------------------------------------------
     # Offers
@@ -142,7 +151,7 @@ class SnapshotServer:
         self._m_offers.inc()
         return {
             "manifest": image.manifest.to_mapping(),
-            "_bundle_ref": bundle,
+            "bundle": bundle_to_mapping(bundle),
         }
 
     def _image_for(self, shard, height: int, head_hash: bytes,
@@ -205,20 +214,21 @@ class SnapshotServer:
         upto = min(upto, shard.chain.height)
         count = max(1, min(count, self.max_tail_blocks))
         span = min(start + count, upto + 1) - start
-        ranged = getattr(shard.chain.store, "raw_block_items", None)
+        store = shard.chain.store
+        ranged = getattr(store, "raw_block_items", None)
         if span > 0 and ranged is not None:
+            boundary = store.archived_boundary()
+            if boundary is not None and start <= boundary:
+                raise SyncError(
+                    f"heights {start}..{boundary} are archived; raw "
+                    "frames are served from the hot tail only",
+                    reason="cold_history", shard_id=shard_id,
+                )
             items = ranged(start, span)
         else:
             items = [tail_item(shard.chain, h)
                      for h in range(start, start + max(0, span))]
         self.tail_blocks_served += len(items)
         self._m_tail.inc(len(items))
-        wire_size = sum(
-            len(item["frame"])
-            + sum(len(r) for r in item["receipts"] if r is not None)
-            + 48 * (len(item["tx_ids"]) + 1)
-            for item in items
-        )
-        return {"start": start,
-                "items": SizedList(items, size_bytes=wire_size),
+        return {"start": start, "items": items,
                 "head_height": shard.chain.height}

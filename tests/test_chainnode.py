@@ -116,24 +116,11 @@ class TestTopicRegistration:
         node.on_topic("custom", handler)
         node.on_topic("custom", handler)  # no-op, no raise
 
-    def test_replace_true_takes_over_deliberately(self):
-        net = SimNet(seed=1)
-        node = ChainNode("n0", net, ChainParams(chain_id="dup"))
-        seen = []
-        node.on_topic("custom", lambda m: seen.append("old"))
-        node.on_topic("custom", lambda m: seen.append("new"),
-                      replace=True)
-        from repro.network import NetMessage
-        net.register("peer", lambda m: None)
-        net.send(NetMessage("peer", "n0", "custom", {}))
-        net.run()
-        assert seen == ["new"]
-
     def test_builtin_topics_collide_with_user_handlers(self):
         from repro.errors import ChainError
         net = SimNet(seed=1)
         node = ChainNode("n0", net, ChainParams(chain_id="dup"))
-        # "tx"/"block"/"ops/metrics" are claimed in __init__.
+        # "tx"/"block" are claimed in __init__.
         with pytest.raises(ChainError):
             node.on_topic("tx", lambda m: None)
 
@@ -151,3 +138,21 @@ class TestTopicRegistration:
         server = SnapshotServer(sharded)
         node.serve_sync(server)
         node.serve_sync(server)
+        # A served op's topic is claimed like any other.
+        from repro.errors import ChainError
+        with pytest.raises(ChainError):
+            node.on_topic("sync/offer", lambda m: None)
+
+    def test_reserving_an_op_replaces_its_handler(self):
+        # The facade-reopen path: serve_shards(new_facade) must answer
+        # `ops` from the new facade, not the crashed one.
+        from repro.rpc import Service
+
+        net = SimNet(seed=1)
+        node = ChainNode("n0", net, ChainParams(chain_id="dup"))
+        client = ChainNode("c0", net, ChainParams(chain_id="dup"))
+        node.serve(Service({"which": lambda b, s: [{"op": "which_ok",
+                                                     "v": "old"}]}))
+        node.serve(Service({"which": lambda b, s: [{"op": "which_ok",
+                                                     "v": "new"}]}))
+        assert client.channel("n0").call({"op": "which"})[-1]["v"] == "new"

@@ -26,8 +26,9 @@ from repro.gateway import (
     MAX_FRAME_BYTES, AsyncGatewayClient, GatewayClient, GatewayServer,
     encode_frame,
 )
+from repro.gateway import frames
 from repro.gateway.frames import (
-    decode_frame_payload, frame_to_txs, read_frame, txs_to_frame_body,
+    decode_frame_payload, frame_to_txs, read_payload, txs_to_frame_body,
 )
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
@@ -37,6 +38,12 @@ from repro.persist.codec import (
 )
 from repro.serialization import canonical_encode
 from repro.sharding import CrossShardCoordinator, ShardedChain
+
+
+async def read_frame(reader):
+    """One decoded frame body off ``reader`` (``None`` on clean EOF)."""
+    payload = await read_payload(reader)
+    return None if payload is None else decode_frame_payload(payload)
 
 
 def data_tx(i: int, tenant: str = "t0", fee: int = 0) -> Transaction:
@@ -457,18 +464,29 @@ class TestDisconnects:
         asyncio.run(scenario())
         assert sharded.total_txs_committed == 1
 
-    @pytest.mark.parametrize("payload", [
-        b"d1:s2:ops2:\xff\xfee",                    # invalid UTF-8
-        b"d2:s2:ops4:pings3:seqi3:E.Ae",            # int body not a number
-        b"d2:s2:ops4:pings3:seqi2:07e",             # non-canonical int
-        b"d2:s3:seqi1:1s2:ops4:pinge",              # keys out of order
-        b"d1:s2:op" + b"l1:" * 5000 + b"N" + b"e" * 5001,  # nesting bomb
-    ], ids=["utf8", "int-body", "int-spelling", "key-order", "depth"])
+    @pytest.mark.parametrize("payload, reason", [
+        (b"d1:s2:ops2:\xff\xfee", "corrupt_frame"),         # invalid UTF-8
+        (b"d2:s2:ops4:pings3:seqi3:E.Ae", "corrupt_frame"),  # int body NaN
+        (b"d2:s2:ops4:pings3:seqi2:07e", "corrupt_frame"),   # int spelling
+        (b"d2:s3:seqi1:1s2:ops4:pinge", "corrupt_frame"),    # key order
+        (b"d1:s2:op" + b"l1:" * 5000 + b"N" + b"e" * 5001,
+         "corrupt_frame"),                                    # nesting bomb
+        # Well-formed frames whose *fields* have the wrong shape.
+        (canonical_encode({"op": "ping", "seq": "x"}), "protocol"),
+        (canonical_encode({"op": "hello", "proto": "abc"}), "protocol"),
+        (canonical_encode({"op": "hello", "seq": 1, "proto": "abc"}),
+         "protocol"),
+        (canonical_encode({"op": "submit", "seq": [1], "txs": []}),
+         "protocol"),
+        (canonical_encode({"op": 7, "seq": 1}), "protocol"),
+    ], ids=["utf8", "int-body", "int-spelling", "key-order", "depth",
+            "seq-str", "hello-no-seq", "proto-str", "seq-list", "op-int"])
     def test_hostile_payload_gets_an_error_frame_and_is_counted(
-            self, payload):
-        # Each of these used to escape the decoder as UnicodeDecodeError /
-        # ValueError / RecursionError, past the handler that only expects
-        # GatewayError: the connection died uncounted and unanswered.
+            self, payload, reason, caplog):
+        # Each of these used to escape as UnicodeDecodeError / ValueError
+        # / RecursionError / TypeError, past a handler that only expected
+        # GatewayError: the connection task died with "Unhandled
+        # exception in client_connected_cb", uncounted and unanswered.
         _, pipe, server = make_stack()
 
         async def scenario():
@@ -478,7 +496,8 @@ class TestDisconnects:
             await writer.drain()
             reply = await asyncio.wait_for(read_frame(reader), timeout=5)
             assert reply["op"] == "error"
-            assert reply["reason"] == "corrupt_frame"
+            assert reply["reason"] == reason
+            # Exactly one error frame, then the server hangs up.
             assert await asyncio.wait_for(reader.read(), timeout=5) == b""
             writer.close()
             assert counter_of(
@@ -486,6 +505,38 @@ class TestDisconnects:
             async with await AsyncGatewayClient.connect(
                     host, port) as client:
                 assert (await client.submit([data_tx(1)])).queued == 1
+            await server.drain()
+
+        asyncio.run(scenario())
+        assert "Unhandled exception" not in caplog.text
+
+    def test_slow_loris_payload_is_cut_off(self, monkeypatch):
+        # A length prefix, half the payload, then silence: the frame is
+        # owed within FRAME_READ_TIMEOUT_S or the connection is closed
+        # and counted.  An idle connection *between* frames is not.
+        monkeypatch.setattr(frames, "FRAME_READ_TIMEOUT_S", 0.05)
+        _, pipe, server = make_stack()
+
+        async def scenario():
+            host, port = await server.start()
+            idle = await AsyncGatewayClient.connect(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
+            frame = encode_frame({"op": "ping", "seq": 1})
+            writer.write(frame[: 4 + (len(frame) - 4) // 2])
+            await writer.drain()
+            reply = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert reply["op"] == "error"
+            assert reply["reason"] == "read_timeout"
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            assert counter_of(
+                server, "gateway_connections_aborted_total") == 1
+            # Four timeouts' worth of idling later the quiet client is
+            # still connected and served.
+            await asyncio.sleep(0.2)
+            assert server.active_connections == 1
+            assert await idle.ping() < 1.0
+            await idle.close()
             await server.drain()
 
         asyncio.run(scenario())

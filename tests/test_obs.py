@@ -28,7 +28,8 @@ from repro import IngestPipeline, ShardedChain, Transaction, TxKind
 from repro.chain import transaction as tx_mod
 from repro.crypto import signatures as sig
 from repro.crypto.signatures import KeyPair
-from repro.errors import SyncError
+from repro.errors import GatewayError
+from repro.net_retry import RetryPolicy
 from repro.network import ChainNode, LatencyModel, SimNet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
@@ -547,7 +548,7 @@ class TestOpsMetricsOverNetwork:
         try:
             _, sharded, net, _ = build_served_source()
             client = ChainNode("client", net)
-            resp = client.request_ops("gateway")
+            resp = client.channel("gateway").call({"op": "ops"})[-1]
             assert resp["node"] == "gateway"
             snap = resp["snapshot"]
             assert snap["counters"]["rounds_sealed_total"] \
@@ -557,7 +558,7 @@ class TestOpsMetricsOverNetwork:
             assert health["slowest_seal_s"] > 0.0
             # The exchange itself is visible in the net counters.
             assert snap["counters"][
-                'net_messages_sent_total{topic="ops/metrics"}'] >= 1
+                'net_messages_sent_total{topic="ops"}'] >= 1
             sharded.close()
         finally:
             reset_default_telemetry()
@@ -571,7 +572,7 @@ class TestOpsMetricsOverNetwork:
             )
             replica.catch_up()
             client = ChainNode("client", net)
-            resp = client.request_ops("rep")
+            resp = client.channel("rep").call({"op": "ops"})[-1]
             assert resp["node"] == "rep"
             health = resp["health"]
             assert health["synced"] is True
@@ -592,11 +593,13 @@ class TestOpsMetricsOverNetwork:
     def test_unserved_peer_raises_structured_error(self):
         try:
             _, sharded, net, _ = build_served_source()
-            ChainNode("mute", net)  # never calls serve_ops
+            ChainNode("mute", net)  # serves nothing
             client = ChainNode("client", net)
-            with pytest.raises(SyncError) as err:
-                client.request_ops("mute", max_retries=1)
+            channel = client.channel("mute", RetryPolicy(max_retries=1))
+            with pytest.raises(GatewayError) as err:
+                channel.call({"op": "ops"})
             assert err.value.reason == "peer_unresponsive"
+            assert (channel.requests, channel.retries) == (2, 1)
             sharded.close()
         finally:
             reset_default_telemetry()

@@ -457,6 +457,32 @@ class ByzantineServer(SnapshotServer):
         elif self.mode == "forged_state_root":
             manifest["state_root"] = b"\xEE" * 32
         resp["manifest"] = manifest
+        # The bundle crosses as a mapping: forge *that*.
+        bundle = dict(resp["bundle"])
+        proof = dict(bundle["shard_proof"])
+        if self.mode == "bundle_missing":
+            del resp["bundle"]
+            return resp
+        if self.mode == "bundle_not_a_mapping":
+            bundle = [1, 2, 3]
+        elif self.mode == "bundle_field_dropped":
+            del proof["round_root"]
+        elif self.mode == "bundle_field_wrong_type":
+            proof["block_hash"] = 10 ** 12     # bytes(n) would allocate
+        elif self.mode == "bundle_anchor_tx_garbage":
+            bundle["anchor_tx"] = {"not": "a tx"}
+        elif self.mode == "bundle_decodes_but_does_not_verify":
+            # Every field well-typed and self-consistent with the
+            # manifest; the audit path just leads somewhere else.
+            path = [list(step) for step in
+                    proof["merkle_proof"]["path"]] or [[b"\x00" * 32, True]]
+            path[0][0] = bytes(b ^ 0xFF for b in path[0][0])
+            proof["merkle_proof"] = dict(proof["merkle_proof"], path=path)
+        elif self.mode == "bundle_for_another_round":
+            proof["beacon_height"] = proof["beacon_height"] + 1000
+        if isinstance(bundle, dict):
+            bundle["shard_proof"] = proof
+        resp["bundle"] = bundle
         return resp
 
     def chunk(self, shard_id, height, index):
@@ -581,6 +607,19 @@ class TestByzantine:
                                "forged_state_root", "bz4")
         assert err.reason == "forged_offer"
 
+    @pytest.mark.parametrize("mode", [
+        "bundle_missing", "bundle_not_a_mapping", "bundle_field_dropped",
+        "bundle_field_wrong_type", "bundle_anchor_tx_garbage",
+        "bundle_decodes_but_does_not_verify", "bundle_for_another_round",
+    ])
+    def test_forged_bundle_mapping_rejected(self, source, tmp_path, mode):
+        sharded, _ = source
+        err, replica = self._attempt(sharded, tmp_path, mode, "bzb")
+        assert err.reason == "forged_offer"
+        assert err.peer == "gateway"
+        # Nothing was fetched on the strength of a forged offer.
+        assert replica.node.net.stats.by_topic.get("sync/chunk", 0) == 0
+
     def test_truncated_tail_rejected_and_rolled_back(self, source,
                                                      tmp_path):
         sharded, _ = source
@@ -671,14 +710,19 @@ class TestByzantine:
         sharded, _ = source
         env = Env(sharded)
         from repro.network import NetMessage
+        from repro.rpc import decode_frame_payload
+        from repro.serialization import canonical_encode
 
         got = []
         env.net.register("probe", lambda m: got.append(dict(m.body)))
-        env.net.send(NetMessage("probe", "gateway", "sync/chunk",
-                                {"req": True, "req_id": "p:0"}))
+        env.net.send(NetMessage("probe", "gateway", "sync/chunk", {
+            "frame": canonical_encode({"op": "sync/chunk", "seq": 1}),
+        }))
         env.net.run()
-        assert got and got[0]["error"]["reason"] in ("bad_request",
-                                                     "stale_snapshot")
+        assert len(got) == 1 and set(got[0]) == {"reply"}
+        reply = decode_frame_payload(got[0]["reply"])
+        assert reply["op"] == "error" and reply["seq"] == 1
+        assert reply["reason"] == "bad_request"
 
 
 # ---------------------------------------------------------------------------
@@ -699,25 +743,28 @@ class TestResume:
         assert replica.chain.blocks_replayed_on_open == 0
         replica.close()
 
-    def test_crash_mid_tail_resumes_from_installed_height(self, source,
-                                                          tmp_path):
+    def test_crash_mid_tail_resumes_from_installed_height(
+            self, source, tmp_path, monkeypatch):
+        from repro.persist.durable import DurableBlockStore
+
         sharded, _ = source
         env = Env(sharded)
         replica = env.replica(tmp_path, name="ct")
-        calls = {"tail": 0}
-        original = env.server.tail
+        calls = {"install": 0}
+        original = DurableBlockStore.install_raw
 
-        def crashing_tail(shard_id, start, count, upto):
-            calls["tail"] += 1
-            if calls["tail"] == 2:
+        def dying_install(store, batch):
+            calls["install"] += 1
+            if calls["install"] == 2:
                 raise RuntimeError("simulated process death")
-            return original(shard_id, start, count, upto)
+            return original(store, batch)
 
-        env.server.tail = crashing_tail
-        with pytest.raises(RuntimeError):
-            # The simulated process death propagates out of the event
-            # loop; installed blocks stay (a crash, not a forgery).
-            replica.catch_up(tail_batch=4, max_retries=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(DurableBlockStore, "install_raw", dying_install)
+            with pytest.raises(RuntimeError):
+                # The replica process dies between two tail batches;
+                # installed blocks stay (a crash, not a forgery).
+                replica.catch_up(tail_batch=4)
         storage = DurableStorage(str(tmp_path / "ct"))
         installed = storage.blocks.height()
         storage.close()
@@ -729,6 +776,27 @@ class TestResume:
         assert replica.chain.head.block_hash == \
             sharded.shard(0).chain.head.block_hash
         replica.close()
+
+    def test_peer_handler_crash_is_a_sync_error_not_ours(self, source,
+                                                         tmp_path):
+        # Whatever blows up inside the *peer's* handler crosses the wire
+        # as an error frame: the replica sees a SyncError, rolls back,
+        # and its own stack never carries the peer's exception.
+        sharded, _ = source
+        env = Env(sharded)
+        replica = env.replica(tmp_path, name="pc")
+
+        def exploding_tail(shard_id, start, count, upto):
+            raise RuntimeError("peer bug")
+
+        env.server.tail = exploding_tail
+        with pytest.raises(SyncError) as err:
+            replica.catch_up()
+        assert err.value.reason == "internal"
+        assert "peer bug" in str(err.value)
+        storage = DurableStorage(str(tmp_path / "pc"))
+        assert storage.blocks.height() == -1
+        storage.close()
 
     def test_staging_for_old_image_is_discarded(self, tmp_path):
         sharded, _ = build_source(tmp_path / "src")

@@ -17,6 +17,7 @@ import shutil
 import pytest
 
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
+from repro.errors import SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
 from repro.persist import DurableStorage
 from repro.persist.segment import CrashPoint, SegmentCodec
@@ -192,20 +193,26 @@ class TestArchivalCrash:
         reopen_and_verify(str(tmp_path / "store"), expect)
 
 
+def _sealed_source(store_dir: str) -> ShardedChain:
+    """A durable 2-shard facade with 12 sealed rounds of 6 txs."""
+    sc = ShardedChain(2, storage_dir=store_dir, reorg_journal_depth=4)
+    n = 0
+    for r in range(12):
+        for _ in range(6):
+            sc.submit(Transaction(
+                sender=f"acct-{n % 5}", kind=TxKind.DATA,
+                payload={"key": f"k{n}", "value": f"v{n}" * 8},
+                nonce=n, timestamp=100 + n).seal())
+            n += 1
+        sc.seal_round(timestamp=10_000 + r)
+    return sc
+
+
 class TestPrunedDeployment:
     def test_pruned_replica_reopens_queries_and_serves_sync(
             self, tmp_path):
         store_dir = str(tmp_path / "sharded")
-        sc = ShardedChain(2, storage_dir=store_dir, reorg_journal_depth=4)
-        n = 0
-        for r in range(12):
-            for _ in range(6):
-                sc.submit(Transaction(
-                    sender=f"acct-{n % 5}", kind=TxKind.DATA,
-                    payload={"key": f"k{n}", "value": f"v{n}" * 8},
-                    nonce=n, timestamp=100 + n).seal())
-                n += 1
-            sc.seal_round(timestamp=10_000 + r)
+        sc = _sealed_source(store_dir)
         sc.checkpoint()
         stats = sc.tier_storage(keep_tail=4)
         assert all(st["archived"]["archived"] > 0
@@ -241,11 +248,48 @@ class TestPrunedDeployment:
         assert boundary is not None
         tail = server.tail(0, boundary + 1, 64, heights[0])
         assert len(tail["items"]) == heights[0] - boundary
-        from repro.errors import StorageError
-
-        with pytest.raises(StorageError, match="archived"):
+        with pytest.raises(SyncError, match="archived") as cold:
             server.tail(0, 1, 64, heights[0])
+        assert cold.value.reason == "cold_history"
         pruned.close()
+
+    def test_replica_fails_over_from_a_tiered_peer(self, tmp_path):
+        # A fresh replica asks for the tail from height 1.  The tiered
+        # peer's refusal must reach it as a structured SyncError — never
+        # the peer's own StorageError raised through net.run() — so it
+        # can fail over to a peer that still holds the full history.
+        tiered = _sealed_source(str(tmp_path / "tiered"))
+        tiered.checkpoint()
+        tiered.tier_storage(keep_tail=4)
+        full = _sealed_source(str(tmp_path / "full"))
+        head = full.shard(0).chain.head.block_hash
+        assert tiered.shard(0).chain.head.block_hash == head
+
+        net = SimNet(LatencyModel(base=1, jitter=0), seed=9)
+        ChainNode("tiered", net).serve_sync(SnapshotServer(tiered))
+        ChainNode("full", net).serve_sync(SnapshotServer(full))
+        replica = full.spawn_replica(
+            0, str(tmp_path / "replica"), net, node_id="rep",
+            peers=["tiered", "full"])
+        report = replica.catch_up()
+        assert report.peer == "full"
+        assert [(e["peer"], e["reason"]) for e in report.errors] == \
+            [("tiered", "cold_history")]
+        assert replica.chain.head.block_hash == head
+        assert replica.chain.state.state_root() == \
+            full.shard(0).chain.state.state_root()
+        replica.close()
+
+        # With nobody to fail over to it is still a SyncError.
+        alone = full.spawn_replica(
+            0, str(tmp_path / "alone"), net, node_id="alone",
+            peers=["tiered"])
+        with pytest.raises(SyncError) as err:
+            alone.catch_up()
+        assert err.value.reason == "cold_history"
+        alone.close()
+        full.close()
+        tiered.close()
 
 
 class TestCompressedCodec:
