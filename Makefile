@@ -7,8 +7,8 @@ export PYTHONPATH := src
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
         test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
-        bench-gateway bench-all bench-e2e bench-e2e-compare lint-private \
-        check
+        bench-gateway bench-all bench-e2e bench-e2e-compare bench-ab \
+        lint-private check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -43,9 +43,12 @@ test-gateway:
 
 # Canonical-codec suite only: fast path vs the ladder oracle, spliced
 # frames vs mapping-path frames, encode-once record ingest, strict
-# fail-closed decoding, golden vectors; plus the storage codec tests.
+# fail-closed decoding, golden vectors; shape plan, one-pass seal and
+# slice-pinning decode vs the re-encode oracle (counted guards, a store
+# written by the parent commit); plus the storage codec tests.
 test-codec:
-	$(PYTHON) -m pytest tests/test_codec_fastpath.py tests/test_serialization.py -q
+	$(PYTHON) -m pytest tests/test_codec_fastpath.py tests/test_serialization.py \
+	    tests/test_onepass_codec.py -q
 	$(PYTHON) -m pytest tests/test_persist.py -k codec -q
 
 # Transport suite: one grammar over two carriers — SimNet/TCP parity
@@ -128,6 +131,15 @@ bench-e2e:
 
 bench-e2e-compare:
 	python3 benchmarks/e2e/compare.py $(BASE) $(CAND)
+
+# Interleaved A/B pairs of one e2e workload: revision BASE against the
+# working tree, each in its own temporary checkout running its own
+# unmodified benchmarks/e2e/run.py, sides alternating; prints medians,
+# quartiles, pairs won and host.cpu_probe_ms per side.
+PAIRS ?= 10
+bench-ab:
+	python3 benchmarks/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS)
 
 # No module outside sharding/ may read an underscore attribute of a
 # ShardedChain (every facade handle in src/ is named `sharded`), and no

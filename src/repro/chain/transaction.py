@@ -24,6 +24,26 @@ are kept honest two ways:
   further assignment to a hash-covered field raises
   :class:`~repro.errors.SealedMutation`.
 
+What is pinned, by whom, on which side.  A sealed transaction carries
+``_cache_encoded`` (= ``_canonical_cache``, the bytes the encoder splices
+when the transaction is embedded), ``_cache_hash`` and ``_cache_id``, and
+exactly two places may set them:
+
+* the **constructing side** — :meth:`Transaction.seal` walks the content
+  once: one payload snapshot, and the six-key signing body written from a
+  fixed key-order template in which only the payload goes through the
+  generic encoder (``_encoded_body``; byte-identical to
+  ``canonical_encode(signing_body())``, which ``compute_tx_hash`` keeps
+  using as the independent recomputation);
+* the **decoding side** — :meth:`Transaction.from_sealed_encoding`, called
+  only by the strict decoder in :mod:`repro.persist.codec`, pins the very
+  slice the fields were just decoded from (strict decoding guarantees the
+  fields re-encode to it), so a block read back, a submit off the socket
+  or a synced anchor never re-encodes a body to learn its hash.
+
+Either way the pinned bytes are the canonical encoding of the frozen
+content, which is the only thing anyone downstream may assume.
+
 The one hole left open by design: mutating the payload *dict in place* on
 an **unsealed** transaction after its hash was read is not detected by the
 cached fast path — sealed transactions make that impossible, and the
@@ -132,7 +152,35 @@ class TxKind(str, Enum):
     GOVERNANCE = "governance"         # validator-set & policy changes
 
 
-@dataclass
+# The signing body is a six-key mapping, so its canonical encoding is
+# ``d6:`` and the entries in sorted key order.  ``_encoded_body`` writes
+# that order out by hand, and :mod:`repro.persist.codec` splices and pins
+# the entries behind ``SIGNING_BODY_HEAD`` next to the three keys the wire
+# mapping adds.  Both lean on the facts asserted at the end of this
+# module: the key set is these six in this order, and the wire keys sort,
+# in the order written, before all of them.
+SIGNING_BODY_HEAD = b"d6:"
+SIGNING_BODY_KEYS = ("fee", "kind", "nonce", "payload", "sender", "timestamp")
+_WIRE_KEYS = ("_sealed", "_sig", "_signer")
+
+
+def _entry(prefix: bytes, value: Any) -> bytes:
+    """One ``<key><value>`` entry of the signing body; ``int`` and ``str``
+    values (every field but a hand-built exotic one) are spelled inline."""
+    t = type(value)
+    if t is int:
+        body = b"%d" % value
+        return b"%bi%d:%b" % (prefix, len(body), body)
+    if t is str:
+        body = value.encode("utf-8")
+        return b"%bs%d:%b" % (prefix, len(body), body)
+    return prefix + canonical_encode(value)
+
+
+_KIND_ENTRIES = {kind: _entry(b"s4:kind", kind.value) for kind in TxKind}
+
+
+@dataclass(init=False)
 class Transaction:
     """An immutable-once-signed ledger transaction.
 
@@ -148,6 +196,47 @@ class Transaction:
     fee: int = 0
     signature: bytes | None = field(default=None, compare=False)
     signer: PublicKey | None = field(default=None, compare=False)
+
+    def __init__(self, sender: str, kind: TxKind,
+                 payload: Mapping[str, Any], nonce: int = 0,
+                 timestamp: int = 0, fee: int = 0,
+                 signature: bytes | None = None,
+                 signer: PublicKey | None = None) -> None:
+        # What the generated __init__ did, minus eight trips through
+        # __setattr__: a new object has no cache to drop and no seal.
+        d = self.__dict__
+        d["sender"] = sender
+        d["kind"] = kind
+        d["payload"] = payload
+        d["nonce"] = nonce
+        d["timestamp"] = timestamp
+        d["fee"] = fee
+        d["signature"] = signature
+        d["signer"] = signer
+
+    @classmethod
+    def from_sealed_encoding(cls, body: bytes, sender: str, kind: TxKind,
+                             payload: dict, nonce: int, timestamp: int,
+                             fee: int, signature: bytes | None = None,
+                             signer: PublicKey | None = None
+                             ) -> "Transaction":
+        """The sealed transaction whose signing body *is* ``body``.
+
+        The decode-side twin of :meth:`seal`, for the strict decoder in
+        :mod:`repro.persist.codec` only: it has just parsed the fields
+        out of ``body`` and guarantees ``canonical_encode`` of them gives
+        ``body`` back, so the bytes are pinned instead of rebuilt.
+        ``payload`` must be a dict nobody else holds; it goes behind the
+        read-only proxy uncopied.
+        """
+        tx = cls(sender, kind, MappingProxyType(payload), nonce, timestamp,
+                 fee, signature, signer)
+        d = tx.__dict__
+        d["_cache_encoded"] = d["_canonical_cache"] = body
+        d["_cache_hash"] = tx_hash = hash_bytes(body, DOMAIN_TX)
+        d["_cache_id"] = tx_hash.hex()
+        d["_sealed"] = True
+        return tx
 
     # ------------------------------------------------------------------
     # Cache discipline
@@ -181,7 +270,8 @@ class Transaction:
         if d.get("_sealed", False):
             return self
         # Snapshot the payload so a caller-held reference to the original
-        # dict can no longer reach the sealed content.
+        # dict can no longer reach the sealed content.  The one copy: the
+        # encoder below walks the proxy itself.
         d["payload"] = MappingProxyType(dict(self.payload))
         d.pop("_cache_encoded", None)
         d.pop("_cache_hash", None)
@@ -214,11 +304,28 @@ class Transaction:
 
         Shared by hashing (``tx_hash``), signing (:meth:`sign_with` /
         :meth:`verify_signature`), and size accounting (``size_bytes``).
+        Same bytes as ``canonical_encode(self.signing_body())`` (what
+        :meth:`compute_tx_hash` hashes), written from the fixed key
+        order: only the payload goes through the generic encoder.
         """
-        encoded = self.__dict__.get("_cache_encoded")
+        d = self.__dict__
+        encoded = d.get("_cache_encoded")
         if encoded is None or not HASH_CACHING_ENABLED:
-            encoded = canonical_encode(self.signing_body())
-            self.__dict__["_cache_encoded"] = encoded
+            payload = d["payload"]
+            if type(payload) is not MappingProxyType \
+                    and type(payload) is not dict:
+                payload = dict(payload)
+            kind = d["kind"]
+            encoded = b"%b%b%b%bs7:payload%b%b%be" % (
+                SIGNING_BODY_HEAD,
+                _entry(b"s3:fee", d["fee"]),
+                _KIND_ENTRIES.get(kind) or _entry(b"s4:kind", kind.value),
+                _entry(b"s5:nonce", d["nonce"]),
+                canonical_encode(payload),
+                _entry(b"s6:sender", d["sender"]),
+                _entry(b"s9:timestamp", d["timestamp"]),
+            )
+            d["_cache_encoded"] = encoded
         return encoded
 
     @property
@@ -325,3 +432,12 @@ class Transaction:
             f"Transaction({self.kind.value}, sender={self.sender[:8]}…, "
             f"id={self.tx_id[:10]}…)"
         )
+
+
+_probe = Transaction("", TxKind.DATA, {})
+assert tuple(sorted(_probe.signing_body())) == SIGNING_BODY_KEYS
+assert _probe._encoded_body() == canonical_encode(_probe.signing_body())
+assert _probe._encoded_body().startswith(SIGNING_BODY_HEAD)
+assert _WIRE_KEYS == tuple(sorted(_WIRE_KEYS))
+assert _WIRE_KEYS[-1] < SIGNING_BODY_KEYS[0]
+del _probe

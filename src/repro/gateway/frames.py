@@ -128,8 +128,11 @@ def txs_to_frame_body(txs, seq: int) -> dict:
 
 
 def frame_to_txs(body: dict) -> list:
-    """Decode a SUBMIT body's batch; malformed entries fail the frame
-    (the gateway answers with a structured error, never a half-batch)."""
+    """A SUBMIT body's batch as transactions; malformed entries fail the
+    frame (the gateway answers with a structured error, never a
+    half-batch).  Sealed transactions were already built, pinned to
+    their wire bytes, when :func:`repro.rpc.decode_frame_payload` decoded
+    the frame; only unsealed ones are still mappings here."""
     raw = body.get("txs")
     if not isinstance(raw, list):
         raise GatewayError("submit frame carries no transaction list",

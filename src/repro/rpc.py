@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import GatewayError, ReproError, SerializationError
 from .obs.runtime import telemetry as default_telemetry
-from .persist.codec import canonical_decode
+from .persist.codec import decode_frame
 from .serialization import canonical_encode
 
 OP_ERROR = "error"
@@ -50,9 +50,11 @@ Handler = Callable[[dict, "Session"], Iterable[dict]]
 
 
 def decode_frame_payload(payload: bytes) -> dict:
-    """Decode one frame payload back to its body mapping (fail-closed)."""
+    """Decode one frame payload back to its body mapping (fail-closed);
+    sealed transactions it carries come back built (see
+    :func:`repro.persist.codec.decode_frame`)."""
     try:
-        body = canonical_decode(payload)
+        body = decode_frame(payload)
     except SerializationError as exc:
         raise GatewayError(f"corrupt frame payload: {exc}",
                            reason="corrupt_frame") from None

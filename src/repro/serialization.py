@@ -26,6 +26,20 @@ and joins them once.
   ``int``, ``dict``/``MappingProxyType``, ``list``/``tuple``, ``bytes``,
   ``None``, ``bool``, ``float``, :class:`Pinned`.  Exact types cannot
   overlap, so the order of these tests is frequency, not semantics.
+* **Shape plan** — almost every mapping the system writes has one of a
+  few fixed key sets (transaction payloads, records, receipts, block
+  headers, state and snapshot rows).  An exact ``dict`` /
+  ``MappingProxyType`` is looked up by its key tuple (insertion order)
+  in a table of *plans*: the ``d<n>:`` head and, in sorted key order,
+  each key with its pre-encoded ``s<n>:<key>`` entry prefix.  A hit
+  skips the per-key type check, the sort and the key encoding; the
+  values still go through the encoder.  Plans are built only for
+  shapes whose keys are all exact ``str``, at most
+  :data:`_PLAN_MAX_KEYS` wide, and only while the table holds fewer
+  than :data:`_PLAN_CAP` of them — both constants, because key sets
+  also arrive from peers (records, payloads) and must not be able to
+  grow the table.  Every other mapping takes the loop below the plan:
+  same bytes, same :class:`SerializationError` for a non-``str`` key.
 * **Fallback** — everything else (subclasses such as ``OrderedDict`` or
   the ``str``-mixin :class:`~repro.chain.transaction.TxKind`,
   ``bytearray``, other ``Mapping``/``Sequence`` implementations, hook
@@ -45,10 +59,14 @@ immutable value.  :mod:`repro.persist.codec` uses this to embed a sealed
 transaction in a block, submit or job frame without re-walking it: the
 wire mapping is the signing body plus ``_sealed``/``_sig``/``_signer``,
 those three keys sort before every signing-body key (asserted at import
-there), so the mapping's encoding is a ``d<6+k>:`` head, the extra
-entries, and the seal-time pinned body minus its own ``d6:`` head.
-Sealed-only: an unsealed transaction can still change, so it takes the
-mapping path.
+in :mod:`repro.chain.transaction`), so the mapping's encoding is a
+``d<6+k>:`` head, the extra entries, and the seal-time pinned body minus
+its own ``d6:`` head.  Sealed-only: an unsealed transaction can still
+change, so it takes the mapping path.  The decoder runs the same splice
+backwards: :func:`repro.persist.codec.decode_frame` pins the slice a
+sealed transaction's fields were strictly decoded from as that
+transaction's encoding, vouching for it by the round-trip guarantee
+below.
 
 Strict decoding
 ---------------
@@ -109,7 +127,16 @@ def _encode_into(value: Any, append) -> None:
         append(b"i%d:" % len(body))
         append(body)
     elif t is dict or t is MappingProxyType:
-        _encode_mapping(value, append)
+        shape = tuple(value)
+        plan = _PLANS.get(shape) or _plan_for(shape)
+        if plan is None:
+            _encode_mapping(value, append)
+        else:
+            append(plan[0])
+            for key, prefix in plan[1]:
+                append(prefix)
+                _encode_into(value[key], append)
+            append(b"e")
     elif t is list or t is tuple:
         append(b"l%d:" % len(value))
         for item in value:
@@ -170,6 +197,34 @@ def _encode_into(value: Any, append) -> None:
         raise SerializationError(
             f"cannot canonically encode {type(value).__name__}"
         )
+
+
+# Shape plans: key tuple (insertion order) -> (head, ((key, prefix), ...))
+# with the pairs in sorted key order.  Never evicted and never grown past
+# the cap, so a hit is one dict probe and a peer cannot make the table
+# large (racing first encodes of distinct shapes may overshoot the cap by
+# one entry per thread).  A str-subclass key tuple that equals and hashes
+# like a planned one reuses its plan, which is the bytes ``str.encode``
+# and ``str.__lt__`` give it below.
+_PLAN_CAP = 256
+_PLAN_MAX_KEYS = 32
+_PLANS: dict[tuple, tuple] = {}
+
+
+def _plan_for(shape: tuple):
+    """The plan for ``shape``, built (and kept, below the cap) when every
+    key is an exact ``str``; ``None`` sends the caller to the loop."""
+    if len(shape) > _PLAN_MAX_KEYS or len(_PLANS) >= _PLAN_CAP:
+        return None
+    for key in shape:
+        if type(key) is not str:
+            return None
+    pairs = []
+    for key in sorted(shape):
+        body = key.encode("utf-8")
+        pairs.append((key, b"s%d:%b" % (len(body), body)))
+    plan = _PLANS[shape] = (b"d%d:" % len(shape), tuple(pairs))
+    return plan
 
 
 def _encode_mapping(value: Mapping, append) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 
 class ZipfSampler:
@@ -31,15 +32,9 @@ class ZipfSampler:
         self._cdf[-1] = 1.0  # guard against float drift
 
     def sample(self) -> int:
-        u = self.rng.random()
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # First rank whose cumulative probability reaches u, the last
+        # rank if none does.
+        return bisect_left(self._cdf, self.rng.random(), 0, self.n - 1)
 
     def sample_many(self, count: int) -> list[int]:
         return [self.sample() for _ in range(count)]

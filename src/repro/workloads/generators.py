@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .distributions import ZipfSampler
 
@@ -232,7 +233,8 @@ class MultiTenantShardWorkload:
     def generate(self, count: int) -> list[ShardOp]:
         """A replayable op list; timestamps are strictly increasing."""
         labels = [name for name, _ in self.OPS]
-        weights = [w for _, w in self.OPS]
+        # What rng.choices(labels, weights=...) would rebuild per draw.
+        cum_weights = list(accumulate(w for _, w in self.OPS))
         ops: list[ShardOp] = []
         for t in range(count):
             tenant = self._tenant()
@@ -252,8 +254,9 @@ class MultiTenantShardWorkload:
                 continue
             ops.append(ShardOp(
                 kind="record", namespace=tenant, subject=subject,
-                actor=actor, operation=self.rng.choices(labels,
-                                                        weights=weights)[0],
+                actor=actor,
+                operation=self.rng.choices(labels,
+                                           cum_weights=cum_weights)[0],
                 timestamp=t, size=self.rng.randint(32, 256),
             ))
         return ops

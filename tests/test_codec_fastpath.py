@@ -512,9 +512,9 @@ def _decodes_or_rejects(data: bytes) -> None:
     assert canonical_encode(value) == data
 
 
-@st.composite
-def mutated_encodings(draw):
-    data = bytearray(canonical_encode(draw(encodable)))
+def mutate(draw, encoded: bytes) -> bytes:
+    """One to three byte-level edits of ``encoded``."""
+    data = bytearray(encoded)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("flip", "drop", "insert", "swap")))
         if not data:
@@ -530,6 +530,11 @@ def mutated_encodings(draw):
             other = draw(st.integers(0, len(data) - 1))
             data[at], data[other] = data[other], data[at]
     return bytes(data)
+
+
+@st.composite
+def mutated_encodings(draw):
+    return mutate(draw, canonical_encode(draw(encodable)))
 
 
 class TestDecoderFailsClosed:
