@@ -8,7 +8,7 @@ export PYTHONPATH := src
         test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
         bench-gateway bench-all bench-e2e bench-e2e-compare bench-ab \
-        lint-private check
+        lint-private lint-layers check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -147,7 +147,9 @@ bench-ab:
 # persist.codec: what another package needs is exposed under a public
 # name instead.  Nor may the deleted request/response idiom come back:
 # object references or self-sized lists in message bodies, req_id
-# mailboxes, a second (blocking) frame reader.
+# mailboxes, a second (blocking) frame reader.  Nor may chain/ or exec/
+# ask a store what it can do (a hasattr/getattr capability probe): every
+# store implements the one append_blocks(pairs, fsync, encoded) write.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -156,12 +158,26 @@ lint-private:
 	    src/repro --include='*.py' | grep -v '^src/repro/persist/'
 	@! grep -rnE '_bundle_ref|SizedList|"req_id"|read_frame_sync' \
 	    src/repro --include='*.py'
+	@! grep -rnE '\b(hasattr|getattr)\(' src/repro/chain src/repro/exec \
+	    --include='*.py'
+
+# The production path (gateway, ingest, sharding, exec, persist, chain,
+# ...) may not import the survey packages — the surveyed systems, domains
+# and mechanisms that reproduce the paper's figures; repro/__init__.py
+# re-exports them lazily.  Nor may persist/ import sharding/ (storage
+# sits under the facade, never beside it).
+SURVEY := systems|domains|crosschain|consensus|privacy|access|analysis
+lint-layers:
+	@! grep -rnE '^\s*(from|import)\s+((\.+|repro\.)($(SURVEY))\b|\.+\s+import\s.*\b($(SURVEY))\b)' \
+	    src/repro --include='*.py' | grep -vE '^src/repro/($(SURVEY))/'
+	@! grep -rnE '^\s*(from|import)\s+(\.\.|repro\.)sharding\b' \
+	    src/repro/persist --include='*.py'
 
 # CI-style verification in one command: tier-1 tests, the private-
-# attribute lint, the seeded chaos smoke (3 fault plans, each run twice
+# attribute and layering lints, the seeded chaos smoke (3 fault plans, each run twice
 # — deterministic per seed), plus a smoke pass of each perf benchmark
 # (same code paths, small sizes, no floors).
-check: test test-codec test-transport lint-private
+check: test test-codec test-transport lint-private lint-layers
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke

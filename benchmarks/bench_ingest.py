@@ -250,14 +250,14 @@ def bench_group_commit_blocks(n_blocks: int, txs_per_block: int,
 
 def bench_signed_admission(n_events: int, burst: int,
                            store_dir: str) -> dict:
-    """Signed capture stream through the verify-offloading pipeline.
+    """Signed capture stream through the verifying pipeline.
 
-    Admission verification runs batched in the exec workers
-    (``executor="process"``); sealing re-verifies under
-    ``require_signatures``.  The surfaced LRU counters confirm the
-    process-pool path keeps the *parent* caches hot (worker-verified
-    signatures are recorded back via ``record_verified``, so the
-    re-verification at append time must hit, not recompute).
+    Admission verifies each batch inline in the parent (one
+    ``verify_encoded_batch`` pass); sealing runs in the exec workers
+    (``executor="process"``), which re-validate under
+    ``require_signatures``.  The surfaced LRU counters confirm admission
+    leaves the *parent* caches hot, so the audit pass at the end hits
+    instead of recomputing.
     """
     keys = [KeyPair.generate(f"ingest-signer-{k}") for k in range(8)]
     txs = [
@@ -288,11 +288,10 @@ def bench_signed_admission(n_events: int, burst: int,
     committed = sharded.total_txs_committed
     sharded.verify_all()
     sharded.close()
-    # Parent-side audit: re-verify every committed signature.  The
-    # workers verified these batches out-of-process; if their results
-    # were not recorded back into the parent cache this pass would pay
-    # full HMAC cost (hits would stay 0 — the cold-cache failure mode
-    # this section exists to catch).
+    # Parent-side audit: re-verify every committed signature.  If
+    # admission had not memoized its verdicts this pass would pay full
+    # HMAC cost (hits would stay 0 — the cold-cache failure mode this
+    # section exists to catch).
     r0 = time.perf_counter()
     assert all(tx.verify_signature() for tx in txs)
     recheck_s = time.perf_counter() - r0

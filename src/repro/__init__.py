@@ -33,14 +33,6 @@ from .chain import (
     Transaction,
     TxKind,
 )
-from .consensus import (
-    PBFTCluster,
-    ProofOfAuthority,
-    ProofOfStake,
-    ProofOfWork,
-    RaftCluster,
-    Validator,
-)
 from .crypto import CaseForest, KeyPair, MerkleTree, verify_proof
 from .network import ChainNode, GossipProtocol, LatencyModel, SimNet
 from .provenance import (
@@ -65,27 +57,6 @@ from .persist import (
     StateSnapshotStore,
 )
 from .storage import CloudObjectStore, ContentAddressedStore, ProvenanceDatabase
-from .systems import (
-    BlockCloud,
-    ForensiBlock,
-    ForensiCross,
-    IPFSProvenance,
-    LedgerViewSystem,
-    PrivChain,
-    ProvChain,
-    SciLedger,
-    SynergyChain,
-    Vassago,
-)
-from .crosschain import (
-    AtomicSwap,
-    BridgeChain,
-    HTLCManager,
-    NotaryScheme,
-    PeggedSidechain,
-    RelayChain,
-    SwapParty,
-)
 from .sharding import (
     BeaconChain,
     CrossShardCoordinator,
@@ -102,6 +73,35 @@ from .sync import (
     SyncReport,
 )
 from .errors import SyncError
+
+# The surveyed systems and mechanisms (the paper reproduction) resolve on
+# first use (PEP 562): the production path — gateway, ingest, sharding,
+# persist — never imports them, so ``import repro.sharding`` stays small.
+_SURVEY_EXPORTS = {
+    "consensus": ("PBFTCluster", "ProofOfAuthority", "ProofOfStake",
+                  "ProofOfWork", "RaftCluster", "Validator"),
+    "systems": ("BlockCloud", "ForensiBlock", "ForensiCross",
+                "IPFSProvenance", "LedgerViewSystem", "PrivChain",
+                "ProvChain", "SciLedger", "SynergyChain", "Vassago"),
+    "crosschain": ("AtomicSwap", "BridgeChain", "HTLCManager",
+                   "NotaryScheme", "PeggedSidechain", "RelayChain",
+                   "SwapParty"),
+}
+_SURVEY_HOME = {name: package
+                for package, names in _SURVEY_EXPORTS.items()
+                for name in names}
+
+
+def __getattr__(name: str):
+    package = _SURVEY_HOME.get(name)
+    if package is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{package}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

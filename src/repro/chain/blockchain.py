@@ -12,21 +12,36 @@ Responsibilities:
   via a per-block state undo journal, falling back to genesis replay only
   when the fork is deeper than the journal window.
 
-Hot-path vs auditor split: :meth:`append_block` trusts the Merkle tree the
-block built at construction (builder and appender are the same process),
-while :meth:`verify` / :meth:`first_broken_height` always rebuild the tree
-from the transaction hashes — and with ``deep=True`` recompute even those
-from raw payload bytes, defeating any stale cache.
+Hot-path vs auditor split: every commit entry point — :meth:`append_block`,
+:meth:`append_blocks`, :meth:`apply_executed_blocks`, reorg re-commit and
+the reopen replay — is argument preparation around **one** skeleton,
+:meth:`Blockchain._commit_group`: validate linkage → snapshot per block →
+advance state → install in the store → unwind exactly what the store did
+not commit → journal/prune → subscribers → interval checkpoint.  The
+caller supplies how state advances (run the executor, or apply an exec
+worker's deltas), whether the group is installed at all (the reopen
+replay re-executes blocks the store already holds) and announced, and the
+``fsync`` choice, which travels unchanged to the segment log: a single
+:meth:`append_block` is a group of one with the fsync deferred to the next
+group or checkpoint.  The commit path trusts the Merkle tree the block
+built at construction (builder and appender are the same process), while
+:meth:`verify` / :meth:`first_broken_height` always rebuild the tree from
+the transaction hashes — and with ``deep=True`` recompute even those from
+raw payload bytes, defeating any stale cache.
 
-Storage split (ISSUE 3): the chain no longer owns a block list.  All
-block, transaction-index, and receipt access goes through a pluggable
-:class:`~repro.persist.stores.BlockStore` — in-memory by default (the
-seed's exact data structures), or the sqlite-indexed segment-log backend
-from :mod:`repro.persist.durable`.  With a durable store plus a
-:class:`~repro.persist.stores.StateSnapshotStore`, a chain reopened on an
-existing directory resumes from its checkpointed state and re-executes
-only the blocks above the snapshot (``blocks_replayed_on_open``), instead
-of replaying from genesis.  Reorg truncation is store-aware: replaced
+Storage split: the chain owns no block list.  All block,
+transaction-index, and receipt access goes through a pluggable
+:class:`~repro.persist.stores.BlockStore` — in-memory by default, or the
+sqlite-indexed segment-log backend from :mod:`repro.persist.durable` —
+whose only write is ``append_blocks(pairs, fsync, encoded)``; the chain
+never asks a store what it can do.  A store may keep a committed prefix
+when it fails mid-group, so the skeleton unwinds state by the height the
+store reports afterwards, never by what it attempted: chain, state and
+undo journal stay aligned whatever the store did.  With a durable store
+plus a :class:`~repro.persist.stores.StateSnapshotStore`, a chain reopened
+on an existing directory resumes from its checkpointed state and
+re-executes only the blocks above the snapshot
+(``blocks_replayed_on_open``).  Reorg truncation is store-aware: replaced
 blocks are physically removed from the log and index.
 """
 
@@ -38,6 +53,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from ..crypto.merkle import MerkleProof, verify_proof
 from ..errors import ForkError, InvalidBlock, StorageError, TamperDetected
+from ..persist.codec import EncodedReceipts
 from ..persist.stores import (
     BlockSequenceView,
     BlockStore,
@@ -123,6 +139,19 @@ def default_executor(
     return receipt
 
 
+def execute_block(block: Block, state: StateStore, executor: Executor,
+                  chain) -> list[TransactionReceipt]:
+    """Apply ``block``'s transactions to ``state`` in order — the one
+    place a block executes, for the chain and for an exec worker's
+    replica alike (``chain`` is what the executor dereferences)."""
+    receipts = []
+    for tx in block.transactions:
+        receipt = executor(tx, state, chain)
+        receipt.block_height = block.height
+        receipts.append(receipt)
+    return receipts
+
+
 class Blockchain:
     """A single chain instance (one per organization / per node copy)."""
 
@@ -202,7 +231,7 @@ class Blockchain:
                     "contract_runtime= so the restore replay can "
                     "re-execute them"
                 )
-            self._execute_restored(block)
+            self._replay_stored(block)
             self.blocks_replayed_on_open += 1
 
     # ------------------------------------------------------------------
@@ -302,110 +331,38 @@ class Blockchain:
         )
 
     def append_block(self, block: Block) -> list[TransactionReceipt]:
-        """Validate, execute, and commit ``block``; returns its receipts."""
-        self._validate_linkage(block, expected_height=self.height + 1)
-        # Hot path: trust the tree the block built at construction — the
-        # auditor paths (verify / first_broken_height) rebuild it.  When
-        # the benchmark lever disables caching, fall back to the seed's
-        # full rebuild so the baseline is faithful.
-        block.verify_structure(use_cached_tree=_tx_mod.HASH_CACHING_ENABLED)
-        for tx in block.transactions:
-            tx.validate(require_signature=self.params.require_signatures)
-        receipts = self._commit_block(block)
-        for callback in self._subscribers:
-            callback(block, receipts)
-        # Interval checkpoints run only after the block is fully
-        # committed and announced — a checkpoint failure (disk full) must
-        # not masquerade as a failed append of a block that landed.
-        if (self._snapshot_interval > 0
-                and block.height % self._snapshot_interval == 0):
-            self.checkpoint()
-        return receipts
+        """Validate, execute, and commit ``block``; returns its receipts.
+        A group of one whose fsync is deferred to the next group commit
+        or checkpoint."""
+        return self.append_blocks([block], fsync=False)[0]
 
     def append_blocks(
-        self, blocks: list[Block]
+        self, blocks: list[Block], fsync: bool = True
     ) -> list[list[TransactionReceipt]]:
         """Validate, execute, and **group-commit** consecutive blocks.
 
-        The sealing path's batch surface: every block is validated and
-        executed exactly as :meth:`append_block` would, but the store
-        commit happens once for the whole group — on the durable backend
-        that is one buffered log write, one fsync, and one sqlite
-        transaction instead of one of each per block.  The group is
-        atomic on backends with a native batch commit: a failure while
-        executing or committing unwinds every block's state changes and
-        commits nothing.  A backend riding the ``append_blocks`` loop
-        fallback may keep a committed prefix when it fails mid-group —
-        state is unwound only for the blocks the store did *not* commit,
-        so chain and state stay aligned either way.
+        The store commit happens once for the whole group — on the
+        durable backend one buffered log write (fsynced when ``fsync``)
+        and one sqlite transaction.  A failure while executing or
+        committing unwinds every block the store did not commit.
         """
-        if not blocks:
-            return []
-        prev = self.head
-        start_height = prev.height
         for block in blocks:
-            if block.height != prev.height + 1:
-                raise InvalidBlock(
-                    f"expected height {prev.height + 1}, got {block.height}"
-                )
-            if block.header.prev_hash != prev.block_hash:
-                raise InvalidBlock(
-                    f"block {block.height} does not link to "
-                    f"{prev.block_id[:10]}…"
-                )
+            # Trust the tree the block built at construction — the
+            # auditor paths (verify / first_broken_height) rebuild it.
+            # When the benchmark lever disables caching, fall back to the
+            # seed's full rebuild so the baseline is faithful.
             block.verify_structure(
                 use_cached_tree=_tx_mod.HASH_CACHING_ENABLED
             )
             for tx in block.transactions:
                 tx.validate(require_signature=self.params.require_signatures)
-            prev = block
-        depth = self.params.reorg_journal_depth
-        all_receipts: list[list[TransactionReceipt]] = []
-        # Per-block snapshots are taken even with journaling disabled —
-        # the group unwind needs them; they are committed away (folded/
-        # discarded) after the store commit when depth == 0.
-        group_snaps: list[int] = []
-        try:
-            for block in blocks:
-                group_snaps.append(self.state.snapshot())
-                all_receipts.append(self._run_executor(block))
-            self._store.append_blocks(list(zip(blocks, all_receipts)))
-        except BaseException:
-            # Unwind only what the store did not commit: 0 blocks on a
-            # batch-native backend (all-or-nothing), possibly a prefix
-            # on a loop-fallback backend.
-            committed = max(0, self._store.height() - start_height)
-            while len(group_snaps) > committed:
-                self.state.rollback(group_snaps.pop())
-            if depth > 0:
-                self._block_snaps.extend(group_snaps)
-            else:
-                for handle in reversed(group_snaps):
-                    self.state.commit_snapshot(handle)
-            raise
-        if depth > 0:
-            self._block_snaps.extend(group_snaps)
-            while len(self._block_snaps) > depth:
-                self.state.prune_oldest_snapshot()
-                self._block_snaps.popleft()
-        else:
-            for handle in reversed(group_snaps):
-                self.state.commit_snapshot(handle)
-        for block, receipts in zip(blocks, all_receipts):
-            for callback in self._subscribers:
-                callback(block, receipts)
-        if (self._snapshot_interval > 0
-                and any(block.height % self._snapshot_interval == 0
-                        for block in blocks)):
-            self.checkpoint()
-        return all_receipts
+        return self._commit_group(blocks, fsync=fsync)
 
     def apply_executed_blocks(
         self,
         blocks: list[Block],
         deltas: list[list],
-        receipts_lists: list[list[TransactionReceipt]] | None = None,
-        raw_items: list[dict] | None = None,
+        encoded: list[tuple[bytes, list[bytes]]],
         expected_state_root: bytes | None = None,
     ) -> None:
         """Commit blocks that were validated and executed *elsewhere*
@@ -413,157 +370,130 @@ class Blockchain:
         re-running transactions.
 
         ``deltas[i]`` is block ``i``'s :meth:`StateStore.drain_snapshot_delta`
-        change set.  The store commit uses ``raw_items`` (pre-encoded
-        frames for :meth:`~repro.persist.durable.DurableBlockStore.install_raw`)
-        when given and supported, avoiding a parent-side re-encode;
-        otherwise it group-commits ``receipts_lists`` through the normal
-        store surface.  Subscribers need decoded receipts, so callers
-        with subscribers must pass ``receipts_lists`` even on the raw
-        path.
+        change set; ``encoded[i]`` is the ``(frame, receipt bodies)`` the
+        caller already holds for it (the job frame it sent, the bodies
+        the worker returned), handed to the store so nothing is encoded
+        twice — receipts are decoded only if a subscriber or an
+        object-keeping store reads them.
 
         ``expected_state_root`` is the executing worker's post-group
         root: when it does not match the parent's root after applying the
         deltas, everything is unwound and :class:`TamperDetected` is
         raised *before* any store commit — a diverging worker can never
         seal state the parent did not reproduce.
-
-        Snapshot journaling, pruning, subscriber fan-out, and interval
-        checkpoints mirror :meth:`append_blocks` exactly, so serial and
-        process-pool sealing leave identical chain/state/journal shape.
         """
+        if len(deltas) != len(blocks) or len(encoded) != len(blocks):
+            raise InvalidBlock("need one state delta and one encoded "
+                               "frame per block")
+        self._commit_group(blocks, fsync=True, deltas=deltas,
+                           encoded=encoded,
+                           expected_state_root=expected_state_root)
+
+    def _commit_block(self, block: Block) -> list[TransactionReceipt]:
+        """Execute and attach an already-validated block without
+        announcing it (reorg re-commit, deep-fork replay)."""
+        return self._commit_group([block], fsync=False, announce=False)[0]
+
+    def _replay_stored(self, block: Block) -> None:
+        """Re-execute a block the store already holds (reopen replay and
+        the deep-fork fallback); journaled exactly like a fresh commit."""
+        self._commit_group([block], fsync=False, install=False,
+                           announce=False)
+
+    def _commit_group(
+        self,
+        blocks: list[Block],
+        *,
+        fsync: bool,
+        install: bool = True,
+        announce: bool = True,
+        deltas: list[list] | None = None,
+        encoded=None,
+        expected_state_root: bytes | None = None,
+    ) -> list[list[TransactionReceipt]]:
+        """The one commit skeleton (see the module docstring for what
+        each caller supplies).  State advances across each block by
+        executing it, or — given ``deltas`` from a worker that already
+        did — by applying block ``i``'s change set."""
         if not blocks:
-            return
-        if len(deltas) != len(blocks):
-            raise InvalidBlock("need one state delta per block")
-        prev = self.head
-        start_height = prev.height
-        for block in blocks:
-            if block.height != prev.height + 1:
-                raise InvalidBlock(
-                    f"expected height {prev.height + 1}, got {block.height}"
-                )
-            if block.header.prev_hash != prev.block_hash:
-                raise InvalidBlock(
-                    f"block {block.height} does not link to "
-                    f"{prev.block_id[:10]}…"
-                )
-            prev = block
-        use_raw = raw_items is not None and hasattr(self._store, "install_raw")
-        if self._subscribers and receipts_lists is None:
-            raise StorageError(
-                "chain has subscribers; apply_executed_blocks needs "
-                "decoded receipts_lists to fan out"
-            )
-        if not use_raw and receipts_lists is None:
-            raise StorageError(
-                "store lacks install_raw; pass receipts_lists for the "
-                "group-commit fallback"
-            )
-        depth = self.params.reorg_journal_depth
-        group_snaps: list[int] = []
+            return []
+        start_height = self._store.height()
+        if install:
+            prev = self.head
+            for block in blocks:
+                if block.height != prev.height + 1:
+                    raise InvalidBlock(
+                        f"expected height {prev.height + 1}, "
+                        f"got {block.height}"
+                    )
+                if block.header.prev_hash != prev.block_hash:
+                    raise InvalidBlock(
+                        f"block {block.height} does not link to "
+                        f"{prev.block_id[:10]}…"
+                    )
+                prev = block
+        # One snapshot per block whatever the journal depth: the unwind
+        # needs them, and at depth 0 they are folded away afterwards.
+        snaps: list[int] = []
+        all_receipts: list[list[TransactionReceipt]] = []
         try:
-            for delta in deltas:
-                group_snaps.append(self.state.snapshot())
-                self.state.apply_delta(delta)
+            for index, block in enumerate(blocks):
+                snaps.append(self.state.snapshot())
+                if deltas is None:
+                    receipts = execute_block(block, self.state,
+                                             self.executor, self)
+                else:
+                    self.state.apply_delta(deltas[index])
+                    receipts = EncodedReceipts(encoded[index][1])
+                all_receipts.append(receipts)
             if expected_state_root is not None \
                     and self.state.state_root() != expected_state_root:
                 raise TamperDetected(
                     f"chain {self.chain_id}: worker-reported state root "
                     "does not match the parent's delta replay"
                 )
-            if use_raw:
-                self._store.install_raw(raw_items)
-            else:
+            if install:
                 self._store.append_blocks(
-                    list(zip(blocks, receipts_lists))
+                    list(zip(blocks, all_receipts)), fsync=fsync,
+                    encoded=encoded,
                 )
         except BaseException:
-            committed = max(0, self._store.height() - start_height)
-            while len(group_snaps) > committed:
-                self.state.rollback(group_snaps.pop())
-            if depth > 0:
-                self._block_snaps.extend(group_snaps)
-            else:
-                for handle in reversed(group_snaps):
-                    self.state.commit_snapshot(handle)
+            # A raising executor — or a store that failed the append —
+            # must not leave a half-applied block behind.  Unwind what
+            # the store did not commit (it may have kept a prefix), so
+            # the journal stays aligned with committed blocks.
+            committed = self._store.height() - start_height
+            while len(snaps) > committed:
+                self.state.rollback(snaps.pop())
             raise
-        if use_raw:
-            cache_decoded = getattr(self._store, "cache_decoded", None)
-            if cache_decoded is not None:
-                cache_decoded(blocks)
+        finally:
+            self._journal(snaps)
+        if announce:
+            for block, receipts in zip(blocks, all_receipts):
+                for callback in self._subscribers:
+                    callback(block, receipts)
+            # Interval checkpoints run only after the group is fully
+            # committed and announced — a checkpoint failure (disk full)
+            # must not masquerade as a failed append of blocks that
+            # landed.
+            if (self._snapshot_interval > 0
+                    and any(block.height % self._snapshot_interval == 0
+                            for block in blocks)):
+                self.checkpoint()
+        return all_receipts
+
+    def _journal(self, snaps: list[int]) -> None:
+        """Keep committed blocks' snapshots as the reorg journal,
+        bounded to ``reorg_journal_depth`` (0: fold them away)."""
+        depth = self.params.reorg_journal_depth
         if depth > 0:
-            self._block_snaps.extend(group_snaps)
+            self._block_snaps.extend(snaps)
             while len(self._block_snaps) > depth:
                 self.state.prune_oldest_snapshot()
                 self._block_snaps.popleft()
         else:
-            for handle in reversed(group_snaps):
+            for handle in reversed(snaps):
                 self.state.commit_snapshot(handle)
-        if receipts_lists is not None:
-            for block, receipts in zip(blocks, receipts_lists):
-                for callback in self._subscribers:
-                    callback(block, receipts)
-        if (self._snapshot_interval > 0
-                and any(block.height % self._snapshot_interval == 0
-                        for block in blocks)):
-            self.checkpoint()
-
-    def _run_executor(self, block: Block) -> list[TransactionReceipt]:
-        receipts = []
-        for tx in block.transactions:
-            receipt = self.executor(tx, self.state, self)
-            receipt.block_height = block.height
-            receipts.append(receipt)
-        return receipts
-
-    def _commit_block(self, block: Block) -> list[TransactionReceipt]:
-        """Execute and attach an already-validated block (shared by
-        append, reorg, and replay; fires no subscribers)."""
-        depth = self.params.reorg_journal_depth
-        if depth > 0:
-            self._block_snaps.append(self.state.snapshot())
-        try:
-            receipts = self._run_executor(block)
-            self._store.append_block(block, receipts)
-        except BaseException:
-            # A raising (custom) executor — or a store that failed the
-            # append — must not leave a half-applied block behind: unwind
-            # state so the journal stays aligned with committed blocks.
-            if depth > 0:
-                self.state.rollback(self._block_snaps.pop())
-            raise
-        if depth > 0 and len(self._block_snaps) > depth:
-            self.state.prune_oldest_snapshot()
-            self._block_snaps.popleft()
-        return receipts
-
-    def _execute_restored(self, block: Block) -> list[TransactionReceipt]:
-        """Re-execute a block the store already holds (reopen replay and
-        the deep-fork fallback); journaled exactly like a fresh commit."""
-        depth = self.params.reorg_journal_depth
-        if depth > 0:
-            self._block_snaps.append(self.state.snapshot())
-        try:
-            receipts = self._run_executor(block)
-        except BaseException:
-            if depth > 0:
-                self.state.rollback(self._block_snaps.pop())
-            raise
-        if depth > 0 and len(self._block_snaps) > depth:
-            self.state.prune_oldest_snapshot()
-            self._block_snaps.popleft()
-        return receipts
-
-    def _validate_linkage(self, block: Block, expected_height: int) -> None:
-        if block.height != expected_height:
-            raise InvalidBlock(
-                f"expected height {expected_height}, got {block.height}"
-            )
-        if block.header.prev_hash != self.head.block_hash:
-            raise InvalidBlock(
-                f"block {block.height} does not link to current head "
-                f"{self.head.block_id[:10]}…"
-            )
 
     # ------------------------------------------------------------------
     # Durability (checkpoints; no-ops on the in-memory backend)
@@ -721,7 +651,7 @@ class Blockchain:
         self._discard_snapshot_above(fork_height)
         for height in range(1, fork_height + 1):
             # Re-execute without re-validating signatures (already done).
-            self._execute_restored(self._store.block_at(height))
+            self._replay_stored(self._store.block_at(height))
         for block in new_suffix:
             self._commit_block(block)
 

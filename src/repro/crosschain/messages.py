@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..crypto.hashing import DOMAIN_XCHAIN, hash_canonical
+from ..sharding.twophase import TransferOutcome  # noqa: F401 - re-export
 
 
 @dataclass(frozen=True)
@@ -35,23 +36,3 @@ class CrossChainMessage:
 
     def digest(self) -> bytes:
         return hash_canonical(self.to_canonical(), DOMAIN_XCHAIN)
-
-
-@dataclass
-class TransferOutcome:
-    """What a cross-chain transfer attempt cost and how it ended.
-
-    ``status``: ``"completed"`` | ``"aborted"`` | ``"refunded"``.
-    The EVAL-XCHAIN bench aggregates these across mechanisms.
-    """
-
-    mechanism: str
-    status: str
-    messages: int = 0
-    on_chain_txs: int = 0
-    latency_ticks: int = 0
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def completed(self) -> bool:
-        return self.status == "completed"

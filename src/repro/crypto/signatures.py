@@ -187,9 +187,7 @@ def clear_verify_cache() -> None:
 def cache_stats() -> dict:
     """Hit/miss/size counters for both signature-verification LRUs —
     this module's digest-keyed memo and the transaction layer's
-    ``(tx_id, signer, tag)`` memo.  The observability the process-pool
-    path needs: offloaded verification must *populate* these caches in
-    the parent (see :func:`record_verified`), not silently run cold."""
+    ``(tx_id, signer, tag)`` memo."""
     from ..chain import transaction as tx_mod
 
     _, hits, misses = _cache_counters()
@@ -219,32 +217,9 @@ def reset_cache_stats() -> None:
 
 def key_material(public: PublicKey) -> bytes | None:
     """Registry lookup: the signing bytes for ``public``, or ``None``
-    for an unregistered key.  The parent-side half of offloaded
-    verification — workers receive raw key material with each batch, so
-    fork timing never makes a registered key "unknown" in a child."""
+    for an unregistered key.  Exec jobs carry it for their signers, so
+    fork timing never makes a registered key "unknown" in a worker."""
     return _KEY_REGISTRY.get(public.key_bytes)
-
-
-def verify_digest(digest: bytes, key: bytes, tag: bytes) -> bool:
-    """Recompute-and-compare on a prehashed message digest.  Shared by
-    the exec worker's ``verify`` handler and the pool's inline fallback,
-    so both compute exactly what :func:`verify_encoded` would."""
-    expected = hmac.new(key, digest, hashlib.sha256).digest()
-    return hmac.compare_digest(expected, tag)
-
-
-def record_verified(digest: bytes, public_bytes: bytes,
-                    tag: bytes) -> None:
-    """Memoize an externally-established pass (a worker's verdict) so
-    later in-process re-validation of the same item is a cache probe."""
-    _verify_cache_put((digest, public_bytes, tag))
-
-
-def check_verified(digest: bytes, public_bytes: bytes,
-                   tag: bytes) -> bool:
-    """Probe the memo without computing anything — lets the offload
-    path skip shipping already-verified items to a worker."""
-    return _verify_cache_hit((digest, public_bytes, tag))
 
 
 def verify_encoded(encoded: bytes, tag: bytes, public: PublicKey) -> bool:

@@ -1,16 +1,32 @@
 """Process-pool execution engine: beat the GIL on CPU-bound sealing.
 
 Thread-pool sealing (PR 4) scales only because fsync and sqlite release
-the GIL — Python-side validate/execute/verify work still serializes.
-This package moves that work into worker *processes*:
+the GIL — Python-side validate/execute work still serializes.  This
+package moves that work into worker *processes*:
 
 * :class:`~repro.exec.pool.ProcessExecPool` — worker lifecycle, one-job-
   in-flight dispatch, death detection + epoch bookkeeping;
 * :mod:`~repro.exec.worker` — the child-side loop: per-chain state
-  replicas, block execution, batched signature verification.
+  replicas and block execution.
 
-Design note: the codec **is** the IPC format
---------------------------------------------
+Design note: one commit skeleton, and the codec **is** the IPC format
+---------------------------------------------------------------------
+
+A worker executes; only the parent commits, and it commits through the
+same skeleton as every other path
+(:meth:`~repro.chain.blockchain.Blockchain._commit_group`).  The worker
+runs :func:`~repro.chain.blockchain.execute_block` — the function the
+chain itself executes with — against its replica and returns per-block
+deltas, receipt bodies and the post-group state root.
+:meth:`~repro.chain.blockchain.Blockchain.apply_executed_blocks` then
+supplies the skeleton with three things: ``deltas`` to apply instead of
+executing, the ``expected_state_root`` check that runs before install, and
+``encoded`` = the job frames and receipt bodies the engine already holds.
+Linkage validation, the per-block snapshots, the unwind, journaling,
+subscriber fan-out and interval checkpoints are the skeleton's, so serial
+and process sealing leave identical chain/state/journal shape by
+construction rather than by mirroring.  A round is fsynced
+(``fsync=True``): it is a group commit like any other.
 
 Jobs and results cross the pipe as canonical-codec payloads
 (:mod:`repro.persist.codec` — the exact bytes the durable segment log
@@ -18,10 +34,12 @@ stores).  That buys three things:
 
 1. **No second serialization format.**  Block frames encoded for the
    wire are byte-identical to the frames the durable store would write,
-   so the parent encodes each block once and reuses the bytes for both
-   the worker job and the store commit
-   (:meth:`~repro.persist.durable.DurableBlockStore.install_raw`) —
-   and receipt bodies returned by workers are committed verbatim.
+   so the parent encodes each block once and hands the same bytes to the
+   worker job and, as ``encoded``, to the store's one write
+   (:meth:`~repro.persist.stores.BlockStore.append_blocks`) — and
+   receipt bodies returned by workers are committed verbatim.  A store
+   that keeps no bytes (the in-memory one) ignores them; nobody asks a
+   store what it can do.
 2. **The codec's round-trip discipline is already tested.**  Pickle
    would silently ship live objects (open handles, locks, the whole
    object graph); the canonical codec is closed over encodable values

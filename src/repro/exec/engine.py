@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from ..chain.block import Block
 from ..crypto.signatures import key_material
-from ..persist.codec import canonical_decode, decode_receipt, encode_block
+from ..persist.codec import canonical_decode, encode_block
 from ..serialization import canonical_encode
 from ..sharding.engines import ShardResult, round_trace_ctx
 from .pool import ProcessExecPool
@@ -56,13 +56,6 @@ class ProcessRoundEngine:
         self.pool: ProcessExecPool | None = None
         self._replicas: dict[int, tuple[int, int, int, bytes]] = {}
 
-    def offload_pool(self) -> ProcessExecPool:
-        if self.pool is None:
-            self.pool = ProcessExecPool(
-                self.n_workers, runtime_factory=self._runtime_factory
-            )
-        return self.pool
-
     def close(self) -> None:
         if self.pool is not None:
             self.pool.shutdown()
@@ -71,7 +64,11 @@ class ProcessRoundEngine:
 
     def seal(self, shards: Sequence["Shard"], ts: int,
              blocks_per_shard: int) -> list[ShardResult | BaseException]:
-        pool = self.offload_pool()
+        if self.pool is None:
+            self.pool = ProcessExecPool(
+                self.n_workers, runtime_factory=self._runtime_factory
+            )
+        pool = self.pool
         outcomes: dict[int, ShardResult | BaseException] = {}
         jobs: list[_ShardJob] = []
         for shard in shards:
@@ -182,35 +179,13 @@ class ProcessRoundEngine:
         if reply is not None and reply.get("status") == "ok":
             try:
                 chain = shard.chain
-                bodies = reply["receipts"]
                 deltas = [
                     [(op[0], op[1], bool(op[2]), op[3]) for op in ops]
                     for ops in reply["deltas"]
                 ]
-                raw_items = None
-                receipts_lists = None
-                if hasattr(chain.store, "install_raw"):
-                    raw_items = [
-                        {
-                            "height": block.height,
-                            "block_hash": block.block_hash,
-                            "frame": frame,
-                            "tx_ids": [tx.tx_id
-                                       for tx in block.transactions],
-                            "receipts": body_list,
-                        }
-                        for block, frame, body_list
-                        in zip(job.blocks, job.frames, bodies)
-                    ]
-                if chain._subscribers or raw_items is None:
-                    receipts_lists = [
-                        [decode_receipt(body) for body in body_list]
-                        for body_list in bodies
-                    ]
                 chain.apply_executed_blocks(
                     job.blocks, deltas,
-                    receipts_lists=receipts_lists,
-                    raw_items=raw_items,
+                    list(zip(job.frames, reply["receipts"])),
                     expected_state_root=reply["state_root"],
                 )
                 self._replicas[shard.shard_id] = (

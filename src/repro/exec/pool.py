@@ -23,15 +23,12 @@ module-level).
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import multiprocessing as mp
 from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Iterator, Sequence
 
 from ..errors import ShardError
-from ..persist.codec import canonical_decode
 from ..serialization import canonical_encode
 from .worker import worker_main
 
@@ -204,48 +201,3 @@ class ProcessExecPool:
         for _, response in self.run([(widx, payload)]):
             return response
         return None  # pragma: no cover - run always yields once
-
-    # ------------------------------------------------------------------
-    # Batched signature verification (the ingest pipeline's offload)
-    # ------------------------------------------------------------------
-    def verify_batch(
-        self, items: Sequence[tuple[bytes, bytes, bytes]]
-    ) -> list[bool]:
-        """Verify ``(digest, key_material, tag)`` triples across the
-        pool; chunked contiguously over the workers.  A dead worker's
-        chunk is re-verified inline (same HMAC), so the result is always
-        complete and positionally aligned with ``items``."""
-        if not items:
-            return []
-        chunk_size = -(-len(items) // self.n_workers)  # ceil division
-        chunks = [items[i:i + chunk_size]
-                  for i in range(0, len(items), chunk_size)]
-        jobs = [
-            (widx, canonical_encode({
-                "kind": "verify",
-                "items": [[digest, key, tag]
-                          for digest, key, tag in chunk],
-            }))
-            for widx, chunk in enumerate(chunks)
-        ]
-        verdicts_by_chunk: dict[int, list | None] = {}
-        for index, response in self.run(jobs):
-            if response is None:
-                verdicts_by_chunk[index] = None
-                continue
-            reply = canonical_decode(response)
-            verdicts_by_chunk[index] = (reply.get("verdicts")
-                                        if reply.get("status") == "ok"
-                                        else None)
-        out: list[bool] = []
-        for index, chunk in enumerate(chunks):
-            verdicts = verdicts_by_chunk.get(index)
-            if verdicts is None or len(verdicts) != len(chunk):
-                verdicts = [
-                    hmac.compare_digest(
-                        hmac.new(key, digest, hashlib.sha256).digest(), tag
-                    )
-                    for digest, key, tag in chunk
-                ]
-            out.extend(bool(v) for v in verdicts)
-        return out

@@ -11,8 +11,6 @@ why the codec doubles as the IPC format):
   against the replica, and return per-block encoded receipts + net state
   deltas + the post-group state root.  The parent applies the deltas;
   the worker never touches durable storage.
-* ``verify`` — batched signature verification: ``(digest, key, tag)``
-  triples in, verdicts out.  Pure HMAC recompute, no registry needed.
 * ``ping`` / ``shutdown`` — liveness and orderly teardown.
 
 Replica consistency is checked per job: the parent sends the base height
@@ -34,7 +32,7 @@ import os
 import threading
 from typing import Any
 
-from ..chain.blockchain import default_executor
+from ..chain.blockchain import default_executor, execute_block
 from ..chain.state import StateStore
 from ..obs.runtime import reset_default_telemetry, telemetry
 from ..obs.trace import TraceContext
@@ -110,14 +108,6 @@ def _telemetry_payload() -> dict:
             "counters": tel.registry.drain_counter_deltas()}
 
 
-def _handle_verify(job: dict) -> dict:
-    from ..crypto.signatures import verify_digest
-
-    verdicts = [verify_digest(digest, key, tag)
-                for digest, key, tag in job["items"]]
-    return {"status": "ok", "verdicts": verdicts}
-
-
 def _handle_probe_storage(job: dict) -> dict:
     """Test surface: prove the durable-storage fork guard holds inside a
     *real* exec worker (not just a simulated flag flip)."""
@@ -181,23 +171,19 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
                 block.verify_structure()
                 for tx in block.transactions:
                     tx.validate(require_signature=require_signature)
+                # No per-block rollback: any failure drops the whole
+                # replica below.  The snapshot only scopes the delta.
                 snap = replica.state.snapshot()
-                bodies: list[bytes] = []
-                try:
-                    for tx in block.transactions:
-                        receipt = default_executor(tx, replica.state,
-                                                   replica.shim)
-                        receipt.block_height = block.height
-                        bodies.append(encode_receipt(receipt))
-                except BaseException:
-                    replica.state.rollback(snap)
-                    raise
+                receipts_out.append([
+                    encode_receipt(receipt) for receipt in execute_block(
+                        block, replica.state, default_executor,
+                        replica.shim)
+                ])
                 deltas_out.append(
                     [[ns, key, present, value]
                      for ns, key, present, value
                      in replica.state.drain_snapshot_delta(snap)]
                 )
-                receipts_out.append(bodies)
                 replica.height = block.height
                 txs_executed += len(block.transactions)
     except BaseException as exc:  # noqa: BLE001 - reported, not fatal
@@ -245,8 +231,6 @@ def worker_main(conn, runtime_factory=None) -> None:
             elif kind == "exec":
                 response = _handle_exec(job, replicas, runtime_factory)
                 response["telemetry"] = _telemetry_payload()
-            elif kind == "verify":
-                response = _handle_verify(job)
             elif kind == "probe_storage":
                 response = _handle_probe_storage(job)
             else:

@@ -46,9 +46,10 @@ blocks per shard go down as **one** buffered segment-log write finished
 by **one** fsync, then **one** sqlite transaction covers every
 height/tx/receipt row (``executemany``).  The fsync is the durability
 point: when ``seal_round`` returns, the sealed blocks are on stable
-storage — strictly stronger than the per-append path, which deferred
-durability to the next checkpoint, and cheaper, because the group
-amortizes the write and index round-trips.  A crash anywhere inside a
+storage — strictly stronger than a single append (the same write as a
+group of one, with ``fsync=False`` deferring durability to the next
+group or checkpoint), and cheaper, because the group amortizes the
+write and index round-trips.  A crash anywhere inside a
 group leaves either no index rows or all of them (frames are fsynced
 before the index commit), so recovery truncates to a consistent
 log+index boundary exactly as for single appends.  Record ingest group-

@@ -13,16 +13,10 @@ from typing import Iterable, Sequence
 import time
 
 from ..chain.transaction import Transaction
-from ..crypto import signatures as sig
-from ..crypto.hashing import DOMAIN_SIG, hash_bytes
 from ..crypto.signatures import verify_encoded_batch
 from ..errors import CryptoError, InvalidTransaction, QueueFull, ShardError
 from ..obs.runtime import telemetry as default_telemetry
 from ..sharding.shardchain import RoundReport, ShardedChain, SubmitReport
-
-# Admission batches below this size verify inline: a worker round-trip
-# (encode + pipe + decode both ways) costs more than a handful of HMACs.
-_OFFLOAD_MIN_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,6 @@ class IngestPipeline:
         sharded: ShardedChain,
         queue_capacity: int = 8192,
         high_watermark: float = 0.75,
-        admission_batch: int | None = None,
         verify_signatures: bool = False,
         max_blocks_per_round: int = 8,
         telemetry=None,
@@ -131,8 +124,7 @@ class IngestPipeline:
             raise ShardError("max_blocks_per_round must be >= 1")
         self.sharded = sharded
         max_txs = sharded.shards[0].chain.params.max_block_txs
-        self.admission_batch = (admission_batch if admission_batch
-                                else max(max_txs, 1))
+        self.admission_batch = max(max_txs, 1)
         self.verify_signatures = verify_signatures
         self.max_blocks_per_round = max_blocks_per_round
         hw = max(1, int(queue_capacity * high_watermark))
@@ -264,43 +256,6 @@ class IngestPipeline:
     # ------------------------------------------------------------------
     # Admission (pump) and sealing
     # ------------------------------------------------------------------
-    def _verify_offloaded(self, signed: list[Transaction],
-                          pool) -> list[bool]:
-        """Batched signature verification in the exec workers.
-
-        Already-memoized transactions are answered by a cache probe and
-        never shipped; unknown signer keys fail closed (same verdict the
-        inline path's :class:`CryptoError` fallback produces).  Worker
-        passes are memoized in the parent (:func:`sig.record_verified`)
-        so seal-time re-validation stays a cache probe — the offload
-        must *populate* the caches, not bypass them.
-        """
-        verdicts = [False] * len(signed)
-        pending: list[tuple[int, bytes, bytes, bytes, bytes]] = []
-        for i, tx in enumerate(signed):
-            digest = hash_bytes(tx._encoded_body(), DOMAIN_SIG)
-            signer_bytes = tx.signer.key_bytes
-            if sig.check_verified(digest, signer_bytes, tx.signature):
-                verdicts[i] = True
-                continue
-            secret = sig.key_material(tx.signer)
-            if secret is None:
-                continue
-            pending.append(
-                (i, digest, signer_bytes, secret, tx.signature)
-            )
-        if pending:
-            results = pool.verify_batch(
-                [(digest, secret, tag)
-                 for _, digest, _, secret, tag in pending]
-            )
-            for (i, digest, signer_bytes, _, tag), good in zip(pending,
-                                                               results):
-                if good:
-                    sig.record_verified(digest, signer_bytes, tag)
-                    verdicts[i] = True
-        return verdicts
-
     def _verify_batch(
         self, batch: list[Transaction]
     ) -> tuple[list[Transaction], list[Transaction]]:
@@ -311,17 +266,6 @@ class IngestPipeline:
         signed = [tx for tx in batch
                   if tx.signature is not None and tx.signer is not None
                   and tx.signer.address == tx.sender]
-        # The round engine's exec pool (started on demand) when the
-        # deployment seals in process mode; None keeps admission on the
-        # inline path (in-memory/thread deployments lose nothing).
-        pool = (self.sharded.engine.offload_pool()
-                if len(signed) >= _OFFLOAD_MIN_BATCH else None)
-        if pool is not None:
-            verdicts = self._verify_offloaded(signed, pool)
-            ok = [tx for tx, good in zip(signed, verdicts) if good]
-            bad = unsigned + [tx for tx, good in zip(signed, verdicts)
-                              if not good]
-            return ok, bad
         try:
             verdicts = verify_encoded_batch(
                 [(tx._encoded_body(), tx.signature, tx.signer)

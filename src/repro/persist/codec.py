@@ -26,6 +26,7 @@ re-encoded (*The decode-side splice*, under "Transactions" below).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import lt as _lt
 from typing import Any
 
@@ -492,6 +493,24 @@ def encode_receipt(receipt: TransactionReceipt) -> bytes:
 
 def decode_receipt(payload: bytes) -> TransactionReceipt:
     return receipt_from_mapping(canonical_decode(payload))
+
+
+class EncodedReceipts(Sequence):
+    """One block's receipts as the bodies an exec worker returned,
+    decoded on first access: a store that commits the bodies verbatim
+    never pays for objects nobody reads."""
+
+    def __init__(self, bodies: Sequence[bytes]) -> None:
+        self._bodies = bodies
+        self._decoded: list[TransactionReceipt] | None = None
+
+    def __len__(self) -> int:
+        return len(self._bodies)
+
+    def __getitem__(self, index):
+        if self._decoded is None:
+            self._decoded = [decode_receipt(b) for b in self._bodies]
+        return self._decoded[index]
 
 
 # ---------------------------------------------------------------------------

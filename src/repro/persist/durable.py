@@ -12,14 +12,31 @@ One :class:`DurableStorage` per store directory owns
 
 Commit discipline (the crash-recovery contract): an entry **counts iff
 its sqlite index row is committed and its log frame is CRC-valid**.
-Appends write the log frame first (flushed), then commit the index row;
-truncations delete index rows first, then cut the log.  A crash between
-the two steps therefore always leaves the log *ahead* of the index, and
-:meth:`DurableStorage._recover` reconciles on open by walking the index
-tail backwards until it finds a valid frame, dropping orphaned rows, and
-truncating the log to the last indexed frame.  The fault-injection hook
-on the segment log makes every intermediate byte state reachable in
-tests.
+Each store has exactly one writer — :meth:`DurableBlockStore._write_group`
+and :meth:`DurableRecordStore.append_many` — and both do the same three
+things in the same order: check the group is consecutive from the head,
+hand every frame to one ``SegmentLog.append_many(frames, fsync=)``, then
+commit every index row in one sqlite transaction.  A single append is a
+group of one.  Callers that hold objects reach the block writer through
+:meth:`DurableBlockStore.append_blocks` (which encodes, unless the caller
+passes the bytes it already has); the snapshot client, which holds only
+verified frames, through :meth:`DurableBlockStore.install_raw`.
+
+Where the fsync decision is made: not here.  ``fsync`` arrives from the
+caller and is passed to the log unchanged — ``True`` makes the group its
+own durability point (a sealed round, a record batch, a synced tail
+batch), ``False`` leaves the frames flushed to the OS with the fsync
+deferred to the next group or checkpoint (single appends: anchor and
+beacon blocks, one-off records).  Truncations delete index rows first,
+then cut the log.  A crash between the two steps of either therefore
+always leaves the log *ahead* of the index, and
+:meth:`DurableStorage._recover_blocks` / ``_recover_records`` reconcile
+on open by walking the index tail backwards until it finds a valid frame, dropping orphaned rows, and
+truncating the log to the last indexed frame — so a group is on disk
+entirely or not at all, and a chain that failed mid-commit unwinds by
+the height the store reports, never by what it attempted.  The
+fault-injection hook on the segment log makes every intermediate byte
+state reachable in tests.
 """
 
 from __future__ import annotations
@@ -156,85 +173,63 @@ class DurableBlockStore(BlockStore):
         return row[0]
 
     # -- write path ----------------------------------------------------
-    def append_block(self, block: Block,
-                     receipts: Sequence[TransactionReceipt]) -> None:
-        if block.height != self._height + 1:
-            raise StorageError(
-                f"store expects height {self._height + 1}, "
-                f"got {block.height}"
-            )
-        loc = self._log.append(encode_block(block))
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO blocks(height, segment, offset, length, "
-                "block_hash) VALUES (?,?,?,?,?)",
-                (block.height, loc.segment, loc.offset, loc.length,
-                 block.block_hash),
-            )
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO txs(tx_id, height, pos) "
-                "VALUES (?,?,?)",
-                [(tx.tx_id, block.height, pos)
-                 for pos, tx in enumerate(block.transactions)],
-            )
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO receipts(tx_id, height, body) "
-                "VALUES (?,?,?)",
-                [(r.tx_id, block.height, encode_receipt(r))
-                 for r in receipts],
-            )
-        self._height = block.height
-        self._cache_put(block)
-
-    def append_blocks(
-        self,
-        pairs: Sequence[tuple[Block, Sequence[TransactionReceipt]]],
-    ) -> None:
-        """Group-commit several consecutive blocks.
-
-        All frames go down in one buffered log write finished by one
-        fsync (the group's durability point), then every index row —
-        heights, tx locations, receipts — lands in **one** sqlite
-        transaction via ``executemany``.  A crash anywhere inside the
-        group leaves either no index rows (log ahead of index: recovery
-        truncates the orphaned frames) or all of them (frames fsynced
-        before the index commit), so the group is atomic on disk.
-        """
-        if not pairs:
-            return
-        for i, (block, _) in enumerate(pairs):
-            if block.height != self._height + 1 + i:
+    def _write_group(self, heads: Sequence[tuple[int, bytes]],
+                     frames: Sequence[bytes], tx_rows: list[tuple],
+                     receipt_rows: list[tuple], fsync: bool) -> None:
+        """The one writer: ``heads`` are ``(height, block_hash)`` per
+        frame, consecutive from the current head.  All frames go down in
+        one buffered log write — fsynced when ``fsync``, else flushed
+        with the fsync deferred to the next group or checkpoint — then
+        every index row lands in **one** sqlite transaction.  A crash
+        anywhere inside leaves either no index rows (log ahead of index:
+        recovery truncates the orphaned frames) or all of them, so the
+        group is atomic on disk.  Index rows are inserted sorted by
+        primary key: the tx_id b-trees fill with better page locality
+        than hash-random arrival order (table content is
+        order-independent)."""
+        for i, (height, _) in enumerate(heads):
+            if height != self._height + 1 + i:
                 raise StorageError(
                     f"store expects height {self._height + 1 + i}, "
-                    f"got {block.height}"
+                    f"got {height}"
                 )
-        locs = self._log.append_many(
-            [encode_block(block) for block, _ in pairs]
-        )
+        locs = self._log.append_many(frames, fsync=fsync)
         with self._conn:
             self._conn.executemany(
                 "INSERT INTO blocks(height, segment, offset, length, "
                 "block_hash) VALUES (?,?,?,?,?)",
-                [(block.height, loc.segment, loc.offset, loc.length,
-                  block.block_hash)
-                 for (block, _), loc in zip(pairs, locs)],
+                [(height, loc.segment, loc.offset, loc.length, block_hash)
+                 for (height, block_hash), loc in zip(heads, locs)],
             )
             self._conn.executemany(
                 "INSERT OR REPLACE INTO txs(tx_id, height, pos) "
-                "VALUES (?,?,?)",
-                [(tx.tx_id, block.height, pos)
-                 for block, _ in pairs
-                 for pos, tx in enumerate(block.transactions)],
+                "VALUES (?,?,?)", sorted(tx_rows),
             )
             self._conn.executemany(
                 "INSERT OR REPLACE INTO receipts(tx_id, height, body) "
-                "VALUES (?,?,?)",
-                [(r.tx_id, block.height, encode_receipt(r))
-                 for block, receipts in pairs
-                 for r in receipts],
+                "VALUES (?,?,?)", sorted(receipt_rows),
             )
+        self._height += len(heads)
+
+    def append_blocks(self, pairs, fsync=True, encoded=None) -> None:
+        if not pairs:
+            return
+        if encoded is None:
+            encoded = [(encode_block(block),
+                        [encode_receipt(r) for r in receipts])
+                       for block, receipts in pairs]
+        self._write_group(
+            [(block.height, block.block_hash) for block, _ in pairs],
+            [frame for frame, _ in encoded],
+            [(tx.tx_id, block.height, pos)
+             for block, _ in pairs
+             for pos, tx in enumerate(block.transactions)],
+            [(tx.tx_id, block.height, body)
+             for (block, _), (_, bodies) in zip(pairs, encoded)
+             for tx, body in zip(block.transactions, bodies)],
+            fsync,
+        )
         for block, _ in pairs:
-            self._height = block.height
             self._cache_put(block)
 
     def truncate_above(self, height: int) -> None:
@@ -271,13 +266,6 @@ class DurableBlockStore(BlockStore):
         self._cache.move_to_end(block.height)
         while len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
-
-    def cache_decoded(self, blocks: Sequence[Block]) -> None:
-        """Prime the decoded-block cache with blocks the caller already
-        holds (the process-pool commit path installs raw frames, so
-        without this the first read after a round would re-decode)."""
-        for block in blocks:
-            self._cache_put(block)
 
     def block_at(self, height: int) -> Block:
         cached = self._cache.get(height)
@@ -380,53 +368,24 @@ class DurableBlockStore(BlockStore):
     def install_raw(self, items: Sequence[dict]) -> None:
         """Group-install already-verified raw block frames (the snapshot
         client's surface).  Each item is a :meth:`raw_block_item`-shaped
-        mapping; heights must be consecutive from the current head.  The
-        frames go down exactly like :meth:`append_blocks` — one buffered
-        log write + one fsync, then one sqlite transaction — but nothing
-        is decoded and nothing is executed: the caller vouches for the
-        content (hash-chain + beacon verification happened upstream).
-        """
+        mapping; heights must be consecutive from the current head.
+        Nothing is decoded and nothing is executed: the caller vouches
+        for the content (hash-chain + beacon verification happened
+        upstream)."""
         if not items:
             return
-        for i, item in enumerate(items):
-            if item["height"] != self._height + 1 + i:
-                raise StorageError(
-                    f"store expects height {self._height + 1 + i}, "
-                    f"got {item['height']}"
-                )
-        locs = self._log.append_many([item["frame"] for item in items])
-        # Bulk rows are sorted by primary key before insertion: the
-        # tx_id b-tree fills with far better page locality than the
-        # hash-random arrival order offers (a pure install-path win —
-        # table content is order-independent).
-        tx_rows = sorted(
-            (tx_id, item["height"], pos)
-            for item in items
-            for pos, tx_id in enumerate(item["tx_ids"])
+        self._write_group(
+            [(item["height"], item["block_hash"]) for item in items],
+            [item["frame"] for item in items],
+            [(tx_id, item["height"], pos)
+             for item in items
+             for pos, tx_id in enumerate(item["tx_ids"])],
+            [(tx_id, item["height"], body)
+             for item in items
+             for tx_id, body in zip(item["tx_ids"], item["receipts"])
+             if body is not None],
+            fsync=True,
         )
-        receipt_rows = sorted(
-            (tx_id, item["height"], body)
-            for item in items
-            for tx_id, body in zip(item["tx_ids"], item["receipts"])
-            if body is not None
-        )
-        with self._conn:
-            self._conn.executemany(
-                "INSERT INTO blocks(height, segment, offset, length, "
-                "block_hash) VALUES (?,?,?,?,?)",
-                [(item["height"], loc.segment, loc.offset, loc.length,
-                  item["block_hash"])
-                 for item, loc in zip(items, locs)],
-            )
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO txs(tx_id, height, pos) "
-                "VALUES (?,?,?)", tx_rows,
-            )
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO receipts(tx_id, height, body) "
-                "VALUES (?,?,?)", receipt_rows,
-            )
-        self._height = items[-1]["height"]
 
     def receipt_for(self, tx_id: str) -> TransactionReceipt | None:
         row = self._conn.execute(
@@ -456,26 +415,9 @@ class DurableRecordStore(RecordStore):
         row = conn.execute("SELECT MAX(position) FROM records").fetchone()
         self._count = 0 if row[0] is None else row[0] + 1
 
-    def append(self, record: dict) -> int:
-        position = self._count
-        loc = self._log.append(encode_record(record))
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO records(position, record_id, segment, offset, "
-                "length) VALUES (?,?,?,?,?)",
-                (position, str(record.get("record_id") or position),
-                 loc.segment, loc.offset, loc.length),
-            )
-        self._count = position + 1
-        self._cache_put(position, dict(record))
-        return position
-
-    def append_many(self, records: Sequence[dict],
-                    encoded: Sequence[bytes] | None = None) -> list[int]:
-        """Group-commit a batch of records: one buffered log write + one
-        fsync + one index transaction, versus one of each *per record*
-        on the :meth:`append` path — the dominant saving on the durable
-        ingest hot path (capture streams arrive thousands at a time).
+    def append_many(self, records, encoded=None, fsync=True) -> list[int]:
+        """The one writer: one buffered log write (fsynced when
+        ``fsync``) + one index transaction for the whole batch.
         ``encoded`` frames go to the log verbatim and hand ``records``
         over to the read cache (see :meth:`RecordStore.append_many`)."""
         if not records:
@@ -484,7 +426,7 @@ class DurableRecordStore(RecordStore):
         owned = encoded is not None
         if not owned:
             encoded = [encode_record(record) for record in records]
-        locs = self._log.append_many(encoded)
+        locs = self._log.append_many(encoded, fsync=fsync)
         with self._conn:
             self._conn.executemany(
                 "INSERT INTO records(position, record_id, segment, offset, "
@@ -639,7 +581,6 @@ class DurableStorage(MetaStore):
 
     def __init__(self, directory: str | os.PathLike,
                  max_segment_bytes: int = 4 * 1024 * 1024,
-                 block_cache_size: int = 256,
                  codec: str | SegmentCodec = SegmentCodec.RAW,
                  cas=None) -> None:
         # Fork-safety contract (audited for the exec process pool):
@@ -701,8 +642,7 @@ class DurableStorage(MetaStore):
         )
         self.recovered_blocks = self._recover_blocks()
         self.recovered_records = self._recover_records()
-        self.blocks = DurableBlockStore(self._conn, self.block_log,
-                                        cache_size=block_cache_size)
+        self.blocks = DurableBlockStore(self._conn, self.block_log)
         self.records = DurableRecordStore(self._conn, self.record_log)
         self.state = DurableStateSnapshotStore(self._conn)
         self._cas = cas

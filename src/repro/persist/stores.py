@@ -40,24 +40,30 @@ class BlockStore(ABC):
     """Committed blocks + transaction index + receipts, by height."""
 
     @abstractmethod
-    def append_block(self, block: Block,
-                     receipts: Sequence[TransactionReceipt]) -> None:
-        """Commit ``block`` (height must be exactly head + 1) and its
-        receipts atomically."""
-
     def append_blocks(
         self,
         pairs: Sequence[tuple[Block, Sequence[TransactionReceipt]]],
+        fsync: bool = True,
+        encoded: Sequence[tuple[bytes, Sequence[bytes]]] | None = None,
     ) -> None:
-        """Commit several consecutive blocks as **one** group.
+        """Commit consecutive blocks (heights from head + 1) and their
+        receipts as **one** group — the only write a store implements.
 
-        Backends that can group-commit (one buffered log write, one
-        fsync, one index transaction) override this; the default is a
-        loop of :meth:`append_block`, which preserves per-append
-        semantics on backends with nothing to group.
+        ``fsync`` is the durability choice, passed down to the log: true
+        makes the group the durability point, false leaves it flushed
+        with the fsync deferred to the next group or checkpoint.
+        ``encoded`` is each block's ``(frame, receipt bodies)`` from a
+        caller that already holds the canonical bytes (the process
+        engine's job frames and worker replies); a byte-backed store
+        writes them verbatim instead of encoding again.  A store may
+        keep a committed prefix when it fails mid-group; callers unwind
+        by the height it reports afterwards.
         """
-        for block, receipts in pairs:
-            self.append_block(block, receipts)
+
+    def append_block(self, block: Block,
+                     receipts: Sequence[TransactionReceipt]) -> None:
+        """Commit one block: a group of one, fsync deferred."""
+        self.append_blocks([(block, receipts)], fsync=False)
 
     @abstractmethod
     def block_at(self, height: int) -> Block:
@@ -107,21 +113,22 @@ class RecordStore(ABC):
     """Append-only provenance records addressed by integer position."""
 
     @abstractmethod
-    def append(self, record: dict) -> int:
-        """Store a record; returns its position."""
-
     def append_many(self, records: Sequence[dict],
-                    encoded: Sequence[bytes] | None = None) -> list[int]:
-        """Store several records; returns their positions.
+                    encoded: Sequence[bytes] | None = None,
+                    fsync: bool = True) -> list[int]:
+        """Store several records as one group; returns their positions.
 
-        Group-commit point for durable backends (one log write + fsync
-        + one index transaction); the default loops :meth:`append`.
+        The only write a store implements (durable: one log write + one
+        index transaction, made the durability point by ``fsync``).
         ``encoded`` is each record's canonical bytes, from a caller that
         already has them; it can only vouch for bytes of dicts nobody
         else will mutate, so with it the store keeps ``records`` as its
         own instead of copying them.
         """
-        return [self.append(record) for record in records]
+
+    def append(self, record: dict) -> int:
+        """Store one record: a group of one, fsync deferred."""
+        return self.append_many([record], fsync=False)[0]
 
     @abstractmethod
     def get(self, position: int) -> dict:
@@ -206,18 +213,18 @@ class MemoryBlockStore(BlockStore):
         self._tx_index: dict[str, tuple[int, int]] = {}
         self._receipts: dict[str, TransactionReceipt] = {}
 
-    def append_block(self, block: Block,
-                     receipts: Sequence[TransactionReceipt]) -> None:
-        if block.height != len(self._blocks):
-            raise StorageError(
-                f"store expects height {len(self._blocks)}, "
-                f"got {block.height}"
-            )
-        self._blocks.append(block)
-        for pos, tx in enumerate(block.transactions):
-            self._tx_index[tx.tx_id] = (block.height, pos)
-        for receipt in receipts:
-            self._receipts[receipt.tx_id] = receipt
+    def append_blocks(self, pairs, fsync=True, encoded=None) -> None:
+        for block, receipts in pairs:
+            if block.height != len(self._blocks):
+                raise StorageError(
+                    f"store expects height {len(self._blocks)}, "
+                    f"got {block.height}"
+                )
+            self._blocks.append(block)
+            for pos, tx in enumerate(block.transactions):
+                self._tx_index[tx.tx_id] = (block.height, pos)
+            for receipt in receipts:
+                self._receipts[receipt.tx_id] = receipt
 
     def block_at(self, height: int) -> Block:
         if not 0 <= height < len(self._blocks):
@@ -275,9 +282,10 @@ class MemoryRecordStore(RecordStore):
     def __init__(self) -> None:
         self._records: list[dict] = []
 
-    def append(self, record: dict) -> int:
-        self._records.append(dict(record))
-        return len(self._records) - 1
+    def append_many(self, records, encoded=None, fsync=True) -> list[int]:
+        start = len(self._records)
+        self._records.extend(dict(record) for record in records)
+        return list(range(start, len(self._records)))
 
     def get(self, position: int) -> dict:
         return dict(self._records[position])

@@ -43,10 +43,6 @@ class RoundEngine(Protocol):
              blocks_per_shard: int) -> list[ShardResult | BaseException]:
         ...
 
-    def offload_pool(self):
-        """``pool``, started on demand, for the ingest pipeline's
-        signature batches to borrow; ``None`` without worker processes."""
-
     def close(self) -> None:
         """Stop every thread/process the engine started (they restart
         lazily if the engine is used again)."""
@@ -122,9 +118,6 @@ class InProcessEngine:
         ]
         futures_wait(futures)
         return [future.exception() or future.result() for future in futures]
-
-    def offload_pool(self):
-        return None
 
     def close(self) -> None:
         if self._threads is not None:

@@ -338,8 +338,6 @@ class ShardedChain:
         max_block_txs: int = 256,
         reorg_journal_depth: int = 64,
         anchor_batch_size: int = 64,
-        chain_id_prefix: str = "shard",
-        router: ShardRouter | None = None,
         storage_dir: str | None = None,
         snapshot_interval: int = 0,
         checkpoint_every_rounds: int = 0,
@@ -367,9 +365,7 @@ class ShardedChain:
             raise ShardError(f"unknown executor mode {executor!r}")
         if exec_workers is not None and exec_workers < 1:
             raise ShardError("exec_workers must be >= 1")
-        self.router = router or ShardRouter(n_shards)
-        if self.router.n_shards != n_shards:
-            raise ShardError("router shard count does not match")
+        self.router = ShardRouter(n_shards)
         self.storage_dir = storage_dir
         self.checkpoint_every_rounds = checkpoint_every_rounds
         shard_storages: list[Any] = [None] * n_shards
@@ -404,7 +400,7 @@ class ShardedChain:
             Shard(
                 i,
                 ChainParams(
-                    chain_id=f"{chain_id_prefix}-{i}",
+                    chain_id=f"shard-{i}",
                     max_block_txs=max_block_txs,
                     reorg_journal_depth=reorg_journal_depth,
                 ),
@@ -417,7 +413,7 @@ class ShardedChain:
             for i in range(n_shards)
         ]
         self.beacon = BeaconChain(
-            ChainParams(chain_id=f"{chain_id_prefix}-beacon"),
+            ChainParams(chain_id="shard-beacon"),
             store=beacon_storage.blocks if beacon_storage else None,
             snapshot_store=beacon_storage.state if beacon_storage else None,
         )
@@ -833,35 +829,34 @@ class ShardedChain:
     ) -> tuple[int, AnchorReceipt | None]:
         """Store a provenance record on its home shard and queue it for
         anchoring; returns ``(shard_id, anchor receipt if one flushed)``.
-        Validated like a batch of one, minus the batch path's fsync."""
-        [(shard_id, [stored])] = self._route_records([record]).items()
-        shard = self.shards[shard_id]
-        shard.database.insert(stored)
-        receipt = shard.anchor.enqueue(stored)
-        shard.query.notify_write()
-        return shard_id, receipt
+        A batch of one whose fsync is deferred to the next group commit
+        or checkpoint."""
+        flushed = self.ingest_records([record], fsync=False)
+        shard_id = self.router.shard_for_subject(str(record["subject"]))
+        return shard_id, next(iter(flushed.get(shard_id, ())), None)
 
     def ingest_records(
-        self, records: Sequence[Mapping[str, Any]]
+        self, records: Sequence[Mapping[str, Any]], fsync: bool = True
     ) -> dict[int, list[AnchorReceipt]]:
         """Batched record ingest: one routing pass, one group-committed
         database insert per shard (one log write + one index transaction
-        on the durable backend), then anchor enqueueing.  Returns the
-        anchor receipts flushed per shard.  Lock conflicts, missing
-        subjects, and duplicate record ids all raise before anything is
-        stored — a batch that fails *validation* commits nothing on any
-        shard.  (A storage-layer crash mid-call can still leave the
-        shards committed before the failure point durably stored; their
-        logs recover independently, and the failed shards' records can
-        be re-ingested.)"""
+        on the durable backend, fsynced when ``fsync``), then anchor
+        enqueueing.  Returns the anchor receipts flushed per shard.
+        Lock conflicts, missing subjects, and duplicate record ids all
+        raise before anything is stored — a batch that fails
+        *validation* commits nothing on any shard.  (A storage-layer
+        crash mid-call can still leave the shards committed before the
+        failure point durably stored; their logs recover independently,
+        and the failed shards' records can be re-ingested.)"""
         receipts: dict[int, list[AnchorReceipt]] = {}
         for shard_id, bucket in self._route_records(records).items():
             shard = self.shards[shard_id]
             # The routed copies are ours to give away, so each record is
             # encoded once and the same bytes frame it in the record log
-            # and feed its anchor digest.
+            # and feed its anchor digest; handing them over also vouches
+            # for the id checks the routing pass just made.
             encoded = [encode_record(rec) for rec in bucket]
-            shard.database.insert_many(bucket, encoded)
+            shard.database.insert_many(bucket, encoded, fsync=fsync)
             flushed = [r for r in map(shard.anchor.enqueue, bucket, encoded)
                        if r is not None]
             if flushed:

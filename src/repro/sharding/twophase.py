@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..chain import Transaction, TxKind
-from ..crosschain.messages import TransferOutcome
 from ..errors import AnchorError, ChainError, ShardError
 from ..persist.segment import CrashPoint
 from .shardchain import RoundReport, ShardedChain
@@ -76,6 +75,28 @@ WAL_STEPS = (
     "begin", "lock_leg", "committing", "commit_leg",
     "finalizing", "finalized", "aborting", "aborted",
 )
+
+
+@dataclass
+class TransferOutcome:
+    """What a cross-shard or cross-chain transfer attempt cost and how
+    it ended (:mod:`repro.crosschain.messages` re-exports it for the
+    surveyed mechanisms).
+
+    ``status``: ``"completed"`` | ``"aborted"`` | ``"refunded"``.
+    The EVAL-XCHAIN bench aggregates these across mechanisms.
+    """
+
+    mechanism: str
+    status: str
+    messages: int = 0
+    on_chain_txs: int = 0
+    latency_ticks: int = 0
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def completed(self) -> bool:
+        return self.status == "completed"
 
 
 @dataclass

@@ -73,48 +73,44 @@ class ProvenanceDatabase:
     # Ingest
     # ------------------------------------------------------------------
     def insert(self, record: Mapping[str, Any]) -> int:
-        """Insert a record dict; returns its position.
+        """Insert a record dict; returns its position.  A batch of one
+        whose fsync is deferred (see :meth:`insert_many`)."""
+        self.insert_many([record], fsync=False)
+        return self._by_id[str(record["record_id"])]
 
-        Required fields: ``record_id``; indexed when present: ``subject``
+    def insert_many(self, records, encoded=None, fsync=True) -> int:
+        """Insert a batch through the store's one write (one log write +
+        one index transaction on the durable backend, fsynced when
+        ``fsync``) and index it in one pass; returns the count.
+
+        Required field: ``record_id``; indexed when present: ``subject``
         (the data artifact), ``actor`` (who acted), ``operation``,
-        ``timestamp``.
-        """
-        record_id = record.get("record_id")
-        if not record_id:
-            raise QueryError("record needs a record_id")
-        if record_id in self._by_id:
-            raise QueryError(f"duplicate record_id {record_id!r}")
-        stored = dict(record)
-        position = self._store.append(stored)
-        self._index_record(position, stored)
-        return position
+        ``timestamp``.  All-or-nothing: a missing or duplicate id
+        anywhere rejects the batch before anything is stored.
 
-    def insert_many(self, records, encoded=None) -> int:
-        """Batched insert: validate ids up front, then hand the whole
-        batch to the store's group-commit surface (one log write + one
-        index transaction on the durable backend) and index in one
-        pass.  All-or-nothing: a duplicate id anywhere rejects the batch
-        before anything is stored.  ``encoded`` is the records' canonical
-        bytes from a caller that owns the dicts and gives them away
-        (:meth:`RecordStore.append_many`); without it each record is
-        copied first."""
-        stored_batch: list[dict] = []
-        seen: set[str] = set()
-        for record in records:
-            record_id = record.get("record_id")
-            if not record_id:
-                raise QueryError("record needs a record_id")
-            if record_id in self._by_id or record_id in seen:
-                raise QueryError(f"duplicate record_id {record_id!r}")
-            seen.add(record_id)
-            stored_batch.append(record if encoded is not None
-                                else dict(record))
-        if not stored_batch:
+        ``encoded`` is the records' canonical bytes from a caller that
+        owns the dicts and gives them away
+        (:meth:`RecordStore.append_many`) — the sharded facade, whose
+        routing pass has already decided id uniqueness across every
+        shard, so the check is not repeated here (a durable store's
+        ``UNIQUE`` index still backs it).  Without it each record is
+        validated and copied first."""
+        if encoded is None:
+            seen: set[str] = set()
+            for record in records:
+                record_id = record.get("record_id")
+                if not record_id:
+                    raise QueryError("record needs a record_id")
+                if record_id in self._by_id or record_id in seen:
+                    raise QueryError(f"duplicate record_id {record_id!r}")
+                seen.add(record_id)
+            records = [dict(record) for record in records]
+        if not records:
             return 0
-        positions = self._store.append_many(stored_batch, encoded)
-        for position, stored in zip(positions, stored_batch):
+        positions = self._store.append_many(records, encoded, fsync=fsync)
+        for position, stored in zip(positions, records):
             self._index_record(position, stored)
-        return len(stored_batch)
+        return len(records)
 
     # ------------------------------------------------------------------
     # Point & indexed lookups

@@ -193,3 +193,33 @@ StateStoreMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestStateStoreStateful = StateStoreMachine.TestCase
+
+
+class TestPackageSurface:
+    def test_every_public_name_resolves(self):
+        import repro
+
+        assert len(set(repro.__all__)) == len(repro.__all__)
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+        with pytest.raises(AttributeError):
+            repro.no_such_name
+
+    def test_production_path_does_not_import_the_survey(self):
+        """The survey re-exports resolve lazily, so importing the
+        sharded production stack loads none of those packages."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.sharding, repro.gateway, repro.ingest\n"
+            "survey = {'systems', 'domains', 'crosschain', 'consensus',\n"
+            "          'privacy', 'access', 'analysis'}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.')\n"
+            "             and m.split('.')[1] in survey))\n"
+            "from repro import ProvChain, AtomicSwap, ProofOfWork\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
