@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
-        test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
+        test-crash test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
         bench-gateway bench-all bench-e2e bench-e2e-compare bench-ab \
         lint-private lint-layers check
@@ -66,6 +66,15 @@ test-transport:
 # same report signature, or the run fails.
 test-chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py tests/test_engines.py -q
+	$(PYTHON) -m repro.chaos --seeds 11,23,47
+
+# Crash suite: the kill-at-every-round matrix (crash 0..16 rounds past a
+# checkpoint, a 2PC handoff in flight, a log fault inside an anchor
+# block's frame, a fresh replica, a forged proof row, a store written by
+# the parent, the counted fsync/COMMIT guards) plus the seeded chaos
+# harness — no evidence lost, nothing anchored twice.
+test-crash:
+	$(PYTHON) -m pytest tests/test_crash_matrix.py -q
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 
 # Fast CI-friendly run of the hot-path benchmark (small sizes).
@@ -149,7 +158,13 @@ bench-ab:
 # object references or self-sized lists in message bodies, req_id
 # mailboxes, a second (blocking) frame reader.  Nor may chain/ or exec/
 # ask a store what it can do (a hasattr/getattr capability probe): every
-# store implements the one append_blocks(pairs, fsync, encoded) write.
+# store implements the one append_blocks(pairs, fsync, encoded, derived)
+# write.  Nor may proof state be checkpointed again: no dump_state /
+# restore_state twin and no put_meta( of a whole service under
+# provenance/, sharding/ or sync/ — what a block creates commits with
+# that block as its derived row (the put_meta( calls allowed by name are
+# the facade's meta surface, its layout row, the 2PC WAL that rides it and
+# the sync client's resume marker).
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -160,6 +175,11 @@ lint-private:
 	    src/repro --include='*.py'
 	@! grep -rnE '\b(hasattr|getattr)\(' src/repro/chain src/repro/exec \
 	    --include='*.py'
+	@! grep -rnE '\b(dump|restore)_state\b' src/repro/provenance \
+	    src/repro/sharding src/repro/sync --include='*.py'
+	@! grep -rnE '\bput_meta\(' src/repro/provenance src/repro/sharding \
+	    src/repro/sync --include='*.py' \
+	    | grep -vE 'def put_meta\(|put_meta\((key, value\)|_BASE_META_KEY|self\._(T_PREFIX|(LAYOUT_META|EPOCH|SEQ|ACTIVE)_KEY))'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains
@@ -173,12 +193,12 @@ lint-layers:
 	@! grep -rnE '^\s*(from|import)\s+(\.\.|repro\.)sharding\b' \
 	    src/repro/persist --include='*.py'
 
-# CI-style verification in one command: tier-1 tests, the private-
-# attribute and layering lints, the seeded chaos smoke (3 fault plans, each run twice
-# — deterministic per seed), plus a smoke pass of each perf benchmark
-# (same code paths, small sizes, no floors).
-check: test test-codec test-transport lint-private lint-layers
-	$(PYTHON) -m repro.chaos --seeds 11,23,47
+# CI-style verification in one command: tier-1 tests, the crash suite
+# (kill matrix + the seeded chaos smoke: 3 fault plans, each run twice —
+# deterministic per seed), the private-attribute and layering lints, plus
+# a smoke pass of each perf benchmark (same code paths, small sizes, no
+# floors).
+check: test test-codec test-transport test-crash lint-private lint-layers
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke
 	$(PYTHON) benchmarks/bench_persist.py --smoke

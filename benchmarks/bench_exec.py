@@ -200,7 +200,11 @@ def run_mode(executor: str, workers: int | None,
     total_s = time.perf_counter() - t0
 
     commitments = {
-        "beacon": sc.beacon.dump_state(),
+        "beacon": (list(sc.beacon.receipts), [
+            sc.beacon.prove_shard_block(
+                s, h, sc.shard(s).chain.block_at(h).block_hash)
+            for s in range(N_SHARDS)
+            for h in range(1, sc.shard(s).chain.height + 1)]),
         "roots": [sc.shard(s).chain.state.state_root()
                   for s in range(N_SHARDS)],
         "heights": [sc.shard(s).chain.height for s in range(N_SHARDS)],

@@ -33,8 +33,8 @@ Storage split: the chain owns no block list.  All block,
 transaction-index, and receipt access goes through a pluggable
 :class:`~repro.persist.stores.BlockStore` — in-memory by default, or the
 sqlite-indexed segment-log backend from :mod:`repro.persist.durable` —
-whose only write is ``append_blocks(pairs, fsync, encoded)``; the chain
-never asks a store what it can do.  A store may keep a committed prefix
+whose only write is ``append_blocks(pairs, fsync, encoded, derived)``; the
+chain never asks a store what it can do.  A store may keep a committed prefix
 when it fails mid-group, so the skeleton unwinds state by the height the
 store reports afterwards, never by what it attempted: chain, state and
 undo journal stay aligned whatever the store did.  With a durable store
@@ -330,14 +330,21 @@ class Blockchain:
             nonce=nonce,
         )
 
-    def append_block(self, block: Block) -> list[TransactionReceipt]:
+    def append_block(self, block: Block,
+                     derived: Any = None) -> list[TransactionReceipt]:
         """Validate, execute, and commit ``block``; returns its receipts.
         A group of one whose fsync is deferred to the next group commit
-        or checkpoint."""
-        return self.append_blocks([block], fsync=False)[0]
+        or checkpoint.  ``derived`` is the proof state the caller
+        computed from this block (an anchor batch, a beacon round): the
+        store commits it with the block, as the block's derived row."""
+        return self.append_blocks(
+            [block], fsync=False,
+            derived=None if derived is None else {block.height: derived},
+        )[0]
 
     def append_blocks(
-        self, blocks: list[Block], fsync: bool = True
+        self, blocks: list[Block], fsync: bool = True,
+        derived: Mapping[int, Any] | None = None,
     ) -> list[list[TransactionReceipt]]:
         """Validate, execute, and **group-commit** consecutive blocks.
 
@@ -356,7 +363,7 @@ class Blockchain:
             )
             for tx in block.transactions:
                 tx.validate(require_signature=self.params.require_signatures)
-        return self._commit_group(blocks, fsync=fsync)
+        return self._commit_group(blocks, fsync=fsync, derived=derived)
 
     def apply_executed_blocks(
         self,
@@ -410,6 +417,7 @@ class Blockchain:
         deltas: list[list] | None = None,
         encoded=None,
         expected_state_root: bytes | None = None,
+        derived: Mapping[int, Any] | None = None,
     ) -> list[list[TransactionReceipt]]:
         """The one commit skeleton (see the module docstring for what
         each caller supplies).  State advances across each block by
@@ -455,7 +463,7 @@ class Blockchain:
             if install:
                 self._store.append_blocks(
                     list(zip(blocks, all_receipts)), fsync=fsync,
-                    encoded=encoded,
+                    encoded=encoded, derived=derived,
                 )
         except BaseException:
             # A raising executor — or a store that failed the append —
@@ -498,13 +506,18 @@ class Blockchain:
     # ------------------------------------------------------------------
     # Durability (checkpoints; no-ops on the in-memory backend)
     # ------------------------------------------------------------------
-    def checkpoint(self) -> None:
-        """Persist the current state image at the head height and fsync
-        the store, so a reopen resumes here instead of replaying."""
+    def save_state_image(self) -> None:
+        """Persist the current state image at the head height, so a
+        reopen resumes here instead of replaying (a caller that syncs
+        the whole storage itself stops here)."""
         if self._snapshot_store is not None:
             self._snapshot_store.save(self.height,
                                       self.state.dump_entries(),
                                       block_hash=self.head.block_hash)
+
+    def checkpoint(self) -> None:
+        """:meth:`save_state_image`, then fsync the store."""
+        self.save_state_image()
         self._store.sync()
 
     def close(self) -> None:

@@ -48,10 +48,10 @@ accepts ``store=`` and ``snapshot_store=``; ``checkpoint()`` saves the
 state image at the head, and a reopened chain restores it and re-executes
 only blocks above the snapshot (``blocks_replayed_on_open`` counts them —
 0 after a clean close).  :class:`~repro.sharding.shardchain.ShardedChain`
-wires a per-shard directory plus a beacon directory, persisting the
-anchor batches, beacon rounds, and the facade's lock/round state in the
-meta table, so a restarted deployment serves identical query and proof
-results with no genesis replay.  Snapshot sync and 2PC coordinator
+wires a per-shard directory plus a beacon directory; anchor batches and
+beacon rounds commit with their blocks as derived rows, so a restarted
+deployment serves identical query and proof results with no genesis
+replay, wherever it died.  Snapshot sync and 2PC coordinator
 recovery (ROADMAP) build on exactly these pieces.
 """
 
@@ -67,7 +67,6 @@ from .stores import (
     BlockSequenceView,
     BlockStore,
     MemoryBlockStore,
-    MemoryMetaStore,
     MemoryRecordStore,
     MemoryStateSnapshotStore,
     MetaStore,
@@ -90,7 +89,6 @@ __all__ = [
     "MemoryBlockStore",
     "MemoryRecordStore",
     "MemoryStateSnapshotStore",
-    "MemoryMetaStore",
     "BlockSequenceView",
     "DurableStorage",
     "DurableBlockStore",

@@ -17,10 +17,19 @@ and :meth:`DurableRecordStore.append_many` — and both do the same three
 things in the same order: check the group is consecutive from the head,
 hand every frame to one ``SegmentLog.append_many(frames, fsync=)``, then
 commit every index row in one sqlite transaction.  A single append is a
-group of one.  Callers that hold objects reach the block writer through
-:meth:`DurableBlockStore.append_blocks` (which encodes, unless the caller
-passes the bytes it already has); the snapshot client, which holds only
-verified frames, through :meth:`DurableBlockStore.install_raw`.
+group of one.  A block's **derived row** — proof state a service computes
+from it (an anchor batch's leaf digests, a beacon round's entries), one
+meta row keyed ``derived/<height>`` — is one of those index rows and
+shares the block's fate at commit, recovery and truncation: it commits in
+the block's transaction, :meth:`DurableStorage._recover_blocks` drops it
+with an orphaned block, :meth:`DurableBlockStore.truncate_above` deletes
+it with a reorged one.  A row exists iff its block does, so nothing
+derived is checkpointed; services reload from
+:meth:`DurableBlockStore.derived_rows`.  Callers that hold objects reach
+the block writer through :meth:`DurableBlockStore.append_blocks` (which
+encodes, unless the caller passes the bytes it already has); the snapshot
+client, which holds only verified frames, through
+:meth:`DurableBlockStore.install_raw`.
 
 Where the fsync decision is made: not here.  ``fsync`` arrives from the
 caller and is passed to the log unchanged — ``True`` makes the group its
@@ -63,6 +72,15 @@ from .codec import (
 )
 from .segment import CrashPoint, SegmentCodec, SegmentLog
 from .stores import BlockStore, MetaStore, RecordStore, StateSnapshotStore
+
+# Zero-padded height keys: key order is height order, and one range
+# (up to "0", the character after "/") names every row above a height.
+_DERIVED_PREFIX = "derived/"
+_DERIVED_END = "derived0"
+
+
+def _derived_key(height: int) -> str:
+    return f"{_DERIVED_PREFIX}{height:012d}"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks(
@@ -175,9 +193,11 @@ class DurableBlockStore(BlockStore):
     # -- write path ----------------------------------------------------
     def _write_group(self, heads: Sequence[tuple[int, bytes]],
                      frames: Sequence[bytes], tx_rows: list[tuple],
-                     receipt_rows: list[tuple], fsync: bool) -> None:
+                     receipt_rows: list[tuple], fsync: bool,
+                     derived_rows: list[tuple[int, bytes]] = ()) -> None:
         """The one writer: ``heads`` are ``(height, block_hash)`` per
-        frame, consecutive from the current head.  All frames go down in
+        frame, consecutive from the current head; ``derived_rows`` are
+        ``(height, encoded row)``.  All frames go down in
         one buffered log write — fsynced when ``fsync``, else flushed
         with the fsync deferred to the next group or checkpoint — then
         every index row lands in **one** sqlite transaction.  A crash
@@ -209,9 +229,16 @@ class DurableBlockStore(BlockStore):
                 "INSERT OR REPLACE INTO receipts(tx_id, height, body) "
                 "VALUES (?,?,?)", sorted(receipt_rows),
             )
+            if derived_rows:
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
+                    [(_derived_key(height), row)
+                     for height, row in derived_rows],
+                )
         self._height += len(heads)
 
-    def append_blocks(self, pairs, fsync=True, encoded=None) -> None:
+    def append_blocks(self, pairs, fsync=True, encoded=None,
+                      derived=None) -> None:
         if not pairs:
             return
         if encoded is None:
@@ -228,6 +255,8 @@ class DurableBlockStore(BlockStore):
              for (block, _), (_, bodies) in zip(pairs, encoded)
              for tx, body in zip(block.transactions, bodies)],
             fsync,
+            [(height, canonical_encode(row))
+             for height, row in (derived or {}).items()],
         )
         for block, _ in pairs:
             self._cache_put(block)
@@ -254,6 +283,9 @@ class DurableBlockStore(BlockStore):
                                (height,))
             self._conn.execute("DELETE FROM receipts WHERE height > ?",
                                (height,))
+            self._conn.execute(
+                "DELETE FROM meta WHERE key > ? AND key < ?",
+                (_derived_key(height), _DERIVED_END))
         if row is not None:
             self._log.truncate_to(row[0], row[1])
         self._height = height
@@ -305,22 +337,27 @@ class DurableBlockStore(BlockStore):
         ).fetchone()
         return None if row is None else (row[0], row[1])
 
-    # -- raw-frame surface (snapshot sync) -----------------------------
-    def raw_block_item(self, height: int) -> dict:
-        """Everything a snapshot server streams for one block, straight
-        off the log — **no decode**: the exact frame bytes (the canonical
-        block encoding) with their CRC, the indexed block hash, and the
-        index rows a replica needs to install the frame (tx ids in
-        position order, receipt bodies aligned with them)."""
-        items = self.raw_block_items(height, 1)
-        if not items:
-            raise InvalidBlock(f"no block at height {height}")
-        return items[0]
+    def _derived_range(self, start: int, stop: int | None = None):
+        """``(height, encoded row)`` for heights in ``[start, stop)``."""
+        end = _DERIVED_END if stop is None else _derived_key(stop)
+        return [(int(key[len(_DERIVED_PREFIX):]), bytes(value))
+                for key, value in self._conn.execute(
+                    "SELECT key, value FROM meta WHERE key >= ? AND "
+                    "key < ? ORDER BY key", (_derived_key(start), end))]
 
+    def derived_rows(self) -> Iterator[tuple[int, Any]]:
+        for height, row in self._derived_range(0):
+            yield height, canonical_decode(row)
+
+    # -- raw-frame surface (snapshot sync) -----------------------------
     def raw_block_items(self, start: int, count: int) -> list[dict]:
-        """Range form of :meth:`raw_block_item`: three range queries and
-        one log pass instead of three queries + one read per block — the
-        snapshot server's tail hot path."""
+        """Everything a snapshot server streams for ``count`` blocks from
+        ``start``, straight off the log — **no decode**: per block the
+        exact frame bytes (the canonical block encoding) with their CRC,
+        the indexed block hash, and the index rows a replica needs to
+        install the frame (tx ids in position order, receipt bodies
+        aligned with them, the encoded derived row or ``None``).  Four
+        range queries and one log pass — the server's tail hot path."""
         import zlib
 
         stop = start + count            # exclusive
@@ -350,6 +387,7 @@ class DurableBlockStore(BlockStore):
                 "SELECT tx_id, height, body FROM receipts WHERE "
                 "height >= ? AND height < ?", (start, stop)):
             receipt_bodies.setdefault(height, {})[tx_id] = body
+        derived = dict(self._derived_range(start, stop))
         items = []
         for height, segment, offset, block_hash in rows:
             frame = self._log.read(segment, offset)
@@ -362,16 +400,17 @@ class DurableBlockStore(BlockStore):
                 "crc": zlib.crc32(frame),
                 "tx_ids": tx_ids,
                 "receipts": [bodies.get(tx_id) for tx_id in tx_ids],
+                "derived": derived.get(height),
             })
         return items
 
     def install_raw(self, items: Sequence[dict]) -> None:
         """Group-install already-verified raw block frames (the snapshot
-        client's surface).  Each item is a :meth:`raw_block_item`-shaped
+        client's surface).  Each item is a :meth:`raw_block_items`-shaped
         mapping; heights must be consecutive from the current head.
         Nothing is decoded and nothing is executed: the caller vouches
-        for the content (hash-chain + beacon verification happened
-        upstream)."""
+        for the content (hash-chain, beacon and proof-row verification
+        happened upstream)."""
         if not items:
             return
         self._write_group(
@@ -385,6 +424,9 @@ class DurableBlockStore(BlockStore):
              for tx_id, body in zip(item["tx_ids"], item["receipts"])
              if body is not None],
             fsync=True,
+            derived_rows=[(item["height"], item["derived"])
+                          for item in items
+                          if item.get("derived") is not None],
         )
 
     def receipt_for(self, tx_id: str) -> TransactionReceipt | None:
@@ -712,9 +754,10 @@ class DurableStorage(MetaStore):
 
         Walks the index tail backwards dropping rows whose frames are
         partial/garbled (a crash mid-append, or an operator truncating
-        the segment file), then truncates the log to the end of the last
-        surviving indexed frame — discarding any frames that were written
-        but never indexed (a crash between log flush and index commit).
+        the segment file) and their derived rows, then truncates the log
+        to the end of the last surviving indexed frame — discarding any
+        frames that were written but never indexed (a crash between log
+        flush and index commit).
         Blocks are append-only, so height order *is* log-address order.
         Returns the number of index rows dropped.
         """
@@ -738,6 +781,8 @@ class DurableStorage(MetaStore):
                     self._conn.execute(
                         f"DELETE FROM {table} WHERE height = ?", (height,)
                     )
+                self._conn.execute("DELETE FROM meta WHERE key = ?",
+                                   (_derived_key(height),))
             dropped += 1
 
     def _recover_records(self) -> int:
@@ -983,6 +1028,21 @@ class DurableStorage(MetaStore):
             "SELECT value FROM meta WHERE key = ?", (key,)
         ).fetchone()
         return default if row is None else canonical_decode(row[0])
+
+    def supersede_meta(self, keys: Sequence[str],
+                       derived: MappingABC) -> None:
+        """One transaction: delete meta ``keys`` and give blocks the
+        store already holds the ``derived`` rows (height → row) that
+        replace them — the legacy proof-state upgrade's write."""
+        self._check_owner()
+        head = self.blocks.height()
+        with self._conn:
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
+                [(_derived_key(height), canonical_encode(row))
+                 for height, row in derived.items() if height <= head])
+            self._conn.executemany("DELETE FROM meta WHERE key = ?",
+                                   [(key,) for key in keys])
 
     # ------------------------------------------------------------------
     def sync(self) -> None:

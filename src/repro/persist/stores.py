@@ -13,8 +13,10 @@ Three abstractions, one per kind of durable truth a chain stack owns:
   of replaying from genesis.
 
 Plus a small :class:`MetaStore` key→value surface the higher layers use
-to persist their rebuildable side-state (anchor batches, beacon rounds,
-facade lock tables).
+for state no block creates (the 2PC transfer WAL, the shard layout).
+Proof state a block *does* create — anchor batches, beacon rounds — is
+not checkpointed there: it commits with that block as its derived row
+(:meth:`BlockStore.append_blocks`).
 
 The in-memory backend here is the seed's original behavior, extracted
 behind the interfaces: ``Blockchain.blocks`` / ``receipts`` /
@@ -45,6 +47,7 @@ class BlockStore(ABC):
         pairs: Sequence[tuple[Block, Sequence[TransactionReceipt]]],
         fsync: bool = True,
         encoded: Sequence[tuple[bytes, Sequence[bytes]]] | None = None,
+        derived: Mapping[int, Any] | None = None,
     ) -> None:
         """Commit consecutive blocks (heights from head + 1) and their
         receipts as **one** group — the only write a store implements.
@@ -55,9 +58,14 @@ class BlockStore(ABC):
         ``encoded`` is each block's ``(frame, receipt bodies)`` from a
         caller that already holds the canonical bytes (the process
         engine's job frames and worker replies); a byte-backed store
-        writes them verbatim instead of encoding again.  A store may
-        keep a committed prefix when it fails mid-group; callers unwind
-        by the height it reports afterwards.
+        writes them verbatim instead of encoding again.  ``derived``
+        maps a height in the group to one canonical-encodable row of
+        proof state a service derives from that block (an anchor batch's
+        leaf digests, a beacon round's entries); the row shares its
+        block's fate — committed with it, gone with it on recovery and
+        :meth:`truncate_above` — so :meth:`derived_rows` is all a service
+        reloads from.  A store may keep a committed prefix when it fails
+        mid-group; callers unwind by the height it reports afterwards.
         """
 
     def append_block(self, block: Block,
@@ -99,8 +107,13 @@ class BlockStore(ABC):
 
     @abstractmethod
     def truncate_above(self, height: int) -> None:
-        """Drop every block above ``height`` plus its tx index entries
-        and receipts (the reorg primitive)."""
+        """Drop every block above ``height`` plus its tx index entries,
+        receipts and derived row (the reorg primitive)."""
+
+    @abstractmethod
+    def derived_rows(self) -> Iterator[tuple[int, Any]]:
+        """``(height, row)`` of every block committed with a derived
+        row, in height order."""
 
     def sync(self) -> None:
         """Make everything appended so far durable (no-op in memory)."""
@@ -212,8 +225,10 @@ class MemoryBlockStore(BlockStore):
         self._blocks: list[Block] = []
         self._tx_index: dict[str, tuple[int, int]] = {}
         self._receipts: dict[str, TransactionReceipt] = {}
+        self._derived: dict[int, Any] = {}
 
-    def append_blocks(self, pairs, fsync=True, encoded=None) -> None:
+    def append_blocks(self, pairs, fsync=True, encoded=None,
+                      derived=None) -> None:
         for block, receipts in pairs:
             if block.height != len(self._blocks):
                 raise StorageError(
@@ -225,6 +240,8 @@ class MemoryBlockStore(BlockStore):
                 self._tx_index[tx.tx_id] = (block.height, pos)
             for receipt in receipts:
                 self._receipts[receipt.tx_id] = receipt
+            if derived and block.height in derived:
+                self._derived[block.height] = derived[block.height]
 
     def block_at(self, height: int) -> Block:
         if not 0 <= height < len(self._blocks):
@@ -255,9 +272,15 @@ class MemoryBlockStore(BlockStore):
     def truncate_above(self, height: int) -> None:
         while len(self._blocks) - 1 > height:
             block = self._blocks.pop()
+            self._derived.pop(block.height, None)
             for tx in block.transactions:
                 self._tx_index.pop(tx.tx_id, None)
                 self._receipts.pop(tx.tx_id, None)
+
+    def derived_rows(self) -> Iterator[tuple[int, Any]]:
+        # Insertion order is height order: blocks append in order and
+        # truncation pops from the top.
+        return iter(list(self._derived.items()))
 
     # Test/bench conveniences (tamper simulation; not part of BlockStore).
     def reset(self, blocks: list[Block]) -> None:
@@ -265,6 +288,7 @@ class MemoryBlockStore(BlockStore):
         copies this way); receipts are cleared, the tx index rebuilt."""
         self._blocks = list(blocks)
         self._receipts.clear()
+        self._derived.clear()
         self._tx_index = {
             tx.tx_id: (block.height, pos)
             for block in self._blocks
@@ -327,17 +351,6 @@ class MemoryStateSnapshotStore(StateSnapshotStore):
 
     def clear(self) -> None:
         self._snapshot = None
-
-
-class MemoryMetaStore(MetaStore):
-    def __init__(self) -> None:
-        self._meta: dict[str, Any] = {}
-
-    def put_meta(self, key: str, value: Any) -> None:
-        self._meta[key] = value
-
-    def get_meta(self, key: str, default: Any = None) -> Any:
-        return self._meta.get(key, default)
 
 
 # ---------------------------------------------------------------------------

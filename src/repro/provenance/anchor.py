@@ -11,14 +11,33 @@ transaction.  A record is then provable with:
 
 ``AnchorService`` implements the batched design (and, for the EVAL-STORE
 ablation, an ``inline`` mode that puts whole records on-chain).
+
+Durability
+----------
+
+Nothing here is checkpointed.  :meth:`AnchorService.flush` passes the
+batch's proof state — the row ``[anchor_id, tx_id, merkle_root, leaf
+digests]``, 32 bytes per record — to ``append_block(derived=)``, so it
+commits in the anchor block's own store transaction and exists iff that
+block does.  :meth:`AnchorService.load_proof_state` reads the rows back
+on open (O(anchors)) and takes the record *ids* from the record store in
+position order: every production path stores a record and enqueues it in
+the same order, so batch *k* covers the next ``record_count`` stored
+records, and what lies beyond the covered prefix **is** the pending
+batch.  (A store upgraded from the checkpointed format appends a fifth
+element, the batch's record ids: it may have anchored out of position
+order.)  Merkle trees are rebuilt on the first proof a batch serves.  A
+snapshot client installs a peer's row only after :func:`verify_batch_row`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Mapping
 
 from ..chain import Blockchain, Transaction, TxKind
+from ..crypto.hashing import HASH_SIZE
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from ..errors import AnchorError
 from .records import record_digest
@@ -48,6 +67,30 @@ class AnchoredProof:
     @property
     def size_bytes(self) -> int:
         return self.merkle_proof.size_bytes + len(self.merkle_root) + 48
+
+
+def _leaf_digests(blob: bytes) -> list[bytes]:
+    return [blob[i:i + HASH_SIZE] for i in range(0, len(blob), HASH_SIZE)]
+
+
+def verify_batch_row(row, block) -> None:
+    """Fail closed on a batch row from outside (a snapshot peer): it must
+    be well formed and its digests must hash to the root ``block``'s
+    anchor transaction committed on-chain, or :class:`AnchorError`."""
+    try:
+        anchor_id, tx_id, root, blob, *named = row
+        digests, ids = _leaf_digests(blob), named[0] if named else []
+        ok = (block.find_transaction(tx_id)[1].payload["merkle_root"]
+              == root == MerkleTree(digests).root
+              and type(anchor_id) is str and len(named) < 2
+              and type(ids) is list and len(ids) in (0, len(digests))
+              and all(type(record_id) is str for record_id in ids))
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise AnchorError(
+            f"proof row of block {block.height} does not hash to the "
+            "root its anchor transaction committed")
 
 
 @dataclass
@@ -90,12 +133,13 @@ class AnchorService:
         self.mode = mode
         self.sender = sender
         self._pending = _PendingBatch()
-        self._anchor_count = 0
         self.receipts: list[AnchorReceipt] = []
-        # record_id -> (anchor position in receipts, leaf index, digest)
-        self._locator: dict[str, tuple[int, int, bytes]] = {}
-        self._trees: list[MerkleTree] = []
-        self.bytes_on_chain = 0
+        # record_id -> (anchor position in receipts, leaf index)
+        self._locator: dict[str, tuple[int, int]] = {}
+        # Per receipt: the batch's Merkle tree, or (for a batch loaded
+        # from its derived row) the leaf digests it is built from on the
+        # first proof.
+        self._trees: list[MerkleTree | list[bytes]] = []
 
     # ------------------------------------------------------------------
     # Ingest
@@ -128,11 +172,10 @@ class AnchorService:
     def flush(self) -> AnchorReceipt | None:
         """Anchor whatever is pending; returns the receipt (or ``None``
         when nothing was pending)."""
-        if not self._pending.records:
+        batch = self._pending
+        if not batch.records:
             return None
-        batch, self._pending = self._pending, _PendingBatch()
-        anchor_id = f"anchor-{self.chain.chain_id}-{self._anchor_count:06d}"
-        self._anchor_count += 1
+        anchor_id = f"anchor-{self.chain.chain_id}-{len(self.receipts):06d}"
         tree = MerkleTree(batch.digests)
         payload: dict[str, Any] = {
             "anchor_id": anchor_id,
@@ -153,25 +196,49 @@ class AnchorService:
         ).seal()
         if self.sealer is not None:
             block, _ = self.sealer.seal(self.chain, [tx])
-            self.chain.append_block(block)
         else:
-            self.chain.append_block(self.chain.build_block([tx]))
-        receipt = AnchorReceipt(
-            anchor_id=anchor_id,
-            merkle_root=tree.root,
-            block_height=self.chain.height,
-            tx_id=tx.tx_id,
-            record_count=len(batch.records),
-        )
+            block = self.chain.build_block([tx])
+        self.chain.append_block(block, derived=[
+            anchor_id, tx.tx_id, tree.root, b"".join(batch.digests)])
+        # Only now is the batch anchored: a failed append leaves it
+        # pending (and its anchor id unused).
+        self._pending = _PendingBatch()
+        return self._index_batch(
+            AnchorReceipt(anchor_id, tree.root, self.chain.height,
+                          tx.tx_id, len(batch.records)),
+            tree, (str(record["record_id"]) for record in batch.records))
+
+    def _index_batch(self, receipt: AnchorReceipt, tree,
+                     record_ids) -> AnchorReceipt:
         position = len(self.receipts)
         self.receipts.append(receipt)
         self._trees.append(tree)
-        for index, record in enumerate(batch.records):
-            self._locator[str(record["record_id"])] = (
-                position, index, batch.digests[index]
-            )
-        self.bytes_on_chain += tx.size_bytes
+        for index, record_id in enumerate(record_ids):
+            self._locator[record_id] = (position, index)
         return receipt
+
+    def load_proof_state(self, database) -> tuple[int, int]:
+        """Reload after a reopen (see the module docstring): one receipt
+        per derived row on the chain's store, record ids from
+        ``database`` in position order, the uncovered rest queued again.
+        Returns ``(rows loaded, records re-queued)``."""
+        rows = list(self.chain.store.derived_rows())
+        named = {rid for _, row in rows for ids in row[4:] for rid in ids}
+        unnamed = (rid for rid in database.record_ids()
+                   if rid not in named)
+        for height, (anchor_id, tx_id, root, blob, *ids) in rows:
+            digests = _leaf_digests(blob)
+            self._index_batch(
+                AnchorReceipt(anchor_id, root, height, tx_id, len(digests)),
+                digests, ids[0] if ids else islice(unnamed, len(digests)))
+        # Queued, not flushed: a replica's pending batch stays pending.
+        batch = self._pending
+        for record_id in unnamed:
+            record = database.get(record_id)
+            batch.records.append(record)
+            batch.digests.append(record_digest(record))
+            batch.ids.add(record_id)
+        return len(rows), len(batch.records)
 
     # ------------------------------------------------------------------
     # Proofs
@@ -188,11 +255,11 @@ class AnchorService:
         loc = self._locator.get(record_id)
         if loc is None:
             raise AnchorError(f"record {record_id!r} is not anchored")
-        position, index, _ = loc
+        position, index = loc
         receipt = self.receipts[position]
         return AnchoredProof(
             anchor_id=receipt.anchor_id,
-            merkle_proof=self._trees[position].prove(index),
+            merkle_proof=self._tree(position).prove(index),
             merkle_root=receipt.merkle_root,
             block_height=receipt.block_height,
             tx_id=receipt.tx_id,
@@ -238,7 +305,7 @@ class AnchorService:
         loc = self._locator.get(record_id)
         if loc is None:
             raise AnchorError(f"record {record_id!r} is not anchored")
-        position, index, _ = loc
+        position, index = loc
         receipt = self.receipts[position]
         located = self.chain.prove_transaction(receipt.tx_id)
         if located is None:
@@ -248,70 +315,20 @@ class AnchorService:
         block, tx_proof = located
         anchor_tx = block.find_transaction(receipt.tx_id)[1]
         return LightAnchorBundle(
-            record_proof=self._trees[position].prove(index),
+            record_proof=self._tree(position).prove(index),
             batch_root=receipt.merkle_root,
             anchor_tx=anchor_tx,
             tx_proof=tx_proof,
             block_height=block.height,
         )
 
-    # ------------------------------------------------------------------
-    # Durability (state dump/restore for persistent deployments)
-    # ------------------------------------------------------------------
-    def dump_state(self) -> dict:
-        """Everything needed to rebuild the service after a restart, as a
-        canonical-encodable mapping: anchored batch membership (record
-        ids + digests, from which the Merkle trees are rebuilt), receipt
-        fields, and the pending batch.  The anchor *transactions* are not
-        here — they live on the chain, which has its own store."""
-        batches: list[list] = [
-            [None] * receipt.record_count for receipt in self.receipts
-        ]
-        for record_id, (pos, index, digest) in self._locator.items():
-            batches[pos][index] = [record_id, digest]
-        return {
-            "anchor_count": self._anchor_count,
-            "bytes_on_chain": self.bytes_on_chain,
-            "receipts": [
-                {
-                    "anchor_id": r.anchor_id,
-                    "merkle_root": r.merkle_root,
-                    "block_height": r.block_height,
-                    "tx_id": r.tx_id,
-                    "record_count": r.record_count,
-                }
-                for r in self.receipts
-            ],
-            "batches": batches,
-            "pending_records": list(self._pending.records),
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Inverse of :meth:`dump_state`; replaces all service state."""
-        self._anchor_count = int(state["anchor_count"])
-        self.bytes_on_chain = int(state["bytes_on_chain"])
-        self.receipts = [
-            AnchorReceipt(
-                anchor_id=r["anchor_id"],
-                merkle_root=r["merkle_root"],
-                block_height=r["block_height"],
-                tx_id=r["tx_id"],
-                record_count=r["record_count"],
-            )
-            for r in state["receipts"]
-        ]
-        self._trees = []
-        self._locator = {}
-        for position, members in enumerate(state["batches"]):
-            digests = [digest for _, digest in members]
-            self._trees.append(MerkleTree(digests))
-            for index, (record_id, digest) in enumerate(members):
-                self._locator[str(record_id)] = (position, index, digest)
-        self._pending = _PendingBatch()
-        for record in state["pending_records"]:
-            self._pending.records.append(dict(record))
-            self._pending.digests.append(record_digest(dict(record)))
-            self._pending.ids.add(str(record["record_id"]))
+    def _tree(self, position: int) -> MerkleTree:
+        """The batch's Merkle tree; a batch loaded from its derived row
+        builds it here, once."""
+        tree = self._trees[position]
+        if not isinstance(tree, MerkleTree):
+            tree = self._trees[position] = MerkleTree(tree)
+        return tree
 
     # ------------------------------------------------------------------
     @property
@@ -321,6 +338,13 @@ class AnchorService:
     @property
     def anchored_count(self) -> int:
         return len(self._locator)
+
+    @property
+    def bytes_on_chain(self) -> int:
+        """Total size of the anchor transactions this service committed
+        (read off the chain; nothing is accumulated or persisted)."""
+        return sum(self.chain.find_transaction(r.tx_id)[1].size_bytes
+                   for r in self.receipts)
 
 
 def _leaf(digest: bytes) -> bytes:

@@ -8,6 +8,18 @@ shards).  A verifier holding only the *beacon* headers can then check any
 shard block with a :class:`BeaconLightBundle` — shard block hash → round
 root → beacon anchor transaction → beacon header — without trusting any
 shard full node.
+
+Durability
+----------
+
+Nothing here is checkpointed.  :meth:`BeaconChain.anchor_round` commits
+the row ``[tx_id, merkle_root, [(shard, height, block_hash, state_root),
+...]]`` as the beacon block's derived row, in that block's own store
+transaction; :meth:`BeaconChain.load_proof_state` reloads one round per
+row on open (O(rounds)), and a round's Merkle tree is rebuilt on the
+first proof it serves.  Round numbers, the facade's ``rounds_sealed`` and
+every shard's ``anchored_height`` follow from those rows, so after a
+crash they agree with the beacon chain by construction.
 """
 
 from __future__ import annotations
@@ -130,12 +142,22 @@ class BeaconChain:
                                 store=store, snapshot_store=snapshot_store)
         self.sender = sender
         self.receipts: list[BeaconReceipt] = []
-        self._trees: list[MerkleTree] = []
+        # Per round: its Merkle tree, or None until a proof needs it (a
+        # round loaded from its derived row).
+        self._trees: list[MerkleTree | None] = []
         # (shard_id, shard height) -> (round index, leaf index)
         self._locator: dict[tuple[int, int], tuple[int, int]] = {}
-        # Per-round (shard_id, height, block_hash, state_root) entries,
-        # kept so the round trees can be dumped/rebuilt across a restart.
+        # Per-round (shard_id, height, block_hash, state_root) entries.
         self._round_entries: list[list[tuple[int, int, bytes, bytes]]] = []
+
+    def load_proof_state(self) -> tuple[int, int]:
+        """Reload after a reopen: one round per derived row on the
+        chain's store.  Returns ``(rows loaded, 0)``."""
+        for height, (tx_id, root, entries) in \
+                self.chain.store.derived_rows():
+            self._add_round(tx_id, root, height,
+                            _normalize_entries(entries), None)
+        return len(self.receipts), 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -150,6 +172,12 @@ class BeaconChain:
 
     def is_anchored(self, shard_id: int, height: int) -> bool:
         return (shard_id, height) in self._locator
+
+    def anchored_height(self, shard_id: int) -> int:
+        """Highest height of ``shard_id`` any round committed (0: none);
+        a scan of the locator, for the facade's reopen."""
+        return max((h for sid, h in self._locator if sid == shard_id),
+                   default=0)
 
     def receipt_for(self, shard_id: int, height: int) -> BeaconReceipt | None:
         loc = self._locator.get((shard_id, height))
@@ -207,75 +235,30 @@ class BeaconChain:
         ).seal()
         self.chain.append_block(
             self.chain.build_block([tx], timestamp=timestamp,
-                                   proposer=self.sender)
+                                   proposer=self.sender),
+            derived=[tx.tx_id, tree.root, entries],
         )
+        return self._add_round(tx.tx_id, tree.root, self.chain.height,
+                               entries, tree)
+
+    def _add_round(self, tx_id: str, merkle_root: bytes, block_height: int,
+                   entries: list[tuple[int, int, bytes, bytes]],
+                   tree: MerkleTree | None) -> BeaconReceipt:
+        """Index one committed round (just anchored, or reloaded)."""
+        round_no = len(self.receipts)
         receipt = BeaconReceipt(
             round_no=round_no,
-            merkle_root=tree.root,
-            block_height=self.chain.height,
-            tx_id=tx.tx_id,
-            leaf_count=len(leaves),
+            merkle_root=merkle_root,
+            block_height=block_height,
+            tx_id=tx_id,
+            leaf_count=len(entries),
         )
         self.receipts.append(receipt)
         self._trees.append(tree)
-        self._round_entries.append(list(entries))
+        self._round_entries.append(entries)
         for index, (sid, h, _, _) in enumerate(entries):
             self._locator[(sid, h)] = (round_no, index)
         return receipt
-
-    # ------------------------------------------------------------------
-    # Durability (state dump/restore for persistent deployments)
-    # ------------------------------------------------------------------
-    def dump_state(self) -> dict:
-        """Round commitments as a canonical-encodable mapping.  The
-        beacon *chain* persists through its own block store; this covers
-        the derived proof state (trees, locator, receipts)."""
-        return {
-            "receipts": [
-                {
-                    "round_no": r.round_no,
-                    "merkle_root": r.merkle_root,
-                    "block_height": r.block_height,
-                    "tx_id": r.tx_id,
-                    "leaf_count": r.leaf_count,
-                }
-                for r in self.receipts
-            ],
-            "rounds": [
-                [[sid, h, bh, sr] for sid, h, bh, sr in entries]
-                for entries in self._round_entries
-            ],
-        }
-
-    def restore_state(self, state) -> None:
-        """Inverse of :meth:`dump_state`; replaces all derived state.
-
-        3-element round entries (written before state roots were
-        committed) restore with an empty commitment; their leaves omit
-        the ``state_root`` key entirely, so they re-hash to exactly the
-        roots their anchor transactions sealed."""
-        self.receipts = [
-            BeaconReceipt(
-                round_no=r["round_no"],
-                merkle_root=r["merkle_root"],
-                block_height=r["block_height"],
-                tx_id=r["tx_id"],
-                leaf_count=r["leaf_count"],
-            )
-            for r in state["receipts"]
-        ]
-        self._trees = []
-        self._round_entries = []
-        self._locator = {}
-        for round_no, entries in enumerate(state["rounds"]):
-            entries = _normalize_entries(entries)
-            self._round_entries.append(entries)
-            self._trees.append(MerkleTree(
-                [shard_block_leaf(sid, h, bh, sr)
-                 for sid, h, bh, sr in entries]
-            ))
-            for index, (sid, h, _, _) in enumerate(entries):
-                self._locator[(sid, h)] = (round_no, index)
 
     # ------------------------------------------------------------------
     # Proofs
@@ -290,6 +273,10 @@ class BeaconChain:
         round_no, index = loc
         receipt = self.receipts[round_no]
         tree = self._trees[round_no]
+        if tree is None:
+            tree = self._trees[round_no] = MerkleTree(
+                [shard_block_leaf(*entry)
+                 for entry in self._round_entries[round_no]])
         state_root = self._round_entries[round_no][index][3]
         leaf = shard_block_leaf(shard_id, height, block_hash, state_root)
         if tree.leaf(index) != leaf_hash(leaf):

@@ -45,18 +45,65 @@ from .locks import LockTable
 from .router import ShardRouter, namespace_of
 
 
+def upgrade_legacy_proof_state(storage) -> int:
+    """One-shot upgrade of a store written before proof state committed
+    with its blocks, and the only reader left of those formats: the
+    ``anchor_state`` blob of a shard store, the ``beacon_state`` and
+    ``facade_state`` blobs of the beacon store.  Each anchored batch and
+    beacon round becomes its block's derived row, in one transaction
+    that also deletes the blobs; returns the blobs upgraded (0 on every
+    later open).  Batches keep their explicit record ids (such a store
+    could anchor out of position order after a crash); pending records,
+    ``rounds_sealed`` and ``anchored_height`` are derivable and dropped."""
+    blobs = {key: storage.get_meta(key)
+             for key in ("anchor_state", "beacon_state", "facade_state")}
+    found = [key for key, blob in blobs.items() if blob is not None]
+    anchor, beacon = blobs["anchor_state"] or {}, blobs["beacon_state"] or {}
+    rows: dict[int, list] = {}
+    for r, members in zip(anchor.get("receipts", ()),
+                          anchor.get("batches", ())):
+        rows[r["block_height"]] = [
+            r["anchor_id"], r["tx_id"], r["merkle_root"],
+            b"".join(digest for _, digest in members),
+            [str(record_id) for record_id, _ in members]]
+    for r, entries in zip(beacon.get("receipts", ()),
+                          beacon.get("rounds", ())):
+        rows[r["block_height"]] = [r["tx_id"], r["merkle_root"], entries]
+    if found:
+        storage.supersede_meta(found, rows)
+    return len(found)
+
+
+def _recover_proof_state(storage, kind: str, load) -> None:
+    """Reopen one store's proof state — upgrade a legacy store, then
+    ``load()`` (returns ``(rows loaded, records re-enqueued)``) — under
+    one ``recovery.load_proof_state`` span, and publish what it did."""
+    telemetry = default_telemetry()
+    with telemetry.tracer.root_span("recovery.load_proof_state",
+                                    sampled=True) as span:
+        upgraded = upgrade_legacy_proof_state(storage)
+        rows, requeued = load()
+        for key, value in (("store", storage.directory), ("kind", kind),
+                           ("rows", rows), ("requeued", requeued),
+                           ("legacy_blobs", upgraded)):
+            span.set_attr(key, value)
+    registry = telemetry.registry
+    registry.counter("proof_rows_loaded_total", kind=kind).inc(rows)
+    registry.counter("anchor_pending_requeued_total").inc(requeued)
+    registry.counter("legacy_proof_state_upgraded_total").inc(upgraded)
+
+
 class Shard:
     """One shard's full stack (chain, mempool, database, anchors, queries).
 
     With a :class:`~repro.persist.durable.DurableStorage` attached, the
     chain, record database, and state snapshot live in the shard's store
-    directory, and anchor-service state is checkpointed into the store's
-    meta table — reopening the same directory restores the whole stack
-    without genesis replay.  Mempool contents are deliberately *not*
+    directory, and every anchor batch's proof state commits with its
+    anchor block (:mod:`repro.provenance.anchor`) — reopening the same
+    directory restores the whole stack without genesis replay, wherever
+    the process died.  Mempool contents are deliberately *not*
     persisted: an unsealed transaction was never acknowledged as durable.
     """
-
-    ANCHOR_META_KEY = "anchor_state"
 
     def __init__(self, shard_id: int, params: ChainParams,
                  anchor_batch_size: int = 64,
@@ -87,9 +134,9 @@ class Shard:
             sender=f"shard-{shard_id}-anchor",
         )
         if storage is not None:
-            anchor_state = storage.get_meta(self.ANCHOR_META_KEY)
-            if anchor_state is not None:
-                self.anchor.restore_state(anchor_state)
+            _recover_proof_state(
+                storage, "anchor",
+                lambda: self.anchor.load_proof_state(self.database))
         self.query = ProvenanceQueryEngine(
             self.database, anchor_service=self.anchor, cache=QueryCache()
         )
@@ -187,12 +234,11 @@ class Shard:
         return stats, entries, self.chain.height
 
     def checkpoint(self) -> None:
-        """Persist anchor state + state snapshot + fsync (durable only)."""
+        """Persist the state image, fsync both logs and flush the index
+        WAL (durable only)."""
         if self.storage is None:
             return
-        self.storage.put_meta(self.ANCHOR_META_KEY,
-                              self.anchor.dump_state())
-        self.chain.checkpoint()
+        self.chain.save_state_image()
         self.storage.sync()
 
     def close(self) -> None:
@@ -328,8 +374,6 @@ class SubmitReport:
 class ShardedChain:
     """Facade over N shards, a router, a lock table, and the beacon."""
 
-    _FACADE_META_KEY = "facade_state"
-    _BEACON_META_KEY = "beacon_state"
     _LAYOUT_META_KEY = "layout"
 
     def __init__(
@@ -485,15 +529,16 @@ class ShardedChain:
                 1 if executor == "serial" else seal_workers, self.telemetry
             )
         if beacon_storage is not None:
-            beacon_state = beacon_storage.get_meta(self._BEACON_META_KEY)
-            if beacon_state is not None:
-                self.beacon.restore_state(beacon_state)
-            facade = beacon_storage.get_meta(self._FACADE_META_KEY)
-            if facade is not None:
-                self.rounds_sealed = int(facade["rounds_sealed"])
-                for shard, height in zip(self.shards,
-                                         facade["anchored_height"]):
-                    shard.anchored_height = int(height)
+            # Round count and watermarks follow from the beacon's rounds,
+            # so they agree with the beacon chain wherever the process
+            # died (empty rounds anchor nothing and are not counted
+            # across a reopen).
+            _recover_proof_state(beacon_storage, "round",
+                                 self.beacon.load_proof_state)
+            self.rounds_sealed = self.beacon.rounds_anchored
+            for shard in self.shards:
+                shard.anchored_height = self.beacon.anchored_height(
+                    shard.shard_id)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -568,24 +613,16 @@ class ShardedChain:
     # Durability
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Checkpoint every shard, the beacon, and the facade state so a
-        reopened :class:`ShardedChain` on the same ``storage_dir`` resumes
-        exactly here.  No-op for in-memory deployments."""
+        """Checkpoint every shard and the beacon — per store, the state
+        image plus the log fsyncs and the index WAL flush, nothing else:
+        proof state already committed with its blocks — so a reopened
+        :class:`ShardedChain` on the same ``storage_dir`` replays no
+        block.  No-op for in-memory deployments."""
         if self._beacon_storage is None:
             return
         for shard in self.shards:
             shard.checkpoint()
-        self._beacon_storage.put_meta(self._BEACON_META_KEY,
-                                      self.beacon.dump_state())
-        self._beacon_storage.put_meta(
-            self._FACADE_META_KEY,
-            {
-                "rounds_sealed": self.rounds_sealed,
-                "anchored_height": [shard.anchored_height
-                                    for shard in self.shards],
-            },
-        )
-        self.beacon.chain.checkpoint()
+        self.beacon.chain.save_state_image()
         self._beacon_storage.sync()
 
     def tier_storage(self, keep_tail: int = 256,
@@ -616,8 +653,9 @@ class ShardedChain:
         """Fail-stop, for crash testing: release every OS resource
         WITHOUT checkpointing, as if the process died right here.
         Durable state is exactly what the stores already committed —
-        sealed block segments, per-write meta commits (the 2PC WAL) —
-        while derived facade/beacon meta stays at the last checkpoint,
+        sealed block segments with their derived proof rows, records,
+        per-write meta commits (the 2PC WAL) — while the state image
+        stays at the last checkpoint (blocks above it replay on open),
         which is what a reopened :class:`ShardedChain` plus
         ``CrossShardCoordinator(recover=True)`` must cope with."""
         self._coordinators.clear()

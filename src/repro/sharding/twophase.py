@@ -34,8 +34,9 @@ it describes takes effect.  On reopen, :meth:`CrossShardCoordinator.
 recover` replays the WAL **presumed-abort**:
 
 * a transfer whose commit legs are all on-chain is *finalized* — the
-  handoff record pair is re-materialized idempotently (records already
-  present are skipped, anchor re-enqueue tolerates duplicates);
+  handoff record pair is re-materialized idempotently (a record already
+  stored is skipped: reopening its shard already queued it for
+  anchoring if no anchor covered it);
 * every other in-flight transfer is *aborted* and its subjects unlocked.
 
 Each coordinator generation takes a strictly increasing **epoch**
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..chain import Transaction, TxKind
-from ..errors import AnchorError, ChainError, ShardError
+from ..errors import ChainError, ShardError
 from ..persist.segment import CrashPoint
 from .shardchain import RoundReport, ShardedChain
 
@@ -490,62 +491,46 @@ class CrossShardCoordinator:
 
     def _finalize(self, transfer: CrossShardTransfer) -> None:
         """Both commit legs are on-chain: materialize the handoff
-        records, make them durable, then write the terminal WAL step
-        and release the locks.  Idempotent — recovery replays this for
-        a transfer that crashed mid-finalize, and records that already
-        exist are skipped (their anchor enqueue tolerates duplicates)."""
+        records durably (one fsynced ``ingest_records`` bucket per
+        participant shard), then write the terminal WAL step and release
+        the locks.  Idempotent — recovery replays this for a transfer
+        that crashed mid-finalize, and a record already stored is
+        skipped: it is anchored, or its reopened shard re-queued it."""
         transfer.state = FINALIZING
         self._wal_write(transfer, "finalizing")
         actor = str(transfer.payload.get("actor", self.sender))
         extra = {k: v for k, v in transfer.payload.items()
                  if k not in self._PROTECTED_FIELDS}
-        base = {
-            "actor": actor,
-            "timestamp": transfer.timestamp,
-            "xid": transfer.xid,
-        }
-        self._materialize(transfer.source_shard, {
-            **extra,
-            "record_id": f"{transfer.xid}:out",
-            "subject": transfer.source_subject,
-            "operation": "handoff-out",
-            "peer": transfer.target_subject,
-            **base,
-        })
-        self._materialize(transfer.target_shard, {
-            **extra,
-            "record_id": f"{transfer.xid}:in",
-            "subject": transfer.target_subject,
-            "operation": "handoff-in",
-            "peer": transfer.source_subject,
-            **base,
-        })
+        pair = [
+            (shard_id, {
+                **extra,
+                "record_id": f"{transfer.xid}:{side}",
+                "subject": subject,
+                "operation": f"handoff-{side}",
+                "peer": peer,
+                "actor": actor,
+                "timestamp": transfer.timestamp,
+                "xid": transfer.xid,
+            })
+            for shard_id, side, subject, peer in (
+                (transfer.source_shard, "out",
+                 transfer.source_subject, transfer.target_subject),
+                (transfer.target_shard, "in",
+                 transfer.target_subject, transfer.source_subject))
+        ]
         # The record pair must survive a crash that happens the instant
-        # the WAL says "finalized": checkpoint the participant stores
-        # BEFORE the terminal step (no-op on in-memory deployments).
-        for shard_id in transfer.participants:
-            self.sharded.shard(shard_id).checkpoint()
+        # the WAL says "finalized": it is fsynced BEFORE the terminal
+        # step.
+        self.sharded.ingest_records([
+            record for shard_id, record in pair
+            if not self.sharded.shard(shard_id).database.contains(
+                record["record_id"])
+        ])
         transfer.state = COMMITTED
         self._wal_terminal(transfer, "finalized")
         self._unlock(transfer)
         transfer.outcome = self._outcome(transfer, "completed")
         self.committed += 1
-
-    def _materialize(self, shard_id: int, record: dict) -> None:
-        """Insert one handoff record, idempotently: a replayed finalize
-        finds the record already stored (and possibly already anchored)
-        and must complete without double-inserting."""
-        shard = self.sharded.shard(shard_id)
-        if not shard.database.contains(record["record_id"]):
-            self.sharded.ingest_record(record)
-            return
-        try:
-            # Present but maybe not anchored (anchor-service state is
-            # checkpointed meta and can trail the record log): re-queue.
-            shard.anchor.enqueue(shard.database.get(record["record_id"]))
-            shard.query.notify_write()
-        except AnchorError:
-            pass  # already anchored or pending — nothing to redo
 
     def _abort(self, transfer: CrossShardTransfer, reason: str) -> None:
         """Abort path: persist intent, leave an on-chain abort record

@@ -163,6 +163,10 @@ class ProvenanceDatabase:
     def records(self) -> Iterator[dict]:
         yield from self._store.iter_records()
 
+    def record_ids(self) -> Iterator[str]:
+        """Record ids in position (= insertion) order."""
+        return iter(self._by_id)
+
     def annotate(self, record_id: str, **fields: Any) -> None:
         """Attach non-indexed metadata (e.g. anchor references)."""
         position = self._by_id.get(record_id)

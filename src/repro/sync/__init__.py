@@ -24,21 +24,29 @@ which carrier it is on, and nothing but encoded bytes crosses.
   head with its post-execution
   :meth:`~repro.chain.state.StateStore.state_root`, so the beacon — not
   the peer — vouches for the image.
-* ``sync/chunk`` — the image (state entries + anchor-service state +
-  provenance records, one canonical byte string) in fixed-size chunks,
-  each hash-checked against the manifest; downloads are staged on disk
-  and resume by chunk index across client crashes.
+* ``sync/chunk`` — the image (state entries + provenance records, one
+  canonical byte string; **no proof state** — that travels with the
+  blocks, below) in fixed-size chunks, each hash-checked against the
+  manifest; downloads are staged on disk and resume by chunk index
+  across client crashes.
 * ``sync/tail`` — the block history as **raw segment-log frames**
   (served without decoding, installed without executing).  The client
   header-scans each frame (:func:`~repro.sync.codec.scan_block_frame`,
   no transaction objects, ~one SHA per block) and hash-chains genesis →
   head; the chain must terminate at the beacon-verified head hash or
-  everything the attempt installed is truncated away.  A tiered source
-  refuses heights it has archived (``reason="cold_history"``).
+  everything the attempt installed is truncated away.  An anchor
+  block's frame arrives with its *derived row* (the batch's leaf
+  digests, :mod:`repro.provenance.anchor`); the client decodes that
+  block and installs the row only if it hashes to the root the anchor
+  transaction committed (``reason="forged_tail"`` otherwise), and the
+  replica's anchor service reloads from those rows exactly as a
+  reopened source shard does.  A tiered source refuses heights it has
+  archived (``reason="cold_history"``).
 
 Trust recap — the serving peer is byzantine until proven otherwise:
 chunk ⇒ manifest hash ⇒ beacon-anchored state root; frame ⇒ header
-hash-chain ⇒ beacon-anchored head hash; anything else (forged offer,
+hash-chain ⇒ beacon-anchored head hash; proof row ⇒ Merkle root in that
+frame's anchor transaction; anything else (forged offer,
 stale snapshot, truncated tail, corrupt chunk, a field of the wrong
 type, the peer's own ``error`` frame, its silence) fails closed with a
 structured :class:`~repro.errors.SyncError` and

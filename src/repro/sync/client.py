@@ -39,14 +39,14 @@ from dataclasses import dataclass, field
 
 from ..chain.block import GENESIS_PREV_HASH
 from ..chain.state import StateStore
-from ..errors import GatewayError, SerializationError, StorageError, \
-    SyncError
+from ..errors import AnchorError, GatewayError, SerializationError, \
+    StorageError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
-from ..persist.codec import decode_block
+from ..persist.codec import canonical_decode, decode_block
 from ..persist.durable import DurableStorage
 from ..persist.segment import CrashPoint
+from ..provenance.anchor import verify_batch_row
 from ..sharding.beacon import BeaconLightBundle
-from ..sharding.shardchain import Shard
 from .codec import (
     SnapshotManifest,
     bundle_from_mapping,
@@ -368,14 +368,16 @@ class SnapshotClient:
                      typed(item["crc"], int),
                      [typed(t, str) for t in item["tx_ids"]],
                      [r if r is None else typed(r, bytes)
-                      for r in item["receipts"]])
+                      for r in item["receipts"]],
+                     None if item.get("derived") is None
+                     else typed(item["derived"], bytes))
                     for item in typed(resp["items"], list)
                 ]
             except (KeyError, TypeError) as exc:
                 raise self._fail(f"malformed tail batch: {exc}",
                                  reason="corrupt_block") from exc
             batch: list[dict] = []
-            for height, frame, crc, tx_ids, receipts in items:
+            for height, frame, crc, tx_ids, receipts, derived in items:
                 if height != start + len(batch):
                     raise self._fail(
                         f"tail item height {height} out of sequence "
@@ -421,11 +423,18 @@ class SnapshotClient:
                         reason="corrupt_block",
                     )
                 block_hash = scanned.block_hash
-                if self.deep_verify:
+                if self.deep_verify or derived is not None:
+                    # A proof row is never installed on the peer's word:
+                    # its block is decoded and the row must hash to the
+                    # root the anchor transaction in it committed.
                     try:
                         block = decode_block(frame,
                                              expected_hash=block_hash)
-                    except (SerializationError, StorageError) as exc:
+                        if derived is not None:
+                            verify_batch_row(canonical_decode(derived),
+                                             block)
+                    except (SerializationError, StorageError,
+                            AnchorError) as exc:
                         raise self._fail(
                             f"tail block {height} fails deep "
                             f"verification: {exc}", reason="forged_tail",
@@ -442,6 +451,7 @@ class SnapshotClient:
                     "frame": frame,
                     "tx_ids": tx_ids,
                     "receipts": receipts,
+                    "derived": derived,
                 })
                 prev_hash = block_hash
                 self.report.bytes_received += len(frame)
@@ -481,6 +491,5 @@ class SnapshotClient:
         storage.records.append_many(records[existing:])
         self.report.records_installed = len(records) - existing
         self.report.state_entries = len(entries)
-        storage.put_meta(Shard.ANCHOR_META_KEY, image["anchor"])
         storage.state.save(manifest.height, entries,
                            block_hash=manifest.block_hash)

@@ -4,9 +4,9 @@ bundles, frame scans.
 Four concerns, all byte-exact:
 
 * **Image encoding** — one shard's snapshot material (state entries,
-  anchor-service state, provenance records) as a single canonical byte
-  string, split into fixed-size chunks that are downloaded, verified,
-  and resumed independently.
+  provenance records) as a single canonical byte string, split into
+  fixed-size chunks that are downloaded, verified, and resumed
+  independently.
 * **Manifest** — the contract the client holds the server to: the
   snapshot's shard / height / head block hash / state root plus the
   domain-separated hash of every chunk.  The manifest itself is *not*
@@ -210,12 +210,11 @@ def bundle_from_mapping(m) -> BeaconLightBundle:
 
 
 # ---------------------------------------------------------------------------
-# Image payload (state + anchor state + records, one canonical value)
+# Image payload (state + records, one canonical value)
 # ---------------------------------------------------------------------------
-def encode_image(state_entries, anchor_state, records) -> bytes:
+def encode_image(state_entries, records) -> bytes:
     """One shard's snapshot material as canonical bytes."""
     return canonical_encode({
-        "anchor": anchor_state,
         "records": list(records),
         "state": [[ns, key, value] for ns, key, value in state_entries],
     })
@@ -230,8 +229,8 @@ def decode_image(data: bytes) -> dict:
         raise SyncError(f"image does not decode: {exc}",
                         reason="corrupt_image") from exc
     if (not isinstance(image, dict)
-            or not {"anchor", "records", "state"} <= set(image)):
-        raise SyncError("image lacks state/anchor/records sections",
+            or not {"records", "state"} <= set(image)):
+        raise SyncError("image lacks state/records sections",
                         reason="corrupt_image")
     image["state"] = [(str(ns), str(key), value)
                       for ns, key, value in image["state"]]

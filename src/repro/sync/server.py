@@ -14,12 +14,12 @@ the three ``sync/*`` ops; attach it to either carrier
 
 Serving is cheap by construction:
 
-* the image (state entries + anchor state + records) is built once per
-  head and cached; chunk requests are list lookups;
+* the image (state entries + records) is built once per head and
+  cached; chunk requests are list lookups;
 * tail blocks come straight off the durable store's segment log as raw
-  frames (:meth:`~repro.persist.durable.DurableBlockStore.raw_block_item`
+  frames (:meth:`~repro.persist.durable.DurableBlockStore.raw_block_items`
   — no decode); an in-memory source falls back to encoding the live
-  block objects.
+  block objects (:func:`tail_item`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from ..errors import ShardError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
 from ..persist.codec import encode_block, encode_receipt
 from ..rpc import Service
+from ..serialization import canonical_encode
 from .codec import (
     DEFAULT_CHUNK_SIZE,
     SnapshotManifest,
@@ -49,17 +50,12 @@ class _CachedImage:
     chunks: list[bytes]
 
 
-def tail_item(chain, height: int) -> dict:
-    """One block's wire material: raw frame + index rows.
-
-    Durable stores serve the exact log frame without decoding; memory
-    stores encode the live object (byte-identical — the frame format
-    *is* the canonical encoding).
-    """
+def tail_item(chain, height: int, derived=None) -> dict:
+    """One block's wire material from a store that holds objects: the
+    encoded live block (byte-identical to a durable store's log frame —
+    the frame format *is* the canonical encoding) + its index rows,
+    ``derived`` (the block's proof row, if it has one) among them."""
     store = chain.store
-    raw = getattr(store, "raw_block_item", None)
-    if raw is not None:
-        return raw(height)
     block = store.block_at(height)
     receipts = [store.receipt_for(tx.tx_id) for tx in block.transactions]
     frame = encode_block(block)
@@ -71,6 +67,7 @@ def tail_item(chain, height: int) -> dict:
         "tx_ids": [tx.tx_id for tx in block.transactions],
         "receipts": [encode_receipt(r) if r is not None else None
                      for r in receipts],
+        "derived": None if derived is None else canonical_encode(derived),
     }
 
 
@@ -163,7 +160,6 @@ class SnapshotServer:
                 return cached
         image_bytes = encode_image(
             shard.chain.state.dump_entries(),
-            shard.anchor.dump_state(),
             shard.database.records(),
         )
         manifest, chunks = SnapshotManifest.for_image(
@@ -226,7 +222,8 @@ class SnapshotServer:
                 )
             items = ranged(start, span)
         else:
-            items = [tail_item(shard.chain, h)
+            rows = dict(store.derived_rows())
+            items = [tail_item(shard.chain, h, rows.get(h))
                      for h in range(start, start + max(0, span))]
         self.tail_blocks_served += len(items)
         self._m_tail.inc(len(items))

@@ -36,6 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain.block import Block
 from repro.chain.receipts import Event, TransactionReceipt
 from repro.chain.transaction import Transaction, TxKind
+from repro.crypto.merkle import leaf_hash
 from repro.crypto.signatures import KeyPair
 from repro.errors import SerializationError
 from repro.exec.engine import ProcessRoundEngine
@@ -462,8 +463,9 @@ class TestRecordsEncodedOnce:
             assert a.chain.head.block_hash == b.chain.head.block_hash
         for record in records:
             shard = batched.shard_for_subject(record["subject"])
-            assert shard.anchor._locator[record["record_id"]][2] \
-                == record_digest(record)
+            proof = shard.anchor.prove(record["record_id"])
+            assert proof.merkle_proof.root_from(
+                leaf_hash(record_digest(record))) == proof.merkle_root
             assert shard.database.get(record["record_id"]) == record
         assert batched.beacon.chain.head.header \
             == single.beacon.chain.head.header

@@ -57,6 +57,17 @@ RECORDS = [
 ]
 
 
+def beacon_commitments(sc: ShardedChain) -> tuple:
+    """The beacon's whole proof state, read the way a verifier does:
+    every round receipt plus the anchoring proof of every shard block."""
+    return list(sc.beacon.receipts), [
+        sc.beacon.prove_shard_block(
+            s, h, sc.shard(s).chain.block_at(h).block_hash)
+        for s in range(N_SHARDS)
+        for h in range(1, sc.shard(s).chain.height + 1)
+    ]
+
+
 def run_deployment(executor: str, workers: int | None, store_dir: str,
                    kill_round: int | None = None) -> dict:
     """One full deployment: contract deploy + records + mixed rounds,
@@ -106,7 +117,7 @@ def run_deployment(executor: str, workers: int | None, store_dir: str,
     assert proof.verify(record, header)
 
     out = {
-        "beacon": sc.beacon.dump_state(),
+        "beacon": beacon_commitments(sc),
         "roots": [sc.shard(s).chain.state.state_root()
                   for s in range(N_SHARDS)],
         "heights": [sc.shard(s).chain.height for s in range(N_SHARDS)],
@@ -171,7 +182,7 @@ class TestExecutorParity:
                 sc.submit(tx)
             sc.seal_round(timestamp=100)
             out = {
-                "beacon": sc.beacon.dump_state(),
+                "beacon": beacon_commitments(sc),
                 "roots": [sc.shard(s).chain.state.state_root()
                           for s in range(N_SHARDS)],
                 "committed": sc.total_txs_committed,
