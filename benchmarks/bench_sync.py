@@ -13,7 +13,7 @@ Measures what the ISSUE-5 sync subsystem buys a joining replica:
   up by re-validating and re-executing every block from genesis into
   its own durable store (plus re-inserting the record database).
   ``catchup_speedup_vs_replay`` is the headline number and the full run
-  asserts it >= 5x.
+  asserts it >= ``SPEEDUP_FLOOR``.
 * **transfer throughput** — image bytes and tail blocks per second
   through the chunked protocol (virtual network, so this measures codec
   + verification + install cost, not wire latency).
@@ -40,6 +40,18 @@ from repro.persist import DurableStorage
 from repro.sharding import ShardedChain, ShardedQueryEngine
 from repro.storage.provdb import ProvenanceDatabase
 from repro.sync import SnapshotServer
+
+
+# Catch-up vs genesis-replay floor, re-set from measurement in PR 19.  It
+# was 5.0x when genesis replay decoded and re-encoded every transaction;
+# PR 16's one-pass codec made *replay* ~25 % faster while catch-up (which
+# never decoded them) stayed put, so the ratio fell to 3.3x-4.6x (twelve
+# full runs over the PR 18 and PR 19 trees on the reference sandbox,
+# median 3.8x) and the old floor failed for a reason that is an
+# improvement.  3.0x sits under the slowest undisturbed run and still
+# fails loudly on what the floor is for: a catch-up that starts executing
+# or re-validating history drops to ~1x.
+SPEEDUP_FLOOR = 3.0
 
 
 def build_source(store_dir: str, n_blocks: int, txs_per_block: int,
@@ -204,7 +216,7 @@ def main() -> None:
     print(json.dumps(result, indent=2))
     finish_bench(result, "BENCH_sync.json", args, floors=[
         ("snapshot-sync catch-up speedup vs genesis replay",
-         speedup, 5.0),
+         speedup, SPEEDUP_FLOOR),
     ])
 
 

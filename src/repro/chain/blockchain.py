@@ -17,7 +17,7 @@ Hot-path vs auditor split: every commit entry point — :meth:`append_block`,
 the reopen replay — is argument preparation around **one** skeleton,
 :meth:`Blockchain._commit_group`: validate linkage → snapshot per block →
 advance state → install in the store → unwind exactly what the store did
-not commit → journal/prune → subscribers → interval checkpoint.  The
+not commit → journal/prune → subscribers.  The
 caller supplies how state advances (run the executor, or apply an exec
 worker's deltas), whether the group is installed at all (the reopen
 replay re-executes blocks the store already holds) and announced, and the
@@ -161,7 +161,6 @@ class Blockchain:
         executor: Executor | None = None,
         store: BlockStore | None = None,
         snapshot_store: StateSnapshotStore | None = None,
-        snapshot_interval: int = 0,
         contract_runtime=None,
     ) -> None:
         self.params = params or ChainParams()
@@ -170,7 +169,6 @@ class Blockchain:
         self._store: BlockStore = store if store is not None \
             else MemoryBlockStore()
         self._snapshot_store = snapshot_store
-        self._snapshot_interval = snapshot_interval
         self._blocks_view = BlockSequenceView(self._store)
         # Snapshot handles for the journaled tail of the chain; entry i
         # (from the right) undoes block `height - i`.
@@ -480,14 +478,6 @@ class Blockchain:
             for block, receipts in zip(blocks, all_receipts):
                 for callback in self._subscribers:
                     callback(block, receipts)
-            # Interval checkpoints run only after the group is fully
-            # committed and announced — a checkpoint failure (disk full)
-            # must not masquerade as a failed append of blocks that
-            # landed.
-            if (self._snapshot_interval > 0
-                    and any(block.height % self._snapshot_interval == 0
-                            for block in blocks)):
-                self.checkpoint()
         return all_receipts
 
     def _journal(self, snaps: list[int]) -> None:
@@ -636,19 +626,11 @@ class Blockchain:
         if delta <= len(self._block_snaps):
             for _ in range(delta):
                 self._rollback_head_block()
-            # Discard a checkpoint of the orphaned branch *before*
-            # committing the suffix — a checkpoint the suffix commits may
-            # take (snapshot_interval) describes the winning branch and
-            # must survive.
             self._discard_snapshot_above(fork_height)
             for block in new_suffix:
                 self._commit_block(block)
         else:
             self._replay_reorg(fork_height, new_suffix)
-        if self._snapshot_interval > 0:
-            # Re-checkpoint promptly on the winning branch so the on-disk
-            # image never lags a whole interval behind a reorg.
-            self.checkpoint()
 
     def _rollback_head_block(self) -> None:
         """Undo the head block: state, receipts, and index (O(block))."""

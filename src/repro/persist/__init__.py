@@ -1,31 +1,63 @@
-"""Pluggable durable storage for chains, records, and state.
+"""The storage layer: one ``Storage`` shape, memory or durable.
 
-Design note (ISSUE 3 tentpole)
-------------------------------
+Design note
+-----------
 
 The SOK paper's provenance systems assume the ledger *survives*: SciChain
 makes durable, auditable storage the core of trustworthy scientific
 provenance, and the smart-contract provenance managers it surveys all
-depend on a persistent, tamper-evident store.  Before this package, every
-store in the library was a Python list or dict — a shard crash meant
-genesis replay, and a chain could never outgrow RAM.
+depend on a persistent, tamper-evident store.  This package is that
+store, and nothing in it imports the layers built on it (``sharding``,
+``sync``, the survey-facing ``storage`` name).
 
-Three narrow interfaces (:mod:`repro.persist.stores`) now sit between the
-domain layers and their bytes:
+**One shape.**  Every chain stack — a shard, the beacon, a replica —
+opens on one :class:`~repro.persist.stores.Storage` bundle and never asks
+which kind it got:
 
-* :class:`BlockStore` — committed blocks, the tx index, receipts;
-* :class:`RecordStore` — the append-only provenance record list;
-* :class:`StateSnapshotStore` — one checkpointed state image.
+* ``blocks`` — a :class:`BlockStore`: committed blocks, the tx index,
+  receipts, and each block's *derived row* (proof state a service
+  computes from the block, committed and dropped with it);
+* ``records`` — a :class:`RecordStore`: the append-only provenance record
+  list :class:`~repro.persist.provdb.ProvenanceDatabase` indexes;
+* ``state`` — a :class:`StateSnapshotStore` for the checkpointed state
+  image (``None`` in memory: there is nothing to reopen from, so a
+  checkpoint copies nothing);
+* the :class:`MetaStore` surface (``put_meta`` / ``get_meta``) for state
+  no block creates — the shard layout, the 2PC transfer WAL, the sync
+  client's resume marker;
+* ``sync()`` / ``close()`` / ``tier()``.
 
-with two backends each:
+:class:`MemoryStorage` keeps lists and dicts (meta values still
+round-trip through the canonical codec, so coordinator recovery reads
+what it would read from disk).  :class:`DurableStorage` keeps one
+directory: two segment logs (length-prefixed canonical encodings,
+per-frame CRC-32; :mod:`repro.persist.segment`), one sqlite database,
+and — once blocks have been archived — a file CAS
+(:mod:`repro.persist.cas`) as the cold tier under the block log.
 
-* **memory** — the seed's original lists/dicts, extracted behind the
-  interface (zero behavior change; still the default everywhere);
-* **durable** (:mod:`repro.persist.durable`) — append-only segment logs
-  (length-prefixed canonical encodings, per-frame CRC-32, fsync-on-seal;
-  :mod:`repro.persist.segment`) indexed by stdlib sqlite3: height→offset,
-  tx_id→location, record_id→location, and the state snapshot stored as a
-  namespace→key table.
+**One indexed log.**  Blocks and records are the same structure on disk:
+a segment log whose live frames are located by the rows of one sqlite
+table (``blocks`` by height, ``records`` by position).
+:class:`~repro.persist.durable.IndexedLog` is that structure, used twice,
+and holds the only copy of everything that keeps log and table in step:
+
+* the group write — frames first (flushed, fsynced when the caller says
+  so), then every index row in one transaction, so the sqlite commit is
+  the commit point and a group is on disk entirely or not at all;
+* the recovery walk run on open — back from the highest-*addressed* row
+  past rows whose frames fail CRC (with a per-table hook for the rows
+  that share a dropped key's fate: a block's txs, receipts and derived
+  row), then truncate the log to the last indexed frame.  Address order,
+  not key order, because annotation (``replace``) repoints an old record
+  at the newest frame; for blocks the two orders coincide;
+* compaction — rewrite live frames into the next *generation* directory,
+  repoint every row and bump the generation in one transaction;
+* the read side — row lookup, frame read, one LRU of decoded values.
+
+Truncation (reorg) deletes rows first and cuts the log second, so a crash
+at *any* byte of either leaves the log ahead of the index, which is the
+one state the walk reconciles — the property ``tests/test_persist.py``
+and ``tests/test_tiering.py`` exercise byte by byte on both tables.
 
 **Why the hash encoding is the wire format.**  Frames hold the *same*
 canonical bytes every hash and signature already commits to
@@ -35,26 +67,15 @@ the block hash the index recorded — corruption surfaces as a hash
 mismatch, never as silently different data, which is precisely the
 tamper-evidence argument the chain itself makes.
 
-**Crash recovery.**  The commit point is the sqlite row: log frame first
-(flushed), index row second.  On open, :class:`DurableStorage` walks the
-index tail backwards past rows whose frames fail CRC, then truncates the
-log to the last indexed frame.  Reorgs run the same truncation in the
-other order (index rows deleted first), so a crash at *any* byte leaves
-the pair reconcilable — the property the fault-injection suite in
-``tests/test_persist.py`` exercises frame-byte by frame-byte.
-
-**Restart without replay.**  :class:`~repro.chain.blockchain.Blockchain`
-accepts ``store=`` and ``snapshot_store=``; ``checkpoint()`` saves the
-state image at the head, and a reopened chain restores it and re-executes
-only blocks above the snapshot (``blocks_replayed_on_open`` counts them —
-0 after a clean close).  :class:`~repro.sharding.shardchain.ShardedChain`
-wires a per-shard directory plus a beacon directory; anchor batches and
-beacon rounds commit with their blocks as derived rows, so a restarted
-deployment serves identical query and proof results with no genesis
-replay, wherever it died.  Snapshot sync and 2PC coordinator
-recovery (ROADMAP) build on exactly these pieces.
+**Restart without replay.**  ``checkpoint()`` saves the state image at
+the head, and a chain reopened on the same bundle restores it and
+re-executes only blocks above it (``blocks_replayed_on_open`` — 0 after a
+clean close).  Anchor batches and beacon rounds commit with their blocks
+as derived rows, so a restarted deployment serves identical query and
+proof results with no genesis replay, wherever it died.
 """
 
+from .cas import CID, ContentAddressedStore, FileCAS
 from .codec import canonical_decode, decode_block, encode_block
 from .durable import (
     DurableBlockStore,
@@ -62,16 +83,18 @@ from .durable import (
     DurableStateSnapshotStore,
     DurableStorage,
 )
+from .provdb import ProvenanceDatabase
 from .segment import FRAME_OVERHEAD, CrashPoint, LogLocation, SegmentLog
 from .stores import (
     BlockSequenceView,
     BlockStore,
     MemoryBlockStore,
     MemoryRecordStore,
-    MemoryStateSnapshotStore,
+    MemoryStorage,
     MetaStore,
     RecordStore,
     StateSnapshotStore,
+    Storage,
 )
 
 __all__ = [
@@ -82,16 +105,21 @@ __all__ = [
     "LogLocation",
     "CrashPoint",
     "FRAME_OVERHEAD",
+    "Storage",
     "BlockStore",
     "RecordStore",
     "StateSnapshotStore",
     "MetaStore",
+    "MemoryStorage",
     "MemoryBlockStore",
     "MemoryRecordStore",
-    "MemoryStateSnapshotStore",
     "BlockSequenceView",
     "DurableStorage",
     "DurableBlockStore",
     "DurableRecordStore",
     "DurableStateSnapshotStore",
+    "ProvenanceDatabase",
+    "ContentAddressedStore",
+    "FileCAS",
+    "CID",
 ]

@@ -1,35 +1,33 @@
-"""Durable backend: append-only segment logs indexed by sqlite.
+"""Durable backend: two indexed segment logs and one sqlite database.
 
 One :class:`DurableStorage` per store directory owns
 
-* ``blocks-log/`` — a :class:`~repro.persist.segment.SegmentLog` of
-  canonical block encodings,
-* ``records-log/`` — a segment log of canonical provenance records,
-* ``index.db`` — a stdlib :mod:`sqlite3` database holding every index
-  the ISSUE's query paths need: height → log offset, tx_id → (height,
-  position), receipts, record_id → log location, the state snapshot
+* ``blocks-log/`` — an :class:`IndexedLog` of canonical block encodings,
+* ``records-log/`` — an :class:`IndexedLog` of canonical provenance
+  records,
+* ``index.db`` — a stdlib :mod:`sqlite3` database holding the two
+  location tables (height → frame, position/record_id → frame), the
+  tx_id → (height, position) index, receipts, the state snapshot
   (``namespace`` → keys → canonical value), and a small meta table.
 
 Commit discipline (the crash-recovery contract): an entry **counts iff
 its sqlite index row is committed and its log frame is CRC-valid**.
-Each store has exactly one writer — :meth:`DurableBlockStore._write_group`
-and :meth:`DurableRecordStore.append_many` — and both do the same three
-things in the same order: check the group is consecutive from the head,
-hand every frame to one ``SegmentLog.append_many(frames, fsync=)``, then
-commit every index row in one sqlite transaction.  A single append is a
-group of one.  A block's **derived row** — proof state a service computes
-from it (an anchor batch's leaf digests, a beacon round's entries), one
-meta row keyed ``derived/<height>`` — is one of those index rows and
-shares the block's fate at commit, recovery and truncation: it commits in
-the block's transaction, :meth:`DurableStorage._recover_blocks` drops it
-with an orphaned block, :meth:`DurableBlockStore.truncate_above` deletes
-it with a reorged one.  A row exists iff its block does, so nothing
-derived is checkpointed; services reload from
-:meth:`DurableBlockStore.derived_rows`.  Callers that hold objects reach
-the block writer through :meth:`DurableBlockStore.append_blocks` (which
-encodes, unless the caller passes the bytes it already has); the snapshot
-client, which holds only verified frames, through
-:meth:`DurableBlockStore.install_raw`.
+Both stores write through :meth:`IndexedLog.append`, which does the same
+three things in the same order for every group: hand every frame to one
+``SegmentLog.append_many(frames, fsync=)``, then commit every index row
+in one sqlite transaction.  A single append is a group of one.  A
+block's **derived row** — proof state a service computes from it (an
+anchor batch's leaf digests, a beacon round's entries), one meta row
+keyed ``derived/<height>`` — is one of those index rows and shares the
+block's fate at commit, recovery and truncation: it commits in the
+block's transaction, the recovery walk drops it with an orphaned block,
+:meth:`DurableBlockStore.truncate_above` deletes it with a reorged one.
+A row exists iff its block does, so nothing derived is checkpointed;
+services reload from :meth:`DurableBlockStore.derived_rows`.  Callers
+that hold objects reach the block writer through
+:meth:`DurableBlockStore.append_blocks` (which encodes, unless the caller
+passes the bytes it already has); the snapshot client, which holds only
+verified frames, through :meth:`DurableBlockStore.install_raw`.
 
 Where the fsync decision is made: not here.  ``fsync`` arrives from the
 caller and is passed to the log unchanged — ``True`` makes the group its
@@ -38,14 +36,14 @@ batch), ``False`` leaves the frames flushed to the OS with the fsync
 deferred to the next group or checkpoint (single appends: anchor and
 beacon blocks, one-off records).  Truncations delete index rows first,
 then cut the log.  A crash between the two steps of either therefore
-always leaves the log *ahead* of the index, and
-:meth:`DurableStorage._recover_blocks` / ``_recover_records`` reconcile
-on open by walking the index tail backwards until it finds a valid frame, dropping orphaned rows, and
-truncating the log to the last indexed frame — so a group is on disk
-entirely or not at all, and a chain that failed mid-commit unwinds by
-the height the store reports, never by what it attempted.  The
-fault-injection hook on the segment log makes every intermediate byte
-state reachable in tests.
+always leaves the log *ahead* of the index, and the one recovery walk
+(:meth:`IndexedLog._recover`, run when a log opens) reconciles by
+walking the index back from its highest-addressed row until it finds a
+valid frame, dropping orphaned rows, and truncating the log to the last
+indexed frame — so a group is on disk entirely or not at all, and a
+chain that failed mid-commit unwinds by the height the store reports,
+never by what it attempted.  The fault-injection hook on the segment log
+makes every intermediate byte state reachable in tests.
 """
 
 from __future__ import annotations
@@ -53,14 +51,17 @@ from __future__ import annotations
 import os
 import shutil
 import sqlite3
+import zlib
 from collections import OrderedDict
 from collections.abc import Mapping as MappingABC
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..chain.block import Block
 from ..chain.receipts import TransactionReceipt
 from ..errors import InvalidBlock, StorageError, UnknownEntity
+from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
+from .cas import CID, FileCAS
 from .codec import (
     canonical_decode,
     decode_block,
@@ -71,7 +72,7 @@ from .codec import (
     encode_record,
 )
 from .segment import CrashPoint, SegmentCodec, SegmentLog
-from .stores import BlockStore, MetaStore, RecordStore, StateSnapshotStore
+from .stores import BlockStore, RecordStore, StateSnapshotStore, Storage
 
 # Zero-padded height keys: key order is height order, and one range
 # (up to "0", the character after "/") names every row above a height.
@@ -81,6 +82,16 @@ _DERIVED_END = "derived0"
 
 def _derived_key(height: int) -> str:
     return f"{_DERIVED_PREFIX}{height:012d}"
+
+
+_PUT_META = "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)"
+
+
+def _get_meta(conn: sqlite3.Connection, key: str, default: Any = None) -> Any:
+    row = conn.execute("SELECT value FROM meta WHERE key = ?", (key,)
+                       ).fetchone()
+    return default if row is None else canonical_decode(row[0])
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks(
@@ -123,6 +134,240 @@ CREATE TABLE IF NOT EXISTS meta(
 """
 
 
+class IndexedLog:
+    """A segment log plus the sqlite table that says where each live
+    frame is — the one primitive under both durable stores.
+
+    ``table`` has an integer ``key`` column (``blocks.height``,
+    ``records.position``), the location columns ``segment, offset,
+    length`` and one ``extra`` column its store keeps per row.  A row
+    with ``segment < 0`` is not in this log (an archived block).  Every
+    piece of code that keeps log and table in step lives here: the write
+    (:meth:`append`, :meth:`repoint`), the recovery walk run on open,
+    compaction into a fresh *generation* directory (``<table>-log``,
+    then ``<table>-log.g<N>``; the live N is meta key
+    ``<table>_log_gen``), and the read side — row lookup, frame read and
+    the LRU of decoded values.
+    """
+
+    def __init__(self, conn: sqlite3.Connection, directory: str, table: str,
+                 key: str, extra: str, cache_size: int,
+                 max_segment_bytes: int, codec: SegmentCodec,
+                 drop_with: Callable[[sqlite3.Connection, int], None]
+                 | None = None) -> None:
+        self._conn = conn
+        self._directory = directory
+        self._table, self._key = table, key
+        self._base = f"{table}-log"
+        self._gen_key = f"{table}_log_gen"
+        self._insert_sql = (
+            f"INSERT INTO {table}({key}, segment, offset, length, {extra}) "
+            "VALUES (?,?,?,?,?)")
+        self._repoint_sql = (f"UPDATE {table} SET segment = ?, offset = ?, "
+                             f"length = ? WHERE {key} = ?")
+        self._drop_with = drop_with
+        self._log_options = {"max_segment_bytes": max_segment_bytes,
+                             "codec": codec}
+        self._cache: OrderedDict[int, Any] = OrderedDict()
+        self._cache_size = cache_size
+        # Compaction rewrites the log into the next generation directory
+        # and repoints the table in one transaction; the committed
+        # generation number says which directory is live.  Anything else
+        # (a crashed compaction's half-written next gen, or a superseded
+        # previous gen whose cleanup was interrupted) is swept before
+        # the log opens.
+        self.generation = int(_get_meta(conn, self._gen_key, 0))
+        self._sweep_stale_dirs()
+        self.log = SegmentLog(self._dir(self.generation),
+                              **self._log_options)
+        self.recovered = self._recover()
+
+    def _dir(self, generation: int) -> str:
+        name = self._base if generation == 0 \
+            else f"{self._base}.g{generation}"
+        return os.path.join(self._directory, name)
+
+    def _sweep_stale_dirs(self) -> None:
+        live = os.path.basename(self._dir(self.generation))
+        for name in os.listdir(self._directory):
+            stem, dot_g, generation = name.partition(".g")
+            if stem != self._base or name == live \
+                    or (dot_g and not generation.isdigit()):
+                continue
+            path = os.path.join(self._directory, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+
+    def _recover(self) -> int:
+        """Reconcile the log with its table; returns the rows dropped.
+
+        Walks the table back from its highest-addressed row, dropping
+        rows whose frames are partial/garbled (a crash mid-append, or an
+        operator truncating the segment file) together with whatever
+        ``drop_with`` says shares their fate, then truncates the log to
+        the end of the last surviving indexed frame — discarding frames
+        that were written but never indexed (a crash between log flush
+        and index commit).  Ordered by **log address**, not key:
+        :meth:`repoint` can point an *old* key at the newest frame, so
+        the frame the log must be truncated after is the
+        highest-addressed one any row references.  (Where nothing is
+        ever repointed — blocks — key order is address order.)
+        """
+        dropped = 0
+        while True:
+            row = self._conn.execute(
+                f"SELECT {self._key}, segment, offset, length "
+                f"FROM {self._table} WHERE segment >= 0 "
+                "ORDER BY segment DESC, offset DESC LIMIT 1"
+            ).fetchone()
+            if row is None:
+                self.log.truncate_to(0, 0)
+                return dropped
+            key, segment, offset, length = row
+            # Compare the on-disk frame length, not the decoded payload
+            # size: under a compressing codec the two differ.
+            info = self.log.frame_info_at(segment, offset)
+            if info is not None and info[1] == length:
+                self.log.truncate_to(segment, offset + length)
+                return dropped
+            with self._conn:
+                self._conn.execute(
+                    f"DELETE FROM {self._table} WHERE {self._key} = ?",
+                    (key,))
+                if self._drop_with is not None:
+                    self._drop_with(self._conn, key)
+            dropped += 1
+
+    # -- write ---------------------------------------------------------
+    def append(self, rows: Sequence[tuple[int, Any]],
+               frames: Sequence[bytes], fsync: bool,
+               also: Sequence[tuple[str, Sequence[tuple]]] = ()) -> None:
+        """The one group write: ``rows[i]`` is ``(key, extra)`` of
+        ``frames[i]``.  All frames go down in one buffered log write —
+        fsynced when ``fsync``, else flushed with the fsync deferred to
+        the next group or checkpoint — then every location row, and every
+        ``also`` row (``(insert sql, parameter rows)``) that shares the
+        group's fate, lands in **one** sqlite transaction.  A crash
+        anywhere inside leaves either no index rows (log ahead of index:
+        recovery truncates the orphaned frames) or all of them, so the
+        group is atomic on disk."""
+        locs = self.log.append_many(frames, fsync=fsync)
+        with self._conn:
+            self._conn.executemany(
+                self._insert_sql,
+                [(key, loc.segment, loc.offset, loc.length, extra)
+                 for (key, extra), loc in zip(rows, locs)])
+            for sql, parameters in also:
+                self._conn.executemany(sql, parameters)
+
+    def repoint(self, key: int, frame: bytes) -> None:
+        """Append ``frame`` and point ``key``'s row at it (the old frame
+        becomes dead weight in the log — append-only)."""
+        loc = self.log.append(frame)
+        with self._conn:
+            self._conn.execute(
+                self._repoint_sql, (loc.segment, loc.offset, loc.length, key))
+
+    def cut(self, segment: int, offset: int, above: int) -> None:
+        """Truncate the log at an address whose rows (every key over
+        ``above``) the caller has already deleted."""
+        self.log.truncate_to(segment, offset)
+        for key in [key for key in self._cache if key > above]:
+            del self._cache[key]
+
+    # -- read ----------------------------------------------------------
+    def max_key(self) -> int | None:
+        return self._conn.execute(
+            f"SELECT MAX({self._key}) FROM {self._table}").fetchone()[0]
+
+    def locate(self, key: int, columns: str = "segment, offset"):
+        """``columns`` of ``key``'s row, or ``None``."""
+        return self._conn.execute(
+            f"SELECT {columns} FROM {self._table} WHERE {self._key} = ?",
+            (key,)).fetchone()
+
+    def read(self, segment: int, offset: int) -> bytes:
+        return self.log.read(segment, offset)
+
+    def cached(self, key: int) -> Any | None:
+        value = self._cache.get(key)
+        if value is not None:
+            self._cache.move_to_end(key)
+        return value
+
+    def remember(self, key: int, value: Any) -> None:
+        self._cache[key] = value
+        self._cache.move_to_end(key)
+        while len(self._cache) > self._cache_size:
+            self._cache.popitem(last=False)
+
+    # -- compaction ----------------------------------------------------
+    def compact(self, fail_after_bytes: int | None = None,
+                crash_before_cleanup: bool = False) -> dict:
+        """Rewrite the live frames into a fresh generation, in key order
+        (the rewritten log reads sequentially even after heavy
+        repointing).
+
+        Protocol: (1) copy every indexed frame into the next-generation
+        directory and fsync it; (2) repoint every row *and* bump the
+        generation meta key in **one** sqlite transaction; (3) swap the
+        log object; (4) remove the old directory.  A crash before (2)
+        leaves the index on the old generation — the half-written new
+        directory is swept on reopen; a crash after (2) leaves the new
+        generation committed — the old directory is swept on reopen.
+        There is no intermediate state: the transaction *is* the swap.
+        The two arguments are the fault-injection hooks for exactly
+        those crash points.
+        """
+        rows = self._conn.execute(
+            f"SELECT {self._key}, segment, offset FROM {self._table} "
+            f"WHERE segment >= 0 ORDER BY {self._key}").fetchall()
+        old_log = self.log
+        bytes_before = _dir_bytes(old_log.directory)
+        new_gen = self.generation + 1
+        new_dir = self._dir(new_gen)
+        if os.path.isdir(new_dir):
+            # A previous compaction attempt crashed mid-write in this
+            # same process lifetime; its frames were never committed.
+            shutil.rmtree(new_dir)
+        new_log = SegmentLog(new_dir, **self._log_options)
+        if fail_after_bytes is not None:
+            new_log.fail_after_bytes = fail_after_bytes
+        locations = new_log.append_many(
+            [old_log.read(segment, offset) for _, segment, offset in rows],
+            fsync=True)
+        with self._conn:
+            self._conn.executemany(
+                self._repoint_sql,
+                [(loc.segment, loc.offset, loc.length, key)
+                 for (key, _, _), loc in zip(rows, locations)])
+            self._conn.execute(
+                _PUT_META, (self._gen_key, canonical_encode(new_gen)))
+        old_log.close()
+        self.log, self.generation = new_log, new_gen
+        if crash_before_cleanup:
+            raise CrashPoint(
+                "injected crash after compaction commit, before cleanup"
+            )
+        shutil.rmtree(old_log.directory, ignore_errors=True)
+        return {
+            "generation": new_gen,
+            "live_frames": len(rows),
+            "bytes_before": bytes_before,
+            "bytes_after": _dir_bytes(new_dir),
+        }
+
+
+def _drop_block_dependents(conn: sqlite3.Connection, height: int) -> None:
+    """Delete what shares the fate of the block rows at or above
+    ``height`` — their tx index entries, receipts and derived rows —
+    for the recovery walk (an orphaned head) and for truncation."""
+    conn.execute("DELETE FROM txs WHERE height >= ?", (height,))
+    conn.execute("DELETE FROM receipts WHERE height >= ?", (height,))
+    conn.execute("DELETE FROM meta WHERE key >= ? AND key < ?",
+                 (_derived_key(height), _DERIVED_END))
+
+
 class _SqliteReceiptsMap(MappingABC):
     """Lazy tx_id → receipt mapping served from the receipts table."""
 
@@ -153,17 +398,15 @@ class _SqliteReceiptsMap(MappingABC):
 
 
 class DurableBlockStore(BlockStore):
-    """Block log + sqlite index, with a bounded decoded-block cache."""
+    """Blocks in an :class:`IndexedLog` keyed by height, plus the tx,
+    receipt and derived-row tables that share each block's fate."""
 
-    def __init__(self, conn: sqlite3.Connection, log: SegmentLog,
-                 cache_size: int = 256) -> None:
+    def __init__(self, conn: sqlite3.Connection, index: IndexedLog) -> None:
         self._conn = conn
-        self._log = log
+        self._index = index
         self._cas = None
-        self._cache: OrderedDict[int, Block] = OrderedDict()
-        self._cache_size = cache_size
-        row = conn.execute("SELECT MAX(height) FROM blocks").fetchone()
-        self._height = -1 if row[0] is None else row[0]
+        top = index.max_key()
+        self._height = -1 if top is None else top
 
     def attach_cas(self, cas) -> None:
         """Connect the cold tier: blocks whose index row says
@@ -177,8 +420,6 @@ class DurableBlockStore(BlockStore):
             )
         if not cas_key or ":" not in cas_key:
             raise StorageError(f"malformed archive key {cas_key!r}")
-        from ..storage.cas import CID
-
         kind, _, hexdigest = cas_key.partition(":")
         return self._cas.get(CID(bytes.fromhex(hexdigest), kind))
 
@@ -195,46 +436,29 @@ class DurableBlockStore(BlockStore):
                      frames: Sequence[bytes], tx_rows: list[tuple],
                      receipt_rows: list[tuple], fsync: bool,
                      derived_rows: list[tuple[int, bytes]] = ()) -> None:
-        """The one writer: ``heads`` are ``(height, block_hash)`` per
-        frame, consecutive from the current head; ``derived_rows`` are
-        ``(height, encoded row)``.  All frames go down in
-        one buffered log write — fsynced when ``fsync``, else flushed
-        with the fsync deferred to the next group or checkpoint — then
-        every index row lands in **one** sqlite transaction.  A crash
-        anywhere inside leaves either no index rows (log ahead of index:
-        recovery truncates the orphaned frames) or all of them, so the
-        group is atomic on disk.  Index rows are inserted sorted by
-        primary key: the tx_id b-trees fill with better page locality
-        than hash-random arrival order (table content is
-        order-independent)."""
+        """The one block writer: ``heads`` are ``(height, block_hash)``
+        per frame, consecutive from the current head; ``derived_rows``
+        are ``(height, encoded row)``; all of it is one
+        :meth:`IndexedLog.append` group.  The tx and receipt rows are
+        inserted sorted by primary key: the tx_id b-trees fill with
+        better page locality than hash-random arrival order (table
+        content is order-independent)."""
         for i, (height, _) in enumerate(heads):
             if height != self._height + 1 + i:
                 raise StorageError(
                     f"store expects height {self._height + 1 + i}, "
                     f"got {height}"
                 )
-        locs = self._log.append_many(frames, fsync=fsync)
-        with self._conn:
-            self._conn.executemany(
-                "INSERT INTO blocks(height, segment, offset, length, "
-                "block_hash) VALUES (?,?,?,?,?)",
-                [(height, loc.segment, loc.offset, loc.length, block_hash)
-                 for (height, block_hash), loc in zip(heads, locs)],
-            )
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO txs(tx_id, height, pos) "
-                "VALUES (?,?,?)", sorted(tx_rows),
-            )
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO receipts(tx_id, height, body) "
-                "VALUES (?,?,?)", sorted(receipt_rows),
-            )
-            if derived_rows:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
-                    [(_derived_key(height), row)
-                     for height, row in derived_rows],
-                )
+        also = [
+            ("INSERT OR REPLACE INTO txs(tx_id, height, pos) "
+             "VALUES (?,?,?)", sorted(tx_rows)),
+            ("INSERT OR REPLACE INTO receipts(tx_id, height, body) "
+             "VALUES (?,?,?)", sorted(receipt_rows)),
+        ]
+        if derived_rows:
+            also.append((_PUT_META, [(_derived_key(height), row)
+                                     for height, row in derived_rows]))
+        self._index.append(heads, frames, fsync, also)
         self._height += len(heads)
 
     def append_blocks(self, pairs, fsync=True, encoded=None,
@@ -259,7 +483,7 @@ class DurableBlockStore(BlockStore):
              for height, row in (derived or {}).items()],
         )
         for block, _ in pairs:
-            self._cache_put(block)
+            self._index.remember(block.height, block)
 
     def truncate_above(self, height: int) -> None:
         if height >= self._height:
@@ -272,50 +496,30 @@ class DurableBlockStore(BlockStore):
                 "by construction — keep_tail must exceed the reorg "
                 "journal depth)"
             )
-        row = self._conn.execute(
-            "SELECT segment, offset FROM blocks WHERE height = ?",
-            (height + 1,),
-        ).fetchone()
+        row = self._index.locate(height + 1)
         with self._conn:
             self._conn.execute("DELETE FROM blocks WHERE height > ?",
                                (height,))
-            self._conn.execute("DELETE FROM txs WHERE height > ?",
-                               (height,))
-            self._conn.execute("DELETE FROM receipts WHERE height > ?",
-                               (height,))
-            self._conn.execute(
-                "DELETE FROM meta WHERE key > ? AND key < ?",
-                (_derived_key(height), _DERIVED_END))
+            _drop_block_dependents(self._conn, height + 1)
         if row is not None:
-            self._log.truncate_to(row[0], row[1])
+            self._index.cut(row[0], row[1], above=height)
         self._height = height
-        for h in [h for h in self._cache if h > height]:
-            del self._cache[h]
 
     # -- read path -----------------------------------------------------
-    def _cache_put(self, block: Block) -> None:
-        self._cache[block.height] = block
-        self._cache.move_to_end(block.height)
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-
     def block_at(self, height: int) -> Block:
-        cached = self._cache.get(height)
+        cached = self._index.cached(height)
         if cached is not None:
-            self._cache.move_to_end(height)
             return cached
-        row = self._conn.execute(
-            "SELECT segment, offset, block_hash, cas_key FROM blocks "
-            "WHERE height = ?", (height,),
-        ).fetchone()
+        row = self._index.locate(
+            height, "segment, offset, block_hash, cas_key")
         if row is None:
             raise InvalidBlock(f"no block at height {height}")
         if row[0] < 0:
             frame = self._cas_fetch(row[3])
         else:
-            frame = self._log.read(row[0], row[1])
+            frame = self._index.read(row[0], row[1])
         block = decode_block(frame, expected_hash=bytes(row[2]))
-        self._cache_put(block)
+        self._index.remember(height, block)
         return block
 
     def head_block(self) -> Block:
@@ -358,8 +562,6 @@ class DurableBlockStore(BlockStore):
         install the frame (tx ids in position order, receipt bodies
         aligned with them, the encoded derived row or ``None``).  Four
         range queries and one log pass — the server's tail hot path."""
-        import zlib
-
         stop = start + count            # exclusive
         rows = self._conn.execute(
             "SELECT height, segment, offset, block_hash FROM blocks "
@@ -390,7 +592,7 @@ class DurableBlockStore(BlockStore):
         derived = dict(self._derived_range(start, stop))
         items = []
         for height, segment, offset, block_hash in rows:
-            frame = self._log.read(segment, offset)
+            frame = self._index.read(segment, offset)
             tx_ids = tx_rows.get(height, [])
             bodies = receipt_bodies.get(height, {})
             items.append({
@@ -439,83 +641,60 @@ class DurableBlockStore(BlockStore):
         return _SqliteReceiptsMap(self._conn)
 
     def sync(self) -> None:
-        self._log.sync()
+        self._index.log.sync()
 
     def close(self) -> None:
-        self._log.close()
+        self._index.log.close()
 
 
 class DurableRecordStore(RecordStore):
-    """Record log + sqlite index (record_id → location, position order)."""
+    """Records in an :class:`IndexedLog` keyed by position (the table
+    also maps record_id → position)."""
 
-    def __init__(self, conn: sqlite3.Connection, log: SegmentLog,
-                 cache_size: int = 1024) -> None:
+    def __init__(self, conn: sqlite3.Connection, index: IndexedLog) -> None:
         self._conn = conn
-        self._log = log
-        self._cache: OrderedDict[int, dict] = OrderedDict()
-        self._cache_size = cache_size
-        row = conn.execute("SELECT MAX(position) FROM records").fetchone()
-        self._count = 0 if row[0] is None else row[0] + 1
+        self._index = index
+        top = index.max_key()
+        self._count = 0 if top is None else top + 1
 
     def append_many(self, records, encoded=None, fsync=True) -> list[int]:
-        """The one writer: one buffered log write (fsynced when
-        ``fsync``) + one index transaction for the whole batch.
-        ``encoded`` frames go to the log verbatim and hand ``records``
-        over to the read cache (see :meth:`RecordStore.append_many`)."""
+        """The one record writer: one :meth:`IndexedLog.append` group
+        for the whole batch.  ``encoded`` frames go to the log verbatim
+        and hand ``records`` over to the read cache (see
+        :meth:`RecordStore.append_many`)."""
         if not records:
             return []
         start = self._count
         owned = encoded is not None
         if not owned:
             encoded = [encode_record(record) for record in records]
-        locs = self._log.append_many(encoded, fsync=fsync)
-        with self._conn:
-            self._conn.executemany(
-                "INSERT INTO records(position, record_id, segment, offset, "
-                "length) VALUES (?,?,?,?,?)",
-                [(start + i, str(record.get("record_id") or (start + i)),
-                  loc.segment, loc.offset, loc.length)
-                 for i, (record, loc) in enumerate(zip(records, locs))],
-            )
         positions = list(range(start, start + len(records)))
+        self._index.append(
+            [(position, str(record.get("record_id") or position))
+             for position, record in zip(positions, records)],
+            encoded, fsync)
         self._count = start + len(records)
         for position, record in zip(positions, records):
-            self._cache_put(position, record if owned else dict(record))
+            self._index.remember(position,
+                                 record if owned else dict(record))
         return positions
 
     def replace(self, position: int, record: dict) -> None:
-        """Annotation support: append the updated copy, repoint the index
-        (the old frame becomes dead weight in the log — append-only)."""
+        """Annotation support: append the updated copy, repoint the
+        index."""
         if not 0 <= position < self._count:
             raise UnknownEntity(f"no record at position {position}")
-        loc = self._log.append(encode_record(record))
-        with self._conn:
-            self._conn.execute(
-                "UPDATE records SET segment = ?, offset = ?, length = ? "
-                "WHERE position = ?",
-                (loc.segment, loc.offset, loc.length, position),
-            )
-        self._cache_put(position, dict(record))
-
-    def _cache_put(self, position: int, record: dict) -> None:
-        self._cache[position] = record
-        self._cache.move_to_end(position)
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+        self._index.repoint(position, encode_record(record))
+        self._index.remember(position, dict(record))
 
     def get(self, position: int) -> dict:
-        cached = self._cache.get(position)
-        if cached is not None:
-            self._cache.move_to_end(position)
-            return dict(cached)
-        row = self._conn.execute(
-            "SELECT segment, offset FROM records WHERE position = ?",
-            (position,),
-        ).fetchone()
-        if row is None:
-            raise UnknownEntity(f"no record at position {position}")
-        record = decode_record(self._log.read(row[0], row[1]))
-        self._cache_put(position, record)
+        record = self._index.cached(position)
+        if record is None:
+            row = self._index.locate(position)
+            if row is None:
+                raise UnknownEntity(f"no record at position {position}")
+            record = decode_record(self._index.read(row[0], row[1]))
+            self._index.remember(position, record)
         return dict(record)
 
     def __len__(self) -> int:
@@ -529,10 +708,6 @@ class DurableRecordStore(RecordStore):
         for position in positions:
             yield position, self.get(position)
 
-    def iter_records(self) -> Iterator[dict]:
-        for _, record in self.iter_items():
-            yield record
-
     def location_of_id(self, record_id: str) -> int | None:
         """sqlite-level record_id → position (survives restarts even
         before the in-memory indexes are rebuilt)."""
@@ -541,12 +716,6 @@ class DurableRecordStore(RecordStore):
             (record_id,),
         ).fetchone()
         return None if row is None else row[0]
-
-    def sync(self) -> None:
-        self._log.sync()
-
-    def close(self) -> None:
-        self._log.close()
 
 
 class DurableStateSnapshotStore(StateSnapshotStore):
@@ -570,14 +739,9 @@ class DurableStateSnapshotStore(StateSnapshotStore):
                 [(ns, key, canonical_encode(value))
                  for ns, key, value in entries],
             )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
+            self._conn.executemany(_PUT_META, [
                 (self._HEIGHT_KEY, canonical_encode(height)),
-            )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
-                (self._HASH_KEY, canonical_encode(block_hash)),
-            )
+                (self._HASH_KEY, canonical_encode(block_hash))])
 
     def load(self) -> tuple[int, list[tuple[str, str, Any]]] | None:
         height = self.snapshot_height()
@@ -592,16 +756,10 @@ class DurableStateSnapshotStore(StateSnapshotStore):
         return height, entries
 
     def snapshot_height(self) -> int | None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (self._HEIGHT_KEY,)
-        ).fetchone()
-        return None if row is None else canonical_decode(row[0])
+        return _get_meta(self._conn, self._HEIGHT_KEY)
 
     def snapshot_block_hash(self) -> bytes:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (self._HASH_KEY,)
-        ).fetchone()
-        return b"" if row is None else canonical_decode(row[0])
+        return _get_meta(self._conn, self._HASH_KEY, b"")
 
     def clear(self) -> None:
         with self._conn:
@@ -612,13 +770,11 @@ class DurableStateSnapshotStore(StateSnapshotStore):
             )
 
 
-class DurableStorage(MetaStore):
+class DurableStorage(Storage):
     """One directory = one durable chain stack (blocks, records, state,
-    meta).  Runs crash recovery on open; see the module docstring for
-    the commit discipline it enforces."""
+    meta).  Opening it runs crash recovery on both logs; see the module
+    docstring for the commit discipline it enforces."""
 
-    _BLOCK_GEN_KEY = "blocks_log_gen"
-    _RECORD_GEN_KEY = "records_log_gen"
     _ARCHIVED_KEY = "blocks_archived"
 
     def __init__(self, directory: str | os.PathLike,
@@ -641,7 +797,6 @@ class DurableStorage(MetaStore):
             )
         self.directory = os.fspath(directory)
         self._owner_pid = os.getpid()
-        self._max_segment_bytes = max_segment_bytes
         self.codec = (codec if isinstance(codec, SegmentCodec)
                       else SegmentCodec(codec))
         os.makedirs(self.directory, exist_ok=True)
@@ -663,38 +818,39 @@ class DurableStorage(MetaStore):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
         self._migrate_schema()
-        # Compaction rewrites a log into a fresh *generation* directory
-        # and repoints the index in one transaction; the committed
-        # generation numbers say which directories are live.  Anything
-        # else (a crashed compaction's half-written next gen, or a
-        # superseded previous gen whose cleanup was interrupted) is
-        # swept before the logs open.
-        self._block_gen = int(self.get_meta(self._BLOCK_GEN_KEY, 0))
-        self._record_gen = int(self.get_meta(self._RECORD_GEN_KEY, 0))
-        self._sweep_stale_log_dirs()
-        self.block_log = SegmentLog(
-            self._log_dir("blocks-log", self._block_gen),
-            max_segment_bytes=max_segment_bytes,
-            codec=self.codec,
-        )
-        self.record_log = SegmentLog(
-            self._log_dir("records-log", self._record_gen),
-            max_segment_bytes=max_segment_bytes,
-            codec=self.codec,
-        )
-        self.recovered_blocks = self._recover_blocks()
-        self.recovered_records = self._recover_records()
-        self.blocks = DurableBlockStore(self._conn, self.block_log)
-        self.records = DurableRecordStore(self._conn, self.record_log)
+        block_index = IndexedLog(
+            self._conn, self.directory, "blocks", "height", "block_hash",
+            cache_size=256, max_segment_bytes=max_segment_bytes,
+            codec=self.codec, drop_with=_drop_block_dependents)
+        record_index = IndexedLog(
+            self._conn, self.directory, "records", "position", "record_id",
+            cache_size=1024, max_segment_bytes=max_segment_bytes,
+            codec=self.codec)
+        self.recovered_blocks = block_index.recovered
+        self.recovered_records = record_index.recovered
+        self._indexes = {"blocks": block_index, "records": record_index}
+        self.blocks = DurableBlockStore(self._conn, block_index)
+        self.records = DurableRecordStore(self._conn, record_index)
         self.state = DurableStateSnapshotStore(self._conn)
         self._cas = cas
         if self._cas is None and \
                 self.get_meta(self._ARCHIVED_KEY) is not None:
-            from ..storage.cas import FileCAS
-
-            self._cas = FileCAS(os.path.join(self.directory, "archive"))
+            self._cas = self._archive_cas()
         if self._cas is not None:
             self.blocks.attach_cas(self._cas)
+
+    @property
+    def block_log(self) -> SegmentLog:
+        """The live block segment log (compaction swaps it)."""
+        return self._indexes["blocks"].log
+
+    @property
+    def record_log(self) -> SegmentLog:
+        """The live record segment log (compaction swaps it)."""
+        return self._indexes["records"].log
+
+    def _archive_cas(self) -> FileCAS:
+        return FileCAS(os.path.join(self.directory, "archive"))
 
     def _migrate_schema(self) -> None:
         """Additive migrations for stores created by older versions."""
@@ -712,104 +868,6 @@ class DurableStorage(MetaStore):
                 "durable storage crossed a fork: only the parent "
                 "process may commit (exec workers return deltas)"
             )
-
-    def _log_dir(self, base: str, generation: int) -> str:
-        name = base if generation == 0 else f"{base}.g{generation}"
-        return os.path.join(self.directory, name)
-
-    def _sweep_stale_log_dirs(self) -> None:
-        current = {
-            os.path.basename(self._log_dir("blocks-log", self._block_gen)),
-            os.path.basename(self._log_dir("records-log",
-                                           self._record_gen)),
-        }
-        for name in os.listdir(self.directory):
-            for base in ("blocks-log", "records-log"):
-                if name != base and not name.startswith(base + ".g"):
-                    continue
-                if name in current:
-                    continue
-                if name != base:
-                    try:
-                        int(name[len(base) + 2:])
-                    except ValueError:
-                        continue
-                path = os.path.join(self.directory, name)
-                if os.path.isdir(path):
-                    shutil.rmtree(path, ignore_errors=True)
-                break
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def _frame_ok(self, log: SegmentLog, segment: int, offset: int,
-                  length: int) -> bool:
-        # Compare the on-disk frame length, not the decoded payload
-        # size: under a compressing codec the two differ.
-        info = log.frame_info_at(segment, offset)
-        return info is not None and info[1] == length
-
-    def _recover_blocks(self) -> int:
-        """Reconcile the block log with its index table.
-
-        Walks the index tail backwards dropping rows whose frames are
-        partial/garbled (a crash mid-append, or an operator truncating
-        the segment file) and their derived rows, then truncates the log
-        to the end of the last surviving indexed frame — discarding any
-        frames that were written but never indexed (a crash between log
-        flush and index commit).
-        Blocks are append-only, so height order *is* log-address order.
-        Returns the number of index rows dropped.
-        """
-        dropped = 0
-        while True:
-            # Archived rows (segment < 0) live in the CAS, not the log:
-            # the walk only reconciles the hot tail.
-            row = self._conn.execute(
-                "SELECT height, segment, offset, length FROM blocks "
-                "WHERE segment >= 0 ORDER BY height DESC LIMIT 1"
-            ).fetchone()
-            if row is None:
-                self.block_log.truncate_to(0, 0)
-                return dropped
-            height, segment, offset, length = row
-            if self._frame_ok(self.block_log, segment, offset, length):
-                self.block_log.truncate_to(segment, offset + length)
-                return dropped
-            with self._conn:
-                for table in ("blocks", "txs", "receipts"):
-                    self._conn.execute(
-                        f"DELETE FROM {table} WHERE height = ?", (height,)
-                    )
-                self._conn.execute("DELETE FROM meta WHERE key = ?",
-                                   (_derived_key(height),))
-            dropped += 1
-
-    def _recover_records(self) -> int:
-        """Like :meth:`_recover_blocks` for the record log — but ordered
-        by **log address**, not position: ``replace()`` (annotation) can
-        repoint an *old* position at the newest frame, so the frame the
-        log must be truncated after is the highest-addressed one any row
-        references, which is not necessarily the highest position's.
-        """
-        dropped = 0
-        while True:
-            row = self._conn.execute(
-                "SELECT position, segment, offset, length FROM records "
-                "ORDER BY segment DESC, offset DESC LIMIT 1"
-            ).fetchone()
-            if row is None:
-                self.record_log.truncate_to(0, 0)
-                return dropped
-            position, segment, offset, length = row
-            if self._frame_ok(self.record_log, segment, offset, length):
-                self.record_log.truncate_to(segment, offset + length)
-                return dropped
-            with self._conn:
-                self._conn.execute(
-                    "DELETE FROM records WHERE position = ?", (position,)
-                )
-            dropped += 1
 
     # ------------------------------------------------------------------
     # Storage tiering: compaction + cold-block archival
@@ -831,105 +889,22 @@ class DurableStorage(MetaStore):
             total += _dir_bytes(os.path.join(self.directory, "archive"))
         return total
 
-    def _compact_log(self, table: str, fail_after_bytes: int | None,
-                     crash_before_cleanup: bool) -> dict:
-        """Rewrite one log's live frames into a fresh generation.
-
-        Protocol: (1) copy every indexed frame into the next-generation
-        directory and fsync it; (2) repoint every index row *and* bump
-        the generation meta key in **one** sqlite transaction; (3) swap
-        the in-memory log object; (4) remove the old directory.  A crash
-        before (2) leaves the index on the old generation — the
-        half-written new directory is swept on reopen; a crash after (2)
-        leaves the new generation committed — the old directory is swept
-        on reopen.  There is no intermediate state: the transaction *is*
-        the swap.
-        """
-        if table == "blocks":
-            base, meta_key, gen = ("blocks-log", self._BLOCK_GEN_KEY,
-                                   self._block_gen)
-            old_log = self.block_log
-            rows = self._conn.execute(
-                "SELECT height, segment, offset FROM blocks "
-                "WHERE segment >= 0 ORDER BY height").fetchall()
-            key_column = "height"
-        else:
-            base, meta_key, gen = ("records-log", self._RECORD_GEN_KEY,
-                                   self._record_gen)
-            old_log = self.record_log
-            # Position order, not address order: the rewritten log reads
-            # sequentially for iter_items even after heavy annotation.
-            rows = self._conn.execute(
-                "SELECT position, segment, offset FROM records "
-                "ORDER BY position").fetchall()
-            key_column = "position"
-        bytes_before = _dir_bytes(old_log.directory)
-        new_gen = gen + 1
-        new_dir = self._log_dir(base, new_gen)
-        if os.path.isdir(new_dir):
-            # A previous compaction attempt crashed mid-write in this
-            # same process lifetime; its frames were never committed.
-            shutil.rmtree(new_dir)
-        new_log = SegmentLog(new_dir,
-                             max_segment_bytes=self._max_segment_bytes,
-                             codec=self.codec)
-        if fail_after_bytes is not None:
-            new_log.fail_after_bytes = fail_after_bytes
-        payloads = [old_log.read(segment, offset)
-                    for _, segment, offset in rows]
-        locations = new_log.append_many(payloads, fsync=True)
-        with self._conn:
-            self._conn.executemany(
-                f"UPDATE {table} SET segment = ?, offset = ?, "
-                f"length = ? WHERE {key_column} = ?",
-                [(loc.segment, loc.offset, loc.length, key)
-                 for (key, _, _), loc in zip(rows, locations)],
-            )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
-                (meta_key, canonical_encode(new_gen)),
-            )
-        old_dir = old_log.directory
-        old_log.close()
-        if table == "blocks":
-            self.block_log = new_log
-            self._block_gen = new_gen
-            self.blocks._log = new_log
-        else:
-            self.record_log = new_log
-            self._record_gen = new_gen
-            self.records._log = new_log
-        if crash_before_cleanup:
-            raise CrashPoint(
-                "injected crash after compaction commit, before cleanup"
-            )
-        shutil.rmtree(old_dir, ignore_errors=True)
-        return {
-            "generation": new_gen,
-            "live_frames": len(rows),
-            "bytes_before": bytes_before,
-            "bytes_after": _dir_bytes(new_dir),
-        }
-
     def compact(self, which: str = "both",
                 fail_after_bytes: int | None = None,
                 crash_before_cleanup: bool = False) -> dict:
         """Drop dead log weight: garbage block frames left by reorg
         truncation and archival, and dead record frames left by
         ``replace`` (annotation).  The crash hooks drive the tiering
-        fault-injection tests; see :meth:`_compact_log` for why every
-        crash point reconciles on reopen."""
+        fault-injection tests; see :meth:`IndexedLog.compact` for why
+        every crash point reconciles on reopen."""
         self._check_owner()
         if which not in ("both", "blocks", "records"):
             raise StorageError(f"unknown compaction target {which!r}")
-        stats: dict[str, dict] = {}
-        if which in ("both", "blocks"):
-            stats["blocks"] = self._compact_log(
-                "blocks", fail_after_bytes, crash_before_cleanup)
-        if which in ("both", "records"):
-            stats["records"] = self._compact_log(
-                "records", fail_after_bytes, crash_before_cleanup)
-        return stats
+        return {
+            table: index.compact(fail_after_bytes, crash_before_cleanup)
+            for table, index in self._indexes.items()
+            if which in ("both", table)
+        }
 
     def archive_blocks(self, keep_tail: int = 64, cas=None) -> dict:
         """Move cold block frames into the CAS and repoint the index.
@@ -959,9 +934,7 @@ class DurableStorage(MetaStore):
             return {"archived": 0,
                     "boundary": self.blocks.archived_boundary()}
         if self._cas is None:
-            from ..storage.cas import FileCAS
-
-            self._cas = FileCAS(os.path.join(self.directory, "archive"))
+            self._cas = self._archive_cas()
         updates = []
         for height, segment, offset in rows:
             frame = self.block_log.read(segment, offset)
@@ -976,14 +949,13 @@ class DurableStorage(MetaStore):
                 "length = 0, cas_key = ? WHERE height = ?", updates,
             )
             self._conn.execute(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
-                (self._ARCHIVED_KEY, canonical_encode(rows[-1][0])),
-            )
+                _PUT_META,
+                (self._ARCHIVED_KEY, canonical_encode(rows[-1][0])))
         self.blocks.attach_cas(self._cas)
         return {"archived": len(rows), "boundary": rows[-1][0]}
 
-    def tier(self, keep_tail: int = 64, cas=None,
-             compact_records: bool = True) -> dict:
+    def tier(self, keep_tail: int = 64, compact_records: bool = True,
+             cas=None) -> dict:
         """One tiering pass: archive cold blocks, then compact the logs
         so the hot tier is exactly the pruned profile — state image +
         hot block tail + live records.  Returns before/after hot-tier
@@ -1000,8 +972,6 @@ class DurableStorage(MetaStore):
             "bytes_before": bytes_before,
             "bytes_after": self.disk_usage(),
         }
-        from ..obs.runtime import telemetry
-
         registry = telemetry().registry
         registry.counter("tier_passes_total").inc()
         registry.counter("tier_blocks_archived_total").inc(
@@ -1018,16 +988,10 @@ class DurableStorage(MetaStore):
     def put_meta(self, key: str, value: Any) -> None:
         self._check_owner()
         with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
-                (key, canonical_encode(value)),
-            )
+            self._conn.execute(_PUT_META, (key, canonical_encode(value)))
 
     def get_meta(self, key: str, default: Any = None) -> Any:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return default if row is None else canonical_decode(row[0])
+        return _get_meta(self._conn, key, default)
 
     def supersede_meta(self, keys: Sequence[str],
                        derived: MappingABC) -> None:
@@ -1038,7 +1002,7 @@ class DurableStorage(MetaStore):
         head = self.blocks.height()
         with self._conn:
             self._conn.executemany(
-                "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
+                _PUT_META,
                 [(_derived_key(height), canonical_encode(row))
                  for height, row in derived.items() if height <= head])
             self._conn.executemany("DELETE FROM meta WHERE key = ?",

@@ -1,6 +1,7 @@
 """Storage interfaces and the in-memory backend.
 
-Three abstractions, one per kind of durable truth a chain stack owns:
+A chain stack opens on one :class:`Storage` bundle.  Its members are
+three stores, one per kind of durable truth the stack owns:
 
 * :class:`BlockStore` — the committed chain itself: blocks in height
   order, the transaction index (tx_id → height/position), and execution
@@ -12,17 +13,14 @@ Three abstractions, one per kind of durable truth a chain stack owns:
   a height, so a reopened chain resumes from its last checkpoint instead
   of replaying from genesis.
 
-Plus a small :class:`MetaStore` key→value surface the higher layers use
-for state no block creates (the 2PC transfer WAL, the shard layout).
-Proof state a block *does* create — anchor batches, beacon rounds — is
-not checkpointed there: it commits with that block as its derived row
-(:meth:`BlockStore.append_blocks`).
+Plus the bundle's own small :class:`MetaStore` key→value surface, which
+the higher layers use for state no block creates (the 2PC transfer WAL,
+the shard layout).  Proof state a block *does* create — anchor batches,
+beacon rounds — is not checkpointed there: it commits with that block as
+its derived row (:meth:`BlockStore.append_blocks`).
 
-The in-memory backend here is the seed's original behavior, extracted
-behind the interfaces: ``Blockchain.blocks`` / ``receipts`` /
-``_tx_index`` live in :class:`MemoryBlockStore` now, and
-``ProvenanceDatabase._records`` lives in :class:`MemoryRecordStore`.  The
-durable counterparts are in :mod:`repro.persist.durable`.
+:class:`MemoryStorage` is the in-memory bundle (lists and dicts); the
+durable one is :class:`repro.persist.durable.DurableStorage`.
 """
 
 from __future__ import annotations
@@ -33,6 +31,8 @@ from typing import Any, Iterator, Mapping, Sequence
 from ..chain.block import Block
 from ..chain.receipts import TransactionReceipt
 from ..errors import InvalidBlock, StorageError
+from ..serialization import canonical_encode
+from .codec import canonical_decode
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +168,6 @@ class RecordStore(ABC):
         scan baseline (callers copy only what they keep)."""
         return self.iter_records()
 
-    def sync(self) -> None: ...
-
-    def close(self) -> None: ...
-
 
 class StateSnapshotStore(ABC):
     """At most one materialized state image, tagged with its height.
@@ -215,8 +211,35 @@ class MetaStore(ABC):
     def get_meta(self, key: str, default: Any = None) -> Any: ...
 
 
+class Storage(MetaStore):
+    """Everything one chain stack (a shard, the beacon) stores, opened
+    and closed together — the one shape ``Shard``, ``BeaconChain`` and
+    the sharded facade are built on, in memory or on disk."""
+
+    #: Where the bundle lives (a store directory; ``":memory:"``).
+    directory: str
+    blocks: BlockStore
+    records: RecordStore
+    #: Where checkpoints put the state image — ``None`` when a reopen
+    #: has nothing to resume from (memory: the live state is the image,
+    #: so a checkpoint copies nothing).
+    state: StateSnapshotStore | None
+
+    def tier(self, keep_tail: int = 64,
+             compact_records: bool = True) -> dict:
+        """Move cold blocks to the bundle's cold tier and drop dead log
+        weight; returns the pass's stats (nothing to move: ``{}``)."""
+        return {}
+
+    def sync(self) -> None:
+        """Make everything stored so far durable."""
+
+    def close(self) -> None:
+        """Release resources; the directory is reopenable afterwards."""
+
+
 # ---------------------------------------------------------------------------
-# In-memory backend (the seed's original data structures, extracted)
+# In-memory backend
 # ---------------------------------------------------------------------------
 class MemoryBlockStore(BlockStore):
     """Blocks in a list, tx index and receipts in dicts — RAM only."""
@@ -301,7 +324,7 @@ class MemoryBlockStore(BlockStore):
 
 
 class MemoryRecordStore(RecordStore):
-    """The seed's ``ProvenanceDatabase._records`` list, behind the API."""
+    """Records in a list — RAM only."""
 
     def __init__(self) -> None:
         self._records: list[dict] = []
@@ -328,29 +351,25 @@ class MemoryRecordStore(RecordStore):
         return iter(self._records)
 
 
-class MemoryStateSnapshotStore(StateSnapshotStore):
+class MemoryStorage(Storage):
+    """The in-memory bundle.  Meta values round-trip through the
+    canonical codec like the durable meta table's, so what a 2PC
+    coordinator recovers from is the same in both."""
+
+    directory = ":memory:"
+
     def __init__(self) -> None:
-        self._snapshot: tuple[int, list, bytes] | None = None
+        self.blocks = MemoryBlockStore()
+        self.records = MemoryRecordStore()
+        self.state = None
+        self._meta: dict[str, bytes] = {}
 
-    def save(self, height: int,
-             entries: Sequence[tuple[str, str, Any]],
-             block_hash: bytes = b"") -> None:
-        self._snapshot = (height, [tuple(e) for e in entries], block_hash)
+    def put_meta(self, key: str, value: Any) -> None:
+        self._meta[key] = canonical_encode(value)
 
-    def load(self) -> tuple[int, list[tuple[str, str, Any]]] | None:
-        if self._snapshot is None:
-            return None
-        height, entries, _ = self._snapshot
-        return height, list(entries)
-
-    def snapshot_height(self) -> int | None:
-        return self._snapshot[0] if self._snapshot else None
-
-    def snapshot_block_hash(self) -> bytes:
-        return self._snapshot[2] if self._snapshot else b""
-
-    def clear(self) -> None:
-        self._snapshot = None
+    def get_meta(self, key: str, default: Any = None) -> Any:
+        encoded = self._meta.get(key)
+        return default if encoded is None else canonical_decode(encoded)
 
 
 # ---------------------------------------------------------------------------

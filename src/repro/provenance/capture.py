@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import AccessDenied, CaptureError
 from ..storage.cloudstore import CloudObjectStore, StoreOperation
-from ..storage.provdb import ProvenanceDatabase
+from ..persist.provdb import ProvenanceDatabase
 from .records import DOMAIN_SCHEMAS, validate_record
 
 Authenticator = Callable[[str, str], bool]   # (actor, resource) -> allowed?

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import QueryError
-from ..storage.provdb import ProvenanceDatabase
+from ..persist.provdb import ProvenanceDatabase
 from .anchor import AnchorService, AnchoredProof
 from .graph import ProvenanceGraph
 

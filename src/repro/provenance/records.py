@@ -21,7 +21,7 @@ the published table from these registrations, which is the TAB1
 experiment.
 
 Records are plain dicts so they flow directly into
-:class:`~repro.storage.provdb.ProvenanceDatabase` and the anchor layer;
+:class:`~repro.persist.provdb.ProvenanceDatabase` and the anchor layer;
 the schema provides construction, validation, and hashing.
 """
 

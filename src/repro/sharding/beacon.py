@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from ..chain import Blockchain, BlockHeader, ChainParams, Transaction, TxKind
 from ..crypto.merkle import MerkleProof, MerkleTree, leaf_hash, verify_proof
 from ..errors import ShardError
+from ..persist.stores import Storage
 
 
 def shard_block_leaf(shard_id: int, height: int, block_hash: bytes,
@@ -135,11 +136,12 @@ class BeaconLightBundle:
 class BeaconChain:
     """A :class:`Blockchain` whose payload is shard-root commitments."""
 
-    def __init__(self, params: ChainParams | None = None,
-                 sender: str = "beacon-sealer",
-                 store=None, snapshot_store=None) -> None:
+    def __init__(self, storage: Storage, params: ChainParams | None = None,
+                 sender: str = "beacon-sealer") -> None:
+        self.storage = storage
         self.chain = Blockchain(params or ChainParams(chain_id="beacon"),
-                                store=store, snapshot_store=snapshot_store)
+                                store=storage.blocks,
+                                snapshot_store=storage.state)
         self.sender = sender
         self.receipts: list[BeaconReceipt] = []
         # Per round: its Merkle tree, or None until a proof needs it (a
@@ -158,6 +160,11 @@ class BeaconChain:
             self._add_round(tx_id, root, height,
                             _normalize_entries(entries), None)
         return len(self.receipts), 0
+
+    def checkpoint(self) -> None:
+        """Persist the state image and make the store durable."""
+        self.chain.save_state_image()
+        self.storage.sync()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,7 +25,7 @@ from ..crypto.merkle import leaf_hash, verify_proof
 from ..errors import QueryError, ShardError
 from ..provenance.anchor import AnchoredProof
 from ..provenance.records import record_digest
-from .beacon import BeaconLightBundle
+from .beacon import BeaconChain, BeaconLightBundle
 from .shardchain import Shard, ShardedChain
 
 
@@ -94,6 +94,29 @@ class FederatedProof:
     def beacon_height(self) -> int:
         """Which beacon header to fetch for :meth:`verify`."""
         return self.beacon_bundle.shard_proof.beacon_height
+
+
+def package_federated_proof(shard: Shard, beacon: BeaconChain,
+                            record_id: str) -> FederatedProof:
+    """Package one record's evidence chain from the shard that anchored
+    it and a beacon full node — for the source facade and a replica
+    alike (verification then needs beacon headers only)."""
+    if not shard.anchor.is_anchored(record_id):
+        raise QueryError(
+            f"record {record_id!r} is not anchored on shard "
+            f"{shard.shard_id}"
+        )
+    anchor_bundle = shard.anchor.prove_for_light_client(record_id)
+    shard_header = shard.chain.block_at(anchor_bundle.block_height).header
+    return FederatedProof(
+        shard_id=shard.shard_id,
+        record_id=record_id,
+        anchor_bundle=anchor_bundle,
+        shard_header=shard_header,
+        beacon_bundle=beacon.light_bundle(
+            shard.shard_id, shard_header.height, shard_header.block_hash
+        ),
+    )
 
 
 class ShardedQueryEngine:
@@ -233,11 +256,6 @@ class ShardedQueryEngine:
         """
         if subject is not None:
             shard = self.sharded.shard_for_subject(subject)
-            if not shard.anchor.is_anchored(record_id):
-                raise QueryError(
-                    f"record {record_id!r} is not anchored on "
-                    f"{subject!r}'s home shard"
-                )
         else:
             for shard in self.sharded.shards:
                 if shard.anchor.is_anchored(record_id):
@@ -245,15 +263,5 @@ class ShardedQueryEngine:
             else:
                 raise QueryError(f"record {record_id!r} is not anchored "
                                  "on any shard")
-        anchor_bundle = shard.anchor.prove_for_light_client(record_id)
-        shard_header = shard.chain.block_at(anchor_bundle.block_height).header
-        beacon_bundle = self.sharded.beacon.light_bundle(
-            shard.shard_id, shard_header.height, shard_header.block_hash
-        )
-        return FederatedProof(
-            shard_id=shard.shard_id,
-            record_id=record_id,
-            anchor_bundle=anchor_bundle,
-            shard_header=shard_header,
-            beacon_bundle=beacon_bundle,
-        )
+        return package_federated_proof(shard, self.sharded.beacon,
+                                       record_id)

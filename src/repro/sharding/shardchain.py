@@ -36,9 +36,11 @@ from ..errors import (
 )
 from ..obs.runtime import telemetry as default_telemetry
 from ..persist.codec import encode_record
+from ..persist.durable import DurableStorage
+from ..persist.provdb import ProvenanceDatabase
+from ..persist.stores import MemoryStorage, MetaStore, Storage
 from ..provenance.anchor import AnchorReceipt, AnchorService
 from ..provenance.query import ProvenanceQueryEngine, QueryCache
-from ..storage.provdb import ProvenanceDatabase
 from .beacon import BeaconChain, BeaconReceipt
 from .engines import InProcessEngine, RoundEngine, ShardResult
 from .locks import LockTable
@@ -96,47 +98,41 @@ def _recover_proof_state(storage, kind: str, load) -> None:
 class Shard:
     """One shard's full stack (chain, mempool, database, anchors, queries).
 
-    With a :class:`~repro.persist.durable.DurableStorage` attached, the
-    chain, record database, and state snapshot live in the shard's store
-    directory, and every anchor batch's proof state commits with its
-    anchor block (:mod:`repro.provenance.anchor`) — reopening the same
-    directory restores the whole stack without genesis replay, wherever
-    the process died.  Mempool contents are deliberately *not*
-    persisted: an unsealed transaction was never acknowledged as durable.
+    The chain, record database and state snapshot live in the shard's
+    :class:`~repro.persist.stores.Storage` bundle, and every anchor
+    batch's proof state commits with its anchor block
+    (:mod:`repro.provenance.anchor`) — opening a shard on a bundle that
+    already holds one restores the whole stack (a durable bundle: without
+    genesis replay, wherever the process died).  Mempool contents are
+    deliberately *not* persisted: an unsealed transaction was never
+    acknowledged as durable.
     """
 
     def __init__(self, shard_id: int, params: ChainParams,
-                 anchor_batch_size: int = 64,
-                 storage=None, snapshot_interval: int = 0,
+                 storage: Storage, anchor_batch_size: int = 64,
                  contract_runtime_factory=None,
                  locks: LockTable | None = None) -> None:
         self.shard_id = shard_id
         self.storage = storage
         self.locks = locks      # None on replicas, which never seal
-        runtime = (contract_runtime_factory()
-                   if contract_runtime_factory is not None else None)
-        if storage is None:
-            self.chain = Blockchain(params, contract_runtime=runtime)
-            self.database = ProvenanceDatabase()
-        else:
-            self.chain = Blockchain(
-                params,
-                store=storage.blocks,
-                snapshot_store=storage.state,
-                snapshot_interval=snapshot_interval,
-                contract_runtime=runtime,
-            )
-            self.database = ProvenanceDatabase(store=storage.records)
+        self.chain = Blockchain(
+            params,
+            store=storage.blocks,
+            snapshot_store=storage.state,
+            contract_runtime=(contract_runtime_factory()
+                              if contract_runtime_factory is not None
+                              else None),
+        )
+        self.database = ProvenanceDatabase(store=storage.records)
         self.mempool = Mempool()
         self.anchor = AnchorService(
             self.chain,
             batch_size=anchor_batch_size,
             sender=f"shard-{shard_id}-anchor",
         )
-        if storage is not None:
-            _recover_proof_state(
-                storage, "anchor",
-                lambda: self.anchor.load_proof_state(self.database))
+        _recover_proof_state(
+            storage, "anchor",
+            lambda: self.anchor.load_proof_state(self.database))
         self.query = ProvenanceQueryEngine(
             self.database, anchor_service=self.anchor, cache=QueryCache()
         )
@@ -234,16 +230,12 @@ class Shard:
         return stats, entries, self.chain.height
 
     def checkpoint(self) -> None:
-        """Persist the state image, fsync both logs and flush the index
-        WAL (durable only)."""
-        if self.storage is None:
-            return
+        """Persist the state image and make the store durable (on disk:
+        fsync both logs, flush the index WAL; free in memory)."""
         self.chain.save_state_image()
         self.storage.sync()
 
     def close(self) -> None:
-        if self.storage is None:
-            return
         self.checkpoint()
         self.storage.close()
 
@@ -383,7 +375,6 @@ class ShardedChain:
         reorg_journal_depth: int = 64,
         anchor_batch_size: int = 64,
         storage_dir: str | None = None,
-        snapshot_interval: int = 0,
         checkpoint_every_rounds: int = 0,
         seal_workers: int | None = None,
         executor: str = "auto",
@@ -412,60 +403,67 @@ class ShardedChain:
         self.router = ShardRouter(n_shards)
         self.storage_dir = storage_dir
         self.checkpoint_every_rounds = checkpoint_every_rounds
-        shard_storages: list[Any] = [None] * n_shards
-        beacon_storage = None
-        if storage_dir is not None:
-            from ..persist.durable import DurableStorage
-
-            beacon_storage = DurableStorage(
-                os.path.join(storage_dir, "beacon")
-            )
-            layout = beacon_storage.get_meta(self._LAYOUT_META_KEY)
-            if layout is None:
-                beacon_storage.put_meta(self._LAYOUT_META_KEY,
-                                        {"n_shards": n_shards})
-            elif layout.get("n_shards") != n_shards:
-                stored = layout.get("n_shards")
-                beacon_storage.close()
-                raise ShardError(
-                    f"store directory was laid out for "
-                    f"{stored} shards, not {n_shards}"
-                )
-            shard_storages = [
-                DurableStorage(os.path.join(storage_dir, f"shard-{i}"))
-                for i in range(n_shards)
-            ]
         # Never restored from a checkpoint: a lock's coordinator died
         # with the old process, and CrossShardCoordinator.recover()
         # re-owns what the transfer WAL says is still in flight.
         self.locks = LockTable(lock_lease_rounds)
-        self._beacon_storage = beacon_storage
-        self.shards = [
-            Shard(
-                i,
-                ChainParams(
-                    chain_id=f"shard-{i}",
-                    max_block_txs=max_block_txs,
-                    reorg_journal_depth=reorg_journal_depth,
-                ),
-                anchor_batch_size=anchor_batch_size,
-                storage=shard_storages[i],
-                snapshot_interval=snapshot_interval,
-                contract_runtime_factory=contract_runtime_factory,
-                locks=self.locks,
-            )
-            for i in range(n_shards)
-        ]
-        self.beacon = BeaconChain(
-            ChainParams(chain_id="shard-beacon"),
-            store=beacon_storage.blocks if beacon_storage else None,
-            snapshot_store=beacon_storage.state if beacon_storage else None,
-        )
-        # In-memory meta fallback: the durable 2PC WAL rides the beacon
-        # store's meta table when one exists; in-memory deployments get
-        # the same surface (so coordinator crash/recovery is testable
-        # without disk) backed by this dict of encoded values.
-        self._meta_mem: dict[str, bytes] = {}
+        # The one place storage is opened: every stack below is built on
+        # a Storage bundle and never asks which kind.  Whatever opened
+        # before a failure is closed again, so a failed open leaks no
+        # sqlite connection or log fd and the directory reopens cleanly.
+        opened: list[Storage] = []
+
+        def open_storage(name: str) -> Storage:
+            opened.append(MemoryStorage() if storage_dir is None
+                          else DurableStorage(os.path.join(storage_dir,
+                                                           name)))
+            return opened[-1]
+
+        try:
+            beacon_store = open_storage("beacon")
+            # The deployment's meta surface — its layout row, and the 2PC
+            # transfer WAL that rides it — is the beacon store's.
+            self.meta: MetaStore = beacon_store
+            layout = self.meta.get_meta(self._LAYOUT_META_KEY)
+            if layout is None:
+                self.meta.put_meta(self._LAYOUT_META_KEY,
+                                   {"n_shards": n_shards})
+            elif layout.get("n_shards") != n_shards:
+                raise ShardError(
+                    f"store directory was laid out for "
+                    f"{layout.get('n_shards')} shards, not {n_shards}"
+                )
+            self.shards = [
+                Shard(
+                    i,
+                    ChainParams(
+                        chain_id=f"shard-{i}",
+                        max_block_txs=max_block_txs,
+                        reorg_journal_depth=reorg_journal_depth,
+                    ),
+                    open_storage(f"shard-{i}"),
+                    anchor_batch_size=anchor_batch_size,
+                    contract_runtime_factory=contract_runtime_factory,
+                    locks=self.locks,
+                )
+                for i in range(n_shards)
+            ]
+            self.beacon = BeaconChain(beacon_store,
+                                      ChainParams(chain_id="shard-beacon"))
+            _recover_proof_state(beacon_store, "round",
+                                 self.beacon.load_proof_state)
+        except BaseException:
+            for storage in opened:
+                storage.close()
+            raise
+        # Round count and watermarks follow from the beacon's rounds, so
+        # they agree with the beacon chain wherever the process died
+        # (empty rounds anchor nothing and are not counted across a
+        # reopen).
+        self.rounds_sealed = self.beacon.rounds_anchored
+        for shard in self.shards:
+            shard.anchored_height = self.beacon.anchored_height(
+                shard.shard_id)
         # Graceful degradation (quarantine_after > 0): consecutive seal
         # failures per shard, and the quarantine roster with per-shard
         # rounds-skipped counters driving periodic re-admission probes.
@@ -473,7 +471,6 @@ class ShardedChain:
         self.quarantine_probe_every = quarantine_probe_every
         self._seal_fail_streak: dict[int, int] = {}
         self._quarantined: dict[int, int] = {}
-        self.rounds_sealed = 0
         self._coordinators: list[Any] = []
         self._replica_seq = 0
         # Thread-pool sealing: None = auto (parallel iff the deployment
@@ -528,17 +525,6 @@ class ShardedChain:
             self.engine = InProcessEngine(
                 1 if executor == "serial" else seal_workers, self.telemetry
             )
-        if beacon_storage is not None:
-            # Round count and watermarks follow from the beacon's rounds,
-            # so they agree with the beacon chain wherever the process
-            # died (empty rounds anchor nothing and are not counted
-            # across a reopen).
-            _recover_proof_state(beacon_storage, "round",
-                                 self.beacon.load_proof_state)
-            self.rounds_sealed = self.beacon.rounds_anchored
-            for shard in self.shards:
-                shard.anchored_height = self.beacon.anchored_height(
-                    shard.shard_id)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -617,26 +603,21 @@ class ShardedChain:
         image plus the log fsyncs and the index WAL flush, nothing else:
         proof state already committed with its blocks — so a reopened
         :class:`ShardedChain` on the same ``storage_dir`` replays no
-        block.  No-op for in-memory deployments."""
-        if self._beacon_storage is None:
-            return
+        block.  Free for in-memory deployments."""
         for shard in self.shards:
             shard.checkpoint()
-        self.beacon.chain.save_state_image()
-        self._beacon_storage.sync()
+        self.beacon.checkpoint()
 
     def tier_storage(self, keep_tail: int = 256,
                      compact_records: bool = True) -> dict[int, dict]:
-        """Tier every durable shard store: archive cold blocks into the
-        store's CAS and compact the segment logs (see
+        """Tier every shard store: archive cold blocks into the store's
+        CAS and compact the segment logs (see
         :meth:`~repro.persist.durable.DurableStorage.tier`).  The hot
         tail is clamped to the reorg journal window — a reorg can never
         need to truncate below the archival boundary.  Returns per-shard
-        stats; no-op (empty) for in-memory deployments."""
+        stats (empty per shard in memory: nothing to move)."""
         stats: dict[int, dict] = {}
         for shard in self.shards:
-            if shard.storage is None:
-                continue
             floor = shard.chain.params.reorg_journal_depth + 1
             shard.checkpoint()
             stats[shard.shard_id] = shard.storage.tier(
@@ -664,13 +645,11 @@ class ShardedChain:
     def _release(self, checkpoint: bool) -> None:
         """Shared tail of close() and crash()."""
         self.engine.close()
-        if self._beacon_storage is None:
-            return
         if checkpoint:
             self.checkpoint()
         for shard in self.shards:
             shard.storage.close()
-        self._beacon_storage.close()
+        self.beacon.storage.close()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -700,33 +679,6 @@ class ShardedChain:
         for shard in self.shards:
             shard.chain.verify(deep=deep)
         self.beacon.chain.verify(deep=deep)
-
-    # ------------------------------------------------------------------
-    # Meta (the 2PC coordinator's WAL surface; see sharding.twophase)
-    # ------------------------------------------------------------------
-    def put_meta(self, key: str, value: Any) -> None:
-        """Persist one canonical-encodable value.  Durable deployments
-        write through the beacon store's meta table (each write commits
-        before returning — the WAL property the 2PC coordinator relies
-        on); in-memory deployments round-trip through the canonical
-        codec into a process-local dict, so coordinator crash/recovery
-        behaves identically in both."""
-        if self._beacon_storage is not None:
-            self._beacon_storage.put_meta(key, value)
-            return
-        from ..serialization import canonical_encode
-
-        self._meta_mem[key] = canonical_encode(value)
-
-    def get_meta(self, key: str, default: Any = None) -> Any:
-        if self._beacon_storage is not None:
-            return self._beacon_storage.get_meta(key, default)
-        encoded = self._meta_mem.get(key)
-        if encoded is None:
-            return default
-        from ..persist.codec import canonical_decode
-
-        return canonical_decode(encoded)
 
     # ------------------------------------------------------------------
     # Ingest

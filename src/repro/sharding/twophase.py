@@ -24,10 +24,11 @@ interleaved write can observe a half-transferred object.
 Crash safety
 ------------
 
-The coordinator writes a **transfer WAL** through the facade's
-``put_meta`` surface (each write commits before returning on a durable
-deployment) and follows a persist-before-act discipline: every state
-transition — ``begin``, each ``lock_leg``/``commit_leg`` submission,
+The coordinator writes a **transfer WAL** to the facade's meta surface
+(``sharded.meta``, the beacon store's — each write commits before
+returning on a durable deployment) and follows a persist-before-act
+discipline: every state transition — ``begin``, each
+``lock_leg``/``commit_leg`` submission,
 ``committing``, ``finalizing``, and the terminal ``finalized`` /
 ``aborting`` / ``aborted`` steps — lands in the WAL *before* the action
 it describes takes effect.  On reopen, :meth:`CrossShardCoordinator.
@@ -226,12 +227,12 @@ class CrossShardCoordinator:
         self.wal_writes = 0
         # Generation fencing: every coordinator on this store gets a
         # strictly increasing epoch, persisted before use.
-        self.epoch = int(sharded.get_meta(self._EPOCH_KEY, 0)) + 1
-        sharded.put_meta(self._EPOCH_KEY, self.epoch)
+        self.epoch = int(sharded.meta.get_meta(self._EPOCH_KEY, 0)) + 1
+        sharded.meta.put_meta(self._EPOCH_KEY, self.epoch)
         sharded.locks.fence(self.epoch)
         # Seed the xid sequence from the store: together with the epoch
         # prefix this makes xids collision-free across restarts.
-        self._seq = int(sharded.get_meta(self._SEQ_KEY, 0))
+        self._seq = int(sharded.meta.get_meta(self._SEQ_KEY, 0))
         registry = sharded.telemetry.registry
         self._registry = registry
         self._m_abort_legs_lost = registry.counter(
@@ -258,7 +259,7 @@ class CrossShardCoordinator:
         router = self.sharded.router
         xid = f"xfer-e{self.epoch:03d}-{self._seq:06d}"
         self._seq += 1
-        self.sharded.put_meta(self._SEQ_KEY, self._seq)
+        self.sharded.meta.put_meta(self._SEQ_KEY, self._seq)
         transfer = CrossShardTransfer(
             xid=xid,
             source_subject=source_subject,
@@ -337,8 +338,8 @@ class CrossShardCoordinator:
             "finalized": [], "aborted": [], "cleaned": [],
             "locks_dropped": 0,
         }
-        for xid in list(self.sharded.get_meta(self._ACTIVE_KEY, []) or []):
-            rec = self.sharded.get_meta(self._T_PREFIX + xid)
+        for xid in self._active_xids():
+            rec = self.sharded.meta.get_meta(self._T_PREFIX + xid)
             if rec is None:
                 self._active_remove(xid)
                 summary["cleaned"].append(xid)
@@ -389,11 +390,14 @@ class CrossShardCoordinator:
     # ------------------------------------------------------------------
     # WAL plumbing
     # ------------------------------------------------------------------
+    def _active_xids(self) -> list[str]:
+        return list(self.sharded.meta.get_meta(self._ACTIVE_KEY, []) or [])
+
     def _wal_begin(self, transfer: CrossShardTransfer) -> None:
-        active = list(self.sharded.get_meta(self._ACTIVE_KEY, []) or [])
+        active = self._active_xids()
         if transfer.xid not in active:
             active.append(transfer.xid)
-            self.sharded.put_meta(self._ACTIVE_KEY, active)
+            self.sharded.meta.put_meta(self._ACTIVE_KEY, active)
         self._wal_write(transfer, "begin")
 
     def _wal_write(self, transfer: CrossShardTransfer, step: str) -> None:
@@ -402,7 +406,7 @@ class CrossShardCoordinator:
         the write committed, which is exactly the boundary a real
         process death exposes."""
         transfer.wal_step = step
-        self.sharded.put_meta(self._T_PREFIX + transfer.xid,
+        self.sharded.meta.put_meta(self._T_PREFIX + transfer.xid,
                               transfer.to_wal_record(step))
         self.wal_writes += 1
         if self.crash_after_wal_writes is not None \
@@ -423,10 +427,10 @@ class CrossShardCoordinator:
         self._active_remove(transfer.xid)
 
     def _active_remove(self, xid: str) -> None:
-        active = list(self.sharded.get_meta(self._ACTIVE_KEY, []) or [])
+        active = self._active_xids()
         if xid in active:
             active.remove(xid)
-            self.sharded.put_meta(self._ACTIVE_KEY, active)
+            self.sharded.meta.put_meta(self._ACTIVE_KEY, active)
 
     # ------------------------------------------------------------------
     # Internals

@@ -19,12 +19,13 @@ beacon headers, exactly as on the source.
 from __future__ import annotations
 
 from ..chain import ChainParams
-from ..errors import QueryError, SyncError
+from ..errors import SyncError
 from ..net_retry import RetryPolicy, failover
 from ..network.node import ChainNode
 from ..obs.runtime import telemetry as default_telemetry
+from ..persist.durable import DurableStorage
 from ..rpc import OP_OPS, Service, ops_handler
-from ..sharding.query import FederatedProof
+from ..sharding.query import FederatedProof, package_federated_proof
 from ..sharding.shardchain import Shard
 from .client import SnapshotClient, SyncReport
 
@@ -124,13 +125,11 @@ class ShardReplica:
         return self.beacon.chain.block_at(height).header
 
     def _open(self) -> None:
-        from ..persist.durable import DurableStorage
-
         self.shard = Shard(
             self.shard_id,
             self.params,
+            DurableStorage(self.storage_dir),
             anchor_batch_size=self.anchor_batch_size,
-            storage=DurableStorage(self.storage_dir),
         )
 
     def close(self) -> None:
@@ -163,22 +162,5 @@ class ShardReplica:
         """Package one record's full evidence chain, exactly as the
         source facade's :meth:`~repro.sharding.query.ShardedQueryEngine.
         federated_proof` would."""
-        shard = self._require_open()
-        if not shard.anchor.is_anchored(record_id):
-            raise QueryError(
-                f"record {record_id!r} is not anchored on this replica"
-            )
-        anchor_bundle = shard.anchor.prove_for_light_client(record_id)
-        shard_header = shard.chain.block_at(
-            anchor_bundle.block_height
-        ).header
-        beacon_bundle = self.beacon.light_bundle(
-            self.shard_id, shard_header.height, shard_header.block_hash
-        )
-        return FederatedProof(
-            shard_id=self.shard_id,
-            record_id=record_id,
-            anchor_bundle=anchor_bundle,
-            shard_header=shard_header,
-            beacon_bundle=beacon_bundle,
-        )
+        return package_federated_proof(self._require_open(), self.beacon,
+                                       record_id)

@@ -69,6 +69,105 @@ def drive(sharded: ShardedChain, transfer, rounds: int = 8) -> None:
         sharded.seal_round(timestamp=sharded.rounds_sealed)
 
 
+class _Deployment:
+    """Where a crash-matrix scenario runs: ``open()`` the deployment,
+    ``after_crash(sharded)`` the one its successor coordinator sees —
+    on disk a reopen of the same directory, in memory the surviving
+    process (lock table and mempools included) whose coordinator died.
+    Either way the WAL the successor recovers from is ``sharded.meta``."""
+
+    def __init__(self, tmp_path=None) -> None:
+        self.tmp_path = tmp_path
+
+    def open(self) -> ShardedChain:
+        if self.tmp_path is not None:
+            return durable(self.tmp_path)
+        return ShardedChain(4, max_block_txs=16, anchor_batch_size=4,
+                            checkpoint_every_rounds=1, executor="serial")
+
+    def after_crash(self, sharded: ShardedChain) -> ShardedChain:
+        sharded.crash()
+        return self.open() if self.tmp_path is not None else sharded
+
+
+def kill_at_wal_boundary(deployment: _Deployment, kill_after: int) -> None:
+    sharded = deployment.open()
+    coord = CrossShardCoordinator(sharded)
+    src, tgt = cross_pair(sharded)
+    coord.crash_after_wal_writes = kill_after
+    with pytest.raises(CrashPoint):
+        transfer = coord.begin(src, tgt, {"qty": 1}, timestamp=1)
+        drive(sharded, transfer)
+
+    reopened = deployment.after_crash(sharded)
+    coord2 = CrossShardCoordinator(reopened)
+    summary = coord2.last_recovery
+    if kill_after <= 6:
+        # Lock / committing / commit-leg boundaries: the commit
+        # legs were not all on-chain yet — presumed abort.
+        assert summary["aborted"] and not summary["finalized"]
+    elif kill_after == 7:
+        # Crashed after "finalizing": both commit legs are on-chain,
+        # recovery replays the idempotent finalize.
+        assert summary["finalized"] and not summary["aborted"]
+    else:
+        # Crashed after the terminal "finalized" write but before
+        # the active-list cleanup: recovery just sweeps the entry.
+        assert summary["cleaned"]
+
+    xids = set(coord2.transfers) | {
+        xid for bucket in ("finalized", "aborted", "cleaned")
+        for xid in summary[bucket]
+    }
+    assert xids, "recovery must have seen the crashed transfer"
+    inv = check_invariants(reopened, xids)
+    assert inv["ok"], inv["issues"]
+
+    # The subjects must be writable and transferable again.
+    retry = coord2.begin(src, tgt, {"qty": 2}, timestamp=2)
+    drive(reopened, retry)
+    assert retry.state == COMMITTED
+    reopened.close()
+
+
+def kill_at_named_step(deployment: _Deployment, step: str,
+                       resolution: str) -> None:
+    sharded = deployment.open()
+    coord = CrossShardCoordinator(sharded, timeout_rounds=1)
+    src, tgt = cross_pair(sharded)
+    coord.crash_at_step = step
+    if step == "aborting":
+        # Starve the prepare phase so the deadline passes and the
+        # abort path runs: seal only non-participant shards.
+        with pytest.raises(CrashPoint):
+            transfer = coord.begin(src, tgt, timestamp=1)
+            participants = set(transfer.participants)
+            others = [sid for sid in range(len(sharded.shards))
+                      if sid not in participants]
+            for _ in range(4):
+                sharded.seal_round(shard_ids=others,
+                                   timestamp=sharded.rounds_sealed)
+    else:
+        with pytest.raises(CrashPoint):
+            transfer = coord.begin(src, tgt, timestamp=1)
+            drive(sharded, transfer)
+
+    reopened = deployment.after_crash(sharded)
+    coord2 = CrossShardCoordinator(reopened)
+    assert coord2.last_recovery[resolution]
+    inv = check_invariants(reopened, set(coord2.transfers))
+    assert inv["ok"], inv["issues"]
+    reopened.close()
+
+
+NAMED_STEPS = [
+    ("begin", "aborted"),
+    ("committing", "aborted"),
+    ("finalizing", "finalized"),
+    ("aborting", "aborted"),
+]
+
+
 class TestCrashMatrix:
     """Kill after every WAL write a 2-shard transfer makes (8 on the
     happy path: begin, 2 lock legs, committing, 2 commit legs,
@@ -76,79 +175,19 @@ class TestCrashMatrix:
 
     @pytest.mark.parametrize("kill_after", range(1, 9))
     def test_kill_at_every_wal_boundary(self, tmp_path, kill_after):
-        sharded = durable(tmp_path)
-        coord = CrossShardCoordinator(sharded)
-        src, tgt = cross_pair(sharded)
-        coord.crash_after_wal_writes = kill_after
-        with pytest.raises(CrashPoint):
-            transfer = coord.begin(src, tgt, {"qty": 1}, timestamp=1)
-            drive(sharded, transfer)
-        sharded.crash()
+        kill_at_wal_boundary(_Deployment(tmp_path), kill_after)
 
-        reopened = durable(tmp_path)
-        coord2 = CrossShardCoordinator(reopened)
-        summary = coord2.last_recovery
-        if kill_after <= 6:
-            # Lock / committing / commit-leg boundaries: the commit
-            # legs were not all on-chain yet — presumed abort.
-            assert summary["aborted"] and not summary["finalized"]
-        elif kill_after == 7:
-            # Crashed after "finalizing": both commit legs are on-chain,
-            # recovery replays the idempotent finalize.
-            assert summary["finalized"] and not summary["aborted"]
-        else:
-            # Crashed after the terminal "finalized" write but before
-            # the active-list cleanup: recovery just sweeps the entry.
-            assert summary["cleaned"]
-
-        xids = set(coord2.transfers) | {
-            xid for bucket in ("finalized", "aborted", "cleaned")
-            for xid in summary[bucket]
-        }
-        assert xids, "recovery must have seen the crashed transfer"
-        inv = check_invariants(reopened, xids)
-        assert inv["ok"], inv["issues"]
-
-        # The subjects must be writable and transferable again.
-        retry = coord2.begin(src, tgt, {"qty": 2}, timestamp=2)
-        drive(reopened, retry)
-        assert retry.state == COMMITTED
-        reopened.close()
-
-    @pytest.mark.parametrize("step,resolution", [
-        ("begin", "aborted"),
-        ("committing", "aborted"),
-        ("finalizing", "finalized"),
-        ("aborting", "aborted"),
-    ])
+    @pytest.mark.parametrize("step,resolution", NAMED_STEPS)
     def test_kill_at_named_step(self, tmp_path, step, resolution):
-        sharded = durable(tmp_path)
-        coord = CrossShardCoordinator(sharded, timeout_rounds=1)
-        src, tgt = cross_pair(sharded)
-        coord.crash_at_step = step
-        if step == "aborting":
-            # Starve the prepare phase so the deadline passes and the
-            # abort path runs: seal only non-participant shards.
-            with pytest.raises(CrashPoint):
-                transfer = coord.begin(src, tgt, timestamp=1)
-                participants = set(transfer.participants)
-                others = [sid for sid in range(len(sharded.shards))
-                          if sid not in participants]
-                for _ in range(4):
-                    sharded.seal_round(shard_ids=others,
-                                       timestamp=sharded.rounds_sealed)
-        else:
-            with pytest.raises(CrashPoint):
-                transfer = coord.begin(src, tgt, timestamp=1)
-                drive(sharded, transfer)
-        sharded.crash()
+        kill_at_named_step(_Deployment(tmp_path), step, resolution)
 
-        reopened = durable(tmp_path)
-        coord2 = CrossShardCoordinator(reopened)
-        assert coord2.last_recovery[resolution]
-        inv = check_invariants(reopened, set(coord2.transfers))
-        assert inv["ok"], inv["issues"]
-        reopened.close()
+    @pytest.mark.parametrize("kill_after", range(1, 9))
+    def test_kill_at_every_wal_boundary_in_memory(self, kill_after):
+        kill_at_wal_boundary(_Deployment(), kill_after)
+
+    @pytest.mark.parametrize("step,resolution", NAMED_STEPS)
+    def test_kill_at_named_step_in_memory(self, step, resolution):
+        kill_at_named_step(_Deployment(), step, resolution)
 
     def test_recovered_proofs_verify(self, tmp_path):
         """A transfer finalized *by recovery* must yield the same

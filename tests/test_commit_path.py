@@ -364,8 +364,7 @@ class TestFailedAppendUnwindsAtAnyDepth:
     @pytest.mark.parametrize("depth", [0, 4])
     def test_beacon_anchor_round(self, depth, tmp_path):
         storage = DurableStorage(str(tmp_path))
-        beacon = BeaconChain(_params(depth), store=storage.blocks,
-                             snapshot_store=storage.state)
+        beacon = BeaconChain(storage, _params(depth))
         heights = iter(range(1, 10_000))
 
         def anchor_round():

@@ -553,15 +553,16 @@ class TestOpenReportsAndUpgrades:
 
 
 class TestCountedGuards:
-    """Exact against the parent commit (a9c993f) on this script: 211
-    fsyncs and 266 sqlite COMMITs, of which the two checkpoint rounds
-    took 22 + 24 each.  Moving proof state into the block's own
-    transaction may not add one of either."""
+    """Exact against the parent commit (8188936) on this script: 196
+    fsyncs and 248 sqlite COMMITs, of which the two checkpoint rounds
+    took 17 + 18 each.  Opening every stack on a ``Storage`` bundle and
+    writing both tables through the one indexed log may not add one of
+    either."""
 
-    PARENT_FSYNCS = 211
-    PARENT_COMMITS = 266
+    PARENT_FSYNCS = 196
+    PARENT_COMMITS = 248
     PARENT_ROUND = (12, 8)          # worst non-checkpoint round
-    PARENT_CHECKPOINT_ROUND = (24, 22)
+    PARENT_CHECKPOINT_ROUND = (18, 17)
 
     def test_fsyncs_and_commits_do_not_rise(self, tmp_path):
         sc = ShardedChain(4, storage_dir=str(tmp_path / "store"),
@@ -574,7 +575,7 @@ class TestCountedGuards:
                 commits[0] += 1
 
         for storage in [s.storage for s in sc.shards] \
-                + [sc._beacon_storage]:
+                + [sc.beacon.storage]:
             storage._conn.set_trace_callback(trace)
         fsyncs = default_telemetry().registry.counter(
             "persist_fsyncs_total")

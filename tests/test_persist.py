@@ -361,6 +361,141 @@ class TestCrashRecovery:
 
 
 # ---------------------------------------------------------------------------
+# One walk, both tables
+# ---------------------------------------------------------------------------
+TABLES = ("blocks", "records")
+
+
+def _fill(storage: DurableStorage, table: str, n: int) -> None:
+    """Append ``n`` single-frame groups to ``table``'s indexed log."""
+    if table == "blocks":
+        chain = Blockchain(ChainParams(chain_id="walk"),
+                           store=storage.blocks,
+                           snapshot_store=storage.state)
+        grow_chain(chain, n)
+        return
+    for i in range(len(storage.records), len(storage.records) + n):
+        storage.records.append({"record_id": f"r{i}", "subject": "s",
+                                "timestamp": i})
+
+
+def _entries(storage: DurableStorage, table: str) -> int:
+    """Entries ``_fill`` has put in ``table`` (genesis not counted)."""
+    return storage.blocks.height() if table == "blocks" \
+        else len(storage.records)
+
+
+def _log_of(storage: DurableStorage, table: str) -> SegmentLog:
+    return storage.block_log if table == "blocks" else storage.record_log
+
+
+def _chop_tail(directory, table: str, n_bytes: int) -> None:
+    """Cut ``n_bytes`` off the end of ``table``'s tail segment file."""
+    seg_dir = os.path.join(str(directory), f"{table}-log")
+    path = os.path.join(seg_dir, sorted(os.listdir(seg_dir))[-1])
+    os.truncate(path, os.path.getsize(path) - n_bytes)
+
+
+def _index_rows(storage: DurableStorage) -> dict[str, int]:
+    return {table: storage._conn.execute(
+        f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        for table in ("blocks", "txs", "receipts", "records")}
+
+
+@pytest.mark.parametrize("table", TABLES)
+class TestOneRecoveryWalk:
+    """Blocks and records are the same indexed log, so every byte-level
+    crash case holds for both (``recovered_<table>`` is what the one
+    walk reports per log)."""
+
+    @pytest.mark.parametrize("fail_after", [1, 5, 9, 17, 40])
+    def test_kill_at_any_byte_of_an_append(self, tmp_path, table,
+                                           fail_after):
+        storage = DurableStorage(tmp_path)
+        _fill(storage, table, 5)
+        rows = _index_rows(storage)
+        end = _log_of(storage, table).end_location()
+        _log_of(storage, table).fail_after_bytes = fail_after
+        with pytest.raises(CrashPoint):
+            _fill(storage, table, 1)
+        storage.close()
+
+        storage2 = DurableStorage(tmp_path)
+        # The torn frame was never indexed: nothing to drop, the log is
+        # cut back to the last indexed frame.
+        assert getattr(storage2, f"recovered_{table}") == 0
+        assert _entries(storage2, table) == 5
+        assert _index_rows(storage2) == rows
+        assert _log_of(storage2, table).end_location() == end
+        _fill(storage2, table, 1)       # still appendable
+        storage2.close()
+        storage3 = DurableStorage(tmp_path)
+        assert _entries(storage3, table) == 6
+        storage3.close()
+
+    @pytest.mark.parametrize("cut_back", [1, 3, 8, 21])
+    def test_truncated_tail_drops_the_orphaned_row(self, tmp_path, table,
+                                                   cut_back):
+        storage = DurableStorage(tmp_path)
+        _fill(storage, table, 4)
+        storage.close()
+        _chop_tail(tmp_path, table, cut_back)
+
+        storage2 = DurableStorage(tmp_path)
+        assert getattr(storage2, f"recovered_{table}") == 1
+        assert _entries(storage2, table) == 3
+        # The rows that shared the dropped key's fate went with it.
+        rows = _index_rows(storage2)
+        if table == "blocks":
+            assert rows["blocks"] == 4 and rows["txs"] == 9 \
+                and rows["receipts"] == 9
+        else:
+            assert rows["records"] == 3
+        _fill(storage2, table, 2)
+        storage2.close()
+        storage3 = DurableStorage(tmp_path)
+        assert getattr(storage3, f"recovered_{table}") == 0
+        assert _entries(storage3, table) == 5
+        storage3.close()
+
+    def test_only_the_damaged_log_is_walked_back(self, tmp_path, table):
+        other = TABLES[1 - TABLES.index(table)]
+        storage = DurableStorage(tmp_path)
+        _fill(storage, table, 3)
+        _fill(storage, other, 3)
+        storage.close()
+        _chop_tail(tmp_path, table, 2)
+        storage2 = DurableStorage(tmp_path)
+        assert getattr(storage2, f"recovered_{table}") == 1
+        assert getattr(storage2, f"recovered_{other}") == 0
+        assert _entries(storage2, table) == 2
+        assert _entries(storage2, other) == 3
+        storage2.close()
+
+
+def test_torn_repointed_frame_is_found_by_address_order(tmp_path):
+    """``replace()`` points an *old* position at the newest frame.  When
+    that frame is torn, the row to drop is position 1's — found only by
+    walking the table in log-address order — and the log is cut after
+    position 5's frame, not after the highest position's."""
+    storage = DurableStorage(tmp_path)
+    _fill(storage, "records", 6)
+    end_of_appends = storage.record_log.end_location()
+    storage.records.replace(1, {"record_id": "r1", "subject": "s",
+                                "timestamp": 1, "note": "annotated"})
+    storage.close()
+    _chop_tail(tmp_path, "records", 3)
+
+    storage2 = DurableStorage(tmp_path)
+    assert storage2.recovered_records == 1
+    assert storage2.record_log.end_location() == end_of_appends
+    assert [position for position, _ in storage2.records.iter_items()] \
+        == [0, 2, 3, 4, 5]
+    assert storage2.records.get(5)["timestamp"] == 5
+    storage2.close()
+
+
+# ---------------------------------------------------------------------------
 # Backend equivalence (hypothesis)
 # ---------------------------------------------------------------------------
 payload_values = st.one_of(
@@ -525,33 +660,6 @@ class TestDurableReorg:
         reopened.verify(deep=True)
         storage2.close()
 
-    def test_interval_checkpoint_during_reorg_suffix_survives(self,
-                                                              tmp_path):
-        """Review regression: a checkpoint taken while committing the
-        *winning* suffix describes the new branch and must not be wiped
-        by the orphaned-branch discard."""
-        params = ChainParams(chain_id="ivl", reorg_journal_depth=8)
-        storage = DurableStorage(tmp_path)
-        chain = Blockchain(params, store=storage.blocks,
-                           snapshot_store=storage.state,
-                           snapshot_interval=4)
-        grow_chain(chain, 6)  # interval checkpoint landed at height 4
-        suffix = _fork_suffix(chain, 3, 5)  # suffix spans height 4..8
-        chain.reorg_to(suffix, 3)
-        # The height-4/8 image now describes the *new* branch.
-        snap_height = storage.state.snapshot_height()
-        assert snap_height in (4, 8)
-        assert storage.state.snapshot_block_hash() == \
-            chain.block_at(snap_height).block_hash
-        chain.close()
-        storage2 = DurableStorage(tmp_path)
-        reopened = Blockchain(params, store=storage2.blocks,
-                              snapshot_store=storage2.state)
-        assert reopened.blocks_replayed_on_open == 0  # close() re-snapped
-        assert reopened.head.block_hash == chain.head.block_hash
-        reopened.verify(deep=True)
-        storage2.close()
-
     def test_reorg_discards_snapshot_above_new_head(self, tmp_path):
         params = ChainParams(chain_id="snapcut", reorg_journal_depth=8)
         storage = DurableStorage(tmp_path)
@@ -668,7 +776,7 @@ class TestShardedRestart:
 
         sc2 = ShardedChain(2, storage_dir=str(tmp_path))
         assert sc2.locks.entry(shard_id, "asset/locked") is None
-        assert sc2.get_meta("facade_state") is None
+        assert sc2.meta.get_meta("facade_state") is None
         # The subject is writable again.
         sc2.ingest_record({"record_id": "unblocked",
                            "subject": "asset/locked", "actor": "a",
@@ -693,7 +801,7 @@ class TestShardedRestart:
         # Simulate an unclean shutdown: no close(), just drop the object.
         for shard in sc.shards:
             shard.storage.close()
-        sc._beacon_storage.close()
+        sc.beacon.storage.close()
 
         sc2 = ShardedChain(2, storage_dir=str(tmp_path), anchor_batch_size=4)
         assert [s.chain.height for s in sc2.shards] == heights
