@@ -8,7 +8,7 @@ export PYTHONPATH := src
         test-crash test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
         bench-gateway bench-all bench-e2e bench-e2e-compare bench-ab \
-        lint-private lint-layers loc check
+        setup-split lint-private lint-layers loc check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -150,6 +150,12 @@ bench-ab:
 	python3 benchmarks/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) \
 	    --pairs $(PAIRS)
 
+# One set-up of an e2e workload (what setup_s times) split by component
+# — draw ops / build + seal + sign / collector / open stores / populate —
+# median of 5 at reference host speed; prints a table, writes nothing.
+setup-split:
+	$(PYTHON) tools/setup_split.py --workload $(WORKLOAD)
+
 # No module outside sharding/ may read an underscore attribute of a
 # ShardedChain (every facade handle in src/ is named `sharded`), and no
 # module outside persist/ may import an underscore name from
@@ -217,7 +223,7 @@ loc:
 # (kill matrix + the seeded chaos smoke: 3 fault plans, each run twice —
 # deterministic per seed), the private-attribute and layering lints, plus
 # a smoke pass of each perf benchmark (same code paths, small sizes, no
-# floors).
+# floors) and of the set-up split.
 check: test test-codec test-transport test-crash lint-private lint-layers
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke
@@ -227,3 +233,4 @@ check: test test-codec test-transport test-crash lint-private lint-layers
 	$(PYTHON) benchmarks/bench_exec.py --smoke
 	$(PYTHON) benchmarks/bench_obs.py --smoke
 	$(PYTHON) benchmarks/bench_gateway.py --smoke
+	$(PYTHON) tools/setup_split.py --workload capture_saturated --smoke

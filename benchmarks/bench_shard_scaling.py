@@ -130,7 +130,7 @@ def main() -> None:
         n_tenants=128, objects_per_tenant=64, zipf_s=0.85,
         cross_shard_ratio=0.02, seed=7,
     )
-    ops = workload.generate(n_ops)
+    ops = list(workload.generate(n_ops))
     # Warm the global Merkle leaf-hash LRU once so every configuration
     # runs equally warm (tx content is identical across configurations,
     # so without this the first-run configuration would pay all the

@@ -29,12 +29,18 @@ What is pinned, by whom, on which side.  A sealed transaction carries
 when the transaction is embedded), ``_cache_hash`` and ``_cache_id``, and
 exactly two places may set them:
 
-* the **constructing side** — :meth:`Transaction.seal` walks the content
-  once: one payload snapshot, and the six-key signing body written from a
-  fixed key-order template in which only the payload goes through the
-  generic encoder (``_encoded_body``; byte-identical to
-  ``canonical_encode(signing_body())``, which ``compute_tx_hash`` keeps
-  using as the independent recomputation);
+* the **constructing side** — :meth:`Transaction.seal` touches each thing
+  once: one payload snapshot; the six-key signing body written from a
+  fixed key-order template (``_encode_signing_body``, which
+  ``_encoded_body`` shares) in which only the payload goes through the
+  generic encoder and a type-exact ``int`` zero ``fee`` / ``nonce`` is a
+  constant entry; then hash and id taken straight from those bytes and
+  stored over whatever an unsealed read had cached — no cache is
+  consulted, popped or reached through a property on the way.  The bytes
+  equal ``canonical_encode(signing_body())``, which ``compute_tx_hash``
+  keeps using as the independent recomputation.  :meth:`sign_with` then
+  reads the pinned bytes and writes ``signature`` / ``signer``, which no
+  hash covers, past ``__setattr__``;
 * the **decoding side** — :meth:`Transaction.from_sealed_encoding`, called
   only by the strict decoder in :mod:`repro.persist.codec`, pins the very
   slice the fields were just decoded from (strict decoding guarantees the
@@ -178,6 +184,30 @@ def _entry(prefix: bytes, value: Any) -> bytes:
 
 
 _KIND_ENTRIES = {kind: _entry(b"s4:kind", kind.value) for kind in TxKind}
+_FEE_ZERO = _entry(b"s3:fee", 0)
+_NONCE_ZERO = _entry(b"s5:nonce", 0)
+
+
+def _encode_signing_body(d: dict) -> bytes:
+    """The signing body of the transaction whose ``__dict__`` is ``d``,
+    written from the fixed key order: only the payload goes through the
+    generic encoder, and the usual zero ``fee`` / ``nonce`` are constants
+    (an ``int`` zero only: ``False`` is falsy too and encodes as ``F``)."""
+    payload = d["payload"]
+    if type(payload) is not MappingProxyType and type(payload) is not dict:
+        payload = dict(payload)
+    fee, kind, nonce = d["fee"], d["kind"], d["nonce"]
+    return b"%b%b%b%bs7:payload%b%b%be" % (
+        SIGNING_BODY_HEAD,
+        _FEE_ZERO if type(fee) is int and not fee
+        else _entry(b"s3:fee", fee),
+        _KIND_ENTRIES.get(kind) or _entry(b"s4:kind", kind.value),
+        _NONCE_ZERO if type(nonce) is int and not nonce
+        else _entry(b"s5:nonce", nonce),
+        canonical_encode(payload),
+        _entry(b"s6:sender", d["sender"]),
+        _entry(b"s9:timestamp", d["timestamp"]),
+    )
 
 
 @dataclass(init=False)
@@ -271,18 +301,17 @@ class Transaction:
             return self
         # Snapshot the payload so a caller-held reference to the original
         # dict can no longer reach the sealed content.  The one copy: the
-        # encoder below walks the proxy itself.
-        d["payload"] = MappingProxyType(dict(self.payload))
-        d.pop("_cache_encoded", None)
-        d.pop("_cache_hash", None)
-        d.pop("_cache_id", None)
-        encoded = self._encoded_body()
-        _ = self.tx_id  # populate hash caches
+        # encoder walks the proxy itself.
+        d["payload"] = MappingProxyType(dict(d["payload"]))
+        # Encoded from the snapshot, never taken from a cache an unsealed
+        # read may have left stale; also the identity-keyed encode cache
+        # hook (see repro.serialization): a sealed transaction embedded in
+        # a larger structure encodes from these pinned bytes.
+        d["_cache_encoded"] = d["_canonical_cache"] = encoded = \
+            _encode_signing_body(d)
+        d["_cache_hash"] = tx_hash = hash_bytes(encoded, DOMAIN_TX)
+        d["_cache_id"] = tx_hash.hex()
         d["_sealed"] = True
-        # Identity-keyed encode cache hook (see repro.serialization): a
-        # sealed transaction embedded in a larger structure encodes from
-        # these pinned bytes.
-        d["_canonical_cache"] = encoded
         return self
 
     # ------------------------------------------------------------------
@@ -311,21 +340,7 @@ class Transaction:
         d = self.__dict__
         encoded = d.get("_cache_encoded")
         if encoded is None or not HASH_CACHING_ENABLED:
-            payload = d["payload"]
-            if type(payload) is not MappingProxyType \
-                    and type(payload) is not dict:
-                payload = dict(payload)
-            kind = d["kind"]
-            encoded = b"%b%b%b%bs7:payload%b%b%be" % (
-                SIGNING_BODY_HEAD,
-                _entry(b"s3:fee", d["fee"]),
-                _KIND_ENTRIES.get(kind) or _entry(b"s4:kind", kind.value),
-                _entry(b"s5:nonce", d["nonce"]),
-                canonical_encode(payload),
-                _entry(b"s6:sender", d["sender"]),
-                _entry(b"s9:timestamp", d["timestamp"]),
-            )
-            d["_cache_encoded"] = encoded
+            d["_cache_encoded"] = encoded = _encode_signing_body(d)
         return encoded
 
     @property
@@ -363,13 +378,16 @@ class Transaction:
     # ------------------------------------------------------------------
     def sign_with(self, keypair: KeyPair) -> "Transaction":
         """Attach a signature; the sender must match the key's address."""
-        if self.sender != keypair.address:
+        d = self.__dict__
+        public = keypair.public
+        if d["sender"] != public.address:
             raise InvalidTransaction(
-                f"sender {self.sender!r} does not match signing key "
-                f"address {keypair.address!r}"
+                f"sender {d['sender']!r} does not match signing key "
+                f"address {public.address!r}"
             )
-        self.signature = sign_encoded(self._encoded_body(), keypair.private)
-        self.signer = keypair.public
+        # Neither field is hash-covered: nothing to invalidate or refuse.
+        d["signature"] = sign_encoded(self._encoded_body(), keypair.private)
+        d["signer"] = public
         return self
 
     def verify_signature(self) -> bool:

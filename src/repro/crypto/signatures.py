@@ -24,6 +24,7 @@ import hmac
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 from ..errors import CryptoError, InvalidSignature
@@ -38,9 +39,10 @@ class PublicKey:
 
     key_bytes: bytes
 
-    @property
+    @cached_property
     def address(self) -> str:
-        """Short printable address derived from the key."""
+        """Short printable address derived from the key (computed once:
+        not a field, so equality, hash and ``repr`` never see it)."""
         return self.key_bytes.hex()[:40]
 
     def to_canonical(self) -> dict:
@@ -83,7 +85,7 @@ class KeyPair:
         _KEY_REGISTRY[public.key_bytes] = sk_bytes
         return cls(private=private, public=public)
 
-    @property
+    @cached_property
     def address(self) -> str:
         return self.public.address
 

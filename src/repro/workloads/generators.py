@@ -1,16 +1,26 @@
 """Per-domain workload generators.
 
-Each generator emits deterministic *action lists* that drivers replay
-against a system under test.  Keeping generation separate from execution
-lets a bench replay the identical workload against two designs (e.g.
-ProvChain vs BlockCloud) for a fair comparison.
+Each generator emits a deterministic *action sequence* that drivers
+replay against a system under test.  Keeping generation separate from
+execution lets a bench replay the identical workload against two designs
+(e.g. ProvChain vs BlockCloud) for a fair comparison.
+
+:meth:`MultiTenantShardWorkload.generate` is a stream: each op depends
+only on the RNG state the ops before it left, so a driver that stops
+early pays for what it consumed and a replay wraps it in ``list(...)``.
+:meth:`CloudOpsWorkload.generate` cannot stream — its deletes are held
+back to the tail of the run so no replay hits a missing object, which
+needs the whole run — and the ``plan()`` / ``tasks()`` / ``queries()``
+generators return small finished structures, so they stay lists.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 from .distributions import ZipfSampler
 
@@ -172,8 +182,7 @@ class SupplyChainWorkload:
         return plans
 
 
-@dataclass(frozen=True)
-class ShardOp:
+class ShardOp(NamedTuple):
     """One multi-tenant ingest action for the sharded-chain benches.
 
     ``kind`` is ``"record"`` (single-namespace write) or ``"cross"`` (a
@@ -218,48 +227,84 @@ class MultiTenantShardWorkload:
             raise ValueError("cross_shard_ratio must be in [0, 1]")
         if n_tenants < 2 and cross_shard_ratio > 0:
             raise ValueError("cross-tenant ops need at least two tenants")
+        if objects_per_tenant < 1:
+            raise ValueError("objects_per_tenant must be >= 1")
         self.n_tenants = n_tenants
         self.objects_per_tenant = objects_per_tenant
         self.cross_shard_ratio = cross_shard_ratio
         self.rng = random.Random(seed)
         self.tenant_sampler = ZipfSampler(n_tenants, s=zipf_s, seed=seed + 1)
+        # Names, formatted on first use and kept; a subject's key is
+        # tenant * objects_per_tenant + object.
+        self._tenants: dict[int, str] = {}
+        self._actors: dict[int, str] = {}
+        self._subjects: dict[int, str] = {}
 
-    def _tenant(self) -> str:
-        return f"tenant-{self.tenant_sampler.sample():03d}"
+    def generate(self, count: int) -> Iterator[ShardOp]:
+        """A replayable op stream; timestamps are strictly increasing.
 
-    def _subject(self, tenant: str) -> str:
-        return f"{tenant}/obj-{self.rng.randrange(self.objects_per_tenant):04d}"
-
-    def generate(self, count: int) -> list[ShardOp]:
-        """A replayable op list; timestamps are strictly increasing."""
+        Lazy: an op is drawn when the consumer asks for it, and its first
+        ``k`` ops are the same for every ``count >= k``.  The draws are
+        what ``rng.randrange`` / ``randint`` / ``choices`` do inside (a
+        ``getrandbits`` rejection loop on ``n.bit_length()`` bits, a
+        bisect on the cumulative weights), so the RNG is consumed exactly
+        as those calls consume it.
+        """
         labels = [name for name, _ in self.OPS]
-        # What rng.choices(labels, weights=...) would rebuild per draw.
         cum_weights = list(accumulate(w for _, w in self.OPS))
-        ops: list[ShardOp] = []
+        total, last = cum_weights[-1] + 0.0, len(labels) - 1
+        rand, getrandbits = self.rng.random, self.rng.getrandbits
+        sample_tenant = self.tenant_sampler.sample
+        ratio = self.cross_shard_ratio
+        n_objects = self.objects_per_tenant
+        object_bits = n_objects.bit_length()
+        tenants, subjects, actors = \
+            self._tenants, self._subjects, self._actors
+        make = ShardOp._make             # tuple.__new__ plus a length check
         for t in range(count):
-            tenant = self._tenant()
-            subject = self._subject(tenant)
-            actor = f"agent-{self.rng.randrange(16):02d}"
-            if self.rng.random() < self.cross_shard_ratio:
-                target = self._tenant()
+            tenant = sample_tenant()
+            namespace = tenants.get(tenant)
+            if namespace is None:
+                namespace = tenants[tenant] = f"tenant-{tenant:03d}"
+            obj = getrandbits(object_bits)          # randrange(n_objects)
+            while obj >= n_objects:
+                obj = getrandbits(object_bits)
+            key = tenant * n_objects + obj
+            subject = subjects.get(key)
+            if subject is None:
+                subject = subjects[key] = f"{namespace}/obj-{obj:04d}"
+            agent = getrandbits(5)                  # randrange(16)
+            while agent >= 16:
+                agent = getrandbits(5)
+            actor = actors.get(agent)
+            if actor is None:
+                actor = actors[agent] = f"agent-{agent:02d}"
+            if rand() < ratio:
+                target = sample_tenant()
                 while target == tenant:
-                    target = self._tenant()
-                ops.append(ShardOp(
-                    kind="cross", namespace=tenant, subject=subject,
-                    actor=actor, operation="handoff", timestamp=t,
-                    size=self.rng.randint(32, 256),
-                    target_namespace=target,
-                    target_subject=self._subject(target),
-                ))
+                    target = sample_tenant()
+                other = tenants.get(target)
+                if other is None:
+                    other = tenants[target] = f"tenant-{target:03d}"
+                size = getrandbits(8)               # randint(32, 256)
+                while size >= 225:
+                    size = getrandbits(8)
+                obj = getrandbits(object_bits)
+                while obj >= n_objects:
+                    obj = getrandbits(object_bits)
+                key = target * n_objects + obj
+                derived = subjects.get(key)
+                if derived is None:
+                    derived = subjects[key] = f"{other}/obj-{obj:04d}"
+                yield make(("cross", namespace, subject, actor, "handoff", t,
+                            32 + size, other, derived))
                 continue
-            ops.append(ShardOp(
-                kind="record", namespace=tenant, subject=subject,
-                actor=actor,
-                operation=self.rng.choices(labels,
-                                           cum_weights=cum_weights)[0],
-                timestamp=t, size=self.rng.randint(32, 256),
-            ))
-        return ops
+            operation = labels[bisect(cum_weights, rand() * total, 0, last)]
+            size = getrandbits(8)
+            while size >= 225:
+                size = getrandbits(8)
+            yield make(("record", namespace, subject, actor, operation, t,
+                        32 + size, "", ""))
 
 
 @dataclass

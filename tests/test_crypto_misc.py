@@ -118,6 +118,22 @@ class TestSignatures:
         assert KeyPair.generate("same").address == \
             KeyPair.generate("same").address
 
+    def test_address_is_computed_once_and_is_not_a_field(self):
+        import pickle
+
+        fresh, read = KeyPair.generate("addr"), KeyPair.generate("addr")
+        address = read.address
+        assert address == read.public.address \
+            == read.public.key_bytes.hex()[:40]
+        assert read.address is address and read.public.address is address
+        assert fresh == read and hash(fresh) == hash(read)
+        assert repr(fresh) == repr(read)
+        assert fresh.public == read.public \
+            and hash(fresh.public) == hash(read.public)
+        assert pickle.loads(pickle.dumps(read)) == fresh
+        with pytest.raises(AttributeError):
+            read.public.address = "other"
+
     def test_unknown_public_key_raises(self):
         from repro.crypto.signatures import PublicKey
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import hmac
+import importlib.util
 import json
 import os
 import random
@@ -30,7 +32,8 @@ import sqlite3
 import subprocess
 import sys
 import tarfile
-from types import MappingProxyType
+from itertools import islice
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,10 +42,13 @@ from repro import serialization
 from repro.chain import transaction as transaction_module
 from repro.chain.block import Block
 from repro.chain.transaction import Transaction, TxKind
+from repro.crypto import hashing as hashing_module
+from repro.crypto import signatures as signatures_module
 from repro.crypto.hashing import DOMAIN_TX, hash_bytes
 from repro.crypto.signatures import KeyPair, PublicKey, verify_encoded
 from repro.errors import (
     CryptoError,
+    InvalidTransaction,
     SealedMutation,
     SerializationError,
     StorageError,
@@ -186,6 +192,15 @@ odd_fields = st.one_of(st.integers(-5, 10 ** 12), st.floats(allow_nan=False),
                        st.text(max_size=5), st.booleans(), st.none())
 
 
+edge_ints = st.sampled_from([0, 1, -1, 2 ** 70, False, True])
+
+
+class ExoticKind:
+    """A hand-built kind: no ``TxKind`` member, so no pre-encoded entry."""
+
+    value = "exotic/\u00e9"
+
+
 class CountingEncoder:
     """Stands in for a module's ``canonical_encode`` name and counts."""
 
@@ -236,6 +251,65 @@ class TestOnePassSeal:
         tx.tx_hash, tx.tx_id, tx.size_bytes, tx.verify_signature()
         tx.seal()
         assert counter.calls == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(sender=st.sampled_from([PAIR.address, StrKey(PAIR.address),
+                                   "émetteur-\u4e2d", StrKey("é"), ""]),
+           kind=st.sampled_from(list(TxKind) + [ExoticKind()]),
+           payload=payloads,
+           nonce=edge_ints, timestamp=edge_ints, fee=edge_ints)
+    def test_seal_then_sign_touches_the_same_bytes(
+            self, sender, kind, payload, nonce, timestamp, fee):
+        tx = Transaction(sender, kind, payload, nonce, timestamp, fee)
+        assert tx.seal() is tx and tx.seal() is tx
+        expected = oracle_encode(tx.signing_body())
+        assert tx._encoded_body() == expected \
+            == canonical_encode(tx.signing_body())
+        assert tx.tx_hash == tx.compute_tx_hash() \
+            == hash_bytes(expected, DOMAIN_TX)
+        assert tx.tx_id == tx.tx_hash.hex()
+        if sender != PAIR.address:
+            with pytest.raises(InvalidTransaction):
+                tx.sign_with(PAIR)
+            assert tx.signature is None and tx.signer is None
+            return
+        assert tx.sign_with(PAIR) is tx and tx.signer is PAIR.public
+        assert tx.signature == PAIR.sign(tx.signing_body())
+        assert tx.verify_signature()
+        with pytest.raises(SealedMutation):
+            tx.nonce = 7
+        tx.signature = bytes([tx.signature[0] ^ 1]) + tx.signature[1:]
+        assert not tx.verify_signature()
+
+    def test_only_an_int_zero_is_the_constant_entry(self):
+        for zero, spelled in ((0, b"i1:0"), (False, b"F"), (0.0, b"f")):
+            tx = Transaction("s", TxKind.DATA, {}, nonce=zero, fee=zero)
+            body = tx.seal()._encoded_body()
+            assert body == oracle_encode(tx.signing_body())
+            assert body.count(b"s3:fee" + spelled) == 1
+            assert body.count(b"s5:nonce" + spelled) == 1
+
+    def test_seal_and_sign_hash_twice_and_mac_once(self, monkeypatch):
+        """One generic encode (the payload), two sha256 states (the
+        transaction hash, the signing digest), one HMAC — and nothing
+        more on any later read."""
+        encodes = CountingEncoder(monkeypatch, transaction_module,
+                                  signatures_module)
+        sha256s, hmacs = [], []
+        monkeypatch.setattr(hashing_module, "hashlib", SimpleNamespace(
+            sha256=lambda *a: sha256s.append(1) or hashlib.sha256(*a)))
+        monkeypatch.setattr(signatures_module, "hmac", SimpleNamespace(
+            new=lambda *a: hmacs.append(1) or hmac.new(*a),
+            compare_digest=hmac.compare_digest))
+        tx = Transaction(PAIR.address, TxKind.DATA,
+                         {"subject": "t/o", "value": {"size": 1}},
+                         timestamp=2)
+        tx.seal().sign_with(PAIR)
+        assert (encodes.calls, len(sha256s), len(hmacs)) == (1, 2, 1)
+        tx.tx_hash, tx.tx_id, tx.size_bytes, tx.seal()
+        assert (encodes.calls, len(sha256s), len(hmacs)) == (1, 2, 1)
+        monkeypatch.undo()
+        assert tx.verify_signature()
 
     def test_seal_snapshots_the_payload(self):
         payload = {"k": [1]}
@@ -765,20 +839,95 @@ def reference_generate(workload: MultiTenantShardWorkload, sampler,
     return ops
 
 
+def load_driver_deployment():
+    """``benchmarks/e2e/deployment.py`` by path: the benchmark's files are
+    not a package and are not edited, so its event construction is the
+    fixed point the golden digests below are taken at."""
+    path = os.path.join(os.path.dirname(GOLDEN_DIR), os.pardir,
+                        "benchmarks", "e2e", "deployment.py")
+    spec = importlib.util.spec_from_file_location("e2e_deployment", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def assert_same_stream(k: int, count: int, seed: int, **parameters) -> None:
+    """The first ``k`` ops of ``generate(count)`` are the reference's
+    ``generate(k)``, and both RNGs are left where the reference leaves
+    them."""
+    new, old = (MultiTenantShardWorkload(zipf_s=0.85, seed=seed,
+                                         **parameters) for _ in range(2))
+    reference = ReferenceZipf(old.tenant_sampler, seed + 1)
+    assert list(islice(new.generate(count), k)) \
+        == reference_generate(old, reference, k)
+    assert new.rng.getstate() == old.rng.getstate()
+    assert new.tenant_sampler.rng.getstate() == reference.rng.getstate()
+
+
 class TestLoadGeneratorIsTheSameStream:
     @pytest.mark.parametrize("seed", [7, 8, 11])
     @pytest.mark.parametrize("ratio", [0.0, 0.05])
     def test_op_stream_and_rng_state(self, seed, ratio):
-        def make():
-            return MultiTenantShardWorkload(
-                n_tenants=128, objects_per_tenant=64, zipf_s=0.85,
-                cross_shard_ratio=ratio, seed=seed)
+        assert_same_stream(3000, 3000, seed, n_tenants=128,
+                           objects_per_tenant=64, cross_shard_ratio=ratio)
 
-        new, old = make(), make()
-        reference = ReferenceZipf(old.tenant_sampler, seed + 1)
-        assert new.generate(3000) == reference_generate(old, reference, 3000)
-        assert new.rng.getstate() == old.rng.getstate()
-        assert new.tenant_sampler.rng.getstate() == reference.rng.getstate()
+    @pytest.mark.parametrize("k", [0, 1, 3000])
+    @pytest.mark.parametrize("ratio", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("objects", [64, 33])   # 33: rejection loop
+    @pytest.mark.parametrize("tenants", [2, 128])
+    def test_every_prefix_of_an_endless_stream(self, k, ratio, objects,
+                                               tenants):
+        assert_same_stream(k, 10 ** 9, 5, n_tenants=tenants,
+                           objects_per_tenant=objects,
+                           cross_shard_ratio=ratio)
+
+    def test_the_stream_is_lazy(self):
+        workload = MultiTenantShardWorkload(
+            n_tenants=128, objects_per_tenant=64, seed=3)
+        first = next(workload.generate(10 ** 12))
+        assert first == next(MultiTenantShardWorkload(
+            n_tenants=128, objects_per_tenant=64, seed=3).generate(1))
+        # One op drawn: one subject formatted, not the 8 192 there are.
+        assert list(workload._subjects.values()) == [first.subject]
+
+    def test_shard_op_is_the_same_value_type(self):
+        op = ShardOp(kind="record", namespace="t", subject="t/o",
+                     actor="a", operation="update", timestamp=3)
+        assert (op.size, op.target_namespace, op.target_subject) \
+            == (64, "", "")
+        assert op == ShardOp("record", "t", "t/o", "a", "update", 3, 64)
+        assert op != op._replace(size=65) and hash(op) == hash(
+            ShardOp("record", "t", "t/o", "a", "update", 3))
+        assert op._fields == (
+            "kind", "namespace", "subject", "actor", "operation",
+            "timestamp", "size", "target_namespace", "target_subject")
+        with pytest.raises(AttributeError):
+            op.size = 1
+        with pytest.raises(ValueError):
+            MultiTenantShardWorkload(objects_per_tenant=0)
+
+    @pytest.mark.parametrize("seed,ratio,handoffs,digest", [
+        (1, 0.0, 0, "bf07ea095e5d2feb"),
+        (7, 0.05, 105, "9f68e335425d8317"),
+    ])
+    def test_driver_events_are_the_parents(self, seed, ratio, handoffs,
+                                           digest):
+        """Computed at the parent commit (256b4c5): the benchmark driver's
+        own event construction over this stream, every transaction hash,
+        signature and handoff."""
+        inputs = load_driver_deployment().generate_inputs(seed, 2000, ratio)
+        assert len(inputs) == 2000 and len(inputs.handoffs) == handoffs
+        h = hashlib.sha256()
+        for tx in inputs.txs:
+            h.update(tx.tx_hash + tx.signature)
+        for position, op in inputs.handoffs:
+            h.update(repr((position, op.subject, op.target_subject,
+                           op.actor, op.size, op.timestamp)).encode())
+        assert h.hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("seed", [7, 8, 11])
     @pytest.mark.parametrize("n,s", [(1, 1.1), (2, 0.0), (128, 0.85),

@@ -451,16 +451,16 @@ class TestShardGatewayNode:
 
 class TestMultiTenantWorkload:
     def test_deterministic_for_seed(self):
-        a = MultiTenantShardWorkload(seed=5).generate(200)
-        b = MultiTenantShardWorkload(seed=5).generate(200)
+        a = list(MultiTenantShardWorkload(seed=5).generate(200))
+        b = list(MultiTenantShardWorkload(seed=5).generate(200))
         assert a == b
-        c = MultiTenantShardWorkload(seed=6).generate(200)
+        c = list(MultiTenantShardWorkload(seed=6).generate(200))
         assert a != c
 
     def test_shapes_and_timestamps(self):
-        ops = MultiTenantShardWorkload(
+        ops = list(MultiTenantShardWorkload(
             n_tenants=8, cross_shard_ratio=0.3, seed=1
-        ).generate(300)
+        ).generate(300))
         assert len(ops) == 300
         assert [op.timestamp for op in ops] == list(range(300))
         for op in ops:
@@ -473,16 +473,16 @@ class TestMultiTenantWorkload:
                 assert op.operation in ("update", "create", "derive")
 
     def test_cross_ratio_is_respected(self):
-        ops = MultiTenantShardWorkload(
+        ops = list(MultiTenantShardWorkload(
             n_tenants=16, cross_shard_ratio=0.2, seed=2
-        ).generate(2000)
+        ).generate(2000))
         crosses = sum(1 for op in ops if op.kind == "cross")
         assert 0.12 < crosses / len(ops) < 0.28
 
     def test_zipf_skew_concentrates_tenants(self):
-        ops = MultiTenantShardWorkload(
+        ops = list(MultiTenantShardWorkload(
             n_tenants=64, zipf_s=1.1, cross_shard_ratio=0.0, seed=3
-        ).generate(2000)
+        ).generate(2000))
         counts: dict[str, int] = {}
         for op in ops:
             counts[op.namespace] = counts.get(op.namespace, 0) + 1
