@@ -163,9 +163,11 @@ setup-split:
 # name instead.  Nor may the deleted request/response idiom come back:
 # object references or self-sized lists in message bodies, req_id
 # mailboxes, a second (blocking) frame reader.  Nor may chain/ or exec/
-# ask a store what it can do (a hasattr/getattr capability probe): every
-# store implements the one append_blocks(pairs, fsync, encoded, derived)
-# write.  Nor may proof state be checkpointed again: no dump_state /
+# ask a store what it can do (a hasattr/getattr capability probe), nor
+# sync/ probe a store: every store implements the one
+# append_blocks(pairs, fsync, encoded, derived) write and the one
+# raw_block_items(start, count) tail read.  Nor may proof state be
+# checkpointed again: no dump_state /
 # restore_state twin and no put_meta( of a whole service under
 # provenance/, sharding/ or sync/ — what a block creates commits with
 # that block as its derived row (the put_meta( calls allowed by name are
@@ -175,6 +177,9 @@ setup-split:
 # `storage is None` branch, no in-memory meta twin, no meta passthrough
 # on the facade), and persist/durable.py keeps one recovery walk, one
 # LRU and a compaction routine that does not branch on the table name.
+# Nor may the anchoring mechanism be written twice: only
+# chain/anchoring.py compares an anchor payload's merkle_root, and
+# neither level keeps a locator or tree list of its own.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -185,6 +190,13 @@ lint-private:
 	    src/repro --include='*.py'
 	@! grep -rnE '\b(hasattr|getattr)\(' src/repro/chain src/repro/exec \
 	    --include='*.py'
+	@! grep -rnE '\b(hasattr|getattr)\((store|self\.\w*store)\b' \
+	    src/repro/sync --include='*.py'
+	@! grep -rnE 'payload(\.get\(|\[)"merkle_root"' src/repro/chain \
+	    src/repro/provenance src/repro/sharding src/repro/sync \
+	    --include='*.py' | grep -v '^src/repro/chain/anchoring\.py:'
+	@! grep -nE '\b_(locator|trees)\b' src/repro/provenance/anchor.py \
+	    src/repro/sharding/beacon.py
 	@! grep -rnE '\b(dump|restore)_state\b' src/repro/provenance \
 	    src/repro/sharding src/repro/sync --include='*.py'
 	@! grep -rnE '\bput_meta\(' src/repro/provenance src/repro/sharding \
@@ -203,7 +215,8 @@ lint-private:
 # storage/ (storage sits under the facade, never beside it), at module
 # or function level; nor may any production package import repro.storage,
 # which is only the survey-facing name of persist's CAS and record
-# database plus the cloud object store.
+# database plus the cloud object store.  Nor may the anchoring core
+# (chain/anchoring.py) import a level that stands on it.
 PRODUCTION := chain persist sharding sync ingest gateway exec
 SURVEY := systems|domains|crosschain|consensus|privacy|access|analysis
 lint-layers:
@@ -213,6 +226,8 @@ lint-layers:
 	    src/repro/persist --include='*.py'
 	@! grep -rnE '^\s*(from|import)\s+((\.+|repro\.)storage\b|\.+\s+import\s.*\bstorage\b)' \
 	    $(addprefix src/repro/,$(PRODUCTION)) --include='*.py'
+	@! grep -nE '^\s*(from|import)\s+((\.+|repro\.)(provenance|sharding|sync)\b|\.+\s+import\s.*\b(provenance|sharding|sync)\b)' \
+	    src/repro/chain/anchoring.py
 
 # Total and code-only (no blanks, comments or docstrings) line counts of
 # src/repro — the figure simplicity PRs report against.

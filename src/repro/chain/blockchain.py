@@ -178,6 +178,7 @@ class Blockchain:
         # the runtime *here*, before the restore replay runs.
         self.contract_runtime = contract_runtime
         self._subscribers: list[Callable[[Block, list[TransactionReceipt]], None]] = []
+        self._reorg_subscribers: list[Callable[[int], None]] = []
         # Blocks re-executed while adopting a non-empty store (0 after a
         # clean close+checkpoint: the snapshot already covers the head).
         self.blocks_replayed_on_open = 0
@@ -300,6 +301,12 @@ class Blockchain:
     ) -> None:
         """Register a hook invoked after each block commit (capture layer)."""
         self._subscribers.append(callback)
+
+    def subscribe_reorg(self, callback: Callable[[int], None]) -> None:
+        """Register a hook invoked with the fork height once
+        :meth:`reorg_to` has dropped the blocks above it — for whatever
+        is derived from those blocks and held outside the store."""
+        self._reorg_subscribers.append(callback)
 
     # ------------------------------------------------------------------
     # Building and appending blocks
@@ -626,11 +633,15 @@ class Blockchain:
         if delta <= len(self._block_snaps):
             for _ in range(delta):
                 self._rollback_head_block()
-            self._discard_snapshot_above(fork_height)
-            for block in new_suffix:
-                self._commit_block(block)
         else:
-            self._replay_reorg(fork_height, new_suffix)
+            self._rewind_by_replay(fork_height)
+        self._discard_snapshot_above(fork_height)
+        # Before the new suffix commits: the old one is gone from the
+        # store whether or not that succeeds.
+        for callback in self._reorg_subscribers:
+            callback(fork_height)
+        for block in new_suffix:
+            self._commit_block(block)
 
     def _rollback_head_block(self) -> None:
         """Undo the head block: state, receipts, and index (O(block))."""
@@ -638,17 +649,15 @@ class Blockchain:
         self.state.rollback(self._block_snaps.pop())
         self._store.truncate_above(height - 1)
 
-    def _replay_reorg(self, fork_height: int, new_suffix: list[Block]) -> None:
-        """Rebuild chain state from scratch (deep-fork fallback)."""
+    def _rewind_by_replay(self, fork_height: int) -> None:
+        """Rebuild the fork-point state from scratch (deep-fork
+        fallback)."""
         self.state = StateStore()
         self._block_snaps.clear()
         self._store.truncate_above(fork_height)
-        self._discard_snapshot_above(fork_height)
         for height in range(1, fork_height + 1):
             # Re-execute without re-validating signatures (already done).
             self._replay_stored(self._store.block_at(height))
-        for block in new_suffix:
-            self._commit_block(block)
 
     def _discard_snapshot_above(self, fork_height: int) -> None:
         """A checkpoint above the fork point describes the *orphaned*

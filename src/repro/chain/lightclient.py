@@ -11,7 +11,10 @@ each), yet can verify
   record proof, batch root → anchor transaction, anchor transaction →
   header via the transaction proof),
 
-without trusting the full node that served the proofs.
+without trusting the full node that served the proofs.  The second check
+is :func:`repro.chain.anchoring.verify_anchored` — the one three-hop
+check of the anchoring mechanism — against a header this client holds;
+the client adds the header sync and what the leaf is (a record's digest).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 from ..crypto.merkle import MerkleProof, verify_proof
 from ..errors import ChainError, TamperDetected
+from .anchoring import verify_anchored
 from .block import BlockHeader, GENESIS_PREV_HASH
 from .transaction import Transaction
 
@@ -105,13 +109,8 @@ class LightClient:
            claimed height.
         """
         from ..provenance.records import record_digest
-        from ..crypto.merkle import leaf_hash
 
-        digest = record_digest(record)
-        if bundle.record_proof.root_from(leaf_hash(digest)) != \
-                bundle.batch_root:
-            return False
-        if bundle.anchor_tx.payload.get("merkle_root") != bundle.batch_root:
-            return False
-        return self.verify_transaction(bundle.anchor_tx, bundle.tx_proof,
-                                       bundle.block_height)
+        return verify_anchored(
+            record_digest(record), bundle.record_proof, bundle.batch_root,
+            bundle.anchor_tx, bundle.tx_proof,
+            self.header_at(bundle.block_height), bundle.block_height)

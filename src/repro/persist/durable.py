@@ -58,7 +58,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..chain.block import Block
 from ..chain.receipts import TransactionReceipt
-from ..errors import InvalidBlock, StorageError, UnknownEntity
+from ..errors import ColdHistory, InvalidBlock, StorageError, UnknownEntity
 from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
 from .cas import CID, FileCAS
@@ -571,7 +571,7 @@ class DurableBlockStore(BlockStore):
         archived = [height for height, segment, _, _ in rows
                     if segment < 0]
         if archived:
-            raise StorageError(
+            raise ColdHistory(
                 f"heights {archived[0]}..{archived[-1]} are archived; "
                 "raw frames are served from the hot tail only (snapshot "
                 "sync starts replicas from the state image, not cold "

@@ -25,6 +25,7 @@ durable one is :class:`repro.persist.durable.DurableStorage`.
 
 from __future__ import annotations
 
+import zlib
 from abc import ABC, abstractmethod
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -32,7 +33,7 @@ from ..chain.block import Block
 from ..chain.receipts import TransactionReceipt
 from ..errors import InvalidBlock, StorageError
 from ..serialization import canonical_encode
-from .codec import canonical_decode
+from .codec import canonical_decode, encode_block, encode_receipt
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,17 @@ class BlockStore(ABC):
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
         """``(height, row)`` of every block committed with a derived
         row, in height order."""
+
+    @abstractmethod
+    def raw_block_items(self, start: int, count: int) -> list[dict]:
+        """What a snapshot server streams for up to ``count`` blocks
+        from ``start``: per block its ``height``, ``block_hash``,
+        ``frame`` (the canonical block encoding) with its ``crc``, and
+        the index rows a replica installs beside the frame — ``tx_ids``
+        in position order, encoded ``receipts`` aligned with them, the
+        encoded ``derived`` row or ``None``.  A store that has archived
+        some of those heights raises :class:`~repro.errors.ColdHistory`:
+        raw frames come from the hot tail only."""
 
     def sync(self) -> None:
         """Make everything appended so far durable (no-op in memory)."""
@@ -304,6 +316,29 @@ class MemoryBlockStore(BlockStore):
         # Insertion order is height order: blocks append in order and
         # truncation pops from the top.
         return iter(list(self._derived.items()))
+
+    def raw_block_items(self, start: int, count: int) -> list[dict]:
+        """Framed on demand: the encoded live block is byte-identical to
+        a durable store's log frame (the frame format *is* the canonical
+        encoding)."""
+        items = []
+        for block in self._blocks[max(start, 0):max(start + count, 0)]:
+            frame = encode_block(block)
+            tx_ids = [tx.tx_id for tx in block.transactions]
+            derived = self._derived.get(block.height)
+            items.append({
+                "height": block.height,
+                "block_hash": block.block_hash,
+                "frame": frame,
+                "crc": zlib.crc32(frame),
+                "tx_ids": tx_ids,
+                "receipts": [None if receipt is None
+                             else encode_receipt(receipt)
+                             for receipt in map(self._receipts.get, tx_ids)],
+                "derived": (None if derived is None
+                            else canonical_encode(derived)),
+            })
+        return items
 
     # Test/bench conveniences (tamper simulation; not part of BlockStore).
     def reset(self, blocks: list[Block]) -> None:

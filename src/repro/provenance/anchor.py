@@ -9,25 +9,32 @@ transaction.  A record is then provable with:
 * a Merkle inclusion proof against the anchored root,
 * the block header containing the anchor transaction.
 
-``AnchorService`` implements the batched design (and, for the EVAL-STORE
-ablation, an ``inline`` mode that puts whole records on-chain).
+The mechanism — committed batches, lazy trees, the locator, proofs and
+the checks behind :meth:`AnchorService.verify` — is
+:mod:`repro.chain.anchoring`, shared with the beacon one level up.
+``AnchorService`` adds what is particular to records: the 32-byte
+:func:`~repro.provenance.records.record_digest` leaves keyed by record
+id, the pending batch that fills up to ``batch_size``, the anchor
+transaction's payload (and, for the EVAL-STORE ablation, an ``inline``
+mode that puts whole records on-chain), and the derived-row layout.
 
 Durability
 ----------
 
-Nothing here is checkpointed.  :meth:`AnchorService.flush` passes the
+Nothing here is checkpointed.  :meth:`AnchorService.flush` commits the
 batch's proof state — the row ``[anchor_id, tx_id, merkle_root, leaf
-digests]``, 32 bytes per record — to ``append_block(derived=)``, so it
-commits in the anchor block's own store transaction and exists iff that
-block does.  :meth:`AnchorService.load_proof_state` reads the rows back
-on open (O(anchors)) and takes the record *ids* from the record store in
-position order: every production path stores a record and enqueues it in
-the same order, so batch *k* covers the next ``record_count`` stored
-records, and what lies beyond the covered prefix **is** the pending
-batch.  (A store upgraded from the checkpointed format appends a fifth
-element, the batch's record ids: it may have anchored out of position
-order.)  Merkle trees are rebuilt on the first proof a batch serves.  A
-snapshot client installs a peer's row only after :func:`verify_batch_row`.
+digests]``, 32 bytes per record — as the anchor block's derived row, so
+it exists iff that block does.  :meth:`AnchorService.load_proof_state`
+reads the rows back on open (O(anchors)) and takes the record *ids* from
+the record store in position order: every production path stores a
+record and enqueues it in the same order, so batch *k* covers the next
+``record_count`` stored records, and what lies beyond the covered prefix
+**is** the pending batch.  (A store upgraded from the checkpointed
+format appends a fifth element, the batch's record ids: it may have
+anchored out of position order.)  A reorg that orphans anchor blocks
+ends in the same place: their batches are forgotten and, with a database
+loaded, the records they covered are pending again.  A snapshot client
+installs a peer's row only after :func:`verify_batch_row`.
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Mapping
 
-from ..chain import Blockchain, Transaction, TxKind
+from ..chain import Blockchain, LightAnchorBundle, Transaction, TxKind
+from ..chain.anchoring import BatchAnchors, commits_root
 from ..crypto.hashing import HASH_SIZE
-from ..crypto.merkle import MerkleProof, MerkleTree, verify_proof
+from ..crypto.merkle import MerkleProof, MerkleTree
 from ..errors import AnchorError
 from .records import record_digest
 
@@ -80,8 +88,8 @@ def verify_batch_row(row, block) -> None:
     try:
         anchor_id, tx_id, root, blob, *named = row
         digests, ids = _leaf_digests(blob), named[0] if named else []
-        ok = (block.find_transaction(tx_id)[1].payload["merkle_root"]
-              == root == MerkleTree(digests).root
+        ok = (commits_root(block.find_transaction(tx_id)[1], root,
+                           MerkleTree(digests).root)
               and type(anchor_id) is str and len(named) < 2
               and type(ids) is list and len(ids) in (0, len(digests))
               and all(type(record_id) is str for record_id in ids))
@@ -111,8 +119,9 @@ class AnchorService:
       off-chain;
     * ``"inline"`` — every record fully on-chain (the expensive baseline).
 
-    The service tracks, per record id, which anchor covers it and the
-    record's leaf index, so proofs are O(log batch) to produce.
+    Which anchor covers a record id, and at which leaf, is the
+    :class:`~repro.chain.anchoring.BatchAnchors` index's business, so
+    proofs are O(log batch) to produce.
     """
 
     def __init__(
@@ -133,13 +142,12 @@ class AnchorService:
         self.mode = mode
         self.sender = sender
         self._pending = _PendingBatch()
-        self.receipts: list[AnchorReceipt] = []
-        # record_id -> (anchor position in receipts, leaf index)
-        self._locator: dict[str, tuple[int, int]] = {}
-        # Per receipt: the batch's Merkle tree, or (for a batch loaded
-        # from its derived row) the leaf digests it is built from on the
-        # first proof.
-        self._trees: list[MerkleTree | list[bytes]] = []
+        self._batches = BatchAnchors(chain)
+        self.receipts: list[AnchorReceipt] = self._batches.receipts
+        # The record database load_proof_state read the record ids from
+        # (None: no reopen happened, nothing to re-queue from).
+        self._database = None
+        chain.subscribe_reorg(self._on_reorg)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -160,7 +168,7 @@ class AnchorService:
         record_id = str(record.get("record_id", ""))
         if not record_id:
             raise AnchorError("record lacks record_id")
-        if record_id in self._locator or record_id in self._pending.ids:
+        if record_id in self._batches or record_id in self._pending.ids:
             raise AnchorError(f"record {record_id!r} already anchored/pending")
         self._pending.records.append(record)
         self._pending.digests.append(record_digest(record, encoded))
@@ -198,23 +206,15 @@ class AnchorService:
             block, _ = self.sealer.seal(self.chain, [tx])
         else:
             block = self.chain.build_block([tx])
-        self.chain.append_block(block, derived=[
-            anchor_id, tx.tx_id, tree.root, b"".join(batch.digests)])
+        receipt = self._batches.commit(
+            block,
+            [anchor_id, tx.tx_id, tree.root, b"".join(batch.digests)],
+            AnchorReceipt(anchor_id, tree.root, block.height, tx.tx_id,
+                          len(batch.records)),
+            tree, (str(record["record_id"]) for record in batch.records))
         # Only now is the batch anchored: a failed append leaves it
         # pending (and its anchor id unused).
         self._pending = _PendingBatch()
-        return self._index_batch(
-            AnchorReceipt(anchor_id, tree.root, self.chain.height,
-                          tx.tx_id, len(batch.records)),
-            tree, (str(record["record_id"]) for record in batch.records))
-
-    def _index_batch(self, receipt: AnchorReceipt, tree,
-                     record_ids) -> AnchorReceipt:
-        position = len(self.receipts)
-        self.receipts.append(receipt)
-        self._trees.append(tree)
-        for index, record_id in enumerate(record_ids):
-            self._locator[record_id] = (position, index)
         return receipt
 
     def load_proof_state(self, database) -> tuple[int, int]:
@@ -222,44 +222,60 @@ class AnchorService:
         per derived row on the chain's store, record ids from
         ``database`` in position order, the uncovered rest queued again.
         Returns ``(rows loaded, records re-queued)``."""
-        rows = list(self.chain.store.derived_rows())
+        self._database = database
+        rows = list(self._batches.stored_rows())
         named = {rid for _, row in rows for ids in row[4:] for rid in ids}
         unnamed = (rid for rid in database.record_ids()
                    if rid not in named)
         for height, (anchor_id, tx_id, root, blob, *ids) in rows:
             digests = _leaf_digests(blob)
-            self._index_batch(
+            self._batches.index(
                 AnchorReceipt(anchor_id, root, height, tx_id, len(digests)),
                 digests, ids[0] if ids else islice(unnamed, len(digests)))
-        # Queued, not flushed: a replica's pending batch stays pending.
+        return len(rows), self._requeue(unnamed)
+
+    def _requeue(self, record_ids) -> int:
+        """Queue stored records again — queued, not flushed: a replica's
+        pending batch stays pending."""
         batch = self._pending
-        for record_id in unnamed:
-            record = database.get(record_id)
+        for record_id in record_ids:
+            record = self._database.get(record_id)
             batch.records.append(record)
             batch.digests.append(record_digest(record))
             batch.ids.add(record_id)
-        return len(rows), len(batch.records)
+        return len(batch.records)
+
+    def _on_reorg(self, fork_height: int) -> None:
+        """The chain dropped its blocks above ``fork_height``: forget
+        their batches; what the database holds uncovered is pending, as
+        a reopen would find it."""
+        if self._batches.forget_above(fork_height) \
+                and self._database is not None:
+            self._pending = _PendingBatch()
+            self._requeue(rid for rid in self._database.record_ids()
+                          if rid not in self._batches)
 
     # ------------------------------------------------------------------
     # Proofs
     # ------------------------------------------------------------------
     def is_anchored(self, record_id: str) -> bool:
-        return record_id in self._locator
+        return record_id in self._batches
 
     def receipt_for(self, record_id: str) -> AnchorReceipt | None:
-        loc = self._locator.get(record_id)
-        return self.receipts[loc[0]] if loc else None
+        return self._batches.receipt_for(record_id)
+
+    def _located(self, record_id: str) -> tuple[AnchorReceipt, MerkleProof]:
+        found = self._batches.prove(record_id)
+        if found is None:
+            raise AnchorError(f"record {record_id!r} is not anchored")
+        return found
 
     def prove(self, record_id: str) -> AnchoredProof:
         """Produce the inclusion proof for an anchored record."""
-        loc = self._locator.get(record_id)
-        if loc is None:
-            raise AnchorError(f"record {record_id!r} is not anchored")
-        position, index = loc
-        receipt = self.receipts[position]
+        receipt, merkle_proof = self._located(record_id)
         return AnchoredProof(
             anchor_id=receipt.anchor_id,
-            merkle_proof=self._tree(position).prove(index),
+            merkle_proof=merkle_proof,
             merkle_root=receipt.merkle_root,
             block_height=receipt.block_height,
             tx_id=receipt.tx_id,
@@ -272,18 +288,9 @@ class AnchorService:
         2. that root is what the anchor transaction committed on-chain;
         3. the anchor transaction is in the block the proof claims.
         """
-        digest = record_digest(dict(record))
-        if proof.merkle_proof.root_from(
-            _leaf(digest)
-        ) != proof.merkle_root:
-            return False
-        found = self.chain.find_transaction(proof.tx_id)
-        if found is None:
-            return False
-        block, tx = found
-        if block.height != proof.block_height:
-            return False
-        return tx.payload.get("merkle_root") == proof.merkle_root
+        return self._batches.verify(
+            record_digest(dict(record)), proof.merkle_proof,
+            proof.merkle_root, proof.tx_id, proof.block_height)
 
     def verify_or_raise(self, record: Mapping[str, Any],
                         proof: AnchoredProof) -> None:
@@ -293,42 +300,22 @@ class AnchorService:
                 f"{record.get('record_id')!r}"
             )
 
-    def prove_for_light_client(self, record_id: str):
+    def prove_for_light_client(self, record_id: str) -> LightAnchorBundle:
         """Produce the header-only verification bundle for a record.
 
         Unlike :meth:`prove`/:meth:`verify`, the result is checkable by a
         :class:`~repro.chain.lightclient.LightClient` holding nothing but
         the chain's headers.
         """
-        from ..chain.lightclient import LightAnchorBundle
-
-        loc = self._locator.get(record_id)
-        if loc is None:
-            raise AnchorError(f"record {record_id!r} is not anchored")
-        position, index = loc
-        receipt = self.receipts[position]
-        located = self.chain.prove_transaction(receipt.tx_id)
-        if located is None:
-            raise AnchorError(
-                f"anchor transaction {receipt.tx_id[:12]} not on chain"
-            )
-        block, tx_proof = located
-        anchor_tx = block.find_transaction(receipt.tx_id)[1]
+        receipt, record_proof = self._located(record_id)
+        anchor_tx, tx_proof = self._batches.light_material(receipt.tx_id)
         return LightAnchorBundle(
-            record_proof=self._tree(position).prove(index),
+            record_proof=record_proof,
             batch_root=receipt.merkle_root,
             anchor_tx=anchor_tx,
             tx_proof=tx_proof,
-            block_height=block.height,
+            block_height=receipt.block_height,
         )
-
-    def _tree(self, position: int) -> MerkleTree:
-        """The batch's Merkle tree; a batch loaded from its derived row
-        builds it here, once."""
-        tree = self._trees[position]
-        if not isinstance(tree, MerkleTree):
-            tree = self._trees[position] = MerkleTree(tree)
-        return tree
 
     # ------------------------------------------------------------------
     @property
@@ -337,7 +324,7 @@ class AnchorService:
 
     @property
     def anchored_count(self) -> int:
-        return len(self._locator)
+        return len(self._batches)
 
     @property
     def bytes_on_chain(self) -> int:
@@ -346,8 +333,3 @@ class AnchorService:
         return sum(self.chain.find_transaction(r.tx_id)[1].size_bytes
                    for r in self.receipts)
 
-
-def _leaf(digest: bytes) -> bytes:
-    from ..crypto.merkle import leaf_hash
-
-    return leaf_hash(digest)

@@ -154,31 +154,34 @@ class ProvenanceQueryEngine:
     # ------------------------------------------------------------------
     def point_verified(self, record_id: str) -> VerifiedAnswer:
         self._require_anchor_service()
-        return self._verify_records([self.point(record_id)])
+        return self.verify_records([self.point(record_id)])
 
     def history_verified(self, subject: str) -> VerifiedAnswer:
         self._require_anchor_service()
-        return self._verify_records(self.history(subject))
+        return self.verify_records(self.history(subject))
 
     def _require_anchor_service(self) -> None:
         if self.anchor_service is None:
             raise QueryError("verified queries need an anchor service")
 
-    def _verify_records(self, records: list[dict]) -> VerifiedAnswer:
-        if self.anchor_service is None:
-            raise QueryError("verified queries need an anchor service")
+    def verify_records(self, records: list[dict]) -> VerifiedAnswer:
+        """The anchor evidence for records a query already fetched (the
+        sharded engine federates per-shard answers through this)."""
+        self._require_anchor_service()
         proofs: list[AnchoredProof | None] = []
         unanchored: list[str] = []
         all_good = True
         for record in records:
             record_id = str(record.get("record_id"))
-            if not self.anchor_service.is_anchored(record_id):
+            receipt = self.anchor_service.receipt_for(record_id)
+            if receipt is None:
                 proofs.append(None)
                 unanchored.append(record_id)
                 all_good = False
                 continue
             proof = self._proof_memo.get(record_id)
-            if proof is None:
+            # A reorg may have re-anchored the record elsewhere since.
+            if proof is None or proof.tx_id != receipt.tx_id:
                 proof = self.anchor_service.prove(record_id)
                 self.stats.proofs_produced += 1
                 self._proof_memo[record_id] = proof

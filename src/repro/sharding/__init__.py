@@ -20,8 +20,9 @@ a single verifiable root of trust:
   can model the real deployment's critical path (slowest shard + beacon
   commit — shards seal concurrently on separate machines).
 * :class:`BeaconChain` — per round, the new shard block hashes are
-  Merkle-batched and the root lands in ONE beacon transaction (the
-  AnchorService receipt idiom one level up).  Beacon load grows with
+  Merkle-batched and the root lands in ONE beacon transaction
+  (:mod:`repro.chain.anchoring`, the batch-anchor mechanism each shard's
+  ``AnchorService`` stands on, one level up).  Beacon load grows with
   rounds, not traffic; any shard block verifies against one beacon
   header.
 * :class:`CrossShardCoordinator` — two-phase lock/commit for handoffs
@@ -40,7 +41,9 @@ a single verifiable root of trust:
 
 Trust recap: record → batch root → anchor tx → shard header → round
 root → beacon anchor tx → beacon header.  Tampering anywhere under a
-beacon header breaks one of those six hops.
+beacon header breaks one of those six hops — two runs of the same
+three-hop check (:func:`repro.chain.anchoring.verify_anchored`), spliced
+at the shard header by :class:`FederatedProof`.
 
 Layout: ``shardchain.py`` — the facade is *wiring* (routing,
 checkpointing, the ``seal_round`` skeleton with its one failure loop).

@@ -2,12 +2,15 @@
 
 Each sealing round, the per-shard block hashes produced in that round are
 batched into a Merkle tree and the root is committed in a single beacon
-transaction (the :class:`~repro.provenance.anchor.AnchorService` receipt
-idiom, applied one level up: shards anchor records, the beacon anchors
-shards).  A verifier holding only the *beacon* headers can then check any
+transaction — :mod:`repro.chain.anchoring`, the mechanism shards anchor
+records with, one level up: shards anchor records, the beacon anchors
+shards.  A verifier holding only the *beacon* headers can then check any
 shard block with a :class:`BeaconLightBundle` — shard block hash → round
 root → beacon anchor transaction → beacon header — without trusting any
-shard full node.
+shard full node.  ``BeaconChain`` adds what is particular to this level:
+:func:`shard_block_leaf` leaves keyed by ``(shard, height)``, the round's
+entries (a proof needs the state root a leaf committed), the beacon
+transaction's payload, and the refusal to anchor a shard block twice.
 
 Durability
 ----------
@@ -16,19 +19,20 @@ Nothing here is checkpointed.  :meth:`BeaconChain.anchor_round` commits
 the row ``[tx_id, merkle_root, [(shard, height, block_hash, state_root),
 ...]]`` as the beacon block's derived row, in that block's own store
 transaction; :meth:`BeaconChain.load_proof_state` reloads one round per
-row on open (O(rounds)), and a round's Merkle tree is rebuilt on the
-first proof it serves.  Round numbers, the facade's ``rounds_sealed`` and
-every shard's ``anchored_height`` follow from those rows, so after a
-crash they agree with the beacon chain by construction.
+row on open (O(rounds)).  Round numbers, the facade's ``rounds_sealed``
+and every shard's ``anchored_height`` follow from those rows, so after a
+crash they agree with the beacon chain by construction; a beacon reorg
+forgets the rounds it orphans, whose entries can then be anchored again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..chain import Blockchain, BlockHeader, ChainParams, Transaction, TxKind
-from ..crypto.merkle import MerkleProof, MerkleTree, leaf_hash, verify_proof
+from ..chain.anchoring import BatchAnchors, verify_anchored
+from ..crypto.merkle import MerkleProof, MerkleTree
 from ..errors import ShardError
 from ..persist.stores import Storage
 
@@ -67,6 +71,11 @@ def _normalize_entries(
             sid, h, bh, sr = entry
             out.append((int(sid), int(h), bh, sr))
     return out
+
+
+def _keys(entries) -> list[tuple[int, int]]:
+    """What a round's leaves are located by: ``(shard, height)``."""
+    return [(sid, h) for sid, h, _, _ in entries]
 
 
 @dataclass(frozen=True)
@@ -121,16 +130,10 @@ class BeaconLightBundle:
         3. the anchor transaction is in the given beacon header.
         """
         proof = self.shard_proof
-        if proof.merkle_proof.root_from(
-            leaf_hash(proof.leaf)
-        ) != proof.round_root:
-            return False
-        if self.anchor_tx.payload.get("merkle_root") != proof.round_root:
-            return False
-        if beacon_header.height != proof.beacon_height:
-            return False
-        return verify_proof(beacon_header.merkle_root,
-                            self.anchor_tx.tx_hash, self.tx_proof)
+        return verify_anchored(proof.leaf, proof.merkle_proof,
+                               proof.round_root, self.anchor_tx,
+                               self.tx_proof, beacon_header,
+                               proof.beacon_height)
 
 
 class BeaconChain:
@@ -143,23 +146,29 @@ class BeaconChain:
                                 store=storage.blocks,
                                 snapshot_store=storage.state)
         self.sender = sender
-        self.receipts: list[BeaconReceipt] = []
-        # Per round: its Merkle tree, or None until a proof needs it (a
-        # round loaded from its derived row).
-        self._trees: list[MerkleTree | None] = []
-        # (shard_id, shard height) -> (round index, leaf index)
-        self._locator: dict[tuple[int, int], tuple[int, int]] = {}
+        self._batches = BatchAnchors(self.chain)
+        self.receipts: list[BeaconReceipt] = self._batches.receipts
         # Per-round (shard_id, height, block_hash, state_root) entries.
         self._round_entries: list[list[tuple[int, int, bytes, bytes]]] = []
+        self.chain.subscribe_reorg(self._on_reorg)
 
     def load_proof_state(self) -> tuple[int, int]:
         """Reload after a reopen: one round per derived row on the
         chain's store.  Returns ``(rows loaded, 0)``."""
-        for height, (tx_id, root, entries) in \
-                self.chain.store.derived_rows():
-            self._add_round(tx_id, root, height,
-                            _normalize_entries(entries), None)
+        for height, (tx_id, root, entries) in self._batches.stored_rows():
+            entries = _normalize_entries(entries)
+            # The leaves are built when a proof first needs the tree.
+            self._batches.index(
+                BeaconReceipt(len(self.receipts), root, height, tx_id,
+                              len(entries)),
+                (shard_block_leaf(*entry) for entry in entries),
+                _keys(entries))
+            self._round_entries.append(entries)
         return len(self.receipts), 0
+
+    def _on_reorg(self, fork_height: int) -> None:
+        self._batches.forget_above(fork_height)
+        del self._round_entries[len(self.receipts):]
 
     def checkpoint(self) -> None:
         """Persist the state image and make the store durable."""
@@ -178,24 +187,23 @@ class BeaconChain:
         return len(self.receipts)
 
     def is_anchored(self, shard_id: int, height: int) -> bool:
-        return (shard_id, height) in self._locator
+        return (shard_id, height) in self._batches
 
     def anchored_height(self, shard_id: int) -> int:
         """Highest height of ``shard_id`` any round committed (0: none);
-        a scan of the locator, for the facade's reopen."""
-        return max((h for sid, h in self._locator if sid == shard_id),
+        a scan of the anchored keys, for the facade's reopen."""
+        return max((h for sid, h in self._batches if sid == shard_id),
                    default=0)
 
     def receipt_for(self, shard_id: int, height: int) -> BeaconReceipt | None:
-        loc = self._locator.get((shard_id, height))
-        return self.receipts[loc[0]] if loc else None
+        return self._batches.receipt_for((shard_id, height))
 
     def anchored_entry(
         self, shard_id: int, height: int
     ) -> tuple[int, int, bytes, bytes] | None:
         """The committed ``(shard, height, block_hash, state_root)``
         entry for one shard block, or ``None`` when not anchored."""
-        loc = self._locator.get((shard_id, height))
+        loc = self._batches.locate((shard_id, height))
         if loc is None:
             return None
         return self._round_entries[loc[0]][loc[1]]
@@ -218,16 +226,15 @@ class BeaconChain:
             raise ShardError("cannot anchor an empty round")
         entries = _normalize_entries(entries)
         round_no = len(self.receipts)
-        leaves = [shard_block_leaf(sid, h, bh, sr)
-                  for sid, h, bh, sr in entries]
+        keys = _keys(entries)
         in_batch: set[tuple[int, int]] = set()
-        for sid, h, _, _ in entries:
-            if (sid, h) in self._locator or (sid, h) in in_batch:
+        for sid, h in keys:
+            if (sid, h) in self._batches or (sid, h) in in_batch:
                 raise ShardError(
                     f"shard {sid} block {h} is already beacon-anchored"
                 )
             in_batch.add((sid, h))
-        tree = MerkleTree(leaves)
+        tree = MerkleTree(shard_block_leaf(*entry) for entry in entries)
         tx = Transaction(
             sender=self.sender,
             kind=TxKind.PROVENANCE,
@@ -235,36 +242,19 @@ class BeaconChain:
                 "anchor_id": f"beacon-round-{round_no:06d}",
                 "merkle_root": tree.root,
                 "round": round_no,
-                "leaf_count": len(leaves),
+                "leaf_count": len(entries),
                 "mode": "shard_roots",
             },
             timestamp=timestamp,
         ).seal()
-        self.chain.append_block(
-            self.chain.build_block([tx], timestamp=timestamp,
-                                   proposer=self.sender),
-            derived=[tx.tx_id, tree.root, entries],
-        )
-        return self._add_round(tx.tx_id, tree.root, self.chain.height,
-                               entries, tree)
-
-    def _add_round(self, tx_id: str, merkle_root: bytes, block_height: int,
-                   entries: list[tuple[int, int, bytes, bytes]],
-                   tree: MerkleTree | None) -> BeaconReceipt:
-        """Index one committed round (just anchored, or reloaded)."""
-        round_no = len(self.receipts)
-        receipt = BeaconReceipt(
-            round_no=round_no,
-            merkle_root=merkle_root,
-            block_height=block_height,
-            tx_id=tx_id,
-            leaf_count=len(entries),
-        )
-        self.receipts.append(receipt)
-        self._trees.append(tree)
+        block = self.chain.build_block([tx], timestamp=timestamp,
+                                       proposer=self.sender)
+        receipt = self._batches.commit(
+            block, [tx.tx_id, tree.root, entries],
+            BeaconReceipt(round_no, tree.root, block.height, tx.tx_id,
+                          len(entries)),
+            tree, keys)
         self._round_entries.append(entries)
-        for index, (sid, h, _, _) in enumerate(entries):
-            self._locator[(sid, h)] = (round_no, index)
         return receipt
 
     # ------------------------------------------------------------------
@@ -272,63 +262,42 @@ class BeaconChain:
     # ------------------------------------------------------------------
     def prove_shard_block(self, shard_id: int, height: int,
                           block_hash: bytes) -> ShardBlockProof:
-        loc = self._locator.get((shard_id, height))
-        if loc is None:
+        entry = self.anchored_entry(shard_id, height)
+        if entry is None:
             raise ShardError(
                 f"shard {shard_id} block {height} is not beacon-anchored"
             )
-        round_no, index = loc
-        receipt = self.receipts[round_no]
-        tree = self._trees[round_no]
-        if tree is None:
-            tree = self._trees[round_no] = MerkleTree(
-                [shard_block_leaf(*entry)
-                 for entry in self._round_entries[round_no]])
-        state_root = self._round_entries[round_no][index][3]
-        leaf = shard_block_leaf(shard_id, height, block_hash, state_root)
-        if tree.leaf(index) != leaf_hash(leaf):
+        if entry[2] != block_hash:
             raise ShardError(
                 f"shard {shard_id} block {height}: supplied hash does not "
                 "match the anchored commitment"
             )
+        receipt, merkle_proof = self._batches.prove((shard_id, height))
         return ShardBlockProof(
             shard_id=shard_id,
             height=height,
             block_hash=block_hash,
-            merkle_proof=tree.prove(index),
+            merkle_proof=merkle_proof,
             round_root=receipt.merkle_root,
-            round_no=round_no,
+            round_no=receipt.round_no,
             beacon_height=receipt.block_height,
             beacon_tx_id=receipt.tx_id,
-            state_root=state_root,
+            state_root=entry[3],
         )
 
     def verify_shard_block(self, proof: ShardBlockProof) -> bool:
         """Full-node verification against the live beacon chain."""
-        if proof.merkle_proof.root_from(
-            leaf_hash(proof.leaf)
-        ) != proof.round_root:
-            return False
-        found = self.chain.find_transaction(proof.beacon_tx_id)
-        if found is None:
-            return False
-        block, tx = found
-        if block.height != proof.beacon_height:
-            return False
-        return tx.payload.get("merkle_root") == proof.round_root
+        return self._batches.verify(
+            proof.leaf, proof.merkle_proof, proof.round_root,
+            proof.beacon_tx_id, proof.beacon_height)
 
     def light_bundle(self, shard_id: int, height: int,
                      block_hash: bytes) -> BeaconLightBundle:
         """Everything a beacon-header-only verifier needs for one shard
         block (check with :meth:`BeaconLightBundle.verify`)."""
         proof = self.prove_shard_block(shard_id, height, block_hash)
-        located = self.chain.prove_transaction(proof.beacon_tx_id)
-        if located is None:  # pragma: no cover - receipts imply presence
-            raise ShardError(
-                f"beacon anchor tx {proof.beacon_tx_id[:12]} not on chain"
-            )
-        block, tx_proof = located
-        anchor_tx = block.find_transaction(proof.beacon_tx_id)[1]
+        anchor_tx, tx_proof = self._batches.light_material(
+            proof.beacon_tx_id)
         return BeaconLightBundle(
             shard_proof=proof, anchor_tx=anchor_tx, tx_proof=tx_proof
         )

@@ -4,8 +4,8 @@ Scatter-gathers the per-shard :class:`ProvenanceQueryEngine`\\ s and
 merges the results into one answer.  Verified queries compound three
 layers of evidence per record:
 
-1. the record's anchored Merkle proof on its home shard (the existing
-   :class:`~repro.provenance.anchor.AnchoredProof` machinery),
+1. the record's anchored Merkle proof on its home shard (produced and
+   checked by that shard's own query engine, proof memo included),
 2. a beacon proof that the shard block holding the anchor transaction is
    committed under a beacon header
    (:class:`~repro.sharding.beacon.ShardBlockProof`),
@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..chain import BlockHeader
-from ..chain.lightclient import LightAnchorBundle
-from ..crypto.merkle import leaf_hash, verify_proof
+from ..chain import BlockHeader, LightAnchorBundle
+from ..chain.anchoring import verify_anchored
 from ..errors import QueryError, ShardError
 from ..provenance.anchor import AnchoredProof
 from ..provenance.records import record_digest
@@ -66,29 +65,19 @@ class FederatedProof:
     def verify(self, record: dict, beacon_header: BlockHeader) -> bool:
         """Check ``record`` against a beacon header and nothing else."""
         bundle = self.anchor_bundle
-        # Hop 1: record digest under the anchor batch root.
-        if bundle.record_proof.root_from(
-            leaf_hash(record_digest(record))
-        ) != bundle.batch_root:
-            return False
-        # Hop 2: the anchor transaction commits that batch root and sits
-        # in the shard header we were given.
-        if bundle.anchor_tx.payload.get("merkle_root") != bundle.batch_root:
-            return False
-        if self.shard_header.height != bundle.block_height:
-            return False
-        if not verify_proof(self.shard_header.merkle_root,
-                            bundle.anchor_tx.tx_hash, bundle.tx_proof):
+        # Hops 1-2: record digest → batch root → anchor transaction →
+        # the shard header we were given.
+        if not verify_anchored(
+                record_digest(record), bundle.record_proof,
+                bundle.batch_root, bundle.anchor_tx, bundle.tx_proof,
+                self.shard_header, bundle.block_height):
             return False
         # Hop 3: that shard header is beacon-committed.
         shard_proof = self.beacon_bundle.shard_proof
-        if shard_proof.shard_id != self.shard_id:
-            return False
-        if shard_proof.height != self.shard_header.height:
-            return False
-        if shard_proof.block_hash != self.shard_header.block_hash:
-            return False
-        return self.beacon_bundle.verify(beacon_header)
+        return (shard_proof.shard_id == self.shard_id
+                and shard_proof.height == self.shard_header.height
+                and shard_proof.block_hash == self.shard_header.block_hash
+                and self.beacon_bundle.verify(beacon_header))
 
     @property
     def beacon_height(self) -> int:
@@ -194,34 +183,23 @@ class ShardedQueryEngine:
         self, run: Callable[[Shard], list[dict]]
     ) -> ShardedVerifiedAnswer:
         rows = self._gather(run)
-        records: list[dict] = []
         proofs: list[AnchoredProof | None] = []
-        shard_ids: list[int] = []
         beacon_ok: list[bool] = []
         unanchored: list[str] = []
         all_good = bool(rows)
         for shard_id, record in rows:
             shard = self.sharded.shard(shard_id)
-            record_id = str(record.get("record_id"))
-            records.append(record)
-            shard_ids.append(shard_id)
-            if not shard.anchor.is_anchored(record_id):
-                proofs.append(None)
-                beacon_ok.append(False)
-                unanchored.append(record_id)
-                all_good = False
-                continue
-            proof = shard.anchor.prove(record_id)
+            answer = shard.query.verify_records([record])
+            proof = answer.proofs[0]
             proofs.append(proof)
-            if not shard.anchor.verify(record, proof):
-                all_good = False
-            beacon_ok.append(self._beacon_check(shard, proof))
-            if not beacon_ok[-1]:
-                all_good = False
+            beacon_ok.append(proof is not None
+                             and self._beacon_check(shard, proof))
+            unanchored.extend(answer.unanchored)
+            all_good = all_good and answer.verified and beacon_ok[-1]
         return ShardedVerifiedAnswer(
-            records=tuple(records),
+            records=tuple(record for _, record in rows),
             proofs=tuple(proofs),
-            shard_ids=tuple(shard_ids),
+            shard_ids=tuple(shard_id for shard_id, _ in rows),
             beacon_verified=tuple(beacon_ok),
             verified=all_good,
             unanchored=tuple(unanchored),

@@ -456,14 +456,9 @@ class ShardedChain:
             for storage in opened:
                 storage.close()
             raise
-        # Round count and watermarks follow from the beacon's rounds, so
-        # they agree with the beacon chain wherever the process died
-        # (empty rounds anchor nothing and are not counted across a
-        # reopen).
-        self.rounds_sealed = self.beacon.rounds_anchored
-        for shard in self.shards:
-            shard.anchored_height = self.beacon.anchored_height(
-                shard.shard_id)
+        self._adopt_beacon_rounds()
+        self.beacon.chain.subscribe_reorg(
+            lambda fork_height: self._adopt_beacon_rounds())
         # Graceful degradation (quarantine_after > 0): consecutive seal
         # failures per shard, and the quarantine roster with per-shard
         # rounds-skipped counters driving periodic re-admission probes.
@@ -525,6 +520,16 @@ class ShardedChain:
             self.engine = InProcessEngine(
                 1 if executor == "serial" else seal_workers, self.telemetry
             )
+
+    def _adopt_beacon_rounds(self) -> None:
+        """Round count and watermarks follow from the beacon's rounds, so
+        they agree with the beacon chain wherever the process died and
+        whatever a beacon reorg orphaned (empty rounds anchor nothing
+        and are not counted across a reopen)."""
+        self.rounds_sealed = self.beacon.rounds_anchored
+        for shard in self.shards:
+            shard.anchored_height = self.beacon.anchored_height(
+                shard.shard_id)
 
     # ------------------------------------------------------------------
     # Telemetry

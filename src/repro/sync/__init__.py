@@ -82,7 +82,7 @@ from .codec import (
     split_chunks,
 )
 from .replica import ShardReplica
-from .server import SYNC_OPS, SnapshotServer, tail_item
+from .server import SYNC_OPS, SnapshotServer
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -98,5 +98,4 @@ __all__ = [
     "encode_image",
     "scan_block_frame",
     "split_chunks",
-    "tail_item",
 ]

@@ -16,22 +16,19 @@ Serving is cheap by construction:
 
 * the image (state entries + records) is built once per head and
   cached; chunk requests are list lookups;
-* tail blocks come straight off the durable store's segment log as raw
-  frames (:meth:`~repro.persist.durable.DurableBlockStore.raw_block_items`
-  — no decode); an in-memory source falls back to encoding the live
-  block objects (:func:`tail_item`).
+* tail blocks are the store's own wire material
+  (:meth:`~repro.persist.stores.BlockStore.raw_block_items`): straight
+  off a durable store's segment log as raw frames — no decode — and
+  framed on demand by an in-memory one.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
-from ..errors import ShardError, SyncError
+from ..errors import ColdHistory, ShardError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
-from ..persist.codec import encode_block, encode_receipt
 from ..rpc import Service
-from ..serialization import canonical_encode
 from .codec import (
     DEFAULT_CHUNK_SIZE,
     SnapshotManifest,
@@ -48,27 +45,6 @@ OP_OFFER, OP_CHUNK, OP_TAIL = SYNC_OPS = \
 class _CachedImage:
     manifest: SnapshotManifest
     chunks: list[bytes]
-
-
-def tail_item(chain, height: int, derived=None) -> dict:
-    """One block's wire material from a store that holds objects: the
-    encoded live block (byte-identical to a durable store's log frame —
-    the frame format *is* the canonical encoding) + its index rows,
-    ``derived`` (the block's proof row, if it has one) among them."""
-    store = chain.store
-    block = store.block_at(height)
-    receipts = [store.receipt_for(tx.tx_id) for tx in block.transactions]
-    frame = encode_block(block)
-    return {
-        "height": height,
-        "block_hash": block.block_hash,
-        "frame": frame,
-        "crc": zlib.crc32(frame),
-        "tx_ids": [tx.tx_id for tx in block.transactions],
-        "receipts": [encode_receipt(r) if r is not None else None
-                     for r in receipts],
-        "derived": None if derived is None else canonical_encode(derived),
-    }
 
 
 class SnapshotServer:
@@ -210,21 +186,11 @@ class SnapshotServer:
         upto = min(upto, shard.chain.height)
         count = max(1, min(count, self.max_tail_blocks))
         span = min(start + count, upto + 1) - start
-        store = shard.chain.store
-        ranged = getattr(store, "raw_block_items", None)
-        if span > 0 and ranged is not None:
-            boundary = store.archived_boundary()
-            if boundary is not None and start <= boundary:
-                raise SyncError(
-                    f"heights {start}..{boundary} are archived; raw "
-                    "frames are served from the hot tail only",
-                    reason="cold_history", shard_id=shard_id,
-                )
-            items = ranged(start, span)
-        else:
-            rows = dict(store.derived_rows())
-            items = [tail_item(shard.chain, h, rows.get(h))
-                     for h in range(start, start + max(0, span))]
+        try:
+            items = shard.chain.store.raw_block_items(start, max(0, span))
+        except ColdHistory as exc:
+            raise SyncError(str(exc), reason="cold_history",
+                            shard_id=shard_id) from exc
         self.tail_blocks_served += len(items)
         self._m_tail.inc(len(items))
         return {"start": start, "items": items,

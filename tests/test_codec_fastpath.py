@@ -457,9 +457,13 @@ class TestRecordsEncodedOnce:
             sharded.flush_anchors()
             sharded.seal_round(timestamp=5000)
         for a, b in zip(batched.shards, single.shards):
-            assert a.anchor._locator == b.anchor._locator
-            assert [r.merkle_root for r in a.anchor.receipts] \
-                == [r.merkle_root for r in b.anchor.receipts]
+            assert a.anchor.receipts == b.anchor.receipts
+            assert a.anchor.anchored_count == b.anchor.anchored_count
+            for record in records:
+                rid = record["record_id"]
+                assert a.anchor.is_anchored(rid) == b.anchor.is_anchored(rid)
+                if a.anchor.is_anchored(rid):
+                    assert a.anchor.prove(rid) == b.anchor.prove(rid)
             assert a.chain.head.block_hash == b.chain.head.block_hash
         for record in records:
             shard = batched.shard_for_subject(record["subject"])
@@ -480,8 +484,10 @@ class TestRecordsEncodedOnce:
         sharded = ShardedChain(n_shards=1, telemetry=Telemetry())
         record = dict(capture_records(1)[0], anchor={"anchor_id": "old"})
         sharded.ingest_records([record])
-        digest = sharded.shards[0].anchor._pending.digests[0]
-        assert digest == record_digest(record)
+        # A batch of one: its Merkle root is the leaf hash of the digest.
+        [receipt] = sharded.flush_anchors().values()
+        digest = record_digest(record)
+        assert receipt.merkle_root == leaf_hash(digest)
         assert digest == record_digest(record, encode_record(record))
         plain = capture_records(1)[0]
         assert record_digest(plain, encode_record(plain)) \

@@ -103,20 +103,8 @@ class TestLightClient:
         bundle = service.prove_for_light_client("r2")
         assert client.verify_anchored_record(record, bundle)
 
-    def test_forged_record_rejected(self, rig):
-        _, database, service, client = rig
-        bundle = service.prove_for_light_client("r2")
-        forged = dict(database.get("r2"), operation="evil")
-        assert not client.verify_anchored_record(forged, bundle)
-
-    def test_bundle_against_wrong_height_rejected(self, rig):
-        chain, database, service, client = rig
-        bundle = service.prove_for_light_client("r2")
-        import dataclasses
-
-        moved = dataclasses.replace(bundle,
-                                    block_height=bundle.block_height - 1)
-        assert not client.verify_anchored_record(database.get("r2"), moved)
+    # Forged record / bundle against the wrong height: rows of the
+    # tamper matrix in tests/test_anchoring.py.
 
     def test_header_linkage_enforced(self, rig):
         chain, _, _, _ = rig

@@ -34,6 +34,8 @@ from repro.sync import (
     split_chunks,
 )
 
+from .test_transport import log_files
+
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -408,6 +410,54 @@ class TestCatchUp:
         assert not report.resumed
         assert report.errors == []
         replica.close()
+
+
+class TestTailIsTheStoresOwn:
+    """``BlockStore.raw_block_items`` is the one source of a tail reply:
+    a memory-backed source frames on demand what a durable one reads
+    off its log, byte for byte."""
+
+    def test_memory_and_durable_sources_serve_the_same_tail(
+            self, tmp_path):
+        in_memory, _ = build_source()
+        durable, _ = build_source(tmp_path / "store")
+        try:
+            replicas = {}
+            for name, sharded in (("memory", in_memory),
+                                  ("durable", durable)):
+                env = Env(sharded)
+                replica = env.replica(tmp_path, name=name)
+                replica.catch_up()
+                assert replica.chain.head.block_hash == \
+                    sharded.shard(0).chain.head.block_hash
+                replica.close()
+                replicas[name] = log_files(str(tmp_path / name))
+            assert replicas["memory"] == replicas["durable"]
+            assert replicas["memory"]
+
+            for shard_id in range(2):
+                height = durable.shard(shard_id).chain.height
+                assert height == in_memory.shard(shard_id).chain.height
+                for start, count in ((1, 512), (1, 3), (height - 1, 5),
+                                     (height, 1), (height + 1, 4)):
+                    replies = [
+                        SnapshotServer(sharded).tail(
+                            shard_id, start, count, height)
+                        for sharded in (in_memory, durable)]
+                    assert replies[0] == replies[1]
+                    items = replies[0]["items"]
+                    assert [item["height"] for item in items] == list(
+                        range(start, min(start + count, height + 1)))
+                whole = SnapshotServer(durable).tail(
+                    shard_id, 1, 512, height)["items"]
+                assert any(item["derived"] is not None for item in whole)
+                assert all(item["crc"] == zlib.crc32(item["frame"])
+                           and len(item["receipts"]) == len(item["tx_ids"])
+                           and None not in item["receipts"]
+                           for item in whole)
+        finally:
+            in_memory.close()
+            durable.close()
 
 
 class TestSpawnValidation:
