@@ -153,6 +153,9 @@ bench-ab:
 # One set-up of an e2e workload (what setup_s times) split by component
 # — draw ops / build + seal + sign / collector / open stores / populate —
 # median of 5 at reference host speed; prints a table, writes nothing.
+# audit_restart's populate is split again: ingest_records / seal rounds /
+# checkpoint, fsyncs, sqlite by statement kind, and the same populate on
+# MemoryStorage.
 setup-split:
 	$(PYTHON) tools/setup_split.py --workload $(WORKLOAD)
 
@@ -179,7 +182,10 @@ setup-split:
 # LRU and a compaction routine that does not branch on the table name.
 # Nor may the anchoring mechanism be written twice: only
 # chain/anchoring.py compares an anchor payload's merkle_root, and
-# neither level keeps a locator or tree list of its own.
+# neither level keeps a locator or tree list of its own.  Nor may a
+# signature verdict be kept anywhere but on the sealed transaction it is
+# about: no global verify memo, no lock or LRU beside it, no
+# recompute-every-read lever.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -207,6 +213,10 @@ lint-private:
 	@test "$$(grep -cE 'def _recover|OrderedDict\(\)' src/repro/persist/durable.py)" = 2
 	@! grep -nE '_compact_log|table *==|== *"(blocks|records)"' \
 	    src/repro/persist/durable.py
+	@! grep -rnE 'HASH_CACHING_ENABLED|_VERIFY_CACHE|_VERIFIED_SIGNATURES' \
+	    src benchmarks tests --include='*.py'
+	@! grep -nE 'threading\.(Lock|RLock)|OrderedDict' \
+	    src/repro/crypto/signatures.py src/repro/chain/transaction.py
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains
@@ -249,3 +259,4 @@ check: test test-codec test-transport test-crash lint-private lint-layers
 	$(PYTHON) benchmarks/bench_obs.py --smoke
 	$(PYTHON) benchmarks/bench_gateway.py --smoke
 	$(PYTHON) tools/setup_split.py --workload capture_saturated --smoke
+	$(PYTHON) tools/setup_split.py --workload audit_restart --smoke

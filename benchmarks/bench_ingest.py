@@ -40,7 +40,6 @@ from pathlib import Path
 from _harness import finish_bench, parse_bench_args
 from repro import IngestPipeline, ShardedChain, Transaction, TxKind
 from repro.chain import Blockchain, ChainParams
-from repro.chain import transaction as tx_mod
 from repro.crypto import signatures as sig
 from repro.crypto.signatures import KeyPair
 from repro.persist import DurableStorage
@@ -253,11 +252,11 @@ def bench_signed_admission(n_events: int, burst: int,
     """Signed capture stream through the verifying pipeline.
 
     Admission verifies each batch inline in the parent (one
-    ``verify_encoded_batch`` pass); sealing runs in the exec workers
-    (``executor="process"``), which re-validate under
-    ``require_signatures``.  The surfaced LRU counters confirm admission
-    leaves the *parent* caches hot, so the audit pass at the end hits
-    instead of recomputing.
+    ``verify_signature()`` per transaction, which leaves its verdict on
+    the object); sealing runs in the exec workers (``executor="process"``),
+    which re-validate their own decoded copies under
+    ``require_signatures``.  The audit pass at the end asserts that every
+    re-check of a parent object is answered by its mark: no HMAC.
     """
     keys = [KeyPair.generate(f"ingest-signer-{k}") for k in range(8)]
     txs = [
@@ -267,7 +266,6 @@ def bench_signed_admission(n_events: int, burst: int,
         for i in range(n_events)
     ]
     sig.reset_cache_stats()
-    tx_mod._reset_signature_cache_stats()
     sharded = ShardedChain(
         n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS,
         anchor_batch_size=ANCHOR_BATCH, storage_dir=store_dir,
@@ -289,20 +287,27 @@ def bench_signed_admission(n_events: int, burst: int,
     sharded.verify_all()
     sharded.close()
     # Parent-side audit: re-verify every committed signature.  If
-    # admission had not memoized its verdicts this pass would pay full
-    # HMAC cost (hits would stay 0 — the cold-cache failure mode this
+    # admission had not left its verdicts on the transactions this pass
+    # would pay full HMAC cost (a miss each — the failure mode this
     # section exists to catch).
+    before = sig.cache_stats()["verify_signature"]
     r0 = time.perf_counter()
     assert all(tx.verify_signature() for tx in txs)
     recheck_s = time.perf_counter() - r0
+    stats = sig.cache_stats()["verify_signature"]
+    recheck_hits = stats["hits"] - before["hits"]
+    recheck_hmacs = stats["misses"] - before["misses"]
+    assert (recheck_hits, recheck_hmacs) == (len(txs), 0), \
+        f"audit re-check: {recheck_hits} by the mark, {recheck_hmacs} HMACs"
     return {
         "total_s": round(total_s, 4),
         "events_per_s": round(len(txs) / total_s),
         "txs_committed": committed,
         "invalid": pipeline.stats.invalid,
         "parent_recheck_s": round(recheck_s, 4),
-        "verify_cache": sig.cache_stats(),
-        "tx_signature_cache": tx_mod._signature_cache_stats(),
+        "recheck_answered_by_mark": recheck_hits,
+        "recheck_hmacs": recheck_hmacs,
+        "verify_cache": stats,
     }
 
 

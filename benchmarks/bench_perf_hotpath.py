@@ -1,11 +1,8 @@
-"""Hot-path before/after benchmark: append, verify, and reorg.
+"""Hot-path before/after benchmark: verify and reorg.
 
-Measures the three operations the caching layer targets and records the
+Measures two operations the caching layer targets and records the
 speedups to ``BENCH_perf_hotpath.json``:
 
-* **append** — build + append blocks with hash caching disabled (the
-  seed's recompute-per-read behavior, toggled via
-  ``repro.chain.transaction.HASH_CACHING_ENABLED``) vs enabled;
 * **verify** — full-chain audit with ``deep=True`` (recompute every tx
   and header hash from raw bytes — the seed's cost) vs the default
   auditor path (rebuilds Merkle trees from cached leaf hashes);
@@ -23,7 +20,6 @@ import time
 
 from _harness import finish_bench, parse_bench_args
 from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
-from repro.chain import transaction as tx_mod
 
 # A moderately sized payload: representative of a provenance record
 # anchor, and large enough that canonical encoding dominates the naive
@@ -82,25 +78,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def bench_append(batches) -> dict:
-    tx_mod.HASH_CACHING_ENABLED = False
-    try:
-        before = _timed(lambda: _build_chain(batches, journal_depth=0))
-    finally:
-        tx_mod.HASH_CACHING_ENABLED = True
-    # Fresh transactions so the "after" run pays its own (one-time)
-    # hash costs rather than reusing digests cached by the baseline.
-    fresh = [
-        [Transaction(sender=tx.sender, kind=tx.kind,
-                     payload=dict(tx.payload), timestamp=tx.timestamp)
-         for tx in batch]
-        for batch in batches
-    ]
-    after = _timed(lambda: _build_chain(fresh, journal_depth=64))
-    return {"before_s": before, "after_s": after,
-            "speedup": before / after}
-
-
 def bench_verify(chain: Blockchain) -> dict:
     before = _timed(lambda: chain.verify(deep=True))
     after = _timed(chain.verify)
@@ -132,8 +109,6 @@ def main() -> None:
     else:
         n_blocks, txs_per_block, fork_depth = 2000, 8, 10
 
-    batches = _make_txs(n_blocks, txs_per_block)
-    append = bench_append(batches)
     chain = _build_chain(_make_txs(n_blocks, txs_per_block), 64)
     verify = bench_verify(chain)
     reorg = bench_reorg(_make_txs(n_blocks, txs_per_block), fork_depth)
@@ -142,14 +117,13 @@ def main() -> None:
         "mode": "smoke" if args.smoke else "full",
         "config": {"n_blocks": n_blocks, "txs_per_block": txs_per_block,
                    "fork_depth": fork_depth},
-        "append": append,
         "verify": verify,
         "reorg": reorg,
     }
     print(f"hot-path bench ({results['mode']}): "
           f"{n_blocks} blocks x {txs_per_block} txs, "
           f"fork depth {fork_depth}")
-    for name in ("append", "verify", "reorg"):
+    for name in ("verify", "reorg"):
         r = results[name]
         print(f"  {name:>7}: {r['before_s']*1e3:9.1f} ms -> "
               f"{r['after_s']*1e3:8.1f} ms   ({r['speedup']:6.1f}x)")

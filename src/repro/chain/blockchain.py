@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..crypto.merkle import MerkleProof, verify_proof
@@ -63,7 +64,6 @@ from ..persist.stores import (
 from .block import Block, GENESIS_PREV_HASH
 from .receipts import Event, TransactionReceipt
 from .state import StateStore
-from . import transaction as _tx_mod
 from .transaction import Transaction, TxKind
 
 # An executor applies one transaction to state, returning a receipt.
@@ -87,6 +87,19 @@ class ChainParams:
     reorg_journal_depth: int = 64
 
 
+def _own(value: Any) -> Any:
+    """The state's own copy of a payload value: the containers the
+    canonical codec knows copied all the way down, atoms as they are.
+    ``seal()`` freezes a payload's top level only, so storing a nested
+    value by reference would let whoever holds it edit committed state."""
+    t = type(value)
+    if t is dict or t is MappingProxyType:
+        return {key: _own(item) for key, item in value.items()}
+    if t is list or t is tuple:
+        return t(_own(item) for item in value)
+    return value
+
+
 def default_executor(
     tx: Transaction, state: StateStore, chain: "Blockchain"
 ) -> TransactionReceipt:
@@ -108,11 +121,11 @@ def default_executor(
             )
         elif tx.kind == TxKind.DATA:
             key = str(tx.payload.get("key", tx.tx_id))
-            state.set("data", key, tx.payload.get("value"))
+            state.set("data", key, _own(tx.payload.get("value")))
             receipt.gas_used = 1 + tx.size_bytes // 64
         elif tx.kind == TxKind.PROVENANCE:
             key = str(tx.payload.get("anchor_id", tx.tx_id))
-            state.set("provenance", key, dict(tx.payload))
+            state.set("provenance", key, _own(dict(tx.payload)))
             receipt.gas_used = 2
             receipt.events.append(
                 Event("provenance_anchored", "chain", {"anchor_id": key})
@@ -124,13 +137,13 @@ def default_executor(
             return runtime.execute(tx, state)
         elif tx.kind == TxKind.CROSS_CHAIN:
             key = str(tx.payload.get("message_id", tx.tx_id))
-            state.set("crosschain", key, dict(tx.payload))
+            state.set("crosschain", key, _own(dict(tx.payload)))
             receipt.events.append(
                 Event("cross_chain_message", "chain", {"message_id": key})
             )
         elif tx.kind == TxKind.GOVERNANCE:
             key = str(tx.payload.get("param", tx.tx_id))
-            state.set("governance", key, tx.payload.get("value"))
+            state.set("governance", key, _own(tx.payload.get("value")))
         else:  # pragma: no cover - enum is closed
             raise InvalidBlock(f"unknown tx kind {tx.kind}")
     except Exception as exc:  # noqa: BLE001 - receipts capture failures
@@ -361,11 +374,7 @@ class Blockchain:
         for block in blocks:
             # Trust the tree the block built at construction — the
             # auditor paths (verify / first_broken_height) rebuild it.
-            # When the benchmark lever disables caching, fall back to the
-            # seed's full rebuild so the baseline is faithful.
-            block.verify_structure(
-                use_cached_tree=_tx_mod.HASH_CACHING_ENABLED
-            )
+            block.verify_structure(use_cached_tree=True)
             for tx in block.transactions:
                 tx.validate(require_signature=self.params.require_signatures)
         return self._commit_group(blocks, fsync=fsync, derived=derived)

@@ -55,14 +55,15 @@ an **unsealed** transaction after its hash was read is not detected by the
 cached fast path — sealed transactions make that impossible, and the
 auditor paths (``Blockchain.verify(deep=True)``) recompute from scratch.
 
-``HASH_CACHING_ENABLED`` is a module-level switch the hot-path benchmark
-flips off to measure the recompute-every-read baseline; leave it on.
+The signature verdict rides the same way: :meth:`verify_signature` leaves
+the ``(signature, signer)`` pair that passed on a *sealed* transaction, and
+a re-check of that object carrying that pair is one probe.  It binds to the
+instance and the pair — a decoded copy or a re-signed one verifies for real
+— and only a sealed one is marked: unsealed content can change under it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -73,74 +74,17 @@ from ..crypto.signatures import (
     KeyPair,
     PublicKey,
     sign_encoded,
+    verdict_counters,
     verify_encoded,
 )
 from ..errors import InvalidTransaction, SealedMutation
 from ..serialization import canonical_encode
-
-# Benchmark lever: when False, every hash/encode read recomputes from
-# scratch (the seed's behavior).  Production code never touches this.
-HASH_CACHING_ENABLED = True
 
 # Fields covered by the transaction hash and signature.  Assigning any of
 # them invalidates the caches (or raises, once sealed).
 _HASH_FIELDS = frozenset(
     {"sender", "kind", "payload", "nonce", "timestamp", "fee"}
 )
-
-# LRU of signature checks that already passed, keyed by
-# (tx_id, signer key bytes, tag).  A sealed transaction is re-validated
-# at queue admission, mempool admission, and block seal; the first check
-# pays the HMAC, the rest pay one dict probe.  Only sealed transactions
-# are cached — their tx_id provably pins the signed content.  Guarded by
-# a lock: the parallel sealing round validates from worker threads.
-_VERIFIED_SIGNATURES: OrderedDict[tuple[str, bytes, bytes], bool] = \
-    OrderedDict()
-_VERIFIED_SIGNATURES_MAX = 8192
-_VERIFIED_SIGNATURES_LOCK = threading.Lock()
-
-# Hit/miss counters are registry-backed (see repro.obs); the accessor
-# below keeps its historical shape.  Handles are cached per default-
-# telemetry instance, same pattern as repro.crypto.signatures.
-_COUNTER_HANDLES: tuple | None = None
-
-
-def _signature_cache_counters():
-    global _COUNTER_HANDLES
-    from ..obs.runtime import telemetry
-
-    tel = telemetry()
-    handles = _COUNTER_HANDLES
-    if handles is None or handles[0] is not tel:
-        registry = tel.registry
-        handles = (
-            tel,
-            registry.counter("sig_verify_cache_hits_total",
-                             cache="verify_signature"),
-            registry.counter("sig_verify_cache_misses_total",
-                             cache="verify_signature"),
-        )
-        _COUNTER_HANDLES = handles
-    return handles
-
-
-def _signature_cache_stats() -> dict:
-    """Counters for :func:`repro.crypto.signatures.cache_stats`."""
-    _, hits, misses = _signature_cache_counters()
-    with _VERIFIED_SIGNATURES_LOCK:
-        return {
-            "hits": hits.value,
-            "misses": misses.value,
-            "size": len(_VERIFIED_SIGNATURES),
-            "capacity": _VERIFIED_SIGNATURES_MAX,
-        }
-
-
-def _reset_signature_cache_stats() -> None:
-    _, hits, misses = _signature_cache_counters()
-    with _VERIFIED_SIGNATURES_LOCK:
-        hits.reset()
-        misses.reset()
 
 
 class TxKind(str, Enum):
@@ -291,10 +235,16 @@ class Transaction:
     def seal(self) -> "Transaction":
         """Freeze the transaction and pin its caches.
 
-        The payload is snapshotted behind a read-only proxy (in-place
-        mutation through ``self.payload`` becomes impossible), the
-        canonical encoding and hash are precomputed, and later assignment
-        to hash-covered fields raises :class:`SealedMutation`.  Idempotent.
+        The payload's *top level* is snapshotted behind a read-only proxy
+        (assigning ``self.payload[k]`` becomes impossible), the canonical
+        encoding and hash are precomputed, and later assignment to
+        hash-covered fields raises :class:`SealedMutation`.  A ``dict`` or
+        ``list`` nested inside the payload is not copied: editing one
+        afterwards leaves the pinned bytes and hash as sealed, and is
+        caught by :meth:`compute_tx_hash`, hence by
+        ``Blockchain.verify(deep=True)`` (:class:`TamperDetected`) — so
+        nothing downstream may keep a reference into a payload (the
+        executor stores its own copy).  Idempotent.
         """
         d = self.__dict__
         if d.get("_sealed", False):
@@ -339,14 +289,14 @@ class Transaction:
         """
         d = self.__dict__
         encoded = d.get("_cache_encoded")
-        if encoded is None or not HASH_CACHING_ENABLED:
+        if encoded is None:
             d["_cache_encoded"] = encoded = _encode_signing_body(d)
         return encoded
 
     @property
     def tx_hash(self) -> bytes:
         h = self.__dict__.get("_cache_hash")
-        if h is None or not HASH_CACHING_ENABLED:
+        if h is None:
             h = hash_bytes(self._encoded_body(), DOMAIN_TX)
             self.__dict__["_cache_hash"] = h
         return h
@@ -356,7 +306,7 @@ class Transaction:
         """Hex transaction id (prefix of the hash, collision-safe enough
         for in-process simulation sizes)."""
         i = self.__dict__.get("_cache_id")
-        if i is None or not HASH_CACHING_ENABLED:
+        if i is None:
             i = self.tx_hash.hex()
             self.__dict__["_cache_id"] = i
         return i
@@ -393,33 +343,29 @@ class Transaction:
     def verify_signature(self) -> bool:
         """True iff the transaction carries a valid signature.
 
-        Routes through :func:`~repro.crypto.signatures.verify_encoded`
-        with the seal-time pinned encoding (never a re-encode), and
-        memoizes passing checks per ``(tx_id, signer, tag)`` so
-        re-validation along the ingest path costs one dict probe.
+        Checked by :func:`~repro.crypto.signatures.verify_encoded` over
+        the pinned encoding (never a re-encode).  A sealed transaction
+        that passes keeps the exact ``(signature, signer)`` pair it
+        passed with, so re-validating the same object along the ingest
+        path costs one dict probe; any other pair verifies for real.
         """
-        if self.signature is None or self.signer is None:
+        d = self.__dict__
+        signature, signer = d["signature"], d["signer"]
+        if signature is None or signer is None:
             return False
-        if self.signer.address != self.sender:
+        if signer.address != d["sender"]:
             return False
-        sealed = self.is_sealed and HASH_CACHING_ENABLED
+        sealed = d.get("_sealed", False)
         if sealed:
-            _, cache_hits, cache_misses = _signature_cache_counters()
-            key = (self.tx_id, self.signer.key_bytes, self.signature)
-            with _VERIFIED_SIGNATURES_LOCK:
-                if _VERIFIED_SIGNATURES.get(key):
-                    _VERIFIED_SIGNATURES.move_to_end(key)
-                    cache_hits.inc()
-                    return True
-                cache_misses.inc()
-        ok = verify_encoded(self._encoded_body(), self.signature,
-                            self.signer)
+            _, hits, misses = verdict_counters()
+            pair = (signature, signer)
+            if d.get("_verified") == pair:
+                hits.inc()
+                return True
+            misses.inc()
+        ok = verify_encoded(self._encoded_body(), signature, signer)
         if ok and sealed:
-            with _VERIFIED_SIGNATURES_LOCK:
-                _VERIFIED_SIGNATURES[key] = True
-                _VERIFIED_SIGNATURES.move_to_end(key)
-                while len(_VERIFIED_SIGNATURES) > _VERIFIED_SIGNATURES_MAX:
-                    _VERIFIED_SIGNATURES.popitem(last=False)
+            d["_verified"] = pair
         return ok
 
     def validate(self, require_signature: bool = False) -> None:

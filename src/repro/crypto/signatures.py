@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable
@@ -125,26 +123,19 @@ def verify(message: Any, tag: bytes, public: PublicKey) -> bool:
     return verify_encoded(canonical_encode(message), tag, public)
 
 
-# Bounded memo of verification outcomes keyed by
-# (message digest, public key, tag).  Ingest re-verifies the same sealed
-# transaction at admission, seal, and audit time; the digest pins the
-# exact message bytes, so a hit is sound — the HMAC would recompute the
-# same verdict.  Only successful verifications are cached: failures are
-# cold-path and should stay loud and re-checkable.  Guarded by a lock:
-# the parallel sealing round verifies from worker threads.
-_VERIFY_CACHE: OrderedDict[tuple[bytes, bytes, bytes], bool] = OrderedDict()
-_VERIFY_CACHE_MAX = 8192
-_VERIFY_CACHE_LOCK = threading.Lock()
-
-# Hit/miss counters live in the telemetry registry (ISSUE 7) so an
-# ``ops`` snapshot sees them; `cache_stats()` keeps its old shape by
-# reading them back.  Handles are cached per default-telemetry instance
-# — the identity check keeps the probe off the registry's label path,
-# and a test that resets the default picks up fresh counters.
+# Hit/miss counters of the one place a signature verdict is kept: the
+# mark :meth:`Transaction.verify_signature` leaves on a sealed
+# transaction it has checked (a hit is a re-check answered by the mark,
+# a miss a check that went to :func:`verify_encoded`).  They live in the
+# telemetry registry so an ``ops`` snapshot sees them.  Handles are
+# cached per default-telemetry instance — the identity check keeps the
+# probe off the registry's label path, and a test that resets the
+# default picks up fresh counters.
 _COUNTER_HANDLES: tuple | None = None
 
 
-def _cache_counters():
+def verdict_counters():
+    """``(telemetry, hits, misses)`` of the verified-signature mark."""
     global _COUNTER_HANDLES
     tel = telemetry()
     handles = _COUNTER_HANDLES
@@ -153,68 +144,34 @@ def _cache_counters():
         handles = (
             tel,
             registry.counter("sig_verify_cache_hits_total",
-                             cache="verify_encoded"),
+                             cache="verify_signature"),
             registry.counter("sig_verify_cache_misses_total",
-                             cache="verify_encoded"),
+                             cache="verify_signature"),
         )
         _COUNTER_HANDLES = handles
     return handles
 
 
-def _verify_cache_hit(key: tuple[bytes, bytes, bytes]) -> bool:
-    _, hits, misses = _cache_counters()
-    with _VERIFY_CACHE_LOCK:
-        if _VERIFY_CACHE.get(key):
-            _VERIFY_CACHE.move_to_end(key)
-            hits.inc()
-            return True
-        misses.inc()
-    return False
-
-
-def _verify_cache_put(key: tuple[bytes, bytes, bytes]) -> None:
-    with _VERIFY_CACHE_LOCK:
-        _VERIFY_CACHE[key] = True
-        _VERIFY_CACHE.move_to_end(key)
-        while len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
-            _VERIFY_CACHE.popitem(last=False)
-
-
 def clear_verify_cache() -> None:
-    """Drop the verification memo (tests and benchmarks)."""
-    with _VERIFY_CACHE_LOCK:
-        _VERIFY_CACHE.clear()
+    """Nothing to drop: a verdict lives on the transaction it is about
+    and goes when that object does.  The name stays callable because
+    ``benchmarks/e2e/probes.py:45`` calls it before its cold verify
+    pass (and ``workloads.py:272`` reads :func:`cache_stats`)."""
 
 
 def cache_stats() -> dict:
-    """Hit/miss/size counters for both signature-verification LRUs —
-    this module's digest-keyed memo and the transaction layer's
-    ``(tx_id, signer, tag)`` memo."""
-    from ..chain import transaction as tx_mod
-
-    _, hits, misses = _cache_counters()
-    with _VERIFY_CACHE_LOCK:
-        verify_encoded_stats = {
-            "hits": hits.value,
-            "misses": misses.value,
-            "size": len(_VERIFY_CACHE),
-            "capacity": _VERIFY_CACHE_MAX,
-        }
-    return {
-        "verify_encoded": verify_encoded_stats,
-        "verify_signature": tx_mod._signature_cache_stats(),
-    }
+    """Hit/miss counters of the verified-signature mark, one entry per
+    layer that keeps verdicts — there is one."""
+    _, hits, misses = verdict_counters()
+    return {"verify_signature": {"hits": hits.value,
+                                 "misses": misses.value}}
 
 
 def reset_cache_stats() -> None:
-    """Zero the hit/miss counters (cache contents are untouched)."""
-    from ..chain import transaction as tx_mod
-
-    _, hits, misses = _cache_counters()
-    with _VERIFY_CACHE_LOCK:
-        hits.reset()
-        misses.reset()
-    tx_mod._reset_signature_cache_stats()
+    """Zero the hit/miss counters (marks are untouched)."""
+    _, hits, misses = verdict_counters()
+    hits.reset()
+    misses.reset()
 
 
 def key_material(public: PublicKey) -> bytes | None:
@@ -225,39 +182,26 @@ def key_material(public: PublicKey) -> bytes | None:
 
 
 def verify_encoded(encoded: bytes, tag: bytes, public: PublicKey) -> bool:
-    """Verify a tag against already-canonically-encoded bytes.
-
-    Successful verifications are memoized on the message digest, so
-    re-validating a sealed transaction later in the pipeline is one
-    cache probe instead of an HMAC recompute.
-    """
+    """Verify a tag against already-canonically-encoded bytes — the one
+    place a verification HMAC is computed.  Nothing is remembered here;
+    a sealed transaction carries its own verdict (see
+    :meth:`repro.chain.transaction.Transaction.verify_signature`)."""
     sk_bytes = _KEY_REGISTRY.get(public.key_bytes)
     if sk_bytes is None:
         raise CryptoError(
             "unknown public key; keypair was not generated via KeyPair.generate"
         )
-    digest = hash_bytes(encoded, DOMAIN_SIG)
-    key = (digest, public.key_bytes, tag)
-    if _verify_cache_hit(key):
-        return True
-    expected = hmac.new(sk_bytes, digest, hashlib.sha256).digest()
-    ok = hmac.compare_digest(expected, tag)
-    if ok:
-        _verify_cache_put(key)
-    return ok
+    expected = hmac.new(sk_bytes, hash_bytes(encoded, DOMAIN_SIG),
+                        hashlib.sha256).digest()
+    return hmac.compare_digest(expected, tag)
 
 
 def verify_encoded_batch(
     items: Iterable[tuple[bytes, bytes, PublicKey]],
 ) -> list[bool]:
-    """Verify ``(encoded, tag, public)`` triples in one pass.
-
-    The batch surface the ingest pipeline's admission step uses: one
-    call per admitted batch instead of one per transaction, with every
-    item still getting an individual verdict — one bad signature never
-    poisons its batch.  Each item goes through :func:`verify_encoded`
-    so the cache and registry rules live in exactly one place.
-    """
+    """Verify ``(encoded, tag, public)`` triples in one pass, every
+    item getting its own verdict through :func:`verify_encoded` (the
+    e2e probe's cold verify pass, ``benchmarks/e2e/probes.py:47``)."""
     return [verify_encoded(encoded, tag, public)
             for encoded, tag, public in items]
 

@@ -29,7 +29,6 @@ refuses to construct when it returns true, which is the guard behind the
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any
 
 from ..chain.blockchain import default_executor, execute_block
@@ -75,28 +74,6 @@ class _ShardReplica:
         self.height = 0
         self.state = StateStore()
         self.shim = _ChainShim(contract_runtime)
-
-
-def _reset_forked_caches() -> None:
-    """Re-initialize lock-guarded verify caches after a fork.
-
-    A ``fork`` while a parent thread holds one of the cache locks would
-    hand the child a lock that is never released.  Workers are
-    single-threaded, but the locks are still taken on every cache probe
-    — replace them (and drop the inherited, possibly mid-mutation cache
-    contents) before serving any job.
-    """
-    from ..chain import transaction as tx_mod
-    from ..crypto import signatures as sig_mod
-
-    sig_mod._VERIFY_CACHE_LOCK = threading.Lock()
-    sig_mod._VERIFY_CACHE.clear()
-    tx_mod._VERIFIED_SIGNATURES_LOCK = threading.Lock()
-    tx_mod._VERIFIED_SIGNATURES.clear()
-    # Fresh telemetry too: the fork copied the parent's registry mid-
-    # flight; worker counters must start at zero so the deltas shipped
-    # back with each reply (see _telemetry_payload) are the worker's own.
-    reset_default_telemetry()
 
 
 def _telemetry_payload() -> dict:
@@ -210,7 +187,10 @@ def worker_main(conn, runtime_factory=None) -> None:
     """Serve jobs on ``conn`` until EOF or a ``shutdown`` message."""
     global _IN_WORKER
     _IN_WORKER = True
-    _reset_forked_caches()
+    # The fork copied the parent's registry mid-flight; worker counters
+    # must start at zero so the deltas shipped back with each reply (see
+    # _telemetry_payload) are the worker's own.
+    reset_default_telemetry()
     replicas: dict[str, _ShardReplica] = {}
     while True:
         try:

@@ -16,8 +16,8 @@ routes a transaction (one router pass per batch, memoized namespace
 hash) and parks it in its home shard's queue in O(1) — the capture
 source never waits on admission, executor work, or storage.  A *pump*
 step later drains each queue in admission batches: one signature-
-verification pass per batch (:func:`repro.crypto.signatures.
-verify_encoded_batch`, de-duplicating registry lookups per signer), one
+verification pass per batch (``tx.verify_signature()``, which leaves its
+verdict on the transaction for every later re-check of that object), one
 :meth:`~repro.chain.mempool.Mempool.add_batch` call per shard, and
 lock-conflicted transactions rotate back to the queue head for the next
 round.  Admission order per shard is queue order, so a pipelined stream

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 import time
 
 from ..chain.transaction import Transaction
-from ..crypto.signatures import verify_encoded_batch
 from ..errors import CryptoError, InvalidTransaction, QueueFull, ShardError
 from ..obs.runtime import telemetry as default_telemetry
 from ..sharding.shardchain import RoundReport, ShardedChain, SubmitReport
@@ -259,31 +258,15 @@ class IngestPipeline:
     def _verify_batch(
         self, batch: list[Transaction]
     ) -> tuple[list[Transaction], list[Transaction]]:
-        """One signature pass over an admission batch → (ok, invalid)."""
-        unsigned = [tx for tx in batch
-                    if tx.signature is None or tx.signer is None
-                    or tx.signer.address != tx.sender]
-        signed = [tx for tx in batch
-                  if tx.signature is not None and tx.signer is not None
-                  and tx.signer.address == tx.sender]
-        try:
-            verdicts = verify_encoded_batch(
-                [(tx._encoded_body(), tx.signature, tx.signer)
-                 for tx in signed]
-            )
-        except CryptoError:
-            # An unregistered signer key anywhere in the batch (possible
-            # on gateway-decoded transactions) must quarantine only that
-            # transaction, not fail the batch: re-verify one by one.
-            verdicts = []
-            for tx in signed:
-                try:
-                    verdicts.append(tx.verify_signature())
-                except CryptoError:
-                    verdicts.append(False)
-        ok = [tx for tx, good in zip(signed, verdicts) if good]
-        bad = unsigned + [tx for tx, good in zip(signed, verdicts)
-                          if not good]
+        """One signature pass over an admission batch → (ok, invalid).
+        A signer the registry does not know (possible on a gateway-
+        decoded transaction) quarantines that transaction only."""
+        ok, bad = [], []
+        for tx in batch:
+            try:
+                (ok if tx.verify_signature() else bad).append(tx)
+            except CryptoError:
+                bad.append(tx)
         return ok, bad
 
     def _quarantine(self, txs: Iterable[Transaction]) -> None:

@@ -35,8 +35,10 @@ Trace context travels the other way inside the job frame (``trace_id``,
 parent span id, sampled flag) — the same canonical codec that carries
 the block frames carries the context, no side channel.
 
-**3. Accessors stay; their counters move.**  The signature-LRU
-``cache_stats()`` and ``SimNet``'s ``NetStats`` keep their exact shapes
+**3. Accessors stay; their counters move.**  ``signatures.cache_stats()``
+(one entry, ``verify_signature``: re-checks answered by the verdict a
+sealed transaction carries vs checks that went to the HMAC) and
+``SimNet``'s ``NetStats`` keep their shapes
 (regression-tested) but the counters now live in (or are mirrored into)
 the default registry, labeled, so one ``snapshot()`` — or one ``ops``
 request over the network — sees everything: queue

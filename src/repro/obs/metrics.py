@@ -6,8 +6,7 @@ Lock discipline (deliberately cheap):
   ``Histogram.observe`` mutate plain Python ints and floats.  Under the
   GIL a concurrent ``+=`` can at worst lose an occasional increment —
   an accepted trade for keeping hot-path instrumentation at one
-  attribute add.  Callers needing exact counts under concurrency (the
-  signature LRUs) already hold their own lock around the update.
+  attribute add.
 * **Registry structure is locked.**  Creating an instrument, attaching
   a collector, and snapshotting take the registry lock; instrument
   handles are cached by callers so the lock is off every hot path.

@@ -7,7 +7,9 @@ log bytes come out identical.
 Also here: kill-at-every-byte over a group (none or all survives), the
 ``expected_state_root`` gate, the journal-depth-0 unwind regression, and
 the counted fsync guards that pin where the durability choice is made
-(``fsync=`` travels from the caller to ``SegmentLog.append_many``).
+(``fsync=`` travels from the caller to ``SegmentLog.append_many``), and
+the state owning its values (nothing a transaction's holder edits later
+reaches what its block committed).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.exec.worker import _handle_exec
 from repro.obs.runtime import telemetry
 from repro.persist.codec import encode_block, encode_receipt
 from repro.persist.durable import DurableStorage
+from repro.persist.stores import MemoryStorage
 from repro.persist.segment import CrashPoint
 from repro.provenance.anchor import AnchorService
 from repro.sharding.beacon import BeaconChain
@@ -413,3 +416,85 @@ class TestFsyncCounts:
             assert _fsyncs() - before == len(buckets)   # one per bucket
         finally:
             sharded.close()
+
+
+# ---------------------------------------------------------------------------
+# Chain state owns its values
+# ---------------------------------------------------------------------------
+# kind -> (state namespace, whether the whole payload is the value)
+ALIASED = {
+    TxKind.DATA: ("data", False),
+    TxKind.GOVERNANCE: ("governance", False),
+    TxKind.PROVENANCE: ("provenance", True),
+    TxKind.CROSS_CHAIN: ("crosschain", True),
+}
+
+
+def _nested_payload() -> dict:
+    return {"key": "k", "param": "k", "anchor_id": "k", "message_id": "k",
+            "value": {"size": 1, "parts": [{"n": 1}], "pair": ({"n": 1},)}}
+
+
+def _open_bundle(storage) -> Blockchain:
+    return Blockchain(_params(), store=storage.blocks,
+                      snapshot_store=storage.state)
+
+
+def _state_view(chain: Blockchain, namespace: str) -> tuple:
+    return (chain.state.get(namespace, "k"), chain.state.state_root(),
+            chain.state.dump_entries())
+
+
+class TestStateOwnsItsValues:
+    """``seal()`` freezes a payload's top level; the executor must not
+    keep a reference into the rest.  (At the parent the state held the
+    payload's own nested dict, so either edit below changed
+    ``state.get`` under an unchanged ``state_root()`` and the next state
+    image persisted a value no block produced.)"""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    @pytest.mark.parametrize("through", ["held reference", "proxy"])
+    @pytest.mark.parametrize("kind", list(ALIASED))
+    def test_later_edits_do_not_reach_state(self, kind, through, durable,
+                                            tmp_path):
+        namespace, whole_payload = ALIASED[kind]
+
+        def run(directory, edit: bool):
+            storage = DurableStorage(directory) if durable \
+                else MemoryStorage()
+            chain = _open_bundle(storage)
+            payload = _nested_payload()
+            tx = Transaction("alice", kind, payload).seal()
+            chain.append_block(chain.build_block([tx], timestamp=1))
+            if edit:
+                inner = payload["value"] if through == "held reference" \
+                    else tx.payload["value"]
+                inner["size"] = 5
+                inner["parts"][0]["n"] = 5
+                inner["parts"].append("more")
+                inner["pair"][0]["n"] = 5
+                # What the seal does not freeze, the recompute catches.
+                assert tx.compute_tx_hash() != tx.tx_hash
+            views = [_state_view(chain, namespace)]
+            if durable:
+                chain.checkpoint()      # the next state image
+                storage.close()         # ... and a crash + reopen
+                storage = DurableStorage(directory)
+                chain = _open_bundle(storage)
+                assert chain.blocks_replayed_on_open == 0
+                views.append(_state_view(chain, namespace))
+                chain.verify(deep=True)
+            elif edit:
+                # The memory store holds the live block, so the edit is
+                # an edit of the stored block: the deep audit says so.
+                with pytest.raises(TamperDetected):
+                    chain.verify(deep=True)
+            storage.close()
+            return views
+
+        clean = run(str(tmp_path / "clean"), edit=False)
+        edited = run(str(tmp_path / "edited"), edit=True)
+        assert edited == clean
+        expected = _nested_payload()
+        assert clean[0][0] == (expected if whole_payload
+                               else expected["value"])

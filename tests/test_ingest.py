@@ -253,18 +253,6 @@ class TestBatchAdmission:
         assert exc_info.value.shard_id == 0
         assert exc_info.value.retry_after_rounds >= 1
 
-    def test_verify_signature_memoized(self):
-        keys = KeyPair.generate("memo-signer")
-        tx = Transaction(keys.address, TxKind.DATA,
-                         {"key": "m", "value": 1}).seal().sign_with(keys)
-        assert tx.verify_signature()
-        assert tx.verify_signature()   # cache hit, same verdict
-        other = Transaction(keys.address, TxKind.DATA,
-                            {"key": "m", "value": 2}).seal()
-        other.signature = tx.signature  # signature of a different body
-        other.signer = keys.public
-        assert not other.verify_signature()
-
 
 # ---------------------------------------------------------------------------
 # Equivalence with the synchronous path

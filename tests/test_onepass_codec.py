@@ -21,6 +21,7 @@ the same hashes.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import hmac
@@ -36,7 +37,7 @@ from itertools import islice
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import serialization
 from repro.chain import transaction as transaction_module
@@ -45,7 +46,12 @@ from repro.chain.transaction import Transaction, TxKind
 from repro.crypto import hashing as hashing_module
 from repro.crypto import signatures as signatures_module
 from repro.crypto.hashing import DOMAIN_TX, hash_bytes
-from repro.crypto.signatures import KeyPair, PublicKey, verify_encoded
+from repro.crypto.signatures import (
+    KeyPair,
+    PublicKey,
+    sign_encoded,
+    verify_encoded,
+)
 from repro.errors import (
     CryptoError,
     InvalidTransaction,
@@ -54,6 +60,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.gateway.frames import frame_to_txs, txs_to_frame_body
+from repro.ingest import IngestPipeline
 from repro.obs.runtime import Telemetry
 from repro.persist import codec as codec_module
 from repro.persist.codec import (
@@ -353,19 +360,22 @@ class TestOnePassSeal:
         tx.signature = b"sig"       # not hash-covered
 
     @pytest.mark.parametrize("decoded", [False, True])
-    def test_caching_off_recomputes_on_read(self, monkeypatch, decoded):
+    def test_swapped_content_is_caught_by_recompute(self, decoded):
+        """Content swapped through ``__dict__`` under a sealed
+        transaction: the pinned reads keep answering as sealed (there is
+        no recompute-every-read mode), ``compute_tx_hash`` tells."""
         tx = Transaction(PAIR.address, TxKind.DATA, {"k": 1}).seal()
         if decoded:
             tx = decode_frame(canonical_encode(
                 {"op": "submit", "txs": [transaction_embedded(tx)]}))["txs"][0]
             assert type(tx) is Transaction and tx.is_sealed
         pinned = tx.tx_hash
-        monkeypatch.setattr(transaction_module, "HASH_CACHING_ENABLED", False)
-        assert tx.tx_hash == pinned
+        assert tx.compute_tx_hash() == pinned
         tx.__dict__["payload"] = MappingProxyType({"k": 2})
-        assert tx.tx_hash != pinned
-        assert tx.tx_hash == tx.compute_tx_hash()
-        assert tx.tx_id == tx.tx_hash.hex()
+        assert tx.tx_hash == pinned and tx.tx_id == pinned.hex()
+        assert tx.compute_tx_hash() != pinned
+        assert tx.compute_tx_hash() == Transaction(
+            PAIR.address, TxKind.DATA, {"k": 2}).tx_hash
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +692,198 @@ class TestPinnedSliceEqualsReencode:
         assert rebuilt.anchor_tx.tx_hash == bundle.anchor_tx.tx_hash
         assert rebuilt.verify(sharded.beacon.chain.block_at(
             rebuilt.shard_proof.beacon_height).header)
+
+
+# ---------------------------------------------------------------------------
+# (d) the verified-signature mark vs the mark-free oracle
+# ---------------------------------------------------------------------------
+OTHER = KeyPair.generate("onepass-other-signer")
+# A key with PAIR's address (an address is a key's first 20 bytes) that
+# the simulation's registry has never seen.
+STRANGER = PublicKey(PAIR.public.key_bytes[:20] + bytes(12))
+DONOR = Transaction(PAIR.address, TxKind.DATA,
+                    {"key": "m", "value": 2}).seal().sign_with(PAIR)
+SIGNATURES = {
+    "own": lambda tx: sign_encoded(tx._encoded_body(), PAIR.private),
+    "another key's": lambda tx: sign_encoded(tx._encoded_body(),
+                                             OTHER.private),
+    "another transaction's": lambda tx: DONOR.signature,
+    "none": lambda tx: None,
+}
+SIGNERS = {"sender": PAIR.public, "not the sender": OTHER.public,
+           "unregistered": STRANGER, "none": None}
+FIELD_VALUES = {"fee": 7, "nonce": 3, "timestamp": 11,
+                "payload": {"key": "m", "value": 9}, "sender": OTHER.address}
+
+mark_steps = st.one_of(
+    st.sampled_from([("sign",), ("seal",), ("decode",), ("copy",)]),
+    st.tuples(st.just("signature"), st.sampled_from(sorted(SIGNATURES))),
+    st.tuples(st.just("signer"), st.sampled_from(sorted(SIGNERS))),
+    st.tuples(st.just("field"), st.sampled_from(sorted(FIELD_VALUES))),
+)
+
+
+def mark_free_verdict(tx: Transaction):
+    """What ``verify_signature`` answered before any verdict was kept."""
+    if tx.signature is None or tx.signer is None \
+            or tx.signer.address != tx.sender:
+        return False
+    return _verdict(verify_encoded, tx._encoded_body(), tx.signature,
+                    tx.signer)
+
+
+def apply_mark_step(tx: Transaction, step: tuple) -> Transaction:
+    """One step of a transaction's life; returns the object that lives
+    on (a decode or a copy is a new one)."""
+    op = step[0]
+    if op == "sign":
+        if tx.sender == PAIR.address:
+            tx.sign_with(PAIR)
+        else:
+            with pytest.raises(InvalidTransaction):
+                tx.sign_with(PAIR)
+    elif op == "seal":
+        tx.seal()
+    elif op == "decode":
+        slot = decode_frame(canonical_encode(
+            {"op": "submit", "txs": [transaction_embedded(tx)]}))["txs"][0]
+        decoded = transaction_from_mapping(slot)
+        assert decoded is not tx and "_verified" not in decoded.__dict__
+        return decoded
+    elif op == "copy":
+        return copy.copy(tx)
+    elif op == "signature":
+        tx.signature = SIGNATURES[step[1]](tx)
+    elif op == "signer":
+        tx.signer = SIGNERS[step[1]]
+    elif tx.is_sealed:
+        with pytest.raises(SealedMutation):
+            setattr(tx, step[1], FIELD_VALUES[step[1]])
+    else:
+        setattr(tx, step[1], FIELD_VALUES[step[1]])
+    return tx
+
+
+class TestVerdictMark:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mark_steps, max_size=12))
+    # What tests/test_ingest.py::test_verify_signature_memoized held: a
+    # re-check says the same, another body's tag does not ride the mark.
+    @example([("seal",), ("sign",), ("signature", "another transaction's")])
+    # Re-signed and re-assigned under a mark that was true a step ago.
+    @example([("seal",), ("sign",), ("signature", "another key's"),
+              ("signature", "own"), ("signer", "not the sender"),
+              ("signer", "unregistered"), ("signer", "sender"),
+              ("signature", "none"), ("sign",), ("copy",), ("decode",)])
+    def test_equals_the_mark_free_oracle_after_every_step(self, steps):
+        tx = Transaction(PAIR.address, TxKind.DATA, {"key": "m", "value": 1})
+        for step in [()] + steps:
+            if step:
+                tx = apply_mark_step(tx, step)
+            expected = mark_free_verdict(tx)
+            # Twice: the second answer may come from the mark.
+            assert _verdict(tx.verify_signature) == expected, step
+            assert _verdict(tx.verify_signature) == expected, step
+            # An unsealed transaction is never marked; a sealed one
+            # carries the pair that passed (an older pair's mark may
+            # linger under a pair that fails: it answers for nothing).
+            marked = tx.__dict__.get("_verified")
+            assert marked is None or tx.is_sealed, step
+            assert (marked == (tx.signature, tx.signer)) \
+                == (tx.is_sealed and expected is True), step
+
+    def test_swapped_content_is_outside_the_mark_as_it_was_the_memo(self):
+        """The LRU was keyed by the cached ``tx_id``; the mark sits beside
+        it.  Neither sees content swapped through ``__dict__`` —
+        ``compute_tx_hash`` does."""
+        tx = Transaction(PAIR.address, TxKind.DATA,
+                         {"k": 1}).seal().sign_with(PAIR)
+        assert tx.verify_signature()
+        tx.__dict__["payload"] = MappingProxyType({"k": 2})
+        assert tx.verify_signature()
+        assert tx.compute_tx_hash() != tx.tx_hash
+
+    def test_unregistered_signer_quarantines_that_transaction_only(self):
+        batch = [Transaction(PAIR.address, TxKind.DATA,
+                             {"key": f"q{i}", "value": i},
+                             fee=i).seal().sign_with(PAIR)
+                 for i in range(5)]
+        batch[2].signer = STRANGER
+        sharded = ShardedChain(n_shards=1)
+        pipeline = IngestPipeline(sharded, verify_signatures=True)
+        pipeline.submit_many(batch)
+        pipeline.run_until_drained()
+        assert list(pipeline.invalid_txs) == [batch[2]]
+        assert sharded.total_txs_committed == 4
+        committed = {tx.tx_id for block in sharded.shard(0).chain.blocks
+                     for tx in block.transactions}
+        assert committed == {tx.tx_id for tx in batch} - {batch[2].tx_id}
+
+    def _counted(self, monkeypatch) -> list:
+        """Count verify-side HMACs from here on (signing is done)."""
+        made = []
+
+        def counting_new(*args, **kwargs):
+            made.append(1)
+            return hmac.new(*args, **kwargs)
+
+        monkeypatch.setattr(signatures_module, "hmac", SimpleNamespace(
+            new=counting_new, compare_digest=hmac.compare_digest))
+        return made
+
+    def test_one_hmac_per_object_along_the_whole_path(self, monkeypatch):
+        """Admission -> mempool -> ``append_blocks`` under
+        ``require_signatures`` -> audit re-check: N HMACs for N
+        transactions, as at the parent; their decoded copies N more."""
+        n = 40
+        txs = [Transaction(PAIR.address, TxKind.DATA,
+                           {"key": f"c{i}", "value": i},
+                           fee=i).seal().sign_with(PAIR) for i in range(n)]
+        sharded = ShardedChain(n_shards=1, executor="serial")
+        sharded.shard(0).chain.params.require_signatures = True
+        pipeline = IngestPipeline(sharded, verify_signatures=True)
+        signatures_module.reset_cache_stats()
+        made = self._counted(monkeypatch)
+        pipeline.submit_many(txs)
+        pipeline.run_until_drained()
+        assert sharded.total_txs_committed == n
+        assert all(tx.verify_signature() for tx in txs)
+        assert len(made) == n
+        stats = signatures_module.cache_stats()["verify_signature"]
+        assert stats["misses"] == n and stats["hits"] >= 2 * n
+        copies = frame_to_txs(decode_frame(
+            canonical_encode(txs_to_frame_body(txs, 1))))
+        assert all(tx.verify_signature() for tx in copies)
+        assert len(made) == 2 * n
+
+    def test_process_engine_verifies_in_the_worker(self, monkeypatch):
+        """The mark does not cross the job frame: the worker checks its
+        own decoded copies (its misses come home with the reply), the
+        parent computes nothing more than admission did."""
+        n = 12
+        txs = [Transaction(PAIR.address, TxKind.DATA,
+                           {"key": f"w{i}", "value": i},
+                           fee=i).seal().sign_with(PAIR) for i in range(n)]
+        sharded = ShardedChain(n_shards=1, executor="process",
+                               exec_workers=1)
+        try:
+            sharded.shard(0).chain.params.require_signatures = True
+            pipeline = IngestPipeline(sharded, verify_signatures=True)
+            signatures_module.reset_cache_stats()
+            made = self._counted(monkeypatch)
+            pipeline.submit_many(txs)
+            pipeline.pump()
+            assert len(made) == n
+            assert signatures_module.cache_stats()[
+                "verify_signature"]["misses"] == n
+            pipeline.run_until_drained()
+            assert sharded.engine.name == "process"
+            assert sharded.total_txs_committed == n
+            assert len(made) == n       # nothing more in this process
+            assert signatures_module.cache_stats()[
+                "verify_signature"]["misses"] == 2 * n
+        finally:
+            sharded.close()
 
 
 # ---------------------------------------------------------------------------
