@@ -185,7 +185,9 @@ setup-split:
 # neither level keeps a locator or tree list of its own.  Nor may a
 # signature verdict be kept anywhere but on the sealed transaction it is
 # about: no global verify memo, no lock or LRU beside it, no
-# recompute-every-read lever.
+# recompute-every-read lever.  Nor may the cold tier leave the segment
+# log again: no file CAS under persist/, and the old archive key column
+# is read only by the one-time upgrade of a store archived that way.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -217,6 +219,13 @@ lint-private:
 	    src benchmarks tests --include='*.py'
 	@! grep -nE 'threading\.(Lock|RLock)|OrderedDict' \
 	    src/repro/crypto/signatures.py src/repro/chain/transaction.py
+	@! grep -rnE 'FileCAS|_cas_fetch|attach_cas' src/repro/persist \
+	    --include='*.py'
+	@! grep -rn 'cas_key' src/repro --include='*.py' \
+	    | grep -v '^src/repro/persist/durable\.py:'
+	@test -z "$$(awk '/^(class|def) |^    def /{f=$$0} \
+	    /cas_key/ && f !~ /def _upgrade_archive\(/' \
+	    src/repro/persist/durable.py)"
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -28,7 +28,7 @@ Measures what the ISSUE-6 execution engine and storage axis buy:
 * **workers curve** — process sealing at 1/2/4 workers.
 * **storage tiering** — a durable deployment with incompressible
   payloads is checkpointed and tiered (cold blocks archived into the
-  CAS, segment logs compacted generationally).  The indexed-store
+  cold segment log, hot logs compacted generationally).  The indexed-store
   reclaim is asserted ``>= 30%`` in full mode, and the pruned replica
   must reopen with **zero** block replay and still serve verified
   queries for archived heights.
@@ -319,7 +319,7 @@ def bench_tiering(rounds: int, txs_per_round: int, root: Path) -> dict:
     sc.close()
 
     # The pruned replica must come back with zero replay and still
-    # serve verified queries for archived heights (via the CAS).
+    # serve verified queries for archived heights (from the cold log).
     t0 = time.perf_counter()
     sc2 = ShardedChain(2, storage_dir=store_dir, reorg_journal_depth=4)
     reopen_s = time.perf_counter() - t0
@@ -328,7 +328,7 @@ def bench_tiering(rounds: int, txs_per_round: int, root: Path) -> dict:
         assert ch.blocks_replayed_on_open == 0, "reopen replayed blocks"
         assert ch.height == heights[s]
         assert ch.state.state_root() == roots[s]
-        assert ch.block_at(1).height == 1  # archived height, via CAS
+        assert ch.block_at(1).height == 1  # archived height, cold log
         ch.verify()
     sc2.close()
 

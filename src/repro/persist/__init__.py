@@ -30,16 +30,15 @@ which kind it got:
 :class:`MemoryStorage` keeps lists and dicts (meta values still
 round-trip through the canonical codec, so coordinator recovery reads
 what it would read from disk).  :class:`DurableStorage` keeps one
-directory: two segment logs (length-prefixed canonical encodings,
-per-frame CRC-32; :mod:`repro.persist.segment`), one sqlite database,
-and — once blocks have been archived — a file CAS
-(:mod:`repro.persist.cas`) as the cold tier under the block log.
+directory: three segment logs (length-prefixed canonical encodings,
+per-frame CRC-32; :mod:`repro.persist.segment`) and one sqlite database.
 
-**One indexed log.**  Blocks and records are the same structure on disk:
-a segment log whose live frames are located by the rows of one sqlite
-table (``blocks`` by height, ``records`` by position).
-:class:`~repro.persist.durable.IndexedLog` is that structure, used twice,
-and holds the only copy of everything that keeps log and table in step:
+**One indexed log.**  Hot blocks, cold blocks and records are the same
+structure on disk: a segment log whose live frames are located by the
+rows of one sqlite table (``blocks`` and ``cold_blocks`` by height,
+``records`` by position).  :class:`~repro.persist.durable.IndexedLog` is
+that structure, used three times, and holds the only copy of everything
+that keeps log and table in step:
 
 * the group write — frames first (flushed, fsynced when the caller says
   so), then every index row in one transaction, so the sqlite commit is
@@ -57,7 +56,17 @@ and holds the only copy of everything that keeps log and table in step:
 Truncation (reorg) deletes rows first and cuts the log second, so a crash
 at *any* byte of either leaves the log ahead of the index, which is the
 one state the walk reconciles — the property ``tests/test_persist.py``
-and ``tests/test_tiering.py`` exercise byte by byte on both tables.
+and ``tests/test_tiering.py`` exercise byte by byte on every table.
+
+**The cold tier is a log too.**  ``tier()`` moves blocks below the hot
+tail into the ``cold_blocks`` log as one group whose transaction also
+deletes their hot rows, then compacts the hot log; the store reads a
+height from whichever table holds it.  An archived frame is therefore
+the same CRC-framed bytes a header scan finds and the same walk
+recovers — no second format, no pin set, no per-frame file.  Snapshot
+sync serves raw frames from the hot tail only (``ColdHistory`` below
+it).  The in-memory :class:`ContentAddressedStore` is the survey's IPFS
+stand-in; no chain stack uses it.
 
 **Why the hash encoding is the wire format.**  Frames hold the *same*
 canonical bytes every hash and signature already commits to
@@ -75,7 +84,7 @@ as derived rows, so a restarted deployment serves identical query and
 proof results with no genesis replay, wherever it died.
 """
 
-from .cas import CID, ContentAddressedStore, FileCAS
+from .cas import CID, ContentAddressedStore
 from .codec import canonical_decode, decode_block, encode_block
 from .durable import (
     DurableBlockStore,
@@ -120,6 +129,5 @@ __all__ = [
     "DurableStateSnapshotStore",
     "ProvenanceDatabase",
     "ContentAddressedStore",
-    "FileCAS",
     "CID",
 ]

@@ -1,4 +1,11 @@
-"""Content-addressed store — the IPFS stand-in.
+"""Content-addressed store — the in-memory IPFS stand-in of the survey.
+
+The surveyed systems (HealthBlock, Ahmed et al., the IPFS designs of
+[33]) keep bulky data off-chain and anchor only its hash; this store is
+what their reproductions and ``bench_eval_storage`` put that data in,
+re-exported as :mod:`repro.storage.cas`.  No chain stack stores anything
+here: a durable store's cold tier is a segment log of block frames
+(:mod:`repro.persist.durable`).
 
 Preserves the contract the surveyed designs rely on: ``put`` returns a
 content identifier (CID) that is a hash of the content, so the CID stored
@@ -15,10 +22,8 @@ paper's RQ1 challenges section warns about.
 
 from __future__ import annotations
 
-import os
-from collections.abc import MutableMapping, MutableSet
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..crypto.hashing import hash_bytes
 from ..errors import ObjectNotFound, StorageError
@@ -190,193 +195,3 @@ class ContentAddressedStore:
     def put_many(self, blobs: Iterable[bytes]) -> list[CID]:
         return [self.put(blob) for blob in blobs]
 
-
-# ----------------------------------------------------------------------
-# File-backed CAS (cold-block archival)
-# ----------------------------------------------------------------------
-_DIGEST_LEN = 32
-
-
-class _FileMap(MutableMapping):
-    """digest → bytes mapping laid out as ``root/<hex[:2]>/<hex>``.
-
-    Writes are tmp-file + ``os.replace`` + fsync, so every visible file
-    is complete — a crash mid-put leaves at most an orphan tmp file,
-    never a torn object (the CID *is* the integrity check anyway; the
-    atomic write just keeps the failure loud instead of a hash
-    mismatch on read)."""
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, digest: bytes) -> str:
-        hexd = digest.hex()
-        return os.path.join(self.root, hexd[:2], hexd)
-
-    def __getitem__(self, digest: bytes) -> bytes:
-        try:
-            with open(self._path(digest), "rb") as fh:
-                return fh.read()
-        except OSError:
-            raise KeyError(digest) from None
-
-    def __setitem__(self, digest: bytes, value: bytes) -> None:
-        path = self._path(digest)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(value)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        dir_fd = os.open(parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-
-    def __delitem__(self, digest: bytes) -> None:
-        try:
-            os.unlink(self._path(digest))
-        except OSError:
-            raise KeyError(digest) from None
-
-    def __contains__(self, digest: object) -> bool:
-        return isinstance(digest, bytes) and \
-            os.path.exists(self._path(digest))
-
-    def __iter__(self) -> Iterator[bytes]:
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for shard in shards:
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".tmp"):
-                    continue
-                try:
-                    yield bytes.fromhex(name)
-                except ValueError:
-                    continue
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
-class _ManifestFileMap(_FileMap):
-    """Manifests are concatenated 32-byte chunk digests on disk."""
-
-    def __getitem__(self, digest: bytes) -> list[bytes]:
-        packed = super().__getitem__(digest)
-        if len(packed) % _DIGEST_LEN:
-            raise StorageError(
-                f"manifest file for {digest.hex()[:16]} is torn"
-            )
-        return [packed[i:i + _DIGEST_LEN]
-                for i in range(0, len(packed), _DIGEST_LEN)]
-
-    def __setitem__(self, digest: bytes, value) -> None:
-        super().__setitem__(digest, b"".join(value))
-
-
-class _PinLog(MutableSet):
-    """Pin set persisted as an append-only ``+hex``/``-hex`` line log,
-    replayed on open; a torn trailing line is ignored (the pin it was
-    recording simply did not happen)."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._pins: set[bytes] = set()
-        self._fh = None
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if len(line) != 1 + 2 * _DIGEST_LEN:
-                        continue
-                    try:
-                        digest = bytes.fromhex(line[1:])
-                    except ValueError:
-                        continue
-                    if line[0] == "+":
-                        self._pins.add(digest)
-                    elif line[0] == "-":
-                        self._pins.discard(digest)
-        except OSError:
-            pass
-
-    def _append(self, op: str, digest: bytes) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="ascii")
-        self._fh.write(f"{op}{digest.hex()}\n")
-        self._fh.flush()
-
-    def add(self, digest: bytes) -> None:
-        if digest not in self._pins:
-            self._pins.add(digest)
-            self._append("+", digest)
-
-    def discard(self, digest: bytes) -> None:
-        if digest in self._pins:
-            self._pins.discard(digest)
-            self._append("-", digest)
-
-    def __contains__(self, digest: object) -> bool:
-        return digest in self._pins
-
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(set(self._pins))
-
-    def __len__(self) -> int:
-        return len(self._pins)
-
-    def sync(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-class FileCAS(ContentAddressedStore):
-    """Disk-backed CAS with the exact semantics of the in-memory store.
-
-    The archival tier's backend: cold block frames move here and the
-    sqlite index repoints at CAS keys.  All of
-    :class:`ContentAddressedStore`'s logic (chunking, manifests, dedup,
-    GC, verification) is inherited unchanged — only the three backing
-    containers are swapped for file-backed ones, so the two stores can
-    never drift semantically.
-
-    The default chunk size is much larger than the in-memory store's:
-    archival moves whole block frames (kilobytes), and on disk every
-    chunk is a file — pathological chunk counts cost inodes, not bytes.
-    """
-
-    DEFAULT_DIR_CHUNK_SIZE = 1 << 20
-
-    def __init__(self, directory: str | os.PathLike,
-                 chunk_size: int = DEFAULT_DIR_CHUNK_SIZE) -> None:
-        super().__init__(chunk_size=chunk_size)
-        self.directory = os.fspath(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self._blobs = _FileMap(os.path.join(self.directory, "blobs"))
-        self._manifests = _ManifestFileMap(
-            os.path.join(self.directory, "manifests"))
-        self._pins = _PinLog(os.path.join(self.directory, "pins.log"))
-
-    def sync(self) -> None:
-        """Make the pin log power-loss durable (blob files already are:
-        each is fsynced before its atomic rename)."""
-        self._pins.sync()
-
-    def close(self) -> None:
-        self._pins.close()

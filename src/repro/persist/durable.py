@@ -1,13 +1,18 @@
-"""Durable backend: two indexed segment logs and one sqlite database.
+"""Durable backend: three indexed segment logs and one sqlite database.
 
 One :class:`DurableStorage` per store directory owns
 
 * ``blocks-log/`` — an :class:`IndexedLog` of canonical block encodings,
+  the hot tail of the chain,
+* ``cold_blocks-log/`` — an :class:`IndexedLog` of the same frames for
+  the heights :meth:`DurableStorage.archive_blocks` moved out of the hot
+  tail (the cold tier: the same frame format, found by the same header
+  scan, recovered by the same walk),
 * ``records-log/`` — an :class:`IndexedLog` of canonical provenance
   records,
-* ``index.db`` — a stdlib :mod:`sqlite3` database holding the two
-  location tables (height → frame, position/record_id → frame), the
-  tx_id → (height, position) index, receipts, the state snapshot
+* ``index.db`` — a stdlib :mod:`sqlite3` database holding the three
+  location tables (height → frame twice, position/record_id → frame),
+  the tx_id → (height, position) index, receipts, the state snapshot
   (``namespace`` → keys → canonical value), and a small meta table.
 
 Commit discipline (the crash-recovery contract): an entry **counts iff
@@ -28,6 +33,9 @@ that hold objects reach the block writer through
 :meth:`DurableBlockStore.append_blocks` (which encodes, unless the caller
 passes the bytes it already has); the snapshot client, which holds only
 verified frames, through :meth:`DurableBlockStore.install_raw`.
+Archival (:meth:`DurableStorage.archive_blocks`) is one more such group:
+the cold log appends the frames, and the same transaction deletes their
+hot rows.
 
 Where the fsync decision is made: not here.  ``fsync`` arrives from the
 caller and is passed to the log unchanged — ``True`` makes the group its
@@ -61,7 +69,6 @@ from ..chain.receipts import TransactionReceipt
 from ..errors import ColdHistory, InvalidBlock, StorageError, UnknownEntity
 from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
-from .cas import CID, FileCAS
 from .codec import (
     canonical_decode,
     decode_block,
@@ -99,8 +106,14 @@ CREATE TABLE IF NOT EXISTS blocks(
     segment INTEGER NOT NULL,
     offset INTEGER NOT NULL,
     length INTEGER NOT NULL,
-    block_hash BLOB NOT NULL,
-    cas_key TEXT
+    block_hash BLOB NOT NULL
+);
+CREATE TABLE IF NOT EXISTS cold_blocks(
+    height INTEGER PRIMARY KEY,
+    segment INTEGER NOT NULL,
+    offset INTEGER NOT NULL,
+    length INTEGER NOT NULL,
+    block_hash BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS txs(
     tx_id TEXT PRIMARY KEY,
@@ -136,13 +149,14 @@ CREATE TABLE IF NOT EXISTS meta(
 
 class IndexedLog:
     """A segment log plus the sqlite table that says where each live
-    frame is — the one primitive under both durable stores.
+    frame is — the one primitive under both durable stores (the block
+    store keeps two: the hot tail and the cold tier).
 
     ``table`` has an integer ``key`` column (``blocks.height``,
-    ``records.position``), the location columns ``segment, offset,
-    length`` and one ``extra`` column its store keeps per row.  A row
-    with ``segment < 0`` is not in this log (an archived block).  Every
-    piece of code that keeps log and table in step lives here: the write
+    ``cold_blocks.height``, ``records.position``), the location columns
+    ``segment, offset, length`` and one ``extra`` column its store keeps
+    per row.  Every piece of code that keeps log and table in step lives
+    here: the write
     (:meth:`append`, :meth:`repoint`), the recovery walk run on open,
     compaction into a fresh *generation* directory (``<table>-log``,
     then ``<table>-log.g<N>``; the live N is meta key
@@ -155,7 +169,7 @@ class IndexedLog:
                  max_segment_bytes: int, codec: SegmentCodec,
                  drop_with: Callable[[sqlite3.Connection, int], None]
                  | None = None) -> None:
-        self._conn = conn
+        self.conn = conn
         self._directory = directory
         self._table, self._key = table, key
         self._base = f"{table}-log"
@@ -215,9 +229,9 @@ class IndexedLog:
         """
         dropped = 0
         while True:
-            row = self._conn.execute(
+            row = self.conn.execute(
                 f"SELECT {self._key}, segment, offset, length "
-                f"FROM {self._table} WHERE segment >= 0 "
+                f"FROM {self._table} "
                 "ORDER BY segment DESC, offset DESC LIMIT 1"
             ).fetchone()
             if row is None:
@@ -230,12 +244,12 @@ class IndexedLog:
             if info is not None and info[1] == length:
                 self.log.truncate_to(segment, offset + length)
                 return dropped
-            with self._conn:
-                self._conn.execute(
+            with self.conn:
+                self.conn.execute(
                     f"DELETE FROM {self._table} WHERE {self._key} = ?",
                     (key,))
                 if self._drop_with is not None:
-                    self._drop_with(self._conn, key)
+                    self._drop_with(self.conn, key)
             dropped += 1
 
     # -- write ---------------------------------------------------------
@@ -246,26 +260,26 @@ class IndexedLog:
         ``frames[i]``.  All frames go down in one buffered log write —
         fsynced when ``fsync``, else flushed with the fsync deferred to
         the next group or checkpoint — then every location row, and every
-        ``also`` row (``(insert sql, parameter rows)``) that shares the
-        group's fate, lands in **one** sqlite transaction.  A crash
-        anywhere inside leaves either no index rows (log ahead of index:
-        recovery truncates the orphaned frames) or all of them, so the
-        group is atomic on disk."""
+        ``also`` row (``(sql, parameter rows)``: rows inserted or deleted
+        with the group) that shares the group's fate, lands in **one**
+        sqlite transaction.  A crash anywhere inside leaves either no
+        index rows (log ahead of index: recovery truncates the orphaned
+        frames) or all of them, so the group is atomic on disk."""
         locs = self.log.append_many(frames, fsync=fsync)
-        with self._conn:
-            self._conn.executemany(
+        with self.conn:
+            self.conn.executemany(
                 self._insert_sql,
                 [(key, loc.segment, loc.offset, loc.length, extra)
                  for (key, extra), loc in zip(rows, locs)])
             for sql, parameters in also:
-                self._conn.executemany(sql, parameters)
+                self.conn.executemany(sql, parameters)
 
     def repoint(self, key: int, frame: bytes) -> None:
         """Append ``frame`` and point ``key``'s row at it (the old frame
         becomes dead weight in the log — append-only)."""
         loc = self.log.append(frame)
-        with self._conn:
-            self._conn.execute(
+        with self.conn:
+            self.conn.execute(
                 self._repoint_sql, (loc.segment, loc.offset, loc.length, key))
 
     def cut(self, segment: int, offset: int, above: int) -> None:
@@ -277,12 +291,12 @@ class IndexedLog:
 
     # -- read ----------------------------------------------------------
     def max_key(self) -> int | None:
-        return self._conn.execute(
+        return self.conn.execute(
             f"SELECT MAX({self._key}) FROM {self._table}").fetchone()[0]
 
     def locate(self, key: int, columns: str = "segment, offset"):
         """``columns`` of ``key``'s row, or ``None``."""
-        return self._conn.execute(
+        return self.conn.execute(
             f"SELECT {columns} FROM {self._table} WHERE {self._key} = ?",
             (key,)).fetchone()
 
@@ -319,9 +333,9 @@ class IndexedLog:
         The two arguments are the fault-injection hooks for exactly
         those crash points.
         """
-        rows = self._conn.execute(
+        rows = self.conn.execute(
             f"SELECT {self._key}, segment, offset FROM {self._table} "
-            f"WHERE segment >= 0 ORDER BY {self._key}").fetchall()
+            f"ORDER BY {self._key}").fetchall()
         old_log = self.log
         bytes_before = _dir_bytes(old_log.directory)
         new_gen = self.generation + 1
@@ -336,12 +350,12 @@ class IndexedLog:
         locations = new_log.append_many(
             [old_log.read(segment, offset) for _, segment, offset in rows],
             fsync=True)
-        with self._conn:
-            self._conn.executemany(
+        with self.conn:
+            self.conn.executemany(
                 self._repoint_sql,
                 [(loc.segment, loc.offset, loc.length, key)
                  for (key, _, _), loc in zip(rows, locations)])
-            self._conn.execute(
+            self.conn.execute(
                 _PUT_META, (self._gen_key, canonical_encode(new_gen)))
         old_log.close()
         self.log, self.generation = new_log, new_gen
@@ -398,38 +412,21 @@ class _SqliteReceiptsMap(MappingABC):
 
 
 class DurableBlockStore(BlockStore):
-    """Blocks in an :class:`IndexedLog` keyed by height, plus the tx,
-    receipt and derived-row tables that share each block's fate."""
+    """Blocks in two :class:`IndexedLog` tables keyed by height — the hot
+    tail (``blocks``) and the archived history below it
+    (``cold_blocks``) — plus the tx, receipt and derived-row tables that
+    share each block's fate."""
 
-    def __init__(self, conn: sqlite3.Connection, index: IndexedLog) -> None:
-        self._conn = conn
-        self._index = index
-        self._cas = None
-        top = index.max_key()
-        self._height = -1 if top is None else top
-
-    def attach_cas(self, cas) -> None:
-        """Connect the cold tier: blocks whose index row says
-        ``segment = -1`` are fetched from this CAS by ``cas_key``."""
-        self._cas = cas
-
-    def _cas_fetch(self, cas_key: str | None) -> bytes:
-        if self._cas is None:
-            raise StorageError(
-                "block is archived but no CAS is attached"
-            )
-        if not cas_key or ":" not in cas_key:
-            raise StorageError(f"malformed archive key {cas_key!r}")
-        kind, _, hexdigest = cas_key.partition(":")
-        return self._cas.get(CID(bytes.fromhex(hexdigest), kind))
+    def __init__(self, index: IndexedLog, cold: IndexedLog) -> None:
+        self._conn = index.conn
+        self._index, self._cold = index, cold
+        self._height = max((top for top in (index.max_key(), cold.max_key())
+                            if top is not None), default=-1)
 
     def archived_boundary(self) -> int | None:
         """Highest archived height, or ``None`` when nothing has been
         moved to the cold tier."""
-        row = self._conn.execute(
-            "SELECT MAX(height) FROM blocks WHERE segment < 0"
-        ).fetchone()
-        return row[0]
+        return self._cold.max_key()
 
     # -- write path ----------------------------------------------------
     def _write_group(self, heads: Sequence[tuple[int, bytes]],
@@ -510,17 +507,14 @@ class DurableBlockStore(BlockStore):
         cached = self._index.cached(height)
         if cached is not None:
             return cached
-        row = self._index.locate(
-            height, "segment, offset, block_hash, cas_key")
-        if row is None:
-            raise InvalidBlock(f"no block at height {height}")
-        if row[0] < 0:
-            frame = self._cas_fetch(row[3])
-        else:
-            frame = self._index.read(row[0], row[1])
-        block = decode_block(frame, expected_hash=bytes(row[2]))
-        self._index.remember(height, block)
-        return block
+        for index in (self._index, self._cold):
+            row = index.locate(height, "segment, offset, block_hash")
+            if row is not None:
+                block = decode_block(index.read(row[0], row[1]),
+                                     expected_hash=bytes(row[2]))
+                self._index.remember(height, block)
+                return block
+        raise InvalidBlock(f"no block at height {height}")
 
     def head_block(self) -> Block:
         return self.block_at(self._height)
@@ -562,21 +556,19 @@ class DurableBlockStore(BlockStore):
         install the frame (tx ids in position order, receipt bodies
         aligned with them, the encoded derived row or ``None``).  Four
         range queries and one log pass — the server's tail hot path."""
+        boundary = self.archived_boundary()
+        if boundary is not None and start <= boundary:
+            raise ColdHistory(
+                f"heights {start}..{boundary} are archived; raw frames "
+                "are served from the hot tail only (snapshot sync starts "
+                "replicas from the state image, not cold history)"
+            )
         stop = start + count            # exclusive
         rows = self._conn.execute(
             "SELECT height, segment, offset, block_hash FROM blocks "
             "WHERE height >= ? AND height < ? ORDER BY height",
             (start, stop),
         ).fetchall()
-        archived = [height for height, segment, _, _ in rows
-                    if segment < 0]
-        if archived:
-            raise ColdHistory(
-                f"heights {archived[0]}..{archived[-1]} are archived; "
-                "raw frames are served from the hot tail only (snapshot "
-                "sync starts replicas from the state image, not cold "
-                "history)"
-            )
         tx_rows: dict[int, list[str]] = {}
         for tx_id, height in self._conn.execute(
                 "SELECT tx_id, height FROM txs WHERE height >= ? AND "
@@ -645,14 +637,15 @@ class DurableBlockStore(BlockStore):
 
     def close(self) -> None:
         self._index.log.close()
+        self._cold.log.close()
 
 
 class DurableRecordStore(RecordStore):
     """Records in an :class:`IndexedLog` keyed by position (the table
     also maps record_id → position)."""
 
-    def __init__(self, conn: sqlite3.Connection, index: IndexedLog) -> None:
-        self._conn = conn
+    def __init__(self, index: IndexedLog) -> None:
+        self._conn = index.conn
         self._index = index
         top = index.max_key()
         self._count = 0 if top is None else top + 1
@@ -772,15 +765,12 @@ class DurableStateSnapshotStore(StateSnapshotStore):
 
 class DurableStorage(Storage):
     """One directory = one durable chain stack (blocks, records, state,
-    meta).  Opening it runs crash recovery on both logs; see the module
-    docstring for the commit discipline it enforces."""
-
-    _ARCHIVED_KEY = "blocks_archived"
+    meta).  Opening it runs crash recovery on all three logs; see the
+    module docstring for the commit discipline it enforces."""
 
     def __init__(self, directory: str | os.PathLike,
                  max_segment_bytes: int = 4 * 1024 * 1024,
-                 codec: str | SegmentCodec = SegmentCodec.RAW,
-                 cas=None) -> None:
+                 codec: str | SegmentCodec = SegmentCodec.RAW) -> None:
         # Fork-safety contract (audited for the exec process pool):
         # exec workers *never* open durable state — they execute against
         # in-memory replicas and return deltas; only the parent commits.
@@ -807,37 +797,48 @@ class DurableStorage(Storage):
             os.path.join(self.directory, "index.db"),
             check_same_thread=False,
         )
-        # WAL keeps index commits append-only (no per-commit journal
-        # rewrite) — an order of magnitude cheaper for the one-row
-        # transactions the append path issues; synchronous=NORMAL still
-        # fsyncs the WAL at checkpoints, matching the segment logs'
-        # fsync-on-seal discipline.  Set before the schema, and the
-        # schema created in one transaction: a fresh store is then one
-        # WAL commit instead of eight fully synced rollback-journal ones.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
-        self._migrate_schema()
-        block_index = IndexedLog(
-            self._conn, self.directory, "blocks", "height", "block_hash",
-            cache_size=256, max_segment_bytes=max_segment_bytes,
-            codec=self.codec, drop_with=_drop_block_dependents)
-        record_index = IndexedLog(
-            self._conn, self.directory, "records", "position", "record_id",
-            cache_size=1024, max_segment_bytes=max_segment_bytes,
-            codec=self.codec)
+        opened: list[IndexedLog] = []
+
+        def open_log(table, key, extra, cache_size, drop_with=None):
+            opened.append(IndexedLog(
+                self._conn, self.directory, table, key, extra, cache_size,
+                max_segment_bytes, self.codec, drop_with))
+            return opened[-1]
+
+        # A failed open releases what it opened: the connection and every
+        # log, before the exception leaves (nothing waits for gc).
+        try:
+            # WAL keeps index commits append-only (no per-commit journal
+            # rewrite) — an order of magnitude cheaper for the one-row
+            # transactions the append path issues; synchronous=NORMAL
+            # still fsyncs the WAL at checkpoints, matching the segment
+            # logs' fsync-on-seal discipline.  Set before the schema, and
+            # the schema created in one transaction: a fresh store is
+            # then one WAL commit instead of nine fully synced
+            # rollback-journal ones.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
+            # The cold log opens, and takes over a legacy archive, before
+            # the hot one: the hot table must hold only rows of its log
+            # when its recovery walk runs.
+            self._cold = open_log("cold_blocks", "height", "block_hash", 0)
+            self._upgrade_archive()
+            block_index = open_log("blocks", "height", "block_hash", 256,
+                                   _drop_block_dependents)
+            record_index = open_log("records", "position", "record_id",
+                                    1024)
+        except BaseException:
+            for index in opened:
+                index.log.close()
+            self._conn.close()
+            raise
         self.recovered_blocks = block_index.recovered
         self.recovered_records = record_index.recovered
         self._indexes = {"blocks": block_index, "records": record_index}
-        self.blocks = DurableBlockStore(self._conn, block_index)
-        self.records = DurableRecordStore(self._conn, record_index)
+        self.blocks = DurableBlockStore(block_index, self._cold)
+        self.records = DurableRecordStore(record_index)
         self.state = DurableStateSnapshotStore(self._conn)
-        self._cas = cas
-        if self._cas is None and \
-                self.get_meta(self._ARCHIVED_KEY) is not None:
-            self._cas = self._archive_cas()
-        if self._cas is not None:
-            self.blocks.attach_cas(self._cas)
 
     @property
     def block_log(self) -> SegmentLog:
@@ -849,18 +850,45 @@ class DurableStorage(Storage):
         """The live record segment log (compaction swaps it)."""
         return self._indexes["records"].log
 
-    def _archive_cas(self) -> FileCAS:
-        return FileCAS(os.path.join(self.directory, "archive"))
+    def _upgrade_archive(self) -> None:
+        """Take over a cold tier an earlier version wrote: one file per
+        frame under ``archive/`` (``blobs/<hh>/<hex>``, or a manifest of
+        32-byte chunk digests under ``manifests/``), found by the
+        ``cas_key`` of a ``segment = -1`` row and flagged by meta
+        ``blocks_archived``.  Every frame must hash to its row's block
+        hash (else the open fails); all of them become one cold group
+        whose transaction also deletes those rows and the flag.  Then
+        ``archive/`` goes — also after a crash that came after that
+        commit."""
+        archive = os.path.join(self.directory, "archive")
+        if _get_meta(self._conn, "blocks_archived") is not None:
+            def blob(kind: str, digest: str) -> bytes:
+                with open(os.path.join(archive, kind, digest[:2], digest),
+                          "rb") as fh:
+                    return fh.read()
 
-    def _migrate_schema(self) -> None:
-        """Additive migrations for stores created by older versions."""
-        columns = [row[1] for row in
-                   self._conn.execute("PRAGMA table_info(blocks)")]
-        if "cas_key" not in columns:
-            with self._conn:
-                self._conn.execute(
-                    "ALTER TABLE blocks ADD COLUMN cas_key TEXT"
-                )
+            rows = self._conn.execute(
+                "SELECT height, block_hash, cas_key FROM blocks "
+                "WHERE segment < 0 ORDER BY height").fetchall()
+            frames = []
+            for _, block_hash, cas_key in rows:
+                kind, _, digest = cas_key.partition(":")
+                if kind == "raw":
+                    frame = blob("blobs", digest)
+                else:
+                    chunks = blob("manifests", digest)
+                    frame = b"".join(blob("blobs", chunks[i:i + 32].hex())
+                                     for i in range(0, len(chunks), 32))
+                decode_block(frame, expected_hash=bytes(block_hash))
+                frames.append(frame)
+            self._cold.append(
+                [(height, block_hash) for height, block_hash, _ in rows],
+                frames, fsync=True,
+                also=[("DELETE FROM blocks WHERE height = ?",
+                       [(height,) for height, _, _ in rows]),
+                      ("DELETE FROM meta WHERE key = ?",
+                       [("blocks_archived",)])])
+        shutil.rmtree(archive, ignore_errors=True)
 
     def _check_owner(self) -> None:
         if os.getpid() != self._owner_pid:
@@ -874,8 +902,8 @@ class DurableStorage(Storage):
     # ------------------------------------------------------------------
     def disk_usage(self, include_archive: bool = False) -> int:
         """Bytes on disk for the hot tier (segment logs + sqlite index,
-        WAL included); the archive's cold bytes only when asked — the
-        whole point of tiering is that they can live on other media."""
+        WAL included); the cold log's bytes only when asked — the whole
+        point of tiering is that they can live on other media."""
         total = 0
         for path in (self.block_log.directory, self.record_log.directory):
             total += _dir_bytes(path)
@@ -886,17 +914,18 @@ class DurableStorage(Storage):
             except OSError:
                 pass
         if include_archive:
-            total += _dir_bytes(os.path.join(self.directory, "archive"))
+            total += _dir_bytes(self._cold.log.directory)
         return total
 
     def compact(self, which: str = "both",
                 fail_after_bytes: int | None = None,
                 crash_before_cleanup: bool = False) -> dict:
-        """Drop dead log weight: garbage block frames left by reorg
-        truncation and archival, and dead record frames left by
-        ``replace`` (annotation).  The crash hooks drive the tiering
-        fault-injection tests; see :meth:`IndexedLog.compact` for why
-        every crash point reconciles on reopen."""
+        """Drop dead log weight: hot block frames left behind by
+        archival, and dead record frames left by ``replace``
+        (annotation).  The cold log carries none (it is only appended
+        to).  The crash hooks drive the tiering fault-injection tests;
+        see :meth:`IndexedLog.compact` for why every crash point
+        reconciles on reopen."""
         self._check_owner()
         if which not in ("both", "blocks", "records"):
             raise StorageError(f"unknown compaction target {which!r}")
@@ -906,63 +935,45 @@ class DurableStorage(Storage):
             if which in ("both", table)
         }
 
-    def archive_blocks(self, keep_tail: int = 64, cas=None) -> dict:
-        """Move cold block frames into the CAS and repoint the index.
+    def archive_blocks(self, keep_tail: int = 64) -> dict:
+        """Move every block at or below ``height - keep_tail`` from the
+        hot log to the cold one.
 
-        Every block at or below ``height - keep_tail`` is CAS-put (the
-        exact canonical frame, so CIDs are content addresses of what the
-        log held), then **one** sqlite transaction flips those rows to
-        ``segment = -1`` with their ``cas_key`` and records the archival
-        boundary.  A crash before the transaction leaves only orphan CAS
-        blobs (dedup reclaims them on retry); the index still points at
-        the log, which compaction has not yet touched.  The log space is
-        reclaimed by the *next* :meth:`compact`, which skips archived
-        rows — :meth:`tier` runs both in order.
+        The exact frames go down as **one** fsynced cold group whose
+        sqlite transaction inserts their cold rows and deletes their hot
+        ones, so each height is in exactly one table at every instant.  A
+        crash before that commit leaves orphan cold frames, which the
+        cold log's recovery walk truncates on reopen; after it, the hot
+        frames are dead weight the *next* :meth:`compact` drops —
+        :meth:`tier` runs both in order.
         """
         self._check_owner()
         if keep_tail < 0:
             raise StorageError("keep_tail must be >= 0")
-        boundary = self.blocks.height() - keep_tail
         rows = self._conn.execute(
-            "SELECT height, segment, offset FROM blocks "
-            "WHERE segment >= 0 AND height <= ? ORDER BY height",
-            (boundary,),
+            "SELECT height, segment, offset, block_hash FROM blocks "
+            "WHERE height <= ? ORDER BY height",
+            (self.blocks.height() - keep_tail,),
         ).fetchall()
-        if cas is not None:
-            self._cas = cas
-        if not rows:
-            return {"archived": 0,
-                    "boundary": self.blocks.archived_boundary()}
-        if self._cas is None:
-            self._cas = self._archive_cas()
-        updates = []
-        for height, segment, offset in rows:
-            frame = self.block_log.read(segment, offset)
-            cid = self._cas.put(frame)
-            updates.append((f"{cid.kind}:{cid.hex}", height))
-        sync = getattr(self._cas, "sync", None)
-        if sync is not None:
-            sync()
-        with self._conn:
-            self._conn.executemany(
-                "UPDATE blocks SET segment = -1, offset = 0, "
-                "length = 0, cas_key = ? WHERE height = ?", updates,
-            )
-            self._conn.execute(
-                _PUT_META,
-                (self._ARCHIVED_KEY, canonical_encode(rows[-1][0])))
-        self.blocks.attach_cas(self._cas)
-        return {"archived": len(rows), "boundary": rows[-1][0]}
+        if rows:
+            self._cold.append(
+                [(height, block_hash) for height, _, _, block_hash in rows],
+                [self.block_log.read(segment, offset)
+                 for _, segment, offset, _ in rows],
+                fsync=True,
+                also=[("DELETE FROM blocks WHERE height = ?",
+                       [(height,) for height, _, _, _ in rows])])
+        return {"archived": len(rows),
+                "boundary": self.blocks.archived_boundary()}
 
-    def tier(self, keep_tail: int = 64, compact_records: bool = True,
-             cas=None) -> dict:
+    def tier(self, keep_tail: int = 64, compact_records: bool = True) -> dict:
         """One tiering pass: archive cold blocks, then compact the logs
         so the hot tier is exactly the pruned profile — state image +
         hot block tail + live records.  Returns before/after hot-tier
         byte counts alongside each step's stats."""
         self._check_owner()
         bytes_before = self.disk_usage()
-        archived = self.archive_blocks(keep_tail=keep_tail, cas=cas)
+        archived = self.archive_blocks(keep_tail=keep_tail)
         compacted = self.compact(
             which="both" if compact_records else "blocks")
         self.sync()
@@ -1023,9 +1034,7 @@ class DurableStorage(Storage):
         self._check_owner()
         self.block_log.close()
         self.record_log.close()
-        close_cas = getattr(self._cas, "close", None)
-        if close_cas is not None:
-            close_cas()
+        self._cold.log.close()
         self._conn.commit()
         self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._conn.close()

@@ -616,7 +616,7 @@ class ShardedChain:
     def tier_storage(self, keep_tail: int = 256,
                      compact_records: bool = True) -> dict[int, dict]:
         """Tier every shard store: archive cold blocks into the store's
-        CAS and compact the segment logs (see
+        cold log and compact the segment logs (see
         :meth:`~repro.persist.durable.DurableStorage.tier`).  The hot
         tail is clamped to the reorg journal window — a reorg can never
         need to truncate below the archival boundary.  Returns per-shard

@@ -1,5 +1,5 @@
 """Survey-facing name of :mod:`repro.persist.cas`."""
 
-from ..persist.cas import CID, ContentAddressedStore, FileCAS
+from ..persist.cas import CID, ContentAddressedStore
 
-__all__ = ["CID", "ContentAddressedStore", "FileCAS"]
+__all__ = ["CID", "ContentAddressedStore"]

@@ -939,7 +939,10 @@ class TestStoreOpen:
             sharded.verify_all(deep=True)
         finally:
             sharded.close()
-        assert schema(index) == before
+        # The open adds the (empty) cold tier's table and nothing else.
+        after = schema(index)
+        assert [row for row in after if row[1] != "cold_blocks"] == before
+        assert len(after) == len(before) + 1
 
     @pytest.mark.parametrize("stage", ["pragmas", "mid-schema"])
     def test_kill_before_the_schema_commits_leaves_a_store_that_reopens(
@@ -965,11 +968,13 @@ class TestStoreOpen:
         try:
             tables = {row[0] for row in storage._conn.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table'")}
-            assert {"blocks", "txs", "receipts", "records",
+            assert {"blocks", "cold_blocks", "txs", "receipts", "records",
                     "state_entries", "meta"} <= tables
-            columns = [row[1] for row in storage._conn.execute(
-                "PRAGMA table_info(blocks)")]
-            assert "junk" not in columns and "cas_key" in columns
+            for table in ("blocks", "cold_blocks"):
+                columns = [row[1] for row in storage._conn.execute(
+                    f"PRAGMA table_info({table})")]
+                assert columns == ["height", "segment", "offset", "length",
+                                   "block_hash"]
             mode = storage._conn.execute("PRAGMA journal_mode").fetchone()
             assert mode[0] == "wal"
             storage.put_meta("k", {"v": 1})

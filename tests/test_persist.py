@@ -10,6 +10,7 @@ must verify end to end.
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -493,6 +494,38 @@ def test_torn_repointed_frame_is_found_by_address_order(tmp_path):
         == [0, 2, 3, 4, 5]
     assert storage2.records.get(5)["timestamp"] == 5
     storage2.close()
+
+
+def _fds_under(directory) -> list[str]:
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:         # the listing's own fd, closed by now
+            continue
+        if target.startswith(str(directory)):
+            held.append(target)
+    return held
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("log_dir", ["blocks-log", "records-log",
+                                     "cold_blocks-log"],
+                         ids=["blocks", "records", "cold"])
+def test_a_failed_open_releases_every_handle(tmp_path, log_dir):
+    """A file where a log directory belongs makes the open raise; the
+    sqlite connection (index.db, -wal, -shm) and every log opened before
+    the failing one are closed before the exception leaves — with gc
+    off, nothing else would close them."""
+    (tmp_path / log_dir).write_bytes(b"")
+    gc.disable()
+    try:
+        with pytest.raises(FileExistsError):
+            DurableStorage(tmp_path)
+        assert _fds_under(tmp_path) == []
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

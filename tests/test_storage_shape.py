@@ -226,7 +226,7 @@ class TestLayering:
         """``repro/__init__`` re-exports every layer, so the probe gives
         the interpreter a bare ``repro`` package and imports ``persist``
         through its own import graph — then drives the paths that used
-        to import ``repro.storage`` at call time (archive, CAS read)."""
+        to import ``repro.storage`` at call time (archive, cold read)."""
         src = os.path.dirname(os.path.dirname(repro.__file__))
         probe = f"""
 import sys, types

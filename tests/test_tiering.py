@@ -1,12 +1,14 @@
 """Storage tiering: compaction swap, cold-block archival, compression.
 
-Crash discipline under test (ISSUE 6): the generation swap *is* one
-sqlite transaction, so a kill at any byte of the rewrite — or right
-after the commit, before cleanup — reconciles to exactly one committed
-generation on reopen; archival is CAS-put-then-index-flip, so a crash
-between them leaves only orphan blobs that dedup reclaims.  A tiered
-(pruned) deployment must still reopen with zero replay, serve verified
-queries for archived heights, and serve snapshot-sync offers.
+Crash discipline under test: the generation swap *is* one sqlite
+transaction, so a kill at any byte of the rewrite — or right after the
+commit, before cleanup — reconciles to exactly one committed generation
+on reopen; archival is one cold-log group whose transaction also deletes
+the hot rows, so a kill at any byte of it leaves orphan cold frames the
+cold log's recovery walk truncates, and a kill after its commit leaves
+hot dead weight the next compaction drops.  A tiered (pruned) deployment
+must still reopen with zero replay, serve verified queries for archived
+heights, and serve snapshot-sync offers.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import pytest
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.errors import SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
+from repro.obs.runtime import telemetry
 from repro.persist import DurableStorage, ProvenanceDatabase
 from repro.persist.segment import CrashPoint, SegmentCodec
 from repro.sharding import ShardedChain
-from repro.storage.cas import FileCAS
 from repro.sync import SnapshotServer
 
 
@@ -143,7 +145,7 @@ class TestCompactionCrash:
     def test_compaction_reclaims_archived_frames(self, base, tmp_path):
         # Reorg truncation is physical (no dead frames left behind);
         # the dead weight compaction reclaims comes from archival
-        # repointing cold rows at the CAS.
+        # moving cold rows to the cold log.
         source, expect = base
         work = str(tmp_path / "store")
         shutil.copytree(source, work)
@@ -241,30 +243,111 @@ class TestCompactionCrashEitherTable:
         self._verify(work, expect, records)
 
 
-class TestArchivalCrash:
-    def test_orphan_cas_blobs_from_crashed_archival_dedup(self, tmp_path):
-        """A crash between the CAS puts and the index flip leaves orphan
-        blobs; the retry re-puts the same content (same CID) and the
-        index transaction lands once."""
-        expect = build_store(str(tmp_path / "store"), with_reorg=False)
-        storage = DurableStorage(str(tmp_path / "store"))
-        cas = FileCAS(os.path.join(str(tmp_path / "store"), "archive"))
-        # Simulate the pre-crash half: put a few frames, never flip.
-        for height in (1, 2, 3):
-            loc = storage._conn.execute(
-                "SELECT segment, offset FROM blocks WHERE height = ?",
-                (height,)).fetchone()
-            cas.put(storage.block_log.read(loc[0], loc[1]))
-        archived = storage.archive_blocks(keep_tail=6, cas=cas)
-        # Heights 0 (genesis) through the boundary, inclusive.
-        assert archived["archived"] == expect["height"] - 6 + 1
-        assert archived["boundary"] == expect["height"] - 6
-        # Archived heights now serve from the CAS, tail from the log.
-        for height in range(1, expect["height"] + 1):
-            assert storage.blocks.block_at(height).height == height
-        storage.compact(which="blocks")
+def _tables(work: str) -> tuple[list[int], list[int]]:
+    """Heights in ``cold_blocks`` and in ``blocks``."""
+    storage = DurableStorage(work)
+    try:
+        return tuple([height for (height,) in storage._conn.execute(
+            f"SELECT height FROM {table} ORDER BY height")]
+            for table in ("cold_blocks", "blocks"))
+    finally:
         storage.close()
-        reopen_and_verify(str(tmp_path / "store"), expect)
+
+
+class TestArchivalCrash:
+    """``archive_blocks`` is one cold-log group through the log's
+    byte-exact crash hook: wherever it dies, the store reopens to the
+    same heads and roots, and a retry archives each height exactly
+    once."""
+
+    KEEP = 6
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("archive-base") / "store")
+        return directory, build_store(directory, with_reorg=False)
+
+    def _retry_archives_once(self, work: str, expect: dict,
+                             already: int) -> None:
+        # Heights 0 (genesis) through the boundary, inclusive.
+        boundary = expect["height"] - self.KEEP
+        storage = DurableStorage(work)
+        archived = storage.tier(keep_tail=self.KEEP)["archived"]
+        assert archived == {"archived": boundary + 1 - already,
+                            "boundary": boundary}
+        assert storage.archive_blocks(keep_tail=self.KEEP) == \
+            {"archived": 0, "boundary": boundary}
+        storage.close()
+        assert _tables(work) == (list(range(boundary + 1)),
+                                 list(range(boundary + 1,
+                                            expect["height"] + 1)))
+        reopen_and_verify(work, expect)
+
+    @pytest.mark.parametrize("offset", [0, 1, 9, 200, 1_500, 6_000])
+    def test_kill_at_any_byte_of_the_cold_group(self, base, tmp_path,
+                                                offset):
+        source, expect = base
+        work = str(tmp_path / "store")
+        shutil.copytree(source, work)
+        storage = DurableStorage(work)
+        storage._cold.log.fail_after_bytes = offset
+        with pytest.raises(CrashPoint):
+            storage.archive_blocks(keep_tail=self.KEEP)
+        storage.close()
+        # Nothing committed: the torn cold frames are cut off on reopen
+        # and every height is still hot.
+        reopen_and_verify(work, expect)
+        assert _tables(work) == ([], list(range(expect["height"] + 1)))
+        cold_dir = os.path.join(work, "cold_blocks-log")
+        assert sum(os.path.getsize(os.path.join(cold_dir, name))
+                   for name in os.listdir(cold_dir)) == 0
+        self._retry_archives_once(work, expect, already=0)
+
+    def test_kill_after_the_archival_commit_before_compaction(
+            self, base, tmp_path, monkeypatch):
+        source, expect = base
+        work = str(tmp_path / "store")
+        shutil.copytree(source, work)
+        storage = DurableStorage(work)
+
+        def crash(*args, **kwargs):
+            raise CrashPoint("injected crash before the hot compaction")
+
+        monkeypatch.setattr(storage, "compact", crash)
+        with pytest.raises(CrashPoint):
+            storage.tier(keep_tail=self.KEEP)
+        storage.close()
+        reopen_and_verify(work, expect)
+        self._retry_archives_once(
+            work, expect, already=expect["height"] - self.KEEP + 1)
+
+    def test_one_pass_is_one_fsync_and_one_segment_file(
+            self, base, tmp_path, monkeypatch):
+        """13 blocks archive with 1 fsync and 1 new file (the file-per-
+        frame cold tier took 2N + 1 = 27 fsyncs and N + 1 = 14 files)."""
+        source, expect = base
+        work = str(tmp_path / "store")
+        shutil.copytree(source, work)
+        storage = DurableStorage(work)
+
+        def files():
+            return {os.path.relpath(os.path.join(root, name), work)
+                    for root, _, names in os.walk(work) for name in names}
+
+        before = files()
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        counter = telemetry().registry.counter("persist_fsyncs_total")
+        counted = counter.value
+        archived = storage.archive_blocks(keep_tail=self.KEEP)
+        assert archived["archived"] == 13
+        assert len(fsyncs) == 1 and counter.value - counted == 1
+        monkeypatch.undo()
+        new = files() - before
+        storage.close()
+        assert new == {os.path.join("cold_blocks-log", "seg-00000000.log")}
 
     def test_tier_is_idempotent(self, tmp_path):
         expect = build_store(str(tmp_path / "store"))
@@ -315,14 +398,14 @@ class TestPrunedDeployment:
             assert chain.blocks_replayed_on_open == 0
             assert chain.height == heights[s]
             assert chain.state.state_root() == roots[s]
-            # Archived heights still serve — verified — via the CAS.
+            # Archived heights still serve — verified — from the cold log.
             for height in range(1, chain.height + 1):
                 assert chain.block_at(height).height == height
             chain.verify()
 
         # The pruned source still serves snapshot-sync offers (a
         # replica starts from the state image) and raw frames for the
-        # hot tail; cold history is CAS-only, refused over sync.
+        # hot tail; cold history is refused over sync.
         net = SimNet(LatencyModel(base=1, jitter=0), seed=9)
         gateway = ChainNode("gateway", net)
         server = SnapshotServer(pruned)
