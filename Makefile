@@ -188,6 +188,9 @@ setup-split:
 # recompute-every-read lever.  Nor may the cold tier leave the segment
 # log again: no file CAS under persist/, and the old archive key column
 # is read only by the one-time upgrade of a store archived that way.
+# Nor may a store format be probed or stamped outside the one upgrade
+# site: the markers of older formats are named only in persist/durable.py,
+# and sqlite's user_version is written at exactly one place.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -226,6 +229,11 @@ lint-private:
 	@test -z "$$(awk '/^(class|def) |^    def /{f=$$0} \
 	    /cas_key/ && f !~ /def _upgrade_archive\(/' \
 	    src/repro/persist/durable.py)"
+	@! grep -rnE 'anchor_state|beacon_state|facade_state|blocks_archived' \
+	    src/repro --include='*.py' | grep -v '^src/repro/persist/durable\.py:'
+	@! grep -rn 'supersede_meta' src --include='*.py'
+	@test "$$(grep -rnE 'user_version *=' src/repro --include='*.py' \
+	    | wc -l)" = 1
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -227,7 +227,16 @@ class OutOfGas(ContractReverted):
 
 
 class StorageError(ReproError):
-    """Base class for off-chain storage failures."""
+    """Base class for off-chain storage failures.
+
+    ``reason`` is a stable machine code (``"format_too_new"``,
+    ``"format_too_old"``, …); the plain ``StorageError("message")`` form
+    keeps working everywhere.
+    """
+
+    def __init__(self, message: str, *, reason: str = "storage_error") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class ObjectNotFound(StorageError):

@@ -68,6 +68,19 @@ sync serves raw frames from the hot tail only (``ColdHistory`` below
 it).  The in-memory :class:`ContentAddressedStore` is the survey's IPFS
 stand-in; no chain stack uses it.
 
+**Formats.**  A durable store carries one format number, sqlite's
+``PRAGMA user_version``: 1 kept proof state as checkpointed meta blobs
+(refused, ``format_too_old``: no upgrade path leads from it); 2 commits
+it as derived rows; 3 keeps the cold tier in the ``cold_blocks`` log.
+A store that reads 0 was written before the number existed and is
+placed once, by format 1's blobs (a fresh store is 2), and a number
+above the build's is refused (``format_too_new``) — both before
+anything is written.  Every upgrade runs at one site, the open: an
+ordered tuple of ``(from_version, step)`` entries, so a new format is
+one more entry and no new probe.  The crash rule: a step is idempotent
+from its start version and the number moves only after its last
+effect, so a crash leaves either version and the next open converges.
+
 **Why the hash encoding is the wire format.**  Frames hold the *same*
 canonical bytes every hash and signature already commits to
 (:mod:`repro.serialization`), and :func:`repro.persist.codec.canonical_decode`

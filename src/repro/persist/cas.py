@@ -23,7 +23,6 @@ paper's RQ1 challenges section warns about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..crypto.hashing import hash_bytes
 from ..errors import ObjectNotFound, StorageError
@@ -191,7 +190,4 @@ class ContentAddressedStore:
     @property
     def object_count(self) -> int:
         return len(self._blobs) + len(self._manifests)
-
-    def put_many(self, blobs: Iterable[bytes]) -> list[CID]:
-        return [self.put(blob) for blob in blobs]
 

@@ -93,6 +93,11 @@ def _derived_key(height: int) -> str:
 
 _PUT_META = "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)"
 
+# The store format, kept in sqlite's ``PRAGMA user_version`` (see the
+# ``persist`` design note): 1 = proof state in meta blobs (refused),
+# 2 = derived rows, 3 = the cold tier is a segment log.
+_FORMAT = 3
+
 
 def _get_meta(conn: sqlite3.Connection, key: str, default: Any = None) -> Any:
     row = conn.execute("SELECT value FROM meta WHERE key = ?", (key,)
@@ -808,6 +813,7 @@ class DurableStorage(Storage):
         # A failed open releases what it opened: the connection and every
         # log, before the exception leaves (nothing waits for gc).
         try:
+            version = self._stored_format()
             # WAL keeps index commits append-only (no per-commit journal
             # rewrite) — an order of magnitude cheaper for the one-row
             # transactions the append path issues; synchronous=NORMAL
@@ -819,11 +825,19 @@ class DurableStorage(Storage):
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
-            # The cold log opens, and takes over a legacy archive, before
-            # the hot one: the hot table must hold only rows of its log
-            # when its recovery walk runs.
+            # The cold log opens, and the upgrades run, before the hot
+            # log: the hot table must hold only rows of its log when its
+            # recovery walk runs.
             self._cold = open_log("cold_blocks", "height", "block_hash", 0)
-            self._upgrade_archive()
+            for start, step in self._UPGRADES[version - 2:]:
+                step(self)
+                # The one write of the number: after the step's last
+                # effect, so a crash leaves either version and the next
+                # open converges (every step re-runs idempotently).
+                self._conn.execute(f"PRAGMA user_version = {start + 1}")
+                telemetry().registry.counter(
+                    "store_format_upgrades_total",
+                    **{"from": start, "to": start + 1}).inc()
             block_index = open_log("blocks", "height", "block_hash", 256,
                                    _drop_block_dependents)
             record_index = open_log("records", "position", "record_id",
@@ -850,16 +864,39 @@ class DurableStorage(Storage):
         """The live record segment log (compaction swaps it)."""
         return self._indexes["records"].log
 
+    def _stored_format(self) -> int:
+        """The store's format, refused unless an upgrade path leads from
+        it to :data:`_FORMAT` — read before anything is written.  A store
+        written before the number existed reads 0 and is placed once by
+        the meta blobs only format 1 kept (a fresh store is format 2:
+        an empty store is valid at every version)."""
+        conn = self._conn
+        (version,) = conn.execute("PRAGMA user_version").fetchone()
+        if not version:
+            version = 1 if conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'meta'"
+            ).fetchone() and conn.execute(
+                "SELECT 1 FROM meta WHERE key IN ('anchor_state', "
+                "'beacon_state', 'facade_state')").fetchone() else 2
+        if not 2 <= version <= _FORMAT:
+            raise StorageError(
+                f"{self.directory} is store format {version}; this build "
+                f"opens formats 2 to {_FORMAT} (1 kept proof state in meta "
+                "blobs: no upgrade path leads from it)",
+                reason="format_too_new" if version > _FORMAT
+                else "format_too_old")
+        return version
+
     def _upgrade_archive(self) -> None:
-        """Take over a cold tier an earlier version wrote: one file per
-        frame under ``archive/`` (``blobs/<hh>/<hex>``, or a manifest of
-        32-byte chunk digests under ``manifests/``), found by the
-        ``cas_key`` of a ``segment = -1`` row and flagged by meta
-        ``blocks_archived``.  Every frame must hash to its row's block
-        hash (else the open fails); all of them become one cold group
-        whose transaction also deletes those rows and the flag.  Then
-        ``archive/`` goes — also after a crash that came after that
-        commit."""
+        """Format step 2 → 3: take over a cold tier the file-per-frame
+        format wrote: one file per frame under ``archive/``
+        (``blobs/<hh>/<hex>``, or a manifest of 32-byte chunk digests
+        under ``manifests/``), found by the ``cas_key`` of a
+        ``segment = -1`` row and flagged by meta ``blocks_archived``.
+        Every frame must hash to its row's block hash (else the open
+        fails); all of them become one cold group whose transaction also
+        deletes those rows and the flag.  Then ``archive/`` goes — also
+        when a crash came after that commit."""
         archive = os.path.join(self.directory, "archive")
         if _get_meta(self._conn, "blocks_archived") is not None:
             def blob(kind: str, digest: str) -> bytes:
@@ -889,6 +926,10 @@ class DurableStorage(Storage):
                       ("DELETE FROM meta WHERE key = ?",
                        [("blocks_archived",)])])
         shutil.rmtree(archive, ignore_errors=True)
+
+    # ``(from_version, step)`` for every version from 2 up, in order: a
+    # format step is one more entry.  Each is idempotent from its start.
+    _UPGRADES = ((2, _upgrade_archive),)
 
     def _check_owner(self) -> None:
         if os.getpid() != self._owner_pid:
@@ -1003,21 +1044,6 @@ class DurableStorage(Storage):
 
     def get_meta(self, key: str, default: Any = None) -> Any:
         return _get_meta(self._conn, key, default)
-
-    def supersede_meta(self, keys: Sequence[str],
-                       derived: MappingABC) -> None:
-        """One transaction: delete meta ``keys`` and give blocks the
-        store already holds the ``derived`` rows (height → row) that
-        replace them — the legacy proof-state upgrade's write."""
-        self._check_owner()
-        head = self.blocks.height()
-        with self._conn:
-            self._conn.executemany(
-                _PUT_META,
-                [(_derived_key(height), canonical_encode(row))
-                 for height, row in derived.items() if height <= head])
-            self._conn.executemany("DELETE FROM meta WHERE key = ?",
-                                   [(key,) for key in keys])
 
     # ------------------------------------------------------------------
     def sync(self) -> None:

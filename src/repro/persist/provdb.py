@@ -177,10 +177,3 @@ class ProvenanceDatabase:
         record = self._store.get(position)
         record.update(fields)
         self._store.replace(position, record)
-
-    @property
-    def approximate_size_bytes(self) -> int:
-        from ..serialization import canonical_encode
-
-        return sum(len(canonical_encode(r))
-                   for r in self._store.iter_records_raw())

@@ -29,11 +29,12 @@ reads the rows back on open (O(anchors)) and takes the record *ids* from
 the record store in position order: every production path stores a
 record and enqueues it in the same order, so batch *k* covers the next
 ``record_count`` stored records, and what lies beyond the covered prefix
-**is** the pending batch.  (A store upgraded from the checkpointed
-format appends a fifth element, the batch's record ids: it may have
-anchored out of position order.)  A reorg that orphans anchor blocks
-ends in the same place: their batches are forgotten and, with a database
-loaded, the records they covered are pending again.  A snapshot client
+**is** the pending batch.  (A format-2 store may also hold rows with a
+fifth element, the batch's record ids, written when it was upgraded
+from the checkpointed format and possibly anchored out of position
+order; that row layout stays readable.)  A reorg that orphans anchor
+blocks ends in the same place: their batches are forgotten and, with a
+database loaded, the records they covered are pending again.  A snapshot client
 installs a peer's row only after :func:`verify_batch_row`.
 """
 

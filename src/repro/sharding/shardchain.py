@@ -47,52 +47,20 @@ from .locks import LockTable
 from .router import ShardRouter, namespace_of
 
 
-def upgrade_legacy_proof_state(storage) -> int:
-    """One-shot upgrade of a store written before proof state committed
-    with its blocks, and the only reader left of those formats: the
-    ``anchor_state`` blob of a shard store, the ``beacon_state`` and
-    ``facade_state`` blobs of the beacon store.  Each anchored batch and
-    beacon round becomes its block's derived row, in one transaction
-    that also deletes the blobs; returns the blobs upgraded (0 on every
-    later open).  Batches keep their explicit record ids (such a store
-    could anchor out of position order after a crash); pending records,
-    ``rounds_sealed`` and ``anchored_height`` are derivable and dropped."""
-    blobs = {key: storage.get_meta(key)
-             for key in ("anchor_state", "beacon_state", "facade_state")}
-    found = [key for key, blob in blobs.items() if blob is not None]
-    anchor, beacon = blobs["anchor_state"] or {}, blobs["beacon_state"] or {}
-    rows: dict[int, list] = {}
-    for r, members in zip(anchor.get("receipts", ()),
-                          anchor.get("batches", ())):
-        rows[r["block_height"]] = [
-            r["anchor_id"], r["tx_id"], r["merkle_root"],
-            b"".join(digest for _, digest in members),
-            [str(record_id) for record_id, _ in members]]
-    for r, entries in zip(beacon.get("receipts", ()),
-                          beacon.get("rounds", ())):
-        rows[r["block_height"]] = [r["tx_id"], r["merkle_root"], entries]
-    if found:
-        storage.supersede_meta(found, rows)
-    return len(found)
-
-
 def _recover_proof_state(storage, kind: str, load) -> None:
-    """Reopen one store's proof state — upgrade a legacy store, then
-    ``load()`` (returns ``(rows loaded, records re-enqueued)``) — under
-    one ``recovery.load_proof_state`` span, and publish what it did."""
+    """Reopen one store's proof state — ``load()`` (returns ``(rows
+    loaded, records re-enqueued)``) — under one
+    ``recovery.load_proof_state`` span, and publish what it did."""
     telemetry = default_telemetry()
     with telemetry.tracer.root_span("recovery.load_proof_state",
                                     sampled=True) as span:
-        upgraded = upgrade_legacy_proof_state(storage)
         rows, requeued = load()
         for key, value in (("store", storage.directory), ("kind", kind),
-                           ("rows", rows), ("requeued", requeued),
-                           ("legacy_blobs", upgraded)):
+                           ("rows", rows), ("requeued", requeued)):
             span.set_attr(key, value)
     registry = telemetry.registry
     registry.counter("proof_rows_loaded_total", kind=kind).inc(rows)
     registry.counter("anchor_pending_requeued_total").inc(requeued)
-    registry.counter("legacy_proof_state_upgraded_total").inc(upgraded)
 
 
 class Shard:

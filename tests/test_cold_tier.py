@@ -11,11 +11,12 @@ archival boundary per shard and the digests of 20 federated proofs.
 Both were written by ``PYTHONPATH=src python tests/test_cold_tier.py
 <out dir>`` in a checkout of that commit.
 
-The first open moves every archived frame into the ``cold_blocks`` log
-(one group, failing closed on a frame whose hash is not its row's),
-deletes the marker and ``archive/``; a kill inside that upgrade — mid
-log write, or after its commit but before ``archive/`` is gone —
-reopens to the same store.
+The first open runs the store-format step 2 → 3: it moves every
+archived frame into the ``cold_blocks`` log (one group, failing closed on
+a frame whose hash is not its row's), deletes the marker and
+``archive/``, then stamps format 3; a kill inside that step — mid log
+write, after its commit but before ``archive/`` is gone, or after that
+but before the stamp — reopens to the same store.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import pytest
 
 from repro.chain import Transaction, TxKind
 from repro.errors import StorageError
+from repro.obs.runtime import telemetry
 from repro.persist import DurableStorage
 from repro.persist.codec import transaction_embedded
 from repro.persist.durable import IndexedLog
@@ -169,9 +171,9 @@ def extract(tmp_path) -> tuple[str, dict]:
 
 
 def layout(store: str) -> list[dict]:
-    """Per shard store: which heights each table holds (``None``: no
-    such table), the legacy marker and directory, and the cold log's
-    bytes."""
+    """Per shard store: its format, which heights each table holds
+    (``None``: no such table), the legacy marker and directory, and the
+    cold log's bytes."""
     out = []
     for name in ("shard-0", "shard-1"):
         directory = os.path.join(store, name)
@@ -185,6 +187,7 @@ def layout(store: str) -> list[dict]:
                       for table in ("cold_blocks", "blocks")}
             marker = conn.execute("SELECT COUNT(*) FROM meta WHERE key = "
                                   "'blocks_archived'").fetchone()[0]
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
         finally:
             conn.close()
         cold_dir = os.path.join(directory, "cold_blocks-log")
@@ -193,7 +196,7 @@ def layout(store: str) -> list[dict]:
                               if os.path.isdir(cold_dir) else []):
             with open(os.path.join(cold_dir, segment), "rb") as fh:
                 cold.update(fh.read())
-        out.append({**tables, "marker": marker,
+        out.append({**tables, "marker": marker, "version": version,
                     "archive": os.path.isdir(os.path.join(directory,
                                                           "archive")),
                     "cold_bytes": cold.hexdigest()})
@@ -244,6 +247,12 @@ def assert_upgraded(store: str, manifest: dict) -> None:
         assert shard["blocks"] == list(range(boundary + 1,
                                              want["height"] + 1))
         assert shard["marker"] == 0 and not shard["archive"]
+        assert shard["version"] == 3
+
+
+def upgrades() -> int:
+    return telemetry().registry.counter("store_format_upgrades_total",
+                                        **{"from": 2, "to": 3}).value
 
 
 class TestParentTieredStore:
@@ -253,13 +262,16 @@ class TestParentTieredStore:
         for shard, boundary in zip(before,
                                    manifest["archived_boundaries"]):
             assert shard["cold_blocks"] is None and shard["marker"] == 1
-            assert shard["archive"]
+            assert shard["archive"] and shard["version"] == 0
             assert shard["blocks"][:boundary + 1] == \
                 list(range(boundary + 1))
+        was = upgrades()
         assert_upgraded(store, manifest)
+        assert upgrades() - was == 3            # beacon and both shards
         upgraded = layout(store)
         assert_upgraded(store, manifest)        # a second open ...
         assert layout(store) == upgraded        # ... changes nothing
+        assert upgrades() - was == 3
 
     @pytest.mark.parametrize("offset", [0, 7, 300, 2_000])
     def test_kill_inside_the_upgrade_log_write(self, tmp_path, monkeypatch,
@@ -278,7 +290,7 @@ class TestParentTieredStore:
         monkeypatch.undo()
         shard = layout(store)[0]
         assert shard["cold_blocks"] == [] and shard["marker"] == 1
-        assert shard["archive"]
+        assert shard["archive"] and shard["version"] == 0
         assert_upgraded(store, manifest)
 
     def test_the_same_script_here_writes_the_same_store(self, tmp_path):
@@ -332,6 +344,28 @@ class TestParentTieredStore:
         assert shard["cold_blocks"] == list(
             range(manifest["archived_boundaries"][0] + 1))
         assert shard["marker"] == 0 and shard["archive"]
+        assert shard["version"] == 0
+        assert_upgraded(store, manifest)
+
+    def test_kill_after_archive_is_gone_before_the_format_stamp(
+            self, tmp_path, monkeypatch):
+        store, manifest = extract(tmp_path)
+        remove = shutil.rmtree
+
+        def crash_after_archive(path, *args, **kwargs):
+            remove(path, *args, **kwargs)
+            if os.path.basename(path) == "archive":
+                raise CrashPoint("injected crash before the format stamp")
+
+        monkeypatch.setattr(shutil, "rmtree", crash_after_archive)
+        with pytest.raises(CrashPoint):
+            DurableStorage(os.path.join(store, "shard-0"))
+        monkeypatch.undo()
+        shard = layout(store)[0]
+        assert shard["cold_blocks"] == list(
+            range(manifest["archived_boundaries"][0] + 1))
+        assert shard["marker"] == 0 and not shard["archive"]
+        assert shard["version"] == 0
         assert_upgraded(store, manifest)
 
 

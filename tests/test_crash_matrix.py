@@ -24,17 +24,18 @@ sqlite ``COMMIT`` count of a fixed script to the parent commit's numbers.
 
 from __future__ import annotations
 
-import json
+import gc
+import hashlib
 import os
 import shutil
+import sqlite3
 import tarfile
 
 import pytest
 
 from repro.chain import Transaction, TxKind
 from repro.chaos.runner import check_invariants
-from repro.crypto.signatures import KeyPair
-from repro.errors import AnchorError, SyncError
+from repro.errors import AnchorError, StorageError, SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
 from repro.obs import Telemetry
 from repro.obs.runtime import telemetry as default_telemetry
@@ -439,7 +440,7 @@ class TestReplicaAfterCrash:
 
 
 # ---------------------------------------------------------------------------
-# Legacy stores, observability, counted guards
+# Store formats, observability, counted guards
 # ---------------------------------------------------------------------------
 def _counter(name: str, **labels) -> int:
     return default_telemetry().registry.counter(name, **labels).value
@@ -464,7 +465,8 @@ class TestOpenReportsAndUpgrades:
         was = (_counter("proof_rows_loaded_total", kind="anchor"),
                _counter("proof_rows_loaded_total", kind="round"),
                _counter("anchor_pending_requeued_total"),
-               _counter("legacy_proof_state_upgraded_total"))
+               _counter("store_format_upgrades_total", **{"from": 2,
+                                                         "to": 3}))
         sc = build(store)
         try:
             assert _counter("proof_rows_loaded_total", kind="anchor") \
@@ -473,7 +475,8 @@ class TestOpenReportsAndUpgrades:
                 - was[1] == rounds
             assert _counter("anchor_pending_requeued_total") - was[2] \
                 == len(before["pending"])
-            assert _counter("legacy_proof_state_upgraded_total") == was[3]
+            assert _counter("store_format_upgrades_total",
+                            **{"from": 2, "to": 3}) == was[3]
             spans = spans()[earlier:]
             assert sorted(s.attrs["store"] for s in spans) == sorted(
                 os.path.join(store, name) for name in
@@ -484,72 +487,84 @@ class TestOpenReportsAndUpgrades:
         finally:
             sc.close()
 
-    def test_store_written_by_the_parent_is_upgraded_once(self, tmp_path):
-        """``tests/golden/parent_store.tar.gz`` holds the three blobs and
-        no rows: the first open turns them into rows (and deletes them),
-        every anchored record still proves, later opens upgrade nothing,
-        and the chain bytes are the manifest's."""
-        with open(os.path.join(GOLDEN_DIR, "parent_store.json"),
-                  encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        with tarfile.open(os.path.join(GOLDEN_DIR,
-                                       "parent_store.tar.gz")) as tar:
-            tar.extractall(tmp_path, filter="data")
-        store = str(tmp_path / "parent_store")
-        for i in range(3):      # the writer's signers (simulated registry)
-            KeyPair.generate(f"golden-actor-{i}")
-        legacy = {}
-        for name, keys in (("beacon", ("beacon_state", "facade_state")),
-                           ("shard-0", ("anchor_state",)),
-                           ("shard-1", ("anchor_state",))):
-            storage = DurableStorage(os.path.join(store, name))
-            legacy[name] = {key: storage.get_meta(key) for key in keys}
-            assert all(blob is not None for blob in legacy[name].values())
-            assert list(storage.blocks.derived_rows()) == []
-            storage.close()
+    def test_store_written_before_derived_rows_is_refused(self, tmp_path):
+        """``tests/golden/pr16_store.tar.gz`` keeps proof state in meta
+        blobs (store format 1): no upgrade path leads from it, and the
+        open says so instead of guessing."""
+        store = extract_pr16_store(tmp_path)
+        with pytest.raises(StorageError) as err:
+            ShardedChain(n_shards=2, storage_dir=store, anchor_batch_size=4,
+                         checkpoint_every_rounds=2, telemetry=Telemetry())
+        assert err.value.reason == "format_too_old"
 
-        def reopen():
-            return ShardedChain(n_shards=2, storage_dir=store,
-                                anchor_batch_size=4,
-                                checkpoint_every_rounds=2,
-                                telemetry=Telemetry())
 
-        was = _counter("legacy_proof_state_upgraded_total")
-        sc = reopen()
-        assert _counter("legacy_proof_state_upgraded_total") - was == 4
-        facade = legacy["beacon"]["facade_state"]
-        assert sc.rounds_sealed == facade["rounds_sealed"] \
-            == sc.beacon.rounds_anchored
-        assert [s.anchored_height for s in sc.shards] \
-            == facade["anchored_height"]
-        assert sc.beacon.chain.head.block_hash.hex() \
-            == manifest["beacon_head"]
-        assert_consistent(sc)
-        proved = 0
-        for shard, name in zip(sc.shards, ("shard-0", "shard-1")):
-            blob = legacy[name]["anchor_state"]
-            assert [r.anchor_id for r in shard.anchor.receipts] \
-                == [r["anchor_id"] for r in blob["receipts"]]
-            assert shard.anchor.pending_count \
-                == len(blob["pending_records"])
-            anchored = [r for r in shard.database.records()
-                        if shard.anchor.is_anchored(r["record_id"])]
-            assert len(anchored) == sum(
-                len(batch) for batch in blob["batches"])
-            assert_proves(sc, anchored)
-            proved += len(anchored)
-        assert proved
-        sc.close()
-        for name in legacy:
-            storage = DurableStorage(os.path.join(store, name))
-            assert all(storage.get_meta(key) is None
-                       for key in legacy[name])
-            storage.close()
-        was = _counter("legacy_proof_state_upgraded_total")
-        sc = reopen()
-        assert _counter("legacy_proof_state_upgraded_total") == was
-        assert_consistent(sc)
-        sc.close()
+def extract_pr16_store(tmp_path) -> str:
+    with tarfile.open(os.path.join(GOLDEN_DIR, "pr16_store.tar.gz")) as tar:
+        tar.extractall(tmp_path, filter="data")
+    return str(tmp_path / "parent_store")
+
+
+def store_files(store: str) -> dict[str, str]:
+    """sha256 of every file under ``store`` but sqlite's -wal/-shm."""
+    out = {}
+    for root, _, names in os.walk(store):
+        for name in names:
+            if not name.endswith(("-wal", "-shm")):
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    out[os.path.relpath(path, store)] = \
+                        hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def open_fds_under(store: str) -> list[str]:
+    out = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(store + os.sep):
+            out.append(target)
+    return out
+
+
+class TestFormatRefusals:
+    """A store no upgrade path leads from is refused before anything is
+    written: a newer format (stamped on the last store a deployment
+    opens, so the refusal also unwinds the stores opened before it) and
+    the format that kept proof state in meta blobs."""
+
+    @pytest.mark.parametrize("opener", ["storage", "sharded"])
+    @pytest.mark.parametrize("case,reason", [
+        ("newer", "format_too_new"), ("pr16", "format_too_old")])
+    def test_refused_open_changes_nothing_and_leaks_nothing(
+            self, base, tmp_path, case, reason, opener):
+        if case == "newer":
+            store = str(tmp_path / "store")
+            shutil.copytree(base[0], store)
+            n_shards, batch, last = N_SHARDS, BATCH, f"shard-{N_SHARDS - 1}"
+            conn = sqlite3.connect(os.path.join(store, last, "index.db"))
+            conn.execute("PRAGMA user_version = 4")
+            conn.close()
+        else:
+            store = extract_pr16_store(tmp_path)
+            n_shards, batch, last = 2, 4, "shard-1"
+        before = store_files(store)
+        gc.disable()
+        try:
+            with pytest.raises(StorageError) as err:
+                if opener == "storage":
+                    DurableStorage(os.path.join(store, last))
+                else:
+                    ShardedChain(n_shards, storage_dir=store,
+                                 anchor_batch_size=batch,
+                                 telemetry=Telemetry())
+            assert err.value.reason == reason
+            assert open_fds_under(store) == []
+        finally:
+            gc.enable()
+        assert store_files(store) == before
 
 
 class TestCountedGuards:
@@ -609,3 +624,50 @@ class TestCountedGuards:
         # four shards' block and record logs, the beacon's block log —
         # where the parent synced every block log twice.
         assert per_round[7][1] - per_round[6][1] == 2 * 4 + 1
+
+    PARENT_FRESH_OPEN_COMMITS = 7
+    PARENT_REOPEN_STATEMENTS = 139  # 12 of them the two per-open probes
+
+    def test_an_open_reads_the_format_once(self, tmp_path, monkeypatch):
+        """The sqlite statements of a 2-shard deployment's open: a fresh
+        one may add one COMMIT per store (stamping its format), a reopen
+        of a current store drops the probes for nine fewer statements."""
+        statements: list[str] = []
+        connect = sqlite3.connect
+
+        def traced(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        def open_traced() -> tuple[ShardedChain, list[str]]:
+            statements.clear()
+            monkeypatch.setattr(sqlite3, "connect", traced)
+            try:
+                return ShardedChain(2, storage_dir=str(tmp_path / "store"),
+                                    anchor_batch_size=4,
+                                    checkpoint_every_rounds=2,
+                                    telemetry=Telemetry()), list(statements)
+            finally:
+                monkeypatch.undo()
+
+        sc, fresh = open_traced()
+        for r in range(4):
+            sc.submit_many([
+                Transaction(f"acct-{i % 7}", TxKind.DATA,
+                            {"subject": f"ns{i % 13}/obj{i % 29}",
+                             "key": f"k{r}-{i}", "value": i},
+                            nonce=r * 1000 + i, timestamp=r).seal()
+                for i in range(20)])
+            sc.ingest_records([
+                {"record_id": f"rec-{r:03d}-{i:04d}",
+                 "subject": f"ns{i % 13}/obj{i % 29}",
+                 "actor": f"a{i % 5}", "operation": "write",
+                 "timestamp": r * 1000 + i} for i in range(10)])
+            sc.seal_round(timestamp=r + 1)
+        sc.close()
+        sc, reopen = open_traced()
+        sc.close()
+        commits = sum(s.lstrip().upper().startswith("COMMIT") for s in fresh)
+        assert commits <= self.PARENT_FRESH_OPEN_COMMITS + 3
+        assert len(reopen) <= self.PARENT_REOPEN_STATEMENTS - 9

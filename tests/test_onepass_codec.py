@@ -15,8 +15,10 @@ Three mechanisms, each checked against what it replaced:
     re-encoded one, or neither is built.
 
 ``tests/golden/parent_store.tar.gz`` is a small durable store written by
-the parent commit (manifest in ``parent_store.json``); it must reopen to
-the same hashes.
+:func:`build_golden_store` on commit 670a556 (manifest in
+``parent_store.json``; both written by ``PYTHONPATH=src python
+tests/test_onepass_codec.py <out dir>`` in a checkout of that commit); it
+must reopen to the same hashes.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ from repro.rpc import decode_frame_payload
 from repro.serialization import canonical_encode
 from repro.sharding import ShardedChain
 from repro.workloads import MultiTenantShardWorkload, ShardOp, ZipfSampler
+
+if __name__ == "__main__":      # run as a script: write the fixture
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    __package__ = "tests"
 
 from .test_codec_fastpath import (
     mixed_txs,
@@ -889,6 +896,70 @@ class TestVerdictMark:
 # ---------------------------------------------------------------------------
 # Stores: what the parent wrote reopens, a fresh open survives a kill
 # ---------------------------------------------------------------------------
+def open_golden_store(store: str) -> ShardedChain:
+    return ShardedChain(n_shards=2, storage_dir=store, anchor_batch_size=4,
+                        checkpoint_every_rounds=2, telemetry=Telemetry())
+
+
+def build_golden_store(store: str) -> None:
+    """Six rounds on a durable 2-shard deployment: transactions signed
+    by the ``golden-actor-{0,1,2}`` keys and records, then ``close``."""
+    signers = [KeyPair.generate(f"golden-actor-{i}") for i in range(3)]
+    sharded = open_golden_store(store)
+    for r in range(6):
+        sharded.submit_many([
+            Transaction(signers[i % 3].public.address, TxKind.DATA,
+                        {"subject": f"ns{i % 3}/obj{(r + i) % 5}",
+                         "key": f"k{r}-{i}", "value": r * 10 + i},
+                        nonce=r * 100 + i, timestamp=r
+                        ).seal().sign_with(signers[i % 3])
+            for i in range(7)])
+        sharded.ingest_records([
+            {"record_id": f"rec-{r}-{i}", "subject": f"ns{i % 3}/obj{i}",
+             "actor": f"golden-actor-{i % 3}", "operation": "write",
+             "timestamp": r * 100 + i} for i in range(5)])
+        sharded.seal_round(timestamp=r + 1)
+    sharded.close()
+
+
+def write_golden_store(out_dir: str) -> None:
+    """Build the store under ``out_dir`` and write the tarball and
+    manifest next to it."""
+    store = os.path.join(out_dir, "parent_store")
+    build_golden_store(store)
+    with tarfile.open(os.path.join(out_dir, "parent_store.tar.gz"),
+                      "w:gz") as tar:
+        tar.add(store, arcname="parent_store")
+    sharded = open_golden_store(store)
+    shards = []
+    for shard in sharded.shards:
+        chain = shard.chain
+        blocks = [chain.block_at(h) for h in range(chain.height + 1)]
+        shards.append({
+            "block_hashes": [b.block_hash.hex() for b in blocks],
+            "head": chain.head.block_hash.hex(),
+            "height": chain.height,
+            "records": len(shard.database),
+            "state_root": chain.state.state_root().hex(),
+            "tx_ids": [tx.tx_id for b in blocks for tx in b.transactions],
+        })
+    manifest = {
+        "beacon_head": sharded.beacon.chain.head.block_hash.hex(),
+        "beacon_height": sharded.beacon.chain.height,
+        "shards": shards,
+        "total_txs": sharded.total_txs_committed,
+        "written_by": subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+            text=True, cwd=os.path.dirname(os.path.abspath(__file__))
+        ).stdout.strip() + "; see tests/test_onepass_codec.py",
+    }
+    sharded.close()
+    with open(os.path.join(out_dir, "parent_store.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 class TestStoreOpen:
     def test_store_written_by_the_parent_commit_reopens_unchanged(
             self, tmp_path):
@@ -907,16 +978,16 @@ class TestStoreOpen:
             try:
                 return conn.execute(
                     "SELECT type, name, sql FROM sqlite_master "
-                    "ORDER BY name").fetchall()
+                    "ORDER BY name").fetchall(), conn.execute(
+                    "PRAGMA user_version").fetchone()[0]
             finally:
                 conn.close()
 
-        index = os.path.join(store, "shard-0", "index.db")
-        before = schema(index)
-        sharded = ShardedChain(n_shards=2, storage_dir=store,
-                               anchor_batch_size=4,
-                               checkpoint_every_rounds=2,
-                               telemetry=Telemetry())
+        indexes = [os.path.join(store, name, "index.db")
+                   for name in ("beacon", "shard-0", "shard-1")]
+        before = [schema(index) for index in indexes]
+        assert {version for _, version in before} == {0}
+        sharded = open_golden_store(store)
         try:
             assert sharded.beacon.chain.head.block_hash.hex() \
                 == manifest["beacon_head"]
@@ -939,10 +1010,9 @@ class TestStoreOpen:
             sharded.verify_all(deep=True)
         finally:
             sharded.close()
-        # The open adds the (empty) cold tier's table and nothing else.
-        after = schema(index)
-        assert [row for row in after if row[1] != "cold_blocks"] == before
-        assert len(after) == len(before) + 1
+        # The open stamps the format and changes no table.
+        assert [schema(index) for index in indexes] \
+            == [(tables, 3) for tables, _ in before]
 
     @pytest.mark.parametrize("stage", ["pragmas", "mid-schema"])
     def test_kill_before_the_schema_commits_leaves_a_store_that_reopens(
@@ -1145,3 +1215,7 @@ class TestLoadGeneratorIsTheSameStream:
         assert sampler.sample_many(2000) \
             == [reference.sample() for _ in range(2000)]
         assert sampler.rng.getstate() == reference.rng.getstate()
+
+
+if __name__ == "__main__":
+    write_golden_store(sys.argv[1])

@@ -794,22 +794,9 @@ class TestShardedRestart:
         shard_id = sc.router.shard_for_subject("asset/locked")
         assert sc.locks.acquire([(shard_id, "asset/locked")], "xid-1",
                                 now=0)
-        sc.close()  # facade checkpoint happens while the lock is held
-        # Nothing about the facade is checkpointed any more; a
-        # ``facade_state`` blob written by an older build (one old
-        # enough carried the lock table, which nothing ever read back)
-        # must reopen just the same, and is gone afterwards.
-        beacon = DurableStorage(tmp_path / "beacon")
-        assert beacon.get_meta("facade_state") is None
-        beacon.put_meta("facade_state", {
-            "rounds_sealed": 0, "anchored_height": [0, 0],
-            "locks": [[shard_id, "asset/locked", "xid-1", 0, 16]],
-        })
-        beacon.close()
-
+        sc.close()  # nothing about the facade is checkpointed
         sc2 = ShardedChain(2, storage_dir=str(tmp_path))
         assert sc2.locks.entry(shard_id, "asset/locked") is None
-        assert sc2.meta.get_meta("facade_state") is None
         # The subject is writable again.
         sc2.ingest_record({"record_id": "unblocked",
                            "subject": "asset/locked", "actor": "a",
