@@ -25,7 +25,8 @@ test-sync:
 	$(PYTHON) -m pytest tests/test_sync.py tests/test_network.py -q
 
 # Execution-engine + tiering suite only: executor parity, worker-death
-# fallback, fork guards, compaction/archival crash points, compression.
+# fallback, fork guards, compaction/archival crash points, compressed
+# frames an older store holds (read, never written).
 test-exec:
 	$(PYTHON) -m pytest tests/test_exec.py tests/test_tiering.py -q
 
@@ -190,7 +191,10 @@ setup-split:
 # is read only by the one-time upgrade of a store archived that way.
 # Nor may a store format be probed or stamped outside the one upgrade
 # site: the markers of older formats are named only in persist/durable.py,
-# and sqlite's user_version is written at exactly one place.
+# and sqlite's user_version is written at exactly one place.  Nor may the
+# storage layer grow a second write path or an unset setting back: no
+# write codec, no second frame writer or crash hook in the segment log,
+# no records-compaction switch, no second tamper hook on the memory store.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -234,6 +238,10 @@ lint-private:
 	@! grep -rn 'supersede_meta' src --include='*.py'
 	@test "$$(grep -rnE 'user_version *=' src/repro --include='*.py' \
 	    | wc -l)" = 1
+	@! grep -rnE 'SegmentCodec|\bcodec=|compact_records|location_of_id|replace_at|def __setitem__' \
+	    src/repro/persist src/repro/sharding --include='*.py'
+	@test "$$(grep -cE 'raise CrashPoint\(|def _frame\(' \
+	    src/repro/persist/segment.py)" = 2
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

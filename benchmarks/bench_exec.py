@@ -32,9 +32,6 @@ Measures what the ISSUE-6 execution engine and storage axis buy:
   reclaim is asserted ``>= 30%`` in full mode, and the pruned replica
   must reopen with **zero** block replay and still serve verified
   queries for archived heights.
-* **frame compression** — the same chain committed through the raw vs
-  zlib ``SegmentCodec`` (report-only ratio; per-frame flags make the
-  codecs interchangeable across reopens).
 
 Results go to ``BENCH_exec.json``.
 
@@ -54,11 +51,10 @@ import time
 from pathlib import Path
 
 from _harness import finish_bench, parse_bench_args
-from repro.chain import Blockchain, ChainParams, Transaction, TxKind
+from repro.chain import Transaction, TxKind
 from repro.contracts.contract import Contract, method
 from repro.contracts.runtime import ContractRuntime
 from repro.crypto.hashing import hash_hex
-from repro.persist import DurableStorage
 from repro.sharding import ShardedChain
 
 # More shards than workers on purpose: a worker that finishes shard A
@@ -347,47 +343,6 @@ def bench_tiering(rounds: int, txs_per_round: int, root: Path) -> dict:
     }
 
 
-def bench_compression(n_blocks: int, txs_per_block: int,
-                      root: Path) -> dict:
-    """The same (compressible, provenance-shaped) chain through the raw
-    vs zlib frame codec — report-only footprint ratio."""
-
-    def build(codec: str, store_dir: str) -> int:
-        storage = DurableStorage(store_dir, codec=codec)
-        chain = Blockchain(ChainParams(chain_id="codec-bench"),
-                           store=storage.blocks,
-                           snapshot_store=storage.state)
-        for b in range(n_blocks):
-            height = chain.height + 1
-            txs = [
-                Transaction(
-                    f"acct-{j % 16}", TxKind.DATA,
-                    {"record_id": f"rec-{height:06d}-{j:03d}",
-                     "operation": "derive",
-                     "tool": "pipeline/v2",
-                     "inputs": [f"rec-{height - 1:06d}-{j:03d}"],
-                     "attrs": {"size": j * 17 % 4096,
-                               "content_type": "application/json"}},
-                    timestamp=height).seal()
-                for j in range(txs_per_block)
-            ]
-            chain.append_block(chain.build_block(txs, timestamp=height))
-        head = chain.head.block_hash
-        usage = storage.disk_usage()
-        chain.close()
-        return usage, head
-
-    raw_bytes, raw_head = build("raw", str(root / "codec-raw"))
-    zlib_bytes, zlib_head = build("zlib", str(root / "codec-zlib"))
-    assert raw_head == zlib_head  # codec is a frame detail, not chain state
-    return {
-        "n_blocks": n_blocks,
-        "raw_bytes": raw_bytes,
-        "zlib_bytes": zlib_bytes,
-        "zlib_ratio": round(zlib_bytes / raw_bytes, 3),
-    }
-
-
 def main() -> None:
     args = parse_bench_args(__doc__)
 
@@ -395,19 +350,16 @@ def main() -> None:
         rounds, calls_per_round, iters, blob_len = 2, 32, 200, 300
         repeats = 1
         tier_rounds, tier_txs = 10, 20
-        codec_blocks, codec_txs = 30, 8
     else:
         rounds, calls_per_round, iters, blob_len = 4, 96, 2_000, 1_000
         repeats = 2
         tier_rounds, tier_txs = 40, 40
-        codec_blocks, codec_txs = 200, 16
 
     root = Path(tempfile.mkdtemp(prefix="repro-bench-exec-"))
     try:
         exec_section, curve = bench_exec_modes(
             rounds, calls_per_round, iters, blob_len, repeats, root)
         tiering = bench_tiering(tier_rounds, tier_txs, root)
-        compression = bench_compression(codec_blocks, codec_txs, root)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -435,7 +387,6 @@ def main() -> None:
             for run in curve
         ],
         "tiering": tiering,
-        "compression": compression,
     }
 
     print(f"exec bench ({result['mode']}): "
@@ -454,7 +405,6 @@ def main() -> None:
     print(f"  tiering     : reclaim {tiering['reclaim_pct']}%  "
           f"archived {tiering['blocks_archived']} blocks  "
           f"reopen replay {tiering['blocks_replayed_on_reopen']}")
-    print(f"  compression : zlib/raw = {compression['zlib_ratio']}")
 
     finish_bench(result, "BENCH_exec.json", args, floors=[
         ("process sealing speedup at 4 workers",

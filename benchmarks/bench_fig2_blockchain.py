@@ -62,8 +62,9 @@ def test_tamper_detection_at_every_height(benchmark, report):
         detected = []
         for target in range(1, chain_len + 1, 8):
             probe = Blockchain(ChainParams(chain_id="probe"))
-            probe.blocks = list(chain.blocks)
-            probe.blocks[target] = _mutated_copy(chain.blocks[target])
+            blocks = list(chain.blocks)
+            blocks[target] = _mutated_copy(blocks[target])
+            probe.blocks = blocks
             detected.append((target, probe.first_broken_height()))
         return detected
 

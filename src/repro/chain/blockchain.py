@@ -535,7 +535,8 @@ class Blockchain:
     # Whole-chain verification (tamper detection)
     # ------------------------------------------------------------------
     def verify(self, deep: bool = False) -> None:
-        """Re-verify every block and link; raises :class:`TamperDetected`.
+        """Re-verify every block and link; raises :class:`TamperDetected`
+        carrying the ``height`` of the first break.
 
         This is the auditor's operation: it detects any post-hoc mutation
         of a committed transaction or header, and reports *where* the
@@ -549,34 +550,24 @@ class Blockchain:
             if block.header.prev_hash != prev_hash:
                 raise TamperDetected(
                     f"chain broken at height {block.height}: prev-hash "
-                    "does not match preceding block"
-                )
+                    "does not match preceding block", height=block.height)
             try:
                 block.verify_structure(deep=deep)
             except InvalidBlock as exc:
-                raise TamperDetected(str(exc)) from exc
+                raise TamperDetected(str(exc), height=block.height) from exc
             prev_hash = (block.header.compute_block_hash() if deep
                          else block.header.block_hash)
 
     def is_intact(self, deep: bool = False) -> bool:
         """Boolean form of :meth:`verify`."""
-        try:
-            self.verify(deep=deep)
-        except TamperDetected:
-            return False
-        return True
+        return self.first_broken_height(deep=deep) is None
 
     def first_broken_height(self, deep: bool = False) -> int | None:
-        """Height of the first integrity violation, or ``None`` if intact."""
-        prev_hash = GENESIS_PREV_HASH
-        for block in self._store.iter_blocks():
-            if block.header.prev_hash != prev_hash:
-                return block.height
-            if block.recompute_merkle_root(deep=deep) != \
-                    block.header.merkle_root:
-                return block.height
-            prev_hash = (block.header.compute_block_hash() if deep
-                         else block.header.block_hash)
+        """Height at which :meth:`verify` fails, or ``None`` if intact."""
+        try:
+            self.verify(deep=deep)
+        except TamperDetected as exc:
+            return exc.height
         return None
 
     # ------------------------------------------------------------------

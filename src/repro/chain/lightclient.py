@@ -68,8 +68,8 @@ class LightClient:
                 )
             if header.prev_hash != self._head_hash:
                 raise TamperDetected(
-                    f"header {header.height} does not link to our head"
-                )
+                    f"header {header.height} does not link to our head",
+                    height=header.height)
         self._headers.append(header)
         self._head_hash = header.block_hash
 

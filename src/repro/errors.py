@@ -111,7 +111,12 @@ class ForkError(ChainError):
 
 
 class TamperDetected(ChainError):
-    """Integrity verification found a mutated block or record."""
+    """Integrity verification found a mutated block or record; ``height``
+    is the block where the chain breaks, when one is known."""
+
+    def __init__(self, message: str, *, height: int | None = None) -> None:
+        super().__init__(message)
+        self.height = height
 
 
 class ShardError(ChainError):

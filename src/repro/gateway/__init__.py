@@ -42,7 +42,7 @@ client → server       ``hello`` (proto + tenant), ``submit`` (a batch of
                       transaction mappings), ``ops``, ``ping``, ``bye``
 server → client       ``hello_ok``, streamed ``retry_after`` chunks +
                       one final ``report`` per submit, ``ops_ok``,
-                      ``pong``, ``error``, ``goodbye``
+                      ``pong``, ``error``, ``goodbye`` (to ``bye``)
 ====================  ===================================================
 
 :meth:`GatewayServer.serve <repro.gateway.server.GatewayServer.serve>`
@@ -90,11 +90,11 @@ shutdown, in contract order: (1) the acceptor closes — new connects are
 refused at the socket; (2) in-flight submits finish and their streamed
 reports flush, while later submits get ``error/"draining"`` frames;
 (3) the pipeline pumps and seals until queues and mempools are empty;
-(4) every surviving client receives ``goodbye`` and is closed.  A peer
-that disconnects mid-reply is counted — every unflushed frame lands on
-``gateway_frames_undeliverable_total`` (the same series
-:class:`~repro.network.simnet.SimNet` uses for replies racing an
-``unregister``) — and never aborts the accept loop.
+(4) every surviving client receives one more ``error/"draining"`` frame
+and is closed.  A peer that disconnects mid-reply is counted — every
+unflushed frame lands on ``gateway_frames_undeliverable_total`` (the
+same series :class:`~repro.network.simnet.SimNet` uses for replies
+racing an ``unregister``) — and never aborts the accept loop.
 """
 
 from .client import AsyncGatewayClient, GatewayClient, SubmitResult

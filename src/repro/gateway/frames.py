@@ -21,7 +21,7 @@ import struct
 
 from ..errors import GatewayError
 from ..persist.codec import transaction_embedded, transaction_from_mapping
-from ..rpc import OP_BYE, OP_GOODBYE, OP_OPS, decode_frame_payload
+from ..rpc import OP_OPS, decode_frame_payload
 from ..serialization import canonical_encode
 
 __all__ = [
@@ -52,11 +52,13 @@ _LEN = struct.Struct(">I")
 OP_HELLO = "hello"
 OP_SUBMIT = "submit"
 OP_PING = "ping"
+OP_BYE = "bye"
 # Server → client ops (``error`` and ``ops_ok`` are :mod:`repro.rpc`'s).
 OP_HELLO_OK = "hello_ok"
 OP_RETRY_AFTER = "retry_after"
 OP_REPORT = "report"
 OP_PONG = "pong"
+OP_GOODBYE = "goodbye"
 
 # Wire protocol version: a HELLO carrying a different major version is
 # refused with a structured error instead of mis-parsing frames.

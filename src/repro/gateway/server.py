@@ -28,7 +28,6 @@ from typing import Any
 from ..errors import GatewayError, ReproError
 from ..obs.runtime import telemetry as default_telemetry
 from ..rpc import Service, Session, ops_handler
-from ..serialization import canonical_encode
 from . import frames
 from .frames import (
     OP_BYE,
@@ -225,10 +224,10 @@ class GatewayServer:
         3. the pipeline is pumped and sealed until queues and mempools
            are empty (``drain_pipeline=False`` skips this for callers
            that own sealing);
-        4. every surviving connection gets a ``GOODBYE`` frame and is
-           closed.  Nothing submitted-and-acked is lost: it was either
-           sealed in step 3 or sits in the mempool of a facade the
-           caller keeps.
+        4. every surviving connection gets one ``error/"draining"``
+           frame and is closed.  Nothing submitted-and-acked is lost:
+           it was either sealed in step 3 or sits in the mempool of a
+           facade the caller keeps.
         """
         self._draining = True
         if self._server is not None:
@@ -244,8 +243,9 @@ class GatewayServer:
             await loop.run_in_executor(None, self._drain_pipeline_blocking)
         for conn in list(self._connections.values()):
             try:
-                await self._send_payloads(
-                    conn, [canonical_encode({"op": OP_GOODBYE})])
+                await self._send_payloads(conn, self.service.refusal(
+                    GatewayError("gateway drained the connection",
+                                 reason="draining")))
             except _ConnectionGone:
                 pass   # already counted undeliverable; just close
             await self._close_connection(conn)

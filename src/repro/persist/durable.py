@@ -78,7 +78,7 @@ from .codec import (
     encode_receipt,
     encode_record,
 )
-from .segment import CrashPoint, SegmentCodec, SegmentLog
+from .segment import CrashPoint, SegmentLog
 from .stores import BlockStore, RecordStore, StateSnapshotStore, Storage
 
 # Zero-padded height keys: key order is height order, and one range
@@ -171,7 +171,7 @@ class IndexedLog:
 
     def __init__(self, conn: sqlite3.Connection, directory: str, table: str,
                  key: str, extra: str, cache_size: int,
-                 max_segment_bytes: int, codec: SegmentCodec,
+                 max_segment_bytes: int,
                  drop_with: Callable[[sqlite3.Connection, int], None]
                  | None = None) -> None:
         self.conn = conn
@@ -185,8 +185,7 @@ class IndexedLog:
         self._repoint_sql = (f"UPDATE {table} SET segment = ?, offset = ?, "
                              f"length = ? WHERE {key} = ?")
         self._drop_with = drop_with
-        self._log_options = {"max_segment_bytes": max_segment_bytes,
-                             "codec": codec}
+        self._max_segment_bytes = max_segment_bytes
         self._cache: OrderedDict[int, Any] = OrderedDict()
         self._cache_size = cache_size
         # Compaction rewrites the log into the next generation directory
@@ -198,7 +197,7 @@ class IndexedLog:
         self.generation = int(_get_meta(conn, self._gen_key, 0))
         self._sweep_stale_dirs()
         self.log = SegmentLog(self._dir(self.generation),
-                              **self._log_options)
+                              max_segment_bytes)
         self.recovered = self._recover()
 
     def _dir(self, generation: int) -> str:
@@ -244,7 +243,8 @@ class IndexedLog:
                 return dropped
             key, segment, offset, length = row
             # Compare the on-disk frame length, not the decoded payload
-            # size: under a compressing codec the two differ.
+            # size: for a compressed frame an older writer left, the two
+            # differ.
             info = self.log.frame_info_at(segment, offset)
             if info is not None and info[1] == length:
                 self.log.truncate_to(segment, offset + length)
@@ -349,7 +349,7 @@ class IndexedLog:
             # A previous compaction attempt crashed mid-write in this
             # same process lifetime; its frames were never committed.
             shutil.rmtree(new_dir)
-        new_log = SegmentLog(new_dir, **self._log_options)
+        new_log = SegmentLog(new_dir, self._max_segment_bytes)
         if fail_after_bytes is not None:
             new_log.fail_after_bytes = fail_after_bytes
         locations = new_log.append_many(
@@ -706,15 +706,6 @@ class DurableRecordStore(RecordStore):
         for position in positions:
             yield position, self.get(position)
 
-    def location_of_id(self, record_id: str) -> int | None:
-        """sqlite-level record_id → position (survives restarts even
-        before the in-memory indexes are rebuilt)."""
-        row = self._conn.execute(
-            "SELECT position FROM records WHERE record_id = ?",
-            (record_id,),
-        ).fetchone()
-        return None if row is None else row[0]
-
 
 class DurableStateSnapshotStore(StateSnapshotStore):
     """The state image lives entirely in sqlite (namespace → keys),
@@ -774,8 +765,7 @@ class DurableStorage(Storage):
     module docstring for the commit discipline it enforces."""
 
     def __init__(self, directory: str | os.PathLike,
-                 max_segment_bytes: int = 4 * 1024 * 1024,
-                 codec: str | SegmentCodec = SegmentCodec.RAW) -> None:
+                 max_segment_bytes: int = 4 * 1024 * 1024) -> None:
         # Fork-safety contract (audited for the exec process pool):
         # exec workers *never* open durable state — they execute against
         # in-memory replicas and return deltas; only the parent commits.
@@ -792,8 +782,6 @@ class DurableStorage(Storage):
             )
         self.directory = os.fspath(directory)
         self._owner_pid = os.getpid()
-        self.codec = (codec if isinstance(codec, SegmentCodec)
-                      else SegmentCodec(codec))
         os.makedirs(self.directory, exist_ok=True)
         # check_same_thread=False: the parallel sealing round drives each
         # shard's storage from a worker thread (one worker per shard per
@@ -807,7 +795,7 @@ class DurableStorage(Storage):
         def open_log(table, key, extra, cache_size, drop_with=None):
             opened.append(IndexedLog(
                 self._conn, self.directory, table, key, extra, cache_size,
-                max_segment_bytes, self.codec, drop_with))
+                max_segment_bytes, drop_with))
             return opened[-1]
 
         # A failed open releases what it opened: the connection and every
@@ -1007,7 +995,7 @@ class DurableStorage(Storage):
         return {"archived": len(rows),
                 "boundary": self.blocks.archived_boundary()}
 
-    def tier(self, keep_tail: int = 64, compact_records: bool = True) -> dict:
+    def tier(self, keep_tail: int = 64) -> dict:
         """One tiering pass: archive cold blocks, then compact the logs
         so the hot tier is exactly the pruned profile — state image +
         hot block tail + live records.  Returns before/after hot-tier
@@ -1015,8 +1003,7 @@ class DurableStorage(Storage):
         self._check_owner()
         bytes_before = self.disk_usage()
         archived = self.archive_blocks(keep_tail=keep_tail)
-        compacted = self.compact(
-            which="both" if compact_records else "blocks")
+        compacted = self.compact()
         self.sync()
         stats = {
             "archived": archived,

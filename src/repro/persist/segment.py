@@ -5,19 +5,22 @@ A log is a directory of numbered segment files (``seg-00000000.log``,
 
     [4-byte LE payload length][payload][4-byte LE CRC-32 of payload]
 
-and addressed by ``(segment, offset)``.  Frames never span segments: when
-the current segment would exceed ``max_segment_bytes`` it is *sealed* —
-flushed, fsynced, closed — and a new segment starts.  ``sync()`` fsyncs
-the live segment on demand (the chain layer calls it at checkpoints).
+and addressed by ``(segment, offset)``.  Frames are always written raw;
+the reader also accepts the zlib-compressed frames an older writer could
+produce (see :data:`_FLAG_COMPRESSED`).  Frames never span segments:
+when the current segment would exceed ``max_segment_bytes`` it is
+*sealed* — flushed, fsynced, closed — and a new segment starts.
+``sync()`` fsyncs the live segment on demand (the chain layer calls it at
+checkpoints).
 
 Crash recovery contract: a frame is *valid* iff its length prefix fits in
 the file and the CRC matches.  A crash mid-write leaves a partial or
 garbled tail; :meth:`frame_at` reports it invalid and the index layer
 truncates back to the last entry it committed.  The ``fail_after_bytes``
-fault-injection hook makes that scenario reproducible in tests: the next
-append writes only a prefix of the frame and then raises
-:class:`CrashPoint`, exactly what ``kill -9`` mid-``write`` leaves
-behind.
+fault-injection hook makes that scenario reproducible in tests: it is a
+byte budget that counts down across writes, and the write that would
+exceed it lands only the budgeted prefix and raises :class:`CrashPoint`,
+exactly what ``kill -9`` mid-``write`` leaves behind.
 """
 
 from __future__ import annotations
@@ -69,48 +72,13 @@ FRAME_OVERHEAD = 8          # 4-byte length + 4-byte CRC
 _MAX_PAYLOAD = 1 << 28      # 256 MiB sanity bound on the length prefix
 
 # Bit 31 of the length word marks a zlib-compressed frame body.  The
-# sanity bound leaves bits 28..31 permanently clear in legacy frames, so
-# the flag is unambiguous — old logs read fine under new code and new
-# *uncompressed* frames read fine under old code.  Compression is a
-# per-frame property of the bytes on disk, not a log-level mode: a log
-# opened with ``codec="raw"`` still decodes compressed frames, so codec
-# choice never has to match across reopen.
+# sanity bound leaves bits 28..31 clear in every raw frame, so the flag
+# is unambiguous.  This build writes raw frames only, but a store written
+# with the former zlib write mode still holds flagged frames: the reader
+# keeps inflating them (CRC over the stored bytes, checked first), or the
+# recovery walk would take them for torn writes and truncate evidence.
 _FLAG_COMPRESSED = 0x8000_0000
 _LEN_MASK = 0x7FFF_FFFF
-
-
-class SegmentCodec:
-    """Frame-body codec: ``raw`` stores payloads verbatim; ``zlib``
-    deflates each payload and keeps the smaller of the two (so
-    incompressible payloads never grow).  The CRC always covers the
-    *stored* bytes — corruption is detected before any decompression."""
-
-    RAW = "raw"
-    ZLIB = "zlib"
-
-    def __init__(self, name: str = RAW, level: int = 6) -> None:
-        if name not in (self.RAW, self.ZLIB):
-            raise StorageError(f"unknown segment codec {name!r}")
-        self.name = name
-        self.level = level
-
-    def encode(self, payload: bytes) -> tuple[bytes, bool]:
-        """``(stored_bytes, compressed?)`` for one frame body."""
-        if self.name == self.ZLIB:
-            packed = zlib.compress(payload, self.level)
-            if len(packed) < len(payload):
-                return packed, True
-        return payload, False
-
-    @staticmethod
-    def decode(stored: bytes, compressed: bool) -> bytes | None:
-        """Inverse of :meth:`encode`; ``None`` on a garbled body."""
-        if not compressed:
-            return stored
-        try:
-            return zlib.decompress(stored)
-        except zlib.error:
-            return None
 
 
 class CrashPoint(StorageError):
@@ -138,17 +106,15 @@ class SegmentLog:
     """Append-only, CRC-framed, segment-rolled byte log."""
 
     def __init__(self, directory: str | os.PathLike,
-                 max_segment_bytes: int = 4 * 1024 * 1024,
-                 codec: str | SegmentCodec = SegmentCodec.RAW) -> None:
+                 max_segment_bytes: int = 4 * 1024 * 1024) -> None:
         if max_segment_bytes < FRAME_OVERHEAD + 1:
             raise StorageError("max_segment_bytes is too small to hold a frame")
         self.directory = os.fspath(directory)
         self.max_segment_bytes = max_segment_bytes
-        self.codec = (codec if isinstance(codec, SegmentCodec)
-                      else SegmentCodec(codec))
         os.makedirs(self.directory, exist_ok=True)
-        # Fault injection: when set, the next append writes only this many
-        # bytes of the frame, flushes, and raises CrashPoint.
+        # Fault injection: a byte budget counted down across writes; the
+        # write that would exceed it lands only the budgeted prefix,
+        # flushes, and raises CrashPoint.
         self.fail_after_bytes: int | None = None
         self.appends = 0
         self.segments_sealed = 0
@@ -218,40 +184,19 @@ class SegmentLog:
         self._current_size = 0
         self.segments_sealed += 1
 
-    def _frame(self, payload: bytes) -> bytes:
-        """Encode + frame one payload (codec applied, CRC over the
-        stored bytes)."""
+    @staticmethod
+    def _frame(payload: bytes) -> bytes:
+        """Frame one payload: length word, payload, CRC-32."""
         if len(payload) > _MAX_PAYLOAD:
             raise StorageError("payload exceeds the frame sanity bound")
-        stored, compressed = self.codec.encode(payload)
-        word = len(stored) | (_FLAG_COMPRESSED if compressed else 0)
-        return _LEN.pack(word) + stored + _LEN.pack(zlib.crc32(stored))
+        return _LEN.pack(len(payload)) + payload + _LEN.pack(
+            zlib.crc32(payload))
 
     def append(self, payload: bytes) -> LogLocation:
-        """Frame and append ``payload``; returns its address.
-
-        The frame is flushed to the OS before returning (readable by any
-        other handle); fsync happens at seal/sync/close time.
-        """
-        if self._current_size >= self.max_segment_bytes:
-            self._seal_current()
-        fh = self._open_for_append()
-        offset = self._current_size
-        frame = self._frame(payload)
-        if self.fail_after_bytes is not None:
-            cut = min(self.fail_after_bytes, len(frame))
-            self.fail_after_bytes = None
-            fh.write(frame[:cut])
-            fh.flush()
-            self._current_size += cut
-            raise CrashPoint(
-                f"injected crash after {cut}/{len(frame)} frame bytes"
-            )
-        fh.write(frame)
-        fh.flush()
-        self._current_size += len(frame)
-        self.appends += 1
-        return LogLocation(self._current, offset, len(frame))
+        """Frame and append ``payload``; returns its address.  A group of
+        one: flushed to the OS (readable by any other handle), with the
+        fsync deferred to the next group, seal, sync or close."""
+        return self.append_many([payload], fsync=False)[0]
 
     def append_many(self, payloads: Sequence[bytes],
                     fsync: bool = True) -> list[LogLocation]:
@@ -259,11 +204,9 @@ class SegmentLog:
         share as **one** buffered write, and (by default) fsync once at
         the end — the batch becomes the durability point.
 
-        Compared to a loop of :meth:`append` (one write + flush per
-        frame, durability deferred to the next checkpoint), a group of N
-        frames costs one write and one fsync per segment touched, and
-        the caller knows the whole group is on stable storage when the
-        call returns.  Frames still never span segments.
+        A group of N frames costs one write per segment touched, and
+        with ``fsync`` the caller knows the whole group is on stable
+        storage when the call returns.  Frames never span segments.
 
         The ``fail_after_bytes`` crash hook is honored across the
         *concatenated* group: the injected crash leaves a byte-exact
@@ -339,8 +282,8 @@ class SegmentLog:
         garbled, or absent (CRC checked before decompression).
 
         The on-disk length is what the index stores in its ``length``
-        column; with a compressing codec it differs from
-        ``len(payload) + FRAME_OVERHEAD``, so recovery must compare
+        column; for a compressed frame an older writer left it differs
+        from ``len(payload) + FRAME_OVERHEAD``, so recovery must compare
         against this, never against the decoded payload size.
         """
         if self._write_fh is not None:
@@ -353,7 +296,6 @@ class SegmentLog:
                 if len(head) != 4:
                     return None
                 (word,) = _LEN.unpack(head)
-                compressed = bool(word & _FLAG_COMPRESSED)
                 length = word & _LEN_MASK
                 if length > _MAX_PAYLOAD:
                     return None
@@ -363,11 +305,10 @@ class SegmentLog:
                 stored, crc_bytes = body[:length], body[length:]
                 if zlib.crc32(stored) != _LEN.unpack(crc_bytes)[0]:
                     return None
-                payload = SegmentCodec.decode(stored, compressed)
-                if payload is None:
-                    return None
-                return payload, FRAME_OVERHEAD + length
-        except OSError:
+                if word & _FLAG_COMPRESSED:
+                    stored = zlib.decompress(stored)
+                return stored, FRAME_OVERHEAD + length
+        except (OSError, zlib.error):
             return None
 
     def frame_at(self, segment: int, offset: int) -> bytes | None:

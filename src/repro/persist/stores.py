@@ -237,8 +237,7 @@ class Storage(MetaStore):
     #: so a checkpoint copies nothing).
     state: StateSnapshotStore | None
 
-    def tier(self, keep_tail: int = 64,
-             compact_records: bool = True) -> dict:
+    def tier(self, keep_tail: int = 64) -> dict:
         """Move cold blocks to the bundle's cold tier and drop dead log
         weight; returns the pass's stats (nothing to move: ``{}``)."""
         return {}
@@ -353,10 +352,6 @@ class MemoryBlockStore(BlockStore):
             for pos, tx in enumerate(block.transactions)
         }
 
-    def replace_at(self, height: int, block: Block) -> None:
-        """Raw item assignment (tamper benches corrupt mid-chain blocks)."""
-        self._blocks[height] = block
-
 
 class MemoryRecordStore(RecordStore):
     """Records in a list — RAM only."""
@@ -415,9 +410,8 @@ class BlockSequenceView(Sequence):
 
     Supports the access patterns the rest of the library (and its tests
     and benches) use on the former ``Blockchain.blocks`` list: indexing
-    with negative indices, slicing, ``len``, iteration.  Item assignment
-    is forwarded to the memory backend's tamper hook so the Figure-2
-    corruption benches keep working; durable stores refuse it.
+    with negative indices, slicing, ``len``, iteration.  Tamper
+    simulation replaces the whole list (``chain.blocks = [...]``).
     """
 
     def __init__(self, store: BlockStore) -> None:
@@ -439,13 +433,3 @@ class BlockSequenceView(Sequence):
         if not 0 <= index < n:
             raise IndexError("block index out of range")
         return self._store.block_at(index)
-
-    def __setitem__(self, index: int, block: Block) -> None:
-        if not isinstance(self._store, MemoryBlockStore):
-            raise StorageError(
-                "direct block assignment is a tamper-simulation hook; "
-                "durable stores only mutate via append/truncate"
-            )
-        if index < 0:
-            index += len(self._store)
-        self._store.replace_at(index, block)

@@ -43,8 +43,6 @@ from .serialization import canonical_encode
 OP_ERROR = "error"
 OP_OPS = "ops"
 OP_OPS_OK = "ops_ok"
-OP_BYE = "bye"
-OP_GOODBYE = "goodbye"
 
 Handler = Callable[[dict, "Session"], Iterable[dict]]
 
@@ -168,10 +166,6 @@ class Call:
                 raise GatewayError(
                     str(body.get("message", "peer error")),
                     reason=str(body.get("reason", "peer_error")))
-            if body["op"] == OP_GOODBYE and self.op != OP_BYE:
-                raise GatewayError(
-                    "server drained the connection before answering",
-                    reason="draining")
         except GatewayError as exc:
             self._error = exc
             self.done = True

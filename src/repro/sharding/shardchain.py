@@ -581,8 +581,7 @@ class ShardedChain:
             shard.checkpoint()
         self.beacon.checkpoint()
 
-    def tier_storage(self, keep_tail: int = 256,
-                     compact_records: bool = True) -> dict[int, dict]:
+    def tier_storage(self, keep_tail: int = 256) -> dict[int, dict]:
         """Tier every shard store: archive cold blocks into the store's
         cold log and compact the segment logs (see
         :meth:`~repro.persist.durable.DurableStorage.tier`).  The hot
@@ -594,9 +593,7 @@ class ShardedChain:
             floor = shard.chain.params.reorg_journal_depth + 1
             shard.checkpoint()
             stats[shard.shard_id] = shard.storage.tier(
-                keep_tail=max(keep_tail, floor),
-                compact_records=compact_records,
-            )
+                keep_tail=max(keep_tail, floor))
         return stats
 
     def close(self) -> None:

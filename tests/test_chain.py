@@ -136,11 +136,20 @@ class TestAppendAndExecute:
 
 
 class TestTamperDetection:
-    """The Figure-2 scenario: any mutation breaks the chain downstream."""
+    """The Figure-2 scenario: any mutation breaks the chain downstream.
+    ``verify``, ``is_intact`` and ``first_broken_height`` are one walk, so
+    every case asserts all three agree on where the chain breaks."""
 
     def _grow(self, chain, blocks=5):
         for i in range(blocks):
             chain.append_block(chain.build_block([data_tx(i)]))
+
+    def _assert_broken_at(self, chain, height):
+        assert not chain.is_intact()
+        assert chain.first_broken_height() == height
+        with pytest.raises(TamperDetected) as exc:
+            chain.verify()
+        assert exc.value.height == height
 
     def test_intact_chain_verifies(self, chain):
         self._grow(chain)
@@ -151,21 +160,31 @@ class TestTamperDetection:
     def test_mutated_tx_detected_at_its_height(self, chain):
         self._grow(chain)
         chain.blocks[3].transactions[0].payload = {"key": "evil", "value": 1}
-        assert not chain.is_intact()
-        assert chain.first_broken_height() == 3
+        self._assert_broken_at(chain, 3)
 
     def test_mutated_header_breaks_next_link(self, chain):
         self._grow(chain)
         chain.blocks[2].header.timestamp = 999_999
         # Block 2's hash changed, so block 3 no longer links to it.
-        assert chain.first_broken_height() == 3
-        with pytest.raises(TamperDetected):
-            chain.verify()
+        self._assert_broken_at(chain, 3)
 
     def test_swapped_blocks_detected(self, chain):
         self._grow(chain)
-        chain.blocks[2], chain.blocks[3] = chain.blocks[3], chain.blocks[2]
-        assert not chain.is_intact()
+        blocks = list(chain.blocks)
+        blocks[2], blocks[3] = blocks[3], blocks[2]
+        chain.blocks = blocks
+        # Position 2 now holds block 3, whose prev-hash names block 2.
+        self._assert_broken_at(chain, 3)
+
+    def test_relinked_header_detected_at_its_height(self, chain):
+        self._grow(chain)
+        chain.blocks[4].header.prev_hash = bytes(32)
+        self._assert_broken_at(chain, 4)
+
+    def test_blocks_view_is_read_only(self, chain):
+        self._grow(chain, 2)
+        with pytest.raises(TypeError):
+            chain.blocks[1] = chain.blocks[2]
 
 
 class TestReorg:

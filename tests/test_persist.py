@@ -891,8 +891,10 @@ class TestDurableDatabase:
         storage2 = DurableStorage(tmp_path)
         db2 = ProvenanceDatabase(store=storage2.records)
         assert db2.get("r1")["anchor_id"] == "anchor-007"
-        # sqlite-level record_id → position index survives too.
-        assert storage2.records.location_of_id("r1") == 0
+        # The sqlite record_id → position column survives too.
+        assert storage2._conn.execute(
+            "SELECT position FROM records WHERE record_id = 'r1'"
+        ).fetchone() == (0,)
         storage2.close()
 
     def test_memory_store_blocks_setter_guard(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Storage tiering: compaction swap, cold-block archival, compression.
+"""Storage tiering: compaction swap, cold-block archival, and the
+compressed frames a store written by the former zlib write mode holds.
 
 Crash discipline under test: the generation swap *is* one sqlite
 transaction, so a kill at any byte of the rewrite — or right after the
@@ -8,13 +9,17 @@ the hot rows, so a kill at any byte of it leaves orphan cold frames the
 cold log's recovery walk truncates, and a kill after its commit leaves
 hot dead weight the next compaction drops.  A tiered (pruned) deployment
 must still reopen with zero replay, serve verified queries for archived
-heights, and serve snapshot-sync offers.
+heights, and serve snapshot-sync offers.  Frames are written raw only,
+but the reader still inflates flagged frames: such a store reopens and
+verifies, and a damaged compressed frame is dropped like any torn write.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import struct
+import zlib
 
 import pytest
 
@@ -23,7 +28,7 @@ from repro.errors import SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
 from repro.obs.runtime import telemetry
 from repro.persist import DurableStorage, ProvenanceDatabase
-from repro.persist.segment import CrashPoint, SegmentCodec
+from repro.persist.segment import CrashPoint, SegmentLog
 from repro.sharding import ShardedChain
 from repro.sync import SnapshotServer
 
@@ -59,13 +64,12 @@ def fork_suffix(chain: Blockchain, fork_height: int, length: int) -> list:
     return suffix
 
 
-def build_store(directory: str, codec: str = "raw",
-                with_reorg: bool = True) -> dict:
+def build_store(directory: str, with_reorg: bool = True) -> dict:
     """A durable chain whose log carries dead weight: a reorg's orphaned
     frames plus the pre-reorg suffix rewrites — what compaction exists
     to reclaim.  Returns the commitments reopen must reproduce."""
     params = ChainParams(chain_id="tier", reorg_journal_depth=4)
-    storage = DurableStorage(directory, codec=codec)
+    storage = DurableStorage(directory)
     chain = Blockchain(params, store=storage.blocks,
                        snapshot_store=storage.state)
     grow(chain, 18)
@@ -82,9 +86,8 @@ def build_store(directory: str, codec: str = "raw",
     return out
 
 
-def reopen_and_verify(directory: str, expect: dict,
-                      codec: str = "raw") -> None:
-    storage = DurableStorage(directory, codec=codec)
+def reopen_and_verify(directory: str, expect: dict) -> None:
+    storage = DurableStorage(directory)
     chain = Blockchain(ChainParams(chain_id="tier",
                                    reorg_journal_depth=4),
                        store=storage.blocks,
@@ -461,66 +464,119 @@ class TestPrunedDeployment:
         tiered.close()
 
 
-class TestCompressedCodec:
-    def test_zlib_round_trip_and_zero_replay_reopen(self, tmp_path):
-        expect = build_store(str(tmp_path / "store"), codec="zlib")
-        reopen_and_verify(str(tmp_path / "store"), expect, codec="zlib")
-        # Per-frame flags, not store-wide state: a reopen with the raw
-        # write codec still reads every zlib frame.
-        reopen_and_verify(str(tmp_path / "store"), expect, codec="raw")
+_FLAG_COMPRESSED = 0x8000_0000
 
-    def test_zlib_shrinks_compressible_frames(self, tmp_path):
-        raw = build_store(str(tmp_path / "raw"), codec="raw",
-                          with_reorg=False)
-        zlib_ = build_store(str(tmp_path / "zlib"), codec="zlib",
-                            with_reorg=False)
-        assert raw["head"] == zlib_["head"]  # codec is a frame detail
-        def log_bytes(directory: str) -> int:
-            log_dir = os.path.join(directory, "blocks-log")
-            return sum(
-                os.path.getsize(os.path.join(log_dir, name))
-                for name in os.listdir(log_dir)
-            )
 
-        # Compare the frame logs themselves; the sqlite index (same
-        # row count either way) would drown the signal at this size.
-        assert log_bytes(str(tmp_path / "zlib")) < \
-            log_bytes(str(tmp_path / "raw"))
+def zlib_frame(payload: bytes) -> bytes:
+    """A frame as the former ``codec="zlib"`` writer laid it down: the
+    length word flagged in bit 31, the deflated body, the CRC-32 of the
+    stored (deflated) bytes."""
+    stored = zlib.compress(payload, 6)
+    assert len(stored) < len(payload)
+    return (struct.pack("<I", len(stored) | _FLAG_COMPRESSED) + stored
+            + struct.pack("<I", zlib.crc32(stored)))
 
-    def test_crash_recovery_under_compression(self, tmp_path):
-        storage = DurableStorage(str(tmp_path / "store"), codec="zlib")
-        chain = Blockchain(ChainParams(chain_id="tier",
-                                       reorg_journal_depth=4),
-                           store=storage.blocks,
-                           snapshot_store=storage.state)
-        grow(chain, 6)
-        head = chain.head.block_hash
-        storage.block_log.fail_after_bytes = 5
-        with pytest.raises(CrashPoint):
-            grow(chain, 1)
+
+def open_chain(directory: str) -> tuple[DurableStorage, Blockchain]:
+    storage = DurableStorage(directory)
+    return storage, Blockchain(ChainParams(chain_id="tier",
+                                           reorg_journal_depth=4),
+                               store=storage.blocks,
+                               snapshot_store=storage.state)
+
+
+def frame_of(storage: DurableStorage, height: int) -> tuple[str, int, int]:
+    """``(segment file, offset, length)`` of a hot block's frame."""
+    segment, offset, length = storage._conn.execute(
+        "SELECT segment, offset, length FROM blocks WHERE height = ?",
+        (height,)).fetchone()
+    return (os.path.join(storage.block_log.directory,
+                         f"seg-{segment:08d}.log"), offset, length)
+
+
+def is_compressed(storage: DurableStorage, height: int) -> bool:
+    path, offset, _ = frame_of(storage, height)
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        (word,) = struct.unpack("<I", fh.read(4))
+    return bool(word & _FLAG_COMPRESSED)
+
+
+class TestCompressedFramesStillRead:
+    """Heights 1..4 framed raw, 5..7 framed by the former zlib writer."""
+
+    RAW, ZLIB = range(1, 5), range(5, 8)
+
+    @pytest.fixture
+    def legacy(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "store")
+        storage, chain = open_chain(directory)
+        grow(chain, len(self.RAW))
+        monkeypatch.setattr(SegmentLog, "_frame", staticmethod(zlib_frame))
+        grow(chain, len(self.ZLIB))
+        monkeypatch.undo()
+        chain.checkpoint()
+        expect = {"height": chain.height, "head": chain.head.block_hash,
+                  "root": chain.state.state_root()}
+        assert [is_compressed(storage, h) for h in (*self.RAW, *self.ZLIB)
+                ] == [False] * 4 + [True] * 3
+        chain.close()
+        return directory, expect
+
+    def test_store_reopens_and_verifies_deep(self, legacy):
+        directory, expect = legacy
+        reopen_and_verify(directory, expect)
+        storage = DurableStorage(directory)
+        assert storage.recovered_blocks == 0
         storage.close()
 
-        storage2 = DurableStorage(str(tmp_path / "store"), codec="zlib")
-        reopened = Blockchain(ChainParams(chain_id="tier",
-                                          reorg_journal_depth=4),
-                              store=storage2.blocks,
-                              snapshot_store=storage2.state)
-        assert reopened.height == 6
-        assert reopened.head.block_hash == head
-        reopened.verify(deep=True)
-        storage2.close()
+    def test_next_append_is_raw(self, legacy):
+        directory, expect = legacy
+        storage, chain = open_chain(directory)
+        grow(chain, 1)
+        assert not is_compressed(storage, expect["height"] + 1)
+        assert all(is_compressed(storage, h) for h in self.ZLIB)
+        chain.close()
+        storage, chain = open_chain(directory)
+        assert chain.height == expect["height"] + 1
+        chain.verify(deep=True)
+        chain.close()
 
-    def test_compaction_under_compression(self, tmp_path):
-        expect = build_store(str(tmp_path / "store"), codec="zlib")
-        storage = DurableStorage(str(tmp_path / "store"), codec="zlib")
-        assert storage.archive_blocks(keep_tail=6)["archived"] > 0
-        stats = storage.compact(which="blocks")["blocks"]
-        assert stats["bytes_after"] < stats["bytes_before"]
+    @pytest.mark.parametrize("damage", ["crc", "deflate"])
+    def test_damaged_compressed_tail_is_dropped(self, legacy, damage):
+        directory, expect = legacy
+        storage = DurableStorage(directory)
+        path, offset, length = frame_of(storage, expect["height"])
         storage.close()
-        reopen_and_verify(str(tmp_path / "store"), expect, codec="zlib")
+        with open(path, "rb+") as fh:
+            fh.seek(offset + 4)
+            body = fh.read(length - 8)
+            if damage == "crc":
+                # A flipped body byte: the CRC, checked before inflating,
+                # no longer matches.
+                fh.seek(offset + 4)
+                fh.write(bytes([body[0] ^ 0xFF]))
+            else:
+                # A CRC-valid body that is not a deflate stream.
+                fh.seek(offset + 4)
+                garbage = b"\x00" * len(body)
+                fh.write(garbage + struct.pack("<I", zlib.crc32(garbage)))
 
-    def test_codec_rejects_unknown_name(self, tmp_path):
-        from repro.errors import StorageError
+        storage, chain = open_chain(directory)
+        assert storage.recovered_blocks == 1
+        assert chain.height == expect["height"] - 1
+        # The log is cut at the dropped frame: nothing after it is kept.
+        assert os.path.getsize(path) == offset
+        chain.verify(deep=True)
+        grow(chain, 1)
+        assert not is_compressed(storage, expect["height"])
+        chain.close()
 
-        with pytest.raises(StorageError):
-            SegmentCodec("lz77")
+    def test_compaction_rewrites_compressed_frames_raw(self, legacy):
+        directory, expect = legacy
+        storage = DurableStorage(directory)
+        storage.compact(which="blocks")
+        assert not any(is_compressed(storage, h)
+                       for h in (*self.RAW, *self.ZLIB))
+        storage.close()
+        reopen_and_verify(directory, expect)
