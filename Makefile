@@ -200,6 +200,11 @@ setup-split:
 # Nor may a transaction's receipt get a second row again: no SQL names
 # the old receipts table outside the one step that folds it into txs.
 # Nor may a job frame carry a secret: exec/ never reads the key registry.
+# Nor may the facade grow back the settings nobody set: no seal-width,
+# retry-floor or probe-period keyword or attribute outside the frozen e2e
+# benchmark (a test may still name one as a string, to see it refused),
+# and no "auto" engine under sharding/ — rounds seal inline unless a
+# caller names an engine.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -252,6 +257,10 @@ lint-private:
 	    /(FROM|INTO|TABLE|JOIN|ON|UPDATE) +receipts([^_[:alnum:]]|$$)/ \
 	    && f !~ /def _upgrade_receipts\(/ {print FILENAME ": " $$0}')"
 	@! grep -rnE 'key_material|_KEY_REGISTRY' src/repro/exec --include='*.py'
+	@! grep -rnE '(\.|\b)(seal_workers|retry_floor_s|quarantine_probe_every) *[=:]|\.(seal_workers|retry_floor_s|quarantine_probe_every)\b' \
+	    src tests examples tools benchmarks --include='*.py' \
+	    | grep -v '^benchmarks/e2e/'
+	@! grep -rn '"auto"' src/repro/sharding --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

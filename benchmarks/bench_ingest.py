@@ -13,8 +13,9 @@ provenance record + one capture transaction):
   bounded per-shard queues (submit is O(1)), group-commits records
   (one log write + one fsync + one index transaction per shard per
   burst), batch-admits into mempools, and seals multiple blocks per
-  shard per round through the chain's group-commit surface with the
-  shards sealing on a thread pool.  ``sustained_speedup`` is asserted
+  shard per round through the chain's group-commit surface (the
+  deployment's default engine, recorded as ``pipeline.engine`` in the
+  results).  ``sustained_speedup`` is asserted
   ``>= 2.0`` in full mode.
 * **submit latency** — p50/p99 of what the capture source waits per
   event: the full synchronous ingest call vs the pipeline's enqueue.
@@ -86,7 +87,6 @@ def bench_synchronous(events, burst: int, store_dir: str) -> dict:
     sharded = ShardedChain(
         n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS,
         anchor_batch_size=ANCHOR_BATCH, storage_dir=store_dir,
-        seal_workers=1,
     )
     gc.collect()
     latencies = []
@@ -116,7 +116,7 @@ def bench_synchronous(events, burst: int, store_dir: str) -> dict:
 
 def bench_pipelined(events, burst: int, store_dir: str) -> dict:
     """ISSUE 4 path: queued submission, group-committed records and
-    blocks, thread-pool sealing."""
+    blocks, multi-block rounds."""
     sharded = ShardedChain(
         n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS,
         anchor_batch_size=ANCHOR_BATCH, storage_dir=store_dir,
@@ -155,7 +155,7 @@ def bench_pipelined(events, burst: int, store_dir: str) -> dict:
             "admitted": stats.admitted,
             "rejected": stats.rejected,
             "rounds_sealed": stats.rounds_sealed,
-            "seal_workers": N_SHARDS,
+            "engine": sharded.engine.name,
         },
     }
 
@@ -346,7 +346,7 @@ def main() -> None:
             "+ one index txn per sealed block; pipelined = bounded "
             "per-shard queues, group-committed records and blocks "
             "(one buffered log write + one fsync + one sqlite txn per "
-            "group), thread-pool sealing"
+            "group), multi-block rounds"
         ),
         "config": {
             "n_events": n_events, "burst": burst, "n_shards": N_SHARDS,

@@ -69,7 +69,7 @@ A beacon leaf commits ``(shard, height, block_hash[, state_root])``:
   (:meth:`~repro.chain.blockchain.Blockchain.apply_executed_blocks`),
   so a diverging worker can never anchor state the parent did not
   reproduce.
-* **Merge order is shard order** — exactly as the thread pool does:
+* **Merge order is shard order** — exactly as in the in-process engine:
   results are committed as workers finish, but round entries are
   collected per shard and concatenated in shard order before the beacon
   anchor, so the round tree is independent of completion order.

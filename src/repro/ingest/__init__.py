@@ -56,10 +56,9 @@ log+index boundary exactly as for single appends.  Record ingest group-
 commits the same way through
 :meth:`~repro.persist.durable.DurableRecordStore.append_many`.
 
-Shards seal concurrently via the facade's thread pool (sqlite3, fsync,
-and large hashes release the GIL), so wall-clock round time approaches
-the slowest shard rather than the sum — see
-:meth:`~repro.sharding.shardchain.ShardedChain.seal_round`.
+Shards seal one after another inside the round, in shard order (a
+thread pool measured slower: the shards' GIL holds serialise anyway) —
+see :meth:`~repro.sharding.shardchain.ShardedChain.seal_round`.
 """
 
 from .pipeline import IngestPipeline, IngestStats, QueueStats

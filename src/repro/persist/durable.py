@@ -769,9 +769,10 @@ class DurableStorage(Storage):
         self.directory = os.fspath(directory)
         self._owner_pid = os.getpid()
         os.makedirs(self.directory, exist_ok=True)
-        # check_same_thread=False: the parallel sealing round drives each
-        # shard's storage from a worker thread (one worker per shard per
-        # round, never two threads on one connection concurrently).
+        # check_same_thread=False: the gateway's off-loop sealer and the
+        # named thread engine drive a store from a thread other than the
+        # one that opened it (never two threads on one connection at
+        # once).
         self._conn = sqlite3.connect(
             os.path.join(self.directory, "index.db"),
             check_same_thread=False,

@@ -49,9 +49,10 @@ Layout: ``shardchain.py`` — the facade is *wiring* (routing,
 checkpointing, the ``seal_round`` skeleton with its one failure loop).
 ``locks.py`` — :class:`LockTable`, the whole lock policy, called
 directly as ``sharded.locks``.  ``engines.py`` / :mod:`repro.exec.engine`
-— *where* a shard's round runs: the engine chosen at construction
-returns, per shard, ``(ShardSealStats, entries, height)`` or the
-exception — never a failure decision.
+— *where* a shard's round runs: inline (``serial``) unless the caller
+names ``thread`` or ``process`` at construction; the engine returns, per
+shard, ``(ShardSealStats, entries, height)`` or the exception — never a
+failure decision.
 """
 
 from .beacon import (

@@ -12,7 +12,12 @@ runs the selected shards' work.  The contract, for every engine:
 * decide nothing about failures — that is ``seal_round``'s single loop.
 
 Implementations: :class:`InProcessEngine` (``serial`` / ``thread``) and
-:class:`~repro.exec.engine.ProcessRoundEngine` (``process``).
+:class:`~repro.exec.engine.ProcessRoundEngine` (``process``).  Rounds seal
+inline (``serial``) unless a caller names another engine.  The thread
+engine has never beaten serial: its shards' fsync and sqlite calls do not
+overlap into a gain, and while they run they wait on each other's GIL
+holds.  It stays only because the end-to-end benchmark's engine probe
+names it.
 """
 
 from __future__ import annotations
@@ -60,9 +65,10 @@ def round_trace_ctx(tracer, blocks: list[Block]):
 
 
 class InProcessEngine:
-    """Seal in this process: inline at width 1, above that on a thread
-    pool (created on first use) overlapping per-shard fsync/sqlite I/O —
-    GIL released there, so it is sized to shards, not cores."""
+    """Seal in this process: inline at width 1 (``serial``, the
+    default), above that on a thread pool created on first use
+    (``thread``, one worker per shard, kept only for the end-to-end
+    benchmark's engine probe)."""
 
     pool = None
 

@@ -46,6 +46,9 @@ from .engines import InProcessEngine, RoundEngine, ShardResult
 from .locks import LockTable
 from .router import ShardRouter, namespace_of
 
+#: A quarantined shard is probed (sealed again) every this many rounds.
+QUARANTINE_PROBE_EVERY = 2
+
 
 def _recover_proof_state(storage, kind: str, load) -> None:
     """Reopen one store's proof state — ``load()`` (returns ``(rows
@@ -344,27 +347,18 @@ class ShardedChain:
         anchor_batch_size: int = 64,
         storage_dir: str | None = None,
         checkpoint_every_rounds: int = 0,
-        seal_workers: int | None = None,
-        executor: str = "auto",
+        executor: str = "serial",
         exec_workers: int | None = None,
         contract_runtime_factory=None,
         telemetry=None,
         lock_lease_rounds: int = 16,
         quarantine_after: int = 0,
-        quarantine_probe_every: int = 2,
-        retry_floor_s: float = RETRY_AFTER_FLOOR_S,
     ) -> None:
         if n_shards < 1:
             raise ShardError("need at least one shard")
-        if retry_floor_s <= 0.0:
-            raise ShardError("retry_floor_s must be > 0")
         if quarantine_after < 0:
             raise ShardError("quarantine_after must be >= 0")
-        if quarantine_probe_every < 1:
-            raise ShardError("quarantine_probe_every must be >= 1")
-        if seal_workers is not None and seal_workers < 1:
-            raise ShardError("seal_workers must be >= 1")
-        if executor not in ("auto", "serial", "thread", "process"):
+        if executor not in ("serial", "thread", "process"):
             raise ShardError(f"unknown executor mode {executor!r}")
         if exec_workers is not None and exec_workers < 1:
             raise ShardError("exec_workers must be >= 1")
@@ -431,27 +425,15 @@ class ShardedChain:
         # failures per shard, and the quarantine roster with per-shard
         # rounds-skipped counters driving periodic re-admission probes.
         self.quarantine_after = quarantine_after
-        self.quarantine_probe_every = quarantine_probe_every
         self._seal_fail_streak: dict[int, int] = {}
         self._quarantined: dict[int, int] = {}
         self._coordinators: list[Any] = []
         self._replica_seq = 0
-        # Thread-pool sealing: None = auto (parallel iff the deployment
-        # is durable, where per-shard fsync/sqlite I/O releases the GIL
-        # and overlaps even on one core; a GIL-bound in-memory deployment
-        # gains nothing from threads).  Sized to shards, not cores — the
-        # waits being overlapped are I/O, not compute.  An explicit int
-        # forces that many workers (1 = serial).
-        if seal_workers is None:
-            seal_workers = (min(n_shards, 8)
-                            if storage_dir is not None else 1)
-        self.seal_workers = seal_workers
         self.executor = executor
         # EWMA of recent round wall time; feeds retry-after estimates.
-        # retry_floor_s both seeds the estimate before the first seal
-        # and clamps every advertised retry-after (hot-loop guard).
+        # RETRY_AFTER_FLOOR_S both seeds the estimate before the first
+        # seal and clamps every advertised retry-after (hot-loop guard).
         self._round_pace_s = 0.0
-        self.retry_floor_s = retry_floor_s
         # Telemetry (ISSUE 7): spans per shard round / beacon commit,
         # latency histograms on the per-round paths (cheap there — one
         # observe per shard per round), and a collector publishing the
@@ -473,8 +455,8 @@ class ShardedChain:
         self._m_seal_failures = registry.counter("shard_seal_failures_total")
         registry.register_collector(self._collect_metrics)
         self._last_round: RoundReport | None = None
-        # "auto" seals on the thread pool when seal_workers > 1, inline
-        # otherwise.  Engines start threads/processes on first use.
+        # Rounds seal inline unless the caller names an engine; engines
+        # start threads/processes on first use.
         self.engine: RoundEngine
         if executor == "process":
             from ..exec.engine import ProcessRoundEngine
@@ -486,7 +468,7 @@ class ShardedChain:
             )
         else:
             self.engine = InProcessEngine(
-                1 if executor == "serial" else seal_workers, self.telemetry
+                n_shards if executor == "thread" else 1, self.telemetry
             )
 
     def _adopt_beacon_rounds(self) -> None:
@@ -698,16 +680,16 @@ class ShardedChain:
         into wall time.
 
         Before the first seal the EWMA has no sample; the estimate is
-        seeded with ``retry_floor_s`` per round instead of advertising
-        0.0 — a remote client honoring a zero retry-after verbatim would
-        hot-loop the gateway.  The final value is clamped to the same
-        floor.
+        seeded with ``RETRY_AFTER_FLOOR_S`` per round instead of
+        advertising 0.0 — a remote client honoring a zero retry-after
+        verbatim would hot-loop the gateway.  The final value is clamped
+        to the same floor.
         """
         per_round = max(1, self.shards[shard_id].chain.params.max_block_txs)
         over = depth - high_watermark + 1
         rounds = max(1, math.ceil(over / per_round))
         pace = self._round_pace_s if self._round_pace_s > 0.0 \
-            else self.retry_floor_s
+            else RETRY_AFTER_FLOOR_S
         return QueueFull(
             f"shard {shard_id} {source} full "
             f"({depth}/{capacity}); retry in ~{rounds} round(s)",
@@ -717,7 +699,7 @@ class ShardedChain:
             high_watermark=high_watermark,
             retry_after_rounds=rounds,
             retry_after_s=rounds * pace,
-            min_retry_after_s=self.retry_floor_s,
+            min_retry_after_s=RETRY_AFTER_FLOOR_S,
         )
 
     def submit_many(self, txs: Iterable[Transaction]) -> SubmitReport:
@@ -917,7 +899,7 @@ class ShardedChain:
                 shard for shard in selected
                 if shard.shard_id not in self._quarantined
                 or (self.rounds_sealed - self._quarantined[shard.shard_id])
-                % self.quarantine_probe_every == 0
+                % QUARANTINE_PROBE_EVERY == 0
             ]
         ts = self.rounds_sealed if timestamp is None else timestamp
         round_t0 = time.perf_counter()

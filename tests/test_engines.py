@@ -62,7 +62,7 @@ def run_cell(executor: str, quarantine_after: int, work_dir,
     sc = ShardedChain(
         N_SHARDS, storage_dir=str(work_dir / "store"), executor=executor,
         exec_workers=2, quarantine_after=quarantine_after,
-        quarantine_probe_every=2, telemetry=telemetry,
+        telemetry=telemetry,
     )
     counter = telemetry.registry.counter
     victim = sc.shard(VICTIM)

@@ -12,6 +12,8 @@ recover to a consistent log + index.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,8 +158,6 @@ class TestQueueBackpressure:
             IngestPipeline(sharded, high_watermark=0.0)
         with pytest.raises(ShardError):
             IngestPipeline(sharded, max_blocks_per_round=0)
-        with pytest.raises(ShardError):
-            ShardedChain(n_shards=1, seal_workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ class TestPumpAndSealing:
             serial.seal_round()
 
         threaded = ShardedChain(n_shards=4, max_block_txs=16,
-                                seal_workers=4, executor="thread")
+                                executor="thread")
         threaded.submit_many(txs)
         while threaded.mempool_backlog:
             threaded.seal_round()
@@ -431,13 +431,28 @@ class TestPumpAndSealing:
             serial.beacon.chain.head.block_hash
         threaded.verify_all(deep=True)
 
-    def test_durable_deployment_defaults_to_pool(self, tmp_path):
-        durable = ShardedChain(n_shards=4,
-                               storage_dir=str(tmp_path / "auto"))
-        assert durable.seal_workers == 4
-        durable.close()
+    def test_deployments_seal_inline_by_default(self, tmp_path):
         memory = ShardedChain(n_shards=4)
-        assert memory.seal_workers == 1
+        assert memory.engine.name == "serial"
+        durable = ShardedChain(n_shards=4,
+                               storage_dir=str(tmp_path / "store"))
+        assert durable.engine.name == "serial"
+        durable.submit_many([data_tx(i, tenant=f"t{i % 9}")
+                             for i in range(40)])
+        before = set(threading.enumerate())
+        report = durable.seal_round()
+        assert len(report.per_shard) > 1
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name.startswith("shard-seal")]
+        durable.close()
+
+    def test_only_named_engines_and_settings_are_accepted(self):
+        with pytest.raises(ShardError):
+            ShardedChain(n_shards=2, executor="auto")
+        for removed in ({"seal_workers": 2}, {"retry_floor_s": 0.25},
+                        {"quarantine_probe_every": 2}):
+            with pytest.raises(TypeError):
+                ShardedChain(n_shards=2, **removed)
 
     def test_multi_block_rounds_drain_deep_backlogs(self):
         sharded = ShardedChain(n_shards=2, max_block_txs=8)
@@ -745,16 +760,6 @@ class TestRoundPaceEwma:
         assert signal.retry_after_s == pytest.approx(
             signal.retry_after_rounds * RETRY_AFTER_FLOOR_S)
 
-    def test_retry_floor_is_configurable(self):
-        sharded = ShardedChain(n_shards=1, max_block_txs=8,
-                               retry_floor_s=0.25)
-        signal = sharded.backpressure_signal(0, depth=20, capacity=20,
-                                             high_watermark=10)
-        assert signal.retry_after_s == pytest.approx(
-            signal.retry_after_rounds * 0.25)
-        with pytest.raises(ShardError):
-            ShardedChain(n_shards=1, retry_floor_s=0.0)
-
     def test_first_round_seeds_the_estimate(self):
         sharded = ShardedChain(n_shards=1, max_block_txs=8)
         sharded.submit_many([data_tx(i) for i in range(8)])
@@ -804,7 +809,7 @@ class TestRoundPaceEwma:
 class TestParallelSealFailure:
     def test_failed_shard_retries_and_survivors_still_anchor(self):
         sharded = ShardedChain(n_shards=3, max_block_txs=8,
-                               seal_workers=3, executor="thread")
+                               executor="thread")
         txs = [data_tx(i, tenant=f"t{i % 9}") for i in range(60)]
         report = sharded.submit_many(txs)
         assert report.rejected_total == 0

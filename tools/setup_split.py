@@ -27,7 +27,10 @@ one populate the row times (the probes add well under a millisecond):
 on the deployment's own objects; fsyncs from what the program publishes
 (``persist_fsyncs_total``, ``persist_fsync_seconds``); sqlite by statement
 kind from a ``sqlite3.connect(factory=...)`` subclass this script installs
-while the stores open.  ``on MemoryStorage`` is the same populate on a
+while the stores open.  Both are wall time inside the calls, so under an
+engine that seals shards on threads they also count the other threads'
+GIL holds; the header line names the engine the deployment ran
+(``engine=``).  ``on MemoryStorage`` is the same populate on a
 deployment with no store directory: what the durable rows sit on.  Last,
 the populated store's bytes per event by file — blocks log, records log,
 cold log, ``index.db`` with its WAL — taken after a checkpoint that ends
@@ -227,7 +230,7 @@ SQLITE_KINDS_SHOWN = 8
 
 async def split(name: str, seconds: float, repeats: int, work_dir: str
                 ) -> tuple[dict[str, float], dict[str, int | None], int,
-                           dict[str, float]]:
+                           dict[str, float], str]:
     plan = workloads.PLANS[name]
     driver.MultiTenantShardWorkload = RecordedWorkload
     timers: dict[str, SetupTimer] = defaultdict(SetupTimer)
@@ -272,6 +275,7 @@ async def split(name: str, seconds: float, repeats: int, work_dir: str
         with sqlite_timed() if plan.audit else nullcontext():
             with timers["open stores"].repeat():
                 deployment = workloads._open_deployment(work_dir, rep)
+        engine = deployment.sharded.engine.name
         if plan.audit:
             probe = PopulateProbe(deployment)
             populated = timers["populate"]
@@ -303,7 +307,8 @@ async def split(name: str, seconds: float, repeats: int, work_dir: str
             per_repeat["collector, full passes"])]
     return ({label: median(values) for label, values in per_repeat.items()},
             calls, len(events),
-            {label: median(values) for label, values in stored.items()})
+            {label: median(values) for label, values in stored.items()},
+            engine)
 
 
 def main() -> int:
@@ -324,7 +329,7 @@ def main() -> int:
     work_root.mkdir(exist_ok=True)
     work_dir = tempfile.mkdtemp(prefix="setup-split-", dir=work_root)
     try:
-        took, calls, events, stored = asyncio.run(split(
+        took, calls, events, stored, engine = asyncio.run(split(
             args.workload, seconds, repeats, work_dir))
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
@@ -336,7 +341,7 @@ def main() -> int:
     total = sum(value for label, value in took.items()
                 if not label.startswith(" "))
     print(f"{args.workload}: one set-up, {events} events, seed {SEED}, "
-          f"median of {repeats} at reference speed")
+          f"engine={engine}, median of {repeats} at reference speed")
     print(f"  {'component':26s} {'s':>8s} {'us/event':>9s} {'share':>6s}")
     # The populate split: its rows as the probe ordered them, the sqlite
     # kinds (deepest indent) largest first under the sqlite row.
