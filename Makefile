@@ -204,7 +204,11 @@ setup-split:
 # retry-floor or probe-period keyword or attribute outside the frozen e2e
 # benchmark (a test may still name one as a string, to see it refused),
 # and no "auto" engine under sharding/ — rounds seal inline unless a
-# caller names an engine.
+# caller names an engine.  Nor may an anchoring level prove or check
+# twice: no level looks an anchor transaction up in the transaction
+# index (it reads the block its receipt names), and the full-node verify
+# twins and the second record-level proof type stay gone — one proof
+# per level, checked against a block header.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -261,6 +265,11 @@ lint-private:
 	    src tests examples tools benchmarks --include='*.py' \
 	    | grep -v '^benchmarks/e2e/'
 	@! grep -rn '"auto"' src/repro/sharding --include='*.py'
+	@! grep -nE 'chain\.(find_transaction|prove_transaction|tx_location)\(' \
+	    src/repro/chain/anchoring.py src/repro/provenance/anchor.py \
+	    src/repro/sharding/beacon.py src/repro/sharding/query.py
+	@! grep -rnE 'def (verify_shard_block|light_bundle|prove_for_light_client)\b|class LightAnchorBundle\b' \
+	    src --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -196,6 +196,7 @@ def run_mode(executor: str, workers: int | None,
     total_s = time.perf_counter() - t0
 
     commitments = {
+        # Every round receipt and the whole bundle proving each block.
         "beacon": (list(sc.beacon.receipts), [
             sc.beacon.prove_shard_block(
                 s, h, sc.shard(s).chain.block_at(h).block_hash)

@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ProvChain
+from repro.chain import LightClient
 
 
 def main() -> None:
@@ -29,6 +30,14 @@ def main() -> None:
         print(f"  t={record['timestamp']:>3}  {record['operation']:<7} "
               f"by {record['actor'][:14]:<16} "
               f"anchored@block {proof.block_height}")
+
+    # Third-party audit: an auditor holding only block headers checks
+    # the very proofs the node just checked against its own headers.
+    auditor = LightClient(system.chain.chain_id)
+    auditor.sync_from(system.chain)
+    offline = all(auditor.verify_anchored_record(record, proof)
+                  for record, proof in zip(answer.records, answer.proofs))
+    print(f"auditor with {auditor.height + 1} headers verified: {offline}")
 
     # Privacy: actors are pseudonyms; only the mapping holder can
     # re-identify.

@@ -12,7 +12,8 @@ from .blockchain import Blockchain, ChainParams
 from .mempool import Mempool
 from .state import StateStore
 from .receipts import Event, TransactionReceipt
-from .lightclient import LightAnchorBundle, LightClient
+from .anchoring import AnchoredProof
+from .lightclient import LightClient
 
 __all__ = [
     "Transaction",
@@ -26,6 +27,6 @@ __all__ = [
     "StateStore",
     "Event",
     "TransactionReceipt",
-    "LightAnchorBundle",
+    "AnchoredProof",
     "LightClient",
 ]

@@ -20,12 +20,17 @@ the block, the row layout, pending batches — stays in that level; this
 module never asks which one is calling.
 
 :func:`verify_anchored` is the header-only three-hop check every
-verifier reduces to; :func:`commits_root` is its first two hops, for a
-full node that located the anchor transaction through its own index.
+verifier reduces to, and :class:`AnchoredProof` the one record-level
+proof it reads: a full node checks it against its own header, a light
+client, replica or auditor against a header it synced.  A proof's anchor
+transaction is read from the block its receipt names, never looked up
+in a transaction index.  :func:`commits_root` is the first two hops, for
+a batch row checked against the block that carries it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
 from ..crypto.merkle import MerkleProof, MerkleTree, leaf_hash, verify_proof
@@ -54,6 +59,28 @@ def verify_anchored(leaf: Any, proof: MerkleProof, root: bytes,
             and header.height == height
             and verify_proof(header.merkle_root, anchor_tx.tx_hash,
                              tx_proof))
+
+
+@dataclass(frozen=True)
+class AnchoredProof:
+    """Everything needed to check one anchored leaf against the header
+    of the block that carries its anchor transaction."""
+
+    record_proof: MerkleProof       # leaf -> batch merkle root
+    batch_root: bytes
+    anchor_tx: Transaction          # carries the batch root on-chain
+    tx_proof: MerkleProof           # anchor tx -> header merkle root
+    block_height: int
+
+    def verify(self, leaf: Any, header: BlockHeader) -> bool:
+        """:func:`verify_anchored` of ``leaf`` against ``header``."""
+        return verify_anchored(leaf, self.record_proof, self.batch_root,
+                               self.anchor_tx, self.tx_proof, header,
+                               self.block_height)
+
+    @property
+    def size_bytes(self) -> int:
+        return self.record_proof.size_bytes + len(self.batch_root) + 48
 
 
 class BatchAnchors:
@@ -141,22 +168,14 @@ class BatchAnchors:
             tree = self._trees[position] = MerkleTree(tree)
         return self.receipts[position], tree.prove(index)
 
-    def verify(self, leaf: Any, proof: MerkleProof, root: bytes,
-               tx_id: str, height: int) -> bool:
-        """Full-node check against the live chain: ``leaf`` is under
-        ``root``, and ``root`` is what the transaction ``tx_id`` — found
-        in the block at ``height`` — committed."""
-        found = self.chain.find_transaction(tx_id)
-        return (found is not None and found[0].height == height
-                and commits_root(found[1], root,
-                                 proof.root_from(leaf_hash(leaf))))
-
-    def light_material(self, tx_id: str) -> tuple[Transaction, MerkleProof]:
-        """What a header-only verifier needs beside the leaf proof: the
-        anchor transaction and its inclusion proof under its block's
-        header."""
-        located = self.chain.prove_transaction(tx_id)
-        if located is None:
-            raise ChainError(f"anchor transaction {tx_id[:12]} not on chain")
-        block, tx_proof = located
-        return block.find_transaction(tx_id)[1], tx_proof
+    def light_material(self, receipt) -> tuple[Transaction, MerkleProof]:
+        """What a header check needs beside the leaf proof: the anchor
+        transaction, read from the block ``receipt`` names, and its
+        inclusion proof under that block's header."""
+        block = self.chain.block_at(receipt.block_height)
+        found = block.find_transaction(receipt.tx_id)
+        if found is None:
+            raise ChainError(f"anchor transaction {receipt.tx_id[:12]} not "
+                             f"in block {receipt.block_height}")
+        position, anchor_tx = found
+        return anchor_tx, block.prove_inclusion(position)

@@ -12,31 +12,20 @@ each), yet can verify
   header via the transaction proof),
 
 without trusting the full node that served the proofs.  The second check
-is :func:`repro.chain.anchoring.verify_anchored` — the one three-hop
-check of the anchoring mechanism — against a header this client holds;
-the client adds the header sync and what the leaf is (a record's digest).
+is :meth:`~repro.chain.anchoring.AnchoredProof.verify` — the one
+three-hop check of the anchoring mechanism, which the full node runs on
+the same proof against its own header — against a header this client
+holds; the client adds the header sync and what the leaf is (a record's
+digest).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..crypto.merkle import MerkleProof, verify_proof
 from ..errors import ChainError, TamperDetected
-from .anchoring import verify_anchored
+from .anchoring import AnchoredProof
 from .block import BlockHeader, GENESIS_PREV_HASH
 from .transaction import Transaction
-
-
-@dataclass(frozen=True)
-class LightAnchorBundle:
-    """Everything a light client needs to verify one anchored record."""
-
-    record_proof: MerkleProof       # record digest -> batch merkle root
-    batch_root: bytes
-    anchor_tx: Transaction          # carries the batch root on-chain
-    tx_proof: MerkleProof           # anchor tx -> header merkle root
-    block_height: int
 
 
 class LightClient:
@@ -100,17 +89,15 @@ class LightClient:
         return verify_proof(header.merkle_root, tx.tx_hash, proof)
 
     def verify_anchored_record(self, record: dict,
-                               bundle: LightAnchorBundle) -> bool:
+                               proof: AnchoredProof) -> bool:
         """Three-hop verification of an anchored provenance record.
 
-        1. the record digest is under the bundle's batch root;
+        1. the record digest is under the proof's batch root;
         2. the anchor transaction commits exactly that batch root;
         3. the anchor transaction is in the header we hold for the
-           claimed height.
+           claimed height (:class:`ChainError` if we hold none).
         """
         from ..provenance.records import record_digest
 
-        return verify_anchored(
-            record_digest(record), bundle.record_proof, bundle.batch_root,
-            bundle.anchor_tx, bundle.tx_proof,
-            self.header_at(bundle.block_height), bundle.block_height)
+        return proof.verify(record_digest(record),
+                            self.header_at(proof.block_height))

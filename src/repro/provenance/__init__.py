@@ -40,7 +40,8 @@ from .capture import (
     ThirdPartyCapture,
     MultiSourceCapture,
 )
-from .anchor import AnchorReceipt, AnchorService, AnchoredProof
+from ..chain import AnchoredProof
+from .anchor import AnchorReceipt, AnchorService
 from .query import ProvenanceQueryEngine, QueryCache, QueryStats, VerifiedAnswer
 from .multimodal import ModalToken, MultiModalTokenizer
 

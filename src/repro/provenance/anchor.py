@@ -9,8 +9,9 @@ transaction.  A record is then provable with:
 * a Merkle inclusion proof against the anchored root,
 * the block header containing the anchor transaction.
 
-The mechanism — committed batches, lazy trees, the locator, proofs and
-the checks behind :meth:`AnchorService.verify` — is
+The mechanism — committed batches, lazy trees, the locator, and the one
+:class:`~repro.chain.anchoring.AnchoredProof` that :meth:`AnchorService.
+prove` returns and every verifier checks against a block header — is
 :mod:`repro.chain.anchoring`, shared with the beacon one level up.
 ``AnchorService`` adds what is particular to records: the 32-byte
 :func:`~repro.provenance.records.record_digest` leaves keyed by record
@@ -44,10 +45,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Mapping
 
-from ..chain import Blockchain, LightAnchorBundle, Transaction, TxKind
+from ..chain import AnchoredProof, Blockchain, Transaction, TxKind
 from ..chain.anchoring import BatchAnchors, commits_root
 from ..crypto.hashing import HASH_SIZE
-from ..crypto.merkle import MerkleProof, MerkleTree
+from ..crypto.merkle import MerkleTree
 from ..errors import AnchorError
 from .records import record_digest
 
@@ -61,21 +62,6 @@ class AnchorReceipt:
     block_height: int
     tx_id: str
     record_count: int
-
-
-@dataclass(frozen=True)
-class AnchoredProof:
-    """Everything needed to verify a record against the chain."""
-
-    anchor_id: str
-    merkle_proof: MerkleProof
-    merkle_root: bytes
-    block_height: int
-    tx_id: str
-
-    @property
-    def size_bytes(self) -> int:
-        return self.merkle_proof.size_bytes + len(self.merkle_root) + 48
 
 
 def _leaf_digests(blob: bytes) -> list[bytes]:
@@ -265,33 +251,31 @@ class AnchorService:
     def receipt_for(self, record_id: str) -> AnchorReceipt | None:
         return self._batches.receipt_for(record_id)
 
-    def _located(self, record_id: str) -> tuple[AnchorReceipt, MerkleProof]:
+    def prove(self, record_id: str) -> AnchoredProof:
+        """The record's evidence, checkable against the header of its
+        anchor block alone — by :meth:`verify` here and by a
+        :class:`~repro.chain.lightclient.LightClient` alike."""
         found = self._batches.prove(record_id)
         if found is None:
             raise AnchorError(f"record {record_id!r} is not anchored")
-        return found
-
-    def prove(self, record_id: str) -> AnchoredProof:
-        """Produce the inclusion proof for an anchored record."""
-        receipt, merkle_proof = self._located(record_id)
+        receipt, record_proof = found
+        anchor_tx, tx_proof = self._batches.light_material(receipt)
         return AnchoredProof(
-            anchor_id=receipt.anchor_id,
-            merkle_proof=merkle_proof,
-            merkle_root=receipt.merkle_root,
+            record_proof=record_proof,
+            batch_root=receipt.merkle_root,
+            anchor_tx=anchor_tx,
+            tx_proof=tx_proof,
             block_height=receipt.block_height,
-            tx_id=receipt.tx_id,
         )
 
     def verify(self, record: Mapping[str, Any], proof: AnchoredProof) -> bool:
-        """Full verification against the live chain:
-
-        1. the record's digest is under the proof's Merkle root;
-        2. that root is what the anchor transaction committed on-chain;
-        3. the anchor transaction is in the block the proof claims.
-        """
-        return self._batches.verify(
-            record_digest(dict(record)), proof.merkle_proof,
-            proof.merkle_root, proof.tx_id, proof.block_height)
+        """:meth:`AnchoredProof.verify` of the record's digest against
+        this chain's own header at the claimed height (``False`` for a
+        height the chain does not have)."""
+        height = proof.block_height
+        return (0 <= height <= self.chain.height
+                and proof.verify(record_digest(dict(record)),
+                                 self.chain.block_at(height).header))
 
     def verify_or_raise(self, record: Mapping[str, Any],
                         proof: AnchoredProof) -> None:
@@ -300,23 +284,6 @@ class AnchorService:
                 f"anchored proof failed for record "
                 f"{record.get('record_id')!r}"
             )
-
-    def prove_for_light_client(self, record_id: str) -> LightAnchorBundle:
-        """Produce the header-only verification bundle for a record.
-
-        Unlike :meth:`prove`/:meth:`verify`, the result is checkable by a
-        :class:`~repro.chain.lightclient.LightClient` holding nothing but
-        the chain's headers.
-        """
-        receipt, record_proof = self._located(record_id)
-        anchor_tx, tx_proof = self._batches.light_material(receipt.tx_id)
-        return LightAnchorBundle(
-            record_proof=record_proof,
-            batch_root=receipt.merkle_root,
-            anchor_tx=anchor_tx,
-            tx_proof=tx_proof,
-            block_height=receipt.block_height,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -331,6 +298,7 @@ class AnchorService:
     def bytes_on_chain(self) -> int:
         """Total size of the anchor transactions this service committed
         (read off the chain; nothing is accumulated or persisted)."""
-        return sum(self.chain.find_transaction(r.tx_id)[1].size_bytes
+        return sum(self.chain.block_at(r.block_height)
+                   .find_transaction(r.tx_id)[1].size_bytes
                    for r in self.receipts)
 

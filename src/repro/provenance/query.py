@@ -21,9 +21,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..chain import AnchoredProof
 from ..errors import QueryError
 from ..persist.provdb import ProvenanceDatabase
-from .anchor import AnchorService, AnchoredProof
+from .anchor import AnchorService
 from .graph import ProvenanceGraph
 
 
@@ -108,7 +109,8 @@ class ProvenanceQueryEngine:
         # Proof memo for repeated verified queries: an anchored record's
         # proof is immutable once its anchor transaction is committed, so
         # re-proving on every repeat is pure waste.  Verification against
-        # the live chain still runs per query (trust is not cached).
+        # the chain's own header still runs per query (trust is not
+        # cached).
         self._proof_memo: dict[str, AnchoredProof] = {}
 
     # ------------------------------------------------------------------
@@ -181,7 +183,8 @@ class ProvenanceQueryEngine:
                 continue
             proof = self._proof_memo.get(record_id)
             # A reorg may have re-anchored the record elsewhere since.
-            if proof is None or proof.tx_id != receipt.tx_id:
+            if (proof is None or proof.anchor_tx.tx_id != receipt.tx_id
+                    or proof.block_height != receipt.block_height):
                 proof = self.anchor_service.prove(record_id)
                 self.stats.proofs_produced += 1
                 self._proof_memo[record_id] = proof

@@ -42,8 +42,11 @@ a single verifiable root of trust:
 Trust recap: record → batch root → anchor tx → shard header → round
 root → beacon anchor tx → beacon header.  Tampering anywhere under a
 beacon header breaks one of those six hops — two runs of the same
-three-hop check (:func:`repro.chain.anchoring.verify_anchored`), spliced
-at the shard header by :class:`FederatedProof`.
+three-hop check (:func:`repro.chain.anchoring.verify_anchored`) over one
+proof per level (:class:`~repro.chain.anchoring.AnchoredProof`,
+:class:`BeaconLightBundle`), spliced at the shard header by
+:class:`FederatedProof`.  A full node checks the same two proofs against
+its own headers.
 
 Layout: ``shardchain.py`` — the facade is *wiring* (routing,
 checkpointing, the ``seal_round`` skeleton with its one failure loop).

@@ -59,18 +59,11 @@ def shard_block_leaf(shard_id: int, height: int, block_hash: bytes,
 
 
 def _normalize_entries(
-    entries: Sequence[tuple],
+    entries: Sequence[Sequence],
 ) -> list[tuple[int, int, bytes, bytes]]:
-    """Accept ``(shard, height, hash)`` or ``(..., state_root)`` tuples."""
-    out = []
-    for entry in entries:
-        if len(entry) == 3:
-            sid, h, bh = entry
-            out.append((int(sid), int(h), bh, b""))
-        else:
-            sid, h, bh, sr = entry
-            out.append((int(sid), int(h), bh, sr))
-    return out
+    """``(shard, height, hash, state_root)`` tuples out of a caller's
+    entries or a derived row's decoded lists."""
+    return [(int(sid), int(h), bh, sr) for sid, h, bh, sr in entries]
 
 
 def _keys(entries) -> list[tuple[int, int]]:
@@ -91,7 +84,8 @@ class BeaconReceipt:
 
 @dataclass(frozen=True)
 class ShardBlockProof:
-    """Full-node proof that a shard block is anchored in the beacon."""
+    """Which shard block a :class:`BeaconLightBundle` proves, its leaf's
+    path to the round root, and where that round landed on the beacon."""
 
     shard_id: int
     height: int                 # shard chain height
@@ -111,11 +105,13 @@ class ShardBlockProof:
 
 @dataclass(frozen=True)
 class BeaconLightBundle:
-    """Header-only verification of one shard block.
+    """The one proof that a shard block is beacon-anchored, checked
+    against a beacon header: the beacon's own (a full node) or one a
+    light client synced.
 
-    Mirrors :class:`~repro.chain.lightclient.LightAnchorBundle`, one
-    level up: the "record" is a shard block hash and the "batch" is a
-    sealing round.
+    Mirrors :class:`~repro.chain.anchoring.AnchoredProof`, one level up:
+    the "record" is a shard block hash and the "batch" is a sealing
+    round.
     """
 
     shard_proof: ShardBlockProof
@@ -216,8 +212,8 @@ class BeaconChain:
         entries: Sequence[tuple],
         timestamp: int = 0,
     ) -> BeaconReceipt:
-        """Commit one round's shard blocks: ``(shard_id, height, hash)``
-        or ``(shard_id, height, hash, state_root)`` tuples.
+        """Commit one round's shard blocks: ``(shard_id, height, hash,
+        state_root)`` tuples (``b""``: no state commitment).
 
         One beacon transaction per round, regardless of shard count —
         the beacon's load grows with *rounds*, not with traffic.
@@ -261,7 +257,10 @@ class BeaconChain:
     # Proofs
     # ------------------------------------------------------------------
     def prove_shard_block(self, shard_id: int, height: int,
-                          block_hash: bytes) -> ShardBlockProof:
+                          block_hash: bytes) -> BeaconLightBundle:
+        """The bundle proving one shard block (check it with
+        :meth:`BeaconLightBundle.verify`); :class:`ShardError` if that
+        block, with that hash, is not beacon-anchored."""
         entry = self.anchored_entry(shard_id, height)
         if entry is None:
             raise ShardError(
@@ -273,31 +272,19 @@ class BeaconChain:
                 "match the anchored commitment"
             )
         receipt, merkle_proof = self._batches.prove((shard_id, height))
-        return ShardBlockProof(
-            shard_id=shard_id,
-            height=height,
-            block_hash=block_hash,
-            merkle_proof=merkle_proof,
-            round_root=receipt.merkle_root,
-            round_no=receipt.round_no,
-            beacon_height=receipt.block_height,
-            beacon_tx_id=receipt.tx_id,
-            state_root=entry[3],
-        )
-
-    def verify_shard_block(self, proof: ShardBlockProof) -> bool:
-        """Full-node verification against the live beacon chain."""
-        return self._batches.verify(
-            proof.leaf, proof.merkle_proof, proof.round_root,
-            proof.beacon_tx_id, proof.beacon_height)
-
-    def light_bundle(self, shard_id: int, height: int,
-                     block_hash: bytes) -> BeaconLightBundle:
-        """Everything a beacon-header-only verifier needs for one shard
-        block (check with :meth:`BeaconLightBundle.verify`)."""
-        proof = self.prove_shard_block(shard_id, height, block_hash)
-        anchor_tx, tx_proof = self._batches.light_material(
-            proof.beacon_tx_id)
+        anchor_tx, tx_proof = self._batches.light_material(receipt)
         return BeaconLightBundle(
-            shard_proof=proof, anchor_tx=anchor_tx, tx_proof=tx_proof
+            shard_proof=ShardBlockProof(
+                shard_id=shard_id,
+                height=height,
+                block_hash=block_hash,
+                merkle_proof=merkle_proof,
+                round_root=receipt.merkle_root,
+                round_no=receipt.round_no,
+                beacon_height=receipt.block_height,
+                beacon_tx_id=receipt.tx_id,
+                state_root=entry[3],
+            ),
+            anchor_tx=anchor_tx,
+            tx_proof=tx_proof,
         )

@@ -1,17 +1,21 @@
 """Federated provenance queries over a sharded chain.
 
 Scatter-gathers the per-shard :class:`ProvenanceQueryEngine`\\ s and
-merges the results into one answer.  Verified queries compound three
-layers of evidence per record:
+merges the results into one answer.  Verified queries compound two
+proofs per record, one per anchoring level, each the proof an offline
+verifier would get and checked the way it would check it — against a
+block header, here the node's own:
 
-1. the record's anchored Merkle proof on its home shard (produced and
-   checked by that shard's own query engine, proof memo included),
-2. a beacon proof that the shard block holding the anchor transaction is
-   committed under a beacon header
-   (:class:`~repro.sharding.beacon.ShardBlockProof`),
-3. for offline verifiers, :meth:`federated_proof` packages both hops
-   into a :class:`FederatedProof` checkable against a **single beacon
-   block header** — the verifier needs no shard state at all.
+1. the record's :class:`~repro.chain.anchoring.AnchoredProof` on its
+   home shard (produced and checked by that shard's own query engine,
+   proof memo included) against the shard's header,
+2. the :class:`~repro.sharding.beacon.BeaconLightBundle` of the shard
+   block holding the anchor transaction against the beacon's header.
+
+For offline verifiers, :meth:`ShardedQueryEngine.federated_proof`
+packages the same two proofs into a :class:`FederatedProof` checkable
+against a **single beacon block header** — the verifier needs no shard
+state at all.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..chain import BlockHeader, LightAnchorBundle
-from ..chain.anchoring import verify_anchored
+from ..chain import AnchoredProof, BlockHeader
 from ..errors import QueryError, ShardError
-from ..provenance.anchor import AnchoredProof
 from ..provenance.records import record_digest
 from .beacon import BeaconChain, BeaconLightBundle
 from .shardchain import Shard, ShardedChain
@@ -58,19 +60,16 @@ class FederatedProof:
 
     shard_id: int
     record_id: str
-    anchor_bundle: LightAnchorBundle
+    anchor_bundle: AnchoredProof
     shard_header: BlockHeader
     beacon_bundle: BeaconLightBundle
 
     def verify(self, record: dict, beacon_header: BlockHeader) -> bool:
         """Check ``record`` against a beacon header and nothing else."""
-        bundle = self.anchor_bundle
         # Hops 1-2: record digest → batch root → anchor transaction →
         # the shard header we were given.
-        if not verify_anchored(
-                record_digest(record), bundle.record_proof,
-                bundle.batch_root, bundle.anchor_tx, bundle.tx_proof,
-                self.shard_header, bundle.block_height):
+        if not self.anchor_bundle.verify(record_digest(record),
+                                         self.shard_header):
             return False
         # Hop 3: that shard header is beacon-committed.
         shard_proof = self.beacon_bundle.shard_proof
@@ -95,14 +94,14 @@ def package_federated_proof(shard: Shard, beacon: BeaconChain,
             f"record {record_id!r} is not anchored on shard "
             f"{shard.shard_id}"
         )
-    anchor_bundle = shard.anchor.prove_for_light_client(record_id)
+    anchor_bundle = shard.anchor.prove(record_id)
     shard_header = shard.chain.block_at(anchor_bundle.block_height).header
     return FederatedProof(
         shard_id=shard.shard_id,
         record_id=record_id,
         anchor_bundle=anchor_bundle,
         shard_header=shard_header,
-        beacon_bundle=beacon.light_bundle(
+        beacon_bundle=beacon.prove_shard_block(
             shard.shard_id, shard_header.height, shard_header.block_hash
         ),
     )
@@ -206,17 +205,18 @@ class ShardedQueryEngine:
         )
 
     def _beacon_check(self, shard: Shard, proof: AnchoredProof) -> bool:
-        """Is the shard block holding this anchor beacon-committed?"""
+        """Is the shard block holding this anchor beacon-committed?  Its
+        bundle, checked against the beacon's own header."""
         beacon = self.sharded.beacon
         height = proof.block_height
         try:
-            block_hash = shard.chain.block_at(height).block_hash
-            shard_proof = beacon.prove_shard_block(
-                shard.shard_id, height, block_hash
+            bundle = beacon.prove_shard_block(
+                shard.shard_id, height, shard.chain.block_at(height).block_hash
             )
         except ShardError:
             return False
-        return beacon.verify_shard_block(shard_proof)
+        return bundle.verify(
+            beacon.chain.block_at(bundle.shard_proof.beacon_height).header)
 
     # ------------------------------------------------------------------
     # Offline proof packaging

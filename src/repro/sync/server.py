@@ -117,7 +117,7 @@ class SnapshotServer:
             )
         head_hash = shard.chain.head.block_hash
         image = self._image_for(shard, height, head_hash, entry[3])
-        bundle = self.sharded.beacon.light_bundle(
+        bundle = self.sharded.beacon.prove_shard_block(
             shard_id, height, head_hash
         )
         self.offers_served += 1

@@ -6,12 +6,12 @@
   reopen; the store the parent wrote still proves every anchored record.
 * **Tamper matrix** — one real record → shard → beacon evidence chain,
   each single mutation applied to it, and *every* verifier that reads
-  the mutated field must reject it.
+  the mutated field must reject it.  A full node and a light client
+  check the same proof object, each against a header it holds.
 * **Reorg** — after ``reorg_to`` the in-process services are where a
   crash + reopen would put them.
 
-Everything here drives public names only, so the file runs unchanged on
-the parent commit (where the reorg class fails).
+Everything here drives public names only.
 """
 
 from __future__ import annotations
@@ -25,22 +25,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import (
+    AnchoredProof,
     Block,
     Blockchain,
     ChainParams,
-    LightAnchorBundle,
     LightClient,
     Transaction,
     TxKind,
 )
-from repro.errors import AnchorError, ShardError
+from repro.errors import AnchorError, ChainError, ShardError
 from repro.persist import MemoryStorage
 from repro.persist.codec import transaction_embedded
-from repro.provenance.anchor import (
-    AnchoredProof,
-    AnchorService,
-    verify_batch_row,
-)
+from repro.provenance.anchor import AnchorService, verify_batch_row
 from repro.serialization import canonical_encode
 from repro.sharding import (
     COMMITTED,
@@ -233,9 +229,7 @@ class Evidence:
     record: dict
     record_proof: object        # record digest -> batch root
     batch_root: bytes
-    anchor_id: str
     anchor_tx: Transaction
-    anchor_tx_id: str
     tx_proof: object            # anchor tx -> shard header
     anchor_height: int
     shard_header: object
@@ -261,17 +255,15 @@ def _evidence(service, beacon, record: dict) -> Evidence:
     proof = package_federated_proof(
         SimpleNamespace(anchor=service, chain=chain, shard_id=SHARD_ID),
         beacon, record["record_id"])
-    anchored = service.prove(record["record_id"])
     bundle, shard_proof = proof.anchor_bundle, proof.beacon_bundle.shard_proof
-    assert anchored.merkle_proof == bundle.record_proof
+    # The full node proves a record with the very object it hands out.
+    assert service.prove(record["record_id"]) == bundle
     rows = dict(chain.store.derived_rows())
     return Evidence(
         record=record,
         record_proof=bundle.record_proof,
         batch_root=bundle.batch_root,
-        anchor_id=anchored.anchor_id,
         anchor_tx=bundle.anchor_tx,
-        anchor_tx_id=anchored.tx_id,
         tx_proof=bundle.tx_proof,
         anchor_height=bundle.block_height,
         shard_header=proof.shard_header,
@@ -349,8 +341,8 @@ def _shard_proof(ev: Evidence):
         state_root=ev.state_root)
 
 
-def _light_bundle(ev: Evidence):
-    return LightAnchorBundle(
+def _anchored_proof(ev: Evidence):
+    return AnchoredProof(
         record_proof=ev.record_proof, batch_root=ev.batch_root,
         anchor_tx=ev.anchor_tx, tx_proof=ev.tx_proof,
         block_height=ev.anchor_height)
@@ -370,38 +362,46 @@ def _row_verifies(ev: Evidence) -> bool:
     return True
 
 
-def _anchor_service_verifies(rig: Rig, ev: Evidence) -> bool:
-    return rig.service.verify(ev.record, AnchoredProof(
-        anchor_id=ev.anchor_id, merkle_proof=ev.record_proof,
-        merkle_root=ev.batch_root, block_height=ev.anchor_height,
-        tx_id=ev.anchor_tx_id))
+def _light_client_verifies(rig: Rig, ev: Evidence) -> bool:
+    try:
+        return rig.client.verify_anchored_record(ev.record,
+                                                 _anchored_proof(ev))
+    except ChainError:          # it holds no header at the claimed height
+        return False
+
+
+def _beacon_node_verifies(rig: Rig, ev: Evidence) -> bool:
+    """The beacon full node's check (``ShardedQueryEngine``'s): the
+    bundle against its own header at the claimed height."""
+    chain, height = rig.beacon.chain, ev.beacon_height
+    return (0 <= height <= chain.height
+            and _beacon_bundle(ev).verify(chain.block_at(height).header))
 
 
 def _federated_verifies(rig: Rig, ev: Evidence) -> bool:
     return FederatedProof(
         shard_id=ev.claimed_shard_id, record_id=ev.record["record_id"],
-        anchor_bundle=_light_bundle(ev), shard_header=ev.shard_header,
+        anchor_bundle=_anchored_proof(ev), shard_header=ev.shard_header,
         beacon_bundle=_beacon_bundle(ev),
     ).verify(ev.record, ev.beacon_header)
 
 
+# The full-node rows (AnchorService.verify, the beacon node) are called
+# bare: a full node answers False, it never raises.
 VERIFIERS = {
-    "AnchorService.verify": _anchor_service_verifies,
-    "LightClient.verify_anchored_record": lambda rig, ev:
-        rig.client.verify_anchored_record(ev.record, _light_bundle(ev)),
+    "AnchorService.verify": lambda rig, ev:
+        rig.service.verify(ev.record, _anchored_proof(ev)),
+    "LightClient.verify_anchored_record": _light_client_verifies,
     "verify_batch_row": lambda rig, ev: _row_verifies(ev),
-    "BeaconChain.verify_shard_block": lambda rig, ev:
-        rig.beacon.verify_shard_block(_shard_proof(ev)),
+    "BeaconLightBundle.verify, own header": _beacon_node_verifies,
     "BeaconLightBundle.verify": lambda rig, ev:
         _beacon_bundle(ev).verify(ev.beacon_header),
     "FederatedProof.verify": _federated_verifies,
 }
 RECORD_LEVEL = {"AnchorService.verify", "LightClient.verify_anchored_record",
                 "FederatedProof.verify"}
-BEACON_LEVEL = {"BeaconChain.verify_shard_block", "BeaconLightBundle.verify",
-                "FederatedProof.verify"}
-HEADER_ONLY = {"LightClient.verify_anchored_record",
-               "BeaconLightBundle.verify", "FederatedProof.verify"}
+BEACON_LEVEL = {"BeaconLightBundle.verify, own header",
+                "BeaconLightBundle.verify", "FederatedProof.verify"}
 EVERY = set(VERIFIERS)
 
 
@@ -412,13 +412,6 @@ def _flip(data: bytes, at: int = 0) -> bytes:
 def _swap_first_sibling(proof):
     (sibling, is_right), *rest = proof.path
     return dataclasses.replace(proof, path=((sibling, not is_right), *rest))
-
-
-def _with_root(tx: Transaction, root: bytes) -> Transaction:
-    """``tx`` again, committing ``root`` instead."""
-    return Transaction(tx.sender, tx.kind,
-                       dict(tx.payload, merkle_root=root),
-                       timestamp=tx.timestamp).seal()
 
 
 # name -> (mutate(rig) -> Evidence, verifiers that read a mutated field).
@@ -450,28 +443,24 @@ MUTATIONS = {
         round_root=rig.other.round_root),
         EVERY),
     "anchor tx with another root": (lambda rig: dataclasses.replace(
+        # Another anchor transaction of the same chain, with its real
+        # inclusion proof, at the height it really sits at: only the
+        # root it commits is wrong.
         rig.target,
-        # Header-only: a well-formed anchor transaction, committing a
-        # different root, wherever the verifier looks for the real one.
-        anchor_tx=_with_root(rig.target.anchor_tx, rig.other.batch_root),
-        beacon_tx=_with_root(rig.target.beacon_tx, rig.other.round_root),
-        # Full node: another anchor transaction of the same chain, at
-        # the height it really sits at.
-        anchor_tx_id=rig.other.anchor_tx_id,
-        anchor_height=rig.other.anchor_height,
-        shard_header=rig.other.shard_header,
-        beacon_tx_id=rig.other.beacon_tx_id,
-        beacon_height=rig.other.beacon_height,
-        beacon_header=rig.other.beacon_header,
-        row=[rig.target.row[0], rig.other.anchor_tx_id,
-             *rig.target.row[2:]],
-        row_block=rig.other.row_block),
+        **{name: getattr(rig.other, name) for name in (
+            "anchor_tx", "tx_proof", "anchor_height", "shard_header",
+            "row_block", "beacon_tx", "beacon_tx_id", "beacon_tx_proof",
+            "beacon_height", "beacon_header")},
+        row=[rig.target.row[0], rig.other.anchor_tx.tx_id,
+             *rig.target.row[2:]]),
         EVERY),
     "tx proof for another tx": (lambda rig: dataclasses.replace(
         rig.target,
         tx_proof=rig.multi_tx_proof,
         beacon_tx_proof=rig.beacon_multi_tx_proof),
-        HEADER_ONLY),
+        # Every verifier reads the inclusion proof now: the full nodes
+        # check the same proof object against their own headers.
+        RECORD_LEVEL | BEACON_LEVEL),
     "header of another height": (lambda rig: dataclasses.replace(
         # What the verifier is handed to check against (a light client
         # picks its own header, a full node its own block).
@@ -485,6 +474,11 @@ MUTATIONS = {
         rig.target,
         anchor_height=rig.other.anchor_height,
         beacon_height=rig.other.beacon_height),
+        RECORD_LEVEL | BEACON_LEVEL),
+    "claimed height past the head": (lambda rig: dataclasses.replace(
+        rig.target,
+        anchor_height=rig.service.chain.height + 1,
+        beacon_height=rig.beacon.chain.height + 1),
         RECORD_LEVEL | BEACON_LEVEL),
     "wrong shard id at the splice": (lambda rig: dataclasses.replace(
         rig.target, claimed_shard_id=SHARD_ID + 1),
@@ -638,7 +632,7 @@ def _no_dangling_proofs(sharded: ShardedChain, records) -> None:
         answer = engine.history_verified(subject)
         for shard_id, proof in zip(answer.shard_ids, answer.proofs):
             assert proof is None or sharded.shard(shard_id).chain \
-                .find_transaction(proof.tx_id) is not None
+                .find_transaction(proof.anchor_tx.tx_id) is not None
         assert len(answer.unanchored) == sum(
             proof is None for proof in answer.proofs)
 

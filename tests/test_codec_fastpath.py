@@ -468,8 +468,8 @@ class TestRecordsEncodedOnce:
         for record in records:
             shard = batched.shard_for_subject(record["subject"])
             proof = shard.anchor.prove(record["record_id"])
-            assert proof.merkle_proof.root_from(
-                leaf_hash(record_digest(record))) == proof.merkle_root
+            assert proof.record_proof.root_from(
+                leaf_hash(record_digest(record))) == proof.batch_root
             assert shard.database.get(record["record_id"]) == record
         assert batched.beacon.chain.head.header \
             == single.beacon.chain.head.header

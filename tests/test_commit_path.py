@@ -370,7 +370,7 @@ class TestFailedAppendUnwindsAtAnyDepth:
         heights = iter(range(1, 10_000))
 
         def anchor_round():
-            beacon.anchor_round([(0, next(heights), b"\x11" * 32)])
+            beacon.anchor_round([(0, next(heights), b"\x11" * 32, b"")])
 
         self._assert_unwound(beacon.chain, storage, anchor_round,
                              anchor_round)

@@ -714,6 +714,48 @@ class TestCountedGuards:
         finally:
             storage.close()
 
+    def test_proofs_read_no_tx_index(self, tmp_path):
+        """A reopened 4-shard store answers one verified history of 26
+        records and one federated proof without a ``… FROM txs``
+        statement: every anchor transaction is read from the block its
+        receipt names.  The parent (e28d30f) issued 52 and 2, looking
+        each one up in the index, twice per verified record."""
+        subject = "org0/asset-0"
+        sc = build(tmp_path / "store")
+        for r in range(2):
+            sc.submit_many(make_txs(r))
+            sc.ingest_records([
+                {"record_id": f"rec-{r}-{i:02d}",
+                 "subject": subject if i < 13 else f"org{i % 8}/x",
+                 "actor": "a", "operation": "write",
+                 "timestamp": r * 100 + i} for i in range(20)])
+            sc.seal_round(timestamp=r + 1)
+        sc.flush_anchors()
+        sc.seal_round(timestamp=9)
+        sc.close()
+        sc = build(tmp_path / "store")
+        statements: list[str] = []
+        for storage in [s.storage for s in sc.shards] + [sc.beacon.storage]:
+            storage._conn.set_trace_callback(statements.append)
+
+        def tx_index_reads(run):
+            statements.clear()
+            result = run()
+            return result, sum(" FROM TXS" in s.upper() for s in statements)
+
+        engine = ShardedQueryEngine(sc)
+        answer, history_reads = tx_index_reads(
+            lambda: engine.history_verified(subject))
+        proof, proof_reads = tx_index_reads(
+            lambda: engine.federated_proof("rec-1-03", subject))
+        assert len(answer.records) == 26 and answer.verified
+        record = next(r for r in answer.records
+                      if r["record_id"] == "rec-1-03")
+        assert proof.verify(record, sc.beacon.chain.block_at(
+            proof.beacon_height).header)
+        sc.close()
+        assert (history_reads, proof_reads) == (0, 0)
+
 
 # ---------------------------------------------------------------------------
 # The format step 3 → 4, killed at every statement

@@ -59,7 +59,8 @@ RECORDS = [
 
 def beacon_commitments(sc: ShardedChain) -> tuple:
     """The beacon's whole proof state, read the way a verifier does:
-    every round receipt plus the anchoring proof of every shard block."""
+    every round receipt plus the whole bundle proving every shard
+    block (leaf path, anchor transaction and its inclusion proof)."""
     return list(sc.beacon.receipts), [
         sc.beacon.prove_shard_block(
             s, h, sc.shard(s).chain.block_at(h).block_hash)

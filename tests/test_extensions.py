@@ -100,8 +100,10 @@ class TestLightClient:
     def test_anchored_record_verification(self, rig):
         chain, database, service, client = rig
         record = database.get("r2")
-        bundle = service.prove_for_light_client("r2")
-        assert client.verify_anchored_record(record, bundle)
+        proof = service.prove("r2")
+        assert client.verify_anchored_record(record, proof)
+        # The full node checks the very same proof, with its own header.
+        assert service.verify(record, proof)
 
     # Forged record / bundle against the wrong height: rows of the
     # tamper matrix in tests/test_anchoring.py.

@@ -691,7 +691,8 @@ class TestPinnedSliceEqualsReencode:
             for i in range(2)])
         sharded.seal_round(timestamp=5)
         head = sharded.shards[0].chain.head
-        bundle = sharded.beacon.light_bundle(0, head.height, head.block_hash)
+        bundle = sharded.beacon.prove_shard_block(0, head.height,
+                                                  head.block_hash)
         reply = canonical_encode({"op": "sync/offer", "seq": 1,
                                   "bundle": bundle_to_mapping(bundle)})
         slot = decode_frame_payload(reply)["bundle"]

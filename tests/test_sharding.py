@@ -148,8 +148,14 @@ class TestBeacon:
         beacon = sharded.beacon
         shard = next(s for s in sharded.shards if s.chain.height > 0)
         block = shard.chain.block_at(1)
-        proof = beacon.prove_shard_block(shard.shard_id, 1, block.block_hash)
-        assert beacon.verify_shard_block(proof)
+        bundle = beacon.prove_shard_block(shard.shard_id, 1,
+                                          block.block_hash)
+        proof = bundle.shard_proof
+        assert (proof.shard_id, proof.height, proof.block_hash) \
+            == (shard.shard_id, 1, block.block_hash)
+        # A full node checks the bundle against its own beacon header.
+        assert bundle.verify(
+            beacon.chain.block_at(proof.beacon_height).header)
 
     def test_wrong_block_hash_rejected(self, sharded):
         sharded.submit(record_tx("orgA/x"))
@@ -164,8 +170,8 @@ class TestBeacon:
         sharded.seal_round()
         shard = next(s for s in sharded.shards if s.chain.height > 0)
         block = shard.chain.block_at(1)
-        bundle = sharded.beacon.light_bundle(shard.shard_id, 1,
-                                             block.block_hash)
+        bundle = sharded.beacon.prove_shard_block(shard.shard_id, 1,
+                                                  block.block_hash)
         client = LightClient("beacon")
         client.sync_from(sharded.beacon.chain)
         header = client.header_at(bundle.shard_proof.beacon_height)
@@ -179,12 +185,12 @@ class TestBeacon:
         shard_id = sharded.router.shard_for("orgA")
         block_hash = sharded.shard(shard_id).chain.block_at(1).block_hash
         with pytest.raises(ShardError):
-            sharded.beacon.anchor_round([(shard_id, 1, block_hash)])
+            sharded.beacon.anchor_round([(shard_id, 1, block_hash, b"")])
 
     def test_duplicate_entry_within_round_rejected(self, sharded):
         with pytest.raises(ShardError):
             sharded.beacon.anchor_round(
-                [(0, 1, b"\x01" * 32), (0, 1, b"\x02" * 32)]
+                [(0, 1, b"\x01" * 32, b""), (0, 1, b"\x02" * 32, b"")]
             )
 
 
