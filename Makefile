@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-persist test-sync test-exec test-obs test-chaos \
-        test-crash test-gateway test-codec test-transport bench-smoke bench-hotpath bench-shard \
+        test-crash test-gateway test-codec test-transport test-verify bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
         bench-gateway bench-all bench-e2e bench-e2e-compare bench-ab \
         setup-split lint-private lint-layers loc check
@@ -79,6 +79,14 @@ test-chaos:
 test-crash:
 	$(PYTHON) -m pytest tests/test_crash_matrix.py -q
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
+
+# Verifier suite: Merkle path shape, the tamper matrix and the pinned
+# evidence of both anchoring levels, the byzantine sync offers, and the
+# import closure of repro/verify.py (no module that writes evidence).
+test-verify:
+	$(PYTHON) -m pytest tests/test_merkle.py tests/test_anchoring.py \
+	    tests/test_verify_closure.py -q
+	$(PYTHON) -m pytest tests/test_sync.py -k Byzantine -q
 
 # Fast CI-friendly run of the hot-path benchmark (small sizes).
 bench-smoke:
@@ -183,9 +191,9 @@ setup-split:
 # `storage is None` branch, no in-memory meta twin, no meta passthrough
 # on the facade), and persist/durable.py keeps one recovery walk, one
 # LRU and a compaction routine that does not branch on the table name.
-# Nor may the anchoring mechanism be written twice: only
-# chain/anchoring.py compares an anchor payload's merkle_root, and
-# neither level keeps a locator or tree list of its own.  Nor may a
+# Nor may the anchoring mechanism be written twice: only the verifier
+# (verify.py) compares an anchor payload's merkle_root, and neither
+# level keeps a locator or tree list of its own.  Nor may a
 # signature verdict be kept anywhere but on the sealed transaction it is
 # about: no global verify memo, no lock or LRU beside it, no
 # recompute-every-read lever.  Nor may the cold tier leave the segment
@@ -221,9 +229,8 @@ lint-private:
 	    --include='*.py'
 	@! grep -rnE '\b(hasattr|getattr)\((store|self\.\w*store)\b' \
 	    src/repro/sync --include='*.py'
-	@! grep -rnE 'payload(\.get\(|\[)"merkle_root"' src/repro/chain \
-	    src/repro/provenance src/repro/sharding src/repro/sync \
-	    --include='*.py' | grep -v '^src/repro/chain/anchoring\.py:'
+	@! grep -rnE 'payload(\.get\(|\[)"merkle_root"' src/repro \
+	    --include='*.py' | grep -v '^src/repro/verify\.py:'
 	@! grep -nE '\b_(locator|trees)\b' src/repro/provenance/anchor.py \
 	    src/repro/sharding/beacon.py
 	@! grep -rnE '\b(dump|restore)_state\b' src/repro/provenance \
@@ -279,7 +286,10 @@ lint-private:
 # or function level; nor may any production package import repro.storage,
 # which is only the survey-facing name of persist's CAS and record
 # database plus the cloud object store.  Nor may the anchoring core
-# (chain/anchoring.py) import a level that stands on it.
+# (chain/anchoring.py) import a level that stands on it.  Nor may the
+# verifier (verify.py) import anything but crypto/, serialization,
+# errors, the block and transaction types, the codec's decode side and
+# the record digest — no module that writes evidence.
 PRODUCTION := chain persist sharding sync ingest gateway exec
 SURVEY := systems|domains|crosschain|consensus|privacy|access|analysis
 lint-layers:
@@ -291,6 +301,8 @@ lint-layers:
 	    $(addprefix src/repro/,$(PRODUCTION)) --include='*.py'
 	@! grep -nE '^\s*(from|import)\s+((\.+|repro\.)(provenance|sharding|sync)\b|\.+\s+import\s.*\b(provenance|sharding|sync)\b)' \
 	    src/repro/chain/anchoring.py
+	@! grep -nE '^\s*(from\s+(\.|repro\b)|import\s+repro\b)' \
+	    src/repro/verify.py | grep -vE ':\s*from\s+(\.|repro\.)(crypto(\.\w+)*|serialization|errors|chain\.(block|transaction)|persist\.codec|provenance\.records)\s+import\s'
 
 # Total and code-only (no blanks, comments or docstrings) line counts of
 # src/repro — the figure simplicity PRs report against.
@@ -299,10 +311,12 @@ loc:
 
 # CI-style verification in one command: tier-1 tests, the crash suite
 # (kill matrix + the seeded chaos smoke: 3 fault plans, each run twice —
-# deterministic per seed), the private-attribute and layering lints, plus
+# deterministic per seed), the verifier suite, the private-attribute and
+# layering lints, plus
 # a smoke pass of each perf benchmark (same code paths, small sizes, no
 # floors) and of the set-up split.
-check: test test-codec test-transport test-crash lint-private lint-layers
+check: test test-codec test-transport test-crash test-verify lint-private \
+       lint-layers
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 	$(PYTHON) benchmarks/bench_shard_scaling.py --smoke
 	$(PYTHON) benchmarks/bench_persist.py --smoke

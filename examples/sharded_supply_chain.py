@@ -26,13 +26,13 @@ Run:  python examples/sharded_supply_chain.py
 """
 
 from repro.chain import Transaction, TxKind
-from repro.chain.lightclient import LightClient
 from repro.ingest import IngestPipeline
 from repro.sharding import (
     CrossShardCoordinator,
     ShardedChain,
     ShardedQueryEngine,
 )
+from repro.verify import LightClient
 
 
 def pick_org_names(sharded: ShardedChain) -> tuple[str, str]:

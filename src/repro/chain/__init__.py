@@ -12,8 +12,7 @@ from .blockchain import Blockchain, ChainParams
 from .mempool import Mempool
 from .state import StateStore
 from .receipts import Event, TransactionReceipt
-from .anchoring import AnchoredProof
-from .lightclient import LightClient
+from ..verify import AnchoredProof, LightClient
 
 __all__ = [
     "Transaction",

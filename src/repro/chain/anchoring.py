@@ -19,68 +19,21 @@ a level adds — leaf content, key type, the anchor transaction, who seals
 the block, the row layout, pending batches — stays in that level; this
 module never asks which one is calling.
 
-:func:`verify_anchored` is the header-only three-hop check every
-verifier reduces to, and :class:`AnchoredProof` the one record-level
-proof it reads: a full node checks it against its own header, a light
-client, replica or auditor against a header it synced.  A proof's anchor
-transaction is read from the block its receipt names, never looked up
-in a transaction index.  :func:`commits_root` is the first two hops, for
-a batch row checked against the block that carries it.
+:meth:`BatchAnchors.light_material` reads a proof's anchor transaction
+from the block its receipt names, never from a transaction index.  The
+proofs a level builds from it, and the one header-only check they all
+reduce to, are :mod:`repro.verify`'s — a party that did not write the
+evidence checks it without importing this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator
 
-from ..crypto.merkle import MerkleProof, MerkleTree, leaf_hash, verify_proof
+from ..crypto.merkle import MerkleProof, MerkleTree
 from ..errors import ChainError
-from .block import Block, BlockHeader
+from .block import Block
 from .transaction import Transaction
-
-
-def commits_root(anchor_tx: Transaction, root: bytes,
-                 computed_root: bytes) -> bool:
-    """What the evidence hashes to is the root it claims, and that root
-    is the one ``anchor_tx`` committed on-chain."""
-    return computed_root == root == anchor_tx.payload.get("merkle_root")
-
-
-def verify_anchored(leaf: Any, proof: MerkleProof, root: bytes,
-                    anchor_tx: Transaction, tx_proof: MerkleProof,
-                    header: BlockHeader, height: int) -> bool:
-    """The three-hop check, against a block header and nothing else:
-
-    1. ``leaf`` is under ``root`` via ``proof``;
-    2. ``anchor_tx`` commits exactly that root;
-    3. ``anchor_tx`` is in ``header``, the header of the claimed height.
-    """
-    return (commits_root(anchor_tx, root, proof.root_from(leaf_hash(leaf)))
-            and header.height == height
-            and verify_proof(header.merkle_root, anchor_tx.tx_hash,
-                             tx_proof))
-
-
-@dataclass(frozen=True)
-class AnchoredProof:
-    """Everything needed to check one anchored leaf against the header
-    of the block that carries its anchor transaction."""
-
-    record_proof: MerkleProof       # leaf -> batch merkle root
-    batch_root: bytes
-    anchor_tx: Transaction          # carries the batch root on-chain
-    tx_proof: MerkleProof           # anchor tx -> header merkle root
-    block_height: int
-
-    def verify(self, leaf: Any, header: BlockHeader) -> bool:
-        """:func:`verify_anchored` of ``leaf`` against ``header``."""
-        return verify_anchored(leaf, self.record_proof, self.batch_root,
-                               self.anchor_tx, self.tx_proof, header,
-                               self.block_height)
-
-    @property
-    def size_bytes(self) -> int:
-        return self.record_proof.size_bytes + len(self.batch_root) + 48
 
 
 class BatchAnchors:

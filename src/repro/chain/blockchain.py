@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
-from ..crypto.merkle import MerkleProof, verify_proof
+from ..crypto.merkle import MerkleProof
 from ..errors import ForkError, InvalidBlock, StorageError, TamperDetected
 from ..persist.codec import EncodedReceipts
 from ..persist.stores import (
@@ -587,20 +587,14 @@ class Blockchain:
     # Light-client style proofs
     # ------------------------------------------------------------------
     def prove_transaction(self, tx_id: str) -> tuple[Block, MerkleProof] | None:
-        """Inclusion proof usable by a holder of just the block header."""
+        """Inclusion proof usable by a holder of just the block header
+        (:func:`repro.verify.tx_in_header`)."""
         loc = self._store.tx_location(tx_id)
         if loc is None:
             return None
         height, pos = loc
         block = self._store.block_at(height)
         return block, block.prove_inclusion(pos)
-
-    @staticmethod
-    def verify_transaction_proof(
-        header_merkle_root: bytes, tx: Transaction, proof: MerkleProof
-    ) -> bool:
-        """Check an inclusion proof against a known header root."""
-        return verify_proof(header_merkle_root, tx.tx_hash, proof)
 
     # ------------------------------------------------------------------
     # Reorganization (longest-chain consensus support)

@@ -58,10 +58,9 @@ runner asserts, over every transfer the harness ever started:
    (aborted); one without the other is the atomicity violation the
    paper's provenance guarantees forbid;
 3. **proofs survive recovery byte-identically** — every materialized
-   handoff record yields a verifying
-   :class:`~repro.sharding.query.FederatedProof`, and the digest over
-   all of them is identical when the store is closed and reopened
-   cleanly;
+   handoff record yields a verifying :class:`~repro.verify.
+   FederatedProof`, and the digest over all of them is identical when
+   the store is closed and reopened cleanly;
 4. **determinism** — the report signature (commits, aborts, crashes,
    recovery resolutions, proof digest) is identical across repeated
    runs of the same seed (asserted by ``python -m repro.chaos`` and the

@@ -12,10 +12,10 @@ disk, and a fresh coordinator recovers under a new epoch.
 
 The run ends with :func:`check_invariants` (no leaked lock, no
 half-handoff pair) and :func:`proof_digest` (every materialized handoff
-record must carry a verifying :class:`~repro.sharding.query.
-FederatedProof`); the digest is recomputed after a clean close/reopen
-and must not move.  Everything a determinism check needs is collapsed
-into :meth:`ChaosReport.signature`.
+record must carry a verifying :class:`~repro.verify.FederatedProof`);
+the digest is recomputed after a clean close/reopen and must not move.
+Everything a determinism check needs is collapsed into
+:meth:`ChaosReport.signature`.
 """
 
 from __future__ import annotations

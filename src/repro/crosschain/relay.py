@@ -20,8 +20,9 @@ from ..chain import Blockchain, ChainParams, Transaction, TxKind
 from ..chain.block import BlockHeader
 from ..chain.transaction import Transaction as Tx
 from ..clock import SimClock
-from ..crypto.merkle import MerkleProof, verify_proof
+from ..crypto.merkle import MerkleProof
 from ..errors import CrossChainError
+from ..verify import tx_in_header
 from .messages import TransferOutcome
 
 
@@ -122,8 +123,7 @@ class RelayChain:
         proof: MerkleProof,
     ) -> bool:
         """Check a source-chain transaction against the relayed header."""
-        header = self.header_for(chain_id, height)
-        return verify_proof(header.merkle_root, tx.tx_hash, proof)
+        return tx_in_header(self.header_for(chain_id, height), tx, proof)
 
     # ------------------------------------------------------------------
     # A relay-mediated transfer (burn-and-prove-and-mint)

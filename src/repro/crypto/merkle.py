@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
-from ..errors import InvalidProof
 from .hashing import DOMAIN_LEAF, DOMAIN_NODE, hash_bytes, hash_canonical
 
 
@@ -82,22 +81,36 @@ class MerkleProof:
     """An inclusion proof: the audit path from a leaf to the root.
 
     ``path`` holds ``(sibling_hash, sibling_is_right)`` pairs from the leaf
-    level upward.
+    level upward.  ``(leaf_index, tree_size)`` fix the path's shape: its
+    length and every direction follow from them under odd-node
+    promotion, so a path can only be read as the leaf it was made for.
     """
 
     leaf_index: int
     tree_size: int
     path: tuple[tuple[bytes, bool], ...] = field(default_factory=tuple)
 
-    def root_from(self, leaf: bytes) -> bytes:
-        """Recompute the root implied by this proof for ``leaf``."""
+    def root_from(self, leaf: bytes) -> bytes | None:
+        """Recompute the root implied by this proof for ``leaf``;
+        ``None`` when the path does not have the shape of leaf
+        ``leaf_index`` in a tree of ``tree_size`` leaves."""
+        index, size = self.leaf_index, self.tree_size
+        if not 0 <= index < size:
+            return None
+        steps = iter(self.path)
         current = leaf
-        for sibling, sibling_is_right in self.path:
-            if sibling_is_right:
-                current = node_hash(current, sibling)
-            else:
-                current = node_hash(sibling, current)
-        return current
+        while size > 1:
+            # The last node of an odd level is promoted: no sibling.
+            if index % 2 or index + 1 < size:
+                sibling, sibling_is_right = next(steps, (None, None))
+                if sibling_is_right != (index % 2 == 0):
+                    return None
+                if sibling_is_right:
+                    current = node_hash(current, sibling)
+                else:
+                    current = node_hash(sibling, current)
+            index, size = index // 2, (size + 1) // 2
+        return None if next(steps, None) is not None else current
 
     @property
     def size_bytes(self) -> int:
@@ -227,10 +240,6 @@ class MerkleTree:
             leaf_index=index, tree_size=len(self._leaves), path=tuple(path)
         )
 
-    def verify_value(self, value: Any, proof: MerkleProof) -> bool:
-        """Convenience: check ``value`` against this tree's root."""
-        return verify_proof(self.root, value, proof)
-
     # ------------------------------------------------------------------
     # Append-only auditing
     # ------------------------------------------------------------------
@@ -259,15 +268,6 @@ class MerkleTree:
 def verify_proof(root: bytes, value: Any, proof: MerkleProof) -> bool:
     """Check that ``value`` is included under ``root`` via ``proof``."""
     return proof.root_from(leaf_hash(value)) == root
-
-
-def verify_proof_or_raise(root: bytes, value: Any, proof: MerkleProof) -> None:
-    """Like :func:`verify_proof` but raises :class:`InvalidProof`."""
-    if not verify_proof(root, value, proof):
-        raise InvalidProof(
-            f"Merkle inclusion proof failed for leaf {proof.leaf_index} "
-            f"of tree size {proof.tree_size}"
-        )
 
 
 def root_of(values: Sequence[Any]) -> bytes:

@@ -40,7 +40,7 @@ from .capture import (
     ThirdPartyCapture,
     MultiSourceCapture,
 )
-from ..chain import AnchoredProof
+from ..verify import AnchoredProof
 from .anchor import AnchorReceipt, AnchorService
 from .query import ProvenanceQueryEngine, QueryCache, QueryStats, VerifiedAnswer
 from .multimodal import ModalToken, MultiModalTokenizer

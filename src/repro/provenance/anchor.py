@@ -9,10 +9,11 @@ transaction.  A record is then provable with:
 * a Merkle inclusion proof against the anchored root,
 * the block header containing the anchor transaction.
 
-The mechanism — committed batches, lazy trees, the locator, and the one
-:class:`~repro.chain.anchoring.AnchoredProof` that :meth:`AnchorService.
-prove` returns and every verifier checks against a block header — is
-:mod:`repro.chain.anchoring`, shared with the beacon one level up.
+The mechanism — committed batches, lazy trees, the locator — is
+:mod:`repro.chain.anchoring`, shared with the beacon one level up; the
+one :class:`~repro.verify.AnchoredProof` that :meth:`AnchorService.
+prove` returns, and every verifier checks against a block header, is
+:mod:`repro.verify`'s.
 ``AnchorService`` adds what is particular to records: the 32-byte
 :func:`~repro.provenance.records.record_digest` leaves keyed by record
 id, the pending batch that fills up to ``batch_size``, the anchor
@@ -45,11 +46,12 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Mapping
 
-from ..chain import AnchoredProof, Blockchain, Transaction, TxKind
-from ..chain.anchoring import BatchAnchors, commits_root
+from ..chain import Blockchain, Transaction, TxKind
+from ..chain.anchoring import BatchAnchors
 from ..crypto.hashing import HASH_SIZE
 from ..crypto.merkle import MerkleTree
 from ..errors import AnchorError
+from ..verify import AnchoredProof, commits_root
 from .records import record_digest
 
 
@@ -254,7 +256,7 @@ class AnchorService:
     def prove(self, record_id: str) -> AnchoredProof:
         """The record's evidence, checkable against the header of its
         anchor block alone — by :meth:`verify` here and by a
-        :class:`~repro.chain.lightclient.LightClient` alike."""
+        :class:`~repro.verify.LightClient` alike."""
         found = self._batches.prove(record_id)
         if found is None:
             raise AnchorError(f"record {record_id!r} is not anchored")
@@ -276,14 +278,6 @@ class AnchorService:
         return (0 <= height <= self.chain.height
                 and proof.verify(record_digest(dict(record)),
                                  self.chain.block_at(height).header))
-
-    def verify_or_raise(self, record: Mapping[str, Any],
-                        proof: AnchoredProof) -> None:
-        if not self.verify(record, proof):
-            raise AnchorError(
-                f"anchored proof failed for record "
-                f"{record.get('record_id')!r}"
-            )
 
     # ------------------------------------------------------------------
     @property

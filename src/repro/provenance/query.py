@@ -21,9 +21,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..chain import AnchoredProof
 from ..errors import QueryError
 from ..persist.provdb import ProvenanceDatabase
+from ..verify import AnchoredProof
 from .anchor import AnchorService
 from .graph import ProvenanceGraph
 

@@ -42,11 +42,12 @@ a single verifiable root of trust:
 Trust recap: record → batch root → anchor tx → shard header → round
 root → beacon anchor tx → beacon header.  Tampering anywhere under a
 beacon header breaks one of those six hops — two runs of the same
-three-hop check (:func:`repro.chain.anchoring.verify_anchored`) over one
-proof per level (:class:`~repro.chain.anchoring.AnchoredProof`,
-:class:`BeaconLightBundle`), spliced at the shard header by
-:class:`FederatedProof`.  A full node checks the same two proofs against
-its own headers.
+three-hop check (:func:`repro.verify.verify_anchored`) over one proof
+per level (:class:`~repro.verify.AnchoredProof`,
+:class:`~repro.verify.BeaconLightBundle`), spliced at the shard header
+by :class:`~repro.verify.FederatedProof`.  All of them live in
+:mod:`repro.verify`, which imports nothing of this package; a full node
+checks the same two proofs against its own headers.
 
 Layout: ``shardchain.py`` — the facade is *wiring* (routing,
 checkpointing, the ``seal_round`` skeleton with its one failure loop).
@@ -58,14 +59,10 @@ shard, ``(ShardSealStats, entries, height)`` or the exception — never a
 failure decision.
 """
 
-from .beacon import (
-    BeaconChain,
-    BeaconLightBundle,
-    BeaconReceipt,
-    ShardBlockProof,
-)
+from ..verify import BeaconLightBundle, FederatedProof, ShardBlockProof
+from .beacon import BeaconChain, BeaconReceipt
 from .locks import LockEntry, LockTable
-from .query import FederatedProof, ShardedQueryEngine, ShardedVerifiedAnswer
+from .query import ShardedQueryEngine, ShardedVerifiedAnswer
 from .router import NAMESPACE_SEP, ShardRouter, namespace_of
 from .shardchain import (
     RoundReport,

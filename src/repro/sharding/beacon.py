@@ -5,10 +5,12 @@ batched into a Merkle tree and the root is committed in a single beacon
 transaction — :mod:`repro.chain.anchoring`, the mechanism shards anchor
 records with, one level up: shards anchor records, the beacon anchors
 shards.  A verifier holding only the *beacon* headers can then check any
-shard block with a :class:`BeaconLightBundle` — shard block hash → round
-root → beacon anchor transaction → beacon header — without trusting any
-shard full node.  ``BeaconChain`` adds what is particular to this level:
-:func:`shard_block_leaf` leaves keyed by ``(shard, height)``, the round's
+shard block with a :class:`~repro.verify.BeaconLightBundle` — shard
+block hash → round root → beacon anchor transaction → beacon header —
+without trusting any shard full node, or importing this module.
+``BeaconChain`` adds what is particular to this level:
+:func:`~repro.verify.shard_block_leaf` leaves keyed by ``(shard,
+height)``, the round's
 entries (a proof needs the state root a leaf committed), the beacon
 transaction's payload, and the refusal to anchor a shard block twice.
 
@@ -30,32 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..chain import Blockchain, BlockHeader, ChainParams, Transaction, TxKind
-from ..chain.anchoring import BatchAnchors, verify_anchored
-from ..crypto.merkle import MerkleProof, MerkleTree
+from ..chain import Blockchain, ChainParams, Transaction, TxKind
+from ..chain.anchoring import BatchAnchors
+from ..crypto.merkle import MerkleTree
 from ..errors import ShardError
 from ..persist.stores import Storage
-
-
-def shard_block_leaf(shard_id: int, height: int, block_hash: bytes,
-                     state_root: bytes = b"") -> dict:
-    """Canonical leaf content committing one shard block to the beacon.
-
-    ``state_root`` commits the shard's post-execution state at this
-    block when known (sealing rounds tag the shard's head block with
-    it); ``b""`` means "not committed".  Snapshot sync relies on this:
-    a state image downloaded from an untrusted peer is accepted only if
-    its recomputed root matches the beacon-anchored commitment.
-
-    The key is *omitted* when there is no commitment, so leaves anchored
-    before state roots existed keep their exact hash — rounds persisted
-    by older deployments still verify after restore.  (The two forms
-    cannot be confused: the key set is part of the canonical encoding.)
-    """
-    leaf = {"shard": shard_id, "height": height, "block_hash": block_hash}
-    if state_root:
-        leaf["state_root"] = state_root
-    return leaf
+from ..verify import BeaconLightBundle, ShardBlockProof, shard_block_leaf
 
 
 def _normalize_entries(
@@ -80,56 +62,6 @@ class BeaconReceipt:
     block_height: int           # beacon chain height of the anchor tx
     tx_id: str
     leaf_count: int
-
-
-@dataclass(frozen=True)
-class ShardBlockProof:
-    """Which shard block a :class:`BeaconLightBundle` proves, its leaf's
-    path to the round root, and where that round landed on the beacon."""
-
-    shard_id: int
-    height: int                 # shard chain height
-    block_hash: bytes
-    merkle_proof: MerkleProof   # leaf → round root
-    round_root: bytes
-    round_no: int
-    beacon_height: int
-    beacon_tx_id: str
-    state_root: bytes = b""     # anchored state commitment (b"" = none)
-
-    @property
-    def leaf(self) -> dict:
-        return shard_block_leaf(self.shard_id, self.height,
-                                self.block_hash, self.state_root)
-
-
-@dataclass(frozen=True)
-class BeaconLightBundle:
-    """The one proof that a shard block is beacon-anchored, checked
-    against a beacon header: the beacon's own (a full node) or one a
-    light client synced.
-
-    Mirrors :class:`~repro.chain.anchoring.AnchoredProof`, one level up:
-    the "record" is a shard block hash and the "batch" is a sealing
-    round.
-    """
-
-    shard_proof: ShardBlockProof
-    anchor_tx: Transaction      # beacon tx carrying the round root
-    tx_proof: MerkleProof       # anchor tx → beacon header merkle root
-
-    def verify(self, beacon_header: BlockHeader) -> bool:
-        """Three-hop check against a beacon block header.
-
-        1. the shard block leaf is under the round root;
-        2. the beacon anchor transaction commits exactly that root;
-        3. the anchor transaction is in the given beacon header.
-        """
-        proof = self.shard_proof
-        return verify_anchored(proof.leaf, proof.merkle_proof,
-                               proof.round_root, self.anchor_tx,
-                               self.tx_proof, beacon_header,
-                               proof.beacon_height)
 
 
 class BeaconChain:

@@ -6,16 +6,17 @@ proofs per record, one per anchoring level, each the proof an offline
 verifier would get and checked the way it would check it — against a
 block header, here the node's own:
 
-1. the record's :class:`~repro.chain.anchoring.AnchoredProof` on its
-   home shard (produced and checked by that shard's own query engine,
-   proof memo included) against the shard's header,
-2. the :class:`~repro.sharding.beacon.BeaconLightBundle` of the shard
-   block holding the anchor transaction against the beacon's header.
+1. the record's :class:`~repro.verify.AnchoredProof` on its home shard
+   (produced and checked by that shard's own query engine, proof memo
+   included) against the shard's header,
+2. the :class:`~repro.verify.BeaconLightBundle` of the shard block
+   holding the anchor transaction against the beacon's header.
 
 For offline verifiers, :meth:`ShardedQueryEngine.federated_proof`
-packages the same two proofs into a :class:`FederatedProof` checkable
-against a **single beacon block header** — the verifier needs no shard
-state at all.
+packages the same two proofs into a :class:`~repro.verify.
+FederatedProof` checkable against a **single beacon block header** —
+the verifier needs no shard state at all, and no module of this
+package.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..chain import AnchoredProof, BlockHeader
 from ..errors import QueryError, ShardError
-from ..provenance.records import record_digest
-from .beacon import BeaconChain, BeaconLightBundle
+from ..verify import AnchoredProof, FederatedProof
+from .beacon import BeaconChain
 from .shardchain import Shard, ShardedChain
 
 
@@ -46,42 +46,6 @@ class ShardedVerifiedAnswer:
     beacon_verified: tuple[bool, ...]
     verified: bool
     unanchored: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class FederatedProof:
-    """Offline evidence for one record, rooted in one beacon header.
-
-    ``anchor_bundle`` walks record → batch root → anchor tx → shard
-    header; ``beacon_bundle`` walks shard block hash → round root →
-    beacon anchor tx → beacon header.  ``shard_header`` is the splice
-    point, bound on both sides by hash.
-    """
-
-    shard_id: int
-    record_id: str
-    anchor_bundle: AnchoredProof
-    shard_header: BlockHeader
-    beacon_bundle: BeaconLightBundle
-
-    def verify(self, record: dict, beacon_header: BlockHeader) -> bool:
-        """Check ``record`` against a beacon header and nothing else."""
-        # Hops 1-2: record digest → batch root → anchor transaction →
-        # the shard header we were given.
-        if not self.anchor_bundle.verify(record_digest(record),
-                                         self.shard_header):
-            return False
-        # Hop 3: that shard header is beacon-committed.
-        shard_proof = self.beacon_bundle.shard_proof
-        return (shard_proof.shard_id == self.shard_id
-                and shard_proof.height == self.shard_header.height
-                and shard_proof.block_hash == self.shard_header.block_hash
-                and self.beacon_bundle.verify(beacon_header))
-
-    @property
-    def beacon_height(self) -> int:
-        """Which beacon header to fetch for :meth:`verify`."""
-        return self.beacon_bundle.shard_proof.beacon_height
 
 
 def package_federated_proof(shard: Shard, beacon: BeaconChain,
@@ -225,8 +189,7 @@ class ShardedQueryEngine:
                         subject: str | None = None) -> FederatedProof:
         """Package one record's full evidence chain for a verifier that
         holds only beacon headers (e.g. a
-        :class:`~repro.chain.lightclient.LightClient` synced to the
-        beacon).
+        :class:`~repro.verify.LightClient` synced to the beacon).
 
         Record ids are unique per shard, not globally; pass the record's
         ``subject`` to resolve it on its home shard when tenants on

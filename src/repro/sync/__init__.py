@@ -18,7 +18,7 @@ which carrier it is on, and nothing but encoded bytes crosses.
 * ``sync/offer`` — :class:`SnapshotServer` answers with a
   :class:`~repro.sync.codec.SnapshotManifest` (shard, height, head
   hash, state root, per-chunk hashes) plus a
-  :class:`~repro.sharding.beacon.BeaconLightBundle`, as a mapping,
+  :class:`~repro.verify.BeaconLightBundle`, as a mapping,
   proving that exact ``(height, head hash, state root)`` triple is
   committed under a beacon header.  Sealing rounds tag each shard's
   head with its post-execution

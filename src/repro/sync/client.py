@@ -9,7 +9,7 @@ trust root:
 
 1. *Offer*: the manifest's ``(shard, height, head hash, state root)``
    must be proven by the accompanying beacon light bundle — a mapping
-   :func:`~repro.sync.codec.bundle_from_mapping` rebuilds fail-closed —
+   :func:`~repro.verify.bundle_from_mapping` rebuilds fail-closed —
    against a beacon header the client fetched from its own trust root.
 2. *Chunks*: each chunk must hash to its manifest entry; the assembled
    image's state entries must recompute exactly the beacon-anchored
@@ -46,15 +46,9 @@ from ..persist.codec import canonical_decode, decode_block
 from ..persist.durable import DurableStorage
 from ..persist.segment import CrashPoint
 from ..provenance.anchor import verify_batch_row
-from ..sharding.beacon import BeaconLightBundle
-from .codec import (
-    SnapshotManifest,
-    bundle_from_mapping,
-    chunk_digest,
-    decode_image,
-    scan_block_frame,
-    typed,
-)
+from ..verify import BeaconLightBundle, bundle_from_mapping, typed
+from .codec import SnapshotManifest, chunk_digest, decode_image, \
+    scan_block_frame
 from .server import OP_CHUNK, OP_OFFER, OP_TAIL
 
 _STAGING_DIR = "sync-staging"

@@ -25,8 +25,9 @@ from ..network.node import ChainNode
 from ..obs.runtime import telemetry as default_telemetry
 from ..persist.durable import DurableStorage
 from ..rpc import OP_OPS, Service, ops_handler
-from ..sharding.query import FederatedProof, package_federated_proof
+from ..sharding.query import package_federated_proof
 from ..sharding.shardchain import Shard
+from ..verify import FederatedProof
 from .client import SnapshotClient, SyncReport
 
 

@@ -3,7 +3,7 @@
 The server is deliberately *untrusted* by its clients: everything it
 serves is either hash-bound to the manifest (chunks), hash-chained to
 the head (tail frames), or beacon-anchored (the head itself, via the
-:class:`~repro.sharding.beacon.BeaconLightBundle` mapping shipped with
+:class:`~repro.verify.BeaconLightBundle` mapping shipped with
 every offer).  A correct client therefore accepts nothing on the
 server's word alone — see :mod:`repro.sync.client`.
 
@@ -29,13 +29,8 @@ from dataclasses import dataclass
 from ..errors import ColdHistory, ShardError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
 from ..rpc import Service
-from .codec import (
-    DEFAULT_CHUNK_SIZE,
-    SnapshotManifest,
-    bundle_to_mapping,
-    encode_image,
-    typed,
-)
+from ..verify import bundle_to_mapping, typed
+from .codec import DEFAULT_CHUNK_SIZE, SnapshotManifest, encode_image
 
 OP_OFFER, OP_CHUNK, OP_TAIL = SYNC_OPS = \
     ("sync/offer", "sync/chunk", "sync/tail")

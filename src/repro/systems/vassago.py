@@ -29,6 +29,7 @@ from ..clock import SimClock
 from ..crypto.hashing import hash_canonical
 from ..crypto.signatures import KeyPair, verify
 from ..errors import CrossChainError, QueryError
+from ..verify import tx_in_header
 
 
 @dataclass
@@ -158,9 +159,7 @@ class Vassago:
             )
         block, proof = located
         tx = block.find_transaction(entry.tx_id)[1]
-        valid = Blockchain.verify_transaction_proof(
-            block.header.merkle_root, tx, proof
-        )
+        valid = tx_in_header(block.header, tx, proof)
         cost.proofs_verified += 1
         return ProvenanceHop(
             tx_id=entry.tx_id, chain_id=entry.chain_id,

@@ -1,4 +1,5 @@
-"""One anchoring mechanism at both levels (``repro.chain.anchoring``).
+"""One anchoring mechanism at both levels (``repro.chain.anchoring``),
+checked by one verifier (``repro.verify``).
 
 * **Byte identity** — a seeded deployment's anchor and beacon
   transactions, derived rows and federated proofs hash to digests pinned
@@ -7,7 +8,10 @@
 * **Tamper matrix** — one real record → shard → beacon evidence chain,
   each single mutation applied to it, and *every* verifier that reads
   the mutated field must reject it.  A full node and a light client
-  check the same proof object, each against a header it holds.
+  check the same proof object, each against a header it holds.  A
+  proof's path is read as the leaf it was made for, and its batch
+  metadata (size, round number, transaction id) is its anchor
+  transaction's.
 * **Reorg** — after ``reorg_to`` the in-process services are where a
   crash + reopen would put them.
 
@@ -24,15 +28,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain import (
-    AnchoredProof,
-    Block,
-    Blockchain,
-    ChainParams,
-    LightClient,
-    Transaction,
-    TxKind,
-)
+from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
 from repro.errors import AnchorError, ChainError, ShardError
 from repro.persist import MemoryStorage
 from repro.persist.codec import transaction_embedded
@@ -41,18 +37,20 @@ from repro.serialization import canonical_encode
 from repro.sharding import (
     COMMITTED,
     CrossShardCoordinator,
-    FederatedProof,
     Shard,
     ShardedChain,
     ShardedQueryEngine,
 )
-from repro.sharding.beacon import (
-    BeaconChain,
-    BeaconLightBundle,
-    ShardBlockProof,
-)
+from repro.sharding.beacon import BeaconChain
 from repro.sharding.query import package_federated_proof
-from repro.sync.codec import bundle_to_mapping
+from repro.verify import (
+    AnchoredProof,
+    BeaconLightBundle,
+    FederatedProof,
+    LightClient,
+    ShardBlockProof,
+    bundle_to_mapping,
+)
 
 
 def _sha(value) -> str:
@@ -414,6 +412,15 @@ def _swap_first_sibling(proof):
     return dataclasses.replace(proof, path=((sibling, not is_right), *rest))
 
 
+def _move_leaf(proof):
+    # Another leaf of the same tree, or one past its end.
+    return dataclasses.replace(proof, leaf_index=proof.leaf_index ^ 1)
+
+
+def _resize(proof, tree_size: int):
+    return dataclasses.replace(proof, tree_size=tree_size)
+
+
 # name -> (mutate(rig) -> Evidence, verifiers that read a mutated field).
 # Every mutation changes ONE thing about the evidence; where that thing
 # is carried at both levels (a leaf, a sibling, a root...) it is changed
@@ -500,7 +507,33 @@ MUTATIONS = {
     "state_root dropped from the leaf": (lambda rig: dataclasses.replace(
         rig.target, state_root=b""),
         BEACON_LEVEL),
+    "leaf index moved": (lambda rig: dataclasses.replace(
+        rig.target,
+        record_proof=_move_leaf(rig.target.record_proof),
+        round_proof=_move_leaf(rig.target.round_proof)),
+        RECORD_LEVEL | BEACON_LEVEL),
+    # The batch metadata a proof carries is the anchor transaction's.
+    "record_count of another batch": (lambda rig: dataclasses.replace(
+        rig.target,
+        record_proof=_resize(rig.target.record_proof,
+                             rig.other.record_proof.tree_size)),
+        RECORD_LEVEL),
+    "leaf_count of another round": (lambda rig: dataclasses.replace(
+        rig.target,
+        round_proof=_resize(rig.target.round_proof,
+                            rig.other.round_proof.tree_size)),
+        BEACON_LEVEL),
+    "round number of another round": (lambda rig: dataclasses.replace(
+        rig.target, round_no=rig.other.round_no),
+        BEACON_LEVEL),
+    "beacon tx id of another round": (lambda rig: dataclasses.replace(
+        rig.target, beacon_tx_id=rig.other.beacon_tx_id),
+        BEACON_LEVEL),
 }
+# Rows that need a sibling, or a batch and round larger than rig.other's
+# (a batch of one).
+NEEDS_TWO = {"sibling swapped", "record_count of another batch",
+             "leaf_count of another round"}
 
 
 class TestTamperMatrix:
@@ -511,8 +544,8 @@ class TestTamperMatrix:
     def test_every_verifier_that_sees_the_field_rejects(
             self, mutation, size, position):
         mutate, sees = MUTATIONS[mutation]
-        if mutation == "sibling swapped" and size == 1:
-            size = 2            # a batch of one has no sibling
+        if mutation in NEEDS_TWO and size == 1:
+            size = 2
         rig = build_rig(size, position % size)
         for name, verifies in VERIFIERS.items():
             assert verifies(rig, rig.target), f"{name}: untouched"
@@ -521,6 +554,23 @@ class TestTamperMatrix:
         for name, verifies in VERIFIERS.items():
             assert verifies(rig, mutated) == (name not in sees), \
                 f"{name} under {mutation!r}"
+
+    def test_a_size_the_path_cannot_tell_is_the_anchor_txs(self):
+        # Leaf 2 has the same path in a tree of 5 leaves and of 6: the
+        # Merkle proof alone accepts either size, the count its anchor
+        # transaction carries does not.
+        rig = build_rig(5, 2)
+        resized = dataclasses.replace(
+            rig.target,
+            record_proof=_resize(rig.target.record_proof, 6),
+            round_proof=_resize(rig.target.round_proof, 6))
+        for before, after in ((rig.target.record_proof, resized.record_proof),
+                              (rig.target.round_proof, resized.round_proof)):
+            assert before.root_from(b"leaf") is not None
+            assert after.root_from(b"leaf") == before.root_from(b"leaf")
+        for name, verifies in VERIFIERS.items():
+            assert verifies(rig, resized) == (
+                name not in RECORD_LEVEL | BEACON_LEVEL), name
 
     def test_full_node_refuses_a_block_hash_the_beacon_did_not_commit(
             self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
 from repro.chain.block import GENESIS_PREV_HASH
 from repro.crypto.signatures import KeyPair
+from repro.verify import tx_in_header
 from repro.errors import (
     ChainError,
     ForkError,
@@ -76,12 +77,8 @@ class TestBlockStructure:
         txs = [data_tx(i) for i in range(7)]
         block = Block(1, b"\x00" * 32, txs)
         proof = block.prove_inclusion(4)
-        assert Blockchain.verify_transaction_proof(
-            block.header.merkle_root, txs[4], proof
-        )
-        assert not Blockchain.verify_transaction_proof(
-            block.header.merkle_root, txs[5], proof
-        )
+        assert tx_in_header(block.header, txs[4], proof)
+        assert not tx_in_header(block.header, txs[5], proof)
 
 
 class TestAppendAndExecute:

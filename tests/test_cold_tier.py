@@ -44,7 +44,7 @@ from repro.persist.durable import IndexedLog
 from repro.persist.segment import CrashPoint
 from repro.serialization import canonical_encode
 from repro.sharding import ShardedChain, ShardedQueryEngine
-from repro.sync.codec import bundle_to_mapping
+from repro.verify import bundle_to_mapping
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 N_PROOFS = 20

@@ -7,7 +7,7 @@ checkpoint — records ingested, anchors flushed mid-round — the store is
 crashed and reopened, and:
 
 * every record a beacon header covered before the crash still yields a
-  :class:`~repro.sharding.query.FederatedProof` that verifies offline;
+  :class:`~repro.verify.FederatedProof` that verifies offline;
 * no beacon ``anchor_id`` and no shard ``anchor-<chain>-NNNNNN`` id is on
   its chain twice, no shard block is beacon-anchored twice,
   ``rounds_sealed == beacon.rounds_anchored == beacon.height`` and every

@@ -1,5 +1,7 @@
 """Merkle tree invariants: proofs verify, forgeries fail."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +10,7 @@ from repro.crypto.merkle import (
     MerkleTree,
     root_of,
     verify_proof,
-    verify_proof_or_raise,
 )
-from repro.errors import InvalidProof
 
 
 class TestConstruction:
@@ -67,13 +67,6 @@ class TestVerification:
         proof_for_a = tree.prove(0)
         assert not verify_proof(tree.root, "b", proof_for_a)
 
-    def test_verify_or_raise(self):
-        tree = MerkleTree(["a", "b"])
-        proof = tree.prove(0)
-        verify_proof_or_raise(tree.root, "a", proof)
-        with pytest.raises(InvalidProof):
-            verify_proof_or_raise(tree.root, "b", proof)
-
     def test_proof_size_grows_logarithmically(self):
         small = MerkleTree(range(8)).prove(0)
         large = MerkleTree(range(1024)).prove(0)
@@ -114,6 +107,59 @@ class TestProperties:
         # Proofs must be regenerated against the new root — and work.
         for i, value in enumerate(values):
             assert verify_proof(tree.root, value, tree.prove(i))
+
+
+def _directions(proof) -> list[bool]:
+    return [is_right for _, is_right in proof.path]
+
+
+# One tree per size, to read the honest path shape of any leaf from.
+_TREES = {size: MerkleTree(range(size)) for size in range(1, 71)}
+
+
+class TestProofShape:
+    """``(leaf_index, tree_size)`` fix a path's length and every
+    direction: a proof is read as the leaf it was made for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(size=st.integers(min_value=1, max_value=65), data=st.data())
+    def test_only_the_honest_shape_verifies(self, size, data):
+        tree = _TREES[size]
+        index = data.draw(st.integers(min_value=0, max_value=size - 1))
+        proof = tree.prove(index)
+        assert verify_proof(tree.root, index, proof)
+
+        def verifies(**changed) -> bool:
+            return verify_proof(tree.root, index,
+                                dataclasses.replace(proof, **changed))
+
+        for moved in [-1, *range(size + 2)]:
+            assert verifies(leaf_index=moved) == (moved == index)
+        # The root does not commit to the size: another size passes only
+        # where this leaf's path has exactly the same shape (which the
+        # anchor transaction's count then rules out).
+        assert not verifies(tree_size=0)
+        for other, other_tree in _TREES.items():
+            same_shape = (index < other and _directions(
+                other_tree.prove(index)) == _directions(proof))
+            assert verifies(tree_size=other) == (other == size or same_shape)
+        path = proof.path
+        for k, (sibling, is_right) in enumerate(path):
+            flipped = (*path[:k], (sibling, not is_right), *path[k + 1:])
+            assert not verifies(path=flipped)
+            assert not verifies(path=path[:k] + path[k + 1:])
+        for k in range(len(path) + 1):
+            for is_right in (True, False):
+                extra = (*path[:k], (b"\x01" * 32, is_right), *path[k:])
+                assert not verifies(path=extra)
+
+    def test_leaf_two_of_five_is_no_other_leaf(self):
+        tree = MerkleTree(range(5))
+        proof = tree.prove(2)
+        for leaf_index, tree_size in ((0, 5), (7, 1000), (2, 1)):
+            assert not verify_proof(
+                tree.root, 2, dataclasses.replace(
+                    proof, leaf_index=leaf_index, tree_size=tree_size))
 
 
 class TestAppendOnlyAudit:

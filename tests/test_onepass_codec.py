@@ -682,7 +682,7 @@ class TestPinnedSliceEqualsReencode:
         assert survivors < len(frame)
 
     def test_sync_offer_anchor_is_pinned(self):
-        from repro.sync.codec import bundle_from_mapping, bundle_to_mapping
+        from repro.verify import bundle_from_mapping, bundle_to_mapping
 
         sharded = ShardedChain(n_shards=1, anchor_batch_size=2,
                                telemetry=Telemetry())

@@ -15,7 +15,6 @@ Pins the subsystem's contracts:
 import pytest
 
 from repro.chain import Transaction, TxKind
-from repro.chain.lightclient import LightClient
 from repro.errors import InvalidTransaction, QueryError, ShardError
 from repro.network import ChainNode, SimNet
 from repro.sharding import (
@@ -29,6 +28,7 @@ from repro.sharding import (
     ShardRouter,
     namespace_of,
 )
+from repro.verify import LightClient
 from repro.workloads import MultiTenantShardWorkload
 
 

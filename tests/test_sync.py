@@ -529,6 +529,11 @@ class ByzantineServer(SnapshotServer):
             proof["merkle_proof"] = dict(proof["merkle_proof"], path=path)
         elif self.mode == "bundle_for_another_round":
             proof["beacon_height"] = proof["beacon_height"] + 1000
+        elif self.mode == "bundle_leaf_index_moved":
+            # The honest round path, read as another leaf of the round.
+            moved = proof["merkle_proof"]["leaf_index"] ^ 1
+            proof["merkle_proof"] = dict(proof["merkle_proof"],
+                                         leaf_index=moved)
         if isinstance(bundle, dict):
             bundle["shard_proof"] = proof
         resp["bundle"] = bundle
@@ -660,6 +665,7 @@ class TestByzantine:
         "bundle_missing", "bundle_not_a_mapping", "bundle_field_dropped",
         "bundle_field_wrong_type", "bundle_anchor_tx_garbage",
         "bundle_decodes_but_does_not_verify", "bundle_for_another_round",
+        "bundle_leaf_index_moved",
     ])
     def test_forged_bundle_mapping_rejected(self, source, tmp_path, mode):
         sharded, _ = source
