@@ -62,7 +62,7 @@ test-transport:
 
 # Chaos suite: the 2PC crash matrix (coordinator killed at every WAL
 # step boundary), lock-lease/fencing coverage, the round-engine contract
-# matrix (executor x quarantine under an injected shard fault), plus the
+# matrix (every executor, faulted and fault-free), plus the
 # seeded chaos harness run twice per seed — same seed must produce the
 # same report signature, or the run fails.
 test-chaos:
@@ -212,11 +212,13 @@ setup-split:
 # retry-floor or probe-period keyword or attribute outside the frozen e2e
 # benchmark (a test may still name one as a string, to see it refused),
 # and no "auto" engine under sharding/ — rounds seal inline unless a
-# caller names an engine.  Nor may an anchoring level prove or check
-# twice: no level looks an anchor transaction up in the transaction
-# index (it reads the block its receipt names), and the full-node verify
-# twins and the second record-level proof type stay gone — one proof
-# per level, checked against a block header.
+# caller names an engine.  Nor may a failed shard be tolerated again:
+# no quarantine mode, failure roster, streak or probe round under
+# sharding/ — a failed shard fails the round.  Nor may an anchoring
+# level prove or check twice: no level looks an anchor transaction up
+# in the transaction index (it reads the block its receipt names), and
+# the full-node verify twins and the second record-level proof type stay
+# gone — one proof per level, checked against a block header.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -272,6 +274,8 @@ lint-private:
 	    src tests examples tools benchmarks --include='*.py' \
 	    | grep -v '^benchmarks/e2e/'
 	@! grep -rn '"auto"' src/repro/sharding --include='*.py'
+	@! grep -rnE 'quarantin|failed_shards|seal_fail_streak|_note_seal_' \
+	    src/repro/sharding --include='*.py'
 	@! grep -nE 'chain\.(find_transaction|prove_transaction|tx_location)\(' \
 	    src/repro/chain/anchoring.py src/repro/provenance/anchor.py \
 	    src/repro/sharding/beacon.py src/repro/sharding/query.py

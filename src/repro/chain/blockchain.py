@@ -673,10 +673,3 @@ class Blockchain:
             snap_height = self._snapshot_store.snapshot_height()
             if snap_height is not None and snap_height > fork_height:
                 self._snapshot_store.clear()
-
-    # ------------------------------------------------------------------
-    # Size accounting
-    # ------------------------------------------------------------------
-    @property
-    def total_size_bytes(self) -> int:
-        return sum(block.size_bytes for block in self._store.iter_blocks())

@@ -49,11 +49,6 @@ def hash_hex(value: Any, domain: bytes = b"") -> str:
     return hash_canonical(value, domain).hex()
 
 
-def combine(left: bytes, right: bytes, domain: bytes = DOMAIN_NODE) -> bytes:
-    """Hash two child digests into a parent digest (Merkle interior)."""
-    return hash_bytes(left + right, domain)
-
-
 class HashChain:
     """An append-only hash chain: ``h_i = H(h_{i-1} || item_i)``.
 

@@ -163,10 +163,6 @@ class MerkleTree:
             return EMPTY_ROOT
         return self._levels[-1][0]
 
-    @property
-    def root_hex(self) -> str:
-        return self.root.hex()
-
     def leaf(self, index: int) -> bytes:
         return self._leaves[index]
 

@@ -91,17 +91,6 @@ class KeyPair:
         return sign(message, self.private)
 
 
-@dataclass(frozen=True)
-class Signature:
-    """A detached signature over a canonical message."""
-
-    tag: bytes
-    signer: PublicKey
-
-    def to_canonical(self) -> dict:
-        return {"tag": self.tag, "signer": self.signer.key_bytes}
-
-
 def sign(message: Any, private: PrivateKey) -> bytes:
     """Sign ``message`` (any canonical-encodable value)."""
     return sign_encoded(canonical_encode(message), private)

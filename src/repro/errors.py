@@ -123,7 +123,7 @@ class ShardError(ChainError):
     """A sharded-chain routing, sealing, or locking problem.
 
     ``reason`` is a stable machine code (``"lock_conflict"``,
-    ``"fenced_epoch"``, ``"seal_failed"``, ``"quarantined"``, …) and
+    ``"fenced_epoch"``, ``"proof_invalid"``, …) and
     ``shard_id`` attributes the failure to one shard, so operators and
     the chaos harness can classify failures without parsing messages.
     Both are optional: the plain ``ShardError("message")`` form keeps
@@ -151,10 +151,6 @@ class ConsensusError(ReproError):
 
 class NetworkError(ReproError):
     """A simulated-network delivery failure."""
-
-
-class PartitionError(NetworkError):
-    """Message could not be delivered because of a network partition."""
 
 
 class SyncError(NetworkError):

@@ -43,7 +43,7 @@ sealed transaction carries vs checks that went to the HMAC) and
 the default registry, labeled, so one ``snapshot()`` — or one ``ops``
 request over the network — sees everything: queue
 depths and watermarks, admission/seal/fsync/verify latency histograms,
-QueueFull/deferral/quarantine counters, per-topic drop/dup/reorder,
+QueueFull/deferral/seal-failure counters, per-topic drop/dup/reorder,
 sync chunk/tail progress, tiering reclaim, worker respawns.
 
 Ops surfaces

@@ -220,17 +220,6 @@ class Tracer:
             return True
         return False
 
-    def _stack(self) -> list:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
-
-    def current_ctx(self) -> TraceContext | None:
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1].ctx if stack else None
-
     def root_span(self, name: str, sampled: bool | None = None):
         """Start a new trace; ``sampled=None`` asks the sampler."""
         if sampled is None:

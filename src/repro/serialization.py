@@ -241,8 +241,3 @@ def _encode_mapping(value: Mapping, append) -> None:
         append(body)
         _encode_into(value[key], append)
     append(b"e")
-
-
-def canonical_hex(value: Any) -> str:
-    """Hex rendering of the canonical encoding (useful in test output)."""
-    return canonical_encode(value).hex()

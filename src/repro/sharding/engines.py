@@ -1,7 +1,9 @@
 """Round engines: *where* a shard's share of a sealing round runs.
 
 :meth:`ShardedChain.seal_round` owns the round skeleton; an engine only
-runs the selected shards' work.  The contract, for every engine:
+runs the selected shards' work, which ``seal_round`` hands it as
+distinct shards (a repeated shard id is refused before anything seals).
+The contract, for every engine:
 
 * run **every** selected shard to completion before returning — a
   failure must never surface while a sibling is still mid-mutation, or
@@ -9,7 +11,9 @@ runs the selected shards' work.  The contract, for every engine:
 * return one outcome per shard, in the order given: a
   :data:`ShardResult`, or the exception the shard's round raised (its
   popped transactions already re-admitted);
-* decide nothing about failures — that is ``seal_round``'s single loop.
+* decide nothing about failures — ``seal_round`` counts every failed
+  outcome and raises the first before the beacon commit: a failed shard
+  fails the round.
 
 Implementations: :class:`InProcessEngine` (``serial`` / ``thread``) and
 :class:`~repro.exec.engine.ProcessRoundEngine` (``process``).  Rounds seal

@@ -31,7 +31,6 @@ from ..chain.block import Block
 from ..errors import (
     QueueFull,
     RETRY_AFTER_FLOOR_S,
-    ReproError,
     ShardError,
 )
 from ..obs.runtime import telemetry as default_telemetry
@@ -45,9 +44,6 @@ from .beacon import BeaconChain, BeaconReceipt
 from .engines import InProcessEngine, RoundEngine, ShardResult
 from .locks import LockTable
 from .router import ShardRouter, namespace_of
-
-#: A quarantined shard is probed (sealed again) every this many rounds.
-QUARANTINE_PROBE_EVERY = 2
 
 
 def _recover_proof_state(storage, kind: str, load) -> None:
@@ -234,9 +230,6 @@ class RoundReport:
     per_shard: Mapping[int, ShardSealStats]
     beacon_receipt: BeaconReceipt | None
     beacon_duration_s: float
-    #: Shards whose seal failed this round (quarantine mode only):
-    #: shard id -> structured error dict (reason / message / streak).
-    failed_shards: Mapping[int, dict] = field(default_factory=dict)
 
     @property
     def txs_sealed(self) -> int:
@@ -352,12 +345,9 @@ class ShardedChain:
         contract_runtime_factory=None,
         telemetry=None,
         lock_lease_rounds: int = 16,
-        quarantine_after: int = 0,
     ) -> None:
         if n_shards < 1:
             raise ShardError("need at least one shard")
-        if quarantine_after < 0:
-            raise ShardError("quarantine_after must be >= 0")
         if executor not in ("serial", "thread", "process"):
             raise ShardError(f"unknown executor mode {executor!r}")
         if exec_workers is not None and exec_workers < 1:
@@ -421,12 +411,6 @@ class ShardedChain:
         self._adopt_beacon_rounds()
         self.beacon.chain.subscribe_reorg(
             lambda fork_height: self._adopt_beacon_rounds())
-        # Graceful degradation (quarantine_after > 0): consecutive seal
-        # failures per shard, and the quarantine roster with per-shard
-        # rounds-skipped counters driving periodic re-admission probes.
-        self.quarantine_after = quarantine_after
-        self._seal_fail_streak: dict[int, int] = {}
-        self._quarantined: dict[int, int] = {}
         self._coordinators: list[Any] = []
         self._replica_seq = 0
         self.executor = executor
@@ -450,8 +434,6 @@ class ShardedChain:
         self._m_leases_expired = registry.counter(
             "xshard_lock_leases_expired_total"
         )
-        self._m_quarantined = registry.counter("shard_quarantined_total")
-        self._m_readmitted = registry.counter("shard_readmitted_total")
         self._m_seal_failures = registry.counter("shard_seal_failures_total")
         registry.register_collector(self._collect_metrics)
         self._last_round: RoundReport | None = None
@@ -511,13 +493,10 @@ class ShardedChain:
         ``ops`` op ships it over either carrier verbatim."""
         per_shard: dict[str, dict] = {}
         for shard in self.shards:
-            sid = shard.shard_id
-            per_shard[str(sid)] = {
+            per_shard[str(shard.shard_id)] = {
                 "height": shard.chain.height,
                 "anchored_height": shard.anchored_height,
                 "mempool_backlog": len(shard.mempool),
-                "seal_fail_streak": self._seal_fail_streak.get(sid, 0),
-                "quarantined": sid in self._quarantined,
             }
         report: dict[str, Any] = {
             "n_shards": len(self.shards),
@@ -525,8 +504,6 @@ class ShardedChain:
             "round_pace_s": self._round_pace_s,
             "mempool_backlog_total": self.mempool_backlog,
             "locks_active": len(self.locks),
-            "quarantined_shards": sorted(str(sid)
-                                         for sid in self._quarantined),
             "per_shard": per_shard,
             "slowest_shard": None,
             "slowest_seal_s": 0.0,
@@ -833,37 +810,6 @@ class ShardedChain:
         except ValueError:
             pass
 
-    def _note_seal_failure(self, shard_id: int, exc: Exception) -> dict:
-        """Quarantine bookkeeping for one failed shard round: bump the
-        failure streak, quarantine at ``quarantine_after`` consecutive
-        failures, and return the structured attribution dict that lands
-        in :class:`RoundReport.failed_shards`."""
-        self._m_seal_failures.inc()
-        streak = self._seal_fail_streak.get(shard_id, 0) + 1
-        self._seal_fail_streak[shard_id] = streak
-        if shard_id not in self._quarantined \
-                and streak >= self.quarantine_after:
-            self._quarantined[shard_id] = self.rounds_sealed
-            self._m_quarantined.inc()
-        err = exc if isinstance(exc, ShardError) else ShardError(
-            f"shard {shard_id} failed to seal: "
-            f"{type(exc).__name__}: {exc}",
-            reason="seal_failed", shard_id=shard_id,
-        )
-        info = err.as_dict()
-        info["shard_id"] = shard_id
-        info["streak"] = streak
-        info["quarantined"] = shard_id in self._quarantined
-        return info
-
-    def _note_seal_success(self, shard_id: int) -> None:
-        """A clean shard round resets the failure streak and re-admits a
-        quarantined shard (its probe round succeeded)."""
-        self._seal_fail_streak.pop(shard_id, None)
-        if shard_id in self._quarantined:
-            del self._quarantined[shard_id]
-            self._m_readmitted.inc()
-
     def seal_round(
         self,
         shard_ids: Sequence[int] | None = None,
@@ -881,50 +827,39 @@ class ShardedChain:
 
         Outcomes of the engine chosen at construction
         (:mod:`repro.sharding.engines`) are merged in shard order, so
-        the beacon commitment is byte-identical across engines.  With
-        ``quarantine_after == 0`` the first shard error is raised
-        (nothing is anchored; a retry anchors what the survivors
-        committed); otherwise a :class:`ReproError` is attributed in
-        ``failed_shards`` and the healthy shards seal.
+        the beacon commitment is byte-identical across engines.  A failed
+        shard fails the round: every failed outcome is counted in
+        ``shard_seal_failures_total`` and the first is raised before the
+        beacon commit (nothing is anchored; the failed shards' popped
+        transactions are back in their mempools, and a retry anchors
+        what the other shards committed).  A shard id named twice is
+        refused before anything seals.
         """
         if blocks_per_shard < 1:
             raise ShardError("blocks_per_shard must be >= 1")
+        if shard_ids is not None and len(set(shard_ids)) != len(shard_ids):
+            raise ShardError(f"shard_ids names a shard twice: "
+                             f"{list(shard_ids)}")
         self._m_leases_expired.inc(self.locks.sweep(self.rounds_sealed))
         selected = [self.shard(sid) for sid in shard_ids] \
             if shard_ids is not None else list(self.shards)
-        if shard_ids is None and self._quarantined:
-            # Skip quarantined shards except on their probe rounds — a
-            # probe that seals cleanly re-admits the shard below.
-            selected = [
-                shard for shard in selected
-                if shard.shard_id not in self._quarantined
-                or (self.rounds_sealed - self._quarantined[shard.shard_id])
-                % QUARANTINE_PROBE_EVERY == 0
-            ]
         ts = self.rounds_sealed if timestamp is None else timestamp
         round_t0 = time.perf_counter()
         per_shard: dict[int, ShardSealStats] = {}
-        failed_shards: dict[int, dict] = {}
         sealed_heights: dict[int, int] = {}
         entries: list[tuple[int, int, bytes, bytes]] = []
-        tolerant = self.quarantine_after > 0
         with self._tracer.root_span("round.seal") as round_span:
             round_span.set_attr("round", self.rounds_sealed)
             round_span.set_attr("mode", self.engine.name)
             outcomes = self.engine.seal(selected, ts, blocks_per_shard)
-            for shard, outcome in zip(selected, outcomes):
-                shard_id = shard.shard_id
-                if isinstance(outcome, BaseException):
-                    if not (tolerant and isinstance(outcome, ReproError)):
-                        raise outcome
-                    failed_shards[shard_id] = \
-                        self._note_seal_failure(shard_id, outcome)
-                    continue
-                if tolerant:
-                    self._note_seal_success(shard_id)
-                stats, shard_entries, height = outcome
-                per_shard[shard_id] = stats
-                sealed_heights[shard_id] = height
+            failures = [o for o in outcomes if isinstance(o, BaseException)]
+            if failures:
+                self._m_seal_failures.inc(len(failures))
+                raise failures[0]
+            for shard, (stats, shard_entries, height) in zip(selected,
+                                                             outcomes):
+                per_shard[shard.shard_id] = stats
+                sealed_heights[shard.shard_id] = height
                 entries.extend(shard_entries)
             t0 = time.perf_counter()
             with self._tracer.span("round.beacon_commit") as beacon_span:
@@ -946,7 +881,6 @@ class ShardedChain:
             per_shard=per_shard,
             beacon_receipt=beacon_receipt,
             beacon_duration_s=beacon_s,
-            failed_shards=failed_shards,
         )
         self.rounds_sealed += 1
         round_s = time.perf_counter() - round_t0

@@ -1,14 +1,13 @@
-"""Round-engine contract: every engine, strict and tolerant, one behaviour.
+"""Round-engine contract: every engine, one behaviour.
 
-``seal_round`` keeps one failure loop for all engines, so the matrix
-``executor ∈ {serial, thread, process}`` × ``quarantine_after ∈ {0, 2}``
-must agree cell by cell on: who gets blamed (or which error is raised),
-that popped transactions are re-admitted, that the failed shard's
-anchored watermark stays put until a clean round anchors its blocks,
-how quarantine → probe → re-admission moves, and — the point of the
-whole design — that the evidence left behind is byte-identical to a
-fault-free serial run in which the failed shard simply sat those rounds
-out.
+``seal_round`` keeps one failure loop for all engines — a failed shard
+fails the round — so the matrix ``executor ∈ {serial, thread, process}``
+× {faulted, fault-free} must agree cell by cell on: which error is
+raised (and that the beacon does not move on a raised round), how many
+failures the registry counts, that popped transactions are re-admitted,
+that the failed shard's anchored watermark stays put until a clean
+round anchors its blocks, and — the point of the whole design — that
+the evidence left behind is byte-identical to a fault-free serial run.
 
 The fault is injected through a public seam that reaches every engine
 the same way: the victim shard's ``ChainParams.require_signatures`` is
@@ -26,7 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain import Transaction, TxKind
-from repro.errors import InvalidTransaction
+from repro.errors import InvalidTransaction, ShardError
 from repro.obs.runtime import Telemetry
 from repro.sharding import ShardedChain, ShardRouter
 
@@ -51,33 +50,21 @@ def shard_namespaces() -> list[str]:
 NAMESPACES = shard_namespaces()
 
 
-def run_cell(executor: str, quarantine_after: int, work_dir,
-             fault: bool, replay: list[list[int]] | None = None) -> dict:
+def run_cell(executor: str, work_dir, fault: bool) -> dict:
     """Drive one deployment through warm-up → (faulted) rounds → recovery
-    and return everything an engine could possibly disturb.
-
-    ``replay`` (reference runs only) seals exactly the given shard sets,
-    round by round — "the failed shard sat these rounds out"."""
+    and return everything an engine could possibly disturb."""
     telemetry = Telemetry()
     sc = ShardedChain(
         N_SHARDS, storage_dir=str(work_dir / "store"), executor=executor,
-        exec_workers=2, quarantine_after=quarantine_after,
-        telemetry=telemetry,
+        exec_workers=2, telemetry=telemetry,
     )
     counter = telemetry.registry.counter
     victim = sc.shard(VICTIM)
     rounds: list[list[int]] = []
-    failures: list[dict] = []
     raised: list[str] = []
 
     def seal() -> None:
-        shard_ids = replay[len(rounds)] if replay is not None else None
-        report = sc.seal_round(shard_ids=shard_ids)
-        rounds.append(sorted(report.per_shard))
-        failures.append({
-            sid: (info["reason"], info["streak"], info["quarantined"])
-            for sid, info in report.failed_shards.items()
-        })
+        rounds.append(sorted(sc.seal_round().per_shard))
 
     def load(wave: int) -> list[Transaction]:
         # Globally unique fees: a total mempool order, so a re-admitted
@@ -108,29 +95,19 @@ def run_cell(executor: str, quarantine_after: int, work_dir,
     if fault:
         victim.chain.params.require_signatures = True
         for _ in range(2):
-            if quarantine_after == 0:
-                with pytest.raises(InvalidTransaction) as caught:
-                    sc.seal_round()
-                raised.append(type(caught.value).__name__)
-                # The raised round left no trace on the beacon.
-                assert sc.beacon.chain.height == beacon_height
-            else:
-                seal()
-                assert rounds[-1] == [s for s in range(N_SHARDS)
-                                      if s != VICTIM]
+            with pytest.raises(InvalidTransaction) as caught:
+                sc.seal_round()
+            raised.append(type(caught.value).__name__)
+            # The raised round left no trace on the beacon.
+            assert sc.beacon.chain.height == beacon_height
             # Nothing lost: the popped batch is back in the mempool,
             # and the watermark did not move.
             assert len(victim.mempool) == TXS_PER_SHARD
             assert victim.anchored_height == watermark
             assert victim.chain.height == watermark
         victim.chain.params.require_signatures = False
-        if quarantine_after:
-            assert str(VICTIM) in sc.health_report()["quarantined_shards"]
-            assert sc.health_report()["per_shard"][str(VICTIM)][
-                "seal_fail_streak"] == 2
 
-    while (sc.mempool_backlog or sc.health_report()["quarantined_shards"]
-           or (replay is not None and len(rounds) < len(replay))):
+    while sc.mempool_backlog:
         assert len(rounds) < MAX_ROUNDS
         seal()
 
@@ -145,14 +122,8 @@ def run_cell(executor: str, quarantine_after: int, work_dir,
 
     out = {
         "rounds": rounds,
-        "failures": failures,
         "raised": raised,
-        "counters": {
-            name: counter(name).value
-            for name in ("shard_seal_failures_total",
-                         "shard_quarantined_total",
-                         "shard_readmitted_total")
-        },
+        "seal_failures": counter("shard_seal_failures_total").value,
         "heads": [s.chain.head.block_hash for s in sc.shards],
         "roots": [s.chain.state.state_root() for s in sc.shards],
         "beacon": sc.beacon.chain.head.block_hash,
@@ -164,35 +135,26 @@ def run_cell(executor: str, quarantine_after: int, work_dir,
 
 
 EVIDENCE_KEYS = ("heads", "roots", "beacon")
-BEHAVIOUR_KEYS = ("rounds", "failures", "raised", "counters")
+BEHAVIOUR_KEYS = ("rounds", "raised", "seal_failures")
 
 
 @pytest.fixture(scope="module")
 def serial_runs(tmp_path_factory):
-    """The references, one per ``quarantine_after``: the faulted serial
-    run (behaviour), and a fault-free serial run replaying its per-round
-    shard selection (evidence)."""
-    runs = {}
-    for quarantine_after in (0, 2):
-        root = tmp_path_factory.mktemp(f"engines-ref-{quarantine_after}")
-        for sub in ("faulted", "clean"):
-            (root / sub).mkdir()
-        faulted = run_cell("serial", quarantine_after, root / "faulted",
-                           fault=True)
-        clean = run_cell("serial", 0, root / "clean", fault=False,
-                         replay=faulted["rounds"])
-        runs[quarantine_after] = (faulted, clean)
-    return runs
+    """The references: the faulted serial run (behaviour) and a
+    fault-free serial run (evidence)."""
+    root = tmp_path_factory.mktemp("engines-ref")
+    for sub in ("faulted", "clean"):
+        (root / sub).mkdir()
+    return (run_cell("serial", root / "faulted", fault=True),
+            run_cell("serial", root / "clean", fault=False))
 
 
-@pytest.mark.parametrize("quarantine_after", [0, 2])
 @pytest.mark.parametrize("executor", ENGINES)
 class TestEngineContract:
-    def test_fault_cell(self, tmp_path, serial_runs, executor,
-                        quarantine_after):
-        faulted_serial, clean_serial = serial_runs[quarantine_after]
-        cell = run_cell(executor, quarantine_after, tmp_path, fault=True)
-        # Same blame / same raised error, same quarantine trajectory.
+    def test_fault_cell(self, tmp_path, serial_runs, executor):
+        faulted_serial, clean_serial = serial_runs
+        cell = run_cell(executor, tmp_path, fault=True)
+        # Same raised error, same rounds, same failure count.
         for key in BEHAVIOUR_KEYS:
             assert cell[key] == faulted_serial[key], key
         # Same evidence as if no fault had ever happened.
@@ -206,15 +168,61 @@ class TestEngineContract:
         else:
             assert cell["offloaded"] == cell["fallbacks"] == 0
 
-    def test_fault_free_cell(self, tmp_path, serial_runs, executor,
-                             quarantine_after):
-        cell = run_cell(executor, quarantine_after, tmp_path, fault=False)
+    def test_fault_free_cell(self, tmp_path, serial_runs, executor):
+        cell = run_cell(executor, tmp_path, fault=False)
         assert cell["rounds"] == [list(range(N_SHARDS))] * 2
-        assert not any(cell["failures"]) and not cell["raised"]
-        # One beacon head across all engines and both failure policies
-        # (the strict reference replays exactly these two full rounds).
+        assert not cell["raised"] and cell["seal_failures"] == 0
+        # One beacon head across all engines.
         for key in EVIDENCE_KEYS:
-            assert cell[key] == serial_runs[0][1][key], key
+            assert cell[key] == serial_runs[1][key], key
+
+
+def unsigned_backlog(sc: ShardedChain, shard_ids: list[int]) -> None:
+    sc.submit_many([
+        Transaction(sender=f"acct-{s}", kind=TxKind.DATA,
+                    payload={"namespace": NAMESPACES[s],
+                             "key": f"k{i}", "value": i},
+                    nonce=i, timestamp=10 + i,
+                    fee=s * TXS_PER_SHARD + i).seal()
+        for s in shard_ids for i in range(TXS_PER_SHARD)
+    ])
+
+
+@pytest.mark.parametrize("executor", ENGINES)
+def test_every_failed_shard_is_counted_and_the_first_is_raised(executor):
+    telemetry = Telemetry()
+    sc = ShardedChain(N_SHARDS, executor=executor, exec_workers=2,
+                      telemetry=telemetry)
+    victims = [VICTIM, N_SHARDS - 1]
+    unsigned_backlog(sc, list(range(N_SHARDS)))
+    for sid in victims:
+        sc.shard(sid).chain.params.require_signatures = True
+    first_ids = [tx.tx_id[:12] for tx in
+                 sc.shard(victims[0]).mempool.peek_batch(TXS_PER_SHARD)]
+    with pytest.raises(InvalidTransaction) as caught:
+        sc.seal_round()
+    # The error raised is the first failed shard's, in shard order.
+    assert any(tx_id in str(caught.value) for tx_id in first_ids)
+    counter = telemetry.registry.counter("shard_seal_failures_total")
+    assert counter.value == len(victims)
+    assert sc.rounds_sealed == sc.beacon.chain.height == 0
+    for sid in victims:
+        assert len(sc.shard(sid).mempool) == TXS_PER_SHARD
+        assert sc.shard(sid).chain.height == 0
+    sc.close()
+
+
+@pytest.mark.parametrize("executor", ENGINES)
+def test_repeated_shard_id_is_refused_before_anything_seals(executor):
+    sc = ShardedChain(N_SHARDS, executor=executor, exec_workers=2)
+    unsigned_backlog(sc, [VICTIM])
+    victim = sc.shard(VICTIM)
+    with pytest.raises(ShardError, match="twice"):
+        sc.seal_round(shard_ids=[VICTIM, VICTIM])
+    assert victim.chain.height == victim.anchored_height == 0
+    assert len(victim.mempool) == TXS_PER_SHARD
+    assert sc.rounds_sealed == sc.beacon.chain.height == 0
+    sc.close()
 
 
 class TestReferenceShape:
@@ -222,29 +230,9 @@ class TestReferenceShape:
     cannot pass by every engine being wrong the same way."""
 
     def test_strict_reference(self, serial_runs):
-        faulted, clean = serial_runs[0]
+        faulted, clean = serial_runs
         assert faulted["raised"] == ["InvalidTransaction"] * 2
         assert faulted["rounds"] == [list(range(N_SHARDS))] * 2
-        assert faulted["counters"]["shard_seal_failures_total"] == 0
+        assert faulted["seal_failures"] == 2
         assert clean["raised"] == [] and clean["rounds"] == faulted["rounds"]
-
-    def test_tolerant_reference(self, serial_runs):
-        faulted, clean = serial_runs[2]
-        healthy = [s for s in range(N_SHARDS) if s != VICTIM]
-        everyone = list(range(N_SHARDS))
-        # warm-up, two failed rounds, one skipped (quarantined, no
-        # probe), then the probe round that re-admits the victim.
-        assert faulted["rounds"] == [everyone, healthy, healthy, healthy,
-                                     everyone]
-        assert faulted["failures"] == [
-            {}, {VICTIM: ("seal_failed", 1, False)},
-            {VICTIM: ("seal_failed", 2, True)}, {}, {},
-        ]
-        assert faulted["counters"] == {
-            "shard_seal_failures_total": 2,
-            "shard_quarantined_total": 1,
-            "shard_readmitted_total": 1,
-        }
-        assert clean["failures"] == [{}] * 5
-        for key in EVIDENCE_KEYS:
-            assert faulted[key] == clean[key], key
+        assert clean["seal_failures"] == 0

@@ -450,7 +450,8 @@ class TestPumpAndSealing:
         with pytest.raises(ShardError):
             ShardedChain(n_shards=2, executor="auto")
         for removed in ({"seal_workers": 2}, {"retry_floor_s": 0.25},
-                        {"quarantine_probe_every": 2}):
+                        {"quarantine_probe_every": 2},
+                        {"quarantine_after": 2}):
             with pytest.raises(TypeError):
                 ShardedChain(n_shards=2, **removed)
 
