@@ -225,6 +225,48 @@ def test_repeated_shard_id_is_refused_before_anything_seals(executor):
     sc.close()
 
 
+@pytest.mark.parametrize("executor", ENGINES)
+def test_a_retry_anchors_what_the_healthy_shards_committed(executor):
+    sc = ShardedChain(N_SHARDS, executor=executor, exec_workers=2)
+    healthy = [s for s in range(N_SHARDS) if s != VICTIM]
+    unsigned_backlog(sc, list(range(N_SHARDS)))
+    sc.shard(VICTIM).chain.params.require_signatures = True
+    with pytest.raises(InvalidTransaction):
+        sc.seal_round()
+    # The healthy shards committed their blocks, but nothing is anchored
+    # and the operator rollup shows no sealed round.
+    health = sc.health_report()
+    assert sc.rounds_sealed == sc.beacon.chain.height == 0
+    assert "last_round_no" not in health
+    for sid in healthy:
+        shard = sc.shard(sid)
+        assert shard.chain.height == 1 and shard.anchored_height == 0
+        with pytest.raises(ShardError, match="not beacon-anchored"):
+            sc.beacon.prove_shard_block(
+                sid, 1, shard.chain.block_at(1).block_hash)
+    assert health["per_shard"][str(VICTIM)] == {
+        "height": 0, "anchored_height": 0,
+        "mempool_backlog": TXS_PER_SHARD,
+    }
+
+    sc.shard(VICTIM).chain.params.require_signatures = False
+    report = sc.seal_round()
+    assert sorted(report.per_shard) == list(range(N_SHARDS))
+    assert report.txs_sealed == TXS_PER_SHARD
+    assert sc.health_report()["last_round_no"] == 0
+    # One beacon round anchors the victim's block and the blocks the
+    # healthy shards committed during the raised round.
+    assert sc.beacon.chain.height == 1
+    head = sc.beacon.chain.head.header
+    for shard in sc.shards:
+        assert shard.chain.height == shard.anchored_height == 1
+        bundle = sc.beacon.prove_shard_block(
+            shard.shard_id, 1, shard.chain.block_at(1).block_hash)
+        assert bundle.shard_proof.round_no == 0
+        assert bundle.verify(head)
+    sc.close()
+
+
 class TestReferenceShape:
     """Pin what the references themselves look like, so the matrix
     cannot pass by every engine being wrong the same way."""
