@@ -176,7 +176,9 @@ setup-split:
 # persist.codec: what another package needs is exposed under a public
 # name instead.  Nor may the deleted request/response idiom come back:
 # object references or self-sized lists in message bodies, req_id
-# mailboxes, a second (blocking) frame reader.  Nor may chain/ or exec/
+# mailboxes, a second (blocking) frame reader — nor a one-way topic
+# (tx, block, gossip, consensus) carry a transaction or block by
+# reference: SimNet delivers decoded copies, so nodes share bytes.  Nor may chain/ or exec/
 # ask a store what it can do (a hasattr/getattr capability probe), nor
 # sync/ probe a store: every store implements the one
 # append_blocks(pairs, fsync, encoded, derived) write and the one
@@ -225,7 +227,7 @@ lint-private:
 	@! grep -rlPz \
 	    'from [.\w]*persist\.codec import (?:[^(\n]*|\([^)]*)\b_\w' \
 	    src/repro --include='*.py' | grep -v '^src/repro/persist/'
-	@! grep -rnE '_bundle_ref|SizedList|"req_id"|read_frame_sync' \
+	@! grep -rnE '_(bundle|tx|block)_ref|SizedList|"req_id"|read_frame_sync' \
 	    src/repro --include='*.py'
 	@! grep -rnE '\b(hasattr|getattr)\(' src/repro/chain src/repro/exec \
 	    --include='*.py'

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from ..chain import Block, Blockchain, ChainParams, Transaction
 from ..errors import ConsensusError
 from ..network import NetMessage, SimNet
+from ..network.message import block_body, block_from_body
+from ..persist.codec import decode_block, encode_block
 from .base import RoundMetrics
 
 
@@ -81,8 +83,9 @@ class _Replica:
             return  # stale view
         if sender != self.cluster.primary_of(view):
             return  # only the view's primary may pre-prepare
-        block = body["_block_ref"]
-        if not isinstance(block, Block):
+        block = block_from_body(body)
+        if block is None:
+            self.cluster.net.refuse("pbft/preprepare", "malformed")
             return
         if block.height != self.chain.height + 1:
             return
@@ -220,7 +223,7 @@ class PBFTCluster:
         )
         if best.chain.height > replica.chain.height:
             for block in best.chain.blocks[replica.chain.height + 1:]:
-                replica.chain.append_block(block)
+                replica.chain.append_block(decode_block(encode_block(block)))
 
     def _multicast(self, sender: str, topic: str, body: dict) -> None:
         for replica in self.replicas:
@@ -272,7 +275,7 @@ class PBFTCluster:
             state.prepares.add(primary.node_id)
             self._multicast(
                 primary.node_id, "pbft/preprepare",
-                {"view": view, "seq": self._seq, "_block_ref": block},
+                {"view": view, "seq": self._seq, **block_body(block)},
             )
             self.net.run()
             # Success: a full quorum of replicas committed the block.

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from ..chain import Block, Blockchain, ChainParams, Transaction
 from ..errors import ConsensusError
 from ..network import NetMessage, SimNet
+from ..network.message import block_body, block_from_body
+from ..persist.codec import decode_block, encode_block
 from .base import RoundMetrics
 
 
@@ -53,8 +55,9 @@ class _RaftNode:
             self._on_append(msg.sender, body)
         elif msg.topic == "raft/ack":
             self._on_ack(msg.sender, body)
-        elif msg.topic == "raft/commit":
-            self._on_commit_notice(msg.sender, body)
+        # "raft/commit" is informational: followers already appended on
+        # AppendEntries in this simplified model; the notice is sent and
+        # counted for fidelity of the message profile.
 
     # ------------------------------------------------------------------
     # Election
@@ -66,14 +69,10 @@ class _RaftNode:
         self.role = "candidate"
         self.votes_received = {self.node_id}
         self.voted_for[self.term] = self.node_id
-        for peer in self.cluster.node_ids():
-            if peer == self.node_id:
-                continue
-            self.cluster.net.send(NetMessage(
-                sender=self.node_id, recipient=peer,
-                topic="raft/request_vote",
-                body={"term": self.term, "last_height": self.chain.height},
-            ))
+        self.cluster._multicast(
+            self.node_id, "raft/request_vote",
+            {"term": self.term, "last_height": self.chain.height},
+        )
 
     def _on_request_vote(self, sender: str, body: dict) -> None:
         term = int(body["term"])
@@ -109,13 +108,8 @@ class _RaftNode:
     def replicate(self, block: Block) -> None:
         """Leader-side: ship ``block`` to all followers."""
         self.acks[block.block_id] = {self.node_id}
-        for peer in self.cluster.node_ids():
-            if peer == self.node_id:
-                continue
-            self.cluster.net.send(NetMessage(
-                sender=self.node_id, recipient=peer, topic="raft/append",
-                body={"term": self.term, "_block_ref": block},
-            ))
+        self.cluster._multicast(self.node_id, "raft/append",
+                                {"term": self.term, **block_body(block)})
 
     def _on_append(self, sender: str, body: dict) -> None:
         term = int(body["term"])
@@ -123,8 +117,11 @@ class _RaftNode:
             return  # stale leader
         self.term = term
         self.role = "follower"
-        block = body["_block_ref"]
-        ok = isinstance(block, Block) and block.height == self.chain.height + 1
+        block = block_from_body(body)
+        if block is None:
+            self.cluster.net.refuse("raft/append", "malformed")
+            return
+        ok = block.height == self.chain.height + 1
         if ok:
             self.chain.append_block(block)
         self.cluster.net.send(NetMessage(
@@ -141,19 +138,8 @@ class _RaftNode:
         acked.add(sender)
         if len(acked) == self.cluster.majority:
             # Majority replicated: commit locally and notify followers.
-            for peer in self.cluster.node_ids():
-                if peer == self.node_id:
-                    continue
-                self.cluster.net.send(NetMessage(
-                    sender=self.node_id, recipient=peer, topic="raft/commit",
-                    body={"term": self.term, "block_id": block_id},
-                ))
-
-    def _on_commit_notice(self, sender: str, body: dict) -> None:
-        # Followers already appended on AppendEntries in this simplified
-        # model; the notice is informational (it is counted for fidelity
-        # of the message profile).
-        return
+            self.cluster._multicast(self.node_id, "raft/commit",
+                                    {"term": self.term, "block_id": block_id})
 
 
 class RaftCluster:
@@ -188,8 +174,11 @@ class RaftCluster:
     def majority(self) -> int:
         return self.n // 2 + 1
 
-    def node_ids(self) -> list[str]:
-        return [n.node_id for n in self.nodes]
+    def _multicast(self, sender: str, topic: str, body: dict) -> None:
+        for node in self.nodes:
+            if node.node_id != sender:
+                self.net.send(NetMessage(sender=sender, recipient=node.node_id,
+                                         topic=topic, body=body))
 
     def crash(self, node_id: str) -> None:
         self._by_id[node_id].crashed = True
@@ -202,7 +191,7 @@ class RaftCluster:
         live = [n for n in self.nodes if not n.crashed]
         best = max(live, key=lambda n: n.chain.height)
         for block in best.chain.blocks[node.chain.height + 1:]:
-            node.chain.append_block(block)
+            node.chain.append_block(decode_block(encode_block(block)))
 
     # ------------------------------------------------------------------
     def elect(self, preferred: str | None = None) -> str:

@@ -57,12 +57,17 @@ class GossipProtocol:
         self._forward(origin, item_id, body, exclude=origin)
 
     def handle(self, node_id: str, msg: NetMessage) -> None:
-        """Entry point a node's dispatcher calls for gossip messages."""
-        item_id = str(msg.body["item_id"])
-        if item_id in self._seen[node_id]:
+        """Entry point a node's dispatcher calls for gossip messages; a
+        body without a string ``item_id`` and a mapping ``payload`` is
+        dropped and counted as ``malformed``."""
+        item_id = msg.body.get("item_id")
+        if type(item_id) is str and item_id in self._seen[node_id]:
+            return
+        payload = msg.body.get("payload")
+        if type(item_id) is not str or type(payload) is not dict:
+            self.net.refuse(msg.topic, "malformed")
             return
         self._seen[node_id].add(item_id)
-        payload = dict(msg.body.get("payload", {}))
         self._on_deliver[node_id](item_id, payload)
         self._forward(node_id, item_id, payload, exclude=msg.sender)
 

@@ -5,9 +5,14 @@ holds its own :class:`~repro.chain.blockchain.Blockchain` replica and
 mempool; the consensus layer decides when a node may seal a block and how
 commits propagate.
 
-One-way topics (``tx``, ``block``, ``shard_tx``, gossip, consensus) carry
-whatever their handlers agree on.  Anything that expects an answer speaks
-:mod:`repro.rpc`'s frame grammar, and this module is its SimNet carrier:
+Nodes share bytes, never objects: :class:`SimNet` encodes every body
+and delivers a decoded copy.  One-way topics carry a transaction as
+:func:`~repro.network.message.tx_body` (``tx``, ``shard_tx``, gossip)
+and a block as :func:`~repro.network.message.block_body` (``block``);
+a handler drops what it cannot decode or admit and counts it in
+``net_messages_refused_total{topic, reason}``.  Anything that expects
+an answer speaks :mod:`repro.rpc`'s frame grammar, and this module is
+its SimNet carrier:
 :meth:`ChainNode.serve` feeds ``{"frame": payload}`` messages on topic
 ``op`` to :meth:`~repro.rpc.Service.dispatch` and sends each reply
 payload back on the same topic as ``{"reply": payload}`` (so a topic's
@@ -22,12 +27,18 @@ from __future__ import annotations
 from typing import Callable
 
 from ..chain import Block, Blockchain, ChainParams, Mempool, Transaction
-from ..errors import ChainError, GatewayError
+from ..errors import ChainError, GatewayError, QueueFull, ShardError
 from ..net_retry import RetryPolicy, count_retry
 from ..obs.runtime import telemetry as default_telemetry
 from ..rpc import OP_OPS, Call, Service, Session, ops_handler
 from .gossip import GossipProtocol
-from .message import NetMessage
+from .message import (
+    NetMessage,
+    block_body,
+    block_from_body,
+    tx_body,
+    tx_from_body,
+)
 from .simnet import SimNet
 
 TopicHandler = Callable[[NetMessage], None]
@@ -97,35 +108,51 @@ class ChainNode:
         gossip.attach(self.node_id, self._gossip_deliver)
 
     def _gossip_deliver(self, item_id: str, body: dict) -> None:
-        if body.get("kind") == "tx":
-            tx = _tx_from_body(body)
-            self.mempool.add(tx)
+        # A mesh may carry items other than transactions; only a
+        # ``tx_body`` is this node's to admit.
+        if "tx" in body:
+            self._admit("gossip", body, self.mempool.add)
 
     # ------------------------------------------------------------------
     # Built-in handlers
     # ------------------------------------------------------------------
+    def _admit(self, topic: str, body: dict,
+               submit: Callable[[Transaction], object]) -> None:
+        """Hand the transaction ``body`` carries to ``submit``.  What
+        cannot be decoded or admitted is dropped and counted, never
+        raised: a reject is the sender's problem to retry, not grounds
+        to abort the network's event loop."""
+        tx = tx_from_body(body)
+        if tx is None:
+            reason = "malformed"
+        else:
+            try:
+                submit(tx)
+                return
+            except QueueFull:
+                reason = "full"
+            except ShardError as exc:
+                reason = "lock_conflict" if exc.reason == "lock_conflict" \
+                    else "malformed"
+            except ChainError:
+                reason = "malformed"
+        self.net.refuse(topic, reason)
+
     def _handle_tx(self, msg: NetMessage) -> None:
-        self.mempool.add(_tx_from_body(dict(msg.body)))
+        self._admit(msg.topic, msg.body, self.mempool.add)
 
     def _handle_shard_tx(self, msg: NetMessage) -> None:
         # A gateway node fronting a sharded chain routes client
-        # transactions into the right shard's mempool.  Routine rejects
-        # (lock conflicts, full mempool) are the sender's problem to
-        # retry, not grounds to abort the network's event loop.
-        if self._sharded is None:
-            return
-        try:
-            self._sharded.submit(_tx_from_body(dict(msg.body)))
-        except (ChainError, TypeError):
-            # TypeError: malformed body carrying no transaction.
-            pass
+        # transactions into the right shard's mempool.
+        self._admit(msg.topic, msg.body, self._sharded.submit)
 
     def _handle_block(self, msg: NetMessage) -> None:
-        # Direct block push is used by the simpler consensus engines; the
-        # body carries an in-process reference (simulation convenience —
-        # structural validation still runs in append_block).
-        block = msg.body.get("_block_ref")
-        if isinstance(block, Block) and block.height == self.chain.height + 1:
+        # Direct block push, used by the simpler consensus engines;
+        # structural validation runs in append_block.
+        block = block_from_body(msg.body)
+        if block is None:
+            self.net.refuse(msg.topic, "malformed")
+        elif block.height == self.chain.height + 1:
             self.chain.append_block(block)
             self.mempool.remove(tx.tx_id for tx in block.transactions)
 
@@ -177,7 +204,7 @@ class ChainNode:
         """Client-side: submit a transaction to a shard gateway node."""
         return self.net.send(
             NetMessage(sender=self.node_id, recipient=gateway_id,
-                       topic="shard_tx", body=_tx_to_body(tx))
+                       topic="shard_tx", body=tx_body(tx))
         )
 
     def submit_transaction(self, tx: Transaction, gossip: bool = False) -> None:
@@ -185,22 +212,12 @@ class ChainNode:
         self.mempool.add(tx)
         if gossip and self.gossip is not None:
             self.gossip.publish(
-                self.node_id, f"tx:{tx.tx_id}", _tx_to_body(tx)
+                self.node_id, f"tx:{tx.tx_id}", tx_body(tx)
             )
 
     def push_block(self, block: Block) -> None:
         """Send a committed block to every peer (proposer's broadcast)."""
-        for peer in self.net.node_ids:
-            if peer == self.node_id:
-                continue
-            self.net.send(
-                NetMessage(
-                    sender=self.node_id,
-                    recipient=peer,
-                    topic="block",
-                    body={"height": block.height, "_block_ref": block},
-                )
-            )
+        self.net.broadcast(self.node_id, "block", block_body(block))
 
 
 class SimChannel:
@@ -252,14 +269,3 @@ class SimChannel:
             f"{policy.max_retries + 1} attempts",
             reason="peer_unresponsive",
         )
-
-
-def _tx_to_body(tx: Transaction) -> dict:
-    return {"kind": "tx", "_tx_ref": tx}
-
-
-def _tx_from_body(body: dict) -> Transaction:
-    tx = body.get("_tx_ref")
-    if not isinstance(tx, Transaction):
-        raise TypeError("message body does not carry a transaction")
-    return tx

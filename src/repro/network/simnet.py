@@ -6,6 +6,11 @@ loop advances the clock to each delivery time in order, so end-to-end
 protocol latencies come out of the same timeline as HTLC timelocks and
 block timestamps.
 
+The simulator is the boundary between nodes: :meth:`SimNet.send`
+canonically encodes a message body once (its length is the message
+size) and each delivery hands the handler a body decoded from those
+bytes, so no two nodes ever hold one object.
+
 Determinism: all jitter and drop decisions come from a ``random.Random``
 seeded at construction.
 """
@@ -20,6 +25,8 @@ from typing import Callable, Iterable
 from ..clock import SimClock
 from ..errors import NetworkError
 from ..obs.runtime import telemetry as default_telemetry
+from ..persist.codec import decode_frame
+from ..serialization import canonical_encode
 from .message import NetMessage
 
 Handler = Callable[[NetMessage], None]
@@ -84,10 +91,10 @@ class NetStats:
     bytes_sent: int = 0
     by_topic: dict = field(default_factory=dict)
 
-    def record_send(self, msg: NetMessage) -> None:
+    def record_send(self, topic: str, size: int) -> None:
         self.messages_sent += 1
-        self.bytes_sent += msg.size_bytes
-        self.by_topic[msg.topic] = self.by_topic.get(msg.topic, 0) + 1
+        self.bytes_sent += size
+        self.by_topic[topic] = self.by_topic.get(topic, 0) + 1
 
 
 class SimNet:
@@ -132,8 +139,8 @@ class SimNet:
         self._departed: set[str] = set()
         self._partitions: list[frozenset[str]] = []
         self._topic_faults: dict[str, TopicFaults] = {}
-        # Event queue entries: (deliver_at, seq, message)
-        self._queue: list[tuple[int, int, NetMessage]] = []
+        # Event queue entries: (deliver_at, seq, envelope, encoded body)
+        self._queue: list[tuple[int, int, NetMessage, bytes]] = []
         self._seq = 0
 
     def _collect_metrics(self) -> None:
@@ -141,13 +148,24 @@ class SimNet:
             len(self._queue)
         )
 
-    def _count_undeliverable(self, topic: str) -> None:
-        """One frame addressed to a just-disconnected node: same metric
-        name the asyncio gateway uses for its socket writes, so
-        operators read disconnect races off one series."""
+    def _undeliverable(self, topic: str) -> None:
+        """One frame addressed to a just-disconnected node: a drop,
+        counted also under the metric name the asyncio gateway uses for
+        its socket writes, so operators read disconnect races off one
+        series."""
+        self.stats.messages_dropped += 1
+        self._topic_counters(topic)[1].inc()
         self.telemetry.registry.counter(
             "gateway_frames_undeliverable_total",
             topic=topic, transport="simnet",
+        ).inc()
+
+    def refuse(self, topic: str, reason: str) -> None:
+        """Count one delivered message its handler dropped instead of
+        admitting: ``malformed`` (no decodable block or transaction),
+        ``lock_conflict`` or ``full``."""
+        self.telemetry.registry.counter(
+            "net_messages_refused_total", topic=topic, reason=reason,
         ).inc()
 
     def _topic_counters(self, topic: str) -> tuple:
@@ -238,31 +256,29 @@ class SimNet:
         in-flight exchange) is a normal race on a real network: the
         frame is counted undeliverable and ``False`` comes back, so a
         reply inside a dispatch handler never aborts the event loop.
+
+        The body is canonically encoded here, once, whatever happens to
+        the message next: a value the encoder refuses raises
+        :class:`~repro.errors.SerializationError`.
         """
+        data = canonical_encode(msg.body)
         if msg.recipient not in self._handlers:
             if msg.recipient in self._departed:
-                self.stats.record_send(msg)
-                self.stats.messages_dropped += 1
-                self._topic_counters(msg.topic)[1].inc()
-                self._count_undeliverable(msg.topic)
+                self.stats.record_send(msg.topic, len(data))
+                self._undeliverable(msg.topic)
                 return False
             raise NetworkError(f"unknown recipient: {msg.recipient}")
-        self.stats.record_send(msg)
+        self.stats.record_send(msg.topic, len(data))
         sent, dropped, duplicated, reordered = \
             self._topic_counters(msg.topic)
         sent.inc()
-        self._m_bytes.inc(msg.size_bytes)
-        if not self._can_reach(msg.sender, msg.recipient):
-            self.stats.messages_dropped += 1
-            dropped.inc()
-            return False
-        if self.drop_rate > 0 and self.rng.random() < self.drop_rate:
-            self.stats.messages_dropped += 1
-            dropped.inc()
-            return False
+        self._m_bytes.inc(len(data))
         faults = self._topic_faults.get(msg.topic)
-        if faults is not None and faults.drop > 0 \
-                and self.rng.random() < faults.drop:
+        if not self._can_reach(msg.sender, msg.recipient) \
+                or (self.drop_rate > 0
+                    and self.rng.random() < self.drop_rate) \
+                or (faults is not None and faults.drop > 0
+                    and self.rng.random() < faults.drop):
             self.stats.messages_dropped += 1
             dropped.inc()
             return False
@@ -279,28 +295,22 @@ class SimNet:
                 extra = self.latency.sample(self.rng, same_region)
                 heapq.heappush(
                     self._queue,
-                    (self.clock.now() + extra, self._seq, msg),
+                    (self.clock.now() + extra, self._seq, msg, data),
                 )
                 self._seq += 1
                 self.stats.messages_duplicated += 1
                 duplicated.inc()
         deliver_at = self.clock.now() + latency
-        heapq.heappush(self._queue, (deliver_at, self._seq, msg))
+        heapq.heappush(self._queue, (deliver_at, self._seq, msg, data))
         self._seq += 1
         return True
 
-    def broadcast(self, sender: str, topic: str, body: dict,
-                  exclude: Iterable[str] = ()) -> int:
-        """Send to every registered node except sender and ``exclude``."""
-        skip = set(exclude) | {sender}
-        count = 0
+    def broadcast(self, sender: str, topic: str, body: dict) -> None:
+        """Send to every registered node except ``sender``."""
         for node_id in self.node_ids:
-            if node_id in skip:
-                continue
-            self.send(NetMessage(sender=sender, recipient=node_id,
-                                 topic=topic, body=body))
-            count += 1
-        return count
+            if node_id != sender:
+                self.send(NetMessage(sender=sender, recipient=node_id,
+                                     topic=topic, body=body))
 
     # ------------------------------------------------------------------
     # Event loop
@@ -309,17 +319,19 @@ class SimNet:
         return len(self._queue)
 
     def step(self) -> NetMessage | None:
-        """Deliver the single next message (advancing the clock to it)."""
+        """Deliver the single next message (advancing the clock to it):
+        the handler gets a body decoded from the bytes :meth:`send`
+        encoded, its own copy even of a duplicated message."""
         if not self._queue:
             return None
-        deliver_at, _, msg = heapq.heappop(self._queue)
+        deliver_at, _, msg, data = heapq.heappop(self._queue)
         self.clock.advance_to(deliver_at)
         handler = self._handlers.get(msg.recipient)
         if handler is None:  # node left after the send
-            self.stats.messages_dropped += 1
-            self._topic_counters(msg.topic)[1].inc()
-            self._count_undeliverable(msg.topic)
+            self._undeliverable(msg.topic)
             return None
+        msg = NetMessage(msg.sender, msg.recipient, msg.topic,
+                         decode_frame(data))
         handler(msg)
         self.stats.messages_delivered += 1
         self._m_delivered.inc()

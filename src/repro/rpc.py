@@ -25,10 +25,10 @@ payloads, the connection is the :class:`Session`.  SimNet
 :class:`~repro.network.message.NetMessage` per payload, ``topic=op``,
 body ``{"frame": payload}`` for a request and ``{"reply": payload}`` for
 a reply — so a topic's fault plan and the seeded ordering cover both
-directions and ``size_bytes`` is the payload length.  The client end of
-either is a *channel*: ``peer`` (a name for reports),
-``call(body) -> list[dict]`` (reply bodies, final last) and the plain
-counters ``requests`` / ``retries``.
+directions, and the message is sized by SimNet's one encoding of that
+body.  The client end of either is a *channel*: ``peer`` (a name for
+reports), ``call(body) -> list[dict]`` (reply bodies, final last) and
+the plain counters ``requests`` / ``retries``.
 """
 
 from __future__ import annotations

@@ -632,7 +632,8 @@ class ShardedChain:
         if self.locks.blocks_tx(shard_id, tx):
             raise ShardError(
                 f"subject {tx.payload.get('subject')!r} is locked by a "
-                "cross-shard transfer; resubmit after it settles"
+                "cross-shard transfer; resubmit after it settles",
+                reason="lock_conflict",
             )
         self._add_to_mempool(shard_id, tx)
         return shard_id
@@ -645,7 +646,7 @@ class ShardedChain:
         if self.locks.blocks_tx(shard_id, tx):
             raise ShardError(
                 f"shard {shard_id}: transaction conflicts with an active "
-                "cross-shard lock"
+                "cross-shard lock", reason="lock_conflict",
             )
         self._add_to_mempool(shard_id, tx)
 
