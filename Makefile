@@ -220,7 +220,11 @@ setup-split:
 # level prove or check twice: no level looks an anchor transaction up
 # in the transaction index (it reads the block its receipt names), and
 # the full-node verify twins and the second record-level proof type stay
-# gone — one proof per level, checked against a block header.
+# gone — one proof per level, checked against a block header.  Nor may a
+# stored record be rewritten: no repoint( of an index row, no .replace(
+# on a record store and no annotate( under src/ or examples/, and no
+# compact(which= target anywhere — records are append-only, and the hot
+# block log is the one log compaction rewrites.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -283,6 +287,10 @@ lint-private:
 	    src/repro/sharding/beacon.py src/repro/sharding/query.py
 	@! grep -rnE 'def (verify_shard_block|light_bundle|prove_for_light_client)\b|class LightAnchorBundle\b' \
 	    src --include='*.py'
+	@! grep -rnE '\brepoint\(|\b(records|_?store)\.replace\(|\bannotate\(' \
+	    src examples --include='*.py'
+	@! grep -rnE 'compact\([^)]*\bwhich *=' \
+	    src tests examples tools benchmarks --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

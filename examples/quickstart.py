@@ -44,11 +44,11 @@ def main() -> None:
     actor = answer.records[0]["actor"]
     print(f"pseudonym {actor} -> {system.reidentify(actor)}")
 
-    # Tamper evidence: rewriting history breaks verification.
-    record_id = answer.records[0]["record_id"]
-    system.database.annotate(record_id, operation="never-happened")
-    assert not system.audit_object("report.pdf").verified
-    print("tampered history detected: audit now fails, as it must")
+    # Tamper evidence: records are append-only, so rewriting history
+    # means serving a forged copy — and its anchored proof fails.
+    forged = dict(answer.records[0], operation="never-happened")
+    assert not auditor.verify_anchored_record(forged, answer.proofs[0])
+    print("forged history detected: its proof fails, as it must")
 
 
 if __name__ == "__main__":

@@ -160,10 +160,12 @@ class SyncError(NetworkError):
     does not verify against the trust root (beacon headers) or the
     hash-bound manifest: a corrupt or forged chunk, a tail that does not
     hash-chain to the beacon-anchored head, a state image whose root
-    mismatches the anchored commitment, a stale or wrong-height offer,
-    or a peer that stops answering.  ``reason`` is a stable machine
-    code (``"corrupt_chunk"``, ``"forged_tail"``, ``"state_root_mismatch"``,
-    ``"stale_snapshot"``, ``"forged_offer"``, ``"peer_unresponsive"``, …)
+    mismatches the anchored commitment, image records that differ from
+    the replica's or from the leaves its anchor rows commit, a stale or
+    wrong-height offer, or a peer that stops answering.  ``reason`` is a
+    stable machine code (``"corrupt_chunk"``, ``"forged_tail"``,
+    ``"state_root_mismatch"``, ``"forged_record"``, ``"stale_snapshot"``,
+    ``"forged_offer"``, ``"peer_unresponsive"``, …)
     so callers can drive retry/failover policy without parsing messages.
     """
 

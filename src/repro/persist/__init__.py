@@ -47,11 +47,15 @@ that keeps log and table in step:
 * the recovery walk run on open — back from the highest-*addressed* row
   past rows whose frames fail CRC (with a per-table hook for the rows
   that share a dropped key's fate: a block's tx rows and derived row),
-  then truncate the log to the last indexed frame.  Address order,
-  not key order, because annotation (``replace``) repoints an old record
-  at the newest frame; for blocks the two orders coincide;
+  then truncate the log to the last indexed frame.  Every log this build
+  writes is append-only, so address order is key order; the walk still
+  goes by address because a records log an older binary annotated (an
+  old position pointed at a newer frame) must recover too;
 * compaction — rewrite live frames into the next *generation* directory,
-  repoint every row and bump the generation in one transaction;
+  repoint every row and bump the generation in one transaction.  Only
+  the hot block log has dead frames to drop (archival leaves them):
+  records are never rewritten, so a records log only grows, and one an
+  older binary annotated keeps the dead frames it already has;
 * the read side — row lookup, frame read, one LRU of decoded values.
 
 Truncation (reorg) deletes rows first and cuts the log second, so a crash

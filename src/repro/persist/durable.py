@@ -36,7 +36,9 @@ passes the bytes it already has); the snapshot client, which holds only
 verified frames, through :meth:`DurableBlockStore.install_raw`.
 Archival (:meth:`DurableStorage.archive_blocks`) is one more such group:
 the cold log appends the frames, and the same transaction deletes their
-hot rows.
+hot rows.  Records are only ever appended — no row is pointed at a new
+frame — so the one log that gathers dead weight is the hot block log,
+and :meth:`DurableStorage.compact` rewrites that one alone.
 
 Where the fsync decision is made: not here.  ``fsync`` arrives from the
 caller and is passed to the log unchanged — ``True`` makes the group its
@@ -163,9 +165,8 @@ class IndexedLog:
     ``cold_blocks.height``, ``records.position``), the location columns
     ``segment, offset, length`` and one ``extra`` column its store keeps
     per row.  Every piece of code that keeps log and table in step lives
-    here: the write
-    (:meth:`append`, :meth:`repoint`), the recovery walk run on open,
-    compaction into a fresh *generation* directory (``<table>-log``,
+    here: the one group write (:meth:`append`), the recovery walk run on
+    open, compaction into a fresh *generation* directory (``<table>-log``,
     then ``<table>-log.g<N>``; the live N is meta key
     ``<table>_log_gen``), and the read side — row lookup, frame read and
     the LRU of decoded values.
@@ -227,11 +228,11 @@ class IndexedLog:
         ``drop_with`` says shares their fate, then truncates the log to
         the end of the last surviving indexed frame — discarding frames
         that were written but never indexed (a crash between log flush
-        and index commit).  Ordered by **log address**, not key:
-        :meth:`repoint` can point an *old* key at the newest frame, so
-        the frame the log must be truncated after is the
-        highest-addressed one any row references.  (Where nothing is
-        ever repointed — blocks — key order is address order.)
+        and index commit).  Ordered by **log address**, not key: for
+        every log this build writes the two orders coincide, but a
+        records log an older binary annotated can hold an *old* key
+        pointing at its newest frame, and the frame the log must be
+        truncated after is the highest-addressed one any row references.
         """
         dropped = 0
         while True:
@@ -281,14 +282,6 @@ class IndexedLog:
             for sql, parameters in also:
                 self.conn.executemany(sql, parameters)
 
-    def repoint(self, key: int, frame: bytes) -> None:
-        """Append ``frame`` and point ``key``'s row at it (the old frame
-        becomes dead weight in the log — append-only)."""
-        loc = self.log.append(frame)
-        with self.conn:
-            self.conn.execute(
-                self._repoint_sql, (loc.segment, loc.offset, loc.length, key))
-
     def cut(self, segment: int, offset: int, above: int) -> None:
         """Truncate the log at an address whose rows (every key over
         ``above``) the caller has already deleted."""
@@ -325,9 +318,7 @@ class IndexedLog:
     # -- compaction ----------------------------------------------------
     def compact(self, fail_after_bytes: int | None = None,
                 crash_before_cleanup: bool = False) -> dict:
-        """Rewrite the live frames into a fresh generation, in key order
-        (the rewritten log reads sequentially even after heavy
-        repointing).
+        """Rewrite the live frames into a fresh generation, in key order.
 
         Protocol: (1) copy every indexed frame into the next-generation
         directory and fsync it; (2) repoint every row *and* bump the
@@ -663,14 +654,6 @@ class DurableRecordStore(RecordStore):
                                  record if owned else dict(record))
         return positions
 
-    def replace(self, position: int, record: dict) -> None:
-        """Annotation support: append the updated copy, repoint the
-        index."""
-        if not 0 <= position < self._count:
-            raise UnknownEntity(f"no record at position {position}")
-        self._index.repoint(position, encode_record(record))
-        self._index.remember(position, dict(record))
-
     def get(self, position: int) -> dict:
         record = self._index.cached(position)
         if record is None:
@@ -685,8 +668,10 @@ class DurableRecordStore(RecordStore):
         return self._count
 
     def iter_items(self) -> Iterator[tuple[int, dict]]:
-        # Driven by the index, not range(count): external damage to a
-        # replaced record can leave a position hole after recovery.
+        """Driven by the index, not ``range(count)``: this build only
+        appends, so the positions are dense, but recovering a records
+        log an older binary annotated can drop an old position (its torn
+        newest frame) and leave a hole."""
         positions = [pos for (pos,) in self._conn.execute(
             "SELECT position FROM records ORDER BY position")]
         for position in positions:
@@ -827,7 +812,7 @@ class DurableStorage(Storage):
             raise
         self.recovered_blocks = block_index.recovered
         self.recovered_records = record_index.recovered
-        self._indexes = {"blocks": block_index, "records": record_index}
+        self._hot, self._records = block_index, record_index
         self.blocks = DurableBlockStore(block_index, self._cold)
         self.records = DurableRecordStore(record_index)
         self.state = DurableStateSnapshotStore(self._conn)
@@ -835,12 +820,12 @@ class DurableStorage(Storage):
     @property
     def block_log(self) -> SegmentLog:
         """The live block segment log (compaction swaps it)."""
-        return self._indexes["blocks"].log
+        return self._hot.log
 
     @property
     def record_log(self) -> SegmentLog:
-        """The live record segment log (compaction swaps it)."""
-        return self._indexes["records"].log
+        """The live record segment log."""
+        return self._records.log
 
     def _stored_format(self) -> int | None:
         """The store's format, refused unless an upgrade path leads from
@@ -957,23 +942,17 @@ class DurableStorage(Storage):
             total += _dir_bytes(self._cold.log.directory)
         return total
 
-    def compact(self, which: str = "both",
-                fail_after_bytes: int | None = None,
+    def compact(self, fail_after_bytes: int | None = None,
                 crash_before_cleanup: bool = False) -> dict:
-        """Drop dead log weight: hot block frames left behind by
-        archival, and dead record frames left by ``replace``
-        (annotation).  The cold log carries none (it is only appended
-        to).  The crash hooks drive the tiering fault-injection tests;
-        see :meth:`IndexedLog.compact` for why every crash point
-        reconciles on reopen."""
+        """Drop the dead weight of the hot block log — the frames
+        archival left behind — and return that rewrite's stats.  It is
+        the only log that has any: the cold log and the records log are
+        only appended to.  (A records log an older binary annotated
+        keeps the dead frames it already has.)  The crash hooks drive
+        the tiering fault-injection tests; see :meth:`IndexedLog.compact`
+        for why every crash point reconciles on reopen."""
         self._check_owner()
-        if which not in ("both", "blocks", "records"):
-            raise StorageError(f"unknown compaction target {which!r}")
-        return {
-            table: index.compact(fail_after_bytes, crash_before_cleanup)
-            for table, index in self._indexes.items()
-            if which in ("both", table)
-        }
+        return self._hot.compact(fail_after_bytes, crash_before_cleanup)
 
     def archive_blocks(self, keep_tail: int = 64) -> dict:
         """Move every block at or below ``height - keep_tail`` from the
@@ -1007,9 +986,9 @@ class DurableStorage(Storage):
                 "boundary": self.blocks.archived_boundary()}
 
     def tier(self, keep_tail: int = 64) -> dict:
-        """One tiering pass: archive cold blocks, then compact the logs
-        so the hot tier is exactly the pruned profile — state image +
-        hot block tail + live records.  Returns before/after hot-tier
+        """One tiering pass: archive cold blocks, then compact the hot
+        block log so the hot tier is exactly the pruned profile — state
+        image + hot block tail + records.  Returns before/after hot-tier
         byte counts alongside each step's stats."""
         self._check_owner()
         bytes_before = self.disk_usage()

@@ -14,11 +14,13 @@ The record list itself lives behind a
 :class:`~repro.persist.stores.RecordStore` — the ``records`` member of a
 :class:`~repro.persist.stores.Storage` bundle: a list in memory, or the
 durable indexed log whose sqlite table also maps record_id → log
-location.  The inverted indexes stay in memory either way (positions are
-cheap); opening a database on a non-empty store rebuilds them with one
-pass over it, which is a load, not a replay — no hashing, no chain
-execution.  (:mod:`repro.storage.provdb` is the survey-facing name of
-this module.)
+location.  Records are evidence their anchors commit to, so the
+database only appends: nothing changes a stored record in place (a
+correction is a new record).  The inverted indexes stay in memory either
+way (positions are cheap); opening a database on a non-empty store
+rebuilds them with one pass over it, which is a load, not a replay — no
+hashing, no chain execution.  (:mod:`repro.storage.provdb` is the
+survey-facing name of this module.)
 """
 
 from __future__ import annotations
@@ -168,12 +170,3 @@ class ProvenanceDatabase:
     def record_ids(self) -> Iterator[str]:
         """Record ids in position (= insertion) order."""
         return iter(self._by_id)
-
-    def annotate(self, record_id: str, **fields: Any) -> None:
-        """Attach non-indexed metadata (e.g. anchor references)."""
-        position = self._by_id.get(record_id)
-        if position is None:
-            raise UnknownEntity(f"no record {record_id!r}")
-        record = self._store.get(position)
-        record.update(fields)
-        self._store.replace(position, record)

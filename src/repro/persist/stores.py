@@ -8,7 +8,8 @@ three stores, one per kind of durable truth the stack owns:
   receipts.  Truncation above a height is a first-class operation because
   reorgs are.
 * :class:`RecordStore` — the append-only provenance record list the
-  off-chain database indexes; positions are stable ints.
+  off-chain database indexes; positions are stable ints, and a record,
+  once stored, is never rewritten.
 * :class:`StateSnapshotStore` — one materialized ``StateStore`` image at
   a height, so a reopened chain resumes from its last checkpoint instead
   of replaying from genesis.
@@ -135,7 +136,11 @@ class BlockStore(ABC):
 
 
 class RecordStore(ABC):
-    """Append-only provenance records addressed by integer position."""
+    """Append-only provenance records addressed by integer position.
+
+    :meth:`append_many` is the only write: a stored record is evidence
+    an anchor may already commit to, so no method changes one, and
+    position ``i`` holds the same record for the life of the store."""
 
     @abstractmethod
     def append_many(self, records: Sequence[dict],
@@ -151,17 +156,9 @@ class RecordStore(ABC):
         own instead of copying them.
         """
 
-    def append(self, record: dict) -> int:
-        """Store one record: a group of one, fsync deferred."""
-        return self.append_many([record], fsync=False)[0]
-
     @abstractmethod
     def get(self, position: int) -> dict:
         """A *copy* of the record at ``position``."""
-
-    @abstractmethod
-    def replace(self, position: int, record: dict) -> None:
-        """Overwrite the record at ``position`` (annotation support)."""
 
     @abstractmethod
     def __len__(self) -> int: ...
@@ -361,14 +358,12 @@ class MemoryRecordStore(RecordStore):
 
     def append_many(self, records, encoded=None, fsync=True) -> list[int]:
         start = len(self._records)
-        self._records.extend(dict(record) for record in records)
+        self._records.extend(records if encoded is not None
+                             else map(dict, records))
         return list(range(start, len(self._records)))
 
     def get(self, position: int) -> dict:
         return dict(self._records[position])
-
-    def replace(self, position: int, record: dict) -> None:
-        self._records[position] = dict(record)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -43,7 +43,6 @@ installs a peer's row only after :func:`verify_batch_row`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Mapping
 
 from ..chain import Blockchain, Transaction, TxKind
@@ -68,6 +67,20 @@ class AnchorReceipt:
 
 def _leaf_digests(blob: bytes) -> list[bytes]:
     return [blob[i:i + HASH_SIZE] for i in range(0, len(blob), HASH_SIZE)]
+
+
+def covered_leaves(rows, record_ids):
+    """Pair each leaf of the batch ``rows`` (``(height, row)``, height
+    order) with the record id it covers, the way a reopen does: a row
+    that names its ids (the format-2 layout) by name, every other row
+    the next ids of ``record_ids`` (position order) that no row names.
+    Returns per row its ``(leaf digest, record id)`` pairs — fewer than
+    its leaves when the ids run out — and the ids no row covers."""
+    named = {rid for _, row in rows for ids in row[4:] for rid in ids}
+    unnamed = (rid for rid in record_ids if rid not in named)
+    covered = [list(zip(_leaf_digests(blob), ids[0] if ids else unnamed))
+               for _, (_, _, _, blob, *ids) in rows]
+    return covered, list(unnamed)
 
 
 def verify_batch_row(row, block) -> None:
@@ -213,15 +226,14 @@ class AnchorService:
         Returns ``(rows loaded, records re-queued)``."""
         self._database = database
         rows = list(self._batches.stored_rows())
-        named = {rid for _, row in rows for ids in row[4:] for rid in ids}
-        unnamed = (rid for rid in database.record_ids()
-                   if rid not in named)
-        for height, (anchor_id, tx_id, root, blob, *ids) in rows:
+        covered, uncovered = covered_leaves(rows, database.record_ids())
+        for (height, (anchor_id, tx_id, root, blob, *_)), pairs in zip(
+                rows, covered):
             digests = _leaf_digests(blob)
             self._batches.index(
                 AnchorReceipt(anchor_id, root, height, tx_id, len(digests)),
-                digests, ids[0] if ids else islice(unnamed, len(digests)))
-        return len(rows), self._requeue(unnamed)
+                digests, [rid for _, rid in pairs])
+        return len(rows), self._requeue(uncovered)
 
     def _requeue(self, record_ids) -> int:
         """Queue stored records again — queued, not flushed: a replica's

@@ -20,6 +20,11 @@ trust root:
    installed by this attempt is truncated away before the error
    surfaces.  Frames are installed byte-identical, so later reads still
    run the full ``decode_block`` integrity check.
+4. *Records*: the replica's own records must be the image's prefix
+   (records are append-only: none is ever rewritten), and every image
+   record an installed anchor row covers must hash to its leaf, or
+   nothing is appended and the tail is truncated away
+   (``forged_record``).
 
 Crash resumability — downloaded chunks are staged under the replica's
 store directory and re-verified (against the *new* offer) on restart;
@@ -39,13 +44,15 @@ from dataclasses import dataclass, field
 
 from ..chain.block import GENESIS_PREV_HASH
 from ..chain.state import StateStore
+from ..crypto.hashing import HASH_SIZE
 from ..errors import AnchorError, GatewayError, SerializationError, \
     StorageError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
-from ..persist.codec import canonical_decode, decode_block
+from ..persist.codec import canonical_decode, decode_block, encode_record
 from ..persist.durable import DurableStorage
 from ..persist.segment import CrashPoint
-from ..provenance.anchor import verify_batch_row
+from ..provenance.anchor import covered_leaves, verify_batch_row
+from ..provenance.records import record_digest
 from ..verify import BeaconLightBundle, bundle_from_mapping, typed
 from .codec import SnapshotManifest, chunk_digest, decode_image, \
     scan_block_frame
@@ -185,7 +192,7 @@ class SnapshotClient:
                 entries = self._verified_state(manifest, image)
                 with self._tracer.span("sync.fetch_tail"):
                     self._fetch_tail(storage, manifest)
-                self._install_image(storage, manifest, entries)
+                self._install_image(storage, manifest, entries, base)
             except SyncError:
                 # Wipe whatever this (or a crashed previous) attempt
                 # installed so a failover to another peer starts clean.
@@ -467,22 +474,57 @@ class SnapshotClient:
 
     # -- final install ----------------------------------------------------
     def _install_image(self, storage: DurableStorage,
-                       manifest: SnapshotManifest, entries: list) -> None:
-        image = self._image
-        records = list(image["records"])
+                       manifest: SnapshotManifest, entries: list,
+                       base: int) -> None:
+        """Append the image's new records, then save its state.
+
+        The records are checked first against what the replica already
+        trusts.  Its own records must be the image's prefix, as stored:
+        records are never rewritten.  Every anchor row the store holds
+        (each verified against its block's anchor transaction when the
+        tail installed it) pairs its leaves with records the way a
+        reopen does (:func:`covered_leaves`), and each leaf must have
+        its record in the image.  A new record must hash to its leaf,
+        and so must a stored one whose row this sync's tail brought (it
+        was pending when installed).  Records past the last leaf — the
+        source's pending batch — are installed on the peer's word:
+        nothing on-chain commits to them yet.  The replica's anchor
+        service queues them as pending, no proof is served for them, and
+        the catch-up that brings their row checks them.  Anything else
+        fails closed with ``forged_record`` before a record is
+        written."""
+        records = self._image["records"]
         existing = len(storage.records)
         if existing > len(records):
             raise self._fail(
                 f"replica already holds {existing} records; image has "
                 f"only {len(records)}", reason="stale_snapshot",
             )
-        # Re-sync path: repoint any record the source annotated since
-        # the last catch-up, then group-append the new suffix.
-        for position in range(existing):
-            current = storage.records.get(position)
-            if current != records[position]:
-                storage.records.replace(position, records[position])
-        storage.records.append_many(records[existing:])
+        ids: dict[str, int] = {}     # record id -> position
+        for position, record in enumerate(records):
+            record_id = record.get("record_id") \
+                if type(record) is dict else None
+            if type(record_id) is not str or not record_id \
+                    or record_id in ids or position < existing \
+                    and storage.records.get(position) != record:
+                raise self._fail(
+                    f"image record {position} is not the replica's, or "
+                    "has no record id of its own", reason="forged_record")
+            ids[record_id] = position
+        encoded = [encode_record(record) for record in records[existing:]]
+        rows = list(storage.blocks.derived_rows())
+        for (height, row), pairs in zip(rows, covered_leaves(rows, ids)[0]):
+            leaves = [(leaf, ids.get(record_id, -1))
+                      for leaf, record_id in pairs]
+            if len(leaves) * HASH_SIZE != len(row[3]) or any(
+                    i < 0 or (i >= existing or height > base)
+                    and leaf != record_digest(records[i], encoded[i - existing]
+                                              if i >= existing else None)
+                    for leaf, i in leaves):
+                raise self._fail(
+                    f"image records do not match the leaves the anchor row "
+                    f"of block {height} commits", reason="forged_record")
+        storage.records.append_many(records[existing:], encoded)
         self.report.records_installed = len(records) - existing
         self.report.state_entries = len(entries)
         storage.state.save(manifest.height, entries,

@@ -159,7 +159,8 @@ def decode_image(data: bytes) -> dict:
         raise SyncError(f"image does not decode: {exc}",
                         reason="corrupt_image") from exc
     if (not isinstance(image, dict)
-            or not {"records", "state"} <= set(image)):
+            or not {"records", "state"} <= set(image)
+            or type(image["records"]) is not list):
         raise SyncError("image lacks state/records sections",
                         reason="corrupt_image")
     image["state"] = [(str(ns), str(key), value)

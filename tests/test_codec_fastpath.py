@@ -479,6 +479,22 @@ class TestRecordsEncodedOnce:
             sharded.close()
         assert _record_log_bytes(batched) == _record_log_bytes(single)
 
+    def test_memory_store_keeps_the_routed_copy(self):
+        """Given the bytes, the memory store keeps the facade's routed
+        copy itself — the same dict the pending anchor batch digests —
+        and reads still hand out copies."""
+        sharded = ShardedChain(n_shards=1, telemetry=Telemetry())
+        [record] = capture_records(1)
+        sharded.ingest_records([record])
+        shard = sharded.shard(0)
+        [stored] = shard.database.store.iter_records_raw()
+        assert stored == record and stored is not record
+        assert stored is shard.anchor._pending.records[0]
+        fetched = shard.database.get(record["record_id"])
+        assert fetched == stored and fetched is not stored
+        fetched["subject"] = "mutated"
+        assert shard.database.get(record["record_id"]) == record
+
     def test_record_with_anchor_annotation_is_digested_without_it(self):
         # The shared bytes cover the whole record; the digest must not.
         sharded = ShardedChain(n_shards=1, telemetry=Telemetry())

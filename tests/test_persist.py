@@ -376,8 +376,9 @@ def _fill(storage: DurableStorage, table: str, n: int) -> None:
         grow_chain(chain, n)
         return
     for i in range(len(storage.records), len(storage.records) + n):
-        storage.records.append({"record_id": f"r{i}", "subject": "s",
-                                "timestamp": i})
+        storage.records.append_many(
+            [{"record_id": f"r{i}", "subject": "s", "timestamp": i}],
+            fsync=False)
 
 
 def _entries(storage: DurableStorage, table: str) -> int:
@@ -474,25 +475,41 @@ class TestOneRecoveryWalk:
         storage2.close()
 
 
-def test_torn_repointed_frame_is_found_by_address_order(tmp_path):
-    """``replace()`` points an *old* position at the newest frame.  When
-    that frame is torn, the row to drop is position 1's — found only by
-    walking the table in log-address order — and the log is cut after
-    position 5's frame, not after the highest position's."""
+def _record_frames(storage: DurableStorage) -> dict[int, bytes]:
+    """Position → the frame bytes its index row points at."""
+    return {position: storage.record_log.read(segment, offset)
+            for position, segment, offset in storage._conn.execute(
+                "SELECT position, segment, offset FROM records "
+                "ORDER BY position")}
+
+
+@pytest.mark.parametrize("cut_back", [1, 9, 64, 150, 400])
+def test_chopped_record_log_recovers_a_dense_prefix(tmp_path, cut_back):
+    """Records are append-only: whatever the chop takes, reopen keeps
+    positions ``0..n-1`` with no hole, each still pointing at the exact
+    bytes first written at that position, and appends carry on at
+    ``n``."""
     storage = DurableStorage(tmp_path)
-    _fill(storage, "records", 6)
-    end_of_appends = storage.record_log.end_location()
-    storage.records.replace(1, {"record_id": "r1", "subject": "s",
-                                "timestamp": 1, "note": "annotated"})
+    _fill(storage, "records", 8)
+    storage.records.append_many(
+        [{"record_id": f"g{i}", "subject": "s", "timestamp": 100 + i}
+         for i in range(4)])
+    written = _record_frames(storage)
     storage.close()
-    _chop_tail(tmp_path, "records", 3)
+    _chop_tail(tmp_path, "records", cut_back)
 
     storage2 = DurableStorage(tmp_path)
-    assert storage2.recovered_records == 1
-    assert storage2.record_log.end_location() == end_of_appends
+    survived = _record_frames(storage2)
+    kept = len(survived)
+    assert 0 < kept < len(written)
+    assert storage2.recovered_records == len(written) - kept
+    assert list(survived) == list(range(kept))
+    assert survived == {position: written[position]
+                        for position in range(kept)}
     assert [position for position, _ in storage2.records.iter_items()] \
-        == [0, 2, 3, 4, 5]
-    assert storage2.records.get(5)["timestamp"] == 5
+        == list(range(kept))
+    _fill(storage2, "records", 1)
+    assert list(_record_frames(storage2)) == list(range(kept + 1))
     storage2.close()
 
 
@@ -834,69 +851,6 @@ class TestShardedRestart:
 # Durable database details
 # ---------------------------------------------------------------------------
 class TestDurableDatabase:
-    def test_annotating_non_last_record_survives_reopen(self, tmp_path):
-        """Review regression: ``replace()`` repoints an *old* position at
-        the newest log frame, so recovery must truncate by log address,
-        not by max position — otherwise the annotation frame is cut."""
-        from repro.storage.provdb import ProvenanceDatabase
-
-        storage = DurableStorage(tmp_path)
-        db = ProvenanceDatabase(store=storage.records)
-        for i in range(3):
-            db.insert({"record_id": f"r{i}", "subject": "s",
-                       "timestamp": i})
-        db.annotate("r0", anchor_id="anchor-000")  # position 0, not last
-        storage.close()
-
-        storage2 = DurableStorage(tmp_path)
-        assert storage2.recovered_records == 0
-        db2 = ProvenanceDatabase(store=storage2.records)
-        assert len(db2) == 3
-        assert db2.get("r0")["anchor_id"] == "anchor-000"
-        assert db2.get("r2")["timestamp"] == 2
-        storage2.close()
-
-    def test_crash_after_annotation_keeps_it(self, tmp_path):
-        from repro.storage.provdb import ProvenanceDatabase
-
-        storage = DurableStorage(tmp_path)
-        db = ProvenanceDatabase(store=storage.records)
-        for i in range(3):
-            db.insert({"record_id": f"r{i}", "subject": "s",
-                       "timestamp": i})
-        db.annotate("r1", anchor_id="anchor-001")
-        storage.record_log.fail_after_bytes = 5
-        with pytest.raises(CrashPoint):
-            db.insert({"record_id": "doomed", "subject": "s",
-                       "timestamp": 9})
-        storage.close()
-
-        storage2 = DurableStorage(tmp_path)
-        db2 = ProvenanceDatabase(store=storage2.records)
-        assert len(db2) == 3
-        assert db2.get("r1")["anchor_id"] == "anchor-001"
-        assert not db2.contains("doomed")
-        storage2.close()
-
-    def test_annotation_survives_reopen(self, tmp_path):
-        from repro.storage.provdb import ProvenanceDatabase
-
-        storage = DurableStorage(tmp_path)
-        db = ProvenanceDatabase(store=storage.records)
-        db.insert({"record_id": "r1", "subject": "s", "timestamp": 1})
-        db.annotate("r1", anchor_id="anchor-007")
-        assert db.get("r1")["anchor_id"] == "anchor-007"
-        storage.close()
-
-        storage2 = DurableStorage(tmp_path)
-        db2 = ProvenanceDatabase(store=storage2.records)
-        assert db2.get("r1")["anchor_id"] == "anchor-007"
-        # The sqlite record_id → position column survives too.
-        assert storage2._conn.execute(
-            "SELECT position FROM records WHERE record_id = 'r1'"
-        ).fetchone() == (0,)
-        storage2.close()
-
     def test_memory_store_blocks_setter_guard(self, tmp_path):
         storage = DurableStorage(tmp_path)
         chain = Blockchain(ChainParams(chain_id="guard"),

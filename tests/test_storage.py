@@ -240,12 +240,6 @@ class TestProvenanceDatabase:
         assert len(database.by_actor("alice")) == 1
         assert len(database.by_operation("read")) == 1
 
-    def test_annotate_preserves_indexes(self, database):
-        database.insert(self._record(1))
-        database.annotate("r1", anchor="anchor-1")
-        assert database.get("r1")["anchor"] == "anchor-1"
-        assert len(database.by_subject("s")) == 1
-
     def test_record_without_id_rejected(self, database):
         with pytest.raises(QueryError):
             database.insert({"subject": "x"})

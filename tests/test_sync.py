@@ -11,6 +11,7 @@ a second, honest peer must then converge anyway.
 from __future__ import annotations
 
 import zlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +186,9 @@ class TestChunkCodec:
         assert err.value.reason == "corrupt_image"
         with pytest.raises(SyncError):
             decode_image(canonical_encode({"not": "an image"}))
+        with pytest.raises(SyncError) as err:
+            decode_image(canonical_encode({"records": 7, "state": []}))
+        assert err.value.reason == "corrupt_image"
 
 
 class TestFrameScan:
@@ -371,19 +375,14 @@ class TestCatchUp:
             sharded.shard(0).chain.head.block_hash
 
     def test_incremental_resync_fetches_only_the_delta(self, tmp_path):
-        sharded, records = build_source(tmp_path / "src")
+        sharded, _ = build_source(tmp_path / "src")
         env = Env(sharded)
         replica = env.replica(tmp_path)
         first = replica.catch_up()
-        # Source advances: more records (one annotated) and more blocks.
+        # Source advances: more records and more blocks.
         extra = make_records(10, tag="x")
         sharded.ingest_records(extra)
         shard0 = sharded.shard(0)
-        annotated = next(
-            r["record_id"] for r in records
-            if sharded.router.shard_for(namespace_of(r["subject"])) == 0
-        )
-        shard0.database.annotate(annotated, note="amended")
         sharded.flush_anchors()
         sharded.submit_many(make_txs(40, tag="x"))
         while sharded.mempool_backlog:
@@ -393,7 +392,8 @@ class TestCatchUp:
         assert second.blocks_installed == second.height - first.height
         assert replica.chain.head.block_hash == \
             shard0.chain.head.block_hash
-        assert replica.shard.database.get(annotated)["note"] == "amended"
+        assert list(replica.shard.database.records()) == \
+            list(shard0.database.records())
         assert replica.chain.state.state_root() == \
             shard0.chain.state.state_root()
         replica.close()
@@ -539,6 +539,17 @@ class ByzantineServer(SnapshotServer):
         resp["bundle"] = bundle
         return resp
 
+    def _image_for(self, shard, height, head_hash, state_root):
+        forge = RECORD_FORGERIES.get(self.mode)
+        if forge is not None:
+            # A self-consistent lie: the forged records are chunked and
+            # hashed into the manifest like honest ones.
+            records = forge(list(shard.database.records()))
+            shard = SimpleNamespace(
+                shard_id=shard.shard_id, chain=shard.chain,
+                database=SimpleNamespace(records=lambda: records))
+        return super()._image_for(shard, height, head_hash, state_root)
+
     def chunk(self, shard_id, height, index):
         resp = super().chunk(shard_id, height, index)
         if self.mode == "corrupt_chunk":
@@ -606,6 +617,23 @@ class ByzantineServer(SnapshotServer):
                     break
             resp = dict(resp, items=items)
         return resp
+
+
+# Ways to lie about a shard's records (the image's ``records`` list).
+RECORD_FORGERIES = {
+    "record_body": lambda rs: [rs[0], dict(rs[1], actor="mallory"),
+                               *rs[2:]],
+    "records_swapped": lambda rs: [rs[1], rs[0], *rs[2:]],
+    "record_injected": lambda rs: [rs[0], dict(rs[1], record_id="rogue"),
+                                   *rs[1:]],
+    "record_dropped": lambda rs: rs[:-1],
+    "record_without_id": lambda rs: [*rs, {"subject": "org0/asset-0"}],
+    "record_id_repeated": lambda rs: [*rs, dict(rs[0], actor="mallory")],
+    "record_first_changed": lambda rs: [dict(rs[0], actor="mallory"),
+                                        *rs[1:]],
+    "record_last_changed": lambda rs: [*rs[:-1],
+                                       dict(rs[-1], actor="mallory")],
+}
 
 
 def _tamper_prev_hash(frame: bytes) -> bytes:
@@ -736,6 +764,95 @@ class TestByzantine:
             replica.chain.verify(deep=True)
             for height in range(replica.chain.height + 1):
                 replica.chain.block_at(height)
+
+    @pytest.mark.parametrize("mode", [
+        "record_body", "records_swapped", "record_injected",
+        "record_dropped", "record_without_id", "record_id_repeated",
+    ])
+    def test_forged_records_rejected_before_install(self, source,
+                                                    tmp_path, mode):
+        # Every record of the source's shard 0 is anchored, so every
+        # lie contradicts a leaf an installed anchor row committed (or,
+        # appended past them, has no record id of its own).
+        sharded, _ = source
+        err, _ = self._attempt(sharded, tmp_path, mode, f"bzr-{mode}")
+        assert err.reason == "forged_record"
+        directory = str(tmp_path / f"bzr-{mode}")
+        storage = DurableStorage(directory)
+        assert len(storage.records) == 0
+        assert storage.blocks.height() == -1      # tail unwound
+        storage.close()
+        assert not any(log_files(directory).values())
+
+    def test_changed_installed_record_rejected(self, tmp_path):
+        sharded, _ = build_source(tmp_path / "src")
+        env = Env(sharded)
+        env.add_peer("liar", ByzantineServer(
+            sharded, mode="record_first_changed"))
+        directory = str(tmp_path / "rep")
+        replica = env.replica(tmp_path)
+        replica.catch_up()
+        height = replica.chain.height
+        count = len(replica.shard.database)
+        replica.close()
+        sharded.ingest_records(make_records(10, tag="x"))
+        sharded.flush_anchors()
+        sharded.seal_round(blocks_per_shard=4)
+        before = log_files(directory)
+        liar = env.replica(tmp_path, peers=("liar",))
+        with pytest.raises(SyncError) as err:
+            liar.catch_up()
+        assert err.value.reason == "forged_record"
+        # Nothing of the attempt survives: no record appended, none
+        # rewritten, the new tail truncated away.
+        assert log_files(directory) == before
+        storage = DurableStorage(directory)
+        assert len(storage.records) == count
+        assert storage.blocks.height() == height
+        storage.close()
+        liar.close()
+        honest = env.replica(tmp_path)
+        honest.catch_up()
+        assert list(honest.shard.database.records()) == \
+            list(sharded.shard(0).database.records())
+        honest.close()
+        sharded.close()
+
+    def test_pending_records_install_and_their_anchor_checks_them(
+            self, tmp_path):
+        """Records past the last anchored leaf are the source's pending
+        batch: installed on the peer's word (nothing on-chain commits to
+        them yet), pending on the replica, and checked against their
+        leaf by the catch-up that brings the anchor row covering them."""
+        sharded, _ = build_source(tmp_path / "src")
+        sharded.ingest_records(make_records(6, tag="p"))
+        pending = sharded.shard(0).anchor.pending_count
+        assert 0 < pending < 16                   # no batch filled
+        env = Env(sharded, server_cls=ByzantineServer,
+                  mode="record_last_changed")
+        env.add_peer("honest", SnapshotServer(sharded))
+        directory = str(tmp_path / "rep")
+        replica = env.replica(tmp_path)
+        replica.catch_up()
+        forged = list(replica.shard.database.records())[-1]
+        assert forged["actor"] == "mallory"
+        assert replica.shard.anchor.pending_count == pending
+        assert not replica.shard.anchor.is_anchored(forged["record_id"])
+        replica.close()
+        # The source anchors its batch.  The liar keeps serving its copy
+        # (the replica's prefix), which now contradicts its leaf; an
+        # honest image contradicts the replica's copy.  Both fail closed.
+        sharded.flush_anchors()
+        sharded.seal_round(blocks_per_shard=4)
+        before = log_files(directory)
+        for peer in ("gateway", "honest"):
+            again = env.replica(tmp_path, peers=(peer,))
+            with pytest.raises(SyncError) as err:
+                again.catch_up()
+            assert err.value.reason == "forged_record"
+            assert log_files(directory) == before
+            again.close()
+        sharded.close()
 
     def test_stale_snapshot_rejected(self, source, tmp_path):
         sharded, _ = source

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
+from repro.storage import ProvenanceDatabase
 from repro.systems import BlockCloud, IPFSProvenance, ProvChain
 
 
@@ -35,14 +36,20 @@ class TestProvChain:
 
     def test_tampering_database_detected_by_audit(self, system):
         system.create("alice", "doc", b"v1")
+        system.update("alice", "doc", b"v2")
         system.finalize()
-        # An attacker with database access rewrites history...
-        system.database.annotate(
-            system.database.by_subject("doc")[0]["record_id"],
-            operation="never-happened",
-        )
+        assert system.audit_object("doc").verified
+        # An attacker who controls the database the auditor reads
+        # serves a rewritten history...
+        forged = ProvenanceDatabase()
+        forged.insert_many([
+            dict(record, operation="never-happened")
+            if record["operation"] == "create" else record
+            for record in system.database.records()])
+        system.query_engine.database = forged
         answer = system.audit_object("doc")
         # ...but the anchored Merkle proof no longer matches.
+        assert "never-happened" in [r["operation"] for r in answer.records]
         assert not answer.verified
 
     def test_chain_grows_with_batches(self, system):

@@ -117,16 +117,15 @@ class TestCompactionCrash:
         shutil.copytree(source, work)
         storage = DurableStorage(work)
         with pytest.raises(CrashPoint):
-            storage.compact(which="blocks", fail_after_bytes=offset)
+            storage.compact(fail_after_bytes=offset)
         storage.close()
         # The index never left the old generation: reopen sweeps the
         # half-written rewrite and everything reads back.
         reopen_and_verify(work, expect)
         # And the interrupted compaction can simply run again.
         storage = DurableStorage(work)
-        stats = storage.compact(which="blocks")
-        assert stats["blocks"]["bytes_after"] <= \
-            stats["blocks"]["bytes_before"]
+        stats = storage.compact()
+        assert stats["bytes_after"] <= stats["bytes_before"]
         storage.close()
         reopen_and_verify(work, expect)
 
@@ -136,7 +135,7 @@ class TestCompactionCrash:
         shutil.copytree(source, work)
         storage = DurableStorage(work)
         with pytest.raises(CrashPoint):
-            storage.compact(which="blocks", crash_before_cleanup=True)
+            storage.compact(crash_before_cleanup=True)
         storage.close()
         # The swap transaction committed: the new generation is the
         # truth, the orphaned old directory is swept on reopen.
@@ -154,40 +153,35 @@ class TestCompactionCrash:
         shutil.copytree(source, work)
         storage = DurableStorage(work)
         assert storage.archive_blocks(keep_tail=6)["archived"] > 0
-        stats = storage.compact(which="blocks")["blocks"]
+        stats = storage.compact()
         assert stats["bytes_after"] < stats["bytes_before"]
         storage.close()
         reopen_and_verify(work, expect)
 
 
-def add_annotated_records(directory: str) -> list[dict]:
-    """Give a store a record log with dead weight: 40 records, every
-    third annotated twice (each ``replace`` strands the previous
-    frame).  Returns the records reopen must read back."""
+def add_records(directory: str) -> list[dict]:
+    """Give a store 40 records beside its blocks; returns what reopen
+    must read back."""
     storage = DurableStorage(directory)
     db = ProvenanceDatabase(store=storage.records)
     db.insert_many([{"record_id": f"r{i:02d}", "subject": f"s{i % 4}",
                      "timestamp": i, "body": f"payload-{i}" * 6}
                     for i in range(40)])
-    for i in range(0, 40, 3):
-        db.annotate(f"r{i:02d}", anchor_id=f"anchor-{i}")
-        db.annotate(f"r{i:02d}", anchor_id=f"anchor-{i}", note="again")
     expect = list(db.records())
     storage.close()
     return expect
 
 
-@pytest.mark.parametrize("table", ["blocks", "records"])
-class TestCompactionCrashEitherTable:
-    """The compaction crash points, through the one routine, on both
-    tables: whichever log is being rewritten, blocks *and* records read
-    back unchanged after every crash."""
+class TestCompactionKeepsRecords:
+    """The compaction crash points seen from the rest of the store:
+    whenever the hot block log is being rewritten, blocks *and* records
+    read back unchanged after every crash."""
 
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
         directory = str(tmp_path_factory.mktemp("compact-both") / "store")
         expect = build_store(directory)
-        return directory, expect, add_annotated_records(directory)
+        return directory, expect, add_records(directory)
 
     def _verify(self, work: str, expect: dict, records: list) -> None:
         reopen_and_verify(work, expect)
@@ -198,50 +192,49 @@ class TestCompactionCrashEitherTable:
 
     @pytest.mark.parametrize("offset", [1, 9, 200, 1_500])
     def test_kill_at_any_byte_of_rewrite_reconciles(self, base, tmp_path,
-                                                    table, offset):
+                                                    offset):
         source, expect, records = base
         work = str(tmp_path / "store")
         shutil.copytree(source, work)
         storage = DurableStorage(work)
         with pytest.raises(CrashPoint):
-            storage.compact(which=table, fail_after_bytes=offset)
+            storage.compact(fail_after_bytes=offset)
         storage.close()
-        assert os.path.isdir(os.path.join(work, f"{table}-log.g1"))
+        assert os.path.isdir(os.path.join(work, "blocks-log.g1"))
         self._verify(work, expect, records)
-        assert not os.path.isdir(os.path.join(work, f"{table}-log.g1"))
+        assert not os.path.isdir(os.path.join(work, "blocks-log.g1"))
         storage = DurableStorage(work)
-        stats = storage.compact(which=table)[table]
+        stats = storage.compact()
         assert stats["generation"] == 1
         assert stats["bytes_after"] <= stats["bytes_before"]
         storage.close()
         self._verify(work, expect, records)
 
-    def test_crash_after_commit_before_cleanup(self, base, tmp_path,
-                                               table):
+    def test_crash_after_commit_before_cleanup(self, base, tmp_path):
         source, expect, records = base
         work = str(tmp_path / "store")
         shutil.copytree(source, work)
         storage = DurableStorage(work)
         with pytest.raises(CrashPoint):
-            storage.compact(which=table, crash_before_cleanup=True)
+            storage.compact(crash_before_cleanup=True)
         storage.close()
-        assert os.path.isdir(os.path.join(work, f"{table}-log"))
+        assert os.path.isdir(os.path.join(work, "blocks-log"))
         self._verify(work, expect, records)
-        assert not os.path.isdir(os.path.join(work, f"{table}-log"))
-        assert os.path.isdir(os.path.join(work, f"{table}-log.g1"))
+        assert not os.path.isdir(os.path.join(work, "blocks-log"))
+        assert os.path.isdir(os.path.join(work, "blocks-log.g1"))
 
-    def test_compaction_drops_only_dead_frames(self, base, tmp_path,
-                                               table):
+    def test_compaction_drops_only_dead_frames(self, base, tmp_path):
         source, expect, records = base
         work = str(tmp_path / "store")
         shutil.copytree(source, work)
         storage = DurableStorage(work)
-        stats = storage.compact(which=table)[table]
+        records_log = storage.record_log.directory
+        stats = storage.compact()
         live = storage._conn.execute(
-            f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            "SELECT COUNT(*) FROM blocks").fetchone()[0]
         assert stats["live_frames"] == live
-        if table == "records":      # 28 stranded annotation frames
-            assert stats["bytes_after"] < stats["bytes_before"]
+        # The records log is append-only: compaction leaves it alone.
+        assert storage.record_log.directory == records_log
         storage.close()
         self._verify(work, expect, records)
 
@@ -575,7 +568,7 @@ class TestCompressedFramesStillRead:
     def test_compaction_rewrites_compressed_frames_raw(self, legacy):
         directory, expect = legacy
         storage = DurableStorage(directory)
-        storage.compact(which="blocks")
+        storage.compact()
         assert not any(is_compressed(storage, h)
                        for h in (*self.RAW, *self.ZLIB))
         storage.close()
