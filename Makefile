@@ -15,9 +15,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Durable-storage suite only: codec, segment log, crash recovery,
-# backend equivalence, reorg truncation, sharded restarts.
+# backend equivalence, reorg truncation, sharded restarts, and the record
+# rule at every door (a bad record writes nothing; a reopen never raises).
 test-persist:
-	$(PYTHON) -m pytest tests/test_persist.py tests/test_storage.py -q
+	$(PYTHON) -m pytest tests/test_persist.py tests/test_storage.py \
+	    tests/test_record_rule.py -q
 
 # Snapshot-sync suite only: chunk/manifest codec, verified catch-up,
 # byzantine rejection matrix, crash-resume, faulty-network convergence.
@@ -224,7 +226,12 @@ setup-split:
 # stored record be rewritten: no repoint( of an index row, no .replace(
 # on a record store and no annotate( under src/ or examples/, and no
 # compact(which= target anywhere — records are append-only, and the hot
-# block log is the one log compaction rewrites.
+# block log is the one log compaction rewrites.  Nor may a door grow its
+# own record check back: a "record lacks" or "needs a record_id" refusal
+# is written only by the one record rule (persist/codec.py), and neither
+# persist/provdb.py nor the facade's _route_records coerces a record
+# field with int( or str( — a record that passed the rule needs none,
+# and one that did not is never stored.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -291,6 +298,12 @@ lint-private:
 	    src examples --include='*.py'
 	@! grep -rnE 'compact\([^)]*\bwhich *=' \
 	    src tests examples tools benchmarks --include='*.py'
+	@! grep -rnE 'record lacks|needs a record_id' src/repro --include='*.py' \
+	    | grep -v '^src/repro/persist/codec\.py:'
+	@! grep -nE '(^|[^_[:alnum:]])(int|str)\(' src/repro/persist/provdb.py
+	@test -z "$$(awk '/^(class|def) |^    def /{f=$$0} \
+	    /(^|[^_[:alnum:]])(int|str)\(/ && f ~ /def _route_records\(/' \
+	    src/repro/sharding/shardchain.py)"
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

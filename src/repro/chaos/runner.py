@@ -317,7 +317,7 @@ class ChaosRunner:
 
     def _absorb_recovery(self, coord: CrossShardCoordinator,
                          report: ChaosReport) -> None:
-        summary = coord.last_recovery or {}
+        summary = coord.last_recovery
         for key, attr in (("finalized", "recovered_finalized"),
                           ("aborted", "recovered_aborted"),
                           ("cleaned", "recovered_cleaned")):

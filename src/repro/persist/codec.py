@@ -7,7 +7,9 @@ the *wire format* of the segment logs: the encoding is self-describing
 (every value carries its tag and length), so this module adds the exact
 inverse, :func:`canonical_decode`, plus mapping converters for the three
 object kinds the stores persist — blocks (with their transactions),
-execution receipts, and provenance records.
+execution receipts, and provenance records — plus the one rule of what
+a provenance record is (:func:`check_record`, with the paper's Table 1
+schemas), which every door that stores records runs before it writes.
 
 Using the hash encoding as the storage encoding is what makes the
 round-trip guarantees cheap to state: a decoded transaction re-encodes to
@@ -26,9 +28,10 @@ re-encoded (*The decode-side splice*, under "Transactions" below).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from operator import lt as _lt
-from typing import Any
+from typing import Any, Callable
 
 from ..chain.block import Block
 from ..chain.receipts import Event, TransactionReceipt
@@ -39,7 +42,7 @@ from ..chain.transaction import (
     TxKind,
 )
 from ..crypto.signatures import PublicKey
-from ..errors import SerializationError, StorageError
+from ..errors import RecordValidationError, SerializationError, StorageError
 from ..serialization import Pinned, canonical_encode
 
 __all__ = [
@@ -52,6 +55,11 @@ __all__ = [
     "decode_block",
     "encode_record",
     "decode_record",
+    "CORE_FIELDS",
+    "DOMAIN_SCHEMAS",
+    "RecordSchema",
+    "check_record",
+    "check_records",
     "receipt_to_mapping",
     "receipt_from_mapping",
     "transaction_to_mapping",
@@ -514,7 +522,7 @@ class EncodedReceipts(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Provenance records (plain canonical dicts)
+# Provenance records (plain canonical dicts) and the one rule they obey
 # ---------------------------------------------------------------------------
 def encode_record(record: dict) -> bytes:
     return canonical_encode(record)
@@ -525,3 +533,211 @@ def decode_record(payload: bytes) -> dict:
     if not isinstance(record, dict):
         raise StorageError("stored record did not decode to a mapping")
     return record
+
+
+def _non_empty_str(value: Any) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+def _non_negative_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _str_list(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(v, str) for v in value
+    )
+
+
+# Core fields every record may carry regardless of domain, each with its
+# check; they drive the ProvenanceDatabase indexes.  Every record carries
+# the _REQUIRED ones, a record of a registered domain all of them.
+_STR = (_non_empty_str, "a non-empty str")
+_CORE = {"record_id": _STR, "domain": _STR, "subject": _STR, "actor": _STR,
+         "operation": _STR, "timestamp": (_non_negative_int, "an int >= 0")}
+CORE_FIELDS = tuple(_CORE)
+_REQUIRED = ("record_id", "subject")
+
+
+def check_record(record: Any) -> None:
+    """The one rule of what a provenance record is; every door that
+    stores records (:meth:`ProvenanceDatabase.insert_many`, and through
+    it the capture sink; the sharded facade's ``ingest_records``; sync's
+    image install) runs it before its first write.
+
+    A record is a mapping whose ``record_id`` and ``subject`` are
+    non-empty ``str``; ``domain``, ``actor`` and ``operation``, when
+    present, are non-empty ``str`` and ``timestamp`` an ``int`` (not a
+    ``bool``) ``>= 0``.  A ``domain`` registered in
+    :data:`DOMAIN_SCHEMAS` also gets its Table 1 schema: every core
+    field present, the domain's own fields valid, no unknown field.  An
+    absent or unregistered domain gets this core rule only: 2PC handoff
+    records and the end-to-end benchmark's records carry no domain, the
+    other benchmarks' records the unregistered ``"generic"``.  Any
+    failure raises :class:`RecordValidationError`."""
+    if not isinstance(record, Mapping):
+        raise RecordValidationError(
+            f"a record is a mapping, not {type(record).__name__}")
+    domain = record.get("domain")
+    schema = DOMAIN_SCHEMAS.get(domain) if _non_empty_str(domain) else None
+    for name, (valid, wanted) in _CORE.items():
+        if name in record:
+            if not valid(record[name]):
+                raise RecordValidationError(
+                    f"record field {name!r} must be {wanted}, not "
+                    f"{record[name]!r}")
+        elif schema is not None or name in _REQUIRED:
+            raise RecordValidationError(f"record lacks {name!r}")
+    if schema is not None:
+        schema.check_fields(record)
+
+
+def check_records(records: Sequence[Mapping[str, Any]],
+                  stored: Callable[[Mapping[str, Any]], bool]) -> None:
+    """:func:`check_record` over a batch, plus uniqueness: no
+    ``record_id`` repeats within the batch, and ``stored(record)`` is
+    false for each — a duplicate is a :class:`RecordValidationError`
+    too.  Raises before the caller writes anything."""
+    seen: set[str] = set()
+    for record in records:
+        check_record(record)
+        record_id = record["record_id"]
+        if record_id in seen or stored(record):
+            raise RecordValidationError(f"duplicate record_id {record_id!r}")
+        seen.add(record_id)
+
+
+@dataclass(frozen=True)
+class RecordSchema:
+    """A domain's provenance record layout (a column of the paper's
+    Table 1; :mod:`repro.provenance.records` documents the table),
+    applied by :func:`check_record` once registered in
+    :data:`DOMAIN_SCHEMAS`.
+
+    ``fields`` maps field name -> (validator, paper_label, required).
+    ``paper_label`` preserves the exact Table 1 wording so the table can
+    be regenerated verbatim from code.
+    """
+
+    domain: str
+    fields: Mapping[str, tuple[Callable[[Any], bool], str, bool]] = field(
+        default_factory=dict)
+
+    def required_fields(self) -> list[str]:
+        return [name for name, (_, _, req) in self.fields.items() if req]
+
+    def paper_labels(self) -> list[str]:
+        return [label for (_, label, _) in self.fields.values()]
+
+    def validate(self, record: Mapping[str, Any]) -> None:
+        """Raise :class:`RecordValidationError` unless ``record`` is a
+        record of this domain that passes the record rule."""
+        check_record(record)
+        if record.get("domain") != self.domain:
+            raise RecordValidationError(
+                f"record domain {record.get('domain')!r} does not match "
+                f"schema {self.domain!r}"
+            )
+
+    def check_fields(self, record: Mapping[str, Any]) -> None:
+        """This domain's own fields, for :func:`check_record`."""
+        for name, (validator, label, required) in self.fields.items():
+            if name not in record:
+                if required:
+                    raise RecordValidationError(
+                        f"{self.domain}: missing field {name!r} ({label})"
+                    )
+                continue
+            if not validator(record[name]):
+                raise RecordValidationError(
+                    f"{self.domain}: field {name!r} ({label}) failed "
+                    f"validation with value {record[name]!r}"
+                )
+        unknown = set(record) - set(self.fields) - set(CORE_FIELDS) \
+            - {"extra", "anchor"}
+        if unknown:
+            raise RecordValidationError(
+                f"{self.domain}: unknown fields {sorted(unknown)}"
+            )
+
+
+SUPPLY_CHAIN_SCHEMA = RecordSchema(
+    domain="supply_chain",
+    fields={
+        "product_id": (_non_empty_str, "Unique Product ID", True),
+        "batch_number": (_non_empty_str, "Batch or Lot Number", True),
+        "manufacturing_date": (_non_negative_int,
+                               "Manufacturing and Expiration Date", True),
+        "expiration_date": (_non_negative_int,
+                            "Manufacturing and Expiration Date", False),
+        "travel_trace": (_str_list, "Travel Trace", True),
+        "product_type": (_non_empty_str, "Product Type or Category", True),
+        "manufacturer_id": (_non_empty_str, "Manufacturer ID", True),
+        "access_url": (_non_empty_str, "Quick Access URL or QR Code", False),
+    },
+)
+
+FORENSICS_SCHEMA = RecordSchema(
+    domain="digital_forensics",
+    fields={
+        "case_number": (_non_empty_str, "Case Number", True),
+        "stage": (_non_empty_str, "Investigation Stage", True),
+        "case_start": (_non_negative_int, "Case Start Date", True),
+        "case_closure": (_non_negative_int, "Case Closure Date", False),
+        "file_types": (_str_list, "File Types", True),
+        "access_patterns": (_str_list, "Access Patterns", False),
+        "file_dependencies": (_str_list, "Files Dependency", False),
+    },
+)
+
+SCIENTIFIC_SCHEMA = RecordSchema(
+    domain="scientific",
+    fields={
+        "task_id": (_non_empty_str, "Task ID", True),
+        "workflow_id": (_non_empty_str, "Workflow ID", True),
+        "execution_time": (_non_negative_int, "Execution Time", True),
+        "user_id": (_non_empty_str, "User ID", True),
+        "input_data": (_str_list, "Input Data", True),
+        "output_data": (_str_list, "Output Data", True),
+        "invalidated_results": (_str_list, "Invalidated Results", False),
+    },
+)
+
+# The remaining Table 2 domains, with fields assembled from the paper's
+# §4.3 (healthcare: EHR lifecycle, consent, regulation) and §4.4
+# (ML: datasets, operations, models, training rounds).
+HEALTHCARE_SCHEMA = RecordSchema(
+    domain="healthcare",
+    fields={
+        "patient_pseudonym": (_non_empty_str, "Patient Pseudonym", True),
+        "ehr_id": (_non_empty_str, "EHR Record ID", True),
+        "provider_id": (_non_empty_str, "Provider ID", True),
+        "consent_ref": (_non_empty_str, "Consent Reference", False),
+        "record_types": (_str_list, "Record Types", True),
+        "regulation": (_non_empty_str, "Governing Regulation", False),
+    },
+)
+
+ML_SCHEMA = RecordSchema(
+    domain="machine_learning",
+    fields={
+        "asset_id": (_non_empty_str, "Asset ID", True),
+        "asset_type": (lambda v: v in ("dataset", "operation", "model"),
+                       "Asset Type", True),
+        "training_round": (_non_negative_int, "Training Round", False),
+        "parent_assets": (_str_list, "Parent Assets", True),
+        "metrics_digest": (_non_empty_str, "Metrics Digest", False),
+        "contributor_id": (_non_empty_str, "Contributor ID", True),
+    },
+)
+
+DOMAIN_SCHEMAS: dict[str, RecordSchema] = {
+    schema.domain: schema
+    for schema in (
+        SUPPLY_CHAIN_SCHEMA,
+        FORENSICS_SCHEMA,
+        SCIENTIFIC_SCHEMA,
+        HEALTHCARE_SCHEMA,
+        ML_SCHEMA,
+    )
+}

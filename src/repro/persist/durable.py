@@ -645,7 +645,7 @@ class DurableRecordStore(RecordStore):
             encoded = [encode_record(record) for record in records]
         positions = list(range(start, start + len(records)))
         self._index.append(
-            [(position, str(record.get("record_id") or position))
+            [(position, record["record_id"])
              for position, record in zip(positions, records)],
             encoded, fsync)
         self._count = start + len(records)

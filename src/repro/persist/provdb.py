@@ -16,11 +16,14 @@ The record list itself lives behind a
 durable indexed log whose sqlite table also maps record_id → log
 location.  Records are evidence their anchors commit to, so the
 database only appends: nothing changes a stored record in place (a
-correction is a new record).  The inverted indexes stay in memory either
-way (positions are cheap); opening a database on a non-empty store
-rebuilds them with one pass over it, which is a load, not a replay — no
-hashing, no chain execution.  (:mod:`repro.storage.provdb` is the
-survey-facing name of this module.)
+correction is a new record), and nothing is stored that fails the one
+record rule (:func:`~repro.persist.codec.check_record`).  The inverted
+indexes stay in memory either way (positions are cheap); opening a
+database on a non-empty store rebuilds them with one pass over it,
+which is a load, not a replay — no hashing, no chain execution — and
+never raises: a stored value of the wrong type (only an older binary
+can have written one) is left out of its index.
+(:mod:`repro.storage.provdb` is the survey-facing name of this module.)
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from typing import Any, Callable, Iterator, Mapping
 
-from ..errors import QueryError, UnknownEntity
+from ..errors import UnknownEntity
+from .codec import check_records
 from .stores import MemoryRecordStore, RecordStore
 
 
@@ -59,19 +63,21 @@ class ProvenanceDatabase:
             self._index_record(position, stored)
 
     def _index_record(self, position: int, stored: Mapping[str, Any]) -> None:
-        self._by_id[str(stored["record_id"])] = position
-        subject = stored.get("subject")
-        if subject:
-            self._by_subject[str(subject)].append(position)
-        actor = stored.get("actor")
-        if actor:
-            self._by_actor[str(actor)].append(position)
-        operation = stored.get("operation")
-        if operation:
-            self._by_operation[str(operation)].append(position)
+        # A stored value of the wrong type is left out of its index: the
+        # record rule keeps such records out, so only an older binary
+        # can have written one, and a reopen must still succeed.
+        record_id = stored.get("record_id")
+        if type(record_id) is str:
+            self._by_id[record_id] = position
+        for name, index in (("subject", self._by_subject),
+                            ("actor", self._by_actor),
+                            ("operation", self._by_operation)):
+            value = stored.get(name)
+            if type(value) is str and value:
+                index[value].append(position)
         timestamp = stored.get("timestamp")
-        if timestamp is not None:
-            insort(self._by_time, (int(timestamp), position))
+        if type(timestamp) is int:
+            insort(self._by_time, (timestamp, position))
 
     # ------------------------------------------------------------------
     # Ingest
@@ -80,34 +86,29 @@ class ProvenanceDatabase:
         """Insert a record dict; returns its position.  A batch of one
         whose fsync is deferred (see :meth:`insert_many`)."""
         self.insert_many([record], fsync=False)
-        return self._by_id[str(record["record_id"])]
+        return self._by_id[record["record_id"]]
 
     def insert_many(self, records, encoded=None, fsync=True) -> int:
         """Insert a batch through the store's one write (one log write +
         one index transaction on the durable backend, fsynced when
         ``fsync``) and index it in one pass; returns the count.
 
-        Required field: ``record_id``; indexed when present: ``subject``
-        (the data artifact), ``actor`` (who acted), ``operation``,
-        ``timestamp``.  All-or-nothing: a missing or duplicate id
-        anywhere rejects the batch before anything is stored.
+        Every record must pass the record rule
+        (:func:`~repro.persist.codec.check_records`: ``record_id`` and
+        ``subject`` required, the core fields typed, a registered
+        domain's schema, no id repeated in the batch or already stored);
+        the first that fails raises :class:`RecordValidationError`
+        before anything is stored.  The indexed fields are ``subject``
+        (the data artifact), ``actor`` (who acted), ``operation`` and
+        ``timestamp``.
 
         ``encoded`` is the records' canonical bytes from a caller that
         owns the dicts and gives them away
-        (:meth:`RecordStore.append_many`) — the sharded facade, whose
-        routing pass has already decided id uniqueness across every
-        shard, so the check is not repeated here (a durable store's
-        ``UNIQUE`` index still backs it).  Without it each record is
-        validated and copied first."""
+        (:meth:`RecordStore.append_many`); without it each record is
+        copied first."""
+        check_records(records, lambda record: record["record_id"]
+                      in self._by_id)
         if encoded is None:
-            seen: set[str] = set()
-            for record in records:
-                record_id = record.get("record_id")
-                if not record_id:
-                    raise QueryError("record needs a record_id")
-                if record_id in self._by_id or record_id in seen:
-                    raise QueryError(f"duplicate record_id {record_id!r}")
-                seen.add(record_id)
             records = [dict(record) for record in records]
         if not records:
             return 0

@@ -153,7 +153,9 @@ class RecordStore(ABC):
         ``encoded`` is each record's canonical bytes, from a caller that
         already has them; it can only vouch for bytes of dicts nobody
         else will mutate, so with it the store keeps ``records`` as its
-        own instead of copying them.
+        own instead of copying them.  The records have passed the record
+        rule (:func:`~repro.persist.codec.check_records`, run by every
+        caller that stores them); the store does not check them again.
         """
 
     @abstractmethod

@@ -157,6 +157,9 @@ class AnchorService:
     def enqueue(self, record: Mapping[str, Any],
                 encoded: bytes | None = None) -> AnchorReceipt | None:
         """Queue a record; flushes automatically at ``batch_size``.
+        The record must already pass the record rule
+        (:func:`~repro.persist.codec.check_record`): the doors that
+        store records run it, and this queue does not repeat it.
 
         ``encoded`` is the record's canonical bytes from a caller that
         owns the dict and gives it away: the batch keeps the record
@@ -167,9 +170,7 @@ class AnchorService:
         """
         if encoded is None:
             record = dict(record)
-        record_id = str(record.get("record_id", ""))
-        if not record_id:
-            raise AnchorError("record lacks record_id")
+        record_id = record["record_id"]
         if record_id in self._batches or record_id in self._pending.ids:
             raise AnchorError(f"record {record_id!r} already anchored/pending")
         self._pending.records.append(record)
@@ -213,7 +214,7 @@ class AnchorService:
             [anchor_id, tx.tx_id, tree.root, b"".join(batch.digests)],
             AnchorReceipt(anchor_id, tree.root, block.height, tx.tx_id,
                           len(batch.records)),
-            tree, (str(record["record_id"]) for record in batch.records))
+            tree, (record["record_id"] for record in batch.records))
         # Only now is the batch anchored: a failed append leaves it
         # pending (and its anchor id unused).
         self._pending = _PendingBatch()

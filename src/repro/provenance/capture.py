@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..errors import AccessDenied, CaptureError
+from ..errors import AccessDenied, CaptureError, RecordValidationError
 from ..storage.cloudstore import CloudObjectStore, StoreOperation
 from ..persist.provdb import ProvenanceDatabase
-from .records import DOMAIN_SCHEMAS, validate_record
 
 Authenticator = Callable[[str, str], bool]   # (actor, resource) -> allowed?
 RecordBuilder = Callable[[StoreOperation], dict]
@@ -55,13 +54,12 @@ class CaptureSink:
         self.delivered = 0
 
     def deliver(self, record: Mapping[str, Any]) -> dict:
-        """Accept one record: schema-validate (when the domain is known),
-        insert into the database, and enqueue for anchoring."""
+        """Accept one record: insert it into the database, which runs the
+        record rule (:func:`~repro.persist.codec.check_record`, with the
+        Table 1 schema of a registered domain) and raises
+        :class:`RecordValidationError` before storing a record that
+        fails it, then enqueue it for anchoring."""
         record = dict(record)
-        if record.get("domain") in DOMAIN_SCHEMAS:
-            validate_record(record)
-        if "record_id" not in record:
-            raise CaptureError("record lacks record_id")
         self.database.insert(record)
         if self.anchor_service is not None:
             self.anchor_service.enqueue(record)
@@ -129,7 +127,7 @@ class StoreMediatedCapture:
         try:
             self.sink.deliver(self._builder(op))
             self.metrics.records_delivered += 1
-        except CaptureError:
+        except RecordValidationError:
             self.metrics.records_rejected += 1
 
 

@@ -34,7 +34,7 @@ from ..errors import (
     ShardError,
 )
 from ..obs.runtime import telemetry as default_telemetry
-from ..persist.codec import encode_record
+from ..persist.codec import check_records, encode_record
 from ..persist.durable import DurableStorage
 from ..persist.provdb import ProvenanceDatabase
 from ..persist.stores import MemoryStorage, MetaStore, Storage
@@ -43,7 +43,7 @@ from ..provenance.query import ProvenanceQueryEngine, QueryCache
 from .beacon import BeaconChain, BeaconReceipt
 from .engines import InProcessEngine, RoundEngine, ShardResult
 from .locks import LockTable
-from .router import ShardRouter, namespace_of
+from .router import ShardRouter
 
 
 def _recover_proof_state(storage, kind: str, load) -> None:
@@ -567,7 +567,8 @@ class ShardedChain:
         per-write meta commits (the 2PC WAL) — while the state image
         stays at the last checkpoint (blocks above it replay on open),
         which is what a reopened :class:`ShardedChain` plus
-        ``CrossShardCoordinator(recover=True)`` must cope with."""
+        a new ``CrossShardCoordinator`` (it replays the WAL) must cope
+        with."""
         self._coordinators.clear()
         self._release(checkpoint=False)
 
@@ -718,29 +719,23 @@ class ShardedChain:
         return report
 
     def _route_records(
-        self, records: Iterable[Mapping[str, Any]]
+        self, records: Sequence[Mapping[str, Any]]
     ) -> dict[int, list[dict]]:
-        """Bucket records by home shard; a missing subject or id, a lock
-        conflict or a duplicate id raises before anything is stored."""
+        """Bucket records by home shard.  A record that fails the record
+        rule (a duplicate of one its home shard holds included) raises
+        :class:`RecordValidationError`, and a lock conflict
+        :class:`ShardError`, before anything is stored."""
+        check_records(records, lambda record: self.shard_for_subject(
+            record["subject"]).database.contains(record["record_id"]))
         buckets: dict[int, list[dict]] = {}
-        seen_ids: set[str] = set()
         for record in records:
-            subject = str(record.get("subject", ""))
-            if not subject:
-                raise ShardError("record lacks a subject to route by")
-            shard_id = self.router.shard_for(namespace_of(subject))
+            subject = record["subject"]
+            shard_id = self.router.shard_for_subject(subject)
             if self.locks.blocks(shard_id, subject, record.get("xid")):
                 raise ShardError(
                     f"subject {subject!r} is locked by a cross-shard "
                     "transfer; ingest after it settles"
                 )
-            record_id = str(record.get("record_id", ""))
-            if not record_id:
-                raise ShardError("record lacks a record_id")
-            if record_id in seen_ids \
-                    or self.shards[shard_id].database.contains(record_id):
-                raise ShardError(f"duplicate record_id {record_id!r}")
-            seen_ids.add(record_id)
             buckets.setdefault(shard_id, []).append(dict(record))
         return buckets
 
@@ -752,7 +747,7 @@ class ShardedChain:
         A batch of one whose fsync is deferred to the next group commit
         or checkpoint."""
         flushed = self.ingest_records([record], fsync=False)
-        shard_id = self.router.shard_for_subject(str(record["subject"]))
+        shard_id = self.router.shard_for_subject(record["subject"])
         return shard_id, next(iter(flushed.get(shard_id, ())), None)
 
     def ingest_records(
@@ -762,19 +757,22 @@ class ShardedChain:
         database insert per shard (one log write + one index transaction
         on the durable backend, fsynced when ``fsync``), then anchor
         enqueueing.  Returns the anchor receipts flushed per shard.
-        Lock conflicts, missing subjects, and duplicate record ids all
-        raise before anything is stored — a batch that fails
-        *validation* commits nothing on any shard.  (A storage-layer
-        crash mid-call can still leave the shards committed before the
-        failure point durably stored; their logs recover independently,
-        and the failed shards' records can be re-ingested.)"""
+        A record that fails the record rule
+        (:func:`~repro.persist.codec.check_record`, a duplicate id
+        included) raises :class:`RecordValidationError` — the one error
+        type for a bad record — and a locked subject raises
+        :class:`ShardError`, both before anything is stored: a batch
+        that fails *validation* commits nothing on any shard.  (A
+        storage-layer crash mid-call can still leave the shards
+        committed before the failure point durably stored; their logs
+        recover independently, and the failed shards' records can be
+        re-ingested.)"""
         receipts: dict[int, list[AnchorReceipt]] = {}
         for shard_id, bucket in self._route_records(records).items():
             shard = self.shards[shard_id]
             # The routed copies are ours to give away, so each record is
             # encoded once and the same bytes frame it in the record log
-            # and feed its anchor digest; handing them over also vouches
-            # for the id checks the routing pass just made.
+            # and feed its anchor digest.
             encoded = [encode_record(rec) for rec in bucket]
             shard.database.insert_many(bucket, encoded, fsync=fsync)
             flushed = [r for r in map(shard.anchor.enqueue, bucket, encoded)

@@ -208,7 +208,6 @@ class CrossShardCoordinator:
         sharded: ShardedChain,
         timeout_rounds: int = 3,
         sender: str = "xshard-coordinator",
-        recover: bool = True,
     ) -> None:
         if timeout_rounds < 1:
             raise ShardError("timeout must be at least one round")
@@ -239,9 +238,8 @@ class CrossShardCoordinator:
             "xshard_abort_legs_lost_total"
         )
         sharded.attach_coordinator(self)
-        self.last_recovery: dict | None = None
-        if recover:
-            self.last_recovery = self.recover()
+        # Every coordinator replays the WAL it inherits.
+        self.last_recovery: dict = self.recover()
 
     # ------------------------------------------------------------------
     # Phase 1: begin / prepare

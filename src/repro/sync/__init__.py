@@ -46,13 +46,17 @@ which carrier it is on, and nothing but encoded bytes crosses.
 Trust recap — the serving peer is byzantine until proven otherwise:
 chunk ⇒ manifest hash ⇒ beacon-anchored state root; frame ⇒ header
 hash-chain ⇒ beacon-anchored head hash; proof row ⇒ Merkle root in that
-frame's anchor transaction; anything else (forged offer,
+frame's anchor transaction; record ⇒ the one record rule
+(:func:`~repro.persist.codec.check_record`) and, once an installed row
+covers it, that row's leaf — a record of the source's pending batch is
+shape-checked but not yet leaf-checked; anything else (forged offer,
 stale snapshot, truncated tail, corrupt chunk, a field of the wrong
 type, the peer's own ``error`` frame, its silence) fails closed with a
 structured :class:`~repro.errors.SyncError` and
 :meth:`~repro.sync.replica.ShardReplica.catch_up` retries the next
-peer, keeping each refusal in the final report's ``errors``.  Record bodies, execution receipts, and the tail's tx-id index
-rows are transport-checked (chunk hashes / frame CRCs) rather than
+peer, keeping each refusal in the final report's ``errors``.
+Execution receipts and the tail's tx-id index rows are
+transport-checked (chunk hashes / frame CRCs) rather than
 chain-committed — this chain commits none of them in block headers, so
 that is exactly the trust level a source full node offers; pass
 ``deep_verify=True`` to additionally recompute every tail block's

@@ -45,10 +45,11 @@ from dataclasses import dataclass, field
 from ..chain.block import GENESIS_PREV_HASH
 from ..chain.state import StateStore
 from ..crypto.hashing import HASH_SIZE
-from ..errors import AnchorError, GatewayError, SerializationError, \
-    StorageError, SyncError
+from ..errors import AnchorError, GatewayError, RecordValidationError, \
+    SerializationError, StorageError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
-from ..persist.codec import canonical_decode, decode_block, encode_record
+from ..persist.codec import canonical_decode, check_records, decode_block, \
+    encode_record
 from ..persist.durable import DurableStorage
 from ..persist.segment import CrashPoint
 from ..provenance.anchor import covered_leaves, verify_batch_row
@@ -480,17 +481,20 @@ class SnapshotClient:
 
         The records are checked first against what the replica already
         trusts.  Its own records must be the image's prefix, as stored:
-        records are never rewritten.  Every anchor row the store holds
-        (each verified against its block's anchor transaction when the
-        tail installed it) pairs its leaves with records the way a
-        reopen does (:func:`covered_leaves`), and each leaf must have
-        its record in the image.  A new record must hash to its leaf,
-        and so must a stored one whose row this sync's tail brought (it
-        was pending when installed).  Records past the last leaf — the
-        source's pending batch — are installed on the peer's word:
-        nothing on-chain commits to them yet.  The replica's anchor
-        service queues them as pending, no proof is served for them, and
-        the catch-up that brings their row checks them.  Anything else
+        records are never rewritten.  Every new record must pass the
+        record rule (:func:`~repro.persist.codec.check_records`: its
+        shape, its domain's schema, an id no other image record has).
+        Every anchor row the store holds (each verified against its
+        block's anchor transaction when the tail installed it) pairs
+        its leaves with records the way a reopen does
+        (:func:`covered_leaves`), and each leaf must have its record in
+        the image.  A new record must hash to its leaf, and so must a
+        stored one whose row this sync's tail brought (it was pending
+        when installed).  Records past the last leaf — the source's
+        pending batch — are shape-checked but not leaf-checked: nothing
+        on-chain commits to them yet.  The replica's anchor service
+        queues them as pending, no proof is served for them, and the
+        catch-up that brings their row checks them.  Anything else
         fails closed with ``forged_record`` before a record is
         written."""
         records = self._image["records"]
@@ -500,17 +504,19 @@ class SnapshotClient:
                 f"replica already holds {existing} records; image has "
                 f"only {len(records)}", reason="stale_snapshot",
             )
-        ids: dict[str, int] = {}     # record id -> position
-        for position, record in enumerate(records):
-            record_id = record.get("record_id") \
-                if type(record) is dict else None
-            if type(record_id) is not str or not record_id \
-                    or record_id in ids or position < existing \
-                    and storage.records.get(position) != record:
-                raise self._fail(
-                    f"image record {position} is not the replica's, or "
-                    "has no record id of its own", reason="forged_record")
-            ids[record_id] = position
+        if records[:existing] != list(storage.records.iter_records()):
+            raise self._fail("image records do not extend the replica's",
+                             reason="forged_record")
+        ids = {record["record_id"]: position      # record id -> position
+               for position, record in enumerate(records[:existing])}
+        try:
+            check_records(records[existing:],
+                          lambda record: record["record_id"] in ids)
+        except RecordValidationError as exc:
+            raise self._fail(f"image record refused: {exc}",
+                             reason="forged_record") from exc
+        ids.update((record["record_id"], position) for position, record
+                   in enumerate(records[existing:], existing))
         encoded = [encode_record(record) for record in records[existing:]]
         rows = list(storage.blocks.derived_rows())
         for (height, row), pairs in zip(rows, covered_leaves(rows, ids)[0]):

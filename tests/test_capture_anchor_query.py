@@ -3,7 +3,9 @@
 import pytest
 
 from repro.clock import SimClock
-from repro.errors import AccessDenied, AnchorError, CaptureError, QueryError
+from repro.errors import (
+    AccessDenied, AnchorError, CaptureError, QueryError, RecordValidationError,
+)
 from repro.provenance.anchor import AnchorService
 from repro.provenance.capture import (
     CaptureSink,
@@ -44,7 +46,7 @@ class TestDirectCapture:
 
     def test_record_without_id_rejected(self, sink):
         capture = DirectCapture(sink)
-        with pytest.raises(CaptureError):
+        with pytest.raises(RecordValidationError):
             capture.record_operation({"domain": "generic"})
 
 

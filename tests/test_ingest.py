@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from repro.chain import Blockchain, ChainParams, Mempool, Transaction, TxKind
 from repro.crypto.signatures import KeyPair, verify_encoded_batch
 from repro.errors import (
-    RETRY_AFTER_FLOOR_S, InvalidBlock, QueueFull, ShardError,
+    RETRY_AFTER_FLOOR_S, InvalidBlock, QueueFull, RecordValidationError,
+    ShardError,
 )
 from repro.ingest import IngestPipeline
 from repro.persist import CrashPoint, DurableStorage, SegmentLog
@@ -513,7 +514,7 @@ class TestGroupCommit:
         sharded.ingest_record(record_for(7, tenant="t1"))
         batch = [record_for(100, tenant="t0"),
                  record_for(7, tenant="t1")]      # dup on another shard
-        with pytest.raises(ShardError):
+        with pytest.raises(RecordValidationError):
             sharded.ingest_records(batch)
         # The valid record's shard committed nothing either.
         assert not any(s.database.contains("r100") for s in sharded.shards)
@@ -522,15 +523,15 @@ class TestGroupCommit:
 
     def test_ingest_record_rejects_like_the_batch_path(self):
         """Single-record ingest shares the batch validation: the same
-        defects raise the same ShardError, before anything is stored."""
+        defects raise the same RecordValidationError, before anything is stored."""
         sharded = ShardedChain(n_shards=3)
         sharded.ingest_record(record_for(7, tenant="t1"))
         for bad in (record_for(7, tenant="t1"),               # duplicate
                     {"subject": "t0/obj", "actor": "alice"},  # no id
                     {"record_id": "r9", "actor": "alice"}):   # no subject
-            with pytest.raises(ShardError):
+            with pytest.raises(RecordValidationError):
                 sharded.ingest_record(bad)
-            with pytest.raises(ShardError):
+            with pytest.raises(RecordValidationError):
                 sharded.ingest_records([bad])
         assert sum(len(s.database) for s in sharded.shards) == 1
         shard_id, receipt = sharded.ingest_record(

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import AccessDenied, ObjectNotFound, QueryError, UnknownEntity
+from repro.errors import (
+    AccessDenied, ObjectNotFound, RecordValidationError, UnknownEntity,
+)
 from repro.storage import CloudObjectStore, ContentAddressedStore, ProvenanceDatabase
 
 
@@ -212,7 +214,7 @@ class TestProvenanceDatabase:
 
     def test_duplicate_id_rejected(self, database):
         database.insert(self._record(1))
-        with pytest.raises(QueryError):
+        with pytest.raises(RecordValidationError):
             database.insert(self._record(1))
 
     def test_missing_record(self, database):
@@ -241,7 +243,7 @@ class TestProvenanceDatabase:
         assert len(database.by_operation("read")) == 1
 
     def test_record_without_id_rejected(self, database):
-        with pytest.raises(QueryError):
+        with pytest.raises(RecordValidationError):
             database.insert({"subject": "x"})
 
     def test_returned_records_are_copies(self, database):

@@ -629,6 +629,8 @@ RECORD_FORGERIES = {
     "record_dropped": lambda rs: rs[:-1],
     "record_without_id": lambda rs: [*rs, {"subject": "org0/asset-0"}],
     "record_id_repeated": lambda rs: [*rs, dict(rs[0], actor="mallory")],
+    "record_pending_mistyped": lambda rs: [
+        *rs, dict(rs[-1], record_id="pending-0", timestamp="yesterday")],
     "record_first_changed": lambda rs: [dict(rs[0], actor="mallory"),
                                         *rs[1:]],
     "record_last_changed": lambda rs: [*rs[:-1],
@@ -768,12 +770,13 @@ class TestByzantine:
     @pytest.mark.parametrize("mode", [
         "record_body", "records_swapped", "record_injected",
         "record_dropped", "record_without_id", "record_id_repeated",
+        "record_pending_mistyped",
     ])
     def test_forged_records_rejected_before_install(self, source,
                                                     tmp_path, mode):
         # Every record of the source's shard 0 is anchored, so every
         # lie contradicts a leaf an installed anchor row committed (or,
-        # appended past them, has no record id of its own).
+        # appended past them as a pending tail, fails the record rule).
         sharded, _ = source
         err, _ = self._attempt(sharded, tmp_path, mode, f"bzr-{mode}")
         assert err.reason == "forged_record"
