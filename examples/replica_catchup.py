@@ -61,6 +61,13 @@ def populate(sharded: ShardedChain) -> None:
         sharded.seal_round(blocks_per_shard=4)
 
 
+class SmallChunkServer(SnapshotServer):
+    """An honest peer that cuts this small image into several chunks,
+    so the mid-sync kill below lands between two of them."""
+
+    CHUNK_SIZE = 16 * 1024
+
+
 class CorruptingServer(SnapshotServer):
     """A byzantine peer: every chunk it serves is bit-flipped."""
 
@@ -88,7 +95,7 @@ def main() -> None:
     # -- 2. a gateway serves snapshot sync -----------------------------
     net = SimNet(LatencyModel(base=3, jitter=2), seed=2026)
     gateway = ChainNode("consortium-gateway", net)
-    gateway.serve_sync(SnapshotServer(sharded, chunk_size=16 * 1024))
+    gateway.serve_sync(SmallChunkServer(sharded))
 
     # -- 3. the new org joins mid-stream, surviving a mid-sync kill ----
     replica_dir = os.path.join(work_dir, "neworg-shard0")
@@ -129,7 +136,7 @@ def main() -> None:
 
     # -- 5. byzantine peer rejected, honest peer wins, lossy network ---
     byzantine = ChainNode("byzantine-peer", net)
-    byzantine.serve_sync(CorruptingServer(sharded, chunk_size=16 * 1024))
+    byzantine.serve_sync(CorruptingServer(sharded))
     for topic in ("sync/offer", "sync/chunk", "sync/tail"):
         net.inject_faults(topic, drop=0.3)
     replica2 = sharded.spawn_replica(

@@ -120,8 +120,7 @@ def main() -> None:
           f"{not any(s.database.contains(f'{second.xid}:in') for s in sharded.shards)}")
 
     # -- 6. A scan burst meets backpressure ----------------------------
-    pipeline = IngestPipeline(sharded, queue_capacity=24,
-                              high_watermark=0.75)
+    pipeline = IngestPipeline(sharded, queue_capacity=24)
     burst = [
         Transaction(
             sender=f"{maker}/scanner-{i % 3}", kind=TxKind.DATA,

@@ -65,12 +65,13 @@ rides a ``retry_after`` chunk carrying the full structured
 :data:`~repro.errors.RETRY_AFTER_FLOOR_S` floor so a client honoring it
 verbatim never hot-loops); ``strikes += 1``.
 
-``OPEN`` —(strikes ≥ pause_after)→ ``PAUSED``: the server stops
+``OPEN`` —(strikes ≥ ``PAUSE_AFTER``)→ ``PAUSED``: the server stops
 *reading* the connection for the advertised retry-after (capped at
-``pause_cap_s``), so a client that ignores hints is throttled by its
-own kernel socket buffer instead of monopolizing the event loop;
-counted in ``gateway_pauses_total``.  Any fully-queued submit resets to
-``OPEN``.
+``PAUSE_CAP_S``; both are :class:`~repro.gateway.server.GatewayServer`
+class constants, 3 strikes and 0.5 s), so a client that ignores hints
+is throttled by its own kernel socket buffer instead of monopolizing
+the event loop; counted in ``gateway_pauses_total``.  Any fully-queued
+submit resets to ``OPEN``.
 
 Client side, :meth:`~repro.gateway.client.AsyncGatewayClient.
 submit_with_retry` sleeps the larger of the server hint and

@@ -138,9 +138,7 @@ class AsyncGatewayClient:
         # call() stamps the real seq over the placeholder.
         return _submit_result(await self.call(txs_to_frame_body(txs, 0)))
 
-    async def submit_with_retry(self, txs,
-                                max_attempts: int | None = None,
-                                rng=None) -> SubmitResult:
+    async def submit_with_retry(self, txs) -> SubmitResult:
         """Submit until everything is queued or the budget runs out.
 
         Sleeps :meth:`RetryPolicy.backoff_s` between attempts — the
@@ -150,17 +148,13 @@ class AsyncGatewayClient:
         (``reason="backpressure_budget"``) with the still-pending
         transactions on ``exc.pending`` — nothing is silently dropped.
         """
-        attempts = (max_attempts if max_attempts is not None
-                    else self.policy.max_retries + 1)
         pending = list(txs)
         total = SubmitResult(attempts=0)
-        for attempt in range(attempts):
+        for attempt in range(self.policy.max_retries + 1):
             if attempt:
                 self.retries += 1
                 total.waited_s += await sleep_backoff(
-                    self.policy, attempt, hint_s=total.retry_after_s,
-                    rng=rng,
-                )
+                    self.policy, attempt, hint_s=total.retry_after_s)
             total.attempts += 1
             result = await self.submit(pending)
             total.queued += result.queued
@@ -225,13 +219,13 @@ class GatewayClient:
     """Blocking driver of an :class:`AsyncGatewayClient` on a private
     event loop: same protocol, same retry discipline, no frame I/O of
     its own.  Every call but :meth:`submit_with_retry` (bounded by its
-    policy's attempt budget instead) gives up after ``timeout_s``.
+    policy's attempt budget instead) gives up after ``TIMEOUT_S``.
     Must not be used on a thread that is running an event loop."""
 
+    TIMEOUT_S = 30.0
+
     def __init__(self, host: str, port: int, tenant: str = "default",
-                 policy: RetryPolicy | None = None,
-                 timeout_s: float | None = 30.0) -> None:
-        self._timeout_s = timeout_s
+                 policy: RetryPolicy | None = None) -> None:
         self._loop = asyncio.new_event_loop()
         try:
             self._client = self._run(
@@ -242,7 +236,7 @@ class GatewayClient:
 
     def _run(self, coro, bounded: bool = True):
         if bounded:
-            coro = asyncio.wait_for(coro, self._timeout_s)
+            coro = asyncio.wait_for(coro, self.TIMEOUT_S)
         return self._loop.run_until_complete(coro)
 
     def __getattr__(self, name: str):

@@ -65,6 +65,13 @@ class _Connection(Session):
 class GatewayServer:
     """Asyncio front door for one ingest pipeline (module docstring)."""
 
+    REPORT_CHUNK = 512        # rejected txs per ``retry_after`` frame
+    PAUSE_AFTER = 3           # strikes before a connection is paused
+    PAUSE_CAP_S = 0.5         # the longest such pause
+    # The auto-sealer's sleep when idle; lower case because the e2e
+    # benchmark harness reads it under this name.
+    seal_interval_s = 0.005
+
     def __init__(
         self,
         pipeline,
@@ -72,24 +79,12 @@ class GatewayServer:
         port: int = 0,
         *,
         auto_seal: bool = False,
-        seal_interval_s: float = 0.005,
-        report_chunk: int = 512,
-        pause_after: int = 3,
-        pause_cap_s: float = 0.5,
         telemetry=None,
     ) -> None:
-        if report_chunk < 1:
-            raise GatewayError("report_chunk must be >= 1")
-        if pause_after < 1:
-            raise GatewayError("pause_after must be >= 1")
         self.pipeline = pipeline
         self.host = host
         self.port = port
         self.auto_seal = auto_seal
-        self.seal_interval_s = seal_interval_s
-        self.report_chunk = report_chunk
-        self.pause_after = pause_after
-        self.pause_cap_s = pause_cap_s
         self.telemetry = telemetry if telemetry is not None \
             else default_telemetry()
         self._server: asyncio.AbstractServer | None = None
@@ -404,11 +399,11 @@ class GatewayServer:
         tail, then one final REPORT frame with totals."""
         rejected = report.rejected
         bodies: list[dict] = []
-        for start in range(0, len(rejected), self.report_chunk):
-            chunk = rejected[start:start + self.report_chunk]
+        for start in range(0, len(rejected), self.REPORT_CHUNK):
+            chunk = rejected[start:start + self.REPORT_CHUNK]
             bodies.append({
                 "op": OP_RETRY_AFTER,
-                "chunk": start // self.report_chunk,
+                "chunk": start // self.REPORT_CHUNK,
                 "rejected": [
                     dict(signal.as_dict(), tx_id=tx.tx_id)
                     for tx, signal in chunk
@@ -437,9 +432,9 @@ class GatewayServer:
             conn.strikes = 0
             return
         conn.strikes += 1
-        if conn.strikes < self.pause_after:
+        if conn.strikes < self.PAUSE_AFTER:
             return
-        pause = min(report.min_retry_after_s(), self.pause_cap_s)
+        pause = min(report.min_retry_after_s(), self.PAUSE_CAP_S)
         if pause <= 0:
             return
         self._m_pauses.inc()

@@ -106,19 +106,19 @@ class IngestPipeline:
     in ``invalid_txs``, counted, never silently discarded).
     """
 
+    # A queue signals backpressure once this fraction of it is full.
+    HIGH_WATERMARK = 0.75
+
     def __init__(
         self,
         sharded: ShardedChain,
         queue_capacity: int = 8192,
-        high_watermark: float = 0.75,
         verify_signatures: bool = False,
         max_blocks_per_round: int = 8,
         telemetry=None,
     ) -> None:
         if queue_capacity < 1:
             raise ShardError("queue_capacity must be >= 1")
-        if not 0.0 < high_watermark <= 1.0:
-            raise ShardError("high_watermark must be in (0, 1]")
         if max_blocks_per_round < 1:
             raise ShardError("max_blocks_per_round must be >= 1")
         self.sharded = sharded
@@ -126,7 +126,7 @@ class IngestPipeline:
         self.admission_batch = max(max_txs, 1)
         self.verify_signatures = verify_signatures
         self.max_blocks_per_round = max_blocks_per_round
-        hw = max(1, int(queue_capacity * high_watermark))
+        hw = max(1, int(queue_capacity * self.HIGH_WATERMARK))
         self._queues = [
             _ShardQueue(shard.shard_id, queue_capacity, hw)
             for shard in sharded.shards
@@ -308,8 +308,9 @@ class IngestPipeline:
                 self._quarantine([tx])
         return accepted, duplicates
 
-    def pump(self, max_batches_per_shard: int | None = None) -> SubmitReport:
-        """Drain queues into mempools in admission batches.
+    def pump(self) -> SubmitReport:
+        """Drain queues into mempools in admission batches, at most
+        ``max_blocks_per_round`` batches per shard.
 
         Per shard and batch: one optional signature-verification pass,
         a lock check (conflicts rotate back to the queue head, counted
@@ -318,8 +319,6 @@ class IngestPipeline:
         never overflows; a shard whose mempool is full simply keeps its
         queue — that is what the queue is for.
         """
-        if max_batches_per_shard is None:
-            max_batches_per_shard = self.max_blocks_per_round
         report = SubmitReport()
         sharded = self.sharded
         for queue in self._queues:
@@ -327,7 +326,7 @@ class IngestPipeline:
             mempool = shard.mempool
             accepted = 0
             deferred: list[Transaction] = []
-            for _ in range(max_batches_per_shard):
+            for _ in range(self.max_blocks_per_round):
                 room = min(self.admission_batch, mempool.free_capacity)
                 batch = queue.take(room)
                 if not batch:

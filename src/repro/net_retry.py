@@ -28,22 +28,27 @@ from .errors import SyncError
 from .obs.runtime import telemetry as default_telemetry
 
 
+# The backoff shape: retry *k* (1-based) waits ``BASE_BACKOFF_TICKS *
+# BACKOFF_FACTOR**(k-1)`` ticks, capped at the policy's
+# ``max_backoff_ticks``, plus a jitter tick count in ``[0, JITTER_TICKS]``
+# drawn from the caller's (seeded) RNG when it supplies one.
+BASE_BACKOFF_TICKS = 8
+BACKOFF_FACTOR = 2.0
+JITTER_TICKS = 4
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Attempt budget + exponential backoff shape.
+    """Attempt budget + backoff cap.
 
     ``max_retries`` counts *re*-sends: every request gets
-    ``max_retries + 1`` attempts.  Before retry attempt *k* (1-based)
-    the caller's clock advances ``base_backoff_ticks * factor**(k-1)``
-    ticks, capped at ``max_backoff_ticks``, plus a jitter tick count in
-    ``[0, jitter_ticks]`` drawn from the supplied (seeded) RNG.  The
-    first attempt never waits."""
+    ``max_retries + 1`` attempts.  Before retry attempt *k* the caller's
+    clock advances :meth:`backoff_ticks` ticks (the module constants'
+    exponential schedule, capped at ``max_backoff_ticks``).  The first
+    attempt never waits."""
 
     max_retries: int = 3
-    base_backoff_ticks: int = 8
-    factor: float = 2.0
     max_backoff_ticks: int = 256
-    jitter_ticks: int = 4
     # Wall-clock value of one backoff tick for async/wall-clock callers
     # (the gateway client sleeps real seconds, not simulated ticks).
     tick_s: float = 0.001
@@ -53,23 +58,22 @@ class RetryPolicy:
         if attempt <= 0:
             return 0
         ticks = min(
-            int(self.base_backoff_ticks * self.factor ** (attempt - 1)),
+            int(BASE_BACKOFF_TICKS * BACKOFF_FACTOR ** (attempt - 1)),
             self.max_backoff_ticks,
         )
-        if self.jitter_ticks > 0 and rng is not None:
-            ticks += rng.randrange(self.jitter_ticks + 1)
+        if rng is not None:
+            ticks += rng.randrange(JITTER_TICKS + 1)
         return ticks
 
-    def backoff_s(self, attempt: int, rng=None,
-                  hint_s: float = 0.0) -> float:
+    def backoff_s(self, attempt: int, hint_s: float = 0.0) -> float:
         """Wall-clock seconds to wait before retry ``attempt``: the
-        larger of the exponential schedule (ticks × ``tick_s``) and a
-        server-supplied hint (a ``QueueFull.retry_after_s`` translated
-        into a ``RETRY_AFTER`` wire response).  The hint wins while the
-        server knows best; the exponential floor takes over when the
-        same client keeps getting bounced — repeat offenders back off
-        *harder* than the hint alone asks."""
-        return max(self.backoff_ticks(attempt, rng) * self.tick_s,
+        larger of the exponential schedule (ticks × ``tick_s``, no
+        jitter) and a server-supplied hint (a ``QueueFull.retry_after_s``
+        translated into a ``RETRY_AFTER`` wire response).  The hint wins
+        while the server knows best; the exponential floor takes over
+        when the same client keeps getting bounced — repeat offenders
+        back off *harder* than the hint alone asks."""
+        return max(self.backoff_ticks(attempt) * self.tick_s,
                    float(hint_s))
 
 
@@ -82,11 +86,11 @@ def count_retry(topic: str, ticks: int) -> None:
 
 
 async def sleep_backoff(policy: RetryPolicy, attempt: int,
-                        hint_s: float = 0.0, rng=None) -> float:
+                        hint_s: float = 0.0) -> float:
     """Wall-clock half of the policy: sleep
     :meth:`RetryPolicy.backoff_s` without blocking the event loop,
     accounted in ``policy.tick_s`` ticks.  Returns the seconds slept."""
-    wait_s = policy.backoff_s(attempt, rng, hint_s=hint_s)
+    wait_s = policy.backoff_s(attempt, hint_s=hint_s)
     count_retry("gateway",
                 max(1, int(wait_s / policy.tick_s)) if wait_s > 0 else 0)
     if wait_s > 0:

@@ -66,8 +66,7 @@ Ops surfaces
   TCP (``AsyncGatewayClient.ops()``);
 * ``ShardedChain.health_report()`` — the operator rollup: per-shard
   backlog, heights, last-round seal timings with slowest-shard
-  attribution, and the round-pace EWMA.  This is the exact signal set
-  the ROADMAP's resharding/autoscaler item consumes.
+  attribution, and the round-pace EWMA.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry

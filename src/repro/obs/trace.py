@@ -191,20 +191,21 @@ class Span:
 class Tracer:
     """Sampling span factory + bounded finished-span buffer."""
 
-    def __init__(self, sample_every: int = 64,
-                 max_spans: int = 4096, max_bound_txs: int = 4096) -> None:
+    MAX_SPANS = 4096        # finished spans kept (oldest dropped first)
+    MAX_BOUND_TXS = 4096    # sampled tx ids awaiting their seal
+
+    def __init__(self, sample_every: int = 64) -> None:
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0")
         self.sample_every = sample_every
         self._countdown = 1 if sample_every else 0
         # Finished spans, kept in wire-row form (see SpanRecord.to_row):
         # cheap to append on span exit, materialized only when read.
-        self._spans: deque[list] = deque(maxlen=max_spans)
+        self._spans: deque[list] = deque(maxlen=self.MAX_SPANS)
         self._tls = threading.local()
         # tx_id -> TraceContext for sampled submits awaiting their seal.
         # Bounded: a sampled tx that never seals must not leak forever.
         self._tx_ctx: OrderedDict[str, TraceContext] = OrderedDict()
-        self._max_bound_txs = max_bound_txs
         self._bind_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -251,7 +252,7 @@ class Tracer:
     def bind_tx(self, tx_id: str, ctx: TraceContext) -> None:
         with self._bind_lock:
             self._tx_ctx[tx_id] = ctx
-            while len(self._tx_ctx) > self._max_bound_txs:
+            while len(self._tx_ctx) > self.MAX_BOUND_TXS:
                 self._tx_ctx.popitem(last=False)
 
     @property

@@ -654,7 +654,7 @@ class RecordSchema:
                     f"validation with value {record[name]!r}"
                 )
         unknown = set(record) - set(self.fields) - set(CORE_FIELDS) \
-            - {"extra", "anchor"}
+            - {"extra"}
         if unknown:
             raise RecordValidationError(
                 f"{self.domain}: unknown fields {sorted(unknown)}"

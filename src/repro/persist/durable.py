@@ -174,7 +174,6 @@ class IndexedLog:
 
     def __init__(self, conn: sqlite3.Connection, directory: str, table: str,
                  key: str, extra: str, cache_size: int,
-                 max_segment_bytes: int,
                  drop_with: Callable[[sqlite3.Connection, int], None]
                  | None = None) -> None:
         self.conn = conn
@@ -188,7 +187,6 @@ class IndexedLog:
         self._repoint_sql = (f"UPDATE {table} SET segment = ?, offset = ?, "
                              f"length = ? WHERE {key} = ?")
         self._drop_with = drop_with
-        self._max_segment_bytes = max_segment_bytes
         self._cache: OrderedDict[int, Any] = OrderedDict()
         self._cache_size = cache_size
         # Compaction rewrites the log into the next generation directory
@@ -199,8 +197,7 @@ class IndexedLog:
         # the log opens.
         self.generation = int(_get_meta(conn, self._gen_key, 0))
         self._sweep_stale_dirs()
-        self.log = SegmentLog(self._dir(self.generation),
-                              max_segment_bytes)
+        self.log = SegmentLog(self._dir(self.generation))
         self.recovered = self._recover()
 
     def _dir(self, generation: int) -> str:
@@ -342,7 +339,7 @@ class IndexedLog:
             # A previous compaction attempt crashed mid-write in this
             # same process lifetime; its frames were never committed.
             shutil.rmtree(new_dir)
-        new_log = SegmentLog(new_dir, self._max_segment_bytes)
+        new_log = SegmentLog(new_dir)
         if fail_after_bytes is not None:
             new_log.fail_after_bytes = fail_after_bytes
         locations = new_log.append_many(
@@ -735,8 +732,7 @@ class DurableStorage(Storage):
     meta).  Opening it runs crash recovery on all three logs; see the
     module docstring for the commit discipline it enforces."""
 
-    def __init__(self, directory: str | os.PathLike,
-                 max_segment_bytes: int = 4 * 1024 * 1024) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
         # Fork-safety contract (audited for the exec process pool):
         # exec workers *never* open durable state — they execute against
         # in-memory replicas and return deltas; only the parent commits.
@@ -767,7 +763,7 @@ class DurableStorage(Storage):
         def open_log(table, key, extra, cache_size, drop_with=None):
             opened.append(IndexedLog(
                 self._conn, self.directory, table, key, extra, cache_size,
-                max_segment_bytes, drop_with))
+                drop_with))
             return opened[-1]
 
         # A failed open releases what it opened: the connection and every

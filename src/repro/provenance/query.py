@@ -188,8 +188,6 @@ class ProvenanceQueryEngine:
                 proof = self.anchor_service.prove(record_id)
                 self.stats.proofs_produced += 1
                 self._proof_memo[record_id] = proof
-            # The anchor annotation added post-hoc must not break hashes:
-            # record_digest excludes it (see records.record_digest).
             ok = self.anchor_service.verify(record, proof)
             self.stats.proofs_verified += 1
             if not ok:

@@ -85,11 +85,9 @@ def validate_record(record: Mapping[str, Any]) -> None:
 def record_digest(record: Mapping[str, Any],
                   encoded: bytes | None = None) -> bytes:
     """The hash that goes into Merkle batches and on-chain registries.
-    ``encoded`` is the record's canonical bytes when the caller already
-    has them; they are hashed as they are unless the record carries an
-    anchor annotation."""
-    # The anchor annotation is excluded: it is added *after* hashing.
-    if encoded is not None and "anchor" not in record:
+    It covers every field of the record.  ``encoded`` is the record's
+    canonical bytes when the caller already has them; they are hashed
+    as they are."""
+    if encoded is not None:
         return hash_bytes(encoded, DOMAIN_RECORD)
-    content = {k: v for k, v in record.items() if k != "anchor"}
-    return hash_canonical(content, DOMAIN_RECORD)
+    return hash_canonical(dict(record), DOMAIN_RECORD)

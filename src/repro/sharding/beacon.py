@@ -67,13 +67,14 @@ class BeaconReceipt:
 class BeaconChain:
     """A :class:`Blockchain` whose payload is shard-root commitments."""
 
-    def __init__(self, storage: Storage, params: ChainParams | None = None,
-                 sender: str = "beacon-sealer") -> None:
+    SENDER = "beacon-sealer"    # inside every anchor tx's bytes
+
+    def __init__(self, storage: Storage,
+                 params: ChainParams | None = None) -> None:
         self.storage = storage
         self.chain = Blockchain(params or ChainParams(chain_id="beacon"),
                                 store=storage.blocks,
                                 snapshot_store=storage.state)
-        self.sender = sender
         self._batches = BatchAnchors(self.chain)
         self.receipts: list[BeaconReceipt] = self._batches.receipts
         # Per-round (shard_id, height, block_hash, state_root) entries.
@@ -164,7 +165,7 @@ class BeaconChain:
             in_batch.add((sid, h))
         tree = MerkleTree(shard_block_leaf(*entry) for entry in entries)
         tx = Transaction(
-            sender=self.sender,
+            sender=self.SENDER,
             kind=TxKind.PROVENANCE,
             payload={
                 "anchor_id": f"beacon-round-{round_no:06d}",
@@ -176,7 +177,7 @@ class BeaconChain:
             timestamp=timestamp,
         ).seal()
         block = self.chain.build_block([tx], timestamp=timestamp,
-                                       proposer=self.sender)
+                                       proposer=self.SENDER)
         receipt = self._batches.commit(
             block, [tx.tx_id, tree.root, entries],
             BeaconReceipt(round_no, tree.root, block.height, tx.tx_id,

@@ -418,10 +418,10 @@ class ShardedChain:
         # RETRY_AFTER_FLOOR_S both seeds the estimate before the first
         # seal and clamps every advertised retry-after (hot-loop guard).
         self._round_pace_s = 0.0
-        # Telemetry (ISSUE 7): spans per shard round / beacon commit,
-        # latency histograms on the per-round paths (cheap there — one
-        # observe per shard per round), and a collector publishing the
-        # per-shard load gauges the resharding/autoscaler consumes.
+        # Telemetry: spans per shard round / beacon commit, latency
+        # histograms on the per-round paths (cheap there — one observe
+        # per shard per round), and a collector publishing the per-shard
+        # load gauges the ops surface reads.
         # The most recent RoundReport backs health_report()'s
         # slowest-shard attribution.
         self.telemetry = telemetry if telemetry is not None \
@@ -468,8 +468,8 @@ class ShardedChain:
     # ------------------------------------------------------------------
     def _collect_metrics(self) -> None:
         """Registry collector: publish per-shard load gauges at snapshot
-        time.  Nothing here runs on a hot path — the resharding planner
-        and ops surfaces read these from ``snapshot()``."""
+        time.  Nothing here runs on a hot path — the ops surface reads
+        these from ``snapshot()``."""
         registry = self.telemetry.registry
         for shard in self.shards:
             sid = str(shard.shard_id)
@@ -905,8 +905,6 @@ class ShardedChain:
         net,
         node_id: str | None = None,
         peers: Sequence[str] = (),
-        anchor_batch_size: int | None = None,
-        region: str = "default",
     ):
         """Create a :class:`~repro.sync.replica.ShardReplica` of one
         shard: a durable store directory plus a network identity that
@@ -937,9 +935,7 @@ class ShardedChain:
             node_id=node_id,
             peers=peers,
             beacon=self.beacon,
-            anchor_batch_size=(anchor_batch_size if anchor_batch_size
-                               is not None else shard.anchor.batch_size),
-            region=region,
+            anchor_batch_size=shard.anchor.batch_size,
         )
 
     def seal_until_drained(self, max_rounds: int = 10_000) -> list[RoundReport]:

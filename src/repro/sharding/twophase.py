@@ -198,6 +198,7 @@ class CrossShardCoordinator:
     a time (attach to the facade; :meth:`on_round_sealed` is its tick).
     See the module docstring for the WAL / epoch / recovery contract."""
 
+    SENDER = "xshard-coordinator"   # inside every leg tx's bytes
     _SEQ_KEY = "xshard/seq"
     _EPOCH_KEY = "xshard/epoch"
     _ACTIVE_KEY = "xshard/active"
@@ -207,13 +208,11 @@ class CrossShardCoordinator:
         self,
         sharded: ShardedChain,
         timeout_rounds: int = 3,
-        sender: str = "xshard-coordinator",
     ) -> None:
         if timeout_rounds < 1:
             raise ShardError("timeout must be at least one round")
         self.sharded = sharded
         self.timeout_rounds = timeout_rounds
-        self.sender = sender
         self.transfers: dict[str, CrossShardTransfer] = {}
         self.committed = 0
         self.aborted = 0
@@ -270,7 +269,7 @@ class CrossShardCoordinator:
             timestamp=timestamp,
             epoch=self.epoch,
         )
-        transfer.payload.setdefault("actor", actor or self.sender)
+        transfer.payload.setdefault("actor", actor or self.SENDER)
         # Both subjects or neither: two transfers over the same pair
         # cannot deadlock on half a lock set each.
         if not self.sharded.locks.acquire(
@@ -458,7 +457,7 @@ class CrossShardCoordinator:
         # them ahead of bulk capture traffic: locks are held for rounds,
         # not for the whole backlog.
         return Transaction(
-            sender=self.sender,
+            sender=self.SENDER,
             kind=TxKind.CROSS_CHAIN,
             payload=payload,
             timestamp=transfer.timestamp,
@@ -500,7 +499,7 @@ class CrossShardCoordinator:
         skipped: it is anchored, or its reopened shard re-queued it."""
         transfer.state = FINALIZING
         self._wal_write(transfer, "finalizing")
-        actor = str(transfer.payload.get("actor", self.sender))
+        actor = str(transfer.payload.get("actor", self.SENDER))
         extra = {k: v for k, v in transfer.payload.items()
                  if k not in self._PROTECTED_FIELDS}
         pair = [

@@ -43,8 +43,7 @@ class ShardReplica:
         node_id: str,
         peers,
         beacon,
-        anchor_batch_size: int = 64,
-        region: str = "default",
+        anchor_batch_size: int,
     ) -> None:
         if not peers:
             raise SyncError("replica needs at least one peer to sync from",
@@ -55,7 +54,7 @@ class ShardReplica:
         self.peers = list(peers)
         self.beacon = beacon
         self.anchor_batch_size = anchor_batch_size
-        self.node = ChainNode(node_id, net, region=region)
+        self.node = ChainNode(node_id, net)
         self.shard: Shard | None = None
         self.last_report: SyncReport | None = None
         # Replicas answer ``ops`` too: the process default registry

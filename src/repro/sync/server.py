@@ -50,11 +50,11 @@ class SnapshotServer:
     :attr:`service` puts them on the wire.
     """
 
-    def __init__(self, sharded, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 max_tail_blocks: int = 512) -> None:
+    CHUNK_SIZE = DEFAULT_CHUNK_SIZE   # image bytes per ``sync/chunk``
+    MAX_TAIL_BLOCKS = 512   # the most blocks one ``sync/tail`` reply holds
+
+    def __init__(self, sharded) -> None:
         self.sharded = sharded
-        self.chunk_size = chunk_size
-        self.max_tail_blocks = max_tail_blocks
         # Per shard, the most recent images (newest last).  Keeping the
         # previous head's image alive lets a client that started
         # downloading before the source sealed another round finish its
@@ -140,7 +140,7 @@ class SnapshotServer:
             block_hash=head_hash,
             state_root=state_root,
             image=image_bytes,
-            chunk_size=self.chunk_size,
+            chunk_size=self.CHUNK_SIZE,
         )
         cached = _CachedImage(manifest=manifest, chunks=chunks)
         kept.append(cached)
@@ -179,7 +179,7 @@ class SnapshotServer:
             raise SyncError(str(exc), reason="bad_request",
                             shard_id=shard_id) from exc
         upto = min(upto, shard.chain.height)
-        count = max(1, min(count, self.max_tail_blocks))
+        count = max(1, min(count, self.MAX_TAIL_BLOCKS))
         span = min(start + count, upto + 1) - start
         try:
             items = shard.chain.store.raw_block_items(start, max(0, span))

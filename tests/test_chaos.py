@@ -304,8 +304,7 @@ class TestLeasesAndFencing:
 
 class TestNetRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_backoff_ticks=8, factor=2.0,
-                             max_backoff_ticks=50, jitter_ticks=0)
+        policy = RetryPolicy(max_backoff_ticks=50)
         ticks = [policy.backoff_ticks(k) for k in range(5)]
         assert ticks == [0, 8, 16, 32, 50]
 

@@ -495,22 +495,6 @@ class TestRecordsEncodedOnce:
         fetched["subject"] = "mutated"
         assert shard.database.get(record["record_id"]) == record
 
-    def test_record_with_anchor_annotation_is_digested_without_it(self):
-        # The shared bytes cover the whole record; the digest must not.
-        sharded = ShardedChain(n_shards=1, telemetry=Telemetry())
-        record = dict(capture_records(1)[0], anchor={"anchor_id": "old"})
-        sharded.ingest_records([record])
-        # A batch of one: its Merkle root is the leaf hash of the digest.
-        [receipt] = sharded.flush_anchors().values()
-        digest = record_digest(record)
-        assert receipt.merkle_root == leaf_hash(digest)
-        assert digest == record_digest(record, encode_record(record))
-        plain = capture_records(1)[0]
-        assert record_digest(plain, encode_record(plain)) \
-            == record_digest(plain)
-        assert digest != hashlib.sha256(
-            b"\x04" + encode_record(record)).digest()
-
     def test_ingested_records_do_not_alias_the_callers(self, tmp_path):
         sharded = ShardedChain(n_shards=1, storage_dir=str(tmp_path),
                                telemetry=Telemetry())

@@ -416,9 +416,10 @@ class TestWireBackpressure:
 
         asyncio.run(scenario())
 
-    def test_repeat_offenders_get_paused(self):
-        _, pipe, server = make_stack(n_shards=1, queue_capacity=4,
-                                     pause_after=2, pause_cap_s=0.01)
+    def test_repeat_offenders_get_paused(self, monkeypatch):
+        monkeypatch.setattr(GatewayServer, "PAUSE_AFTER", 2)
+        monkeypatch.setattr(GatewayServer, "PAUSE_CAP_S", 0.01)
+        _, pipe, server = make_stack(n_shards=1, queue_capacity=4)
 
         async def scenario():
             host, port = await server.start()
@@ -541,13 +542,14 @@ class TestDisconnects:
 
         asyncio.run(scenario())
 
-    def test_disconnect_during_batched_reply_is_counted(self):
-        # report_chunk=1 + a mostly-bounced batch = a long streamed
+    def test_disconnect_during_batched_reply_is_counted(self,
+                                                        monkeypatch):
+        # REPORT_CHUNK=1 + a mostly-bounced batch = a long streamed
         # reply; the client vanishes before reading it.  Every frame
         # that could not be flushed must land on the undeliverable
         # counter — never raise through the accept loop, never vanish.
-        _, pipe, server = make_stack(n_shards=1, queue_capacity=2,
-                                     report_chunk=1)
+        monkeypatch.setattr(GatewayServer, "REPORT_CHUNK", 1)
+        _, pipe, server = make_stack(n_shards=1, queue_capacity=2)
 
         async def scenario():
             host, port = await server.start()

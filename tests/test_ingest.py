@@ -65,10 +65,10 @@ class TestQueueBackpressure:
             assert sharded.router.route(tx) == sid
         assert sum(pipe.queue_stats(s).depth for s in range(4)) == 20
 
-    def test_queue_full_raises_structured_signal(self):
+    def test_queue_full_raises_structured_signal(self, monkeypatch):
+        monkeypatch.setattr(IngestPipeline, "HIGH_WATERMARK", 0.5)
         sharded = ShardedChain(n_shards=1)
-        pipe = IngestPipeline(sharded, queue_capacity=4,
-                              high_watermark=0.5)
+        pipe = IngestPipeline(sharded, queue_capacity=4)
         for i in range(4):
             pipe.submit(data_tx(i))
         with pytest.raises(QueueFull) as exc_info:
@@ -84,10 +84,10 @@ class TestQueueBackpressure:
         # The rejection is counted, never silent.
         assert pipe.queue_stats(0).total_rejected == 1
 
-    def test_watermark_observable_before_full(self):
+    def test_watermark_observable_before_full(self, monkeypatch):
+        monkeypatch.setattr(IngestPipeline, "HIGH_WATERMARK", 0.5)
         sharded = ShardedChain(n_shards=1)
-        pipe = IngestPipeline(sharded, queue_capacity=10,
-                              high_watermark=0.5)
+        pipe = IngestPipeline(sharded, queue_capacity=10)
         for i in range(4):
             pipe.submit(data_tx(i))
         assert pipe.backpressure(0) is None
@@ -155,8 +155,6 @@ class TestQueueBackpressure:
         sharded = ShardedChain(n_shards=1)
         with pytest.raises(ShardError):
             IngestPipeline(sharded, queue_capacity=0)
-        with pytest.raises(ShardError):
-            IngestPipeline(sharded, high_watermark=0.0)
         with pytest.raises(ShardError):
             IngestPipeline(sharded, max_blocks_per_round=0)
 
@@ -273,7 +271,8 @@ class TestPipelineEquivalence:
         # Admit everything before sealing so fee prioritization sees the
         # same backlog the synchronous mempools did, then seal
         # single-block rounds — block-for-block identical chains.
-        pipe.pump(max_batches_per_shard=1024)
+        while pipe.backlog:
+            pipe.pump()
         pipe.run_until_drained()
         assert shard_heads(piped) == shard_heads(sync)
         assert piped.beacon.chain.head.block_hash == \

@@ -224,14 +224,16 @@ class TestSyncUnderFaults:
         assert replica.chain.head.block_hash == \
             sharded.shard(0).chain.head.block_hash
 
-    def test_sync_converges_under_heavy_message_loss(self, tmp_path):
+    def test_sync_converges_under_heavy_message_loss(self, tmp_path,
+                                                      monkeypatch):
         from repro.network import ChainNode
         from repro.sync import SnapshotServer
 
+        monkeypatch.setattr(SnapshotServer, "CHUNK_SIZE", 1024)
         sharded = self._source()
         net = SimNet(LatencyModel(base=2, jitter=1), seed=23)
         gateway = ChainNode("gateway", net)
-        gateway.serve_sync(SnapshotServer(sharded, chunk_size=1024))
+        gateway.serve_sync(SnapshotServer(sharded))
         for topic in ("sync/offer", "sync/chunk", "sync/tail"):
             net.inject_faults(topic, drop=0.4, duplicate=0.2,
                               reorder=0.2)

@@ -262,8 +262,9 @@ class TestTracer:
         assert tracer.ingest_rows([["junk"], None, good, 42]) == 1
         assert [s.name for s in tracer.spans()] == ["ok"]
 
-    def test_bind_tx_take_and_bound_cap(self):
-        tracer = Tracer(sample_every=1, max_bound_txs=4)
+    def test_bind_tx_take_and_bound_cap(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "MAX_BOUND_TXS", 4)
+        tracer = Tracer(sample_every=1)
         ctxs = {}
         for i in range(6):
             ctx = TraceContext(trace_id=f"t{i}", span_id=f"s{i}")
@@ -276,8 +277,9 @@ class TestTracer:
         assert tracer.take_tx_ctx(["tx4"]) is None
         assert tracer.has_bound_txs  # tx2/tx3 still bound
 
-    def test_span_ring_is_bounded(self):
-        tracer = Tracer(sample_every=1, max_spans=8)
+    def test_span_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "MAX_SPANS", 8)
+        tracer = Tracer(sample_every=1)
         for i in range(20):
             with tracer.root_span(f"s{i}"):
                 pass

@@ -11,11 +11,19 @@ from repro.errors import (
 )
 from repro.provenance import ProvenanceGraph, RelationKind, make_record
 from repro.provenance.model import NodeKind, check_relation_signature
+from repro.persist.codec import encode_record
 from repro.provenance.records import (
     DOMAIN_SCHEMAS,
     record_digest,
     validate_record,
 )
+
+_FIELD_NAMES = st.text(min_size=1, max_size=8)
+_FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.binary(max_size=8), st.lists(st.integers(), max_size=3))
+_RECORDS = st.dictionaries(_FIELD_NAMES, _FIELD_VALUES, min_size=1,
+                           max_size=6)
 
 
 @pytest.fixture
@@ -213,16 +221,21 @@ class TestRecordSchemas:
                 contributor_id="c",
             )
 
-    def test_digest_excludes_anchor_annotation(self):
-        record = make_record(
-            "scientific", "r1", subject="s", actor="a", operation="o",
-            timestamp=1, task_id="t", workflow_id="w", execution_time=1,
-            user_id="u", input_data=[], output_data=["x"],
-        )
-        before = record_digest(record)
-        annotated = dict(record)
-        annotated["anchor"] = "anchor-1"
-        assert record_digest(annotated) == before
+    @settings(max_examples=60)
+    @given(record=_RECORDS, key=_FIELD_NAMES, value=_FIELD_VALUES,
+           pick=st.integers(min_value=0))
+    def test_digest_covers_every_field(self, record, key, value, pick):
+        digest = record_digest(record)
+        assert record_digest(record, encode_record(record)) == digest
+        field = sorted(record)[pick % len(record)]
+        edits = [{k: v for k, v in record.items() if k != field}]
+        if key not in record:
+            edits.append(dict(record, **{key: value}))
+        if (type(value), value) != (type(record[field]), record[field]):
+            edits.append(dict(record, **{field: value}))
+        for edited in edits:
+            assert record_digest(edited) != digest
+            assert record_digest(edited, encode_record(edited)) != digest
 
     def test_digest_sensitive_to_content(self):
         base = dict(record_id="r", domain="x", subject="s", actor="a",

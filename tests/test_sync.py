@@ -492,8 +492,8 @@ class TestSpawnValidation:
 class ByzantineServer(SnapshotServer):
     """A server that lies in one configurable way."""
 
-    def __init__(self, sharded, mode: str, **kw):
-        super().__init__(sharded, **kw)
+    def __init__(self, sharded, mode: str):
+        super().__init__(sharded)
         self.mode = mode
 
     def offer(self, shard_id):
@@ -635,6 +635,8 @@ RECORD_FORGERIES = {
                                         *rs[1:]],
     "record_last_changed": lambda rs: [*rs[:-1],
                                        dict(rs[-1], actor="mallory")],
+    "record_field_planted": lambda rs: [
+        rs[0], dict(rs[1], anchor="planted-by-peer"), *rs[2:]],
 }
 
 
@@ -770,7 +772,7 @@ class TestByzantine:
     @pytest.mark.parametrize("mode", [
         "record_body", "records_swapped", "record_injected",
         "record_dropped", "record_without_id", "record_id_repeated",
-        "record_pending_mistyped",
+        "record_pending_mistyped", "record_field_planted",
     ])
     def test_forged_records_rejected_before_install(self, source,
                                                     tmp_path, mode):
@@ -899,14 +901,32 @@ class TestByzantine:
         assert reply["op"] == "error" and reply["seq"] == 1
         assert reply["reason"] == "bad_request"
 
+    def test_tail_request_is_capped_by_the_server(self, source,
+                                                  monkeypatch):
+        # The peer chooses ``count``; the server bounds what it reads
+        # and sends for it.
+        monkeypatch.setattr(SnapshotServer, "MAX_TAIL_BLOCKS", 2)
+        sharded, _ = source
+        env = Env(sharded)
+        height = sharded.shard(0).chain.height
+        assert height > 2
+        channel = ChainNode("probe", env.net).channel("gateway")
+        reply = channel.call({"op": "sync/tail", "shard_id": 0, "start": 1,
+                              "count": 10**9, "upto": height})[-1]
+        assert [item["height"] for item in reply["items"]] == [1, 2]
+        assert reply["head_height"] == height
+
 
 # ---------------------------------------------------------------------------
 # Crash-and-resume
 # ---------------------------------------------------------------------------
 class TestResume:
-    def test_crash_mid_chunk_download_resumes(self, source, tmp_path):
+    def test_crash_mid_chunk_download_resumes(self, source, tmp_path,
+                                              monkeypatch):
         sharded, _ = source
-        env = Env(sharded, chunk_size=512)   # force several chunks
+        # Force several chunks.
+        monkeypatch.setattr(SnapshotServer, "CHUNK_SIZE", 512)
+        env = Env(sharded)
         replica = env.replica(tmp_path, name="cr")
         with pytest.raises(CrashPoint):
             replica.catch_up(crash_after_chunks=2)
@@ -973,9 +993,11 @@ class TestResume:
         assert storage.blocks.height() == -1
         storage.close()
 
-    def test_staging_for_old_image_is_discarded(self, tmp_path):
+    def test_staging_for_old_image_is_discarded(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(SnapshotServer, "CHUNK_SIZE", 512)
         sharded, _ = build_source(tmp_path / "src")
-        env = Env(sharded, chunk_size=512)
+        env = Env(sharded)
         replica = env.replica(tmp_path, name="st")
         with pytest.raises(CrashPoint):
             replica.catch_up(crash_after_chunks=1)
@@ -995,9 +1017,11 @@ class TestResume:
 # Convergence under injected network faults
 # ---------------------------------------------------------------------------
 class TestFaultyNetwork:
-    def test_converges_under_chunk_and_tail_loss(self, source, tmp_path):
+    def test_converges_under_chunk_and_tail_loss(self, source, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(SnapshotServer, "CHUNK_SIZE", 1024)
         sharded, _ = source
-        env = Env(sharded, seed=11, chunk_size=1024)
+        env = Env(sharded, seed=11)
         env.net.inject_faults("sync/chunk", drop=0.3)
         env.net.inject_faults("sync/tail", drop=0.3)
         replica = env.replica(tmp_path, name="dr")
@@ -1009,9 +1033,11 @@ class TestFaultyNetwork:
         replica.close()
 
     def test_converges_under_duplication_and_reorder(self, source,
-                                                     tmp_path):
+                                                     tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(SnapshotServer, "CHUNK_SIZE", 1024)
         sharded, _ = source
-        env = Env(sharded, seed=13, chunk_size=1024)
+        env = Env(sharded, seed=13)
         for topic in ("sync/offer", "sync/chunk", "sync/tail"):
             env.net.inject_faults(topic, duplicate=0.4, reorder=0.4,
                                   reorder_delay=40)
@@ -1025,11 +1051,13 @@ class TestFaultyNetwork:
             sharded.shard(0).chain.state.state_root()
         replica.close()
 
-    def test_deterministic_given_seed(self, source, tmp_path):
+    def test_deterministic_given_seed(self, source, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setattr(SnapshotServer, "CHUNK_SIZE", 1024)
         sharded, _ = source
 
         def run(name):
-            env = Env(sharded, seed=42, chunk_size=1024)
+            env = Env(sharded, seed=42)
             env.net.inject_faults("sync/chunk", drop=0.25,
                                   duplicate=0.25)
             replica = env.replica(tmp_path, name=name)

@@ -70,14 +70,23 @@ def build_source(storage_dir=None) -> ShardedChain:
     return sharded
 
 
+@pytest.fixture(scope="module", autouse=True)
+def small_chunks():
+    """Several image chunks per snapshot, so ``sync/chunk`` replies are
+    compared on both carriers more than once."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SnapshotServer, "CHUNK_SIZE", 2048)
+        yield
+
+
 class Deployment:
     """One facade, one snapshot server, one gateway server — and every
     op of both attached to a SimNet node *and* a TCP listener."""
 
-    def __init__(self, storage_dir=None, queue_capacity: int = 4096,
-                 chunk_size: int = 2048) -> None:
+    def __init__(self, storage_dir=None,
+                 queue_capacity: int = 4096) -> None:
         self.sharded = build_source(storage_dir)
-        self.snapshots = SnapshotServer(self.sharded, chunk_size=chunk_size)
+        self.snapshots = SnapshotServer(self.sharded)
         self.gateway = GatewayServer(
             IngestPipeline(self.sharded, queue_capacity=queue_capacity,
                            telemetry=self.sharded.telemetry),
