@@ -231,7 +231,11 @@ setup-split:
 # is written only by the one record rule (persist/codec.py), and neither
 # persist/provdb.py nor the facade's _route_records coerces a record
 # field with int( or str( — a record that passed the rule needs none,
-# and one that did not is never stored.
+# and one that did not is never stored.  Nor may admission leave the
+# shard's edge again: no add_batch anywhere, no mempool.add( under
+# sharding/ outside Shard (whose admit() is the one way in), ingest/
+# never names a mempool, and the record rule's batch form runs only at
+# the three doors that own a batch (provdb, the facade, sync's install).
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -304,6 +308,15 @@ lint-private:
 	@test -z "$$(awk '/^(class|def) |^    def /{f=$$0} \
 	    /(^|[^_[:alnum:]])(int|str)\(/ && f ~ /def _route_records\(/' \
 	    src/repro/sharding/shardchain.py)"
+	@! grep -rn 'add_batch' src tests benchmarks examples tools \
+	    --include='*.py'
+	@test -z "$$(find src/repro/sharding -name '*.py' | xargs awk \
+	    'FNR == 1 {c = ""} /^class /{c = $$2} \
+	    /mempool\.add\(/ && c !~ /^Shard[(:]/ {print FILENAME ": " $$0}')"
+	@! grep -rnE '\.mempool\b|\bMempool\b' src/repro/ingest --include='*.py'
+	@! grep -rn 'check_records(' src/repro --include='*.py' \
+	    | grep -v 'def check_records(' \
+	    | grep -vE '^src/repro/(persist/provdb|sharding/shardchain|sync/client)\.py:'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

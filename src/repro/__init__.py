@@ -64,7 +64,7 @@ from .sharding import (
     ShardedQueryEngine,
     ShardRouter,
 )
-from .ingest import IngestPipeline, IngestStats, QueueStats
+from .ingest import IngestPipeline, IngestStats
 from .sync import (
     ShardReplica,
     SnapshotClient,
@@ -174,7 +174,6 @@ __all__ = [
     "SegmentLog",
     "IngestPipeline",
     "IngestStats",
-    "QueueStats",
     "QueueFull",
     "ShardReplica",
     "SnapshotClient",

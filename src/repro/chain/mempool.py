@@ -44,19 +44,6 @@ class Mempool:
         return tx_id in self._by_id
 
     # ------------------------------------------------------------------
-    @property
-    def free_capacity(self) -> int:
-        return self.capacity - len(self._by_id)
-
-    def _raise_full(self, rejected_count: int = 1) -> None:
-        self.total_rejected += rejected_count
-        raise QueueFull(
-            "mempool full",
-            depth=len(self._by_id),
-            capacity=self.capacity,
-            high_watermark=self.capacity,
-        )
-
     def add(self, tx: Transaction) -> bool:
         """Add ``tx``; returns ``False`` for duplicates.
 
@@ -71,7 +58,10 @@ class Mempool:
             self.total_rejected += 1
             return False
         if len(self._by_id) >= self.capacity:
-            self._raise_full()
+            self.total_rejected += 1
+            raise QueueFull("mempool full", depth=len(self._by_id),
+                            capacity=self.capacity,
+                            high_watermark=self.capacity)
         self._by_id[tx_id] = tx
         heapq.heappush(self._heap, (-tx.fee, self._seq, tx_id))
         self._seq += 1
@@ -81,43 +71,6 @@ class Mempool:
     def add_many(self, txs: Iterable[Transaction]) -> int:
         """Add several transactions; returns how many were new."""
         return sum(1 for tx in txs if self.add(tx))
-
-    def add_batch(self, txs: Iterable[Transaction]) -> tuple[int, int]:
-        """One admission call for a whole batch.
-
-        Returns ``(accepted, duplicates)``.  The batch surface the
-        ingest pipeline drains through: validation, dedup, and heap
-        pushes run in one pass with the bookkeeping counters updated
-        once, instead of one full :meth:`add` round-trip per
-        transaction.  Raises :class:`~repro.errors.QueueFull` *before*
-        admitting anything if the genuinely-new transactions (duplicates
-        take no space) cannot all fit — batched admission is
-        all-or-nothing so the caller's queue keeps the overflow.
-        """
-        by_id = self._by_id
-        novel: list[Transaction] = []
-        novel_ids: set[str] = set()
-        duplicates = 0
-        for tx in txs:
-            tx.validate()
-            tx_id = tx.tx_id
-            if tx_id in by_id or tx_id in novel_ids:
-                duplicates += 1
-                continue
-            novel_ids.add(tx_id)
-            novel.append(tx)
-        if len(by_id) + len(novel) > self.capacity:
-            self._raise_full(rejected_count=len(novel))
-        heap = self._heap
-        seq = self._seq
-        for tx in novel:
-            by_id[tx.tx_id] = tx
-            heapq.heappush(heap, (-tx.fee, seq, tx.tx_id))
-            seq += 1
-        self._seq = seq
-        self.total_accepted += len(novel)
-        self.total_rejected += duplicates
-        return len(novel), duplicates
 
     def pop_batch(self, max_count: int) -> list[Transaction]:
         """Remove and return up to ``max_count`` transactions in priority

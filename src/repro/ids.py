@@ -50,15 +50,3 @@ class IdFactory:
         """Return how many ids have been issued for ``prefix``."""
         return self._counters.get(prefix, 0)
 
-
-_GLOBAL = IdFactory(seed=0)
-
-
-def fresh_id(prefix: str) -> str:
-    """Module-level convenience wrapper over a process-global factory.
-
-    Library code paths that matter for determinism accept an
-    :class:`IdFactory` explicitly; this helper exists for quick scripts and
-    interactive use.
-    """
-    return _GLOBAL.next(prefix)

@@ -17,12 +17,18 @@ hash) and parks it in its home shard's queue in O(1) — the capture
 source never waits on admission, executor work, or storage.  A *pump*
 step later drains each queue in admission batches: one signature-
 verification pass per batch (``tx.verify_signature()``, which leaves its
-verdict on the transaction for every later re-check of that object), one
-:meth:`~repro.chain.mempool.Mempool.add_batch` call per shard, and
-lock-conflicted transactions rotate back to the queue head for the next
-round.  Admission order per shard is queue order, so a pipelined stream
-commits the same per-shard transaction sequence the synchronous path
-would.
+verdict on the transaction for every later re-check of that object),
+then the shard's edge — one
+:meth:`~repro.sharding.shardchain.Shard.admit` call per batch, the same
+function behind the synchronous ``submit`` doors, which holds back
+lock-conflicted transactions, validates, de-duplicates, fits the
+mempool's capacity and counts the time into the shard's round.  The
+pipeline keeps only its own policy for what admission refuses:
+lock-conflicted transactions and a full mempool's overflow rotate back
+to the queue head for the next round, and an invalid transaction is
+quarantined.  Admission order per shard is queue order, so a pipelined
+stream commits the same per-shard transaction sequence the synchronous
+path would.
 
 Backpressure contract
 ---------------------
@@ -31,8 +37,10 @@ A full queue **never drops silently**.  ``submit`` raises — and
 :class:`~repro.errors.QueueFull` signal carrying the queue's depth,
 capacity, high watermark, and a retry-after estimate (rounds, and wall
 time derived from the facade's recent round pace).  Watermark
-accounting is explicit: a queue past its high watermark reports
-saturated before it is full, so sources can shed load early.  The
+accounting is explicit: each queue's depth and high watermark are
+published as the ``ingest_queue_depth`` and
+``ingest_queue_high_watermark`` gauges, so sources can shed load before
+a queue is full.  The
 :class:`~repro.sharding.shardchain.SubmitReport` buckets — accepted /
 queued / deferred / rejected / duplicates — partition every submitted
 transaction; ``backpressure_summary()`` gives the per-shard counters a
@@ -61,6 +69,6 @@ thread pool measured slower: the shards' GIL holds serialise anyway) —
 see :meth:`~repro.sharding.shardchain.ShardedChain.seal_round`.
 """
 
-from .pipeline import IngestPipeline, IngestStats, QueueStats
+from .pipeline import IngestPipeline, IngestStats
 
-__all__ = ["IngestPipeline", "IngestStats", "QueueStats"]
+__all__ = ["IngestPipeline", "IngestStats"]

@@ -13,32 +13,9 @@ from typing import Iterable, Sequence
 import time
 
 from ..chain.transaction import Transaction
-from ..errors import CryptoError, InvalidTransaction, QueueFull, ShardError
+from ..errors import CryptoError, QueueFull, ShardError
 from ..obs.runtime import telemetry as default_telemetry
 from ..sharding.shardchain import RoundReport, ShardedChain, SubmitReport
-
-
-@dataclass(frozen=True)
-class QueueStats:
-    """One shard queue's load snapshot (the backpressure observable)."""
-
-    shard_id: int
-    depth: int
-    capacity: int
-    high_watermark: int
-    total_enqueued: int
-    total_admitted: int
-    total_rejected: int
-    total_deferred: int
-
-    @property
-    def saturation(self) -> float:
-        """0.0 empty → 1.0 full."""
-        return self.depth / self.capacity
-
-    @property
-    def over_watermark(self) -> bool:
-        return self.depth >= self.high_watermark
 
 
 @dataclass(frozen=True)
@@ -85,7 +62,8 @@ class _ShardQueue:
         return [items.popleft() for _ in range(min(n, len(items)))]
 
     def put_back_front(self, txs: Sequence[Transaction]) -> None:
-        """Return lock-deferred transactions to the head, order kept."""
+        """Return deferred or overflowing transactions to the head,
+        order kept."""
         for tx in reversed(txs):
             self.items.appendleft(tx)
 
@@ -96,17 +74,20 @@ class IngestPipeline:
     ``submit``/``submit_many`` park routed transactions in bounded
     per-shard queues and return immediately — a full queue yields a
     structured :class:`~repro.errors.QueueFull` with retry-after, never
-    a silent drop.  ``pump`` drains the queues into the shard mempools
-    in admission batches (one signature pass and one mempool call per
-    batch); ``seal_round`` pumps and then seals, draining deep queues
-    with multiple group-committed blocks per shard per round.
+    a silent drop.  ``pump`` drains the queues through each shard's
+    edge in admission batches (one signature pass and one
+    ``Shard.admit`` call per batch); ``seal_round`` pumps and then
+    seals, draining deep queues with multiple group-committed blocks per
+    shard per round.
 
     ``verify_signatures=True`` makes admission reject unsigned or
     badly-signed transactions in the batch verification pass (they land
     in ``invalid_txs``, counted, never silently discarded).
     """
 
-    # A queue signals backpressure once this fraction of it is full.
+    # A queue's high watermark as a fraction of its capacity: the
+    # ingest_queue_high_watermark gauge, and the point past which every
+    # QueueFull signal counts the rounds to wait.
     HIGH_WATERMARK = 0.75
 
     def __init__(
@@ -275,60 +256,29 @@ class IngestPipeline:
             self.total_invalid += 1
             self._m_quarantined.inc()
 
-    def _admit(self, queue: _ShardQueue, mempool,
-               batch: list[Transaction]) -> tuple[int, int]:
-        """Admit one taken batch, never losing transactions.
-
-        Fast path is one ``add_batch`` call.  A structurally invalid
-        transaction anywhere in the batch (possible because ``submit``
-        deliberately does not validate on the capture source's clock)
-        falls back to per-transaction admission so the poison
-        transaction is quarantined in ``invalid_txs`` and its healthy
-        batch-mates still land.  A full mempool puts the remainder back
-        at the queue head — that is what the queue is for.
-        """
-        try:
-            return mempool.add_batch(batch)
-        except QueueFull:
-            queue.put_back_front(batch)
-            return 0, 0
-        except (InvalidTransaction, CryptoError):
-            pass
-        accepted = duplicates = 0
-        for i, tx in enumerate(batch):
-            try:
-                if mempool.add(tx):
-                    accepted += 1
-                else:
-                    duplicates += 1
-            except QueueFull:
-                queue.put_back_front(batch[i:])
-                break
-            except (InvalidTransaction, CryptoError):
-                self._quarantine([tx])
-        return accepted, duplicates
-
     def pump(self) -> SubmitReport:
-        """Drain queues into mempools in admission batches, at most
+        """Drain queues into the shards in admission batches, at most
         ``max_blocks_per_round`` batches per shard.
 
         Per shard and batch: one optional signature-verification pass,
-        a lock check (conflicts rotate back to the queue head, counted
-        as deferred), then **one** ``add_batch`` mempool call.  Batches
-        are sized to the mempool's free capacity, so admission itself
-        never overflows; a shard whose mempool is full simply keeps its
-        queue — that is what the queue is for.
+        then the shard's edge (:meth:`~repro.sharding.shardchain.Shard.
+        admit`: lock hold-back, validation, de-duplication, capacity,
+        the shard's admission clock).  The pipeline keeps its own policy
+        for what admission refuses: lock-conflicted transactions rotate
+        back to the queue head (counted as deferred), a structurally
+        invalid one — possible because ``submit`` deliberately does not
+        validate on the capture source's clock — is quarantined in
+        ``invalid_txs`` while its batch-mates are admitted, and what a
+        full mempool cannot take goes back to the queue head — that is
+        what the queue is for.
         """
         report = SubmitReport()
-        sharded = self.sharded
         for queue in self._queues:
-            shard = sharded.shards[queue.shard_id]
-            mempool = shard.mempool
+            shard = self.sharded.shards[queue.shard_id]
             accepted = 0
             deferred: list[Transaction] = []
             for _ in range(self.max_blocks_per_round):
-                room = min(self.admission_batch, mempool.free_capacity)
-                batch = queue.take(room)
+                batch = queue.take(self.admission_batch)
                 if not batch:
                     break
                 batch_t0 = time.perf_counter()
@@ -337,19 +287,25 @@ class IngestPipeline:
                     self._m_verify_s.observe(
                         time.perf_counter() - batch_t0
                     )
-                    if bad:
-                        self._quarantine(bad)
-                batch, blocked = sharded.locks.partition(queue.shard_id,
-                                                         batch)
-                deferred.extend(blocked)
+                    self._quarantine(bad)
+                while batch:
+                    admission = shard.admit(batch)
+                    accepted += admission.accepted
+                    report.duplicates += admission.duplicates
+                    self.total_duplicates += admission.duplicates
+                    deferred.extend(admission.deferred)
+                    batch = admission.rest
+                    if not batch or isinstance(admission.error, QueueFull):
+                        break
+                    # An invalid transaction stopped admission:
+                    # quarantine it, admit its batch-mates.
+                    self._quarantine(batch[:1])
+                    batch = batch[1:]
+                self._m_admission_s.observe(time.perf_counter() - batch_t0)
                 if batch:
-                    added, duplicates = self._admit(queue, mempool, batch)
-                    self._m_admission_s.observe(
-                        time.perf_counter() - batch_t0
-                    )
-                    accepted += added
-                    report.duplicates += duplicates
-                    self.total_duplicates += duplicates
+                    # The mempool is full: the rest waits at the queue head.
+                    queue.put_back_front(batch)
+                    break
             if deferred:
                 # The pipeline owns the retry (next pump re-attempts
                 # from the queue head), so deferrals are reported as
@@ -377,8 +333,7 @@ class IngestPipeline:
         """
         self.pump()
         max_txs = self.sharded.shards[0].chain.params.max_block_txs
-        deepest = max((len(s.mempool) for s in self.sharded.shards),
-                      default=0)
+        deepest = max((s.backlog for s in self.sharded.shards), default=0)
         blocks = min(self.max_blocks_per_round,
                      max(1, -(-deepest // max_txs)))
         return self.sharded.seal_round(timestamp=timestamp,
@@ -402,29 +357,6 @@ class IngestPipeline:
     def backlog(self) -> int:
         """Transactions parked in queues (excludes mempool backlog)."""
         return sum(len(q) for q in self._queues)
-
-    def queue_stats(self, shard_id: int) -> QueueStats:
-        if not 0 <= shard_id < len(self._queues):
-            raise ShardError(f"no shard {shard_id}")
-        q = self._queues[shard_id]
-        return QueueStats(
-            shard_id=q.shard_id, depth=len(q), capacity=q.capacity,
-            high_watermark=q.high_watermark,
-            total_enqueued=q.total_enqueued,
-            total_admitted=q.total_admitted,
-            total_rejected=q.total_rejected,
-            total_deferred=q.total_deferred,
-        )
-
-    def backpressure(self, shard_id: int) -> QueueFull | None:
-        """The signal a ``submit`` to ``shard_id`` would raise right
-        now, or ``None`` while the queue is below its high watermark."""
-        if not 0 <= shard_id < len(self._queues):
-            raise ShardError(f"no shard {shard_id}")
-        queue = self._queues[shard_id]
-        if len(queue) < queue.high_watermark:
-            return None
-        return self._signal_for(queue)
 
     @property
     def stats(self) -> IngestStats:

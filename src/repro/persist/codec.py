@@ -561,9 +561,10 @@ _REQUIRED = ("record_id", "subject")
 
 def check_record(record: Any) -> None:
     """The one rule of what a provenance record is; every door that
-    stores records (:meth:`ProvenanceDatabase.insert_many`, and through
-    it the capture sink; the sharded facade's ``ingest_records``; sync's
-    image install) runs it before its first write.
+    stores records (:meth:`ProvenanceDatabase.check`, behind the
+    database's ``insert_many`` and the capture sink; the sharded
+    facade's ``ingest_records``; sync's image install) runs it once per
+    record before its first write.
 
     A record is a mapping whose ``record_id`` and ``subject`` are
     non-empty ``str``; ``domain``, ``actor`` and ``operation``, when

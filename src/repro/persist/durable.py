@@ -79,7 +79,6 @@ from .codec import (
     decode_record,
     encode_block,
     encode_receipt,
-    encode_record,
 )
 from .segment import CrashPoint, SegmentLog
 from .stores import BlockStore, RecordStore, StateSnapshotStore, Storage
@@ -629,17 +628,13 @@ class DurableRecordStore(RecordStore):
         top = index.max_key()
         self._count = 0 if top is None else top + 1
 
-    def append_many(self, records, encoded=None, fsync=True) -> list[int]:
-        """The one record writer: one :meth:`IndexedLog.append` group
-        for the whole batch.  ``encoded`` frames go to the log verbatim
-        and hand ``records`` over to the read cache (see
-        :meth:`RecordStore.append_many`)."""
+    def append_many(self, records, encoded, fsync=True) -> list[int]:
+        """One :meth:`IndexedLog.append` group for the whole batch: the
+        ``encoded`` frames go to the log verbatim and ``records`` to the
+        read cache (see :meth:`RecordStore.append_many`)."""
         if not records:
             return []
         start = self._count
-        owned = encoded is not None
-        if not owned:
-            encoded = [encode_record(record) for record in records]
         positions = list(range(start, start + len(records)))
         self._index.append(
             [(position, record["record_id"])
@@ -647,8 +642,7 @@ class DurableRecordStore(RecordStore):
             encoded, fsync)
         self._count = start + len(records)
         for position, record in zip(positions, records):
-            self._index.remember(position,
-                                 record if owned else dict(record))
+            self._index.remember(position, record)
         return positions
 
     def get(self, position: int) -> dict:

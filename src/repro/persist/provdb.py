@@ -17,7 +17,12 @@ durable indexed log whose sqlite table also maps record_id → log
 location.  Records are evidence their anchors commit to, so the
 database only appends: nothing changes a stored record in place (a
 correction is a new record), and nothing is stored that fails the one
-record rule (:func:`~repro.persist.codec.check_record`).  The inverted
+record rule (:func:`~repro.persist.codec.check_record`).  Each door runs
+that rule once, before its first write — :meth:`ProvenanceDatabase.check`
+for the database's own doors, ``ShardedChain.ingest_records`` across
+its shards — and then hands the batch to the one writer,
+:meth:`ProvenanceDatabase.write`, which encodes each record once and
+gives the same bytes to the record store and the anchor queue.  The inverted
 indexes stay in memory either way (positions are cheap); opening a
 database on a non-empty store rebuilds them with one pass over it,
 which is a load, not a replay — no hashing, no chain execution — and
@@ -30,10 +35,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..errors import UnknownEntity
-from .codec import check_records
+from .codec import check_records, encode_record
 from .stores import MemoryRecordStore, RecordStore
 
 
@@ -88,34 +93,52 @@ class ProvenanceDatabase:
         self.insert_many([record], fsync=False)
         return self._by_id[record["record_id"]]
 
-    def insert_many(self, records, encoded=None, fsync=True) -> int:
-        """Insert a batch through the store's one write (one log write +
-        one index transaction on the durable backend, fsynced when
-        ``fsync``) and index it in one pass; returns the count.
+    def insert_many(self, records: Sequence[Mapping[str, Any]],
+                    fsync: bool = True) -> int:
+        """The door of a database used on its own: :meth:`check` the
+        batch, then :meth:`write` it (no anchor queue); returns the
+        count."""
+        self.check(records)
+        self.write(records, None, fsync)
+        return len(records)
 
-        Every record must pass the record rule
-        (:func:`~repro.persist.codec.check_records`: ``record_id`` and
+    def check(self, records: Sequence[Mapping[str, Any]]) -> None:
+        """The record rule (:func:`~repro.persist.codec.check_records`)
+        for a batch bound for this database: ``record_id`` and
         ``subject`` required, the core fields typed, a registered
-        domain's schema, no id repeated in the batch or already stored);
-        the first that fails raises :class:`RecordValidationError`
-        before anything is stored.  The indexed fields are ``subject``
-        (the data artifact), ``actor`` (who acted), ``operation`` and
-        ``timestamp``.
-
-        ``encoded`` is the records' canonical bytes from a caller that
-        owns the dicts and gives them away
-        (:meth:`RecordStore.append_many`); without it each record is
-        copied first."""
+        domain's schema, no id repeated in the batch or already stored.
+        The first record that fails raises
+        :class:`RecordValidationError`."""
         check_records(records, lambda record: record["record_id"]
                       in self._by_id)
-        if encoded is None:
-            records = [dict(record) for record in records]
-        if not records:
-            return 0
-        positions = self._store.append_many(records, encoded, fsync=fsync)
-        for position, stored in zip(positions, records):
+
+    def write(self, records: Sequence[Mapping[str, Any]], anchor,
+              fsync: bool) -> list:
+        """The one record writer, behind every door that stores records
+        for anchoring (the sharded facade's ``ingest_records``, the
+        capture sink) and :meth:`insert_many`.
+
+        The records passed the record rule at their door; nothing here
+        checks them again.  Each is copied once — the copy belongs to
+        the store and the anchor batch, which only read it — and encoded
+        once: the same bytes frame it in the record log
+        (:meth:`RecordStore.append_many`: one log write + one index
+        transaction on the durable backend, fsynced when ``fsync``) and
+        feed its anchor digest (``anchor.enqueue(record, encoded)``,
+        when ``anchor`` is given).  The indexed fields are ``subject``
+        (the data artifact), ``actor`` (who acted), ``operation`` and
+        ``timestamp``.  Returns the anchor receipts the batch flushed."""
+        owned = [dict(record) for record in records]
+        if not owned:
+            return []
+        encoded = [encode_record(record) for record in owned]
+        positions = self._store.append_many(owned, encoded, fsync=fsync)
+        for position, stored in zip(positions, owned):
             self._index_record(position, stored)
-        return len(records)
+        if anchor is None:
+            return []
+        return [receipt for receipt in map(anchor.enqueue, owned, encoded)
+                if receipt is not None]
 
     # ------------------------------------------------------------------
     # Point & indexed lookups

@@ -144,18 +144,18 @@ class RecordStore(ABC):
 
     @abstractmethod
     def append_many(self, records: Sequence[dict],
-                    encoded: Sequence[bytes] | None = None,
+                    encoded: Sequence[bytes],
                     fsync: bool = True) -> list[int]:
         """Store several records as one group; returns their positions.
 
         The only write a store implements (durable: one log write + one
         index transaction, made the durability point by ``fsync``).
-        ``encoded`` is each record's canonical bytes, from a caller that
-        already has them; it can only vouch for bytes of dicts nobody
-        else will mutate, so with it the store keeps ``records`` as its
-        own instead of copying them.  The records have passed the record
-        rule (:func:`~repro.persist.codec.check_records`, run by every
-        caller that stores them); the store does not check them again.
+        ``encoded`` is each record's canonical bytes, framed verbatim;
+        the caller gives ``records`` away (nobody else mutates them), so
+        the store keeps them as its own instead of copying them.  The
+        records have passed the record rule
+        (:func:`~repro.persist.codec.check_records`, run by every door
+        that stores them); the store does not check them again.
         """
 
     @abstractmethod
@@ -358,10 +358,9 @@ class MemoryRecordStore(RecordStore):
     def __init__(self) -> None:
         self._records: list[dict] = []
 
-    def append_many(self, records, encoded=None, fsync=True) -> list[int]:
+    def append_many(self, records, encoded, fsync=True) -> list[int]:
         start = len(self._records)
-        self._records.extend(records if encoded is not None
-                             else map(dict, records))
+        self._records.extend(records)
         return list(range(start, len(self._records)))
 
     def get(self, position: int) -> dict:

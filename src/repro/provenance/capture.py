@@ -54,17 +54,17 @@ class CaptureSink:
         self.delivered = 0
 
     def deliver(self, record: Mapping[str, Any]) -> dict:
-        """Accept one record: insert it into the database, which runs the
-        record rule (:func:`~repro.persist.codec.check_record`, with the
-        Table 1 schema of a registered domain) and raises
-        :class:`RecordValidationError` before storing a record that
-        fails it, then enqueue it for anchoring."""
-        record = dict(record)
-        self.database.insert(record)
-        if self.anchor_service is not None:
-            self.anchor_service.enqueue(record)
+        """Accept one record: run the record rule
+        (:meth:`~repro.persist.provdb.ProvenanceDatabase.check`, with
+        the Table 1 schema of a registered domain), which raises
+        :class:`RecordValidationError` before a record that fails it is
+        stored, then hand it to the database's one writer, which stores
+        it and enqueues the same encoded bytes for anchoring.  Returns a
+        copy of the record."""
+        self.database.check([record])
+        self.database.write([record], self.anchor_service, fsync=False)
         self.delivered += 1
-        return record
+        return dict(record)
 
 
 class DirectCapture:

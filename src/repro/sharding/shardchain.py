@@ -29,12 +29,13 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..chain import Blockchain, ChainParams, Mempool, Transaction
 from ..chain.block import Block
 from ..errors import (
+    InvalidTransaction,
     QueueFull,
     RETRY_AFTER_FLOOR_S,
     ShardError,
 )
 from ..obs.runtime import telemetry as default_telemetry
-from ..persist.codec import check_records, encode_record
+from ..persist.codec import check_records
 from ..persist.durable import DurableStorage
 from ..persist.provdb import ProvenanceDatabase
 from ..persist.stores import MemoryStorage, MetaStore, Storage
@@ -62,6 +63,26 @@ def _recover_proof_state(storage, kind: str, load) -> None:
     registry.counter("anchor_pending_requeued_total").inc(requeued)
 
 
+@dataclass
+class Admission:
+    """What one :meth:`Shard.admit` did with a run of transactions.
+
+    ``accepted`` counts what the mempool took, ``duplicates`` what it
+    already held, and ``deferred`` lists what a cross-shard lock held
+    back.  Admission stops at the first transaction it cannot take:
+    ``error`` says why (the mempool's :class:`~repro.errors.QueueFull`,
+    or the :class:`~repro.errors.InvalidTransaction` validation
+    raised), and ``rest`` is that transaction and every one after it,
+    unseen.  Each door decides what happens to ``rest``.
+    """
+
+    accepted: int = 0
+    duplicates: int = 0
+    deferred: list[Transaction] = field(default_factory=list)
+    rest: Sequence[Transaction] = ()
+    error: InvalidTransaction | None = None
+
+
 class Shard:
     """One shard's full stack (chain, mempool, database, anchors, queries).
 
@@ -73,6 +94,14 @@ class Shard:
     genesis replay, wherever the process died).  Mempool contents are
     deliberately *not* persisted: an unsealed transaction was never
     acknowledged as durable.
+
+    :meth:`admit` is the shard's edge: every transaction that enters the
+    mempool passes it, whichever door it came through (the facade's
+    ``submit``, ``submit_to`` and ``submit_many``, the ingest pipeline's
+    pump, and through those the gateway and the network nodes).  Only
+    the re-admission of transactions the shard popped itself
+    (:meth:`pop_round_blocks`' lock hold-back, :meth:`append_popped`'s
+    unwind) goes straight back into the mempool.
     """
 
     def __init__(self, shard_id: int, params: ChainParams,
@@ -105,11 +134,44 @@ class Shard:
         )
         # Highest block height already committed to the beacon.
         self.anchored_height = 0
-        # Admission time (hashing + mempool insert) accumulated by
-        # submit_many between rounds, folded into the next round's
-        # duration — on a real deployment every shard node pays its own
-        # admission cost, so the scaling model must too.
+        # Admission time (lock check, validation, hashing, mempool
+        # insert) accumulated by admit() between rounds, folded into the
+        # next round's duration — on a real deployment every shard node
+        # pays its own admission cost, so the scaling model must too.
         self.pending_ingest_s = 0.0
+
+    @property
+    def backlog(self) -> int:
+        """Transactions admitted and not yet sealed."""
+        return len(self.mempool)
+
+    def admit(self, txs: Sequence[Transaction]) -> Admission:
+        """Admit ``txs`` into the mempool, one at a time in arrival
+        order: a transaction whose subject a cross-shard transfer has
+        locked is held back (``deferred``), then the mempool validates
+        it, drops it as a duplicate or takes it, and a failed
+        validation or a full mempool stops admission there (see
+        :class:`Admission`).  The time spent is this shard's admission
+        time, counted into its next round."""
+        admission = Admission()
+        mempool = self.mempool
+        locks = self.locks
+        t0 = time.perf_counter()
+        for i, tx in enumerate(txs):
+            if locks.blocks_tx(self.shard_id, tx):
+                admission.deferred.append(tx)
+                continue
+            try:
+                if mempool.add(tx):
+                    admission.accepted += 1
+                else:
+                    admission.duplicates += 1
+            except InvalidTransaction as exc:   # QueueFull included
+                admission.rest = txs[i:]
+                admission.error = exc
+                break
+        self.pending_ingest_s += time.perf_counter() - t0
+        return admission
 
     def pop_round_blocks(
         self, ts: int, blocks_per_shard: int,
@@ -213,7 +275,8 @@ class ShardSealStats:
 
     ``duration_s`` covers the shard's whole round of work: admission of
     the transactions routed to it since the previous round (accumulated
-    by :meth:`ShardedChain.submit_many`) plus block build and execution.
+    by :meth:`Shard.admit`, whichever door they came through) plus block
+    build and execution.
     """
 
     txs_sealed: int
@@ -613,43 +676,45 @@ class ShardedChain:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def _add_to_mempool(self, shard_id: int, tx: Transaction) -> bool:
-        """Admit one transaction, enriching a raw mempool ``QueueFull``
-        with the shard id and retry-after estimate."""
-        try:
-            return self.shards[shard_id].mempool.add(tx)
-        except QueueFull as exc:
-            raise self.backpressure_signal(
-                shard_id, exc.depth, exc.capacity, exc.capacity,
-                source="mempool",
-            ) from None
-
     def submit(self, tx: Transaction) -> int:
-        """Route one transaction to its shard's mempool; returns the
-        shard id.  Raises :class:`ShardError` on a lock conflict and a
-        shard-tagged :class:`~repro.errors.QueueFull` (retry-after
-        included) on a full mempool."""
+        """Route one transaction to its shard and admit it; returns the
+        shard id.  See :meth:`submit_to` for what is raised."""
         shard_id = self.router.route(tx)
-        if self.locks.blocks_tx(shard_id, tx):
-            raise ShardError(
-                f"subject {tx.payload.get('subject')!r} is locked by a "
-                "cross-shard transfer; resubmit after it settles",
-                reason="lock_conflict",
-            )
-        self._add_to_mempool(shard_id, tx)
+        self._submit_one(shard_id, tx)
         return shard_id
 
     def submit_to(self, shard_id: int, tx: Transaction) -> None:
         """Protocol-path submit (2PC lock/commit/abort legs): bypasses the
         router but still honors the lock table's xid exemption and its
-        coordinator-epoch fence."""
+        coordinator-epoch fence.  A door of one, so it raises what
+        admission refused: :class:`ShardError` with
+        ``reason="lock_conflict"`` for a locked subject,
+        :class:`~repro.errors.InvalidTransaction` for an invalid
+        transaction, and the shard-tagged
+        :class:`~repro.errors.QueueFull` (retry-after included) for a
+        full mempool."""
         self.locks.check_leg(shard_id, tx)
-        if self.locks.blocks_tx(shard_id, tx):
+        self._submit_one(shard_id, tx)
+
+    def _submit_one(self, shard_id: int, tx: Transaction) -> None:
+        admission = self.shards[shard_id].admit([tx])
+        if admission.deferred:
             raise ShardError(
-                f"shard {shard_id}: transaction conflicts with an active "
-                "cross-shard lock", reason="lock_conflict",
+                f"shard {shard_id}: subject "
+                f"{tx.payload.get('subject')!r} is locked by a cross-shard "
+                "transfer; resubmit after it settles",
+                reason="lock_conflict",
             )
-        self._add_to_mempool(shard_id, tx)
+        if isinstance(admission.error, QueueFull):
+            raise self._mempool_full(shard_id, admission.error)
+        if admission.error is not None:
+            raise admission.error
+
+    def _mempool_full(self, shard_id: int, full: QueueFull) -> QueueFull:
+        """A full mempool's signal, tagged with its shard and a
+        retry-after estimate."""
+        return self.backpressure_signal(shard_id, full.depth, full.capacity,
+                                        full.capacity, source="mempool")
 
     def backpressure_signal(self, shard_id: int, depth: int,
                             capacity: int, high_watermark: int,
@@ -682,52 +747,42 @@ class ShardedChain:
         )
 
     def submit_many(self, txs: Iterable[Transaction]) -> SubmitReport:
-        """Batched ingest.  Lock-conflicted transactions come back in
+        """Batched submit: one router pass, then one :meth:`Shard.admit`
+        per shard bucket.  Lock-conflicted transactions come back in
         ``deferred`` for the caller to retry once the transfer settles,
         and a shard whose mempool fills mid-batch bounces the rest of
         its bucket into ``rejected`` with a retry-after signal — nothing
-        is silently dropped."""
+        is silently dropped.  An invalid transaction raises
+        :class:`~repro.errors.InvalidTransaction`; what came before it
+        is admitted, nothing after it."""
         report = SubmitReport()
         for shard_id, bucket in self.router.partition(txs).items():
-            shard = self.shards[shard_id]
-            mempool = shard.mempool
-            accepted = 0
-            full_signal: QueueFull | None = None
-            t0 = time.perf_counter()
-            for i, tx in enumerate(bucket):
-                if self.locks.blocks_tx(shard_id, tx):
-                    report.deferred.append(tx)
-                    report.deferred_by_shard[shard_id] = \
-                        report.deferred_by_shard.get(shard_id, 0) + 1
-                    continue
-                try:
-                    if mempool.add(tx):
-                        accepted += 1
-                    else:
-                        report.duplicates += 1
-                except QueueFull as exc:
-                    full_signal = self.backpressure_signal(
-                        shard_id, exc.depth, exc.capacity, exc.capacity,
-                        source="mempool",
-                    )
-                    for bounced in bucket[i:]:
-                        report.rejected.append((bounced, full_signal))
-                    break
-            shard.pending_ingest_s += time.perf_counter() - t0
-            if accepted:
-                report.accepted[shard_id] = accepted
+            admission = self.shards[shard_id].admit(bucket)
+            if admission.accepted:
+                report.accepted[shard_id] = admission.accepted
+            report.duplicates += admission.duplicates
+            if admission.deferred:
+                report.deferred.extend(admission.deferred)
+                report.deferred_by_shard[shard_id] = len(admission.deferred)
+            if isinstance(admission.error, QueueFull):
+                signal = self._mempool_full(shard_id, admission.error)
+                report.rejected.extend((tx, signal)
+                                       for tx in admission.rest)
+            elif admission.error is not None:
+                raise admission.error
         return report
 
     def _route_records(
         self, records: Sequence[Mapping[str, Any]]
-    ) -> dict[int, list[dict]]:
-        """Bucket records by home shard.  A record that fails the record
-        rule (a duplicate of one its home shard holds included) raises
-        :class:`RecordValidationError`, and a lock conflict
-        :class:`ShardError`, before anything is stored."""
+    ) -> dict[int, list[Mapping[str, Any]]]:
+        """Bucket records by home shard.  This door runs the record rule
+        once for the whole batch — a failure (a duplicate of one its
+        home shard holds included) raises :class:`RecordValidationError`
+        — and a lock conflict raises :class:`ShardError`, both before
+        anything is stored."""
         check_records(records, lambda record: self.shard_for_subject(
             record["subject"]).database.contains(record["record_id"]))
-        buckets: dict[int, list[dict]] = {}
+        buckets: dict[int, list[Mapping[str, Any]]] = {}
         for record in records:
             subject = record["subject"]
             shard_id = self.router.shard_for_subject(subject)
@@ -736,7 +791,7 @@ class ShardedChain:
                     f"subject {subject!r} is locked by a cross-shard "
                     "transfer; ingest after it settles"
                 )
-            buckets.setdefault(shard_id, []).append(dict(record))
+            buckets.setdefault(shard_id, []).append(record)
         return buckets
 
     def ingest_record(
@@ -753,10 +808,13 @@ class ShardedChain:
     def ingest_records(
         self, records: Sequence[Mapping[str, Any]], fsync: bool = True
     ) -> dict[int, list[AnchorReceipt]]:
-        """Batched record ingest: one routing pass, one group-committed
-        database insert per shard (one log write + one index transaction
-        on the durable backend, fsynced when ``fsync``), then anchor
-        enqueueing.  Returns the anchor receipts flushed per shard.
+        """Batched record ingest: one routing pass that runs the record
+        rule once, then per shard one call of the record writer
+        (:meth:`~repro.persist.provdb.ProvenanceDatabase.write`: each
+        record encoded once, one group-committed write — one log write +
+        one index transaction on the durable backend, fsynced when
+        ``fsync`` — and the same bytes enqueued for anchoring).  Returns
+        the anchor receipts flushed per shard.
         A record that fails the record rule
         (:func:`~repro.persist.codec.check_record`, a duplicate id
         included) raises :class:`RecordValidationError` — the one error
@@ -770,13 +828,7 @@ class ShardedChain:
         receipts: dict[int, list[AnchorReceipt]] = {}
         for shard_id, bucket in self._route_records(records).items():
             shard = self.shards[shard_id]
-            # The routed copies are ours to give away, so each record is
-            # encoded once and the same bytes frame it in the record log
-            # and feed its anchor digest.
-            encoded = [encode_record(rec) for rec in bucket]
-            shard.database.insert_many(bucket, encoded, fsync=fsync)
-            flushed = [r for r in map(shard.anchor.enqueue, bucket, encoded)
-                       if r is not None]
+            flushed = shard.database.write(bucket, shard.anchor, fsync)
             if flushed:
                 receipts[shard_id] = flushed
             shard.query.notify_write()

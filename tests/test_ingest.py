@@ -24,6 +24,7 @@ from repro.errors import (
     ShardError,
 )
 from repro.ingest import IngestPipeline
+from repro.obs.runtime import Telemetry
 from repro.persist import CrashPoint, DurableStorage, SegmentLog
 from repro.sharding import CrossShardCoordinator, ShardedChain
 from repro.storage.provdb import ProvenanceDatabase
@@ -43,6 +44,13 @@ def record_for(i: int, tenant: str = "t0") -> dict:
             "actor": "alice", "operation": "update", "timestamp": i}
 
 
+def queue_metric(telemetry: Telemetry, name: str, shard: int) -> float:
+    """One shard queue's published gauge or counter, collectors run."""
+    snap = telemetry.snapshot()
+    key = f'{name}{{shard="{shard}"}}'
+    return snap["gauges"].get(key, snap["counters"].get(key))
+
+
 def shard_heads(sharded: ShardedChain) -> list[bytes]:
     return [s.chain.head.block_hash for s in sharded.shards]
 
@@ -56,19 +64,22 @@ def shard_state_roots(sharded: ShardedChain) -> list[bytes]:
 # ---------------------------------------------------------------------------
 class TestQueueBackpressure:
     def test_submit_routes_and_counts(self):
+        tel = Telemetry(sample_every=0)
         sharded = ShardedChain(n_shards=4)
-        pipe = IngestPipeline(sharded, queue_capacity=64)
+        pipe = IngestPipeline(sharded, queue_capacity=64, telemetry=tel)
         txs = [data_tx(i, tenant=f"t{i % 5}") for i in range(20)]
         shard_ids = [pipe.submit(tx) for tx in txs]
         assert pipe.backlog == 20
         for tx, sid in zip(txs, shard_ids):
             assert sharded.router.route(tx) == sid
-        assert sum(pipe.queue_stats(s).depth for s in range(4)) == 20
+        assert sum(queue_metric(tel, "ingest_queue_depth", s)
+                   for s in range(4)) == 20
 
     def test_queue_full_raises_structured_signal(self, monkeypatch):
         monkeypatch.setattr(IngestPipeline, "HIGH_WATERMARK", 0.5)
+        tel = Telemetry(sample_every=0)
         sharded = ShardedChain(n_shards=1)
-        pipe = IngestPipeline(sharded, queue_capacity=4)
+        pipe = IngestPipeline(sharded, queue_capacity=4, telemetry=tel)
         for i in range(4):
             pipe.submit(data_tx(i))
         with pytest.raises(QueueFull) as exc_info:
@@ -81,27 +92,11 @@ class TestQueueBackpressure:
         assert signal.retry_after_rounds >= 1
         assert signal.retry_after_s >= 0.0
         assert signal.as_dict()["capacity"] == 4
-        # The rejection is counted, never silent.
-        assert pipe.queue_stats(0).total_rejected == 1
-
-    def test_watermark_observable_before_full(self, monkeypatch):
-        monkeypatch.setattr(IngestPipeline, "HIGH_WATERMARK", 0.5)
-        sharded = ShardedChain(n_shards=1)
-        pipe = IngestPipeline(sharded, queue_capacity=10)
-        for i in range(4):
-            pipe.submit(data_tx(i))
-        assert pipe.backpressure(0) is None
-        assert not pipe.queue_stats(0).over_watermark
-        pipe.submit(data_tx(4))
-        signal = pipe.backpressure(0)
-        assert signal is not None and signal.depth == 5
-        assert pipe.queue_stats(0).over_watermark
-        assert pipe.queue_stats(0).saturation == 0.5
-        # Still accepts until actually full.
-        for i in range(5, 10):
-            pipe.submit(data_tx(i))
-        with pytest.raises(QueueFull):
-            pipe.submit(data_tx(11))
+        # The rejection is counted, never silent, and the load is
+        # published beside it.
+        assert queue_metric(tel, "ingest_queuefull_total", 0) == 1
+        assert queue_metric(tel, "ingest_queue_depth", 0) == 4
+        assert queue_metric(tel, "ingest_queue_high_watermark", 0) == 2
 
     def test_submit_many_partitions_input_exactly(self):
         sharded = ShardedChain(n_shards=1)
@@ -163,38 +158,35 @@ class TestQueueBackpressure:
 # Batch admission
 # ---------------------------------------------------------------------------
 class TestBatchAdmission:
-    def test_add_batch_counts(self):
-        pool = Mempool()
+    def test_admit_counts_duplicates_within_a_batch(self):
+        shard = ShardedChain(n_shards=1).shard(0)
         txs = [data_tx(i) for i in range(5)]
-        accepted, duplicates = pool.add_batch(txs + txs[:2])
-        assert accepted == 5
-        assert duplicates == 2
-        assert len(pool) == 5
-        assert pool.total_accepted == 5
+        admission = shard.admit(txs + txs[:2])
+        assert (admission.accepted, admission.duplicates) == (5, 2)
+        assert admission.error is None and not admission.rest
+        assert shard.backlog == 5
+        assert shard.mempool.total_accepted == 5
 
-    def test_add_batch_is_all_or_nothing_on_overflow(self):
-        pool = Mempool(capacity=3)
-        with pytest.raises(QueueFull):
-            pool.add_batch([data_tx(i) for i in range(4)])
-        assert len(pool) == 0
-
-    def test_add_batch_duplicates_take_no_capacity(self):
-        pool = Mempool(capacity=3)
+    def test_admit_duplicates_take_no_capacity(self):
+        shard = ShardedChain(n_shards=1).shard(0)
+        shard.mempool.capacity = 3
         known = [data_tx(0), data_tx(1)]
-        pool.add_batch(known)
-        # 2 duplicates + 1 novel fits in the single free slot.
-        accepted, duplicates = pool.add_batch(known + [data_tx(2)])
-        assert (accepted, duplicates) == (1, 2)
-        assert len(pool) == 3
+        shard.admit(known)
+        # 2 duplicates of the pool + 1 novel fit in the one free slot.
+        admission = shard.admit(known + [data_tx(2)])
+        assert (admission.accepted, admission.duplicates) == (1, 2)
+        assert admission.error is None
+        assert shard.backlog == 3
 
-    def test_add_batch_priority_matches_add(self):
-        a, b = Mempool(), Mempool()
-        txs = [data_tx(i, fee=i % 3) for i in range(9)]
-        for tx in txs:
-            a.add(tx)
-        b.add_batch(txs)
-        assert [t.tx_id for t in a.pop_batch(9)] == \
-            [t.tx_id for t in b.pop_batch(9)]
+    def test_admit_stops_where_the_mempool_fills(self):
+        shard = ShardedChain(n_shards=1).shard(0)
+        shard.mempool.capacity = 3
+        txs = [data_tx(i) for i in range(5)]
+        admission = shard.admit(txs)
+        assert admission.accepted == 3
+        assert isinstance(admission.error, QueueFull)
+        assert list(admission.rest) == txs[3:]
+        assert shard.backlog == 3
 
     def test_batch_signature_verification(self):
         keys = KeyPair.generate("batch-signer")
@@ -386,8 +378,9 @@ class TestPipelineEquivalence:
 # ---------------------------------------------------------------------------
 class TestPumpAndSealing:
     def test_pump_defers_locked_transactions(self):
+        tel = Telemetry(sample_every=0)
         sharded = ShardedChain(n_shards=4)
-        pipe = IngestPipeline(sharded, queue_capacity=256)
+        pipe = IngestPipeline(sharded, queue_capacity=256, telemetry=tel)
         coordinator = CrossShardCoordinator(sharded, timeout_rounds=50)
         source = "tenant-a/lot-1"
         target_ns = next(
@@ -403,8 +396,8 @@ class TestPumpAndSealing:
         pipe.submit(locked_tx)
         pipe.pump()
         assert pipe.backlog == 1          # rotated back, not dropped
-        assert pipe.queue_stats(
-            sharded.router.route(locked_tx)).total_deferred == 1
+        assert queue_metric(tel, "ingest_deferred_total",
+                            sharded.router.route(locked_tx)) == 1
         while transfer.state not in ("committed", "aborted"):
             pipe.seal_round()
         assert transfer.state == "committed"

@@ -376,9 +376,9 @@ def _fill(storage: DurableStorage, table: str, n: int) -> None:
         grow_chain(chain, n)
         return
     for i in range(len(storage.records), len(storage.records) + n):
-        storage.records.append_many(
-            [{"record_id": f"r{i}", "subject": "s", "timestamp": i}],
-            fsync=False)
+        record = {"record_id": f"r{i}", "subject": "s", "timestamp": i}
+        storage.records.append_many([record], [encode_record(record)],
+                                    fsync=False)
 
 
 def _entries(storage: DurableStorage, table: str) -> int:
@@ -491,9 +491,9 @@ def test_chopped_record_log_recovers_a_dense_prefix(tmp_path, cut_back):
     ``n``."""
     storage = DurableStorage(tmp_path)
     _fill(storage, "records", 8)
-    storage.records.append_many(
-        [{"record_id": f"g{i}", "subject": "s", "timestamp": 100 + i}
-         for i in range(4)])
+    group = [{"record_id": f"g{i}", "subject": "s", "timestamp": 100 + i}
+             for i in range(4)]
+    storage.records.append_many(group, list(map(encode_record, group)))
     written = _record_frames(storage)
     storage.close()
     _chop_tail(tmp_path, "records", cut_back)

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.errors import RecordValidationError, SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
 from repro.persist import DurableStorage, MemoryStorage, ProvenanceDatabase
+from repro.persist.codec import encode_record
 from repro.provenance.capture import CaptureSink
 from repro.sharding import ShardedChain
 from repro.sync import SnapshotServer
@@ -277,8 +278,8 @@ def test_durable_reopen_leaves_a_mistyped_value_out(tmp_path):
     sharded = ShardedChain(2, storage_dir=store)
     sharded.ingest_records([STORED])
     shard = sharded.shard_for_subject("s1")
-    shard.storage.records.append_many(
-        [{"record_id": "r1", "subject": "s1", "timestamp": "yesterday"}])
+    mistyped = {"record_id": "r1", "subject": "s1", "timestamp": "yesterday"}
+    shard.storage.records.append_many([mistyped], [encode_record(mistyped)])
     sharded.close()
 
     reopened = ShardedChain(2, storage_dir=store)
