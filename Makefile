@@ -15,7 +15,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Durable-storage suite only: codec, segment log, crash recovery,
-# backend equivalence, reorg truncation, sharded restarts, and the record
+# backend equivalence, sync's truncation, sharded restarts, and the record
 # rule at every door (a bad record writes nothing; a reopen never raises).
 test-persist:
 	$(PYTHON) -m pytest tests/test_persist.py tests/test_storage.py \
@@ -95,7 +95,7 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_perf_hotpath.py --smoke
 
 # Full hot-path benchmark; writes BENCH_perf_hotpath.json and asserts
-# the acceptance floors (verify >= 5x, reorg >= 10x).
+# the acceptance floor (verify >= 5x).
 bench-hotpath:
 	$(PYTHON) benchmarks/bench_perf_hotpath.py
 
@@ -236,6 +236,10 @@ setup-split:
 # sharding/ outside Shard (whose admit() is the one way in), ingest/
 # never names a mempool, and the record rule's batch form runs only at
 # the three doors that own a batch (provdb, the facade, sync's install).
+# Nor may a sealed block be replaced again: no reorg, no undo journal
+# kept past its commit group, and no subscriber that forgets what a
+# sealed block anchored — anywhere in src, tests, benchmarks, examples
+# or tools.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -317,6 +321,8 @@ lint-private:
 	@! grep -rn 'check_records(' src/repro --include='*.py' \
 	    | grep -v 'def check_records(' \
 	    | grep -vE '^src/repro/(persist/provdb|sharding/shardchain|sync/client)\.py:'
+	@! grep -rnE 'reorg_to|subscribe_reorg|reorg_journal_depth|_block_snaps|forget_above|prune_oldest_snapshot|ForkError|_on_reorg' \
+	    src tests benchmarks examples tools --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -287,7 +287,7 @@ def bench_tiering(rounds: int, txs_per_round: int, root: Path) -> dict:
     replay and verified queries for archived heights."""
     rng = random.Random(3)
     store_dir = str(root / "tiering")
-    sc = ShardedChain(2, storage_dir=store_dir, reorg_journal_depth=4)
+    sc = ShardedChain(2, storage_dir=store_dir)
     n = 0
     for r in range(rounds):
         for _ in range(txs_per_round):
@@ -318,7 +318,7 @@ def bench_tiering(rounds: int, txs_per_round: int, root: Path) -> dict:
     # The pruned replica must come back with zero replay and still
     # serve verified queries for archived heights (from the cold log).
     t0 = time.perf_counter()
-    sc2 = ShardedChain(2, storage_dir=store_dir, reorg_journal_depth=4)
+    sc2 = ShardedChain(2, storage_dir=store_dir)
     reopen_s = time.perf_counter() - t0
     for s in range(2):
         ch = sc2.shard(s).chain

@@ -1,14 +1,11 @@
-"""Hot-path before/after benchmark: verify and reorg.
+"""Hot-path before/after benchmark: verify.
 
-Measures two operations the caching layer targets and records the
-speedups to ``BENCH_perf_hotpath.json``:
+Measures the operation the caching layer targets and records the
+speedup to ``BENCH_perf_hotpath.json``:
 
 * **verify** — full-chain audit with ``deep=True`` (recompute every tx
   and header hash from raw bytes — the seed's cost) vs the default
-  auditor path (rebuilds Merkle trees from cached leaf hashes);
-* **reorg** — a short fork atop a long chain, on a replay-only chain
-  (``reorg_journal_depth=0``, the seed's replay-from-genesis) vs the
-  journaled O(delta) rollback.
+  auditor path (rebuilds Merkle trees from cached leaf hashes).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_perf_hotpath.py [--smoke]``
 (``make bench-hotpath`` / ``make bench-smoke``).
@@ -19,7 +16,7 @@ from __future__ import annotations
 import time
 
 from _harness import finish_bench, parse_bench_args
-from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
+from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 
 # A moderately sized payload: representative of a provenance record
 # anchor, and large enough that canonical encoding dominates the naive
@@ -48,28 +45,11 @@ def _make_txs(n_blocks: int, txs_per_block: int) -> list[list[Transaction]]:
     return batches
 
 
-def _build_chain(batches, journal_depth: int) -> Blockchain:
-    chain = Blockchain(ChainParams(chain_id="bench-hotpath",
-                                   reorg_journal_depth=journal_depth))
+def _build_chain(batches) -> Blockchain:
+    chain = Blockchain(ChainParams(chain_id="bench-hotpath"))
     for i, txs in enumerate(batches):
         chain.append_block(chain.build_block(txs, timestamp=i))
     return chain
-
-
-def _fork_suffix(chain: Blockchain, fork_height: int,
-                 length: int) -> list[Block]:
-    suffix = []
-    prev = chain.blocks[fork_height].block_hash
-    for i in range(length):
-        height = fork_height + 1 + i
-        txs = [Transaction(sender="forker", kind=TxKind.DATA,
-                           payload=_payload(10_000_000 + height * 10 + j),
-                           timestamp=height)
-               for j in range(len(chain.blocks[1].transactions))]
-        block = Block(height, prev, txs, timestamp=height, proposer="forker")
-        suffix.append(block)
-        prev = block.block_hash
-    return suffix
 
 
 def _timed(fn) -> float:
@@ -85,53 +65,30 @@ def bench_verify(chain: Blockchain) -> dict:
             "speedup": before / after}
 
 
-def bench_reorg(batches, fork_depth: int) -> dict:
-    replay_chain = _build_chain(batches, journal_depth=0)
-    journal_chain = _build_chain(batches, journal_depth=64)
-    fork_height = replay_chain.height - fork_depth
-    replay_suffix = _fork_suffix(replay_chain, fork_height, fork_depth + 1)
-    journal_suffix = _fork_suffix(journal_chain, fork_height, fork_depth + 1)
-    before = _timed(lambda: replay_chain.reorg_to(replay_suffix, fork_height))
-    after = _timed(lambda: journal_chain.reorg_to(journal_suffix, fork_height))
-    # Both strategies must land on the same chain and the same state.
-    assert replay_chain.head.block_hash == journal_chain.head.block_hash
-    assert (replay_chain.state.state_root()
-            == journal_chain.state.state_root())
-    return {"before_s": before, "after_s": after,
-            "speedup": before / after}
-
-
 def main() -> None:
     args = parse_bench_args(__doc__)
 
     if args.smoke:
-        n_blocks, txs_per_block, fork_depth = 200, 4, 5
+        n_blocks, txs_per_block = 200, 4
     else:
-        n_blocks, txs_per_block, fork_depth = 2000, 8, 10
+        n_blocks, txs_per_block = 2000, 8
 
-    chain = _build_chain(_make_txs(n_blocks, txs_per_block), 64)
+    chain = _build_chain(_make_txs(n_blocks, txs_per_block))
     verify = bench_verify(chain)
-    reorg = bench_reorg(_make_txs(n_blocks, txs_per_block), fork_depth)
 
     results = {
         "mode": "smoke" if args.smoke else "full",
-        "config": {"n_blocks": n_blocks, "txs_per_block": txs_per_block,
-                   "fork_depth": fork_depth},
+        "config": {"n_blocks": n_blocks, "txs_per_block": txs_per_block},
         "verify": verify,
-        "reorg": reorg,
     }
     print(f"hot-path bench ({results['mode']}): "
-          f"{n_blocks} blocks x {txs_per_block} txs, "
-          f"fork depth {fork_depth}")
-    for name in ("verify", "reorg"):
-        r = results[name]
-        print(f"  {name:>7}: {r['before_s']*1e3:9.1f} ms -> "
-              f"{r['after_s']*1e3:8.1f} ms   ({r['speedup']:6.1f}x)")
+          f"{n_blocks} blocks x {txs_per_block} txs")
+    print(f"   verify: {verify['before_s']*1e3:9.1f} ms -> "
+          f"{verify['after_s']*1e3:8.1f} ms   ({verify['speedup']:6.1f}x)")
 
-    # Acceptance floors (ISSUE 1): verify >= 5x, reorg >= 10x.
+    # Acceptance floor: verify >= 5x.
     finish_bench(results, "BENCH_perf_hotpath.json", args, floors=[
         ("verify speedup", verify["speedup"], 5.0),
-        ("reorg speedup", reorg["speedup"], 10.0),
     ])
 
 

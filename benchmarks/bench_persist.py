@@ -94,14 +94,15 @@ def bench_reopen(n_blocks: int, txs_per_block: int, store_dir: str) -> dict:
     state_root = reopened.state.state_root()
     storage.close()
 
-    # The seed's only option: replay every block from genesis.
+    # The seed's only option: replay every block from genesis (a chain
+    # opened on the store without its state image re-executes them all).
     gc.collect()
     storage = DurableStorage(store_dir)
     t0 = time.perf_counter()
-    replayer = Blockchain(ChainParams(chain_id="bench"))
-    for height in range(1, storage.blocks.height() + 1):
-        replayer._commit_block(storage.blocks.block_at(height))
+    replayer = Blockchain(ChainParams(chain_id="bench"),
+                          store=storage.blocks)
     replay_s = time.perf_counter() - t0
+    assert replayer.blocks_replayed_on_open == storage.blocks.height()
     assert replayer.head.block_hash == head_hash
     assert replayer.state.state_root() == state_root
     storage.close()

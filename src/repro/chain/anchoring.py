@@ -12,9 +12,9 @@ batch, the batch's Merkle tree (built on the first proof it serves), and
 the ``key → (batch, leaf index)`` locator.  A batch commits with its
 anchor block — :meth:`BatchAnchors.commit` appends the block with the
 batch's derived row and indexes only afterwards, so a failed append
-indexes nothing — reloads from ``store.derived_rows()`` on open, and is
-forgotten when a reorg orphans its block (:meth:`BatchAnchors.
-forget_above`, which the owning service subscribes to the chain).  What
+indexes nothing — and reloads from ``store.derived_rows()`` on open.  A
+sealed block is final, so a committed batch is never forgotten: its
+receipt, and every proof served from it, holds for good.  What
 a level adds — leaf content, key type, the anchor transaction, who seals
 the block, the row layout, pending batches — stays in that level; this
 module never asks which one is calling.
@@ -46,8 +46,8 @@ class BatchAnchors:
     def __init__(self, chain) -> None:
         self.chain = chain
         #: One receipt per committed batch, in block-height order.  The
-        #: list is only ever mutated in place: the owning service hands
-        #: the same object out as its ``receipts``.
+        #: list is only ever appended to: the owning service hands the
+        #: same object out as its ``receipts``.
         self.receipts: list = []
         # Per batch: its Merkle tree, or the leaves it is built from on
         # the first proof (a batch reloaded from its derived row).
@@ -78,18 +78,6 @@ class BatchAnchors:
         holds — what the owner turns back into :meth:`index` calls on
         open."""
         return self.chain.store.derived_rows()
-
-    def forget_above(self, height: int) -> int:
-        """Drop every batch anchored above ``height`` (a reorg orphaned
-        those blocks and the store dropped their rows with them);
-        returns how many were dropped."""
-        keep = sum(r.block_height <= height for r in self.receipts)
-        dropped = len(self.receipts) - keep
-        if dropped:
-            del self.receipts[keep:], self._trees[keep:]
-            self._locator = {key: loc for key, loc in self._locator.items()
-                             if loc[0] < keep}
-        return dropped
 
     # -- lookup -----------------------------------------------------------
     def __contains__(self, key: Hashable) -> bool:

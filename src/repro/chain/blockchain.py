@@ -7,20 +7,21 @@ Responsibilities:
 * execute transactions against the :class:`~repro.chain.state.StateStore`
   through a pluggable executor, collecting receipts and events,
 * verify the whole chain after the fact (:meth:`verify`), which is the
-  operation that *detects* the Figure-2 tampering scenario,
-* support longest-chain reorganizations for the consensus sims — O(delta)
-  via a per-block state undo journal, falling back to genesis replay only
-  when the fork is deeper than the journal window.
+  operation that *detects* the Figure-2 tampering scenario.
+
+A sealed block is final: nothing here replaces a committed block, so
+whatever is derived from one (an anchor batch, a beacon round, a proof
+a caller memoised) stays valid for the life of the chain.
 
 Hot-path vs auditor split: every commit entry point — :meth:`append_block`,
-:meth:`append_blocks`, :meth:`apply_executed_blocks`, reorg re-commit and
-the reopen replay — is argument preparation around **one** skeleton,
+:meth:`append_blocks`, :meth:`apply_executed_blocks` and the reopen
+replay — is argument preparation around **one** skeleton,
 :meth:`Blockchain._commit_group`: validate linkage → snapshot per block →
 advance state → install in the store → unwind exactly what the store did
-not commit → journal/prune → subscribers.  The
+not commit → release the group's snapshots → subscribers.  The
 caller supplies how state advances (run the executor, or apply an exec
-worker's deltas), whether the group is installed at all (the reopen
-replay re-executes blocks the store already holds) and announced, and the
+worker's deltas), whether the group is installed and announced at all
+(the reopen replay re-executes blocks the store already holds), and the
 ``fsync`` choice, which travels unchanged to the segment log: a single
 :meth:`append_block` is a group of one with the fsync deferred to the next
 group or checkpoint.  The commit path trusts the Merkle tree the block
@@ -36,24 +37,22 @@ sqlite-indexed segment-log backend from :mod:`repro.persist.durable` —
 whose only write is ``append_blocks(pairs, fsync, encoded, derived)``; the
 chain never asks a store what it can do.  A store may keep a committed prefix
 when it fails mid-group, so the skeleton unwinds state by the height the
-store reports afterwards, never by what it attempted: chain, state and
-undo journal stay aligned whatever the store did.  With a durable store
-plus a :class:`~repro.persist.stores.StateSnapshotStore`, a chain reopened
-on an existing directory resumes from its checkpointed state and
-re-executes only the blocks above the snapshot
-(``blocks_replayed_on_open``).  Reorg truncation is store-aware: replaced
-blocks are physically removed from the log and index.
+store reports afterwards, never by what it attempted: chain and state
+stay aligned whatever the store did, and no snapshot outlives its group.
+With a durable store plus a
+:class:`~repro.persist.stores.StateSnapshotStore`, a chain reopened on an
+existing directory resumes from its checkpointed state and re-executes
+only the blocks above the snapshot (``blocks_replayed_on_open``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..crypto.merkle import MerkleProof
-from ..errors import ForkError, InvalidBlock, StorageError, TamperDetected
+from ..errors import InvalidBlock, StorageError, TamperDetected
 from ..persist.codec import EncodedReceipts
 from ..persist.stores import (
     BlockSequenceView,
@@ -81,10 +80,6 @@ class ChainParams:
     # Free-form descriptors used by cross-chain compatibility checks.
     visibility: str = "private"          # "public" | "private" | "consortium"
     extra: Mapping[str, Any] = field(default_factory=dict)
-    # How many recent blocks keep a state undo journal for O(delta)
-    # reorgs.  Deeper forks fall back to replay-from-genesis; 0 disables
-    # journaling entirely (the replay-only baseline).
-    reorg_journal_depth: int = 64
 
 
 def _own(value: Any) -> Any:
@@ -183,15 +178,11 @@ class Blockchain:
             else MemoryBlockStore()
         self._snapshot_store = snapshot_store
         self._blocks_view = BlockSequenceView(self._store)
-        # Snapshot handles for the journaled tail of the chain; entry i
-        # (from the right) undoes block `height - i`.
-        self._block_snaps: deque[int] = deque()
         # Normally set post-construction by ContractRuntime.attach(); a
         # durable chain that replays contract blocks on reopen must get
         # the runtime *here*, before the restore replay runs.
         self.contract_runtime = contract_runtime
         self._subscribers: list[Callable[[Block, list[TransactionReceipt]], None]] = []
-        self._reorg_subscribers: list[Callable[[int], None]] = []
         # Blocks re-executed while adopting a non-empty store (0 after a
         # clean close+checkpoint: the snapshot already covers the head).
         self.blocks_replayed_on_open = 0
@@ -226,8 +217,8 @@ class Blockchain:
                     replay_from = snap_height + 1
                 else:
                     # Recovery truncated the chain below the checkpoint,
-                    # or the image was taken on a branch that has since
-                    # been reorged away — fall back to full replay.
+                    # or the image names a block this store no longer
+                    # holds — fall back to full replay.
                     self._snapshot_store.clear()
         for block in self._store.iter_blocks(replay_from):
             if self.contract_runtime is None and any(
@@ -243,7 +234,9 @@ class Blockchain:
                     "contract_runtime= so the restore replay can "
                     "re-execute them"
                 )
-            self._replay_stored(block)
+            # Already stored: re-executed, neither installed nor
+            # announced again.
+            self._commit_group([block], fsync=False, install=False)
             self.blocks_replayed_on_open += 1
 
     # ------------------------------------------------------------------
@@ -314,12 +307,6 @@ class Blockchain:
     ) -> None:
         """Register a hook invoked after each block commit (capture layer)."""
         self._subscribers.append(callback)
-
-    def subscribe_reorg(self, callback: Callable[[int], None]) -> None:
-        """Register a hook invoked with the fork height once
-        :meth:`reorg_to` has dropped the blocks above it — for whatever
-        is derived from those blocks and held outside the store."""
-        self._reorg_subscribers.append(callback)
 
     # ------------------------------------------------------------------
     # Building and appending blocks
@@ -423,24 +410,12 @@ class Blockchain:
                            encoded=encoded,
                            expected_state_root=expected_state_root)
 
-    def _commit_block(self, block: Block) -> list[TransactionReceipt]:
-        """Execute and attach an already-validated block without
-        announcing it (reorg re-commit, deep-fork replay)."""
-        return self._commit_group([block], fsync=False, announce=False)[0]
-
-    def _replay_stored(self, block: Block) -> None:
-        """Re-execute a block the store already holds (reopen replay and
-        the deep-fork fallback); journaled exactly like a fresh commit."""
-        self._commit_group([block], fsync=False, install=False,
-                           announce=False)
-
     def _commit_group(
         self,
         blocks: list[Block],
         *,
         fsync: bool,
         install: bool = True,
-        announce: bool = True,
         deltas: list[list] | None = None,
         encoded=None,
         expected_state_root: bytes | None = None,
@@ -467,8 +442,8 @@ class Blockchain:
                         f"{prev.block_id[:10]}…"
                     )
                 prev = block
-        # One snapshot per block whatever the journal depth: the unwind
-        # needs them, and at depth 0 they are folded away afterwards.
+        # One snapshot per block: the unwind after a failed store append
+        # needs them; once the group is settled they are released.
         snaps: list[int] = []
         all_receipts: list[list[TransactionReceipt]] = []
         try:
@@ -496,31 +471,19 @@ class Blockchain:
             # A raising executor — or a store that failed the append —
             # must not leave a half-applied block behind.  Unwind what
             # the store did not commit (it may have kept a prefix), so
-            # the journal stays aligned with committed blocks.
+            # state stays aligned with committed blocks.
             committed = self._store.height() - start_height
             while len(snaps) > committed:
                 self.state.rollback(snaps.pop())
             raise
         finally:
-            self._journal(snaps)
-        if announce:
+            if snaps:
+                self.state.release_snapshots(snaps[0])
+        if install:
             for block, receipts in zip(blocks, all_receipts):
                 for callback in self._subscribers:
                     callback(block, receipts)
         return all_receipts
-
-    def _journal(self, snaps: list[int]) -> None:
-        """Keep committed blocks' snapshots as the reorg journal,
-        bounded to ``reorg_journal_depth`` (0: fold them away)."""
-        depth = self.params.reorg_journal_depth
-        if depth > 0:
-            self._block_snaps.extend(snaps)
-            while len(self._block_snaps) > depth:
-                self.state.prune_oldest_snapshot()
-                self._block_snaps.popleft()
-        else:
-            for handle in reversed(snaps):
-                self.state.commit_snapshot(handle)
 
     # ------------------------------------------------------------------
     # Durability (checkpoints; no-ops on the in-memory backend)
@@ -595,81 +558,3 @@ class Blockchain:
         height, pos = loc
         block = self._store.block_at(height)
         return block, block.prove_inclusion(pos)
-
-    # ------------------------------------------------------------------
-    # Reorganization (longest-chain consensus support)
-    # ------------------------------------------------------------------
-    def reorg_to(self, new_suffix: list[Block], fork_height: int) -> None:
-        """Replace blocks above ``fork_height`` with ``new_suffix``.
-
-        Only accepts strictly longer chains (longest-chain rule).
-        Candidate validation starts at the fork point — the kept prefix
-        was validated when it was committed.  State is rewound with the
-        per-block undo journal when the fork is within the journal window
-        (O(delta) in the number of replaced + new blocks), and only falls
-        back to a full replay from genesis for deeper forks.  Replaced
-        blocks are truncated out of the store — on the durable backend
-        that physically cuts the segment log and index, so the on-disk
-        chain always matches the in-memory head.
-
-        Caveat: the journal path rewinds to the exact fork-point state,
-        while the replay fallback rebuilds from a fresh
-        :class:`StateStore` and therefore discards state written
-        *outside* block execution (direct ``state.set``/``credit`` calls,
-        a test-fixture convenience).  Chains whose state comes entirely
-        from executed transactions — every production flow — get
-        identical results from both paths.
-        """
-        if fork_height < 0 or fork_height > self.height:
-            raise ForkError(f"fork height {fork_height} out of range")
-        if fork_height + len(new_suffix) <= self.height:
-            raise ForkError("refusing reorg: new chain is not longer")
-        # Validate the new suffix against the kept prefix only.
-        prev = self._store.block_at(fork_height)
-        for i, block in enumerate(new_suffix):
-            if block.header.prev_hash != prev.block_hash:
-                raise ForkError(f"candidate chain broken at index {i}")
-            if block.height != fork_height + 1 + i:
-                raise ForkError(
-                    f"candidate block at index {i} has height "
-                    f"{block.height}, expected {fork_height + 1 + i}"
-                )
-            block.verify_structure()
-            prev = block
-        delta = self.height - fork_height
-        if delta <= len(self._block_snaps):
-            for _ in range(delta):
-                self._rollback_head_block()
-        else:
-            self._rewind_by_replay(fork_height)
-        self._discard_snapshot_above(fork_height)
-        # Before the new suffix commits: the old one is gone from the
-        # store whether or not that succeeds.
-        for callback in self._reorg_subscribers:
-            callback(fork_height)
-        for block in new_suffix:
-            self._commit_block(block)
-
-    def _rollback_head_block(self) -> None:
-        """Undo the head block: state, receipts, and index (O(block))."""
-        height = self._store.height()
-        self.state.rollback(self._block_snaps.pop())
-        self._store.truncate_above(height - 1)
-
-    def _rewind_by_replay(self, fork_height: int) -> None:
-        """Rebuild the fork-point state from scratch (deep-fork
-        fallback)."""
-        self.state = StateStore()
-        self._block_snaps.clear()
-        self._store.truncate_above(fork_height)
-        for height in range(1, fork_height + 1):
-            # Re-execute without re-validating signatures (already done).
-            self._replay_stored(self._store.block_at(height))
-
-    def _discard_snapshot_above(self, fork_height: int) -> None:
-        """A checkpoint above the fork point describes the *orphaned*
-        branch's state; it must never be restored from."""
-        if self._snapshot_store is not None:
-            snap_height = self._snapshot_store.snapshot_height()
-            if snap_height is not None and snap_height > fork_height:
-                self._snapshot_store.clear()

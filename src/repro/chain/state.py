@@ -9,10 +9,11 @@ Snapshots support two distinct users:
 
 * contract revert semantics — the runtime snapshots before each call and
   rolls back on :class:`~repro.errors.ContractReverted`;
-* O(delta) reorgs — :class:`~repro.chain.blockchain.Blockchain` opens one
-  snapshot per committed block and rolls the stack back to the fork point
-  instead of replaying from genesis.  :meth:`prune_oldest_snapshot` lets
-  it bound the journal to a reorg window.
+* the commit group's unwind — :class:`~repro.chain.blockchain.Blockchain`
+  opens one snapshot per block of a group, rolls back the blocks its
+  store did not commit, and releases the rest in one step
+  (:meth:`release_snapshots`): a committed block is final, so no undo
+  information outlives its group.
 
 Performance notes: a per-namespace index makes :meth:`items` O(|namespace|)
 instead of a full-store scan, and :meth:`state_root` is maintained
@@ -53,8 +54,6 @@ class StateStore:
         # with _data, never copied).
         self._ns: dict[str, dict[str, Any]] = {}
         # Undo journal: stack of (snapshot_id, [(key, had, old), ...]).
-        # Ids are monotonic so pruning the bottom frame never renumbers
-        # the handles still on the stack.
         self._journal: list[tuple[int, list[tuple[tuple[str, str], bool, Any]]]] = []
         self._next_snapshot_id = 0
         # Incremental state-root bookkeeping: per-entry digest
@@ -242,16 +241,16 @@ class StateStore:
             else:
                 self.delete(namespace, key)
 
-    def prune_oldest_snapshot(self) -> None:
-        """Drop the *bottom* journal frame, abandoning its undo info.
-
-        Used by the chain to bound the reorg journal: state older than the
-        reorg window becomes permanent.  Handles of frames still on the
-        stack are unaffected (ids are monotonic, not positional).
-        """
-        if not self._journal:
-            raise ChainError("no snapshot to prune")
-        del self._journal[0]
+    def release_snapshots(self, handle: int) -> None:
+        """Make every change since ``handle`` permanent in one step: drop
+        its frame and every frame opened after it.  Nothing is copied
+        into an enclosing frame, so one opened before ``handle`` can no
+        longer undo those changes."""
+        for index in range(len(self._journal) - 1, -1, -1):
+            if self._journal[index][0] == handle:
+                del self._journal[index:]
+                return
+        raise ChainError(f"no open snapshot {handle}")
 
     @property
     def open_snapshots(self) -> int:

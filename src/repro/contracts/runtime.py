@@ -182,9 +182,9 @@ class ContractRuntime:
             raise ContractReverted(f"{entry} failed: {exc}") from exc
         except BaseException:
             # Any other contract failure must still unwind this frame:
-            # the chain's per-block undo journal relies on strict
-            # snapshot nesting, so a leaked frame would poison later
-            # reorg rollbacks.
+            # the chain's per-block snapshots rely on strict nesting,
+            # so a leaked frame would poison the unwind of the block's
+            # group.
             state.rollback(snapshot)
             raise
         state.commit_snapshot(snapshot)

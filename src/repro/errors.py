@@ -106,10 +106,6 @@ class QueueFull(InvalidTransaction):
         }
 
 
-class ForkError(ChainError):
-    """A fork-choice or reorganization problem."""
-
-
 class TamperDetected(ChainError):
     """Integrity verification found a mutated block or record; ``height``
     is the block where the chain breaks, when one is known."""

@@ -22,9 +22,9 @@ deltas, receipt bodies and the post-group state root.
 supplies the skeleton with three things: ``deltas`` to apply instead of
 executing, the ``expected_state_root`` check that runs before install, and
 ``encoded`` = the job frames and receipt bodies the engine already holds.
-Linkage validation, the per-block snapshots, the unwind, journaling and
-subscriber fan-out are the skeleton's, so serial
-and process sealing leave identical chain/state/journal shape by
+Linkage validation, the per-block snapshots, the unwind, their release
+and subscriber fan-out are the skeleton's, so serial
+and process sealing leave identical chain/state shape by
 construction rather than by mirroring.  A round is fsynced
 (``fsync=True``): it is a group commit like any other.
 

@@ -119,8 +119,8 @@ class ProcessRoundEngine:
         """Encode one shard's round as an exec job, shipping a full
         state image iff the worker's replica cannot be current — wrong
         worker slot, respawned worker (epoch bump), or parent-side state
-        changes since the last confirmed round (anchor flushes, reorgs:
-        detected by height/root comparison, never assumed away)."""
+        changes since the last confirmed round (anchor flushes: detected
+        by height/root comparison, never assumed away)."""
         chain = job.shard.chain
         base_height = chain.height
         base_root = chain.state.state_root()

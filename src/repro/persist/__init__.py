@@ -58,10 +58,12 @@ that keeps log and table in step:
   older binary annotated keeps the dead frames it already has;
 * the read side — row lookup, frame read, one LRU of decoded values.
 
-Truncation (reorg) deletes rows first and cuts the log second, so a crash
-at *any* byte of either leaves the log ahead of the index, which is the
-one state the walk reconciles — the property ``tests/test_persist.py``
-and ``tests/test_tiering.py`` exercise byte by byte on every table.
+A sealed block is final; the one truncation is snapshot sync's unwind
+of a tail it failed to install.  It deletes rows first and cuts the log
+second, so a crash at *any* byte of either leaves the log ahead of the
+index, which is the one state the walk reconciles — the property
+``tests/test_persist.py`` and ``tests/test_tiering.py`` exercise byte by
+byte on every table.
 
 **The cold tier is a log too.**  ``tier()`` moves blocks below the hot
 tail into the ``cold_blocks`` log as one group whose transaction also

@@ -27,7 +27,9 @@ anchor batch's leaf digests, a beacon round's entries), one meta row
 keyed ``derived/<height>`` — is one of those index rows and shares the
 block's fate at commit, recovery and truncation: it commits in the
 block's transaction, the recovery walk drops it with an orphaned block,
-:meth:`DurableBlockStore.truncate_above` deletes it with a reorged one.
+:meth:`DurableBlockStore.truncate_above` deletes it with a block snapshot
+sync failed to install (a sealed block of a live chain is final, and
+nothing else truncates).
 A row exists iff its block does, so nothing derived is checkpointed;
 services reload from :meth:`DurableBlockStore.derived_rows`.  Callers
 that hold objects reach the block writer through
@@ -480,9 +482,9 @@ class DurableBlockStore(BlockStore):
         if boundary is not None and height < boundary:
             raise StorageError(
                 f"cannot truncate to height {height}: blocks up to "
-                f"{boundary} are archived (the cold tier is immutable "
-                "by construction — keep_tail must exceed the reorg "
-                "journal depth)"
+                f"{boundary} are archived (the cold tier is immutable; "
+                "only snapshot sync unwinds a tail, and only one it "
+                "failed to install above its base)"
             )
         row = self._index.locate(height + 1)
         with self._conn:

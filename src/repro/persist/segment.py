@@ -348,13 +348,13 @@ class SegmentLog:
             offset = loc.end_offset
 
     # ------------------------------------------------------------------
-    # Truncation (recovery + reorgs)
+    # Truncation (recovery + sync's unwind)
     # ------------------------------------------------------------------
     def truncate_to(self, segment: int, offset: int) -> None:
         """Discard every byte at/after ``(segment, offset)``.
 
-        Used two ways: recovery truncates a garbled tail, and reorgs cut
-        the log back to the fork point before appending the new suffix.
+        Used two ways: recovery truncates a garbled tail, and snapshot
+        sync cuts back a tail it failed to install.
         """
         self.close()
         for seg in self._discover():

@@ -5,8 +5,8 @@ three stores, one per kind of durable truth the stack owns:
 
 * :class:`BlockStore` — the committed chain itself: blocks in height
   order, the transaction index (tx_id → height/position), and execution
-  receipts.  Truncation above a height is a first-class operation because
-  reorgs are.
+  receipts.  A committed block is final; the one truncation above a
+  height is snapshot sync's unwind of a tail it failed to install.
 * :class:`RecordStore` — the append-only provenance record list the
   off-chain database indexes; positions are stable ints, and a record,
   once stored, is never rewritten.
@@ -110,7 +110,8 @@ class BlockStore(ABC):
     @abstractmethod
     def truncate_above(self, height: int) -> None:
         """Drop every block above ``height`` plus its tx index entries,
-        receipts and derived row (the reorg primitive)."""
+        receipts and derived row — snapshot sync's unwind of a tail it
+        failed to install, never a sealed block of a live chain."""
 
     @abstractmethod
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
@@ -184,8 +185,8 @@ class StateSnapshotStore(ABC):
     """At most one materialized state image, tagged with its height.
 
     The snapshot also records the *block hash* at its height, binding the
-    image to one specific branch: after a reorg (or a crash recovery that
-    truncated the chain), a restore only trusts the image if the block at
+    image to one specific block: after a crash recovery that truncated
+    the chain, a restore only trusts the image if the block at
     ``snapshot_height`` still hashes the same.
     """
 
@@ -209,7 +210,8 @@ class StateSnapshotStore(ABC):
 
     @abstractmethod
     def clear(self) -> None:
-        """Drop the snapshot (it became unreachable after a reorg)."""
+        """Drop the snapshot (it names a block the store no longer
+        holds)."""
 
 
 class MetaStore(ABC):

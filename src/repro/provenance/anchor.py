@@ -34,9 +34,8 @@ record and enqueues it in the same order, so batch *k* covers the next
 **is** the pending batch.  (A format-2 store may also hold rows with a
 fifth element, the batch's record ids, written when it was upgraded
 from the checkpointed format and possibly anchored out of position
-order; that row layout stays readable.)  A reorg that orphans anchor
-blocks ends in the same place: their batches are forgotten and, with a
-database loaded, the records they covered are pending again.  A snapshot client
+order; that row layout stays readable.)  An anchor block is final, so
+a batch, once committed, covers its records for good.  A snapshot client
 installs a peer's row only after :func:`verify_batch_row`.
 """
 
@@ -146,10 +145,6 @@ class AnchorService:
         self._pending = _PendingBatch()
         self._batches = BatchAnchors(chain)
         self.receipts: list[AnchorReceipt] = self._batches.receipts
-        # The record database load_proof_state read the record ids from
-        # (None: no reopen happened, nothing to re-queue from).
-        self._database = None
-        chain.subscribe_reorg(self._on_reorg)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -225,7 +220,6 @@ class AnchorService:
         per derived row on the chain's store, record ids from
         ``database`` in position order, the uncovered rest queued again.
         Returns ``(rows loaded, records re-queued)``."""
-        self._database = database
         rows = list(self._batches.stored_rows())
         covered, uncovered = covered_leaves(rows, database.record_ids())
         for (height, (anchor_id, tx_id, root, blob, *_)), pairs in zip(
@@ -234,28 +228,15 @@ class AnchorService:
             self._batches.index(
                 AnchorReceipt(anchor_id, root, height, tx_id, len(digests)),
                 digests, [rid for _, rid in pairs])
-        return len(rows), self._requeue(uncovered)
-
-    def _requeue(self, record_ids) -> int:
-        """Queue stored records again — queued, not flushed: a replica's
-        pending batch stays pending."""
+        # Queued again, not flushed: a replica's pending batch stays
+        # pending.
         batch = self._pending
-        for record_id in record_ids:
-            record = self._database.get(record_id)
+        for record_id in uncovered:
+            record = database.get(record_id)
             batch.records.append(record)
             batch.digests.append(record_digest(record))
             batch.ids.add(record_id)
-        return len(batch.records)
-
-    def _on_reorg(self, fork_height: int) -> None:
-        """The chain dropped its blocks above ``fork_height``: forget
-        their batches; what the database holds uncovered is pending, as
-        a reopen would find it."""
-        if self._batches.forget_above(fork_height) \
-                and self._database is not None:
-            self._pending = _PendingBatch()
-            self._requeue(rid for rid in self._database.record_ids()
-                          if rid not in self._batches)
+        return len(rows), len(batch.records)
 
     # ------------------------------------------------------------------
     # Proofs

@@ -107,8 +107,9 @@ class ProvenanceQueryEngine:
         self.cache = cache
         self.stats = QueryStats()
         # Proof memo for repeated verified queries: an anchored record's
-        # proof is immutable once its anchor transaction is committed, so
-        # re-proving on every repeat is pure waste.  Verification against
+        # proof is immutable once its anchor block is sealed (a sealed
+        # block is final), so it is memoised for good and re-proving on
+        # every repeat is pure waste.  Verification against
         # the chain's own header still runs per query (trust is not
         # cached).
         self._proof_memo: dict[str, AnchoredProof] = {}
@@ -175,16 +176,13 @@ class ProvenanceQueryEngine:
         all_good = True
         for record in records:
             record_id = str(record.get("record_id"))
-            receipt = self.anchor_service.receipt_for(record_id)
-            if receipt is None:
+            if not self.anchor_service.is_anchored(record_id):
                 proofs.append(None)
                 unanchored.append(record_id)
                 all_good = False
                 continue
             proof = self._proof_memo.get(record_id)
-            # A reorg may have re-anchored the record elsewhere since.
-            if (proof is None or proof.anchor_tx.tx_id != receipt.tx_id
-                    or proof.block_height != receipt.block_height):
+            if proof is None:
                 proof = self.anchor_service.prove(record_id)
                 self.stats.proofs_produced += 1
                 self._proof_memo[record_id] = proof
@@ -228,6 +226,3 @@ class ProvenanceQueryEngine:
         """Invalidate caches after new records are ingested."""
         if self.cache is not None:
             self.cache.invalidate_all()
-        # Conservative: a write may coincide with a reorg that re-anchors
-        # records, so drop memoized proofs too.
-        self._proof_memo.clear()

@@ -23,8 +23,8 @@ the row ``[tx_id, merkle_root, [(shard, height, block_hash, state_root),
 transaction; :meth:`BeaconChain.load_proof_state` reloads one round per
 row on open (O(rounds)).  Round numbers, the facade's ``rounds_sealed``
 and every shard's ``anchored_height`` follow from those rows, so after a
-crash they agree with the beacon chain by construction; a beacon reorg
-forgets the rounds it orphans, whose entries can then be anchored again.
+crash they agree with the beacon chain by construction.  A beacon block
+is final, so a round, once committed, anchors its shard blocks for good.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class BeaconChain:
         self.receipts: list[BeaconReceipt] = self._batches.receipts
         # Per-round (shard_id, height, block_hash, state_root) entries.
         self._round_entries: list[list[tuple[int, int, bytes, bytes]]] = []
-        self.chain.subscribe_reorg(self._on_reorg)
 
     def load_proof_state(self) -> tuple[int, int]:
         """Reload after a reopen: one round per derived row on the
@@ -94,10 +93,6 @@ class BeaconChain:
                 _keys(entries))
             self._round_entries.append(entries)
         return len(self.receipts), 0
-
-    def _on_reorg(self, fork_height: int) -> None:
-        self._batches.forget_above(fork_height)
-        del self._round_entries[len(self.receipts):]
 
     def checkpoint(self) -> None:
         """Persist the state image and make the store durable."""
@@ -123,9 +118,6 @@ class BeaconChain:
         a scan of the anchored keys, for the facade's reopen."""
         return max((h for sid, h in self._batches if sid == shard_id),
                    default=0)
-
-    def receipt_for(self, shard_id: int, height: int) -> BeaconReceipt | None:
-        return self._batches.receipt_for((shard_id, height))
 
     def anchored_entry(
         self, shard_id: int, height: int

@@ -33,6 +33,7 @@ from ..errors import (
     QueueFull,
     RETRY_AFTER_FLOOR_S,
     ShardError,
+    TamperDetected,
 )
 from ..obs.runtime import telemetry as default_telemetry
 from ..persist.codec import check_records
@@ -399,7 +400,6 @@ class ShardedChain:
         self,
         n_shards: int,
         max_block_txs: int = 256,
-        reorg_journal_depth: int = 64,
         anchor_batch_size: int = 64,
         storage_dir: str | None = None,
         checkpoint_every_rounds: int = 0,
@@ -454,7 +454,6 @@ class ShardedChain:
                     ChainParams(
                         chain_id=f"shard-{i}",
                         max_block_txs=max_block_txs,
-                        reorg_journal_depth=reorg_journal_depth,
                     ),
                     open_storage(f"shard-{i}"),
                     anchor_batch_size=anchor_batch_size,
@@ -471,9 +470,14 @@ class ShardedChain:
             for storage in opened:
                 storage.close()
             raise
-        self._adopt_beacon_rounds()
-        self.beacon.chain.subscribe_reorg(
-            lambda fork_height: self._adopt_beacon_rounds())
+        # Round count and watermarks follow from the beacon's rounds, so
+        # they agree with the beacon chain wherever the process died
+        # (empty rounds anchor nothing and are not counted across a
+        # reopen).
+        self.rounds_sealed = self.beacon.rounds_anchored
+        for shard in self.shards:
+            shard.anchored_height = self.beacon.anchored_height(
+                shard.shard_id)
         self._coordinators: list[Any] = []
         self._replica_seq = 0
         self.executor = executor
@@ -515,16 +519,6 @@ class ShardedChain:
             self.engine = InProcessEngine(
                 n_shards if executor == "thread" else 1, self.telemetry
             )
-
-    def _adopt_beacon_rounds(self) -> None:
-        """Round count and watermarks follow from the beacon's rounds, so
-        they agree with the beacon chain wherever the process died and
-        whatever a beacon reorg orphaned (empty rounds anchor nothing
-        and are not counted across a reopen)."""
-        self.rounds_sealed = self.beacon.rounds_anchored
-        for shard in self.shards:
-            shard.anchored_height = self.beacon.anchored_height(
-                shard.shard_id)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -606,16 +600,13 @@ class ShardedChain:
     def tier_storage(self, keep_tail: int = 256) -> dict[int, dict]:
         """Tier every shard store: archive cold blocks into the store's
         cold log and compact the segment logs (see
-        :meth:`~repro.persist.durable.DurableStorage.tier`).  The hot
-        tail is clamped to the reorg journal window — a reorg can never
-        need to truncate below the archival boundary.  Returns per-shard
-        stats (empty per shard in memory: nothing to move)."""
+        :meth:`~repro.persist.durable.DurableStorage.tier`), keeping the
+        newest ``keep_tail`` blocks hot.  Returns per-shard stats (empty
+        per shard in memory: nothing to move)."""
         stats: dict[int, dict] = {}
         for shard in self.shards:
-            floor = shard.chain.params.reorg_journal_depth + 1
             shard.checkpoint()
-            stats[shard.shard_id] = shard.storage.tier(
-                keep_tail=max(keep_tail, floor))
+            stats[shard.shard_id] = shard.storage.tier(keep_tail=keep_tail)
         return stats
 
     def close(self) -> None:
@@ -668,10 +659,30 @@ class ShardedChain:
         return sum(len(s.mempool) for s in self.shards)
 
     def verify_all(self, deep: bool = False) -> None:
-        """Audit every shard chain and the beacon (raises on tampering)."""
+        """Audit every shard chain and the beacon, then hold each shard to
+        what the beacon committed: the block at every anchored height
+        must hash to its round's entry.  A rewritten suffix that still
+        links passes its chain's own audit, never this one.  Raises
+        :class:`TamperDetected` with the ``height`` of the first break."""
         for shard in self.shards:
             shard.chain.verify(deep=deep)
         self.beacon.chain.verify(deep=deep)
+        for shard in self.shards:
+            sid, chain = shard.shard_id, shard.chain
+            if chain.height < shard.anchored_height:
+                raise TamperDetected(
+                    f"shard {sid} ends at height {chain.height}; the "
+                    f"beacon anchored up to {shard.anchored_height}",
+                    height=chain.height + 1)
+            for height in range(1, shard.anchored_height + 1):
+                header = chain.block_at(height).header
+                entry = self.beacon.anchored_entry(sid, height)
+                if entry is not None and entry[2] != (
+                        header.compute_block_hash() if deep
+                        else header.block_hash):
+                    raise TamperDetected(
+                        f"shard {sid} block {height} is not the block the "
+                        "beacon anchored", height=height)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -980,7 +991,6 @@ class ShardedChain:
             params=ChainParams(
                 chain_id=shard.chain.chain_id,
                 max_block_txs=shard.chain.params.max_block_txs,
-                reorg_journal_depth=shard.chain.params.reorg_journal_depth,
             ),
             storage_dir=storage_dir,
             net=net,

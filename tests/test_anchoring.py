@@ -12,8 +12,9 @@ checked by one verifier (``repro.verify``).
   proof's path is read as the leaf it was made for, and its batch
   metadata (size, round number, transaction id) is its anchor
   transaction's.
-* **Reorg** — after ``reorg_to`` the in-process services are where a
-  crash + reopen would put them.
+* **Sealed blocks are final** — a shard suffix rewritten under the
+  chain still links, so the chain's own audit passes it; the beacon's
+  commitments do not, and ``ShardedChain.verify_all`` refuses it.
 
 Everything here drives public names only.
 """
@@ -29,15 +30,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
-from repro.errors import AnchorError, ChainError, ShardError
+from repro.chain.receipts import TransactionReceipt
+from repro.errors import (
+    AnchorError,
+    ChainError,
+    ShardError,
+    TamperDetected,
+)
 from repro.persist import MemoryStorage
+from repro.persist.durable import DurableStorage
 from repro.persist.codec import transaction_embedded
 from repro.provenance.anchor import AnchorService, verify_batch_row
 from repro.serialization import canonical_encode
 from repro.sharding import (
     COMMITTED,
     CrossShardCoordinator,
-    Shard,
     ShardedChain,
     ShardedQueryEngine,
 )
@@ -581,11 +588,11 @@ class TestTamperMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Reorgs: the in-process services end where a crash + reopen would
+# Sealed blocks are final: a rewritten shard suffix still links, and only
+# the beacon's commitments catch it
 # ---------------------------------------------------------------------------
-JOURNAL_DEPTH = 3
-REORG_OPTIONS = dict(max_block_txs=8, anchor_batch_size=4,
-                     reorg_journal_depth=JOURNAL_DEPTH, executor="serial")
+REWRITE_OPTIONS = dict(max_block_txs=8, anchor_batch_size=4,
+                       executor="serial")
 
 
 def _subject(sharded: ShardedChain, shard_id: int) -> str:
@@ -594,21 +601,19 @@ def _subject(sharded: ShardedChain, shard_id: int) -> str:
                 == shard_id)
 
 
-def _deployment(storage_dir) -> tuple[ShardedChain, list[dict]]:
+def _deployment(storage_dir) -> ShardedChain:
     """Two shards, five sealed rounds of records (shard 0 anchors a
     batch per round and keeps a pending remainder), then one more batch
     flushed but not yet beacon-committed."""
     sharded = ShardedChain(
         2, storage_dir=None if storage_dir is None else str(storage_dir),
-        **REORG_OPTIONS)
+        **REWRITE_OPTIONS)
     subjects = [_subject(sharded, 0), _subject(sharded, 1)]
-    records = []
     for r in range(6):
-        batch = [{"record_id": f"rec-{r}-{i}", "subject": subjects[i % 2],
-                  "actor": "a", "operation": "write",
-                  "timestamp": r * 100 + i} for i in range(11)]
-        sharded.ingest_records(batch)
-        records.extend(batch)
+        sharded.ingest_records([
+            {"record_id": f"rec-{r}-{i}", "subject": subjects[i % 2],
+             "actor": "a", "operation": "write", "timestamp": r * 100 + i}
+            for i in range(11)])
         sharded.submit_many([
             Transaction(f"{subjects[i % 2]}-acct", TxKind.DATA,
                         {"subject": subjects[i % 2], "key": f"k{r}-{i}",
@@ -616,11 +621,11 @@ def _deployment(storage_dir) -> tuple[ShardedChain, list[dict]]:
             for i in range(4)])
         if r < 5:
             sharded.seal_round(timestamp=r + 1)
-    return sharded, records
+    return sharded
 
 
 def _suffix(chain: Blockchain, fork_height: int) -> list[Block]:
-    """A longer competing branch from ``fork_height``."""
+    """A competing branch from ``fork_height``, one block longer."""
     blocks, prev = [], chain.block_at(fork_height)
     for i in range(chain.height - fork_height + 1):
         block = Block(
@@ -634,161 +639,67 @@ def _suffix(chain: Blockchain, fork_height: int) -> list[Block]:
     return blocks
 
 
-def _reopened(sharded: ShardedChain):
-    """``(shards, beacon)`` as a process restarted right now would open
-    them: a crash and a reopen of the directory — or, in memory, fresh
-    stacks on the same bundles."""
-    if sharded.storage_dir is not None:
-        sharded.crash()
-        again = ShardedChain(2, storage_dir=sharded.storage_dir,
-                             **REORG_OPTIONS)
-        return again.shards, again.beacon, again
-    shards = [Shard(shard.shard_id, shard.chain.params, shard.storage,
-                    anchor_batch_size=shard.anchor.batch_size)
-              for shard in sharded.shards]
-    beacon = BeaconChain(sharded.beacon.storage, sharded.beacon.chain.params)
-    beacon.load_proof_state()
-    return shards, beacon, None
+def _fork_height(sharded: ShardedChain, anchors_rewritten: int) -> int:
+    """Just below the ``anchors_rewritten``-th newest of shard 0's anchor
+    blocks the beacon committed: the rewrite replaces that many anchor
+    batches."""
+    shard = sharded.shard(0)
+    committed = [receipt.block_height for receipt in shard.anchor.receipts
+                 if receipt.block_height <= shard.anchored_height]
+    assert len(committed) >= anchors_rewritten
+    return committed[-anchors_rewritten] - 1
 
 
-def _proof_state(shards, beacon, records) -> dict:
-    ids = [record["record_id"] for record in records]
-    return {
-        "receipts": [shard.anchor.receipts for shard in shards],
-        "anchored": [[rid for rid in ids if shard.anchor.is_anchored(rid)]
-                     for shard in shards],
-        "receipt_for": [[shard.anchor.receipt_for(rid) for rid in ids]
-                        for shard in shards],
-        "pending": [shard.anchor.pending_count for shard in shards],
-        "anchored_count": [shard.anchor.anchored_count for shard in shards],
-        "beacon_receipts": beacon.receipts,
-        "beacon_anchored_height": [beacon.anchored_height(shard.shard_id)
-                                   for shard in shards],
-        "beacon_entries": [
-            [beacon.anchored_entry(shard.shard_id, h)
-             for h in range(1, shard.chain.height + 1)]
-            for shard in shards],
-    }
+REWRITE_DEPTHS = pytest.mark.parametrize(
+    "anchors_rewritten", [1, 2, 4],
+    ids=["newest-anchor", "two-anchors", "four-anchors"])
 
 
-def _fork_height(sharded: ShardedChain, anchors_orphaned: int) -> int:
-    receipts = sharded.shard(0).anchor.receipts
-    return receipts[-anchors_orphaned].block_height - 1
+class TestRewrittenSuffixIsCaughtByTheBeacon:
+    @REWRITE_DEPTHS
+    def test_memory_blocks_setter(self, anchors_rewritten):
+        sharded = _deployment(None)
+        sharded.verify_all(deep=True)
+        chain = sharded.shard(0).chain
+        fork = _fork_height(sharded, anchors_rewritten)
+        chain.blocks = [chain.block_at(h) for h in range(fork + 1)] \
+            + _suffix(chain, fork)
+        chain.verify(deep=True)             # still links
+        with pytest.raises(TamperDetected) as caught:
+            sharded.verify_all(deep=True)
+        assert caught.value.height == fork + 1
 
+    @REWRITE_DEPTHS
+    def test_store_written_directly(self, tmp_path, anchors_rewritten):
+        sharded = _deployment(tmp_path)
+        fork = _fork_height(sharded, anchors_rewritten)
+        suffix = _suffix(sharded.shard(0).chain, fork)
+        sharded.close()
+        storage = DurableStorage(str(tmp_path / "shard-0"))
+        storage.blocks.truncate_above(fork)
+        storage.blocks.append_blocks(
+            [(block, [TransactionReceipt(tx.tx_id, True)
+                      for tx in block.transactions]) for block in suffix])
+        storage.close()
+        reopened = ShardedChain(2, storage_dir=str(tmp_path),
+                                **REWRITE_OPTIONS)
+        reopened.shard(0).chain.verify(deep=True)     # still links
+        for deep in (False, True):
+            with pytest.raises(TamperDetected) as caught:
+                reopened.verify_all(deep=deep)
+            assert caught.value.height == fork + 1
+        reopened.close()
 
-def _no_dangling_proofs(sharded: ShardedChain, records) -> None:
-    engine = ShardedQueryEngine(sharded)
-    for subject in {record["subject"] for record in records}:
-        answer = engine.history_verified(subject)
-        for shard_id, proof in zip(answer.shard_ids, answer.proofs):
-            assert proof is None or sharded.shard(shard_id).chain \
-                .find_transaction(proof.anchor_tx.tx_id) is not None
-        assert len(answer.unanchored) == sum(
-            proof is None for proof in answer.proofs)
-
-
-@pytest.mark.parametrize("durable", [False, True],
-                         ids=["memory", "durable"])
-@pytest.mark.parametrize("anchors_orphaned", [1, 2, 4],
-                         ids=["inside-journal", "past-two-anchors",
-                              "beyond-journal"])
-class TestReorgOfAnAnchoredChain:
-    def test_shard_reorg_ends_where_a_reopen_would(
-            self, tmp_path, durable, anchors_orphaned):
-        live, records = _deployment(tmp_path / "live" if durable else None)
-        twin, _ = _deployment(tmp_path / "twin" if durable else None)
-        engine = ShardedQueryEngine(live)
-        _no_dangling_proofs(live, records)     # fills the proof memos
-        shard = live.shard(0)
-        fork = _fork_height(live, anchors_orphaned)
-        depth = shard.chain.height - fork
-        if anchors_orphaned != 2:       # both sides of the journal window
-            assert (depth <= JOURNAL_DEPTH) == (anchors_orphaned == 1)
-        orphaned = [rid for receipt in shard.anchor.receipts
-                    if receipt.block_height > fork
-                    for rid in [r["record_id"] for r in records]
-                    if shard.anchor.receipt_for(rid) == receipt]
-        assert len(orphaned) == 4 * anchors_orphaned
-        was_pending = shard.anchor.pending_count
-
-        for sharded in (live, twin):
-            chain = sharded.shard(0).chain
-            chain.reorg_to(_suffix(chain, fork), fork)
-        assert [height for height, _ in shard.chain.store.derived_rows()] \
-            == [receipt.block_height for receipt in shard.anchor.receipts]
-        assert not any(shard.anchor.is_anchored(rid) for rid in orphaned)
-        assert shard.anchor.pending_count == was_pending + len(orphaned)
-        _no_dangling_proofs(live, records)
-
-        shards, beacon, reopened = _reopened(twin)
-        assert _proof_state(live.shards, live.beacon, records) \
-            == _proof_state(shards, beacon, records)
-        if reopened is not None:
-            reopened.close()
-
-        # The orphaned records anchor again, in process, and prove.
-        with pytest.raises(AnchorError):
-            shard.anchor.enqueue(dict(records[0], record_id=orphaned[0]))
-        live.flush_anchors()
-        live.seal_round(timestamp=50)
-        assert all(shard.anchor.is_anchored(rid) for rid in orphaned)
-        by_id = {record["record_id"]: record for record in records}
-        for rid in orphaned:
-            proof = engine.federated_proof(rid, by_id[rid]["subject"])
-            header = live.beacon.chain.block_at(proof.beacon_height).header
-            assert proof.verify(by_id[rid], header)
-            assert shard.anchor.verify(by_id[rid], shard.anchor.prove(rid))
-        _no_dangling_proofs(live, records)
-        answer = engine.history_verified(by_id[orphaned[0]]["subject"])
-        assert answer.verified and not answer.unanchored
-        live.close()
-
-    def test_beacon_reorg_frees_its_entries(
-            self, tmp_path, durable, anchors_orphaned):
-        live, records = _deployment(tmp_path / "live" if durable else None)
-        twin, _ = _deployment(tmp_path / "twin" if durable else None)
-        rounds_orphaned = anchors_orphaned
-        fork = live.beacon.receipts[-rounds_orphaned].block_height - 1
-        assert (live.beacon.height - fork <= JOURNAL_DEPTH) \
-            == (rounds_orphaned <= JOURNAL_DEPTH)
-        freed = [live.beacon.anchored_entry(shard.shard_id, h)
-                 for shard in live.shards
-                 for h in range(1, shard.chain.height + 1)
-                 if (receipt := live.beacon.receipt_for(shard.shard_id, h))
-                 and receipt.block_height > fork]
-        assert freed
-        for sharded in (live, twin):
-            chain = sharded.beacon.chain
-            chain.reorg_to(_suffix(chain, fork), fork)
-        assert live.beacon.rounds_anchored == 5 - rounds_orphaned \
-            == live.rounds_sealed
-        assert not any(live.beacon.is_anchored(sid, h)
-                       for sid, h, _, _ in freed)
-        assert [shard.anchored_height for shard in live.shards] == [
-            live.beacon.anchored_height(shard.shard_id)
-            for shard in live.shards]
-
-        shards, beacon, reopened = _reopened(twin)
-        assert _proof_state(live.shards, live.beacon, records) \
-            == _proof_state(shards, beacon, records)
-        if reopened is not None:
-            assert reopened.rounds_sealed == live.rounds_sealed
-            reopened.close()
-
-        # The next round commits the freed shard blocks again, and every
-        # anchored record proves under the new beacon branch.
-        live.flush_anchors()
-        live.seal_round(timestamp=50)
-        assert all(live.beacon.is_anchored(sid, h) for sid, h, _, _ in freed)
-        engine = ShardedQueryEngine(live)
-        for record in records:
-            shard = live.shard_for_subject(record["subject"])
-            assert shard.anchor.is_anchored(record["record_id"])
-            proof = engine.federated_proof(record["record_id"],
-                                           record["subject"])
-            header = live.beacon.chain.block_at(proof.beacon_height).header
-            assert proof.verify(record, header)
-        live.close()
+    @pytest.mark.parametrize("shard_id", [0, 1])
+    def test_shard_shorter_than_its_anchored_height(self, shard_id):
+        sharded = _deployment(None)
+        chain = sharded.shard(shard_id).chain
+        anchored = sharded.shard(shard_id).anchored_height
+        chain.blocks = [chain.block_at(h) for h in range(anchored)]
+        chain.verify(deep=True)
+        with pytest.raises(TamperDetected) as caught:
+            sharded.verify_all()
+        assert caught.value.height == anchored
 
 
 if __name__ == "__main__":      # the pins: run this file on the parent commit

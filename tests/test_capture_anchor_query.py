@@ -15,6 +15,7 @@ from repro.provenance.capture import (
     ThirdPartyCapture,
 )
 from repro.provenance.query import ProvenanceQueryEngine, QueryCache
+from repro.sharding import ShardedChain, ShardedQueryEngine
 from repro.storage.cloudstore import CloudObjectStore
 from repro.storage.provdb import ProvenanceDatabase
 
@@ -257,6 +258,29 @@ class TestQueryEngine:
         engine.notify_write()
         engine.history("s1")
         assert engine.stats.cache_misses == 2
+
+    def test_anchored_proof_is_memoised_across_writes(self):
+        """A sealed block is final, so an anchored record's proof never
+        changes: an unrelated ingest invalidates the result cache but
+        produces no proof again, and every query still verifies."""
+        sharded = ShardedChain(2, anchor_batch_size=4)
+        subject = "t0/obj"
+        sharded.ingest_records([generic_record(i, subject=subject)
+                                for i in range(8)])
+        sharded.seal_round()
+        engine = ShardedQueryEngine(sharded)
+        query = sharded.shard_for_subject(subject).query
+        assert engine.history_verified(subject).verified
+        produced = query.stats.proofs_produced
+        verified = query.stats.proofs_verified
+        misses = query.stats.cache_misses
+        assert produced == 8
+        sharded.ingest_records([generic_record(100 + i, subject=f"t{i}/other")
+                                for i in range(4)])
+        assert engine.history_verified(subject).verified
+        assert query.stats.proofs_produced == produced
+        assert query.stats.proofs_verified == verified + 8
+        assert query.stats.cache_misses == misses + 1
 
     def test_cache_lru_eviction(self):
         cache = QueryCache(capacity=2)

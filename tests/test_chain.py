@@ -1,4 +1,4 @@
-"""Blockchain substrate: blocks, linkage, tamper detection, reorgs."""
+"""Blockchain substrate: blocks, linkage, tamper detection."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
 from repro.chain.block import GENESIS_PREV_HASH
 from repro.crypto.signatures import KeyPair
+from repro.persist.codec import encode_block
 from repro.verify import tx_in_header
 from repro.errors import (
     ChainError,
-    ForkError,
     InvalidBlock,
     InvalidTransaction,
     TamperDetected,
@@ -184,7 +184,15 @@ class TestTamperDetection:
             chain.blocks[1] = chain.blocks[2]
 
 
-class TestReorg:
+class TestSealedBlocksAreFinal:
+    """A sealed block is never replaced: a competing branch, longer or
+    not, is refused at every commit door before it touches state, and a
+    chain keeps no undo information however deep its history grows."""
+
+    def _grow(self, chain, blocks=3):
+        for i in range(blocks):
+            chain.append_block(chain.build_block([data_tx(i)]))
+
     def _fork(self, chain, at_height: int, new_len: int) -> list:
         suffix = []
         prev = chain.blocks[at_height].block_hash
@@ -195,53 +203,71 @@ class TestReorg:
             prev = block.block_hash
         return suffix
 
-    def test_longer_fork_accepted(self, chain):
-        for i in range(3):
-            chain.append_block(chain.build_block([data_tx(i)]))
+    def _sealed(self, chain) -> tuple:
+        return (chain.height, chain.head.block_hash,
+                chain.state.state_root(), chain.state.open_snapshots)
+
+    def test_competing_block_at_a_sealed_height_refused(self, chain):
+        self._grow(chain)
+        before = self._sealed(chain)
+        with pytest.raises(InvalidBlock):
+            chain.append_block(self._fork(chain, at_height=1, new_len=1)[0])
+        assert self._sealed(chain) == before
+        chain.verify(deep=True)
+
+    def test_longer_fork_refused_as_a_group(self, chain):
+        self._grow(chain)
+        before = self._sealed(chain)
         suffix = self._fork(chain, at_height=1, new_len=4)
-        chain.reorg_to(suffix, fork_height=1)
-        assert chain.height == 5
-        assert chain.is_intact()
+        with pytest.raises(InvalidBlock):
+            chain.append_blocks(suffix)
+        assert self._sealed(chain) == before
+        assert all(chain.find_transaction(tx.tx_id) is None
+                   for block in suffix for tx in block.transactions)
 
-    def test_equal_length_fork_rejected(self, chain):
-        for i in range(3):
-            chain.append_block(chain.build_block([data_tx(i)]))
-        suffix = self._fork(chain, at_height=1, new_len=2)
-        with pytest.raises(ForkError):
-            chain.reorg_to(suffix, fork_height=1)
+    def test_executed_fork_refused(self, chain):
+        self._grow(chain)
+        before = self._sealed(chain)
+        suffix = self._fork(chain, at_height=0, new_len=5)
+        with pytest.raises(InvalidBlock):
+            chain.apply_executed_blocks(
+                suffix, [[] for _ in suffix],
+                [(encode_block(block), []) for block in suffix])
+        assert self._sealed(chain) == before
 
-    def test_state_rebuilt_after_reorg(self, funded_chain):
+    def test_transfer_is_final(self, funded_chain):
         tx = Transaction(sender="alice", kind=TxKind.TRANSFER,
                          payload={"to": "bob", "amount": 500})
         funded_chain.append_block(funded_chain.build_block([tx]))
+        # A branch from genesis on which the transfer never happened.
+        with pytest.raises(InvalidBlock):
+            funded_chain.append_blocks(
+                self._fork(funded_chain, at_height=0, new_len=2))
         assert funded_chain.state.balance("bob") == 1_500
-        # Reorg to a fork where the transfer never happened: the undo
-        # journal rewinds to the exact fork-point state, so the transfer
-        # is undone while the fixture's pre-chain credits survive.
-        suffix = self._fork(funded_chain, at_height=0, new_len=2)
-        funded_chain.reorg_to(suffix, fork_height=0)
-        assert funded_chain.state.balance("bob") == 1_000
-        assert funded_chain.state.balance("alice") == 1_000
+        assert funded_chain.state.balance("alice") == 500
+        assert funded_chain.receipt_for(tx.tx_id).block_height == 1
 
-    def test_journal_and_replay_reorgs_agree(self):
-        """O(delta) journal rollback and full replay must land on the
-        same chain and the same state root."""
-        def build(depth: int) -> Blockchain:
-            c = Blockchain(ChainParams(chain_id="agree",
-                                       reorg_journal_depth=depth))
-            for i in range(6):
-                c.append_block(c.build_block([data_tx(i), data_tx(100 + i)],
-                                             timestamp=i))
+    def test_history_past_64_blocks_replays_to_the_same_state(self):
+        """The chain once kept a 64-block undo journal; past it, a chain
+        committed block by block and one committed as a single group
+        agree on head and state, and neither holds a snapshot."""
+        def grown() -> Blockchain:
+            c = Blockchain(ChainParams(chain_id="final"))
+            for i in range(70):
+                c.append_block(c.build_block(
+                    [data_tx(i % 7), data_tx(100 + i, sender="bob")],
+                    timestamp=i))
             return c
 
-        journaled, replayed = build(depth=64), build(depth=0)
-        assert journaled.head.block_hash == replayed.head.block_hash
-        for chain in (journaled, replayed):
-            suffix = self._fork(chain, at_height=3, new_len=4)
-            chain.reorg_to(suffix, fork_height=3)
-        assert journaled.head.block_hash == replayed.head.block_hash
-        assert journaled.state.state_root() == replayed.state.state_root()
-        assert journaled.is_intact() and replayed.is_intact()
+        singly = grown()
+        grouped = Blockchain(ChainParams(chain_id="final"))
+        grouped.append_blocks(list(singly.blocks[1:]))
+        for chain in (singly, grouped):
+            assert chain.height == 70
+            assert chain.state.open_snapshots == 0
+            chain.verify(deep=True)
+        assert grouped.head.block_hash == singly.head.block_hash
+        assert grouped.state.state_root() == singly.state.state_root()
 
 
 class TestStateStore:

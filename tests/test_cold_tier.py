@@ -52,7 +52,7 @@ N_PROOFS = 20
 
 def open_tiered(store: str) -> ShardedChain:
     return ShardedChain(2, storage_dir=store, anchor_batch_size=4,
-                        reorg_journal_depth=3, executor="serial")
+                        executor="serial")
 
 
 def build_tiered(store: str) -> list[tuple[str, str]]:

@@ -1,11 +1,13 @@
 """One way to commit: every entry point drives one skeleton over one
 store write, so whichever path a block stream takes — one by one, in
-groups, as an exec worker's deltas, as a reorg re-commit, and replayed on
-reopen after any of those — the chain, the state, the undo journal, the index rows and the
-log bytes come out identical.
+groups, as an exec worker's deltas, and replayed on reopen after any of
+those — the chain, the state, the index rows and the log bytes come out
+identical, and no state snapshot outlives the group that opened it.
 
 Also here: kill-at-every-byte over a group (none or all survives), the
-``expected_state_root`` gate, the journal-depth-0 unwind regression, and
+``expected_state_root`` gate, the failed-append unwind regression, the
+counted snapshot guard (a chain past 64 blocks holds no open snapshot
+on any path), and
 the counted fsync guards that pin where the durability choice is made
 (``fsync=`` travels from the caller to ``SegmentLog.append_many``), and
 the state owning its values (nothing a transaction's holder edits later
@@ -37,11 +39,10 @@ from repro.sharding.beacon import BeaconChain
 from repro.sharding.shardchain import ShardedChain
 
 N_BLOCKS = 7
-JOURNAL_DEPTH = 4      # < N_BLOCKS, so pruning is exercised on every path
 
 
-def _params(depth: int = JOURNAL_DEPTH) -> ChainParams:
-    return ChainParams(chain_id="commit-path", reorg_journal_depth=depth)
+def _params() -> ChainParams:
+    return ChainParams(chain_id="commit-path")
 
 
 def _txs(rng: random.Random, tag: str, n: int) -> list[Transaction]:
@@ -78,14 +79,13 @@ def _stream(seed: int = 17, n_blocks: int = N_BLOCKS,
 STREAM = _stream()
 
 
-def _open(directory: str | None, depth: int = JOURNAL_DEPTH,
-          snapshots: bool = True):
+def _open(directory: str | None, snapshots: bool = True):
     """``(chain, storage)`` on a durable directory, or a memory chain."""
     if directory is None:
-        return Blockchain(_params(depth)), None
+        return Blockchain(_params()), None
     storage = DurableStorage(directory)
     chain = Blockchain(
-        _params(depth), store=storage.blocks,
+        _params(), store=storage.blocks,
         snapshot_store=storage.state if snapshots else None)
     return chain, storage
 
@@ -99,12 +99,11 @@ def _log_bytes(storage: DurableStorage) -> bytes:
 
 
 def _fingerprint(chain: Blockchain, storage) -> dict:
+    assert chain.state.open_snapshots == 0
     fp = {
         "head": chain.head.block_hash,
         "height": chain.height,
         "state_root": chain.state.state_root(),
-        "journal": len(chain._block_snaps),
-        "open_snapshots": chain.state.open_snapshots,
         "receipts": {tx.tx_id: encode_receipt(chain.receipt_for(tx.tx_id))
                      for block in chain.blocks
                      for tx in block.transactions},
@@ -165,20 +164,10 @@ def _commit_worker_deltas(chain, blocks, sizes=(3, 2, 2)):
     assert at == len(blocks)
 
 
-def _commit_by_reorg(chain, blocks):
-    """Commit a shorter losing branch, then reorg onto the stream."""
-    rng = random.Random(99)
-    for height in range(1, 4):
-        chain.append_block(chain.build_block(
-            _txs(rng, f"orphan{height}", 3), timestamp=100 + height))
-    chain.reorg_to(blocks, fork_height=0)
-
-
 PATHS = {
     "append_block": _commit_singly,
     "append_blocks": _commit_grouped,
     "apply_executed_blocks": _commit_worker_deltas,
-    "reorg": _commit_by_reorg,
 }
 
 
@@ -262,7 +251,7 @@ class TestGroupIsNoneOrAll:
             # The failed group is unwound in the live process ...
             assert chain.height == 0
             assert chain.state.state_root() == baseline["state_root"]
-            assert len(chain._block_snaps) == 0
+            assert chain.state.open_snapshots == 0
             storage.close()
             # ... and gone after recovery: no row, no byte.
             chain, storage = _open(directory)
@@ -311,47 +300,58 @@ class TestExpectedStateRoot:
 
 
 # ---------------------------------------------------------------------------
-# Regression: a failed commit leaves no half-applied block, at any depth
+# Regression: a failed commit leaves no half-applied block, at any cut
 # ---------------------------------------------------------------------------
+HISTORIES = pytest.mark.parametrize("history", [0, 70],
+                                    ids=["fresh", "past-64-blocks"])
+
+
 class TestFailedAppendUnwindsAtAnyDepth:
-    """At the parent, ``reorg_journal_depth=0`` took no snapshot on the
+    """Once, a chain that kept no undo journal took no snapshot on the
     single-block path, so a store failure after execution left state
-    *ahead of* the chain."""
+    *ahead of* the chain.  Every cut into the log, on every door that
+    appends one block, must leave state, height and the snapshot stack
+    as they were — on a fresh chain and on one whose history is deeper
+    than the undo journal chains once kept."""
 
     CUTS = (0, 1, 9, 57)
 
-    def _assert_unwound(self, chain, storage, failing_commit, commit):
+    def _assert_unwound(self, chain, storage, failing_commit, commit,
+                        history):
+        for _ in range(history):
+            commit()
+        assert chain.height == history
+        assert chain.state.open_snapshots == 0
         for cut in self.CUTS:
             root = chain.state.state_root()
             height = chain.height
-            journal = len(chain._block_snaps)
             storage.block_log.fail_after_bytes = cut
             with pytest.raises(CrashPoint):
                 failing_commit()
             assert chain.state.state_root() == root
             assert chain.height == height
-            assert len(chain._block_snaps) == journal
-            assert chain.state.open_snapshots == journal
+            assert chain.state.open_snapshots == 0
             commit()                      # the next append succeeds
             assert chain.height == height + 1
             assert chain.state.state_root() != root
+            assert chain.state.open_snapshots == 0
         chain.verify(deep=True)
 
-    @pytest.mark.parametrize("depth", [0, 4])
-    def test_append_block(self, depth, tmp_path):
-        chain, storage = _open(str(tmp_path), depth=depth)
+    @HISTORIES
+    def test_append_block(self, tmp_path, history):
+        chain, storage = _open(str(tmp_path))
         rng = random.Random(3)
 
         def commit():
             chain.append_block(chain.build_block(
                 _txs(rng, f"h{chain.height}", 2)))
 
-        self._assert_unwound(chain, storage, commit, commit)
+        self._assert_unwound(chain, storage, commit, commit, history)
         storage.close()
 
-    @pytest.mark.parametrize("depth", [0, 4])
-    def test_anchor_service_flush(self, depth, tmp_path):
-        chain, storage = _open(str(tmp_path), depth=depth)
+    @HISTORIES
+    def test_anchor_service_flush(self, tmp_path, history):
+        chain, storage = _open(str(tmp_path))
         anchor = AnchorService(chain, batch_size=1000)
         serial = iter(range(10_000))
 
@@ -360,21 +360,81 @@ class TestFailedAppendUnwindsAtAnyDepth:
                             "subject": "ns/x"})
             anchor.flush()
 
-        self._assert_unwound(chain, storage, flush, flush)
+        self._assert_unwound(chain, storage, flush, flush, history)
         storage.close()
 
-    @pytest.mark.parametrize("depth", [0, 4])
-    def test_beacon_anchor_round(self, depth, tmp_path):
+    @HISTORIES
+    def test_beacon_anchor_round(self, tmp_path, history):
         storage = DurableStorage(str(tmp_path))
-        beacon = BeaconChain(storage, _params(depth))
+        beacon = BeaconChain(storage, _params())
         heights = iter(range(1, 10_000))
 
         def anchor_round():
             beacon.anchor_round([(0, next(heights), b"\x11" * 32, b"")])
 
         self._assert_unwound(beacon.chain, storage, anchor_round,
-                             anchor_round)
+                             anchor_round, history)
         storage.close()
+
+
+# ---------------------------------------------------------------------------
+# Counted guard: no snapshot outlives its group
+# ---------------------------------------------------------------------------
+LONG_STREAM = _stream(seed=23, n_blocks=70, txs_per_block=1)
+# Group sizes that cut LONG_STREAM exactly, per path that groups.
+LONG_SIZES = {"apply_executed_blocks": {"sizes": (30, 25, 15)}}
+
+
+class TestNoSnapshotOutlivesItsGroup:
+    """A sealed block is final, so a chain keeps no undo information for
+    it: past 64 committed blocks (the depth of the undo journal chains
+    once kept), every commit path, the reopen replay and a
+    failed-then-retried group leave no open snapshot."""
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["memory", "durable"])
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_every_path_and_the_reopen_replay(self, path, durable,
+                                              tmp_path):
+        directory = str(tmp_path) if durable else None
+        chain, storage = _open(directory, snapshots=False)
+        PATHS[path](chain, LONG_STREAM, **LONG_SIZES.get(path, {}))
+        assert chain.height == len(LONG_STREAM) > 64
+        assert chain.state.open_snapshots == 0
+        if storage is None:
+            chain = Blockchain(_params(), store=chain.store)
+        else:
+            storage.close()
+            chain, storage = _open(directory, snapshots=False)
+        assert chain.blocks_replayed_on_open == len(LONG_STREAM)
+        assert chain.state.open_snapshots == 0
+        if storage is not None:
+            storage.close()
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["memory", "durable"])
+    def test_failed_then_retried_group(self, durable, tmp_path,
+                                       monkeypatch):
+        chain, storage = _open(str(tmp_path) if durable else None)
+        chain.append_blocks(LONG_STREAM[:66])
+        group = LONG_STREAM[66:]
+        if storage is None:
+            def fail(*args, **kwargs):
+                raise CrashPoint("injected store failure")
+
+            monkeypatch.setattr(chain.store, "append_blocks", fail)
+        else:
+            storage.block_log.fail_after_bytes = 9
+        with pytest.raises(CrashPoint):
+            chain.append_blocks(group)
+        assert chain.height == 66
+        assert chain.state.open_snapshots == 0
+        monkeypatch.undo()
+        chain.append_blocks(group)
+        assert chain.height == len(LONG_STREAM)
+        assert chain.state.open_snapshots == 0
+        if storage is not None:
+            storage.close()
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,8 @@ class TestGroupCommit:
         s3.close()
 
     def test_append_blocks_unwinds_without_journal(self, tmp_path):
-        """depth=0 must still get the all-or-nothing group unwind."""
+        """A group whose executor fails inside its second block is
+        unwound all or nothing, and leaves no snapshot open."""
         from repro.chain.receipts import TransactionReceipt
 
         calls = {"n": 0}
@@ -573,8 +574,7 @@ class TestGroupCommit:
                                          timestamp=b + 1)
             template.append_block(block)
             blocks.append(block)
-        chain = Blockchain(ChainParams(chain_id="nz",
-                                       reorg_journal_depth=0),
+        chain = Blockchain(ChainParams(chain_id="nz"),
                            executor=exploding_executor)
         root_before = chain.state.state_root()
         with pytest.raises(RuntimeError):

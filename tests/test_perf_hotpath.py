@@ -14,10 +14,10 @@ These tests pin the contracts the perf layer relies on:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
+from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.chain.state import StateStore
 from repro.crypto.merkle import MerkleTree, verify_proof
-from repro.errors import SealedMutation
+from repro.errors import ChainError, SealedMutation
 
 
 def fresh_tree(leaves):
@@ -173,116 +173,43 @@ class TestIncrementalStateRoot:
         assert [v for _, v in s.items("odd")] == [1, 3, 5, 7, 9]
         assert list(s.items("missing")) == []
 
-    def test_prune_keeps_later_handles_valid(self):
+    def test_release_keeps_changes_in_one_step(self):
+        """The commit group's release: the named frame and every frame
+        above it go at once, their changes stay, and nothing is copied
+        into the frame below (which can no longer undo them)."""
         s = StateStore()
-        h1 = s.snapshot()
+        outer = s.snapshot()
         s.set("ns", "a", 1)
-        h2 = s.snapshot()
+        group = s.snapshot()
         s.set("ns", "b", 2)
-        s.prune_oldest_snapshot()  # h1's undo info is abandoned
-        s.rollback(h2)
-        assert s.get("ns", "a") == 1
-        assert s.get("ns", "b") is None
+        s.snapshot()
+        s.set("ns", "c", 3)
+        s.release_snapshots(group)
+        assert s.open_snapshots == 1
+        s.rollback(outer)
+        assert s.get("ns", "a") is None
+        assert (s.get("ns", "b"), s.get("ns", "c")) == (2, 3)
         assert s.open_snapshots == 0
-        _ = h1  # handle is dead; only nesting errors would reuse it
+        with pytest.raises(ChainError):
+            s.release_snapshots(group)
 
-
-class TestDeepReorgReplayFallback:
-    """Forks deeper than ``reorg_journal_depth`` must fall back to the
-    replay path and still converge to exactly the state a fresh replay
-    produces (PR 1's one untested branch)."""
-
-    JOURNAL_DEPTH = 4
-    CHAIN_LEN = 16
-    FORK_DEPTH = 10       # > JOURNAL_DEPTH -> replay fallback
-
-    def _tx(self, i: int, sender: str = "alice") -> Transaction:
-        # Executed-transaction state only: the replay fallback rebuilds
-        # from a fresh StateStore, so out-of-band writes (a test-fixture
-        # convenience) are deliberately absent here.
-        return Transaction(sender=sender, kind=TxKind.DATA,
-                           payload={"key": f"k{i % 7}", "value": i},
-                           timestamp=i)
-
-    def _build(self, depth: int) -> Blockchain:
-        chain = Blockchain(ChainParams(chain_id="deep-reorg",
-                                       reorg_journal_depth=depth))
-        for i in range(self.CHAIN_LEN):
-            chain.append_block(chain.build_block(
-                [self._tx(i * 3 + j) for j in range(3)], timestamp=i))
-        return chain
-
-    def _fork_suffix(self, chain: Blockchain, fork_height: int) -> list[Block]:
-        suffix = []
-        prev = chain.blocks[fork_height].block_hash
-        for i in range(self.FORK_DEPTH + 1):
-            height = fork_height + 1 + i
-            txs = [self._tx(10_000 + height * 3 + j, sender="forker")
-                   for j in range(3)]
-            block = Block(height, prev, txs, timestamp=height,
-                          proposer="forker")
-            suffix.append(block)
-            prev = block.block_hash
-        return suffix
-
-    def test_deep_fork_converges_and_matches_fresh_replay(self):
-        chain = self._build(self.JOURNAL_DEPTH)
-        fork_height = chain.height - self.FORK_DEPTH
-        suffix = self._fork_suffix(chain, fork_height)
-        orphaned = [tx.tx_id for block in chain.blocks[fork_height + 1:]
-                    for tx in block.transactions]
-        assert self.FORK_DEPTH > self.JOURNAL_DEPTH
-        chain.reorg_to(suffix, fork_height)
-
-        # Reference: replay the winning chain on a fresh instance.
-        fresh = Blockchain(ChainParams(chain_id="deep-reorg"))
-        fresh.blocks = [chain.blocks[0]]
-        for block in chain.blocks[1:]:
-            fresh._commit_block(block)
-
-        assert chain.head.block_hash == fresh.head.block_hash
-        assert chain.height == fork_height + self.FORK_DEPTH + 1
-        assert chain.state.state_root() == fresh.state.state_root()
-        chain.verify(deep=True)
-        for tx_id in orphaned:
-            assert chain.find_transaction(tx_id) is None
-            assert chain.receipt_for(tx_id) is None
-        for block in suffix:
-            for tx in block.transactions:
-                assert chain.find_transaction(tx.tx_id) is not None
-                assert chain.receipt_for(tx.tx_id).block_height == block.height
-
-    def test_replay_fallback_matches_journaled_rollback(self):
-        """Both reorg strategies must land on identical head and state."""
-        shallow = self._build(self.JOURNAL_DEPTH)     # replay path
-        journaled = self._build(64)                   # O(delta) path
-        fork_height = shallow.height - self.FORK_DEPTH
-        shallow.reorg_to(self._fork_suffix(shallow, fork_height),
-                         fork_height)
-        journaled.reorg_to(self._fork_suffix(journaled, fork_height),
-                           fork_height)
-        assert shallow.head.block_hash == journaled.head.block_hash
-        assert shallow.state.state_root() == journaled.state.state_root()
-        assert shallow.receipts.keys() == journaled.receipts.keys()
-
-    def test_deep_reorg_journal_rebuilds_for_future_reorgs(self):
-        """After a replay-fallback reorg, the journal must cover the new
-        tail so the *next* shallow fork takes the O(delta) path."""
-        chain = self._build(self.JOURNAL_DEPTH)
-        fork_height = chain.height - self.FORK_DEPTH
-        chain.reorg_to(self._fork_suffix(chain, fork_height), fork_height)
-        assert len(chain._block_snaps) == self.JOURNAL_DEPTH
-        # A shallow fork now succeeds via the journal (depth 2 <= 4).
-        shallow_fork = chain.height - 2
-        suffix = []
-        prev = chain.blocks[shallow_fork].block_hash
-        for i in range(3):
-            height = shallow_fork + 1 + i
-            block = Block(height, prev,
-                          [self._tx(50_000 + height, sender="again")],
-                          timestamp=height, proposer="again")
-            suffix.append(block)
-            prev = block.block_hash
-        chain.reorg_to(suffix, shallow_fork)
-        assert chain.head.block_hash == suffix[-1].block_hash
-        chain.verify(deep=True)
+    def test_root_after_released_groups_matches_fresh_load(self):
+        """Groups that commit (released) and groups that fail (rolled
+        back), one after another past 64 of them: the incremental root
+        is the root of a store loaded fresh from the surviving entries."""
+        s = StateStore()
+        for group in range(80):
+            handle = s.snapshot()
+            for i in range(3):
+                s.set("ns", f"k{(group * 3 + i) % 11}", group)
+            if group % 4 == 0:
+                s.delete("ns", f"k{group % 11}")
+            if group % 5 == 0:
+                s.rollback(handle)
+            else:
+                s.release_snapshots(handle)
+            assert s.open_snapshots == 0
+        fresh = StateStore()
+        fresh.load_entries(s.dump_entries())
+        assert fresh.state_root() == s.state_root()
+        assert len(fresh) == len(s)

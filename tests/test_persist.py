@@ -1,5 +1,5 @@
 """Durable storage: codec, segment log, crash recovery, backend
-equivalence, reorg truncation, and whole-deployment restarts.
+equivalence, truncation (sync's unwind), and whole-deployment restarts.
 
 The crash suite simulates ``kill -9`` two ways: the segment log's
 fault-injection hook (stops a frame write after N bytes) and literal
@@ -280,7 +280,7 @@ class TestCrashRecovery:
         # State must equal a from-scratch execution of blocks 1..3.
         reference = Blockchain(ChainParams(chain_id="crash"))
         for h in range(1, 4):
-            reference._commit_block(chain2.block_at(h))
+            reference.append_block(chain2.block_at(h))
         assert chain2.state.state_root() == reference.state.state_root()
         storage2.close()
 
@@ -649,7 +649,8 @@ class TestBackendEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Reorg truncation on disk
+# Truncation on disk (snapshot sync's unwind of a tail it failed to
+# install; a live chain never truncates a sealed block)
 # ---------------------------------------------------------------------------
 def _fork_suffix(chain: Blockchain, fork_height: int,
                  length: int) -> list:
@@ -669,66 +670,72 @@ def _fork_suffix(chain: Blockchain, fork_height: int,
     return suffix
 
 
-class TestDurableReorg:
-    @pytest.mark.parametrize("journal_depth,fork_depth", [
-        (8, 3),    # within the journal window: O(delta) undo path
-        (4, 6),    # beyond the window: replay fallback
-    ])
-    def test_reorg_truncates_on_disk(self, tmp_path, journal_depth,
-                                     fork_depth):
-        params = ChainParams(chain_id="reorg",
-                             reorg_journal_depth=journal_depth)
-        storage = DurableStorage(tmp_path)
-        chain = Blockchain(params, store=storage.blocks,
-                           snapshot_store=storage.state)
+def _open_chain(directory, params: ChainParams):
+    storage = DurableStorage(directory)
+    return storage, Blockchain(params, store=storage.blocks,
+                               snapshot_store=storage.state)
+
+
+class TestDurableTruncation:
+    @pytest.mark.parametrize("cut_depth", [3, 6])
+    def test_truncate_above_is_gone_after_a_reopen(self, tmp_path,
+                                                   cut_depth):
+        params = ChainParams(chain_id="truncate")
+        storage, chain = _open_chain(tmp_path, params)
         grow_chain(chain, 10)
-        fork_height = chain.height - fork_depth
-        orphaned = [tx.tx_id
-                    for block in chain.blocks[fork_height + 1:]
-                    for tx in block.transactions]
-        suffix = _fork_suffix(chain, fork_height, fork_depth + 1)
-        chain.reorg_to(suffix, fork_height)
-        head_after = chain.head.block_hash
-        height_after = chain.height
-        root_after = chain.state.state_root()
-        for tx_id in orphaned:
-            assert chain.store.tx_location(tx_id) is None
-            assert chain.receipt_for(tx_id) is None
-        chain.verify(deep=True)
-        chain.close()
+        cut = chain.height - cut_depth
+        kept_head = chain.block_at(cut).block_hash
+        dropped = [tx.tx_id
+                   for block in chain.blocks[cut + 1:]
+                   for tx in block.transactions]
+        storage.blocks.truncate_above(cut)
+        for tx_id in dropped:
+            assert storage.blocks.tx_location(tx_id) is None
+            assert storage.blocks.receipt_for(tx_id) is None
+        storage.close()
 
-        # On-disk truth must agree with the in-memory head after reorg.
-        storage2 = DurableStorage(tmp_path)
-        assert storage2.recovered_blocks == 0
-        reopened = Blockchain(params, store=storage2.blocks,
-                              snapshot_store=storage2.state)
-        assert reopened.height == height_after
-        assert reopened.head.block_hash == head_after
-        assert reopened.state.state_root() == root_after
-        for tx_id in orphaned:
-            assert reopened.store.tx_location(tx_id) is None
-        reopened.verify(deep=True)
-        storage2.close()
+        # On-disk truth agrees after a reopen, and a new tail commits.
+        storage, reopened = _open_chain(tmp_path, params)
+        assert storage.recovered_blocks == 0
+        assert reopened.height == cut
+        assert reopened.head.block_hash == kept_head
+        reopened.append_blocks(_fork_suffix(reopened, cut, cut_depth + 1))
+        head, root = reopened.head.block_hash, reopened.state.state_root()
+        reopened.close()
+        storage, again = _open_chain(tmp_path, params)
+        assert again.head.block_hash == head
+        assert again.state.state_root() == root
+        for tx_id in dropped:
+            assert again.store.tx_location(tx_id) is None
+        again.verify(deep=True)
+        storage.close()
 
-    def test_reorg_discards_snapshot_above_new_head(self, tmp_path):
-        params = ChainParams(chain_id="snapcut", reorg_journal_depth=8)
-        storage = DurableStorage(tmp_path)
-        chain = Blockchain(params, store=storage.blocks,
-                           snapshot_store=storage.state)
+    def test_image_of_a_truncated_block_is_not_restored(self, tmp_path):
+        params = ChainParams(chain_id="snapcut")
+        storage, chain = _open_chain(tmp_path, params)
         grow_chain(chain, 6)
         chain.checkpoint()  # snapshot at height 6
         assert storage.state.snapshot_height() == 6
+        # The same prefix and a new branch from height 2, executed on a
+        # reference chain; the store gets the branch below the chain.
+        reference = Blockchain(params)
         suffix = _fork_suffix(chain, 2, 5)  # new head at height 7 > 6...
-        chain.reorg_to(suffix, 2)
-        # ...but the height-6 image describes the *orphaned* branch.
+        for block in list(chain.blocks[1:3]) + suffix:
+            receipts = reference.append_block(block)
+            if block.height > 2:
+                if block.height == 3:
+                    storage.blocks.truncate_above(2)
+                storage.blocks.append_blocks([(block, receipts)])
+        storage.close()
+        # ...but the height-6 image names a block the store no longer
+        # holds: it is dropped and every block replays.
+        storage, reopened = _open_chain(tmp_path, params)
+        assert reopened.blocks_replayed_on_open == 7
         assert storage.state.snapshot_height() is None
-        chain.close()
-        storage2 = DurableStorage(tmp_path)
-        reopened = Blockchain(params, store=storage2.blocks,
-                              snapshot_store=storage2.state)
-        assert reopened.head.block_hash == chain.head.block_hash
+        assert reopened.head.block_hash == reference.head.block_hash
+        assert reopened.state.state_root() == reference.state.state_root()
         reopened.verify(deep=True)
-        storage2.close()
+        storage.close()
 
 
 # ---------------------------------------------------------------------------

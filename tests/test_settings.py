@@ -32,8 +32,7 @@ RULE = ("the Options rule: a setting needs a production caller that sets "
 
 PINNED = {
     ShardedChain.__init__: {
-        "max_block_txs": 256, "reorg_journal_depth": 64,
-        "anchor_batch_size": 64, "storage_dir": None,
+        "max_block_txs": 256, "anchor_batch_size": 64, "storage_dir": None,
         "checkpoint_every_rounds": 0, "executor": "serial",
         "exec_workers": None, "contract_runtime_factory": None,
         "telemetry": None, "lock_lease_rounds": 16,

@@ -46,37 +46,18 @@ def grow(chain: Blockchain, blocks: int, txs_per_block: int = 3,
         chain.append_block(chain.build_block(txs, timestamp=height))
 
 
-def fork_suffix(chain: Blockchain, fork_height: int, length: int) -> list:
-    from repro.chain.block import Block
-
-    prev = chain.block_at(fork_height)
-    suffix = []
-    for i in range(length):
-        height = fork_height + 1 + i
-        txs = [Transaction("forker", TxKind.DATA,
-                           {"key": f"fork{height}",
-                            "value": height}).seal()]
-        block = Block(height=height, prev_hash=prev.block_hash,
-                      transactions=txs, timestamp=1000 + height,
-                      proposer="forker")
-        suffix.append(block)
-        prev = block
-    return suffix
-
-
-def build_store(directory: str, with_reorg: bool = True) -> dict:
-    """A durable chain whose log carries dead weight: a reorg's orphaned
-    frames plus the pre-reorg suffix rewrites — what compaction exists
-    to reclaim.  Returns the commitments reopen must reproduce."""
-    params = ChainParams(chain_id="tier", reorg_journal_depth=4)
+def build_store(directory: str, dead_weight: bool = True) -> dict:
+    """A durable chain of 18 blocks.  With ``dead_weight``, blocks 0–4
+    are archived but the hot log not compacted, so it still holds their
+    frames — what compaction exists to reclaim.  Returns the commitments
+    reopen must reproduce."""
     storage = DurableStorage(directory)
-    chain = Blockchain(params, store=storage.blocks,
+    chain = Blockchain(ChainParams(chain_id="tier"), store=storage.blocks,
                        snapshot_store=storage.state)
     grow(chain, 18)
-    if with_reorg:
-        suffix = fork_suffix(chain, chain.height - 3, 5)
-        chain.reorg_to(suffix, chain.height - 3)
     chain.checkpoint()
+    if dead_weight:
+        assert storage.archive_blocks(keep_tail=14)["archived"] == 5
     out = {
         "height": chain.height,
         "head": chain.head.block_hash,
@@ -88,9 +69,7 @@ def build_store(directory: str, with_reorg: bool = True) -> dict:
 
 def reopen_and_verify(directory: str, expect: dict) -> None:
     storage = DurableStorage(directory)
-    chain = Blockchain(ChainParams(chain_id="tier",
-                                   reorg_journal_depth=4),
-                       store=storage.blocks,
+    chain = Blockchain(ChainParams(chain_id="tier"), store=storage.blocks,
                        snapshot_store=storage.state)
     assert chain.blocks_replayed_on_open == 0
     assert chain.height == expect["height"]
@@ -122,10 +101,11 @@ class TestCompactionCrash:
         # The index never left the old generation: reopen sweeps the
         # half-written rewrite and everything reads back.
         reopen_and_verify(work, expect)
-        # And the interrupted compaction can simply run again.
+        # And the interrupted compaction can simply run again, and
+        # reclaims the archived blocks' hot frames.
         storage = DurableStorage(work)
         stats = storage.compact()
-        assert stats["bytes_after"] <= stats["bytes_before"]
+        assert stats["bytes_after"] < stats["bytes_before"]
         storage.close()
         reopen_and_verify(work, expect)
 
@@ -145,9 +125,9 @@ class TestCompactionCrash:
         assert os.path.isdir(os.path.join(work, "blocks-log.g1"))
 
     def test_compaction_reclaims_archived_frames(self, base, tmp_path):
-        # Reorg truncation is physical (no dead frames left behind);
-        # the dead weight compaction reclaims comes from archival
-        # moving cold rows to the cold log.
+        # The dead weight compaction reclaims comes from archival moving
+        # cold rows to the cold log — here a second pass on top of the
+        # one build_store left uncompacted.
         source, expect = base
         work = str(tmp_path / "store")
         shutil.copytree(source, work)
@@ -206,7 +186,7 @@ class TestCompactionKeepsRecords:
         storage = DurableStorage(work)
         stats = storage.compact()
         assert stats["generation"] == 1
-        assert stats["bytes_after"] <= stats["bytes_before"]
+        assert stats["bytes_after"] < stats["bytes_before"]
         storage.close()
         self._verify(work, expect, records)
 
@@ -261,7 +241,7 @@ class TestArchivalCrash:
     @pytest.fixture(scope="class")
     def base(self, tmp_path_factory):
         directory = str(tmp_path_factory.mktemp("archive-base") / "store")
-        return directory, build_store(directory, with_reorg=False)
+        return directory, build_store(directory, dead_weight=False)
 
     def _retry_archives_once(self, work: str, expect: dict,
                              already: int) -> None:
@@ -360,7 +340,7 @@ class TestArchivalCrash:
 
 def _sealed_source(store_dir: str) -> ShardedChain:
     """A durable 2-shard facade with 12 sealed rounds of 6 txs."""
-    sc = ShardedChain(2, storage_dir=store_dir, reorg_journal_depth=4)
+    sc = ShardedChain(2, storage_dir=store_dir)
     n = 0
     for r in range(12):
         for _ in range(6):
@@ -387,8 +367,7 @@ class TestPrunedDeployment:
         head = sc.shard(0).chain.head.block_hash
         sc.close()
 
-        pruned = ShardedChain(2, storage_dir=store_dir,
-                              reorg_journal_depth=4)
+        pruned = ShardedChain(2, storage_dir=store_dir)
         for s in range(2):
             chain = pruned.shard(s).chain
             assert chain.blocks_replayed_on_open == 0
@@ -410,7 +389,7 @@ class TestPrunedDeployment:
         assert offer["manifest"]["height"] == heights[0]
         assert offer["manifest"]["block_hash"] == head
         boundary = pruned.shard(0).storage.blocks.archived_boundary()
-        assert boundary is not None
+        assert boundary == heights[0] - 4       # exactly keep_tail hot
         tail = server.tail(0, boundary + 1, 64, heights[0])
         assert len(tail["items"]) == heights[0] - boundary
         with pytest.raises(SyncError, match="archived") as cold:
@@ -472,8 +451,7 @@ def zlib_frame(payload: bytes) -> bytes:
 
 def open_chain(directory: str) -> tuple[DurableStorage, Blockchain]:
     storage = DurableStorage(directory)
-    return storage, Blockchain(ChainParams(chain_id="tier",
-                                           reorg_journal_depth=4),
+    return storage, Blockchain(ChainParams(chain_id="tier"),
                                store=storage.blocks,
                                snapshot_store=storage.state)
 
