@@ -8,7 +8,7 @@ export PYTHONPATH := src
         test-crash test-gateway test-codec test-transport test-verify bench-smoke bench-hotpath bench-shard \
         bench-persist bench-ingest bench-sync bench-exec bench-obs \
         bench-gateway bench-all bench-e2e bench-e2e-compare bench-ab \
-        setup-split lint-private lint-layers loc check
+        setup-split lint-private lint-layers loc census check
 
 # Tier-1 verification: the full test suite.
 test:
@@ -239,7 +239,13 @@ setup-split:
 # Nor may a sealed block be replaced again: no reorg, no undo journal
 # kept past its commit group, and no subscriber that forgets what a
 # sealed block anchored — anywhere in src, tests, benchmarks, examples
-# or tools.
+# or tools.  Nor may a ChainNode keep a chain replica again: it is a
+# SimNet endpoint (frames, served ops, channels, shard_tx), so no
+# block push, local submit, gossip join or tx/block topic handler, no
+# mempool removal or peek, and neither the id factory nor the hash
+# commitment module — anywhere in src, tests, benchmarks, examples or
+# tools; and src/repro builds a Mempool( only in Shard.__init__, the one
+# door admission goes through.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -323,6 +329,13 @@ lint-private:
 	    | grep -vE '^src/repro/(persist/provdb|sharding/shardchain|sync/client)\.py:'
 	@! grep -rnE 'reorg_to|subscribe_reorg|reorg_journal_depth|_block_snaps|forget_above|prune_oldest_snapshot|ForkError|_on_reorg' \
 	    src tests benchmarks examples tools --include='*.py'
+	@! grep -rnE 'push_block|submit_transaction|join_gossip|_gossip_deliver|_handle_tx\b|_handle_block|peek_batch|IdFactory|HashCommitment|open_commitment|mempool\.remove\(' \
+	    src tests benchmarks examples tools --include='*.py'
+	@test -z "$$(find src/repro -name '*.py' | xargs awk \
+	    'FNR == 1 {c = ""; f = ""} /^class /{c = $$2} \
+	    /^(class|def) |^    def /{f = $$0} \
+	    /Mempool\(/ && !(c ~ /^Shard[(:]/ && f ~ /def __init__\(/) \
+	    {print FILENAME ": " $$0}')"
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains
@@ -354,6 +367,14 @@ lint-layers:
 # src/repro — the figure simplicity PRs report against.
 loc:
 	@$(PYTHON) tools/loc.py src/repro
+
+# Call census: run every entry point (e2e workloads traced and untraced,
+# the examples, chaos seeds 11 and 23, the script benches with --smoke,
+# the pytest bench modules) under a profile hook and list, per file, the
+# functions outside the survey packages that none of them entered.
+# Takes several minutes, so it is not part of `make check`.
+census:
+	$(PYTHON) tools/call_census.py --skip '$(SURVEY)'
 
 # CI-style verification in one command: tier-1 tests, the crash suite
 # (kill matrix + the seeded chaos smoke: 3 fault plans, each run twice —

@@ -21,7 +21,6 @@ Quickstart::
 __version__ = "1.0.0"
 
 from .clock import SimClock, SteppingClock
-from .ids import IdFactory
 from .errors import QueueFull, ReproError
 
 from .chain import (
@@ -107,7 +106,6 @@ __all__ = [
     "__version__",
     "SimClock",
     "SteppingClock",
-    "IdFactory",
     "ReproError",
     "Block",
     "Blockchain",

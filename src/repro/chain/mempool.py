@@ -20,9 +20,9 @@ class Mempool:
 
     Dedup and ordering key on ``tx.tx_id``, which the transaction caches
     after first computation — admission is one hash for a fresh
-    transaction and a dict probe for a duplicate.  Removed transactions
-    leave stale heap entries that are skipped lazily; a stale counter
-    keeps :meth:`peek_batch` from sorting the whole heap.
+    transaction and a dict probe for a duplicate.  A transaction leaves
+    the pool only through :meth:`pop_batch`, so every heap entry names a
+    pooled transaction.
     """
 
     def __init__(self, capacity: int = 100_000) -> None:
@@ -32,7 +32,6 @@ class Mempool:
         self._heap: list[tuple[int, int, str]] = []  # (-fee, seq, tx_id)
         self._by_id: dict[str, Transaction] = {}
         self._seq = 0
-        self._stale = 0  # heap entries whose tx was removed
         self.total_accepted = 0
         self.total_rejected = 0
 
@@ -75,44 +74,6 @@ class Mempool:
     def pop_batch(self, max_count: int) -> list[Transaction]:
         """Remove and return up to ``max_count`` transactions in priority
         order (fee desc, then FIFO)."""
-        batch: list[Transaction] = []
-        while self._heap and len(batch) < max_count:
-            _, _, tx_id = heapq.heappop(self._heap)
-            tx = self._by_id.pop(tx_id, None)
-            if tx is not None:  # skip entries removed via `remove`
-                batch.append(tx)
-            else:
-                self._stale -= 1
-        return batch
-
-    def peek_batch(self, max_count: int) -> list[Transaction]:
-        """Return (without removing) the next batch in priority order.
-
-        O(n + k log n) via a partial selection over the heap — at most
-        ``max_count`` plus the known number of stale entries are sorted,
-        not the whole pool.
-        """
-        want = max_count + self._stale
-        batch = []
-        for _, _, tx_id in heapq.nsmallest(want, self._heap):
-            tx = self._by_id.get(tx_id)
-            if tx is not None:
-                batch.append(tx)
-                if len(batch) >= max_count:
-                    break
-        return batch
-
-    def remove(self, tx_ids: Iterable[str]) -> int:
-        """Drop transactions (e.g., already committed by a peer's block)."""
-        removed = 0
-        for tx_id in tx_ids:
-            if self._by_id.pop(tx_id, None) is not None:
-                removed += 1
-        # Stale heap entries are lazily skipped in pop_batch.
-        self._stale += removed
-        return removed
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._by_id.clear()
-        self._stale = 0
+        heap, by_id = self._heap, self._by_id
+        return [by_id.pop(heapq.heappop(heap)[2])
+                for _ in range(min(max_count, len(heap)))]

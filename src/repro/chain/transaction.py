@@ -369,13 +369,31 @@ class Transaction:
         return ok
 
     def validate(self, require_signature: bool = False) -> None:
-        """Structural validation; raises :class:`InvalidTransaction`."""
-        if not self.sender:
+        """Structural validation; raises :class:`InvalidTransaction`.
+
+        ``sender`` is a non-empty ``str``; ``fee``, ``nonce`` and
+        ``timestamp`` are each exactly an ``int`` (not a ``bool``) and
+        ``>= 0``; ``payload`` is a mapping.  A mistyped field from a
+        remote peer is refused here, not raised later as a bare
+        ``TypeError`` out of whatever compares it."""
+        d = self.__dict__
+        sender = d["sender"]
+        if type(sender) is not str or not sender:
             raise InvalidTransaction("transaction has no sender")
-        if self.fee < 0:
-            raise InvalidTransaction("negative fee")
-        if self.nonce < 0:
-            raise InvalidTransaction("negative nonce")
+        fee, nonce, timestamp = d["fee"], d["nonce"], d["timestamp"]
+        if not (type(fee) is int and type(nonce) is int
+                and type(timestamp) is int
+                and fee >= 0 and nonce >= 0 and timestamp >= 0):
+            raise InvalidTransaction(
+                f"fee, nonce and timestamp must be ints >= 0, got "
+                f"{fee!r}, {nonce!r}, {timestamp!r}")
+        payload = d["payload"]
+        # The exact-type tests keep isinstance's ABC walk off the
+        # admission hot path.
+        if type(payload) is not MappingProxyType \
+                and type(payload) is not dict \
+                and not isinstance(payload, Mapping):
+            raise InvalidTransaction("payload is not a mapping")
         if require_signature and not self.verify_signature():
             raise InvalidTransaction(
                 f"transaction {self.tx_id[:12]} is unsigned or badly signed"

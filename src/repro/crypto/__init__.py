@@ -1,9 +1,10 @@
 """Cryptographic primitives for the provenance library.
 
-Hashing is real SHA-256.  Signatures and commitments are *API-faithful
-simulations* built on keyed hashing: they preserve the verify/forge
-semantics the higher layers rely on, but are not production cryptography
-(see DESIGN.md §2).
+Hashing is real SHA-256.  Signatures are an *API-faithful simulation*
+built on keyed hashing: they preserve the verify/forge semantics the
+higher layers rely on, but are not production cryptography (see
+DESIGN.md §2).  The Pedersen commitments the range proofs need live in
+:mod:`repro.privacy`.
 """
 
 from .hashing import (
@@ -20,7 +21,6 @@ from .hashing import (
 from .merkle import MerkleProof, MerkleTree, verify_proof
 from .distributed_merkle import CaseForest, ForestProof
 from .signatures import KeyPair, PrivateKey, PublicKey, sign, verify
-from .commitment import HashCommitment, commit, open_commitment
 
 __all__ = [
     "DOMAIN_BLOCK",
@@ -42,7 +42,4 @@ __all__ = [
     "PublicKey",
     "sign",
     "verify",
-    "HashCommitment",
-    "commit",
-    "open_commitment",
 ]

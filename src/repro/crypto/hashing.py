@@ -22,7 +22,7 @@ DOMAIN_TX = b"\x02"
 DOMAIN_BLOCK = b"\x03"
 DOMAIN_RECORD = b"\x04"
 DOMAIN_SIG = b"\x05"
-DOMAIN_COMMIT = b"\x06"
+# b"\x06" (hash commitments) is retired and never reassigned.
 DOMAIN_KEY = b"\x07"
 DOMAIN_XCHAIN = b"\x08"
 DOMAIN_SHARD = b"\x09"

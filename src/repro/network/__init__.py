@@ -2,9 +2,11 @@
 
 A deterministic discrete-event network: messages between registered nodes
 are delayed by a seeded latency model, can be dropped, and respect
-partitions.  Consensus engines and cross-chain protocols run on top of it,
-so their message counts and latency profiles are measurable without real
-sockets.
+partitions.  The Raft and PBFT simulations run on top of it, so their
+message counts and latency profiles are measurable without real sockets;
+:class:`ChainNode` is the endpoint the sync gateway, shard replicas and
+the chaos harness use (served ops, channels, ``shard_tx`` into a sharded
+chain).
 """
 
 from .message import NetMessage

@@ -1,10 +1,11 @@
 """Gossip (flooding) dissemination protocol.
 
 Public-chain style propagation: a node that first sees an item forwards it
-to ``fanout`` random peers; duplicates are ignored.  Used for transaction
-and block propagation in the consensus benches, and to measure coverage
-versus message overhead (the dissemination trade-off the paper's
-evaluation axis "network size" touches).
+to ``fanout`` random peers; duplicates are ignored.  The EVAL-NET bench
+(``benchmarks/bench_eval_network.py``) and ``tests/test_network.py`` use
+it to measure coverage versus message overhead (the dissemination
+trade-off the paper's evaluation axis "network size" touches); each
+registers a SimNet handler per node that calls :meth:`~GossipProtocol.handle`.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ OnDeliver = Callable[[str, dict], None]
 class GossipProtocol:
     """Flooding gossip among a fixed peer set.
 
-    Each participating node must call :meth:`attach` once; the protocol
-    registers per-node message handling under the ``"gossip"`` topic
-    namespace through the node's own dispatcher, so it composes with other
-    traffic on the same :class:`SimNet`.
+    Each participating node must call :meth:`attach` once, and its SimNet
+    handler passes ``"gossip"`` messages to :meth:`handle`, so the mesh
+    composes with other traffic on the same :class:`SimNet`.
     """
 
     def __init__(self, net: SimNet, fanout: int = 4, seed: int = 0) -> None:
@@ -57,7 +57,7 @@ class GossipProtocol:
         self._forward(origin, item_id, body, exclude=origin)
 
     def handle(self, node_id: str, msg: NetMessage) -> None:
-        """Entry point a node's dispatcher calls for gossip messages; a
+        """Entry point a node's handler calls for gossip messages; a
         body without a string ``item_id`` and a mapping ``payload`` is
         dropped and counted as ``malformed``."""
         item_id = msg.body.get("item_id")

@@ -22,7 +22,7 @@ class NetMessage:
     """A typed message between two simulated nodes.
 
     ``topic`` routes the message to a handler on the receiving node
-    (e.g. ``"tx"``, ``"block"``, ``"pbft/prepare"``, ``"bridge/vote"``).
+    (e.g. ``"shard_tx"``, ``"raft/append"``, ``"pbft/prepare"``).
     ``body`` is a canonically encodable mapping: :meth:`SimNet.send
     <repro.network.simnet.SimNet.send>` encodes it once, sizes the
     message by that encoding, and every delivery hands the recipient a
@@ -55,8 +55,7 @@ def block_from_body(body: Mapping) -> Block | None:
 
 def tx_body(tx: Transaction) -> dict:
     """The body that carries ``tx``: the bytes a block frame embeds for
-    it (:func:`~repro.persist.codec.transaction_embedded`), so a gossip
-    hop forwards them as it got them."""
+    it (:func:`~repro.persist.codec.transaction_embedded`)."""
     return {"tx": canonical_encode(transaction_embedded(tx))}
 
 

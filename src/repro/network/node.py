@@ -1,15 +1,15 @@
-"""A blockchain node: chain replica + mempool + message dispatch.
+"""A SimNet endpoint: frame dispatch, served ops, channels, ``shard_tx``.
 
-``ChainNode`` is the unit the consensus clusters coordinate.  Each node
-holds its own :class:`~repro.chain.blockchain.Blockchain` replica and
-mempool; the consensus layer decides when a node may seal a block and how
-commits propagate.
+``ChainNode`` is what every networked caller uses: the snapshot-sync
+gateway, each :class:`~repro.sync.replica.ShardReplica`, and the chaos
+harness's gateway and client.  It holds no chain of its own; a node
+that fronts a :class:`~repro.sharding.shardchain.ShardedChain` routes
+``shard_tx`` into it (:meth:`ChainNode.serve_shards`).
 
 Nodes share bytes, never objects: :class:`SimNet` encodes every body
-and delivers a decoded copy.  One-way topics carry a transaction as
-:func:`~repro.network.message.tx_body` (``tx``, ``shard_tx``, gossip)
-and a block as :func:`~repro.network.message.block_body` (``block``);
-a handler drops what it cannot decode or admit and counts it in
+and delivers a decoded copy.  The one-way ``shard_tx`` topic carries a
+transaction as :func:`~repro.network.message.tx_body`; the handler drops
+what it cannot decode or admit and counts it in
 ``net_messages_refused_total{topic, reason}``.  Anything that expects
 an answer speaks :mod:`repro.rpc`'s frame grammar, and this module is
 its SimNet carrier:
@@ -26,47 +26,29 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..chain import Block, Blockchain, ChainParams, Mempool, Transaction
+from ..chain import Transaction
 from ..errors import ChainError, GatewayError, QueueFull, ShardError
 from ..net_retry import RetryPolicy, count_retry
 from ..obs.runtime import telemetry as default_telemetry
 from ..rpc import OP_OPS, Call, Service, Session, ops_handler
-from .gossip import GossipProtocol
-from .message import (
-    NetMessage,
-    block_body,
-    block_from_body,
-    tx_body,
-    tx_from_body,
-)
+from .message import NetMessage, tx_body, tx_from_body
 from .simnet import SimNet
 
 TopicHandler = Callable[[NetMessage], None]
 
 
 class ChainNode:
-    """One network participant maintaining a chain replica."""
+    """One network participant: a SimNet endpoint."""
 
-    def __init__(
-        self,
-        node_id: str,
-        net: SimNet,
-        params: ChainParams | None = None,
-        region: str = "default",
-    ) -> None:
+    def __init__(self, node_id: str, net: SimNet) -> None:
         self.node_id = node_id
         self.net = net
-        self.chain = Blockchain(params)
-        self.mempool = Mempool()
         self._topic_handlers: dict[str, TopicHandler] = {}
-        self.gossip: GossipProtocol | None = None
         self._sharded = None       # set by serve_shards()
         self.service = Service()   # filled by serve()
         self._seq = 0              # request seqs, unique per node
         self._waiting: SimChannel | None = None
-        net.register(node_id, self.dispatch, region=region)
-        self.on_topic("tx", self._handle_tx)
-        self.on_topic("block", self._handle_block)
+        net.register(node_id, self.dispatch)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -95,39 +77,26 @@ class ChainNode:
             if waiting is not None and msg.sender == waiting.peer:
                 waiting.pending.feed(reply)
             return      # nobody is waiting: a straggler, dropped
-        if msg.topic == "gossip" and self.gossip is not None:
-            self.gossip.handle(self.node_id, msg)
-            return
         handler = self._topic_handlers.get(msg.topic)
         if handler is not None:
             handler(msg)
         # Unknown topics are silently ignored, as on a real P2P network.
 
-    def join_gossip(self, gossip: GossipProtocol) -> None:
-        self.gossip = gossip
-        gossip.attach(self.node_id, self._gossip_deliver)
-
-    def _gossip_deliver(self, item_id: str, body: dict) -> None:
-        # A mesh may carry items other than transactions; only a
-        # ``tx_body`` is this node's to admit.
-        if "tx" in body:
-            self._admit("gossip", body, self.mempool.add)
-
     # ------------------------------------------------------------------
-    # Built-in handlers
+    # Admission
     # ------------------------------------------------------------------
-    def _admit(self, topic: str, body: dict,
-               submit: Callable[[Transaction], object]) -> None:
-        """Hand the transaction ``body`` carries to ``submit``.  What
-        cannot be decoded or admitted is dropped and counted, never
-        raised: a reject is the sender's problem to retry, not grounds
-        to abort the network's event loop."""
-        tx = tx_from_body(body)
+    def _admit(self, msg: NetMessage) -> None:
+        """Route the transaction a ``shard_tx`` body carries into the
+        fronted sharded chain.  What cannot be decoded or admitted is
+        dropped and counted, never raised: a reject is the sender's
+        problem to retry, not grounds to abort the network's event
+        loop."""
+        tx = tx_from_body(msg.body)
         if tx is None:
             reason = "malformed"
         else:
             try:
-                submit(tx)
+                self._sharded.submit(tx)
                 return
             except QueueFull:
                 reason = "full"
@@ -136,25 +105,7 @@ class ChainNode:
                     else "malformed"
             except ChainError:
                 reason = "malformed"
-        self.net.refuse(topic, reason)
-
-    def _handle_tx(self, msg: NetMessage) -> None:
-        self._admit(msg.topic, msg.body, self.mempool.add)
-
-    def _handle_shard_tx(self, msg: NetMessage) -> None:
-        # A gateway node fronting a sharded chain routes client
-        # transactions into the right shard's mempool.
-        self._admit(msg.topic, msg.body, self._sharded.submit)
-
-    def _handle_block(self, msg: NetMessage) -> None:
-        # Direct block push, used by the simpler consensus engines;
-        # structural validation runs in append_block.
-        block = block_from_body(msg.body)
-        if block is None:
-            self.net.refuse(msg.topic, "malformed")
-        elif block.height == self.chain.height + 1:
-            self.chain.append_block(block)
-            self.mempool.remove(tx.tx_id for tx in block.transactions)
+        self.net.refuse(msg.topic, reason)
 
     # ------------------------------------------------------------------
     # Client-side operations
@@ -189,7 +140,7 @@ class ChainNode:
         :meth:`~repro.sharding.shardchain.ShardedChain.health_report`
         rollup."""
         self._sharded = sharded_chain
-        self.on_topic("shard_tx", self._handle_shard_tx)
+        self.on_topic("shard_tx", self._admit)
         self.serve(Service({OP_OPS: ops_handler(
             sharded_chain.telemetry, node=self.node_id,
             health=sharded_chain.health_report,
@@ -206,18 +157,6 @@ class ChainNode:
             NetMessage(sender=self.node_id, recipient=gateway_id,
                        topic="shard_tx", body=tx_body(tx))
         )
-
-    def submit_transaction(self, tx: Transaction, gossip: bool = False) -> None:
-        """Accept a client transaction locally and optionally gossip it."""
-        self.mempool.add(tx)
-        if gossip and self.gossip is not None:
-            self.gossip.publish(
-                self.node_id, f"tx:{tx.tx_id}", tx_body(tx)
-            )
-
-    def push_block(self, block: Block) -> None:
-        """Send a committed block to every peer (proposer's broadcast)."""
-        self.net.broadcast(self.node_id, "block", block_body(block))
 
 
 class SimChannel:

@@ -200,10 +200,6 @@ class SimNet:
             self._departed.add(node_id)
         self._regions.pop(node_id, None)
 
-    @property
-    def node_ids(self) -> list[str]:
-        return sorted(self._handlers)
-
     def partition(self, *groups: Iterable[str]) -> None:
         """Split the network: messages may only flow within a group.
 
@@ -304,13 +300,6 @@ class SimNet:
         heapq.heappush(self._queue, (deliver_at, self._seq, msg, data))
         self._seq += 1
         return True
-
-    def broadcast(self, sender: str, topic: str, body: dict) -> None:
-        """Send to every registered node except ``sender``."""
-        for node_id in self.node_ids:
-            if node_id != sender:
-                self.send(NetMessage(sender=sender, recipient=node_id,
-                                     topic=topic, body=body))
 
     # ------------------------------------------------------------------
     # Event loop

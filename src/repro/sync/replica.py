@@ -1,9 +1,9 @@
 """Shard replica: a durable shard stack stood up by snapshot sync.
 
-``ShardReplica`` owns a network identity (a
-:class:`~repro.network.node.ChainNode`), a store directory, and — after
-:meth:`catch_up` — a fully opened :class:`~repro.sharding.shardchain.
-Shard` stack (chain + provenance database + anchor service + query
+``ShardReplica`` owns a SimNet endpoint (a
+:class:`~repro.network.node.ChainNode` that serves ``ops``), a store
+directory, and — after :meth:`catch_up` — a fully opened
+:class:`~repro.sharding.shardchain.Shard` stack (chain + provenance database + anchor service + query
 engine) at the source's beacon-verified head, with **zero** genesis
 replay: the chain reopens from the synced state snapshot
 (``blocks_replayed_on_open == 0``).

@@ -17,6 +17,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain import Blockchain, ChainParams, Mempool, Transaction, TxKind
 from repro.errors import InvalidTransaction, QueueFull, ShardError
@@ -225,6 +226,56 @@ def test_submit_many_raises_after_admitting_what_came_before():
         sharded.submit_many(good[:2] + [bad] + good[2:])
     assert sharded.shard(0).backlog == 2
     assert good[2].tx_id not in sharded.shard(0).mempool
+
+
+# ---------------------------------------------------------------------------
+# A mistyped field is an InvalidTransaction, never a bare TypeError
+# ---------------------------------------------------------------------------
+INT_FIELDS = ("fee", "nonce", "timestamp")
+NOT_AN_INT = st.one_of(st.text(max_size=3), st.binary(max_size=3),
+                       st.floats(allow_nan=False), st.booleans(), st.none(),
+                       st.integers(max_value=-1))
+MISTYPED = st.one_of(
+    st.tuples(st.just("sender"),
+              st.one_of(st.just(""), st.integers(), st.binary(max_size=3),
+                        st.none())),
+    st.tuples(st.sampled_from(INT_FIELDS), NOT_AN_INT),
+)
+
+
+def mistyped_tx(field: str, value, i: int = 0) -> Transaction:
+    fields = {"sender": "alice", "kind": TxKind.DATA,
+              "payload": {"subject": "t0/obj", "key": f"k{i}", "value": i},
+              "timestamp": i, field: value}
+    return Transaction(**fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MISTYPED, st.booleans())
+def test_pipeline_quarantines_a_mistyped_field(mistyped, sealed):
+    # The payload is not mistyped here: the router reads it at submit,
+    # before any validation (and a sealed one is already a mapping).
+    tx = mistyped_tx(*mistyped)
+    pipe = IngestPipeline(ShardedChain(1))
+    pipe.submit(tx.seal() if sealed else tx)
+    pipe.pump()
+    assert pipe.stats.invalid == 1
+    assert len(pipe.sharded.shard(0).mempool) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    MISTYPED,
+    st.tuples(st.just("payload"),
+              st.lists(st.tuples(st.text(max_size=3), st.integers()),
+                       max_size=2)),
+))
+def test_append_blocks_refuses_a_mistyped_field(mistyped):
+    chain = Blockchain()
+    block = chain.build_block([mistyped_tx(*mistyped)])
+    with pytest.raises(InvalidTransaction):
+        chain.append_blocks([block])
+    assert chain.height == 0
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,29 @@ class TestTransaction:
         with pytest.raises(InvalidTransaction):
             tx.validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("sender", ""), ("sender", 7), ("sender", b"a"), ("sender", None),
+        ("fee", "1"), ("fee", True), ("fee", 1.0), ("fee", b"\x01"),
+        ("nonce", "x"), ("nonce", -1), ("nonce", False),
+        ("timestamp", None), ("timestamp", -5), ("timestamp", 2.5),
+        ("payload", [("k", 1)]), ("payload", "k=1"),
+    ])
+    def test_validate_refuses_a_mistyped_field(self, field, value):
+        fields = {"sender": "a", "kind": TxKind.DATA, "payload": {"k": 1},
+                  field: value}
+        tx = Transaction(**fields)
+        with pytest.raises(InvalidTransaction):
+            tx.validate()
+        if field != "payload":      # sealing copies the payload to a dict
+            with pytest.raises(InvalidTransaction):
+                tx.seal().validate()
+
+    def test_validate_accepts_zero_ints_and_a_sealed_payload(self):
+        tx = Transaction(sender="a", kind=TxKind.DATA, payload={"k": 1},
+                         fee=0, nonce=0, timestamp=0)
+        tx.validate()
+        tx.seal().validate()
+
     def test_validate_requires_signature_when_asked(self):
         tx = Transaction(sender="a", kind=TxKind.DATA, payload={})
         with pytest.raises(InvalidTransaction):
@@ -360,22 +383,3 @@ class TestMempool:
         pool.add(make_tx(2))
         with pytest.raises(InvalidTransaction):
             pool.add(make_tx(3))
-
-    def test_remove_then_pop_skips_stale(self, make_tx):
-        from repro.chain import Mempool
-
-        pool = Mempool()
-        tx1, tx2 = make_tx(1), make_tx(2)
-        pool.add(tx1)
-        pool.add(tx2)
-        pool.remove([tx1.tx_id])
-        batch = pool.pop_batch(5)
-        assert [t.tx_id for t in batch] == [tx2.tx_id]
-
-    def test_peek_does_not_remove(self, make_tx):
-        from repro.chain import Mempool
-
-        pool = Mempool()
-        pool.add(make_tx(1))
-        assert len(pool.peek_batch(5)) == 1
-        assert len(pool) == 1

@@ -1,9 +1,8 @@
-"""Hash chains, distributed Merkle forest, signatures, commitments."""
+"""Hash chains, distributed Merkle forest, signatures."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.commitment import commit, open_commitment
 from repro.crypto.distributed_merkle import CaseForest
 from repro.crypto.hashing import HashChain, ZERO_HASH, hash_bytes
 from repro.crypto.signatures import KeyPair, sign, verify, verify_or_raise
@@ -144,22 +143,3 @@ class TestSignatures:
         kp = KeyPair.generate("x")
         with pytest.raises(InvalidSignature):
             verify_or_raise("m", b"\x00" * 32, kp.public)
-
-
-class TestHashCommitments:
-    def test_open_roundtrip(self):
-        commitment, salt = commit({"v": 42}, seed="s")
-        assert open_commitment(commitment, {"v": 42}, salt)
-
-    def test_wrong_value_fails(self):
-        commitment, salt = commit(42, seed="s")
-        assert not open_commitment(commitment, 43, salt)
-
-    def test_wrong_salt_fails(self):
-        commitment, _ = commit(42, seed="s")
-        assert not open_commitment(commitment, 42, b"\x01" * 32)
-
-    def test_hiding_different_salts_differ(self):
-        c1, _ = commit(42, seed="s1")
-        c2, _ = commit(42, seed="s2")
-        assert c1.digest != c2.digest

@@ -177,15 +177,19 @@ class TestEngineContract:
             assert cell[key] == serial_runs[1][key], key
 
 
-def unsigned_backlog(sc: ShardedChain, shard_ids: list[int]) -> None:
-    sc.submit_many([
-        Transaction(sender=f"acct-{s}", kind=TxKind.DATA,
-                    payload={"namespace": NAMESPACES[s],
-                             "key": f"k{i}", "value": i},
-                    nonce=i, timestamp=10 + i,
-                    fee=s * TXS_PER_SHARD + i).seal()
-        for s in shard_ids for i in range(TXS_PER_SHARD)
-    ])
+def unsigned_backlog(sc: ShardedChain,
+                     shard_ids: list[int]) -> dict[int, list[Transaction]]:
+    """Submit TXS_PER_SHARD unsigned transactions to each shard; returns
+    them per shard."""
+    backlog = {s: [Transaction(sender=f"acct-{s}", kind=TxKind.DATA,
+                               payload={"namespace": NAMESPACES[s],
+                                        "key": f"k{i}", "value": i},
+                               nonce=i, timestamp=10 + i,
+                               fee=s * TXS_PER_SHARD + i).seal()
+                   for i in range(TXS_PER_SHARD)]
+               for s in shard_ids}
+    sc.submit_many([tx for txs in backlog.values() for tx in txs])
+    return backlog
 
 
 @pytest.mark.parametrize("executor", ENGINES)
@@ -194,11 +198,10 @@ def test_every_failed_shard_is_counted_and_the_first_is_raised(executor):
     sc = ShardedChain(N_SHARDS, executor=executor, exec_workers=2,
                       telemetry=telemetry)
     victims = [VICTIM, N_SHARDS - 1]
-    unsigned_backlog(sc, list(range(N_SHARDS)))
+    backlog = unsigned_backlog(sc, list(range(N_SHARDS)))
     for sid in victims:
         sc.shard(sid).chain.params.require_signatures = True
-    first_ids = [tx.tx_id[:12] for tx in
-                 sc.shard(victims[0]).mempool.peek_batch(TXS_PER_SHARD)]
+    first_ids = [tx.tx_id[:12] for tx in backlog[victims[0]]]
     with pytest.raises(InvalidTransaction) as caught:
         sc.seal_round()
     # The error raised is the first failed shard's, in shard order.

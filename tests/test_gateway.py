@@ -394,6 +394,34 @@ class TestWireBackpressure:
         assert sealed == n_clients * per_client
         assert counter_of(server, "gateway_txs_rejected_total") > 0
 
+    def test_a_mistyped_field_cannot_stop_the_sealer(self):
+        # An unsealed transaction whose nonce is a str is acked; the
+        # sealer's admission must quarantine it, admit its batch-mates
+        # and keep sealing what later frames bring.
+        sharded, pipe, server = make_stack(n_shards=2, auto_seal=True)
+        bad = Transaction(sender="alice", kind=TxKind.DATA,
+                          payload={"subject": "t0/obj", "key": "bad"},
+                          nonce="x")
+        good = [data_tx(i, fee=i) for i in range(7)]
+
+        async def scenario():
+            host, port = await server.start()
+            async with await AsyncGatewayClient.connect(
+                    host, port) as client:
+                first = await client.submit([good[0], bad, good[1]])
+                assert first.queued == 3
+                await asyncio.sleep(0.05)
+                later = await client.submit(good[2:])
+                assert later.queued == 5
+            await server.drain()
+
+        asyncio.run(scenario())
+        sealed = {tx.tx_id for s in sharded.shards
+                  for b in s.chain.blocks[1:] for tx in b.transactions}
+        assert sealed == {tx.tx_id for tx in good}
+        assert list(pipe.invalid_txs) == [bad]
+        assert counter_of(server, "gateway_seal_errors_total") == 0
+
     def test_budget_exhaustion_hands_back_pending(self):
         # No sealer: the queue never frees, so the retry budget runs
         # out — the still-pending transactions must come back on the
@@ -648,11 +676,10 @@ class TestDrain:
     def test_duplicate_topic_guard_still_protects_simnet_gateway(self):
         # The on_topic audit rides along: a ChainNode fronting a facade
         # refuses a second, different claimant for its topics.
-        from repro.chain import ChainParams
         from repro.network import ChainNode, SimNet
 
         net = SimNet(seed=3)
-        node = ChainNode("gw", net, ChainParams(chain_id="g"))
+        node = ChainNode("gw", net)
         sharded = ShardedChain(n_shards=2)
         node.serve_shards(sharded)
         node.serve_shards(sharded)   # idempotent

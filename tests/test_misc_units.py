@@ -1,4 +1,4 @@
-"""Utility modules: clocks, id factories, event log, metrics, plus a
+"""Utility modules: clocks, event log, metrics, plus a
 stateful property test of StateStore snapshot semantics."""
 
 import pytest
@@ -16,7 +16,6 @@ from repro.chain import Blockchain, Transaction, TxKind
 from repro.chain.state import StateStore
 from repro.clock import SimClock, SteppingClock
 from repro.contracts import EventLog
-from repro.ids import IdFactory
 
 
 class TestClocks:
@@ -42,28 +41,6 @@ class TestClocks:
     def test_stepping_clock_rejects_zero_step(self):
         with pytest.raises(ValueError):
             SteppingClock(step=0)
-
-
-class TestIdFactory:
-    def test_sequential_per_prefix(self):
-        ids = IdFactory()
-        assert ids.next("tx") == "tx-000000"
-        assert ids.next("tx") == "tx-000001"
-        assert ids.next("block") == "block-000000"
-
-    def test_issued_counts(self):
-        ids = IdFactory()
-        ids.next("a")
-        ids.next("a")
-        assert ids.issued("a") == 2
-        assert ids.issued("never") == 0
-
-    def test_hashed_ids_deterministic_per_seed(self):
-        a = IdFactory(seed=5).next("tx", hashed=True)
-        b = IdFactory(seed=5).next("tx", hashed=True)
-        c = IdFactory(seed=6).next("tx", hashed=True)
-        assert a == b
-        assert a != c
 
 
 class TestEventLog:

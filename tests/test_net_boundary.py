@@ -8,12 +8,12 @@ makes of each body is what the message costs (carrier).
 
 import pytest
 
-from repro.chain import ChainParams, Mempool, Transaction, TxKind
-from repro.consensus import PBFTCluster, ProofOfAuthority, RaftCluster
+from repro.chain import Transaction, TxKind
+from repro.consensus import PBFTCluster, RaftCluster
 from repro.crypto.signatures import KeyPair
 from repro.errors import SerializationError, TamperDetected
 from repro.network import ChainNode, GossipProtocol, NetMessage, SimNet
-from repro.network.message import block_body, tx_body
+from repro.network.message import block_body, tx_body, tx_from_body
 from repro.obs.runtime import Telemetry
 from repro.serialization import canonical_encode
 from repro.sharding import ShardedChain
@@ -51,16 +51,6 @@ def _assert_isolated(chains):
         chain.verify(deep=True)
 
 
-def _mesh(n=4):
-    net = _net(9)
-    gossip = GossipProtocol(net, fanout=3, seed=9)
-    nodes = [ChainNode(f"node-{i}", net, ChainParams(chain_id="mesh"))
-             for i in range(n)]
-    for node in nodes:
-        node.join_gossip(gossip)
-    return net, nodes
-
-
 class TestIsolation:
     def test_raft_followers_and_recovered_node_hold_own_copies(self):
         cluster = RaftCluster(_net(), n_nodes=3)
@@ -80,29 +70,11 @@ class TestIsolation:
         assert set(cluster.heights().values()) == {2}
         _assert_isolated([r.chain for r in cluster.replicas])
 
-    def test_pushed_block_and_gossiped_tx_are_copies(self):
-        net, nodes = _mesh()
-        tx = data_tx(1)
-        nodes[1].submit_transaction(tx, gossip=True)
-        net.run()
-        pooled = [node.mempool.pop_batch(10)[0] for node in nodes]
-        assert pooled[1] is tx
-        assert len({id(t) for t in pooled}) == len(nodes)
-        assert {t.tx_id for t in pooled} == {tx.tx_id}
-        engine = ProofOfAuthority([node.node_id for node in nodes])
-        block, _ = engine.seal(nodes[1].chain, [tx])
-        nodes[1].chain.append_block(block)
-        nodes[1].push_block(block)
-        net.run()
-        chains = [node.chain for node in nodes]
-        assert {c.height for c in chains} == {1}
-        _assert_isolated(chains)
-
 
 class TestSealedTransactionsCross:
-    """A sealed transaction, signed or not, is admitted by every peer it
-    reaches on ``tx``, ``shard_tx`` and gossip, seal and signature
-    intact."""
+    """A sealed transaction, signed or not, crosses gossip to every peer
+    and is admitted by the shard a ``shard_tx`` reaches, seal and
+    signature intact, as each receiver's own copy."""
 
     PAIR = KeyPair.generate("net-boundary")
 
@@ -118,43 +90,42 @@ class TestSealedTransactionsCross:
             assert got.verify_signature()
 
     def test_gossip_reaches_every_peer(self):
-        net, nodes = _mesh()
+        net = _net(9)
+        gossip = GossipProtocol(net, fanout=3, seed=9)
+        received = {f"node-{i}": [] for i in range(4)}
+        for node_id, got in received.items():
+            net.register(node_id,
+                         lambda msg, nid=node_id: gossip.handle(nid, msg))
+            gossip.attach(node_id, lambda item, payload, got=got:
+                          got.append(tx_from_body(payload)))
         for tx in self._sealed():
-            nodes[0].submit_transaction(tx, gossip=True)
+            gossip.publish("node-0", tx.tx_id, tx_body(tx))
             net.run()
-            for node in nodes[1:]:
-                self._assert_same(node.mempool.pop_batch(10)[0], tx)
+            for node_id in list(received)[1:]:
+                self._assert_same(received[node_id].pop(), tx)
         assert _no_refusals(net)
 
-    def test_tx_and_shard_tx(self):
-        net, nodes = _mesh(2)
+    def test_shard_tx(self):
+        net = _net()
         sharded = ShardedChain(2)
+        client = ChainNode("client", net)
         ChainNode("gw", net).serve_shards(sharded)
         for tx in self._sealed():
-            net.send(NetMessage("node-0", "node-1", "tx", tx_body(tx)))
-            nodes[0].send_shard_transaction("gw", tx)
+            client.send_shard_transaction("gw", tx)
             net.run()
-            self._assert_same(nodes[1].mempool.pop_batch(10)[0], tx)
             shard = sharded.shard(sharded.router.route(tx))
             self._assert_same(shard.mempool.pop_batch(10)[0], tx)
         assert _no_refusals(net)
 
 
 class TestFailClosed:
-    """A truncated block frame or a garbled transaction body is dropped
+    """A truncated block frame, a garbled or mistyped ``shard_tx`` body
+    or a gossip item without a str id or a mapping payload is dropped
     and counted; the event loop returns normally."""
 
     def _truncated(self, chain):
         frame = block_body(chain.build_block([data_tx(1)]))["block"]
         return frame[:-3]
-
-    def test_block(self):
-        net, nodes = _mesh(2)
-        net.send(NetMessage("node-0", "node-1", "block",
-                            {"block": self._truncated(nodes[0].chain)}))
-        net.run()
-        assert nodes[1].chain.height == 0
-        assert _refused(net, "block") == 1
 
     def test_raft_append(self):
         cluster = RaftCluster(_net(), n_nodes=3)
@@ -186,40 +157,48 @@ class TestFailClosed:
                                  "timestamp": 0})},
     ])
     def test_tx(self, body):
-        net, nodes = _mesh(2)
-        net.send(NetMessage("node-0", "node-1", "tx", body))
-        net.run()
-        assert len(nodes[1].mempool) == 0
-        assert _refused(net, "tx") == 1
-
-    def test_shard_tx(self):
+        # A garbled transaction body; ``shard_tx`` is the one topic
+        # that carries a transaction.
         net = _net()
         sharded = ShardedChain(2)
         ChainNode("gw", net).serve_shards(sharded)
-        net.send(NetMessage("gw", "gw", "shard_tx", {"tx": b"junk"}))
+        net.send(NetMessage("gw", "gw", "shard_tx", body))
+        net.run()
+        assert sum(len(s.mempool) for s in sharded.shards) == 0
+        assert _refused(net, "shard_tx") == 1
+
+    def test_shard_tx(self):
+        # A well-encoded transaction whose nonce is a str, sent by a
+        # client node: refused at the door, never raised.
+        net = _net()
+        sharded = ShardedChain(2)
+        client = ChainNode("client", net)
+        ChainNode("gw", net).serve_shards(sharded)
+        client.send_shard_transaction("gw", Transaction(
+            sender="c", kind=TxKind.DATA,
+            payload={"subject": "t0/obj", "key": "k"}, nonce="x"))
         net.run()
         assert sum(len(s.mempool) for s in sharded.shards) == 0
         assert _refused(net, "shard_tx") == 1
 
     @pytest.mark.parametrize("body", [
-        {"item_id": "x", "payload": {"tx": b"junk"}},
+        {"item_id": 7, "payload": {}},
         {"item_id": "x", "payload": b"junk"},
         {"payload": {}},
     ])
     def test_gossip(self, body):
-        net, nodes = _mesh(2)
+        net = _net()
+        gossip = GossipProtocol(net, fanout=1, seed=9)
+        delivered = []
+        for node_id in ("node-0", "node-1"):
+            net.register(node_id,
+                         lambda msg, nid=node_id: gossip.handle(nid, msg))
+            gossip.attach(node_id, lambda item, payload:
+                          delivered.append(item))
         net.send(NetMessage("node-0", "node-1", "gossip", body))
         net.run()
-        assert len(nodes[1].mempool) == 0
+        assert delivered == []
         assert _refused(net, "gossip") == 1
-
-    def test_gossip_item_that_is_not_a_tx_is_ignored(self):
-        net, nodes = _mesh(2)
-        net.send(NetMessage("node-0", "node-1", "gossip",
-                            {"item_id": "x", "payload": {"height": 1}}))
-        net.run()
-        assert len(nodes[1].mempool) == 0
-        assert _refused(net, "gossip") == 0
 
     def test_unroutable_shard_tx_is_malformed(self):
         net = _net()
@@ -233,26 +212,29 @@ class TestFailClosed:
         assert _refused(net, "shard_tx", "lock_conflict") == 0
 
     def test_full_mempool_and_lock_conflict_are_counted(self):
-        net, nodes = _mesh(2)
-        nodes[1].mempool = Mempool(capacity=1)
-        for i in range(2):
-            net.send(NetMessage("node-0", "node-1", "tx",
-                                tx_body(data_tx(i))))
-        net.run()
-        assert len(nodes[1].mempool) == 1
-        assert _refused(net, "tx", "full") == 1
-
+        net = _net()
         sharded = ShardedChain(2)
         client = ChainNode("client", net)
         ChainNode("gw", net).serve_shards(sharded)
+        txs = [data_tx(i) for i in range(2)]
+        shard = sharded.shard(sharded.router.route(txs[0]))
+        assert sharded.router.route(txs[1]) == shard.shard_id
+        shard.mempool.capacity = 1
+        for tx in txs:
+            client.send_shard_transaction("gw", tx)
+        net.run()
+        assert len(shard.mempool) == 1
+        assert _refused(net, "shard_tx", "full") == 1
+
         subject = "asset/locked"
         shard_id = sharded.router.shard_for_subject(subject)
+        pooled = len(sharded.shard(shard_id).mempool)
         assert sharded.locks.acquire([(shard_id, subject)], "xid-1", now=0)
         client.send_shard_transaction("gw", Transaction(
             sender="c", kind=TxKind.DATA,
             payload={"subject": subject, "key": "k", "value": 1}))
         net.run()
-        assert len(sharded.shard(shard_id).mempool) == 0
+        assert len(sharded.shard(shard_id).mempool) == pooled
         assert _refused(net, "shard_tx", "lock_conflict") == 1
 
 

@@ -19,6 +19,7 @@ from repro.gateway import GatewayClient, GatewayServer
 from repro.gateway.client import AsyncGatewayClient
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
+from repro.network import ChainNode
 from repro.obs.trace import Tracer
 from repro.persist.durable import DurableStorage
 from repro.sharding import ShardedChain
@@ -59,6 +60,7 @@ PINNED = {
     CrossShardCoordinator.__init__: {"timeout_rounds": 3},
     BeaconChain.__init__: {"params": None},
     Tracer.__init__: {"sample_every": 64},
+    ChainNode.__init__: {},
 }
 
 
