@@ -74,10 +74,10 @@ test-chaos:
 # Crash suite: the kill-at-every-round matrix (crash 0..16 rounds past a
 # checkpoint, a 2PC handoff in flight, a log fault inside an anchor
 # block's frame, a fresh replica, a forged proof row, a store written by
-# the parent, the counted fsync/COMMIT guards, the receipts format step
-# killed at every statement, raw tail items and caught-up replicas pinned
-# to the parent's bytes) plus the seeded chaos harness — no evidence
-# lost, nothing anchored twice.
+# the parent, the counted fsync/COMMIT guards, the format steps 3 → 4
+# and 4 → 5 killed at every statement, raw tail items and caught-up
+# replicas pinned to the parent's bytes) plus the seeded chaos harness —
+# no evidence lost, nothing anchored twice.
 test-crash:
 	$(PYTHON) -m pytest tests/test_crash_matrix.py -q
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
@@ -183,7 +183,7 @@ setup-split:
 # reference: SimNet delivers decoded copies, so nodes share bytes.  Nor may chain/ or exec/
 # ask a store what it can do (a hasattr/getattr capability probe), nor
 # sync/ probe a store: every store implements the one
-# append_blocks(pairs, fsync, encoded, derived) write and the one
+# append_blocks(blocks, fsync, encoded, derived) write and the one
 # raw_block_items(start, count) tail read.  Nor may proof state be
 # checkpointed again: no dump_state /
 # restore_state twin and no put_meta( of a whole service under
@@ -211,6 +211,11 @@ setup-split:
 # no records-compaction switch, no second tamper hook on the memory store.
 # Nor may a transaction's receipt get a second row again: no SQL names
 # the old receipts table outside the one step that folds it into txs.
+# Nor may a receipt be stored at all again (format 5): no receipt column
+# outside that same step, no receipts view of a store or a chain, and no
+# receipt decoder — anywhere in src, tests, benchmarks, examples or
+# tools (the chain.receipts module, AnchorReceipt and anchor.receipt_for
+# stay).
 # Nor may a job frame carry a secret: exec/ never reads the key registry.
 # Nor may the facade grow back the settings nobody set: no seal-width,
 # retry-floor or probe-period keyword or attribute outside the frozen e2e
@@ -296,6 +301,12 @@ lint-private:
 	    'FNR == 1 {f = ""} /^(class|def) |^    def /{f = $$0} \
 	    /(FROM|INTO|TABLE|JOIN|ON|UPDATE) +receipts([^_[:alnum:]]|$$)/ \
 	    && f !~ /def _upgrade_receipts\(/ {print FILENAME ": " $$0}')"
+	@! grep -rnP '_SqliteReceiptsMap|EncodedReceipts|decode_receipt|receipt_from_mapping|receipts_map|chain\.receipts\b(?! import)' \
+	    src tests benchmarks examples tools --include='*.py'
+	@test -z "$$(find src tests benchmarks examples tools -name '*.py' \
+	    | xargs awk 'FNR == 1 {f = ""} /^(class|def) |^    def /{f = $$0} \
+	    /receipt BLOB/ && f !~ /def _upgrade_receipts\(/ \
+	    {print FILENAME ": " $$0}')"
 	@! grep -rnE 'key_material|_KEY_REGISTRY' src/repro/exec --include='*.py'
 	@! grep -rnE '(\.|\b)(seal_workers|retry_floor_s|quarantine_probe_every) *[=:]|\.(seal_workers|retry_floor_s|quarantine_probe_every)\b' \
 	    src tests examples tools benchmarks --include='*.py' \

@@ -97,7 +97,7 @@ def run_config(ops: list[ShardOp], n_shards: int,
             pending = submit_pending(pending)
     gc.enable()
     committed = sharded.total_txs_committed
-    per_shard_committed = [len(s.chain.receipts) for s in sharded.shards]
+    per_shard_committed = [s.chain.store.tx_count() for s in sharded.shards]
     return {
         "n_shards": n_shards,
         "rounds": rounds,

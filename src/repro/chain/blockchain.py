@@ -30,12 +30,14 @@ built at construction (builder and appender are the same process), while
 the transaction hashes — and with ``deep=True`` recompute even those from
 raw payload bytes, defeating any stale cache.
 
-Storage split: the chain owns no block list.  All block,
-transaction-index, and receipt access goes through a pluggable
+Storage split: the chain owns no block list.  All block and
+transaction-index access goes through a pluggable
 :class:`~repro.persist.stores.BlockStore` — in-memory by default, or the
 sqlite-indexed segment-log backend from :mod:`repro.persist.durable` —
-whose only write is ``append_blocks(pairs, fsync, encoded, derived)``; the
-chain never asks a store what it can do.  A store may keep a committed prefix
+whose only write is ``append_blocks(blocks, fsync, encoded, derived)``;
+the chain never asks a store what it can do.  Receipts are not stored:
+a commit returns them and hands them to subscribers, and nothing reads
+one back.  A store may keep a committed prefix
 when it fails mid-group, so the skeleton unwinds state by the height the
 store reports afterwards, never by what it attempted: chain and state
 stay aligned whatever the store did, and no snapshot outlives its group.
@@ -52,8 +54,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..crypto.merkle import MerkleProof
-from ..errors import InvalidBlock, StorageError, TamperDetected
-from ..persist.codec import EncodedReceipts
+from ..errors import ChainError, InvalidBlock, StorageError, TamperDetected
 from ..persist.stores import (
     BlockSequenceView,
     BlockStore,
@@ -195,7 +196,7 @@ class Blockchain:
                 proposer="genesis",
                 consensus_meta={"chain_id": self.params.chain_id},
             )
-            self._store.append_block(genesis, [])
+            self._store.append_block(genesis)
         else:
             self._restore_from_store()
 
@@ -267,11 +268,6 @@ class Blockchain:
         self._store.reset(list(new_blocks))
 
     @property
-    def receipts(self) -> Mapping[str, TransactionReceipt]:
-        """Mapping view tx_id → receipt, served by the store."""
-        return self._store.receipts_map()
-
-    @property
     def head(self) -> Block:
         return self._store.head_block()
 
@@ -298,9 +294,6 @@ class Blockchain:
         height, pos = loc
         block = self._store.block_at(height)
         return block, block.transactions[pos]
-
-    def receipt_for(self, tx_id: str) -> TransactionReceipt | None:
-        return self._store.receipt_for(tx_id)
 
     def subscribe(
         self, callback: Callable[[Block, list[TransactionReceipt]], None]
@@ -378,7 +371,7 @@ class Blockchain:
         self,
         blocks: list[Block],
         deltas: list[list],
-        encoded: list[tuple[bytes, list[bytes]]],
+        encoded: list[bytes],
         expected_state_root: bytes | None = None,
     ) -> None:
         """Commit blocks that were validated and executed *elsewhere*
@@ -386,11 +379,11 @@ class Blockchain:
         re-running transactions.
 
         ``deltas[i]`` is block ``i``'s :meth:`StateStore.drain_snapshot_delta`
-        change set; ``encoded[i]`` is the ``(frame, receipt bodies)`` the
-        caller already holds for it (the job frame it sent, the bodies
-        the worker returned), handed to the store so nothing is encoded
-        twice — receipts are decoded only if a subscriber or an
-        object-keeping store reads them.
+        change set; ``encoded[i]`` is the frame the caller already holds
+        for it (the job frame it sent), handed to the store so nothing is
+        encoded twice.  A worker returns no receipts, so a chain with
+        subscribers refuses this path (:class:`ChainError`) and executes
+        its blocks itself.
 
         Workers check structure only and hold no key: every transaction
         is validated here first, as :meth:`append_blocks` does, signature
@@ -405,6 +398,9 @@ class Blockchain:
         if len(deltas) != len(blocks) or len(encoded) != len(blocks):
             raise InvalidBlock("need one state delta and one encoded "
                                "frame per block")
+        if self._subscribers:
+            raise ChainError(f"chain {self.chain_id} has subscribers: "
+                             "worker-executed blocks carry no receipts")
         self._validate_transactions(blocks)
         self._commit_group(blocks, fsync=True, deltas=deltas,
                            encoded=encoded,
@@ -450,12 +446,10 @@ class Blockchain:
             for index, block in enumerate(blocks):
                 snaps.append(self.state.snapshot())
                 if deltas is None:
-                    receipts = execute_block(block, self.state,
-                                             self.executor, self)
+                    all_receipts.append(execute_block(
+                        block, self.state, self.executor, self))
                 else:
                     self.state.apply_delta(deltas[index])
-                    receipts = EncodedReceipts(encoded[index][1])
-                all_receipts.append(receipts)
             if expected_state_root is not None \
                     and self.state.state_root() != expected_state_root:
                 raise TamperDetected(
@@ -463,10 +457,8 @@ class Blockchain:
                     "does not match the parent's delta replay"
                 )
             if install:
-                self._store.append_blocks(
-                    list(zip(blocks, all_receipts)), fsync=fsync,
-                    encoded=encoded, derived=derived,
-                )
+                self._store.append_blocks(blocks, fsync=fsync,
+                                          encoded=encoded, derived=derived)
         except BaseException:
             # A raising executor — or a store that failed the append —
             # must not leave a half-applied block behind.  Unwind what

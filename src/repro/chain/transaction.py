@@ -244,15 +244,21 @@ class Transaction:
         caught by :meth:`compute_tx_hash`, hence by
         ``Blockchain.verify(deep=True)`` (:class:`TamperDetected`) — so
         nothing downstream may keep a reference into a payload (the
-        executor stores its own copy).  Idempotent.
+        executor stores its own copy).  Idempotent.  A payload that is
+        not a mapping raises :class:`InvalidTransaction`, as in
+        :meth:`validate`.
         """
         d = self.__dict__
         if d.get("_sealed", False):
             return self
         # Snapshot the payload so a caller-held reference to the original
         # dict can no longer reach the sealed content.  The one copy: the
-        # encoder walks the proxy itself.
-        d["payload"] = MappingProxyType(dict(d["payload"]))
+        # encoder walks the proxy itself.  Refused first as validate()
+        # refuses it: dict() would make a mapping of a list of pairs.
+        payload = d["payload"]
+        if type(payload) is not dict:
+            check_payload(payload)
+        d["payload"] = MappingProxyType(dict(payload))
         # Encoded from the snapshot, never taken from a cache an unsealed
         # read may have left stale; also the identity-keyed encode cache
         # hook (see repro.serialization): a sealed transaction embedded in
@@ -387,13 +393,7 @@ class Transaction:
             raise InvalidTransaction(
                 f"fee, nonce and timestamp must be ints >= 0, got "
                 f"{fee!r}, {nonce!r}, {timestamp!r}")
-        payload = d["payload"]
-        # The exact-type tests keep isinstance's ABC walk off the
-        # admission hot path.
-        if type(payload) is not MappingProxyType \
-                and type(payload) is not dict \
-                and not isinstance(payload, Mapping):
-            raise InvalidTransaction("payload is not a mapping")
+        check_payload(d["payload"])
         if require_signature and not self.verify_signature():
             raise InvalidTransaction(
                 f"transaction {self.tx_id[:12]} is unsigned or badly signed"
@@ -414,6 +414,15 @@ class Transaction:
             f"Transaction({self.kind.value}, sender={self.sender[:8]}…, "
             f"id={self.tx_id[:10]}…)"
         )
+
+
+def check_payload(payload: Any) -> None:
+    """The payload rule :meth:`Transaction.validate` and
+    :meth:`Transaction.seal` share: a mapping.  The exact-type tests keep
+    isinstance's ABC walk off the admission hot path."""
+    if type(payload) is not MappingProxyType and type(payload) is not dict \
+            and not isinstance(payload, Mapping):
+        raise InvalidTransaction("payload is not a mapping")
 
 
 _probe = Transaction("", TxKind.DATA, {})

@@ -17,11 +17,13 @@ same skeleton as every other path
 (:meth:`~repro.chain.blockchain.Blockchain._commit_group`).  The worker
 runs :func:`~repro.chain.blockchain.execute_block` — the function the
 chain itself executes with — against its replica and returns per-block
-deltas, receipt bodies and the post-group state root.
+deltas and the post-group state root.  Receipts are not stored, so a
+worker returns none, and a chain with subscribers executes its own
+blocks.
 :meth:`~repro.chain.blockchain.Blockchain.apply_executed_blocks` then
 supplies the skeleton with three things: ``deltas`` to apply instead of
 executing, the ``expected_state_root`` check that runs before install, and
-``encoded`` = the job frames and receipt bodies the engine already holds.
+``encoded`` = the job frames the engine already holds.
 Linkage validation, the per-block snapshots, the unwind, their release
 and subscriber fan-out are the skeleton's, so serial
 and process sealing leave identical chain/state shape by
@@ -36,17 +38,14 @@ stores).  That buys three things:
    wire are byte-identical to the frames the durable store would write,
    so the parent encodes each block once and hands the same bytes to the
    worker job and, as ``encoded``, to the store's one write
-   (:meth:`~repro.persist.stores.BlockStore.append_blocks`) — and
-   receipt bodies returned by workers are committed verbatim.  A store
+   (:meth:`~repro.persist.stores.BlockStore.append_blocks`).  A store
    that keeps no bytes (the in-memory one) ignores them; nobody asks a
    store what it can do.
 2. **The codec's round-trip discipline is already tested.**  Pickle
    would silently ship live objects (open handles, locks, the whole
    object graph); the canonical codec is closed over encodable values
    and *raises* on anything else — exactly the property an IPC boundary
-   wants.  What persistence drops (non-encodable receipt outputs), the
-   wire drops identically, so process-mode receipts equal a durable
-   round-trip of serial-mode receipts.
+   wants: a state delta either crosses byte-exact or the job fails.
 3. **Validation for free.**  ``decode_block`` re-checks the merkle root
    and expected hash, so a corrupted or truncated IPC payload is
    detected at the boundary, same as a corrupted log frame.

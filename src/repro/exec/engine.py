@@ -169,8 +169,7 @@ class ProcessRoundEngine:
                     for ops in reply["deltas"]
                 ]
                 chain.apply_executed_blocks(
-                    job.blocks, deltas,
-                    list(zip(job.frames, reply["receipts"])),
+                    job.blocks, deltas, job.frames,
                     expected_state_root=reply["state_root"],
                 )
                 self._replicas[shard.shard_id] = (

@@ -8,10 +8,10 @@ directions is one canonical-codec payload (see the package docstring for
 why the codec doubles as the IPC format):
 
 * ``exec`` — decode a group of block frames, check their structure and
-  execute them against the replica, and return per-block encoded
-  receipts + net state deltas + the post-group state root.  The parent
-  checks signatures and applies the deltas; the worker holds no key and
-  never touches durable storage.
+  execute them against the replica, and return per-block net state
+  deltas + the post-group state root (receipts are not stored, so none
+  is shipped back).  The parent checks signatures and applies the
+  deltas; the worker holds no key and never touches durable storage.
 * ``ping`` / ``shutdown`` — liveness and orderly teardown.
 
 Replica consistency is checked per job: the parent sends the base height
@@ -36,11 +36,7 @@ from ..chain.blockchain import default_executor, execute_block
 from ..chain.state import StateStore
 from ..obs.runtime import reset_default_telemetry, telemetry
 from ..obs.trace import TraceContext
-from ..persist.codec import (
-    canonical_decode,
-    decode_block,
-    encode_receipt,
-)
+from ..persist.codec import canonical_decode, decode_block
 from ..serialization import canonical_encode
 
 # Process-local flag: set (only) inside worker_main, inherited by nothing.
@@ -122,7 +118,6 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
             "status": "need_state",
             "have_height": -1 if replica is None else replica.height,
         }
-    receipts_out: list[list[bytes]] = []
     deltas_out: list[list[list[Any]]] = []
     tel = telemetry()
     tracer = tel.tracer
@@ -143,11 +138,8 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
                 # No per-block rollback: any failure drops the whole
                 # replica below.  The snapshot only scopes the delta.
                 snap = replica.state.snapshot()
-                receipts_out.append([
-                    encode_receipt(receipt) for receipt in execute_block(
-                        block, replica.state, default_executor,
-                        replica.shim)
-                ])
+                execute_block(block, replica.state, default_executor,
+                              replica.shim)
                 deltas_out.append(
                     [[ns, key, present, value]
                      for ns, key, present, value
@@ -164,11 +156,10 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
                 "error": f"{type(exc).__name__}: {exc}"}
     finally:
         registry = tel.registry
-        registry.counter("exec_worker_blocks_total").inc(len(receipts_out))
+        registry.counter("exec_worker_blocks_total").inc(len(deltas_out))
         registry.counter("exec_worker_txs_total").inc(txs_executed)
     return {
         "status": "ok",
-        "receipts": receipts_out,
         "deltas": deltas_out,
         "state_root": replica.state.state_root(),
         "height": replica.height,

@@ -19,7 +19,8 @@ from __future__ import annotations
 import asyncio
 import struct
 
-from ..errors import GatewayError
+from ..chain.transaction import check_payload
+from ..errors import GatewayError, InvalidTransaction
 from ..persist.codec import transaction_embedded, transaction_from_mapping
 from ..rpc import OP_OPS, decode_frame_payload
 from ..serialization import canonical_encode
@@ -132,17 +133,28 @@ def txs_to_frame_body(txs, seq: int) -> dict:
 def frame_to_txs(body: dict) -> list:
     """A SUBMIT body's batch as transactions; malformed entries fail the
     frame (the gateway answers with a structured error, never a
-    half-batch).  Sealed transactions were already built, pinned to
-    their wire bytes, when :func:`repro.rpc.decode_frame_payload` decoded
-    the frame; only unsealed ones are still mappings here."""
+    half-batch): an unreadable entry as ``corrupt_frame``, a payload that
+    is not a mapping as ``bad_request``.  Sealed transactions were
+    already built, pinned to their wire bytes, when
+    :func:`repro.rpc.decode_frame_payload` decoded the frame; only
+    unsealed ones are still mappings here."""
     raw = body.get("txs")
     if not isinstance(raw, list):
         raise GatewayError("submit frame carries no transaction list",
                            reason="protocol")
     try:
-        return [transaction_from_mapping(m) for m in raw]
+        txs = [transaction_from_mapping(m) for m in raw]
     except (KeyError, TypeError, ValueError) as exc:
         raise GatewayError(
             f"submit frame carries a malformed transaction: "
             f"{type(exc).__name__}: {exc}", reason="corrupt_frame",
         ) from None
+    try:
+        # The router reads the payload first; refuse a non-mapping as
+        # the client's fault before it does.
+        for tx in txs:
+            check_payload(tx.payload)
+    except InvalidTransaction as exc:
+        raise GatewayError(f"submit frame carries an invalid transaction: "
+                           f"{exc}", reason="bad_request") from None
+    return txs

@@ -52,7 +52,7 @@ Sealing drains mempools through the chain's group-commit surface
 (:meth:`~repro.chain.blockchain.Blockchain.append_blocks`): a round's
 blocks per shard go down as **one** buffered segment-log write finished
 by **one** fsync, then **one** sqlite transaction covers every
-height/tx/receipt row (``executemany``).  The fsync is the durability
+height/tx row (``executemany``).  The fsync is the durability
 point: when ``seal_round`` returns, the sealed blocks are on stable
 storage — strictly stronger than a single append (the same write as a
 group of one, with ``fsync=False`` deferring durability to the next

@@ -15,9 +15,9 @@ opens on one :class:`~repro.persist.stores.Storage` bundle and never asks
 which kind it got:
 
 * ``blocks`` — a :class:`BlockStore`: committed blocks, the tx index
-  with each transaction's receipt, and each block's *derived row* (proof
-  state a service computes from the block, committed and dropped with
-  it);
+  (no receipts: a commit returns them and nothing reads one back), and
+  each block's *derived row* (proof state a service computes from the
+  block, committed and dropped with it);
 * ``records`` — a :class:`RecordStore`: the append-only provenance record
   list :class:`~repro.persist.provdb.ProvenanceDatabase` indexes;
 * ``state`` — a :class:`StateSnapshotStore` for the checkpointed state
@@ -81,7 +81,8 @@ stand-in; no chain stack uses it.
 it as derived rows; 3 keeps the cold tier in the ``cold_blocks`` log; 4
 keeps one index row per transaction — its receipt rides its ``txs`` row,
 where 3 kept a second ``receipts`` table with its own key and height
-index.  A fresh store is born at the current format (stamped in its
+index; 5 stores no receipt, and a ``txs`` row is three fixed-width
+columns keyed by the 32-byte transaction hash (``WITHOUT ROWID``).  A fresh store is born at the current format (stamped in its
 schema transaction, no step run).  A store that reads 0 was written
 before the number existed and is placed once, by format 1's blobs, and a
 number above the build's is refused (``format_too_new``) — both before

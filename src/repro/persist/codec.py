@@ -6,8 +6,9 @@ every hash and signature is computed over.  Durable storage reuses it as
 the *wire format* of the segment logs: the encoding is self-describing
 (every value carries its tag and length), so this module adds the exact
 inverse, :func:`canonical_decode`, plus mapping converters for the three
-object kinds the stores persist — blocks (with their transactions),
-execution receipts, and provenance records — plus the one rule of what
+object kinds it frames — blocks (with their transactions), execution
+receipts (encoded only: no store keeps one), and provenance records —
+plus the one rule of what
 a provenance record is (:func:`check_record`, with the paper's Table 1
 schemas), which every door that stores records runs before it writes.
 
@@ -34,7 +35,7 @@ from operator import lt as _lt
 from typing import Any, Callable
 
 from ..chain.block import Block
-from ..chain.receipts import Event, TransactionReceipt
+from ..chain.receipts import TransactionReceipt
 from ..chain.transaction import (
     SIGNING_BODY_HEAD,
     SIGNING_BODY_KEYS,
@@ -61,7 +62,6 @@ __all__ = [
     "check_record",
     "check_records",
     "receipt_to_mapping",
-    "receipt_from_mapping",
     "transaction_to_mapping",
     "transaction_from_mapping",
     "transaction_embedded",
@@ -482,43 +482,8 @@ def receipt_to_mapping(receipt: TransactionReceipt) -> dict:
     return m
 
 
-def receipt_from_mapping(m: dict) -> TransactionReceipt:
-    return TransactionReceipt(
-        tx_id=m["tx_id"],
-        success=m["success"],
-        gas_used=m["gas_used"],
-        output=m.get("output"),
-        error=m.get("error"),
-        events=[Event(name=e["name"], source=e["source"], data=e["data"])
-                for e in m["events"]],
-        block_height=m.get("block_height"),
-    )
-
-
 def encode_receipt(receipt: TransactionReceipt) -> bytes:
     return canonical_encode(receipt_to_mapping(receipt))
-
-
-def decode_receipt(payload: bytes) -> TransactionReceipt:
-    return receipt_from_mapping(canonical_decode(payload))
-
-
-class EncodedReceipts(Sequence):
-    """One block's receipts as the bodies an exec worker returned,
-    decoded on first access: a store that commits the bodies verbatim
-    never pays for objects nobody reads."""
-
-    def __init__(self, bodies: Sequence[bytes]) -> None:
-        self._bodies = bodies
-        self._decoded: list[TransactionReceipt] | None = None
-
-    def __len__(self) -> int:
-        return len(self._bodies)
-
-    def __getitem__(self, index):
-        if self._decoded is None:
-            self._decoded = [decode_receipt(b) for b in self._bodies]
-        return self._decoded[index]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ One :class:`DurableStorage` per store directory owns
   records,
 * ``index.db`` — a stdlib :mod:`sqlite3` database holding the three
   location tables (height → frame twice, position/record_id → frame),
-  one ``txs`` row per committed transaction (tx_id → height, position
-  and its encoded receipt), the state snapshot (``namespace`` → keys →
-  canonical value), and a small meta table.
+  one ``txs`` row per committed transaction (its 32-byte hash → height
+  and position; execution receipts are not stored), the state snapshot
+  (``namespace`` → keys → canonical value), and a small meta table.
 
 Commit discipline (the crash-recovery contract): an entry **counts iff
 its sqlite index row is committed and its log frame is CRC-valid**.
@@ -66,22 +66,13 @@ import shutil
 import sqlite3
 import zlib
 from collections import OrderedDict
-from collections.abc import Mapping as MappingABC
 from typing import Any, Callable, Iterator, Sequence
 
 from ..chain.block import Block
-from ..chain.receipts import TransactionReceipt
 from ..errors import ColdHistory, InvalidBlock, StorageError, UnknownEntity
 from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
-from .codec import (
-    canonical_decode,
-    decode_block,
-    decode_receipt,
-    decode_record,
-    encode_block,
-    encode_receipt,
-)
+from .codec import canonical_decode, decode_block, decode_record, encode_block
 from .segment import CrashPoint, SegmentLog
 from .stores import BlockStore, RecordStore, StateSnapshotStore, Storage
 
@@ -100,8 +91,9 @@ _PUT_META = "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)"
 # The store format, kept in sqlite's ``PRAGMA user_version`` (see the
 # ``persist`` design note): 1 = proof state in meta blobs (refused),
 # 2 = derived rows, 3 = the cold tier is a segment log, 4 = a
-# transaction's receipt rides its ``txs`` row.
-_FORMAT = 4
+# transaction's receipt rides its ``txs`` row, 5 = ``txs`` is keyed by
+# the 32-byte transaction hash and stores no receipt.
+_FORMAT = 5
 
 
 def _stamp(version: int) -> str:
@@ -115,6 +107,19 @@ def _get_meta(conn: sqlite3.Connection, key: str, default: Any = None) -> Any:
     return default if row is None else canonical_decode(row[0])
 
 
+def _tx_key(tx_id: Any) -> bytes | None:
+    """The ``txs`` key of a transaction id (64 lowercase hex characters
+    → its 32 bytes); ``None`` for anything that is not one."""
+    try:
+        key = bytes.fromhex(tx_id)
+    except (TypeError, ValueError):
+        return None
+    return key if len(key) == 32 and key.hex() == tx_id else None
+
+
+# ``txs_by_height`` stays for the two readers of ``txs`` by height: the
+# sync tail (:meth:`DurableBlockStore.raw_block_items`) and the delete
+# of a dropped or truncated tail (``_drop_block_dependents``).
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocks(
     height INTEGER PRIMARY KEY,
@@ -131,11 +136,10 @@ CREATE TABLE IF NOT EXISTS cold_blocks(
     block_hash BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS txs(
-    tx_id TEXT PRIMARY KEY,
+    tx_id BLOB PRIMARY KEY,
     height INTEGER NOT NULL,
-    pos INTEGER NOT NULL,
-    receipt BLOB
-);
+    pos INTEGER NOT NULL
+) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS txs_by_height ON txs(height);
 CREATE TABLE IF NOT EXISTS records(
     position INTEGER PRIMARY KEY,
@@ -370,54 +374,22 @@ class IndexedLog:
 
 def _drop_block_dependents(conn: sqlite3.Connection, height: int) -> None:
     """Delete what shares the fate of the block rows at or above
-    ``height`` — their tx rows (receipts ride them) and derived rows —
-    for the recovery walk (an orphaned head) and for truncation."""
+    ``height`` — their tx rows and derived rows — for the recovery walk
+    (an orphaned head) and for truncation."""
     conn.execute("DELETE FROM txs WHERE height >= ?", (height,))
     conn.execute("DELETE FROM meta WHERE key >= ? AND key < ?",
                  (_derived_key(height), _DERIVED_END))
 
 
-class _SqliteReceiptsMap(MappingABC):
-    """Lazy tx_id → receipt mapping served from the ``txs`` rows that
-    carry one (a tx row installed from a peer may carry none)."""
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        self._conn = conn
-
-    def __len__(self) -> int:
-        return self._conn.execute("SELECT COUNT(receipt) FROM txs"
-                                  ).fetchone()[0]
-
-    def __iter__(self) -> Iterator[str]:
-        for (tx_id,) in self._conn.execute(
-                "SELECT tx_id FROM txs WHERE receipt IS NOT NULL "
-                "ORDER BY rowid"):
-            yield tx_id
-
-    def __getitem__(self, tx_id: str) -> TransactionReceipt:
-        row = self._conn.execute(
-            "SELECT receipt FROM txs WHERE tx_id = ?", (tx_id,)
-        ).fetchone()
-        if row is None or row[0] is None:
-            raise KeyError(tx_id)
-        return decode_receipt(row[0])
-
-    def __contains__(self, tx_id: object) -> bool:
-        return self._conn.execute(
-            "SELECT 1 FROM txs WHERE tx_id = ? AND receipt IS NOT NULL",
-            (tx_id,)).fetchone() is not None
-
-
 class DurableBlockStore(BlockStore):
     """Blocks in two :class:`IndexedLog` tables keyed by height — the hot
     tail (``blocks``) and the archived history below it
-    (``cold_blocks``) — plus the tx rows (each with its receipt) and
-    derived rows that share each block's fate."""
+    (``cold_blocks``) — plus the tx rows and derived rows that share
+    each block's fate."""
 
     def __init__(self, index: IndexedLog, cold: IndexedLog) -> None:
         self._conn = index.conn
         self._index, self._cold = index, cold
-        self._receipts = _SqliteReceiptsMap(self._conn)
         self._height = max((top for top in (index.max_key(), cold.max_key())
                             if top is not None), default=-1)
 
@@ -433,8 +405,8 @@ class DurableBlockStore(BlockStore):
                      derived_rows: list[tuple[int, bytes]] = ()) -> None:
         """The one block writer: ``heads`` are ``(height, block_hash)``
         per frame, consecutive from the current head; ``tx_rows`` are
-        ``(tx_id, height, position, receipt body or None)``;
-        ``derived_rows`` are ``(height, encoded row)``; all of it is one
+        ``(tx_hash, height, position)``; ``derived_rows`` are
+        ``(height, encoded row)``; all of it is one
         :meth:`IndexedLog.append` group.  The tx rows are inserted
         sorted by primary key: the tx_id b-tree fills with better page
         locality than hash-random arrival order (table content is
@@ -445,34 +417,30 @@ class DurableBlockStore(BlockStore):
                     f"store expects height {self._height + 1 + i}, "
                     f"got {height}"
                 )
-        also = [("INSERT OR REPLACE INTO txs(tx_id, height, pos, receipt) "
-                 "VALUES (?,?,?,?)", sorted(tx_rows))]
+        also = [("INSERT OR REPLACE INTO txs(tx_id, height, pos) "
+                 "VALUES (?,?,?)", sorted(tx_rows))]
         if derived_rows:
             also.append((_PUT_META, [(_derived_key(height), row)
                                      for height, row in derived_rows]))
         self._index.append(heads, frames, fsync, also)
         self._height += len(heads)
 
-    def append_blocks(self, pairs, fsync=True, encoded=None,
+    def append_blocks(self, blocks, fsync=True, encoded=None,
                       derived=None) -> None:
-        if not pairs:
+        if not blocks:
             return
-        if encoded is None:
-            encoded = [(encode_block(block),
-                        [encode_receipt(r) for r in receipts])
-                       for block, receipts in pairs]
         self._write_group(
-            [(block.height, block.block_hash) for block, _ in pairs],
-            [frame for frame, _ in encoded],
-            [(tx.tx_id, block.height, pos, body)
-             for (block, _), (_, bodies) in zip(pairs, encoded)
-             for pos, (tx, body) in enumerate(zip(block.transactions,
-                                                  bodies))],
+            [(block.height, block.block_hash) for block in blocks],
+            encoded if encoded is not None
+            else [encode_block(block) for block in blocks],
+            [(tx.tx_hash, block.height, pos)
+             for block in blocks
+             for pos, tx in enumerate(block.transactions)],
             fsync,
             [(height, canonical_encode(row))
              for height, row in (derived or {}).items()],
         )
-        for block, _ in pairs:
+        for block in blocks:
             self._index.remember(block.height, block)
 
     def truncate_above(self, height: int) -> None:
@@ -523,10 +491,14 @@ class DurableBlockStore(BlockStore):
             yield self.block_at(height)
 
     def tx_location(self, tx_id: str) -> tuple[int, int] | None:
-        row = self._conn.execute(
-            "SELECT height, pos FROM txs WHERE tx_id = ?", (tx_id,)
+        key = _tx_key(tx_id)
+        row = None if key is None else self._conn.execute(
+            "SELECT height, pos FROM txs WHERE tx_id = ?", (key,)
         ).fetchone()
         return None if row is None else (row[0], row[1])
+
+    def tx_count(self) -> int:
+        return self._conn.execute("SELECT COUNT(*) FROM txs").fetchone()[0]
 
     def _derived_range(self, start: int, stop: int | None = None):
         """``(height, encoded row)`` for heights in ``[start, stop)``."""
@@ -546,9 +518,10 @@ class DurableBlockStore(BlockStore):
         ``start``, straight off the log — **no decode**: per block the
         exact frame bytes (the canonical block encoding) with their CRC,
         the indexed block hash, and the index rows a replica needs to
-        install the frame (tx ids in position order, receipt bodies
-        aligned with them, the encoded derived row or ``None``).  Three
-        range queries and one log pass — the server's tail hot path."""
+        install the frame (tx hashes in position order, read through
+        ``txs_by_height``, and the encoded derived row or ``None``).
+        Three range queries and one log pass — the server's tail hot
+        path."""
         boundary = self.archived_boundary()
         if boundary is not None and start <= boundary:
             raise ColdHistory(
@@ -562,13 +535,11 @@ class DurableBlockStore(BlockStore):
             "WHERE height >= ? AND height < ? ORDER BY height",
             (start, stop),
         ).fetchall()
-        tx_ids: dict[int, list[str]] = {}
-        receipts: dict[int, list[bytes | None]] = {}
-        for height, tx_id, receipt in self._conn.execute(
-                "SELECT height, tx_id, receipt FROM txs WHERE height >= ? "
+        tx_ids: dict[int, list[bytes]] = {}
+        for height, tx_id in self._conn.execute(
+                "SELECT height, tx_id FROM txs WHERE height >= ? "
                 "AND height < ? ORDER BY height, pos", (start, stop)):
             tx_ids.setdefault(height, []).append(tx_id)
-            receipts.setdefault(height, []).append(receipt)
         derived = dict(self._derived_range(start, stop))
         items = []
         for height, segment, offset, block_hash in rows:
@@ -579,7 +550,6 @@ class DurableBlockStore(BlockStore):
                 "frame": frame,
                 "crc": zlib.crc32(frame),
                 "tx_ids": tx_ids.get(height, []),
-                "receipts": receipts.get(height, []),
                 "derived": derived.get(height),
             })
         return items
@@ -587,30 +557,24 @@ class DurableBlockStore(BlockStore):
     def install_raw(self, items: Sequence[dict]) -> None:
         """Group-install already-verified raw block frames (the snapshot
         client's surface).  Each item is a :meth:`raw_block_items`-shaped
-        mapping; heights must be consecutive from the current head.
-        Nothing is decoded and nothing is executed: the caller vouches
-        for the content (hash-chain, beacon and proof-row verification
-        happened upstream)."""
+        mapping whose ``tx_ids`` are 32-byte hashes; heights must be
+        consecutive from the current head.  Nothing is decoded and
+        nothing is executed: the caller vouches for the content
+        (hash-chain, beacon and proof-row verification happened
+        upstream)."""
         if not items:
             return
         self._write_group(
             [(item["height"], item["block_hash"]) for item in items],
             [item["frame"] for item in items],
-            [(tx_id, item["height"], pos, body)
+            [(tx_id, item["height"], pos)
              for item in items
-             for pos, (tx_id, body) in enumerate(zip(item["tx_ids"],
-                                                     item["receipts"]))],
+             for pos, tx_id in enumerate(item["tx_ids"])],
             fsync=True,
             derived_rows=[(item["height"], item["derived"])
                           for item in items
                           if item.get("derived") is not None],
         )
-
-    def receipt_for(self, tx_id: str) -> TransactionReceipt | None:
-        return self._receipts.get(tx_id)
-
-    def receipts_map(self) -> MappingABC:
-        return self._receipts
 
     def sync(self) -> None:
         self._index.log.sync()
@@ -892,8 +856,7 @@ class DurableStorage(Storage):
         row and drops that table with its height index — so a store that
         has the column has already committed this step (a crash beat the
         stamp) and there is nothing left to do."""
-        if "receipt" in {row[1] for row in self._conn.execute(
-                "PRAGMA table_info(txs)")}:
+        if "receipt" in self._txs_columns():
             return
         self._conn.executescript(
             "BEGIN;"
@@ -903,9 +866,37 @@ class DurableStorage(Storage):
             "DROP TABLE receipts;"
             "COMMIT;")
 
+    def _upgrade_txs(self) -> None:
+        """Format step 4 → 5: receipts are not stored, and ``txs`` is
+        keyed by the 32-byte transaction hash.  One sqlite transaction
+        builds the ``WITHOUT ROWID`` table from the old rows — the hex
+        ids converted by a Python function, as sqlite 3.40 has no
+        ``unhex()``; a row whose id is not a transaction id is dropped,
+        as it names no transaction — then drops the old table and
+        renames the new one, so a ``txs`` without the ``receipt`` column
+        means this step has already committed."""
+        if "receipt" not in self._txs_columns():
+            return
+        self._conn.create_function("tx_key", 1, _tx_key, deterministic=True)
+        self._conn.executescript(
+            "BEGIN;"
+            "CREATE TABLE txs_v5(tx_id BLOB PRIMARY KEY, "
+            "height INTEGER NOT NULL, pos INTEGER NOT NULL) WITHOUT ROWID;"
+            "INSERT INTO txs_v5 SELECT tx_key(tx_id), height, pos FROM txs "
+            "WHERE tx_key(tx_id) IS NOT NULL;"
+            "DROP TABLE txs;"
+            "ALTER TABLE txs_v5 RENAME TO txs;"
+            "CREATE INDEX txs_by_height ON txs(height);"
+            "COMMIT;")
+
+    def _txs_columns(self) -> set[str]:
+        return {row[1] for row in self._conn.execute(
+            "PRAGMA table_info(txs)")}
+
     # ``(from_version, step)`` for every version from 2 up, in order: a
     # format step is one more entry.  Each is idempotent from its start.
-    _UPGRADES = ((2, _upgrade_archive), (3, _upgrade_receipts))
+    _UPGRADES = ((2, _upgrade_archive), (3, _upgrade_receipts),
+                 (4, _upgrade_txs))
 
     def _check_owner(self) -> None:
         if os.getpid() != self._owner_pid:

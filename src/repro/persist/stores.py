@@ -4,8 +4,9 @@ A chain stack opens on one :class:`Storage` bundle.  Its members are
 three stores, one per kind of durable truth the stack owns:
 
 * :class:`BlockStore` — the committed chain itself: blocks in height
-  order, the transaction index (tx_id → height/position), and execution
-  receipts.  A committed block is final; the one truncation above a
+  order and the transaction index (tx_id → height/position).  Execution
+  receipts are not stored: a commit returns them, and replay derives
+  them again.  A committed block is final; the one truncation above a
   height is snapshot sync's unwind of a tail it failed to install.
 * :class:`RecordStore` — the append-only provenance record list the
   off-chain database indexes; positions are stable ints, and a record,
@@ -31,49 +32,48 @@ from abc import ABC, abstractmethod
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..chain.block import Block
-from ..chain.receipts import TransactionReceipt
 from ..errors import InvalidBlock, StorageError
 from ..serialization import canonical_encode
-from .codec import canonical_decode, encode_block, encode_receipt
+from .codec import canonical_decode, encode_block
 
 
 # ---------------------------------------------------------------------------
 # Interfaces
 # ---------------------------------------------------------------------------
 class BlockStore(ABC):
-    """Committed blocks + transaction index + receipts, by height."""
+    """Committed blocks + transaction index, by height."""
 
     @abstractmethod
     def append_blocks(
         self,
-        pairs: Sequence[tuple[Block, Sequence[TransactionReceipt]]],
+        blocks: Sequence[Block],
         fsync: bool = True,
-        encoded: Sequence[tuple[bytes, Sequence[bytes]]] | None = None,
+        encoded: Sequence[bytes] | None = None,
         derived: Mapping[int, Any] | None = None,
     ) -> None:
         """Commit consecutive blocks (heights from head + 1) and their
-        receipts as **one** group — the only write a store implements.
+        tx index rows as **one** group — the only write a store
+        implements.
 
         ``fsync`` is the durability choice, passed down to the log: true
         makes the group the durability point, false leaves it flushed
         with the fsync deferred to the next group or checkpoint.
-        ``encoded`` is each block's ``(frame, receipt bodies)`` from a
-        caller that already holds the canonical bytes (the process
-        engine's job frames and worker replies); a byte-backed store
-        writes them verbatim instead of encoding again.  ``derived``
-        maps a height in the group to one canonical-encodable row of
-        proof state a service derives from that block (an anchor batch's
-        leaf digests, a beacon round's entries); the row shares its
-        block's fate — committed with it, gone with it on recovery and
-        :meth:`truncate_above` — so :meth:`derived_rows` is all a service
-        reloads from.  A store may keep a committed prefix when it fails
-        mid-group; callers unwind by the height it reports afterwards.
+        ``encoded`` is each block's frame from a caller that already
+        holds the canonical bytes (the process engine's job frames); a
+        byte-backed store writes them verbatim instead of encoding
+        again.  ``derived`` maps a height in the group to one
+        canonical-encodable row of proof state a service derives from
+        that block (an anchor batch's leaf digests, a beacon round's
+        entries); the row shares its block's fate — committed with it,
+        gone with it on recovery and :meth:`truncate_above` — so
+        :meth:`derived_rows` is all a service reloads from.  A store may
+        keep a committed prefix when it fails mid-group; callers unwind
+        by the height it reports afterwards.
         """
 
-    def append_block(self, block: Block,
-                     receipts: Sequence[TransactionReceipt]) -> None:
+    def append_block(self, block: Block) -> None:
         """Commit one block: a group of one, fsync deferred."""
-        self.append_blocks([(block, receipts)], fsync=False)
+        self.append_blocks([block], fsync=False)
 
     @abstractmethod
     def block_at(self, height: int) -> Block:
@@ -97,21 +97,18 @@ class BlockStore(ABC):
 
     @abstractmethod
     def tx_location(self, tx_id: str) -> tuple[int, int] | None:
-        """``(height, position)`` of a committed transaction."""
+        """``(height, position)`` of a committed transaction; ``None``
+        for an id that names none (or is not a transaction id)."""
 
     @abstractmethod
-    def receipt_for(self, tx_id: str) -> TransactionReceipt | None:
-        """Execution receipt of a committed transaction."""
-
-    @abstractmethod
-    def receipts_map(self) -> Mapping[str, TransactionReceipt]:
-        """Read-only mapping view tx_id → receipt (len/iter/lookup)."""
+    def tx_count(self) -> int:
+        """Number of committed transactions (tx index rows)."""
 
     @abstractmethod
     def truncate_above(self, height: int) -> None:
-        """Drop every block above ``height`` plus its tx index entries,
-        receipts and derived row — snapshot sync's unwind of a tail it
-        failed to install, never a sealed block of a live chain."""
+        """Drop every block above ``height`` plus its tx index entries
+        and derived row — snapshot sync's unwind of a tail it failed to
+        install, never a sealed block of a live chain."""
 
     @abstractmethod
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
@@ -123,8 +120,8 @@ class BlockStore(ABC):
         """What a snapshot server streams for up to ``count`` blocks
         from ``start``: per block its ``height``, ``block_hash``,
         ``frame`` (the canonical block encoding) with its ``crc``, and
-        the index rows a replica installs beside the frame — ``tx_ids``
-        in position order, encoded ``receipts`` aligned with them, the
+        the index rows a replica installs beside the frame — ``tx_ids``,
+        the 32-byte transaction hashes in position order, and the
         encoded ``derived`` row or ``None``.  A store that has archived
         some of those heights raises :class:`~repro.errors.ColdHistory`:
         raw frames come from the hot tail only."""
@@ -254,17 +251,16 @@ class Storage(MetaStore):
 # In-memory backend
 # ---------------------------------------------------------------------------
 class MemoryBlockStore(BlockStore):
-    """Blocks in a list, tx index and receipts in dicts — RAM only."""
+    """Blocks in a list, tx index and derived rows in dicts — RAM only."""
 
     def __init__(self) -> None:
         self._blocks: list[Block] = []
         self._tx_index: dict[str, tuple[int, int]] = {}
-        self._receipts: dict[str, TransactionReceipt] = {}
         self._derived: dict[int, Any] = {}
 
-    def append_blocks(self, pairs, fsync=True, encoded=None,
+    def append_blocks(self, blocks, fsync=True, encoded=None,
                       derived=None) -> None:
-        for block, receipts in pairs:
+        for block in blocks:
             if block.height != len(self._blocks):
                 raise StorageError(
                     f"store expects height {len(self._blocks)}, "
@@ -273,8 +269,6 @@ class MemoryBlockStore(BlockStore):
             self._blocks.append(block)
             for pos, tx in enumerate(block.transactions):
                 self._tx_index[tx.tx_id] = (block.height, pos)
-            for receipt in receipts:
-                self._receipts[receipt.tx_id] = receipt
             if derived and block.height in derived:
                 self._derived[block.height] = derived[block.height]
 
@@ -298,11 +292,8 @@ class MemoryBlockStore(BlockStore):
     def tx_location(self, tx_id: str) -> tuple[int, int] | None:
         return self._tx_index.get(tx_id)
 
-    def receipt_for(self, tx_id: str) -> TransactionReceipt | None:
-        return self._receipts.get(tx_id)
-
-    def receipts_map(self) -> Mapping[str, TransactionReceipt]:
-        return self._receipts
+    def tx_count(self) -> int:
+        return len(self._tx_index)
 
     def truncate_above(self, height: int) -> None:
         while len(self._blocks) - 1 > height:
@@ -310,7 +301,6 @@ class MemoryBlockStore(BlockStore):
             self._derived.pop(block.height, None)
             for tx in block.transactions:
                 self._tx_index.pop(tx.tx_id, None)
-                self._receipts.pop(tx.tx_id, None)
 
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
         # Insertion order is height order: blocks append in order and
@@ -324,17 +314,13 @@ class MemoryBlockStore(BlockStore):
         items = []
         for block in self._blocks[max(start, 0):max(start + count, 0)]:
             frame = encode_block(block)
-            tx_ids = [tx.tx_id for tx in block.transactions]
             derived = self._derived.get(block.height)
             items.append({
                 "height": block.height,
                 "block_hash": block.block_hash,
                 "frame": frame,
                 "crc": zlib.crc32(frame),
-                "tx_ids": tx_ids,
-                "receipts": [None if receipt is None
-                             else encode_receipt(receipt)
-                             for receipt in map(self._receipts.get, tx_ids)],
+                "tx_ids": [tx.tx_hash for tx in block.transactions],
                 "derived": (None if derived is None
                             else canonical_encode(derived)),
             })
@@ -343,9 +329,8 @@ class MemoryBlockStore(BlockStore):
     # Test/bench conveniences (tamper simulation; not part of BlockStore).
     def reset(self, blocks: list[Block]) -> None:
         """Wholesale-replace the chain (bench probes build tampered
-        copies this way); receipts are cleared, the tx index rebuilt."""
+        copies this way); the tx index is rebuilt."""
         self._blocks = list(blocks)
-        self._receipts.clear()
         self._derived.clear()
         self._tx_index = {
             tx.tx_id: (block.height, pos)

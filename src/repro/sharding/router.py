@@ -15,7 +15,7 @@ derivations pay the two-phase-commit cost.
 
 from __future__ import annotations
 
-from ..chain.transaction import Transaction
+from ..chain.transaction import Transaction, check_payload
 from ..crypto.hashing import DOMAIN_SHARD, hash_bytes
 from ..errors import ShardError
 
@@ -63,9 +63,13 @@ class ShardRouter:
 
         Precedence: an explicit ``payload["namespace"]``, else the
         namespace prefix of ``payload["subject"]``, else the sender
-        (every transaction routes *somewhere*).
+        (every transaction routes *somewhere*).  A payload that is not a
+        mapping is the sender's fault, refused here with
+        :class:`~repro.errors.InvalidTransaction` before any door reads
+        it.
         """
         payload = tx.payload
+        check_payload(payload)
         namespace = payload.get("namespace")
         if namespace:
             return str(namespace)

@@ -652,7 +652,7 @@ class ShardedChain:
 
     @property
     def total_txs_committed(self) -> int:
-        return sum(len(s.chain.receipts) for s in self.shards)
+        return sum(s.chain.store.tx_count() for s in self.shards)
 
     @property
     def mempool_backlog(self) -> int:

@@ -55,12 +55,13 @@ type, the peer's own ``error`` frame, its silence) fails closed with a
 structured :class:`~repro.errors.SyncError` and
 :meth:`~repro.sync.replica.ShardReplica.catch_up` retries the next
 peer, keeping each refusal in the final report's ``errors``.
-Execution receipts and the tail's tx-id index rows are
-transport-checked (chunk hashes / frame CRCs) rather than
-chain-committed — this chain commits none of them in block headers, so
-that is exactly the trust level a source full node offers; pass
-``deep_verify=True`` to additionally recompute every tail block's
-transactions and tx ids from the frame bytes, and note that every
+The tail's tx-index rows (32-byte transaction hashes in position
+order) must be the leaves of the hash-chained header's Merkle root, so
+a peer can neither reorder nor swap them; execution receipts are not
+synced at all — no store keeps one, and no block header commits one.
+Transaction bytes are CRC-checked and decoded against that root on
+every read; pass ``deep_verify=True`` to additionally decode every tail
+block from the frame bytes before install, and note that every
 *verified* query on the replica still proves records against beacon
 headers, so a forged image cannot produce a verified answer.
 Installed frames are byte-identical to the source's log, so reads

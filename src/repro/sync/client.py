@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from ..chain.block import GENESIS_PREV_HASH
 from ..chain.state import StateStore
 from ..crypto.hashing import HASH_SIZE
+from ..crypto.merkle import root_of
 from ..errors import AnchorError, GatewayError, RecordValidationError, \
     SerializationError, StorageError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
@@ -368,9 +369,7 @@ class SnapshotClient:
                     (typed(item["height"], int),
                      typed(item["frame"], bytes),
                      typed(item["crc"], int),
-                     [typed(t, str) for t in item["tx_ids"]],
-                     [r if r is None else typed(r, bytes)
-                      for r in item["receipts"]],
+                     [typed(t, bytes) for t in item["tx_ids"]],
                      None if item.get("derived") is None
                      else typed(item["derived"], bytes))
                     for item in typed(resp["items"], list)
@@ -379,7 +378,7 @@ class SnapshotClient:
                 raise self._fail(f"malformed tail batch: {exc}",
                                  reason="corrupt_block") from exc
             batch: list[dict] = []
-            for height, frame, crc, tx_ids, receipts, derived in items:
+            for height, frame, crc, tx_ids, derived in items:
                 if height != start + len(batch):
                     raise self._fail(
                         f"tail item height {height} out of sequence "
@@ -417,12 +416,13 @@ class SnapshotClient:
                         f"tail block {height} does not hash-chain to "
                         "its predecessor", reason="forged_tail",
                     )
-                if len(tx_ids) != scanned.tx_count \
-                        or len(receipts) != scanned.tx_count:
+                # The tx-index rows are the leaves of the header's
+                # Merkle root, in order, or they are not installed.
+                if root_of(tx_ids) != scanned.header.merkle_root:
                     raise self._fail(
-                        f"tail block {height} index metadata does not "
-                        "match its transaction count",
-                        reason="corrupt_block",
+                        f"tail block {height} transaction index does not "
+                        "hash to its header's Merkle root",
+                        reason="forged_tail",
                     )
                 block_hash = scanned.block_hash
                 if self.deep_verify or derived is not None:
@@ -441,18 +441,11 @@ class SnapshotClient:
                             f"tail block {height} fails deep "
                             f"verification: {exc}", reason="forged_tail",
                         ) from exc
-                    decoded_ids = [tx.tx_id for tx in block.transactions]
-                    if decoded_ids != tx_ids:
-                        raise self._fail(
-                            f"tail block {height} transaction index is "
-                            "forged", reason="forged_tail",
-                        )
                 batch.append({
                     "height": height,
                     "block_hash": block_hash,
                     "frame": frame,
                     "tx_ids": tx_ids,
-                    "receipts": receipts,
                     "derived": derived,
                 })
                 prev_hash = block_hash

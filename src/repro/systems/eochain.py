@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chain import Transaction, TxKind
+from ..chain import Transaction, TransactionReceipt, TxKind
 from ..clock import SimClock
 from ..consensus.raft import RaftCluster
 from ..contracts import ContractRuntime, ProvenanceRegistry, call_payload, deploy_payload
@@ -65,17 +65,24 @@ class EOChain:
         self.runtime = ContractRuntime()
         self.runtime.register(ProvenanceRegistry)
         # The registry contract is deployed on every replica's chain by
-        # committing the deploy through consensus.
+        # committing the deploy through consensus.  Chains keep no
+        # receipts: each replica's commit hands its own to _on_block
+        # (replicas execute a block to the same receipts).
+        self._receipts: dict[str, TransactionReceipt] = {}
         for node in self.cluster.nodes:
             self.runtime.attach(node.chain)  # shared runtime, per-chain state
+            node.chain.subscribe(self._on_block)
         deploy_tx = Transaction(
             sender="consortium", kind=TxKind.CONTRACT_DEPLOY,
             payload=deploy_payload("ProvenanceRegistry"),
         )
         self.cluster.propose([deploy_tx])
-        leader_chain = self._leader_chain()
-        self.registry_address = leader_chain.receipts[deploy_tx.tx_id].output
+        self.registry_address = self._receipts[deploy_tx.tx_id].output
         self.granules: dict[str, EOGranule] = {}
+
+    def _on_block(self, block, receipts) -> None:
+        for receipt in receipts:
+            self._receipts[receipt.tx_id] = receipt
 
     # ------------------------------------------------------------------
     def _leader_chain(self):
@@ -126,7 +133,7 @@ class EOChain:
             ),
         )
         self.cluster.propose([call_tx])
-        receipt = self._leader_chain().receipts[call_tx.tx_id]
+        receipt = self._receipts[call_tx.tx_id]
         if not receipt.success:
             raise DomainError(f"on-chain registration failed: "
                               f"{receipt.error}")

@@ -30,7 +30,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
-from repro.chain.receipts import TransactionReceipt
 from repro.errors import (
     AnchorError,
     ChainError,
@@ -677,9 +676,7 @@ class TestRewrittenSuffixIsCaughtByTheBeacon:
         sharded.close()
         storage = DurableStorage(str(tmp_path / "shard-0"))
         storage.blocks.truncate_above(fork)
-        storage.blocks.append_blocks(
-            [(block, [TransactionReceipt(tx.tx_id, True)
-                      for tx in block.transactions]) for block in suffix])
+        storage.blocks.append_blocks(suffix)
         storage.close()
         reopened = ShardedChain(2, storage_dir=str(tmp_path),
                                 **REWRITE_OPTIONS)

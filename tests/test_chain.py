@@ -55,7 +55,8 @@ class TestTransaction:
         ("fee", "1"), ("fee", True), ("fee", 1.0), ("fee", b"\x01"),
         ("nonce", "x"), ("nonce", -1), ("nonce", False),
         ("timestamp", None), ("timestamp", -5), ("timestamp", 2.5),
-        ("payload", [("k", 1)]), ("payload", "k=1"),
+        ("payload", [("k", 1)]), ("payload", "k=1"), ("payload", ["x"]),
+        ("payload", "abc"), ("payload", 7), ("payload", None),
     ])
     def test_validate_refuses_a_mistyped_field(self, field, value):
         fields = {"sender": "a", "kind": TxKind.DATA, "payload": {"k": 1},
@@ -63,7 +64,11 @@ class TestTransaction:
         tx = Transaction(**fields)
         with pytest.raises(InvalidTransaction):
             tx.validate()
-        if field != "payload":      # sealing copies the payload to a dict
+        if field == "payload":      # sealing refuses it as validate does
+            with pytest.raises(InvalidTransaction):
+                tx.seal()
+            assert not tx.is_sealed and tx.payload is value
+        else:
             with pytest.raises(InvalidTransaction):
                 tx.seal().validate()
 
@@ -255,7 +260,7 @@ class TestSealedBlocksAreFinal:
         with pytest.raises(InvalidBlock):
             chain.apply_executed_blocks(
                 suffix, [[] for _ in suffix],
-                [(encode_block(block), []) for block in suffix])
+                [encode_block(block) for block in suffix])
         assert self._sealed(chain) == before
 
     def test_transfer_is_final(self, funded_chain):
@@ -268,7 +273,7 @@ class TestSealedBlocksAreFinal:
                 self._fork(funded_chain, at_height=0, new_len=2))
         assert funded_chain.state.balance("bob") == 1_500
         assert funded_chain.state.balance("alice") == 500
-        assert funded_chain.receipt_for(tx.tx_id).block_height == 1
+        assert funded_chain.store.tx_location(tx.tx_id) == (1, 0)
 
     def test_history_past_64_blocks_replays_to_the_same_state(self):
         """The chain once kept a 64-block undo journal; past it, a chain

@@ -17,8 +17,9 @@ a frame whose hash is not its row's), deletes the marker and
 ``archive/``, then stamps format 3; a kill inside that step — mid log
 write, after its commit but before ``archive/`` is gone, or after that
 but before the stamp — reopens to the same store.  Then the step 3 → 4
-moves each receipt onto its tx row (its own kill matrix is in
-``tests/test_crash_matrix.py``).
+moves each receipt onto its tx row, and the step 4 → 5 rebuilds ``txs``
+keyed by the 32-byte hash with no receipt (both steps' kill matrices
+are in ``tests/test_crash_matrix.py``, 3 → 4 on this store).
 """
 
 from __future__ import annotations
@@ -206,8 +207,7 @@ def layout(store: str) -> list[dict]:
 
 
 def index_rows(store: str) -> list[dict]:
-    """Per shard store: the tx rows (receipts ride them) and derived
-    rows, as stored."""
+    """Per shard store: the tx rows and derived rows, as stored."""
     out = []
     for name in ("shard-0", "shard-1"):
         conn = sqlite3.connect(os.path.join(store, name, "index.db"))
@@ -248,31 +248,28 @@ def assert_upgraded(store: str, manifest: dict) -> None:
         assert shard["blocks"] == list(range(boundary + 1,
                                              want["height"] + 1))
         assert shard["marker"] == 0 and not shard["archive"]
-        assert shard["version"] == 4
+        assert shard["version"] == 5
 
 
 def upgrades() -> tuple[int, int]:
     counter = telemetry().registry.counter
     return tuple(counter("store_format_upgrades_total",
                          **{"from": start, "to": start + 1}).value
-                 for start in (2, 3))
+                 for start in (2, 3, 4))
 
 
-def receipt_rows(store: str) -> list[list[tuple]]:
-    """Per shard store: ``(tx_id, height, pos, receipt body)`` of every
-    tx, read from whichever format the store is at."""
+def tx_rows(store: str) -> list[list[tuple]]:
+    """Per shard store: ``(tx_id as hex, height, pos)`` of every tx,
+    read from whichever format the store is at (the id is a hex string
+    up to format 4, its 32 bytes from 5)."""
     out = []
     for name in ("shard-0", "shard-1"):
         conn = sqlite3.connect(os.path.join(store, name, "index.db"))
         try:
-            tables = {table for (table,) in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")}
             out.append(conn.execute(
-                "SELECT txs.tx_id, txs.height, txs.pos, receipts.body "
-                "FROM txs LEFT JOIN receipts USING (tx_id) ORDER BY tx_id"
-                if "receipts" in tables else
-                "SELECT tx_id, height, pos, receipt FROM txs "
-                "ORDER BY tx_id").fetchall())
+                "SELECT CASE typeof(tx_id) WHEN 'blob' THEN "
+                "lower(hex(tx_id)) ELSE tx_id END, height, pos FROM txs "
+                "ORDER BY 1").fetchall())
         finally:
             conn.close()
     return out
@@ -288,18 +285,19 @@ class TestParentTieredStore:
             assert shard["archive"] and shard["version"] == 0
             assert shard["blocks"][:boundary + 1] == \
                 list(range(boundary + 1))
-        receipts = receipt_rows(store)
-        assert all(body is not None for rows in receipts
-                   for *_, body in rows)
+        txs = tx_rows(store)
+        assert all(txs)
         was = upgrades()
         assert_upgraded(store, manifest)
-        # 2 → 3 → 4 on the beacon and both shards.
-        assert [now - then for now, then in zip(upgrades(), was)] == [3, 3]
-        assert receipt_rows(store) == receipts
+        # 2 → 3 → 4 → 5 on the beacon and both shards.
+        assert [now - then for now, then in zip(upgrades(), was)] \
+            == [3, 3, 3]
+        assert tx_rows(store) == txs
         upgraded = layout(store)
         assert_upgraded(store, manifest)        # a second open ...
         assert layout(store) == upgraded        # ... changes nothing
-        assert [now - then for now, then in zip(upgrades(), was)] == [3, 3]
+        assert [now - then for now, then in zip(upgrades(), was)] \
+            == [3, 3, 3]
 
     @pytest.mark.parametrize("offset", [0, 7, 300, 2_000])
     def test_kill_inside_the_upgrade_log_write(self, tmp_path, monkeypatch,

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.chain.block import Block
 from repro.chain.blockchain import execute_block
-from repro.errors import TamperDetected
+from repro.errors import ChainError, TamperDetected
 from repro.exec.worker import _handle_exec
 from repro.obs.runtime import telemetry
-from repro.persist.codec import encode_block, encode_receipt
+from repro.persist.codec import encode_block
 from repro.persist.durable import DurableStorage
 from repro.persist.stores import MemoryStorage
 from repro.persist.segment import CrashPoint
@@ -104,9 +104,7 @@ def _fingerprint(chain: Blockchain, storage) -> dict:
         "head": chain.head.block_hash,
         "height": chain.height,
         "state_root": chain.state.state_root(),
-        "receipts": {tx.tx_id: encode_receipt(chain.receipt_for(tx.tx_id))
-                     for block in chain.blocks
-                     for tx in block.transactions},
+        "tx_count": chain.store.tx_count(),
         "tx_locations": {tx.tx_id: chain.store.tx_location(tx.tx_id)
                          for block in chain.blocks
                          for tx in block.transactions},
@@ -140,7 +138,7 @@ def _commit_grouped(chain, blocks, sizes=(2, 1, 3, 5)):
 
 def _commit_worker_deltas(chain, blocks, sizes=(3, 2, 2)):
     """The process engine's path, with the worker's handler run in this
-    process: job frames out, receipt bodies + deltas + root back."""
+    process: job frames out, deltas + root back."""
     replicas: dict = {}
     at = 0
     for size in sizes:
@@ -158,7 +156,7 @@ def _commit_worker_deltas(chain, blocks, sizes=(3, 2, 2)):
         chain.apply_executed_blocks(
             group,
             [[tuple(op) for op in ops] for ops in reply["deltas"]],
-            list(zip(frames, reply["receipts"])),
+            frames,
             expected_state_root=reply["state_root"],
         )
     assert at == len(blocks)
@@ -268,6 +266,35 @@ class TestGroupIsNoneOrAll:
 # ---------------------------------------------------------------------------
 # The state-root gate
 # ---------------------------------------------------------------------------
+class TestWorkerDeltasCarryNoReceipts:
+    def test_a_chain_with_subscribers_executes_its_own_blocks(self):
+        """A worker returns deltas, not receipts, so a chain whose
+        subscribers wait for receipts refuses its deltas before
+        anything moves, and the same group executed here announces every
+        transaction's receipt."""
+        chain, _ = _open(None)
+        seen: list = []
+        chain.subscribe(lambda block, receipts: seen.append(
+            (block.height, [r.tx_id for r in receipts])))
+        group = STREAM[:2]
+        shadow = Blockchain(_params())
+        deltas = []
+        for block in group:
+            snap = shadow.state.snapshot()
+            execute_block(block, shadow.state, shadow.executor, shadow)
+            deltas.append(shadow.state.drain_snapshot_delta(snap))
+        with pytest.raises(ChainError):
+            chain.apply_executed_blocks(
+                group, deltas, [encode_block(block) for block in group],
+                expected_state_root=shadow.state.state_root())
+        assert chain.height == 0 and seen == []
+        assert chain.state.open_snapshots == 0
+        chain.append_blocks(group)
+        assert seen == [(block.height, [tx.tx_id for tx in block.transactions])
+                        for block in group]
+        assert chain.state.state_root() == shadow.state.state_root()
+
+
 class TestExpectedStateRoot:
     @pytest.mark.parametrize("durable", [False, True])
     def test_divergence_installs_nothing(self, durable, tmp_path):
@@ -280,11 +307,9 @@ class TestExpectedStateRoot:
         deltas, encoded = [], []
         for block in group:
             snap = shadow.state.snapshot()
-            receipts = execute_block(block, shadow.state, shadow.executor,
-                                     shadow)
+            execute_block(block, shadow.state, shadow.executor, shadow)
             deltas.append(shadow.state.drain_snapshot_delta(snap))
-            encoded.append((encode_block(block),
-                            [encode_receipt(r) for r in receipts]))
+            encoded.append(encode_block(block))
         with pytest.raises(TamperDetected):
             chain.apply_executed_blocks(
                 group, deltas, encoded, expected_state_root=b"\x00" * 32)

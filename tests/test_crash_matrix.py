@@ -548,7 +548,7 @@ class TestFormatRefusals:
             shutil.copytree(base[0], store)
             n_shards, batch, last = N_SHARDS, BATCH, f"shard-{N_SHARDS - 1}"
             conn = sqlite3.connect(os.path.join(store, last, "index.db"))
-            conn.execute("PRAGMA user_version = 5")
+            conn.execute("PRAGMA user_version = 6")
             conn.close()
         else:
             store = extract_pr16_store(tmp_path)
@@ -675,18 +675,17 @@ class TestCountedGuards:
         commits = sum(s.lstrip().upper().startswith("COMMIT") for s in fresh)
         assert commits <= self.PARENT_FRESH_OPEN_COMMITS
         stamps = [s for s in fresh if "user_version =" in s]
-        assert len(stamps) == 3 and all("= 4" in s for s in stamps)
+        assert len(stamps) == 3 and all("= 5" in s for s in stamps)
         assert not any(s.lstrip().upper().startswith(("ALTER", "DROP"))
                        for s in fresh)
         assert len(reopen) <= self.PARENT_REOPEN_STATEMENTS - 9
 
-    PARENT_GROUP_EXECUTEMANY = 3    # blocks, txs, receipts
+    PARENT_GROUP_EXECUTEMANY = 3    # blocks, txs, receipts (at 8188936)
 
     def test_a_block_group_writes_one_row_per_transaction(
             self, tmp_path, monkeypatch):
-        """One ``executemany`` fewer per block group than the parent:
-        the location rows, and one tx row per transaction that carries
-        its receipt."""
+        """One ``executemany`` fewer per block group than 8188936: the
+        location rows, and one tx row per transaction (no receipt)."""
         calls: list[str] = []
 
         class Counting(sqlite3.Connection):
@@ -704,13 +703,10 @@ class TestCountedGuards:
             for r in range(3):
                 builder.append_block(builder.build_block(make_txs(r, 4),
                                                          timestamp=r))
-            pairs = [(block, [builder.receipt_for(tx.tx_id)
-                              for tx in block.transactions])
-                     for block in builder.blocks]
             calls.clear()
-            storage.blocks.append_blocks(pairs)
+            storage.blocks.append_blocks(list(builder.blocks))
             assert len(calls) == self.PARENT_GROUP_EXECUTEMANY - 1, calls
-            assert len(storage.blocks.receipts_map()) == 12
+            assert storage.blocks.tx_count() == 12
         finally:
             storage.close()
 
@@ -758,13 +754,13 @@ class TestCountedGuards:
 
 
 # ---------------------------------------------------------------------------
-# The format step 3 → 4, killed at every statement
+# The format steps 3 → 4 and 4 → 5, killed at every statement
 # ---------------------------------------------------------------------------
-def extract_parent_shard(tmp_path) -> str:
-    """Shard 0 of ``tests/golden/parent_store`` (format 3)."""
-    with tarfile.open(os.path.join(GOLDEN_DIR, "parent_store.tar.gz")) as tar:
+def extract_golden_shard(tmp_path, name: str) -> str:
+    """Shard 0 of the golden store ``name``."""
+    with tarfile.open(os.path.join(GOLDEN_DIR, f"{name}.tar.gz")) as tar:
         tar.extractall(tmp_path, filter="data")
-    return str(tmp_path / "parent_store" / "shard-0")
+    return str(tmp_path / name / "shard-0")
 
 
 def index_dump(directory: str) -> dict:
@@ -784,13 +780,15 @@ def index_dump(directory: str) -> dict:
         conn.close()
 
 
-# Opens the store in argv[1] with the 3 → 4 step armed to kill the
-# process as the argv[2]-th statement from the step's start begins.
+# Opens the store in argv[1] with the step from format argv[3] armed to
+# kill the process as the argv[2]-th statement from the step's start
+# begins (the steps before it run unarmed).
 KILL_SCRIPT = """
 import os, sys
 from repro.persist.durable import DurableStorage
 
-kill_at, step = int(sys.argv[2]), dict(DurableStorage._UPGRADES)[3]
+kill_at, start = int(sys.argv[2]), int(sys.argv[3])
+step = dict(DurableStorage._UPGRADES)[start]
 
 def armed(storage):
     seen = []
@@ -804,48 +802,61 @@ def armed(storage):
     step(storage)
 
 DurableStorage._UPGRADES = tuple(
-    (start, armed if start == 3 else upgrade)
-    for start, upgrade in DurableStorage._UPGRADES)
+    (at, armed if at == start else upgrade)
+    for at, upgrade in DurableStorage._UPGRADES)
 DurableStorage(sys.argv[1])
 """
 
 
-class TestReceiptsFormatStep:
+class TestFormatStepsKilled:
+    # (step's start format, golden store at or below it, the statement
+    # that shows the step rebuilt what it must)
+    STEPS = {
+        3: ("parent_tiered_store", "DROP TABLE receipts"),
+        4: ("parent_store", "DROP TABLE txs"),
+    }
+
+    @pytest.mark.parametrize("start", sorted(STEPS))
     def test_a_kill_anywhere_in_the_step_reopens_to_the_same_store(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, start):
         """Killed as any statement of the step begins — its probe, each
         statement of its one transaction, its COMMIT — or between that
-        commit and the stamp, the parent's store is still format 3 and
-        reopens to exactly what an uninterrupted upgrade leaves."""
-        clean = extract_parent_shard(tmp_path / "clean")
+        commit and the stamp, the store is still at the step's start
+        format and reopens to exactly what an uninterrupted upgrade
+        leaves: format 5, no receipt anywhere."""
+        golden, rebuilt = self.STEPS[start]
+        clean = extract_golden_shard(tmp_path / "clean", golden)
         statements: list[str] = []
-        step = dict(DurableStorage._UPGRADES)[3]
+        step = dict(DurableStorage._UPGRADES)[start]
 
         def traced(storage):
             storage._conn.set_trace_callback(statements.append)
             step(storage)
 
         monkeypatch.setattr(DurableStorage, "_UPGRADES", tuple(
-            (start, traced if start == 3 else upgrade)
-            for start, upgrade in DurableStorage._UPGRADES))
+            (at, traced if at == start else upgrade)
+            for at, upgrade in DurableStorage._UPGRADES))
         DurableStorage(clean).close()
         monkeypatch.undo()
         statements = statements[:next(
             i for i, s in enumerate(statements) if "user_version" in s) + 1]
-        assert statements[-1].startswith("PRAGMA user_version = 4")
-        assert any(s.startswith("DROP TABLE receipts") for s in statements)
+        assert statements[-1].startswith(f"PRAGMA user_version = {start + 1}")
+        assert any(s.startswith(rebuilt) for s in statements)
         want = index_dump(clean)
-        assert want["format"] == 4 and "receipts" not in want
-        assert all(receipt is not None for *_, receipt in want["txs"])
+        assert want["format"] == 5 and "receipts" not in want
+        assert all(len(row) == 3 and len(row[0]) == 32
+                   for row in want["txs"])
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
         for kill_at in range(1, len(statements) + 1):
-            store = extract_parent_shard(tmp_path / f"kill-{kill_at}")
+            store = extract_golden_shard(tmp_path / f"kill-{kill_at}",
+                                         golden)
             done = subprocess.run(
-                [sys.executable, "-c", KILL_SCRIPT, store, str(kill_at)],
+                [sys.executable, "-c", KILL_SCRIPT, store, str(kill_at),
+                 str(start)],
                 env=dict(os.environ, PYTHONPATH=src), timeout=60)
             assert done.returncode == 9, statements[kill_at - 1]
-            assert index_dump(store)["format"] == 3
+            assert index_dump(store)["format"] == start
             DurableStorage(store).close()
             assert index_dump(store) == want, statements[kill_at - 1]
 
@@ -854,11 +865,14 @@ class TestReceiptsFormatStep:
 # What peers see did not move
 # ---------------------------------------------------------------------------
 class TestPeersSeeTheParentsBytes:
-    # sha256 at the parent commit (0e34561) over the base store's raw
-    # tail items of every shard, and over the block- and record-log bytes
-    # of the four replicas caught up from it.
+    # sha256 over the base store's raw tail items of every shard, and
+    # over the block- and record-log bytes of the four replicas caught up
+    # from it.  The log digest is 0e34561's.  The items digest is
+    # a98e1dc's items with their "receipts" field taken out and their hex
+    # tx ids as the 32 bytes they spell — what a tail item is since
+    # format 5 (0e34561's items, receipts included, hashed to c6e983de…).
     PARENT_RAW_ITEMS = \
-        "c6e983deae4949dbed72820661bce67133826c66f5bae4456d2bf7845e2a3f3c"
+        "53d2c3117f3cfb78843987ab0e8e0e42f738227d375df6c0040ce60fea0eaaef"
     PARENT_REPLICA_LOGS = \
         "347b64b0f01ff05d3d8a130e571f935e55a7811d09b57a9b1f7a7fd29a303ffd"
 

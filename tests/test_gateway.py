@@ -17,10 +17,11 @@ import asyncio
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain import Transaction, TxKind
 from repro.errors import (
-    RETRY_AFTER_FLOOR_S, ChainError, GatewayError,
+    RETRY_AFTER_FLOOR_S, ChainError, GatewayError, InvalidTransaction,
 )
 from repro.gateway import (
     MAX_FRAME_BYTES, AsyncGatewayClient, GatewayClient, GatewayServer,
@@ -33,6 +34,7 @@ from repro.gateway.frames import (
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
 from repro.obs.runtime import Telemetry
+from repro.obs.runtime import telemetry as default_telemetry
 from repro.persist.codec import (
     transaction_from_mapping, transaction_to_mapping,
 )
@@ -421,6 +423,47 @@ class TestWireBackpressure:
         assert sealed == {tx.tx_id for tx in good}
         assert list(pipe.invalid_txs) == [bad]
         assert counter_of(server, "gateway_seal_errors_total") == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(payload=st.one_of(
+        st.lists(st.text(max_size=3), max_size=3), st.text(max_size=5),
+        st.integers(), st.none(), st.booleans(), st.binary(max_size=4),
+        st.lists(st.lists(st.integers(), max_size=2), max_size=2)))
+    def test_a_payload_that_is_not_a_mapping_is_the_clients_fault(
+            self, payload):
+        """Both doors refuse the batch before routing reads the payload:
+        in process with InvalidTransaction, on the wire with a
+        ``bad_request`` error frame.  Nothing is queued, and no server
+        fault is counted."""
+        bad = {"sender": "alice", "kind": TxKind.DATA.value,
+               "payload": payload, "nonce": 0, "timestamp": 0, "fee": 0}
+        failures = default_telemetry().registry.counter(
+            "rpc_handler_failures_total")
+        before = failures.value
+        _, pipe, server = make_stack(n_shards=2)
+        with pytest.raises(InvalidTransaction):
+            pipe.submit_many([data_tx(0), transaction_from_mapping(bad)])
+        assert pipe.total_submitted == 0
+
+        async def scenario():
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            body = txs_to_frame_body([data_tx(1)], seq=1)
+            body["txs"].append(bad)
+            writer.write(encode_frame(body))
+            await writer.drain()
+            reply = await read_frame(reader)
+            assert (reply["op"], reply["reason"], reply["seq"]) \
+                == ("error", "bad_request", 1)
+            writer.close()
+            async with await AsyncGatewayClient.connect(
+                    host, port) as client:
+                assert (await client.submit([data_tx(2)])).queued == 1
+            await server.drain()
+
+        asyncio.run(scenario())
+        assert pipe.total_submitted == 1
+        assert failures.value == before
 
     def test_budget_exhaustion_hands_back_pending(self):
         # No sealer: the queue never frees, so the retry budget runs

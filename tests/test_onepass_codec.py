@@ -15,11 +15,12 @@ Three mechanisms, each checked against what it replaced:
     re-encoded one, or neither is built.
 
 ``tests/golden/parent_store.tar.gz`` is a small durable store written by
-:func:`build_golden_store` on commit 0e34561, store format 3 (manifest
+:func:`build_golden_store` on commit a98e1dc, store format 4 (manifest
 in ``parent_store.json``; both written by ``PYTHONPATH=src python
 tests/test_onepass_codec.py <out dir>`` in a checkout of that commit); it
-must reopen upgraded to format 4 with the same hashes, tx index, receipts
-and records.
+must reopen upgraded to format 5 with the same hashes, tx index and
+records.  (The store cut at 0e34561, format 3, was also checked for
+equal receipt bodies; format 5 stores none.)
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from repro.persist.codec import (
     canonical_decode,
     decode_block,
     decode_frame,
-    decode_receipt,
     encode_block,
     transaction_embedded,
     transaction_from_mapping,
@@ -247,15 +247,20 @@ class TestOnePassSeal:
         assert tx.tx_hash == tx.compute_tx_hash()
         assert tx.tx_id == tx.tx_hash.hex()
 
-    def test_payload_of_another_mapping_or_pair_list_type(self):
+    def test_payload_of_another_mapping_type_seals_a_pair_list_does_not(
+            self):
         from collections import OrderedDict
 
-        for payload in (OrderedDict(b=1, a=2), [("b", 1), ("a", 2)]):
-            tx = Transaction("s", TxKind.DATA, payload)
-            assert tx._encoded_body() == oracle_encode(tx.signing_body())
-            assert tx.seal()._encoded_body() \
-                == oracle_encode(tx.signing_body())
-            assert tx.payload == {"a": 2, "b": 1}
+        tx = Transaction("s", TxKind.DATA, OrderedDict(b=1, a=2))
+        assert tx._encoded_body() == oracle_encode(tx.signing_body())
+        assert tx.seal()._encoded_body() == oracle_encode(tx.signing_body())
+        assert tx.payload == {"a": 2, "b": 1}
+        # A list of pairs is not a mapping: validate() refuses it, so
+        # seal() does too, rather than sealing dict() of it.
+        pairs = Transaction("s", TxKind.DATA, [("b", 1), ("a", 2)])
+        with pytest.raises(InvalidTransaction):
+            pairs.seal()
+        assert not pairs.is_sealed
 
     def test_seal_encodes_the_payload_and_nothing_else(self, monkeypatch):
         counter = CountingEncoder(monkeypatch, transaction_module)
@@ -988,16 +993,15 @@ class TestStoreOpen:
                 conn.close()
 
         def rows(path):
-            """Every tx row with its receipt body, and every record row,
-            read from whichever format the store is at."""
+            """Every tx row (its id as hex) and every record row, read
+            from whichever format the store is at."""
             conn = sqlite3.connect(path)
             try:
                 upgraded = conn.execute("PRAGMA user_version").fetchone()[0]
                 return conn.execute(
-                    "SELECT tx_id, height, pos, receipt FROM txs "
-                    "ORDER BY tx_id" if upgraded == 4 else
-                    "SELECT txs.tx_id, txs.height, txs.pos, receipts.body "
-                    "FROM txs LEFT JOIN receipts USING (tx_id) "
+                    "SELECT lower(hex(tx_id)), height, pos FROM txs "
+                    "ORDER BY tx_id" if upgraded == 5 else
+                    "SELECT tx_id, height, pos FROM txs "
                     "ORDER BY tx_id").fetchall(), conn.execute(
                     "SELECT * FROM records ORDER BY position").fetchall()
             finally:
@@ -1014,10 +1018,9 @@ class TestStoreOpen:
         names = ("beacon", "shard-0", "shard-1")
         indexes = [os.path.join(store, name, "index.db") for name in names]
         before = [schema(index) for index in indexes]
-        assert {version for _, version in before} == {3}
+        assert {version for _, version in before} == {4}
         before_rows = [rows(index) for index in indexes]
-        assert all(body is not None for txs, _ in before_rows
-                   for *_, body in txs)
+        assert all(txs for txs, _ in before_rows[1:])
         before_logs = [record_log(name) for name in names]
         sharded = open_golden_store(store)
         try:
@@ -1042,28 +1045,32 @@ class TestStoreOpen:
             stacks = [sharded.beacon.chain] + [s.chain
                                                for s in sharded.shards]
             for chain, (txs, _) in zip(stacks, before_rows):
-                for tx_id, height, pos, body in txs:
+                assert chain.store.tx_count() == len(txs)
+                for tx_id, height, pos in txs:
                     assert chain.store.tx_location(tx_id) == (height, pos)
-                    assert chain.receipt_for(tx_id) == decode_receipt(body)
             sharded.verify_all(deep=True)
         finally:
             sharded.close()
-        # The open takes the 3 → 4 step: every receipt rides its tx row,
-        # the receipts table and its index are gone, nothing else moved.
+        # The open takes the 4 → 5 step: ``txs`` is rebuilt keyed by the
+        # 32-byte hash without its receipt column (and its rowid
+        # autoindex), the same rows in it; nothing else moved.
         assert [rows(index) for index in indexes] == before_rows
         assert [record_log(name) for name in names] == before_logs
         for index, (tables, _) in zip(indexes, before):
             after, version = schema(index)
-            assert version == 4
+            assert version == 5
             assert [row for row in after if row[1] != "txs"] == [
                 row for row in tables
-                if row[1] not in ("txs", "receipts", "receipts_by_height",
-                                  "sqlite_autoindex_receipts_1")]
+                if row[1] not in ("txs", "sqlite_autoindex_txs_1")]
             conn = sqlite3.connect(index)
             try:
-                assert [row[1] for row in conn.execute(
+                assert [row[1:3] for row in conn.execute(
                     "PRAGMA table_info(txs)")] \
-                    == ["tx_id", "height", "pos", "receipt"]
+                    == [("tx_id", "BLOB"), ("height", "INTEGER"),
+                        ("pos", "INTEGER")]
+                assert conn.execute(
+                    "SELECT sql FROM sqlite_master WHERE name = 'txs'"
+                ).fetchone()[0].endswith("WITHOUT ROWID")
             finally:
                 conn.close()
 
@@ -1095,7 +1102,7 @@ class TestStoreOpen:
             assert tables == {"blocks", "cold_blocks", "txs", "records",
                               "state_entries", "meta"}
             assert storage._conn.execute(
-                "PRAGMA user_version").fetchone()[0] == 4
+                "PRAGMA user_version").fetchone()[0] == 5
             for table in ("blocks", "cold_blocks"):
                 columns = [row[1] for row in storage._conn.execute(
                     f"PRAGMA table_info({table})")]

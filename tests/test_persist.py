@@ -27,12 +27,7 @@ from repro.persist import (
     decode_block,
     encode_block,
 )
-from repro.persist.codec import (
-    decode_receipt,
-    decode_record,
-    encode_receipt,
-    encode_record,
-)
+from repro.persist.codec import decode_record, encode_record
 from repro.serialization import canonical_encode
 from repro.sharding import ShardedChain, ShardedQueryEngine
 
@@ -127,14 +122,15 @@ class TestCodec:
         assert clone.transactions[0].verify_signature()
         assert clone.transactions[0].is_sealed
 
-    def test_receipt_roundtrip(self, funded_chain):
+    def test_receipt_is_returned_not_stored(self, funded_chain):
         tx = Transaction("alice", TxKind.TRANSFER,
                          {"to": "bob", "amount": 5}).seal()
-        funded_chain.append_block(funded_chain.build_block([tx]))
-        receipt = funded_chain.receipt_for(tx.tx_id)
-        clone = decode_receipt(encode_receipt(receipt))
-        assert clone == receipt
-        assert clone.events == receipt.events
+        [receipt] = funded_chain.append_block(funded_chain.build_block([tx]))
+        assert receipt.tx_id == tx.tx_id and receipt.success
+        assert receipt.block_height == 1 and receipt.events
+        assert not hasattr(funded_chain, "receipt_for")
+        assert not hasattr(funded_chain.store, "receipt_for")
+        assert funded_chain.store.tx_location(tx.tx_id) == (1, 0)
 
     def test_record_roundtrip(self):
         record = {"record_id": "r1", "subject": "s", "nested": {"a": [1, 2]},
@@ -309,14 +305,12 @@ class TestCrashRecovery:
         runtime.attach(chain)
         deploy = Transaction("deployer", TxKind.CONTRACT_DEPLOY,
                              deploy_payload("ProvenanceRegistry")).seal()
-        chain.append_block(chain.build_block([deploy]))
-        address = chain.receipt_for(deploy.tx_id).output
+        address = chain.append_block(chain.build_block([deploy]))[0].output
         call = Transaction("alice", TxKind.CONTRACT_CALL,
                            call_payload(address, "register",
                                         record_id="a1",
                                         content_hash="deadbeef")).seal()
-        chain.append_block(chain.build_block([call]))
-        assert chain.receipt_for(call.tx_id).success
+        assert chain.append_block(chain.build_block([call]))[0].success
         state_root = chain.state.state_root()
         # No checkpoint: force a restore replay through the contract txs.
         storage.blocks.sync()
@@ -450,7 +444,7 @@ class TestOneRecoveryWalk:
         rows = _index_rows(storage2)
         if table == "blocks":
             assert rows["blocks"] == 4 and rows["txs"] == 9 \
-                and len(storage2.blocks.receipts_map()) == 9
+                and storage2.blocks.tx_count() == 9
         else:
             assert rows["records"] == 3
         _fill(storage2, table, 2)
@@ -601,15 +595,13 @@ class TestBackendEquivalence:
         assert reopened.height == memory.height
         assert reopened.head.block_hash == memory.head.block_hash
         assert reopened.state.state_root() == memory.state.state_root()
-        assert set(reopened.receipts.keys()) == set(memory.receipts.keys())
+        assert reopened.store.tx_count() == memory.store.tx_count()
         for block_mem, block_dur in zip(memory.blocks, reopened.blocks):
             assert encode_block(block_dur) == encode_block(block_mem)
         for block in memory.blocks:
             for tx in block.transactions:
                 assert reopened.store.tx_location(tx.tx_id) == \
                     memory.store.tx_location(tx.tx_id)
-                assert reopened.receipt_for(tx.tx_id) == \
-                    memory.receipt_for(tx.tx_id)
         reopened.verify(deep=True)
         storage2.close()
 
@@ -688,10 +680,11 @@ class TestDurableTruncation:
         dropped = [tx.tx_id
                    for block in chain.blocks[cut + 1:]
                    for tx in block.transactions]
+        kept = storage.blocks.tx_count() - len(dropped)
         storage.blocks.truncate_above(cut)
+        assert storage.blocks.tx_count() == kept
         for tx_id in dropped:
             assert storage.blocks.tx_location(tx_id) is None
-            assert storage.blocks.receipt_for(tx_id) is None
         storage.close()
 
         # On-disk truth agrees after a reopen, and a new tail commits.
@@ -721,11 +714,11 @@ class TestDurableTruncation:
         reference = Blockchain(params)
         suffix = _fork_suffix(chain, 2, 5)  # new head at height 7 > 6...
         for block in list(chain.blocks[1:3]) + suffix:
-            receipts = reference.append_block(block)
+            reference.append_block(block)
             if block.height > 2:
                 if block.height == 3:
                     storage.blocks.truncate_above(2)
-                storage.blocks.append_blocks([(block, receipts)])
+                storage.blocks.append_blocks([block])
         storage.close()
         # ...but the height-6 image names a block the store no longer
         # holds: it is dropped and every block replays.

@@ -26,16 +26,11 @@ from hypothesis.stateful import (
 )
 
 import repro
-from repro.chain import Transaction, TransactionReceipt, TxKind
+from repro.chain import Transaction, TxKind
 from repro.chain.block import GENESIS_PREV_HASH, Block
 from repro.errors import StorageError
 from repro.persist import DurableStorage, MemoryStorage
-from repro.persist.codec import (
-    canonical_decode,
-    decode_block,
-    decode_receipt,
-    encode_receipt,
-)
+from repro.persist.codec import canonical_decode, decode_block
 from repro.serialization import canonical_encode
 from repro.sharding import (
     COMMITTED,
@@ -168,15 +163,10 @@ class TestMemoryDurableParity:
         sharded.close()
 
 
-def _encoded(receipt: TransactionReceipt | None) -> bytes | None:
-    return None if receipt is None else encode_receipt(receipt)
-
-
 class BlockStoreMachine(RuleBasedStateMachine):
     """A memory and a durable block store, driven through the same
     appends, truncations, raw installs (each store installs the other's
-    raw items, one receipt dropped when asked) and durable reopens,
-    answer every read the same."""
+    raw items) and durable reopens, answer every read the same."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -194,13 +184,13 @@ class BlockStoreMachine(RuleBasedStateMachine):
 
     def _group(self, shapes) -> tuple[list, dict]:
         """Blocks on the head, ``shapes[i]`` = (transactions, derived
-        row?) of block ``i``, with receipts and derived rows."""
+        row?) of block ``i``, with derived rows."""
         head = self.memory.height()
         prev = GENESIS_PREV_HASH if head < 0 \
             else self.memory.head_block().block_hash
-        pairs, derived = [], {}
+        blocks, derived = [], {}
         for n_txs, with_row in shapes:
-            height = head + 1 + len(pairs)
+            height = head + 1 + len(blocks)
             txs = []
             for _ in range(n_txs):
                 n = len(self.tx_ids)
@@ -210,22 +200,18 @@ class BlockStoreMachine(RuleBasedStateMachine):
                 self.tx_ids.append(txs[-1].tx_id)
             block = Block(height=height, prev_hash=prev, transactions=txs,
                           timestamp=height)
-            pairs.append((block, [
-                TransactionReceipt(tx.tx_id, success=i % 2 == 0,
-                                   gas_used=i, block_height=height,
-                                   error=None if i % 2 == 0 else "refused")
-                for i, tx in enumerate(txs)]))
+            blocks.append(block)
             if with_row:
                 derived[height] = {"height": height, "txs": n_txs}
             prev = block.block_hash
-        return pairs, derived
+        return blocks, derived
 
     @rule(shapes=st.lists(st.tuples(st.integers(0, 3), st.booleans()),
                           min_size=1, max_size=3))
     def append(self, shapes):
-        pairs, derived = self._group(shapes)
+        blocks, derived = self._group(shapes)
         for store in self._stores():
-            store.append_blocks(pairs, derived=derived)
+            store.append_blocks(blocks, derived=derived)
 
     @precondition(lambda self: self.memory.height() >= 0)
     @rule(data=st.data())
@@ -235,8 +221,8 @@ class BlockStoreMachine(RuleBasedStateMachine):
             store.truncate_above(height)
 
     @precondition(lambda self: self.memory.height() >= 1)
-    @rule(data=st.data(), drop=st.booleans())
-    def reinstall(self, data, drop):
+    @rule(data=st.data())
+    def reinstall(self, data):
         """Cut both stores back, then give each the other's raw items
         for the blocks it lost."""
         memory, durable = self._stores()
@@ -244,18 +230,11 @@ class BlockStoreMachine(RuleBasedStateMachine):
         count = memory.height() - height
         from_memory = memory.raw_block_items(height + 1, count)
         from_durable = durable.raw_block_items(height + 1, count)
-        if drop:
-            for items in (from_memory, from_durable):
-                item = next((item for item in items if item["tx_ids"]), None)
-                if item is not None:
-                    item["receipts"][0] = None
         for store in (memory, durable):
             store.truncate_above(height)
         durable.install_raw(from_memory)
         memory.append_blocks(
-            [(decode_block(item["frame"], expected_hash=item["block_hash"]),
-              [decode_receipt(body) for body in item["receipts"]
-               if body is not None])
+            [decode_block(item["frame"], expected_hash=item["block_hash"])
              for item in from_durable],
             derived={item["height"]: canonical_decode(item["derived"])
                      for item in from_durable
@@ -272,13 +251,7 @@ class BlockStoreMachine(RuleBasedStateMachine):
         assert durable.height() == memory.height()
         for tx_id in self.tx_ids:
             assert durable.tx_location(tx_id) == memory.tx_location(tx_id)
-            assert _encoded(durable.receipt_for(tx_id)) \
-                == _encoded(memory.receipt_for(tx_id))
-        mine, theirs = durable.receipts_map(), memory.receipts_map()
-        assert len(mine) == len(theirs)
-        assert sorted(mine) == sorted(theirs)
-        assert [tx_id in mine for tx_id in self.tx_ids] \
-            == [tx_id in theirs for tx_id in self.tx_ids]
+        assert durable.tx_count() == memory.tx_count()
         assert list(durable.derived_rows()) == list(memory.derived_rows())
         count = memory.height() + 1
         assert durable.raw_block_items(0, count) \

@@ -278,7 +278,7 @@ class TestCatchUp:
         replica.shard = None
         replica.close()
 
-    def test_state_and_receipts_identical(self, source, tmp_path):
+    def test_state_and_tx_index_identical(self, source, tmp_path):
         sharded, _ = source
         env = Env(sharded)
         replica = env.replica(tmp_path)
@@ -288,9 +288,11 @@ class TestCatchUp:
             shard.chain.state.state_root()
         assert replica.chain.state.dump_entries() == \
             shard.chain.state.dump_entries()
-        some_tx = shard.chain.block_at(1).transactions[0]
-        assert replica.chain.receipt_for(some_tx.tx_id).tx_id == \
-            shard.chain.receipt_for(some_tx.tx_id).tx_id
+        assert replica.chain.store.tx_count() == shard.chain.store.tx_count()
+        for height in range(1, shard.chain.height + 1):
+            for tx in shard.chain.block_at(height).transactions:
+                assert replica.chain.store.tx_location(tx.tx_id) == \
+                    shard.chain.store.tx_location(tx.tx_id)
         replica.close()
 
     def test_queries_byte_identical(self, source, tmp_path):
@@ -452,8 +454,10 @@ class TestTailIsTheStoresOwn:
                     shard_id, 1, 512, height)["items"]
                 assert any(item["derived"] is not None for item in whole)
                 assert all(item["crc"] == zlib.crc32(item["frame"])
-                           and len(item["receipts"]) == len(item["tx_ids"])
-                           and None not in item["receipts"]
+                           and "receipts" not in item
+                           and item["tx_ids"] == [
+                               tx.tx_hash for tx in
+                               decode_block(item["frame"]).transactions]
                            for item in whole)
         finally:
             in_memory.close()
@@ -602,9 +606,18 @@ class ByzantineServer(SnapshotServer):
                     "block_hash": rogue.block_hash,
                     "frame": frame,
                     "crc": zlib.crc32(frame),
-                    "tx_ids": [tx.tx_id for tx in rogue.transactions],
-                    "receipts": [None, None],
+                    "tx_ids": [tx.tx_hash for tx in rogue.transactions],
                 })
+            resp = dict(resp, items=items)
+        elif self.mode in TX_ID_FORGERIES:
+            # Tx-index rows that are not the block's: a format-4 peer's
+            # hex ids, hashes cut short, two rows swapped.
+            items = [dict(i) for i in resp["items"]]
+            victim = next((item for item in items
+                           if len(item["tx_ids"]) > 1), None)
+            if victim is not None:
+                victim["tx_ids"] = TX_ID_FORGERIES[self.mode][0](
+                    victim["tx_ids"])
             resp = dict(resp, items=items)
         elif self.mode == "forged_tail_body":
             # A *deliberate* forgery recomputes the transport CRC.
@@ -618,6 +631,17 @@ class ByzantineServer(SnapshotServer):
             resp = dict(resp, items=items)
         return resp
 
+
+# Ways to serve a tail block's tx-index rows that are not its
+# transactions' 32-byte hashes in order, and the refusal each gets.
+TX_ID_FORGERIES = {
+    "tail_tx_id_hex": (lambda ids: [tx_id.hex() for tx_id in ids],
+                       "corrupt_block"),
+    "tail_tx_id_short": (lambda ids: [tx_id[:31] for tx_id in ids],
+                         "forged_tail"),
+    "tail_tx_ids_swapped": (lambda ids: [ids[1], ids[0], *ids[2:]],
+                            "forged_tail"),
+}
 
 # Ways to lie about a shard's records (the image's ``records`` list).
 RECORD_FORGERIES = {
@@ -724,6 +748,17 @@ class TestByzantine:
         err, _ = self._attempt(sharded, tmp_path,
                                "corrupt_tail_frame", "bz9", tail_batch=4)
         assert err.reason == "corrupt_block"
+
+    @pytest.mark.parametrize("mode", sorted(TX_ID_FORGERIES))
+    def test_tail_tx_index_not_the_blocks_rejected(self, source, tmp_path,
+                                                   mode):
+        sharded, _ = source
+        err, _ = self._attempt(sharded, tmp_path, mode, f"bzt-{mode}",
+                               tail_batch=4)
+        assert err.reason == TX_ID_FORGERIES[mode][1]
+        storage = DurableStorage(str(tmp_path / f"bzt-{mode}"))
+        assert storage.blocks.height() == -1      # rolled back to base
+        storage.close()
 
     def test_forged_tail_header_breaks_hash_chain(self, source, tmp_path):
         sharded, _ = source

@@ -35,7 +35,10 @@ deployment with no store directory: what the durable rows sit on.  Last,
 the populated store's bytes per event by file — blocks log, records log,
 cold log, ``index.db`` with its WAL — taken after a checkpoint that ends
 the populate (outside the timed interval), so a storage change is sized
-from a table too.
+from a table too; then every store's ``index.db`` again, ``VACUUM``ed
+into a copy (no free pages, no WAL) and split by sqlite table with
+``dbstat`` (an index counts under its own name), summed over the stores.
+Bytes are counted, so they repeat exactly for a seed.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import argparse
 import asyncio
 import gc
 import json
+import os
 import re
 import shutil
 import sqlite3
@@ -107,7 +111,7 @@ class FullPasses:
 
 
 class TimedConnection(sqlite3.Connection):
-    """Calls and seconds per statement kind (``INSERT receipts``,
+    """Calls and seconds per statement kind (``INSERT txs``,
     ``COMMIT``, ``PRAGMA wal_checkpoint``), over every connection opened
     while :func:`sqlite_timed` is in force."""
 
@@ -221,6 +225,32 @@ def stored_bytes(store_dir: str) -> dict[str, int]:
     return out
 
 
+def index_tables(store_dir: str, work_dir: str) -> dict[str, int]:
+    """Bytes of every ``index.db`` under ``store_dir``, each ``VACUUM``ed
+    into a copy in ``work_dir``: their sum, then by sqlite table or index
+    (``dbstat``), largest first."""
+    tables: dict[str, int] = defaultdict(int)
+    copy = os.path.join(work_dir, "vacuumed-index.db")
+    for path in sorted(Path(store_dir).rglob("index.db")):
+        source = sqlite3.connect(path)
+        try:
+            source.execute("VACUUM INTO ?", (copy,))
+        finally:
+            source.close()
+        conn = sqlite3.connect(copy)
+        try:
+            for name, size in conn.execute(
+                    "SELECT name, SUM(pgsize) FROM dbstat GROUP BY name"):
+                tables[name] += size
+        finally:
+            conn.close()
+            os.remove(copy)
+    out = {"index.db, VACUUMed": sum(tables.values())}
+    for name, size in sorted(tables.items(), key=lambda item: -item[1]):
+        out[f"  {name}"] = size
+    return out
+
+
 # Printing order; an indented row is part of the row above it.
 ROWS = ("draw ops", "build + seal + sign", "  seal()", "  sign_with()",
         "collector, full passes", "open stores", "connect gateway",
@@ -286,7 +316,9 @@ async def split(name: str, seconds: float, repeats: int, work_dir: str
                     value * populated.reference_s[-1] / populated.raw_s[-1])
                 calls[label] = count
             deployment.sharded.checkpoint()
-            for label, size in stored_bytes(deployment.store_dir).items():
+            for label, size in [
+                    *stored_bytes(deployment.store_dir).items(),
+                    *index_tables(deployment.store_dir, work_dir).items()]:
                 stored[label].append(size / len(main))
             in_memory = driver.Deployment(None)
             with timers["  on MemoryStorage"].repeat():
@@ -361,9 +393,9 @@ def main() -> int:
     print(f"  {'set-up (sum)':26s} {total:8.3f} "
           f"{total / events * 1e6:9.2f}")
     if stored:
-        print(f"  {'stored after populate':26s} {'B/event':>8s}")
+        print(f"  {'stored after populate':36s} {'B/event':>8s}")
         for label, value in stored.items():
-            print(f"    {label:24s} {value:8.1f}")
+            print(f"    {label:34s} {value:8.1f}")
     return 0
 
 
