@@ -250,7 +250,12 @@ setup-split:
 # mempool removal or peek, and neither the id factory nor the hash
 # commitment module — anywhere in src, tests, benchmarks, examples or
 # tools; and src/repro builds a Mempool( only in Shard.__init__, the one
-# door admission goes through.
+# door admission goes through.  Nor may the library units that no entry
+# point ran come back: the chain-wide event log (a contract's events ride
+# on its receipt), the token, voting and access-control demo contracts,
+# the stepping clock, the arrival process, the cloud-ops and supply-chain
+# workloads, and the cloud store's per-user hash chains with their audit
+# — anywhere in src, tests, benchmarks, examples or tools.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -347,6 +352,8 @@ lint-private:
 	    /^(class|def) |^    def /{f = $$0} \
 	    /Mempool\(/ && !(c ~ /^Shard[(:]/ && f ~ /def __init__\(/) \
 	    {print FILENAME ": " $$0}')"
+	@! grep -rnE '\b(EventLog|SimpleToken|ThresholdVoting|AccessControlContract|SteppingClock|ArrivalProcess|CloudOpsWorkload|SupplyChainWorkload|verify_user_log|user_log_head|_user_chains)\b' \
+	    src tests benchmarks examples tools --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -20,7 +20,7 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from .clock import SimClock, SteppingClock
+from .clock import SimClock
 from .errors import QueueFull, ReproError
 
 from .chain import (
@@ -105,7 +105,6 @@ def __getattr__(name: str):
 __all__ = [
     "__version__",
     "SimClock",
-    "SteppingClock",
     "ReproError",
     "Block",
     "Blockchain",

@@ -15,16 +15,15 @@ Snapshots support two distinct users:
   (:meth:`release_snapshots`): a committed block is final, so no undo
   information outlives its group.
 
-Performance notes: a per-namespace index makes :meth:`items` O(|namespace|)
-instead of a full-store scan, and :meth:`state_root` is maintained
-incrementally — writes mark keys dirty, and the root call folds only the
-dirty keys into an order-independent accumulator (O(changes since the last
-root), not O(state)).
+Performance note: :meth:`state_root` is maintained incrementally — writes
+mark keys dirty, and the root call folds only the dirty keys into an
+order-independent accumulator (O(changes since the last root), not
+O(state)).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from ..errors import ChainError
 
@@ -50,9 +49,6 @@ class StateStore:
 
     def __init__(self) -> None:
         self._data: dict[tuple[str, str], Any] = {}
-        # Per-namespace index: namespace -> {key: value} (values shared
-        # with _data, never copied).
-        self._ns: dict[str, dict[str, Any]] = {}
         # Undo journal: stack of (snapshot_id, [(key, had, old), ...]).
         self._journal: list[tuple[int, list[tuple[tuple[str, str], bool, Any]]]] = []
         self._next_snapshot_id = 0
@@ -90,38 +86,21 @@ class StateStore:
     def contains(self, namespace: str, key: str) -> bool:
         return (namespace, key) in self._data
 
-    def items(self, namespace: str) -> Iterator[tuple[str, Any]]:
-        """Iterate ``(key, value)`` pairs within a namespace (sorted).
-
-        Served from the per-namespace index: O(|namespace| log) rather
-        than a scan over the whole store.
-        """
-        bucket = self._ns.get(namespace)
-        if not bucket:
-            return iter(())
-        return iter(sorted(bucket.items()))
-
     def __len__(self) -> int:
         return len(self._data)
 
     # ------------------------------------------------------------------
-    # Internal single mutation path (keeps index + root bookkeeping
+    # Internal single mutation path (keeps the root bookkeeping
     # consistent for sets, deletes, and rollback restores alike)
     # ------------------------------------------------------------------
     def _write(self, full_key: tuple[str, str], value: Any) -> None:
         self._data[full_key] = value
-        self._ns.setdefault(full_key[0], {})[full_key[1]] = value
         self._dirty.add(full_key)
 
     def _erase(self, full_key: tuple[str, str]) -> None:
         if full_key not in self._data:
             return
         del self._data[full_key]
-        bucket = self._ns.get(full_key[0])
-        if bucket is not None:
-            bucket.pop(full_key[1], None)
-            if not bucket:
-                del self._ns[full_key[0]]
         self._dirty.add(full_key)
 
     # ------------------------------------------------------------------
@@ -141,7 +120,6 @@ class StateStore:
         undo history, the same as a process restart.
         """
         self._data.clear()
-        self._ns.clear()
         self._journal.clear()
         self._root_acc = 0
         self._entry_digests.clear()

@@ -5,14 +5,9 @@ instead of calling ``time.time()``.  This keeps runs deterministic and lets
 the network simulator, HTLC timelocks, and freshness checks all agree on a
 single logical timeline that tests can advance explicitly.
 
-Two implementations are provided:
-
-* :class:`SimClock` — a logical clock advanced manually (or by the network
-  simulator).  The unit is abstract "ticks"; benchmarks typically interpret
-  one tick as one millisecond.
-* :class:`SteppingClock` — a clock that auto-advances by a fixed step every
-  time it is read, convenient for generating monotone timestamps in
-  workload generators.
+:class:`SimClock` is a logical clock advanced manually (or by the network
+simulator).  The unit is abstract "ticks"; benchmarks typically interpret
+one tick as one millisecond.
 """
 
 from __future__ import annotations
@@ -57,24 +52,3 @@ class SimClock:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(t={self._now})"
 
-
-class SteppingClock(SimClock):
-    """A clock that advances by ``step`` ticks on every read.
-
-    Useful for workload generators that need strictly increasing
-    timestamps without threading explicit ``advance`` calls through
-    every call site.
-    """
-
-    __slots__ = ("step",)
-
-    def __init__(self, start: int = 0, step: int = 1) -> None:
-        super().__init__(start)
-        if step <= 0:
-            raise ValueError("step must be positive")
-        self.step = int(step)
-
-    def now(self) -> int:
-        current = self._now
-        self._now += self.step
-        return current

@@ -1,21 +1,18 @@
 """Deterministic smart-contract runtime.
 
 The surveyed systems use smart contracts for bookkeeping — provenance
-registration (SmartProvenance), voting (BlockDFL), access control
-(LedgerView), incentive payout (PrivChain) — not for general computation.
-This runtime provides exactly that: contracts are Python classes whose
-``@method``-decorated entry points execute inside a metered, journaled,
-revert-on-error sandbox, driven by ordinary chain transactions.
+registration (SmartProvenance, Ramachandran & Kantarcioglu) and incentive
+payout (PrivChain) — not for general computation.  This runtime provides
+exactly that: contracts are Python classes whose ``@method``-decorated
+entry points execute inside a metered, journaled, revert-on-error
+sandbox, driven by ordinary chain transactions; the events a call emits
+ride on the receipt its commit returns.
 """
 
 from .contract import Contract, method, view
 from .runtime import ContractRuntime, deploy_payload, call_payload
-from .events import EventLog
 from .library.registry import ProvenanceRegistry
-from .library.voting import ThresholdVoting
-from .library.access_contract import AccessControlContract
 from .library.escrow import IncentiveEscrow
-from .library.token import SimpleToken
 
 __all__ = [
     "Contract",
@@ -24,10 +21,6 @@ __all__ = [
     "ContractRuntime",
     "deploy_payload",
     "call_payload",
-    "EventLog",
     "ProvenanceRegistry",
-    "ThresholdVoting",
-    "AccessControlContract",
     "IncentiveEscrow",
-    "SimpleToken",
 ]

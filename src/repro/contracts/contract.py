@@ -42,16 +42,8 @@ class ContractStorage:
             raise ContractReverted("view methods may not write storage")
         self._state.set(self._namespace, key, value)
 
-    def delete(self, key: str) -> None:
-        if self._readonly:
-            raise ContractReverted("view methods may not write storage")
-        self._state.delete(self._namespace, key)
-
     def contains(self, key: str) -> bool:
         return self._state.contains(self._namespace, key)
-
-    def items(self):
-        return self._state.items(self._namespace)
 
 
 class Contract:

@@ -1,15 +1,9 @@
 """Reusable contracts used by the reference systems."""
 
 from .registry import ProvenanceRegistry
-from .voting import ThresholdVoting
-from .access_contract import AccessControlContract
 from .escrow import IncentiveEscrow
-from .token import SimpleToken
 
 __all__ = [
     "ProvenanceRegistry",
-    "ThresholdVoting",
-    "AccessControlContract",
     "IncentiveEscrow",
-    "SimpleToken",
 ]

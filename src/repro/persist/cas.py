@@ -43,12 +43,6 @@ class CID:
     def hex(self) -> str:
         return self.digest.hex()
 
-    def __str__(self) -> str:
-        return f"cid:{self.kind}:{self.hex[:16]}"
-
-    def to_canonical(self) -> dict:
-        return {"digest": self.digest, "kind": self.kind}
-
 
 class ContentAddressedStore:
     """In-memory content-addressed blob store with chunking and GC."""
@@ -136,25 +130,9 @@ class ContentAddressedStore:
             return cid.digest in self._blobs
         return cid.digest in self._manifests
 
-    def verify(self, cid: CID, content: bytes) -> bool:
-        """Does ``content`` hash to ``cid``? (Integrity check against an
-        on-chain anchor without touching the store.)"""
-        if cid.kind == "raw":
-            return hash_bytes(content, _CHUNK_DOMAIN) == cid.digest
-        digests = []
-        for offset in range(0, len(content), self.chunk_size):
-            chunk = content[offset:offset + self.chunk_size]
-            digests.append(hash_bytes(chunk, _CHUNK_DOMAIN))
-        return hash_bytes(b"".join(digests), _MANIFEST_DOMAIN) == cid.digest
-
     # ------------------------------------------------------------------
     # Pinning & GC
     # ------------------------------------------------------------------
-    def pin(self, cid: CID) -> None:
-        if not self.has(cid):
-            raise ObjectNotFound(f"cannot pin unknown {cid}")
-        self._pins.add(cid.digest)
-
     def unpin(self, cid: CID) -> None:
         self._pins.discard(cid.digest)
 
@@ -186,8 +164,4 @@ class ContentAddressedStore:
     @property
     def stored_bytes(self) -> int:
         return sum(len(b) for b in self._blobs.values())
-
-    @property
-    def object_count(self) -> int:
-        return len(self._blobs) + len(self._manifests)
 

@@ -595,16 +595,6 @@ class RecordSchema:
     def paper_labels(self) -> list[str]:
         return [label for (_, label, _) in self.fields.values()]
 
-    def validate(self, record: Mapping[str, Any]) -> None:
-        """Raise :class:`RecordValidationError` unless ``record`` is a
-        record of this domain that passes the record rule."""
-        check_record(record)
-        if record.get("domain") != self.domain:
-            raise RecordValidationError(
-                f"record domain {record.get('domain')!r} does not match "
-                f"schema {self.domain!r}"
-            )
-
     def check_fields(self, record: Mapping[str, Any]) -> None:
         """This domain's own fields, for :func:`check_record`."""
         for name, (validator, label, required) in self.fields.items():

@@ -1,29 +1,27 @@
-"""Versioned cloud object store with an auditable operation stream.
+"""Versioned cloud object store that narrates every operation.
 
 The ProvChain scenario (RQ1): users store files in a Swift/Dropbox-like
 service, and the provenance layer needs to observe every create, read,
-update, delete, and share.  This store is the simulated service: it keeps
+update and share.  This store is the simulated service: it keeps
 versioned objects per user and emits a :class:`StoreOperation` for each
 action to any registered observer — exactly the hook the *store-mediated*
-capture pathway of Figure 3 consumes.
-
-The operation stream is itself folded into a per-user
-:class:`~repro.crypto.hashing.HashChain`, so even before blockchain
-anchoring the store's log is tamper-evident.
+capture pathway of Figure 3 consumes.  The audit trail is what the
+observers make of that stream: captured records, Merkle-batched and
+anchored on a chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..clock import SimClock
-from ..crypto.hashing import HashChain, hash_bytes
+from ..crypto.hashing import hash_bytes
 from ..errors import AccessDenied, ObjectNotFound
 
 Observer = Callable[["StoreOperation"], None]
 
-OPERATIONS = ("create", "read", "update", "delete", "share", "unshare")
+OPERATIONS = ("create", "read", "update", "share")
 
 
 @dataclass(frozen=True)
@@ -39,37 +37,24 @@ class StoreOperation:
     timestamp: int
     details: dict = field(default_factory=dict)
 
-    def to_canonical(self) -> dict:
-        return {
-            "op_id": self.op_id,
-            "op": self.op,
-            "user": self.user,
-            "object_key": self.object_key,
-            "version": self.version,
-            "content_hash": self.content_hash,
-            "timestamp": self.timestamp,
-            "details": dict(self.details),
-        }
-
 
 @dataclass
 class _StoredObject:
     owner: str
     versions: list[bytes] = field(default_factory=list)   # raw contents
     shared_with: set[str] = field(default_factory=set)
-    deleted: bool = False
 
 
 class CloudObjectStore:
-    """A multi-user object store that narrates everything it does."""
+    """A multi-user versioned object store that narrates everything it
+    does: each create, read, update and share reaches every observer as
+    a :class:`StoreOperation`."""
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock or SimClock()
         self._objects: dict[str, _StoredObject] = {}
         self._observers: list[Observer] = []
         self._op_count = 0
-        self.op_log: list[StoreOperation] = []
-        self._user_chains: dict[str, HashChain] = {}
 
     # ------------------------------------------------------------------
     # Observation (capture hook)
@@ -92,9 +77,6 @@ class CloudObjectStore:
             details=details,
         )
         self._op_count += 1
-        self.op_log.append(operation)
-        chain = self._user_chains.setdefault(user, HashChain())
-        chain.append(operation.to_canonical())
         for observer in self._observers:
             observer(operation)
         return operation
@@ -107,7 +89,7 @@ class CloudObjectStore:
 
     def _require_object(self, key: str) -> _StoredObject:
         obj = self._objects.get(key)
-        if obj is None or obj.deleted:
+        if obj is None:
             raise ObjectNotFound(f"no object {key!r}")
         return obj
 
@@ -115,7 +97,7 @@ class CloudObjectStore:
     # Operations
     # ------------------------------------------------------------------
     def create(self, user: str, key: str, content: bytes) -> StoreOperation:
-        if key in self._objects and not self._objects[key].deleted:
+        if key in self._objects:
             raise AccessDenied(f"object {key!r} already exists")
         self._objects[key] = _StoredObject(owner=user, versions=[content])
         return self._notify("create", user, key, version=0, content=content,
@@ -142,14 +124,6 @@ class CloudObjectStore:
                             version=len(obj.versions) - 1, content=content,
                             size=len(content))
 
-    def delete(self, user: str, key: str) -> StoreOperation:
-        obj = self._require_object(key)
-        if user != obj.owner:
-            raise AccessDenied(f"only the owner may delete {key!r}")
-        obj.deleted = True
-        return self._notify("delete", user, key,
-                            version=len(obj.versions) - 1, content=None)
-
     def share(self, user: str, key: str, with_user: str) -> StoreOperation:
         obj = self._require_object(key)
         if user != obj.owner:
@@ -158,43 +132,3 @@ class CloudObjectStore:
         return self._notify("share", user, key,
                             version=len(obj.versions) - 1, content=None,
                             with_user=with_user)
-
-    def unshare(self, user: str, key: str, with_user: str) -> StoreOperation:
-        obj = self._require_object(key)
-        if user != obj.owner:
-            raise AccessDenied(f"only the owner may unshare {key!r}")
-        obj.shared_with.discard(with_user)
-        return self._notify("unshare", user, key,
-                            version=len(obj.versions) - 1, content=None,
-                            with_user=with_user)
-
-    # ------------------------------------------------------------------
-    # Audit
-    # ------------------------------------------------------------------
-    def operations_for(self, user: str) -> list[StoreOperation]:
-        return [op for op in self.op_log if op.user == user]
-
-    def operations_on(self, key: str) -> list[StoreOperation]:
-        return [op for op in self.op_log if op.object_key == key]
-
-    def user_log_head(self, user: str) -> bytes:
-        """Tamper-evident head of one user's operation log."""
-        chain = self._user_chains.get(user)
-        return chain.head if chain is not None else b""
-
-    def verify_user_log(self, user: str) -> bool:
-        """Replay a user's operations and compare chain heads."""
-        expected = HashChain.replay(
-            [op.to_canonical() for op in self.operations_for(user)]
-        )
-        return expected == self.user_log_head(user)
-
-    @property
-    def object_count(self) -> int:
-        return sum(1 for o in self._objects.values() if not o.deleted)
-
-    def keys_owned_by(self, user: str) -> Iterable[str]:
-        return sorted(
-            key for key, obj in self._objects.items()
-            if obj.owner == user and not obj.deleted
-        )

@@ -94,15 +94,6 @@ class IPFSProvenance:
     # ------------------------------------------------------------------
     # Integrity & availability audits
     # ------------------------------------------------------------------
-    def verify_file(self, key: str, content: bytes,
-                    version: int | None = None) -> bool:
-        """Does ``content`` match the *anchored* CID for this version?"""
-        versions = self._cids.get(key)
-        if not versions:
-            return False
-        index = len(versions) - 1 if version is None else version
-        return self.cas.verify(versions[index], content)
-
     def audit_history(self, key: str):
         """Verified provenance history of a file."""
         self.anchors.flush()

@@ -101,10 +101,6 @@ class CloudProvenanceSystem:
         self.store.update(user, key, content)
         self.clock.advance(1)
 
-    def delete(self, user: str, key: str) -> None:
-        self.store.delete(user, key)
-        self.clock.advance(1)
-
     def share(self, user: str, key: str, with_user: str) -> None:
         self.store.share(user, key, with_user)
         self.clock.advance(1)

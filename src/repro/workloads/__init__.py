@@ -2,29 +2,24 @@
 
 The paper releases no traces; these generators produce the structured
 workloads its domains imply (stage-ordered investigations, DAG-shaped
-workflows, Zipf-skewed query streams) deterministically from a seed, so
-every benchmark run is reproducible.
+workflows, Zipf-skewed query streams, multi-tenant sharded ingest)
+deterministically from a seed, so every benchmark run is reproducible.
 """
 
-from .distributions import ZipfSampler, ArrivalProcess
+from .distributions import ZipfSampler
 from .generators import (
-    CloudOpsWorkload,
     ForensicCaseWorkload,
     MultiTenantShardWorkload,
     QueryWorkload,
     ShardOp,
-    SupplyChainWorkload,
     WorkflowShape,
 )
 
 __all__ = [
     "ZipfSampler",
-    "ArrivalProcess",
-    "CloudOpsWorkload",
     "ForensicCaseWorkload",
     "MultiTenantShardWorkload",
     "QueryWorkload",
     "ShardOp",
-    "SupplyChainWorkload",
     "WorkflowShape",
 ]

@@ -39,40 +39,3 @@ class ZipfSampler:
     def sample_many(self, count: int) -> list[int]:
         return [self.sample() for _ in range(count)]
 
-
-class ArrivalProcess:
-    """Inter-arrival time generator: uniform, bursty, or constant."""
-
-    def __init__(self, kind: str = "constant", mean: int = 1,
-                 burst_size: int = 10, seed: int = 0) -> None:
-        if kind not in ("constant", "uniform", "bursty"):
-            raise ValueError(f"unknown arrival kind {kind!r}")
-        if mean < 1:
-            raise ValueError("mean must be >= 1")
-        self.kind = kind
-        self.mean = mean
-        self.burst_size = burst_size
-        self.rng = random.Random(seed)
-        self._burst_left = 0
-
-    def next_gap(self) -> int:
-        """Ticks until the next arrival."""
-        if self.kind == "constant":
-            return self.mean
-        if self.kind == "uniform":
-            return self.rng.randint(1, 2 * self.mean - 1)
-        # bursty: a burst of back-to-back arrivals, then a long gap.
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return 0
-        self._burst_left = self.burst_size - 1
-        return self.mean * self.burst_size
-
-    def timestamps(self, count: int, start: int = 0) -> list[int]:
-        """Absolute arrival times for ``count`` events."""
-        out = []
-        t = start
-        for _ in range(count):
-            t += self.next_gap()
-            out.append(t)
-        return out

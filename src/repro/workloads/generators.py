@@ -3,15 +3,14 @@
 Each generator emits a deterministic *action sequence* that drivers
 replay against a system under test.  Keeping generation separate from
 execution lets a bench replay the identical workload against two designs
-(e.g. ProvChain vs BlockCloud) for a fair comparison.
+(e.g. one query stream against a cached and an uncached query engine)
+for a fair comparison.
 
 :meth:`MultiTenantShardWorkload.generate` is a stream: each op depends
 only on the RNG state the ops before it left, so a driver that stops
 early pays for what it consumed and a replay wraps it in ``list(...)``.
-:meth:`CloudOpsWorkload.generate` cannot stream — its deletes are held
-back to the tail of the run so no replay hits a missing object, which
-needs the whole run — and the ``plan()`` / ``tasks()`` / ``queries()``
-generators return small finished structures, so they stay lists.
+The ``plan()`` / ``tasks()`` / ``queries()`` generators return small
+finished structures, so they stay lists.
 """
 
 from __future__ import annotations
@@ -23,71 +22,6 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .distributions import ZipfSampler
-
-
-@dataclass(frozen=True)
-class CloudOp:
-    """One cloud-storage action."""
-
-    op: str              # create | read | update | delete | share
-    user: str
-    key: str
-    size: int = 64
-    target_user: str = ""    # share recipient
-
-
-class CloudOpsWorkload:
-    """Skewed multi-user cloud-storage operation stream (RQ1 shape)."""
-
-    OP_MIX = (("read", 0.55), ("update", 0.25), ("create", 0.12),
-              ("share", 0.05), ("delete", 0.03))
-
-    def __init__(self, n_users: int = 4, n_objects: int = 50,
-                 zipf_s: float = 1.1, seed: int = 0) -> None:
-        self.n_users = n_users
-        self.n_objects = n_objects
-        self.rng = random.Random(seed)
-        self.object_sampler = ZipfSampler(n_objects, s=zipf_s, seed=seed + 1)
-
-    def generate(self, count: int) -> list[CloudOp]:
-        """A replayable op list.  Every object is created before use and
-        deletes are deferred to the tail so replays never hit missing
-        objects."""
-        ops: list[CloudOp] = []
-        owners: dict[str, str] = {}
-        # Creation preamble: each object gets an owner.
-        for i in range(self.n_objects):
-            user = f"user-{self.rng.randrange(self.n_users):02d}"
-            key = f"obj-{i:04d}"
-            owners[key] = user
-            ops.append(CloudOp(op="create", user=user, key=key,
-                               size=self.rng.randint(32, 512)))
-        labels = [name for name, _ in self.OP_MIX]
-        weights = [w for _, w in self.OP_MIX]
-        deletes: list[CloudOp] = []
-        while len(ops) + len(deletes) < count + self.n_objects:
-            key = f"obj-{self.object_sampler.sample():04d}"
-            user = owners[key]
-            op = self.rng.choices(labels, weights=weights)[0]
-            if op == "create":
-                op = "read"            # objects were pre-created
-            if op == "delete":
-                deletes.append(CloudOp(op="delete", user=user, key=key))
-                continue
-            if op == "share":
-                other = f"user-{self.rng.randrange(self.n_users):02d}"
-                ops.append(CloudOp(op="share", user=user, key=key,
-                                   target_user=other))
-                continue
-            ops.append(CloudOp(op=op, user=user, key=key,
-                               size=self.rng.randint(32, 512)))
-        # Deduplicate deletes (an object can die once), keep the first.
-        seen: set[str] = set()
-        for op in deletes:
-            if op.key not in seen:
-                seen.add(op.key)
-                ops.append(op)
-        return ops[: count + self.n_objects]
 
 
 @dataclass(frozen=True)
@@ -152,34 +86,6 @@ class ForensicCaseWorkload:
             for _ in range(self.n_accesses)
         ]
         return {"evidence": evidence, "accesses": accesses}
-
-
-@dataclass
-class SupplyChainWorkload:
-    """Products and their custody journeys through named parties."""
-
-    n_products: int = 20
-    parties: tuple[str, ...] = ("maker", "distributor", "pharmacy")
-    hops_per_product: int = 2
-    seed: int = 0
-
-    def plan(self) -> list[dict]:
-        rng = random.Random(self.seed)
-        plans = []
-        for i in range(self.n_products):
-            journey = ["maker"]
-            for _ in range(self.hops_per_product):
-                journey.append(rng.choice(
-                    [p for p in self.parties if p != journey[-1]]
-                ))
-            plans.append({
-                "product_id": f"prod-{i:05d}",
-                "batch": f"batch-{i // 10:03d}",
-                "type": rng.choice(("vaccine", "device", "tablet")),
-                "journey": journey,
-                "temperatures": [rng.randint(10, 90) for _ in range(4)],
-            })
-        return plans
 
 
 class ShardOp(NamedTuple):

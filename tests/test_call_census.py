@@ -58,28 +58,56 @@ def test_functions_skip_stubs_and_start_at_the_first_decorator(tmp_path):
         == "@staticmethod"
 
 
+def _hook_env(tmp_path, src):
+    """The environment the census runs an entry point in, with its own
+    sitecustomize first on the path and ``src`` importable."""
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(census.SITECUSTOMIZE)
+    records = tmp_path / "records"
+    records.mkdir()
+    return dict(os.environ, CENSUS_OUT=str(records),
+                CENSUS_SRC=str(src) + os.sep,
+                PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join([str(hook), str(src)]))
+
+
 def test_hook_records_the_code_objects_entered(tmp_path):
     # The census's own sitecustomize, run on a tiny module: what the
     # child enters is written out and maps back onto functions().
     src = tmp_path / "src"
     src.mkdir()
     path = _write(src)
-    hook = tmp_path / "hook"
-    hook.mkdir()
-    (hook / "sitecustomize.py").write_text(census.SITECUSTOMIZE)
-    records = tmp_path / "records"
-    records.mkdir()
-    env = dict(os.environ, CENSUS_OUT=str(records),
-               CENSUS_SRC=str(src) + os.sep,
-               PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(hook), str(src)]))
     subprocess.run([sys.executable, "-c",
                     "import mod; mod.top(); mod.Base.helper()"],
-                   env=env, check=True, timeout=60)
+                   env=_hook_env(tmp_path, src), check=True, timeout=60)
     seen = census.entered(str(tmp_path))
     entered = {name for line, name in census.functions(path)
                if (str(path), line) in seen}
     assert entered == {"top", "top.<locals>.inner", "Base.helper"}
+
+
+def test_pytest_benches_are_seen_inside_benchmark_pedantic(tmp_path):
+    # A timed pytest-benchmark run calls its target with the profile
+    # hook switched off; the census's pytest run must still see it.
+    src = tmp_path / "src"
+    src.mkdir()
+    path = _write(src)
+    bench = tmp_path / "bench_mod.py"
+    bench.write_text(textwrap.dedent('''\
+        import mod
+
+
+        def test_top(benchmark):
+            assert benchmark.pedantic(mod.top, rounds=1, iterations=1) == 1
+    '''))
+    subprocess.run(census.pytest_argv([str(bench)]), cwd=tmp_path,
+                   env=_hook_env(tmp_path, src), check=True, timeout=120,
+                   capture_output=True)
+    seen = census.entered(str(tmp_path))
+    entered = {name for line, name in census.functions(path)
+               if (str(path), line) in seen}
+    assert entered == {"top", "top.<locals>.inner"}
 
 
 def test_entered_reads_every_record(tmp_path):

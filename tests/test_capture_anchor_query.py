@@ -169,6 +169,20 @@ class TestAnchorService:
         proof = service.prove("g2")
         assert service.verify(database.get("g2"), proof)
 
+    def test_proof_size_is_its_record_path_plus_the_anchor(self, chain,
+                                                          database):
+        service = AnchorService(chain, batch_size=16)
+        sink = CaptureSink(database, service)
+        for i in range(18):
+            sink.deliver(generic_record(i))
+        service.flush()
+        big, small = service.prove("g0"), service.prove("g16")
+        for proof in (big, small):
+            assert proof.size_bytes == (proof.record_proof.size_bytes
+                                        + len(proof.batch_root) + 48)
+        # A 16-record batch costs three more levels than a 2-record one.
+        assert big.size_bytes - small.size_bytes == 3 * 33
+
     # Forged records and spliced heights: rows of the tamper matrix in
     # tests/test_anchoring.py ("flipped leaf byte", "claimed height of
     # another block"), checked there against every verifier at once.
@@ -296,3 +310,24 @@ class TestQueryEngine:
         rows = engine.time_range(5, 10)
         assert all(5 <= r["timestamp"] < 10 for r in rows)
         assert len(rows) == 5
+
+    def test_point_query_is_cached(self, chain, database):
+        engine = self._loaded_engine(chain, database)
+        assert engine.point("g3")["subject"] == "s3"
+        assert engine.point("g3")["subject"] == "s3"
+        assert (engine.stats.cache_hits, engine.stats.cache_misses) == (1, 1)
+        assert len(engine.cache) == 1
+        assert engine.point_verified("g3").verified
+
+    def test_impact_ids_need_a_graph(self, database):
+        from repro.provenance import ProvenanceGraph, RelationKind
+
+        with pytest.raises(QueryError):
+            ProvenanceQueryEngine(database).impact_ids("raw")
+        graph = ProvenanceGraph()
+        graph.add_entity("raw")
+        graph.add_entity("clean")
+        graph.relate("clean", RelationKind.WAS_DERIVED_FROM, "raw")
+        engine = ProvenanceQueryEngine(database, graph=graph)
+        assert engine.impact_ids("raw") == ["clean"]
+        assert engine.impact_ids("clean") == []

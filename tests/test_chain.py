@@ -108,6 +108,19 @@ class TestBlockStructure:
         assert tx_in_header(block.header, txs[4], proof)
         assert not tx_in_header(block.header, txs[5], proof)
 
+    def test_block_and_chain_iterate_their_contents(self, chain):
+        txs = [data_tx(i) for i in range(3)]
+        block = chain.build_block(txs)
+        assert len(block) == 3 and list(block) == txs
+        # The storage benches' size: the header plus every transaction.
+        smaller = Block(1, chain.head.block_hash, txs[:2])
+        tx_bytes = sum(tx.size_bytes for tx in txs)
+        assert block.size_bytes > tx_bytes
+        assert block.size_bytes - smaller.size_bytes >= txs[2].size_bytes
+        chain.append_block(block)
+        assert len(chain) == chain.height + 1 == 2
+        assert [b.height for b in chain] == [0, 1]
+
 
 class TestAppendAndExecute:
     def test_append_advances_height(self, chain):

@@ -1,17 +1,14 @@
-"""Contract runtime: gas, revert atomicity, and the library contracts."""
+"""Contract runtime: gas, revert atomicity, events on receipts, and the
+registry and escrow contracts."""
 
 import pytest
 
 from repro.chain import Blockchain, Transaction, TxKind
 from repro.contracts import (
-    AccessControlContract,
     Contract,
     ContractRuntime,
-    EventLog,
     IncentiveEscrow,
     ProvenanceRegistry,
-    SimpleToken,
-    ThresholdVoting,
     call_payload,
     deploy_payload,
     method,
@@ -58,8 +55,7 @@ class Counter(Contract):
 @pytest.fixture
 def rig():
     runtime = ContractRuntime()
-    for cls in (Counter, ProvenanceRegistry, ThresholdVoting,
-                AccessControlContract, IncentiveEscrow, SimpleToken):
+    for cls in (Counter, ProvenanceRegistry, IncentiveEscrow):
         runtime.register(cls)
     chain = Blockchain()
     runtime.attach(chain)
@@ -123,14 +119,15 @@ class TestRuntime:
             runtime.query(chain, addr, "sneaky_write")
         assert runtime.query(chain, addr, "current") == 3
 
-    def test_events_reach_receipts_and_log(self, rig):
+    def test_events_reach_receipts(self, rig):
         _, chain = rig
-        log = EventLog(chain)
         addr = deploy(chain, "Counter")
-        call(chain, addr, "bump")
-        events = log.by_name("bumped")
-        assert len(events) == 1
-        assert events[0].event.data["value"] == 1
+        receipt = call(chain, addr, "bump")
+        assert [(e.name, e.source, e.data) for e in receipt.events] == [
+            ("bumped", addr, {"value": 1})]
+        # A reverted call's events are dropped with its writes.
+        failed = call(chain, addr, "bump_then_fail")
+        assert not failed.success and failed.events == []
 
     def test_two_instances_isolated(self, rig):
         runtime, chain = rig
@@ -139,6 +136,41 @@ class TestRuntime:
         call(chain, a1, "bump")
         assert runtime.query(chain, a1, "current") == 2
         assert runtime.query(chain, a2, "current") == 100
+
+    def test_deployed_class_and_abi(self, rig):
+        runtime, chain = rig
+        addr = deploy(chain, "Counter")
+        assert runtime.deployed_class(addr) is Counter
+        assert runtime.deployed_class("ct-nowhere") is None
+        assert Counter.describe() == {
+            "name": "Counter", "abi_version": 1,
+            "entry_points": {"bump": "method", "bump_then_fail": "method",
+                             "burn_gas": "method", "current": "view",
+                             "sneaky_write": "view"}}
+
+    def test_a_contract_without_setup_deploys(self, rig):
+        runtime, chain = rig
+
+        class Bare(Contract):
+            @view
+            def ping(self) -> str:
+                return "pong"
+
+        runtime.register(Bare)
+        addr = deploy(chain, "Bare")
+        assert runtime.query(chain, addr, "ping") == "pong"
+
+    def test_gas_and_calls_are_accounted(self, rig):
+        runtime, chain = rig
+        tx = Transaction(sender="d", kind=TxKind.CONTRACT_DEPLOY,
+                         payload=deploy_payload("Counter"))
+        receipts = chain.append_block(chain.build_block([tx]))
+        addr = receipts[0].output
+        receipts += [call(chain, addr, "bump"),
+                     call(chain, addr, "bump_then_fail")]
+        assert runtime.calls_executed == 3
+        assert all(r.gas_used > 0 for r in receipts[:2])
+        assert runtime.total_gas_used == sum(r.gas_used for r in receipts)
 
 
 class TestProvenanceRegistry:
@@ -183,77 +215,20 @@ class TestProvenanceRegistry:
                     record_id="r1", new_owner="bob")
         assert good.success
 
-
-class TestThresholdVoting:
-    def test_threshold_acceptance(self, rig):
+    def test_count_tracks_registrations(self, rig):
         runtime, chain = rig
-        addr = deploy(chain, "ThresholdVoting",
-                      voters=["a", "b", "c"], threshold=2)
-        call(chain, addr, "propose", sender="a", item_id="x")
-        call(chain, addr, "vote", sender="a", item_id="x")
-        assert runtime.query(chain, addr, "status", item_id="x") == "open"
-        call(chain, addr, "vote", sender="b", item_id="x")
-        assert runtime.query(chain, addr, "status", item_id="x") == "accepted"
-
-    def test_double_vote_rejected(self, rig):
-        _, chain = rig
-        addr = deploy(chain, "ThresholdVoting", voters=["a", "b"],
-                      threshold=2)
-        call(chain, addr, "propose", sender="a", item_id="x")
-        call(chain, addr, "vote", sender="a", item_id="x")
-        again = call(chain, addr, "vote", sender="a", item_id="x")
-        assert not again.success
-
-    def test_non_voter_rejected(self, rig):
-        _, chain = rig
-        addr = deploy(chain, "ThresholdVoting", voters=["a"], threshold=1)
-        call(chain, addr, "propose", sender="a", item_id="x")
-        receipt = call(chain, addr, "vote", sender="stranger", item_id="x")
-        assert not receipt.success
-
-    def test_unanimous_mode_single_rejection_sinks(self, rig):
-        runtime, chain = rig
-        addr = deploy(chain, "ThresholdVoting",
-                      voters=["a", "b", "c"], unanimous=True)
-        call(chain, addr, "propose", sender="a", item_id="x")
-        call(chain, addr, "vote", sender="a", item_id="x")
-        call(chain, addr, "vote", sender="b", item_id="x", approve=False)
-        assert runtime.query(chain, addr, "status", item_id="x") == "rejected"
+        addr = deploy(chain, "ProvenanceRegistry")
+        assert runtime.query(chain, addr, "count") == 0
+        call(chain, addr, "register", record_id="r1", content_hash="a")
+        call(chain, addr, "register", record_id="r2", content_hash="b",
+             prev_record_id="r1")
+        refused = call(chain, addr, "register", record_id="r1",
+                       content_hash="c")
+        assert not refused.success
+        assert runtime.query(chain, addr, "count") == 2
 
 
-class TestAccessControlContract:
-    def test_grant_check_revoke(self, rig):
-        runtime, chain = rig
-        addr = deploy(chain, "AccessControlContract", sender="admin")
-        call(chain, addr, "grant", sender="admin",
-             subject="alice", resource="doc", action="read")
-        assert runtime.query(chain, addr, "check",
-                             subject="alice", resource="doc", action="read")
-        call(chain, addr, "revoke", sender="admin",
-             subject="alice", resource="doc", action="read")
-        assert not runtime.query(chain, addr, "check",
-                                 subject="alice", resource="doc",
-                                 action="read")
-
-    def test_non_admin_cannot_grant(self, rig):
-        _, chain = rig
-        addr = deploy(chain, "AccessControlContract", sender="admin")
-        receipt = call(chain, addr, "grant", sender="mallory",
-                       subject="mallory", resource="*", action="read")
-        assert not receipt.success
-
-    def test_expiring_grant(self, rig):
-        runtime, chain = rig
-        addr = deploy(chain, "AccessControlContract", sender="admin")
-        call(chain, addr, "grant", sender="admin", subject="bob",
-             resource="doc", action="read", expires_at=100)
-        assert runtime.query(chain, addr, "check", subject="bob",
-                             resource="doc", action="read", at_time=50)
-        assert not runtime.query(chain, addr, "check", subject="bob",
-                                 resource="doc", action="read", at_time=150)
-
-
-class TestEscrowAndToken:
+class TestIncentiveEscrow:
     def test_bounty_paid_on_valid_proof(self, rig):
         runtime, chain = rig
         addr = deploy(chain, "IncentiveEscrow", sender="verifier")
@@ -284,23 +259,33 @@ class TestEscrowAndToken:
                        bounty_id="b1", proof_valid=True)
         assert not receipt.success
 
-    def test_token_conservation(self, rig):
+    def test_prover_withdraws_once(self, rig):
         runtime, chain = rig
-        addr = deploy(chain, "SimpleToken", sender="mint",
-                      initial_supply=100)
-        call(chain, addr, "transfer", sender="mint", to="a", amount=30)
-        call(chain, addr, "transfer", sender="a", to="b", amount=10)
-        balances = [
-            runtime.query(chain, addr, "balance_of", account=acc)
-            for acc in ("mint", "a", "b")
-        ]
-        assert balances == [70, 20, 10]
-        assert runtime.query(chain, addr, "total_supply") == 100
+        addr = deploy(chain, "IncentiveEscrow", sender="verifier")
+        call(chain, addr, "open_bounty", sender="consumer",
+             bounty_id="b1", amount=10, prover="farmer")
+        call(chain, addr, "submit_result", sender="verifier",
+             bounty_id="b1", proof_valid=True)
+        paid = call(chain, addr, "withdraw", sender="farmer")
+        assert paid.success and paid.output == 10
+        assert [e.name for e in paid.events] == ["withdrawn"]
+        assert runtime.query(chain, addr, "payable_to",
+                             account="farmer") == 0
+        assert not call(chain, addr, "withdraw", sender="farmer").success
 
-    def test_token_overdraft_rejected(self, rig):
-        _, chain = rig
-        addr = deploy(chain, "SimpleToken", sender="mint",
-                      initial_supply=5)
-        receipt = call(chain, addr, "transfer", sender="mint",
-                       to="a", amount=50)
-        assert not receipt.success
+    def test_bounty_status_follows_settlement(self, rig):
+        runtime, chain = rig
+        addr = deploy(chain, "IncentiveEscrow", sender="verifier")
+        call(chain, addr, "open_bounty", sender="c", bounty_id="b1",
+             amount=5, prover="p")
+        assert runtime.query(chain, addr, "bounty_status",
+                             bounty_id="b1") == "open"
+        call(chain, addr, "submit_result", sender="verifier",
+             bounty_id="b1", proof_valid=False)
+        assert runtime.query(chain, addr, "bounty_status",
+                             bounty_id="b1") == "refunded"
+        again = call(chain, addr, "submit_result", sender="verifier",
+                     bounty_id="b1", proof_valid=True)
+        assert not again.success
+        with pytest.raises(ContractReverted):
+            runtime.query(chain, addr, "bounty_status", bounty_id="b9")

@@ -67,6 +67,17 @@ class TestCaseForest:
         with pytest.raises(UnknownEntity):
             CaseForest().prove("nope", 0)
 
+    def test_add_many_is_repeated_add_and_proof_size_adds_up(self):
+        one, many = CaseForest(), CaseForest()
+        for i in range(6):
+            one.add("s", {"n": i})
+        many.add_many("s", ({"n": i} for i in range(6)))
+        assert many.root == one.root and many.stage_size("s") == 6
+        proof = many.prove("s", 5)
+        assert proof.size_bytes == (proof.stage_proof.size_bytes
+                                    + proof.top_proof.size_bytes
+                                    + len(proof.stage_root) + len("s"))
+
     def test_verify_or_raise(self):
         forest = CaseForest()
         forest.add("s", "rec")
@@ -138,6 +149,17 @@ class TestSignatures:
 
         with pytest.raises(CryptoError):
             verify("m", b"tag", PublicKey(b"\x00" * 32))
+
+    def test_add_many_is_repeated_add_and_proof_size_adds_up(self):
+        one, many = CaseForest(), CaseForest()
+        for i in range(6):
+            one.add("s", {"n": i})
+        many.add_many("s", ({"n": i} for i in range(6)))
+        assert many.root == one.root and many.stage_size("s") == 6
+        proof = many.prove("s", 5)
+        assert proof.size_bytes == (proof.stage_proof.size_bytes
+                                    + proof.top_proof.size_bytes
+                                    + len(proof.stage_root) + len("s"))
 
     def test_verify_or_raise(self):
         kp = KeyPair.generate("x")

@@ -161,6 +161,14 @@ class TestProofShape:
                 tree.root, 2, dataclasses.replace(
                     proof, leaf_index=leaf_index, tree_size=tree_size))
 
+    def test_size_bytes_is_the_path_on_the_wire(self):
+        """What the storage benches charge per proof: one 33-byte step
+        per level plus the fixed index/size header."""
+        for size in (1, 2, 5, 1024):
+            proof = MerkleTree([f"leaf-{i}" for i in range(size)]).prove(0)
+            assert len(proof.path) == (size - 1).bit_length()
+            assert proof.size_bytes == 33 * len(proof.path) + 16
+
 
 class TestAppendOnlyAudit:
     def test_prefix_root_matches_historical_root(self):

@@ -1,8 +1,8 @@
-"""Utility modules: clocks, event log, metrics, plus a
-stateful property test of StateStore snapshot semantics."""
+"""Utility modules: the clock, metrics, plus a stateful property test of
+StateStore snapshot semantics and a model test of its image and root."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -12,10 +12,8 @@ from hypothesis.stateful import (
 )
 
 from repro.analysis.metrics import ThroughputMeter
-from repro.chain import Blockchain, Transaction, TxKind
 from repro.chain.state import StateStore
-from repro.clock import SimClock, SteppingClock
-from repro.contracts import EventLog
+from repro.clock import SimClock
 
 
 class TestClocks:
@@ -33,66 +31,6 @@ class TestClocks:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             SimClock(start=-1)
-
-    def test_stepping_clock_auto_advances(self):
-        clock = SteppingClock(step=3)
-        assert [clock.now() for _ in range(3)] == [0, 3, 6]
-
-    def test_stepping_clock_rejects_zero_step(self):
-        with pytest.raises(ValueError):
-            SteppingClock(step=0)
-
-
-class TestEventLog:
-    def _chain_with_events(self):
-        chain = Blockchain()
-        log = EventLog(chain)
-        chain.state.credit("a", 100)
-        for i in range(3):
-            tx = Transaction(sender="a", kind=TxKind.TRANSFER,
-                             payload={"to": "b", "amount": 10 + i})
-            chain.append_block(chain.build_block([tx]))
-        return chain, log
-
-    def test_events_collected_from_blocks(self):
-        _, log = self._chain_with_events()
-        assert len(log.by_name("transfer")) == 3
-
-    def test_filter_since_height(self):
-        _, log = self._chain_with_events()
-        late = list(log.filter(name="transfer", since_height=3))
-        assert len(late) == 1
-
-    def test_filter_with_predicate(self):
-        _, log = self._chain_with_events()
-        big = list(log.filter(
-            name="transfer",
-            where=lambda e: e.event.data["amount"] >= 11,
-        ))
-        assert len(big) == 2
-
-    def test_live_listener(self):
-        chain = Blockchain()
-        log = EventLog(chain)
-        seen = []
-        log.on("transfer", lambda entry: seen.append(
-            entry.event.data["amount"]))
-        chain.state.credit("a", 100)
-        tx = Transaction(sender="a", kind=TxKind.TRANSFER,
-                         payload={"to": "b", "amount": 42})
-        chain.append_block(chain.build_block([tx]))
-        assert seen == [42]
-
-    def test_wildcard_listener(self):
-        chain = Blockchain()
-        log = EventLog(chain)
-        seen = []
-        log.on(None, lambda entry: seen.append(entry.event.name))
-        chain.state.credit("a", 10)
-        tx = Transaction(sender="a", kind=TxKind.TRANSFER,
-                         payload={"to": "b", "amount": 1})
-        chain.append_block(chain.build_block([tx]))
-        assert seen == ["transfer"]
 
 
 class TestThroughputMeter:
@@ -170,6 +108,55 @@ StateStoreMachine.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestStateStoreStateful = StateStoreMachine.TestCase
+
+_NAMESPACES = st.sampled_from(["a", "b", "balance"])
+_KEYS = st.sampled_from(["k1", "k2", "k3"])
+_VALUES = st.one_of(st.integers(min_value=-5, max_value=5), st.text(max_size=3))
+_ENTRY = st.tuples(_NAMESPACES, _KEYS, _VALUES)
+_STATE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), _ENTRY),
+    st.tuples(st.just("delete"), st.tuples(_NAMESPACES, _KEYS)),
+    st.tuples(st.just("delta"), st.lists(
+        st.tuples(_NAMESPACES, _KEYS, st.booleans(), _VALUES), max_size=4)),
+    st.tuples(st.just("load"), st.lists(_ENTRY, max_size=4)),
+    st.tuples(st.just("root"), st.none()),
+), max_size=25)
+
+
+class TestStateStoreImage:
+    @settings(max_examples=60, deadline=None)
+    @given(_STATE_OPS)
+    def test_image_and_root_match_a_dict_rebuilt_from_scratch(self, ops):
+        """Whatever mix of writes, deltas and restores (with roots taken
+        in between) got it there, the store's image and root are those
+        of a fresh store holding the dict model's entries."""
+        store, model = StateStore(), {}
+        for op, arg in ops:
+            if op == "set":
+                store.set(*arg)
+                model[arg[:2]] = arg[2]
+            elif op == "delete":
+                store.delete(*arg)
+                model.pop(arg, None)
+            elif op == "delta":
+                store.apply_delta(arg)
+                for ns, key, present, value in arg:
+                    if present:
+                        model[ns, key] = value
+                    else:
+                        model.pop((ns, key), None)
+            elif op == "load":
+                store.load_entries(arg)
+                model = {(ns, key): value for ns, key, value in arg}
+            else:
+                store.state_root()
+        fresh = StateStore()
+        for (ns, key), value in model.items():
+            fresh.set(ns, key, value)
+        assert store.dump_entries() == sorted(
+            (ns, key, value) for (ns, key), value in model.items())
+        assert store.state_root() == fresh.state_root()
+        assert len(store) == len(model)
 
 
 class TestPackageSurface:

@@ -164,15 +164,6 @@ class TestIncrementalStateRoot:
         s.rollback(snap)
         assert s.state_root() == before
 
-    def test_namespace_index_matches_scan(self):
-        s = StateStore()
-        for i in range(10):
-            s.set("even" if i % 2 == 0 else "odd", f"k{i}", i)
-        s.delete("even", "k4")
-        assert [k for k, _ in s.items("even")] == ["k0", "k2", "k6", "k8"]
-        assert [v for _, v in s.items("odd")] == [1, 3, 5, 7, 9]
-        assert list(s.items("missing")) == []
-
     def test_release_keeps_changes_in_one_step(self):
         """The commit group's release: the named frame and every frame
         above it go at once, their changes stay, and nothing is copied

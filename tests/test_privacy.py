@@ -144,6 +144,12 @@ class TestGroupSignatures:
         sig = group.sign("dr-b", "m")
         assert group.open(sig) == "dr-b"
 
+    def test_membership_roster(self, group):
+        assert group.is_member("dr-a") and not group.is_member("outsider")
+        assert group.member_count == 2
+        group.enroll("dr-c")
+        assert group.is_member("dr-c") and group.member_count == 3
+
     def test_double_enrollment_rejected(self, group):
         with pytest.raises(PrivacyError):
             group.enroll("dr-a")
@@ -248,6 +254,14 @@ class TestPseudonyms:
     def test_unlinkable_across_epochs(self):
         pm = PseudonymManager()
         assert pm.pseudonym("alice", 0) != pm.pseudonym("alice", 1)
+
+    def test_outsider_links_only_equal_pseudonyms(self):
+        pm = PseudonymManager()
+        now, later = pm.pseudonym("alice", 0), pm.pseudonym("alice", 1)
+        assert PseudonymManager.are_linkable(now, pm.pseudonym("alice", 0))
+        assert not PseudonymManager.are_linkable(now, later)
+        # Linking across epochs takes the authority's mapping.
+        assert pm.reidentify(now)[0] == pm.reidentify(later)[0]
 
     def test_reidentification(self):
         pm = PseudonymManager()

@@ -10,7 +10,9 @@ from repro.errors import (
     UnknownEntity,
 )
 from repro.provenance import ProvenanceGraph, RelationKind, make_record
-from repro.provenance.model import NodeKind, check_relation_signature
+from repro.provenance.model import (
+    NodeKind, ProvNode, Relation, check_relation_signature,
+)
 from repro.persist.codec import encode_record
 from repro.provenance.records import (
     DOMAIN_SCHEMAS,
@@ -62,6 +64,19 @@ class TestModelTyping:
     def test_idempotent_identical_add(self, graph):
         graph.add_entity("raw")     # same content — fine
         assert graph.node_count == 4
+
+    def test_node_and_relation_digests_are_content_determined(self):
+        a = ProvNode("n", NodeKind.ENTITY, {"size": 3}, created_at=1)
+        assert a.digest() == ProvNode("n", NodeKind.ENTITY, {"size": 3},
+                                      created_at=1).digest()
+        assert a.digest() != ProvNode("n", NodeKind.ENTITY, {"size": 4},
+                                      created_at=1).digest()
+        assert (a.attr("size"), a.attr("missing", "d")) == (3, "d")
+        rel = Relation("b", "a", RelationKind.WAS_DERIVED_FROM)
+        assert rel.digest() == Relation(
+            "b", "a", RelationKind.WAS_DERIVED_FROM).digest()
+        assert rel.digest() != Relation(
+            "a", "b", RelationKind.WAS_DERIVED_FROM).digest()
 
 
 class TestAcyclicity:
@@ -129,6 +144,25 @@ class TestTraversals:
         d1 = graph.digest()
         graph.add_entity("new-thing")
         assert graph.digest() != d1
+
+    def test_node_and_edge_accessors(self, graph):
+        assert graph.node("raw").kind == NodeKind.ENTITY
+        assert [(r.kind, r.target) for r in graph.out_edges("clean-run")] \
+            == [(RelationKind.USED, "raw")]
+        assert {r.source for r in graph.in_edges("raw")} == \
+            {"clean-run", "clean"}
+        assert len(list(graph.edges())) == graph.edge_count == 4
+        assert [r.source for r in graph.edges(RelationKind.USED)] == \
+            ["clean-run"]
+        for lookup in (graph.node, graph.out_edges, graph.in_edges):
+            with pytest.raises(UnknownEntity):
+                lookup("ghost")
+
+    def test_attributed_agents(self, graph):
+        assert graph.attributed_agents("clean") == ["alice"]
+        assert graph.attributed_agents("raw") == []
+        with pytest.raises(UnknownEntity):
+            graph.attributed_agents("ghost")
 
 
 class TestGraphProperties:
@@ -206,6 +240,21 @@ class TestRecordSchemas:
                 timestamp=1, patient_pseudonym="p", ehr_id="e",
                 provider_id="pr", record_types=["t"], surprise_field=1,
             )
+
+    def test_required_fields_are_what_the_rule_demands(self):
+        base = dict(record_id="r1", subject="s", actor="a", operation="o",
+                    timestamp=1, task_id="t", workflow_id="w",
+                    execution_time=5, user_id="u", input_data=[],
+                    output_data=["x"])
+        schema = DOMAIN_SCHEMAS["scientific"]
+        required = schema.required_fields()
+        assert required and set(required) <= set(schema.fields)
+        assert len(schema.paper_labels()) == len(schema.fields)
+        validate_record(dict(base, domain="scientific"))
+        for name in required:
+            record = {k: v for k, v in base.items() if k != name}
+            with pytest.raises(RecordValidationError):
+                validate_record(dict(record, domain="scientific"))
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(RecordValidationError):

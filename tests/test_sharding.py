@@ -231,6 +231,42 @@ class TestCrossShard2PC:
         assert len(report.deferred) == 1
         assert report.accepted_total == 0
 
+    def test_a_lock_conflict_is_classified_for_reports(self, sharded):
+        coordinator = CrossShardCoordinator(sharded, timeout_rounds=3)
+        source, target = self._handoff_pair(sharded)
+        coordinator.begin(source, target)
+        with pytest.raises(ShardError) as refused:
+            sharded.submit(record_tx(source, 1))
+        assert refused.value.as_dict() == {
+            "reason": "lock_conflict", "shard_id": None,
+            "message": str(refused.value)}
+        assert ShardError("down", shard_id=2).as_dict() == {
+            "reason": "shard_error", "shard_id": 2, "message": "down"}
+
+    def test_transfers_are_looked_up_by_xid(self, sharded):
+        coordinator = CrossShardCoordinator(sharded, timeout_rounds=3)
+        source, target = self._handoff_pair(sharded)
+        transfer = coordinator.begin(source, target)
+        assert coordinator.get(transfer.xid) is transfer
+        assert coordinator.active == [transfer]
+        with pytest.raises(ShardError):
+            coordinator.get("xfer-unknown")
+
+    def test_submit_report_totals_count_each_outcome(self, sharded):
+        coordinator = CrossShardCoordinator(sharded, timeout_rounds=3)
+        source, target = self._handoff_pair(sharded)
+        free = next(f"free-{i}/x" for i in range(64)
+                    if sharded.router.shard_for_subject(f"free-{i}/x")
+                    not in (sharded.router.shard_for_subject(source),
+                            sharded.router.shard_for_subject(target)))
+        coordinator.begin(source, target)
+        report = sharded.submit_many([record_tx(target, 2),
+                                      record_tx(target, 3),
+                                      record_tx(free, 4)])
+        assert report.deferred_total == len(report.deferred) == 2
+        assert report.accepted_total == 1
+        assert report.rejected_total == 0
+
     def test_abort_on_timeout_unlocks(self, sharded):
         coordinator = CrossShardCoordinator(sharded, timeout_rounds=2)
         source, target = self._handoff_pair(sharded)
@@ -373,6 +409,21 @@ class TestFederatedQueries:
         assert all(answer.beacon_verified)
         assert len(set(answer.shard_ids)) == 2
         assert not answer.unanchored
+
+    def test_actor_and_time_range_merge_across_shards(self, sharded):
+        a, b = distinct_shard_namespaces(sharded.router)
+        sharded.ingest_records([
+            {"record_id": f"r{i}", "subject": f"{(a, b)[i % 2]}/x",
+             "actor": ("ann", "bob")[i % 3 == 0], "operation": "update",
+             "timestamp": 10 - i}
+            for i in range(8)])
+        engine = ShardedQueryEngine(sharded)
+        by_ann = engine.by_actor("ann")
+        assert [r["record_id"] for r in by_ann] == \
+            ["r7", "r5", "r4", "r2", "r1"]
+        assert {r["subject"] for r in by_ann} == {f"{a}/x", f"{b}/x"}
+        assert [r["record_id"] for r in engine.time_range(4, 8)] == \
+            ["r6", "r5", "r4", "r3"]
 
     def test_unflushed_record_fails_verification(self, sharded):
         engine = ShardedQueryEngine(sharded)

@@ -31,13 +31,6 @@ class TestCAS:
         cas.put(b"AAAAAAAA" * 10)      # 10 identical chunks
         assert cas.dedup_hits >= 9
 
-    def test_verify_against_cid(self):
-        cas = ContentAddressedStore(chunk_size=8)
-        blob = b"0123456789abcdef" * 3
-        cid = cas.put(blob)
-        assert cas.verify(cid, blob)
-        assert not cas.verify(cid, blob + b"!")
-
     def test_missing_object(self):
         cas = ContentAddressedStore()
         cid = cas.put(b"x")
@@ -68,20 +61,17 @@ class TestCAS:
         cas = ContentAddressedStore(chunk_size=64)
         cid = cas.put(blob)
         assert cas.get(cid) == blob
-        assert cas.verify(cid, blob)
 
     # -- empty / boundary-size regression suite (ISSUE 3 satellite) ----
     def test_empty_blob_full_lifecycle(self):
         """``put(b"")`` must behave like any other blob: retrievable,
-        verifiable, pinnable, and GC-safe — the falsy payload must never
-        be confused with "missing"."""
+        pinned, and GC-safe — the falsy payload must never be confused
+        with "missing"."""
         cas = ContentAddressedStore(chunk_size=8)
         cid = cas.put(b"")
         assert cid.kind == "raw"
         assert cas.has(cid)
         assert cas.get(cid) == b""
-        assert cas.verify(cid, b"")
-        assert not cas.verify(cid, b"\x00")
         # Pinned by default: survives garbage collection.
         cas.collect_garbage()
         assert cas.get(cid) == b""
@@ -103,8 +93,6 @@ class TestCAS:
         cid = cas.put(blob)
         assert cid.kind == ("raw" if size <= 8 else "manifest")
         assert cas.get(cid) == blob
-        assert cas.verify(cid, blob)
-        assert not cas.verify(cid, blob + b"!")
         cas.collect_garbage()
         assert cas.get(cid) == blob
 
@@ -145,8 +133,9 @@ class TestCloudStore:
         store.add_observer(lambda op: seen.append(op.op))
         store.create("alice", "f", b"x")
         store.read("alice", "f")
-        store.delete("alice", "f")
-        assert seen == ["create", "read", "delete"]
+        store.update("alice", "f", b"y")
+        store.share("alice", "f", "bob")
+        assert seen == ["create", "read", "update", "share"]
 
     def test_unshared_read_denied(self, clock):
         store = CloudObjectStore(clock)
@@ -154,35 +143,34 @@ class TestCloudStore:
         with pytest.raises(AccessDenied):
             store.read("bob", "f")
 
-    def test_share_grants_then_unshare_revokes(self, clock):
+    def test_share_grants_read_and_update(self, clock):
         store = CloudObjectStore(clock)
         store.create("alice", "f", b"x")
         store.share("alice", "f", "bob")
         content, _ = store.read("bob", "f")
         assert content == b"x"
-        store.unshare("alice", "f", "bob")
-        with pytest.raises(AccessDenied):
-            store.read("bob", "f")
+        op = store.update("bob", "f", b"y")
+        assert (op.user, op.version) == ("bob", 1)
+        assert store.read("alice", "f")[0] == b"y"
 
-    def test_only_owner_deletes(self, clock):
+    def test_only_owner_shares(self, clock):
         store = CloudObjectStore(clock)
         store.create("alice", "f", b"x")
         store.share("alice", "f", "bob")
         with pytest.raises(AccessDenied):
-            store.delete("bob", "f")
+            store.share("bob", "f", "carol")
+        with pytest.raises(AccessDenied):
+            store.read("carol", "f")
 
-    def test_deleted_object_gone(self, clock):
+    def test_missing_object_and_version(self, clock):
         store = CloudObjectStore(clock)
         store.create("alice", "f", b"x")
-        store.delete("alice", "f")
         with pytest.raises(ObjectNotFound):
-            store.read("alice", "f")
-
-    def test_user_log_chain_verifies(self, clock):
-        store = CloudObjectStore(clock)
-        store.create("alice", "f", b"x")
-        store.update("alice", "f", b"y")
-        assert store.verify_user_log("alice")
+            store.read("alice", "g")
+        with pytest.raises(ObjectNotFound):
+            store.read("alice", "f", version=1)
+        with pytest.raises(ObjectNotFound):
+            store.update("alice", "g", b"y")
 
     def test_duplicate_create_rejected(self, clock):
         store = CloudObjectStore(clock)
@@ -190,12 +178,18 @@ class TestCloudStore:
         with pytest.raises(AccessDenied):
             store.create("bob", "f", b"y")
 
-    def test_operations_on_object(self, clock):
+    def test_operations_carry_ids_times_and_hashes(self, clock):
         store = CloudObjectStore(clock)
-        store.create("alice", "f", b"x")
-        store.create("alice", "g", b"y")
-        store.read("alice", "f")
-        assert len(store.operations_on("f")) == 2
+        first = store.create("alice", "f", b"x")
+        clock.advance(7)
+        _, read = store.read("alice", "f")
+        shared = store.share("alice", "f", "bob")
+        assert [first.op_id, read.op_id, shared.op_id] == [0, 1, 2]
+        assert (first.timestamp, read.timestamp) == (0, 7)
+        assert first.content_hash == read.content_hash != b""
+        assert shared.content_hash == b""
+        assert first.details == {"size": 1}
+        assert shared.details == {"with_user": "bob"}
 
 
 class TestProvenanceDatabase:

@@ -263,6 +263,34 @@ BlockStoreMachine.TestCase.settings = settings(
 TestBlockStoreParity = BlockStoreMachine.TestCase
 
 
+class TestBundlesReadTheSame:
+    def test_raw_record_scan_is_the_copying_scan(self, tmp_path):
+        """Both bundles serve the read-only scan the query benches time
+        with the same rows, in the same order, as the copying one; a
+        memory bundle has nothing to tier, sync or close."""
+        from repro.persist.codec import encode_record
+
+        records = [{"record_id": f"r{i}", "subject": f"s{i % 3}",
+                    "actor": "a", "operation": "o", "timestamp": i}
+                   for i in range(5)]
+        memory = MemoryStorage()
+        durable = DurableStorage(str(tmp_path / "store"))
+        try:
+            for bundle in (memory, durable):
+                bundle.records.append_many(
+                    records, [encode_record(r) for r in records], fsync=True)
+                assert [dict(r) for r in bundle.records.iter_records_raw()] \
+                    == list(bundle.records.iter_records()) == records
+        finally:
+            durable.close()
+        assert memory.tier(keep_tail=0) == {}
+        memory.blocks.sync()
+        memory.sync()
+        memory.blocks.close()
+        memory.close()
+        assert len(memory.records) == 5
+
+
 class TestSingleOpenSite:
     @pytest.mark.parametrize("error", [
         StorageError("injected open failure"),

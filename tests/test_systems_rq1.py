@@ -21,6 +21,14 @@ class TestProvChain:
         assert [r["operation"] for r in answer.records] == \
             ["create", "update", "read"]
 
+    def test_audit_is_clean_once_every_record_is_anchored(self, system):
+        system.create("alice", "doc", b"v1")
+        # finalize() inside the audit anchors the pending batch first.
+        assert system.anchors.pending_count == 1
+        assert system.audit_is_clean("doc")
+        assert system.anchors.pending_count == 0
+        assert not system.audit_is_clean("never-stored")
+
     def test_audit_covers_shares(self, system):
         system.create("alice", "doc", b"v1")
         system.share("alice", "doc", "bob")
@@ -107,11 +115,15 @@ class TestIPFSProvenance:
         return IPFSProvenance(batch_size=2, chunk_size=64)
 
     def test_add_get_verify(self, system):
-        blob = b"X" * 500
-        system.add_file("alice", "data", blob)
+        blob = bytes(range(250)) * 2
+        cid = system.add_file("alice", "data", blob)
         assert system.get_file("alice", "data") == blob
-        assert system.verify_file("data", blob)
-        assert not system.verify_file("data", blob + b"!")
+        # The anchored CID is the integrity check: a chunk altered in
+        # the CAS is refused on the way out.
+        chunk = system.cas._manifests[cid.digest][1]
+        system.cas._blobs[chunk] = b"EVIL"
+        with pytest.raises(StorageError):
+            system.get_file("alice", "data")
 
     def test_versioning(self, system):
         system.add_file("alice", "f", b"v0")

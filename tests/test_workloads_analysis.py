@@ -9,6 +9,7 @@ from repro.analysis import (
     Sweep,
     format_table,
 )
+from repro.analysis.harness import SweepResult
 from repro.analysis.figures import ascii_series, multi_series_to_csv, series_to_csv
 from repro.analysis.tables import (
     PUBLISHED_TABLE1,
@@ -19,11 +20,8 @@ from repro.analysis.tables import (
     table2_data,
 )
 from repro.workloads import (
-    ArrivalProcess,
-    CloudOpsWorkload,
     ForensicCaseWorkload,
     QueryWorkload,
-    SupplyChainWorkload,
     WorkflowShape,
     ZipfSampler,
 )
@@ -55,37 +53,7 @@ class TestZipf:
         assert all(0 <= s < n for s in sampler.sample_many(50))
 
 
-class TestArrivals:
-    def test_constant(self):
-        assert ArrivalProcess("constant", mean=5).timestamps(3) == [5, 10, 15]
-
-    def test_bursty_has_zero_gaps(self):
-        process = ArrivalProcess("bursty", mean=2, burst_size=5, seed=1)
-        gaps = [process.next_gap() for _ in range(20)]
-        assert 0 in gaps
-        assert max(gaps) >= 10
-
-    def test_timestamps_monotone(self):
-        process = ArrivalProcess("uniform", mean=3, seed=2)
-        ts = process.timestamps(50)
-        assert all(a <= b for a, b in zip(ts, ts[1:]))
-
-
 class TestGenerators:
-    def test_cloud_ops_replayable(self):
-        a = CloudOpsWorkload(seed=4).generate(100)
-        b = CloudOpsWorkload(seed=4).generate(100)
-        assert a == b
-
-    def test_cloud_ops_create_before_use(self):
-        ops = CloudOpsWorkload(seed=5).generate(200)
-        created = set()
-        for op in ops:
-            if op.op == "create":
-                created.add(op.key)
-            else:
-                assert op.key in created
-
     def test_workflow_shape_is_dag(self):
         specs = WorkflowShape(n_tasks=30, fanout=3, seed=2).tasks()
         produced = {"external-input"}
@@ -100,12 +68,6 @@ class TestGenerators:
             for dep in item["depends_on"]:
                 assert dep in seen
             seen.add(item["evidence_id"])
-
-    def test_supply_chain_journeys_no_self_hops(self):
-        plans = SupplyChainWorkload(seed=1).plan()
-        for plan in plans:
-            journey = plan["journey"]
-            assert all(a != b for a, b in zip(journey, journey[1:]))
 
     def test_query_workload_repeats_under_zipf(self):
         workload = QueryWorkload(subjects=[f"s{i}" for i in range(50)],
@@ -147,6 +109,24 @@ class TestMetrics:
         assert acct.on_chain_fraction() == pytest.approx(0.1)
         assert acct.expansion_factor(500) == pytest.approx(2.0)
 
+    def test_latency_summary(self):
+        recorder = LatencyRecorder()
+        for v in range(1, 201):
+            recorder.record(v)
+        assert recorder.summary() == {"count": 200, "mean": 100.5,
+                                      "p50": 100, "p95": 190, "p99": 198,
+                                      "max": 200}
+        with pytest.raises(ValueError):
+            LatencyRecorder().summary()
+
+    def test_proof_bytes_are_kept_apart_from_the_split(self):
+        acct = StorageAccounting()
+        acct.add_on_chain(40)
+        acct.add_proof(300)
+        assert acct.proof_bytes == 300
+        assert (acct.total, acct.on_chain_fraction()) == (40, 1.0)
+        assert StorageAccounting().on_chain_fraction() == 0.0
+
 
 class TestSweepAndTables:
     def test_sweep_rows(self):
@@ -154,6 +134,14 @@ class TestSweepAndTables:
         assert result.column("y") == [2, 4, 6]
         assert result.is_monotonic("y")
         assert not result.is_monotonic("y", increasing=False)
+
+    def test_sweep_renders_its_rows(self):
+        result = Sweep("x", [1, 2, 3], lambda x: {"y": x * 2}).run()
+        lines = result.to_table().splitlines()
+        assert lines[0].split() == list(result.rows[0])
+        assert [line.split()[-1] for line in lines[2:]] == ["2", "4", "6"]
+        assert result.to_table(["y"]).splitlines()[0].strip() == "y"
+        assert SweepResult("x").to_table() == "(empty sweep)"
 
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "b": "xy"}], ["a", "b"])

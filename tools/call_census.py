@@ -6,15 +6,15 @@
 runs every entry point of the repository as a subprocess — the four
 end-to-end workloads (traced and untraced), every example, the chaos
 harness (seeds 11 and 23), each script bench with ``--smoke`` and the
-pytest bench modules — with a temporary ``sitecustomize`` first on
-``PYTHONPATH``.  It installs ``sys.setprofile`` and
-``threading.setprofile`` hooks that record every code object entered on
-a ``call`` event and, at interpreter exit, write those under
-``src/repro/`` to a temporary directory.  The census then parses every
-module under ``src/repro/`` and prints, per file, the functions no entry
-point entered.  Packages matched by ``--skip`` (the survey packages,
-passed by ``make census``) are left out, and so are ``@abstractmethod``
-and ``Protocol`` stubs, which are never run.
+pytest bench modules with ``--benchmark-disable`` — with a temporary
+``sitecustomize`` first on ``PYTHONPATH``.  It installs
+``sys.setprofile`` and ``threading.setprofile`` hooks that record every
+code object entered on a ``call`` event and, at interpreter exit, write
+those under ``src/repro/`` to a temporary directory.  The census then
+parses every module under ``src/repro/`` and prints, per file, the
+functions no entry point entered.  Packages matched by ``--skip`` (the
+survey packages, passed by ``make census``) are left out, and so are
+``@abstractmethod`` and ``Protocol`` stubs, which are never run.
 
 Blind spot: forked exec workers leave through ``os._exit``, so what they
 enter is never written; ``exec/worker.py`` is reported as untraced, not
@@ -98,9 +98,17 @@ def entry_points() -> list[tuple[str, list[str]]]:
     modules = sorted(str(p.relative_to(ROOT)) for pattern in PYTEST_BENCHES
                      for p in (ROOT / "benchmarks").glob(pattern))
     runs.append((f"pytest {len(modules)} bench modules",
-                 [py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                  *modules]))
+                 pytest_argv(modules)))
     return runs
+
+
+def pytest_argv(modules: list[str]) -> list[str]:
+    """The pytest run of ``modules``.  ``--benchmark-disable`` runs each
+    ``benchmark(...)`` / ``benchmark.pedantic(...)`` target once, as a
+    plain call; timed, pytest-benchmark would call it between
+    ``sys.setprofile(None)`` and the restore, out of the hook's sight."""
+    return [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "--benchmark-disable", *modules]
 
 
 def _stubs(tree: ast.Module) -> set[int]:
