@@ -26,11 +26,11 @@ test-persist:
 test-sync:
 	$(PYTHON) -m pytest tests/test_sync.py tests/test_network.py -q
 
-# Execution-engine + tiering suite only: executor parity, worker-death
-# fallback, fork guards, compaction/archival crash points, compressed
-# frames an older store holds (read, never written).
+# Execution-engine suite only: executor parity, worker-death fallback,
+# fork guards, plus the compressed frames an older store holds (read,
+# never written).
 test-exec:
-	$(PYTHON) -m pytest tests/test_exec.py tests/test_tiering.py -q
+	$(PYTHON) -m pytest tests/test_exec.py tests/test_compressed_frames.py -q
 
 # Observability suite only: metrics registry, span tracing (incl.
 # cross-process propagation + worker-kill fallback), accessor
@@ -74,8 +74,8 @@ test-chaos:
 # Crash suite: the kill-at-every-round matrix (crash 0..16 rounds past a
 # checkpoint, a 2PC handoff in flight, a log fault inside an anchor
 # block's frame, a fresh replica, a forged proof row, a store written by
-# the parent, the counted fsync/COMMIT guards, the format steps 3 → 4
-# and 4 → 5 killed at every statement, raw tail items and caught-up
+# the parent, the counted fsync/COMMIT guards, the format steps 3 → 4,
+# 4 → 5 and 5 → 6 killed at every statement, raw tail items and caught-up
 # replicas pinned to the parent's bytes) plus the seeded chaos harness —
 # no evidence lost, nothing anchored twice.
 test-crash:
@@ -122,8 +122,8 @@ bench-sync:
 	$(PYTHON) benchmarks/bench_sync.py
 
 # Full execution-engine benchmark; writes BENCH_exec.json and asserts
-# the acceptance floors (process sealing >= min(2.0, 0.9 x this
-# machine's raw multiprocessing budget); tiering reclaim >= 30%).
+# the acceptance floor (process sealing >= min(2.0, 0.9 x this
+# machine's raw multiprocessing budget)).
 bench-exec:
 	$(PYTHON) benchmarks/bench_exec.py
 
@@ -194,15 +194,21 @@ setup-split:
 # back: every stack under sharding/ opens on a Storage bundle (no
 # `storage is None` branch, no in-memory meta twin, no meta passthrough
 # on the facade), and persist/durable.py keeps one recovery walk, one
-# LRU and a compaction routine that does not branch on the table name.
+# LRU and one log rewrite (the fold of a cold tier an older build left)
+# that does not branch on the table name.
 # Nor may the anchoring mechanism be written twice: only the verifier
 # (verify.py) compares an anchor payload's merkle_root, and neither
 # level keeps a locator or tree list of its own.  Nor may a
 # signature verdict be kept anywhere but on the sealed transaction it is
 # about: no global verify memo, no lock or LRU beside it, no
-# recompute-every-read lever.  Nor may the cold tier leave the segment
-# log again: no file CAS under persist/, and the old archive key column
-# is read only by the one-time upgrade of a store archived that way.
+# recompute-every-read lever.  Nor may a cold tier come back (blocks
+# stay where they are written, so every full node serves every height):
+# no file CAS under persist/, the old archive key column is read only by
+# the one-time upgrade of a store archived that way, the cold_blocks
+# table and log are named only by that step and the step 5 → 6 that
+# folds them into the block log, and no tiering pass, archival,
+# compaction, disk-usage probe or cold-history refusal comes back —
+# anywhere in src, tests, benchmarks, examples or tools.
 # Nor may a store format be probed or stamped outside the one upgrade
 # site: the markers of older formats are named only in persist/durable.py,
 # and sqlite's user_version is written at exactly one place.  Nor may the
@@ -230,8 +236,8 @@ setup-split:
 # gone — one proof per level, checked against a block header.  Nor may a
 # stored record be rewritten: no repoint( of an index row, no .replace(
 # on a record store and no annotate( under src/ or examples/, and no
-# compact(which= target anywhere — records are append-only, and the hot
-# block log is the one log compaction rewrites.  Nor may a door grow its
+# compact(which= target anywhere — records are append-only, and so are
+# blocks: nothing compacts a log.  Nor may a door grow its
 # own record check back: a "record lacks" or "needs a record_id" refusal
 # is written only by the one record rule (persist/codec.py), and neither
 # persist/provdb.py nor the facade's _route_records coerces a record
@@ -293,6 +299,12 @@ lint-private:
 	@test -z "$$(awk '/^(class|def) |^    def /{f=$$0} \
 	    /cas_key/ && f !~ /def _upgrade_archive\(/' \
 	    src/repro/persist/durable.py)"
+	@test -z "$$(find src/repro -name '*.py' | xargs awk \
+	    'FNR == 1 {f = ""} /^(class|def) |^    def /{f = $$0} \
+	    /cold_blocks/ && f !~ /def _upgrade_(archive|cold)\(/ \
+	    {print FILENAME ": " $$0}')"
+	@! grep -rnE '\b(tier_storage|archive_blocks|ColdHistory|cold_history|disk_usage)\b|def (tier|compact)\(' \
+	    src tests benchmarks examples tools --include='*.py'
 	@! grep -rnE 'anchor_state|beacon_state|facade_state|blocks_archived' \
 	    src/repro --include='*.py' | grep -v '^src/repro/persist/durable\.py:'
 	@! grep -rn 'supersede_meta' src --include='*.py'

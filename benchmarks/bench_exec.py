@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Execution-engine benchmark: process-pool sealing vs serial, plus
-storage tiering.
+"""Execution-engine benchmark: process-pool sealing vs serial.
 
 Measures what the ISSUE-6 execution engine and storage axis buy:
 
@@ -26,12 +25,6 @@ Measures what the ISSUE-6 execution engine and storage axis buy:
   mode (smoke included): the engine is only admissible if the
   commitments cannot tell executors apart.
 * **workers curve** — process sealing at 1/2/4 workers.
-* **storage tiering** — a durable deployment with incompressible
-  payloads is checkpointed and tiered (cold blocks archived into the
-  cold segment log, hot logs compacted generationally).  The indexed-store
-  reclaim is asserted ``>= 30%`` in full mode, and the pruned replica
-  must reopen with **zero** block replay and still serve verified
-  queries for archived heights.
 
 Results go to ``BENCH_exec.json``.
 
@@ -281,86 +274,20 @@ def bench_exec_modes(rounds: int, calls_per_round: int, iters: int,
     return section, curve
 
 
-def bench_tiering(rounds: int, txs_per_round: int, root: Path) -> dict:
-    """Durable 2-shard deployment with incompressible payloads:
-    checkpoint, tier (archive + compact), reopen pruned with zero
-    replay and verified queries for archived heights."""
-    rng = random.Random(3)
-    store_dir = str(root / "tiering")
-    sc = ShardedChain(2, storage_dir=store_dir)
-    n = 0
-    for r in range(rounds):
-        for _ in range(txs_per_round):
-            blob = bytes(rng.getrandbits(8) for _ in range(500)).hex()
-            tx = Transaction(sender=f"acct-{n % 11}", kind=TxKind.DATA,
-                             payload={"blob": blob, "i": n},
-                             nonce=n, timestamp=1000 + n).seal()
-            sc.submit(tx)
-            n += 1
-        sc.seal_round(timestamp=50_000 + r)
-    sc.checkpoint()
-
-    t0 = time.perf_counter()
-    stats = sc.tier_storage(keep_tail=8)
-    tier_s = time.perf_counter() - t0
-    bytes_before = sum(st["bytes_before"] for st in stats.values())
-    bytes_after = sum(st["bytes_after"] for st in stats.values())
-    archived = sum(st["archived"]["archived"] for st in stats.values())
-    archive_bytes = sum(
-        shard.storage.disk_usage(include_archive=True)
-        - shard.storage.disk_usage()
-        for shard in sc.shards
-    )
-    heights = [sc.shard(s).chain.height for s in range(2)]
-    roots = [sc.shard(s).chain.state.state_root() for s in range(2)]
-    sc.close()
-
-    # The pruned replica must come back with zero replay and still
-    # serve verified queries for archived heights (from the cold log).
-    t0 = time.perf_counter()
-    sc2 = ShardedChain(2, storage_dir=store_dir)
-    reopen_s = time.perf_counter() - t0
-    for s in range(2):
-        ch = sc2.shard(s).chain
-        assert ch.blocks_replayed_on_open == 0, "reopen replayed blocks"
-        assert ch.height == heights[s]
-        assert ch.state.state_root() == roots[s]
-        assert ch.block_at(1).height == 1  # archived height, cold log
-        ch.verify()
-    sc2.close()
-
-    reclaim_pct = round(100 * (1 - bytes_after / bytes_before), 1)
-    return {
-        "rounds": rounds,
-        "txs": n,
-        "blocks_archived": archived,
-        "indexed_bytes_before": bytes_before,
-        "indexed_bytes_after": bytes_after,
-        "reclaim_pct": reclaim_pct,
-        "archive_bytes": archive_bytes,
-        "tier_s": round(tier_s, 4),
-        "pruned_reopen_s": round(reopen_s, 4),
-        "blocks_replayed_on_reopen": 0,
-    }
-
-
 def main() -> None:
     args = parse_bench_args(__doc__)
 
     if args.smoke:
         rounds, calls_per_round, iters, blob_len = 2, 32, 200, 300
         repeats = 1
-        tier_rounds, tier_txs = 10, 20
     else:
         rounds, calls_per_round, iters, blob_len = 4, 96, 2_000, 1_000
         repeats = 2
-        tier_rounds, tier_txs = 40, 40
 
     root = Path(tempfile.mkdtemp(prefix="repro-bench-exec-"))
     try:
         exec_section, curve = bench_exec_modes(
             rounds, calls_per_round, iters, blob_len, repeats, root)
-        tiering = bench_tiering(tier_rounds, tier_txs, root)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -387,7 +314,6 @@ def main() -> None:
                                  "txs_per_s", "speedup_vs_serial")}
             for run in curve
         ],
-        "tiering": tiering,
     }
 
     print(f"exec bench ({result['mode']}): "
@@ -403,16 +329,11 @@ def main() -> None:
         print(f"  {run['executor']:>7}({run['workers']}) : "
               f"{run['seal_s']:7.3f} s seal  {run['txs_per_s']:6d} tx/s  "
               f"({run['speedup_vs_serial']:.2f}x)")
-    print(f"  tiering     : reclaim {tiering['reclaim_pct']}%  "
-          f"archived {tiering['blocks_archived']} blocks  "
-          f"reopen replay {tiering['blocks_replayed_on_reopen']}")
 
     finish_bench(result, "BENCH_exec.json", args, floors=[
         ("process sealing speedup at 4 workers",
          exec_section["process_speedup_vs_serial"],
          exec_section["effective_floor"]),
-        ("tiering indexed-store reclaim pct", tiering["reclaim_pct"],
-         30.0),
     ])
 
 

@@ -242,10 +242,6 @@ class ObjectNotFound(StorageError):
     """Requested object/CID does not exist in the store."""
 
 
-class ColdHistory(StorageError):
-    """Raw frames were asked of heights a tiered store has archived."""
-
-
 class ProvenanceError(ReproError):
     """Base class for provenance-layer failures."""
 

@@ -44,7 +44,7 @@ the default registry, labeled, so one ``snapshot()`` — or one ``ops``
 request over the network — sees everything: queue
 depths and watermarks, admission/seal/fsync/verify latency histograms,
 QueueFull/deferral/seal-failure counters, per-topic drop/dup/reorder,
-sync chunk/tail progress, tiering reclaim, worker respawns.
+sync chunk/tail progress, worker respawns.
 
 Ops surfaces
 ------------

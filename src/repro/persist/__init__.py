@@ -26,20 +26,20 @@ which kind it got:
 * the :class:`MetaStore` surface (``put_meta`` / ``get_meta``) for state
   no block creates — the shard layout, the 2PC transfer WAL, the sync
   client's resume marker;
-* ``sync()`` / ``close()`` / ``tier()``.
+* ``sync()`` / ``close()``.
 
 :class:`MemoryStorage` keeps lists and dicts (meta values still
 round-trip through the canonical codec, so coordinator recovery reads
 what it would read from disk).  :class:`DurableStorage` keeps one
-directory: three segment logs (length-prefixed canonical encodings,
+directory: two segment logs (length-prefixed canonical encodings,
 per-frame CRC-32; :mod:`repro.persist.segment`) and one sqlite database.
 
-**One indexed log.**  Hot blocks, cold blocks and records are the same
-structure on disk: a segment log whose live frames are located by the
-rows of one sqlite table (``blocks`` and ``cold_blocks`` by height,
-``records`` by position).  :class:`~repro.persist.durable.IndexedLog` is
-that structure, used three times, and holds the only copy of everything
-that keeps log and table in step:
+**One indexed log.**  Blocks and records are the same structure on
+disk: a segment log whose live frames are located by the rows of one
+sqlite table (``blocks`` by height, ``records`` by position).
+:class:`~repro.persist.durable.IndexedLog` is that structure, used
+twice, and holds the only copy of everything that keeps log and table in
+step:
 
 * the group write — frames first (flushed, fsynced when the caller says
   so), then every index row in one transaction, so the sqlite commit is
@@ -51,38 +51,38 @@ that keeps log and table in step:
   writes is append-only, so address order is key order; the walk still
   goes by address because a records log an older binary annotated (an
   old position pointed at a newer frame) must recover too;
-* compaction — rewrite live frames into the next *generation* directory,
-  repoint every row and bump the generation in one transaction.  Only
-  the hot block log has dead frames to drop (archival leaves them):
-  records are never rewritten, so a records log only grows, and one an
-  older binary annotated keeps the dead frames it already has;
+* the generation directory — ``<table>-log``, or ``<table>-log.g<N>``
+  once a rewrite moved it (an older build's compaction; the fold of a
+  cold tier below): the committed N says which is live, and any other
+  is swept on open.  Blocks and records are only appended, so no log
+  gathers dead frames to drop, and a records log an older binary
+  annotated keeps the ones it already has;
 * the read side — row lookup, frame read, one LRU of decoded values.
 
 A sealed block is final; the one truncation is snapshot sync's unwind
 of a tail it failed to install.  It deletes rows first and cuts the log
 second, so a crash at *any* byte of either leaves the log ahead of the
 index, which is the one state the walk reconciles — the property
-``tests/test_persist.py`` and ``tests/test_tiering.py`` exercise byte by
-byte on every table.
+``tests/test_persist.py`` exercises byte by byte on every table.
 
-**The cold tier is a log too.**  ``tier()`` moves blocks below the hot
-tail into the ``cold_blocks`` log as one group whose transaction also
-deletes their hot rows, then compacts the hot log; the store reads a
-height from whichever table holds it.  An archived frame is therefore
-the same CRC-framed bytes a header scan finds and the same walk
-recovers — no second format, no pin set, no per-frame file.  Snapshot
-sync serves raw frames from the hot tail only (``ColdHistory`` below
-it).  The in-memory :class:`ContentAddressedStore` is the survey's IPFS
-stand-in; no chain stack uses it.
+**Blocks stay where they are written.**  A ledger is worth keeping
+because anyone can replicate and check its history, so every full node
+holds every block in its one block log and serves any height to a
+replica or an auditor: there is no cold tier, no archival and no
+compaction.  The in-memory :class:`ContentAddressedStore` is the
+survey's IPFS stand-in; no chain stack uses it.
 
 **Formats.**  A durable store carries one format number, sqlite's
 ``PRAGMA user_version``: 1 kept proof state as checkpointed meta blobs
 (refused, ``format_too_old``: no upgrade path leads from it); 2 commits
-it as derived rows; 3 keeps the cold tier in the ``cold_blocks`` log; 4
+it as derived rows; 3 keeps the cold tier in a segment log of its own; 4
 keeps one index row per transaction — its receipt rides its ``txs`` row,
 where 3 kept a second ``receipts`` table with its own key and height
 index; 5 stores no receipt, and a ``txs`` row is three fixed-width
-columns keyed by the 32-byte transaction hash (``WITHOUT ROWID``).  A fresh store is born at the current format (stamped in its
+columns keyed by the 32-byte transaction hash (``WITHOUT ROWID``); 6
+has no cold tier — the step 5 → 6 folds that log, in height order, into
+the block log's next generation and drops its table.
+A fresh store is born at the current format (stamped in its
 schema transaction, no step run).  A store that reads 0 was written
 before the number existed and is placed once, by format 1's blobs, and a
 number above the build's is refused (``format_too_new``) — both before

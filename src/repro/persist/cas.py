@@ -4,7 +4,7 @@ The surveyed systems (HealthBlock, Ahmed et al., the IPFS designs of
 [33]) keep bulky data off-chain and anchor only its hash; this store is
 what their reproductions and ``bench_eval_storage`` put that data in,
 re-exported as :mod:`repro.storage.cas`.  No chain stack stores anything
-here: a durable store's cold tier is a segment log of block frames
+here: a durable store keeps every block frame in its block log
 (:mod:`repro.persist.durable`).
 
 Preserves the contract the surveyed designs rely on: ``put`` returns a

@@ -1,17 +1,13 @@
-"""Durable backend: three indexed segment logs and one sqlite database.
+"""Durable backend: two indexed segment logs and one sqlite database.
 
 One :class:`DurableStorage` per store directory owns
 
 * ``blocks-log/`` — an :class:`IndexedLog` of canonical block encodings,
-  the hot tail of the chain,
-* ``cold_blocks-log/`` — an :class:`IndexedLog` of the same frames for
-  the heights :meth:`DurableStorage.archive_blocks` moved out of the hot
-  tail (the cold tier: the same frame format, found by the same header
-  scan, recovered by the same walk),
+  every block of the chain, where it was written,
 * ``records-log/`` — an :class:`IndexedLog` of canonical provenance
   records,
-* ``index.db`` — a stdlib :mod:`sqlite3` database holding the three
-  location tables (height → frame twice, position/record_id → frame),
+* ``index.db`` — a stdlib :mod:`sqlite3` database holding the two
+  location tables (height → frame, position/record_id → frame),
   one ``txs`` row per committed transaction (its 32-byte hash → height
   and position; execution receipts are not stored), the state snapshot
   (``namespace`` → keys → canonical value), and a small meta table.
@@ -36,11 +32,10 @@ that hold objects reach the block writer through
 :meth:`DurableBlockStore.append_blocks` (which encodes, unless the caller
 passes the bytes it already has); the snapshot client, which holds only
 verified frames, through :meth:`DurableBlockStore.install_raw`.
-Archival (:meth:`DurableStorage.archive_blocks`) is one more such group:
-the cold log appends the frames, and the same transaction deletes their
-hot rows.  Records are only ever appended — no row is pointed at a new
-frame — so the one log that gathers dead weight is the hot block log,
-and :meth:`DurableStorage.compact` rewrites that one alone.
+Blocks and records are only ever appended — no row is pointed at a new
+frame — so no log gathers dead weight and nothing rewrites one; the one
+rewrite left is the format step that folds a cold tier an older build
+archived back into the block log (:meth:`IndexedLog.fold`).
 
 Where the fsync decision is made: not here.  ``fsync`` arrives from the
 caller and is passed to the log unchanged — ``True`` makes the group its
@@ -69,7 +64,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Iterator, Sequence
 
 from ..chain.block import Block
-from ..errors import ColdHistory, InvalidBlock, StorageError, UnknownEntity
+from ..errors import InvalidBlock, StorageError, UnknownEntity
 from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
 from .codec import canonical_decode, decode_block, decode_record, encode_block
@@ -92,8 +87,9 @@ _PUT_META = "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)"
 # ``persist`` design note): 1 = proof state in meta blobs (refused),
 # 2 = derived rows, 3 = the cold tier is a segment log, 4 = a
 # transaction's receipt rides its ``txs`` row, 5 = ``txs`` is keyed by
-# the 32-byte transaction hash and stores no receipt.
-_FORMAT = 5
+# the 32-byte transaction hash and stores no receipt, 6 = every block
+# frame is in the one block log (no cold tier).
+_FORMAT = 6
 
 
 def _stamp(version: int) -> str:
@@ -128,13 +124,6 @@ CREATE TABLE IF NOT EXISTS blocks(
     length INTEGER NOT NULL,
     block_hash BLOB NOT NULL
 );
-CREATE TABLE IF NOT EXISTS cold_blocks(
-    height INTEGER PRIMARY KEY,
-    segment INTEGER NOT NULL,
-    offset INTEGER NOT NULL,
-    length INTEGER NOT NULL,
-    block_hash BLOB NOT NULL
-);
 CREATE TABLE IF NOT EXISTS txs(
     tx_id BLOB PRIMARY KEY,
     height INTEGER NOT NULL,
@@ -163,16 +152,16 @@ CREATE TABLE IF NOT EXISTS meta(
 
 class IndexedLog:
     """A segment log plus the sqlite table that says where each live
-    frame is — the one primitive under both durable stores (the block
-    store keeps two: the hot tail and the cold tier).
+    frame is — the one primitive under both durable stores.
 
     ``table`` has an integer ``key`` column (``blocks.height``,
-    ``cold_blocks.height``, ``records.position``), the location columns
-    ``segment, offset, length`` and one ``extra`` column its store keeps
-    per row.  Every piece of code that keeps log and table in step lives
-    here: the one group write (:meth:`append`), the recovery walk run on
-    open, compaction into a fresh *generation* directory (``<table>-log``,
-    then ``<table>-log.g<N>``; the live N is meta key
+    ``records.position``), the location columns ``segment, offset,
+    length`` and one ``extra`` column its store keeps per row.  Every
+    piece of code that keeps log and table in step lives here: the one
+    group write (:meth:`append`), the recovery walk run on open, the one
+    rewrite into a fresh *generation* directory (:meth:`fold`;
+    ``<table>-log``, then ``<table>-log.g<N>``, where an older build's
+    compaction also left it; the live N is meta key
     ``<table>_log_gen``), and the read side — row lookup, frame read and
     the LRU of decoded values.
     """
@@ -186,20 +175,19 @@ class IndexedLog:
         self._table, self._key = table, key
         self._base = f"{table}-log"
         self._gen_key = f"{table}_log_gen"
+        self._extra = extra
         self._insert_sql = (
             f"INSERT INTO {table}({key}, segment, offset, length, {extra}) "
             "VALUES (?,?,?,?,?)")
-        self._repoint_sql = (f"UPDATE {table} SET segment = ?, offset = ?, "
-                             f"length = ? WHERE {key} = ?")
         self._drop_with = drop_with
         self._cache: OrderedDict[int, Any] = OrderedDict()
         self._cache_size = cache_size
-        # Compaction rewrites the log into the next generation directory
-        # and repoints the table in one transaction; the committed
-        # generation number says which directory is live.  Anything else
-        # (a crashed compaction's half-written next gen, or a superseded
-        # previous gen whose cleanup was interrupted) is swept before
-        # the log opens.
+        # A rewrite (:meth:`fold`, or an older build's compaction) writes
+        # the log into the next generation directory and repoints the
+        # table in one transaction; the committed generation number says
+        # which directory is live.  Anything else (a crashed rewrite's
+        # half-written next gen, or a superseded previous gen whose
+        # cleanup was interrupted) is swept before the log opens.
         self.generation = int(_get_meta(conn, self._gen_key, 0))
         self._sweep_stale_dirs()
         self.log = SegmentLog(self._dir(self.generation))
@@ -317,59 +305,46 @@ class IndexedLog:
         while len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
 
-    # -- compaction ----------------------------------------------------
-    def compact(self, fail_after_bytes: int | None = None,
-                crash_before_cleanup: bool = False) -> dict:
-        """Rewrite the live frames into a fresh generation, in key order.
+    # -- rewrite -------------------------------------------------------
+    def fold(self, rows: Sequence[tuple[int, Any]], frames: Sequence[bytes],
+             drop: str) -> None:
+        """Take over ``frames`` (``rows[i]`` is ``(key, extra)`` of
+        ``frames[i]``, keys this table does not hold) from the table
+        ``drop``, which goes.
 
-        Protocol: (1) copy every indexed frame into the next-generation
-        directory and fsync it; (2) repoint every row *and* bump the
-        generation meta key in **one** sqlite transaction; (3) swap the
-        log object; (4) remove the old directory.  A crash before (2)
-        leaves the index on the old generation — the half-written new
-        directory is swept on reopen; a crash after (2) leaves the new
-        generation committed — the old directory is swept on reopen.
-        There is no intermediate state: the transaction *is* the swap.
-        The two arguments are the fault-injection hooks for exactly
-        those crash points.
+        Protocol: (1) write them and every live frame of this log, in key
+        order, into the next-generation directory, fsynced; (2) in
+        **one** sqlite transaction rewrite every row of this table to its
+        new address, bump the generation meta key and drop ``drop``;
+        (3) remove the old directory.  A crash before (2) leaves the
+        index on the old generation — the half-written new directory is
+        swept on reopen; a crash after (2) leaves the new generation
+        committed — the old directory is swept on reopen.  There is no
+        intermediate state: the transaction *is* the swap.
         """
-        rows = self.conn.execute(
-            f"SELECT {self._key}, segment, offset FROM {self._table} "
-            f"ORDER BY {self._key}").fetchall()
-        old_log = self.log
-        bytes_before = _dir_bytes(old_log.directory)
-        new_gen = self.generation + 1
-        new_dir = self._dir(new_gen)
-        if os.path.isdir(new_dir):
-            # A previous compaction attempt crashed mid-write in this
-            # same process lifetime; its frames were never committed.
-            shutil.rmtree(new_dir)
-        new_log = SegmentLog(new_dir)
-        if fail_after_bytes is not None:
-            new_log.fail_after_bytes = fail_after_bytes
-        locations = new_log.append_many(
-            [old_log.read(segment, offset) for _, segment, offset in rows],
-            fsync=True)
+        ours = self.conn.execute(
+            f"SELECT {self._key}, {self._extra}, segment, offset "
+            f"FROM {self._table}").fetchall()
+        merged = sorted(
+            [*zip(rows, frames),
+             *(((key, extra), self.log.read(segment, offset))
+               for key, extra, segment, offset in ours)],
+            key=lambda item: item[0][0])
+        old_dir = self.log.directory
+        self.log = SegmentLog(self._dir(self.generation + 1))
+        locations = self.log.append_many([frame for _, frame in merged],
+                                         fsync=True)
         with self.conn:
+            self.conn.execute(f"DELETE FROM {self._table}")
             self.conn.executemany(
-                self._repoint_sql,
-                [(loc.segment, loc.offset, loc.length, key)
-                 for (key, _, _), loc in zip(rows, locations)])
-            self.conn.execute(
-                _PUT_META, (self._gen_key, canonical_encode(new_gen)))
-        old_log.close()
-        self.log, self.generation = new_log, new_gen
-        if crash_before_cleanup:
-            raise CrashPoint(
-                "injected crash after compaction commit, before cleanup"
-            )
-        shutil.rmtree(old_log.directory, ignore_errors=True)
-        return {
-            "generation": new_gen,
-            "live_frames": len(rows),
-            "bytes_before": bytes_before,
-            "bytes_after": _dir_bytes(new_dir),
-        }
+                self._insert_sql,
+                [(key, loc.segment, loc.offset, loc.length, extra)
+                 for ((key, extra), _), loc in zip(merged, locations)])
+            self.conn.execute(_PUT_META, (
+                self._gen_key, canonical_encode(self.generation + 1)))
+            self.conn.execute(f"DROP TABLE {drop}")
+        self.generation += 1
+        shutil.rmtree(old_dir, ignore_errors=True)
 
 
 def _drop_block_dependents(conn: sqlite3.Connection, height: int) -> None:
@@ -382,21 +357,15 @@ def _drop_block_dependents(conn: sqlite3.Connection, height: int) -> None:
 
 
 class DurableBlockStore(BlockStore):
-    """Blocks in two :class:`IndexedLog` tables keyed by height — the hot
-    tail (``blocks``) and the archived history below it
-    (``cold_blocks``) — plus the tx rows and derived rows that share
-    each block's fate."""
+    """Blocks in one :class:`IndexedLog` table keyed by height
+    (``blocks``), plus the tx rows and derived rows that share each
+    block's fate."""
 
-    def __init__(self, index: IndexedLog, cold: IndexedLog) -> None:
+    def __init__(self, index: IndexedLog) -> None:
         self._conn = index.conn
-        self._index, self._cold = index, cold
-        self._height = max((top for top in (index.max_key(), cold.max_key())
-                            if top is not None), default=-1)
-
-    def archived_boundary(self) -> int | None:
-        """Highest archived height, or ``None`` when nothing has been
-        moved to the cold tier."""
-        return self._cold.max_key()
+        self._index = index
+        top = index.max_key()
+        self._height = -1 if top is None else top
 
     # -- write path ----------------------------------------------------
     def _write_group(self, heads: Sequence[tuple[int, bytes]],
@@ -446,14 +415,6 @@ class DurableBlockStore(BlockStore):
     def truncate_above(self, height: int) -> None:
         if height >= self._height:
             return
-        boundary = self.archived_boundary()
-        if boundary is not None and height < boundary:
-            raise StorageError(
-                f"cannot truncate to height {height}: blocks up to "
-                f"{boundary} are archived (the cold tier is immutable; "
-                "only snapshot sync unwinds a tail, and only one it "
-                "failed to install above its base)"
-            )
         row = self._index.locate(height + 1)
         with self._conn:
             self._conn.execute("DELETE FROM blocks WHERE height > ?",
@@ -468,14 +429,13 @@ class DurableBlockStore(BlockStore):
         cached = self._index.cached(height)
         if cached is not None:
             return cached
-        for index in (self._index, self._cold):
-            row = index.locate(height, "segment, offset, block_hash")
-            if row is not None:
-                block = decode_block(index.read(row[0], row[1]),
-                                     expected_hash=bytes(row[2]))
-                self._index.remember(height, block)
-                return block
-        raise InvalidBlock(f"no block at height {height}")
+        row = self._index.locate(height, "segment, offset, block_hash")
+        if row is None:
+            raise InvalidBlock(f"no block at height {height}")
+        block = decode_block(self._index.read(row[0], row[1]),
+                             expected_hash=bytes(row[2]))
+        self._index.remember(height, block)
+        return block
 
     def head_block(self) -> Block:
         return self.block_at(self._height)
@@ -522,13 +482,6 @@ class DurableBlockStore(BlockStore):
         ``txs_by_height``, and the encoded derived row or ``None``).
         Three range queries and one log pass — the server's tail hot
         path."""
-        boundary = self.archived_boundary()
-        if boundary is not None and start <= boundary:
-            raise ColdHistory(
-                f"heights {start}..{boundary} are archived; raw frames "
-                "are served from the hot tail only (snapshot sync starts "
-                "replicas from the state image, not cold history)"
-            )
         stop = start + count            # exclusive
         rows = self._conn.execute(
             "SELECT height, segment, offset, block_hash FROM blocks "
@@ -581,7 +534,6 @@ class DurableBlockStore(BlockStore):
 
     def close(self) -> None:
         self._index.log.close()
-        self._cold.log.close()
 
 
 class DurableRecordStore(RecordStore):
@@ -743,10 +695,9 @@ class DurableStorage(Storage):
             self._conn.execute("PRAGMA synchronous=NORMAL")
             born = _stamp(_FORMAT) if version is None else ""
             self._conn.executescript(f"BEGIN;{_SCHEMA}{born}COMMIT;")
-            # The cold log opens, and the upgrades run, before the hot
-            # log: the hot table must hold only rows of its log when its
-            # recovery walk runs.
-            self._cold = open_log("cold_blocks", "height", "block_hash", 0)
+            # The upgrades run before the block log opens: its table must
+            # hold only rows of its log when its recovery walk runs.
+            self.recovered_blocks = 0
             for start, step in (() if version is None
                                 else self._UPGRADES[version - 2:]):
                 step(self)
@@ -766,16 +717,16 @@ class DurableStorage(Storage):
                 index.log.close()
             self._conn.close()
             raise
-        self.recovered_blocks = block_index.recovered
+        self.recovered_blocks += block_index.recovered
         self.recovered_records = record_index.recovered
         self._hot, self._records = block_index, record_index
-        self.blocks = DurableBlockStore(block_index, self._cold)
+        self.blocks = DurableBlockStore(block_index)
         self.records = DurableRecordStore(record_index)
         self.state = DurableStateSnapshotStore(self._conn)
 
     @property
     def block_log(self) -> SegmentLog:
-        """The live block segment log (compaction swaps it)."""
+        """The live block segment log."""
         return self._hot.log
 
     @property
@@ -793,8 +744,7 @@ class DurableStorage(Storage):
         conn = self._conn
         (version,) = conn.execute("PRAGMA user_version").fetchone()
         if not version:
-            tables = {name for (name,) in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+            tables = self._tables()
             if not tables:
                 return None
             version = 1 if "meta" in tables and conn.execute(
@@ -816,9 +766,10 @@ class DurableStorage(Storage):
         under ``manifests/``), found by the ``cas_key`` of a
         ``segment = -1`` row and flagged by meta ``blocks_archived``.
         Every frame must hash to its row's block hash (else the open
-        fails); all of them become one cold group whose transaction also
-        deletes those rows and the flag.  Then ``archive/`` goes — also
-        when a crash came after that commit."""
+        fails); all of them become one group of the ``cold_blocks`` log
+        whose transaction also deletes those rows and the flag (the step
+        5 → 6 folds that log into the block log).  Then ``archive/`` goes
+        — also when a crash came after that commit."""
         archive = os.path.join(self.directory, "archive")
         if _get_meta(self._conn, "blocks_archived") is not None:
             def blob(kind: str, digest: str) -> bytes:
@@ -840,13 +791,22 @@ class DurableStorage(Storage):
                                      for i in range(0, len(chunks), 32))
                 decode_block(frame, expected_hash=bytes(block_hash))
                 frames.append(frame)
-            self._cold.append(
-                [(height, block_hash) for height, block_hash, _ in rows],
-                frames, fsync=True,
-                also=[("DELETE FROM blocks WHERE height = ?",
-                       [(height,) for height, _, _ in rows]),
-                      ("DELETE FROM meta WHERE key = ?",
-                       [("blocks_archived",)])])
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS cold_blocks(height INTEGER "
+                "PRIMARY KEY, segment INTEGER NOT NULL, offset INTEGER NOT "
+                "NULL, length INTEGER NOT NULL, block_hash BLOB NOT NULL)")
+            cold = IndexedLog(self._conn, self.directory, "cold_blocks",
+                              "height", "block_hash", 0)
+            try:
+                cold.append(
+                    [(height, block_hash) for height, block_hash, _ in rows],
+                    frames, fsync=True,
+                    also=[("DELETE FROM blocks WHERE height = ?",
+                           [(height,) for height, _, _ in rows]),
+                          ("DELETE FROM meta WHERE key = ?",
+                           [("blocks_archived",)])])
+            finally:
+                cold.log.close()
         shutil.rmtree(archive, ignore_errors=True)
 
     def _upgrade_receipts(self) -> None:
@@ -889,14 +849,59 @@ class DurableStorage(Storage):
             "CREATE INDEX txs_by_height ON txs(height);"
             "COMMIT;")
 
+    def _upgrade_cold(self) -> None:
+        """Format step 5 → 6: blocks stay where they are written, so a
+        cold tier folds back into the block log.  Every cold frame must
+        hash to its row's block hash (else the open fails); then
+        :meth:`IndexedLog.fold` writes the cold and the block log's
+        frames, in height order, into that log's next generation, and one
+        sqlite transaction rewrites the ``blocks`` rows, bumps the
+        generation and drops ``cold_blocks`` — so a store without that
+        table has committed this step.  A store that never tiered drops
+        the empty table and rewrites nothing.  Then the cold log's
+        directory goes — also when a crash came after that commit (the
+        block log's old generation is swept when it opens)."""
+        if "cold_blocks" in self._tables():
+            rows = self._conn.execute(
+                "SELECT height, block_hash, segment, offset "
+                "FROM cold_blocks").fetchall()
+            cold = SegmentLog(os.path.join(self.directory, "cold_blocks-log"))
+            frames = []
+            for _, block_hash, segment, offset in rows:
+                frame = cold.read(segment, offset)
+                decode_block(frame, expected_hash=bytes(block_hash))
+                frames.append(frame)
+            if rows:
+                # The block log's recovery walk runs here, before its
+                # frames are copied; what it drops is this open's count.
+                hot = IndexedLog(self._conn, self.directory, "blocks",
+                                 "height", "block_hash", 0,
+                                 _drop_block_dependents)
+                self.recovered_blocks = hot.recovered
+                try:
+                    hot.fold([row[:2] for row in rows], frames,
+                             drop="cold_blocks")
+                finally:
+                    hot.log.close()
+            else:
+                self._conn.execute("DROP TABLE cold_blocks")
+        for name in os.listdir(self.directory):
+            if name.startswith("cold_blocks-log"):
+                shutil.rmtree(os.path.join(self.directory, name),
+                              ignore_errors=True)
+
     def _txs_columns(self) -> set[str]:
         return {row[1] for row in self._conn.execute(
             "PRAGMA table_info(txs)")}
 
+    def _tables(self) -> set[str]:
+        return {name for (name,) in self._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+
     # ``(from_version, step)`` for every version from 2 up, in order: a
     # format step is one more entry.  Each is idempotent from its start.
     _UPGRADES = ((2, _upgrade_archive), (3, _upgrade_receipts),
-                 (4, _upgrade_txs))
+                 (4, _upgrade_txs), (5, _upgrade_cold))
 
     def _check_owner(self) -> None:
         if os.getpid() != self._owner_pid:
@@ -904,95 +909,6 @@ class DurableStorage(Storage):
                 "durable storage crossed a fork: only the parent "
                 "process may commit (exec workers return deltas)"
             )
-
-    # ------------------------------------------------------------------
-    # Storage tiering: compaction + cold-block archival
-    # ------------------------------------------------------------------
-    def disk_usage(self, include_archive: bool = False) -> int:
-        """Bytes on disk for the hot tier (segment logs + sqlite index,
-        WAL included); the cold log's bytes only when asked — the whole
-        point of tiering is that they can live on other media."""
-        total = 0
-        for path in (self.block_log.directory, self.record_log.directory):
-            total += _dir_bytes(path)
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                total += os.path.getsize(
-                    os.path.join(self.directory, "index.db" + suffix))
-            except OSError:
-                pass
-        if include_archive:
-            total += _dir_bytes(self._cold.log.directory)
-        return total
-
-    def compact(self, fail_after_bytes: int | None = None,
-                crash_before_cleanup: bool = False) -> dict:
-        """Drop the dead weight of the hot block log — the frames
-        archival left behind — and return that rewrite's stats.  It is
-        the only log that has any: the cold log and the records log are
-        only appended to.  (A records log an older binary annotated
-        keeps the dead frames it already has.)  The crash hooks drive
-        the tiering fault-injection tests; see :meth:`IndexedLog.compact`
-        for why every crash point reconciles on reopen."""
-        self._check_owner()
-        return self._hot.compact(fail_after_bytes, crash_before_cleanup)
-
-    def archive_blocks(self, keep_tail: int = 64) -> dict:
-        """Move every block at or below ``height - keep_tail`` from the
-        hot log to the cold one.
-
-        The exact frames go down as **one** fsynced cold group whose
-        sqlite transaction inserts their cold rows and deletes their hot
-        ones, so each height is in exactly one table at every instant.  A
-        crash before that commit leaves orphan cold frames, which the
-        cold log's recovery walk truncates on reopen; after it, the hot
-        frames are dead weight the *next* :meth:`compact` drops —
-        :meth:`tier` runs both in order.
-        """
-        self._check_owner()
-        if keep_tail < 0:
-            raise StorageError("keep_tail must be >= 0")
-        rows = self._conn.execute(
-            "SELECT height, segment, offset, block_hash FROM blocks "
-            "WHERE height <= ? ORDER BY height",
-            (self.blocks.height() - keep_tail,),
-        ).fetchall()
-        if rows:
-            self._cold.append(
-                [(height, block_hash) for height, _, _, block_hash in rows],
-                [self.block_log.read(segment, offset)
-                 for _, segment, offset, _ in rows],
-                fsync=True,
-                also=[("DELETE FROM blocks WHERE height = ?",
-                       [(height,) for height, _, _, _ in rows])])
-        return {"archived": len(rows),
-                "boundary": self.blocks.archived_boundary()}
-
-    def tier(self, keep_tail: int = 64) -> dict:
-        """One tiering pass: archive cold blocks, then compact the hot
-        block log so the hot tier is exactly the pruned profile — state
-        image + hot block tail + records.  Returns before/after hot-tier
-        byte counts alongside each step's stats."""
-        self._check_owner()
-        bytes_before = self.disk_usage()
-        archived = self.archive_blocks(keep_tail=keep_tail)
-        compacted = self.compact()
-        self.sync()
-        stats = {
-            "archived": archived,
-            "compacted": compacted,
-            "bytes_before": bytes_before,
-            "bytes_after": self.disk_usage(),
-        }
-        registry = telemetry().registry
-        registry.counter("tier_passes_total").inc()
-        registry.counter("tier_blocks_archived_total").inc(
-            archived["archived"]
-        )
-        registry.counter("tier_bytes_reclaimed_total").inc(
-            max(0, bytes_before - stats["bytes_after"])
-        )
-        return stats
 
     # ------------------------------------------------------------------
     # Meta
@@ -1020,19 +936,7 @@ class DurableStorage(Storage):
         self._check_owner()
         self.block_log.close()
         self.record_log.close()
-        self._cold.log.close()
         self._conn.commit()
         self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._conn.close()
 
-
-def _dir_bytes(path: str) -> int:
-    """Total file bytes under ``path`` (0 for a missing directory)."""
-    total = 0
-    for root, _, names in os.walk(path):
-        for name in names:
-            try:
-                total += os.path.getsize(os.path.join(root, name))
-            except OSError:
-                pass
-    return total

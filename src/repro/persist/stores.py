@@ -122,9 +122,8 @@ class BlockStore(ABC):
         ``frame`` (the canonical block encoding) with its ``crc``, and
         the index rows a replica installs beside the frame — ``tx_ids``,
         the 32-byte transaction hashes in position order, and the
-        encoded ``derived`` row or ``None``.  A store that has archived
-        some of those heights raises :class:`~repro.errors.ColdHistory`:
-        raw frames come from the hot tail only."""
+        encoded ``derived`` row or ``None``.  Every height the store
+        holds is served: blocks stay in the log they were written to."""
 
     def sync(self) -> None:
         """Make everything appended so far durable (no-op in memory)."""
@@ -234,11 +233,6 @@ class Storage(MetaStore):
     #: has nothing to resume from (memory: the live state is the image,
     #: so a checkpoint copies nothing).
     state: StateSnapshotStore | None
-
-    def tier(self, keep_tail: int = 64) -> dict:
-        """Move cold blocks to the bundle's cold tier and drop dead log
-        weight; returns the pass's stats (nothing to move: ``{}``)."""
-        return {}
 
     def sync(self) -> None:
         """Make everything stored so far durable."""

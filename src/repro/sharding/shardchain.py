@@ -597,18 +597,6 @@ class ShardedChain:
             shard.checkpoint()
         self.beacon.checkpoint()
 
-    def tier_storage(self, keep_tail: int = 256) -> dict[int, dict]:
-        """Tier every shard store: archive cold blocks into the store's
-        cold log and compact the segment logs (see
-        :meth:`~repro.persist.durable.DurableStorage.tier`), keeping the
-        newest ``keep_tail`` blocks hot.  Returns per-shard stats (empty
-        per shard in memory: nothing to move)."""
-        stats: dict[int, dict] = {}
-        for shard in self.shards:
-            shard.checkpoint()
-            stats[shard.shard_id] = shard.storage.tier(keep_tail=keep_tail)
-        return stats
-
     def close(self) -> None:
         """Checkpoint and release every store (reopenable afterwards)."""
         self._release(checkpoint=True)

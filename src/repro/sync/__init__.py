@@ -40,8 +40,9 @@ which carrier it is on, and nothing but encoded bytes crosses.
   block and installs the row only if it hashes to the root the anchor
   transaction committed (``reason="forged_tail"`` otherwise), and the
   replica's anchor service reloads from those rows exactly as a
-  reopened source shard does.  A tiered source refuses heights it has
-  archived (``reason="cold_history"``).
+  reopened source shard does.  Every source serves every height it
+  holds: blocks stay in the log they were written to, so any full node
+  can bring up a replica or serve an auditor.
 
 Trust recap — the serving peer is byzantine until proven otherwise:
 chunk ⇒ manifest hash ⇒ beacon-anchored state root; frame ⇒ header

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ColdHistory, ShardError, SyncError
+from ..errors import ShardError, SyncError
 from ..obs.runtime import telemetry as default_telemetry
 from ..rpc import Service
 from ..verify import bundle_to_mapping, typed
@@ -181,11 +181,7 @@ class SnapshotServer:
         upto = min(upto, shard.chain.height)
         count = max(1, min(count, self.MAX_TAIL_BLOCKS))
         span = min(start + count, upto + 1) - start
-        try:
-            items = shard.chain.store.raw_block_items(start, max(0, span))
-        except ColdHistory as exc:
-            raise SyncError(str(exc), reason="cold_history",
-                            shard_id=shard_id) from exc
+        items = shard.chain.store.raw_block_items(start, max(0, span))
         self.tail_blocks_served += len(items)
         self._m_tail.inc(len(items))
         return {"start": start, "items": items,

@@ -548,7 +548,7 @@ class TestFormatRefusals:
             shutil.copytree(base[0], store)
             n_shards, batch, last = N_SHARDS, BATCH, f"shard-{N_SHARDS - 1}"
             conn = sqlite3.connect(os.path.join(store, last, "index.db"))
-            conn.execute("PRAGMA user_version = 6")
+            conn.execute("PRAGMA user_version = 7")
             conn.close()
         else:
             store = extract_pr16_store(tmp_path)
@@ -629,13 +629,13 @@ class TestCountedGuards:
         assert per_round[7][1] - per_round[6][1] == 2 * 4 + 1
 
     PARENT_FRESH_OPEN_COMMITS = 7
-    PARENT_REOPEN_STATEMENTS = 139  # 12 of them the two per-open probes
+    PARENT_REOPEN_STATEMENTS = 124  # at 517e5c0
 
     def test_an_open_reads_the_format_once(self, tmp_path, monkeypatch):
         """The sqlite statements of a 2-shard deployment's open: a fresh
         store is stamped at the current format inside its schema commit
-        and runs no step, a reopen of a current store drops the probes
-        for nine fewer statements."""
+        and runs no step; a reopen of a current store creates and opens
+        no cold log, for four fewer statements per store than 517e5c0."""
         statements: list[str] = []
         connect = sqlite3.connect
 
@@ -675,10 +675,11 @@ class TestCountedGuards:
         commits = sum(s.lstrip().upper().startswith("COMMIT") for s in fresh)
         assert commits <= self.PARENT_FRESH_OPEN_COMMITS
         stamps = [s for s in fresh if "user_version =" in s]
-        assert len(stamps) == 3 and all("= 5" in s for s in stamps)
+        assert len(stamps) == 3 and all("= 6" in s for s in stamps)
         assert not any(s.lstrip().upper().startswith(("ALTER", "DROP"))
                        for s in fresh)
-        assert len(reopen) <= self.PARENT_REOPEN_STATEMENTS - 9
+        assert not any("cold_blocks" in s for s in fresh + reopen)
+        assert len(reopen) <= self.PARENT_REOPEN_STATEMENTS - 3 * 4
 
     PARENT_GROUP_EXECUTEMANY = 3    # blocks, txs, receipts (at 8188936)
 
@@ -754,7 +755,7 @@ class TestCountedGuards:
 
 
 # ---------------------------------------------------------------------------
-# The format steps 3 → 4 and 4 → 5, killed at every statement
+# The format steps 3 → 4, 4 → 5 and 5 → 6, killed at every statement
 # ---------------------------------------------------------------------------
 def extract_golden_shard(tmp_path, name: str) -> str:
     """Shard 0 of the golden store ``name``."""
@@ -813,7 +814,8 @@ class TestFormatStepsKilled:
     # that shows the step rebuilt what it must)
     STEPS = {
         3: ("parent_tiered_store", "DROP TABLE receipts"),
-        4: ("parent_store", "DROP TABLE txs"),
+        4: ("parent_tiered_store", "DROP TABLE txs"),
+        5: ("parent_cold_store", "DROP TABLE cold_blocks"),
     }
 
     @pytest.mark.parametrize("start", sorted(STEPS))
@@ -823,7 +825,7 @@ class TestFormatStepsKilled:
         statement of its one transaction, its COMMIT — or between that
         commit and the stamp, the store is still at the step's start
         format and reopens to exactly what an uninterrupted upgrade
-        leaves: format 5, no receipt anywhere."""
+        leaves: format 6, no receipt and no cold tier anywhere."""
         golden, rebuilt = self.STEPS[start]
         clean = extract_golden_shard(tmp_path / "clean", golden)
         statements: list[str] = []
@@ -843,9 +845,12 @@ class TestFormatStepsKilled:
         assert statements[-1].startswith(f"PRAGMA user_version = {start + 1}")
         assert any(s.startswith(rebuilt) for s in statements)
         want = index_dump(clean)
-        assert want["format"] == 5 and "receipts" not in want
+        assert want["format"] == 6
+        assert "receipts" not in want and "cold_blocks" not in want
         assert all(len(row) == 3 and len(row[0]) == 32
                    for row in want["txs"])
+        assert next(sql for _, name, sql in want["schema"]
+                    if name == "txs").endswith("WITHOUT ROWID")
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
         for kill_at in range(1, len(statements) + 1):

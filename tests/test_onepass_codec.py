@@ -15,12 +15,14 @@ Three mechanisms, each checked against what it replaced:
     re-encoded one, or neither is built.
 
 ``tests/golden/parent_store.tar.gz`` is a small durable store written by
-:func:`build_golden_store` on commit a98e1dc, store format 4 (manifest
+:func:`build_golden_store` on commit 517e5c0, store format 5 (manifest
 in ``parent_store.json``; both written by ``PYTHONPATH=src python
 tests/test_onepass_codec.py <out dir>`` in a checkout of that commit); it
-must reopen upgraded to format 5 with the same hashes, tx index and
-records.  (The store cut at 0e34561, format 3, was also checked for
-equal receipt bodies; format 5 stores none.)
+must reopen upgraded to format 6 with the same hashes, tx index, records
+and log bytes.  (The store cut at 0e34561, format 3, was also checked for
+equal receipt bodies, and the one cut at a98e1dc, format 4, for the
+``txs`` rebuild; the 4 → 5 step's kill matrix now runs on
+``parent_tiered_store``.)
 """
 
 from __future__ import annotations
@@ -993,35 +995,39 @@ class TestStoreOpen:
                 conn.close()
 
         def rows(path):
-            """Every tx row (its id as hex) and every record row, read
-            from whichever format the store is at."""
+            """Every tx row (its id as hex), block row and record row."""
             conn = sqlite3.connect(path)
             try:
-                upgraded = conn.execute("PRAGMA user_version").fetchone()[0]
-                return conn.execute(
+                return [conn.execute(sql).fetchall() for sql in (
                     "SELECT lower(hex(tx_id)), height, pos FROM txs "
-                    "ORDER BY tx_id" if upgraded == 5 else
-                    "SELECT tx_id, height, pos FROM txs "
-                    "ORDER BY tx_id").fetchall(), conn.execute(
-                    "SELECT * FROM records ORDER BY position").fetchall()
+                    "ORDER BY tx_id",
+                    "SELECT * FROM blocks ORDER BY height",
+                    "SELECT * FROM records ORDER BY position")]
             finally:
                 conn.close()
 
-        def record_log(name):
-            directory = os.path.join(store, name, "records-log")
-            segments = []
-            for segment in sorted(os.listdir(directory)):
-                with open(os.path.join(directory, segment), "rb") as fh:
-                    segments.append(fh.read())
-            return segments
+        def logs(name):
+            """Each log directory of a store and its segments' bytes."""
+            out = {}
+            for log in sorted(os.listdir(os.path.join(store, name))):
+                directory = os.path.join(store, name, log)
+                if os.path.isdir(directory):
+                    out[log] = []
+                    for segment in sorted(os.listdir(directory)):
+                        with open(os.path.join(directory, segment),
+                                  "rb") as fh:
+                            out[log].append(fh.read())
+            return out
 
         names = ("beacon", "shard-0", "shard-1")
         indexes = [os.path.join(store, name, "index.db") for name in names]
         before = [schema(index) for index in indexes]
-        assert {version for _, version in before} == {4}
+        assert {version for _, version in before} == {5}
         before_rows = [rows(index) for index in indexes]
-        assert all(txs for txs, _ in before_rows[1:])
-        before_logs = [record_log(name) for name in names]
+        assert all(txs for txs, _, _ in before_rows[1:])
+        before_logs = [logs(name) for name in names]
+        assert all(set(log) == {"blocks-log", "cold_blocks-log",
+                                "records-log"} for log in before_logs)
         sharded = open_golden_store(store)
         try:
             assert sharded.beacon.chain.head.block_hash.hex() \
@@ -1044,35 +1050,24 @@ class TestStoreOpen:
                 assert len(shard.database) == want["records"]
             stacks = [sharded.beacon.chain] + [s.chain
                                                for s in sharded.shards]
-            for chain, (txs, _) in zip(stacks, before_rows):
+            for chain, (txs, _, _) in zip(stacks, before_rows):
                 assert chain.store.tx_count() == len(txs)
                 for tx_id, height, pos in txs:
                     assert chain.store.tx_location(tx_id) == (height, pos)
             sharded.verify_all(deep=True)
         finally:
             sharded.close()
-        # The open takes the 4 → 5 step: ``txs`` is rebuilt keyed by the
-        # 32-byte hash without its receipt column (and its rowid
-        # autoindex), the same rows in it; nothing else moved.
+        # The open takes the 5 → 6 step: this store never tiered, so its
+        # empty cold table and cold log go and nothing is rewritten.
         assert [rows(index) for index in indexes] == before_rows
-        assert [record_log(name) for name in names] == before_logs
+        assert [logs(name) for name in names] == [
+            {log: segments for log, segments in before.items()
+             if log != "cold_blocks-log"} for before in before_logs]
         for index, (tables, _) in zip(indexes, before):
             after, version = schema(index)
-            assert version == 5
-            assert [row for row in after if row[1] != "txs"] == [
-                row for row in tables
-                if row[1] not in ("txs", "sqlite_autoindex_txs_1")]
-            conn = sqlite3.connect(index)
-            try:
-                assert [row[1:3] for row in conn.execute(
-                    "PRAGMA table_info(txs)")] \
-                    == [("tx_id", "BLOB"), ("height", "INTEGER"),
-                        ("pos", "INTEGER")]
-                assert conn.execute(
-                    "SELECT sql FROM sqlite_master WHERE name = 'txs'"
-                ).fetchone()[0].endswith("WITHOUT ROWID")
-            finally:
-                conn.close()
+            assert version == 6
+            assert after == [row for row in tables
+                             if row[1] != "cold_blocks"]
 
     @pytest.mark.parametrize("stage", ["pragmas", "mid-schema"])
     def test_kill_before_the_schema_commits_leaves_a_store_that_reopens(
@@ -1098,16 +1093,16 @@ class TestStoreOpen:
         try:
             tables = {row[0] for row in storage._conn.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table'")}
-            # Born at the current format: no step ran, no receipts table.
-            assert tables == {"blocks", "cold_blocks", "txs", "records",
-                              "state_entries", "meta"}
+            # Born at the current format: no step ran, no receipts
+            # table and no cold tier.
+            assert tables == {"blocks", "txs", "records", "state_entries",
+                              "meta"}
             assert storage._conn.execute(
-                "PRAGMA user_version").fetchone()[0] == 5
-            for table in ("blocks", "cold_blocks"):
-                columns = [row[1] for row in storage._conn.execute(
-                    f"PRAGMA table_info({table})")]
-                assert columns == ["height", "segment", "offset", "length",
-                                   "block_hash"]
+                "PRAGMA user_version").fetchone()[0] == 6
+            columns = [row[1] for row in storage._conn.execute(
+                "PRAGMA table_info(blocks)")]
+            assert columns == ["height", "segment", "offset", "length",
+                               "block_hash"]
             mode = storage._conn.execute("PRAGMA journal_mode").fetchone()
             assert mode[0] == "wal"
             storage.put_meta("k", {"v": 1})

@@ -521,9 +521,8 @@ def _fds_under(directory) -> list[str]:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
-@pytest.mark.parametrize("log_dir", ["blocks-log", "records-log",
-                                     "cold_blocks-log"],
-                         ids=["blocks", "records", "cold"])
+@pytest.mark.parametrize("log_dir", ["blocks-log", "records-log"],
+                         ids=["blocks", "records"])
 def test_a_failed_open_releases_every_handle(tmp_path, log_dir):
     """A file where a log directory belongs makes the open raise; the
     sqlite connection (index.db, -wal, -shm) and every log opened before

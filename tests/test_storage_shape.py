@@ -267,7 +267,7 @@ class TestBundlesReadTheSame:
     def test_raw_record_scan_is_the_copying_scan(self, tmp_path):
         """Both bundles serve the read-only scan the query benches time
         with the same rows, in the same order, as the copying one; a
-        memory bundle has nothing to tier, sync or close."""
+        memory bundle has nothing to sync or close."""
         from repro.persist.codec import encode_record
 
         records = [{"record_id": f"r{i}", "subject": f"s{i % 3}",
@@ -283,7 +283,6 @@ class TestBundlesReadTheSame:
                     == list(bundle.records.iter_records()) == records
         finally:
             durable.close()
-        assert memory.tier(keep_tail=0) == {}
         memory.blocks.sync()
         memory.sync()
         memory.blocks.close()
@@ -365,8 +364,8 @@ class TestLayering:
     def test_persist_loads_nothing_above_it(self, tmp_path):
         """``repro/__init__`` re-exports every layer, so the probe gives
         the interpreter a bare ``repro`` package and imports ``persist``
-        through its own import graph — then drives the paths that used
-        to import ``repro.storage`` at call time (archive, cold read)."""
+        through its own import graph — then drives a block and a record
+        write, a reopen and a block read back from the log."""
         src = os.path.dirname(os.path.dirname(repro.__file__))
         probe = f"""
 import sys, types
@@ -384,7 +383,8 @@ for height in range(1, 6):
     chain.append_block(chain.build_block([], timestamp=height))
 persist.ProvenanceDatabase(store=storage.records).insert(
     {{"record_id": "r", "subject": "s"}})
-assert storage.tier(keep_tail=2)["archived"]["archived"] == 4
+storage.close()
+storage = persist.DurableStorage({str(tmp_path / "s")!r})
 assert storage.blocks.block_at(1).height == 1
 storage.close()
 above = sorted(name for name in sys.modules if name.startswith(

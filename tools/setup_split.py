@@ -33,7 +33,7 @@ GIL holds; the header line names the engine the deployment ran
 (``engine=``).  ``on MemoryStorage`` is the same populate on a
 deployment with no store directory: what the durable rows sit on.  Last,
 the populated store's bytes per event by file — blocks log, records log,
-cold log, ``index.db`` with its WAL — taken after a checkpoint that ends
+``index.db`` with its WAL — taken after a checkpoint that ends
 the populate (outside the timed interval), so a storage change is sized
 from a table too; then every store's ``index.db`` again, ``VACUUM``ed
 into a copy (no free pages, no WAL) and split by sqlite table with
@@ -211,7 +211,7 @@ def stored_bytes(store_dir: str) -> dict[str, int]:
     log's generation directories count as the log); ``total`` is every
     file."""
     kinds = {"blocks log": "blocks-log", "records log": "records-log",
-             "cold log": "cold_blocks-log", "index.db + WAL": "index.db"}
+             "index.db + WAL": "index.db"}
     out = dict.fromkeys([*kinds, "total"], 0)
     for path in Path(store_dir).rglob("*"):
         if path.is_file():
