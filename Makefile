@@ -72,12 +72,13 @@ test-chaos:
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
 
 # Crash suite: the kill-at-every-round matrix (crash 0..16 rounds past a
-# checkpoint, a 2PC handoff in flight, a log fault inside an anchor
-# block's frame, a fresh replica, a forged proof row, a store written by
-# the parent, the counted fsync/COMMIT guards, the format steps 3 → 4,
-# 4 → 5 and 5 → 6 killed at every statement, raw tail items and caught-up
-# replicas pinned to the parent's bytes) plus the seeded chaos harness —
-# no evidence lost, nothing anchored twice.
+# checkpoint — no block replayed, heads and state roots as before — a
+# 2PC handoff in flight, a log fault inside an anchor block's frame, a
+# fresh replica, a forged proof row, a store written by the parent, the
+# counted fsync/COMMIT/open/checkpoint guards, the format steps 2 → 3,
+# 3 → 4, 4 → 5, 5 → 6 and 6 → 7 killed at every statement, raw tail
+# items and caught-up replicas pinned to the parent's bytes) plus the
+# seeded chaos harness — no evidence lost, nothing anchored twice.
 test-crash:
 	$(PYTHON) -m pytest tests/test_crash_matrix.py -q
 	$(PYTHON) -m repro.chaos --seeds 11,23,47
@@ -105,7 +106,7 @@ bench-shard:
 	$(PYTHON) benchmarks/bench_shard_scaling.py
 
 # Full persistence benchmark; writes BENCH_persist.json and asserts the
-# acceptance floor (reopen-from-snapshot >= 5x vs genesis replay).
+# acceptance floor (reopen from the state rows >= 5x vs genesis replay).
 bench-persist:
 	$(PYTHON) benchmarks/bench_persist.py
 
@@ -261,7 +262,13 @@ setup-split:
 # on its receipt), the token, voting and access-control demo contracts,
 # the stepping clock, the arrival process, the cloud-ops and supply-chain
 # workloads, and the cloud store's per-user hash chains with their audit
-# — anywhere in src, tests, benchmarks, examples or tools.
+# — anywhere in src, tests, benchmarks, examples or tools.  Nor may the
+# state image be checkpointed again: the state rows commit with each
+# block group, so no state snapshot store (interface or durable twin),
+# no chain keyword or method that saves an image, and no block hash
+# binding an image to its block — anywhere in src, tests, benchmarks,
+# examples or tools, but in the format step 6 → 7 that checks and drops
+# the binding an older build left and the test helper that writes one.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -366,6 +373,13 @@ lint-private:
 	    {print FILENAME ": " $$0}')"
 	@! grep -rnE '\b(EventLog|SimpleToken|ThresholdVoting|AccessControlContract|SteppingClock|ArrivalProcess|CloudOpsWorkload|SupplyChainWorkload|verify_user_log|user_log_head|_user_chains)\b' \
 	    src tests benchmarks examples tools --include='*.py'
+	@! grep -rnE 'StateSnapshotStore|DurableStateSnapshotStore|save_state_image|snapshot_store' \
+	    src tests benchmarks examples tools --include='*.py'
+	@test -z "$$(find src tests benchmarks examples tools -name '*.py' \
+	    | xargs awk 'FNR == 1 {f = ""} /^(class|def) |^    def /{f = $$0} \
+	    /state_snapshot_block_hash/ \
+	    && f !~ /def (_upgrade_binding|parent_checkpoint)\(/ \
+	    {print FILENAME ": " $$0}')"
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -112,7 +112,7 @@ def bench_catch_up(sharded: ShardedChain, replica_dir: str) -> dict:
     reopened = Blockchain(
         ChainParams(chain_id=source.chain.chain_id,
                     max_block_txs=source.chain.params.max_block_txs),
-        store=storage.blocks, snapshot_store=storage.state,
+        store=storage.blocks,
     )
     assert reopened.blocks_replayed_on_open == 0
     assert reopened.head.block_hash == head_hash
@@ -139,7 +139,7 @@ def bench_genesis_replay(sharded: ShardedChain, records: list[dict],
     chain = Blockchain(
         ChainParams(chain_id=source.chain.chain_id,
                     max_block_txs=source.chain.params.max_block_txs),
-        store=storage.blocks, snapshot_store=storage.state,
+        store=storage.blocks,
     )
     for height in range(1, source.chain.height + 1):
         chain.append_block(source.chain.block_at(height))

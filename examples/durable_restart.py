@@ -8,16 +8,17 @@ Walkthrough of the persistence layer (``repro.persist``):
 2. a day of traffic: provenance records ingested and Merkle-anchored,
    transactions sealed into per-shard blocks, every block committed to
    the beacon chain; a verified federated query answers with proofs;
-3. ``close()`` checkpoints each shard's state image at its head and
-   fsyncs the logs;
+3. ``close()`` fsyncs the logs — each shard's state rows already
+   committed with its blocks;
 4. the process "restarts": a brand-new ``ShardedChain`` opens on the same
-   directory and resumes from the checkpoints — **zero blocks replayed**,
+   directory and resumes from those rows — **zero blocks replayed**,
    no genesis replay — serving byte-identical query results, and the
    pre-restart federated proof still verifies against the restored
    beacon headers;
 5. a crash is simulated by truncating a shard's block log mid-frame: on
-   reopen the store recovers to the last committed block and the chain
-   still verifies end to end.
+   reopen the store recovers to the last committed block (the state rows
+   described the dropped head, so they go with it and the chain replays
+   from genesis) and the chain still verifies end to end.
 
 Run:  python examples/durable_restart.py
 """
@@ -71,11 +72,11 @@ def main() -> None:
           f"{sharded.rounds_sealed} rounds, history({SUBJECT!r}) = "
           f"{len(before.records)} records, verified={before.verified}")
 
-    # -- 3: clean shutdown — checkpoint state images, fsync, close -----
+    # -- 3: clean shutdown — fsync the logs, close ----------------------
     heights = [s.chain.height for s in sharded.shards]
     sharded.close()
     print(f"closed. shard heights {heights}, "
-          f"beacon height {proof.beacon_height} checkpointed to disk")
+          f"beacon height {proof.beacon_height} synced to disk")
 
     # -- 4: restart — reopen the same directory --------------------------
     reopened = ShardedChain(N_SHARDS, storage_dir=store_dir,
@@ -129,11 +130,11 @@ def main() -> None:
           f"store head is now height {storage.blocks.height()}")
     from repro.chain import Blockchain, ChainParams
     chain = Blockchain(ChainParams(chain_id=f"shard-{busiest}"),
-                       store=storage.blocks, snapshot_store=storage.state)
+                       store=storage.blocks)
     chain.verify(deep=True)
     print(f"recovered chain verifies end to end at height {chain.height} "
-          f"(replayed {chain.blocks_replayed_on_open} post-checkpoint "
-          "block(s))")
+          f"(replayed {chain.blocks_replayed_on_open} block(s) from "
+          "genesis)")
     storage.close()
     print("done.")
 

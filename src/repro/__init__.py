@@ -53,7 +53,6 @@ from .persist import (
     MemoryBlockStore,
     RecordStore,
     SegmentLog,
-    StateSnapshotStore,
 )
 from .storage import CloudObjectStore, ContentAddressedStore, ProvenanceDatabase
 from .sharding import (
@@ -165,7 +164,6 @@ __all__ = [
     "ShardRouter",
     "BlockStore",
     "RecordStore",
-    "StateSnapshotStore",
     "MemoryBlockStore",
     "DurableStorage",
     "SegmentLog",

@@ -17,8 +17,9 @@ Hot-path vs auditor split: every commit entry point — :meth:`append_block`,
 :meth:`append_blocks`, :meth:`apply_executed_blocks` and the reopen
 replay — is argument preparation around **one** skeleton,
 :meth:`Blockchain._commit_group`: validate linkage → snapshot per block →
-advance state → install in the store → unwind exactly what the store did
-not commit → release the group's snapshots → subscribers.  The
+advance state → install in the store with the group's net state change →
+unwind exactly what the store did not commit → release the group's
+snapshots → subscribers.  The
 caller supplies how state advances (run the executor, or apply an exec
 worker's deltas), whether the group is installed and announced at all
 (the reopen replay re-executes blocks the store already holds), and the
@@ -34,17 +35,22 @@ Storage split: the chain owns no block list.  All block and
 transaction-index access goes through a pluggable
 :class:`~repro.persist.stores.BlockStore` — in-memory by default, or the
 sqlite-indexed segment-log backend from :mod:`repro.persist.durable` —
-whose only write is ``append_blocks(blocks, fsync, encoded, derived)``;
-the chain never asks a store what it can do.  Receipts are not stored:
-a commit returns them and hands them to subscribers, and nothing reads
-one back.  A store may keep a committed prefix
-when it fails mid-group, so the skeleton unwinds state by the height the
-store reports afterwards, never by what it attempted: chain and state
-stay aligned whatever the store did, and no snapshot outlives its group.
-With a durable store plus a
-:class:`~repro.persist.stores.StateSnapshotStore`, a chain reopened on an
-existing directory resumes from its checkpointed state and re-executes
-only the blocks above the snapshot (``blocks_replayed_on_open``).
+whose only block write is ``append_blocks(blocks, fsync, encoded,
+derived, state)``; the chain never asks a store what it can do.
+Receipts are not stored: a commit returns them and hands them to
+subscribers, and nothing reads one back.  The state is not checkpointed
+either: each group hands its store the group's net change
+(:meth:`~repro.chain.state.StateStore.delta_since` over the snapshots
+the group opened anyway), which a durable store commits as state rows
+in the group's own transaction.  A chain reopened on an existing
+directory loads those rows and re-executes only the blocks above the
+height they describe (``blocks_replayed_on_open``: 0, wherever the
+process died, unless recovery dropped the block the rows described — a
+power loss that lost an unfsynced frame — or the store predates them).
+A store may keep a committed prefix when it fails mid-group, so the
+skeleton unwinds state by the height the store reports afterwards,
+never by what it attempted: chain and state stay aligned whatever the
+store did, and no snapshot outlives its group.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from ..persist.stores import (
     BlockSequenceView,
     BlockStore,
     MemoryBlockStore,
-    StateSnapshotStore,
 )
 from .block import Block, GENESIS_PREV_HASH
 from .receipts import Event, TransactionReceipt
@@ -169,7 +174,6 @@ class Blockchain:
         params: ChainParams | None = None,
         executor: Executor | None = None,
         store: BlockStore | None = None,
-        snapshot_store: StateSnapshotStore | None = None,
         contract_runtime=None,
     ) -> None:
         self.params = params or ChainParams()
@@ -177,15 +181,14 @@ class Blockchain:
         self.state = StateStore()
         self._store: BlockStore = store if store is not None \
             else MemoryBlockStore()
-        self._snapshot_store = snapshot_store
         self._blocks_view = BlockSequenceView(self._store)
         # Normally set post-construction by ContractRuntime.attach(); a
         # durable chain that replays contract blocks on reopen must get
         # the runtime *here*, before the restore replay runs.
         self.contract_runtime = contract_runtime
         self._subscribers: list[Callable[[Block, list[TransactionReceipt]], None]] = []
-        # Blocks re-executed while adopting a non-empty store (0 after a
-        # clean close+checkpoint: the snapshot already covers the head).
+        # Blocks re-executed while adopting a non-empty store (0 when its
+        # state rows describe its head).
         self.blocks_replayed_on_open = 0
         if len(self._store) == 0:
             genesis = Block(
@@ -196,32 +199,24 @@ class Blockchain:
                 proposer="genesis",
                 consensus_meta={"chain_id": self.params.chain_id},
             )
-            self._store.append_block(genesis)
+            self._store.append_blocks([genesis], fsync=False,
+                                      state=lambda: ())
         else:
             self._restore_from_store()
 
     def _restore_from_store(self) -> None:
-        """Adopt an existing (reopened) store: restore the checkpointed
-        state image and re-execute only the blocks above it."""
-        replay_from = 1
-        if self._snapshot_store is not None:
-            snap_height = self._snapshot_store.snapshot_height()
-            if snap_height is not None:
-                snap_hash = self._snapshot_store.snapshot_block_hash()
-                usable = (
-                    snap_height <= self._store.height()
-                    and (snap_hash == b"" or snap_hash ==
-                         self._store.block_at(snap_height).block_hash)
-                )
-                if usable:
-                    self.state.load_entries(self._snapshot_store.load()[1])
-                    replay_from = snap_height + 1
-                else:
-                    # Recovery truncated the chain below the checkpoint,
-                    # or the image names a block this store no longer
-                    # holds — fall back to full replay.
-                    self._snapshot_store.clear()
-        for block in self._store.iter_blocks(replay_from):
+        """Adopt an existing (reopened) store: load the state rows it
+        committed with its blocks and re-execute only the blocks above
+        the height they describe — none, unless the rows lag the head
+        (a store written before state committed with its blocks, a tail
+        installed without execution) or recovery dropped the block they
+        described (then they are gone, and every block replays).  A
+        replay writes its result back as the rows, so the next open
+        replays nothing."""
+        described, entries = self._store.state_image()
+        self.state.load_entries(entries)
+        # Genesis carries no transactions: there is nothing to replay.
+        for block in self._store.iter_blocks(max(described, 0) + 1):
             if self.contract_runtime is None and any(
                 tx.kind in (TxKind.CONTRACT_DEPLOY, TxKind.CONTRACT_CALL)
                 for tx in block.transactions
@@ -239,6 +234,8 @@ class Blockchain:
             # announced again.
             self._commit_group([block], fsync=False, install=False)
             self.blocks_replayed_on_open += 1
+        if described != self.height:
+            self._store.install_state(self.height, self.state.dump_entries())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -379,7 +376,9 @@ class Blockchain:
         re-running transactions.
 
         ``deltas[i]`` is block ``i``'s :meth:`StateStore.drain_snapshot_delta`
-        change set; ``encoded[i]`` is the frame the caller already holds
+        change set, applied under the group's snapshots, so the store's
+        state rows get the same net change an executing group hands
+        it; ``encoded[i]`` is the frame the caller already holds
         for it (the job frame it sent), handed to the store so nothing is
         encoded twice.  A worker returns no receipts, so a chain with
         subscribers refuses this path (:class:`ChainError`) and executes
@@ -457,8 +456,9 @@ class Blockchain:
                     "does not match the parent's delta replay"
                 )
             if install:
-                self._store.append_blocks(blocks, fsync=fsync,
-                                          encoded=encoded, derived=derived)
+                self._store.append_blocks(
+                    blocks, fsync=fsync, encoded=encoded, derived=derived,
+                    state=lambda: self.state.delta_since(snaps[0]))
         except BaseException:
             # A raising executor — or a store that failed the append —
             # must not leave a half-applied block behind.  Unwind what
@@ -478,20 +478,11 @@ class Blockchain:
         return all_receipts
 
     # ------------------------------------------------------------------
-    # Durability (checkpoints; no-ops on the in-memory backend)
+    # Durability (no-ops on the in-memory backend)
     # ------------------------------------------------------------------
-    def save_state_image(self) -> None:
-        """Persist the current state image at the head height, so a
-        reopen resumes here instead of replaying (a caller that syncs
-        the whole storage itself stops here)."""
-        if self._snapshot_store is not None:
-            self._snapshot_store.save(self.height,
-                                      self.state.dump_entries(),
-                                      block_hash=self.head.block_hash)
-
     def checkpoint(self) -> None:
-        """:meth:`save_state_image`, then fsync the store."""
-        self.save_state_image()
+        """Fsync the store: everything, state rows included, already
+        committed with its group."""
         self._store.sync()
 
     def close(self) -> None:

@@ -9,9 +9,11 @@ Snapshots support two distinct users:
 
 * contract revert semantics — the runtime snapshots before each call and
   rolls back on :class:`~repro.errors.ContractReverted`;
-* the commit group's unwind — :class:`~repro.chain.blockchain.Blockchain`
-  opens one snapshot per block of a group, rolls back the blocks its
-  store did not commit, and releases the rest in one step
+* the commit group — :class:`~repro.chain.blockchain.Blockchain`
+  opens one snapshot per block of a group, hands its store the group's
+  net change (:meth:`delta_since`, the same rule an exec worker's
+  :meth:`drain_snapshot_delta` ships), rolls back the blocks its store
+  did not commit, and releases the rest in one step
   (:meth:`release_snapshots`): a committed block is final, so no undo
   information outlives its group.
 
@@ -104,17 +106,19 @@ class StateStore:
         self._dirty.add(full_key)
 
     # ------------------------------------------------------------------
-    # Bulk export / import (state snapshots for durable storage)
+    # Bulk export / import (the whole image)
     # ------------------------------------------------------------------
     def dump_entries(self) -> list[tuple[str, str, Any]]:
         """Every entry as ``(namespace, key, value)``, sorted — the
-        materialized image a :class:`~repro.persist.stores.StateSnapshotStore`
-        checkpoints.  Values are shared, not copied; treat as read-only."""
+        whole image, as a replica installs it or a reopen replay writes
+        it back as the store's state rows.  Values are shared, not
+        copied; treat as read-only."""
         return [(ns, key, value)
                 for (ns, key), value in sorted(self._data.items())]
 
     def load_entries(self, entries) -> None:
-        """Reset the store to exactly ``entries`` (restores a snapshot).
+        """Reset the store to exactly ``entries`` (a reopened store's
+        state rows, a synced image, an exec worker's replica).
 
         Drops any open snapshot journal — a restored store starts a fresh
         undo history, the same as a process restart.
@@ -181,31 +185,40 @@ class StateStore:
             else:
                 self._erase(full_key)
 
+    def delta_since(
+        self, handle: int
+    ) -> list[tuple[str, str, bool, Any]]:
+        """The *net* change set made since ``handle`` was opened, across
+        its frame and every frame opened after it, as ``(namespace, key,
+        present, value)`` ops — one op per touched key, in first-touch
+        order, with ``present=False`` marking a deletion.  Feeding the
+        ops to :meth:`apply_delta` on a store holding the content at
+        ``handle`` reproduces this store's content exactly (and therefore
+        its :meth:`state_root`).  The one net-change rule: an exec
+        worker ships it instead of re-executing blocks in the parent,
+        and a commit group hands it to its store as the state rows that
+        commit with the group's blocks."""
+        delta: list[tuple[str, str, bool, Any]] = []
+        seen: set[tuple[str, str]] = set()
+        for _, entries in self._journal[self._frame_index(handle):]:
+            for full_key, _, _ in entries:
+                if full_key in seen:
+                    continue
+                seen.add(full_key)
+                if full_key in self._data:
+                    delta.append(
+                        (full_key[0], full_key[1], True, self._data[full_key])
+                    )
+                else:
+                    delta.append((full_key[0], full_key[1], False, None))
+        return delta
+
     def drain_snapshot_delta(
         self, handle: int
     ) -> list[tuple[str, str, bool, Any]]:
-        """Commit the top snapshot, returning the *net* change set made
-        under it as ``(namespace, key, present, value)`` ops — one op per
-        touched key, in first-touch order, with ``present=False`` marking
-        a deletion.  Feeding the ops to :meth:`apply_delta` on a store
-        holding the pre-snapshot content reproduces this store's content
-        exactly (and therefore its :meth:`state_root`) — the wire format
-        the process-pool executor ships instead of re-executing blocks
-        in the parent.
-        """
+        """Commit the top snapshot, returning its :meth:`delta_since`."""
         self._check_handle(handle)
-        delta: list[tuple[str, str, bool, Any]] = []
-        seen: set[tuple[str, str]] = set()
-        for full_key, _, _ in self._journal[-1][1]:
-            if full_key in seen:
-                continue
-            seen.add(full_key)
-            if full_key in self._data:
-                delta.append(
-                    (full_key[0], full_key[1], True, self._data[full_key])
-                )
-            else:
-                delta.append((full_key[0], full_key[1], False, None))
+        delta = self.delta_since(handle)
         self.commit_snapshot(handle)
         return delta
 
@@ -224,10 +237,12 @@ class StateStore:
         its frame and every frame opened after it.  Nothing is copied
         into an enclosing frame, so one opened before ``handle`` can no
         longer undo those changes."""
+        del self._journal[self._frame_index(handle):]
+
+    def _frame_index(self, handle: int) -> int:
         for index in range(len(self._journal) - 1, -1, -1):
             if self._journal[index][0] == handle:
-                del self._journal[index:]
-                return
+                return index
         raise ChainError(f"no open snapshot {handle}")
 
     @property

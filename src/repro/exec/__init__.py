@@ -24,10 +24,11 @@ blocks.
 supplies the skeleton with three things: ``deltas`` to apply instead of
 executing, the ``expected_state_root`` check that runs before install, and
 ``encoded`` = the job frames the engine already holds.
-Linkage validation, the per-block snapshots, the unwind, their release
-and subscriber fan-out are the skeleton's, so serial
-and process sealing leave identical chain/state shape by
-construction rather than by mirroring.  A round is fsynced
+Linkage validation, the per-block snapshots, the group's net state
+change handed to the store as its state rows, the unwind, their
+release and subscriber fan-out are the skeleton's, so serial and
+process sealing leave identical chain/state shape — and identical
+state rows — by construction rather than by mirroring.  A round is fsynced
 (``fsync=True``): it is a group commit like any other.
 
 Jobs and results cross the pipe as canonical-codec payloads

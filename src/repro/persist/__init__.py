@@ -15,14 +15,13 @@ opens on one :class:`~repro.persist.stores.Storage` bundle and never asks
 which kind it got:
 
 * ``blocks`` — a :class:`BlockStore`: committed blocks, the tx index
-  (no receipts: a commit returns them and nothing reads one back), and
-  each block's *derived row* (proof state a service computes from the
-  block, committed and dropped with it);
+  (no receipts: a commit returns them and nothing reads one back), each
+  block's *derived row* (proof state a service computes from the block,
+  committed and dropped with it) and the *state rows* (the chain state
+  at the height they name, committed with every group; none in memory,
+  where the live state is the only image);
 * ``records`` — a :class:`RecordStore`: the append-only provenance record
   list :class:`~repro.persist.provdb.ProvenanceDatabase` indexes;
-* ``state`` — a :class:`StateSnapshotStore` for the checkpointed state
-  image (``None`` in memory: there is nothing to reopen from, so a
-  checkpoint copies nothing);
 * the :class:`MetaStore` surface (``put_meta`` / ``get_meta``) for state
   no block creates — the shard layout, the 2PC transfer WAL, the sync
   client's resume marker;
@@ -42,11 +41,13 @@ twice, and holds the only copy of everything that keeps log and table in
 step:
 
 * the group write — frames first (flushed, fsynced when the caller says
-  so), then every index row in one transaction, so the sqlite commit is
-  the commit point and a group is on disk entirely or not at all;
+  so), then every index row in one transaction (for blocks: the tx
+  rows, derived rows and the group's state rows), so the sqlite commit
+  is the commit point and a group is on disk entirely or not at all;
 * the recovery walk run on open — back from the highest-*addressed* row
   past rows whose frames fail CRC (with a per-table hook for the rows
-  that share a dropped key's fate: a block's tx rows and derived row),
+  that share a dropped key's fate: a block's tx rows and derived row,
+  and the state rows if they describe it),
   then truncate the log to the last indexed frame.  Every log this build
   writes is append-only, so address order is key order; the walk still
   goes by address because a records log an older binary annotated (an
@@ -81,7 +82,10 @@ where 3 kept a second ``receipts`` table with its own key and height
 index; 5 stores no receipt, and a ``txs`` row is three fixed-width
 columns keyed by the 32-byte transaction hash (``WITHOUT ROWID``); 6
 has no cold tier — the step 5 → 6 folds that log, in height order, into
-the block log's next generation and drops its table.
+the block log's next generation and drops its table; 7 commits the state
+rows with each group — the step 6 → 7 drops the block hash that bound a
+checkpointed image to its block, and the image with it when that hash
+names no block the store holds.
 A fresh store is born at the current format (stamped in its
 schema transaction, no step run).  A store that reads 0 was written
 before the number existed and is placed once, by format 1's blobs, and a
@@ -100,12 +104,25 @@ the block hash the index recorded — corruption surfaces as a hash
 mismatch, never as silently different data, which is precisely the
 tamper-evidence argument the chain itself makes.
 
-**Restart without replay.**  ``checkpoint()`` saves the state image at
-the head, and a chain reopened on the same bundle restores it and
-re-executes only blocks above it (``blocks_replayed_on_open`` — 0 after a
-clean close).  Anchor batches and beacon rounds commit with their blocks
-as derived rows, so a restarted deployment serves identical query and
-proof results with no genesis replay, wherever it died.
+**Restart without replay.**  Nothing derived is checkpointed.  A commit
+group hands its store the group's net state change, and the durable
+store upserts and deletes those ``state_entries`` rows and records the
+group's head as the height they describe, in the group's own sqlite
+transaction — so the rows always describe a block the store holds, and
+``checkpoint()`` only fsyncs the logs and flushes the WAL.  A chain
+reopened on the bundle loads the rows and re-executes only blocks above
+their height (``blocks_replayed_on_open`` — 0 after a clean close and
+after a process crash alike).  The rows lag the head only in a store
+written before they committed with their blocks, or after a tail
+installed without execution; recovery that drops the block they
+describe drops them too, and the chain replays from genesis.  That is
+the cost of a power loss at the wrong moment: an anchor or beacon block
+is appended without an fsync (the next sealed round or checkpoint makes
+it durable), so a power loss that keeps its group's sqlite commit but
+not its frame drops the block and the rows with it.  A replay writes
+its result back, so the next open replays nothing.  Anchor batches and
+beacon rounds commit with their blocks as derived rows, so a restarted
+deployment serves identical query and proof results.
 """
 
 from .cas import CID, ContentAddressedStore
@@ -113,7 +130,6 @@ from .codec import canonical_decode, decode_block, encode_block
 from .durable import (
     DurableBlockStore,
     DurableRecordStore,
-    DurableStateSnapshotStore,
     DurableStorage,
 )
 from .provdb import ProvenanceDatabase
@@ -126,7 +142,6 @@ from .stores import (
     MemoryStorage,
     MetaStore,
     RecordStore,
-    StateSnapshotStore,
     Storage,
 )
 
@@ -141,7 +156,6 @@ __all__ = [
     "Storage",
     "BlockStore",
     "RecordStore",
-    "StateSnapshotStore",
     "MetaStore",
     "MemoryStorage",
     "MemoryBlockStore",
@@ -150,7 +164,6 @@ __all__ = [
     "DurableStorage",
     "DurableBlockStore",
     "DurableRecordStore",
-    "DurableStateSnapshotStore",
     "ProvenanceDatabase",
     "ContentAddressedStore",
     "CID",

@@ -9,7 +9,7 @@ One :class:`DurableStorage` per store directory owns
 * ``index.db`` — a stdlib :mod:`sqlite3` database holding the two
   location tables (height → frame, position/record_id → frame),
   one ``txs`` row per committed transaction (its 32-byte hash → height
-  and position; execution receipts are not stored), the state snapshot
+  and position; execution receipts are not stored), the state rows
   (``namespace`` → keys → canonical value), and a small meta table.
 
 Commit discipline (the crash-recovery contract): an entry **counts iff
@@ -27,11 +27,18 @@ block's transaction, the recovery walk drops it with an orphaned block,
 sync failed to install (a sealed block of a live chain is final, and
 nothing else truncates).
 A row exists iff its block does, so nothing derived is checkpointed;
-services reload from :meth:`DurableBlockStore.derived_rows`.  Callers
-that hold objects reach the block writer through
-:meth:`DurableBlockStore.append_blocks` (which encodes, unless the caller
-passes the bytes it already has); the snapshot client, which holds only
-verified frames, through :meth:`DurableBlockStore.install_raw`.
+services reload from :meth:`DurableBlockStore.derived_rows`.  The
+chain's **state rows** are index rows of the same kind: each group
+upserts and deletes the keys its blocks changed and records its head as
+the height the rows describe (meta ``state_snapshot_height``), in the
+group's transaction, so a reopen loads them and replays nothing; the
+walk and the truncation clear them when they drop the block they
+describe (the walk does so when a power loss kept the commit of a
+group written without an fsync but not its frame), and the reopen then
+replays from genesis.  Callers that hold objects reach the block writer
+through :meth:`DurableBlockStore.append_blocks` (which encodes, unless
+the caller passes the bytes it already has); the snapshot client, which
+holds only verified frames, through :meth:`DurableBlockStore.install_raw`.
 Blocks and records are only ever appended — no row is pointed at a new
 frame — so no log gathers dead weight and nothing rewrites one; the one
 rewrite left is the format step that folds a cold tier an older build
@@ -69,7 +76,7 @@ from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
 from .codec import canonical_decode, decode_block, decode_record, encode_block
 from .segment import CrashPoint, SegmentLog
-from .stores import BlockStore, RecordStore, StateSnapshotStore, Storage
+from .stores import BlockStore, RecordStore, Storage
 
 # Zero-padded height keys: key order is height order, and one range
 # (up to "0", the character after "/") names every row above a height.
@@ -83,13 +90,20 @@ def _derived_key(height: int) -> str:
 
 _PUT_META = "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)"
 
+# The height of the block the state rows describe; absent when there are
+# no rows, which describe the empty state before genesis, height -1 (the
+# key kept the name it had when the rows were a checkpoint).
+_STATE_HEIGHT = "state_snapshot_height"
+
 # The store format, kept in sqlite's ``PRAGMA user_version`` (see the
 # ``persist`` design note): 1 = proof state in meta blobs (refused),
 # 2 = derived rows, 3 = the cold tier is a segment log, 4 = a
 # transaction's receipt rides its ``txs`` row, 5 = ``txs`` is keyed by
 # the 32-byte transaction hash and stores no receipt, 6 = every block
-# frame is in the one block log (no cold tier).
-_FORMAT = 6
+# frame is in the one block log (no cold tier), 7 = the state rows commit
+# with each group and never lead the head (no checkpoint bound to its
+# block by hash).
+_FORMAT = 7
 
 
 def _stamp(version: int) -> str:
@@ -349,37 +363,85 @@ class IndexedLog:
 
 def _drop_block_dependents(conn: sqlite3.Connection, height: int) -> None:
     """Delete what shares the fate of the block rows at or above
-    ``height`` — their tx rows and derived rows — for the recovery walk
-    (an orphaned head) and for truncation."""
+    ``height`` — their tx rows, derived rows, and the state rows if they
+    describe one of those blocks — for the recovery walk (an orphaned
+    head) and for truncation."""
     conn.execute("DELETE FROM txs WHERE height >= ?", (height,))
     conn.execute("DELETE FROM meta WHERE key >= ? AND key < ?",
                  (_derived_key(height), _DERIVED_END))
+    if _get_meta(conn, _STATE_HEIGHT, -1) >= height:
+        conn.execute("DELETE FROM state_entries")
+        conn.execute("DELETE FROM meta WHERE key = ?", (_STATE_HEIGHT,))
+
+
+def _state_statements(changes: Sequence[tuple[str, str, bool, Any]],
+                      height: int, replace: bool = False) -> list:
+    """``(sql, parameter rows)`` that make the state rows describe
+    ``height``: every row goes first when ``replace``, then each present
+    key of ``changes`` is upserted (in key order, for the index's page
+    locality, as the tx rows are) and each absent one deleted, and the
+    height is recorded."""
+    upserts = sorted((ns, key, canonical_encode(value))
+                     for ns, key, present, value in changes if present)
+    deletes = [(ns, key) for ns, key, present, _ in changes if not present]
+    statements = [("DELETE FROM state_entries", [()])] if replace else []
+    if upserts:
+        statements.append(("INSERT OR REPLACE INTO state_entries"
+                           "(namespace, key, value) VALUES (?,?,?)", upserts))
+    if deletes:
+        statements.append(("DELETE FROM state_entries WHERE namespace = ? "
+                           "AND key = ?", deletes))
+    statements.append((_PUT_META, [(_STATE_HEIGHT, canonical_encode(height))]))
+    return statements
+
+
+def clear_state_rows(directory: str | os.PathLike) -> None:
+    """Delete a closed store's state rows and the height they describe —
+    a store whose rows predate its blocks — so the next open replays
+    every block from genesis (the replay baseline of a benchmark or a
+    test)."""
+    conn = sqlite3.connect(os.path.join(os.fspath(directory), "index.db"))
+    try:
+        with conn:
+            conn.execute("DELETE FROM state_entries")
+            conn.execute("DELETE FROM meta WHERE key = ?", (_STATE_HEIGHT,))
+    finally:
+        conn.close()
 
 
 class DurableBlockStore(BlockStore):
     """Blocks in one :class:`IndexedLog` table keyed by height
     (``blocks``), plus the tx rows and derived rows that share each
-    block's fate."""
+    block's fate and the state rows that commit with each group."""
 
     def __init__(self, index: IndexedLog) -> None:
         self._conn = index.conn
         self._index = index
         top = index.max_key()
         self._height = -1 if top is None else top
+        self._state_height = _get_meta(self._conn, _STATE_HEIGHT, -1)
+        if self._state_height > self._height:
+            # Rows that describe a block the store does not hold describe
+            # nothing: they go, and the reopen replays from genesis.
+            with self._conn:
+                _drop_block_dependents(self._conn, self._height + 1)
+            self._state_height = -1
 
     # -- write path ----------------------------------------------------
     def _write_group(self, heads: Sequence[tuple[int, bytes]],
                      frames: Sequence[bytes], tx_rows: list[tuple],
                      fsync: bool,
-                     derived_rows: list[tuple[int, bytes]] = ()) -> None:
+                     derived_rows: list[tuple[int, bytes]] = (),
+                     state=None) -> None:
         """The one block writer: ``heads`` are ``(height, block_hash)``
         per frame, consecutive from the current head; ``tx_rows`` are
         ``(tx_hash, height, position)``; ``derived_rows`` are
-        ``(height, encoded row)``; all of it is one
-        :meth:`IndexedLog.append` group.  The tx rows are inserted
-        sorted by primary key: the tx_id b-tree fills with better page
-        locality than hash-random arrival order (table content is
-        order-independent)."""
+        ``(height, encoded row)``; ``state`` returns the group's net
+        state change, asked for and applied only when the rows describe
+        the current head; all of it is one :meth:`IndexedLog.append`
+        group.  The tx rows are inserted sorted by primary key: the
+        tx_id b-tree fills with better page locality than hash-random
+        arrival order (table content is order-independent)."""
         for i, (height, _) in enumerate(heads):
             if height != self._height + 1 + i:
                 raise StorageError(
@@ -391,11 +453,16 @@ class DurableBlockStore(BlockStore):
         if derived_rows:
             also.append((_PUT_META, [(_derived_key(height), row)
                                      for height, row in derived_rows]))
+        tracked = state is not None and self._state_height == self._height
+        if tracked:
+            also.extend(_state_statements(state(), heads[-1][0]))
         self._index.append(heads, frames, fsync, also)
         self._height += len(heads)
+        if tracked:
+            self._state_height = self._height
 
     def append_blocks(self, blocks, fsync=True, encoded=None,
-                      derived=None) -> None:
+                      derived=None, state=None) -> None:
         if not blocks:
             return
         self._write_group(
@@ -408,6 +475,7 @@ class DurableBlockStore(BlockStore):
             fsync,
             [(height, canonical_encode(row))
              for height, row in (derived or {}).items()],
+            state,
         )
         for block in blocks:
             self._index.remember(block.height, block)
@@ -423,6 +491,8 @@ class DurableBlockStore(BlockStore):
         if row is not None:
             self._index.cut(row[0], row[1], above=height)
         self._height = height
+        if self._state_height > height:
+            self._state_height = -1
 
     # -- read path -----------------------------------------------------
     def block_at(self, height: int) -> Block:
@@ -471,6 +541,23 @@ class DurableBlockStore(BlockStore):
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
         for height, row in self._derived_range(0):
             yield height, canonical_decode(row)
+
+    # -- state rows ----------------------------------------------------
+    def state_image(self) -> tuple[int, list[tuple[str, str, Any]]]:
+        return self._state_height, [
+            (ns, key, canonical_decode(value))
+            for ns, key, value in self._conn.execute(
+                "SELECT namespace, key, value FROM state_entries "
+                "ORDER BY namespace, key")]
+
+    def install_state(self, height: int,
+                      entries: Sequence[tuple[str, str, Any]]) -> None:
+        with self._conn:
+            for sql, rows in _state_statements(
+                    [(ns, key, True, value) for ns, key, value in entries],
+                    height, replace=True):
+                self._conn.executemany(sql, rows)
+        self._state_height = height
 
     # -- raw-frame surface (snapshot sync) -----------------------------
     def raw_block_items(self, start: int, count: int) -> list[dict]:
@@ -587,62 +674,10 @@ class DurableRecordStore(RecordStore):
             yield position, self.get(position)
 
 
-class DurableStateSnapshotStore(StateSnapshotStore):
-    """The state image lives entirely in sqlite (namespace → keys),
-    replaced atomically in one transaction per checkpoint."""
-
-    _HEIGHT_KEY = "state_snapshot_height"
-    _HASH_KEY = "state_snapshot_block_hash"
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        self._conn = conn
-
-    def save(self, height: int,
-             entries: Sequence[tuple[str, str, Any]],
-             block_hash: bytes = b"") -> None:
-        with self._conn:
-            self._conn.execute("DELETE FROM state_entries")
-            self._conn.executemany(
-                "INSERT INTO state_entries(namespace, key, value) "
-                "VALUES (?,?,?)",
-                [(ns, key, canonical_encode(value))
-                 for ns, key, value in entries],
-            )
-            self._conn.executemany(_PUT_META, [
-                (self._HEIGHT_KEY, canonical_encode(height)),
-                (self._HASH_KEY, canonical_encode(block_hash))])
-
-    def load(self) -> tuple[int, list[tuple[str, str, Any]]] | None:
-        height = self.snapshot_height()
-        if height is None:
-            return None
-        entries = [
-            (ns, key, canonical_decode(value))
-            for ns, key, value in self._conn.execute(
-                "SELECT namespace, key, value FROM state_entries "
-                "ORDER BY namespace, key")
-        ]
-        return height, entries
-
-    def snapshot_height(self) -> int | None:
-        return _get_meta(self._conn, self._HEIGHT_KEY)
-
-    def snapshot_block_hash(self) -> bytes:
-        return _get_meta(self._conn, self._HASH_KEY, b"")
-
-    def clear(self) -> None:
-        with self._conn:
-            self._conn.execute("DELETE FROM state_entries")
-            self._conn.execute(
-                "DELETE FROM meta WHERE key IN (?, ?)",
-                (self._HEIGHT_KEY, self._HASH_KEY),
-            )
-
-
 class DurableStorage(Storage):
-    """One directory = one durable chain stack (blocks, records, state,
-    meta).  Opening it runs crash recovery on all three logs; see the
-    module docstring for the commit discipline it enforces."""
+    """One directory = one durable chain stack (blocks with the state
+    rows, records, meta).  Opening it runs crash recovery on both logs;
+    see the module docstring for the commit discipline it enforces."""
 
     def __init__(self, directory: str | os.PathLike) -> None:
         # Fork-safety contract (audited for the exec process pool):
@@ -722,7 +757,6 @@ class DurableStorage(Storage):
         self._hot, self._records = block_index, record_index
         self.blocks = DurableBlockStore(block_index)
         self.records = DurableRecordStore(record_index)
-        self.state = DurableStateSnapshotStore(self._conn)
 
     @property
     def block_log(self) -> SegmentLog:
@@ -769,7 +803,9 @@ class DurableStorage(Storage):
         fails); all of them become one group of the ``cold_blocks`` log
         whose transaction also deletes those rows and the flag (the step
         5 → 6 folds that log into the block log).  Then ``archive/`` goes
-        — also when a crash came after that commit."""
+        — also when a crash came after that commit — and so does the
+        always-NULL ``cas_key`` column, so the table is a fresh store's
+        (a ``blocks`` without it has finished this step)."""
         archive = os.path.join(self.directory, "archive")
         if _get_meta(self._conn, "blocks_archived") is not None:
             def blob(kind: str, digest: str) -> bytes:
@@ -808,6 +844,8 @@ class DurableStorage(Storage):
             finally:
                 cold.log.close()
         shutil.rmtree(archive, ignore_errors=True)
+        if "cas_key" in self._columns("blocks"):
+            self._conn.execute("ALTER TABLE blocks DROP COLUMN cas_key")
 
     def _upgrade_receipts(self) -> None:
         """Format step 3 → 4: a transaction's receipt rides its ``txs``
@@ -816,7 +854,7 @@ class DurableStorage(Storage):
         row and drops that table with its height index — so a store that
         has the column has already committed this step (a crash beat the
         stamp) and there is nothing left to do."""
-        if "receipt" in self._txs_columns():
+        if "receipt" in self._columns("txs"):
             return
         self._conn.executescript(
             "BEGIN;"
@@ -835,7 +873,7 @@ class DurableStorage(Storage):
         as it names no transaction — then drops the old table and
         renames the new one, so a ``txs`` without the ``receipt`` column
         means this step has already committed."""
-        if "receipt" not in self._txs_columns():
+        if "receipt" not in self._columns("txs"):
             return
         self._conn.create_function("tx_key", 1, _tx_key, deterministic=True)
         self._conn.executescript(
@@ -890,9 +928,35 @@ class DurableStorage(Storage):
                 shutil.rmtree(os.path.join(self.directory, name),
                               ignore_errors=True)
 
-    def _txs_columns(self) -> set[str]:
+    def _upgrade_binding(self) -> None:
+        """Format step 6 → 7: the state rows commit with each group, so
+        nothing binds them to a block by hash any more.  An older build
+        saved them as a checkpoint with meta ``state_snapshot_block_hash``
+        and could leave that image above the head (saved just before the
+        fsync a power loss beat) or at a block sync's truncation had
+        since replaced: rows whose height names no block, or a block of
+        another hash, go with their height (the reopen replays from
+        genesis; an empty hash bound nothing and keeps them), and the
+        hash key goes in the same transaction — so a store without it
+        has committed this step."""
+        bound = _get_meta(self._conn, "state_snapshot_block_hash")
+        if bound is None:
+            return
+        height = _get_meta(self._conn, _STATE_HEIGHT)
+        row = None if height is None else self._conn.execute(
+            "SELECT block_hash FROM blocks WHERE height = ?", (height,)
+        ).fetchone()
+        with self._conn:
+            if row is None or bound and bytes(row[0]) != bound:
+                self._conn.execute("DELETE FROM state_entries")
+                self._conn.execute("DELETE FROM meta WHERE key = ?",
+                                   (_STATE_HEIGHT,))
+            self._conn.execute("DELETE FROM meta WHERE key = ?",
+                               ("state_snapshot_block_hash",))
+
+    def _columns(self, table: str) -> set[str]:
         return {row[1] for row in self._conn.execute(
-            "PRAGMA table_info(txs)")}
+            f"PRAGMA table_info({table})")}
 
     def _tables(self) -> set[str]:
         return {name for (name,) in self._conn.execute(
@@ -901,7 +965,7 @@ class DurableStorage(Storage):
     # ``(from_version, step)`` for every version from 2 up, in order: a
     # format step is one more entry.  Each is idempotent from its start.
     _UPGRADES = ((2, _upgrade_archive), (3, _upgrade_receipts),
-                 (4, _upgrade_txs), (5, _upgrade_cold))
+                 (4, _upgrade_txs), (5, _upgrade_cold), (6, _upgrade_binding))
 
     def _check_owner(self) -> None:
         if os.getpid() != self._owner_pid:

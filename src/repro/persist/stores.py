@@ -1,25 +1,24 @@
 """Storage interfaces and the in-memory backend.
 
 A chain stack opens on one :class:`Storage` bundle.  Its members are
-three stores, one per kind of durable truth the stack owns:
+two stores, one per kind of durable truth the stack owns:
 
 * :class:`BlockStore` — the committed chain itself: blocks in height
-  order and the transaction index (tx_id → height/position).  Execution
-  receipts are not stored: a commit returns them, and replay derives
-  them again.  A committed block is final; the one truncation above a
-  height is snapshot sync's unwind of a tail it failed to install.
+  order, the transaction index (tx_id → height/position) and the state
+  rows.  Execution receipts are not stored: a commit returns them, and
+  replay derives them again.  A committed block is final; the one
+  truncation above a height is snapshot sync's unwind of a tail it
+  failed to install.
 * :class:`RecordStore` — the append-only provenance record list the
   off-chain database indexes; positions are stable ints, and a record,
   once stored, is never rewritten.
-* :class:`StateSnapshotStore` — one materialized ``StateStore`` image at
-  a height, so a reopened chain resumes from its last checkpoint instead
-  of replaying from genesis.
 
 Plus the bundle's own small :class:`MetaStore` key→value surface, which
 the higher layers use for state no block creates (the 2PC transfer WAL,
-the shard layout).  Proof state a block *does* create — anchor batches,
-beacon rounds — is not checkpointed there: it commits with that block as
-its derived row (:meth:`BlockStore.append_blocks`).
+the shard layout).  Nothing a block creates is checkpointed there: proof
+state (anchor batches, beacon rounds) commits with its block as the
+block's derived row, and the chain state's net change commits with its
+group as the state rows (:meth:`BlockStore.append_blocks`).
 
 :class:`MemoryStorage` is the in-memory bundle (lists and dicts); the
 durable one is :class:`repro.persist.durable.DurableStorage`.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..chain.block import Block
 from ..errors import InvalidBlock, StorageError
@@ -50,9 +49,11 @@ class BlockStore(ABC):
         fsync: bool = True,
         encoded: Sequence[bytes] | None = None,
         derived: Mapping[int, Any] | None = None,
+        state: Callable[[], Sequence[tuple[str, str, bool, Any]]]
+        | None = None,
     ) -> None:
         """Commit consecutive blocks (heights from head + 1) and their
-        tx index rows as **one** group — the only write a store
+        tx index rows as **one** group — the only block write a store
         implements.
 
         ``fsync`` is the durability choice, passed down to the log: true
@@ -66,14 +67,18 @@ class BlockStore(ABC):
         that block (an anchor batch's leaf digests, a beacon round's
         entries); the row shares its block's fate — committed with it,
         gone with it on recovery and :meth:`truncate_above` — so
-        :meth:`derived_rows` is all a service reloads from.  A store may
-        keep a committed prefix when it fails mid-group; callers unwind
-        by the height it reports afterwards.
+        :meth:`derived_rows` is all a service reloads from.  ``state``
+        returns the group's net state change
+        (:meth:`~repro.chain.state.StateStore.delta_since` ops): a store
+        that keeps state rows calls it only when its rows describe the
+        height below the group, applies the change in the group's commit
+        and then describes the group's head (:meth:`state_image`); rows
+        that lag stay where they are, and a reopen replays from them.
+        ``None`` (a caller that executes nothing, such as sync's raw
+        tail) leaves the rows where they were.  A
+        store may keep a committed prefix when it fails mid-group;
+        callers unwind by the height it reports afterwards.
         """
-
-    def append_block(self, block: Block) -> None:
-        """Commit one block: a group of one, fsync deferred."""
-        self.append_blocks([block], fsync=False)
 
     @abstractmethod
     def block_at(self, height: int) -> Block:
@@ -107,8 +112,23 @@ class BlockStore(ABC):
     @abstractmethod
     def truncate_above(self, height: int) -> None:
         """Drop every block above ``height`` plus its tx index entries
-        and derived row — snapshot sync's unwind of a tail it failed to
-        install, never a sealed block of a live chain."""
+        and derived row, and state rows that describe one of them —
+        snapshot sync's unwind of a tail it failed to install, never a
+        sealed block of a live chain."""
+
+    def state_image(self) -> tuple[int, list[tuple[str, str, Any]]]:
+        """``(height, entries)``: the state rows, sorted, and the height
+        of the block they describe, never above the head.  ``(-1, [])``
+        — the empty state before genesis — when there are none: a store
+        that keeps no state rows, or one whose rows went with the block
+        they described.  A reopen replays every block above ``height``."""
+        return -1, []
+
+    def install_state(self, height: int,
+                      entries: Sequence[tuple[str, str, Any]]) -> None:
+        """Replace every state row with ``entries``, the whole image at
+        ``height`` (sync's verified image; a reopen replay's result).
+        A no-op for a store that keeps no state rows."""
 
     @abstractmethod
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
@@ -177,39 +197,6 @@ class RecordStore(ABC):
         return self.iter_records()
 
 
-class StateSnapshotStore(ABC):
-    """At most one materialized state image, tagged with its height.
-
-    The snapshot also records the *block hash* at its height, binding the
-    image to one specific block: after a crash recovery that truncated
-    the chain, a restore only trusts the image if the block at
-    ``snapshot_height`` still hashes the same.
-    """
-
-    @abstractmethod
-    def save(self, height: int,
-             entries: Sequence[tuple[str, str, Any]],
-             block_hash: bytes = b"") -> None:
-        """Replace the snapshot with ``entries`` (namespace, key, value)."""
-
-    @abstractmethod
-    def load(self) -> tuple[int, list[tuple[str, str, Any]]] | None:
-        """``(height, entries)`` of the stored snapshot, or ``None``."""
-
-    @abstractmethod
-    def snapshot_height(self) -> int | None:
-        """Height of the stored snapshot without loading its entries."""
-
-    @abstractmethod
-    def snapshot_block_hash(self) -> bytes:
-        """Block hash the snapshot was taken at (b"" when unrecorded)."""
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop the snapshot (it names a block the store no longer
-        holds)."""
-
-
 class MetaStore(ABC):
     """Tiny durable key→value surface for layer side-state."""
 
@@ -229,10 +216,6 @@ class Storage(MetaStore):
     directory: str
     blocks: BlockStore
     records: RecordStore
-    #: Where checkpoints put the state image — ``None`` when a reopen
-    #: has nothing to resume from (memory: the live state is the image,
-    #: so a checkpoint copies nothing).
-    state: StateSnapshotStore | None
 
     def sync(self) -> None:
         """Make everything stored so far durable."""
@@ -245,7 +228,9 @@ class Storage(MetaStore):
 # In-memory backend
 # ---------------------------------------------------------------------------
 class MemoryBlockStore(BlockStore):
-    """Blocks in a list, tx index and derived rows in dicts — RAM only."""
+    """Blocks in a list, tx index and derived rows in dicts — RAM only
+    (no state rows: the live state is the only image, and a chain opened
+    on a non-empty memory store replays it)."""
 
     def __init__(self) -> None:
         self._blocks: list[Block] = []
@@ -253,7 +238,7 @@ class MemoryBlockStore(BlockStore):
         self._derived: dict[int, Any] = {}
 
     def append_blocks(self, blocks, fsync=True, encoded=None,
-                      derived=None) -> None:
+                      derived=None, state=None) -> None:
         for block in blocks:
             if block.height != len(self._blocks):
                 raise StorageError(
@@ -368,7 +353,6 @@ class MemoryStorage(Storage):
     def __init__(self) -> None:
         self.blocks = MemoryBlockStore()
         self.records = MemoryRecordStore()
-        self.state = None
         self._meta: dict[str, bytes] = {}
 
     def put_meta(self, key: str, value: Any) -> None:

@@ -73,8 +73,7 @@ class BeaconChain:
                  params: ChainParams | None = None) -> None:
         self.storage = storage
         self.chain = Blockchain(params or ChainParams(chain_id="beacon"),
-                                store=storage.blocks,
-                                snapshot_store=storage.state)
+                                store=storage.blocks)
         self._batches = BatchAnchors(self.chain)
         self.receipts: list[BeaconReceipt] = self._batches.receipts
         # Per-round (shard_id, height, block_hash, state_root) entries.
@@ -95,8 +94,8 @@ class BeaconChain:
         return len(self.receipts), 0
 
     def checkpoint(self) -> None:
-        """Persist the state image and make the store durable."""
-        self.chain.save_state_image()
+        """Make the store durable (state rows committed with each
+        block)."""
         self.storage.sync()
 
     # ------------------------------------------------------------------

@@ -87,12 +87,13 @@ class Admission:
 class Shard:
     """One shard's full stack (chain, mempool, database, anchors, queries).
 
-    The chain, record database and state snapshot live in the shard's
-    :class:`~repro.persist.stores.Storage` bundle, and every anchor
-    batch's proof state commits with its anchor block
+    The chain (its state rows included) and record database live in the
+    shard's :class:`~repro.persist.stores.Storage` bundle, and every
+    anchor batch's proof state commits with its anchor block
     (:mod:`repro.provenance.anchor`) — opening a shard on a bundle that
-    already holds one restores the whole stack (a durable bundle: without
-    genesis replay, wherever the process died).  Mempool contents are
+    already holds one restores the whole stack (a durable bundle: with no
+    block replayed, wherever the process died; a power loss that took an
+    unfsynced anchor frame costs a genesis replay).  Mempool contents are
     deliberately *not* persisted: an unsealed transaction was never
     acknowledged as durable.
 
@@ -115,7 +116,6 @@ class Shard:
         self.chain = Blockchain(
             params,
             store=storage.blocks,
-            snapshot_store=storage.state,
             contract_runtime=(contract_runtime_factory()
                               if contract_runtime_factory is not None
                               else None),
@@ -260,9 +260,9 @@ class Shard:
         return stats, entries, self.chain.height
 
     def checkpoint(self) -> None:
-        """Persist the state image and make the store durable (on disk:
-        fsync both logs, flush the index WAL; free in memory)."""
-        self.chain.save_state_image()
+        """Make the store durable (on disk: fsync both logs, flush the
+        index WAL; free in memory).  The state rows already committed
+        with each group, so nothing is written here."""
         self.storage.sync()
 
     def close(self) -> None:
@@ -588,11 +588,11 @@ class ShardedChain:
     # Durability
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Checkpoint every shard and the beacon — per store, the state
-        image plus the log fsyncs and the index WAL flush, nothing else:
-        proof state already committed with its blocks — so a reopened
+        """Checkpoint every shard and the beacon — per store, the log
+        fsyncs and the index WAL flush, nothing else: proof state and
+        state rows already committed with their blocks, so a reopened
         :class:`ShardedChain` on the same ``storage_dir`` replays no
-        block.  Free for in-memory deployments."""
+        block with or without one.  Free for in-memory deployments."""
         for shard in self.shards:
             shard.checkpoint()
         self.beacon.checkpoint()
@@ -605,10 +605,10 @@ class ShardedChain:
         """Fail-stop, for crash testing: release every OS resource
         WITHOUT checkpointing, as if the process died right here.
         Durable state is exactly what the stores already committed —
-        sealed block segments with their derived proof rows, records,
-        per-write meta commits (the 2PC WAL) — while the state image
-        stays at the last checkpoint (blocks above it replay on open),
-        which is what a reopened :class:`ShardedChain` plus
+        sealed block segments with their derived proof rows and state
+        rows, records, per-write meta commits (the 2PC WAL) — so a
+        reopen replays no block, and that is what a reopened
+        :class:`ShardedChain` plus
         a new ``CrossShardCoordinator`` (it replays the WAL) must cope
         with."""
         self._coordinators.clear()

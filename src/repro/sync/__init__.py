@@ -70,10 +70,14 @@ re-run the full ``decode_block`` hash check and the replica serves
 byte-identical query and proof results.
 
 The payoff measured by ``benchmarks/bench_sync.py``: catch-up installs
-state by :meth:`~repro.chain.state.StateStore.load_entries` and blocks
-by raw-frame group commit, so a replica reaches a 2 000-block head with
-``blocks_replayed_on_open == 0`` several times faster than the only
-pre-sync alternative, re-executing every block from genesis.
+blocks by raw-frame group commit and the verified image as the store's
+state rows at the offered height
+(:meth:`~repro.persist.stores.BlockStore.install_state`, the call a
+reopen replay writes its result back through), which the replica's
+chain then loads like any reopened store's — so a replica reaches a
+2 000-block head with ``blocks_replayed_on_open == 0`` several times
+faster than the only pre-sync alternative, re-executing every block
+from genesis.
 """
 
 from .client import SnapshotClient, SyncReport

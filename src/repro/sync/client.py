@@ -31,6 +31,10 @@ store directory and re-verified (against the *new* offer) on restart;
 installed blocks persist in the store, and a ``sync_base`` meta marker
 remembers where this sync started so a crashed-and-resumed attempt (or
 a failover to a second peer) can always wipe back to pre-sync state.
+The image becomes the store's state rows last, after the tail and the
+records: until then the rows lag the installed head (a reopen would
+replay it), and a wipe below them drops them with the blocks they
+described.
 The ``crash_after_chunks`` hook injects a mid-download kill the same
 way ``SegmentLog.fail_after_bytes`` injects mid-write crashes.
 """
@@ -470,7 +474,8 @@ class SnapshotClient:
     def _install_image(self, storage: DurableStorage,
                        manifest: SnapshotManifest, entries: list,
                        base: int) -> None:
-        """Append the image's new records, then save its state.
+        """Append the image's new records, then install its state as
+        the store's state rows at the offered height.
 
         The records are checked first against what the replica already
         trusts.  Its own records must be the image's prefix, as stored:
@@ -526,5 +531,4 @@ class SnapshotClient:
         storage.records.append_many(records[existing:], encoded)
         self.report.records_installed = len(records) - existing
         self.report.state_entries = len(entries)
-        storage.state.save(manifest.height, entries,
-                           block_hash=manifest.block_hash)
+        storage.blocks.install_state(manifest.height, entries)

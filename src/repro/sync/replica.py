@@ -5,8 +5,8 @@
 directory, and — after :meth:`catch_up` — a fully opened
 :class:`~repro.sharding.shardchain.Shard` stack (chain + provenance database + anchor service + query
 engine) at the source's beacon-verified head, with **zero** genesis
-replay: the chain reopens from the synced state snapshot
-(``blocks_replayed_on_open == 0``).
+replay: the chain reopens from the synced image, installed as the
+store's state rows at the head (``blocks_replayed_on_open == 0``).
 
 ``catch_up`` fails over across peers: a byzantine or unreachable peer
 surfaces as a structured :class:`~repro.errors.SyncError`, the store is

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import sqlite3
+
 import pytest
 
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.clock import SimClock
 from repro.provenance.anchor import AnchorService
 from repro.provenance.capture import CaptureSink
+from repro.serialization import canonical_encode
 from repro.storage.provdb import ProvenanceDatabase
 
 
@@ -54,3 +58,17 @@ def data_tx(i: int = 0, sender: str = "alice") -> Transaction:
 @pytest.fixture
 def make_tx():
     return data_tx
+
+
+def parent_checkpoint(directory, height: int, block_hash: bytes) -> None:
+    """Make a closed store read as the checkpointing build (6a4eae8) left
+    it: format 6, its state rows claiming ``height`` and bound to
+    ``block_hash`` by the meta key that build wrote with each image."""
+    conn = sqlite3.connect(os.path.join(str(directory), "index.db"))
+    with conn:
+        conn.executemany(
+            "INSERT OR REPLACE INTO meta(key, value) VALUES (?,?)",
+            [("state_snapshot_height", canonical_encode(height)),
+             ("state_snapshot_block_hash", canonical_encode(block_hash))])
+    conn.execute("PRAGMA user_version = 6")
+    conn.close()

@@ -189,16 +189,18 @@ def layout(store: str) -> list[dict]:
 
 
 def index_rows(store: str) -> list[dict]:
-    """Per shard store: the block rows, tx rows and derived rows."""
+    """Per shard store: the block table's columns (b1ac7f8's also had
+    a ``cas_key``, which the step 2 → 3 drops), its rows, the tx rows
+    and the derived rows."""
     out = []
     for name in SHARDS:
         conn = sqlite3.connect(os.path.join(store, name, "index.db"))
         try:
             out.append({
-                # b1ac7f8's table also has a (now empty) cas_key column.
+                "blocks_columns": conn.execute(
+                    "PRAGMA table_info(blocks)").fetchall(),
                 "blocks": conn.execute(
-                    "SELECT height, segment, offset, length, block_hash "
-                    "FROM blocks ORDER BY height").fetchall(),
+                    "SELECT * FROM blocks ORDER BY height").fetchall(),
                 "txs": conn.execute(
                     "SELECT * FROM txs ORDER BY tx_id").fetchall(),
                 "derived": conn.execute(
@@ -229,7 +231,7 @@ def block_logs(store: str) -> list[str]:
 def assert_folded(store: str, manifest: dict) -> None:
     """Opened, the deployment reads every height, verifies deep and
     proves what the parent proved; closed, each shard store is at
-    format 6 with every height in ``blocks``, one block log and nothing
+    format 7 with every height in ``blocks``, one block log and nothing
     of a cold tier."""
     sharded = open_deployment(store)
     try:
@@ -242,7 +244,7 @@ def assert_folded(store: str, manifest: dict) -> None:
     finally:
         sharded.close()
     for shard, want in zip(layout(store), manifest["shards"]):
-        assert shard["version"] == 6 and shard["cold_blocks"] is None
+        assert shard["version"] == 7 and shard["cold_blocks"] is None
         assert shard["blocks"] == list(range(want["height"] + 1))
         assert shard["marker"] == 0
         assert [entry.partition(".")[0] for entry in shard["dirs"]] \
@@ -253,7 +255,7 @@ def upgrades() -> tuple[int, ...]:
     counter = telemetry().registry.counter
     return tuple(counter("store_format_upgrades_total",
                          **{"from": start, "to": start + 1}).value
-                 for start in (2, 3, 4, 5))
+                 for start in (2, 3, 4, 5, 6))
 
 
 def tx_rows(store: str) -> list[list[tuple]]:
@@ -289,16 +291,16 @@ class TestParentTieredStore:
         assert all(txs)
         was = upgrades()
         assert_folded(store, manifest)
-        # 2 → 3 → 4 → 5 → 6 on the beacon and both shards.
+        # 2 → 3 → 4 → 5 → 6 → 7 on the beacon and both shards.
         assert [now - then for now, then in zip(upgrades(), was)] \
-            == [3, 3, 3, 3]
+            == [3, 3, 3, 3, 3]
         assert tx_rows(store) == txs
         folded = layout(store), index_rows(store), block_logs(store)
         assert_folded(store, manifest)          # a second open ...
         assert (layout(store), index_rows(store), block_logs(store)) \
             == folded                           # ... changes nothing
         assert [now - then for now, then in zip(upgrades(), was)] \
-            == [3, 3, 3, 3]
+            == [3, 3, 3, 3, 3]
 
     @pytest.mark.parametrize("offset", [0, 7, 300, 2_000])
     def test_kill_inside_the_upgrade_log_write(self, tmp_path, monkeypatch,
@@ -474,8 +476,9 @@ class TestFold:
     def test_the_same_script_here_writes_the_same_store(self, golden,
                                                         tmp_path):
         """Never tiered, the script commits and proves what the parent
-        did, and its block log and index rows are byte for byte the
-        folded golden's: the fold writes every frame in height order."""
+        did, and its block log, block table columns and index rows are
+        byte for byte the folded golden's: the fold writes every frame
+        in height order."""
         store, manifest = golden
         assert_folded(store, manifest)
         fresh = str(tmp_path / "fresh")
@@ -556,7 +559,7 @@ class TestFold:
         finally:
             storage.close()
         shard = layout(store)[0]
-        assert shard["version"] == 6 and shard["cold_blocks"] is None
+        assert shard["version"] == 7 and shard["cold_blocks"] is None
         assert shard["blocks"] == list(range(want["height"]))
 
 

@@ -26,17 +26,21 @@ from hypothesis import strategies as st
 
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.chain.block import Block
-from repro.chain.blockchain import execute_block
+from repro.chain.blockchain import default_executor, execute_block
+from repro.chain.receipts import TransactionReceipt
+from repro.chain.state import StateStore
 from repro.errors import ChainError, TamperDetected
 from repro.exec.worker import _handle_exec
+from repro.obs import Telemetry
 from repro.obs.runtime import telemetry
 from repro.persist.codec import encode_block
-from repro.persist.durable import DurableStorage
+from repro.persist.durable import DurableStorage, clear_state_rows
 from repro.persist.stores import MemoryStorage
 from repro.persist.segment import CrashPoint
 from repro.provenance.anchor import AnchorService
 from repro.sharding.beacon import BeaconChain
 from repro.sharding.shardchain import ShardedChain
+
 
 N_BLOCKS = 7
 
@@ -79,14 +83,17 @@ def _stream(seed: int = 17, n_blocks: int = N_BLOCKS,
 STREAM = _stream()
 
 
-def _open(directory: str | None, snapshots: bool = True):
-    """``(chain, storage)`` on a durable directory, or a memory chain."""
+def _open(directory: str | None, replay: bool = False):
+    """``(chain, storage)`` on a durable directory, or a memory chain;
+    with ``replay``, the store's state rows are deleted first, so every
+    block replays."""
     if directory is None:
         return Blockchain(_params()), None
+    if replay:
+        clear_state_rows(directory)
     storage = DurableStorage(directory)
     chain = Blockchain(
-        _params(), store=storage.blocks,
-        snapshot_store=storage.state if snapshots else None)
+        _params(), store=storage.blocks)
     return chain, storage
 
 
@@ -117,6 +124,9 @@ def _fingerprint(chain: Blockchain, storage) -> dict:
                       for v in row)
                 for row in conn.execute(f"SELECT * FROM {table}"))
         fp["log"] = _log_bytes(storage)
+        # The state rows describe the head and hold exactly its state.
+        fp["state_rows"] = storage.blocks.state_image()
+        assert fp["state_rows"] == (chain.height, chain.state.dump_entries())
     return fp
 
 
@@ -172,14 +182,19 @@ PATHS = {
 def _run_path(path: str, directory: str | None, reopen: bool = False,
               **kwargs) -> dict:
     """Commit the stream one way and fingerprint the result; with
-    ``reopen``, drop the process without a checkpoint first, so every
-    block is replayed from the store."""
-    chain, storage = _open(directory, snapshots=not reopen)
+    ``reopen``, drop the process without a checkpoint first, then reopen
+    — once as committed (nothing replays), once without the state rows,
+    so every block is replayed from the store and its result written
+    back as the rows."""
+    chain, storage = _open(directory)
     try:
         PATHS[path](chain, STREAM, **kwargs)
         if reopen:
             storage.close()
-            chain, storage = _open(directory, snapshots=False)
+            chain, storage = _open(directory)
+            assert chain.blocks_replayed_on_open == 0
+            storage.close()
+            chain, storage = _open(directory, replay=True)
             assert chain.blocks_replayed_on_open == N_BLOCKS
         chain.verify(deep=True)
         return _fingerprint(chain, storage)
@@ -256,7 +271,7 @@ class TestGroupIsNoneOrAll:
             assert _fingerprint(chain, storage) == baseline, cut
         chain.append_blocks(group)
         storage.close()
-        chain, storage = _open(directory, snapshots=False)
+        chain, storage = _open(directory, replay=True)
         assert chain.height == 2
         assert chain.blocks_replayed_on_open == 2
         chain.verify(deep=True)
@@ -422,7 +437,7 @@ class TestNoSnapshotOutlivesItsGroup:
     def test_every_path_and_the_reopen_replay(self, path, durable,
                                               tmp_path):
         directory = str(tmp_path) if durable else None
-        chain, storage = _open(directory, snapshots=False)
+        chain, storage = _open(directory)
         PATHS[path](chain, LONG_STREAM, **LONG_SIZES.get(path, {}))
         assert chain.height == len(LONG_STREAM) > 64
         assert chain.state.open_snapshots == 0
@@ -430,7 +445,7 @@ class TestNoSnapshotOutlivesItsGroup:
             chain = Blockchain(_params(), store=chain.store)
         else:
             storage.close()
-            chain, storage = _open(directory, snapshots=False)
+            chain, storage = _open(directory, replay=True)
         assert chain.blocks_replayed_on_open == len(LONG_STREAM)
         assert chain.state.open_snapshots == 0
         if storage is not None:
@@ -520,8 +535,7 @@ def _nested_payload() -> dict:
 
 
 def _open_bundle(storage) -> Blockchain:
-    return Blockchain(_params(), store=storage.blocks,
-                      snapshot_store=storage.state)
+    return Blockchain(_params(), store=storage.blocks)
 
 
 def _state_view(chain: Blockchain, namespace: str) -> tuple:
@@ -582,3 +596,187 @@ class TestStateOwnsItsValues:
         expected = _nested_payload()
         assert clean[0][0] == (expected if whole_payload
                                else expected["value"])
+
+
+# ---------------------------------------------------------------------------
+# The state rows follow the head on every path
+# ---------------------------------------------------------------------------
+def _deleting_executor(tx, state, chain):
+    """The default executor, except that a data write of ``None``
+    deletes its key — so groups carry deletions as well as upserts."""
+    if tx.kind is TxKind.DATA and tx.payload["value"] is None:
+        state.delete("data", tx.payload["key"])
+        return TransactionReceipt(tx_id=tx.tx_id, success=True, gas_used=1)
+    return default_executor(tx, state, chain)
+
+
+def _open_deleting(directory: str):
+    storage = DurableStorage(directory)
+    return Blockchain(_params(), executor=_deleting_executor,
+                      store=storage.blocks), storage
+
+
+def _blocks_on(chain: Blockchain, specs, nonce: list[int]) -> list[Block]:
+    """Consecutive blocks above ``chain``'s head, one per spec: each a
+    list of ``(key, value or None)`` data writes."""
+    blocks, prev = [], chain.head
+    for spec in specs:
+        txs = []
+        for key, value in spec:
+            nonce[0] += 1
+            txs.append(Transaction("rows", TxKind.DATA,
+                                   {"key": f"k{key}", "value": value},
+                                   nonce=nonce[0]).seal())
+        prev = Block(height=prev.height + 1, prev_hash=prev.block_hash,
+                     transactions=txs, timestamp=prev.height + 1)
+        blocks.append(prev)
+    return blocks
+
+
+def _worker_deltas(chain: Blockchain, blocks: list[Block]) -> tuple:
+    """What an exec worker returns for ``blocks``: each block's
+    :meth:`~repro.chain.state.StateStore.drain_snapshot_delta`, run on a
+    replica of ``chain``'s state, and the replica's root."""
+    replica = StateStore()
+    replica.load_entries(chain.state.dump_entries())
+    deltas = []
+    for block in blocks:
+        handle = replica.snapshot()
+        execute_block(block, replica, _deleting_executor, chain)
+        deltas.append(replica.drain_snapshot_delta(handle))
+    return deltas, replica.state_root()
+
+
+def assert_rows_follow(chain: Blockchain, storage: DurableStorage) -> None:
+    """The rows describe the head, hold exactly its state, and equal a
+    from-genesis replay of the stored blocks."""
+    assert storage.blocks.state_image() == (chain.height,
+                                            chain.state.dump_entries())
+    replay = Blockchain(_params(), executor=_deleting_executor)
+    for height in range(1, chain.height + 1):
+        replay.append_block(chain.block_at(height))
+    assert replay.state.dump_entries() == chain.state.dump_entries()
+    assert replay.state.state_root() == chain.state.state_root()
+
+
+write = st.tuples(st.integers(0, 5),
+                  st.one_of(st.none(), st.integers(0, 99)))
+step = st.tuples(
+    st.sampled_from(["group", "single with a derived row", "worker deltas",
+                     "reopen", "reopen without rows"]),
+    st.lists(st.lists(write, max_size=4), min_size=1, max_size=3))
+
+
+class TestStateRowsFollowTheHead:
+    """Each commit group writes its net state change as the store's
+    state rows in its own transaction, so after any path the rows are
+    the head's state; a reopen loads them and replays nothing, unless
+    they are missing (then it replays and writes them back) or recovery
+    dropped the block they described (then they went with it)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.lists(step, min_size=1, max_size=6),
+           lost_tail=st.booleans())
+    def test_after_every_path(self, steps, lost_tail):
+        nonce = [0]
+        with tempfile.TemporaryDirectory() as directory:
+            chain, storage = _open_deleting(directory)
+            try:
+                for path, specs in steps:
+                    if path == "group":
+                        chain.append_blocks(_blocks_on(chain, specs, nonce))
+                    elif path == "single with a derived row":
+                        for block in _blocks_on(chain, specs[:1], nonce):
+                            chain.append_block(block, derived=[block.height])
+                    elif path == "worker deltas":
+                        blocks = _blocks_on(chain, specs, nonce)
+                        deltas, root = _worker_deltas(chain, blocks)
+                        chain.apply_executed_blocks(
+                            blocks, deltas,
+                            [encode_block(b) for b in blocks],
+                            expected_state_root=root)
+                    else:
+                        storage.close()
+                        replay = path == "reopen without rows"
+                        if replay:
+                            clear_state_rows(directory)
+                        chain, storage = _open_deleting(directory)
+                        assert chain.blocks_replayed_on_open == (
+                            chain.height if replay else 0)
+                    assert_rows_follow(chain, storage)
+                if lost_tail:
+                    # The last single append's frame was never fsynced
+                    # and the power went: the walk drops its block, the
+                    # rows that described it go too, and the reopen
+                    # replays from genesis to the state below it.
+                    (block,) = _blocks_on(chain, [[(0, 7)]], nonce)
+                    chain.append_block(block, derived=[block.height])
+                    below = chain.height - 1
+                    storage.close()
+                    log = storage.block_log.directory
+                    tail = os.path.join(log, sorted(os.listdir(log))[-1])
+                    os.truncate(tail, os.path.getsize(tail) - 3)
+                    chain, storage = _open_deleting(directory)
+                    assert storage.recovered_blocks == 1
+                    assert chain.height == below
+                    assert chain.blocks_replayed_on_open == below
+                    assert list(storage.blocks.derived_rows()) == [
+                        row for row in storage.blocks.derived_rows()
+                        if row[0] <= below]
+                    assert_rows_follow(chain, storage)
+            finally:
+                storage.close()
+
+    def test_rows_lag_blocks_appended_without_state(self, tmp_path):
+        """Blocks written below the chain (as sync's raw tail is) leave
+        the rows where they were, and a group the chain commits on top
+        does not claim them: the rows lag until a reopen replays."""
+        nonce = [0]
+        chain, storage = _open_deleting(str(tmp_path))
+        try:
+            chain.append_blocks(_blocks_on(chain, [[(0, 1)]], nonce))
+            storage.blocks.append_blocks(
+                _blocks_on(chain, [[(1, 2)], [(0, None)]], nonce))
+            chain.append_blocks(_blocks_on(chain, [[(2, 3)]], nonce))
+            assert storage.blocks.state_image()[0] == 1
+            storage.close()
+            chain, storage = _open_deleting(str(tmp_path))
+            assert chain.blocks_replayed_on_open == 3
+            assert_rows_follow(chain, storage)
+        finally:
+            storage.close()
+
+    def test_process_engine(self, tmp_path):
+        """Rounds sealed by exec workers commit the parent's applied
+        deltas as the rows; a crash then reopens without a replay."""
+        directory = str(tmp_path / "store")
+        tel = Telemetry()
+        sharded = ShardedChain(2, storage_dir=directory,
+                               executor="process", exec_workers=1,
+                               telemetry=tel)
+        for r in range(3):
+            sharded.submit_many([
+                Transaction(f"acct-{i}", TxKind.DATA,
+                            {"subject": f"s{i}", "key": f"k{i % 5}",
+                             "value": r * 10 + i},
+                            nonce=r * 100 + i, timestamp=r).seal()
+                for i in range(12)])
+            sharded.seal_round(timestamp=r + 1)
+        assert tel.registry.counter(
+            "exec_rounds_offloaded_total").value > 0
+        assert tel.registry.counter("exec_fallback_total").value == 0
+        heads = []
+        for shard in sharded.shards:
+            chain = shard.chain
+            assert shard.storage.blocks.state_image() == (
+                chain.height, chain.state.dump_entries())
+            heads.append((chain.height, chain.state.state_root()))
+        sharded.crash()
+        sharded = ShardedChain(2, storage_dir=directory)
+        try:
+            assert [(s.chain.height, s.chain.state.state_root())
+                    for s in sharded.shards] == heads
+            assert [s.chain.blocks_replayed_on_open
+                    for s in sharded.shards] == [0, 0]
+        finally:
+            sharded.close()

@@ -60,8 +60,7 @@ def zlib_frame(payload: bytes) -> bytes:
 def open_chain(directory: str) -> tuple[DurableStorage, Blockchain]:
     storage = DurableStorage(directory)
     return storage, Blockchain(ChainParams(chain_id="frames"),
-                               store=storage.blocks,
-                               snapshot_store=storage.state)
+                               store=storage.blocks)
 
 
 def frame_of(storage: DurableStorage, height: int) -> tuple[str, int, int]:

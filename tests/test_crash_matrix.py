@@ -1,10 +1,13 @@
 """Kill-at-every-round matrix: no evidence is lost, ever.
 
 Proof state (anchor batches, beacon rounds, the facade's watermarks)
-commits with the block that creates it, so a fail-stop anywhere in the
-uncheckpointed tail must lose none of it.  For r in 0..16 rounds past a
-checkpoint — records ingested, anchors flushed mid-round — the store is
-crashed and reopened, and:
+and the chain state's rows commit with the block that creates them, so a
+fail-stop anywhere in the uncheckpointed tail must lose none of it.  For
+r in 0..16 rounds past a checkpoint — records ingested, anchors flushed
+mid-round — the store is crashed and reopened, and:
+
+* no stack replays a block, and every head and state root is the one
+  it had before the crash;
 
 * every record a beacon header covered before the crash still yields a
   :class:`~repro.verify.FederatedProof` that verifies offline;
@@ -18,8 +21,9 @@ crashed and reopened, and:
 The same holds with a 2PC handoff in flight, with a log fault cutting an
 anchor block's frame, and on a fresh replica brought up by snapshot sync
 (whose image no longer carries any proof state): a peer's forged proof
-row fails closed.  Counted guards pin ``persist_fsyncs_total`` and the
-sqlite ``COMMIT`` count of a fixed script to the parent commit's numbers.
+row fails closed.  Counted guards pin ``persist_fsyncs_total``, the
+sqlite ``COMMIT`` count of a fixed script, the statements of an open and
+of a checkpoint (the same at 4 000 and 16 000 events).
 """
 
 from __future__ import annotations
@@ -229,13 +233,17 @@ class TestKillAtEveryRound:
             drive(sc, r, known)
         before = evidence(sc, known)
         assert len(before["covered"]) >= 16
+        stacks = [s.chain for s in sc.shards] + [sc.beacon.chain]
+        heads = [(c.head.block_hash, c.state.state_root()) for c in stacks]
         sc.crash()
         sc = build(store)
         try:
-            # The state image is the base's; only the tail replays.
-            assert [s.chain.blocks_replayed_on_open for s in sc.shards] \
-                == [s.chain.height - h
-                    for s, h in zip(sc.shards, base[2])]
+            # The state rows committed with every block: nothing replays.
+            stacks = [s.chain for s in sc.shards] + [sc.beacon.chain]
+            assert [c.blocks_replayed_on_open for c in stacks] \
+                == [0] * (N_SHARDS + 1)
+            assert [(c.head.block_hash, c.state.state_root())
+                    for c in stacks] == heads
             assert_recovered(sc, before, known)
             assert_moves_on(sc, known, 2 + rounds)
         finally:
@@ -548,7 +556,7 @@ class TestFormatRefusals:
             shutil.copytree(base[0], store)
             n_shards, batch, last = N_SHARDS, BATCH, f"shard-{N_SHARDS - 1}"
             conn = sqlite3.connect(os.path.join(store, last, "index.db"))
-            conn.execute("PRAGMA user_version = 7")
+            conn.execute("PRAGMA user_version = 8")
             conn.close()
         else:
             store = extract_pr16_store(tmp_path)
@@ -571,16 +579,17 @@ class TestFormatRefusals:
 
 
 class TestCountedGuards:
-    """Exact against the parent commit (8188936) on this script: 196
-    fsyncs and 248 sqlite COMMITs, of which the two checkpoint rounds
-    took 17 + 18 each.  Opening every stack on a ``Storage`` bundle and
-    writing both tables through the one indexed log may not add one of
-    either."""
+    """Exact on this script: 196 fsyncs and 233 sqlite COMMITs, of which
+    the two checkpoint rounds took 13 + 17 each.  8188936 counted 196 and
+    248 (18 + 17): each checkpoint also rewrote every store's state image
+    in a transaction of its own, five per checkpoint, three checkpoints
+    with the close's.  The state rows now commit in each group's own
+    transaction, so a checkpoint commits nothing."""
 
-    PARENT_FSYNCS = 196
-    PARENT_COMMITS = 248
+    FSYNCS = 196
+    COMMITS = 233
     PARENT_ROUND = (12, 8)          # worst non-checkpoint round
-    PARENT_CHECKPOINT_ROUND = (18, 17)
+    CHECKPOINT_ROUND = (13, 17)
 
     def test_fsyncs_and_commits_do_not_rise(self, tmp_path):
         sc = ShardedChain(4, storage_dir=str(tmp_path / "store"),
@@ -617,25 +626,63 @@ class TestCountedGuards:
         sc.flush_anchors()
         sc.seal_round(timestamp=21)
         sc.close()
-        assert fsyncs.value - start <= self.PARENT_FSYNCS
-        assert commits[0] <= self.PARENT_COMMITS
+        assert fsyncs.value - start == self.FSYNCS
+        assert commits[0] == self.COMMITS
         for r, counted in enumerate(per_round):
-            limit = self.PARENT_CHECKPOINT_ROUND if r % 8 == 7 \
-                else self.PARENT_ROUND
-            assert counted[0] <= limit[0] and counted[1] <= limit[1], r
+            if r % 8 == 7:
+                assert counted == self.CHECKPOINT_ROUND, r
+            else:
+                assert counted[0] <= self.PARENT_ROUND[0] \
+                    and counted[1] <= self.PARENT_ROUND[1], r
         # A checkpoint fsyncs each log that has been written to once —
         # four shards' block and record logs, the beacon's block log —
         # where the parent synced every block log twice.
         assert per_round[7][1] - per_round[6][1] == 2 * 4 + 1
 
+    CHECKPOINT_STATEMENTS = 5       # one WAL flush per store
+
+    def test_a_checkpoint_writes_no_state_row(self, tmp_path):
+        """``ShardedChain.checkpoint()`` issues the same five sqlite
+        statements — one WAL flush per store, no state row — at 4 000
+        events and at 16 000: each group committed its own state rows.
+        6a4eae8 rewrote every store's state image at each checkpoint,
+        about one statement per state entry."""
+        counts = []
+        for events in (4000, 16000):
+            sc = ShardedChain(4, storage_dir=str(tmp_path / str(events)),
+                              telemetry=Telemetry())
+            for r in range(events // 1000):
+                sc.submit_many([
+                    Transaction(f"acct-{i % 7}", TxKind.DATA,
+                                {"subject": f"ns{i % 13}/obj{i % 29}",
+                                 "key": f"k{r}-{i}", "value": i},
+                                nonce=r * 1000 + i, timestamp=r).seal()
+                    for i in range(1000)])
+                while sc.total_txs_committed < (r + 1) * 1000:
+                    sc.seal_round(timestamp=r + 1)
+            assert sum(len(s.chain.state) for s in sc.shards) == events
+            statements: list[str] = []
+            for storage in [s.storage for s in sc.shards] \
+                    + [sc.beacon.storage]:
+                storage._conn.set_trace_callback(statements.append)
+            sc.checkpoint()
+            counts.append(list(statements))
+            sc.close()
+        assert [len(s) for s in counts] == [self.CHECKPOINT_STATEMENTS] * 2
+        assert all(s.startswith("PRAGMA wal_checkpoint")
+                   for s in counts[0] + counts[1])
+
     PARENT_FRESH_OPEN_COMMITS = 7
-    PARENT_REOPEN_STATEMENTS = 124  # at 517e5c0
+    REOPEN_STATEMENTS = 103
 
     def test_an_open_reads_the_format_once(self, tmp_path, monkeypatch):
         """The sqlite statements of a 2-shard deployment's open: a fresh
         store is stamped at the current format inside its schema commit
         and runs no step; a reopen of a current store creates and opens
-        no cold log, for four fewer statements per store than 517e5c0."""
+        no cold log (517e5c0 issued 124 statements, four more per store)
+        and reads the state rows' height once (6a4eae8 issued 112: it
+        read the image's height twice, its block hash and the block at
+        that height, three more per store)."""
         statements: list[str] = []
         connect = sqlite3.connect
 
@@ -675,11 +722,11 @@ class TestCountedGuards:
         commits = sum(s.lstrip().upper().startswith("COMMIT") for s in fresh)
         assert commits <= self.PARENT_FRESH_OPEN_COMMITS
         stamps = [s for s in fresh if "user_version =" in s]
-        assert len(stamps) == 3 and all("= 6" in s for s in stamps)
+        assert len(stamps) == 3 and all("= 7" in s for s in stamps)
         assert not any(s.lstrip().upper().startswith(("ALTER", "DROP"))
                        for s in fresh)
         assert not any("cold_blocks" in s for s in fresh + reopen)
-        assert len(reopen) <= self.PARENT_REOPEN_STATEMENTS - 3 * 4
+        assert len(reopen) == self.REOPEN_STATEMENTS
 
     PARENT_GROUP_EXECUTEMANY = 3    # blocks, txs, receipts (at 8188936)
 
@@ -755,7 +802,7 @@ class TestCountedGuards:
 
 
 # ---------------------------------------------------------------------------
-# The format steps 3 → 4, 4 → 5 and 5 → 6, killed at every statement
+# The format steps 2 → 3 up to 6 → 7, killed at every statement
 # ---------------------------------------------------------------------------
 def extract_golden_shard(tmp_path, name: str) -> str:
     """Shard 0 of the golden store ``name``."""
@@ -813,10 +860,14 @@ class TestFormatStepsKilled:
     # (step's start format, golden store at or below it, the statement
     # that shows the step rebuilt what it must)
     STEPS = {
+        2: ("parent_tiered_store", "ALTER TABLE blocks DROP COLUMN"),
         3: ("parent_tiered_store", "DROP TABLE receipts"),
         4: ("parent_tiered_store", "DROP TABLE txs"),
         5: ("parent_cold_store", "DROP TABLE cold_blocks"),
+        6: ("parent_store", "DELETE FROM meta"),
     }
+    # parent_tiered_store predates the number: format 2, stamped 0.
+    STAMPED = {2: 0}
 
     @pytest.mark.parametrize("start", sorted(STEPS))
     def test_a_kill_anywhere_in_the_step_reopens_to_the_same_store(
@@ -825,7 +876,8 @@ class TestFormatStepsKilled:
         statement of its one transaction, its COMMIT — or between that
         commit and the stamp, the store is still at the step's start
         format and reopens to exactly what an uninterrupted upgrade
-        leaves: format 6, no receipt and no cold tier anywhere."""
+        leaves: format 7, no receipt, no cold tier, no archive key and
+        no block hash binding the state rows anywhere."""
         golden, rebuilt = self.STEPS[start]
         clean = extract_golden_shard(tmp_path / "clean", golden)
         statements: list[str] = []
@@ -845,12 +897,16 @@ class TestFormatStepsKilled:
         assert statements[-1].startswith(f"PRAGMA user_version = {start + 1}")
         assert any(s.startswith(rebuilt) for s in statements)
         want = index_dump(clean)
-        assert want["format"] == 6
+        assert want["format"] == 7
+        assert {key for key, _ in want["meta"]
+                if key.startswith("state")} == {"state_snapshot_height"}
         assert "receipts" not in want and "cold_blocks" not in want
         assert all(len(row) == 3 and len(row[0]) == 32
                    for row in want["txs"])
         assert next(sql for _, name, sql in want["schema"]
                     if name == "txs").endswith("WITHOUT ROWID")
+        assert "cas_key" not in next(sql for _, name, sql in want["schema"]
+                                     if name == "blocks")
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
         for kill_at in range(1, len(statements) + 1):
@@ -861,7 +917,8 @@ class TestFormatStepsKilled:
                  str(start)],
                 env=dict(os.environ, PYTHONPATH=src), timeout=60)
             assert done.returncode == 9, statements[kill_at - 1]
-            assert index_dump(store)["format"] == start
+            assert index_dump(store)["format"] \
+                == self.STAMPED.get(start, start)
             DurableStorage(store).close()
             assert index_dump(store) == want, statements[kill_at - 1]
 

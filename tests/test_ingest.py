@@ -650,8 +650,7 @@ class TestGroupCommitCrash:
         directory = tmp_path / f"blk-crash-{cut_bytes}"
         storage = DurableStorage(directory)
         chain = Blockchain(ChainParams(chain_id="gc"),
-                           store=storage.blocks,
-                           snapshot_store=storage.state)
+                           store=storage.blocks)
         template = Blockchain(ChainParams(chain_id="gc"))
         blocks = []
         for b in range(6):
@@ -672,8 +671,7 @@ class TestGroupCommitCrash:
 
         recovered = DurableStorage(directory)
         reopened = Blockchain(ChainParams(chain_id="gc"),
-                              store=recovered.blocks,
-                              snapshot_store=recovered.state)
+                              store=recovered.blocks)
         assert reopened.height == 3
         reopened.verify(deep=True)
         # The same suffix group-commits cleanly after recovery.

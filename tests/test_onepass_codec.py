@@ -15,13 +15,15 @@ Three mechanisms, each checked against what it replaced:
     re-encoded one, or neither is built.
 
 ``tests/golden/parent_store.tar.gz`` is a small durable store written by
-:func:`build_golden_store` on commit 517e5c0, store format 5 (manifest
+:func:`build_golden_store` on commit 6a4eae8, store format 6 (manifest
 in ``parent_store.json``; both written by ``PYTHONPATH=src python
 tests/test_onepass_codec.py <out dir>`` in a checkout of that commit); it
-must reopen upgraded to format 6 with the same hashes, tx index, records
-and log bytes.  (The store cut at 0e34561, format 3, was also checked for
-equal receipt bodies, and the one cut at a98e1dc, format 4, for the
-``txs`` rebuild; the 4 → 5 step's kill matrix now runs on
+must reopen upgraded to format 7 with the same hashes, tx index, records,
+state rows and log bytes, replaying no block.  (The store cut at
+0e34561, format 3, was also checked for equal receipt bodies, the one
+cut at a98e1dc, format 4, for the ``txs`` rebuild, and the one cut at
+517e5c0, format 5, had the same manifest and dropped its empty cold
+tier; the 4 → 5 step's kill matrix now runs on
 ``parent_tiered_store``.)
 """
 
@@ -995,14 +997,16 @@ class TestStoreOpen:
                 conn.close()
 
         def rows(path):
-            """Every tx row (its id as hex), block row and record row."""
+            """Every tx row (its id as hex), block row, record row and
+            state row."""
             conn = sqlite3.connect(path)
             try:
                 return [conn.execute(sql).fetchall() for sql in (
                     "SELECT lower(hex(tx_id)), height, pos FROM txs "
                     "ORDER BY tx_id",
                     "SELECT * FROM blocks ORDER BY height",
-                    "SELECT * FROM records ORDER BY position")]
+                    "SELECT * FROM records ORDER BY position",
+                    "SELECT * FROM state_entries ORDER BY namespace, key")]
             finally:
                 conn.close()
 
@@ -1022,12 +1026,12 @@ class TestStoreOpen:
         names = ("beacon", "shard-0", "shard-1")
         indexes = [os.path.join(store, name, "index.db") for name in names]
         before = [schema(index) for index in indexes]
-        assert {version for _, version in before} == {5}
+        assert {version for _, version in before} == {6}
         before_rows = [rows(index) for index in indexes]
-        assert all(txs for txs, _, _ in before_rows[1:])
+        assert all(txs for txs, _, _, _ in before_rows[1:])
         before_logs = [logs(name) for name in names]
-        assert all(set(log) == {"blocks-log", "cold_blocks-log",
-                                "records-log"} for log in before_logs)
+        assert all(set(log) == {"blocks-log", "records-log"}
+                   for log in before_logs)
         sharded = open_golden_store(store)
         try:
             assert sharded.beacon.chain.head.block_hash.hex() \
@@ -1050,24 +1054,21 @@ class TestStoreOpen:
                 assert len(shard.database) == want["records"]
             stacks = [sharded.beacon.chain] + [s.chain
                                                for s in sharded.shards]
-            for chain, (txs, _, _) in zip(stacks, before_rows):
+            assert [c.blocks_replayed_on_open for c in stacks] == [0] * 3
+            for chain, (txs, _, _, _) in zip(stacks, before_rows):
                 assert chain.store.tx_count() == len(txs)
                 for tx_id, height, pos in txs:
                     assert chain.store.tx_location(tx_id) == (height, pos)
             sharded.verify_all(deep=True)
         finally:
             sharded.close()
-        # The open takes the 5 → 6 step: this store never tiered, so its
-        # empty cold table and cold log go and nothing is rewritten.
+        # The open takes the 6 → 7 step: each image names the block the
+        # store holds at its height, so the rows stay and only the hash
+        # that bound them goes; nothing else is rewritten.
         assert [rows(index) for index in indexes] == before_rows
-        assert [logs(name) for name in names] == [
-            {log: segments for log, segments in before.items()
-             if log != "cold_blocks-log"} for before in before_logs]
+        assert [logs(name) for name in names] == before_logs
         for index, (tables, _) in zip(indexes, before):
-            after, version = schema(index)
-            assert version == 6
-            assert after == [row for row in tables
-                             if row[1] != "cold_blocks"]
+            assert schema(index) == (tables, 7)
 
     @pytest.mark.parametrize("stage", ["pragmas", "mid-schema"])
     def test_kill_before_the_schema_commits_leaves_a_store_that_reopens(
@@ -1098,7 +1099,7 @@ class TestStoreOpen:
             assert tables == {"blocks", "txs", "records", "state_entries",
                               "meta"}
             assert storage._conn.execute(
-                "PRAGMA user_version").fetchone()[0] == 6
+                "PRAGMA user_version").fetchone()[0] == 7
             columns = [row[1] for row in storage._conn.execute(
                 "PRAGMA table_info(blocks)")]
             assert columns == ["height", "segment", "offset", "length",

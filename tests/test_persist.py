@@ -28,8 +28,12 @@ from repro.persist import (
     encode_block,
 )
 from repro.persist.codec import decode_record, encode_record
+from repro.persist.durable import clear_state_rows
 from repro.serialization import canonical_encode
 from repro.sharding import ShardedChain, ShardedQueryEngine
+
+from .conftest import parent_checkpoint
+
 
 
 def data_tx(i: int, sender: str = "alice", fee: int = 0) -> Transaction:
@@ -196,8 +200,7 @@ class TestCrashRecovery:
     def _open_chain(self, directory) -> tuple[DurableStorage, Blockchain]:
         storage = DurableStorage(directory)
         chain = Blockchain(ChainParams(chain_id="crash"),
-                           store=storage.blocks,
-                           snapshot_store=storage.state)
+                           store=storage.blocks)
         return storage, chain
 
     def test_injected_crash_mid_append_recovers(self, tmp_path):
@@ -300,8 +303,7 @@ class TestCrashRecovery:
         storage = DurableStorage(tmp_path)
         runtime = fresh_runtime()
         chain = Blockchain(ChainParams(chain_id="contracts"),
-                           store=storage.blocks,
-                           snapshot_store=storage.state)
+                           store=storage.blocks)
         runtime.attach(chain)
         deploy = Transaction("deployer", TxKind.CONTRACT_DEPLOY,
                              deploy_payload("ProvenanceRegistry")).seal()
@@ -312,21 +314,19 @@ class TestCrashRecovery:
                                         content_hash="deadbeef")).seal()
         assert chain.append_block(chain.build_block([call]))[0].success
         state_root = chain.state.state_root()
-        # No checkpoint: force a restore replay through the contract txs.
-        storage.blocks.sync()
+        # Without the state rows, a reopen replays the contract txs.
         storage.close()
+        clear_state_rows(tmp_path)
 
         storage2 = DurableStorage(tmp_path)
         with pytest.raises(StorageError, match="contract_runtime"):
             Blockchain(ChainParams(chain_id="contracts"),
-                       store=storage2.blocks,
-                       snapshot_store=storage2.state)
+                       store=storage2.blocks)
         storage2.close()
 
         storage3 = DurableStorage(tmp_path)
         reopened = Blockchain(ChainParams(chain_id="contracts"),
                               store=storage3.blocks,
-                              snapshot_store=storage3.state,
                               contract_runtime=fresh_runtime())
         assert reopened.blocks_replayed_on_open == 2
         assert reopened.state.state_root() == state_root
@@ -365,8 +365,7 @@ def _fill(storage: DurableStorage, table: str, n: int) -> None:
     """Append ``n`` single-frame groups to ``table``'s indexed log."""
     if table == "blocks":
         chain = Blockchain(ChainParams(chain_id="walk"),
-                           store=storage.blocks,
-                           snapshot_store=storage.state)
+                           store=storage.blocks)
         grow_chain(chain, n)
         return
     for i in range(len(storage.records), len(storage.records) + n):
@@ -579,8 +578,7 @@ class TestBackendEquivalence:
         memory = Blockchain(ChainParams(chain_id="eq"))
         storage = DurableStorage(directory)
         durable = Blockchain(ChainParams(chain_id="eq"),
-                             store=storage.blocks,
-                             snapshot_store=storage.state)
+                             store=storage.blocks)
         _apply_plan(memory, plan)
         _apply_plan(durable, plan)
         assert durable.head.block_hash == memory.head.block_hash
@@ -588,8 +586,7 @@ class TestBackendEquivalence:
 
         storage2 = DurableStorage(directory)
         reopened = Blockchain(ChainParams(chain_id="eq"),
-                              store=storage2.blocks,
-                              snapshot_store=storage2.state)
+                              store=storage2.blocks)
         assert reopened.blocks_replayed_on_open == 0
         assert reopened.height == memory.height
         assert reopened.head.block_hash == memory.head.block_hash
@@ -663,8 +660,7 @@ def _fork_suffix(chain: Blockchain, fork_height: int,
 
 def _open_chain(directory, params: ChainParams):
     storage = DurableStorage(directory)
-    return storage, Blockchain(params, store=storage.blocks,
-                               snapshot_store=storage.state)
+    return storage, Blockchain(params, store=storage.blocks)
 
 
 class TestDurableTruncation:
@@ -706,8 +702,7 @@ class TestDurableTruncation:
         params = ChainParams(chain_id="snapcut")
         storage, chain = _open_chain(tmp_path, params)
         grow_chain(chain, 6)
-        chain.checkpoint()  # snapshot at height 6
-        assert storage.state.snapshot_height() == 6
+        assert storage.blocks.state_image()[0] == 6
         # The same prefix and a new branch from height 2, executed on a
         # reference chain; the store gets the branch below the chain.
         reference = Blockchain(params)
@@ -719,14 +714,74 @@ class TestDurableTruncation:
                     storage.blocks.truncate_above(2)
                 storage.blocks.append_blocks([block])
         storage.close()
-        # ...but the height-6 image names a block the store no longer
-        # holds: it is dropped and every block replays.
+        # ...but the height-6 rows described a block the truncation
+        # dropped: they went with it, and every block replays.
         storage, reopened = _open_chain(tmp_path, params)
         assert reopened.blocks_replayed_on_open == 7
-        assert storage.state.snapshot_height() is None
+        assert storage.blocks.state_image() == (
+            7, reference.state.dump_entries())
         assert reopened.head.block_hash == reference.head.block_hash
         assert reopened.state.state_root() == reference.state.state_root()
         reopened.verify(deep=True)
+        storage.close()
+
+    @pytest.mark.parametrize("image", ["replaced", "kept"])
+    def test_parent_image_bound_to_a_replaced_block_is_dropped(
+            self, tmp_path, image):
+        """Format step 6 → 7 on a store the checkpointing build left
+        after sync's truncation replaced branch A with branch B (a new
+        tail from height 2 up to 7): A's image at height 6, bound to A's
+        block, names a block the store no longer holds and goes — every
+        block replays; an image bound to the block the store holds at
+        its height stays, and only the blocks above it replay."""
+        params = ChainParams(chain_id="snapcut")
+        storage, chain = _open_chain(tmp_path, params)
+        grow_chain(chain, 6)
+        reference = Blockchain(params)
+        for block in list(chain.blocks[1:3]) + _fork_suffix(chain, 2, 4):
+            reference.append_block(block)
+        if image == "replaced":
+            entries, bound = chain.state.dump_entries(), chain.head.block_hash
+        else:
+            entries = reference.state.dump_entries()
+            bound = reference.head.block_hash
+        reference.append_blocks(_fork_suffix(reference, 6, 1))
+        storage.blocks.truncate_above(2)
+        storage.blocks.append_blocks(list(reference.blocks[3:]))
+        storage.blocks.install_state(6, entries)
+        storage.close()
+        parent_checkpoint(tmp_path, 6, bound)
+        storage, reopened = _open_chain(tmp_path, params)
+        assert reopened.blocks_replayed_on_open == (
+            7 if image == "replaced" else 1)
+        assert (reopened.head.block_hash, reopened.state.state_root()) == (
+            reference.head.block_hash, reference.state.state_root())
+        assert storage.blocks.state_image() == (
+            7, reference.state.dump_entries())
+        storage.close()
+
+    @pytest.mark.parametrize("written_by", ["parent", "this build"])
+    def test_rows_above_the_head_are_dropped_on_open(
+            self, tmp_path, written_by):
+        """An image that claims a height above the head — the
+        checkpointing build saved it just before the fsync a power loss
+        beat — describes no block: the open drops it (the step 6 → 7 for
+        that build's stores, the block store's open for any other) and
+        the chain replays from genesis."""
+        params = ChainParams(chain_id="snapcut")
+        storage, chain = _open_chain(tmp_path, params)
+        grow_chain(chain, 4)
+        root, head = chain.state.state_root(), chain.head.block_hash
+        storage.blocks.install_state(9, chain.state.dump_entries())
+        storage.close()
+        if written_by == "parent":
+            parent_checkpoint(tmp_path, 9, b"\x01" * 32)
+        storage, reopened = _open_chain(tmp_path, params)
+        assert reopened.blocks_replayed_on_open == 4
+        assert (reopened.head.block_hash, reopened.state.state_root()) \
+            == (head, root)
+        assert storage.blocks.state_image() == (
+            4, reopened.state.dump_entries())
         storage.close()
 
 

@@ -377,8 +377,7 @@ import repro.persist as persist
 from repro.chain import Blockchain, ChainParams
 
 storage = persist.DurableStorage({str(tmp_path / "s")!r})
-chain = Blockchain(ChainParams(chain_id="probe"), store=storage.blocks,
-                   snapshot_store=storage.state)
+chain = Blockchain(ChainParams(chain_id="probe"), store=storage.blocks)
 for height in range(1, 6):
     chain.append_block(chain.build_block([], timestamp=height))
 persist.ProvenanceDatabase(store=storage.records).insert(

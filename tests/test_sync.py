@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain import Block, ChainParams, Transaction, TxKind
+from repro.chain import Block, Blockchain, ChainParams, Transaction, TxKind
 from repro.chain.block import GENESIS_PREV_HASH
 from repro.errors import ShardError, SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
@@ -266,16 +266,31 @@ class TestCatchUp:
         # And a full close/reopen of the same directory stays at zero.
         replica.shard.close()
         storage = DurableStorage(str(tmp_path / "rep"))
-        from repro.chain import Blockchain
 
         reopened = Blockchain(
             ChainParams(chain_id="shard-0", max_block_txs=8),
-            store=storage.blocks, snapshot_store=storage.state,
-        )
+            store=storage.blocks)
         assert reopened.blocks_replayed_on_open == 0
         assert reopened.height == sharded.shard(0).chain.height
         storage.close()
         replica.shard = None
+        replica.close()
+
+    def test_install_writes_the_image_as_the_state_rows(self, source,
+                                                          tmp_path):
+        """The verified image is the replica's state rows at the offered
+        height, equal to a from-genesis replay of the installed blocks."""
+        sharded, _ = source
+        replica = Env(sharded).replica(tmp_path)
+        replica.catch_up()
+        chain = replica.chain
+        assert replica.shard.storage.blocks.state_image() == (
+            chain.height, sharded.shard(0).chain.state.dump_entries())
+        replay = Blockchain(ChainParams(chain_id="shard-0",
+                                        max_block_txs=8))
+        for height in range(1, chain.height + 1):
+            replay.append_block(chain.block_at(height))
+        assert replay.state.dump_entries() == chain.state.dump_entries()
         replica.close()
 
     def test_state_and_tx_index_identical(self, source, tmp_path):
