@@ -269,6 +269,10 @@ setup-split:
 # binding an image to its block — anywhere in src, tests, benchmarks,
 # examples or tools, but in the format step 6 → 7 that checks and drops
 # the binding an older build left and the test helper that writes one.
+# Nor may telemetry reach a layer by a second route: every layer reports
+# to the process default, so no `telemetry=` keyword, no `.telemetry`
+# attribute and no `Telemetry(` outside obs/runtime.py (isolation is
+# `reset_default_telemetry`), and no JSON-lines exporter.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -380,6 +384,9 @@ lint-private:
 	    /state_snapshot_block_hash/ \
 	    && f !~ /def (_upgrade_binding|parent_checkpoint)\(/ \
 	    {print FILENAME ": " $$0}')"
+	@! grep -rnE '\btelemetry=|\.telemetry\.|self\.telemetry\b|\bTelemetry\(|write_jsonl' \
+	    src tests benchmarks examples tools --include='*.py' \
+	    | grep -vE '^(src/repro/obs/runtime|benchmarks/_harness)\.py:'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -47,7 +47,7 @@ from repro.gateway import AsyncGatewayClient, GatewayServer, encode_frame
 from repro.gateway.frames import decode_frame_payload, frame_to_txs, txs_to_frame_body
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
-from repro.obs.runtime import Telemetry
+from repro.obs.runtime import reset_default_telemetry
 from repro.sharding import ShardedChain
 
 N_SHARDS = 4
@@ -73,12 +73,10 @@ def percentile(samples: list[float], p: float) -> float:
 
 def bench_in_process(n_clients: int, per_client: int,
                      batch: int) -> dict:
-    telemetry = Telemetry()
-    sharded = ShardedChain(n_shards=N_SHARDS,
-                           max_block_txs=MAX_BLOCK_TXS,
-                           telemetry=telemetry)
+    reset_default_telemetry()
+    sharded = ShardedChain(n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS)
     pipe = IngestPipeline(sharded, queue_capacity=256 * 1024,
-                          max_blocks_per_round=32, telemetry=telemetry)
+                          max_blocks_per_round=32)
     payloads = [make_txs(c, per_client) for c in range(n_clients)]
     gc.collect()
     # Same wire codec round trip the gateway path pays: the capture
@@ -101,13 +99,11 @@ def bench_in_process(n_clients: int, per_client: int,
 
 def bench_gateway_fleet(n_clients: int, per_client: int,
                         batch: int) -> dict:
-    telemetry = Telemetry()
-    sharded = ShardedChain(n_shards=N_SHARDS,
-                           max_block_txs=MAX_BLOCK_TXS,
-                           telemetry=telemetry)
+    telemetry = reset_default_telemetry()
+    sharded = ShardedChain(n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS)
     pipe = IngestPipeline(sharded, queue_capacity=256 * 1024,
-                          max_blocks_per_round=32, telemetry=telemetry)
-    server = GatewayServer(pipe, auto_seal=True, telemetry=telemetry)
+                          max_blocks_per_round=32)
+    server = GatewayServer(pipe, auto_seal=True)
     latencies: list[float] = []
 
     async def scenario() -> float:
@@ -167,12 +163,10 @@ def bench_gateway_fleet(n_clients: int, per_client: int,
 
 def bench_queuefull_storm(n_clients: int, per_client: int) -> dict:
     """Greedy fleet vs tiny queues: everything bounces, nothing drops."""
-    telemetry = Telemetry()
-    sharded = ShardedChain(n_shards=2, max_block_txs=64,
-                           telemetry=telemetry)
-    pipe = IngestPipeline(sharded, queue_capacity=64,
-                          telemetry=telemetry)
-    server = GatewayServer(pipe, auto_seal=True, telemetry=telemetry)
+    telemetry = reset_default_telemetry()
+    sharded = ShardedChain(n_shards=2, max_block_txs=64)
+    pipe = IngestPipeline(sharded, queue_capacity=64)
+    server = GatewayServer(pipe, auto_seal=True)
     policy = RetryPolicy(max_retries=200, tick_s=0.001,
                          max_backoff_ticks=64)
 

@@ -46,7 +46,7 @@ import time
 
 from _harness import finish_bench, parse_bench_args
 from repro import IngestPipeline, ShardedChain, Transaction, TxKind
-from repro.obs.runtime import DEFAULT_SAMPLE_EVERY, Telemetry
+from repro.obs.runtime import DEFAULT_SAMPLE_EVERY, reset_default_telemetry
 
 N_SHARDS = 4
 MAX_BLOCK_TXS = 64
@@ -63,12 +63,11 @@ def make_txs(n: int) -> list[Transaction]:
 
 def _fresh_pipeline(n_txs: int, sample_every: int
                     ) -> tuple[ShardedChain, IngestPipeline]:
+    """A pipeline built on a fresh process telemetry sampling at
+    ``sample_every``; it keeps that tracer when the next one is built."""
+    reset_default_telemetry(sample_every=sample_every)
     sharded = ShardedChain(n_shards=N_SHARDS, max_block_txs=MAX_BLOCK_TXS)
-    pipeline = IngestPipeline(
-        sharded, queue_capacity=n_txs,
-        telemetry=Telemetry(sample_every=sample_every),
-    )
-    return sharded, pipeline
+    return sharded, IngestPipeline(sharded, queue_capacity=n_txs)
 
 
 def _overhead_trial(txs: list[Transaction], chunk: int,
@@ -138,11 +137,9 @@ def bench_submit_overhead(n_txs: int, chunk: int, passes: int,
 
 def bench_surfaces(n_txs: int) -> dict:
     """Cold ops-surface costs on a registry fed by a sealed workload."""
-    telemetry = Telemetry(sample_every=DEFAULT_SAMPLE_EVERY)
-    sharded = ShardedChain(n_shards=N_SHARDS, max_block_txs=16,
-                           telemetry=telemetry)
-    pipeline = IngestPipeline(sharded, queue_capacity=n_txs,
-                              telemetry=telemetry)
+    telemetry = reset_default_telemetry(sample_every=DEFAULT_SAMPLE_EVERY)
+    sharded = ShardedChain(n_shards=N_SHARDS, max_block_txs=16)
+    pipeline = IngestPipeline(sharded, queue_capacity=n_txs)
     pipeline.submit_many(make_txs(n_txs))
     pipeline.run_until_drained()
 

@@ -30,7 +30,6 @@ from repro.chain import Transaction, TxKind
 from repro.gateway import AsyncGatewayClient, GatewayClient, GatewayServer
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
-from repro.obs.runtime import Telemetry
 from repro.sharding import ShardedChain
 
 FLEET = 24          # asyncio sensor clients
@@ -68,12 +67,9 @@ async def sensor_task(host: str, port: int, sensor: int,
 
 
 async def main() -> None:
-    telemetry = Telemetry()
-    sharded = ShardedChain(n_shards=2, max_block_txs=32,
-                           telemetry=telemetry)
-    pipeline = IngestPipeline(sharded, queue_capacity=QUEUE_DEPTH,
-                              telemetry=telemetry)
-    server = GatewayServer(pipeline, auto_seal=True, telemetry=telemetry)
+    sharded = ShardedChain(n_shards=2, max_block_txs=32)
+    pipeline = IngestPipeline(sharded, queue_capacity=QUEUE_DEPTH)
+    server = GatewayServer(pipeline, auto_seal=True)
     host, port = await server.start()
     print(f"gateway listening on {host}:{port} "
           f"(queues {QUEUE_DEPTH} deep — storm guaranteed)")

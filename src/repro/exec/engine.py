@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..chain.block import Block
+from ..obs.runtime import telemetry
 from ..persist.codec import canonical_decode, encode_block
 from ..serialization import canonical_encode
 from ..sharding.engines import ShardResult, round_trace_ctx
@@ -44,11 +45,12 @@ class ProcessRoundEngine:
 
     name = "process"
 
-    def __init__(self, n_workers: int, runtime_factory, telemetry) -> None:
+    def __init__(self, n_workers: int, runtime_factory) -> None:
         self.n_workers = n_workers
         self._runtime_factory = runtime_factory
-        self._tracer = telemetry.tracer
-        self._registry = registry = telemetry.registry
+        tel = telemetry()
+        self._tracer = tel.tracer
+        self._registry = registry = tel.registry
         self._m_seal_shard_s = registry.histogram("seal_shard_seconds")
         self._m_offloaded = registry.counter("exec_rounds_offloaded_total")
         self._m_fallback = registry.counter("exec_fallback_total")

@@ -26,7 +26,7 @@ from dataclasses import asdict
 from typing import Any
 
 from ..errors import GatewayError, ReproError
-from ..obs.runtime import telemetry as default_telemetry
+from ..obs.runtime import telemetry
 from ..rpc import Service, Session, ops_handler
 from . import frames
 from .frames import (
@@ -79,14 +79,11 @@ class GatewayServer:
         port: int = 0,
         *,
         auto_seal: bool = False,
-        telemetry=None,
     ) -> None:
         self.pipeline = pipeline
         self.host = host
         self.port = port
         self.auto_seal = auto_seal
-        self.telemetry = telemetry if telemetry is not None \
-            else default_telemetry()
         self._server: asyncio.AbstractServer | None = None
         self._sealer_task: asyncio.Task | None = None
         self._connections: dict[int, _Connection] = {}
@@ -98,8 +95,9 @@ class GatewayServer:
         self._stopped = False
         # Serializes seal rounds across the executor thread and drain.
         self._seal_lock = threading.Lock()
-        registry = self.telemetry.registry
-        self._tracer = self.telemetry.tracer
+        tel = telemetry()
+        self._registry = registry = tel.registry
+        self._tracer = tel.tracer
         self._m_conns = registry.counter("gateway_connections_total")
         self._m_active = registry.gauge("gateway_connections_active")
         self._m_aborted = registry.counter(
@@ -129,7 +127,6 @@ class GatewayServer:
                                        "t": body.get("t", 0.0)}],
             OP_BYE: self._handle_bye,
             OP_OPS: ops_handler(
-                self.telemetry,
                 health=lambda: self.pipeline.sharded.health_report(),
                 ingest=lambda: asdict(self.pipeline.stats),
                 gateway=self._status,
@@ -143,8 +140,7 @@ class GatewayServer:
             self.service.handlers[op] = self._counted(op, handler)
 
     def _counted(self, op: str, handler):
-        counter = self.telemetry.registry.counter(
-            "gateway_frames_total", op=op)
+        counter = self._registry.counter("gateway_frames_total", op=op)
 
         def counted(body, session):
             counter.inc()
@@ -257,7 +253,7 @@ class GatewayServer:
     def _tenant_counter(self, tenant: str):
         counter = self._m_tenant_txs.get(tenant)
         if counter is None:
-            counter = self.telemetry.registry.counter(
+            counter = self._registry.counter(
                 "gateway_txs_submitted_total", tenant=tenant
             )
             self._m_tenant_txs[tenant] = counter

@@ -14,7 +14,7 @@ import time
 
 from ..chain.transaction import Transaction
 from ..errors import CryptoError, QueueFull, ShardError
-from ..obs.runtime import telemetry as default_telemetry
+from ..obs.runtime import telemetry
 from ..sharding.shardchain import RoundReport, ShardedChain, SubmitReport
 
 
@@ -96,7 +96,6 @@ class IngestPipeline:
         queue_capacity: int = 8192,
         verify_signatures: bool = False,
         max_blocks_per_round: int = 8,
-        telemetry=None,
     ) -> None:
         if queue_capacity < 1:
             raise ShardError("queue_capacity must be >= 1")
@@ -126,10 +125,9 @@ class IngestPipeline:
         # span and binds its context to the tx id, which seal_round
         # picks up so worker-side exec spans and the persist fsync span
         # descend from the submit.
-        self.telemetry = telemetry if telemetry is not None \
-            else default_telemetry()
-        registry = self.telemetry.registry
-        self._tracer = self.telemetry.tracer
+        tel = telemetry()
+        self._registry = registry = tel.registry
+        self._tracer = tel.tracer
         # Per-tx submit samples against an inline threshold (seeded from
         # the tracer's rate) instead of calling Tracer.should_sample():
         # at ~1µs per in-memory submit even the bound-method call is a
@@ -148,7 +146,7 @@ class IngestPipeline:
     def _collect_metrics(self) -> None:
         """Publish the queues' plain-int counters into the registry
         (pull model: the submit path never touches the registry)."""
-        registry = self.telemetry.registry
+        registry = self._registry
         for q in self._queues:
             shard = q.shard_id
             registry.gauge("ingest_queue_depth", shard=shard).set(len(q))

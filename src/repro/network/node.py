@@ -29,7 +29,7 @@ from typing import Callable
 from ..chain import Transaction
 from ..errors import ChainError, GatewayError, QueueFull, ShardError
 from ..net_retry import RetryPolicy, count_retry
-from ..obs.runtime import telemetry as default_telemetry
+from ..obs.runtime import telemetry
 from ..rpc import OP_OPS, Call, Service, Session, ops_handler
 from .message import NetMessage, tx_body, tx_from_body
 from .simnet import SimNet
@@ -136,14 +136,13 @@ class ChainNode:
     def serve_shards(self, sharded_chain) -> None:
         """Become a shard gateway: route one-way ``"shard_tx"`` messages
         into a :class:`~repro.sharding.shardchain.ShardedChain` and
-        answer ``ops`` with the facade's telemetry snapshot and
+        answer ``ops`` with the process telemetry snapshot and
         :meth:`~repro.sharding.shardchain.ShardedChain.health_report`
         rollup."""
         self._sharded = sharded_chain
         self.on_topic("shard_tx", self._admit)
         self.serve(Service({OP_OPS: ops_handler(
-            sharded_chain.telemetry, node=self.node_id,
-            health=sharded_chain.health_report,
+            node=self.node_id, health=sharded_chain.health_report,
         )}))
 
     def channel(self, peer: str,
@@ -180,7 +179,7 @@ class SimChannel:
         node._seq += 1
         call = self.pending = Call(body, node._seq)
         op = call.op
-        registry = default_telemetry().registry
+        registry = telemetry().registry
         node._waiting = self
         try:
             for attempt in range(policy.max_retries + 1):

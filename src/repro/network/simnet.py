@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 from ..clock import SimClock
 from ..errors import NetworkError
-from ..obs.runtime import telemetry as default_telemetry
+from ..obs.runtime import telemetry
 from ..persist.codec import decode_frame
 from ..serialization import canonical_encode
 from .message import NetMessage
@@ -113,7 +113,6 @@ class SimNet:
         drop_rate: float = 0.0,
         seed: int = 0,
         clock: SimClock | None = None,
-        telemetry=None,
     ) -> None:
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError("drop_rate must be in [0, 1)")
@@ -122,9 +121,7 @@ class SimNet:
         self.rng = random.Random(seed)
         self.clock = clock or SimClock()
         self.stats = NetStats()
-        self.telemetry = telemetry if telemetry is not None \
-            else default_telemetry()
-        registry = self.telemetry.registry
+        self._registry = registry = telemetry().registry
         self._m_delivered = registry.counter("net_messages_delivered_total")
         self._m_bytes = registry.counter("net_bytes_sent_total")
         # (sent, dropped, duplicated, reordered) counter handles per
@@ -144,7 +141,7 @@ class SimNet:
         self._seq = 0
 
     def _collect_metrics(self) -> None:
-        self.telemetry.registry.gauge("net_pending_messages").set(
+        self._registry.gauge("net_pending_messages").set(
             len(self._queue)
         )
 
@@ -155,7 +152,7 @@ class SimNet:
         series."""
         self.stats.messages_dropped += 1
         self._topic_counters(topic)[1].inc()
-        self.telemetry.registry.counter(
+        self._registry.counter(
             "gateway_frames_undeliverable_total",
             topic=topic, transport="simnet",
         ).inc()
@@ -164,14 +161,14 @@ class SimNet:
         """Count one delivered message its handler dropped instead of
         admitting: ``malformed`` (no decodable block or transaction),
         ``lock_conflict`` or ``full``."""
-        self.telemetry.registry.counter(
+        self._registry.counter(
             "net_messages_refused_total", topic=topic, reason=reason,
         ).inc()
 
     def _topic_counters(self, topic: str) -> tuple:
         handles = self._m_by_topic.get(topic)
         if handles is None:
-            registry = self.telemetry.registry
+            registry = self._registry
             handles = tuple(
                 registry.counter(f"net_messages_{verb}_total", topic=topic)
                 for verb in ("sent", "dropped", "duplicated", "reordered")

@@ -23,10 +23,19 @@ started under an unsampled (or absent) trace context is the no-op
 singleton — ``benchmarks/bench_obs.py`` asserts the instrumented hot
 submit path stays within 5% of the uninstrumented one.
 
-**2. One process, one default registry — but workers merge in.**
+**2. One process, one telemetry — and workers merge in.**
 :func:`repro.obs.runtime.telemetry` returns the process-default
-:class:`~repro.obs.runtime.Telemetry` (registry + tracer).  Exec worker
-processes run their own default (reset after fork); their span records
+:class:`~repro.obs.runtime.Telemetry` (registry + tracer), and it is the
+only one any layer reports to: no constructor takes a telemetry
+instance, so the facade, pipeline, gateway and network instruments, the
+persist fsync counters, the signature-mark counters, the recovery and
+sync spans all land in one registry and one tracer.  A second route
+would split the picture — a span opened on one tracer finds no parent
+on the other, and a snapshot of one registry misses the other's
+series.  Isolation (tests, benchmarks, a worker after fork) is
+:func:`~repro.obs.runtime.reset_default_telemetry`, called before the
+stacks under test are built.  Exec worker processes run their own
+default (reset after fork); their span records
 and counter deltas ride the existing canonical reply frames of
 ``exec/worker.py`` and are merged into the parent's registry and tracer
 by the process round engine as each shard's result lands, so a cross-process
@@ -50,13 +59,11 @@ Ops surfaces
 ------------
 
 * ``MetricsRegistry.snapshot()`` — point-in-time dict of every counter,
-  gauge, and histogram (collectors refreshed first);
+  gauge, and histogram (collectors refreshed first;
+  ``benchmarks/_harness.py`` embeds one in every ``BENCH_*.json`` under
+  ``"telemetry"``);
 * ``MetricsRegistry.render_prometheus()`` — Prometheus-style text
   exposition;
-* ``MetricsRegistry.write_jsonl(path)`` — append one JSON line per
-  call, so bench runs and long-lived nodes double as fixtures
-  (``benchmarks/_harness.py`` embeds a snapshot in every
-  ``BENCH_*.json`` under ``"telemetry"``);
 * the ``ops`` op — one handler (:func:`repro.rpc.ops_handler`:
   registry snapshot plus named sections such as ``health`` / ``ingest``
   / ``gateway``) answered in the one request/response grammar over

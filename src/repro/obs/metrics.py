@@ -20,9 +20,7 @@ facade silently drops out of the snapshot instead of leaking.
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 import weakref
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping
@@ -272,15 +270,6 @@ class MetricsRegistry:
             lines.append(f"{name}_count{suffix} {hist['count']}")
         return "\n".join(lines) + "\n"
 
-    def write_jsonl(self, path, extra: Mapping[str, Any] | None = None
-                    ) -> dict:
-        """Append one JSON line (timestamped snapshot) to ``path``."""
-        entry = {"ts": time.time(), **(dict(extra) if extra else {}),
-                 **self.snapshot()}
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        return entry
-
     # ------------------------------------------------------------------
     # Cross-process merge (exec workers ship counter deltas)
     # ------------------------------------------------------------------
@@ -303,19 +292,3 @@ class MetricsRegistry:
         """Apply drained deltas from another registry (another process)."""
         for name, labels, delta in deltas:
             self.counter(str(name), **dict(labels)).inc(int(delta))
-
-    # ------------------------------------------------------------------
-    # Test/bench hygiene
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Zero every instrument (handles stay valid); keep collectors."""
-        with self._lock:
-            for counter in self._counters.values():
-                counter.value = 0
-            for gauge in self._gauges.values():
-                gauge.value = 0.0
-            for hist in self._histograms.values():
-                hist.counts = [0] * (len(hist.bounds) + 1)
-                hist.sum = 0.0
-                hist.count = 0
-            self._drained.clear()

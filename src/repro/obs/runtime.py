@@ -1,11 +1,12 @@
 """The process-default telemetry instance and its lifecycle.
 
 Every subsystem that instruments itself asks :func:`telemetry` for the
-default :class:`Telemetry` unless it was handed an explicit instance —
-so one process has one registry and one tracer, and an ``ops``
-snapshot sees everything.  Tests that need isolation construct their
-own ``Telemetry`` and pass it in, or call
-:func:`reset_default_telemetry` around themselves.
+default :class:`Telemetry`; none takes an instance as an argument — so
+one process has one registry and one tracer, an ``ops`` snapshot sees
+every layer, and a span opened in one layer is the parent of the spans
+the layers below it open.  Tests and benchmarks that need isolation
+call :func:`reset_default_telemetry` before they build the stacks they
+measure; each stack keeps the instruments it took at construction.
 
 Exec worker processes call :func:`reset_default_telemetry` on startup:
 after a ``fork`` the child would otherwise inherit (and double-report)
@@ -38,10 +39,6 @@ class Telemetry:
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()
-
-    def reset(self) -> None:
-        self.registry.reset()
-        self.tracer.clear()
 
 
 _DEFAULT: Telemetry | None = None

@@ -194,7 +194,7 @@ class Tracer:
     MAX_SPANS = 4096        # finished spans kept (oldest dropped first)
     MAX_BOUND_TXS = 4096    # sampled tx ids awaiting their seal
 
-    def __init__(self, sample_every: int = 64) -> None:
+    def __init__(self, sample_every: int) -> None:
         if sample_every < 0:
             raise ValueError("sample_every must be >= 0")
         self.sample_every = sample_every
@@ -302,8 +302,3 @@ class Tracer:
             except (TypeError, ValueError, KeyError):
                 continue  # a malformed row must not poison the merge
         return n
-
-    def clear(self) -> None:
-        self._spans.clear()
-        with self._bind_lock:
-            self._tx_ctx.clear()

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import GatewayError, ReproError, SerializationError
-from .obs.runtime import telemetry as default_telemetry
+from .obs.runtime import telemetry
 from .persist.codec import decode_frame
 from .serialization import canonical_encode
 
@@ -123,7 +123,7 @@ class Service:
                 f"malformed request: {type(exc).__name__}: {exc}",
                 reason="bad_request"), seq)
         except Exception as exc:  # noqa: BLE001 - the carrier keeps running
-            default_telemetry().registry.counter(
+            telemetry().registry.counter(
                 "rpc_handler_failures_total").inc()
             return self.refusal(GatewayError(
                 f"handler failed: {type(exc).__name__}: {exc}",
@@ -181,16 +181,17 @@ class Call:
         return self._replies
 
 
-def ops_handler(telemetry, **sections) -> Handler:
+def ops_handler(**sections) -> Handler:
     """Handler for the ``ops`` op, the operator surface of either
-    carrier: a registry snapshot plus one entry per section — a plain
+    carrier: the process telemetry's registry snapshot, taken when the
+    request is answered, plus one entry per section — a plain
     canonical-encodable value, or a zero-arg callable producing one at
     request time (a facade's ``health_report``, a replica's status)."""
 
     def handle(body: dict, session: Session) -> list[dict]:
         return [{
             "op": OP_OPS_OK,
-            "snapshot": telemetry.registry.snapshot(),
+            "snapshot": telemetry().registry.snapshot(),
             **{name: source() if callable(source) else source
                for name, source in sections.items()},
         }]

@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor, wait as futures_wait
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..chain.block import Block
+from ..obs.runtime import telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .shardchain import Shard, ShardSealStats
@@ -76,13 +77,12 @@ class InProcessEngine:
 
     pool = None
 
-    def __init__(self, width: int, telemetry) -> None:
+    def __init__(self, width: int) -> None:
         self.width = width
         self.name = "serial" if width == 1 else "thread"
-        self._tracer = telemetry.tracer
-        self._m_seal_shard_s = telemetry.registry.histogram(
-            "seal_shard_seconds"
-        )
+        tel = telemetry()
+        self._tracer = tel.tracer
+        self._m_seal_shard_s = tel.registry.histogram("seal_shard_seconds")
         self._threads: ThreadPoolExecutor | None = None
 
     def _seal_shard(self, shard: "Shard", ts: int,

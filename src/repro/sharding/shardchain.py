@@ -35,7 +35,7 @@ from ..errors import (
     ShardError,
     TamperDetected,
 )
-from ..obs.runtime import telemetry as default_telemetry
+from ..obs.runtime import telemetry
 from ..persist.codec import check_records
 from ..persist.durable import DurableStorage
 from ..persist.provdb import ProvenanceDatabase
@@ -52,14 +52,14 @@ def _recover_proof_state(storage, kind: str, load) -> None:
     """Reopen one store's proof state — ``load()`` (returns ``(rows
     loaded, records re-enqueued)``) — under one
     ``recovery.load_proof_state`` span, and publish what it did."""
-    telemetry = default_telemetry()
-    with telemetry.tracer.root_span("recovery.load_proof_state",
-                                    sampled=True) as span:
+    tel = telemetry()
+    with tel.tracer.root_span("recovery.load_proof_state",
+                              sampled=True) as span:
         rows, requeued = load()
         for key, value in (("store", storage.directory), ("kind", kind),
                            ("rows", rows), ("requeued", requeued)):
             span.set_attr(key, value)
-    registry = telemetry.registry
+    registry = tel.registry
     registry.counter("proof_rows_loaded_total", kind=kind).inc(rows)
     registry.counter("anchor_pending_requeued_total").inc(requeued)
 
@@ -406,7 +406,6 @@ class ShardedChain:
         executor: str = "serial",
         exec_workers: int | None = None,
         contract_runtime_factory=None,
-        telemetry=None,
         lock_lease_rounds: int = 16,
     ) -> None:
         if n_shards < 1:
@@ -491,10 +490,9 @@ class ShardedChain:
         # load gauges the ops surface reads.
         # The most recent RoundReport backs health_report()'s
         # slowest-shard attribution.
-        self.telemetry = telemetry if telemetry is not None \
-            else default_telemetry()
-        registry = self.telemetry.registry
-        self._tracer = self.telemetry.tracer
+        tel = telemetry()
+        self._registry = registry = tel.registry
+        self._tracer = tel.tracer
         self._m_seal_round_s = registry.histogram("seal_round_seconds")
         self._m_beacon_s = registry.histogram("seal_beacon_seconds")
         self._m_txs_sealed = registry.counter("txs_sealed_total")
@@ -513,12 +511,11 @@ class ShardedChain:
             self.engine = ProcessRoundEngine(
                 (exec_workers if exec_workers is not None
                  else min(4, max(2, n_shards))),
-                contract_runtime_factory, self.telemetry,
+                contract_runtime_factory,
             )
         else:
             self.engine = InProcessEngine(
-                n_shards if executor == "thread" else 1, self.telemetry
-            )
+                n_shards if executor == "thread" else 1)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -527,7 +524,7 @@ class ShardedChain:
         """Registry collector: publish per-shard load gauges at snapshot
         time.  Nothing here runs on a hot path — the ops surface reads
         these from ``snapshot()``."""
-        registry = self.telemetry.registry
+        registry = self._registry
         for shard in self.shards:
             sid = str(shard.shard_id)
             registry.gauge("shard_mempool_backlog", shard=sid).set(

@@ -59,6 +59,7 @@ from typing import Any, Mapping
 
 from ..chain import Transaction, TxKind
 from ..errors import ChainError, ShardError
+from ..obs.runtime import telemetry
 from ..persist.segment import CrashPoint
 from .shardchain import RoundReport, ShardedChain
 
@@ -231,8 +232,7 @@ class CrossShardCoordinator:
         # Seed the xid sequence from the store: together with the epoch
         # prefix this makes xids collision-free across restarts.
         self._seq = int(sharded.meta.get_meta(self._SEQ_KEY, 0))
-        registry = sharded.telemetry.registry
-        self._registry = registry
+        self._registry = registry = telemetry().registry
         self._m_abort_legs_lost = registry.counter(
             "xshard_abort_legs_lost_total"
         )

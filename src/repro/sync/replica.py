@@ -22,7 +22,6 @@ from ..chain import ChainParams
 from ..errors import SyncError
 from ..net_retry import RetryPolicy, failover
 from ..network.node import ChainNode
-from ..obs.runtime import telemetry as default_telemetry
 from ..persist.durable import DurableStorage
 from ..rpc import OP_OPS, Service, ops_handler
 from ..sharding.query import package_federated_proof
@@ -60,7 +59,7 @@ class ShardReplica:
         # Replicas answer ``ops`` too: the process default registry
         # snapshot plus this replica's own sync status.
         self.node.serve(Service({OP_OPS: ops_handler(
-            default_telemetry(), node=node_id, health=self.health)}))
+            node=node_id, health=self.health)}))
 
     def health(self) -> dict:
         """Canonical-encodable status served on ``ops``."""

@@ -9,10 +9,19 @@ import pytest
 
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.clock import SimClock
+from repro.obs.runtime import reset_default_telemetry
 from repro.provenance.anchor import AnchorService
 from repro.provenance.capture import CaptureSink
 from repro.serialization import canonical_encode
 from repro.storage.provdb import ProvenanceDatabase
+
+
+@pytest.fixture
+def traced_telemetry():
+    """A fresh process telemetry sampling *every* root; replaced by a
+    default-rate one after the test."""
+    yield reset_default_telemetry(sample_every=1)
+    reset_default_telemetry()
 
 
 @pytest.fixture

@@ -110,6 +110,43 @@ def test_pytest_benches_are_seen_inside_benchmark_pedantic(tmp_path):
     assert entered == {"top", "top.<locals>.inner"}
 
 
+def test_report_sole_names_the_one_entry_point_that_entered(
+        tmp_path, monkeypatch, capsys):
+    # Two entry points on the tiny module, each recording into its own
+    # directory as run_census does.  What both entered is not listed;
+    # what one alone entered is listed under that one's name.
+    src = tmp_path / "src"
+    src.mkdir()
+    path = _write(src)
+    bench = tmp_path / "bench_mod.py"
+    bench.write_text(textwrap.dedent('''\
+        import mod
+
+
+        def test_top(benchmark):
+            assert benchmark.pedantic(mod.top, rounds=1, iterations=1) == 1
+            assert mod.unused() == 3
+    '''))
+    env = _hook_env(tmp_path, src)
+    runs = {"script": [sys.executable, "-c",
+                       "import mod; mod.top(); mod.Base.helper()"],
+            "bench": census.pytest_argv([str(bench)])}
+    for label, argv in runs.items():
+        out = tmp_path / "records" / label
+        out.mkdir()
+        subprocess.run(argv, cwd=tmp_path, env=dict(env, CENSUS_OUT=str(out)),
+                       check=True, timeout=120, capture_output=True)
+    monkeypatch.setattr(census, "SRC", src)
+    assert census.report_sole(census.entered_by(str(tmp_path)), "") == 2
+    out = capsys.readouterr().out
+    lines = {name: line for line, name in census.functions(path)}
+    assert f"\nbench: 1\n    src/repro/mod.py:{lines['unused']}  unused\n" \
+        in out
+    assert (f"\nscript: 1\n    src/repro/mod.py:{lines['Base.helper']}  "
+            f"Base.helper\n") in out
+    assert "  top" not in out
+
+
 def test_entered_reads_every_record(tmp_path):
     records = tmp_path / "records"
     records.mkdir()

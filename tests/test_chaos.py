@@ -25,6 +25,7 @@ from repro.chaos import (
 )
 from repro.errors import ShardError, SyncError
 from repro.net_retry import RetryPolicy, failover
+from repro.obs.runtime import telemetry
 from repro.persist.segment import CrashPoint
 from repro.sharding import (
     ABORTED,
@@ -225,7 +226,7 @@ class TestCrashMatrix:
         sharded.crash()
         reopened = durable(tmp_path)
         coord2 = CrossShardCoordinator(reopened)
-        registry = reopened.telemetry.registry
+        registry = telemetry().registry
         assert registry.counter("xshard_transfers_recovered_total",
                                 resolution="aborted").value >= 1
         assert registry.counter(
@@ -251,7 +252,7 @@ class TestLeasesAndFencing:
         for _ in range(4):
             sharded.seal_round(timestamp=sharded.rounds_sealed)
         assert sharded.locks.entry(shard_id, src) is None
-        assert (sharded.telemetry.registry
+        assert (telemetry().registry
                 .counter("xshard_lock_leases_expired_total").value >= 1)
         sharded.submit(record_tx(src))   # flows again
 
@@ -279,7 +280,7 @@ class TestLeasesAndFencing:
         assert doomed.state == ABORTED
         assert doomed.outcome.extra["reason"] == "submit_failed"
         assert doomed.outcome.extra["abort_legs_lost"] == 2
-        assert (sharded.telemetry.registry
+        assert (telemetry().registry
                 .counter("xshard_abort_legs_lost_total").value >= 2)
         # The current-epoch coordinator is unaffected.
         good = fresh.begin(src, tgt, timestamp=2)

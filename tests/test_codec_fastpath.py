@@ -41,7 +41,6 @@ from repro.crypto.signatures import KeyPair
 from repro.errors import SerializationError
 from repro.exec.engine import ProcessRoundEngine
 from repro.gateway.frames import encode_frame, txs_to_frame_body
-from repro.obs.runtime import Telemetry
 from repro.persist.codec import (
     MAX_DEPTH,
     canonical_decode,
@@ -363,11 +362,11 @@ class TestSplicedFrames:
         assert int.from_bytes(frame[:4], "big") == len(old)
 
     def test_exec_job_frame(self):
-        sharded = ShardedChain(n_shards=1, telemetry=Telemetry())
+        sharded = ShardedChain(n_shards=1)
         txs = [tx for tx in mixed_txs(30) if tx.is_sealed]
         assert sharded.submit_many(txs).accepted_total == len(txs)
         shard = sharded.shards[0]
-        engine = ProcessRoundEngine(1, None, Telemetry())
+        engine = ProcessRoundEngine(1, None)
         job = engine._prepare(shard, 77, 4, _StubPool())
         assert sum(len(b.transactions) for b in job.blocks) == len(txs)
         body = canonical_decode(job.payload)
@@ -438,11 +437,9 @@ class TestRecordsEncodedOnce:
             self, tmp_path):
         records = capture_records(300)
         batched = ShardedChain(n_shards=3, anchor_batch_size=16,
-                               storage_dir=str(tmp_path / "batched"),
-                               telemetry=Telemetry())
+                               storage_dir=str(tmp_path / "batched"))
         single = ShardedChain(n_shards=3, anchor_batch_size=16,
-                              storage_dir=str(tmp_path / "single"),
-                              telemetry=Telemetry())
+                              storage_dir=str(tmp_path / "single"))
         snapshot = [dict(r) for r in records]
         flushed = batched.ingest_records(records)
         assert records == snapshot          # the caller's dicts are its own
@@ -483,7 +480,7 @@ class TestRecordsEncodedOnce:
         """Given the bytes, the memory store keeps the facade's routed
         copy itself — the same dict the pending anchor batch digests —
         and reads still hand out copies."""
-        sharded = ShardedChain(n_shards=1, telemetry=Telemetry())
+        sharded = ShardedChain(n_shards=1)
         [record] = capture_records(1)
         sharded.ingest_records([record])
         shard = sharded.shard(0)
@@ -496,8 +493,7 @@ class TestRecordsEncodedOnce:
         assert shard.database.get(record["record_id"]) == record
 
     def test_ingested_records_do_not_alias_the_callers(self, tmp_path):
-        sharded = ShardedChain(n_shards=1, storage_dir=str(tmp_path),
-                               telemetry=Telemetry())
+        sharded = ShardedChain(n_shards=1, storage_dir=str(tmp_path))
         record = capture_records(1)[0]
         sharded.ingest_records([record])
         record["size"] = -1

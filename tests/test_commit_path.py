@@ -31,8 +31,7 @@ from repro.chain.receipts import TransactionReceipt
 from repro.chain.state import StateStore
 from repro.errors import ChainError, TamperDetected
 from repro.exec.worker import _handle_exec
-from repro.obs import Telemetry
-from repro.obs.runtime import telemetry
+from repro.obs.runtime import reset_default_telemetry, telemetry
 from repro.persist.codec import encode_block
 from repro.persist.durable import DurableStorage, clear_state_rows
 from repro.persist.stores import MemoryStorage
@@ -750,10 +749,9 @@ class TestStateRowsFollowTheHead:
         """Rounds sealed by exec workers commit the parent's applied
         deltas as the rows; a crash then reopens without a replay."""
         directory = str(tmp_path / "store")
-        tel = Telemetry()
+        tel = reset_default_telemetry()
         sharded = ShardedChain(2, storage_dir=directory,
-                               executor="process", exec_workers=1,
-                               telemetry=tel)
+                               executor="process", exec_workers=1)
         for r in range(3):
             sharded.submit_many([
                 Transaction(f"acct-{i}", TxKind.DATA,

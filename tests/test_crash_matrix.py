@@ -44,7 +44,6 @@ from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.chaos.runner import check_invariants
 from repro.errors import AnchorError, StorageError, SyncError
 from repro.network import ChainNode, LatencyModel, SimNet
-from repro.obs import Telemetry
 from repro.obs.runtime import telemetry as default_telemetry
 from repro.persist import DurableStorage
 from repro.persist.codec import canonical_decode
@@ -67,7 +66,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # ---------------------------------------------------------------------------
 def build(path) -> ShardedChain:
     return ShardedChain(N_SHARDS, storage_dir=str(path),
-                        anchor_batch_size=BATCH, telemetry=Telemetry())
+                        anchor_batch_size=BATCH)
 
 
 def make_txs(r: int, n: int = 12) -> list[Transaction]:
@@ -505,7 +504,7 @@ class TestOpenReportsAndUpgrades:
         store = extract_pr16_store(tmp_path)
         with pytest.raises(StorageError) as err:
             ShardedChain(n_shards=2, storage_dir=store, anchor_batch_size=4,
-                         checkpoint_every_rounds=2, telemetry=Telemetry())
+                         checkpoint_every_rounds=2)
         assert err.value.reason == "format_too_old"
 
 
@@ -569,8 +568,7 @@ class TestFormatRefusals:
                     DurableStorage(os.path.join(store, last))
                 else:
                     ShardedChain(n_shards, storage_dir=store,
-                                 anchor_batch_size=batch,
-                                 telemetry=Telemetry())
+                                 anchor_batch_size=batch)
             assert err.value.reason == reason
             assert open_fds_under(store) == []
         finally:
@@ -593,8 +591,7 @@ class TestCountedGuards:
 
     def test_fsyncs_and_commits_do_not_rise(self, tmp_path):
         sc = ShardedChain(4, storage_dir=str(tmp_path / "store"),
-                          anchor_batch_size=16, checkpoint_every_rounds=8,
-                          telemetry=Telemetry())
+                          anchor_batch_size=16, checkpoint_every_rounds=8)
         commits = [0]
 
         def trace(statement: str) -> None:
@@ -649,8 +646,7 @@ class TestCountedGuards:
         about one statement per state entry."""
         counts = []
         for events in (4000, 16000):
-            sc = ShardedChain(4, storage_dir=str(tmp_path / str(events)),
-                              telemetry=Telemetry())
+            sc = ShardedChain(4, storage_dir=str(tmp_path / str(events)))
             for r in range(events // 1000):
                 sc.submit_many([
                     Transaction(f"acct-{i % 7}", TxKind.DATA,
@@ -697,8 +693,7 @@ class TestCountedGuards:
             try:
                 return ShardedChain(2, storage_dir=str(tmp_path / "store"),
                                     anchor_batch_size=4,
-                                    checkpoint_every_rounds=2,
-                                    telemetry=Telemetry()), list(statements)
+                                    checkpoint_every_rounds=2), list(statements)
             finally:
                 monkeypatch.undo()
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro.chain import Transaction, TxKind
 from repro.errors import InvalidTransaction, ShardError
-from repro.obs.runtime import Telemetry
+from repro.obs.runtime import reset_default_telemetry
 from repro.sharding import ShardedChain, ShardRouter
 
 N_SHARDS = 4
@@ -53,12 +53,11 @@ NAMESPACES = shard_namespaces()
 def run_cell(executor: str, work_dir, fault: bool) -> dict:
     """Drive one deployment through warm-up → (faulted) rounds → recovery
     and return everything an engine could possibly disturb."""
-    telemetry = Telemetry()
+    counter = reset_default_telemetry().registry.counter
     sc = ShardedChain(
         N_SHARDS, storage_dir=str(work_dir / "store"), executor=executor,
-        exec_workers=2, telemetry=telemetry,
+        exec_workers=2,
     )
-    counter = telemetry.registry.counter
     victim = sc.shard(VICTIM)
     rounds: list[list[int]] = []
     raised: list[str] = []
@@ -194,9 +193,8 @@ def unsigned_backlog(sc: ShardedChain,
 
 @pytest.mark.parametrize("executor", ENGINES)
 def test_every_failed_shard_is_counted_and_the_first_is_raised(executor):
-    telemetry = Telemetry()
-    sc = ShardedChain(N_SHARDS, executor=executor, exec_workers=2,
-                      telemetry=telemetry)
+    registry = reset_default_telemetry().registry
+    sc = ShardedChain(N_SHARDS, executor=executor, exec_workers=2)
     victims = [VICTIM, N_SHARDS - 1]
     backlog = unsigned_backlog(sc, list(range(N_SHARDS)))
     for sid in victims:
@@ -206,7 +204,7 @@ def test_every_failed_shard_is_counted_and_the_first_is_raised(executor):
         sc.seal_round()
     # The error raised is the first failed shard's, in shard order.
     assert any(tx_id in str(caught.value) for tx_id in first_ids)
-    counter = telemetry.registry.counter("shard_seal_failures_total")
+    counter = registry.counter("shard_seal_failures_total")
     assert counter.value == len(victims)
     assert sc.rounds_sealed == sc.beacon.chain.height == 0
     for sid in victims:

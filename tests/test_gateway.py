@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import Transaction, TxKind
+from repro.crypto.signatures import KeyPair
 from repro.errors import (
     RETRY_AFTER_FLOOR_S, ChainError, GatewayError, InvalidTransaction,
 )
@@ -33,8 +34,7 @@ from repro.gateway.frames import (
 )
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
-from repro.obs.runtime import Telemetry
-from repro.obs.runtime import telemetry as default_telemetry
+from repro.obs.runtime import reset_default_telemetry, telemetry
 from repro.persist.codec import (
     transaction_from_mapping, transaction_to_mapping,
 )
@@ -58,12 +58,12 @@ def data_tx(i: int, tenant: str = "t0", fee: int = 0) -> Transaction:
 
 def make_stack(n_shards: int = 4, queue_capacity: int = 4096,
                **server_kw):
-    """An isolated (own-telemetry) sharded chain + pipeline + server."""
-    telemetry = Telemetry()
-    sharded = ShardedChain(n_shards=n_shards, telemetry=telemetry)
-    pipe = IngestPipeline(sharded, queue_capacity=queue_capacity,
-                          telemetry=telemetry)
-    server = GatewayServer(pipe, telemetry=telemetry, **server_kw)
+    """A sharded chain + pipeline + server on a fresh process
+    telemetry."""
+    reset_default_telemetry()
+    sharded = ShardedChain(n_shards=n_shards)
+    pipe = IngestPipeline(sharded, queue_capacity=queue_capacity)
+    server = GatewayServer(pipe, **server_kw)
     return sharded, pipe, server
 
 
@@ -75,8 +75,8 @@ def commitments(sharded: ShardedChain):
     )
 
 
-def counter_of(server: GatewayServer, name: str) -> float:
-    snap = server.telemetry.registry.snapshot()
+def counter_of(name: str) -> float:
+    snap = telemetry().registry.snapshot()
     return sum(v for k, v in snap["counters"].items()
                if k == name or k.startswith(name + "{"))
 
@@ -159,8 +159,22 @@ class TestFrames:
 # Handshake + control ops
 # ---------------------------------------------------------------------------
 class TestHandshake:
-    def test_hello_ping_ops_bye(self):
-        _, pipe, server = make_stack()
+    def test_hello_ping_ops_bye(self, tmp_path, traced_telemetry):
+        # A durable deployment that checks signatures: one ``ops``
+        # snapshot holds the persist, signature, recovery and seal
+        # series together, and the fsyncs nest in the sealed rounds'
+        # traces, because every layer reports to the one telemetry.
+        tel = traced_telemetry
+        keys = KeyPair.generate("ops-signer")
+        sharded = ShardedChain(n_shards=2, max_block_txs=2,
+                               storage_dir=str(tmp_path))
+        pipe = IngestPipeline(sharded, verify_signatures=True)
+        server = GatewayServer(pipe)
+        txs = [Transaction(keys.address, TxKind.DATA,
+                           {"subject": f"t{i % 4}/obj", "key": f"k{i}",
+                            "value": i}, timestamp=i, fee=i
+                           ).seal().sign_with(keys)
+               for i in range(40)]
 
         async def scenario():
             host, port = await server.start()
@@ -169,14 +183,29 @@ class TestHandshake:
                 assert client.conn_id is not None
                 assert not client.server_draining
                 assert await client.ping() < 1.0
-                await client.submit([data_tx(1)])
+                await client.submit(txs)
+                await asyncio.get_running_loop().run_in_executor(
+                    None, pipe.run_until_drained)
                 ops = await client.ops()
-                assert ops["ingest"]["submitted"] == 1
+                assert ops["ingest"]["submitted"] == len(txs)
                 assert ops["gateway"]["connections_active"] == 1
-                assert "counters" in ops["snapshot"]
+                snap = ops["snapshot"]
+                assert snap["counters"]["persist_fsyncs_total"] > 0
+                assert snap["counters"][
+                    'sig_verify_cache_misses_total{cache="verify_signature"}'
+                ] >= len(txs)
+                assert 'proof_rows_loaded_total{kind="round"}' \
+                    in snap["counters"]
+                assert snap["histograms"]["seal_round_seconds"]["count"] \
+                    >= 2
             await server.drain()
 
         asyncio.run(scenario())
+        assert sharded.total_txs_committed == len(txs)
+        traces = [{s.name for s in tel.tracer.find_spans(r.trace_id)}
+                  for r in tel.tracer.spans() if r.name == "round.seal"]
+        assert any("persist.fsync" in names for names in traces), traces
+        sharded.close()
 
     def test_wrong_protocol_version_refused(self):
         _, _, server = make_stack()
@@ -235,10 +264,8 @@ class TestEquivalence:
                    for tx in self._txs_for(c)]
 
         # Reference: one in-process pipeline, same config.
-        ref_telemetry = Telemetry()
-        ref_sharded = ShardedChain(n_shards=4, telemetry=ref_telemetry)
-        ref_pipe = IngestPipeline(ref_sharded, queue_capacity=4096,
-                                  telemetry=ref_telemetry)
+        ref_sharded = ShardedChain(n_shards=4)
+        ref_pipe = IngestPipeline(ref_sharded, queue_capacity=4096)
         report = ref_pipe.submit_many(all_txs)
         assert not report.rejected
         ref_pipe.run_until_drained()
@@ -265,10 +292,9 @@ class TestEquivalence:
         sharded.verify_all(deep=True)
 
     def test_lock_conflicts_match_in_process(self):
-        def build(telemetry):
-            sharded = ShardedChain(n_shards=4, telemetry=telemetry)
-            pipe = IngestPipeline(sharded, queue_capacity=4096,
-                                  telemetry=telemetry)
+        def build():
+            sharded = ShardedChain(n_shards=4)
+            pipe = IngestPipeline(sharded, queue_capacity=4096)
             coord = CrossShardCoordinator(sharded, timeout_rounds=50)
             source = "t0/obj"
             target_ns = next(
@@ -282,13 +308,12 @@ class TestEquivalence:
         all_txs = [tx for c in range(self.N_CLIENTS)
                    for tx in self._txs_for(c)]
 
-        ref_sharded, ref_pipe = build(Telemetry())
+        ref_sharded, ref_pipe = build()
         ref_pipe.submit_many(all_txs)   # t0/obj txs bounce off the lock
         ref_pipe.run_until_drained()
 
-        telemetry = Telemetry()
-        sharded, pipe = build(telemetry)
-        server = GatewayServer(pipe, telemetry=telemetry)
+        sharded, pipe = build()
+        server = GatewayServer(pipe)
 
         async def scenario():
             host, port = await server.start()
@@ -310,9 +335,8 @@ class TestEquivalence:
     def test_sync_client_matches_async_path(self):
         txs = [data_tx(i, tenant=f"t{i % 4}", fee=i) for i in range(80)]
 
-        ref_telemetry = Telemetry()
-        ref_sharded = ShardedChain(n_shards=4, telemetry=ref_telemetry)
-        ref_pipe = IngestPipeline(ref_sharded, telemetry=ref_telemetry)
+        ref_sharded = ShardedChain(n_shards=4)
+        ref_pipe = IngestPipeline(ref_sharded)
         ref_pipe.submit_many(txs)
         ref_pipe.run_until_drained()
 
@@ -363,12 +387,10 @@ class TestWireBackpressure:
     def test_queuefull_storm_loses_nothing(self):
         # Tiny queues + auto-seal + 6 greedy clients: every bounced
         # transaction must be retried to admission — zero drops.
-        telemetry = Telemetry()
-        sharded = ShardedChain(n_shards=2, max_block_txs=64,
-                               telemetry=telemetry)
-        pipe = IngestPipeline(sharded, queue_capacity=32,
-                              telemetry=telemetry)
-        server = GatewayServer(pipe, auto_seal=True, telemetry=telemetry)
+        reset_default_telemetry()
+        sharded = ShardedChain(n_shards=2, max_block_txs=64)
+        pipe = IngestPipeline(sharded, queue_capacity=32)
+        server = GatewayServer(pipe, auto_seal=True)
         n_clients, per_client = 6, 150
         policy = RetryPolicy(max_retries=80, tick_s=0.001)
 
@@ -394,7 +416,7 @@ class TestWireBackpressure:
         sealed = sum(sum(len(b.transactions) for b in s.chain.blocks[1:])
                      for s in sharded.shards)
         assert sealed == n_clients * per_client
-        assert counter_of(server, "gateway_txs_rejected_total") > 0
+        assert counter_of("gateway_txs_rejected_total") > 0
 
     def test_a_mistyped_field_cannot_stop_the_sealer(self):
         # An unsealed transaction whose nonce is a str is acked; the
@@ -422,7 +444,7 @@ class TestWireBackpressure:
                   for b in s.chain.blocks[1:] for tx in b.transactions}
         assert sealed == {tx.tx_id for tx in good}
         assert list(pipe.invalid_txs) == [bad]
-        assert counter_of(server, "gateway_seal_errors_total") == 0
+        assert counter_of("gateway_seal_errors_total") == 0
 
     @settings(max_examples=20, deadline=None)
     @given(payload=st.one_of(
@@ -437,10 +459,10 @@ class TestWireBackpressure:
         fault is counted."""
         bad = {"sender": "alice", "kind": TxKind.DATA.value,
                "payload": payload, "nonce": 0, "timestamp": 0, "fee": 0}
-        failures = default_telemetry().registry.counter(
+        _, pipe, server = make_stack(n_shards=2)
+        failures = telemetry().registry.counter(
             "rpc_handler_failures_total")
         before = failures.value
-        _, pipe, server = make_stack(n_shards=2)
         with pytest.raises(InvalidTransaction):
             pipe.submit_many([data_tx(0), transaction_from_mapping(bad)])
         assert pipe.total_submitted == 0
@@ -503,7 +525,7 @@ class TestWireBackpressure:
             await server.drain()
 
         asyncio.run(scenario())
-        assert counter_of(server, "gateway_pauses_total") >= 1
+        assert counter_of("gateway_pauses_total") >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +546,7 @@ class TestDisconnects:
             await writer.drain()
             writer.transport.abort()   # RST mid-frame
             await asyncio.sleep(0.05)
-            assert counter_of(
-                server, "gateway_connections_aborted_total") == 1
+            assert counter_of("gateway_connections_aborted_total") == 1
             # The accept loop survived: a well-behaved client still works.
             async with await AsyncGatewayClient.connect(
                     host, port) as client:
@@ -572,8 +593,7 @@ class TestDisconnects:
             # Exactly one error frame, then the server hangs up.
             assert await asyncio.wait_for(reader.read(), timeout=5) == b""
             writer.close()
-            assert counter_of(
-                server, "gateway_connections_aborted_total") == 1
+            assert counter_of("gateway_connections_aborted_total") == 1
             async with await AsyncGatewayClient.connect(
                     host, port) as client:
                 assert (await client.submit([data_tx(1)])).queued == 1
@@ -601,8 +621,7 @@ class TestDisconnects:
             assert reply["reason"] == "read_timeout"
             assert await asyncio.wait_for(reader.read(), timeout=5) == b""
             writer.close()
-            assert counter_of(
-                server, "gateway_connections_aborted_total") == 1
+            assert counter_of("gateway_connections_aborted_total") == 1
             # Four timeouts' worth of idling later the quiet client is
             # still connected and served.
             await asyncio.sleep(0.2)
@@ -636,11 +655,9 @@ class TestDisconnects:
             writer.transport.abort()   # gone before reading the reply
             for _ in range(100):
                 await asyncio.sleep(0.02)
-                if counter_of(server,
-                              "gateway_frames_undeliverable_total"):
+                if counter_of("gateway_frames_undeliverable_total"):
                     break
-            assert counter_of(
-                server, "gateway_frames_undeliverable_total") > 0
+            assert counter_of("gateway_frames_undeliverable_total") > 0
             assert server.active_connections == 0
             # Server is healthy: the next client is served normally.
             async with await AsyncGatewayClient.connect(

@@ -24,7 +24,7 @@ from repro.errors import (
     ShardError,
 )
 from repro.ingest import IngestPipeline
-from repro.obs.runtime import Telemetry
+from repro.obs.runtime import reset_default_telemetry, telemetry
 from repro.persist import CrashPoint, DurableStorage, SegmentLog
 from repro.sharding import CrossShardCoordinator, ShardedChain
 from repro.storage.provdb import ProvenanceDatabase
@@ -44,9 +44,9 @@ def record_for(i: int, tenant: str = "t0") -> dict:
             "actor": "alice", "operation": "update", "timestamp": i}
 
 
-def queue_metric(telemetry: Telemetry, name: str, shard: int) -> float:
+def queue_metric(name: str, shard: int) -> float:
     """One shard queue's published gauge or counter, collectors run."""
-    snap = telemetry.snapshot()
+    snap = telemetry().snapshot()
     key = f'{name}{{shard="{shard}"}}'
     return snap["gauges"].get(key, snap["counters"].get(key))
 
@@ -64,22 +64,22 @@ def shard_state_roots(sharded: ShardedChain) -> list[bytes]:
 # ---------------------------------------------------------------------------
 class TestQueueBackpressure:
     def test_submit_routes_and_counts(self):
-        tel = Telemetry(sample_every=0)
+        reset_default_telemetry(sample_every=0)
         sharded = ShardedChain(n_shards=4)
-        pipe = IngestPipeline(sharded, queue_capacity=64, telemetry=tel)
+        pipe = IngestPipeline(sharded, queue_capacity=64)
         txs = [data_tx(i, tenant=f"t{i % 5}") for i in range(20)]
         shard_ids = [pipe.submit(tx) for tx in txs]
         assert pipe.backlog == 20
         for tx, sid in zip(txs, shard_ids):
             assert sharded.router.route(tx) == sid
-        assert sum(queue_metric(tel, "ingest_queue_depth", s)
+        assert sum(queue_metric("ingest_queue_depth", s)
                    for s in range(4)) == 20
 
     def test_queue_full_raises_structured_signal(self, monkeypatch):
         monkeypatch.setattr(IngestPipeline, "HIGH_WATERMARK", 0.5)
-        tel = Telemetry(sample_every=0)
+        reset_default_telemetry(sample_every=0)
         sharded = ShardedChain(n_shards=1)
-        pipe = IngestPipeline(sharded, queue_capacity=4, telemetry=tel)
+        pipe = IngestPipeline(sharded, queue_capacity=4)
         for i in range(4):
             pipe.submit(data_tx(i))
         with pytest.raises(QueueFull) as exc_info:
@@ -94,9 +94,9 @@ class TestQueueBackpressure:
         assert signal.as_dict()["capacity"] == 4
         # The rejection is counted, never silent, and the load is
         # published beside it.
-        assert queue_metric(tel, "ingest_queuefull_total", 0) == 1
-        assert queue_metric(tel, "ingest_queue_depth", 0) == 4
-        assert queue_metric(tel, "ingest_queue_high_watermark", 0) == 2
+        assert queue_metric("ingest_queuefull_total", 0) == 1
+        assert queue_metric("ingest_queue_depth", 0) == 4
+        assert queue_metric("ingest_queue_high_watermark", 0) == 2
 
     def test_submit_many_partitions_input_exactly(self):
         sharded = ShardedChain(n_shards=1)
@@ -382,9 +382,9 @@ class TestPipelineEquivalence:
 # ---------------------------------------------------------------------------
 class TestPumpAndSealing:
     def test_pump_defers_locked_transactions(self):
-        tel = Telemetry(sample_every=0)
+        reset_default_telemetry(sample_every=0)
         sharded = ShardedChain(n_shards=4)
-        pipe = IngestPipeline(sharded, queue_capacity=256, telemetry=tel)
+        pipe = IngestPipeline(sharded, queue_capacity=256)
         coordinator = CrossShardCoordinator(sharded, timeout_rounds=50)
         source = "tenant-a/lot-1"
         target_ns = next(
@@ -400,7 +400,7 @@ class TestPumpAndSealing:
         pipe.submit(locked_tx)
         pipe.pump()
         assert pipe.backlog == 1          # rotated back, not dropped
-        assert queue_metric(tel, "ingest_deferred_total",
+        assert queue_metric("ingest_deferred_total",
                             sharded.router.route(locked_tx)) == 1
         while transfer.state not in ("committed", "aborted"):
             pipe.seal_round()

@@ -14,24 +14,25 @@ from repro.crypto.signatures import KeyPair
 from repro.errors import SerializationError, TamperDetected
 from repro.network import ChainNode, GossipProtocol, NetMessage, SimNet
 from repro.network.message import block_body, tx_body, tx_from_body
-from repro.obs.runtime import Telemetry
+from repro.obs.runtime import reset_default_telemetry, telemetry
 from repro.serialization import canonical_encode
 from repro.sharding import ShardedChain
 from .conftest import data_tx
 
 
 def _net(seed=0):
-    return SimNet(seed=seed, telemetry=Telemetry(sample_every=0))
+    reset_default_telemetry(sample_every=0)
+    return SimNet(seed=seed)
 
 
-def _refused(net, topic, reason="malformed"):
-    return net.telemetry.registry.counter(
+def _refused(topic, reason="malformed"):
+    return telemetry().registry.counter(
         "net_messages_refused_total", topic=topic, reason=reason).value
 
 
-def _no_refusals(net):
+def _no_refusals():
     return not any(key.startswith("net_messages_refused_total")
-                   for key in net.telemetry.registry.snapshot()["counters"])
+                   for key in telemetry().registry.snapshot()["counters"])
 
 
 def _assert_isolated(chains):
@@ -103,7 +104,7 @@ class TestSealedTransactionsCross:
             net.run()
             for node_id in list(received)[1:]:
                 self._assert_same(received[node_id].pop(), tx)
-        assert _no_refusals(net)
+        assert _no_refusals()
 
     def test_shard_tx(self):
         net = _net()
@@ -115,7 +116,7 @@ class TestSealedTransactionsCross:
             net.run()
             shard = sharded.shard(sharded.router.route(tx))
             self._assert_same(shard.mempool.pop_batch(10)[0], tx)
-        assert _no_refusals(net)
+        assert _no_refusals()
 
 
 class TestFailClosed:
@@ -136,7 +137,7 @@ class TestFailClosed:
                              "block": self._truncated(leader.chain)}))
         net.run()
         assert set(cluster.heights().values()) == {0}
-        assert _refused(net, "raft/append") == 1
+        assert _refused("raft/append") == 1
 
     def test_pbft_preprepare(self):
         cluster = PBFTCluster(_net(), n_replicas=4)
@@ -147,7 +148,7 @@ class TestFailClosed:
                              "block": self._truncated(primary.chain)}))
         net.run()
         assert set(cluster.heights().values()) == {0}
-        assert _refused(net, "pbft/preprepare") == 1
+        assert _refused("pbft/preprepare") == 1
 
     @pytest.mark.parametrize("body", [
         {}, {"tx": b"junk"}, {"tx": "not bytes"},
@@ -165,7 +166,7 @@ class TestFailClosed:
         net.send(NetMessage("gw", "gw", "shard_tx", body))
         net.run()
         assert sum(len(s.mempool) for s in sharded.shards) == 0
-        assert _refused(net, "shard_tx") == 1
+        assert _refused("shard_tx") == 1
 
     def test_shard_tx(self):
         # A well-encoded transaction whose nonce is a str, sent by a
@@ -179,7 +180,7 @@ class TestFailClosed:
             payload={"subject": "t0/obj", "key": "k"}, nonce="x"))
         net.run()
         assert sum(len(s.mempool) for s in sharded.shards) == 0
-        assert _refused(net, "shard_tx") == 1
+        assert _refused("shard_tx") == 1
 
     @pytest.mark.parametrize("body", [
         {"item_id": 7, "payload": {}},
@@ -198,7 +199,7 @@ class TestFailClosed:
         net.send(NetMessage("node-0", "node-1", "gossip", body))
         net.run()
         assert delivered == []
-        assert _refused(net, "gossip") == 1
+        assert _refused("gossip") == 1
 
     def test_unroutable_shard_tx_is_malformed(self):
         net = _net()
@@ -208,8 +209,8 @@ class TestFailClosed:
             sender="", kind=TxKind.DATA, payload={"key": "k"}))))
         net.run()
         assert sum(len(s.mempool) for s in sharded.shards) == 0
-        assert _refused(net, "shard_tx") == 1
-        assert _refused(net, "shard_tx", "lock_conflict") == 0
+        assert _refused("shard_tx") == 1
+        assert _refused("shard_tx", "lock_conflict") == 0
 
     def test_full_mempool_and_lock_conflict_are_counted(self):
         net = _net()
@@ -224,7 +225,7 @@ class TestFailClosed:
             client.send_shard_transaction("gw", tx)
         net.run()
         assert len(shard.mempool) == 1
-        assert _refused(net, "shard_tx", "full") == 1
+        assert _refused("shard_tx", "full") == 1
 
         subject = "asset/locked"
         shard_id = sharded.router.shard_for_subject(subject)
@@ -235,7 +236,7 @@ class TestFailClosed:
             payload={"subject": subject, "key": "k", "value": 1}))
         net.run()
         assert len(sharded.shard(shard_id).mempool) == pooled
-        assert _refused(net, "shard_tx", "lock_conflict") == 1
+        assert _refused("shard_tx", "lock_conflict") == 1
 
 
 class TestCarrier:

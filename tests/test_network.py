@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import NetworkError, SyncError
 from repro.network import GossipProtocol, LatencyModel, NetMessage, SimNet
+from repro.obs.runtime import reset_default_telemetry, telemetry
 
 
 def collect_handler(received):
@@ -290,22 +291,22 @@ class TestDepartedRecipients:
     """Replies racing a client disconnect: counted, never raised,
     never silently vanished (gateway_frames_undeliverable_total)."""
 
-    def _undeliverable(self, net, topic):
-        snap = net.telemetry.registry.snapshot()
+    def _undeliverable(self, topic):
+        snap = telemetry().registry.snapshot()
         key = (f'gateway_frames_undeliverable_total'
                f'{{topic="{topic}",transport="simnet"}}')
         return snap["counters"].get(key, 0)
 
     def test_send_to_departed_counts_instead_of_raising(self):
-        from repro.obs.runtime import Telemetry
-        net = SimNet(seed=1, telemetry=Telemetry())
+        reset_default_telemetry()
+        net = SimNet(seed=1)
         net.register("a", lambda m: None)
         net.register("b", lambda m: None)
         net.unregister("b")
         delivered = net.send(NetMessage("a", "b", "reply", {}))
         assert delivered is False
         assert net.stats.messages_dropped == 1
-        assert self._undeliverable(net, "reply") == 1
+        assert self._undeliverable("reply") == 1
 
     def test_never_registered_recipient_still_raises(self):
         net = SimNet(seed=1)
@@ -314,8 +315,8 @@ class TestDepartedRecipients:
             net.send(NetMessage("a", "ghost", "t", {}))
 
     def test_unregister_midflight_counts_at_delivery(self):
-        from repro.obs.runtime import Telemetry
-        net = SimNet(seed=1, telemetry=Telemetry())
+        reset_default_telemetry()
+        net = SimNet(seed=1)
         net.register("a", lambda m: None)
         net.register("b", lambda m: None)
         net.send(NetMessage("a", "b", "reply", {}))   # queued, not delivered
@@ -323,7 +324,7 @@ class TestDepartedRecipients:
         net.run()
         assert net.stats.messages_delivered == 0
         assert net.stats.messages_dropped == 1
-        assert self._undeliverable(net, "reply") == 1
+        assert self._undeliverable("reply") == 1
 
     def test_rejoining_node_receives_again(self):
         received = []

@@ -69,7 +69,6 @@ from repro.errors import (
 )
 from repro.gateway.frames import frame_to_txs, txs_to_frame_body
 from repro.ingest import IngestPipeline
-from repro.obs.runtime import Telemetry
 from repro.persist import codec as codec_module
 from repro.persist.codec import (
     canonical_decode,
@@ -148,8 +147,7 @@ class TestShapePlan:
         assert len(plans) == cap and tuple(fresh) not in plans
 
     def test_ingest_records_with_peer_chosen_keys(self, plans):
-        sharded = ShardedChain(n_shards=2, anchor_batch_size=64,
-                               telemetry=Telemetry())
+        sharded = ShardedChain(n_shards=2, anchor_batch_size=64)
         records = [{"record_id": f"ev-{i:05d}",
                     "subject": f"t{i % 5}/obj-{i % 7}",
                     "timestamp": i, f"x-{i}": {"v": i, f"y-{i}": None}}
@@ -693,8 +691,7 @@ class TestPinnedSliceEqualsReencode:
     def test_sync_offer_anchor_is_pinned(self):
         from repro.verify import bundle_from_mapping, bundle_to_mapping
 
-        sharded = ShardedChain(n_shards=1, anchor_batch_size=2,
-                               telemetry=Telemetry())
+        sharded = ShardedChain(n_shards=1, anchor_batch_size=2)
         sharded.ingest_records([
             {"record_id": f"r{i}", "subject": "t/o", "timestamp": i}
             for i in range(2)])
@@ -911,7 +908,7 @@ class TestVerdictMark:
 # ---------------------------------------------------------------------------
 def open_golden_store(store: str) -> ShardedChain:
     return ShardedChain(n_shards=2, storage_dir=store, anchor_batch_size=4,
-                        checkpoint_every_rounds=2, telemetry=Telemetry())
+                        checkpoint_every_rounds=2)
 
 
 def build_golden_store(store: str) -> None:

@@ -19,9 +19,10 @@ from repro.gateway import GatewayClient, GatewayServer
 from repro.gateway.client import AsyncGatewayClient
 from repro.ingest import IngestPipeline
 from repro.net_retry import RetryPolicy
-from repro.network import ChainNode
+from repro.network import ChainNode, SimNet
 from repro.obs.trace import Tracer
 from repro.persist.durable import DurableStorage
+from repro.rpc import ops_handler
 from repro.sharding import ShardedChain
 from repro.sharding.beacon import BeaconChain
 from repro.sharding.twophase import CrossShardCoordinator
@@ -36,17 +37,16 @@ PINNED = {
         "max_block_txs": 256, "anchor_batch_size": 64, "storage_dir": None,
         "checkpoint_every_rounds": 0, "executor": "serial",
         "exec_workers": None, "contract_runtime_factory": None,
-        "telemetry": None, "lock_lease_rounds": 16,
+        "lock_lease_rounds": 16,
     },
     ShardedChain.spawn_replica: {"node_id": None, "peers": ()},
     IngestPipeline.__init__: {
         "queue_capacity": 8192, "verify_signatures": False,
-        "max_blocks_per_round": 8, "telemetry": None,
+        "max_blocks_per_round": 8,
     },
     IngestPipeline.pump: {},
     GatewayServer.__init__: {
         "host": "127.0.0.1", "port": 0, "auto_seal": False,
-        "telemetry": None,
     },
     GatewayClient.__init__: {"tenant": "default", "policy": None},
     AsyncGatewayClient.connect: {"tenant": "default", "policy": None},
@@ -59,8 +59,12 @@ PINNED = {
     DurableStorage.__init__: {},
     CrossShardCoordinator.__init__: {"timeout_rounds": 3},
     BeaconChain.__init__: {"params": None},
-    Tracer.__init__: {"sample_every": 64},
+    Tracer.__init__: {},
     ChainNode.__init__: {},
+    SimNet.__init__: {
+        "latency": None, "drop_rate": 0.0, "seed": 0, "clock": None,
+    },
+    ops_handler: {},
 }
 
 

@@ -30,7 +30,6 @@ from repro.gateway import GatewayClient, GatewayServer
 from repro.gateway.frames import frame_payload, txs_to_frame_body
 from repro.ingest import IngestPipeline
 from repro.network import ChainNode, LatencyModel, NetMessage, SimNet
-from repro.obs.runtime import Telemetry
 from repro.persist import DurableStorage
 from repro.persist.codec import canonical_decode
 from repro.rpc import decode_frame_payload
@@ -52,7 +51,6 @@ def build_source(storage_dir=None) -> ShardedChain:
     sharded = ShardedChain(
         2, max_block_txs=8, anchor_batch_size=16,
         storage_dir=None if storage_dir is None else str(storage_dir),
-        telemetry=Telemetry(),
     )
     sharded.ingest_records([
         {"record_id": f"r{i:04d}", "subject": f"org{i % 8}/asset-{i % 5}",
@@ -88,10 +86,7 @@ class Deployment:
         self.sharded = build_source(storage_dir)
         self.snapshots = SnapshotServer(self.sharded)
         self.gateway = GatewayServer(
-            IngestPipeline(self.sharded, queue_capacity=queue_capacity,
-                           telemetry=self.sharded.telemetry),
-            telemetry=self.sharded.telemetry,
-        )
+            IngestPipeline(self.sharded, queue_capacity=queue_capacity))
         self.gateway.serve(self.snapshots.service)
         self.net = SimNet(LatencyModel(base=1, jitter=0), seed=5)
         self.node = ChainNode("server", self.net)

@@ -10,10 +10,15 @@ pytest bench modules with ``--benchmark-disable`` — with a temporary
 ``sitecustomize`` first on ``PYTHONPATH``.  It installs
 ``sys.setprofile`` and ``threading.setprofile`` hooks that record every
 code object entered on a ``call`` event and, at interpreter exit, write
-those under ``src/repro/`` to a temporary directory.  The census then
-parses every module under ``src/repro/`` and prints, per file, the
-functions no entry point entered.  Packages matched by ``--skip`` (the
-survey packages, passed by ``make census``) are left out, and so are
+those under ``src/repro/`` to a temporary directory, one directory per
+entry point.  The census then parses every module under ``src/repro/``
+and prints, per file, the functions no entry point entered; after that,
+per entry point, the functions that it alone entered.  Those are the
+ones a run can gain or lose when that entry point takes another path
+(a pump that happens to quarantine, a retry that happens to fire), so a
+count that drifts between two runs of unchanged code is attributed by
+diffing that second list.  Packages matched by ``--skip`` (the survey
+packages, passed by ``make census``) are left out, and so are
 ``@abstractmethod`` and ``Protocol`` stubs, which are never run.
 
 Blind spot: forked exec workers leave through ``os._exit``, so what they
@@ -172,16 +177,18 @@ def run_census(out_dir: str) -> list[str]:
     records = Path(out_dir) / "records"
     records.mkdir()
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               CENSUS_OUT=str(records), CENSUS_SRC=str(SRC) + os.sep,
+               CENSUS_SRC=str(SRC) + os.sep,
                PYTHONPATH=os.pathsep.join([str(hook_dir), str(ROOT / "src")]))
     failed = []
     for label, argv in entry_points():
         t0 = time.perf_counter()
-        traces = len(list(records.iterdir()))
-        proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True,
-                              text=True)
+        out = records / label
+        out.mkdir()
+        proc = subprocess.run(argv, cwd=ROOT,
+                              env=dict(env, CENSUS_OUT=str(out)),
+                              capture_output=True, text=True)
         status = "ok" if proc.returncode == 0 else f"exit {proc.returncode}"
-        if status == "ok" and len(list(records.iterdir())) == traces:
+        if status == "ok" and not any(out.iterdir()):
             status = "no trace"
         print(f"  {label:<40} {status:>8} {time.perf_counter() - t0:7.1f} s",
               flush=True)
@@ -191,22 +198,34 @@ def run_census(out_dir: str) -> list[str]:
     return failed
 
 
-def entered(out_dir: str) -> set[tuple[str, int]]:
-    seen = set()
-    for path in (Path(out_dir) / "records").glob("*.txt"):
+def entered_by(out_dir: str) -> dict[tuple[str, int], set[str]]:
+    """Each ``(file, first line)`` entered, with the entry points that
+    entered it: the names of the record directories holding it."""
+    by: dict[tuple[str, int], set[str]] = {}
+    for path in (Path(out_dir) / "records").rglob("*.txt"):
         for line in path.read_text().splitlines():
             filename, _, lineno = line.rpartition(":")
-            seen.add((filename, int(lineno)))
-    return seen
+            by.setdefault((filename, int(lineno)), set()).add(
+                path.parent.name)
+    return by
+
+
+def entered(out_dir: str) -> set[tuple[str, int]]:
+    return set(entered_by(out_dir))
+
+
+def _modules(skip: str):
+    """``(path, path relative to src/repro)`` of each module reported."""
+    skipped = re.compile(rf"^({skip})/") if skip else None
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if skipped is None or not skipped.match(rel):
+            yield path, rel
 
 
 def report(seen: set[tuple[str, int]], skip: str) -> int:
-    skipped = re.compile(rf"^({skip})/") if skip else None
     total = files = 0
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
-        if skipped is not None and skipped.match(rel):
-            continue
+    for path, rel in _modules(skip):
         if rel in UNTRACED:
             print(f"\nsrc/repro/{rel}: untraced ({UNTRACED[rel]})")
             continue
@@ -223,6 +242,29 @@ def report(seen: set[tuple[str, int]], skip: str) -> int:
     return total
 
 
+def report_sole(by: dict[tuple[str, int], set[str]], skip: str) -> int:
+    """Print, per entry point, the functions no other entry point
+    entered; returns how many there are."""
+    sole: dict[str, list[str]] = {}
+    for path, rel in _modules(skip):
+        if rel in UNTRACED:
+            continue
+        for line, name in functions(path):
+            labels = by.get((str(path), line), ())
+            if len(labels) == 1:
+                [label] = labels
+                sole.setdefault(label, []).append(
+                    f"src/repro/{rel}:{line}  {name}")
+    print("\nfunctions exactly one entry point entered:")
+    for label in sorted(sole):
+        print(f"\n{label}: {len(sole[label])}")
+        for entry in sole[label]:
+            print(f"    {entry}")
+    total = sum(len(entries) for entries in sole.values())
+    print(f"\n{total} functions were entered by exactly one entry point")
+    return total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--skip", default="",
@@ -234,9 +276,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="call-census-") as out_dir:
         print("entry points:")
         failed = run_census(out_dir)
-        seen = entered(out_dir)
+        by = entered_by(out_dir)
     after = _git_status()
-    report(seen, args.skip)
+    report(set(by), args.skip)
+    report_sole(by, args.skip)
     code = 0
     if failed:
         print(f"\nincomplete: {len(failed)} entry points failed: "
