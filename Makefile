@@ -32,9 +32,9 @@ test-sync:
 test-exec:
 	$(PYTHON) -m pytest tests/test_exec.py tests/test_compressed_frames.py -q
 
-# Observability suite only: metrics registry, span tracing (incl.
-# cross-process propagation + worker-kill fallback), accessor
-# regressions, the ops op over SimNet.
+# Observability suite only: metrics registry, span tracing (incl. the
+# process engine's exec span recorded in the parent + worker-kill
+# fallback), accessor regressions, the ops op over SimNet.
 test-obs:
 	$(PYTHON) -m pytest tests/test_obs.py -q
 
@@ -272,7 +272,12 @@ setup-split:
 # Nor may telemetry reach a layer by a second route: every layer reports
 # to the process default, so no `telemetry=` keyword, no `.telemetry`
 # attribute and no `Telemetry(` outside obs/runtime.py (isolation is
-# `reset_default_telemetry`), and no JSON-lines exporter.
+# `reset_default_telemetry`), and no JSON-lines exporter.  Nor may
+# telemetry leave its process again: an exec worker returns results, not
+# spans or counter deltas, so no wire form of a trace context or span, no
+# span-row drain or merge, no counter-delta drain or merge and no
+# cross-process span-id prefix or at-fork hook — anywhere in src, tests,
+# benchmarks, examples or tools.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -387,6 +392,8 @@ lint-private:
 	@! grep -rnE '\btelemetry=|\.telemetry\.|self\.telemetry\b|\bTelemetry\(|write_jsonl' \
 	    src tests benchmarks examples tools --include='*.py' \
 	    | grep -vE '^(src/repro/obs/runtime|benchmarks/_harness)\.py:'
+	@! grep -rnE '\b(to_wire|from_wire|span_rows|ingest_rows|drain_counter_deltas|merge_counter_deltas|_PID_PREFIX|register_at_fork|_merge_worker_telemetry|_telemetry_payload)\b' \
+	    src tests benchmarks examples tools --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -51,6 +51,16 @@ stores).  That buys three things:
    and expected hash, so a corrupted or truncated IPC payload is
    detected at the boundary, same as a corrupted log frame.
 
+Telemetry does not cross the pipe.  A job frame carries no trace
+context and an ``ok`` reply no span or counter: it carries ``exec_s``,
+the seconds its execution took, beside the deltas, root and height.
+The parent counts ``exec_worker_blocks_total`` /
+``exec_worker_txs_total`` from the replies it commits and records
+``exec.apply_blocks`` from ``exec_s`` under the round's trace context
+(:meth:`~repro.obs.trace.Tracer.record_span`), so the round's trace
+still chains submit → exec → commit → fsync and the worker keeps no
+registry anyone reads.
+
 Why beacon commitments stay byte-identical
 ------------------------------------------
 

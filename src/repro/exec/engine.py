@@ -50,10 +50,12 @@ class ProcessRoundEngine:
         self._runtime_factory = runtime_factory
         tel = telemetry()
         self._tracer = tel.tracer
-        self._registry = registry = tel.registry
+        registry = tel.registry
         self._m_seal_shard_s = registry.histogram("seal_shard_seconds")
         self._m_offloaded = registry.counter("exec_rounds_offloaded_total")
         self._m_fallback = registry.counter("exec_fallback_total")
+        self._m_worker_blocks = registry.counter("exec_worker_blocks_total")
+        self._m_worker_txs = registry.counter("exec_worker_txs_total")
         self.pool: ProcessExecPool | None = None
         self._replicas: dict[int, tuple[int, int, int, bytes]] = {}
 
@@ -133,11 +135,6 @@ class ProcessRoundEngine:
             "base_root": base_root,
             "blocks": job.frames,
         }
-        if job.trace_ctx is not None and job.trace_ctx.sampled:
-            # Trace context rides the canonical job frame; the worker's
-            # exec span re-parents onto it and its rows merge back with
-            # the reply (see repro.exec.worker).
-            body["trace"] = job.trace_ctx.to_wire()
         recorded = self._replicas.get(job.shard.shard_id)
         if recorded != (job.widx, pool.epoch(job.widx), base_height,
                         base_root):
@@ -159,13 +156,14 @@ class ProcessRoundEngine:
                 reply = canonical_decode(response)
             except Exception:  # noqa: BLE001 - treat as worker failure
                 reply = None
-        if reply is not None:
-            # Merge the worker's telemetry delta whatever the status —
-            # an error reply still did (and should account for) work.
-            self._merge_worker_telemetry(reply.get("telemetry"))
         if reply is not None and reply.get("status") == "ok":
             try:
                 chain = shard.chain
+                self._tracer.record_span(
+                    "exec.apply_blocks", job.trace_ctx,
+                    reply["exec_s"],
+                    chain=chain.chain_id, blocks=len(job.blocks),
+                )
                 deltas = [
                     [(op[0], op[1], bool(op[2]), op[3]) for op in ops]
                     for ops in reply["deltas"]
@@ -178,6 +176,8 @@ class ProcessRoundEngine:
                     job.widx, pool.epoch(job.widx),
                     chain.height, reply["state_root"],
                 )
+                self._m_worker_blocks.inc(len(job.blocks))
+                self._m_worker_txs.inc(job.txs_sealed)
                 return
             except Exception:  # noqa: BLE001 - fall back in-process
                 pass
@@ -187,20 +187,3 @@ class ProcessRoundEngine:
         self._m_fallback.inc()
         self._replicas.pop(shard.shard_id, None)
         shard.append_popped(job.blocks)
-
-    def _merge_worker_telemetry(self, payload) -> None:
-        """Fold a worker reply's ``telemetry`` dict (span rows plus
-        counter deltas, both canonical-encodable) into this process's
-        registry and tracer.  Absent or malformed payloads are ignored
-        — telemetry must never fail a commit."""
-        if not isinstance(payload, dict):
-            return
-        try:
-            spans = payload.get("spans")
-            if spans:
-                self._tracer.ingest_rows(spans)
-            deltas = payload.get("counters")
-            if deltas:
-                self._registry.merge_counter_deltas(deltas)
-        except Exception:  # noqa: BLE001 - observability is best-effort
-            pass

@@ -9,9 +9,10 @@ why the codec doubles as the IPC format):
 
 * ``exec`` — decode a group of block frames, check their structure and
   execute them against the replica, and return per-block net state
-  deltas + the post-group state root (receipts are not stored, so none
-  is shipped back).  The parent checks signatures and applies the
-  deltas; the worker holds no key and never touches durable storage.
+  deltas, the post-group state root and height, and ``exec_s``, the
+  seconds the execution took (receipts are not stored, so none is
+  shipped back).  The parent checks signatures and applies the deltas;
+  the worker holds no key and never touches durable storage.
 * ``ping`` / ``shutdown`` — liveness and orderly teardown.
 
 Replica consistency is checked per job: the parent sends the base height
@@ -30,12 +31,11 @@ refuses to construct when it returns true, which is the guard behind the
 from __future__ import annotations
 
 import os
+import time
 from typing import Any
 
 from ..chain.blockchain import default_executor, execute_block
 from ..chain.state import StateStore
-from ..obs.runtime import reset_default_telemetry, telemetry
-from ..obs.trace import TraceContext
 from ..persist.codec import canonical_decode, decode_block
 from ..serialization import canonical_encode
 
@@ -71,15 +71,6 @@ class _ShardReplica:
         self.height = 0
         self.state = StateStore()
         self.shim = _ChainShim(contract_runtime)
-
-
-def _telemetry_payload() -> dict:
-    """This worker's telemetry delta since the last reply: finished
-    span rows plus counter increments, both canonical-encodable.  The
-    parent merges them (``ProcessRoundEngine._merge_worker_telemetry``)."""
-    tel = telemetry()
-    return {"spans": tel.tracer.span_rows(drain=True),
-            "counters": tel.registry.drain_counter_deltas()}
 
 
 def _handle_probe_storage(job: dict) -> dict:
@@ -119,34 +110,24 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
             "have_height": -1 if replica is None else replica.height,
         }
     deltas_out: list[list[list[Any]]] = []
-    tel = telemetry()
-    tracer = tel.tracer
-    trace_ctx = TraceContext.from_wire(job.get("trace"))
-    txs_executed = 0
+    t0 = time.perf_counter()
     try:
-        # The worker-side half of the round trace: parented on the
-        # context shipped in the job frame, so the merged span tree
-        # chains submit → worker exec → parent commit.
-        with tracer.span("exec.apply_blocks", parent=trace_ctx) as span:
-            span.set_attr("chain", chain_id)
-            span.set_attr("blocks", len(job["blocks"]))
-            for frame in job["blocks"]:
-                block = decode_block(frame)
-                block.verify_structure()
-                for tx in block.transactions:
-                    tx.validate()
-                # No per-block rollback: any failure drops the whole
-                # replica below.  The snapshot only scopes the delta.
-                snap = replica.state.snapshot()
-                execute_block(block, replica.state, default_executor,
-                              replica.shim)
-                deltas_out.append(
-                    [[ns, key, present, value]
-                     for ns, key, present, value
-                     in replica.state.drain_snapshot_delta(snap)]
-                )
-                replica.height = block.height
-                txs_executed += len(block.transactions)
+        for frame in job["blocks"]:
+            block = decode_block(frame)
+            block.verify_structure()
+            for tx in block.transactions:
+                tx.validate()
+            # No per-block rollback: any failure drops the whole
+            # replica below.  The snapshot only scopes the delta.
+            snap = replica.state.snapshot()
+            execute_block(block, replica.state, default_executor,
+                          replica.shim)
+            deltas_out.append(
+                [[ns, key, present, value]
+                 for ns, key, present, value
+                 in replica.state.drain_snapshot_delta(snap)]
+            )
+            replica.height = block.height
     except BaseException as exc:  # noqa: BLE001 - reported, not fatal
         # Earlier blocks of the group already mutated the replica; drop
         # it so the next job re-syncs rather than executing on a state
@@ -154,15 +135,12 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
         replicas.pop(chain_id, None)
         return {"status": "error",
                 "error": f"{type(exc).__name__}: {exc}"}
-    finally:
-        registry = tel.registry
-        registry.counter("exec_worker_blocks_total").inc(len(deltas_out))
-        registry.counter("exec_worker_txs_total").inc(txs_executed)
     return {
         "status": "ok",
         "deltas": deltas_out,
         "state_root": replica.state.state_root(),
         "height": replica.height,
+        "exec_s": time.perf_counter() - t0,
     }
 
 
@@ -170,10 +148,6 @@ def worker_main(conn, runtime_factory=None) -> None:
     """Serve jobs on ``conn`` until EOF or a ``shutdown`` message."""
     global _IN_WORKER
     _IN_WORKER = True
-    # The fork copied the parent's registry mid-flight; worker counters
-    # must start at zero so the deltas shipped back with each reply (see
-    # _telemetry_payload) are the worker's own.
-    reset_default_telemetry()
     replicas: dict[str, _ShardReplica] = {}
     while True:
         try:
@@ -193,7 +167,6 @@ def worker_main(conn, runtime_factory=None) -> None:
                 response = {"status": "ok", "pid": os.getpid()}
             elif kind == "exec":
                 response = _handle_exec(job, replicas, runtime_factory)
-                response["telemetry"] = _telemetry_payload()
             elif kind == "probe_storage":
                 response = _handle_probe_storage(job)
             else:

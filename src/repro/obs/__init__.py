@@ -23,7 +23,7 @@ started under an unsampled (or absent) trace context is the no-op
 singleton — ``benchmarks/bench_obs.py`` asserts the instrumented hot
 submit path stays within 5% of the uninstrumented one.
 
-**2. One process, one telemetry — and workers merge in.**
+**2. One process, one telemetry — and it stays in its process.**
 :func:`repro.obs.runtime.telemetry` returns the process-default
 :class:`~repro.obs.runtime.Telemetry` (registry + tracer), and it is the
 only one any layer reports to: no constructor takes a telemetry
@@ -32,17 +32,15 @@ persist fsync counters, the signature-mark counters, the recovery and
 sync spans all land in one registry and one tracer.  A second route
 would split the picture — a span opened on one tracer finds no parent
 on the other, and a snapshot of one registry misses the other's
-series.  Isolation (tests, benchmarks, a worker after fork) is
+series.  Isolation (tests, benchmarks) is
 :func:`~repro.obs.runtime.reset_default_telemetry`, called before the
-stacks under test are built.  Exec worker processes run their own
-default (reset after fork); their span records
-and counter deltas ride the existing canonical reply frames of
-``exec/worker.py`` and are merged into the parent's registry and tracer
-by the process round engine as each shard's result lands, so a cross-process
-seal still produces one coherent trace tree and one counter space.
-Trace context travels the other way inside the job frame (``trace_id``,
-parent span id, sampled flag) — the same canonical codec that carries
-the block frames carries the context, no side channel.
+stacks under test are built.  Nothing telemetric crosses a process
+boundary: an exec worker's reply carries the seconds its execution
+took, and the process round engine counts the blocks and transactions
+it commits and records the ``exec.apply_blocks`` span under the round's
+trace context (:meth:`~repro.obs.trace.Tracer.record_span`), so a
+process-engine seal still produces one trace tree and one counter space
+with no wire form of a span, a context or a counter.
 
 **3. Accessors stay; their counters move.**  ``signatures.cache_stats()``
 (one entry, ``verify_signature``: re-checks answered by the verdict a

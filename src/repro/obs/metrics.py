@@ -149,7 +149,6 @@ class MetricsRegistry:
         # Weak refs: a collector belongs to some subsystem instance;
         # when that dies, its callback silently leaves the registry.
         self._collectors: list[weakref.ref] = []
-        self._drained: dict[tuple[str, LabelsT], int] = {}
 
     # ------------------------------------------------------------------
     # Instruments
@@ -269,26 +268,3 @@ class MetricsRegistry:
             lines.append(f"{name}_sum{suffix} {hist['sum']}")
             lines.append(f"{name}_count{suffix} {hist['count']}")
         return "\n".join(lines) + "\n"
-
-    # ------------------------------------------------------------------
-    # Cross-process merge (exec workers ship counter deltas)
-    # ------------------------------------------------------------------
-    def drain_counter_deltas(self) -> list[list]:
-        """Counter increments since the previous drain, as canonical-
-        encodable ``[name, {label: value}, delta]`` rows.  The worker
-        side of the merge: called per reply so the parent sees deltas,
-        never cumulative double-counts."""
-        out: list[list] = []
-        with self._lock:
-            for key, counter in self._counters.items():
-                prev = self._drained.get(key, 0)
-                delta = counter.value - prev
-                if delta:
-                    self._drained[key] = counter.value
-                    out.append([counter.name, dict(counter.labels), delta])
-        return out
-
-    def merge_counter_deltas(self, deltas: Iterable[Iterable]) -> None:
-        """Apply drained deltas from another registry (another process)."""
-        for name, labels, delta in deltas:
-            self.counter(str(name), **dict(labels)).inc(int(delta))

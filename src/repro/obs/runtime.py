@@ -8,10 +8,10 @@ the layers below it open.  Tests and benchmarks that need isolation
 call :func:`reset_default_telemetry` before they build the stacks they
 measure; each stack keeps the instruments it took at construction.
 
-Exec worker processes call :func:`reset_default_telemetry` on startup:
-after a ``fork`` the child would otherwise inherit (and double-report)
-the parent's counters.  The worker's registry/tracer then feed the
-parent through drained deltas and span rows on each reply.
+Telemetry stays in its process.  An exec worker reports none: its
+reply carries the seconds its execution took, and the parent counts
+the work and records the span itself (:mod:`repro.exec.engine`), so a
+worker never resets, reads or ships the registry its fork copied.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def telemetry() -> Telemetry:
 
 def reset_default_telemetry(sample_every: int = DEFAULT_SAMPLE_EVERY
                             ) -> Telemetry:
-    """Replace the process default with a fresh instance (tests; worker
-    startup after fork).  Subsystems holding instrument handles from the
+    """Replace the process default with a fresh instance (tests and
+    benchmarks).  Subsystems holding instrument handles from the
     old instance keep them — only *new* lookups see the fresh one, so
     call this before constructing the stacks under test."""
     global _DEFAULT

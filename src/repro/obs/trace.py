@@ -1,4 +1,4 @@
-"""Span-based tracing with sampling and cross-process propagation.
+"""Span-based tracing with sampling.
 
 A **trace** follows one sampled transaction (or one sync, one round)
 through the system; a **span** is one timed operation within it.  Spans
@@ -6,8 +6,7 @@ parent two ways:
 
 * explicitly — ``tracer.span(name, parent=ctx)`` with a
   :class:`TraceContext` carried across layer boundaries (bound to a
-  transaction id at submit, or shipped inside an exec job frame to a
-  worker process);
+  transaction id at submit and taken back when its round seals);
 * implicitly — ``tracer.span(name)`` with no parent attaches to the
   innermost active span *on the current thread*, which is how the
   persist layer's fsync span lands under whatever seal/commit span is
@@ -20,47 +19,33 @@ pays one countdown decrement at the root and one ``is None``/flag check
 per would-be child.  Finished spans land in a bounded ring buffer;
 nothing here ever blocks or raises into the instrumented code.
 
-Cross-process: :meth:`TraceContext.to_wire` /
-:meth:`Tracer.span_rows` / :meth:`Tracer.ingest_rows` are the
-canonical-encodable halves the exec pool uses to ship context down to
-workers and finished worker spans back up.
+Tracing stays in its process: no context or span crosses a pipe or a
+socket.  Work done elsewhere — an exec worker's block execution — is
+reported back as a plain duration, and the process that asked for it
+records the span itself with :meth:`Tracer.record_span` under the
+context it already holds, so the trace tree is whole without a wire
+form of either.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 _IDS = itertools.count(1)
 
-# The pid prefix is cached: os.getpid() is a real syscall on some
-# kernels (tens of µs under syscall-filtering sandboxes), far too slow
-# to pay per span id.  The at-fork hook keeps worker-minted ids unique.
-_PID_PREFIX = f"{os.getpid():x}"
-
-
-def _refresh_pid_prefix() -> None:
-    global _PID_PREFIX
-    _PID_PREFIX = f"{os.getpid():x}"
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_refresh_pid_prefix)
-
 
 def _new_id() -> str:
-    # Unique per process (counter) and across processes (pid prefix):
-    # worker-minted span ids can merge into the parent without clashes.
-    return f"{_PID_PREFIX}-{next(_IDS):x}"
+    # Unique within the process, the only place a span id is read.
+    return f"{next(_IDS):x}"
 
 
 class TraceContext(NamedTuple):
-    """What crosses a boundary: enough to parent a remote child span.
+    """What crosses a layer boundary: enough to parent a child span.
 
     A ``NamedTuple`` rather than a dataclass: one is minted per sampled
     span on the hot path, and tuple construction is several times
@@ -70,19 +55,6 @@ class TraceContext(NamedTuple):
     trace_id: str
     span_id: str
     sampled: bool = True
-
-    def to_wire(self) -> dict:
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "sampled": self.sampled}
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, Any] | None
-                  ) -> "TraceContext | None":
-        if not wire:
-            return None
-        return cls(trace_id=str(wire["trace_id"]),
-                   span_id=str(wire["span_id"]),
-                   sampled=bool(wire.get("sampled", True)))
 
 
 @dataclass
@@ -98,21 +70,14 @@ class SpanRecord:
     status: str = "ok"
     attrs: dict[str, Any] = field(default_factory=dict)
 
-    def to_row(self) -> list:
-        """Canonical-encodable row (worker → parent wire form)."""
-        return [self.name, self.trace_id, self.span_id,
-                self.parent_id or "", self.start_s, self.duration_s,
-                self.status, dict(self.attrs)]
-
     @classmethod
-    def from_row(cls, row: Iterable) -> "SpanRecord":
-        name, trace_id, span_id, parent_id, start, dur, status, attrs = \
-            list(row)
-        return cls(name=str(name), trace_id=str(trace_id),
-                   span_id=str(span_id),
-                   parent_id=str(parent_id) or None,
-                   start_s=float(start), duration_s=float(dur),
-                   status=str(status), attrs=dict(attrs))
+    def from_row(cls, row: list) -> "SpanRecord":
+        """A span of this process's ring buffer (a root's parent id is
+        stored as ``""``); the attrs are copied, so a reader's edit does
+        not reach the buffer."""
+        name, trace_id, span_id, parent_id, start, dur, status, attrs = row
+        return cls(name, trace_id, span_id, parent_id or None, start, dur,
+                   status, dict(attrs))
 
 
 class _NoopSpan:
@@ -177,8 +142,8 @@ class Span:
         stack = getattr(tracer._tls, "stack", None)
         if stack and stack[-1] is self:
             stack.pop()
-        # The finished span lands in the ring buffer already in wire-row
-        # form; SpanRecord objects are materialized lazily by readers.
+        # The finished span lands in the ring buffer as a plain row;
+        # SpanRecord objects are materialized lazily by readers.
         ctx = self.ctx
         tracer._spans.append(
             [self.name, ctx.trace_id, ctx.span_id, self.parent_id or "",
@@ -199,8 +164,9 @@ class Tracer:
             raise ValueError("sample_every must be >= 0")
         self.sample_every = sample_every
         self._countdown = 1 if sample_every else 0
-        # Finished spans, kept in wire-row form (see SpanRecord.to_row):
-        # cheap to append on span exit, materialized only when read.
+        # Finished spans, kept as rows in SpanRecord field order (see
+        # SpanRecord.from_row): cheap to append on span exit,
+        # materialized only when read.
         self._spans: deque[list] = deque(maxlen=self.MAX_SPANS)
         self._tls = threading.local()
         # tx_id -> TraceContext for sampled submits awaiting their seal.
@@ -246,6 +212,19 @@ class Tracer:
         return Span(self, name, trace_id=parent.trace_id,
                     parent_id=parent.span_id)
 
+    def record_span(self, name: str, parent: TraceContext | None,
+                    duration_s: float, **attrs: Any) -> None:
+        """Append a finished child span of ``parent`` that ran for
+        ``duration_s`` and ended now — work timed outside this process
+        (an exec worker's execution) recorded under the context this
+        process holds.  Nothing is recorded without a sampled parent."""
+        if parent is None or not parent.sampled:
+            return
+        self._spans.append(
+            [name, parent.trace_id, _new_id(), parent.span_id,
+             time.time() - duration_s, duration_s, "ok", attrs]
+        )
+
     # ------------------------------------------------------------------
     # Transaction binding (submit → seal correlation)
     # ------------------------------------------------------------------
@@ -274,7 +253,7 @@ class Tracer:
         return found
 
     # ------------------------------------------------------------------
-    # Export / merge
+    # Export
     # ------------------------------------------------------------------
     def spans(self) -> list[SpanRecord]:
         return [SpanRecord.from_row(r) for r in self._spans]
@@ -282,23 +261,3 @@ class Tracer:
     def find_spans(self, trace_id: str) -> list[SpanRecord]:
         return [SpanRecord.from_row(r) for r in self._spans
                 if r[1] == trace_id]
-
-    def span_rows(self, drain: bool = True) -> list[list]:
-        """Finished spans as canonical-encodable rows (worker reply)."""
-        rows = list(self._spans)
-        if drain:
-            self._spans.clear()
-        return rows
-
-    def ingest_rows(self, rows: Iterable[Iterable]) -> int:
-        """Merge foreign (worker-process) span rows into this buffer."""
-        n = 0
-        for row in rows:
-            try:
-                # Round-trip through SpanRecord: validates the shape and
-                # normalizes types before the row enters the buffer.
-                self._spans.append(SpanRecord.from_row(row).to_row())
-                n += 1
-            except (TypeError, ValueError, KeyError):
-                continue  # a malformed row must not poison the merge
-        return n

@@ -91,6 +91,17 @@ class QueryCache:
         return len(self._entries)
 
 
+def _fresh(result: Any) -> Any:
+    """A copy of a query answer the caller may edit: a new list, and a
+    new dict per record — the rule the record stores read by
+    (:meth:`~repro.persist.stores.RecordStore.get`)."""
+    if isinstance(result, dict):
+        return dict(result)
+    if isinstance(result, list):
+        return [dict(r) if isinstance(r, dict) else r for r in result]
+    return result
+
+
 class ProvenanceQueryEngine:
     """Queries over the provenance database, graph, and chain anchors."""
 
@@ -202,17 +213,21 @@ class ProvenanceQueryEngine:
     # Plumbing
     # ------------------------------------------------------------------
     def _cached(self, key: tuple, producer: Callable[[], Any]) -> Any:
+        """``producer()``'s answer, through the cache when there is one.
+        The cache keeps its own copy and every caller gets a fresh one,
+        so an answer a caller edits changes no later answer."""
         self.stats.queries += 1
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 self._count(hit)
-                return hit
+                return _fresh(hit)
             self.stats.cache_misses += 1
         result = producer()
         if self.cache is not None:
             self.cache.put(key, result)
+            result = _fresh(result)
         self._count(result)
         return result
 

@@ -296,6 +296,27 @@ class TestQueryEngine:
         assert query.stats.proofs_verified == verified + 8
         assert query.stats.cache_misses == misses + 1
 
+    def test_edited_answer_changes_no_later_answer(self):
+        """The cache keeps its own copy: a caller that edits a history
+        answer — the miss that fills the cache or a hit — changes
+        neither a later answer nor its verification."""
+        sharded = ShardedChain(2, anchor_batch_size=4)
+        subject = "t0/obj"
+        sharded.ingest_records([generic_record(i, subject=subject)
+                                for i in range(8)])
+        sharded.seal_round()
+        query = sharded.shard_for_subject(subject).query
+        first = query.history(subject)          # the miss fills the cache
+        pristine = [dict(record) for record in first]
+        for answer in (first, query.history(subject)):  # then a hit
+            answer[0]["forged"] = True
+            answer.append(generic_record(99, subject=subject))
+        assert query.stats.cache_hits == 1
+        assert query.history(subject) == pristine
+        verified = ShardedQueryEngine(sharded).history_verified(subject)
+        assert verified.verified
+        assert list(verified.records) == pristine
+
     def test_cache_lru_eviction(self):
         cache = QueryCache(capacity=2)
         cache.put(("a",), 1)

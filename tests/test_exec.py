@@ -20,6 +20,7 @@ from repro.crypto.hashing import hash_hex
 from repro.crypto.signatures import KeyPair
 from repro.errors import InvalidTransaction, ShardError, StorageError
 from repro.exec.pool import ProcessExecPool
+from repro.ingest import IngestPipeline
 from repro.persist import DurableStorage
 from repro.persist.codec import canonical_decode
 from repro.serialization import canonical_encode
@@ -242,6 +243,104 @@ class TestPoolMechanics:
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(ShardError):
             ProcessExecPool(0)
+
+    def test_frames_carry_no_telemetry(self, tmp_path, monkeypatch,
+                                       traced_telemetry):
+        """Every root is sampled, yet no job frame carries a trace
+        context and no ``ok`` reply a span or counter: a reply is the
+        deltas, root, height and the seconds the execution took."""
+        sent: list[bytes] = []
+        replies: list[bytes] = []
+        run_jobs = ProcessExecPool.run
+
+        def recording(pool, jobs):
+            sent.extend(payload for _, payload in jobs)
+            for index, response in run_jobs(pool, jobs):
+                replies.append(response)
+                yield index, response
+
+        monkeypatch.setattr(ProcessExecPool, "run", recording)
+        sc = ShardedChain(2, max_block_txs=8,
+                          storage_dir=str(tmp_path / "store"),
+                          executor="process", exec_workers=2)
+        try:
+            pipeline = IngestPipeline(sc, queue_capacity=64)
+            for tag in ("a", "b"):
+                pipeline.submit_many([
+                    Transaction(sender=f"acct-{i % 5}", kind=TxKind.DATA,
+                                payload={"key": f"{tag}{i}", "value": i},
+                                nonce=i, timestamp=10 + i).seal()
+                    for i in range(16)
+                ])
+                pipeline.run_until_drained()
+        finally:
+            sc.close()
+        jobs = [canonical_decode(payload) for payload in sent]
+        job_keys = {"kind", "chain", "base_height", "base_root", "blocks"}
+        assert {frozenset(job) for job in jobs} == {
+            frozenset(job_keys | {"state"}), frozenset(job_keys)}
+        decoded = [canonical_decode(reply) for reply in replies]
+        assert decoded and all(reply["status"] == "ok" for reply in decoded)
+        for reply in decoded:
+            assert set(reply) == {"status", "deltas", "state_root",
+                                  "height", "exec_s"}
+            assert isinstance(reply["exec_s"], float)
+            assert reply["exec_s"] >= 0.0
+        assert any(s.name == "exec.apply_blocks"
+                   for s in traced_telemetry.tracer.spans())
+
+    @staticmethod
+    def _drive_two_rounds(store_dir: str) -> tuple[int, list[int]]:
+        """Two drained rounds of 16 data txs on a 2-shard process
+        deployment; returns (txs committed, shard heights)."""
+        sc = ShardedChain(2, max_block_txs=8, storage_dir=store_dir,
+                          executor="process", exec_workers=2)
+        try:
+            pipeline = IngestPipeline(sc, queue_capacity=64)
+            for tag in ("a", "b"):
+                pipeline.submit_many([
+                    Transaction(sender=f"acct-{i % 5}", kind=TxKind.DATA,
+                                payload={"key": f"{tag}{i}", "value": i},
+                                nonce=i, timestamp=10 + i).seal()
+                    for i in range(16)
+                ])
+                pipeline.run_until_drained()
+            return sc.total_txs_committed, [
+                sc.shard(s).chain.height for s in range(2)]
+        finally:
+            sc.close()
+
+    def test_worker_counters_equal_committed_work(self, tmp_path,
+                                                  traced_telemetry):
+        """With no fallback, the parent's worker counters are exactly
+        the blocks and transactions the committed replies carried."""
+        committed, heights = self._drive_two_rounds(str(tmp_path / "s"))
+        counters = traced_telemetry.snapshot()["counters"]
+        assert counters["exec_fallback_total"] == 0
+        assert counters["exec_worker_blocks_total"] == sum(heights) > 0
+        assert counters["exec_worker_txs_total"] == committed == 32
+
+    def test_error_replies_count_no_worker_work(self, tmp_path, monkeypatch,
+                                               traced_telemetry):
+        """A worker reply the parent does not commit adds nothing to the
+        worker counters and records no exec span: every round falls
+        back in-process and still commits every transaction."""
+        run_jobs = ProcessExecPool.run
+
+        def failing(pool, jobs):
+            for index, response in run_jobs(pool, jobs):
+                yield index, canonical_encode(
+                    {"status": "error", "error": "injected"})
+
+        monkeypatch.setattr(ProcessExecPool, "run", failing)
+        committed, heights = self._drive_two_rounds(str(tmp_path / "s"))
+        assert committed == 32 and sum(heights) > 0
+        counters = traced_telemetry.snapshot()["counters"]
+        assert counters["exec_fallback_total"] > 0
+        assert counters["exec_worker_blocks_total"] == 0
+        assert counters["exec_worker_txs_total"] == 0
+        assert not any(s.name == "exec.apply_blocks"
+                       for s in traced_telemetry.tracer.spans())
 
 
 class TestForkGuards:

@@ -3,14 +3,14 @@
 Four layers of coverage:
 
 * unit behavior of the metrics registry (counters/gauges/histograms,
-  labels, collectors, Prometheus export, cross-process
-  counter deltas) and the tracer (decimation sampling, implicit
-  nesting, wire round trips, bounded buffers);
+  labels, collectors, Prometheus export) and the tracer (decimation
+  sampling, implicit nesting, spans recorded from a duration, bounded
+  buffers);
 * accessor regressions — ``sig.cache_stats()`` and ``SimNet.stats``
   keep their pre-telemetry shapes while now being registry-backed;
 * end-to-end trace propagation: a sampled submit's trace id is an
-  ancestor of the exec worker's apply span (merged back across the
-  process boundary) and of the persist layer's fsync span — including
+  ancestor of the exec apply span (recorded by the parent from the
+  worker's reply) and of the persist layer's fsync span — including
   when the worker is killed mid-deployment and execution falls back
   in-process;
 * ``ops/metrics`` over SimNet: gateway and live replica both answer a
@@ -35,7 +35,7 @@ from repro.obs.runtime import (
     reset_default_telemetry,
     telemetry,
 )
-from repro.obs.trace import NOOP_SPAN, SpanRecord, TraceContext, Tracer
+from repro.obs.trace import NOOP_SPAN, TraceContext, Tracer
 from repro.sync.server import SnapshotServer
 
 N_SHARDS = 2
@@ -141,19 +141,6 @@ class TestMetricsRegistry:
         assert 'lat_seconds_bucket{le="+Inf"} 1' in text
         assert "lat_seconds_count 1" in text
 
-    def test_counter_deltas_drain_and_merge(self):
-        worker = MetricsRegistry()
-        parent = MetricsRegistry()
-        worker.counter("blocks_total", shard=1).inc(3)
-        deltas = worker.drain_counter_deltas()
-        assert deltas == [["blocks_total", {"shard": "1"}, 3]]
-        # Drains report increments, never cumulative values twice.
-        assert worker.drain_counter_deltas() == []
-        worker.counter("blocks_total", shard=1).inc(2)
-        parent.merge_counter_deltas(deltas)
-        parent.merge_counter_deltas(worker.drain_counter_deltas())
-        assert parent.snapshot()["counters"]['blocks_total{shard="1"}'] == 5
-
 
 # ---------------------------------------------------------------------------
 # Tracer units
@@ -194,39 +181,24 @@ class TestTracer:
         (record,) = tracer.spans()
         assert record.status == "error:ValueError"
 
-    def test_context_wire_round_trip(self):
-        ctx = TraceContext(trace_id="t1", span_id="s1", sampled=True)
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-        assert TraceContext.from_wire(None) is None
-        assert not TraceContext.from_wire(
-            {"trace_id": "t", "span_id": "s", "sampled": False}
-        ).sampled
-
-    def test_explicit_parent_crosses_boundaries(self):
-        parent_tracer = Tracer(sample_every=1)
-        with parent_tracer.root_span("submit") as root:
-            wire = root.ctx.to_wire()
-        worker_tracer = Tracer(sample_every=0)  # worker samples nothing
-        ctx = TraceContext.from_wire(wire)
-        with worker_tracer.span("exec", parent=ctx) as span:
-            span.set_attr("blocks", 2)
-        rows = worker_tracer.span_rows(drain=True)
-        assert worker_tracer.spans() == []
-        n = parent_tracer.ingest_rows(rows)
-        assert n == 1
-        merged = parent_tracer.find_spans(root.ctx.trace_id)
-        assert {s.name for s in merged} == {"submit", "exec"}
-        exec_span = next(s for s in merged if s.name == "exec")
-        assert exec_span.parent_id == root.ctx.span_id
-        assert exec_span.attrs == {"blocks": 2}
-
-    def test_ingest_rows_tolerates_malformed(self):
+    def test_record_span_lands_under_sampled_parent_only(self):
         tracer = Tracer(sample_every=1)
-        good = SpanRecord(name="ok", trace_id="t", span_id="s",
-                          parent_id=None, start_s=0.0,
-                          duration_s=0.1).to_row()
-        assert tracer.ingest_rows([["junk"], None, good, 42]) == 1
-        assert [s.name for s in tracer.spans()] == ["ok"]
+        with tracer.root_span("submit") as root:
+            pass
+        tracer.record_span("exec", root.ctx, 0.25, blocks=2)
+        trace = tracer.find_spans(root.ctx.trace_id)
+        assert {s.name for s in trace} == {"submit", "exec"}
+        exec_span = next(s for s in trace if s.name == "exec")
+        assert exec_span.parent_id == root.ctx.span_id
+        assert exec_span.span_id != root.ctx.span_id
+        assert exec_span.duration_s == 0.25
+        assert exec_span.status == "ok"
+        assert exec_span.attrs == {"blocks": 2}
+        # An unsampled or absent parent records nothing.
+        before = tracer.spans()
+        tracer.record_span("exec", NOOP_SPAN.ctx, 0.1)
+        tracer.record_span("exec", None, 0.1)
+        assert tracer.spans() == before
 
     def test_bind_tx_take_and_bound_cap(self, monkeypatch):
         monkeypatch.setattr(Tracer, "MAX_BOUND_TXS", 4)
@@ -404,9 +376,9 @@ class TestTracePropagation:
         names = {s.name for s in tel.tracer.spans()}
         assert {"ingest.submit_many", "round.seal", "shard.commit",
                 "exec.apply_blocks", "persist.fsync"} <= names
-        # At least one submit trace must contain the whole chain:
-        # worker-side exec span (merged across the process boundary),
-        # the parent-side commit span, and the fsync under it.
+        # At least one submit trace must contain the whole chain: the
+        # exec span the parent records from the worker's exec_s, the
+        # commit span, and the fsync under it.
         chains = [
             {s.name for s in tel.tracer.find_spans(trace_id)}
             for trace_id in self._submit_trace_ids(tel.tracer)
@@ -415,7 +387,7 @@ class TestTracePropagation:
             {"shard.commit", "exec.apply_blocks", "persist.fsync"} <= c
             for c in chains
         ), f"no complete submit trace in {chains}"
-        # Worker counter deltas merged into the parent registry.
+        # The parent counts the work of the worker replies it commits.
         snap = tel.snapshot()
         assert snap["counters"]["exec_worker_blocks_total"] > 0
         assert snap["counters"]["exec_worker_txs_total"] >= 48

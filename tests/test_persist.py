@@ -14,7 +14,7 @@ import gc
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chain import Blockchain, ChainParams, Transaction, TxKind
 from repro.errors import SerializationError, StorageError
@@ -75,7 +75,7 @@ canonical_values = st.recursive(
 
 
 class TestCodec:
-    @settings(max_examples=60)
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
     @given(canonical_values)
     def test_decode_inverts_encode(self, value):
         encoded = canonical_encode(value)
