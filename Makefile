@@ -277,7 +277,12 @@ setup-split:
 # spans or counter deltas, so no wire form of a trace context or span, no
 # span-row drain or merge, no counter-delta drain or merge and no
 # cross-process span-id prefix or at-fork hook — anywhere in src, tests,
-# benchmarks, examples or tools.
+# benchmarks, examples or tools.  Nor may a commit group keep undo
+# information per block again: a store commits a group whole, so the
+# chain opens one snapshot per group and an exec worker ships one net
+# delta per job — no drain of a per-block delta and no release below the
+# top frame anywhere in src, tests, benchmarks, examples or tools, and
+# no per-block "deltas" reply under exec/.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -394,6 +399,9 @@ lint-private:
 	    | grep -vE '^(src/repro/obs/runtime|benchmarks/_harness)\.py:'
 	@! grep -rnE '\b(to_wire|from_wire|span_rows|ingest_rows|drain_counter_deltas|merge_counter_deltas|_PID_PREFIX|register_at_fork|_merge_worker_telemetry|_telemetry_payload)\b' \
 	    src tests benchmarks examples tools --include='*.py'
+	@! grep -rnE '\b(drain_snapshot_delta|_frame_index)\b' \
+	    src tests benchmarks examples tools --include='*.py'
+	@! grep -rn '"deltas"' src/repro/exec --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

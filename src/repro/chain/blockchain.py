@@ -16,20 +16,19 @@ a caller memoised) stays valid for the life of the chain.
 Hot-path vs auditor split: every commit entry point — :meth:`append_block`,
 :meth:`append_blocks`, :meth:`apply_executed_blocks` and the reopen
 replay — is argument preparation around **one** skeleton,
-:meth:`Blockchain._commit_group`: validate linkage → snapshot per block →
+:meth:`Blockchain._commit_group`: validate linkage → one state snapshot →
 advance state → install in the store with the group's net state change →
-unwind exactly what the store did not commit → release the group's
-snapshots → subscribers.  The
-caller supplies how state advances (run the executor, or apply an exec
-worker's deltas), whether the group is installed and announced at all
-(the reopen replay re-executes blocks the store already holds), and the
-``fsync`` choice, which travels unchanged to the segment log: a single
-:meth:`append_block` is a group of one with the fsync deferred to the next
-group or checkpoint.  The commit path trusts the Merkle tree the block
-built at construction (builder and appender are the same process), while
-:meth:`verify` / :meth:`first_broken_height` always rebuild the tree from
-the transaction hashes — and with ``deep=True`` recompute even those from
-raw payload bytes, defeating any stale cache.
+release the snapshot (or, on any failure, roll it back) → subscribers.
+The caller supplies how state advances (run the executor, or apply an
+exec worker's net delta), whether the group is installed and announced
+at all (the reopen replay re-executes blocks the store already holds),
+and the ``fsync`` choice, which travels unchanged to the segment log: a
+single :meth:`append_block` is a group of one with the fsync deferred to
+the next group or checkpoint.  The commit path trusts the Merkle tree the
+block built at construction (builder and appender are the same process),
+while :meth:`verify` / :meth:`first_broken_height` always rebuild the tree
+from the transaction hashes — and with ``deep=True`` recompute even those
+from raw payload bytes, defeating any stale cache.
 
 Storage split: the chain owns no block list.  All block and
 transaction-index access goes through a pluggable
@@ -40,23 +39,22 @@ derived, state)``; the chain never asks a store what it can do.
 Receipts are not stored: a commit returns them and hands them to
 subscribers, and nothing reads one back.  The state is not checkpointed
 either: each group hands its store the group's net change
-(:meth:`~repro.chain.state.StateStore.delta_since` over the snapshots
+(:meth:`~repro.chain.state.StateStore.delta_since` over the snapshot
 the group opened anyway), which a durable store commits as state rows
 in the group's own transaction.  A chain reopened on an existing
 directory loads those rows and re-executes only the blocks above the
 height they describe (``blocks_replayed_on_open``: 0, wherever the
 process died, unless recovery dropped the block the rows described — a
 power loss that lost an unfsynced frame — or the store predates them).
-A store may keep a committed prefix when it fails mid-group, so the
-skeleton unwinds state by the height the store reports afterwards,
-never by what it attempted: chain and state stay aligned whatever the
-store did, and no snapshot outlives its group.
+A store commits a group whole or raises having committed nothing
+(:meth:`~repro.persist.stores.BlockStore.append_blocks`), so a failed
+group rolls its one snapshot back and chain and state stay aligned;
+no snapshot outlives its group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
 from ..crypto.merkle import MerkleProof
@@ -66,6 +64,7 @@ from ..persist.stores import (
     BlockStore,
     MemoryBlockStore,
 )
+from ..serialization import own
 from .block import Block, GENESIS_PREV_HASH
 from .receipts import Event, TransactionReceipt
 from .state import StateStore
@@ -86,19 +85,6 @@ class ChainParams:
     # Free-form descriptors used by cross-chain compatibility checks.
     visibility: str = "private"          # "public" | "private" | "consortium"
     extra: Mapping[str, Any] = field(default_factory=dict)
-
-
-def _own(value: Any) -> Any:
-    """The state's own copy of a payload value: the containers the
-    canonical codec knows copied all the way down, atoms as they are.
-    ``seal()`` freezes a payload's top level only, so storing a nested
-    value by reference would let whoever holds it edit committed state."""
-    t = type(value)
-    if t is dict or t is MappingProxyType:
-        return {key: _own(item) for key, item in value.items()}
-    if t is list or t is tuple:
-        return t(_own(item) for item in value)
-    return value
 
 
 def default_executor(
@@ -122,11 +108,11 @@ def default_executor(
             )
         elif tx.kind == TxKind.DATA:
             key = str(tx.payload.get("key", tx.tx_id))
-            state.set("data", key, _own(tx.payload.get("value")))
+            state.set("data", key, own(tx.payload.get("value")))
             receipt.gas_used = 1 + tx.size_bytes // 64
         elif tx.kind == TxKind.PROVENANCE:
             key = str(tx.payload.get("anchor_id", tx.tx_id))
-            state.set("provenance", key, _own(dict(tx.payload)))
+            state.set("provenance", key, own(tx.payload))
             receipt.gas_used = 2
             receipt.events.append(
                 Event("provenance_anchored", "chain", {"anchor_id": key})
@@ -138,13 +124,13 @@ def default_executor(
             return runtime.execute(tx, state)
         elif tx.kind == TxKind.CROSS_CHAIN:
             key = str(tx.payload.get("message_id", tx.tx_id))
-            state.set("crosschain", key, _own(dict(tx.payload)))
+            state.set("crosschain", key, own(tx.payload))
             receipt.events.append(
                 Event("cross_chain_message", "chain", {"message_id": key})
             )
         elif tx.kind == TxKind.GOVERNANCE:
             key = str(tx.payload.get("param", tx.tx_id))
-            state.set("governance", key, _own(tx.payload.get("value")))
+            state.set("governance", key, own(tx.payload.get("value")))
         else:  # pragma: no cover - enum is closed
             raise InvalidBlock(f"unknown tx kind {tx.kind}")
     except Exception as exc:  # noqa: BLE001 - receipts capture failures
@@ -346,7 +332,7 @@ class Blockchain:
         The store commit happens once for the whole group — on the
         durable backend one buffered log write (fsynced when ``fsync``)
         and one sqlite transaction.  A failure while executing or
-        committing unwinds every block the store did not commit.
+        committing unwinds the whole group.
         """
         for block in blocks:
             # Trust the tree the block built at construction — the
@@ -367,18 +353,18 @@ class Blockchain:
     def apply_executed_blocks(
         self,
         blocks: list[Block],
-        deltas: list[list],
+        delta: list,
         encoded: list[bytes],
         expected_state_root: bytes | None = None,
     ) -> None:
         """Commit blocks that were validated and executed *elsewhere*
-        (an exec worker process), applying their state deltas instead of
-        re-running transactions.
+        (an exec worker process), applying their net state delta instead
+        of re-running transactions.
 
-        ``deltas[i]`` is block ``i``'s :meth:`StateStore.drain_snapshot_delta`
-        change set, applied under the group's snapshots, so the store's
-        state rows get the same net change an executing group hands
-        it; ``encoded[i]`` is the frame the caller already holds
+        ``delta`` is the whole group's :meth:`StateStore.delta_since`
+        change set, applied once under the group's snapshot, so the
+        store's state rows get the same net change an executing group
+        hands it; ``encoded[i]`` is the frame the caller already holds
         for it (the job frame it sent), handed to the store so nothing is
         encoded twice.  A worker returns no receipts, so a chain with
         subscribers refuses this path (:class:`ChainError`) and executes
@@ -390,18 +376,17 @@ class Blockchain:
 
         ``expected_state_root`` is the executing worker's post-group
         root: when it does not match the parent's root after applying the
-        deltas, everything is unwound and :class:`TamperDetected` is
+        delta, everything is unwound and :class:`TamperDetected` is
         raised *before* any store commit — a diverging worker can never
         seal state the parent did not reproduce.
         """
-        if len(deltas) != len(blocks) or len(encoded) != len(blocks):
-            raise InvalidBlock("need one state delta and one encoded "
-                               "frame per block")
+        if len(encoded) != len(blocks):
+            raise InvalidBlock("need one encoded frame per block")
         if self._subscribers:
             raise ChainError(f"chain {self.chain_id} has subscribers: "
                              "worker-executed blocks carry no receipts")
         self._validate_transactions(blocks)
-        self._commit_group(blocks, fsync=True, deltas=deltas,
+        self._commit_group(blocks, fsync=True, delta=delta,
                            encoded=encoded,
                            expected_state_root=expected_state_root)
 
@@ -411,18 +396,17 @@ class Blockchain:
         *,
         fsync: bool,
         install: bool = True,
-        deltas: list[list] | None = None,
+        delta: list | None = None,
         encoded=None,
         expected_state_root: bytes | None = None,
         derived: Mapping[int, Any] | None = None,
     ) -> list[list[TransactionReceipt]]:
         """The one commit skeleton (see the module docstring for what
-        each caller supplies).  State advances across each block by
-        executing it, or — given ``deltas`` from a worker that already
-        did — by applying block ``i``'s change set."""
+        each caller supplies).  State advances across the group by
+        executing each block, or — given the ``delta`` of a worker that
+        already did — by applying that one net change set."""
         if not blocks:
             return []
-        start_height = self._store.height()
         if install:
             prev = self.head
             for block in blocks:
@@ -437,18 +421,17 @@ class Blockchain:
                         f"{prev.block_id[:10]}…"
                     )
                 prev = block
-        # One snapshot per block: the unwind after a failed store append
-        # needs them; once the group is settled they are released.
-        snaps: list[int] = []
+        # One snapshot for the group: the store commits it whole or not
+        # at all, so a failure rolls it back and success releases it.
+        snap = self.state.snapshot()
         all_receipts: list[list[TransactionReceipt]] = []
         try:
-            for index, block in enumerate(blocks):
-                snaps.append(self.state.snapshot())
-                if deltas is None:
+            if delta is None:
+                for block in blocks:
                     all_receipts.append(execute_block(
                         block, self.state, self.executor, self))
-                else:
-                    self.state.apply_delta(deltas[index])
+            else:
+                self.state.apply_delta(delta)
             if expected_state_root is not None \
                     and self.state.state_root() != expected_state_root:
                 raise TamperDetected(
@@ -458,19 +441,14 @@ class Blockchain:
             if install:
                 self._store.append_blocks(
                     blocks, fsync=fsync, encoded=encoded, derived=derived,
-                    state=lambda: self.state.delta_since(snaps[0]))
+                    state=lambda: self.state.delta_since(snap))
         except BaseException:
-            # A raising executor — or a store that failed the append —
-            # must not leave a half-applied block behind.  Unwind what
-            # the store did not commit (it may have kept a prefix), so
-            # state stays aligned with committed blocks.
-            committed = self._store.height() - start_height
-            while len(snaps) > committed:
-                self.state.rollback(snaps.pop())
+            # A raising executor — or a store that failed the append,
+            # having committed nothing — must not leave a half-applied
+            # group behind.
+            self.state.rollback(snap)
             raise
-        finally:
-            if snaps:
-                self.state.release_snapshots(snaps[0])
+        self.state.release_snapshots(snap)
         if install:
             for block, receipts in zip(blocks, all_receipts):
                 for callback in self._subscribers:

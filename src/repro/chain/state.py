@@ -10,12 +10,11 @@ Snapshots support two distinct users:
 * contract revert semantics — the runtime snapshots before each call and
   rolls back on :class:`~repro.errors.ContractReverted`;
 * the commit group — :class:`~repro.chain.blockchain.Blockchain`
-  opens one snapshot per block of a group, hands its store the group's
-  net change (:meth:`delta_since`, the same rule an exec worker's
-  :meth:`drain_snapshot_delta` ships), rolls back the blocks its store
-  did not commit, and releases the rest in one step
-  (:meth:`release_snapshots`): a committed block is final, so no undo
-  information outlives its group.
+  opens one snapshot per group, hands its store the group's net change
+  (:meth:`delta_since`, the same change an exec worker ships), rolls the
+  snapshot back if anything fails and releases it once the group is
+  committed (:meth:`release_snapshots`): a committed block is final, so
+  no undo information outlives its group.
 
 Performance note: :meth:`state_root` is maintained incrementally — writes
 mark keys dirty, and the root call folds only the dirty keys into an
@@ -188,44 +187,34 @@ class StateStore:
     def delta_since(
         self, handle: int
     ) -> list[tuple[str, str, bool, Any]]:
-        """The *net* change set made since ``handle`` was opened, across
-        its frame and every frame opened after it, as ``(namespace, key,
-        present, value)`` ops — one op per touched key, in first-touch
-        order, with ``present=False`` marking a deletion.  Feeding the
-        ops to :meth:`apply_delta` on a store holding the content at
-        ``handle`` reproduces this store's content exactly (and therefore
-        its :meth:`state_root`).  The one net-change rule: an exec
-        worker ships it instead of re-executing blocks in the parent,
-        and a commit group hands it to its store as the state rows that
-        commit with the group's blocks."""
+        """The *net* change set made since ``handle``, the top snapshot,
+        was opened, as ``(namespace, key, present, value)`` ops — one op
+        per touched key, in first-touch order, with ``present=False``
+        marking a deletion.  Feeding the ops to :meth:`apply_delta` on a
+        store holding the content at ``handle`` reproduces this store's
+        content exactly (and therefore its :meth:`state_root`).  The one
+        net-change rule: an exec worker ships it instead of re-executing
+        blocks in the parent, and a commit group hands it to its store
+        as the state rows that commit with the group's blocks."""
+        self._check_handle(handle)
         delta: list[tuple[str, str, bool, Any]] = []
         seen: set[tuple[str, str]] = set()
-        for _, entries in self._journal[self._frame_index(handle):]:
-            for full_key, _, _ in entries:
-                if full_key in seen:
-                    continue
-                seen.add(full_key)
-                if full_key in self._data:
-                    delta.append(
-                        (full_key[0], full_key[1], True, self._data[full_key])
-                    )
-                else:
-                    delta.append((full_key[0], full_key[1], False, None))
-        return delta
-
-    def drain_snapshot_delta(
-        self, handle: int
-    ) -> list[tuple[str, str, bool, Any]]:
-        """Commit the top snapshot, returning its :meth:`delta_since`."""
-        self._check_handle(handle)
-        delta = self.delta_since(handle)
-        self.commit_snapshot(handle)
+        for full_key, _, _ in self._journal[-1][1]:
+            if full_key in seen:
+                continue
+            seen.add(full_key)
+            if full_key in self._data:
+                delta.append(
+                    (full_key[0], full_key[1], True, self._data[full_key])
+                )
+            else:
+                delta.append((full_key[0], full_key[1], False, None))
         return delta
 
     def apply_delta(self, delta) -> None:
-        """Apply a :meth:`drain_snapshot_delta` change set.  Journaled
-        like any other mutation, so a snapshot taken before the apply
-        rolls the whole delta back."""
+        """Apply a :meth:`delta_since` change set.  Journaled like any
+        other mutation, so a snapshot taken before the apply rolls the
+        whole delta back."""
         for namespace, key, present, value in delta:
             if present:
                 self.set(namespace, key, value)
@@ -233,17 +222,12 @@ class StateStore:
                 self.delete(namespace, key)
 
     def release_snapshots(self, handle: int) -> None:
-        """Make every change since ``handle`` permanent in one step: drop
-        its frame and every frame opened after it.  Nothing is copied
-        into an enclosing frame, so one opened before ``handle`` can no
-        longer undo those changes."""
-        del self._journal[self._frame_index(handle):]
-
-    def _frame_index(self, handle: int) -> int:
-        for index in range(len(self._journal) - 1, -1, -1):
-            if self._journal[index][0] == handle:
-                return index
-        raise ChainError(f"no open snapshot {handle}")
+        """Make every change since ``handle``, the top snapshot, final:
+        drop its frame.  Unlike :meth:`commit_snapshot`, nothing is
+        copied into an enclosing frame, so one opened before ``handle``
+        can no longer undo those changes."""
+        self._check_handle(handle)
+        self._journal.pop()
 
     @property
     def open_snapshots(self) -> int:

@@ -106,6 +106,12 @@ class ContractRuntime:
             receipt.error = str(exc)
             receipt.gas_used = gas_limit - instance.gas_left
             return receipt
+        except BaseException:
+            # The executor turns this into a failed receipt; the frame
+            # must go first, or it would sit on top of the commit
+            # group's snapshot.
+            state.rollback(snapshot)
+            raise
         state.commit_snapshot(snapshot)
         self._instances[address] = contract_cls
         state.set("contracts", address, contract_cls.__name__)
@@ -182,9 +188,8 @@ class ContractRuntime:
             raise ContractReverted(f"{entry} failed: {exc}") from exc
         except BaseException:
             # Any other contract failure must still unwind this frame:
-            # the chain's per-block snapshots rely on strict nesting,
-            # so a leaked frame would poison the unwind of the block's
-            # group.
+            # the commit group's snapshot relies on strict nesting, so
+            # a leaked frame would poison the group's release or unwind.
             state.rollback(snapshot)
             raise
         state.commit_snapshot(snapshot)

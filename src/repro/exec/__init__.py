@@ -16,19 +16,19 @@ A worker executes; only the parent commits, and it commits through the
 same skeleton as every other path
 (:meth:`~repro.chain.blockchain.Blockchain._commit_group`).  The worker
 runs :func:`~repro.chain.blockchain.execute_block` — the function the
-chain itself executes with — against its replica and returns per-block
-deltas and the post-group state root.  Receipts are not stored, so a
-worker returns none, and a chain with subscribers executes its own
-blocks.
+chain itself executes with — against its replica under one snapshot and
+returns the group's one net ``delta`` and the post-group state root.
+Receipts are not stored, so a worker returns none, and a chain with
+subscribers executes its own blocks.
 :meth:`~repro.chain.blockchain.Blockchain.apply_executed_blocks` then
-supplies the skeleton with three things: ``deltas`` to apply instead of
-executing, the ``expected_state_root`` check that runs before install, and
-``encoded`` = the job frames the engine already holds.
-Linkage validation, the per-block snapshots, the group's net state
-change handed to the store as its state rows, the unwind, their
-release and subscriber fan-out are the skeleton's, so serial and
-process sealing leave identical chain/state shape — and identical
-state rows — by construction rather than by mirroring.  A round is fsynced
+supplies the skeleton with three things: the ``delta`` to apply instead
+of executing, the ``expected_state_root`` check that runs before
+install, and ``encoded`` = the job frames the engine already holds.
+Linkage validation, the group's one snapshot, its net state change
+handed to the store as its state rows, the unwind or release and
+subscriber fan-out are the skeleton's, so serial and process sealing
+leave identical chain/state shape — and identical state rows — by
+construction rather than by mirroring.  A round is fsynced
 (``fsync=True``): it is a group commit like any other.
 
 Jobs and results cross the pipe as canonical-codec payloads
@@ -53,7 +53,7 @@ stores).  That buys three things:
 
 Telemetry does not cross the pipe.  A job frame carries no trace
 context and an ``ok`` reply no span or counter: it carries ``exec_s``,
-the seconds its execution took, beside the deltas, root and height.
+the seconds its execution took, beside the delta, root and height.
 The parent counts ``exec_worker_blocks_total`` /
 ``exec_worker_txs_total`` from the replies it commits and records
 ``exec.apply_blocks`` from ``exec_s`` under the round's trace context
@@ -72,7 +72,7 @@ A beacon leaf commits ``(shard, height, block_hash[, state_root])``:
   execute them; the hashes are fixed before the job is sent.
 * **State roots are content-determined and order-independent** —
   :meth:`~repro.chain.state.StateStore.state_root` folds per-entry
-  digests, so a parent that *applies the worker's net per-block deltas*
+  digests, so a parent that *applies the worker's net group delta*
   holds entry-for-entry the same store as serial execution and produces
   the same root.  The parent recomputes its own root after the delta
   replay and refuses to commit on mismatch
@@ -89,7 +89,7 @@ Who verifies signatures: the parent
 
 A job frame carries blocks, a base height and root, and maybe a state
 image — never key material.  A worker checks each block's structure and
-executes it; before it applies the deltas,
+executes it; before it applies the delta,
 :meth:`~repro.chain.blockchain.Blockchain.apply_executed_blocks` runs
 the same per-transaction check :meth:`~repro.chain.blockchain.Blockchain.append_blocks`
 runs, signature included when the chain requires one.  For a

@@ -164,12 +164,8 @@ class ProcessRoundEngine:
                     reply["exec_s"],
                     chain=chain.chain_id, blocks=len(job.blocks),
                 )
-                deltas = [
-                    [(op[0], op[1], bool(op[2]), op[3]) for op in ops]
-                    for ops in reply["deltas"]
-                ]
                 chain.apply_executed_blocks(
-                    job.blocks, deltas, job.frames,
+                    job.blocks, reply["delta"], job.frames,
                     expected_state_root=reply["state_root"],
                 )
                 self._replicas[shard.shard_id] = (

@@ -8,11 +8,12 @@ directions is one canonical-codec payload (see the package docstring for
 why the codec doubles as the IPC format):
 
 * ``exec`` — decode a group of block frames, check their structure and
-  execute them against the replica, and return per-block net state
-  deltas, the post-group state root and height, and ``exec_s``, the
-  seconds the execution took (receipts are not stored, so none is
-  shipped back).  The parent checks signatures and applies the deltas;
-  the worker holds no key and never touches durable storage.
+  execute them against the replica under one snapshot, and return the
+  group's one net state ``delta``, the post-group state root and height,
+  and ``exec_s``, the seconds the execution took (receipts are not
+  stored, so none is shipped back).  The parent checks signatures and
+  applies the delta; the worker holds no key and never touches durable
+  storage.
 * ``ping`` / ``shutdown`` — liveness and orderly teardown.
 
 Replica consistency is checked per job: the parent sends the base height
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any
 
 from ..chain.blockchain import default_executor, execute_block
 from ..chain.state import StateStore
@@ -109,25 +109,21 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
             "status": "need_state",
             "have_height": -1 if replica is None else replica.height,
         }
-    deltas_out: list[list[list[Any]]] = []
     t0 = time.perf_counter()
     try:
+        # No rollback: any failure drops the whole replica below.  The
+        # snapshot only scopes the group's delta.
+        snap = replica.state.snapshot()
         for frame in job["blocks"]:
             block = decode_block(frame)
             block.verify_structure()
             for tx in block.transactions:
                 tx.validate()
-            # No per-block rollback: any failure drops the whole
-            # replica below.  The snapshot only scopes the delta.
-            snap = replica.state.snapshot()
             execute_block(block, replica.state, default_executor,
                           replica.shim)
-            deltas_out.append(
-                [[ns, key, present, value]
-                 for ns, key, present, value
-                 in replica.state.drain_snapshot_delta(snap)]
-            )
             replica.height = block.height
+        delta = replica.state.delta_since(snap)
+        replica.state.release_snapshots(snap)
     except BaseException as exc:  # noqa: BLE001 - reported, not fatal
         # Earlier blocks of the group already mutated the replica; drop
         # it so the next job re-syncs rather than executing on a state
@@ -137,7 +133,7 @@ def _handle_exec(job: dict, replicas: dict[str, _ShardReplica],
                 "error": f"{type(exc).__name__}: {exc}"}
     return {
         "status": "ok",
-        "deltas": deltas_out,
+        "delta": delta,
         "state_root": replica.state.state_root(),
         "height": replica.height,
         "exec_s": time.perf_counter() - t0,

@@ -73,7 +73,7 @@ from typing import Any, Callable, Iterator, Sequence
 from ..chain.block import Block
 from ..errors import InvalidBlock, StorageError, UnknownEntity
 from ..obs.runtime import telemetry
-from ..serialization import canonical_encode
+from ..serialization import canonical_encode, own
 from .codec import canonical_decode, decode_block, decode_record, encode_block
 from .segment import CrashPoint, SegmentLog
 from .stores import BlockStore, RecordStore, Storage
@@ -658,7 +658,7 @@ class DurableRecordStore(RecordStore):
                 raise UnknownEntity(f"no record at position {position}")
             record = decode_record(self._index.read(row[0], row[1]))
             self._index.remember(position, record)
-        return dict(record)
+        return own(record)
 
     def __len__(self) -> int:
         return self._count

@@ -38,6 +38,7 @@ from collections import defaultdict
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..errors import UnknownEntity
+from ..serialization import own
 from .codec import check_records, encode_record
 from .stores import MemoryRecordStore, RecordStore
 
@@ -119,8 +120,10 @@ class ProvenanceDatabase:
         capture sink) and :meth:`insert_many`.
 
         The records passed the record rule at their door; nothing here
-        checks them again.  Each is copied once — the copy belongs to
-        the store and the anchor batch, which only read it — and encoded
+        checks them again.  Each is copied once, all the way down
+        (:func:`~repro.serialization.own`) — the copy belongs to the
+        store and the anchor batch, which only read it, and shares no
+        nested value with the caller's record — and encoded
         once: the same bytes frame it in the record log
         (:meth:`RecordStore.append_many`: one log write + one index
         transaction on the durable backend, fsynced when ``fsync``) and
@@ -128,7 +131,7 @@ class ProvenanceDatabase:
         when ``anchor`` is given).  The indexed fields are ``subject``
         (the data artifact), ``actor`` (who acted), ``operation`` and
         ``timestamp``.  Returns the anchor receipts the batch flushed."""
-        owned = [dict(record) for record in records]
+        owned = [own(record) for record in records]
         if not owned:
             return []
         encoded = [encode_record(record) for record in owned]
@@ -178,7 +181,7 @@ class ProvenanceDatabase:
     def scan(self, predicate: Callable[[dict], bool]) -> list[dict]:
         # Raw iteration, copying only the matches — the scan baseline
         # must not pay a per-record copy the index paths don't.
-        return [dict(r) for r in self._store.iter_records_raw()
+        return [own(r) for r in self._store.iter_records_raw()
                 if predicate(r)]
 
     def scan_subject(self, subject: str) -> list[dict]:

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..chain.block import Block
 from ..errors import InvalidBlock, StorageError
-from ..serialization import canonical_encode
+from ..serialization import canonical_encode, own
 from .codec import canonical_decode, encode_block
 
 
@@ -75,9 +75,12 @@ class BlockStore(ABC):
         and then describes the group's head (:meth:`state_image`); rows
         that lag stay where they are, and a reopen replays from them.
         ``None`` (a caller that executes nothing, such as sync's raw
-        tail) leaves the rows where they were.  A
-        store may keep a committed prefix when it fails mid-group;
-        callers unwind by the height it reports afterwards.
+        tail) leaves the rows where they were.
+
+        A group commits whole: a store checks every height before it
+        writes anything, and a store that raises has committed nothing —
+        its height, tx index, derived and state rows are as they were,
+        so a caller unwinds the whole group.
         """
 
     @abstractmethod
@@ -177,7 +180,9 @@ class RecordStore(ABC):
 
     @abstractmethod
     def get(self, position: int) -> dict:
-        """A *copy* of the record at ``position``."""
+        """An unshared copy (:func:`~repro.serialization.own`) of the
+        record at ``position``: nothing a caller does to it, nested
+        values included, reaches the stored record."""
 
     @abstractmethod
     def __len__(self) -> int: ...
@@ -239,12 +244,13 @@ class MemoryBlockStore(BlockStore):
 
     def append_blocks(self, blocks, fsync=True, encoded=None,
                       derived=None, state=None) -> None:
-        for block in blocks:
-            if block.height != len(self._blocks):
+        for i, block in enumerate(blocks):
+            if block.height != len(self._blocks) + i:
                 raise StorageError(
-                    f"store expects height {len(self._blocks)}, "
+                    f"store expects height {len(self._blocks) + i}, "
                     f"got {block.height}"
                 )
+        for block in blocks:
             self._blocks.append(block)
             for pos, tx in enumerate(block.transactions):
                 self._tx_index[tx.tx_id] = (block.height, pos)
@@ -330,14 +336,14 @@ class MemoryRecordStore(RecordStore):
         return list(range(start, len(self._records)))
 
     def get(self, position: int) -> dict:
-        return dict(self._records[position])
+        return own(self._records[position])
 
     def __len__(self) -> int:
         return len(self._records)
 
     def iter_items(self) -> Iterator[tuple[int, dict]]:
         for position, record in enumerate(self._records):
-            yield position, dict(record)
+            yield position, own(record)
 
     def iter_records_raw(self) -> Iterator[dict]:
         return iter(self._records)

@@ -49,6 +49,7 @@ from ..chain.anchoring import BatchAnchors
 from ..crypto.hashing import HASH_SIZE
 from ..crypto.merkle import MerkleTree
 from ..errors import AnchorError
+from ..serialization import own
 from ..verify import AnchoredProof, commits_root
 from .records import record_digest
 
@@ -164,7 +165,7 @@ class AnchorService:
         Returns the receipt when this enqueue triggered a flush.
         """
         if encoded is None:
-            record = dict(record)
+            record = own(record)
         record_id = record["record_id"]
         if record_id in self._batches or record_id in self._pending.ids:
             raise AnchorError(f"record {record_id!r} already anchored/pending")

@@ -23,6 +23,7 @@ from typing import Any, Callable
 
 from ..errors import QueryError
 from ..persist.provdb import ProvenanceDatabase
+from ..serialization import flat_records, own
 from ..verify import AnchoredProof
 from .anchor import AnchorService
 from .graph import ProvenanceGraph
@@ -89,17 +90,6 @@ class QueryCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def _fresh(result: Any) -> Any:
-    """A copy of a query answer the caller may edit: a new list, and a
-    new dict per record — the rule the record stores read by
-    (:meth:`~repro.persist.stores.RecordStore.get`)."""
-    if isinstance(result, dict):
-        return dict(result)
-    if isinstance(result, list):
-        return [dict(r) if isinstance(r, dict) else r for r in result]
-    return result
 
 
 class ProvenanceQueryEngine:
@@ -214,20 +204,23 @@ class ProvenanceQueryEngine:
     # ------------------------------------------------------------------
     def _cached(self, key: tuple, producer: Callable[[], Any]) -> Any:
         """``producer()``'s answer, through the cache when there is one.
-        The cache keeps its own copy and every caller gets a fresh one,
-        so an answer a caller edits changes no later answer."""
+        The cache keeps its own copy and every caller gets an unshared
+        one (:func:`~repro.serialization.own`), so an answer a caller
+        edits, nested values included, changes no later answer."""
         self.stats.queries += 1
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
+        if self.cache is None:
+            result = producer()
+        else:
+            entry = self.cache.get(key)
+            if entry is None:
+                self.stats.cache_misses += 1
+                answer = producer()
+                entry = (answer, flat_records(answer))
+                self.cache.put(key, entry)
+            else:
                 self.stats.cache_hits += 1
-                self._count(hit)
-                return _fresh(hit)
-            self.stats.cache_misses += 1
-        result = producer()
-        if self.cache is not None:
-            self.cache.put(key, result)
-            result = _fresh(result)
+            answer, flat = entry
+            result = [dict(r) for r in answer] if flat else own(answer)
         self._count(result)
         return result
 

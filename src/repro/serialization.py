@@ -116,6 +116,49 @@ def canonical_encode(value: Any) -> bytes:
     return b"".join(parts)
 
 
+def own(value: Any) -> Any:
+    """An unshared copy of ``value``: the containers this codec knows
+    (``dict``/``MappingProxyType`` as ``dict``, ``list``, ``tuple``)
+    copied all the way down, atoms — and a tuple of atoms, which cannot
+    change — as they are.  The one copy rule for
+    a value that is evidence: committed state, a stored record, an
+    answer handed out — whoever holds the original, or the copy, cannot
+    edit the other.  ``seal()`` freezes a payload's top level only, so a
+    one-level copy would still share every nested value."""
+    t = type(value)
+    if t is dict or t is MappingProxyType:
+        if _ATOMS.issuperset(map(type, value.values())):
+            return dict(value)          # a flat record: one C-level copy
+        return {key: own(item) for key, item in value.items()}
+    if t is list or t is tuple:
+        if _ATOMS.issuperset(map(type, value)):
+            return list(value) if t is list else value
+        items = [own(item) for item in value]
+        return items if t is list else tuple(items)
+    if t in _ATOMS:
+        return value
+    # Subclasses and other containers the encoder's ladder accepts.
+    if isinstance(value, Mapping):
+        return {key: own(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [own(item) for item in value]
+    return value
+
+
+def flat_records(value: Any) -> bool:
+    """Is ``value`` a list of ``dict`` records whose fields are all
+    atoms — one whose :func:`own` copy is ``[dict(r) for r in value]``?
+    A caller that hands the same value out many times (the query cache)
+    asks once and then copies at the cost of ``dict()``."""
+    return type(value) is list and all(
+        type(record) is dict
+        and _ATOMS.issuperset(map(type, record.values()))
+        for record in value)
+
+
+_ATOMS = frozenset((str, int, float, bool, bytes, type(None)))
+
+
 def _encode_into(value: Any, append) -> None:
     t = type(value)
     if t is str:

@@ -219,8 +219,9 @@ class Shard:
         try:
             self.chain.append_blocks(pending)
         except BaseException:
-            # The chain unwound the group (or kept only what its store
-            # committed); re-admit the rest.
+            # The chain unwound the group, unless it committed and a
+            # subscriber raised afterwards; re-admit what is not
+            # committed.
             committed_height = self.chain.height
             for block in pending:
                 if block.height > committed_height:

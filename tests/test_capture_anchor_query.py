@@ -317,6 +317,36 @@ class TestQueryEngine:
         assert verified.verified
         assert list(verified.records) == pristine
 
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["memory", "durable"])
+    def test_nested_edits_reach_no_stored_record(self, durable, tmp_path):
+        """A stored record shares no nested value with anyone: not with
+        the caller that ingested it, nor with a caller holding an answer
+        — in memory, and on disk where the record LRU serves reads."""
+        sharded = ShardedChain(
+            2, anchor_batch_size=4,
+            storage_dir=str(tmp_path) if durable else None)
+        try:
+            subject = "t0/obj"
+            records = [dict(generic_record(i, subject=subject),
+                            inputs={"files": ["x"]}) for i in range(8)]
+            sharded.ingest_records(records)
+            sharded.seal_round()
+            engine = ShardedQueryEngine(sharded)
+            query = sharded.shard_for_subject(subject).query
+            records[0]["inputs"]["files"].append("edited by the writer")
+            query.history(subject)[0]["inputs"]["files"].append(
+                "edited by a reader")
+            for _ in range(2):        # a cache hit, then a store read
+                verified = engine.history_verified(subject)
+                assert verified.verified
+                assert [r["inputs"] for r in verified.records] == \
+                    [{"files": ["x"]}] * 8
+                query.notify_write()
+            assert query.database.get("g0")["inputs"] == {"files": ["x"]}
+        finally:
+            sharded.close()
+
     def test_cache_lru_eviction(self):
         cache = QueryCache(capacity=2)
         cache.put(("a",), 1)

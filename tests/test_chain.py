@@ -272,8 +272,7 @@ class TestSealedBlocksAreFinal:
         suffix = self._fork(chain, at_height=0, new_len=5)
         with pytest.raises(InvalidBlock):
             chain.apply_executed_blocks(
-                suffix, [[] for _ in suffix],
-                [encode_block(block) for block in suffix])
+                suffix, [], [encode_block(block) for block in suffix])
         assert self._sealed(chain) == before
 
     def test_transfer_is_final(self, funded_chain):

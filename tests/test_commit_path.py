@@ -5,6 +5,8 @@ those — the chain, the state, the index rows and the log bytes come out
 identical, and no state snapshot outlives the group that opened it.
 
 Also here: kill-at-every-byte over a group (none or all survives), the
+store contract (a group with a bad height commits nothing, on either
+store) and the counted one snapshot per group, the
 ``expected_state_root`` gate, the failed-append unwind regression, the
 counted snapshot guard (a chain past 64 blocks holds no open snapshot
 on any path), and
@@ -29,7 +31,7 @@ from repro.chain.block import Block
 from repro.chain.blockchain import default_executor, execute_block
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.state import StateStore
-from repro.errors import ChainError, TamperDetected
+from repro.errors import ChainError, StorageError, TamperDetected
 from repro.exec.worker import _handle_exec
 from repro.obs.runtime import reset_default_telemetry, telemetry
 from repro.persist.codec import encode_block
@@ -147,7 +149,7 @@ def _commit_grouped(chain, blocks, sizes=(2, 1, 3, 5)):
 
 def _commit_worker_deltas(chain, blocks, sizes=(3, 2, 2)):
     """The process engine's path, with the worker's handler run in this
-    process: job frames out, deltas + root back."""
+    process: job frames out, one net delta + root back per group."""
     replicas: dict = {}
     at = 0
     for size in sizes:
@@ -163,9 +165,7 @@ def _commit_worker_deltas(chain, blocks, sizes=(3, 2, 2)):
         }, replicas, None)
         assert reply["status"] == "ok", reply
         chain.apply_executed_blocks(
-            group,
-            [[tuple(op) for op in ops] for ops in reply["deltas"]],
-            frames,
+            group, reply["delta"], frames,
             expected_state_root=reply["state_root"],
         )
     assert at == len(blocks)
@@ -277,13 +277,83 @@ class TestGroupIsNoneOrAll:
         storage.close()
 
 
+class TestStoreCommitsAGroupWhole:
+    """The :meth:`~repro.persist.stores.BlockStore.append_blocks`
+    contract: a store commits a group whole, or raises having committed
+    nothing — so a chain rolls its group's one snapshot back and needs
+    to ask the store nothing."""
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["memory", "durable"])
+    def test_a_wrong_height_commits_nothing(self, durable, tmp_path):
+        chain, storage = _open(str(tmp_path) if durable else None)
+        chain.append_blocks(STREAM[:2])
+        store = chain.store
+        before = (store.height(), store.tx_count(), list(store.derived_rows()),
+                  store.state_image())
+        asked: list = []
+        group = [STREAM[2], STREAM[4]]   # the second skips height 4
+        with pytest.raises(StorageError):
+            store.append_blocks(group, fsync=False,
+                                derived={3: ["d3"], 5: ["d5"]},
+                                state=lambda: asked.append(1) or [])
+        assert (store.height(), store.tx_count(), list(store.derived_rows()),
+                store.state_image()) == before
+        assert all(store.tx_location(tx.tx_id) is None
+                   for block in group for tx in block.transactions)
+        assert asked == []
+        chain.append_blocks(STREAM[2:])
+        assert _fingerprint(chain, storage)["height"] == N_BLOCKS
+        if storage is not None:
+            storage.close()
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["memory", "durable"])
+    @pytest.mark.parametrize("path", ["append_blocks",
+                                      "apply_executed_blocks"])
+    def test_one_snapshot_per_group(self, path, durable, tmp_path,
+                                    monkeypatch):
+        chain, storage = _open(str(tmp_path) if durable else None)
+        group = STREAM[:5]
+        delta = _shadow_delta(Blockchain(_params()), group)
+        opened: list[int] = []
+        snapshot = StateStore.snapshot
+
+        def counted(state):
+            handle = snapshot(state)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(StateStore, "snapshot", counted)
+        if path == "append_blocks":
+            chain.append_blocks(group)
+        else:
+            chain.apply_executed_blocks(
+                group, delta, [encode_block(block) for block in group])
+        assert len(opened) == 1
+        assert chain.height == 5 and chain.state.open_snapshots == 0
+        if storage is not None:
+            storage.close()
+
+
 # ---------------------------------------------------------------------------
 # The state-root gate
 # ---------------------------------------------------------------------------
+def _shadow_delta(shadow: Blockchain, group: list[Block]) -> list:
+    """What a worker ships for ``group``: executed on ``shadow``'s state
+    under one snapshot, the group's net delta."""
+    snap = shadow.state.snapshot()
+    for block in group:
+        execute_block(block, shadow.state, shadow.executor, shadow)
+    delta = shadow.state.delta_since(snap)
+    shadow.state.release_snapshots(snap)
+    return delta
+
+
 class TestWorkerDeltasCarryNoReceipts:
     def test_a_chain_with_subscribers_executes_its_own_blocks(self):
-        """A worker returns deltas, not receipts, so a chain whose
-        subscribers wait for receipts refuses its deltas before
+        """A worker returns a delta, not receipts, so a chain whose
+        subscribers wait for receipts refuses its delta before
         anything moves, and the same group executed here announces every
         transaction's receipt."""
         chain, _ = _open(None)
@@ -292,14 +362,10 @@ class TestWorkerDeltasCarryNoReceipts:
             (block.height, [r.tx_id for r in receipts])))
         group = STREAM[:2]
         shadow = Blockchain(_params())
-        deltas = []
-        for block in group:
-            snap = shadow.state.snapshot()
-            execute_block(block, shadow.state, shadow.executor, shadow)
-            deltas.append(shadow.state.drain_snapshot_delta(snap))
+        delta = _shadow_delta(shadow, group)
         with pytest.raises(ChainError):
             chain.apply_executed_blocks(
-                group, deltas, [encode_block(block) for block in group],
+                group, delta, [encode_block(block) for block in group],
                 expected_state_root=shadow.state.state_root())
         assert chain.height == 0 and seen == []
         assert chain.state.open_snapshots == 0
@@ -318,19 +384,15 @@ class TestExpectedStateRoot:
         group = STREAM[2:5]
         shadow = Blockchain(_params())
         shadow.append_blocks(STREAM[:2])
-        deltas, encoded = [], []
-        for block in group:
-            snap = shadow.state.snapshot()
-            execute_block(block, shadow.state, shadow.executor, shadow)
-            deltas.append(shadow.state.drain_snapshot_delta(snap))
-            encoded.append(encode_block(block))
+        delta = _shadow_delta(shadow, group)
+        encoded = [encode_block(block) for block in group]
         with pytest.raises(TamperDetected):
             chain.apply_executed_blocks(
-                group, deltas, encoded, expected_state_root=b"\x00" * 32)
+                group, delta, encoded, expected_state_root=b"\x00" * 32)
         assert _fingerprint(chain, storage) == before
         # The honest root commits the very same group.
         chain.apply_executed_blocks(
-            group, deltas, encoded,
+            group, delta, encoded,
             expected_state_root=shadow.state.state_root())
         assert chain.height == 5
         assert chain.state.state_root() == shadow.state.state_root()
@@ -632,18 +694,16 @@ def _blocks_on(chain: Blockchain, specs, nonce: list[int]) -> list[Block]:
     return blocks
 
 
-def _worker_deltas(chain: Blockchain, blocks: list[Block]) -> tuple:
-    """What an exec worker returns for ``blocks``: each block's
-    :meth:`~repro.chain.state.StateStore.drain_snapshot_delta`, run on a
-    replica of ``chain``'s state, and the replica's root."""
+def _worker_delta(chain: Blockchain, blocks: list[Block]) -> tuple:
+    """What an exec worker returns for ``blocks``: the group's net
+    :meth:`~repro.chain.state.StateStore.delta_since` its one snapshot,
+    run on a replica of ``chain``'s state, and the replica's root."""
     replica = StateStore()
     replica.load_entries(chain.state.dump_entries())
-    deltas = []
+    handle = replica.snapshot()
     for block in blocks:
-        handle = replica.snapshot()
         execute_block(block, replica, _deleting_executor, chain)
-        deltas.append(replica.drain_snapshot_delta(handle))
-    return deltas, replica.state_root()
+    return replica.delta_since(handle), replica.state_root()
 
 
 def assert_rows_follow(chain: Blockchain, storage: DurableStorage) -> None:
@@ -689,9 +749,9 @@ class TestStateRowsFollowTheHead:
                             chain.append_block(block, derived=[block.height])
                     elif path == "worker deltas":
                         blocks = _blocks_on(chain, specs, nonce)
-                        deltas, root = _worker_deltas(chain, blocks)
+                        delta, root = _worker_delta(chain, blocks)
                         chain.apply_executed_blocks(
-                            blocks, deltas,
+                            blocks, delta,
                             [encode_block(b) for b in blocks],
                             expected_state_root=root)
                     else:

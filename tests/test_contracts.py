@@ -160,6 +160,31 @@ class TestRuntime:
         addr = deploy(chain, "Bare")
         assert runtime.query(chain, addr, "ping") == "pong"
 
+    def test_a_setup_that_raises_leaves_no_frame(self, rig):
+        """A setup that writes and then fails with an error that is not
+        a revert: the deploy fails, its write is undone, and its frame
+        is gone — it would otherwise sit on the commit group's snapshot,
+        which the group releases as the top frame."""
+        runtime, chain = rig
+
+        class Broken(Contract):
+            def setup(self) -> None:
+                self.storage.set("half", 1)
+                raise RuntimeError("setup broke")
+
+        runtime.register(Broken)
+        before = chain.state.state_root()
+        tx = Transaction(sender="d", kind=TxKind.CONTRACT_DEPLOY,
+                         payload=deploy_payload("Broken"))
+        receipts = chain.append_block(chain.build_block([tx]))
+        assert not receipts[0].success
+        assert "setup broke" in receipts[0].error
+        assert chain.height == 1
+        assert chain.state.open_snapshots == 0
+        assert chain.state.state_root() == before
+        deploy(chain, "Counter")
+        assert chain.height == 2
+
     def test_gas_and_calls_are_accounted(self, rig):
         runtime, chain = rig
         tx = Transaction(sender="d", kind=TxKind.CONTRACT_DEPLOY,

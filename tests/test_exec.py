@@ -248,7 +248,8 @@ class TestPoolMechanics:
                                        traced_telemetry):
         """Every root is sampled, yet no job frame carries a trace
         context and no ``ok`` reply a span or counter: a reply is the
-        deltas, root, height and the seconds the execution took."""
+        group's one net delta, root, height and the seconds the
+        execution took."""
         sent: list[bytes] = []
         replies: list[bytes] = []
         run_jobs = ProcessExecPool.run
@@ -282,7 +283,7 @@ class TestPoolMechanics:
         decoded = [canonical_decode(reply) for reply in replies]
         assert decoded and all(reply["status"] == "ok" for reply in decoded)
         for reply in decoded:
-            assert set(reply) == {"status", "deltas", "state_root",
+            assert set(reply) == {"status", "delta", "state_root",
                                   "height", "exec_s"}
             assert isinstance(reply["exec_s"], float)
             assert reply["exec_s"] >= 0.0

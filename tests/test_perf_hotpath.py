@@ -165,16 +165,17 @@ class TestIncrementalStateRoot:
         assert s.state_root() == before
 
     def test_release_keeps_changes_in_one_step(self):
-        """The commit group's release: the named frame and every frame
-        above it go at once, their changes stay, and nothing is copied
-        into the frame below (which can no longer undo them)."""
+        """The commit group's release: the top frame goes, its changes
+        stay, and nothing is copied into the frame below (which can no
+        longer undo them).  Only the top frame can be released."""
         s = StateStore()
         outer = s.snapshot()
         s.set("ns", "a", 1)
         group = s.snapshot()
         s.set("ns", "b", 2)
-        s.snapshot()
         s.set("ns", "c", 3)
+        with pytest.raises(ChainError):
+            s.release_snapshots(outer)
         s.release_snapshots(group)
         assert s.open_snapshots == 1
         s.rollback(outer)

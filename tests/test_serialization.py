@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SerializationError
-from repro.serialization import canonical_encode
+from collections import OrderedDict
+from types import MappingProxyType
+
+from repro.serialization import canonical_encode, own
 
 
 class TestBasicTypes:
@@ -95,3 +98,34 @@ class TestProperties:
     def test_injective_on_int_lists(self, a, b):
         if a != b:
             assert canonical_encode(a) != canonical_encode(b)
+
+
+def _containers(value):
+    """Every list and dict inside ``value``, ``value`` included."""
+    found = []
+    if isinstance(value, (list, dict)):
+        found.append(value)
+    children = value.values() if isinstance(value, dict) else (
+        value if isinstance(value, (list, tuple)) else ())
+    for child in children:
+        found.extend(_containers(child))
+    return found
+
+
+class TestOwn:
+    @given(json_like)
+    def test_an_owned_copy_shares_no_container(self, value):
+        copy = own(value)
+        assert canonical_encode(copy) == canonical_encode(value)
+        originals = {id(c) for c in _containers(value)}
+        assert not originals & {id(c) for c in _containers(copy)}
+
+    def test_frozen_and_subclassed_containers_are_copied(self):
+        inner = OrderedDict(files=["x"])
+        value = MappingProxyType({"inputs": inner, "tags": ("a", ["b"])})
+        copy = own(value)
+        assert type(copy) is dict and type(copy["inputs"]) is dict
+        copy["inputs"]["files"].append("y")
+        copy["tags"][1].append("c")
+        assert inner == {"files": ["x"]}
+        assert value["tags"] == ("a", ["b"])
