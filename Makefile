@@ -282,7 +282,12 @@ setup-split:
 # chain opens one snapshot per group and an exec worker ships one net
 # delta per job — no drain of a per-block delta and no release below the
 # top frame anywhere in src, tests, benchmarks, examples or tools, and
-# no per-block "deltas" reply under exec/.
+# no per-block "deltas" reply under exec/.  Nor may a second spelling of
+# an operation come back where the census cut it: each FILE:PATTERN below
+# names a definition that another public call already does (server.stop
+# beside drain, SegmentLog.append beside append_many, Blockchain.is_intact
+# beside first_broken_height, ...), and the unique deleted names stay
+# unused anywhere in src, tests, benchmarks, examples or tools.
 lint-private:
 	@! grep -rnE '\bsharded\._[a-z]' src/repro --include='*.py' \
 	    | grep -v '^src/repro/sharding/'
@@ -402,6 +407,41 @@ lint-private:
 	@! grep -rnE '\b(drain_snapshot_delta|_frame_index)\b' \
 	    src tests benchmarks examples tools --include='*.py'
 	@! grep -rn '"deltas"' src/repro/exec --include='*.py'
+	@for rule in \
+	    'gateway/server.py:def (stop|address|active_connections|draining)\b' \
+	    'gateway/client.py:def ping\b|\bping = ' \
+	    'persist/segment.py:def (append|scan|current_segment|end_location|end_offset)\b' \
+	    'provenance/query.py:def (point|point_verified|impact_ids|__len__)\b' \
+	    'sharding/query.py:def trace\b' \
+	    'chain/blockchain.py:def (__len__|__iter__|is_intact)\b' \
+	    'chain/block.py:def (__iter__|size_bytes)\b' \
+	    'chain/mempool.py:def __contains__\b' \
+	    'chain/anchoring.py:def __len__\b' \
+	    'chain/state.py:def __len__\b' \
+	    'chain/transaction.py:def to_canonical\b' \
+	    'crypto/signatures.py:def (to_canonical|verify_or_raise)\b' \
+	    'crypto/distributed_merkle.py:def (add_many|verify_or_raise)\b' \
+	    'provenance/anchor.py:def anchored_count\b' \
+	    'provenance/capture.py:def pending_count\b' \
+	    'sharding/beacon.py:def is_anchored\b' \
+	    'sharding/locks.py:def entry\b' \
+	    'sharding/twophase.py:def get\b' \
+	    'sharding/shardchain.py:def (accepted_total|deferred_total)\b' \
+	    'sync/codec.py:def chunk_count\b' \
+	    'sync/replica.py:def query\b' \
+	    'persist/codec.py:def transaction_to_mapping\b' \
+	    'persist/stores.py:def (truncate_above|iter_items|iter_records_raw)\b' \
+	    'persist/durable.py:def (iter_items|iter_records_raw)\b' \
+	    'persist/provdb.py:def store\b' \
+	    'network/simnet.py:def pending\b' \
+	    'exec/pool.py:def call\b' \
+	    'contracts/contract.py:def describe\b|abi_version' \
+	    'contracts/runtime.py:def deployed_class\b' \
+	    'chaos/plan.py:def (as_dict|describe)\b' \
+	    'chaos/runner.py:def as_dict\b'; do \
+	    ! grep -nE "$${rule#*:}" "src/repro/$${rule%%:*}" || exit 1; done
+	@! grep -rnE '\b(is_intact|point_verified|impact_ids|active_connections|end_location|current_segment|end_offset|accepted_total|chunk_count|anchored_count|deployed_class|iter_records_raw|verify_or_raise|abi_version|transaction_to_mapping)\b|beacon\.is_anchored\(|locks\.entry\(' \
+	    src tests benchmarks examples tools --include='*.py'
 
 # The production path (gateway, ingest, sharding, exec, persist, chain,
 # ...) may not import the survey packages — the surveyed systems, domains

@@ -86,9 +86,6 @@ class BatchAnchors:
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._locator)
 
-    def __len__(self) -> int:
-        return len(self._locator)
-
     def locate(self, key: Hashable) -> tuple[int, int] | None:
         """``(batch position, leaf index)`` of ``key``, if anchored."""
         return self._locator.get(key)

@@ -28,7 +28,7 @@ even those from the raw payload bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..crypto.hashing import DOMAIN_BLOCK, ZERO_HASH, hash_canonical
 from ..crypto.merkle import MerkleProof, MerkleTree, leaf_hash
@@ -147,9 +147,6 @@ class Block:
     def __len__(self) -> int:
         return len(self.transactions)
 
-    def __iter__(self) -> Iterator[Transaction]:
-        return iter(self.transactions)
-
     # ------------------------------------------------------------------
     # Integrity
     # ------------------------------------------------------------------
@@ -215,14 +212,6 @@ class Block:
             if tx.tx_id == tx_id:
                 return i, tx
         return None
-
-    @property
-    def size_bytes(self) -> int:
-        """Approximate serialized size (storage benches)."""
-        from ..serialization import canonical_encode
-
-        header_size = len(canonical_encode(self.header.to_canonical()))
-        return header_size + sum(tx.size_bytes for tx in self.transactions)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

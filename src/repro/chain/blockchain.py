@@ -55,7 +55,7 @@ no snapshot outlives its group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from ..crypto.merkle import MerkleProof
 from ..errors import ChainError, InvalidBlock, StorageError, TamperDetected
@@ -257,12 +257,6 @@ class Blockchain:
     @property
     def height(self) -> int:
         return self._store.height()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self) -> Iterator[Block]:
-        return self._store.iter_blocks()
 
     def block_at(self, height: int) -> Block:
         if not 0 <= height <= self._store.height():
@@ -494,10 +488,6 @@ class Blockchain:
                 raise TamperDetected(str(exc), height=block.height) from exc
             prev_hash = (block.header.compute_block_hash() if deep
                          else block.header.block_hash)
-
-    def is_intact(self, deep: bool = False) -> bool:
-        """Boolean form of :meth:`verify`."""
-        return self.first_broken_height(deep=deep) is None
 
     def first_broken_height(self, deep: bool = False) -> int | None:
         """Height at which :meth:`verify` fails, or ``None`` if intact."""

@@ -39,9 +39,6 @@ class Mempool:
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __contains__(self, tx_id: str) -> bool:
-        return tx_id in self._by_id
-
     # ------------------------------------------------------------------
     def add(self, tx: Transaction) -> bool:
         """Add ``tx``; returns ``False`` for duplicates.

@@ -87,9 +87,6 @@ class StateStore:
     def contains(self, namespace: str, key: str) -> bool:
         return (namespace, key) in self._data
 
-    def __len__(self) -> int:
-        return len(self._data)
-
     # ------------------------------------------------------------------
     # Internal single mutation path (keeps the root bookkeeping
     # consistent for sets, deletes, and rollback restores alike)

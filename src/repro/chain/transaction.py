@@ -326,9 +326,6 @@ class Transaction:
         """
         return hash_bytes(canonical_encode(self.signing_body()), DOMAIN_TX)
 
-    def to_canonical(self) -> dict:
-        return self.signing_body()
-
     # ------------------------------------------------------------------
     # Signing
     # ------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Seeded fault plans: one integer seed → a full chaos schedule.
 
-A plan is plain data (frozen dataclasses, canonical-encodable via
-:meth:`FaultPlan.describe`) so a failing chaos run can be reproduced
-from its printed plan alone.  :func:`seeded_plan` derives every knob —
+A plan is plain data (frozen dataclasses) so a failing chaos run can be
+reproduced from its seed alone.  :func:`seeded_plan` derives every knob —
 drop/duplicate/reorder rates per topic and the coordinator kill sites —
 from ``random.Random(seed)``, and the same seed also drives the
 :class:`~repro.network.simnet.SimNet` RNG inside the runner, so the
@@ -33,15 +32,6 @@ class NetFault:
     reorder: float = 0.0
     reorder_delay: int = 50
 
-    def as_dict(self) -> dict:
-        return {
-            "topic": self.topic,
-            "drop": self.drop,
-            "duplicate": self.duplicate,
-            "reorder": self.reorder,
-            "reorder_delay": self.reorder_delay,
-        }
-
 
 @dataclass(frozen=True)
 class CoordinatorKill:
@@ -55,9 +45,6 @@ class CoordinatorKill:
 
     after_wal_writes: int
 
-    def as_dict(self) -> dict:
-        return {"after_wal_writes": self.after_wal_writes}
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -70,18 +57,6 @@ class FaultPlan:
     rounds_per_transfer: int = 6
     background_txs: int = 4
     n_shards: int = 4
-
-    def describe(self) -> dict:
-        """Canonical-encodable summary (printed by the CLI)."""
-        return {
-            "seed": self.seed,
-            "net_faults": [f.as_dict() for f in self.net_faults],
-            "kills": [k.as_dict() for k in self.kills],
-            "transfers": self.transfers,
-            "rounds_per_transfer": self.rounds_per_transfer,
-            "background_txs": self.background_txs,
-            "n_shards": self.n_shards,
-        }
 
 
 def seeded_plan(seed: int, transfers: int = 3, kills: int = 2) -> FaultPlan:

@@ -80,25 +80,6 @@ class ChaosReport:
             self.proof_digest,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "transfers_started": self.transfers_started,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "crashes": self.crashes,
-            "recovered_finalized": self.recovered_finalized,
-            "recovered_aborted": self.recovered_aborted,
-            "recovered_cleaned": self.recovered_cleaned,
-            "locks_dropped": self.locks_dropped,
-            "ops_polls": self.ops_polls,
-            "ops_failures": self.ops_failures,
-            "rounds": self.rounds,
-            "proof_digest": self.proof_digest,
-            "reopen_digest": self.reopen_digest,
-            "invariants": self.invariants,
-        }
-
 
 def check_invariants(sharded: ShardedChain, xids) -> dict:
     """Audit the settled store against the 2PC atomicity contract.

@@ -60,8 +60,6 @@ class Contract:
     * ``self.emit(name, **data)`` — append an event to the receipt.
     """
 
-    abi_version = 1
-
     def __init__(self) -> None:
         self.address: str = ""
         self.caller: str = ""
@@ -124,15 +122,6 @@ class Contract:
             if kind is not None:
                 entries[name] = kind
         return entries
-
-    @classmethod
-    def describe(cls) -> dict:
-        """Self-describing ABI (used in deploy transactions)."""
-        return {
-            "name": cls.__name__,
-            "abi_version": cls.abi_version,
-            "entry_points": cls.entry_points(),
-        }
 
 
 def require_entry_point(contract_cls: type[Contract], name: str) -> str:

@@ -203,6 +203,3 @@ class ContractRuntime:
             chain.state, address=address, entry=entry, caller=caller, args=args
         )
         return output
-
-    def deployed_class(self, address: str) -> Type[Contract] | None:
-        return self._instances.get(address)

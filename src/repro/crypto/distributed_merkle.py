@@ -14,9 +14,9 @@ The same structure serves any sharded provenance log, so it lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
-from ..errors import InvalidProof, UnknownEntity
+from ..errors import UnknownEntity
 from .merkle import MerkleProof, MerkleTree, leaf_hash, verify_proof
 
 
@@ -71,10 +71,6 @@ class CaseForest:
         index = self._stages[stage].append(record)
         self._dirty = True
         return index
-
-    def add_many(self, stage: str, records: Iterable[Any]) -> None:
-        for record in records:
-            self.add(stage, record)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -146,10 +142,3 @@ class CaseForest:
         # Level 2: (stage, stage_root) under the forest root.
         top_leaf = {"stage": proof.stage, "root": proof.stage_root}
         return verify_proof(root, top_leaf, proof.top_proof)
-
-    def verify_or_raise(self, record: Any, proof: ForestProof) -> None:
-        if not self.verify(record, proof):
-            raise InvalidProof(
-                f"forest proof failed for stage {proof.stage!r} "
-                f"leaf {proof.stage_proof.leaf_index}"
-            )

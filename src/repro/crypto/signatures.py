@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable
 
-from ..errors import CryptoError, InvalidSignature
+from ..errors import CryptoError
 from ..obs.runtime import telemetry
 from ..serialization import canonical_encode
 from .hashing import DOMAIN_KEY, DOMAIN_SIG, hash_bytes
@@ -42,9 +42,6 @@ class PublicKey:
         """Short printable address derived from the key (computed once:
         not a field, so equality, hash and ``repr`` never see it)."""
         return self.key_bytes.hex()[:40]
-
-    def to_canonical(self) -> dict:
-        return {"pub": self.key_bytes}
 
 
 @dataclass(frozen=True)
@@ -186,9 +183,3 @@ def verify_encoded_batch(
     e2e probe's cold verify pass, ``benchmarks/e2e/probes.py:47``)."""
     return [verify_encoded(encoded, tag, public)
             for encoded, tag, public in items]
-
-
-def verify_or_raise(message: Any, tag: bytes, public: PublicKey) -> None:
-    """Raise :class:`InvalidSignature` when verification fails."""
-    if not verify(message, tag, public):
-        raise InvalidSignature(f"bad signature from {public.address}")

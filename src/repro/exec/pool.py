@@ -195,9 +195,3 @@ class ProcessExecPool:
                     response = None
                 yield (index, response)
                 dispatch(widx)
-
-    def call(self, widx: int, payload: bytes) -> bytes | None:
-        """One job, one worker, blocking."""
-        for _, response in self.run([(widx, payload)]):
-            return response
-        return None  # pragma: no cover - run always yields once

@@ -12,7 +12,6 @@ loop (the IoT-fleet example, a snapshot-sync replica, REPL poking).
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 
 from ..errors import GatewayError
@@ -23,8 +22,6 @@ from .frames import (
     OP_HELLO,
     OP_HELLO_OK,
     OP_OPS,
-    OP_PING,
-    OP_PONG,
     OP_REPORT,
     OP_RETRY_AFTER,
     PROTOCOL_VERSION,
@@ -179,11 +176,6 @@ class AsyncGatewayClient:
         """The operator surface: registry snapshot + health rollup."""
         return (await self.call({"op": OP_OPS}))[-1]
 
-    async def ping(self) -> float:
-        t0 = time.perf_counter()
-        _expect(await self.call({"op": OP_PING}), OP_PONG)
-        return time.perf_counter() - t0
-
     async def close(self) -> None:
         """Polite goodbye; tolerates a server that already hung up."""
         try:
@@ -249,7 +241,6 @@ class GatewayClient:
     submit = _blocking("submit")
     submit_with_retry = _blocking("submit_with_retry", bounded=False)
     ops = _blocking("ops")
-    ping = _blocking("ping")
 
     def close(self) -> None:
         try:

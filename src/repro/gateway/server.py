@@ -163,18 +163,6 @@ class GatewayServer:
             self._sealer_task = asyncio.ensure_future(self._sealer())
         return self.host, self.port
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
-
-    @property
-    def active_connections(self) -> int:
-        return len(self._connections)
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def _sealer(self) -> None:
         """Background sealing: pump + seal whenever there is backlog,
         off the event loop so admission keeps its microsecond acks."""
@@ -240,12 +228,6 @@ class GatewayServer:
             except _ConnectionGone:
                 pass   # already counted undeliverable; just close
             await self._close_connection(conn)
-
-    async def stop(self) -> None:
-        """Drain, then fully stop (idempotent)."""
-        if not self._stopped or self._connections:
-            await self.drain()
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # Frame plumbing

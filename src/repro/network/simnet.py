@@ -301,9 +301,6 @@ class SimNet:
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def pending(self) -> int:
-        return len(self._queue)
-
     def step(self) -> NetMessage | None:
         """Deliver the single next message (advancing the clock to it):
         the handler gets a body decoded from the bytes :meth:`send`

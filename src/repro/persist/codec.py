@@ -62,7 +62,6 @@ __all__ = [
     "check_record",
     "check_records",
     "receipt_to_mapping",
-    "transaction_to_mapping",
     "transaction_from_mapping",
     "transaction_embedded",
 ]
@@ -329,6 +328,8 @@ def _sealed_transaction_at(data: bytes, pos: int, count: int,
 
 
 def _transaction_to_mapping(tx: Transaction) -> dict:
+    """Canonical-encodable mapping for one transaction (signature,
+    signer key and seal flag included when present)."""
     m = tx.signing_body()
     if tx.signature is not None and tx.signer is not None:
         m["_sig"] = tx.signature
@@ -367,7 +368,7 @@ def _transaction_from_mapping(m: dict | Transaction) -> Transaction:
 
 def transaction_embedded(tx: Transaction) -> dict | Pinned:
     """What a block, submit or job frame embeds for ``tx``; encodes to
-    the same bytes as :func:`transaction_to_mapping`'s mapping.
+    the same bytes as :func:`_transaction_to_mapping`'s mapping.
 
     A sealed transaction already pins the canonical bytes of its signing
     body, so its mapping's encoding is spliced instead of re-walked:
@@ -389,18 +390,12 @@ def transaction_embedded(tx: Transaction) -> dict | Pinned:
     return Pinned(head + tx._encoded_body()[len(SIGNING_BODY_HEAD):])
 
 
-# Public aliases: the mapping form is also the *wire* form — the
-# gateway (repro.gateway) batches many of these inside one canonical
+# The mapping form is also the *wire* form — the gateway
+# (repro.gateway) batches many of these inside one canonical
 # length-prefixed frame, so a transaction decoded off the socket
 # re-encodes to the same bytes it is hashed and signed over.
-def transaction_to_mapping(tx: Transaction) -> dict:
-    """Canonical-encodable mapping for one transaction (signature,
-    signer key, and seal flag included when present)."""
-    return _transaction_to_mapping(tx)
-
-
 def transaction_from_mapping(m: dict | Transaction) -> Transaction:
-    """Exact inverse of :func:`transaction_to_mapping`; a transaction
+    """Exact inverse of :func:`_transaction_to_mapping`; a transaction
     :func:`decode_frame` already built passes through."""
     return _transaction_from_mapping(m)
 

@@ -481,6 +481,10 @@ class DurableBlockStore(BlockStore):
             self._index.remember(block.height, block)
 
     def truncate_above(self, height: int) -> None:
+        """Drop every block above ``height`` plus its tx index entries
+        and derived row, and state rows that describe one of them —
+        snapshot sync's unwind of a tail it failed to install, never a
+        sealed block of a live chain."""
         if height >= self._height:
             return
         row = self._index.locate(height + 1)
@@ -581,9 +585,10 @@ class DurableBlockStore(BlockStore):
                 "AND height < ? ORDER BY height, pos", (start, stop)):
             tx_ids.setdefault(height, []).append(tx_id)
         derived = dict(self._derived_range(start, stop))
+        frames = self._index.log.read_many(
+            (segment, offset) for _, segment, offset, _ in rows)
         items = []
-        for height, segment, offset, block_hash in rows:
-            frame = self._index.read(segment, offset)
+        for (height, _, _, block_hash), frame in zip(rows, frames):
             items.append({
                 "height": height,
                 "block_hash": bytes(block_hash),
@@ -663,15 +668,20 @@ class DurableRecordStore(RecordStore):
     def __len__(self) -> int:
         return self._count
 
-    def iter_items(self) -> Iterator[tuple[int, dict]]:
-        """Driven by the index, not ``range(count)``: this build only
-        appends, so the positions are dense, but recovering a records
-        log an older binary annotated can drop an old position (its torn
-        newest frame) and leave a hole."""
-        positions = [pos for (pos,) in self._conn.execute(
-            "SELECT position FROM records ORDER BY position")]
-        for position in positions:
-            yield position, self.get(position)
+    def iter_items_raw(self) -> Iterator[tuple[int, dict]]:
+        """One index-ordered query, then each frame read off the log in
+        that order and decoded — no LRU entry, no copy (a decoded frame
+        is nobody else's).  Driven by the index, not ``range(count)``:
+        this build only appends, so the positions are dense, but
+        recovering a records log an older binary annotated can drop an
+        old position (its torn newest frame) and leave a hole."""
+        rows = self._conn.execute(
+            "SELECT position, segment, offset FROM records "
+            "ORDER BY position").fetchall()
+        frames = self._index.log.read_many(
+            (segment, offset) for _, segment, offset in rows)
+        for (position, _, _), frame in zip(rows, frames):
+            yield position, decode_record(frame)
 
 
 class DurableStorage(Storage):
@@ -1003,4 +1013,3 @@ class DurableStorage(Storage):
         self._conn.commit()
         self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         self._conn.close()
-

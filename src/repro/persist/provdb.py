@@ -58,14 +58,11 @@ class ProvenanceDatabase:
         if len(self._store):
             self._rebuild_indexes()
 
-    @property
-    def store(self) -> RecordStore:
-        return self._store
-
     def _rebuild_indexes(self) -> None:
         """One pass over a reopened store to repopulate the inverted
-        indexes (positions only; record bodies stay on disk)."""
-        for position, stored in self._store.iter_items():
+        indexes (positions only; record bodies stay on disk): the
+        store's raw walk, so no record is copied or cached."""
+        for position, stored in self._store.iter_items_raw():
             self._index_record(position, stored)
 
     def _index_record(self, position: int, stored: Mapping[str, Any]) -> None:
@@ -181,7 +178,7 @@ class ProvenanceDatabase:
     def scan(self, predicate: Callable[[dict], bool]) -> list[dict]:
         # Raw iteration, copying only the matches — the scan baseline
         # must not pay a per-record copy the index paths don't.
-        return [own(r) for r in self._store.iter_records_raw()
+        return [own(r) for _, r in self._store.iter_items_raw()
                 if predicate(r)]
 
     def scan_subject(self, subject: str) -> list[dict]:

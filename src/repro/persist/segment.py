@@ -30,7 +30,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import StorageError
 
@@ -93,13 +93,14 @@ class LogLocation:
     offset: int
     length: int
 
-    @property
-    def end_offset(self) -> int:
-        return self.offset + self.length
-
 
 def _segment_name(segment: int) -> str:
     return f"seg-{segment:08d}.log"
+
+
+def _damaged(segment: int, offset: int) -> StorageError:
+    return StorageError(f"invalid frame at segment {segment} offset "
+                        f"{offset} (index and log disagree — run recovery)")
 
 
 class SegmentLog:
@@ -152,14 +153,6 @@ class SegmentLog:
         except OSError:
             return 0
 
-    @property
-    def current_segment(self) -> int:
-        return self._current
-
-    def end_location(self) -> tuple[int, int]:
-        """``(segment, offset)`` one past the last byte written."""
-        return self._current, self._current_size
-
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
@@ -191,12 +184,6 @@ class SegmentLog:
             raise StorageError("payload exceeds the frame sanity bound")
         return _LEN.pack(len(payload)) + payload + _LEN.pack(
             zlib.crc32(payload))
-
-    def append(self, payload: bytes) -> LogLocation:
-        """Frame and append ``payload``; returns its address.  A group of
-        one: flushed to the OS (readable by any other handle), with the
-        fsync deferred to the next group, seal, sync or close."""
-        return self.append_many([payload], fsync=False)[0]
 
     def append_many(self, payloads: Sequence[bytes],
                     fsync: bool = True) -> list[LogLocation]:
@@ -288,28 +275,33 @@ class SegmentLog:
         """
         if self._write_fh is not None:
             self._write_fh.flush()
-        path = self._path(segment)
         try:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                head = fh.read(4)
-                if len(head) != 4:
-                    return None
-                (word,) = _LEN.unpack(head)
-                length = word & _LEN_MASK
-                if length > _MAX_PAYLOAD:
-                    return None
-                body = fh.read(length + 4)
-                if len(body) != length + 4:
-                    return None
-                stored, crc_bytes = body[:length], body[length:]
-                if zlib.crc32(stored) != _LEN.unpack(crc_bytes)[0]:
-                    return None
-                if word & _FLAG_COMPRESSED:
-                    stored = zlib.decompress(stored)
-                return stored, FRAME_OVERHEAD + length
+            with open(self._path(segment), "rb") as fh:
+                return self._frame_in(fh, offset)
         except (OSError, zlib.error):
             return None
+
+    @staticmethod
+    def _frame_in(fh, offset: int) -> tuple[bytes, int] | None:
+        """:meth:`frame_info_at` on an open segment file (may raise
+        ``OSError`` / ``zlib.error``)."""
+        fh.seek(offset)
+        head = fh.read(4)
+        if len(head) != 4:
+            return None
+        (word,) = _LEN.unpack(head)
+        length = word & _LEN_MASK
+        if length > _MAX_PAYLOAD:
+            return None
+        body = fh.read(length + 4)
+        if len(body) != length + 4:
+            return None
+        stored, crc_bytes = body[:length], body[length:]
+        if zlib.crc32(stored) != _LEN.unpack(crc_bytes)[0]:
+            return None
+        if word & _FLAG_COMPRESSED:
+            stored = zlib.decompress(stored)
+        return stored, FRAME_OVERHEAD + length
 
     def frame_at(self, segment: int, offset: int) -> bytes | None:
         """Payload of the frame at ``(segment, offset)``, or ``None`` if
@@ -321,31 +313,34 @@ class SegmentLog:
         """Payload at an address the index vouches for; raises on damage."""
         payload = self.frame_at(segment, offset)
         if payload is None:
-            raise StorageError(
-                f"invalid frame at segment {segment} offset {offset} "
-                "(index and log disagree — run recovery)"
-            )
+            raise _damaged(segment, offset)
         return payload
 
-    def scan(self, start: tuple[int, int] = (0, 0)
-             ) -> Iterator[tuple[LogLocation, bytes]]:
-        """Iterate valid frames from ``start``, stopping at the first
-        invalid one (the recovery boundary)."""
-        segment, offset = start
-        while True:
-            info = self.frame_info_at(segment, offset)
-            if info is None:
-                # End of this segment: advance iff a later segment exists.
-                nxt = segment + 1
-                if (offset == self.segment_size(segment)
-                        and os.path.exists(self._path(nxt))):
-                    segment, offset = nxt, 0
-                    continue
-                return
-            payload, frame_length = info
-            loc = LogLocation(segment, offset, frame_length)
-            yield loc, payload
-            offset = loc.end_offset
+    def read_many(self, addresses: Iterable[tuple[int, int]]
+                  ) -> Iterator[bytes]:
+        """:meth:`read` of each ``(segment, offset)`` in turn, opening a
+        segment file once per run of addresses in it (an index-ordered
+        walk of one log opens each segment once)."""
+        if self._write_fh is not None:
+            self._write_fh.flush()
+        fh, open_segment = None, None
+        try:
+            for segment, offset in addresses:
+                try:
+                    if segment != open_segment:
+                        if fh is not None:
+                            fh.close()
+                        fh = open(self._path(segment), "rb")
+                        open_segment = segment
+                    info = self._frame_in(fh, offset)
+                except (OSError, zlib.error):
+                    info = None
+                if info is None:
+                    raise _damaged(segment, offset)
+                yield info[0]
+        finally:
+            if fh is not None:
+                fh.close()
 
     # ------------------------------------------------------------------
     # Truncation (recovery + sync's unwind)

@@ -7,8 +7,9 @@ two stores, one per kind of durable truth the stack owns:
   order, the transaction index (tx_id → height/position) and the state
   rows.  Execution receipts are not stored: a commit returns them, and
   replay derives them again.  A committed block is final; the one
-  truncation above a height is snapshot sync's unwind of a tail it
-  failed to install.
+  truncation above a height (``DurableBlockStore.truncate_above``) is
+  snapshot sync's unwind of a tail it failed to install into a
+  replica's durable store.
 * :class:`RecordStore` — the append-only provenance record list the
   off-chain database indexes; positions are stable ints, and a record,
   once stored, is never rewritten.
@@ -66,7 +67,7 @@ class BlockStore(ABC):
         canonical-encodable row of proof state a service derives from
         that block (an anchor batch's leaf digests, a beacon round's
         entries); the row shares its block's fate — committed with it,
-        gone with it on recovery and :meth:`truncate_above` — so
+        gone with it on recovery and truncation — so
         :meth:`derived_rows` is all a service reloads from.  ``state``
         returns the group's net state change
         (:meth:`~repro.chain.state.StateStore.delta_since` ops): a store
@@ -111,13 +112,6 @@ class BlockStore(ABC):
     @abstractmethod
     def tx_count(self) -> int:
         """Number of committed transactions (tx index rows)."""
-
-    @abstractmethod
-    def truncate_above(self, height: int) -> None:
-        """Drop every block above ``height`` plus its tx index entries
-        and derived row, and state rows that describe one of them —
-        snapshot sync's unwind of a tail it failed to install, never a
-        sealed block of a live chain."""
 
     def state_image(self) -> tuple[int, list[tuple[str, str, Any]]]:
         """``(height, entries)``: the state rows, sorted, and the height
@@ -188,18 +182,17 @@ class RecordStore(ABC):
     def __len__(self) -> int: ...
 
     @abstractmethod
-    def iter_items(self) -> Iterator[tuple[int, dict]]:
-        """``(position, record copy)`` pairs in position order."""
+    def iter_items_raw(self) -> Iterator[tuple[int, Mapping[str, Any]]]:
+        """``(position, record)`` pairs in position order, **not**
+        copied — the store's one walk, for callers that only read (the
+        database's index rebuild, the scan baseline) and copy what they
+        keep."""
 
     def iter_records(self) -> Iterator[dict]:
-        """Record copies in position order."""
-        for _, record in self.iter_items():
-            yield record
-
-    def iter_records_raw(self) -> Iterator[Mapping[str, Any]]:
-        """Read-only iteration *without* per-record copies — the honest
-        scan baseline (callers copy only what they keep)."""
-        return self.iter_records()
+        """Record copies (:func:`~repro.serialization.own`) in position
+        order."""
+        for _, record in self.iter_items_raw():
+            yield own(record)
 
 
 class MetaStore(ABC):
@@ -280,16 +273,8 @@ class MemoryBlockStore(BlockStore):
     def tx_count(self) -> int:
         return len(self._tx_index)
 
-    def truncate_above(self, height: int) -> None:
-        while len(self._blocks) - 1 > height:
-            block = self._blocks.pop()
-            self._derived.pop(block.height, None)
-            for tx in block.transactions:
-                self._tx_index.pop(tx.tx_id, None)
-
     def derived_rows(self) -> Iterator[tuple[int, Any]]:
-        # Insertion order is height order: blocks append in order and
-        # truncation pops from the top.
+        # Insertion order is height order: blocks append in order.
         return iter(list(self._derived.items()))
 
     def raw_block_items(self, start: int, count: int) -> list[dict]:
@@ -341,12 +326,8 @@ class MemoryRecordStore(RecordStore):
     def __len__(self) -> int:
         return len(self._records)
 
-    def iter_items(self) -> Iterator[tuple[int, dict]]:
-        for position, record in enumerate(self._records):
-            yield position, own(record)
-
-    def iter_records_raw(self) -> Iterator[dict]:
-        return iter(self._records)
+    def iter_items_raw(self) -> Iterator[tuple[int, dict]]:
+        return enumerate(self._records)
 
 
 class MemoryStorage(Storage):

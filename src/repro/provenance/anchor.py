@@ -280,14 +280,9 @@ class AnchorService:
         return len(self._pending.records)
 
     @property
-    def anchored_count(self) -> int:
-        return len(self._batches)
-
-    @property
     def bytes_on_chain(self) -> int:
         """Total size of the anchor transactions this service committed
         (read off the chain; nothing is accumulated or persisted)."""
         return sum(self.chain.block_at(r.block_height)
                    .find_transaction(r.tx_id)[1].size_bytes
                    for r in self.receipts)
-

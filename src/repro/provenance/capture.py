@@ -229,7 +229,3 @@ class MultiSourceCapture:
         delivered = self.sink.deliver(record)
         self.metrics.records_delivered += 1
         return delivered
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

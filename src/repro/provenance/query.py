@@ -3,7 +3,8 @@
 Implements the paper's §6.1 "Provenance Query" consideration and the
 §6.2 future-work item on repeated queries:
 
-* **point** queries by record id,
+* **point** queries by record id (the database's ``get``; verified,
+  :meth:`ProvenanceQueryEngine.verify_records` of that record),
 * **history** queries over a subject (all operations on one artifact),
 * **actor** and **time-range** queries,
 * **lineage** queries over a :class:`~repro.provenance.graph.ProvenanceGraph`,
@@ -88,9 +89,6 @@ class QueryCache:
         self.invalidations += len(self._entries)
         self._entries.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class ProvenanceQueryEngine:
     """Queries over the provenance database, graph, and chain anchors."""
@@ -118,11 +116,6 @@ class ProvenanceQueryEngine:
     # ------------------------------------------------------------------
     # Unverified queries
     # ------------------------------------------------------------------
-    def point(self, record_id: str) -> dict:
-        """Fetch one record by id."""
-        return self._cached(("point", record_id),
-                            lambda: self.database.get(record_id))
-
     def history(self, subject: str) -> list[dict]:
         """All records about ``subject``, oldest first."""
         def run() -> list[dict]:
@@ -147,19 +140,9 @@ class ProvenanceQueryEngine:
         return self._cached(("lineage", node_id),
                             lambda: self.graph.lineage(node_id))
 
-    def impact_ids(self, node_id: str) -> list[str]:
-        if self.graph is None:
-            raise QueryError("engine has no provenance graph")
-        return self._cached(("impact", node_id),
-                            lambda: self.graph.impact(node_id))
-
     # ------------------------------------------------------------------
     # Verified queries
     # ------------------------------------------------------------------
-    def point_verified(self, record_id: str) -> VerifiedAnswer:
-        self._require_anchor_service()
-        return self.verify_records([self.point(record_id)])
-
     def history_verified(self, subject: str) -> VerifiedAnswer:
         self._require_anchor_service()
         return self.verify_records(self.history(subject))

@@ -109,9 +109,6 @@ class BeaconChain:
     def rounds_anchored(self) -> int:
         return len(self.receipts)
 
-    def is_anchored(self, shard_id: int, height: int) -> bool:
-        return (shard_id, height) in self._batches
-
     def anchored_height(self, shard_id: int) -> int:
         """Highest height of ``shard_id`` any round committed (0: none);
         a scan of the anchored keys, for the facade's reopen."""

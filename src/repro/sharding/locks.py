@@ -166,6 +166,3 @@ class LockTable:
         the subjects; handoff records only materialize on full commit,
         so this is presumed-abort, never data loss."""
         return self._drop(lambda entry: entry.expires_round < now)
-
-    def entry(self, shard_id: int, subject: str) -> LockEntry | None:
-        return self._locks.get((shard_id, subject))

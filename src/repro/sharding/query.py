@@ -116,17 +116,6 @@ class ShardedQueryEngine:
         return [row for _, row in
                 self._gather(lambda s: s.query.time_range(start, end))]
 
-    def trace(self, *subjects: str) -> list[dict]:
-        """Union of the subjects' histories (a cross-shard handoff chain:
-        pass every identity the object had along the way)."""
-        if not subjects:
-            raise QueryError("trace needs at least one subject")
-        wanted = set(subjects)
-        return [row for _, row in self._gather(
-            lambda s: [r for subject in wanted
-                       for r in s.query.history(subject)]
-        )]
-
     # ------------------------------------------------------------------
     # Verified federation
     # ------------------------------------------------------------------
@@ -134,6 +123,8 @@ class ShardedQueryEngine:
         return self._verified(lambda s: s.query.history(subject))
 
     def trace_verified(self, *subjects: str) -> ShardedVerifiedAnswer:
+        """Union of the subjects' histories (a cross-shard handoff chain:
+        pass every identity the object had along the way), verified."""
         if not subjects:
             raise QueryError("trace needs at least one subject")
         wanted = set(subjects)

@@ -347,16 +347,8 @@ class SubmitReport:
     )
 
     @property
-    def accepted_total(self) -> int:
-        return sum(self.accepted.values())
-
-    @property
     def queued_total(self) -> int:
         return sum(self.queued.values())
-
-    @property
-    def deferred_total(self) -> int:
-        return len(self.deferred)
 
     @property
     def rejected_total(self) -> int:
@@ -776,13 +768,20 @@ class ShardedChain:
         once for the whole batch — a failure (a duplicate of one its
         home shard holds included) raises :class:`RecordValidationError`
         — and a lock conflict raises :class:`ShardError`, both before
-        anything is stored."""
-        check_records(records, lambda record: self.shard_for_subject(
-            record["subject"]).database.contains(record["record_id"]))
+        anything is stored.  Each record is routed once, by the
+        duplicate check: the rule asks it of every record, in order,
+        once the record itself has passed."""
+        homes: list[int] = []
+
+        def stored(record: Mapping[str, Any]) -> bool:
+            homes.append(self.router.shard_for_subject(record["subject"]))
+            return self.shards[homes[-1]].database.contains(
+                record["record_id"])
+
+        check_records(records, stored)
         buckets: dict[int, list[Mapping[str, Any]]] = {}
-        for record in records:
+        for record, shard_id in zip(records, homes):
             subject = record["subject"]
-            shard_id = self.router.shard_for_subject(subject)
             if self.locks.blocks(shard_id, subject, record.get("xid")):
                 raise ShardError(
                     f"subject {subject!r} is locked by a cross-shard "
@@ -798,8 +797,9 @@ class ShardedChain:
         anchoring; returns ``(shard_id, anchor receipt if one flushed)``.
         A batch of one whose fsync is deferred to the next group commit
         or checkpoint."""
-        flushed = self.ingest_records([record], fsync=False)
-        shard_id = self.router.shard_for_subject(record["subject"])
+        buckets = self._route_records([record])
+        [shard_id] = buckets
+        flushed = self._write_buckets(buckets, fsync=False)
         return shard_id, next(iter(flushed.get(shard_id, ())), None)
 
     def ingest_records(
@@ -822,8 +822,13 @@ class ShardedChain:
         committed before the failure point durably stored; their logs
         recover independently, and the failed shards' records can be
         re-ingested.)"""
+        return self._write_buckets(self._route_records(records), fsync)
+
+    def _write_buckets(
+        self, buckets: dict[int, list[Mapping[str, Any]]], fsync: bool
+    ) -> dict[int, list[AnchorReceipt]]:
         receipts: dict[int, list[AnchorReceipt]] = {}
-        for shard_id, bucket in self._route_records(records).items():
+        for shard_id, bucket in buckets.items():
             shard = self.shards[shard_id]
             flushed = shard.database.write(bucket, shard.anchor, fsync)
             if flushed:

@@ -373,12 +373,6 @@ class CrossShardCoordinator:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def get(self, xid: str) -> CrossShardTransfer:
-        transfer = self.transfers.get(xid)
-        if transfer is None:
-            raise ShardError(f"unknown transfer {xid!r}")
-        return transfer
-
     @property
     def active(self) -> list[CrossShardTransfer]:
         return [t for t in self.transfers.values()

@@ -80,10 +80,6 @@ class SnapshotManifest:
     total_bytes: int
     chunk_hashes: tuple[bytes, ...]
 
-    @property
-    def chunk_count(self) -> int:
-        return len(self.chunk_hashes)
-
     def to_mapping(self) -> dict:
         return {
             "shard_id": self.shard_id,

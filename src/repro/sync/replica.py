@@ -150,10 +150,6 @@ class ShardReplica:
     def chain(self):
         return self._require_open().chain
 
-    @property
-    def query(self):
-        return self._require_open().query
-
     def history(self, subject: str) -> list[dict]:
         return self._require_open().query.history(subject)
 

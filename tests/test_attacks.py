@@ -131,8 +131,8 @@ def custody_source() -> ShardedChain:
     while sharded.mempool_backlog:
         sharded.seal_round()
     shard = sharded.shard(0)
-    assert len(shard.chain.state) == N_LOTS
-    assert sharded.beacon.is_anchored(0, shard.chain.height)
+    assert len(shard.chain.state.dump_entries()) == N_LOTS
+    assert sharded.beacon.anchored_entry(0, shard.chain.height) is not None
     return sharded
 
 

@@ -134,14 +134,14 @@ class TestMultiSourceCapture:
         capture = MultiSourceCapture(sink, required_sources=2)
         capture.report("s1", "m", {"subject": "x"})
         assert capture.report("s1", "m", {"actor": "a"}) is None
-        assert capture.pending_count == 1
+        assert len(capture._pending) == 1
 
     def test_conflicting_fragments_fail_loudly(self, sink):
         capture = MultiSourceCapture(sink, required_sources=2)
         capture.report("s1", "m", {"subject": "x"})
         with pytest.raises(CaptureError):
             capture.report("s2", "m", {"subject": "CONTRADICTION"})
-        assert capture.pending_count == 0
+        assert capture._pending == {}
         assert capture.metrics.records_rejected == 1
 
 
@@ -256,7 +256,7 @@ class TestQueryEngine:
     def test_verified_needs_anchor_service(self, database):
         engine = ProvenanceQueryEngine(database)
         with pytest.raises(QueryError):
-            engine.point_verified("x")
+            engine.history_verified("x")
 
     def test_cache_hit_on_repeat(self, chain, database):
         engine = self._loaded_engine(chain, database)
@@ -362,23 +362,15 @@ class TestQueryEngine:
         assert all(5 <= r["timestamp"] < 10 for r in rows)
         assert len(rows) == 5
 
-    def test_point_query_is_cached(self, chain, database):
-        engine = self._loaded_engine(chain, database)
-        assert engine.point("g3")["subject"] == "s3"
-        assert engine.point("g3")["subject"] == "s3"
-        assert (engine.stats.cache_hits, engine.stats.cache_misses) == (1, 1)
-        assert len(engine.cache) == 1
-        assert engine.point_verified("g3").verified
-
-    def test_impact_ids_need_a_graph(self, database):
+    def test_lineage_ids_need_a_graph(self, database):
         from repro.provenance import ProvenanceGraph, RelationKind
 
         with pytest.raises(QueryError):
-            ProvenanceQueryEngine(database).impact_ids("raw")
+            ProvenanceQueryEngine(database).lineage_ids("clean")
         graph = ProvenanceGraph()
         graph.add_entity("raw")
         graph.add_entity("clean")
         graph.relate("clean", RelationKind.WAS_DERIVED_FROM, "raw")
         engine = ProvenanceQueryEngine(database, graph=graph)
-        assert engine.impact_ids("raw") == ["clean"]
-        assert engine.impact_ids("clean") == []
+        assert engine.lineage_ids("clean") == ["raw"]
+        assert engine.lineage_ids("raw") == []

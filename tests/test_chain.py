@@ -108,18 +108,13 @@ class TestBlockStructure:
         assert tx_in_header(block.header, txs[4], proof)
         assert not tx_in_header(block.header, txs[5], proof)
 
-    def test_block_and_chain_iterate_their_contents(self, chain):
+    def test_block_and_chain_list_their_contents(self, chain):
         txs = [data_tx(i) for i in range(3)]
         block = chain.build_block(txs)
-        assert len(block) == 3 and list(block) == txs
-        # The storage benches' size: the header plus every transaction.
-        smaller = Block(1, chain.head.block_hash, txs[:2])
-        tx_bytes = sum(tx.size_bytes for tx in txs)
-        assert block.size_bytes > tx_bytes
-        assert block.size_bytes - smaller.size_bytes >= txs[2].size_bytes
+        assert len(block) == 3 and block.transactions == txs
         chain.append_block(block)
-        assert len(chain) == chain.height + 1 == 2
-        assert [b.height for b in chain] == [0, 1]
+        assert len(chain.blocks) == chain.height + 1 == 2
+        assert [b.height for b in chain.blocks] == [0, 1]
 
 
 class TestAppendAndExecute:
@@ -175,15 +170,14 @@ class TestAppendAndExecute:
 
 class TestTamperDetection:
     """The Figure-2 scenario: any mutation breaks the chain downstream.
-    ``verify``, ``is_intact`` and ``first_broken_height`` are one walk, so
-    every case asserts all three agree on where the chain breaks."""
+    ``verify`` and ``first_broken_height`` are one walk, so every case
+    asserts both agree on where the chain breaks."""
 
     def _grow(self, chain, blocks=5):
         for i in range(blocks):
             chain.append_block(chain.build_block([data_tx(i)]))
 
     def _assert_broken_at(self, chain, height):
-        assert not chain.is_intact()
         assert chain.first_broken_height() == height
         with pytest.raises(TamperDetected) as exc:
             chain.verify()
@@ -192,7 +186,6 @@ class TestTamperDetection:
     def test_intact_chain_verifies(self, chain):
         self._grow(chain)
         chain.verify()
-        assert chain.is_intact()
         assert chain.first_broken_height() is None
 
     def test_mutated_tx_detected_at_its_height(self, chain):

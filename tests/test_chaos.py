@@ -251,7 +251,7 @@ class TestLeasesAndFencing:
         # expires_round: the sweep at the start of round lease+2 drops it.
         for _ in range(4):
             sharded.seal_round(timestamp=sharded.rounds_sealed)
-        assert sharded.locks.entry(shard_id, src) is None
+        assert not sharded.locks.blocks(shard_id, src, None)
         assert (telemetry().registry
                 .counter("xshard_lock_leases_expired_total").value >= 1)
         sharded.submit(record_tx(src))   # flows again
@@ -336,7 +336,7 @@ class TestSeededPlans:
         assert seeded_plan(7) == seeded_plan(7)
         assert seeded_plan(7) != seeded_plan(8)
         plan = seeded_plan(7)
-        assert plan.describe()["seed"] == 7
+        assert plan.seed == 7
         assert all(0.0 <= f.drop < 1.0 for f in plan.net_faults)
 
     def test_chaos_run_is_deterministic_per_seed(self, tmp_path):

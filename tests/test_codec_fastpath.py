@@ -49,7 +49,7 @@ from repro.persist.codec import (
     encode_receipt,
     encode_record,
     transaction_embedded,
-    transaction_to_mapping,
+    _transaction_to_mapping,
 )
 from repro.provenance.records import record_digest
 from repro.serialization import Pinned, canonical_encode
@@ -305,7 +305,7 @@ def block_mapping(block: Block) -> dict:
         "proposer": header.proposer,
         "consensus_meta": dict(header.consensus_meta),
         "nonce": header.nonce,
-        "transactions": [transaction_to_mapping(tx)
+        "transactions": [_transaction_to_mapping(tx)
                          for tx in block.transactions],
     }
 
@@ -328,14 +328,14 @@ class TestSplicedFrames:
         embedded = transaction_embedded(tx)
         assert isinstance(embedded, Pinned) == tx.is_sealed
         assert canonical_encode(embedded) \
-            == oracle_encode(transaction_to_mapping(tx))
+            == oracle_encode(_transaction_to_mapping(tx))
 
     def test_signature_of_another_type_takes_the_mapping_path(self):
         tx = sealed_signed(1)
         tx.signature = bytearray(tx.signature)
         assert isinstance(transaction_embedded(tx), dict)
         assert canonical_encode(transaction_embedded(tx)) \
-            == oracle_encode(transaction_to_mapping(tx))
+            == oracle_encode(_transaction_to_mapping(tx))
 
     def test_block_frame(self):
         block = Block(height=3, prev_hash=b"\x11" * 32,
@@ -355,7 +355,7 @@ class TestSplicedFrames:
         txs = mixed_txs()
         old = oracle_encode({
             "op": "submit", "seq": 12,
-            "txs": [transaction_to_mapping(tx) for tx in txs],
+            "txs": [_transaction_to_mapping(tx) for tx in txs],
         })
         frame = encode_frame(txs_to_frame_body(txs, 12))
         assert frame[4:] == old
@@ -364,7 +364,7 @@ class TestSplicedFrames:
     def test_exec_job_frame(self):
         sharded = ShardedChain(n_shards=1)
         txs = [tx for tx in mixed_txs(30) if tx.is_sealed]
-        assert sharded.submit_many(txs).accepted_total == len(txs)
+        assert sum(sharded.submit_many(txs).accepted.values()) == len(txs)
         shard = sharded.shards[0]
         engine = ProcessRoundEngine(1, None)
         job = engine._prepare(shard, 77, 4, _StubPool())
@@ -455,7 +455,6 @@ class TestRecordsEncodedOnce:
             sharded.seal_round(timestamp=5000)
         for a, b in zip(batched.shards, single.shards):
             assert a.anchor.receipts == b.anchor.receipts
-            assert a.anchor.anchored_count == b.anchor.anchored_count
             for record in records:
                 rid = record["record_id"]
                 assert a.anchor.is_anchored(rid) == b.anchor.is_anchored(rid)
@@ -484,7 +483,7 @@ class TestRecordsEncodedOnce:
         [record] = capture_records(1)
         sharded.ingest_records([record])
         shard = sharded.shard(0)
-        [stored] = shard.database.store.iter_records_raw()
+        [(_, stored)] = shard.storage.records.iter_items_raw()
         assert stored == record and stored is not record
         assert stored is shard.anchor._pending.records[0]
         fetched = shard.database.get(record["record_id"])

@@ -81,10 +81,10 @@ def run_cell(executor: str, work_dir, fault: bool) -> dict:
 
     # Warm-up round: every shard has an anchored block (and, under the
     # process engine, a warm worker replica) before the fault.
-    assert sc.submit_many(load(0)).accepted_total == \
+    assert sum(sc.submit_many(load(0)).accepted.values()) == \
         N_SHARDS * TXS_PER_SHARD
     seal()
-    assert sc.submit_many(load(1)).accepted_total == \
+    assert sum(sc.submit_many(load(1)).accepted.values()) == \
         N_SHARDS * TXS_PER_SHARD
     submitted = 2 * N_SHARDS * TXS_PER_SHARD
     watermark = victim.anchored_height
@@ -116,7 +116,8 @@ def run_cell(executor: str, work_dir, fault: bool) -> dict:
     for shard in sc.shards:
         assert shard.anchored_height == shard.chain.height
         for height in range(1, shard.chain.height + 1):
-            assert sc.beacon.is_anchored(shard.shard_id, height)
+            assert sc.beacon.anchored_entry(
+                shard.shard_id, height) is not None
     sc.verify_all(deep=True)
 
     out = {

@@ -350,10 +350,10 @@ class TestForkGuards:
         DurableStorage and must be refused by the in-worker guard."""
         pool = ProcessExecPool(1)
         try:
-            response = pool.call(0, canonical_encode({
+            [(_, response)] = pool.run([(0, canonical_encode({
                 "kind": "probe_storage",
                 "directory": str(tmp_path / "probe"),
-            }))
+            }))])
             assert response is not None
             reply = canonical_decode(response)
             assert reply["status"] == "ok"
@@ -387,8 +387,9 @@ class TestForkGuards:
         storage = DurableStorage(str(tmp_path / "store"))
         pool = ProcessExecPool(1, start_method="spawn")
         try:
-            assert pool.call(0, canonical_encode(
-                {"kind": "ping"})) is not None
+            [(_, response)] = pool.run([(0, canonical_encode(
+                {"kind": "ping"}))])
+            assert response is not None
             worker = pool._workers[0]
             fd_dir = f"/proc/{worker.process.pid}/fd"
             if not os.path.isdir(fd_dir):  # pragma: no cover - no procfs

@@ -156,7 +156,6 @@ class TestStateStoreImage:
         assert store.dump_entries() == sorted(
             (ns, key, value) for (ns, key), value in model.items())
         assert store.state_root() == fresh.state_root()
-        assert len(store) == len(model)
 
 
 class TestPackageSurface:

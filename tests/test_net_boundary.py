@@ -246,7 +246,7 @@ class TestCarrier:
         net.register("b", lambda m: None)
         with pytest.raises(SerializationError):
             net.send(NetMessage("a", "b", "t", {"x": object()}))
-        assert net.stats.messages_sent == 0 and net.pending() == 0
+        assert net.stats.messages_sent == 0 and net.step() is None
 
     def test_size_is_the_encoding_and_each_delivery_a_copy(self):
         net = _net()

@@ -77,7 +77,7 @@ from repro.persist.codec import (
     encode_block,
     transaction_embedded,
     transaction_from_mapping,
-    transaction_to_mapping,
+    _transaction_to_mapping,
 )
 from repro.persist.durable import DurableStorage
 from repro.rpc import decode_frame_payload
@@ -527,7 +527,7 @@ def transactions(draw):
     if draw(st.booleans()):
         # A payload that holds something shaped like a sealed
         # transaction: data there, never a Transaction.
-        payload = dict(payload, inner=transaction_to_mapping(
+        payload = dict(payload, inner=_transaction_to_mapping(
             sealed_signed(draw(st.integers(0, 5)))))
     tx = Transaction(
         pair.address if signed else draw(st.text(max_size=8)),
@@ -592,7 +592,7 @@ class TestPinnedSliceEqualsReencode:
 
     def test_look_alikes_the_parent_normalised_are_refused(self):
         tx = sealed_signed(2)
-        good = transaction_to_mapping(tx)
+        good = _transaction_to_mapping(tx)
         assert transaction_from_mapping(dict(good)).tx_hash == tx.tx_hash
         for bad in (
             dict(good, extra=1),                        # a tenth key
@@ -611,7 +611,7 @@ class TestPinnedSliceEqualsReencode:
             assert not check_frame("submit", frame)
 
     def test_sealed_shape_is_data_everywhere_but_the_transaction_slot(self):
-        inner = transaction_to_mapping(sealed_signed(1))
+        inner = _transaction_to_mapping(sealed_signed(1))
         for value in (
             inner,                                      # depth 0
             {"record_id": "r", "meta": inner},          # depth 1

@@ -145,52 +145,79 @@ class TestCodec:
 # ---------------------------------------------------------------------------
 # Segment log
 # ---------------------------------------------------------------------------
+def _append(log: SegmentLog, payload: bytes):
+    return log.append_many([payload], fsync=False)[0]
+
+
+def _payloads(log: SegmentLog, locations) -> list[bytes]:
+    return list(log.read_many((loc.segment, loc.offset)
+                              for loc in locations))
+
+
 class TestSegmentLog:
-    def test_append_read_scan(self, tmp_path):
+    def test_append_read_walk(self, tmp_path):
         log = SegmentLog(tmp_path)
-        locs = [log.append(f"payload-{i}".encode()) for i in range(10)]
+        locs = [_append(log, f"payload-{i}".encode()) for i in range(10)]
         for i, loc in enumerate(locs):
             assert log.read(loc.segment, loc.offset) == f"payload-{i}".encode()
-        scanned = [payload for _, payload in log.scan()]
-        assert scanned == [f"payload-{i}".encode() for i in range(10)]
+        assert _payloads(log, locs) == \
+            [f"payload-{i}".encode() for i in range(10)]
 
     def test_segments_roll_and_seal(self, tmp_path):
         log = SegmentLog(tmp_path, max_segment_bytes=64)
-        for i in range(20):
-            log.append(b"x" * 30)
-        assert log.current_segment > 0
-        assert log.segments_sealed == log.current_segment
-        assert len([p for _, p in log.scan()]) == 20
+        locs = [_append(log, b"x" * 30) for _ in range(20)]
+        assert locs[-1].segment > 0
+        assert log.segments_sealed == locs[-1].segment
+        assert _payloads(log, locs) == [b"x" * 30] * 20
 
     def test_partial_tail_is_invalid_not_fatal(self, tmp_path):
         log = SegmentLog(tmp_path)
-        keep = log.append(b"first")
-        cut = log.append(b"second-entry")
+        keep = _append(log, b"first")
+        cut = _append(log, b"second-entry")
         log.close()
         path = os.path.join(str(tmp_path), "seg-00000000.log")
         os.truncate(path, cut.offset + 5)  # mid-frame
         reopened = SegmentLog(tmp_path)
         assert reopened.frame_at(keep.segment, keep.offset) == b"first"
         assert reopened.frame_at(cut.segment, cut.offset) is None
-        assert [p for _, p in reopened.scan()] == [b"first"]
+        with pytest.raises(StorageError):
+            _payloads(reopened, [keep, cut])
 
     def test_truncate_to_drops_later_segments(self, tmp_path):
         log = SegmentLog(tmp_path, max_segment_bytes=32)
-        locs = [log.append(b"y" * 20) for _ in range(6)]
+        locs = [_append(log, b"y" * 20) for _ in range(6)]
         log.truncate_to(locs[2].segment, locs[2].offset)
-        assert [p for _, p in log.scan()] == [b"y" * 20] * 2
+        assert _payloads(log, locs[:2]) == [b"y" * 20] * 2
+        assert log.frame_at(locs[2].segment, locs[2].offset) is None
+        assert locs[-1].segment > locs[2].segment
+        assert not os.path.exists(
+            os.path.join(str(tmp_path), f"seg-{locs[-1].segment:08d}.log"))
         # The log stays appendable at the cut point.
-        log.append(b"fresh")
-        assert [p for _, p in log.scan()][-1] == b"fresh"
+        fresh = _append(log, b"fresh")
+        assert (fresh.segment, fresh.offset) == \
+            (locs[2].segment, locs[2].offset)
+        assert _payloads(log, [*locs[:2], fresh])[-1] == b"fresh"
+
+    def test_read_many_follows_the_given_order(self, tmp_path):
+        """Addresses need not run in log order: a walk that jumps back
+        to an earlier segment reopens it and still yields each payload
+        in the order asked."""
+        log = SegmentLog(tmp_path, max_segment_bytes=32)
+        locs = [_append(log, f"z{i:02d}".encode() * 4) for i in range(6)]
+        assert locs[-1].segment > locs[0].segment
+        order = [5, 0, 3, 0, 5, 1]
+        assert _payloads(log, [locs[i] for i in order]) == \
+            [f"z{i:02d}".encode() * 4 for i in order]
 
     def test_fault_injection_hook(self, tmp_path):
         log = SegmentLog(tmp_path)
-        log.append(b"good")
+        good = _append(log, b"good")
         log.fail_after_bytes = 6
         with pytest.raises(CrashPoint):
-            log.append(b"never-lands")
-        # The victim frame is a partial write: invisible to scans.
-        assert [p for _, p in log.scan()] == [b"good"]
+            _append(log, b"never-lands")
+        # The victim frame is a partial write: never a valid frame.
+        assert log.frame_at(good.segment, good.offset) == b"good"
+        assert log.frame_at(good.segment, good.offset + good.length) is None
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +411,13 @@ def _log_of(storage: DurableStorage, table: str) -> SegmentLog:
     return storage.block_log if table == "blocks" else storage.record_log
 
 
+def _log_sizes(storage: DurableStorage, table: str) -> dict[str, int]:
+    """Byte size of each segment file of ``table``'s log."""
+    directory = _log_of(storage, table).directory
+    return {name: os.path.getsize(os.path.join(directory, name))
+            for name in os.listdir(directory)}
+
+
 def _chop_tail(directory, table: str, n_bytes: int) -> None:
     """Cut ``n_bytes`` off the end of ``table``'s tail segment file."""
     seg_dir = os.path.join(str(directory), f"{table}-log")
@@ -409,7 +443,7 @@ class TestOneRecoveryWalk:
         storage = DurableStorage(tmp_path)
         _fill(storage, table, 5)
         rows = _index_rows(storage)
-        end = _log_of(storage, table).end_location()
+        end = _log_sizes(storage, table)
         _log_of(storage, table).fail_after_bytes = fail_after
         with pytest.raises(CrashPoint):
             _fill(storage, table, 1)
@@ -421,7 +455,7 @@ class TestOneRecoveryWalk:
         assert getattr(storage2, f"recovered_{table}") == 0
         assert _entries(storage2, table) == 5
         assert _index_rows(storage2) == rows
-        assert _log_of(storage2, table).end_location() == end
+        assert _log_sizes(storage2, table) == end
         _fill(storage2, table, 1)       # still appendable
         storage2.close()
         storage3 = DurableStorage(tmp_path)
@@ -499,7 +533,7 @@ def test_chopped_record_log_recovers_a_dense_prefix(tmp_path, cut_back):
     assert list(survived) == list(range(kept))
     assert survived == {position: written[position]
                         for position in range(kept)}
-    assert [position for position, _ in storage2.records.iter_items()] \
+    assert [position for position, _ in storage2.records.iter_items_raw()] \
         == list(range(kept))
     _fill(storage2, "records", 1)
     assert list(_record_frames(storage2)) == list(range(kept + 1))
@@ -635,6 +669,109 @@ class TestBackendEquivalence:
         assert reopened.by_time_range(0, 1001) == mem_db.by_time_range(0, 1001)
         storage2.close()
 
+
+class TestReopenRebuildsIndexesFromFrames:
+    """Reopening a durable record store rebuilds the database's inverted
+    indexes from one walk of the log: one index query, each frame
+    decoded directly — no per-record location query, no LRU entry, no
+    copy."""
+
+    @staticmethod
+    def _records(n: int) -> list[dict]:
+        return [{"record_id": f"r{i:04d}", "subject": f"s{i % 7}",
+                 "actor": f"a{i % 3}", "operation": f"op{i % 2}",
+                 "timestamp": (i * 37) % 101, "nested": {"k": [i]}}
+                for i in range(n)]
+
+    @staticmethod
+    def _indexes(db) -> tuple:
+        return (db._by_id, dict(db._by_subject), dict(db._by_actor),
+                dict(db._by_operation), db._by_time)
+
+    def _reopen(self, directory, n: int, monkeypatch):
+        from repro.persist import durable, provdb, stores
+        from repro.serialization import own
+        from repro.storage.provdb import ProvenanceDatabase
+
+        storage = DurableStorage(directory)
+        live = ProvenanceDatabase(store=storage.records)
+        live.insert_many(self._records(n))
+        storage.close()
+
+        storage = DurableStorage(directory)
+        statements: list[str] = []
+        owned = []
+
+        def counted_own(value):
+            owned.append(value)
+            return own(value)
+
+        for module in (durable, provdb, stores):
+            monkeypatch.setattr(module, "own", counted_own)
+        storage._conn.set_trace_callback(statements.append)
+        try:
+            reopened = ProvenanceDatabase(store=storage.records)
+        finally:
+            storage._conn.set_trace_callback(None)
+            monkeypatch.undo()
+        try:
+            assert self._indexes(reopened) == self._indexes(live)
+            assert len(storage.records._index._cache) == 0
+            assert owned == []
+        finally:
+            storage.close()
+        return statements
+
+    def test_one_walk_whatever_the_record_count(self, tmp_path,
+                                                monkeypatch):
+        few = self._reopen(tmp_path / "few", 5, monkeypatch)
+        many = self._reopen(tmp_path / "many", 60, monkeypatch)
+        assert len(few) == len(many) == 1
+        assert few[0].startswith("SELECT position, segment, offset")
+
+
+    def test_a_damaged_frame_stops_the_walk(self, tmp_path):
+        """The uncopied walk checks each frame's CRC as ``read`` does:
+        a record frame garbled in the middle of the log raises
+        ``StorageError`` instead of yielding a wrong record."""
+        storage = DurableStorage(tmp_path)
+        try:
+            _fill(storage, "records", 4)
+            segment, offset = storage._conn.execute(
+                "SELECT segment, offset FROM records "
+                "WHERE position = 1").fetchone()
+            storage.record_log.read(segment, offset)     # flushes the log
+            path = os.path.join(storage.record_log.directory,
+                                f"seg-{segment:08d}.log")
+            with open(path, "r+b") as fh:
+                fh.seek(offset + 6)
+                byte = fh.read(1)
+                fh.seek(offset + 6)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            walk = storage.records.iter_items_raw()
+            assert next(walk)[0] == 0
+            with pytest.raises(StorageError):
+                next(walk)
+        finally:
+            storage.close()
+
+    def test_memory_walk_hands_out_the_stored_records(self):
+        """The memory store's walk is uncopied (the stored dicts
+        themselves) while ``get`` and ``iter_records`` copy."""
+        from repro.persist.stores import MemoryRecordStore
+
+        store = MemoryRecordStore()
+        records = self._records(3)
+        store.append_many(records, [encode_record(r) for r in records])
+        walked = list(store.iter_items_raw())
+        assert [position for position, _ in walked] == [0, 1, 2]
+        assert all(stored is record
+                   for (_, stored), record in zip(walked, records))
+        copies = list(store.iter_records())
+        assert copies == records
+        assert all(copy is not record and copy["nested"] is not
+                   record["nested"] for copy, record in zip(copies, records))
+        assert store.get(1) == records[1] and store.get(1) is not records[1]
 
 # ---------------------------------------------------------------------------
 # Truncation on disk (snapshot sync's unwind of a tail it failed to
@@ -867,7 +1004,7 @@ class TestShardedRestart:
                                 now=0)
         sc.close()  # nothing about the facade is checkpointed
         sc2 = ShardedChain(2, storage_dir=str(tmp_path))
-        assert sc2.locks.entry(shard_id, "asset/locked") is None
+        assert not sc2.locks.blocks(shard_id, "asset/locked", None)
         # The subject is writable again.
         sc2.ingest_record({"record_id": "unblocked",
                            "subject": "asset/locked", "actor": "a",

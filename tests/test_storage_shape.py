@@ -213,12 +213,21 @@ class BlockStoreMachine(RuleBasedStateMachine):
         for store in self._stores():
             store.append_blocks(blocks, derived=derived)
 
+    def _truncate_above(self, height: int) -> None:
+        """The durable store truncates; the memory model (which never
+        truncates) is rebuilt from the blocks and rows it keeps."""
+        kept = [self.memory.block_at(h) for h in range(height + 1)]
+        rows = {h: row for h, row in self.memory.derived_rows()
+                if h <= height}
+        self.memory = MemoryStorage().blocks
+        self.memory.append_blocks(kept, derived=rows)
+        self.storage.blocks.truncate_above(height)
+
     @precondition(lambda self: self.memory.height() >= 0)
     @rule(data=st.data())
     def truncate(self, data):
-        height = data.draw(st.integers(0, self.memory.height()))
-        for store in self._stores():
-            store.truncate_above(height)
+        self._truncate_above(
+            data.draw(st.integers(0, self.memory.height())))
 
     @precondition(lambda self: self.memory.height() >= 1)
     @rule(data=st.data())
@@ -230,10 +239,9 @@ class BlockStoreMachine(RuleBasedStateMachine):
         count = memory.height() - height
         from_memory = memory.raw_block_items(height + 1, count)
         from_durable = durable.raw_block_items(height + 1, count)
-        for store in (memory, durable):
-            store.truncate_above(height)
+        self._truncate_above(height)
         durable.install_raw(from_memory)
-        memory.append_blocks(
+        self.memory.append_blocks(
             [decode_block(item["frame"], expected_hash=item["block_hash"])
              for item in from_durable],
             derived={item["height"]: canonical_decode(item["derived"])
@@ -279,8 +287,10 @@ class TestBundlesReadTheSame:
             for bundle in (memory, durable):
                 bundle.records.append_many(
                     records, [encode_record(r) for r in records], fsync=True)
-                assert [dict(r) for r in bundle.records.iter_records_raw()] \
-                    == list(bundle.records.iter_records()) == records
+                assert [(p, dict(r))
+                        for p, r in bundle.records.iter_items_raw()] \
+                    == list(enumerate(bundle.records.iter_records())) \
+                    == list(enumerate(records))
         finally:
             durable.close()
         memory.blocks.sync()

@@ -72,8 +72,8 @@ def build_source(storage_dir=None, n_shards=2, n_records=64,
         sharded.seal_round(blocks_per_shard=4)
     for shard in sharded.shards:
         assert shard.chain.height > 0
-        assert sharded.beacon.is_anchored(shard.shard_id,
-                                          shard.chain.height)
+        assert sharded.beacon.anchored_entry(
+            shard.shard_id, shard.chain.height) is not None
     return sharded, records
 
 
@@ -144,7 +144,7 @@ class TestChunkCodec:
             block_hash=block_hash, state_root=state_root,
             image=image, chunk_size=chunk_size,
         )
-        assert manifest.chunk_count == len(chunks)
+        assert len(manifest.chunk_hashes) == len(chunks)
         assert manifest.total_bytes == len(image)
         again = SnapshotManifest.from_mapping(manifest.to_mapping())
         assert again == manifest
@@ -323,9 +323,9 @@ class TestCatchUp:
         for subject in sorted(subjects):
             assert replica.history(subject) == \
                 shard.query.history(subject)
-        assert replica.query.by_actor("actor-1") == \
+        assert replica.shard.query.by_actor("actor-1") == \
             shard.query.by_actor("actor-1")
-        assert replica.query.time_range(5, 40) == \
+        assert replica.shard.query.time_range(5, 40) == \
             shard.query.time_range(5, 40)
         replica.close()
 
